@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Applications and higher-level gossip protocols running on top of the
 //! WHISPER PPSS.
 //!

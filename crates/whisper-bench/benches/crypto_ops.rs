@@ -51,8 +51,19 @@ fn bench_aes(c: &mut Bench) {
         let data = vec![0xABu8; size];
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_function(format!("{size}B"), |b| b.iter(|| cipher.ctr_apply(&nonce, &data)));
+        // The kernel a CPU without AES-NI runs, in place like the row the
+        // dispatcher gets beside it (`hardware_kernel()` says which one
+        // that was).
+        let mut buf = data.clone();
+        group.bench_function(format!("in_place/{size}B"), |b| {
+            b.iter(|| cipher.ctr_apply_in_place(&nonce, &mut buf))
+        });
+        group.bench_function(format!("in_place_portable/{size}B"), |b| {
+            b.iter(|| cipher.ctr_apply_in_place_portable(&nonce, &mut buf))
+        });
     }
     group.finish();
+    println!("aes128_ctr: hardware kernel = {}", Aes128::hardware_kernel());
 }
 
 fn bench_sha256(c: &mut Bench) {
@@ -103,54 +114,29 @@ fn bench_onion(c: &mut Bench) {
 /// source, one stripped per hop. Compare with `onion/build_3_layers` and
 /// `onion/peel_one_layer` to see what circuit caching removes.
 fn bench_circuit(c: &mut Bench) {
-    /// Queued packets per relay in the batched-peel cell — the shared
-    /// key-schedule expansion amortizes across this many bodies.
-    const BATCH: usize = 16;
-    {
-        let mut group = c.group("circuit");
-        let mut rng = StdRng::seed_from_u64(9);
-        let (source, setups) = circuit::establish(3, &mut rng);
-        let nonce0 = CtrNonce::random(&mut rng);
-        for size in [256usize, 1024, 4096] {
-            let payload = vec![0xCDu8; size];
-            group.throughput(Throughput::Bytes(size as u64));
-            group.bench_function(format!("seal_3_layers/{size}B"), |b| {
-                b.iter(|| circuit::seal_layers(&source.keys, &nonce0, &payload))
-            });
-            let sealed = circuit::seal_layers(&source.keys, &nonce0, &payload);
-            group.bench_function(format!("peel_one_layer/{size}B"), |b| {
-                b.iter(|| circuit::peel_layer(&setups[0].key, &nonce0, &sealed))
-            });
-            // Batched peels: one key-schedule expansion shared across a
-            // relay's whole queue. CTR is an involution, so re-peeling the
-            // same buffers each iteration times identical work.
-            let mut batch: Vec<(CtrNonce, Vec<u8>)> = (0..BATCH)
-                .map(|_| (CtrNonce::random(&mut rng), sealed.clone()))
-                .collect();
-            group.throughput(Throughput::Bytes((size * BATCH) as u64));
-            group.bench_function(format!("peel_batch{BATCH}/{size}B"), |b| {
-                b.iter(|| circuit::peel_batch_in_place(&setups[0].key, &mut batch))
-            });
-        }
-        group.finish();
-    }
-    // Per-packet batched-vs-single ratio (>1 means batching wins): the
-    // acceptance row for the cached-schedule circuit path.
+    let mut group = c.group("circuit");
+    let mut rng = StdRng::seed_from_u64(9);
+    let (source, setups) = circuit::establish(3, &mut rng);
+    let nonce0 = CtrNonce::random(&mut rng);
     for size in [256usize, 1024, 4096] {
-        let single = c.median_of(&format!("circuit/peel_one_layer/{size}B"));
-        let batch = c.median_of(&format!("circuit/peel_batch{BATCH}/{size}B"));
-        if let (Some(single), Some(batch)) = (single, batch) {
-            let per_packet = batch / BATCH as f64;
-            let speedup = single / per_packet;
-            println!(
-                "circuit/batch_peel_speedup_{size}B      {speedup:.2}x \
-                 (single {:.2} µs vs batched {:.2} µs/pkt)",
-                single / 1e3,
-                per_packet / 1e3,
-            );
-            c.record(format!("circuit/batch_peel_speedup_{size}B"), speedup);
-        }
+        let payload = vec![0xCDu8; size];
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_function(format!("seal_3_layers/{size}B"), |b| {
+            b.iter(|| circuit::seal_layers(&source.keys, &nonce0, &payload))
+        });
+        // The path WCL takes: schedules cached at establishment, layers
+        // applied in place (CTR is an involution, so re-sealing the same
+        // buffer each iteration times identical work).
+        let mut body = payload.clone();
+        group.bench_function(format!("seal_3_layers_cached/{size}B"), |b| {
+            b.iter(|| source.seal_in_place(&nonce0, &mut body))
+        });
+        let sealed = circuit::seal_layers(&source.keys, &nonce0, &payload);
+        group.bench_function(format!("peel_one_layer/{size}B"), |b| {
+            b.iter(|| circuit::peel_layer(&setups[0].key, &nonce0, &sealed))
+        });
     }
+    group.finish();
 }
 
 /// Cached vs rebuilt Montgomery contexts on the RSA private-op and

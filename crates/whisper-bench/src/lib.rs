@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Experiment harness for the WHISPER reproduction.
 //!
 //! One binary per table/figure of the paper's evaluation (§V):

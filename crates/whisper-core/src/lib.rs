@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The WHISPER middleware: the paper's contribution.
 //!
 //! Two layers (paper Fig. 1):

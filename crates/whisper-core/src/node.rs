@@ -304,6 +304,21 @@ impl WhisperNode {
         f(&mut api, app.as_mut())
     }
 
+    /// Hands an application payload to the WCL (WCL packets are the only
+    /// payload type this stack emits) and what it delivers to the PPSS.
+    fn on_app_payload(&mut self, ctx: &mut Ctx<'_>, data: &[u8]) {
+        if let Some(WclEvent::Delivered { payload }) =
+            self.wcl.on_app_payload(ctx, &mut self.nylon, data)
+        {
+            if let Some(events) =
+                self.ppss.on_delivered(ctx, &mut self.nylon, &mut self.wcl, &payload)
+            {
+                self.dispatch_ppss_events(ctx, events);
+            }
+            self.wcl.reclaim(payload);
+        }
+    }
+
     fn dispatch_ppss_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<PpssEvent>) {
         let WhisperNode { nylon, wcl, ppss, app } = self;
         let mut api = WhisperApi { nylon, wcl, ppss };
@@ -353,24 +368,18 @@ impl Protocol for WhisperNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, from_ep: Endpoint, data: &Payload) {
+        // Application traffic — every WCL packet — is read where it was
+        // delivered; only the PSS's own messages take the owned decode.
+        if let Some((_, app)) = self.nylon.on_app_message(ctx, from, from_ep, data) {
+            self.on_app_payload(ctx, app);
+            return;
+        }
         let nylon_events = self.nylon.on_message(ctx, from, from_ep, data);
         for event in nylon_events {
             match event {
-                NylonEvent::Payload { data, .. } => {
-                    // WCL packets are the only payload type we emit.
-                    if let Some(WclEvent::Delivered { payload }) =
-                        self.wcl.on_app_payload(ctx, &mut self.nylon, &data)
-                    {
-                        if let Some(events) = self.ppss.on_delivered(
-                            ctx,
-                            &mut self.nylon,
-                            &mut self.wcl,
-                            &payload,
-                        ) {
-                            self.dispatch_ppss_events(ctx, events);
-                        }
-                    }
-                }
+                // An application payload that came wrapped in a relayed
+                // message.
+                NylonEvent::Payload { data, .. } => self.on_app_payload(ctx, &data),
                 NylonEvent::GossipCompleted { .. } => {}
                 NylonEvent::Descriptor { bytes, .. } => {
                     let events = self.ppss.on_descriptor(ctx, &bytes);

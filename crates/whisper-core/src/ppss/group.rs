@@ -119,6 +119,63 @@ impl WireDecode for Passport {
     }
 }
 
+/// Passports one holder bothers to remember having verified.
+pub const PASSPORT_MEMO_CAP: usize = 64;
+
+/// The passports a group member has already verified, so that the one a
+/// peer attaches to every message costs an RSA verification once instead
+/// of once per message.
+///
+/// One memo belongs to one group state and is only ever asked about that
+/// group's id and key history. The history only grows, and
+/// [`Passport::verify`] accepts a signature that verifies under *any* key
+/// of it, so a `(node, signature)` pair that verified once verifies
+/// forever: a hit is exactly as valid as a re-verification. Anything else
+/// — another node, or one flipped bit of the signature — misses and takes
+/// the full check. The memo dies with the group state (deletion, or the
+/// restart that rebuilds the state from the journal), holds one entry per
+/// node and at most [`PASSPORT_MEMO_CAP`] of them, the oldest making room.
+#[derive(Debug, Default)]
+pub struct PassportMemo {
+    verified: Vec<Passport>,
+    /// Slot the next newcomer overwrites once the memo is full.
+    oldest: usize,
+}
+
+impl PassportMemo {
+    /// [`Passport::verify`], remembering successes.
+    pub fn verify(&mut self, passport: &Passport, group: GroupId, history: &[PublicKey]) -> bool {
+        let slot = self.verified.iter().position(|p| p.node == passport.node);
+        if slot.is_some_and(|i| self.verified[i].signature == passport.signature) {
+            return true;
+        }
+        if !passport.verify(group, history) {
+            return false;
+        }
+        match slot {
+            // A second valid passport of a known node (re-issued under a
+            // newer group key) replaces the first.
+            Some(i) => self.verified[i] = passport.clone(),
+            None if self.verified.len() < PASSPORT_MEMO_CAP => self.verified.push(passport.clone()),
+            None => {
+                self.verified[self.oldest] = passport.clone();
+                self.oldest = (self.oldest + 1) % PASSPORT_MEMO_CAP;
+            }
+        }
+        true
+    }
+
+    /// Passports currently remembered.
+    pub fn len(&self) -> usize {
+        self.verified.len()
+    }
+
+    /// Whether nothing is remembered.
+    pub fn is_empty(&self) -> bool {
+        self.verified.is_empty()
+    }
+}
+
 /// Issues a joining accreditation for `node` (leader operation).
 pub fn issue_accreditation(group_key: &KeyPair, group: GroupId, node: NodeId) -> Vec<u8> {
     group_key.sign(&accreditation_message(group, node))
@@ -229,6 +286,42 @@ mod tests {
         let p_new = Passport::issue(&new, g, NodeId(7));
         assert!(p_new.verify(g, &history));
         assert!(!p.verify(g, &[new.public().clone()]), "without history: invalid");
+    }
+
+    #[test]
+    fn memo_answers_like_verify_and_stays_bounded() {
+        let gk = group_key();
+        let g = GroupId::from_name("chat");
+        let history = [gk.public().clone()];
+        let mut memo = PassportMemo::default();
+        let p = Passport::issue(&gk, g, NodeId(7));
+        assert!(memo.verify(&p, g, &history));
+        assert_eq!(memo.len(), 1);
+        // A hit needs no key at all: the pair is what is remembered.
+        assert!(memo.verify(&p, g, &[]), "memoised pair");
+        // One flipped bit of a memoised node's signature is a miss, and
+        // the full check rejects it; the good passport keeps working.
+        let mut forged = p.clone();
+        forged.signature[3] ^= 1;
+        assert!(!memo.verify(&forged, g, &history));
+        assert!(!memo.verify(&Passport { node: NodeId(8), ..p.clone() }, g, &history));
+        assert_eq!(memo.len(), 1, "failures are not remembered");
+        assert!(memo.verify(&p, g, &history));
+        // Re-issued under a rotated key: the newer passport takes the
+        // node's slot, and the older one still verifies the slow way.
+        let rotated = KeyPair::generate(RsaKeySize::Sim384, &mut StdRng::seed_from_u64(2));
+        let grown = [gk.public().clone(), rotated.public().clone()];
+        let p2 = Passport::issue(&rotated, g, NodeId(7));
+        assert!(memo.verify(&p2, g, &grown));
+        assert_eq!(memo.len(), 1, "one entry per node");
+        assert!(memo.verify(&p, g, &grown));
+        // Bounded: many members, constant memory, nobody locked out.
+        for n in 100..100 + 2 * PASSPORT_MEMO_CAP as u64 {
+            assert!(memo.verify(&Passport::issue(&gk, g, NodeId(n)), g, &history));
+            assert!(memo.len() <= PASSPORT_MEMO_CAP);
+        }
+        assert_eq!(memo.len(), PASSPORT_MEMO_CAP);
+        assert!(memo.verify(&Passport::issue(&gk, g, NodeId(100)), g, &history), "evicted, re-verified");
     }
 
     #[test]

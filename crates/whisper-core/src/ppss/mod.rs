@@ -16,7 +16,9 @@ pub mod messages;
 use crate::wcl::{GatewayInfo, Wcl};
 use descriptor::{GroupDescriptor, MemberDot, Membership, DELTA_DOTS};
 use election::{ElectionOutcome, LeaderTracker};
-use group::{issue_accreditation, verify_accreditation, GroupId, Invitation, Passport};
+use group::{
+    issue_accreditation, verify_accreditation, GroupId, Invitation, Passport, PassportMemo,
+};
 use journal::Journal;
 pub use messages::PrivateEntry;
 use messages::{ElectionBallot, Heartbeat, NewKeyAnnouncement, PpssMsg};
@@ -167,6 +169,10 @@ pub struct GroupState {
     next_dot: u64,
     /// Durable state changed since the last descriptor publish (leader).
     dirty: bool,
+    /// Peers' passports already verified against `key_history` (which
+    /// only grows, so a remembered pass stays a pass). Volatile: it is
+    /// born empty with the state, on join and on journal replay alike.
+    verified: PassportMemo,
 }
 
 impl GroupState {
@@ -204,6 +210,17 @@ impl GroupState {
     /// published yet.
     pub fn latest_descriptor(&self) -> Option<&GroupDescriptor> {
         self.latest_descriptor.as_ref()
+    }
+
+    /// The memo of verified peer passports (diagnostics).
+    pub fn verified_passports(&self) -> &PassportMemo {
+        &self.verified
+    }
+
+    /// Whether `passport` proves membership of `group` (this state's
+    /// group) under the key history.
+    fn admits(&mut self, group: GroupId, passport: &Passport) -> bool {
+        self.verified.verify(passport, group, &self.key_history)
     }
 
     fn current_key(&self) -> &PublicKey {
@@ -251,6 +268,7 @@ impl GroupState {
             desc_seq: 0,
             next_dot: 0,
             dirty: false,
+            verified: PassportMemo::default(),
         }
     }
 }
@@ -733,8 +751,11 @@ impl Ppss {
         let mut to_journal: Vec<GroupId> = Vec::new();
         self.cycles_run += 1;
         ctx.set_timer(self.cfg.cycle, TIMER_PPSS_CYCLE);
-        // Retry pending joins.
-        let pending: Vec<GroupId> = self.pending_joins.keys().copied().collect();
+        // Retry pending joins — in sorted order: each retry draws from the
+        // node RNG (route choice, onion padding), so walking the `HashMap`
+        // in its per-process order would make the run irreproducible.
+        let mut pending: Vec<GroupId> = self.pending_joins.keys().copied().collect();
+        pending.sort_unstable();
         for group in pending {
             self.try_pending_join(ctx, nylon, wcl, group);
         }
@@ -876,7 +897,10 @@ impl Ppss {
         let groups: Vec<GroupId> = self.group_ids();
         for group in groups {
             let state = self.groups.get_mut(&group).expect("listed");
-            let targets: Vec<PrivateEntry> = state.pcp.values().cloned().collect();
+            // Sorted for the same reason as the pending joins in
+            // `on_cycle`: every refresh draws from the node RNG.
+            let mut targets: Vec<PrivateEntry> = state.pcp.values().cloned().collect();
+            targets.sort_unstable_by_key(|e| e.node);
             let passport = state.passport.clone();
             for target in targets {
                 let msg = PpssMsg::PcpRefresh {
@@ -930,8 +954,8 @@ impl Ppss {
         // tail is gone for good, and the next crash replays from
         // exactly what this restart reconstructed.
         self.compact_journal();
-        // Wall-clock recovery time; like the `wcl.*_wall_us` family it
-        // is host-dependent and excluded from determinism traces.
+        // Wall-clock recovery time: host-dependent, and excluded from
+        // determinism traces by its `_wall_us` suffix.
         ctx.metrics().sample(
             "ppss.journal_replay_wall_us",
             replay_started.elapsed().as_nanos() as f64 / 1000.0,
@@ -1128,11 +1152,11 @@ impl Ppss {
                 );
             }
             PpssMsg::AppData { group, passport, data, reply_entry } => {
-                let Some(state) = self.groups.get(&group) else {
+                let Some(state) = self.groups.get_mut(&group) else {
                     ctx.metrics().count("ppss.dropped_unknown_group", 1);
                     return Some(events);
                 };
-                if !passport.verify(group, &state.key_history) {
+                if !state.admits(group, &passport) {
                     ctx.metrics().count("ppss.dropped_bad_passport", 1);
                     return Some(events);
                 }
@@ -1148,7 +1172,7 @@ impl Ppss {
                 let Some(state) = self.groups.get_mut(&group) else {
                     return Some(events);
                 };
-                if !passport.verify(group, &state.key_history) || passport.node != entry.node {
+                if !state.admits(group, &passport) || passport.node != entry.node {
                     ctx.metrics().count("ppss.dropped_bad_passport", 1);
                     return Some(events);
                 }
@@ -1287,7 +1311,7 @@ impl Ppss {
             ctx.metrics().count("ppss.dropped_unknown_group", 1);
             return;
         };
-        if !passport.verify(group, &state.key_history) || passport.node != from_entry.node {
+        if !state.admits(group, &passport) || passport.node != from_entry.node {
             // Invalid passports are ignored silently (paper §IV-A): the
             // sender learns nothing about our membership.
             ctx.metrics().count("ppss.dropped_bad_passport", 1);
@@ -1459,5 +1483,99 @@ impl Ppss {
             state.view.iter().filter(|e| e.node != partner).collect();
         candidates.shuffle(ctx.rng());
         candidates.into_iter().take(len).cloned().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ppss::group::PASSPORT_MEMO_CAP;
+    use crate::{WhisperConfig, WhisperNode};
+    use whisper_net::nat::NatType;
+    use whisper_net::sim::{Sim, SimConfig};
+    use whisper_rand::rngs::StdRng;
+    use whisper_rand::SeedableRng;
+
+    /// Delivers `msg` to the PPSS of `node` as the WCL would, returning
+    /// the events it raised.
+    fn deliver(sim: &mut Sim, node: NodeId, msg: &PpssMsg) -> Vec<PpssEvent> {
+        let wire = msg.to_wire();
+        let mut events = None;
+        sim.with_node_ctx::<WhisperNode>(node, |n, ctx| {
+            n.with_api(|api, _| events = api.ppss.on_delivered(ctx, api.nylon, api.wcl, &wire));
+        });
+        events.expect("a PPSS message")
+    }
+
+    fn app_data(group: GroupId, passport: Passport) -> PpssMsg {
+        PpssMsg::AppData { group, passport, data: vec![1, 2, 3], reply_entry: None }
+    }
+
+    /// The passport memo end to end: a remembered passport is accepted
+    /// without changing what is delivered or counted, a forgery for a
+    /// remembered node is still dropped under `ppss.dropped_bad_passport`,
+    /// the memo stays bounded, and it does not survive the group state —
+    /// neither a restart (state rebuilt from the journal) nor a deletion.
+    #[test]
+    fn passport_memo_is_exact_bounded_and_volatile() {
+        let cfg = WhisperConfig::default();
+        let key = KeyPair::generate(cfg.nylon.rsa, &mut StdRng::seed_from_u64(1));
+        let mut sim = Sim::new(SimConfig::cluster(5));
+        let me = sim.add_node(Box::new(WhisperNode::new(cfg, key)), NatType::Public);
+        sim.run_for_secs(1);
+        let mut group = GroupId(0);
+        sim.with_node_ctx::<WhisperNode>(me, |n, ctx| group = n.create_group(ctx, "memo"));
+        let memo_len = |sim: &Sim| {
+            let state = sim.node::<WhisperNode>(me).unwrap().ppss().group(group);
+            state.map(|s| s.verified_passports().len())
+        };
+        let group_key = {
+            let node = sim.node::<WhisperNode>(me).unwrap();
+            node.ppss().groups[&group].leader_key.clone().expect("the creator leads")
+        };
+        let bad = |sim: &Sim| sim.metrics().counter("ppss.dropped_bad_passport");
+
+        let peer = Passport::issue(&group_key, group, NodeId(100));
+        let expected = vec![PpssEvent::AppMessage {
+            group,
+            from: NodeId(100),
+            data: vec![1, 2, 3],
+            reply_entry: None,
+        }];
+        assert_eq!(memo_len(&sim), Some(0));
+        assert_eq!(deliver(&mut sim, me, &app_data(group, peer.clone())), expected, "verified");
+        assert_eq!(memo_len(&sim), Some(1));
+        assert_eq!(deliver(&mut sim, me, &app_data(group, peer.clone())), expected, "remembered");
+        assert_eq!(bad(&sim), 0);
+
+        // A forged signature for the remembered node: dropped, counted,
+        // nothing delivered, nothing remembered.
+        let mut forged = peer.clone();
+        forged.signature[0] ^= 0x80;
+        assert_eq!(deliver(&mut sim, me, &app_data(group, forged)), vec![]);
+        assert_eq!(bad(&sim), 1);
+        assert_eq!(memo_len(&sim), Some(1));
+
+        // More members than the memo holds: bounded, and nobody rejected.
+        for n in 0..PASSPORT_MEMO_CAP as u64 + 8 {
+            let p = Passport::issue(&group_key, group, NodeId(1000 + n));
+            assert_eq!(deliver(&mut sim, me, &app_data(group, p)).len(), 1);
+        }
+        assert_eq!(memo_len(&sim), Some(PASSPORT_MEMO_CAP));
+        assert_eq!(bad(&sim), 1);
+
+        // A restart rebuilds the state from the journal: the memo is gone
+        // and the passport verifies again from scratch.
+        sim.with_node_ctx::<WhisperNode>(me, |n, ctx| n.ppss_mut().on_restart(ctx));
+        assert_eq!(memo_len(&sim), Some(0), "the memo is volatile");
+        assert_eq!(deliver(&mut sim, me, &app_data(group, peer.clone())), expected);
+        assert_eq!(memo_len(&sim), Some(1));
+
+        // Deletion takes the memo with the rest of the group state; the
+        // once-remembered passport now opens nothing.
+        sim.with_node_ctx::<WhisperNode>(me, |n, ctx| assert!(n.delete_group(ctx, group)));
+        assert_eq!(memo_len(&sim), None);
+        assert_eq!(deliver(&mut sim, me, &app_data(group, peer)), vec![]);
+        assert_eq!(sim.metrics().counter("ppss.resurrection_blocked"), 1);
     }
 }

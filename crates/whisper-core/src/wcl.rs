@@ -37,6 +37,7 @@ use whisper_crypto::aes::CtrNonce;
 use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, CircuitTable, HopSetup, SourceCircuit};
 use whisper_crypto::onion::{self, PeelResult};
 use whisper_crypto::rsa::PublicKey;
+use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use whisper_net::{NodeId, SimDuration, SimTime};
@@ -241,42 +242,63 @@ impl WireDecode for WclPacket {
 /// the layered body. Every field changes at each hop (the id is
 /// hop-local, the nonce is hash-chained, the body loses one CTR layer),
 /// so adjacent links share no bytes.
-#[derive(Clone, Debug, PartialEq)]
-struct CircuitPacket {
+///
+/// A circuit packet is only ever a view of a delivered payload: a relay
+/// reads the id and the nonce, copies the body into its outgoing buffer
+/// behind a fresh header ([`put_circuit_header`]) and strips its layer
+/// there; nothing on the way owns a `Vec`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct CircuitPacket<'a> {
     cid: CircuitId,
     nonce: CtrNonce,
-    body: Vec<u8>,
+    body: &'a [u8],
 }
 
 const CIRCUIT_TAG: u8 = 0xC2;
 
-impl WireEncode for CircuitPacket {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u8(CIRCUIT_TAG);
-        w.put_raw(&self.cid.0);
-        w.put_raw(&self.nonce.0);
-        w.put_bytes(&self.body);
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + 8 + 8 + whisper_net::wire::bytes_len(&self.body)
-    }
+/// Wire size of a circuit packet with a `body_len`-byte body.
+const fn circuit_packet_len(body_len: usize) -> usize {
+    1 + 8 + 8 + 4 + body_len
 }
 
-impl WireDecode for CircuitPacket {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+/// Writes everything of a circuit packet but the body; the caller appends
+/// exactly `body_len` bytes.
+fn put_circuit_header(w: &mut WireWriter, cid: CircuitId, nonce: &CtrNonce, body_len: usize) {
+    w.put_u8(CIRCUIT_TAG);
+    w.put_raw(&cid.0);
+    w.put_raw(&nonce.0);
+    w.put_u32(body_len as u32);
+}
+
+/// Writes a whole outgoing circuit packet — Nylon framing, circuit header
+/// and a copy of `body` — into a pool buffer, returning it with the
+/// offset of the body: the one place the body is copied to, and where the
+/// caller then applies its CTR layers in place.
+fn circuit_frame(
+    ctx: &mut Ctx<'_>,
+    nylon: &NylonCore,
+    cid: CircuitId,
+    nonce: &CtrNonce,
+    body: &[u8],
+) -> (PayloadWriter, usize) {
+    let mut frame = nylon.begin_app(ctx, circuit_packet_len(body.len()));
+    put_circuit_header(&mut frame, cid, nonce, body.len());
+    let body_at = frame.len();
+    frame.put_raw(body);
+    (frame, body_at)
+}
+
+impl<'a> CircuitPacket<'a> {
+    fn from_wire(wire: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = WireReader::new(wire);
         if r.take_u8()? != CIRCUIT_TAG {
             return Err(WireError::new("not a circuit packet"));
         }
-        let mut cid = [0u8; 8];
-        cid.copy_from_slice(r.take_raw(8)?);
-        let mut nonce = [0u8; 8];
-        nonce.copy_from_slice(r.take_raw(8)?);
-        Ok(CircuitPacket {
-            cid: CircuitId(cid),
-            nonce: CtrNonce(nonce),
-            body: r.take_bytes()?.to_vec(),
-        })
+        let cid = CircuitId(r.take_raw(8)?.try_into().expect("8 bytes taken"));
+        let nonce = CtrNonce(r.take_raw(8)?.try_into().expect("8 bytes taken"));
+        let body = r.take_bytes()?;
+        r.finish()?;
+        Ok(CircuitPacket { cid, nonce, body })
     }
 }
 
@@ -374,6 +396,11 @@ pub struct Wcl {
     /// Destinations currently degraded to RSA-onion-per-packet, with the
     /// instant the degradation lapses.
     degraded_until: BTreeMap<NodeId, SimTime>,
+    /// Where a circuit packet addressed to this node is decrypted: lent
+    /// out as the payload of [`WclEvent::Delivered`] and handed back
+    /// through [`Wcl::reclaim`], so a delivery allocates nothing once
+    /// the buffer has grown to the largest payload seen.
+    deliver_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for Wcl {
@@ -401,6 +428,7 @@ impl Wcl {
             health: BTreeMap::new(),
             fail_streak: BTreeMap::new(),
             degraded_until: BTreeMap::new(),
+            deliver_buf: Vec::new(),
         }
     }
 
@@ -428,6 +456,16 @@ impl Wcl {
     pub fn flush_circuits(&mut self) {
         self.circuits.clear();
         self.routes.clear();
+    }
+
+    /// Hands back the payload of a [`WclEvent::Delivered`] once the layer
+    /// above is done with it, so the next delivery decrypts into the same
+    /// storage. Optional: a payload that is kept instead is simply
+    /// replaced by a fresh allocation.
+    pub fn reclaim(&mut self, payload: Vec<u8>) {
+        if payload.capacity() > self.deliver_buf.capacity() {
+            self.deliver_buf = payload;
+        }
     }
 
     /// Number of circuits this node currently carries for others.
@@ -718,34 +756,27 @@ impl Wcl {
         // three CTR layers and zero RSA. Skipped when a retry is steering
         // away from specific mixes — those want a *different* path.
         if self.cfg.circuits && !degraded && avoid_a.is_empty() && avoid_b.is_empty() {
-            let cached = self
-                .routes
-                .get(&dest.node)
-                .map(|r| (r.circuit.clone(), r.first_hop, r.mixes, r.expires));
-            if let Some((src_circuit, first_hop, mixes, expires)) = cached {
-                if expires > now {
+            if let Some(route) = self.routes.get(&dest.node) {
+                if route.expires > now {
+                    let (first_hop, mixes) = (route.first_hop, route.mixes);
                     let nonce0 = CtrNonce::random(ctx.rng());
+                    // The packet is written once, straight into the
+                    // outgoing buffer, and sealed there.
+                    let (mut frame, body_at) =
+                        circuit_frame(ctx, nylon, route.circuit.first_cid, &nonce0, payload);
                     let cost_before = whisper_crypto::costs::snapshot();
-                    let wall_started = std::time::Instant::now();
-                    let body = circuit::seal_layers(&src_circuit.keys, &nonce0, payload);
+                    let wall_started = ctx.prof_enabled().then(std::time::Instant::now);
+                    route.circuit.seal_in_place(&nonce0, &mut frame.as_mut_slice()[body_at..]);
                     let cost = whisper_crypto::costs::snapshot().since(cost_before);
-                    ctx.prof_crypto_model_ns(wall_started.elapsed().as_nanos() as u64);
+                    if let Some(started) = wall_started {
+                        ctx.prof_crypto_model_ns(started.elapsed().as_nanos() as u64);
+                    }
                     sample_crypto_cost(ctx, nylon.is_public(), &cost);
                     ctx.metrics().sample(
                         "wcl.circuit_seal_us",
                         cost.aes_model_ns() as f64 / 1000.0,
                     );
-                    ctx.metrics().sample(
-                        "wcl.circuit_seal_wall_us",
-                        wall_started.elapsed().as_nanos() as f64 / 1000.0,
-                    );
-                    let wire = CircuitPacket {
-                        cid: src_circuit.first_cid,
-                        nonce: nonce0,
-                        body,
-                    }
-                    .to_wire();
-                    let outcome = nylon.send_app(ctx, first_hop.0, first_hop.1, &[], wire);
+                    let outcome = nylon.send_app_frame(ctx, first_hop.0, first_hop.1, &[], frame);
                     if outcome != SendOutcome::Failed {
                         ctx.metrics().count("wcl.circuit_hit", 1);
                         return Some(mixes);
@@ -859,7 +890,7 @@ impl Wcl {
         path.push((dest.key.clone(), hop_addr(dest.node, dest.public)));
 
         let cost_before = whisper_crypto::costs::snapshot();
-        let build_started = std::time::Instant::now();
+        let build_started = ctx.prof_enabled().then(std::time::Instant::now);
         // With circuits enabled the onion doubles as circuit
         // establishment: each layer carries that hop's link key and
         // circuit ids. Degraded destinations get a plain onion — no
@@ -882,17 +913,15 @@ impl Wcl {
             Err(_) => return None,
         };
         let cost = whisper_crypto::costs::snapshot().since(cost_before);
-        ctx.prof_crypto_model_ns(build_started.elapsed().as_nanos() as u64);
-        // Primary sample is the deterministic model cost; wall-clock is
-        // kept as a secondary, explicitly excluded from determinism
-        // traces (see DESIGN.md § "Deterministic crypto accounting").
+        if let Some(started) = build_started {
+            ctx.prof_crypto_model_ns(started.elapsed().as_nanos() as u64);
+        }
+        // The sample is the deterministic model cost (see DESIGN.md
+        // § "Deterministic crypto accounting"); host time goes to the
+        // profiler only, and only when it is on.
         ctx.metrics().sample(
             "wcl.build_path_us",
             (cost.aes_model_ns() + cost.rsa_model_ns()) as f64 / 1000.0,
-        );
-        ctx.metrics().sample(
-            "wcl.build_path_wall_us",
-            build_started.elapsed().as_nanos() as f64 / 1000.0,
         );
         sample_crypto_cost(ctx, nylon.is_public(), &cost);
         let wire = WclPacket { header: packet.header, body: packet.body }.to_wire();
@@ -949,21 +978,16 @@ impl Wcl {
         data: &[u8],
     ) -> Option<WclEvent> {
         let packet = ctx.prof_decode(|| WclPacket::from_wire(data)).ok()?;
-        let keypair = nylon.keypair().clone();
         let cost_before = whisper_crypto::costs::snapshot();
-        let peel_started = std::time::Instant::now();
-        let peeled = onion::peel_with_body(&keypair, &packet.header, &packet.body);
+        let peel_started = ctx.prof_enabled().then(std::time::Instant::now);
+        let peeled = onion::peel_with_body(nylon.keypair(), &packet.header, &packet.body);
         let cost = whisper_crypto::costs::snapshot().since(cost_before);
-        ctx.prof_crypto_model_ns(peel_started.elapsed().as_nanos() as u64);
-        // Primary sample is the deterministic model cost; wall-clock is
-        // kept as a secondary, excluded from determinism traces.
+        if let Some(started) = peel_started {
+            ctx.prof_crypto_model_ns(started.elapsed().as_nanos() as u64);
+        }
         ctx.metrics().sample(
             "wcl.peel_us",
             (cost.aes_model_ns() + cost.rsa_model_ns()) as f64 / 1000.0,
-        );
-        ctx.metrics().sample(
-            "wcl.peel_wall_us",
-            peel_started.elapsed().as_nanos() as f64 / 1000.0,
         );
         sample_crypto_cost(ctx, nylon.is_public(), &cost);
         match peeled {
@@ -1028,50 +1052,65 @@ impl Wcl {
             ctx.metrics().count("wcl.circuit_miss_drop", 1);
             return None;
         };
-        let cost_before = whisper_crypto::costs::snapshot();
-        let wall_started = std::time::Instant::now();
-        // The packet body is uniquely owned here, so the layer is peeled
-        // in place — via the entry's cached key schedule, so the
-        // steady-state relay path pays neither an output-body allocation
-        // nor a per-packet AES key expansion (the entry is borrowed, not
-        // cloned: cloning would copy the ~368-byte schedule per packet).
-        let mut body = packet.body;
-        entry.peel_in_place(&packet.nonce, &mut body);
-        let cost = whisper_crypto::costs::snapshot().since(cost_before);
-        ctx.prof_crypto_model_ns(wall_started.elapsed().as_nanos() as u64);
-        ctx.metrics().sample("wcl.circuit_fwd_us", cost.aes_model_ns() as f64 / 1000.0);
-        ctx.metrics().sample(
-            "wcl.circuit_fwd_wall_us",
-            wall_started.elapsed().as_nanos() as f64 / 1000.0,
-        );
-        sample_crypto_cost(ctx, nylon.is_public(), &cost);
+        // The body is copied exactly once — into the buffer it leaves in
+        // (the next hop's packet, or the delivery buffer) — and this hop's
+        // layer is stripped there, in place, with the entry's cached key
+        // schedule (the entry is borrowed, not cloned: a clone would copy
+        // the schedule per packet).
         match entry.cid_out() {
             Some(cid_out) => {
+                // Checked before any work is spent on the body. (Only a
+                // source that lies in its own setup extension gets here:
+                // `on_onion_packet` installs a next hop it has parsed.)
                 let Some((next, next_public)) = parse_hop_addr(entry.next_hop()) else {
                     ctx.metrics().count("wcl.bad_next_hop", 1);
                     return None;
                 };
+                let next_nonce = circuit::next_nonce(&packet.nonce);
+                let (mut frame, body_at) =
+                    circuit_frame(ctx, nylon, cid_out, &next_nonce, packet.body);
+                let body = &mut frame.as_mut_slice()[body_at..];
+                peel_sampled(ctx, nylon.is_public(), entry, &packet.nonce, body);
                 ctx.metrics().count("wcl.relayed", 1);
                 ctx.metrics().count("wcl.circuit_forwarded", 1);
-                let fwd = CircuitPacket {
-                    cid: cid_out,
-                    nonce: circuit::next_nonce(&packet.nonce),
-                    body,
-                }
-                .to_wire();
-                let outcome = nylon.send_app(ctx, next, next_public, &[], fwd);
+                let outcome = nylon.send_app_frame(ctx, next, next_public, &[], frame);
                 if outcome == SendOutcome::Failed {
                     ctx.metrics().count("wcl.relay_drop", 1);
                 }
                 None
             }
             None => {
+                let mut payload = std::mem::take(&mut self.deliver_buf);
+                payload.clear();
+                payload.extend_from_slice(packet.body);
+                peel_sampled(ctx, nylon.is_public(), entry, &packet.nonce, &mut payload);
                 ctx.metrics().count("wcl.delivered", 1);
                 ctx.metrics().count("wcl.circuit_delivered", 1);
-                Some(WclEvent::Delivered { payload: body })
+                Some(WclEvent::Delivered { payload })
             }
         }
     }
+}
+
+/// Strips `entry`'s layer from `body` in place and records what the hop
+/// cost under the deterministic model (`wcl.circuit_fwd_us` and the
+/// Table II per-class samples).
+fn peel_sampled(
+    ctx: &mut Ctx<'_>,
+    is_public: bool,
+    entry: &CircuitEntry,
+    nonce: &CtrNonce,
+    body: &mut [u8],
+) {
+    let cost_before = whisper_crypto::costs::snapshot();
+    let wall_started = ctx.prof_enabled().then(std::time::Instant::now);
+    entry.peel_in_place(nonce, body);
+    let cost = whisper_crypto::costs::snapshot().since(cost_before);
+    if let Some(started) = wall_started {
+        ctx.prof_crypto_model_ns(started.elapsed().as_nanos() as u64);
+    }
+    ctx.metrics().sample("wcl.circuit_fwd_us", cost.aes_model_ns() as f64 / 1000.0);
+    sample_crypto_cost(ctx, is_public, &cost);
 }
 
 /// Samples the per-class crypto cost metrics (Table II) from a
@@ -1127,14 +1166,21 @@ mod tests {
 
     #[test]
     fn circuit_packet_wire_round_trip() {
-        let p = CircuitPacket {
-            cid: CircuitId([7; 8]),
-            nonce: CtrNonce([9; 8]),
-            body: vec![1, 2, 3, 4],
-        };
-        let bytes = p.to_wire();
+        let body = [1u8, 2, 3, 4];
+        let mut w = WireWriter::new();
+        put_circuit_header(&mut w, CircuitId([7; 8]), &CtrNonce([9; 8]), body.len());
+        w.put_raw(&body);
+        let bytes = w.into_bytes();
         assert_eq!(bytes[0], CIRCUIT_TAG);
-        assert_eq!(CircuitPacket::from_wire(&bytes).unwrap(), p);
+        assert_eq!(bytes.len(), circuit_packet_len(body.len()));
+        assert_eq!(
+            CircuitPacket::from_wire(&bytes).unwrap(),
+            CircuitPacket { cid: CircuitId([7; 8]), nonce: CtrNonce([9; 8]), body: &body }
+        );
+        assert!(CircuitPacket::from_wire(&bytes[..bytes.len() - 1]).is_err(), "truncated body");
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(CircuitPacket::from_wire(&trailing).is_err(), "trailing bytes");
         // The two WCL wire formats never parse as each other.
         assert!(WclPacket::from_wire(&bytes).is_err());
         let onion = WclPacket { header: vec![1], body: vec![2] }.to_wire();

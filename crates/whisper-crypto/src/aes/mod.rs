@@ -8,6 +8,20 @@
 //! WHISPER (paper §III-A) encrypts message contents with a random symmetric
 //! key `k` using AES; the onion header carries `k` to the destination.
 //!
+//! # CTR kernels
+//!
+//! The CTR keystream has two kernels over one expanded key: the portable
+//! T-table kernel below, and — on x86_64 CPUs that have the instructions
+//! — the AES-NI kernel in the `ni` submodule, which keeps eight counter
+//! blocks in flight. [`Aes128::ctr_apply_in_place`] picks the hardware
+//! kernel whenever the CPU has it (the paper's implementation got its AES
+//! from OpenSSL, i.e. from the same instructions) and the table kernel
+//! otherwise; both produce the same bytes and both charge the same
+//! [`crate::costs`] block count, so nothing simulated depends on which
+//! one ran. [`Aes128::ctr_apply_in_place_portable`] runs the table kernel
+//! unconditionally, so tests and benches exercise the fallback on AES-NI
+//! hosts too.
+//!
 //! ```
 //! use whisper_crypto::aes::{Aes128, AesKey, CtrNonce};
 //!
@@ -20,6 +34,11 @@
 //! ```
 
 use whisper_rand::Rng;
+
+// The one place `unsafe` is allowed: `std::arch` intrinsics.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni;
 
 /// A 128-bit AES key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -259,7 +278,7 @@ impl Aes128 {
     /// Applies the CTR keystream; encryption and decryption are the same
     /// operation. Returns a buffer of the same length as `data`.
     ///
-    /// Elapsed time is accounted in [`crate::costs`].
+    /// The blocks processed are accounted in [`crate::costs`].
     pub fn ctr_apply(&self, nonce: &CtrNonce, data: &[u8]) -> Vec<u8> {
         let mut out = data.to_vec();
         self.ctr_apply_in_place(nonce, &mut out);
@@ -271,21 +290,61 @@ impl Aes128 {
     /// and strip in place. This is the relay hot path — one circuit hop
     /// costs exactly one in-place pass over the body.
     ///
-    /// Elapsed time is accounted in [`crate::costs`].
+    /// Runs the AES-NI kernel where the CPU has one, the T-table kernel
+    /// elsewhere; the blocks processed are accounted in [`crate::costs`]
+    /// identically for both.
     pub fn ctr_apply_in_place(&self, nonce: &CtrNonce, data: &mut [u8]) {
-        let started = std::time::Instant::now();
+        if !self.ctr_xor_hardware(nonce, 0, data) {
+            self.ctr_xor_table(nonce, 0, data);
+        }
+        crate::costs::add_aes_blocks(data.len().div_ceil(16) as u64);
+    }
+
+    /// [`Aes128::ctr_apply_in_place`] pinned to the portable T-table
+    /// kernel — the path a CPU without AES-NI takes. Same bytes, same
+    /// [`crate::costs`] accounting.
+    pub fn ctr_apply_in_place_portable(&self, nonce: &CtrNonce, data: &mut [u8]) {
+        self.ctr_xor_table(nonce, 0, data);
+        crate::costs::add_aes_blocks(data.len().div_ceil(16) as u64);
+    }
+
+    /// Whether [`Aes128::ctr_apply_in_place`] runs the AES-NI kernel on
+    /// this CPU.
+    pub fn hardware_kernel() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return ni::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        return false;
+    }
+
+    /// The AES-NI CTR kernel, same contract as
+    /// [`Aes128::ctr_xor_table`]; `false` (and `data` untouched) where the
+    /// CPU or the target has no such kernel.
+    fn ctr_xor_hardware(&self, nonce: &CtrNonce, first_block: u64, data: &mut [u8]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return ni::ctr_xor(&self.round_keys, &nonce.0, first_block, data);
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (nonce, first_block, data);
+            false
+        }
+    }
+
+    /// The T-table CTR kernel: block `i` of the keystream is
+    /// `AES(nonce ‖ be64(i))`, and `data` starts at block `first_block`
+    /// (always 0 outside the known-answer tests).
+    fn ctr_xor_table(&self, nonce: &CtrNonce, first_block: u64, data: &mut [u8]) {
         let mut counter_block = [0u8; 16];
         counter_block[..8].copy_from_slice(&nonce.0);
         for (block_idx, chunk) in data.chunks_mut(16).enumerate() {
-            counter_block[8..].copy_from_slice(&(block_idx as u64).to_be_bytes());
+            let index = first_block.wrapping_add(block_idx as u64);
+            counter_block[8..].copy_from_slice(&index.to_be_bytes());
             let mut keystream = counter_block;
             self.encrypt_block(&mut keystream);
             for (byte, &k) in chunk.iter_mut().zip(keystream.iter()) {
                 *byte ^= k;
             }
         }
-        crate::costs::add_aes_blocks(data.len().div_ceil(16) as u64);
-        crate::costs::add_aes(started.elapsed().as_nanos() as u64);
     }
 }
 
@@ -447,6 +506,142 @@ mod tests {
             let ct = cipher.ctr_apply(&nonce, &data);
             assert_eq!(ct.len(), len);
             assert_eq!(cipher.ctr_apply(&nonce, &ct), data, "len {len}");
+        }
+    }
+
+    /// CTR over the byte-wise FIPS 197 reference rounds: the oracle both
+    /// kernels are held to.
+    fn ctr_reference(cipher: &Aes128, nonce: &CtrNonce, first_block: u64, data: &mut [u8]) {
+        for (i, chunk) in data.chunks_mut(16).enumerate() {
+            let mut block = [0u8; 16];
+            block[..8].copy_from_slice(&nonce.0);
+            block[8..].copy_from_slice(&first_block.wrapping_add(i as u64).to_be_bytes());
+            cipher.encrypt_block_reference(&mut block);
+            for (byte, k) in chunk.iter_mut().zip(block) {
+                *byte ^= k;
+            }
+        }
+    }
+
+    /// Runs every kernel this host has over a copy of `data`; all must
+    /// equal the reference.
+    fn assert_kernels_match_reference(key: &AesKey, nonce: &CtrNonce, first: u64, data: &[u8]) {
+        let cipher = Aes128::new(key);
+        let mut expected = data.to_vec();
+        ctr_reference(&cipher, nonce, first, &mut expected);
+        let mut table = data.to_vec();
+        cipher.ctr_xor_table(nonce, first, &mut table);
+        assert_eq!(table, expected, "T-table kernel, {} bytes from block {first}", data.len());
+        let mut hardware = data.to_vec();
+        if cipher.ctr_xor_hardware(nonce, first, &mut hardware) {
+            assert_eq!(hardware, expected, "AES-NI kernel, {} bytes from block {first}", data.len());
+        } else {
+            assert_eq!(hardware, data, "an absent kernel must leave the data untouched");
+        }
+    }
+
+    /// Differential property: AES-NI vs T-table vs the FIPS 197 reference
+    /// rounds, over random keys, nonces, starting blocks and lengths
+    /// 0..=4096 — whole 128-byte strides, whole blocks and ragged tails.
+    #[test]
+    fn ctr_kernels_match_reference_on_random_inputs() {
+        whisper_rand::check::check(96, "ctr_kernels_match_reference_on_random_inputs", |g| {
+            let key = AesKey::random(g);
+            let nonce = CtrNonce::random(g);
+            // Mostly the production start (0); sometimes far out, so the
+            // big-endian carry between counter bytes is exercised.
+            let first = if g.gen_bool(0.5) { 0 } else { g.gen::<u64>() };
+            let len = g.gen_range(0..=4096usize);
+            let seed: u8 = g.gen();
+            let data: Vec<u8> = (0..len).map(|i| seed.wrapping_add(i as u8)).collect();
+            assert_kernels_match_reference(&key, &nonce, first, &data);
+        });
+    }
+
+    /// Every length around the kernel's stride boundaries (16-byte
+    /// blocks, 128-byte eight-block strides), exhaustively.
+    #[test]
+    fn ctr_kernels_match_reference_on_every_short_length() {
+        let key = AesKey([0x5a; 16]);
+        let nonce = CtrNonce([0xc3; 8]);
+        let data: Vec<u8> = (0..400).map(|i| i as u8).collect();
+        for len in 0..=data.len() {
+            assert_kernels_match_reference(&key, &nonce, 0, &data[..len]);
+        }
+        // The counter wraps instead of overflowing at the end of its range.
+        assert_kernels_match_reference(&key, &nonce, u64::MAX - 3, &data[..300]);
+    }
+
+    /// The FIPS 197 known answers through both CTR kernels: with the
+    /// plaintext block as the counter block (nonce = its first 8 bytes,
+    /// block index = its last 8, big-endian) the keystream over 16 zero
+    /// bytes is the ciphertext.
+    #[test]
+    fn fips197_vectors_through_both_ctr_kernels() {
+        let vectors: [([u8; 16], [u8; 16], [u8; 16]); 2] = [
+            (
+                // Appendix B
+                [
+                    0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09,
+                    0xcf, 0x4f, 0x3c,
+                ],
+                [
+                    0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0,
+                    0x37, 0x07, 0x34,
+                ],
+                [
+                    0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19,
+                    0x6a, 0x0b, 0x32,
+                ],
+            ),
+            (
+                // Appendix C.1
+                [
+                    0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c,
+                    0x0d, 0x0e, 0x0f,
+                ],
+                [
+                    0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc,
+                    0xdd, 0xee, 0xff,
+                ],
+                [
+                    0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70,
+                    0xb4, 0xc5, 0x5a,
+                ],
+            ),
+        ];
+        for (key, plain, cipher_text) in vectors {
+            let cipher = Aes128::new(&AesKey(key));
+            let nonce = CtrNonce(plain[..8].try_into().unwrap());
+            let index = u64::from_be_bytes(plain[8..].try_into().unwrap());
+            let mut table = [0u8; 16];
+            cipher.ctr_xor_table(&nonce, index, &mut table);
+            assert_eq!(table, cipher_text, "T-table kernel");
+            let mut hardware = [0u8; 16];
+            if cipher.ctr_xor_hardware(&nonce, index, &mut hardware) {
+                assert_eq!(hardware, cipher_text, "AES-NI kernel");
+            }
+        }
+    }
+
+    /// The deterministic cost model must not know which kernel ran: the
+    /// dispatching entry point and the pinned-portable one charge the
+    /// same blocks for the same lengths.
+    #[test]
+    fn both_kernels_charge_equal_costs() {
+        let cipher = Aes128::new(&AesKey([9; 16]));
+        let nonce = CtrNonce([4; 8]);
+        for len in [0usize, 1, 16, 17, 128, 129, 1000, 4096] {
+            let mut data = vec![0u8; len];
+            let before = crate::costs::snapshot();
+            cipher.ctr_apply_in_place(&nonce, &mut data);
+            let dispatched = crate::costs::snapshot().since(before);
+            let before = crate::costs::snapshot();
+            cipher.ctr_apply_in_place_portable(&nonce, &mut data);
+            let portable = crate::costs::snapshot().since(before);
+            assert_eq!(dispatched, portable, "{len} bytes");
+            assert_eq!(dispatched.aes_blocks, len.div_ceil(16) as u64);
+            assert!(data.iter().all(|&b| b == 0), "two passes cancel, whichever kernels ran");
         }
     }
 

@@ -122,6 +122,9 @@ impl HopSetup {
 
 /// The source's view of an established circuit: the id the first hop
 /// listens on and the link keys in forwarding order.
+///
+/// Like a relay's [`CircuitEntry`], it expands each link key's schedule
+/// once, at [`establish`], so sealing a packet costs CTR work only.
 #[derive(Clone, Debug)]
 pub struct SourceCircuit {
     /// Circuit id of the first hop's inbound link.
@@ -129,6 +132,18 @@ pub struct SourceCircuit {
     /// Per-hop link keys, `keys[0]` = first hop … `keys[n-1]` =
     /// destination.
     pub keys: Vec<AesKey>,
+    /// `ciphers[i]` is the expanded schedule of `keys[i]`.
+    ciphers: Vec<Aes128>,
+}
+
+impl SourceCircuit {
+    /// [`seal_layers_in_place`] under this circuit's keys, with the
+    /// schedules cached at establishment instead of expanded per packet.
+    pub fn seal_in_place(&self, nonce0: &CtrNonce, body: &mut [u8]) {
+        innermost_layer_first(self.ciphers.len(), nonce0, |hop, nonce| {
+            self.ciphers[hop].ctr_apply_in_place(nonce, body);
+        });
+    }
 }
 
 /// Draws fresh circuit state for an `n_hops` route: the source keeps the
@@ -151,7 +166,8 @@ pub fn establish<R: Rng>(n_hops: usize, rng: &mut R) -> (SourceCircuit, Vec<HopS
             key: keys[i],
         })
         .collect();
-    (SourceCircuit { first_cid: cids[0], keys }, setups)
+    let ciphers = keys.iter().map(Aes128::new).collect();
+    (SourceCircuit { first_cid: cids[0], keys, ciphers }, setups)
 }
 
 /// Derives the nonce the next hop will use: `SHA-256(nonce)` truncated to
@@ -179,26 +195,36 @@ pub fn seal_layers(keys: &[AesKey], nonce0: &CtrNonce, payload: &[u8]) -> Vec<u8
 /// length-preserving, so the whole source-side layering runs in one
 /// allocation-free pass per hop instead of one fresh buffer per layer.
 pub fn seal_layers_in_place(keys: &[AesKey], nonce0: &CtrNonce, body: &mut [u8]) {
-    let mut nonces = [CtrNonce([0; 8]); 8];
-    let mut overflow; // paths longer than 8 hops fall back to a Vec
-    let nonce_chain: &[CtrNonce] = if keys.len() <= nonces.len() {
-        let mut n = *nonce0;
-        for slot in nonces.iter_mut().take(keys.len()) {
-            *slot = n;
-            n = next_nonce(&n);
-        }
-        &nonces[..keys.len()]
+    innermost_layer_first(keys.len(), nonce0, |hop, nonce| {
+        Aes128::new(&keys[hop]).ctr_apply_in_place(nonce, body);
+    });
+}
+
+/// Walks the layers of an `n_hops` circuit in sealing order — the
+/// destination's first, the first hop's last — handing `layer` each hop
+/// index with its nonce from the [`next_nonce`] chain.
+fn innermost_layer_first(
+    n_hops: usize,
+    nonce0: &CtrNonce,
+    mut layer: impl FnMut(usize, &CtrNonce),
+) {
+    let mut stack = [CtrNonce([0; 8]); 8];
+    let mut heap; // paths longer than 8 hops fall back to a Vec
+    let chain: &mut [CtrNonce] = if n_hops <= stack.len() {
+        &mut stack[..n_hops]
     } else {
-        overflow = Vec::with_capacity(keys.len());
-        let mut n = *nonce0;
-        for _ in keys {
-            overflow.push(n);
-            n = next_nonce(&n);
-        }
-        &overflow
+        heap = vec![CtrNonce([0; 8]); n_hops];
+        &mut heap
     };
-    for (key, nonce) in keys.iter().zip(nonce_chain.iter()).rev() {
-        Aes128::new(key).ctr_apply_in_place(nonce, body);
+    let mut nonce = *nonce0;
+    for (hop, slot) in chain.iter_mut().enumerate() {
+        if hop > 0 {
+            nonce = next_nonce(&nonce);
+        }
+        *slot = nonce;
+    }
+    for (hop, nonce) in chain.iter().enumerate().rev() {
+        layer(hop, nonce);
     }
 }
 
@@ -214,25 +240,12 @@ pub fn peel_layer_in_place(key: &AesKey, nonce: &CtrNonce, body: &mut [u8]) {
     Aes128::new(key).ctr_apply_in_place(nonce, body);
 }
 
-/// Peels one hop's layer off a batch of packets, expanding the key
-/// schedule **once** for the whole batch instead of once per packet —
-/// the amortization a relay gets when several packets of the same
-/// circuit are queued at one hop. Each packet carries its own nonce
-/// (they are hash-chained per packet, not per batch).
-pub fn peel_batch_in_place(key: &AesKey, packets: &mut [(CtrNonce, Vec<u8>)]) {
-    let cipher = Aes128::new(key);
-    for (nonce, body) in packets.iter_mut() {
-        cipher.ctr_apply_in_place(nonce, body);
-    }
-}
-
 /// What a hop remembers about one circuit.
 ///
 /// The expanded AES key schedule is computed once at installation and
 /// cached, so every subsequent packet on the circuit peels with zero
-/// key-schedule work — the per-entry form of batched peeling (the
-/// deterministic cost model is unaffected: only CTR block work is
-/// accounted, never schedule expansion).
+/// key-schedule work (the deterministic cost model is unaffected: only
+/// CTR block work is accounted, never schedule expansion).
 #[derive(Clone)]
 pub struct CircuitEntry {
     key: AesKey,
@@ -283,15 +296,25 @@ impl CircuitEntry {
 /// insertion-order eviction (a `BTreeMap` plus an explicit FIFO queue, so
 /// behavior never depends on hash iteration order — see DESIGN.md
 /// § "Determinism & randomness").
+///
+/// The TTL is one constant and callers' clocks only move forward, so
+/// insertion order is expiry order: every [`CircuitTable::insert`] first
+/// pops the expired prefix of the queue, and the table therefore holds
+/// live circuits only — a source re-establishes every half TTL under
+/// fresh ids and never names the old ones again, so without the sweep
+/// they would pile up to the capacity bound and every lookup would
+/// descend a tree of dead entries. A [`CircuitTable::lookup`] is one
+/// probe; it still compares the entry's own expiry, so an entry past its
+/// time is never returned even before the next insert collects it.
 #[derive(Debug)]
 pub struct CircuitTable {
     cap: usize,
     ttl_us: u64,
     /// `cid → (entry, expires_at_us)`.
     entries: BTreeMap<CircuitId, (CircuitEntry, u64)>,
-    /// Insertion order for capacity eviction; may contain ids already
-    /// removed (lazily skipped).
-    order: VecDeque<CircuitId>,
+    /// `(expires_at_us, cid)` of exactly the stored circuits, in
+    /// insertion order.
+    order: VecDeque<(u64, CircuitId)>,
 }
 
 impl CircuitTable {
@@ -306,8 +329,8 @@ impl CircuitTable {
         CircuitTable { cap, ttl_us, entries: BTreeMap::new(), order: VecDeque::new() }
     }
 
-    /// Number of stored circuits (including not-yet-collected expired
-    /// ones).
+    /// Number of stored circuits: after an insert at time `t`, exactly
+    /// the circuits unexpired at `t`.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -317,34 +340,33 @@ impl CircuitTable {
         self.entries.is_empty()
     }
 
-    /// Inserts (or refreshes) a circuit, evicting the oldest insertion
-    /// when full.
+    /// Inserts (or refreshes) a circuit after collecting every expired
+    /// one, evicting the oldest insertion when still full.
     pub fn insert(&mut self, now_us: u64, cid: CircuitId, entry: CircuitEntry) {
+        while self.order.front().is_some_and(|(expires, _)| *expires <= now_us) {
+            self.evict_oldest();
+        }
         if self.entries.remove(&cid).is_some() {
-            self.order.retain(|c| *c != cid);
+            self.order.retain(|(_, c)| *c != cid);
         }
         while self.entries.len() >= self.cap {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.entries.remove(&old);
-                }
-                None => break, // queue exhausted; cannot happen while entries is non-empty
-            }
+            self.evict_oldest();
         }
-        self.entries.insert(cid, (entry, now_us.saturating_add(self.ttl_us)));
-        self.order.push_back(cid);
+        let expires = now_us.saturating_add(self.ttl_us);
+        self.entries.insert(cid, (entry, expires));
+        self.order.push_back((expires, cid));
     }
 
-    /// Looks up a live circuit; expired entries are dropped on access.
-    pub fn lookup(&mut self, now_us: u64, cid: CircuitId) -> Option<&CircuitEntry> {
-        if let Some((_, expires)) = self.entries.get(&cid) {
-            if *expires <= now_us {
-                self.entries.remove(&cid);
-                self.order.retain(|c| *c != cid);
-                return None;
-            }
+    fn evict_oldest(&mut self) {
+        if let Some((_, cid)) = self.order.pop_front() {
+            self.entries.remove(&cid);
         }
-        self.entries.get(&cid).map(|(e, _)| e)
+    }
+
+    /// Looks up a live circuit (one probe; expired circuits are never
+    /// returned, and are collected by the next insert).
+    pub fn lookup(&self, now_us: u64, cid: CircuitId) -> Option<&CircuitEntry> {
+        self.entries.get(&cid).filter(|(_, expires)| *expires > now_us).map(|(entry, _)| entry)
     }
 
     /// Drops every stored circuit (simulates a relay losing state, e.g. a
@@ -359,7 +381,7 @@ impl CircuitTable {
 mod tests {
     use super::*;
     use whisper_rand::rngs::StdRng;
-    use whisper_rand::SeedableRng;
+    use whisper_rand::{Rng, SeedableRng};
 
     fn entry(b: u8) -> CircuitEntry {
         CircuitEntry::new(AesKey([b; 16]), vec![b], None)
@@ -459,18 +481,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_cached_entry_peels_match_single() {
+    fn cached_schedules_match_per_packet_expansion() {
+        // Relay side: the schedule expanded at install time.
         let key = AesKey([5; 16]);
-        // Batch form: one schedule expansion, N packets.
-        let mut packets: Vec<(CtrNonce, Vec<u8>)> =
-            (0..4u8).map(|i| (CtrNonce([i; 8]), vec![i; 64])).collect();
-        let mut reference = packets.clone();
-        for (nonce, body) in reference.iter_mut() {
-            peel_layer_in_place(&key, nonce, body);
-        }
-        peel_batch_in_place(&key, &mut packets);
-        assert_eq!(packets, reference);
-        // Cached-entry form: the schedule expanded at install time.
         let entry = CircuitEntry::new(key, vec![], None);
         let nonce = CtrNonce([7; 8]);
         let mut via_entry = vec![9u8; 64];
@@ -478,6 +491,22 @@ mod tests {
         entry.peel_in_place(&nonce, &mut via_entry);
         peel_layer_in_place(&key, &nonce, &mut via_free);
         assert_eq!(via_entry, via_free);
+        // Source side: the schedules expanded at establishment, on both
+        // the stack-array and the overflow nonce chain, and at the same
+        // deterministic cost as the per-packet expansion.
+        let mut rng = StdRng::seed_from_u64(12);
+        for hops in [1usize, 3, 8, 9] {
+            let (source, _) = establish(hops, &mut rng);
+            let payload: Vec<u8> = (0..=255u8).collect();
+            let before = crate::costs::snapshot();
+            let expected = seal_layers(&source.keys, &nonce, &payload);
+            let expected_cost = crate::costs::snapshot().since(before);
+            let mut cached = payload.clone();
+            let before = crate::costs::snapshot();
+            source.seal_in_place(&nonce, &mut cached);
+            assert_eq!(crate::costs::snapshot().since(before), expected_cost, "{hops} hops");
+            assert_eq!(cached, expected, "{hops} hops");
+        }
     }
 
     #[test]
@@ -516,10 +545,53 @@ mod tests {
         let mut t = CircuitTable::new(8, 1_000);
         t.insert(0, cid(1), entry(1));
         assert_eq!(t.lookup(999, cid(1)).map(|e| e.next_hop().to_vec()), Some(vec![1]));
-        // At exactly the expiry instant the entry is gone, and stays gone.
+        // At exactly the expiry instant the entry is gone, and the next
+        // insert collects it.
         assert!(t.lookup(1_000, cid(1)).is_none());
-        assert!(t.lookup(0, cid(1)).is_none(), "expired entries are dropped, not revived");
-        assert!(t.is_empty());
+        t.insert(1_000, cid(2), entry(2));
+        assert_eq!(t.len(), 1, "the expired circuit was swept");
+        assert!(t.lookup(0, cid(1)).is_none(), "collected entries are not revived");
+    }
+
+    /// The sweep against a model that never forgets anything: it keeps
+    /// every insertion and answers from first principles (latest
+    /// insertion of the id, unexpired, not pushed out by `cap` younger
+    /// live ones). The table must agree on every lookup, hold exactly
+    /// the unexpired circuits after every insert, and — the same claim
+    /// seen from the other side — never have dropped a live circuit the
+    /// capacity bound did not force out.
+    #[test]
+    fn sweep_keeps_every_live_circuit_and_nothing_else() {
+        whisper_rand::check::check(64, "sweep_keeps_every_live_circuit_and_nothing_else", |g| {
+            let cap = g.gen_range(1..=6usize);
+            let ttl = g.gen_range(1..=40u64);
+            let mut table = CircuitTable::new(cap, ttl);
+            // The model: `(cid, inserted_at)`, oldest first, one record
+            // per id (a re-insert moves the id to the back).
+            let mut model: Vec<(u8, u64)> = Vec::new();
+            let mut now = 0u64;
+            for _ in 0..g.gen_range(1..=120usize) {
+                now += g.gen_range(0..=ttl / 2 + 1);
+                let id: u8 = g.gen_range(0..10);
+                if g.gen_bool(0.6) {
+                    table.insert(now, cid(id), entry(id));
+                    model.retain(|&(c, at)| c != id && at + ttl > now);
+                    if model.len() >= cap {
+                        model.remove(0);
+                    }
+                    model.push((id, now));
+                    assert_eq!(table.len(), model.len(), "len() counts exactly the unexpired");
+                }
+                for probe in 0..10u8 {
+                    let live = model.iter().any(|&(c, at)| c == probe && at + ttl > now);
+                    assert_eq!(
+                        table.lookup(now, cid(probe)).is_some(),
+                        live,
+                        "circuit {probe} at t={now} (cap {cap}, ttl {ttl})"
+                    );
+                }
+            }
+        });
     }
 
     #[test]

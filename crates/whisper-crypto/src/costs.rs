@@ -2,21 +2,19 @@
 //!
 //! The paper's Table II reports the CPU time nodes spend in AES and RSA
 //! per PPSS cycle. To reproduce it honestly *and* deterministically, the
-//! [`aes`](crate::aes) and [`rsa`](crate::rsa) modules account two kinds
-//! of cost here:
+//! [`aes`](crate::aes) and [`rsa`](crate::rsa) modules account
+//! **deterministic operation counts** here — AES blocks processed and RSA
+//! limb-operation units (one unit = one inner-loop step of a CIOS
+//! Montgomery multiplication, i.e. `n²` units for an `n`-limb modulus).
+//! These are pure functions of the work performed, identical on every
+//! host and for either AES kernel, and convert to "model nanoseconds"
+//! through the calibrated constants below. All metrics that feed
+//! determinism traces and the Table II / Fig. 7 reproductions use these.
+//! Host time is not measured here: reading the clock twice costs more
+//! than a hardware-AES pass over a small packet, and the benchmark's
+//! probes (`crypto.probe.*`) time the primitives from outside.
 //!
-//! * **Deterministic operation counts** — AES blocks processed and RSA
-//!   limb-operation units (one unit = one inner-loop step of a CIOS
-//!   Montgomery multiplication, i.e. `n²` units for an `n`-limb modulus).
-//!   These are pure functions of the work performed, identical on every
-//!   host, and convert to "model nanoseconds" through the calibrated
-//!   constants below. All metrics that feed determinism traces and the
-//!   Table II / Fig. 7 reproductions use these.
-//! * **Wall-clock nanoseconds** — `std::time::Instant` measurements of
-//!   the same operations, kept as a secondary sanity signal (they vary
-//!   with host speed and are excluded from determinism traces).
-//!
-//! The accounting is thread-local and costs a few `Cell` updates per
+//! The accounting is thread-local and costs one `Cell` update per
 //! crypto operation. The sharded simulator may run protocol callbacks on
 //! worker threads, but every consumer takes a [`snapshot`] before and
 //! after a crypto operation *within one callback* — which never migrates
@@ -27,8 +25,6 @@
 use std::cell::Cell;
 
 thread_local! {
-    static AES_NS: Cell<u64> = const { Cell::new(0) };
-    static RSA_NS: Cell<u64> = const { Cell::new(0) };
     static AES_BLOCKS: Cell<u64> = const { Cell::new(0) };
     static RSA_LIMB_OPS: Cell<u64> = const { Cell::new(0) };
 }
@@ -68,12 +64,6 @@ pub const RSA_PS_PER_LIMB_OP: u64 = 8_800;
 /// A snapshot of the accumulated costs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CryptoCosts {
-    /// Wall-clock time spent in AES operations, in nanoseconds
-    /// (host-dependent; secondary signal).
-    pub aes_ns: u64,
-    /// Wall-clock time spent in RSA operations, in nanoseconds
-    /// (host-dependent; secondary signal).
-    pub rsa_ns: u64,
     /// AES blocks processed (deterministic).
     pub aes_blocks: u64,
     /// RSA limb-operation units executed (deterministic).
@@ -84,8 +74,6 @@ impl CryptoCosts {
     /// Element-wise difference (`self` must be the later snapshot).
     pub fn since(self, earlier: CryptoCosts) -> CryptoCosts {
         CryptoCosts {
-            aes_ns: self.aes_ns.saturating_sub(earlier.aes_ns),
-            rsa_ns: self.rsa_ns.saturating_sub(earlier.rsa_ns),
             aes_blocks: self.aes_blocks.saturating_sub(earlier.aes_blocks),
             rsa_limb_ops: self.rsa_limb_ops.saturating_sub(earlier.rsa_limb_ops),
         }
@@ -104,28 +92,13 @@ impl CryptoCosts {
 
 /// Reads the accumulated counters for this thread.
 pub fn snapshot() -> CryptoCosts {
-    CryptoCosts {
-        aes_ns: AES_NS.get(),
-        rsa_ns: RSA_NS.get(),
-        aes_blocks: AES_BLOCKS.get(),
-        rsa_limb_ops: RSA_LIMB_OPS.get(),
-    }
+    CryptoCosts { aes_blocks: AES_BLOCKS.get(), rsa_limb_ops: RSA_LIMB_OPS.get() }
 }
 
 /// Resets the counters for this thread.
 pub fn reset() {
-    AES_NS.set(0);
-    RSA_NS.set(0);
     AES_BLOCKS.set(0);
     RSA_LIMB_OPS.set(0);
-}
-
-pub(crate) fn add_aes(ns: u64) {
-    AES_NS.set(AES_NS.get().wrapping_add(ns));
-}
-
-pub(crate) fn add_rsa(ns: u64) {
-    RSA_NS.set(RSA_NS.get().wrapping_add(ns));
 }
 
 pub(crate) fn add_aes_blocks(blocks: u64) {
@@ -143,34 +116,25 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         reset();
-        add_aes(10);
-        add_rsa(20);
-        add_aes(5);
-        add_aes_blocks(3);
+        add_aes_blocks(1);
+        add_aes_blocks(2);
         add_rsa_limb_ops(7);
-        let c = snapshot();
-        assert_eq!(
-            c,
-            CryptoCosts { aes_ns: 15, rsa_ns: 20, aes_blocks: 3, rsa_limb_ops: 7 }
-        );
+        assert_eq!(snapshot(), CryptoCosts { aes_blocks: 3, rsa_limb_ops: 7 });
         reset();
         assert_eq!(snapshot(), CryptoCosts::default());
     }
 
     #[test]
     fn since_is_saturating_difference() {
-        let a = CryptoCosts { aes_ns: 10, rsa_ns: 5, aes_blocks: 1, rsa_limb_ops: 2 };
-        let b = CryptoCosts { aes_ns: 25, rsa_ns: 5, aes_blocks: 4, rsa_limb_ops: 2 };
-        assert_eq!(
-            b.since(a),
-            CryptoCosts { aes_ns: 15, rsa_ns: 0, aes_blocks: 3, rsa_limb_ops: 0 }
-        );
+        let a = CryptoCosts { aes_blocks: 1, rsa_limb_ops: 2 };
+        let b = CryptoCosts { aes_blocks: 4, rsa_limb_ops: 2 };
+        assert_eq!(b.since(a), CryptoCosts { aes_blocks: 3, rsa_limb_ops: 0 });
         assert_eq!(a.since(b), CryptoCosts::default());
     }
 
     #[test]
     fn model_costs_scale_with_counts() {
-        let c = CryptoCosts { aes_blocks: 1000, rsa_limb_ops: 1000, ..Default::default() };
+        let c = CryptoCosts { aes_blocks: 1000, rsa_limb_ops: 1000 };
         assert_eq!(c.aes_model_ns(), AES_PS_PER_BLOCK);
         assert_eq!(c.rsa_model_ns(), RSA_PS_PER_LIMB_OP);
     }
@@ -185,23 +149,21 @@ mod tests {
         let cipher = Aes128::new(&AesKey::random(&mut rng));
         let _ = cipher.ctr_apply(&CtrNonce::random(&mut rng), &[0u8; 4096]);
         let aes_only = snapshot();
-        assert!(aes_only.aes_ns > 0, "AES time recorded");
         assert_eq!(aes_only.aes_blocks, 256, "4096 bytes = 256 blocks");
-        assert_eq!(aes_only.rsa_ns, 0);
         assert_eq!(aes_only.rsa_limb_ops, 0);
 
         let kp = KeyPair::generate(RsaKeySize::Sim384, &mut rng);
         let ct = kp.public().encrypt(b"x", &mut rng).unwrap();
         let _ = kp.decrypt(&ct).unwrap();
         let both = snapshot();
-        assert!(both.rsa_ns > 0, "RSA time recorded");
+        assert_eq!(both.aes_blocks, 256, "RSA adds no AES blocks");
         assert!(both.rsa_limb_ops > 0, "RSA limb ops recorded");
     }
 
     #[test]
     fn deterministic_counts_are_host_independent() {
         // The same operation twice yields exactly the same count delta —
-        // the property the wall-clock counters cannot have.
+        // the property a wall-clock measurement cannot have.
         use crate::aes::{Aes128, AesKey, CtrNonce};
         let cipher = Aes128::new(&AesKey([7u8; 16]));
         reset();

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 //! Cryptographic substrate for the WHISPER middleware reproduction.
 //!
 //! This crate implements, from scratch, every cryptographic primitive the

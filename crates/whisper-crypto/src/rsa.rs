@@ -29,6 +29,7 @@
 use crate::bignum::{gen_prime, BigUint};
 use crate::sha256::Sha256;
 use crate::CryptoError;
+use std::sync::Arc;
 use whisper_rand::Rng;
 
 /// Supported RSA modulus sizes.
@@ -63,12 +64,21 @@ impl RsaKeySize {
 
 /// An RSA public key `(n, e)`.
 ///
+/// A key is immutable once built, and the protocol layers copy keys
+/// around constantly (view entries, gateway lists, destination
+/// descriptors, onion paths), so the handle is a shared pointer: a clone
+/// is a reference-count bump, not three buffer copies. Equality and
+/// hashing are by value.
+///
 /// The canonical wire serialization (`len(n) ‖ n ‖ len(e) ‖ e`) is
 /// computed once at construction and cached, so the hot gossip paths
 /// that ship the same unchanged key on every exchange never re-serialize
 /// it — see [`wire_bytes`](Self::wire_bytes).
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct PublicKey {
+pub struct PublicKey(Arc<KeyParts>);
+
+#[derive(PartialEq, Eq, Hash)]
+struct KeyParts {
     n: BigUint,
     e: BigUint,
     k: usize, // modulus length in bytes
@@ -79,7 +89,7 @@ pub struct PublicKey {
 
 impl std::fmt::Debug for PublicKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PublicKey({} bits, fp {:02x?})", self.n.bits(), self.fingerprint())
+        write!(f, "PublicKey({} bits, fp {:02x?})", self.0.n.bits(), self.fingerprint())
     }
 }
 
@@ -97,7 +107,7 @@ pub struct KeyPair {
 impl std::fmt::Debug for KeyPair {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print private material.
-        write!(f, "KeyPair({} bits)", self.public.n.bits())
+        write!(f, "KeyPair({} bits)", self.public.0.n.bits())
     }
 }
 
@@ -146,10 +156,7 @@ impl KeyPair {
     }
 
     /// Raw CRT-accelerated private-key operation `c^d mod n`.
-    ///
-    /// Elapsed time is accounted in [`crate::costs`].
     fn private_op(&self, c: &BigUint) -> BigUint {
-        let started = std::time::Instant::now();
         let m1 = c.modpow(&self.dp, &self.p);
         let m2 = c.modpow(&self.dq, &self.q);
         // h = qinv * (m1 - m2) mod p
@@ -160,9 +167,7 @@ impl KeyPair {
             m1.add(&self.p).sub(&m2_mod_p)
         };
         let h = self.qinv.mul(&diff).rem(&self.p);
-        let out = m2.add(&h.mul(&self.q));
-        crate::costs::add_rsa(started.elapsed().as_nanos() as u64);
-        out
+        m2.add(&h.mul(&self.q))
     }
 
     /// Decrypts a PKCS#1 v1.5 type-2 ciphertext produced by
@@ -176,11 +181,11 @@ impl KeyPair {
     /// for a different key).
     pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
         let c = BigUint::from_bytes_be(ciphertext);
-        if c >= self.public.n {
+        if c >= self.public.0.n {
             return Err(CryptoError::CiphertextOutOfRange);
         }
         let m = self.private_op(&c);
-        let em = m.to_bytes_be_padded(self.public.k);
+        let em = m.to_bytes_be_padded(self.public.0.k);
         // EM = 0x00 0x02 PS 0x00 M
         if em[0] != 0x00 || em[1] != 0x02 {
             return Err(CryptoError::InvalidPadding);
@@ -204,7 +209,7 @@ impl KeyPair {
     pub fn to_bytes(&self) -> Vec<u8> {
         let p = self.p.to_bytes_be();
         let q = self.q.to_bytes_be();
-        let e = self.public.e.to_bytes_be();
+        let e = self.public.0.e.to_bytes_be();
         let mut out = Vec::with_capacity(6 + p.len() + q.len() + e.len());
         for part in [&p, &q, &e] {
             out.extend_from_slice(&(part.len() as u16).to_be_bytes());
@@ -257,7 +262,7 @@ impl KeyPair {
     /// Signs `message` (SHA-256 digest in a PKCS#1 v1.5 type-1 block).
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
         let digest = Sha256::digest(message);
-        let k = self.public.k;
+        let k = self.public.0.k;
         // EM = 0x00 0x01 0xFF...0xFF 0x00 digest
         let mut em = vec![0xFFu8; k];
         em[0] = 0x00;
@@ -281,17 +286,17 @@ impl PublicKey {
         wire.extend_from_slice(&n_bytes);
         wire.extend_from_slice(&(e_bytes.len() as u16).to_be_bytes());
         wire.extend_from_slice(&e_bytes);
-        PublicKey { n, e, k, wire }
+        PublicKey(Arc::new(KeyParts { n, e, k, wire }))
     }
 
     /// Maximum plaintext size for a single [`encrypt`](Self::encrypt) call.
     pub fn max_payload(&self) -> usize {
-        self.k - PAD_OVERHEAD
+        self.0.k - PAD_OVERHEAD
     }
 
     /// Modulus length in bytes.
     pub fn modulus_bytes(&self) -> usize {
-        self.k
+        self.0.k
     }
 
     /// Encrypts `message` with PKCS#1 v1.5 type-2 padding.
@@ -307,19 +312,17 @@ impl PublicKey {
                 max_len: self.max_payload(),
             });
         }
-        let mut em = vec![0u8; self.k];
+        let mut em = vec![0u8; self.0.k];
         em[1] = 0x02;
-        let ps_len = self.k - 3 - message.len();
+        let ps_len = self.0.k - 3 - message.len();
         for b in &mut em[2..2 + ps_len] {
             *b = rng.gen_range(1..=255u8);
         }
         em[2 + ps_len] = 0x00;
         em[3 + ps_len..].copy_from_slice(message);
         let m = BigUint::from_bytes_be(&em);
-        let started = std::time::Instant::now();
-        let c = m.modpow(&self.e, &self.n);
-        crate::costs::add_rsa(started.elapsed().as_nanos() as u64);
-        Ok(c.to_bytes_be_padded(self.k))
+        let c = m.modpow(&self.0.e, &self.0.n);
+        Ok(c.to_bytes_be_padded(self.0.k))
     }
 
     /// Verifies a signature produced by [`KeyPair::sign`].
@@ -330,21 +333,19 @@ impl PublicKey {
     /// match `message` under this key.
     pub fn verify(&self, message: &[u8], signature: &[u8]) -> Result<(), CryptoError> {
         let s = BigUint::from_bytes_be(signature);
-        if s >= self.n {
+        if s >= self.0.n {
             return Err(CryptoError::BadSignature);
         }
-        let started = std::time::Instant::now();
-        let v = s.modpow(&self.e, &self.n);
-        crate::costs::add_rsa(started.elapsed().as_nanos() as u64);
-        let em = v.to_bytes_be_padded(self.k);
+        let v = s.modpow(&self.0.e, &self.0.n);
+        let em = v.to_bytes_be_padded(self.0.k);
         if em[0] != 0x00 || em[1] != 0x01 {
             return Err(CryptoError::BadSignature);
         }
-        if em[2..self.k - 33].iter().any(|&b| b != 0xFF) || em[self.k - 33] != 0x00 {
+        if em[2..self.0.k - 33].iter().any(|&b| b != 0xFF) || em[self.0.k - 33] != 0x00 {
             return Err(CryptoError::BadSignature);
         }
         let digest = Sha256::digest(message);
-        if em[self.k - 32..] != digest {
+        if em[self.0.k - 32..] != digest {
             return Err(CryptoError::BadSignature);
         }
         Ok(())
@@ -354,14 +355,14 @@ impl PublicKey {
     /// big-endian length prefixes). Returns a copy of the cached blob;
     /// use [`wire_bytes`](Self::wire_bytes) to avoid the allocation.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.wire.clone()
+        self.0.wire.clone()
     }
 
     /// The cached canonical serialization, borrowed. Writers embedding
     /// the key in a wire message can copy straight from this slice
     /// instead of re-serializing the (unchanged) key on every send.
     pub fn wire_bytes(&self) -> &[u8] {
-        &self.wire
+        &self.0.wire
     }
 
     /// Parses a key serialized by [`to_bytes`](Self::to_bytes).
@@ -382,7 +383,7 @@ impl PublicKey {
     /// Short (8-byte) SHA-256-based fingerprint, used as a compact key
     /// identifier in view entries.
     pub fn fingerprint(&self) -> [u8; 8] {
-        let digest = Sha256::digest(&self.wire);
+        let digest = Sha256::digest(&self.0.wire);
         let mut fp = [0u8; 8];
         fp.copy_from_slice(&digest[..8]);
         fp
@@ -493,8 +494,8 @@ mod tests {
         // (n, e) on every construction path: generate, parse, and
         // key-pair reload.
         fn fresh_encode(key: &PublicKey) -> Vec<u8> {
-            let n = key.n.to_bytes_be();
-            let e = key.e.to_bytes_be();
+            let n = key.0.n.to_bytes_be();
+            let e = key.0.e.to_bytes_be();
             let mut out = Vec::with_capacity(4 + n.len() + e.len());
             out.extend_from_slice(&(n.len() as u16).to_be_bytes());
             out.extend_from_slice(&n);

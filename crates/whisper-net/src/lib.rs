@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! Deterministic discrete-event network simulator for the WHISPER
 //! reproduction.
 //!

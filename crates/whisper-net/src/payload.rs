@@ -12,7 +12,14 @@
 //!   power-of-two size class. Each engine shard owns one: buffers are
 //!   drawn at encode time ([`Ctx::send_wire`](crate::sim::Ctx::send_wire))
 //!   and recycled after `on_message` returns, when the engine holds the
-//!   only reference.
+//!   only reference. The pool retains the reference-counted box together
+//!   with the bytes, so a recycled buffer becomes the next payload
+//!   without touching the allocator at all.
+//! * [`PayloadWriter`] is a pool buffer being filled: the one window in
+//!   which a payload's bytes are mutable, which is what lets a protocol
+//!   write a wire image once and transform it in place (a relay copying
+//!   a body into its outgoing packet and stripping its cipher layer
+//!   there) before [`PayloadWriter::finish`] freezes it.
 //!
 //! # Ownership and aliasing rules (DESIGN.md §13)
 //!
@@ -34,7 +41,8 @@
 //! counters deliberately *differ* between pooling modes: that difference
 //! is the allocations-per-event measurement.
 
-use std::ops::Deref;
+use crate::wire::WireWriter;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Smallest buffer capacity the pool retains (class 0).
@@ -67,13 +75,6 @@ impl Payload {
         Payload { buf: Arc::new(buf), pooled: false }
     }
 
-    /// Wraps a buffer whose storage came from a pool. `pooled` is false
-    /// when the owning pool is disabled, so A/B runs account the same
-    /// bytes as fresh allocations.
-    pub(crate) fn recycled(buf: Vec<u8>, pooled: bool) -> Self {
-        Payload { buf: Arc::new(buf), pooled }
-    }
-
     /// The payload bytes.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
@@ -89,9 +90,50 @@ impl Payload {
         Arc::strong_count(&self.buf) > 1
     }
 
-    /// Recovers the backing buffer if this is the only reference.
-    fn into_unique_buf(self) -> Option<Vec<u8>> {
-        Arc::try_unwrap(self.buf).ok()
+}
+
+/// A payload under construction in a buffer drawn from a [`PayloadPool`]
+/// ([`Ctx::payload_writer`](crate::sim::Ctx::payload_writer)).
+///
+/// Derefs to the [`WireWriter`] filling it; [`WireWriter::as_mut_slice`]
+/// reaches the bytes already written, so they can be transformed in place
+/// while the buffer is still uniquely owned. [`PayloadWriter::finish`]
+/// ends that window: from then on the bytes are an immutable [`Payload`].
+#[derive(Debug)]
+pub struct PayloadWriter {
+    /// The pool's reference-counted box, its buffer moved into `writer`.
+    shell: Arc<Vec<u8>>,
+    writer: WireWriter,
+    pooled: bool,
+}
+
+impl PayloadWriter {
+    /// Starts a payload in `shell`, a buffer nobody else holds. `pooled`
+    /// is false when the owning pool is disabled, so A/B runs account the
+    /// same bytes as fresh allocations.
+    fn new(mut shell: Arc<Vec<u8>>, pooled: bool) -> Self {
+        let buf = std::mem::take(Arc::get_mut(&mut shell).expect("pool buffers have one owner"));
+        PayloadWriter { shell, writer: WireWriter::from_vec(buf), pooled }
+    }
+
+    /// Freezes the written bytes into a payload.
+    pub fn finish(mut self) -> Payload {
+        *Arc::get_mut(&mut self.shell).expect("the shell never left this writer") =
+            self.writer.into_bytes();
+        Payload { buf: self.shell, pooled: self.pooled }
+    }
+}
+
+impl Deref for PayloadWriter {
+    type Target = WireWriter;
+    fn deref(&self) -> &WireWriter {
+        &self.writer
+    }
+}
+
+impl DerefMut for PayloadWriter {
+    fn deref_mut(&mut self) -> &mut WireWriter {
+        &mut self.writer
     }
 }
 
@@ -157,10 +199,13 @@ pub(crate) struct PoolStats {
 
 /// A free list of retired payload buffers, keyed by power-of-two size
 /// class. One per engine shard; never shared across shards or threads.
+///
+/// Every retained buffer is a uniquely owned `Arc<Vec<u8>>` — the box a
+/// [`Payload`] travels in, kept with the bytes it boxed.
 #[derive(Debug)]
 pub struct PayloadPool {
     enabled: bool,
-    classes: Vec<Vec<Vec<u8>>>,
+    classes: Vec<Vec<Arc<Vec<u8>>>>,
     stats: PoolStats,
 }
 
@@ -202,6 +247,11 @@ impl PayloadPool {
     /// accounting instead, so the honest total heap-allocation figure is
     /// always `net.allocs + net.pool_misses` with no double counting.
     pub fn take(&mut self, min_capacity: usize) -> Vec<u8> {
+        Arc::try_unwrap(self.take_shared(min_capacity)).expect("pool buffers have one owner")
+    }
+
+    /// [`PayloadPool::take`], box included.
+    fn take_shared(&mut self, min_capacity: usize) -> Arc<Vec<u8>> {
         let start = Self::class_for_take(min_capacity);
         // Miss allocations are rounded up to their class's guarantee so a
         // returned buffer lands back in the class future same-size takes
@@ -221,12 +271,17 @@ impl PayloadPool {
             self.stats.misses += 1;
             self.stats.miss_bytes += cap as u64;
         }
-        Vec::with_capacity(cap)
+        Arc::new(Vec::with_capacity(cap))
     }
 
     /// Takes a scratch buffer for wire encoding (final size unknown).
     pub fn take_scratch(&mut self) -> Vec<u8> {
         self.take(ENCODE_HINT)
+    }
+
+    /// Starts a payload of `len` bytes in a buffer from this pool.
+    pub(crate) fn writer(&mut self, len: usize) -> PayloadWriter {
+        PayloadWriter::new(self.take_shared(len), self.enabled)
     }
 
     /// Returns a payload's buffer to the free list when the engine holds
@@ -236,11 +291,8 @@ impl PayloadPool {
         if !self.enabled {
             return;
         }
-        if payload.is_shared() {
-            self.stats.drop_shared += 1;
-            return;
-        }
-        let Some(mut buf) = payload.into_unique_buf() else {
+        let mut shared = payload.buf;
+        let Some(buf) = Arc::get_mut(&mut shared) else {
             self.stats.drop_shared += 1;
             return;
         };
@@ -256,7 +308,7 @@ impl PayloadPool {
         }
         buf.clear();
         self.stats.recycled += 1;
-        self.classes[class].push(buf);
+        self.classes[class].push(shared);
     }
 
     /// Drains and resets the accumulated statistics.
@@ -286,7 +338,7 @@ mod tests {
         let buf = pool.take(100);
         assert!(buf.capacity() >= 100);
         let cap = buf.capacity();
-        pool.recycle(Payload::recycled(buf, true));
+        pool.recycle(Payload::fresh(buf));
         let again = pool.take(100);
         assert_eq!(again.capacity(), cap, "same buffer came back");
         assert!(again.is_empty(), "recycled buffers are cleared");
@@ -299,7 +351,7 @@ mod tests {
     #[test]
     fn shared_payloads_are_never_recycled() {
         let mut pool = PayloadPool::new(true);
-        let p = Payload::recycled(pool.take(64), true);
+        let p = pool.writer(64).finish();
         let clone = p.clone();
         pool.recycle(p);
         // The clone still sees its bytes; the buffer was not retained.
@@ -314,7 +366,7 @@ mod tests {
     fn disabled_pool_allocates_and_records_nothing() {
         let mut pool = PayloadPool::new(false);
         let buf = pool.take(64);
-        pool.recycle(Payload::recycled(buf, false));
+        pool.recycle(Payload::fresh(buf));
         let again = pool.take(64);
         assert!(again.capacity() >= 64);
         // Allocations on a disabled pool are accounted as fresh payloads
@@ -333,7 +385,7 @@ mod tests {
         let mut big = pool.take(4096);
         big.extend_from_slice(&[0u8; 4096]);
         let big_cap = big.capacity();
-        pool.recycle(Payload::recycled(big, true));
+        pool.recycle(Payload::fresh(big));
         let served = pool.take(2048);
         assert!(served.capacity() >= 2048);
         assert_eq!(served.capacity(), big_cap, "larger class serves smaller need");

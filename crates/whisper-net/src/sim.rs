@@ -50,10 +50,10 @@ use crate::id::{Endpoint, NodeId};
 use crate::latency::NetProfile;
 use crate::metrics::{Metrics, Traffic, HEADER_OVERHEAD};
 use crate::nat::{NatDevice, NatType};
-use crate::payload::{Payload, PayloadPool};
+use crate::payload::{Payload, PayloadPool, PayloadWriter};
 use crate::sched::{EventKey, EventQueue, Keyed, Scheduler};
 use crate::time::{SimDuration, SimTime};
-use crate::wire::{WireEncode, WireWriter};
+use crate::wire::WireEncode;
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -310,14 +310,25 @@ impl<'a> Ctx<'a> {
     pub fn encode_payload<M: WireEncode>(&mut self, msg: &M) -> Payload {
         let t0 = self.prof.enabled.then(std::time::Instant::now);
         let len = msg.encoded_len();
-        let mut w = WireWriter::from_vec(self.pool.take(len));
+        let mut w = self.pool.writer(len);
         msg.encode(&mut w);
         debug_assert_eq!(w.len(), len, "encoded_len() disagrees with encode()");
-        let payload = Payload::recycled(w.into_bytes(), self.pool.enabled());
+        let payload = w.finish();
         if let Some(t0) = t0 {
             self.prof.encode_ns += t0.elapsed().as_nanos() as u64;
         }
         payload
+    }
+
+    /// Starts a payload of `len` bytes in a buffer drawn from the shard's
+    /// payload pool, for a protocol that writes its wire image by hand:
+    /// fill it through the [`WireWriter`](crate::wire::WireWriter) it
+    /// derefs to, transform the
+    /// written bytes in place if need be, [`PayloadWriter::finish`] it and
+    /// hand the result to [`Ctx::send_to`]. Accounted like
+    /// [`Ctx::send_wire`] (pool provenance, no allocation).
+    pub fn payload_writer(&mut self, len: usize) -> PayloadWriter {
+        self.pool.writer(len)
     }
 
     /// Arms a one-shot timer that fires `delay` from now with `token`.
@@ -626,6 +637,10 @@ struct Shard {
     in_flight: u64,
     /// Live (non-removed) nodes in this shard.
     live: usize,
+    /// The effect list lent to each callback's [`Ctx`] and drained
+    /// afterwards; empty between callbacks, its capacity kept so a
+    /// callback that sends does not allocate one.
+    effects: Vec<Effect>,
 }
 
 impl Shard {
@@ -658,6 +673,7 @@ impl Shard {
             outboxes: (0..cfg.shards).map(|_| Vec::new()).collect(),
             in_flight: 0,
             live: 0,
+            effects: Vec::new(),
         }
     }
 
@@ -853,8 +869,8 @@ impl Shard {
         f: impl FnOnce(&mut dyn Protocol, &mut Ctx<'_>),
     ) {
         let now = self.now;
-        let effects = {
-            let Shard { slots, metrics, pool, prof, .. } = self;
+        let mut effects = {
+            let Shard { slots, metrics, pool, prof, effects, .. } = self;
             let slot = &mut slots[pos];
             let Some(mut proto) = slot.proto.take() else { return };
             let mut ctx = Ctx {
@@ -866,7 +882,7 @@ impl Shard {
                 pool,
                 tally: AllocTally::default(),
                 prof: ProfCtx::new(prof.enabled),
-                effects: Vec::new(),
+                effects: std::mem::take(effects),
             };
             let t_cb = prof.enabled.then(std::time::Instant::now);
             f(proto.as_mut(), &mut ctx);
@@ -879,10 +895,12 @@ impl Shard {
             slot.proto = Some(proto);
             effects
         };
-        self.apply_effects(pos, effects, env);
+        self.apply_effects(pos, &mut effects, env);
+        self.effects = effects;
     }
 
-    fn apply_effects(&mut self, pos: usize, effects: Vec<Effect>, env: &EngineEnv<'_>) {
+    /// Applies and drains `effects`.
+    fn apply_effects(&mut self, pos: usize, effects: &mut Vec<Effect>, env: &EngineEnv<'_>) {
         let nshards = self.nshards;
         let index = self.index as u64;
         let now = self.now;
@@ -890,7 +908,7 @@ impl Shard {
             self;
         let slot = &mut slots[pos];
         let from = slot.id;
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Timer { delay, token } => {
                     let ev = Event {
@@ -1361,11 +1379,11 @@ impl Sim {
             } else {
                 false
             };
-            let effects = std::mem::take(&mut ctx.effects);
+            let mut effects = std::mem::take(&mut ctx.effects);
             std::mem::take(&mut ctx.tally).flush(ctx.metrics);
             std::mem::take(&mut ctx.prof).flush(prof);
             slot.proto = Some(proto);
-            shard.apply_effects(pos, effects, &env);
+            shard.apply_effects(pos, &mut effects, &env);
             applied
         };
         exchange_sequential(&mut self.shards);

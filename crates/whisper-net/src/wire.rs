@@ -84,6 +84,13 @@ impl WireWriter {
         self.buf
     }
 
+    /// The bytes written so far, mutable: a caller that owns the writer
+    /// can transform what it has written in place (e.g. encrypt a body it
+    /// just appended) instead of preparing it in a buffer of its own.
+    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+
     /// Appends a `u8`.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -294,8 +294,15 @@ fn run_stack_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
         sim.run_for_secs(3);
     }
 
+    assert!(sim.metrics().counter("wcl.circuit_hit") >= 1, "steady-state path exercised");
+    stack_observables(&sim)
+}
+
+/// Every deterministic observable of a full-stack run, serialized: all
+/// counters and sample series but the host-dependent families, per-node
+/// traffic, and the final clock.
+fn stack_observables(sim: &Sim) -> Vec<u8> {
     let metrics = sim.metrics();
-    assert!(metrics.counter("wcl.circuit_hit") >= 1, "steady-state path exercised");
     let mut out = Vec::new();
     // `net.pool_*` hit/miss statistics are shard-local by construction (a
     // buffer freed on shard i is only reusable there) and exempt from the
@@ -323,6 +330,82 @@ fn run_stack_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
     }
     out.extend_from_slice(&sim.now().as_micros().to_le_bytes());
     out
+}
+
+/// One node with two join handshakes that never complete (their leaders
+/// left the network) and two pinned peers: every PPSS cycle retries both
+/// joins and every PCP refresh writes to both peers, and each of those
+/// sends draws from the node's RNG. The PPSS keeps both sets in
+/// `HashMap`s, whose iteration order differs from one map instance to
+/// the next even within a process — so this trace repeats only if the
+/// PPSS walks them in a canonical order.
+fn run_pending_joins_and_pins_trace(seed: u64) -> Vec<u8> {
+    use whisper_core::{WhisperConfig, WhisperNode};
+    use whisper_crypto::rsa::KeyPair;
+    use whisper_rand::rngs::StdRng;
+    use whisper_rand::SeedableRng;
+
+    let cfg = WhisperConfig::default();
+    let mut keyrng = StdRng::seed_from_u64(seed);
+    let mut sim = Sim::new(SimConfig::cluster(seed));
+    let mut ids = Vec::new();
+    for i in 0..10u64 {
+        let mut node =
+            WhisperNode::new(cfg.clone(), KeyPair::generate(cfg.nylon.rsa, &mut keyrng));
+        let boot: Vec<NodeId> = [NodeId(0), NodeId(1)].into_iter().filter(|b| b.0 != i).collect();
+        node.nylon_mut().set_bootstrap(boot);
+        ids.push(sim.add_node(Box::new(node), NatType::Public));
+    }
+    sim.run_for_secs(250);
+
+    let (joiner, leader, gone_a, gone_b) = (ids[9], ids[2], ids[7], ids[8]);
+    let mut invitations = Vec::new();
+    for (leader, name) in [(leader, "alive"), (gone_a, "orphan-a"), (gone_b, "orphan-b")] {
+        sim.with_node_ctx::<WhisperNode>(leader, |node, ctx| {
+            let group = node.create_group(ctx, name);
+            invitations.push(node.invite(group, joiner).expect("leaders invite"));
+        });
+    }
+    // Two more members for the live group, so the joiner has peers to pin.
+    let live_group = invitations[0].group;
+    for &member in &ids[3..5] {
+        let inv = sim.node::<WhisperNode>(leader).unwrap().invite(live_group, member).unwrap();
+        sim.with_node_ctx::<WhisperNode>(member, |node, ctx| node.join_group(ctx, inv));
+    }
+    sim.remove_node(gone_a);
+    sim.remove_node(gone_b);
+    for inv in invitations {
+        sim.with_node_ctx::<WhisperNode>(joiner, |node, ctx| node.join_group(ctx, inv));
+    }
+    sim.run_for_secs(300);
+    let mut pinned = 0;
+    sim.with_node_ctx::<WhisperNode>(joiner, |node, _| {
+        node.with_api(|api, _| {
+            let peers: Vec<NodeId> =
+                api.private_view(live_group).iter().map(|e| e.node).take(2).collect();
+            pinned = peers.into_iter().filter(|&p| api.make_persistent(live_group, p)).count();
+        });
+    });
+    assert_eq!(pinned, 2, "the joiner pinned two peers of the live group");
+    sim.run_for_secs(400);
+
+    let m = sim.metrics();
+    assert!(m.counter("ppss.join_attempts") >= 8, "both orphaned joins were retried for cycles");
+    assert!(m.counter("ppss.pcp_refreshes") >= 4, "both pinned peers were refreshed");
+    stack_observables(&sim)
+}
+
+#[test]
+fn pending_joins_and_pinned_peers_replay_identically() {
+    let base = run_pending_joins_and_pins_trace(7);
+    // Two unordered pairs, so an order-dependent run matches the first
+    // one time in four; three repeats leave a bug a 1-in-64 chance.
+    for repeat in 1..=3 {
+        assert!(
+            base == run_pending_joins_and_pins_trace(7),
+            "repeat {repeat}: same seed, same process, different trace"
+        );
+    }
 }
 
 /// Two same-seed full-stack runs with circuits enabled are byte-identical

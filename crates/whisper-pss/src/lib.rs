@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Nylon: a NAT-resilient gossip peer sampling service (PSS), plus the two
 //! WHISPER-specific extensions of paper §III-B.
 //!

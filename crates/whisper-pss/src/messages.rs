@@ -130,6 +130,38 @@ const TAG_PING: u8 = 8;
 const TAG_PONG: u8 = 9;
 const TAG_APP: u8 = 10;
 
+/// Bytes a [`NylonMsg::App`] puts in front of its payload: tag,
+/// originator, payload length.
+pub const APP_HEADER_LEN: usize = 1 + 8 + 4;
+
+impl NylonMsg {
+    /// Writes the part of an [`NylonMsg::App`] that precedes its payload;
+    /// the caller appends exactly `payload_len` bytes to complete the
+    /// message. This is how an upper layer builds its packet directly in
+    /// the outgoing buffer instead of handing over a `Vec` to be copied
+    /// into one.
+    pub fn put_app_header(w: &mut WireWriter, from: NodeId, payload_len: usize) {
+        w.put_u8(TAG_APP);
+        w.put(&from);
+        w.put_u32(payload_len as u32);
+    }
+
+    /// Decodes `wire` as an [`NylonMsg::App`] without copying: the
+    /// originator and the payload as a view of `wire`. `None` for any
+    /// other (or a malformed) message — exactly when
+    /// [`WireDecode::from_wire`] would not yield an `App`.
+    pub fn app_view(wire: &[u8]) -> Option<(NodeId, &[u8])> {
+        let mut r = WireReader::new(wire);
+        if r.take_u8().ok()? != TAG_APP {
+            return None;
+        }
+        let from = r.take().ok()?;
+        let payload = r.take_bytes().ok()?;
+        r.finish().ok()?;
+        Some((from, payload))
+    }
+}
+
 impl WireEncode for NylonMsg {
     fn encode(&self, w: &mut WireWriter) {
         match self {
@@ -330,6 +362,26 @@ mod tests {
     #[test]
     fn app_round_trip() {
         round_trip(NylonMsg::App { from: NodeId(1), payload: vec![0; 1000] });
+    }
+
+    #[test]
+    fn app_view_and_header_agree_with_the_owned_codec() {
+        let msg = NylonMsg::App { from: NodeId(77), payload: vec![5; 300] };
+        let wire = msg.to_wire();
+        assert_eq!(NylonMsg::app_view(&wire), Some((NodeId(77), &[5u8; 300][..])));
+        let mut w = WireWriter::new();
+        NylonMsg::put_app_header(&mut w, NodeId(77), 300);
+        assert_eq!(w.len(), APP_HEADER_LEN);
+        w.put_raw(&[5; 300]);
+        assert_eq!(w.into_bytes(), wire);
+        // Whatever the owned decoder rejects or decodes as another
+        // variant, the view declines too.
+        assert_eq!(NylonMsg::app_view(&wire[..wire.len() - 1]), None, "truncated");
+        let mut trailing = wire.clone();
+        trailing.push(0);
+        assert_eq!(NylonMsg::app_view(&trailing), None, "trailing bytes");
+        assert_eq!(NylonMsg::app_view(&NylonMsg::Punch { from: NodeId(1) }.to_wire()), None);
+        assert_eq!(NylonMsg::app_view(&[]), None);
     }
 
     #[test]

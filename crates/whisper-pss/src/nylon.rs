@@ -11,11 +11,12 @@
 use crate::backlog::{CbEntry, ConnectionBacklog};
 use crate::config::NylonConfig;
 use crate::descriptors::{DescriptorBlob, DescriptorStore};
-use crate::messages::NylonMsg;
+use crate::messages::{NylonMsg, APP_HEADER_LEN};
 use crate::transport::{peer_of_token, SendOutcome, Transport, TIMER_OPEN_TIMEOUT};
 use crate::view::{View, ViewEntry};
 use std::collections::HashMap;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
+use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::{Ctx, Protocol};
 use whisper_net::wire::WireDecode;
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
@@ -208,6 +209,42 @@ impl NylonCore {
         self.send_msg(ctx, to, to_public, &msg, route_hint)
     }
 
+    /// Starts an application message of `payload_len` payload bytes in a
+    /// pool buffer, positioned after the Nylon framing: the caller
+    /// appends exactly `payload_len` bytes — and may rework them in place
+    /// through [`whisper_net::wire::WireWriter::as_mut_slice`] — then
+    /// passes the finished buffer to [`NylonCore::send_app_frame`]. The
+    /// bytes on the wire are those of [`NylonCore::send_app`]; what is
+    /// saved is the `Vec` in between and the copy out of it.
+    pub fn begin_app(&self, ctx: &mut Ctx<'_>, payload_len: usize) -> PayloadWriter {
+        let mut frame = ctx.payload_writer(APP_HEADER_LEN + payload_len);
+        NylonMsg::put_app_header(&mut frame, self.id, payload_len);
+        frame
+    }
+
+    /// Sends an application message built with [`NylonCore::begin_app`];
+    /// otherwise [`NylonCore::send_app`].
+    pub fn send_app_frame(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        to: NodeId,
+        to_public: bool,
+        route_hint: &[NodeId],
+        frame: PayloadWriter,
+    ) -> SendOutcome {
+        let frame = frame.finish();
+        debug_assert!(NylonMsg::app_view(&frame).is_some(), "payload_len bytes must follow begin_app");
+        self.transport.send_encoded(
+            ctx,
+            self.id,
+            to,
+            to_public,
+            frame,
+            route_hint,
+            self.cfg.open_timeout,
+        )
+    }
+
     // ---------------------------------------------------------------
     // Protocol driver entry points
     // ---------------------------------------------------------------
@@ -298,6 +335,34 @@ impl NylonCore {
         Vec::new()
     }
 
+    /// The allocation-free front door for application traffic: if `data`
+    /// is an [`NylonMsg::App`] message, does everything
+    /// [`NylonCore::on_message`] does for one — the sender's contact is
+    /// noted, a pending hole punch towards it completes — and returns the
+    /// originator and the payload as a view of `data`, where `on_message`
+    /// would copy the payload into a [`NylonEvent::Payload`] inside a
+    /// fresh `Vec`. For anything else returns `None` and does nothing;
+    /// the caller then passes `data` to [`NylonCore::on_message`].
+    pub fn on_app_message<'d>(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: NodeId,
+        from_ep: Endpoint,
+        data: &'d [u8],
+    ) -> Option<(NodeId, &'d [u8])> {
+        let app = ctx.prof_decode(|| NylonMsg::app_view(data))?;
+        self.note_direct_packet(ctx, from, from_ep);
+        Some(app)
+    }
+
+    /// Any direct packet proves a working return path to `from` and
+    /// completes a pending hole punch towards it.
+    fn note_direct_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, from_ep: Endpoint) {
+        self.transport.note_contact(from, from_ep, ctx.now());
+        self.transport.on_established(ctx, from, from_ep);
+        self.punch_retries.remove(&from);
+    }
+
     /// Message dispatch; returns upcall events.
     pub fn on_message(
         &mut self,
@@ -310,11 +375,7 @@ impl NylonCore {
             ctx.metrics().count("pss.malformed", 1);
             return Vec::new();
         };
-        // Any direct packet proves a working return path to `from` and
-        // completes a pending hole punch towards it.
-        self.transport.note_contact(from, from_ep, ctx.now());
-        self.transport.on_established(ctx, from, from_ep);
-        self.punch_retries.remove(&from);
+        self.note_direct_packet(ctx, from, from_ep);
         let mut events = Vec::new();
         self.handle_msg(ctx, from, from_ep, msg, &mut events);
         events

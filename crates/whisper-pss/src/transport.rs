@@ -14,7 +14,7 @@ use crate::messages::NylonMsg;
 use std::collections::HashMap;
 use whisper_net::sim::Ctx;
 use whisper_net::wire::WireEncode;
-use whisper_net::{Endpoint, NodeId, SimDuration, SimTime};
+use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 
 /// Validity window for a learned contact. Kept below the (TCP-style) NAT
 /// association lease so we never use an endpoint whose association rule
@@ -52,6 +52,31 @@ struct PendingOpen {
     chain: Vec<NodeId>,
     /// Serialized inner messages awaiting delivery.
     queued: Vec<Vec<u8>>,
+}
+
+/// A message on its way out: still a value to encode, or already the
+/// wire image the caller built in a pool buffer.
+enum Outgoing<'a> {
+    Msg(&'a NylonMsg),
+    Wire(Payload),
+}
+
+impl Outgoing<'_> {
+    fn send_direct(self, ctx: &mut Ctx<'_>, ep: Endpoint) {
+        match self {
+            Outgoing::Msg(msg) => ctx.send_wire(ep, msg),
+            Outgoing::Wire(wire) => ctx.send_to(ep, wire),
+        }
+    }
+
+    /// The wire image as owned bytes, for wrapping in a relayed message
+    /// or queueing behind a hole punch.
+    fn into_inner(self) -> Vec<u8> {
+        match self {
+            Outgoing::Msg(msg) => msg.to_wire(),
+            Outgoing::Wire(wire) => wire.to_vec(),
+        }
+    }
 }
 
 /// Timer token kinds used by the transport (low byte of the token).
@@ -145,16 +170,47 @@ impl Transport {
         route_hint: &[NodeId],
         open_timeout: SimDuration,
     ) -> SendOutcome {
+        self.send_outgoing(ctx, me, to, to_public, Outgoing::Msg(msg), route_hint, open_timeout)
+    }
+
+    /// [`Transport::send`] for a message the caller has already encoded
+    /// into a pool buffer ([`Ctx::payload_writer`]): a direct send hands
+    /// that buffer to the network as it is, with no further copy.
+    #[allow(clippy::too_many_arguments)]
+    pub fn send_encoded(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        me: NodeId,
+        to: NodeId,
+        to_public: bool,
+        wire: Payload,
+        route_hint: &[NodeId],
+        open_timeout: SimDuration,
+    ) -> SendOutcome {
+        self.send_outgoing(ctx, me, to, to_public, Outgoing::Wire(wire), route_hint, open_timeout)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn send_outgoing(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        me: NodeId,
+        to: NodeId,
+        to_public: bool,
+        msg: Outgoing<'_>,
+        route_hint: &[NodeId],
+        open_timeout: SimDuration,
+    ) -> SendOutcome {
         let now = ctx.now();
         // 1. Fresh direct contact (covers public peers we have talked to,
         //    and NATted peers whose association towards us is open).
         if let Some(ep) = self.contact(to, now) {
-            ctx.send_wire(ep, msg);
+            msg.send_direct(ctx, ep);
             return SendOutcome::Direct;
         }
         // 2. Public peer: always addressable.
         if to_public {
-            ctx.send_wire(Endpoint::public(to), msg);
+            msg.send_direct(ctx, Endpoint::public(to));
             return SendOutcome::Direct;
         }
         // 3. Fresh relayed reverse route.
@@ -163,10 +219,9 @@ impl Transport {
             .get(&to)
             .filter(|(_, exp)| *exp > now)
             .map(|(r, _)| r.clone());
-        if let Some(route) = reply_route {
-            if self.send_relayed(ctx, me, &route, msg, now) {
-                return SendOutcome::Relayed;
-            }
+        if let Some(route) = reply_route.filter(|r| !r.is_empty()) {
+            self.relay(ctx, me, &route, msg.into_inner(), now);
+            return SendOutcome::Relayed;
         }
         // 4. Rendezvous chain: queue the message and start (or join) a
         //    hole-punching handshake; the timeout handler falls back to
@@ -174,7 +229,7 @@ impl Transport {
         if !route_hint.is_empty() {
             let mut chain = route_hint.to_vec();
             chain.push(to);
-            let inner = msg.to_wire();
+            let inner = msg.into_inner();
             if let Some(open) = self.opens.get_mut(&to) {
                 open.queued.push(inner);
                 return SendOutcome::Queued;
@@ -206,36 +261,29 @@ impl Transport {
         ctx.metrics().count("pss.open_started", 1);
     }
 
-    /// Relays `msg` along `route` (relays first, destination last).
-    /// Returns `false` if the first hop is unreachable.
-    pub fn send_relayed(
+    /// Relays the wire image `inner` along the non-empty `route` (relays
+    /// first, destination last).
+    fn relay(
         &mut self,
         ctx: &mut Ctx<'_>,
         me: NodeId,
         route: &[NodeId],
-        msg: &NylonMsg,
+        inner: Vec<u8>,
         now: SimTime,
-    ) -> bool {
-        let Some(&first) = route.first() else {
-            return false;
-        };
-        let Some(ep) = self.contact(first, now).or_else(|| {
-            // Relay chains are built from gossip paths, whose first hop we
-            // have talked to; if the contact expired, try the public
-            // address (works when the relay is a P-node).
-            Some(Endpoint::public(first))
-        }) else {
-            return false;
-        };
+    ) {
+        let first = route[0];
+        // Relay chains are built from gossip paths, whose first hop we
+        // have talked to; if the contact expired, try the public address
+        // (works when the relay is a P-node).
+        let ep = self.contact(first, now).unwrap_or(Endpoint::public(first));
         let relayed = NylonMsg::Relayed {
             from: me,
             remaining: route[1..].to_vec(),
             path_back: vec![me],
-            inner: msg.to_wire(),
+            inner,
         };
         ctx.send_wire(ep, &relayed);
         ctx.metrics().count("pss.relayed_sent", 1);
-        true
     }
 
     /// Handles the open-timeout timer for `peer`: if the handshake did not

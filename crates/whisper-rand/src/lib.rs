@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! # whisper-rand — in-tree deterministic randomness
 //!
 //! Every random draw in the WHISPER reproduction flows through this crate.

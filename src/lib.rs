@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # WHISPER — confidential group communication middleware
 //!
 //! A from-scratch Rust reproduction of *"WHISPER: Middleware for
