@@ -139,77 +139,6 @@ fn bench_circuit(c: &mut Bench) {
     group.finish();
 }
 
-/// Cached vs rebuilt Montgomery contexts on the RSA private-op and
-/// keygen paths. The cache (on by default; [`set_mont_cache`] is the A/B
-/// toggle) spares one `R² mod m` division per `modpow`: CRT decrypt
-/// reuses `p`/`q` forever and Miller–Rabin hammers one candidate with
-/// many bases, so both paths hit almost always.
-fn bench_mont_cache(c: &mut Bench) {
-    use whisper_crypto::bignum::set_mont_cache;
-    let size = RsaKeySize::Std1024;
-    {
-        let mut group = c.group("rsa_mont_ab");
-        group.sample_size(14);
-        let mut rng = StdRng::seed_from_u64(1);
-        let kp = KeyPair::generate(size, &mut rng);
-        let msg = vec![7u8; 24];
-        let ct = kp.public().encrypt(&msg, &mut rng).unwrap();
-        // Cached and uncached runs of the same op back to back, so the
-        // pair shares the host's thermal/paging state and the ratio is
-        // not skewed by drift between distant points in the process
-        // lifetime. The cached rows land under `rsa_cached/...`; the
-        // canonical `rsa/...` rows (measured with the cache on, the
-        // production default) stay the cross-PR trend lines.
-        for uncached in [true, false] {
-            set_mont_cache(!uncached);
-            let prefix = if uncached { "uncached_keygen" } else { "cached_keygen" };
-            group.bench_function(format!("{prefix}/{}", size.bits()), |b| {
-                let mut rng = StdRng::seed_from_u64(2);
-                b.iter(|| KeyPair::generate(size, &mut rng))
-            });
-        }
-        for uncached in [true, false] {
-            set_mont_cache(!uncached);
-            let prefix = if uncached { "uncached_decrypt" } else { "cached_decrypt" };
-            group.bench_function(format!("{prefix}/{}", size.bits()), |b| {
-                b.iter(|| kp.decrypt(&ct).unwrap())
-            });
-        }
-        set_mont_cache(true);
-        // The quantity the cache actually elides, measured directly: one
-        // Montgomery context build (n0inv + R/R^2-mod-m divisions). This
-        // is the stable number; the end-to-end keygen/decrypt A/B above
-        // moves by at most this much per modpow (<1% of a 1024-bit
-        // exponentiation) and is therefore noise-bound near 1.0x on a
-        // shared host.
-        {
-            use whisper_crypto::bignum::{BigUint, Montgomery};
-            let mut mrng = StdRng::seed_from_u64(3);
-            let mut bytes: Vec<u8> = (0..128).map(|_| mrng.gen()).collect();
-            bytes[0] |= 0x80; // full 1024 bits
-            bytes[127] |= 1; // odd, as Montgomery requires
-            let m = BigUint::from_bytes_be(&bytes);
-            group.bench_function("mont_setup/1024", |b| b.iter(|| Montgomery::new(&m)));
-        }
-        group.finish();
-    }
-    for op in ["decrypt", "keygen"] {
-        let cached = c.median_of(&format!("rsa_mont_ab/cached_{op}/{}", size.bits()));
-        let uncached = c.median_of(&format!("rsa_mont_ab/uncached_{op}/{}", size.bits()));
-        if let (Some(cached), Some(uncached)) = (cached, uncached) {
-            let speedup = uncached / cached;
-            println!(
-                "rsa/mont_cache_speedup_{op}_{}      {speedup:.2}x \
-                 (uncached {:.1} µs vs cached {:.1} µs)",
-                size.bits(),
-                uncached / 1e3,
-                cached / 1e3,
-            );
-            c.record(format!("rsa/mont_cache_speedup_{op}_{}", size.bits()), speedup);
-        }
-    }
-}
-
 fn bench_bignum(c: &mut Bench) {
     use whisper_crypto::bignum::BigUint;
     let mut group = c.group("bignum");
@@ -282,7 +211,6 @@ fn bench_modpow(c: &mut Bench) {
 fn main() {
     let mut bench = Bench::from_args();
     bench_rsa(&mut bench);
-    bench_mont_cache(&mut bench);
     bench_modpow(&mut bench);
     bench_aes(&mut bench);
     bench_sha256(&mut bench);

@@ -129,7 +129,7 @@ impl LeaderTracker {
     pub fn on_cycle(
         &mut self,
         me: NodeId,
-        my_key: Vec<u8>,
+        my_key: &[u8],
         miss_threshold: u64,
         decide_after: u64,
     ) -> ElectionOutcome {
@@ -160,7 +160,7 @@ impl LeaderTracker {
                 round: self.epoch + 1,
                 value: proposal_value(me),
                 node: me,
-                key: my_key,
+                key: my_key.to_vec(),
             };
             self.election =
                 Some(Election { round: self.epoch + 1, best: ballot, cycles: 0 });
@@ -197,13 +197,13 @@ mod tests {
     #[test]
     fn heartbeat_progress_resets_staleness() {
         let mut t = LeaderTracker::new();
-        t.on_cycle(NodeId(1), vec![], 5, 3);
-        t.on_cycle(NodeId(1), vec![], 5, 3);
+        t.on_cycle(NodeId(1), &[], 5, 3);
+        t.on_cycle(NodeId(1), &[], 5, 3);
         assert_eq!(t.staleness(), 2);
         t.observe_heartbeat(Heartbeat { epoch: 0, seq: 1 });
         assert_eq!(t.staleness(), 0);
         t.observe_heartbeat(Heartbeat { epoch: 0, seq: 1 }); // no progress
-        t.on_cycle(NodeId(1), vec![], 5, 3);
+        t.on_cycle(NodeId(1), &[], 5, 3);
         assert_eq!(t.staleness(), 1);
     }
 
@@ -211,7 +211,7 @@ mod tests {
     fn election_starts_after_threshold() {
         let mut t = LeaderTracker::new();
         for _ in 0..=5 {
-            assert_eq!(t.on_cycle(NodeId(1), vec![], 5, 3), ElectionOutcome::Idle);
+            assert_eq!(t.on_cycle(NodeId(1), &[], 5, 3), ElectionOutcome::Idle);
         }
         assert!(t.electing());
         assert_eq!(t.ballot().unwrap().node, NodeId(1));
@@ -235,13 +235,13 @@ mod tests {
         let mut t = LeaderTracker::new();
         // I start proposing after the threshold...
         for _ in 0..=6 {
-            t.on_cycle(me, vec![], 5, 3);
+            t.on_cycle(me, &[], 5, 3);
         }
         assert!(t.electing());
         // ...nobody outbids me, so after `decide_after` cycles I win.
         let mut outcome = ElectionOutcome::Idle;
         for _ in 0..4 {
-            outcome = t.on_cycle(me, vec![], 5, 3);
+            outcome = t.on_cycle(me, &[], 5, 3);
             if outcome != ElectionOutcome::Idle {
                 break;
             }
@@ -262,11 +262,11 @@ mod tests {
         };
         let mut t = LeaderTracker::new();
         for _ in 0..=6 {
-            t.on_cycle(low, vec![], 5, 3);
+            t.on_cycle(low, &[], 5, 3);
         }
         t.observe_ballot(ballot(1, high.0));
         for _ in 0..5 {
-            assert_eq!(t.on_cycle(low, vec![], 5, 3), ElectionOutcome::Idle);
+            assert_eq!(t.on_cycle(low, &[], 5, 3), ElectionOutcome::Idle);
         }
         let _ = low;
     }

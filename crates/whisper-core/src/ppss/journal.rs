@@ -42,6 +42,10 @@ const HEADER: usize = 4 + 8;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Journal {
     buf: Vec<u8>,
+    /// Where the latest [checkpoint](Self::checkpoint_with) starts: what
+    /// the next one may drop. Bookkeeping of the running process, not of
+    /// the "disk" — zero for a mounted image.
+    checkpoint_at: usize,
 }
 
 /// Outcome of a [`Journal::replay`]: the salvaged records plus an exact
@@ -74,7 +78,7 @@ impl Journal {
     /// image of unknown integrity; [`replay`](Self::replay) decides what
     /// survives).
     pub fn from_raw(buf: Vec<u8>) -> Journal {
-        Journal { buf }
+        Journal { buf, checkpoint_at: 0 }
     }
 
     /// The raw on-"disk" bytes.
@@ -110,9 +114,28 @@ impl Journal {
     /// a replayer has folded the log into its latest state.
     pub fn reset_with<'a>(&mut self, records: impl IntoIterator<Item = &'a [u8]>) {
         self.buf.clear();
+        self.checkpoint_with(records);
+    }
+
+    /// Appends `records` — a full snapshot of the replayer's state — as a
+    /// checkpoint, dropping everything before the previous checkpoint.
+    /// The journal so holds two checkpoints and what was appended between
+    /// and after them, however long it has been written to, and a damaged
+    /// tail still leaves a whole older snapshot in the valid prefix.
+    /// Capacity beyond twice the new size goes back to the allocator: a
+    /// node does not hold its longest history for life.
+    pub fn checkpoint_with<'a>(&mut self, records: impl IntoIterator<Item = &'a [u8]>) {
+        self.buf.drain(..self.checkpoint_at.min(self.buf.len()));
+        self.checkpoint_at = self.buf.len();
         for r in records {
             self.append(r);
         }
+        self.buf.shrink_to(2 * self.buf.len());
+    }
+
+    /// Bytes of storage the journal holds on to (diagnostics).
+    pub fn capacity_bytes(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Scans the journal from the start, salvaging the longest valid
@@ -229,6 +252,27 @@ mod tests {
         let r = j.replay();
         assert_eq!(r.records, vec![b"keep".to_vec()]);
         assert_eq!((r.truncated, r.corrupt), (1, 0));
+    }
+
+    #[test]
+    fn checkpoints_keep_two_generations() {
+        let mut j = journal_of(&[b"old", b"older"]);
+        j.checkpoint_with([b"gen1".as_slice()]);
+        j.append(b"event");
+        assert_eq!(j.replay().records.len(), 4, "the first checkpoint drops nothing");
+        j.checkpoint_with([b"gen2".as_slice()]);
+        assert_eq!(j.replay().records, vec![b"gen1".to_vec(), b"event".to_vec(), b"gen2".to_vec()]);
+        j.checkpoint_with([b"gen3".as_slice()]);
+        assert_eq!(j.replay().records, vec![b"gen2".to_vec(), b"gen3".to_vec()]);
+        // A damaged last record leaves the checkpoint before it.
+        let len = j.len_bytes();
+        j.raw_mut()[len - 1] ^= 1;
+        assert_eq!(j.replay().records, vec![b"gen2".to_vec()]);
+        // A tail cut behind the bookkeeping's back is tolerated.
+        j.raw_mut().truncate(3);
+        j.checkpoint_with([b"gen4".as_slice()]);
+        assert_eq!(j.replay().records, vec![b"gen4".to_vec()]);
+        assert!(j.capacity_bytes() <= 2 * j.len_bytes());
     }
 
     #[test]

@@ -278,8 +278,9 @@ impl GroupState {
 // --------------------------------------------------------------------
 
 /// Journal size that triggers a compaction (rewrite as one snapshot per
-/// group). Snapshots are a few hundred bytes, so this keeps the "disk"
-/// a handful of records deep without compacting on every append.
+/// group) between two periodic checkpoints, which drop old records
+/// anyway: the bound on what event-driven appends can pile up in eight
+/// cycles.
 const JOURNAL_COMPACT_BYTES: usize = 128 * 1024;
 
 /// Admission/removal dots piggybacked on each member-to-member exchange.
@@ -761,21 +762,19 @@ impl Ppss {
         }
         let my_entry = self.my_entry(nylon);
         let me = nylon.id();
-        let my_key_bytes = nylon.keypair().public().to_bytes();
+        let my_key = nylon.keypair().public().clone(); // a handle, not a copy
+        let my_key_bytes = my_key.wire_bytes();
+        let (hb_miss_threshold, election_cycles, gossip_len) =
+            (self.cfg.hb_miss_threshold, self.cfg.election_cycles, self.cfg.gossip_len);
         let groups: Vec<GroupId> = self.group_ids();
         for group in groups {
-            let cfg = self.cfg.clone();
             let state = self.groups.get_mut(&group).expect("listed");
             // Leader heartbeats / member election bookkeeping.
             if state.is_leader() {
                 state.tracker.beat();
             } else {
-                match state.tracker.on_cycle(
-                    me,
-                    my_key_bytes.clone(),
-                    cfg.hb_miss_threshold,
-                    cfg.election_cycles,
-                ) {
+                match state.tracker.on_cycle(me, my_key_bytes, hb_miss_threshold, election_cycles)
+                {
                     ElectionOutcome::Won { epoch } => {
                         let new_key = KeyPair::generate(nylon.config().rsa, ctx.rng());
                         let group_key = new_key.public().to_bytes();
@@ -786,7 +785,7 @@ impl Ppss {
                                 .sign(&NewKeyAnnouncement::message(epoch, &group_key)),
                             group_key,
                             signer: me,
-                            signer_key: my_key_bytes.clone(),
+                            signer_key: my_key_bytes.to_vec(),
                         };
                         state.key_history.push(new_key.public().clone());
                         // Keep the old passport: it stays valid through
@@ -847,7 +846,7 @@ impl Ppss {
             else {
                 continue;
             };
-            let buffer = Self::build_buffer(state, &my_entry, partner.node, cfg.gossip_len, ctx);
+            let buffer = Self::build_buffer(state, &my_entry, partner.node, gossip_len, ctx);
             let (member_adds, member_removes) = state.membership.recent_dots(EXCHANGE_DOTS);
             let msg_id = wcl.alloc_msg_id();
             let msg = PpssMsg::Exchange {
@@ -875,16 +874,19 @@ impl Ppss {
                 events.push(PpssEvent::MemberUnreachable { group, node: partner.node });
             }
         }
-        // Periodic checkpoint: refresh every group's journaled contact
-        // cache so a crash long after the last membership change still
-        // restarts with recent neighbours.
         if self.cycles_run.is_multiple_of(8) {
-            to_journal.extend(self.group_ids());
-        }
-        to_journal.sort_unstable();
-        to_journal.dedup();
-        for group in to_journal {
-            self.journal_group(group);
+            // Periodic checkpoint: refresh every group's journaled contact
+            // cache so a crash long after the last membership change still
+            // restarts with recent neighbours. The checkpoint before last
+            // goes, so the journal stays a few records per group.
+            let records = self.snapshot_records();
+            self.journal.checkpoint_with(records.iter().map(|r| r.as_slice()));
+        } else {
+            to_journal.sort_unstable();
+            to_journal.dedup();
+            for group in to_journal {
+                self.journal_group(group);
+            }
         }
         events
     }
@@ -1056,9 +1058,16 @@ impl Ppss {
         }
     }
 
-    /// Rewrites the journal as one snapshot per live group, one pending
-    /// record per outstanding join and one tombstone per deleted group.
+    /// Rewrites the journal as one snapshot of the durable state.
     fn compact_journal(&mut self) {
+        let records = self.snapshot_records();
+        self.journal.reset_with(records.iter().map(|r| r.as_slice()));
+    }
+
+    /// The durable state as records: one snapshot per live group, one
+    /// pending record per outstanding join and one tombstone per deleted
+    /// group.
+    fn snapshot_records(&self) -> Vec<Vec<u8>> {
         let mut records: Vec<Vec<u8>> = Vec::new();
         let mut ids: Vec<GroupId> = self.groups.keys().copied().collect();
         ids.sort_unstable();
@@ -1073,7 +1082,7 @@ impl Ppss {
         for id in &self.deleted {
             records.push(encode_tombstone_record(*id));
         }
-        self.journal.reset_with(records.iter().map(|r| r.as_slice()));
+        records
     }
 
     /// Handles a WCL route failure for a tracked send.
@@ -1577,5 +1586,123 @@ mod tests {
         assert_eq!(memo_len(&sim), None);
         assert_eq!(deliver(&mut sim, me, &app_data(group, peer)), vec![]);
         assert_eq!(sim.metrics().counter("ppss.resurrection_blocked"), 1);
+    }
+
+    /// The periodic checkpoint drops the one before last: however many
+    /// have run, the journal holds a few records per group and no more
+    /// storage than twice that — and a restart from it restores exactly
+    /// what a restart from the append-only history (every checkpoint
+    /// appending its snapshots behind all the stale ones) would.
+    #[test]
+    fn checkpoints_keep_the_journal_bounded_and_replay_equivalent() {
+        let cfg = WhisperConfig::default();
+        let mut sim = Sim::new(SimConfig::cluster(6));
+        let mut keys = StdRng::seed_from_u64(2);
+        let mut add = |sim: &mut Sim| {
+            let key = KeyPair::generate(cfg.nylon.rsa, &mut keys);
+            sim.add_node(Box::new(WhisperNode::new(cfg.clone(), key)), NatType::Public)
+        };
+        let (me, other) = (add(&mut sim), add(&mut sim));
+        sim.run_for_secs(1);
+
+        // The append-only history, kept beside the real journal: what is
+        // appended to the one is appended to the other, and a checkpoint
+        // adds the snapshots it wrote.
+        let mut history = Journal::new();
+        let mut seen = Journal::new();
+        let mut track = |sim: &Sim, checkpoint: bool| {
+            let ppss = sim.node::<WhisperNode>(me).unwrap().ppss();
+            let real = ppss.journal().clone();
+            if checkpoint {
+                // The snapshots this checkpoint wrote end the journal.
+                let records = real.replay().records;
+                let snapshots: Vec<_> = records.iter().filter(|r| r[0] == REC_GROUP).collect();
+                for record in &snapshots[snapshots.len() - ppss.groups.len()..] {
+                    history.append(record);
+                }
+            } else {
+                assert!(real.raw().starts_with(seen.raw()), "appends only between checkpoints");
+                history.raw_mut().extend_from_slice(&real.raw()[seen.len_bytes()..]);
+            }
+            seen = real;
+            history.len_bytes()
+        };
+
+        // Every record kind: two live groups, a tombstone, a pending join
+        // (towards a leader no route reaches, so it stays pending).
+        let mut invitation = None;
+        sim.with_node_ctx::<WhisperNode>(other, |n, ctx| {
+            let theirs = n.create_group(ctx, "theirs");
+            invitation = n.invite(theirs, me);
+        });
+        sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
+            n.create_group(ctx, "one");
+            n.create_group(ctx, "two");
+            let doomed = n.create_group(ctx, "doomed");
+            assert!(n.delete_group(ctx, doomed));
+            n.join_group(ctx, invitation.take().expect("the creator leads"));
+        });
+        track(&sim, false);
+
+        let cycle = |sim: &mut Sim| {
+            sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
+                n.with_api(|api, _| api.ppss.on_cycle(ctx, api.nylon, api.wcl));
+            });
+        };
+        for cycles in 1..=8 * 12u32 {
+            cycle(&mut sim);
+            let history_bytes = track(&sim, cycles % 8 == 0);
+            // Event-driven appends between checkpoints: a group is born,
+            // another dies.
+            if cycles == 20 || cycles == 45 {
+                sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
+                    if cycles == 20 {
+                        n.create_group(ctx, "three");
+                    } else {
+                        assert!(n.delete_group(ctx, GroupId::from_name("one")));
+                    }
+                });
+                track(&sim, false);
+            }
+            if cycles % 8 == 0 {
+                // A checkpoint is one record per live group, the pending
+                // join, and one tombstone per deleted group; the journal
+                // holds the last two and the appends between them,
+                // whatever the number of checkpoints behind those.
+                let checkpoint = |at: u32| match at {
+                    ..20 => 2 + 1 + 1,
+                    20..45 => 3 + 1 + 1,
+                    _ => 2 + 1 + 2,
+                };
+                // The birth appends twice (creation, first descriptor),
+                // the deletion once.
+                let between = 2 * u32::from((cycles - 8..cycles).contains(&20))
+                    + u32::from((cycles - 8..cycles).contains(&45));
+                let records = (checkpoint(cycles - 8) + between + checkpoint(cycles)) as usize;
+                let journal = sim.node::<WhisperNode>(me).unwrap().ppss().journal();
+                if cycles > 8 {
+                    // (The first checkpoint had none before it to drop.)
+                    assert_eq!(journal.replay().records.len(), records, "after {cycles} cycles");
+                }
+                assert!(journal.len_bytes() < 1024 * records);
+                assert!(journal.capacity_bytes() <= 2 * journal.len_bytes());
+                let checkpoints = (cycles / 8) as usize;
+                assert!(history_bytes > journal.len_bytes() * checkpoints / 4, "history grows");
+            }
+        }
+
+        let restored_from = |sim: &mut Sim, disk: &Journal| {
+            let mut folded = Vec::new();
+            sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
+                *n.ppss_mut().journal_mut() = disk.clone();
+                n.ppss_mut().on_restart(ctx);
+                folded = n.ppss().journal().raw().to_vec();
+            });
+            folded
+        };
+        let from_history = restored_from(&mut sim, &history);
+        let from_compacted = restored_from(&mut sim, &seen);
+        assert!(!from_compacted.is_empty());
+        assert_eq!(from_history, from_compacted, "replay folds to the same state");
     }
 }

@@ -32,7 +32,7 @@
 
 use whisper_rand::seq::SliceRandom;
 use whisper_rand::Rng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use whisper_crypto::aes::CtrNonce;
 use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, CircuitTable, HopSetup, SourceCircuit};
 use whisper_crypto::onion::{self, PeelResult};
@@ -374,14 +374,54 @@ struct CachedRoute {
     expires: whisper_net::SimTime,
 }
 
+/// The source's route cache: after an insert at time `t` it holds exactly
+/// the routes unexpired at `t`, so a node that keeps meeting new
+/// destinations does not keep a dead route (three AES schedules) for
+/// each one it ever spoke to.
+#[derive(Default)]
+struct RouteCache {
+    /// `BTreeMap` so nothing ever depends on hash iteration order.
+    by_dest: BTreeMap<NodeId, CachedRoute>,
+    /// `(expires, dest)` of every insert, in insertion order — which is
+    /// expiry order, the lifetime being one constant. An entry whose
+    /// route was replaced or torn down since matches nothing.
+    expiry: VecDeque<(SimTime, NodeId)>,
+}
+
+impl RouteCache {
+    fn get(&self, dest: NodeId) -> Option<&CachedRoute> {
+        self.by_dest.get(&dest)
+    }
+
+    /// Caches `route` after collecting every expired one.
+    fn insert(&mut self, now: SimTime, dest: NodeId, route: CachedRoute) {
+        while let Some(&(expires, old)) = self.expiry.front().filter(|(e, _)| *e <= now) {
+            self.expiry.pop_front();
+            if self.by_dest.get(&old).is_some_and(|r| r.expires == expires) {
+                self.by_dest.remove(&old);
+            }
+        }
+        self.expiry.push_back((route.expires, dest));
+        self.by_dest.insert(dest, route);
+    }
+
+    fn remove(&mut self, dest: NodeId) -> Option<CachedRoute> {
+        self.by_dest.remove(&dest)
+    }
+
+    fn clear(&mut self) {
+        self.by_dest.clear();
+        self.expiry.clear();
+    }
+}
+
 /// Per-node WCL state.
 pub struct Wcl {
     cfg: WclConfig,
     pending: HashMap<u64, PendingSend>,
     next_msg_id: u64,
-    /// Source side: destination → cached circuit route. `BTreeMap` so
-    /// nothing ever depends on hash iteration order.
-    routes: BTreeMap<NodeId, CachedRoute>,
+    /// Source side: destination → cached circuit route.
+    routes: RouteCache,
     /// Relay/destination side: circuits this node carries.
     circuits: CircuitTable,
     /// Per-destination smoothed RTT (Karn-filtered: only first-attempt
@@ -407,7 +447,7 @@ impl std::fmt::Debug for Wcl {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wcl")
             .field("pending", &self.pending.len())
-            .field("routes", &self.routes.len())
+            .field("routes", &self.cached_routes())
             .field("circuits", &self.circuits.len())
             .finish()
     }
@@ -422,7 +462,7 @@ impl Wcl {
             cfg,
             pending: HashMap::new(),
             next_msg_id: 1,
-            routes: BTreeMap::new(),
+            routes: RouteCache::default(),
             circuits,
             rtt: BTreeMap::new(),
             health: BTreeMap::new(),
@@ -625,7 +665,7 @@ impl Wcl {
         // The unanswered route is suspect — a relay may have lost its
         // circuit state or a link may have died — so tear down the cached
         // circuit before (re)building: the retry must not reuse it.
-        if self.routes.remove(&p.dest.node).is_some() {
+        if self.routes.remove(p.dest.node).is_some_and(|route| route.expires > now) {
             ctx.metrics().count("wcl.circuit_teardown", 1);
         }
         // Implicate the relays of the unanswered attempt: their suspicion
@@ -713,7 +753,13 @@ impl Wcl {
 
     /// Whether a cached circuit route to `dest` exists (test hook).
     pub fn has_cached_route(&self, dest: NodeId) -> bool {
-        self.routes.contains_key(&dest)
+        self.routes.get(dest).is_some()
+    }
+
+    /// Number of cached circuit routes, expired ones still held included
+    /// (test hook).
+    pub fn cached_routes(&self) -> usize {
+        self.routes.by_dest.len()
     }
 
     /// The adaptive RTO estimate for `dest` in seconds, if any RTT sample
@@ -756,7 +802,7 @@ impl Wcl {
         // three CTR layers and zero RSA. Skipped when a retry is steering
         // away from specific mixes — those want a *different* path.
         if self.cfg.circuits && !degraded && avoid_a.is_empty() && avoid_b.is_empty() {
-            if let Some(route) = self.routes.get(&dest.node) {
+            if let Some(route) = self.routes.get(dest.node) {
                 if route.expires > now {
                     let (first_hop, mixes) = (route.first_hop, route.mixes);
                     let nonce0 = CtrNonce::random(ctx.rng());
@@ -785,7 +831,7 @@ impl Wcl {
                     // down and fall through to a fresh RSA onion.
                     ctx.metrics().count("wcl.circuit_teardown", 1);
                 }
-                self.routes.remove(&dest.node);
+                self.routes.remove(dest.node);
             }
         }
 
@@ -936,6 +982,7 @@ impl Wcl {
             let expires =
                 now + SimDuration::from_micros(self.cfg.circuit_ttl.as_micros() / 2);
             self.routes.insert(
+                now,
                 dest.node,
                 CachedRoute {
                     circuit: src_circuit,
@@ -1243,6 +1290,6 @@ mod tests {
         assert_eq!(wcl.carried_circuits(), 1);
         wcl.flush_circuits();
         assert_eq!(wcl.carried_circuits(), 0);
-        assert!(wcl.routes.is_empty());
+        assert_eq!(wcl.cached_routes(), 0);
     }
 }

@@ -164,3 +164,69 @@ fn relay_state_loss_drops_then_retry_rebuilds() {
     );
     assert!(m.counter("wcl.delivered") >= 2, "the tracked payload arrives after rebuild");
 }
+
+fn cached_routes(sim: &mut Sim, node: NodeId) -> usize {
+    let mut routes = 0;
+    sim.with_node_ctx::<WhisperNode>(node, |n, _| {
+        n.with_api(|api, _| routes = api.wcl.cached_routes());
+    });
+    routes
+}
+
+#[test]
+fn route_cache_holds_unexpired_routes_only() {
+    let mut cfg = WhisperConfig::default();
+    cfg.wcl.circuit_ttl = SimDuration::from_secs(10); // source cache: 5 s
+    let mut r = rig(cfg, 6, 204);
+    // One route each to four destinations, as a node with random-view
+    // peers accretes them.
+    let early: Vec<NodeId> = r.publics[2..5].iter().copied().chain([r.dest]).collect();
+    for &dest in &early {
+        let info = dest_info_of(&mut r.sim, dest);
+        assert!(send_untracked(&mut r.sim, r.source, &info, b"hello"));
+    }
+    assert_eq!(cached_routes(&mut r.sim, r.source), 4);
+    r.sim.run_for_secs(4);
+    let late = dest_info_of(&mut r.sim, r.publics[5]);
+    assert!(send_untracked(&mut r.sim, r.source, &late, b"hello"));
+    assert_eq!(cached_routes(&mut r.sim, r.source), 5, "nothing has expired yet");
+    r.sim.run_for_secs(2); // the first four lapse, the fifth has 3 s left
+    // The next establishment (towards a destination seen before or not)
+    // collects every expired route.
+    let again = dest_info_of(&mut r.sim, early[0]);
+    assert!(send_untracked(&mut r.sim, r.source, &again, b"hello again"));
+    assert_eq!(cached_routes(&mut r.sim, r.source), 2, "the fifth route and the new one");
+    assert_eq!(r.sim.metrics().counter("wcl.circuit_established"), 6);
+    assert_eq!(r.sim.metrics().counter("wcl.circuit_teardown"), 0);
+}
+
+#[test]
+fn retry_on_an_expired_route_counts_no_teardown() {
+    let mut cfg = WhisperConfig::default();
+    // The route lapses (1 s) before the first retry (2 s), as it does for
+    // a conversation whose peer has gone quiet.
+    cfg.wcl.circuit_ttl = SimDuration::from_secs(2);
+    cfg.wcl.adaptive_rto = false;
+    let mut r = rig(cfg, 6, 205);
+    let silent = dest_info_of(&mut r.sim, r.dest);
+    let other = dest_info_of(&mut r.sim, r.publics[2]);
+    // A tracked send nobody answers at this layer: every retry fires.
+    let mut sent = false;
+    r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
+        node.with_api(|api, _| {
+            let id = api.wcl.alloc_msg_id();
+            sent = api.wcl.send(ctx, api.nylon, &silent, b"anyone?".to_vec(), id);
+        });
+    });
+    assert!(sent);
+    r.sim.run_for(SimDuration::from_millis(1500));
+    // An establishment elsewhere sweeps the lapsed route before the retry
+    // looks for it ...
+    assert!(send_untracked(&mut r.sim, r.source, &other, b"hello"));
+    assert_eq!(cached_routes(&mut r.sim, r.source), 1);
+    // ... and the later retries find theirs lapsed but still held.
+    r.sim.run_for_secs(30);
+    let m = r.sim.metrics();
+    assert!(m.counter("wcl.route_retry") >= 2, "retries ran");
+    assert_eq!(m.counter("wcl.circuit_teardown"), 0, "no live circuit was ever torn down");
+}

@@ -7,6 +7,25 @@
 
 use super::BigUint;
 
+/// Schoolbook `out += a * b` on raw limbs; the sum must fit `out`.
+pub(crate) fn mul_acc(out: &mut [u64], a: &[u64], b: &[u64]) {
+    for (i, &ai) in a.iter().enumerate() {
+        let mut carry: u128 = 0;
+        for (j, &bj) in b.iter().enumerate() {
+            let s = out[i + j] as u128 + ai as u128 * bj as u128 + carry;
+            out[i + j] = s as u64;
+            carry = s >> 64;
+        }
+        let mut k = i + b.len();
+        while carry != 0 {
+            let s = out[k] as u128 + carry;
+            out[k] = s as u64;
+            carry = s >> 64;
+            k += 1;
+        }
+    }
+}
+
 impl BigUint {
     /// Returns `self + other`.
     pub fn add(&self, other: &BigUint) -> BigUint {
@@ -78,21 +97,7 @@ impl BigUint {
             return BigUint::zero();
         }
         let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
-        for (i, &a) in self.limbs.iter().enumerate() {
-            let mut carry: u128 = 0;
-            for (j, &b) in other.limbs.iter().enumerate() {
-                let s = out[i + j] as u128 + a as u128 * b as u128 + carry;
-                out[i + j] = s as u64;
-                carry = s >> 64;
-            }
-            let mut k = i + other.limbs.len();
-            while carry != 0 {
-                let s = out[k] as u128 + carry;
-                out[k] = s as u64;
-                carry = s >> 64;
-                k += 1;
-            }
-        }
+        mul_acc(&mut out, &self.limbs, &other.limbs);
         BigUint::from_limbs(out)
     }
 

@@ -21,7 +21,9 @@ mod karatsuba;
 mod modular;
 mod prime;
 
-pub use modular::{set_mont_cache, Montgomery};
+pub(crate) use arith::mul_acc;
+pub(crate) use modular::{with_scratch, STACK_LIMBS};
+pub use modular::Montgomery;
 pub use prime::{gen_prime, is_probable_prime};
 
 use std::cmp::Ordering;

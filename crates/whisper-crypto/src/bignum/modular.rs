@@ -6,19 +6,92 @@
 //! inverses.
 
 use super::BigUint;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::cmp::Ordering;
 
 /// Montgomery context for a fixed odd modulus.
 ///
 /// Conversion into Montgomery form costs one division; each multiplication
-/// inside the domain is then division-free (CIOS algorithm).
+/// inside the domain is then division-free (CIOS algorithm) and writes
+/// into limbs the caller owns, so an exponentiation allocates nothing.
+/// Operands are little-endian limb slices of exactly the modulus's limb
+/// count, zero padded.
+#[derive(Clone)]
 pub struct Montgomery {
-    m: Vec<u64>,
+    /// The modulus; normalized, so its limb count is the operand width.
+    m: BigUint,
     /// `-m[0]^-1 mod 2^64`.
     n0: u64,
-    /// `R^2 mod m` where `R = 2^(64*len)` — used to enter the domain.
-    r2: BigUint,
+    /// `R^2 mod m` where `R = 2^(64*limbs)` — used to enter the domain.
+    r2: Vec<u64>,
+}
+
+/// Widest modulus (2048 bits) whose working limbs live on the stack;
+/// wider ones — no RSA size here — take one heap buffer per operation.
+pub(crate) const STACK_LIMBS: usize = 32;
+
+/// Runs `f` over `limbs` zeroed scratch limbs, on the stack when they
+/// fit `STACK` (each caller's need at [`STACK_LIMBS`]) and on the heap
+/// otherwise.
+pub(crate) fn with_scratch<const STACK: usize, T>(
+    limbs: usize,
+    f: impl FnOnce(&mut [u64]) -> T,
+) -> T {
+    if limbs <= STACK {
+        f(&mut [0u64; STACK][..limbs])
+    } else {
+        f(&mut vec![0u64; limbs])
+    }
+}
+
+/// CIOS Montgomery multiplication, the one multiplication body:
+/// `out = a * b * R^-1 mod m` for `a < R` and `b < m`, all of `m.len()`
+/// limbs. `out` doubles as the running sum `t[0..n]` of the textbook
+/// algorithm, whose two top limbs stay in registers.
+#[inline(always)]
+fn cios(out: &mut [u64], a: &[u64], b: &[u64], m: &[u64], n0: u64) {
+    let n = m.len();
+    assert!(out.len() == n && a.len() == n && b.len() == n, "operand width");
+    out.fill(0);
+    let mut top = 0u64; // t[n]
+    for i in 0..n {
+        // t += a[i] * b
+        let mut carry: u128 = 0;
+        for j in 0..n {
+            let s = out[j] as u128 + a[i] as u128 * b[j] as u128 + carry;
+            out[j] = s as u64;
+            carry = s >> 64;
+        }
+        let s = top as u128 + carry;
+        let (t_n, t_n1) = (s as u64, (s >> 64) as u64);
+
+        // Reduce: make t divisible by 2^64 and shift down one limb.
+        let u = out[0].wrapping_mul(n0);
+        let mut carry: u128 = (out[0] as u128 + u as u128 * m[0] as u128) >> 64;
+        for j in 1..n {
+            let s = out[j] as u128 + u as u128 * m[j] as u128 + carry;
+            out[j - 1] = s as u64;
+            carry = s >> 64;
+        }
+        let s = t_n as u128 + carry;
+        out[n - 1] = s as u64;
+        top = t_n1 + (s >> 64) as u64;
+    }
+    // The result `top:out` is < 2m: subtract m if needed.
+    if top != 0 || cmp_limbs(out, m) != Ordering::Less {
+        let borrow = sub_limbs(out, m);
+        debug_assert_eq!(borrow, top);
+    }
+}
+
+/// [`cios`] at a width known at compile time, so its loops unroll and
+/// every bounds check folds away.
+fn cios_fixed<const N: usize>(out: &mut [u64], a: &[u64], b: &[u64], m: &[u64], n0: u64) {
+    const WIDTH: &str = "operand width";
+    let out: &mut [u64; N] = out.try_into().expect(WIDTH);
+    let a: &[u64; N] = a.try_into().expect(WIDTH);
+    let b: &[u64; N] = b.try_into().expect(WIDTH);
+    let m: &[u64; N] = m.try_into().expect(WIDTH);
+    cios(out, a, b, m, n0);
 }
 
 impl Montgomery {
@@ -29,87 +102,92 @@ impl Montgomery {
     /// Panics if `modulus` is even or zero.
     pub fn new(modulus: &BigUint) -> Self {
         assert!(!modulus.is_zero() && !modulus.is_even(), "Montgomery modulus must be odd");
-        let m = modulus.limbs.clone();
-        let n0 = inv64(m[0]).wrapping_neg();
+        let n = modulus.limbs.len();
+        let n0 = inv64(modulus.limbs[0]).wrapping_neg();
         // R^2 mod m computed as 2^(128*len) mod m via shifting.
-        let r2 = BigUint::one().shl(m.len() * 64 * 2).rem(modulus);
-        Montgomery { m, n0, r2 }
+        let mut r2 = BigUint::one().shl(n * 64 * 2).rem(modulus).limbs;
+        r2.resize(n, 0);
+        Montgomery { m: modulus.clone(), n0, r2 }
     }
 
-    fn len(&self) -> usize {
-        self.m.len()
+    /// The modulus.
+    pub(crate) fn modulus(&self) -> &BigUint {
+        &self.m
     }
 
-    /// CIOS Montgomery multiplication: returns `a * b * R^-1 mod m`.
-    /// `a` and `b` are limb vectors of length `len()` (zero padded).
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let n = self.len();
-        let mut t = vec![0u64; n + 2];
-        for i in 0..n {
-            // t += a[i] * b
-            let mut carry: u128 = 0;
-            for j in 0..n {
-                let s = t[j] as u128 + a[i] as u128 * b[j] as u128 + carry;
-                t[j] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[n] as u128 + carry;
-            t[n] = s as u64;
-            t[n + 1] = (s >> 64) as u64;
+    /// Operand width in limbs.
+    pub(crate) fn limbs(&self) -> usize {
+        self.m.limbs.len()
+    }
 
-            // Reduce: make t divisible by 2^64 and shift down one limb.
-            let u = t[0].wrapping_mul(self.n0);
-            let mut carry: u128 = (t[0] as u128 + u as u128 * self.m[0] as u128) >> 64;
-            for j in 1..n {
-                let s = t[j] as u128 + u as u128 * self.m[j] as u128 + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[n] as u128 + carry;
-            t[n - 1] = s as u64;
-            t[n] = t[n + 1] + (s >> 64) as u64;
-            t[n + 1] = 0;
+    /// `out = a * b * R^-1 mod m` for `a < R`, `b < m`: [`cios`],
+    /// instantiated at the widths RSA uses — the CRT halves (3, 4, 8, 16
+    /// limbs) and the public moduli (6, 8, 16, 32) of the four key sizes
+    /// — and run over plain slices at any other.
+    pub(crate) fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        let (m, n0) = (&self.m.limbs[..], self.n0);
+        match m.len() {
+            3 => cios_fixed::<3>(out, a, b, m, n0),
+            4 => cios_fixed::<4>(out, a, b, m, n0),
+            6 => cios_fixed::<6>(out, a, b, m, n0),
+            8 => cios_fixed::<8>(out, a, b, m, n0),
+            16 => cios_fixed::<16>(out, a, b, m, n0),
+            32 => cios_fixed::<32>(out, a, b, m, n0),
+            _ => cios(out, a, b, m, n0),
         }
-        // Result is t[0..=n] and is < 2m: subtract m if needed.
-        let needs_sub = t[n] != 0 || cmp_limbs(&t[..n], &self.m) != std::cmp::Ordering::Less;
-        let mut out = t[..n].to_vec();
-        if needs_sub {
-            let mut borrow: i128 = 0;
-            for i in 0..n {
-                let d = out[i] as i128 - self.m[i] as i128 - borrow;
-                if d < 0 {
-                    out[i] = (d + (1i128 << 64)) as u64;
-                    borrow = 1;
-                } else {
-                    out[i] = d as u64;
-                    borrow = 0;
-                }
-            }
-            debug_assert_eq!(borrow as u64, t[n]);
+    }
+
+    /// `acc = acc² * R^-1 mod m`; `tmp` is scratch.
+    pub(crate) fn square(&self, acc: &mut [u64], tmp: &mut [u64]) {
+        self.mul(tmp, acc, acc);
+        acc.copy_from_slice(tmp);
+    }
+
+    /// `out = (a - b) mod m` for `a, b < m`.
+    pub(crate) fn sub_mod(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        out.copy_from_slice(a);
+        if sub_limbs(out, b) != 0 {
+            add_limbs(out, &self.m.limbs);
         }
-        out
     }
 
-    fn pad(&self, v: &BigUint) -> Vec<u64> {
-        let mut l = v.limbs.clone();
-        l.resize(self.len(), 0);
-        l
-    }
-
-    /// Converts `v` (already `< m`) into the Montgomery domain.
-    fn to_mont(&self, v: &BigUint) -> Vec<u64> {
-        self.mont_mul(&self.pad(v), &self.pad(&self.r2))
-    }
-
-    /// Leaves the Montgomery domain.
-    #[allow(clippy::wrong_self_convention)] // converts `v`, not `self`
-    fn from_mont(&self, v: &[u64]) -> BigUint {
-        let one = {
-            let mut l = vec![0u64; self.len()];
-            l[0] = 1;
-            l
+    /// `out = v mod m`, zero padded to the operand width.
+    fn load(&self, out: &mut [u64], v: &BigUint) {
+        let reduced;
+        let v = if *v < self.m {
+            v
+        } else {
+            reduced = v.rem(&self.m);
+            &reduced
         };
-        BigUint::from_limbs(self.mont_mul(v, &one))
+        out[..v.limbs.len()].copy_from_slice(&v.limbs);
+        out[v.limbs.len()..].fill(0);
+    }
+
+    /// Enters the domain: `out = v * R mod m`, for any `v < R`.
+    pub(crate) fn to_mont(&self, out: &mut [u64], v: &[u64]) {
+        self.mul(out, v, &self.r2);
+    }
+
+    /// `out = R mod m`, the domain's one; `tmp` is scratch.
+    pub(crate) fn mont_one(&self, out: &mut [u64], tmp: &mut [u64]) {
+        set_one(tmp);
+        self.to_mont(out, tmp);
+    }
+
+    /// Leaves the domain: `out = v * R^-1 mod m`; `tmp` is scratch.
+    #[allow(clippy::wrong_self_convention)] // converts `v`, not `self`
+    fn from_mont(&self, out: &mut [u64], v: &[u64], tmp: &mut [u64]) {
+        set_one(tmp);
+        self.mul(out, tmp, v);
+    }
+
+    /// Accounts `muls` multiplications in [`crate::costs`] as `n²`
+    /// deterministic limb-operation units each (one unit per CIOS
+    /// inner-loop step).
+    pub(crate) fn charge(&self, muls: u64) {
+        let n = self.limbs() as u64;
+        crate::costs::add_rsa_limb_ops(muls * n * n);
     }
 
     /// Exponents below this many bits use plain square-and-multiply: the
@@ -126,63 +204,24 @@ impl Montgomery {
     /// [`Montgomery::pow_binary`]. For a uniformly random `e`-bit
     /// exponent, binary costs `e` squarings plus `e/2` multiplies while
     /// the 4-bit window costs `e` squarings plus `e/4 · 15/16` table
-    /// multiplies plus 14 precompute multiplies — ≈ 17% fewer `mont_mul`
-    /// calls at RSA sizes.
+    /// multiplies plus 14 precompute multiplies — ≈ 17% fewer
+    /// multiplications at RSA sizes.
     ///
-    /// Accounts `n² × mont_mul-calls` deterministic limb-operation units
-    /// in [`crate::costs`] (one unit per CIOS inner-loop step), so the
-    /// cost model tracks the actual multiplication count of this exact
-    /// exponent and window schedule.
+    /// Accounts `n² × multiplications` deterministic limb-operation units
+    /// in [`crate::costs`], so the cost model tracks the actual
+    /// multiplication count of this exact exponent and window schedule —
+    /// which is therefore frozen: every simulated crypto cost depends on
+    /// it.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.bits() < Self::WINDOW_MIN_BITS {
-            return self.pow_binary(base, exp);
-        }
-        let base = base.rem(&BigUint::from_limbs(self.m.clone()));
-        let mb = self.to_mont(&base);
-        let mont_one = self.to_mont(&BigUint::one());
-        let mut muls: u64 = 2; // the two to_mont conversions above
+        let mut out = vec![0u64; self.limbs()];
+        self.pow_into(&mut out, base, exp);
+        BigUint::from_limbs(out)
+    }
 
-        // Precompute table[d] = base^d for d in 1..16 (table[0] unused;
-        // zero windows are squarings only).
-        const TABLE_SIZE: usize = 1 << WINDOW_BITS;
-        let mut table: Vec<Vec<u64>> = Vec::with_capacity(TABLE_SIZE);
-        table.push(mont_one.clone());
-        table.push(mb);
-        for d in 2..TABLE_SIZE {
-            table.push(self.mont_mul(&table[d - 1], &table[1]));
-            muls += 1;
-        }
-        debug_assert_eq!(muls, 2 + WINDOW_TABLE_MULS);
-
-        // Left-to-right over 4-bit windows, most significant first. The
-        // top window may be short; processing it like any other keeps the
-        // loop uniform (leading squarings of 1 are still mont_muls and
-        // are accounted as such — the cost model charges what runs).
-        let bits = exp.bits();
-        let windows = bits.div_ceil(WINDOW_BITS);
-        let mut acc = mont_one;
-        for w in (0..windows).rev() {
-            for _ in 0..WINDOW_BITS {
-                acc = self.mont_mul(&acc, &acc);
-                muls += 1;
-            }
-            let mut digit = 0usize;
-            for b in 0..WINDOW_BITS {
-                let bit_idx = w * WINDOW_BITS + (WINDOW_BITS - 1 - b);
-                digit <<= 1;
-                if bit_idx < bits && exp.bit(bit_idx) {
-                    digit |= 1;
-                }
-            }
-            if digit != 0 {
-                acc = self.mont_mul(&acc, &table[digit]);
-                muls += 1;
-            }
-        }
-        muls += 1; // from_mont below
-        let n = self.len() as u64;
-        crate::costs::add_rsa_limb_ops(muls * n * n);
-        self.from_mont(&acc)
+    /// [`pow`](Self::pow) into caller-owned limbs: no heap allocation
+    /// when `base` is already reduced.
+    pub(crate) fn pow_into(&self, out: &mut [u64], base: &BigUint, exp: &BigUint) {
+        self.run(out, exp, |acc| self.pow_mont(acc, base, exp));
     }
 
     /// Plain left-to-right binary square-and-multiply — the reference
@@ -190,83 +229,136 @@ impl Montgomery {
     /// against, and the fast path for short exponents. Same deterministic
     /// limb-op accounting as [`Montgomery::pow`].
     pub fn pow_binary(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let mut out = vec![0u64; self.limbs()];
+        self.run(&mut out, exp, |acc| self.binary_mont(acc, base, exp));
+        BigUint::from_limbs(out)
+    }
+
+    /// Runs one exponentiation `schedule` — which leaves its result in
+    /// the domain and returns its multiplication count — then leaves the
+    /// domain into `out` and charges the lot, once.
+    fn run(&self, out: &mut [u64], exp: &BigUint, schedule: impl FnOnce(&mut [u64]) -> u64) {
         if exp.is_zero() {
-            return BigUint::one().rem(&BigUint::from_limbs(self.m.clone()));
+            // x^0: no multiplication runs and none is charged.
+            return self.load(out, &BigUint::one());
         }
-        let base = base.rem(&BigUint::from_limbs(self.m.clone()));
-        let mb = self.to_mont(&base);
-        let mut acc = self.to_mont(&BigUint::one());
-        let mut muls: u64 = 2; // the two to_mont conversions above
-        for i in (0..exp.bits()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            muls += 1;
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &mb);
+        let n = self.limbs();
+        with_scratch::<{ 2 * STACK_LIMBS }, _>(2 * n, |scratch| {
+            let (acc, tmp) = scratch.split_at_mut(n);
+            let muls = schedule(acc);
+            self.from_mont(out, acc, tmp);
+            self.charge(muls + 1);
+        })
+    }
+
+    /// `acc = base^exp` for `exp > 0`, left in the Montgomery domain, by
+    /// the schedule [`pow`](Self::pow) describes. Returns the number of
+    /// multiplications run, for the caller to charge.
+    pub(crate) fn pow_mont(&self, acc: &mut [u64], base: &BigUint, exp: &BigUint) -> u64 {
+        if exp.bits() < Self::WINDOW_MIN_BITS {
+            return self.binary_mont(acc, base, exp);
+        }
+        let n = self.limbs();
+        with_scratch::<{ (TABLE_SIZE + 1) * STACK_LIMBS }, _>((TABLE_SIZE + 1) * n, |scratch| {
+            let (table, tmp) = scratch.split_at_mut(TABLE_SIZE * n);
+            // table[d] = base^d in the domain (table[0], the one, only
+            // seeds the accumulator: zero windows are squarings only).
+            self.load(tmp, base);
+            self.to_mont(&mut table[n..2 * n], tmp);
+            self.mont_one(&mut table[..n], tmp);
+            let mut muls: u64 = 2; // the two to_mont conversions above
+            for d in 2..TABLE_SIZE {
+                let (lower, upper) = table.split_at_mut(d * n);
+                self.mul(&mut upper[..n], &lower[(d - 1) * n..], &lower[n..2 * n]);
                 muls += 1;
             }
-        }
-        muls += 1; // from_mont below
-        let n = self.len() as u64;
-        crate::costs::add_rsa_limb_ops(muls * n * n);
-        self.from_mont(&acc)
+            debug_assert_eq!(muls, 2 + WINDOW_TABLE_MULS);
+
+            // Left-to-right over 4-bit windows, most significant first. The
+            // top window may be short; processing it like any other keeps the
+            // loop uniform (leading squarings of 1 are still multiplications
+            // and are accounted as such — the cost model charges what runs).
+            let bits = exp.bits();
+            let windows = bits.div_ceil(WINDOW_BITS);
+            acc.copy_from_slice(&table[..n]);
+            let mut acc = Accumulator { ctx: self, value: acc, spare: tmp, swapped: false };
+            for w in (0..windows).rev() {
+                for _ in 0..WINDOW_BITS {
+                    acc.mul(None);
+                    muls += 1;
+                }
+                let mut digit = 0usize;
+                for b in 0..WINDOW_BITS {
+                    let bit_idx = w * WINDOW_BITS + (WINDOW_BITS - 1 - b);
+                    digit <<= 1;
+                    if bit_idx < bits && exp.bit(bit_idx) {
+                        digit |= 1;
+                    }
+                }
+                if digit != 0 {
+                    acc.mul(Some(&table[digit * n..(digit + 1) * n]));
+                    muls += 1;
+                }
+            }
+            acc.finish();
+            muls
+        })
+    }
+
+    /// [`pow_mont`](Self::pow_mont) by binary square-and-multiply.
+    fn binary_mont(&self, acc: &mut [u64], base: &BigUint, exp: &BigUint) -> u64 {
+        let n = self.limbs();
+        with_scratch::<{ 2 * STACK_LIMBS }, _>(2 * n, |scratch| {
+            let (mb, tmp) = scratch.split_at_mut(n);
+            self.load(tmp, base);
+            self.to_mont(mb, tmp);
+            self.mont_one(acc, tmp);
+            let mut muls: u64 = 2; // the two to_mont conversions above
+            let mut acc = Accumulator { ctx: self, value: acc, spare: tmp, swapped: false };
+            for i in (0..exp.bits()).rev() {
+                acc.mul(None);
+                muls += 1;
+                if exp.bit(i) {
+                    acc.mul(Some(mb));
+                    muls += 1;
+                }
+            }
+            acc.finish();
+            muls
+        })
     }
 }
 
-/// Capacity of the thread-local [`Montgomery`] context cache. RSA
-/// traffic concentrates on very few moduli at a time — a node's own
-/// `n`/`p`/`q` on the CRT decrypt path, a handful of peer keys on the
-/// encrypt path, and one candidate at a time during keygen — so a tiny
-/// move-to-front list covers the working set.
-const MONT_CACHE_CAP: usize = 8;
-
-/// Thread-local LRU of Montgomery contexts keyed by modulus.
-struct MontCache {
-    enabled: bool,
-    entries: Vec<Rc<Montgomery>>,
+/// The running value of an exponentiation. A multiplication cannot write
+/// over its own operand, so the value alternates between the caller's
+/// limbs and a spare buffer instead of being copied back after each of
+/// the hundreds of multiplications.
+struct Accumulator<'a> {
+    ctx: &'a Montgomery,
+    value: &'a mut [u64],
+    spare: &'a mut [u64],
+    /// Whether the value currently sits in `spare`.
+    swapped: bool,
 }
 
-thread_local! {
-    static MONT_CACHE: RefCell<MontCache> =
-        const { RefCell::new(MontCache { enabled: true, entries: Vec::new() }) };
-}
+impl Accumulator<'_> {
+    /// `value = value * b * R^-1 mod m`, squaring when `b` is `None`.
+    fn mul(&mut self, b: Option<&[u64]>) {
+        let (from, to) = if self.swapped {
+            (&*self.spare, &mut *self.value)
+        } else {
+            (&*self.value, &mut *self.spare)
+        };
+        self.ctx.mul(to, from, b.unwrap_or(from));
+        self.swapped = !self.swapped;
+    }
 
-/// Turns the thread-local [`Montgomery`] context cache on or off (it is
-/// on by default). The A/B knob for benchmarks: with the cache off every
-/// [`BigUint::modpow`] call rebuilds its context — one full division for
-/// `R² mod m` — exactly as before the cache existed.
-///
-/// Purely a wall-clock knob: context construction performs no
-/// deterministic cost accounting (only `mont_mul` calls are charged), so
-/// traces and the crypto cost model are identical either way. Disabling
-/// also drops the cached contexts.
-pub fn set_mont_cache(enabled: bool) {
-    MONT_CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        c.enabled = enabled;
-        if !enabled {
-            c.entries.clear();
+    /// Leaves the value in the caller's limbs.
+    fn finish(self) {
+        if self.swapped {
+            self.value.copy_from_slice(self.spare);
         }
-    });
-}
-
-/// Returns a (possibly cached) Montgomery context for `modulus`,
-/// moving a hit to the front of the LRU list.
-fn cached_montgomery(modulus: &BigUint) -> Rc<Montgomery> {
-    MONT_CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        if !c.enabled {
-            return Rc::new(Montgomery::new(modulus));
-        }
-        if let Some(i) = c.entries.iter().position(|m| m.m == modulus.limbs) {
-            let hit = c.entries.remove(i);
-            c.entries.insert(0, Rc::clone(&hit));
-            return hit;
-        }
-        let fresh = Rc::new(Montgomery::new(modulus));
-        c.entries.insert(0, Rc::clone(&fresh));
-        c.entries.truncate(MONT_CACHE_CAP);
-        fresh
-    })
+    }
 }
 
 /// Window width of the fixed-window exponentiation (4 bits = hexadecimal
@@ -274,19 +366,51 @@ fn cached_montgomery(modulus: &BigUint) -> Rc<Montgomery> {
 /// double the table cost (30 muls) for one fewer table multiply per 20
 /// exponent bits.
 const WINDOW_BITS: usize = 4;
-/// Multiplications spent building the 2^[`WINDOW_BITS`]-entry power
-/// table (entries 2..16; entry 0 is one, entry 1 is the base).
-const WINDOW_TABLE_MULS: u64 = (1 << WINDOW_BITS) - 2;
+/// Entries of the power table of the windowed exponentiation.
+const TABLE_SIZE: usize = 1 << WINDOW_BITS;
+/// Multiplications spent building the table (entries 2..16; entry 0 is
+/// one, entry 1 is the base).
+const WINDOW_TABLE_MULS: u64 = TABLE_SIZE as u64 - 2;
 
-fn cmp_limbs(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
+fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
     debug_assert_eq!(a.len(), b.len());
     for i in (0..a.len()).rev() {
         match a[i].cmp(&b[i]) {
-            std::cmp::Ordering::Equal => continue,
+            Ordering::Equal => continue,
             o => return o,
         }
     }
-    std::cmp::Ordering::Equal
+    Ordering::Equal
+}
+
+/// `a -= b` over equal widths; returns the borrow out.
+fn sub_limbs(a: &mut [u64], b: &[u64]) -> u64 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d, b1) = x.overflowing_sub(y);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        *x = d;
+        borrow = b1 || b2;
+    }
+    borrow as u64
+}
+
+/// `a += b` over equal widths, dropping the carry out.
+fn add_limbs(a: &mut [u64], b: &[u64]) {
+    debug_assert_eq!(a.len(), b.len());
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (s, c1) = x.overflowing_add(y);
+        let (s, c2) = s.overflowing_add(carry as u64);
+        *x = s;
+        carry = c1 || c2;
+    }
+}
+
+fn set_one(limbs: &mut [u64]) {
+    limbs.fill(0);
+    limbs[0] = 1;
 }
 
 /// Inverse of an odd `m` modulo 2^64 by Newton iteration.
@@ -303,12 +427,11 @@ fn inv64(m: u64) -> u64 {
 impl BigUint {
     /// Computes `self^exp mod modulus`.
     ///
-    /// Uses Montgomery multiplication for odd moduli — with the context
-    /// (the `R² mod m` division) served from a thread-local per-modulus
-    /// cache (see [`set_mont_cache`]), since RSA hammers the same few
-    /// moduli: CRT decrypt reuses `p` and `q` forever, and Miller–Rabin
-    /// runs many bases against one candidate — and a generic
-    /// square-and-multiply with explicit reduction otherwise.
+    /// Uses Montgomery multiplication for odd moduli — building the
+    /// context (one division for `R² mod m`) on each call; callers that
+    /// reuse a modulus keep a [`Montgomery`] instead, as the RSA key pair
+    /// does for its primes and Miller–Rabin for its candidate — and a
+    /// generic square-and-multiply with explicit reduction otherwise.
     ///
     /// # Panics
     ///
@@ -319,7 +442,7 @@ impl BigUint {
             return BigUint::zero();
         }
         if !modulus.is_even() {
-            return cached_montgomery(modulus).pow(self, exp);
+            return Montgomery::new(modulus).pow(self, exp);
         }
         // Rare in this codebase (RSA moduli and MR candidates are odd) but
         // kept for completeness.
@@ -568,61 +691,98 @@ mod tests {
     fn montgomery_round_trip() {
         let m = BigUint::from_limbs(vec![0xffff_ffff_ffff_ff61, 0x1234_5678_9abc_def1]);
         let ctx = Montgomery::new(&m);
-        let v = BigUint::from_limbs(vec![0xabcdef, 0x77]);
-        let domain = ctx.to_mont(&v);
-        assert_eq!(ctx.from_mont(&domain), v);
+        let v = [0xabcdef, 0x77];
+        let (mut domain, mut back, mut tmp) = ([0u64; 2], [0u64; 2], [0u64; 2]);
+        ctx.to_mont(&mut domain, &v);
+        ctx.from_mont(&mut back, &domain, &mut tmp);
+        assert_eq!(back, v);
+    }
+
+    /// The one multiplication body against schoolbook `mul` then `rem`,
+    /// through a `to_mont`/`from_mont` round trip: random odd moduli of
+    /// every width from 1 to 33 limbs — the six specialised ones and the
+    /// slice path around and beyond them — full-width and short in the
+    /// top limb, with 0, 1 and m − 1 among the operands, and with the
+    /// final conditional subtraction seen both taken and not at each
+    /// width.
+    #[test]
+    fn mul_matches_mul_then_rem_at_every_width() {
+        use std::cell::Cell;
+        use whisper_rand::check::check;
+        use whisper_rand::Rng;
+
+        for width in 1..=33usize {
+            let (subtracted, kept) = (Cell::new(0u32), Cell::new(0u32));
+            check(6, "mul_matches_mul_then_rem_at_every_width", |g| {
+                for full_width in [true, false] {
+                    let mut m: Vec<u64> = (0..width).map(|_| g.gen()).collect();
+                    m[width - 1] = if full_width {
+                        m[width - 1] | 1 << 63
+                    } else {
+                        m[width - 1] >> g.gen_range(1..64u32) | 1
+                    };
+                    m[0] |= 1;
+                    let m = BigUint::from_limbs(m);
+                    let ctx = Montgomery::new(&m);
+                    assert_eq!(ctx.limbs(), width);
+                    // R and -m^-1 mod R, to replay the reduction below.
+                    let r = BigUint::one().shl(64 * width);
+                    let n_prime = r.sub(&m.modinv(&r).expect("odd"));
+
+                    let mut below_m =
+                        || BigUint::from_limbs((0..width).map(|_| g.gen()).collect()).rem(&m);
+                    let operands = [
+                        BigUint::zero(),
+                        BigUint::one().rem(&m),
+                        m.sub(&BigUint::one()),
+                        below_m(),
+                        below_m(),
+                    ];
+                    let pad = |v: &BigUint| {
+                        let mut limbs = v.limbs.clone();
+                        limbs.resize(width, 0);
+                        limbs
+                    };
+                    for a in &operands {
+                        for b in &operands {
+                            let mut buf = vec![0u64; 5 * width];
+                            let (am, rest) = buf.split_at_mut(width);
+                            let (bm, rest) = rest.split_at_mut(width);
+                            let (cm, rest) = rest.split_at_mut(width);
+                            let (c, tmp) = rest.split_at_mut(width);
+                            ctx.to_mont(am, &pad(a));
+                            ctx.to_mont(bm, &pad(b));
+                            ctx.mul(cm, am, bm);
+                            ctx.from_mont(c, cm, tmp);
+                            assert_eq!(BigUint::from_limbs(c.to_vec()), a.mul(b).rem(&m));
+
+                            // What the body holds before its conditional
+                            // subtraction: t = (am*bm + u*m) / R with
+                            // u = am*bm * -m^-1 mod R.
+                            let product =
+                                BigUint::from_limbs(am.to_vec()).mul(&BigUint::from_limbs(bm.to_vec()));
+                            let u = product.rem(&r).mul(&n_prime).rem(&r);
+                            let t = product.add(&u.mul(&m)).shr(64 * width);
+                            let (counter, reduced) =
+                                if t >= m { (&subtracted, t.sub(&m)) } else { (&kept, t) };
+                            counter.set(counter.get() + 1);
+                            assert_eq!(BigUint::from_limbs(cm.to_vec()), reduced);
+                        }
+                    }
+                }
+            });
+            assert!(
+                subtracted.get() > 0 && kept.get() > 0,
+                "width {width}: final subtraction taken {} times, skipped {}",
+                subtracted.get(),
+                kept.get()
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "odd")]
     fn montgomery_rejects_even() {
         Montgomery::new(&big(10));
-    }
-
-    #[test]
-    fn mont_cache_is_invisible_to_results_and_costs() {
-        let m = BigUint::from_limbs(vec![0xffff_ffff_ffff_ff61, 0x1234_5678_9abc_def1]);
-        let base = BigUint::from_limbs(vec![0xdead_beef, 0xcafe]);
-        let exp = BigUint::from_limbs(mix_limbs(42, 2));
-        set_mont_cache(true);
-        let before = crate::costs::snapshot();
-        let warm1 = base.modpow(&exp, &m);
-        let warm2 = base.modpow(&exp, &m); // second call hits the cache
-        let cached_cost = crate::costs::snapshot().since(before).rsa_limb_ops;
-        set_mont_cache(false);
-        let before = crate::costs::snapshot();
-        let cold1 = base.modpow(&exp, &m);
-        let cold2 = base.modpow(&exp, &m);
-        let uncached_cost = crate::costs::snapshot().since(before).rsa_limb_ops;
-        set_mont_cache(true);
-        assert_eq!(warm1, cold1);
-        assert_eq!(warm2, cold2);
-        assert_eq!(
-            cached_cost, uncached_cost,
-            "context caching must not change the deterministic cost model"
-        );
-    }
-
-    #[test]
-    fn mont_cache_evicts_beyond_capacity() {
-        set_mont_cache(true);
-        // Churn through more odd moduli than the cache holds; every result
-        // must still be correct (eviction is pure wall-clock policy).
-        for i in 0..(MONT_CACHE_CAP as u64 * 3) {
-            let m = big(1_000_003 + 2 * i); // odd
-            let got = big(7).modpow(&big(65537), &m);
-            let mut acc = BigUint::one();
-            let e = big(65537);
-            for b in (0..e.bits()).rev() {
-                acc = acc.mul(&acc).rem(&m);
-                if e.bit(b) {
-                    acc = acc.mul(&big(7)).rem(&m);
-                }
-            }
-            assert_eq!(got, acc, "modulus churn broke the cached path at {i}");
-        }
-        MONT_CACHE.with(|c| {
-            assert!(c.borrow().entries.len() <= MONT_CACHE_CAP, "LRU grew past capacity");
-        });
     }
 }

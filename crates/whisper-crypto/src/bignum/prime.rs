@@ -4,7 +4,7 @@
 
 //! Primality testing (Miller–Rabin) and random prime generation.
 
-use super::BigUint;
+use super::{with_scratch, BigUint, Montgomery, STACK_LIMBS};
 use whisper_rand::Rng;
 
 /// Small primes used for cheap trial division before Miller–Rabin.
@@ -40,30 +40,45 @@ pub fn is_probable_prime<R: Rng>(n: &BigUint, rng: &mut R) -> bool {
     let s = trailing_zeros(&n_minus_1);
     let d = n_minus_1.shr(s);
 
-    'witness: for round in 0..MR_ROUNDS {
-        // Use fixed small bases first (strong for 64-bit inputs), then
-        // random bases for larger candidates.
-        let a = if round < SMALL_PRIMES.len().min(12) {
-            BigUint::from(SMALL_PRIMES[round])
-        } else {
-            random_below(rng, &n_minus_1)
-        };
-        if a.is_zero() || a.is_one() {
-            continue;
-        }
-        let mut x = a.modpow(&d, n);
-        if x.is_one() || x == n_minus_1 {
-            continue;
-        }
-        for _ in 0..s.saturating_sub(1) {
-            x = x.mul(&x).rem(n);
-            if x == n_minus_1 {
-                continue 'witness;
+    // One context per candidate: every witness is raised and squared in
+    // the candidate's Montgomery domain, where 1 and n − 1 read `one` and
+    // `minus_one`.
+    let ctx = Montgomery::new(n);
+    let k = ctx.limbs();
+    with_scratch::<{ 4 * STACK_LIMBS }, _>(4 * k, |scratch| {
+        let (one, rest) = scratch.split_at_mut(k);
+        let (minus_one, rest) = rest.split_at_mut(k);
+        let (x, tmp) = rest.split_at_mut(k);
+        ctx.mont_one(one, tmp);
+        ctx.sub_mod(minus_one, x, one); // x is still zero
+        for round in 0..MR_ROUNDS {
+            // Use fixed small bases first (strong for 64-bit inputs), then
+            // random bases for larger candidates.
+            let a = if round < SMALL_PRIMES.len().min(12) {
+                BigUint::from(SMALL_PRIMES[round])
+            } else {
+                random_below(rng, &n_minus_1)
+            };
+            if a.is_zero() || a.is_one() {
+                continue;
+            }
+            let mut muls = ctx.pow_mont(x, &a, &d);
+            let mut passes = x == one || x == minus_one;
+            for _ in 1..s {
+                if passes {
+                    break;
+                }
+                ctx.square(x, tmp);
+                muls += 1;
+                passes = x == minus_one;
+            }
+            ctx.charge(muls);
+            if !passes {
+                return false;
             }
         }
-        return false;
-    }
-    true
+        true
+    })
 }
 
 /// Generates a random prime of exactly `bits` bits.

@@ -42,7 +42,7 @@ pub const AES_PS_PER_BLOCK: u64 = 66_000;
 /// Model cost of one RSA limb-operation unit, in picoseconds.
 ///
 /// One unit is one inner-loop step of a CIOS Montgomery multiplication
-/// (`n²` units per `mont_mul` on an `n`-limb modulus). Calibrated against
+/// (`n²` units per multiplication on an `n`-limb modulus). Calibrated against
 /// the `rsa/decrypt/384` micro-benchmark — the simulation operating point
 /// — where one CRT decrypt counts 5,193 units and measures 33–57 µs on
 /// the reference machine across PR 7 → PR 10 runs (8.8 ns/unit ⇒ model
@@ -51,14 +51,17 @@ pub const AES_PS_PER_BLOCK: u64 = 66_000;
 /// (measured `rsa/decrypt/1024` ≈324 µs vs ≈868 µs modeled); a single
 /// constant cannot fit both, and the simulation size wins.
 ///
-/// Re-checked for PR 10's cached Montgomery contexts
-/// ([`crate::bignum::set_mont_cache`]): the cache removes one context
-/// build (~1.4 µs, `rsa_mont_ab/mont_setup/1024` in `BENCH_pr10.json`)
-/// per `modpow`, under 1% of a decrypt — no recalibration warranted.
-/// The unit *counts* are untouched either way: `Montgomery` construction
-/// performs no cost accounting, only `mont_mul` inner-loop steps do, so
-/// the cache cannot perturb deterministic traces. Fixed by design, like
-/// [`AES_PS_PER_BLOCK`].
+/// Measured against modelled, after the allocation-free fixed-width
+/// multiplication (DESIGN.md § "RSA private-key path"): a Sim384 decrypt
+/// of 4,527 units runs in ≈11 µs on the reference machine, ≈2.4 ns per
+/// unit where the model says 8.8 (the 8.8 of the calibration above was
+/// mostly two heap allocations per multiplication). The constant stays:
+/// it is part of every simulated result — Table II, `crypto.rsa_us.*`,
+/// every `sim_digest` — not a measurement, and the unit *counts* are
+/// what the implementation is held to (goldens in `rsa.rs`). Only the
+/// multiplications of an exponentiation's schedule are charged; context
+/// construction, base reduction and CRT recombination never were.
+/// Fixed by design, like [`AES_PS_PER_BLOCK`].
 pub const RSA_PS_PER_LIMB_OP: u64 = 8_800;
 
 /// A snapshot of the accumulated costs.
