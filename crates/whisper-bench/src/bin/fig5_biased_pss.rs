@@ -13,6 +13,8 @@
 //!   trace-invariant throughput A/B;
 //! * `--reps N` — with `--scale`, time each cell N times and keep the
 //!   best run (suppresses shared-host noise);
+//! * `--secs N` — with `--scale`, simulated seconds per cell (the row's
+//!   `rss (MiB)` is the resident set when they have run);
 //! * `--prof` — with `--scale`, run one extra untimed repetition of
 //!   each cell with the scoped hot-path profiler on (DESIGN.md §16)
 //!   and record the per-bucket breakdown as `prof/...` rows;
@@ -41,6 +43,9 @@ fn main() {
         }
         if let Some(reps) = experiments::arg_value("--reps") {
             params.reps = reps;
+        }
+        if let Some(secs) = experiments::arg_value("--secs") {
+            params.secs = secs as u64;
         }
         params.prof = std::env::args().any(|a| a == "--prof");
         if let Some(max) = experiments::arg_str("--max-allocs-per-send") {

@@ -145,6 +145,16 @@ struct Cell {
     /// Total sends — every send classifies its payload's provenance
     /// exactly once, so the three provenance counters sum to it.
     sends: u64,
+    /// Resident set at the end of the window, population still alive
+    /// (last repetition): what per-node state has grown to by then.
+    rss_mib: Option<f64>,
+}
+
+/// This process's resident set in MiB, from `/proc/self/status`.
+fn rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    Some(kib.trim().strip_suffix("kB")?.trim().parse::<f64>().ok()? / 1024.0)
 }
 
 /// User-mode CPU seconds consumed by this process so far, from
@@ -199,6 +209,7 @@ fn run_cell(stack: Stack, nodes: usize, shards: usize, pooling: bool, params: &P
             cpu,
             allocs: fresh + m.counter("net.pool_misses"),
             sends: fresh + m.counter("net.payload_cloned") + m.counter("net.payload_pooled"),
+            rss_mib: rss_mib(),
         };
         best = Some(match best.take() {
             None => cell,
@@ -208,6 +219,7 @@ fn run_cell(stack: Stack, nodes: usize, shards: usize, pooling: bool, params: &P
                     (Some(x), Some(y)) => Some(x.min(y)),
                     (x, y) => x.or(y),
                 },
+                rss_mib: cell.rss_mib,
                 ..b
             },
         });
@@ -274,8 +286,15 @@ pub fn run(stack: Stack, params: &Params) {
         params.reps.max(1)
     );
     println!(
-        "{:<8} {:>7} {:>12} {:>12} {:>16} {:>16} {:>14}",
-        "nodes", "shards", "wall (s)", "cpu (s)", "nodes/sec", "nodes/sec-cpu", "allocs/send"
+        "{:<8} {:>7} {:>12} {:>12} {:>16} {:>16} {:>14} {:>10}",
+        "nodes",
+        "shards",
+        "wall (s)",
+        "cpu (s)",
+        "nodes/sec",
+        "nodes/sec-cpu",
+        "allocs/send",
+        "rss (MiB)"
     );
     let mut bench = Bench::new();
     let mut best: Option<(usize, usize, f64)> = None;
@@ -289,16 +308,20 @@ pub fn run(stack: Stack, params: &Params) {
             let allocs_per_send = cell.allocs as f64 / cell.sends.max(1) as f64;
             println!(
                 "{nodes:<8} {shards:>7} {:>12.2} {:>12} {nodes_per_sec:>16.0} {:>16} \
-                 {allocs_per_send:>14.3}",
+                 {allocs_per_send:>14.3} {:>10}",
                 cell.wall,
                 cell.cpu.map_or("-".into(), |c| format!("{c:.2}")),
                 cpu_rate.map_or("-".into(), |r| format!("{r:.0}")),
+                cell.rss_mib.map_or("-".into(), |r| format!("{r:.0}")),
             );
             let id = format!("{}{}_n{nodes}_s{shards}", stack.name(), params.sched_infix());
             bench.record(format!("scaling/{id}_nodes_per_sec"), nodes_per_sec);
             bench.record(format!("scaling/{id}_allocs_per_send"), allocs_per_send);
             if let Some(r) = cpu_rate {
                 bench.record(format!("scaling/{id}_nodes_per_sec_cpu"), r);
+            }
+            if let Some(r) = cell.rss_mib {
+                bench.record(format!("scaling/{id}_rss_mib"), r);
             }
             if let Some(max) = params.max_allocs_per_send {
                 if allocs_per_send > max {

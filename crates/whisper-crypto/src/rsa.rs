@@ -296,8 +296,8 @@ impl KeyPair {
 
 impl PublicKey {
     /// Builds a key from its parts, computing the cached canonical wire
-    /// serialization. Every construction path funnels through here so the
-    /// cache can never disagree with a fresh encode.
+    /// serialization. [`PublicKey::from_bytes`], which accepts that
+    /// serialization only, keeps its input instead.
     fn assemble(n: BigUint, e: BigUint, k: usize) -> PublicKey {
         let n_bytes = n.to_bytes_be();
         let e_bytes = e.to_bytes_be();
@@ -385,19 +385,30 @@ impl PublicKey {
         &self.0.wire
     }
 
-    /// Parses a key serialized by [`to_bytes`](Self::to_bytes).
+    /// Parses a key serialized by [`to_bytes`](Self::to_bytes) — exactly
+    /// those byte strings: `n` and `e` in their minimal big-endian form
+    /// (no leading zero byte, `e` not empty) and nothing after `e`. One
+    /// key therefore has one encoding, and the input itself becomes the
+    /// cached [`wire_bytes`](Self::wire_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let n_len = u16::from_be_bytes([*bytes.first()?, *bytes.get(1)?]) as usize;
         let n_bytes = bytes.get(2..2 + n_len)?;
         let rest = &bytes[2 + n_len..];
         let e_len = u16::from_be_bytes([*rest.first()?, *rest.get(1)?]) as usize;
-        let e_bytes = rest.get(2..2 + e_len)?;
+        if rest.len() != 2 + e_len {
+            return None;
+        }
+        let e_bytes = &rest[2..];
+        if *n_bytes.first()? == 0 || *e_bytes.first()? == 0 {
+            return None;
+        }
         let n = BigUint::from_bytes_be(n_bytes);
-        if !n.bits().is_multiple_of(8) || n.is_zero() {
+        if !n.bits().is_multiple_of(8) {
             return None;
         }
         let k = n.bits() / 8;
-        Some(PublicKey::assemble(n, BigUint::from_bytes_be(e_bytes), k))
+        let e = BigUint::from_bytes_be(e_bytes);
+        Some(PublicKey(Arc::new(KeyParts { n, e, k, wire: bytes.to_vec() })))
     }
 
     /// Short (8-byte) SHA-256-based fingerprint, used as a compact key
@@ -560,6 +571,40 @@ mod tests {
         assert!(PublicKey::from_bytes(&[]).is_none());
         assert!(PublicKey::from_bytes(&[0xFF]).is_none());
         assert!(PublicKey::from_bytes(&[0x00, 0x10, 0x01]).is_none()); // truncated
+    }
+
+    /// One key, one encoding: whatever `to_bytes` would not have written
+    /// is rejected, so the bytes a parsed key caches are the bytes that
+    /// arrived.
+    #[test]
+    fn public_key_parsing_is_strict() {
+        fn encode(n: &[u8], e: &[u8]) -> Vec<u8> {
+            let mut out = (n.len() as u16).to_be_bytes().to_vec();
+            out.extend_from_slice(n);
+            out.extend_from_slice(&(e.len() as u16).to_be_bytes());
+            out.extend_from_slice(e);
+            out
+        }
+        let mut r = rng();
+        for size in
+            [RsaKeySize::Sim384, RsaKeySize::Sim512, RsaKeySize::Std1024, RsaKeySize::Std2048]
+        {
+            let kp = KeyPair::generate(size, &mut r);
+            let parsed = PublicKey::from_bytes(&kp.public().to_bytes()).unwrap();
+            assert_eq!(&parsed, kp.public());
+            assert_eq!(parsed.wire_bytes(), kp.public().wire_bytes());
+        }
+        let key = keypair();
+        let (n, e) = (key.public().0.n.to_bytes_be(), key.public().0.e.to_bytes_be());
+        assert_eq!(PublicKey::from_bytes(&encode(&n, &e)).as_ref(), Some(key.public()));
+        let mut trailing = encode(&n, &e);
+        trailing.push(0);
+        assert!(PublicKey::from_bytes(&trailing).is_none(), "trailing byte");
+        let zero_led = |v: &[u8]| [&[0u8][..], v].concat();
+        assert!(PublicKey::from_bytes(&encode(&zero_led(&n), &e)).is_none(), "zero-led n");
+        assert!(PublicKey::from_bytes(&encode(&n, &zero_led(&e))).is_none(), "zero-led e");
+        assert!(PublicKey::from_bytes(&encode(&n, &[])).is_none(), "empty e");
+        assert!(PublicKey::from_bytes(&encode(&[], &e)).is_none(), "empty n");
     }
 
     #[test]

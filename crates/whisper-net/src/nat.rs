@@ -12,7 +12,7 @@
 //! expected theoretical outcome and the test suite checks that emulation
 //! and theory agree.
 
-use crate::id::{Endpoint, NodeId};
+use crate::id::Endpoint;
 use crate::time::{SimDuration, SimTime};
 use whisper_rand::Rng;
 
@@ -100,38 +100,73 @@ impl NatDistribution {
 }
 
 /// State of one emulated NAT device (one per simulated host).
+///
+/// The state is flat: a cone device is its current external port and one
+/// vector of association rules, a symmetric device one vector of sessions.
+/// Every packet of a NATted host crosses its device twice, so neither
+/// operation chases a pointer per mapping.
 #[derive(Debug, Clone)]
 pub struct NatDevice {
     nat_type: NatType,
-    mappings: Vec<Mapping>,
     next_port: u16,
+    state: State,
 }
 
 #[derive(Debug, Clone)]
-struct Mapping {
-    external_port: u16,
-    /// For symmetric devices, the single remote endpoint this mapping was
-    /// created towards; `None` for cone devices (one mapping per host).
-    symmetric_remote: Option<Endpoint>,
-    /// Remote endpoints the internal host has sent to through this
-    /// mapping, with association-rule expiry times.
-    contacts: Vec<(Endpoint, SimTime)>,
+enum State {
+    Public,
+    /// The three cone types share one external port among all
+    /// destinations. The port lives while any rule does; when the last
+    /// rule has expired the next outbound packet takes a fresh port, and
+    /// packets to an earlier port are refused — an abandoned mapping
+    /// needs no storage.
+    Cone {
+        /// Current external port; 0 before the first outbound packet.
+        port: u16,
+        /// Unexpired-or-not-yet-pruned rules, sorted by remote endpoint:
+        /// a port-restricted filter is one binary search, a restricted
+        /// one a partition point on the node.
+        rules: Vec<(Endpoint, SimTime)>,
+        /// A lower bound on the earliest expiry among `rules`: nothing is
+        /// pruned before it has passed.
+        earliest: SimTime,
+        /// The latest expiry among `rules`: the port is alive until then.
+        latest: SimTime,
+    },
+    /// A symmetric device maps every remote endpoint to a port of its
+    /// own. Sessions stay in allocation order; an inbound packet is
+    /// matched to the first session holding its port.
+    Symmetric(Vec<Session>),
 }
 
-impl Mapping {
-    fn prune(&mut self, now: SimTime) {
-        self.contacts.retain(|&(_, exp)| exp > now);
-    }
-
-    fn alive(&self, now: SimTime) -> bool {
-        self.contacts.iter().any(|&(_, exp)| exp > now)
-    }
+/// One symmetric-NAT mapping: packets to `remote` leave from `port`, and
+/// only `remote` may answer to it, until `expires`.
+#[derive(Debug, Clone, Copy)]
+struct Session {
+    remote: Endpoint,
+    port: u16,
+    expires: SimTime,
 }
+
+/// Dead symmetric sessions are collected when a new one is needed and
+/// more than this many are held, so a device's state is bounded by this
+/// plus its live sessions.
+const SYMMETRIC_GC_ABOVE: usize = 512;
 
 impl NatDevice {
     /// Creates a device of the given type.
     pub fn new(nat_type: NatType) -> Self {
-        NatDevice { nat_type, mappings: Vec::new(), next_port: 1 }
+        let state = match nat_type {
+            NatType::Public => State::Public,
+            NatType::Symmetric => State::Symmetric(Vec::new()),
+            _ => State::Cone {
+                port: 0,
+                rules: Vec::new(),
+                earliest: SimTime::ZERO,
+                latest: SimTime::ZERO,
+            },
+        };
+        NatDevice { nat_type, next_port: 1, state }
     }
 
     /// The device type.
@@ -145,157 +180,95 @@ impl NatDevice {
     /// Creates or refreshes the association rule, whose lease expires at
     /// `now + lease`.
     pub fn outbound(&mut self, dst: Endpoint, now: SimTime, lease: SimDuration) -> u16 {
-        if self.nat_type.is_public() {
-            return 0;
-        }
         let expires = now + lease;
-        let idx = match self.nat_type {
-            NatType::Symmetric => self
-                .mappings
-                .iter()
-                .position(|m| m.symmetric_remote == Some(dst) && m.alive(now)),
-            _ => self.mappings.iter().position(|m| m.alive(now)),
-        };
-        let idx = match idx {
-            Some(i) => i,
-            None => {
-                let port = self.alloc_port(now);
-                self.mappings.push(Mapping {
-                    external_port: port,
-                    symmetric_remote: (self.nat_type == NatType::Symmetric).then_some(dst),
-                    contacts: Vec::new(),
-                });
-                self.mappings.len() - 1
+        match &mut self.state {
+            State::Public => 0,
+            State::Cone { port, rules, earliest, latest } => {
+                if *latest <= now {
+                    // Every rule has expired (or there never was one):
+                    // the mapping is gone, a new one takes the next port.
+                    rules.clear();
+                    *port = alloc_port(&mut self.next_port);
+                    *earliest = expires;
+                } else if *earliest <= now {
+                    rules.retain(|&(_, exp)| exp > now);
+                    *earliest = rules.iter().map(|&(_, exp)| exp).min().unwrap_or(expires);
+                }
+                match rules.binary_search_by_key(&dst, |&(ep, _)| ep) {
+                    Ok(at) => {
+                        let old = std::mem::replace(&mut rules[at].1, expires);
+                        if old == *latest && expires < old {
+                            // A shorter lease than last time pulled the
+                            // longest-lived rule in.
+                            *latest = rules.iter().map(|&(_, exp)| exp).max().unwrap_or(expires);
+                        }
+                    }
+                    Err(at) => rules.insert(at, (dst, expires)),
+                }
+                *earliest = (*earliest).min(expires);
+                *latest = (*latest).max(expires);
+                *port
             }
-        };
-        let mapping = &mut self.mappings[idx];
-        mapping.prune(now);
-        match mapping.contacts.iter_mut().find(|(ep, _)| *ep == dst) {
-            Some(entry) => entry.1 = expires,
-            None => mapping.contacts.push((dst, expires)),
+            State::Symmetric(sessions) => {
+                if let Some(session) =
+                    sessions.iter_mut().find(|s| s.remote == dst && s.expires > now)
+                {
+                    session.expires = expires;
+                    return session.port;
+                }
+                if sessions.len() > SYMMETRIC_GC_ABOVE {
+                    sessions.retain(|s| s.expires > now);
+                }
+                let port = alloc_port(&mut self.next_port);
+                sessions.push(Session { remote: dst, port, expires });
+                port
+            }
         }
-        mapping.external_port
     }
 
     /// Filters an inbound packet addressed to external port `dst_port`
     /// arriving from `src`. Returns `true` if the device delivers it to
     /// the internal host.
-    pub fn inbound(&mut self, dst_port: u16, src: Endpoint, now: SimTime) -> bool {
-        if self.nat_type.is_public() {
-            return true;
-        }
-        let Some(mapping) = self
-            .mappings
-            .iter_mut()
-            .find(|m| m.external_port == dst_port)
-        else {
-            return false;
-        };
-        mapping.prune(now);
-        if mapping.contacts.is_empty() {
-            return false; // all association rules expired
-        }
-        match self.nat_type {
-            NatType::Public => true,
-            NatType::FullCone => true,
-            NatType::RestrictedCone => {
-                mapping.contacts.iter().any(|(ep, _)| ep.node == src.node)
+    pub fn inbound(&self, dst_port: u16, src: Endpoint, now: SimTime) -> bool {
+        match &self.state {
+            State::Public => true,
+            State::Cone { port, rules, latest, .. } => {
+                if dst_port != *port || *latest <= now {
+                    return false; // not the current mapping, or all its rules expired
+                }
+                match self.nat_type {
+                    NatType::RestrictedCone => {
+                        let from = rules.partition_point(|&(ep, _)| ep.node < src.node);
+                        rules[from..]
+                            .iter()
+                            .take_while(|&&(ep, _)| ep.node == src.node)
+                            .any(|&(_, exp)| exp > now)
+                    }
+                    NatType::PortRestrictedCone => rules
+                        .binary_search_by_key(&src, |&(ep, _)| ep)
+                        .is_ok_and(|at| rules[at].1 > now),
+                    _ => true, // full cone
+                }
             }
-            NatType::PortRestrictedCone => mapping.contacts.iter().any(|(ep, _)| *ep == src),
-            NatType::Symmetric => mapping.symmetric_remote == Some(src),
-        }
-    }
-
-    /// The current external port the host would use towards `dst`, if an
-    /// unexpired mapping exists.
-    pub fn external_port_towards(&self, dst: Endpoint, now: SimTime) -> Option<u16> {
-        match self.nat_type {
-            NatType::Public => Some(0),
-            NatType::Symmetric => self
-                .mappings
+            State::Symmetric(sessions) => sessions
                 .iter()
-                .find(|m| m.symmetric_remote == Some(dst) && m.alive(now))
-                .map(|m| m.external_port),
-            _ => self
-                .mappings
-                .iter()
-                .find(|m| m.alive(now))
-                .map(|m| m.external_port),
+                .find(|s| s.port == dst_port)
+                .is_some_and(|s| s.expires > now && s.remote == src),
         }
-    }
-
-    /// Number of live mappings (diagnostics).
-    pub fn live_mappings(&self, now: SimTime) -> usize {
-        self.mappings.iter().filter(|m| m.alive(now)).count()
-    }
-
-    fn alloc_port(&mut self, now: SimTime) -> u16 {
-        // Garbage-collect dead mappings occasionally so long simulations
-        // with symmetric devices do not grow without bound.
-        if self.mappings.len() > 512 {
-            self.mappings.retain(|m| m.alive(now));
-        }
-        let port = self.next_port;
-        self.next_port = self.next_port.wrapping_add(1).max(1);
-        port
     }
 }
 
-/// Convenience wrapper: the NAT state of every host in a simulation.
-#[derive(Debug, Default)]
-pub struct NatTable {
-    devices: std::collections::HashMap<NodeId, NatDevice>,
-}
-
-impl NatTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        NatTable::default()
-    }
-
-    /// Registers a host.
-    pub fn insert(&mut self, node: NodeId, nat_type: NatType) {
-        self.devices.insert(node, NatDevice::new(nat_type));
-    }
-
-    /// Removes a host (e.g. on churn departure), dropping all its
-    /// association state.
-    pub fn remove(&mut self, node: NodeId) {
-        self.devices.remove(&node);
-    }
-
-    /// Replaces `node`'s device with a fresh one of the same type: every
-    /// mapping and association rule vanishes, like a consumer NAT
-    /// rebooting. Returns `false` if the node is unknown.
-    pub fn rebind(&mut self, node: NodeId) -> bool {
-        match self.devices.get_mut(&node) {
-            Some(dev) => {
-                *dev = NatDevice::new(dev.nat_type());
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The NAT type of `node`, if registered.
-    pub fn nat_type(&self, node: NodeId) -> Option<NatType> {
-        self.devices.get(&node).map(|d| d.nat_type())
-    }
-
-    /// Mutable access to a host's device.
-    pub fn device_mut(&mut self, node: NodeId) -> Option<&mut NatDevice> {
-        self.devices.get_mut(&node)
-    }
-
-    /// Shared access to a host's device.
-    pub fn device(&self, node: NodeId) -> Option<&NatDevice> {
-        self.devices.get(&node)
-    }
+/// Hands out external ports 1, 2, … 65535, 1, …
+fn alloc_port(next_port: &mut u16) -> u16 {
+    let port = *next_port;
+    *next_port = next_port.wrapping_add(1).max(1);
+    port
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::NodeId;
 
     fn ep(node: u64, port: u16) -> Endpoint {
         Endpoint { node: NodeId(node), port }
@@ -303,6 +276,173 @@ mod tests {
 
     const LEASE: SimDuration = SimDuration::from_micros(300_000_000); // 300 s
     const T0: SimTime = SimTime::ZERO;
+
+    /// The device as it was before its state went flat — a vector of
+    /// mappings, each with a vector of contacts, scanned and pruned on
+    /// every packet — kept as the oracle of the model-based test below.
+    mod reference {
+        use super::super::{Endpoint, NatType, SimDuration, SimTime};
+
+        pub struct NatDevice {
+            nat_type: NatType,
+            mappings: Vec<Mapping>,
+            next_port: u16,
+        }
+
+        struct Mapping {
+            external_port: u16,
+            /// For symmetric devices, the single remote endpoint this
+            /// mapping was created towards; `None` for cone devices.
+            symmetric_remote: Option<Endpoint>,
+            /// Remote endpoints the internal host has sent to through
+            /// this mapping, with association-rule expiry times.
+            contacts: Vec<(Endpoint, SimTime)>,
+        }
+
+        impl Mapping {
+            fn prune(&mut self, now: SimTime) {
+                self.contacts.retain(|&(_, exp)| exp > now);
+            }
+
+            fn alive(&self, now: SimTime) -> bool {
+                self.contacts.iter().any(|&(_, exp)| exp > now)
+            }
+        }
+
+        impl NatDevice {
+            pub fn new(nat_type: NatType) -> Self {
+                NatDevice { nat_type, mappings: Vec::new(), next_port: 1 }
+            }
+
+            pub fn outbound(&mut self, dst: Endpoint, now: SimTime, lease: SimDuration) -> u16 {
+                if self.nat_type.is_public() {
+                    return 0;
+                }
+                let expires = now + lease;
+                let idx = match self.nat_type {
+                    NatType::Symmetric => self
+                        .mappings
+                        .iter()
+                        .position(|m| m.symmetric_remote == Some(dst) && m.alive(now)),
+                    _ => self.mappings.iter().position(|m| m.alive(now)),
+                };
+                let idx = match idx {
+                    Some(i) => i,
+                    None => {
+                        let port = self.alloc_port(now);
+                        self.mappings.push(Mapping {
+                            external_port: port,
+                            symmetric_remote: (self.nat_type == NatType::Symmetric).then_some(dst),
+                            contacts: Vec::new(),
+                        });
+                        self.mappings.len() - 1
+                    }
+                };
+                let mapping = &mut self.mappings[idx];
+                mapping.prune(now);
+                match mapping.contacts.iter_mut().find(|(ep, _)| *ep == dst) {
+                    Some(entry) => entry.1 = expires,
+                    None => mapping.contacts.push((dst, expires)),
+                }
+                mapping.external_port
+            }
+
+            pub fn inbound(&mut self, dst_port: u16, src: Endpoint, now: SimTime) -> bool {
+                if self.nat_type.is_public() {
+                    return true;
+                }
+                let Some(mapping) =
+                    self.mappings.iter_mut().find(|m| m.external_port == dst_port)
+                else {
+                    return false;
+                };
+                mapping.prune(now);
+                if mapping.contacts.is_empty() {
+                    return false; // all association rules expired
+                }
+                match self.nat_type {
+                    NatType::Public => true,
+                    NatType::FullCone => true,
+                    NatType::RestrictedCone => {
+                        mapping.contacts.iter().any(|(ep, _)| ep.node == src.node)
+                    }
+                    NatType::PortRestrictedCone => {
+                        mapping.contacts.iter().any(|(ep, _)| *ep == src)
+                    }
+                    NatType::Symmetric => mapping.symmetric_remote == Some(src),
+                }
+            }
+
+            fn alloc_port(&mut self, now: SimTime) -> u16 {
+                if self.mappings.len() > 512 {
+                    self.mappings.retain(|m| m.alive(now));
+                }
+                let port = self.next_port;
+                self.next_port = self.next_port.wrapping_add(1).max(1);
+                port
+            }
+        }
+    }
+
+    /// Model-based: random streams of outbound and inbound packets, with
+    /// time stepping across lease expiry, give the same ports and the
+    /// same verdicts on the flat device as on the reference — for every
+    /// device type, short and long leases, packets aimed at current,
+    /// abandoned and never-used ports, and (symmetric) more remotes than
+    /// the garbage-collection threshold.
+    #[test]
+    fn flat_device_matches_the_reference_model() {
+        use whisper_rand::check::check;
+        let types = [
+            NatType::Public,
+            NatType::FullCone,
+            NatType::RestrictedCone,
+            NatType::PortRestrictedCone,
+            NatType::Symmetric,
+        ];
+        check(200, "flat_device_matches_the_reference_model", |g| {
+            let nat_type = types[g.gen_range(0..types.len())];
+            let mut flat = NatDevice::new(nat_type);
+            let mut model = reference::NatDevice::new(nat_type);
+            // A few nodes with a few ports each, so restricted filters
+            // see same-node-other-port sources; or a crowd of remotes, so
+            // a symmetric device collects garbage.
+            let crowd = g.gen_range(0..4u8) == 0;
+            let (nodes, ports, steps) = if crowd { (700u64, 1u16, 1500) } else { (6, 3, 300) };
+            let lease_s = [2u64, 30, 600];
+            let mut now = T0;
+            let mut seen_ports = vec![1u16];
+            for step in 0..steps {
+                // Mostly small steps, sometimes past every lease.
+                now += SimDuration::from_millis(match g.gen_range(0..20u8) {
+                    0 => 700_000,
+                    1..=4 => g.gen_range(0..40_000),
+                    _ => g.gen_range(0..500),
+                });
+                let remote = ep(g.gen_range(0..nodes), g.gen_range(0..ports));
+                if g.gen_range(0..3u8) > 0 {
+                    let lease = SimDuration::from_secs(lease_s[g.gen_range(0..lease_s.len())]);
+                    let port = flat.outbound(remote, now, lease);
+                    assert_eq!(
+                        port,
+                        model.outbound(remote, now, lease),
+                        "{nat_type:?} step {step}: outbound to {remote:?}"
+                    );
+                    seen_ports.push(port);
+                } else {
+                    let to = match g.gen_range(0..8u8) {
+                        0 => g.gen_range(0..2000u16),
+                        _ => seen_ports[seen_ports.len() - 1 - g.gen_range(0..seen_ports.len().min(6))],
+                    };
+                    assert_eq!(
+                        flat.inbound(to, remote, now),
+                        model.inbound(to, remote, now),
+                        "{nat_type:?} step {step}: inbound to port {to} from {remote:?}"
+                    );
+                }
+            }
+        });
+    }
 
     #[test]
     fn public_passes_everything() {
@@ -368,7 +508,7 @@ mod tests {
 
     #[test]
     fn unknown_port_blocked() {
-        let mut d = NatDevice::new(NatType::FullCone);
+        let d = NatDevice::new(NatType::FullCone);
         assert!(!d.inbound(42, ep(2, 0), T0));
     }
 
@@ -441,14 +581,5 @@ mod tests {
             let frac = count as f64 / n as f64;
             assert!((frac - 0.175).abs() < 0.02, "got {frac}");
         }
-    }
-
-    #[test]
-    fn table_insert_remove() {
-        let mut t = NatTable::new();
-        t.insert(NodeId(1), NatType::Symmetric);
-        assert_eq!(t.nat_type(NodeId(1)), Some(NatType::Symmetric));
-        t.remove(NodeId(1));
-        assert_eq!(t.nat_type(NodeId(1)), None);
     }
 }

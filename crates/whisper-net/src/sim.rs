@@ -331,6 +331,13 @@ impl<'a> Ctx<'a> {
         self.pool.writer(len)
     }
 
+    /// Hands back a payload that will not be sent after all (its bytes
+    /// were copied elsewhere): if nobody else holds it, its buffer returns
+    /// to the shard's pool, as a delivered packet's does.
+    pub fn recycle(&mut self, payload: Payload) {
+        self.pool.recycle(payload);
+    }
+
     /// Arms a one-shot timer that fires `delay` from now with `token`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.effects.push(Effect::Timer { delay, token });
@@ -369,6 +376,17 @@ impl<'a> Ctx<'a> {
             self.prof.decode_ns += t0.elapsed().as_nanos() as u64;
         }
         r
+    }
+
+    /// Attributes `ns` wall nanoseconds to the encode bucket
+    /// (`prof.encode_ns`), for a protocol that writes its wire image by
+    /// hand into a [`Ctx::payload_writer`] buffer where
+    /// [`Ctx::encode_payload`] would have timed the encode itself. Read
+    /// the clock only when [`Ctx::prof_enabled`].
+    pub fn prof_encode_ns(&mut self, ns: u64) {
+        if self.prof.enabled {
+            self.prof.encode_ns += ns;
+        }
     }
 
     /// Attributes `ns` wall nanoseconds to the crypto cost-model bucket
@@ -597,7 +615,8 @@ const HOT_ALIVE: u8 = 1;
 /// Hot-flag bit: the node is crashed by a fault (`down_until` is set).
 const HOT_DOWN: u8 = 2;
 /// Hot-flag bit: the node's NAT type is `Public`, so inbound filtering
-/// always passes and the dispatch loop can skip the NAT device entirely.
+/// always passes and outbound packets leave from port 0: neither the
+/// dispatch loop nor the send path touches the NAT device.
 const HOT_PUBLIC: u8 = 4;
 
 /// One shard: an event queue plus the arena of nodes it owns.
@@ -904,8 +923,10 @@ impl Shard {
         let nshards = self.nshards;
         let index = self.index as u64;
         let now = self.now;
-        let Shard { slots, metrics, queue, in_flight, traffic, traffic_dirty, outboxes, .. } =
-            self;
+        let Shard {
+            slots, hot, metrics, queue, in_flight, traffic, traffic_dirty, outboxes, ..
+        } = self;
+        let public = hot[pos] & HOT_PUBLIC != 0;
         let slot = &mut slots[pos];
         let from = slot.id;
         for effect in effects.drain(..) {
@@ -937,7 +958,8 @@ impl Shard {
                         queue.push(ev);
                         continue;
                     }
-                    let src_port = slot.nat.outbound(to, now, env.cfg.nat_lease);
+                    let src_port =
+                        if public { 0 } else { slot.nat.outbound(to, now, env.cfg.nat_lease) };
                     let from_ep = Endpoint { node: from, port: src_port };
                     if env.fault.partition_blocks(now, from, to.node) {
                         metrics.count("net.drop_partition", 1);

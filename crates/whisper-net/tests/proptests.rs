@@ -96,7 +96,7 @@ fn unsolicited_port_always_blocked() {
         let nat = NatType::NATTED[g.gen_range(0..4usize)];
         let src: u64 = g.gen();
         let port = g.gen_range(1..u16::MAX);
-        let mut dev = NatDevice::new(nat);
+        let dev = NatDevice::new(nat);
         let source = Endpoint { node: NodeId(src), port: 1 };
         let accepted = dev.inbound(port, source, SimTime::ZERO);
         assert!(!accepted);

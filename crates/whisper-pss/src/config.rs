@@ -26,7 +26,8 @@ pub struct NylonConfig {
     /// Whether gossip messages piggyback the sender's public key (the
     /// public key sampling service; Fig. 6 measures its cost).
     pub key_sampling: bool,
-    /// Maximum length of the rendezvous chain stored per view entry.
+    /// Maximum length of the rendezvous chain stored per view entry, at
+    /// most [`ROUTE_CAP`](crate::view::ROUTE_CAP).
     pub max_route: usize,
     /// Connection backlog capacity as a multiple of `view_size` (paper:
     /// 2 × c).
@@ -97,6 +98,10 @@ impl NylonConfig {
         assert!(self.pi <= self.view_size, "Π cannot exceed the view size");
         assert!(self.cb_factor >= 1, "CB must hold at least one view worth");
         assert!(
+            self.max_route <= crate::view::ROUTE_CAP,
+            "view entries store at most ROUTE_CAP hops of a rendezvous chain"
+        );
+        assert!(
             self.max_age == 0 || self.max_age as usize > 2 * self.view_size / self.gossip_len,
             "max_age must exceed the refresh interval a live entry can see"
         );
@@ -139,6 +144,12 @@ mod tests {
     #[should_panic(expected = "max_age")]
     fn hair_trigger_max_age_rejected() {
         NylonConfig { max_age: 4, ..NylonConfig::default() }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "ROUTE_CAP")]
+    fn oversized_max_route_rejected() {
+        NylonConfig { max_route: crate::view::ROUTE_CAP + 1, ..NylonConfig::default() }.validate();
     }
 
     #[test]

@@ -46,15 +46,20 @@ impl WireEncode for DescriptorBlob {
     }
 }
 
-impl WireDecode for DescriptorBlob {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+impl DescriptorBlob {
+    /// Reads one blob as `(id, version, bytes)`, the bytes a view of the
+    /// reader's input: what [`DescriptorBlob::decode`] accepts, uncopied.
+    pub(crate) fn take_view<'a>(r: &mut WireReader<'a>) -> Result<(u128, u64, &'a [u8]), WireError> {
         let hi = r.take_u64()?;
         let lo = r.take_u64()?;
-        Ok(DescriptorBlob {
-            id: ((hi as u128) << 64) | lo as u128,
-            version: r.take_u64()?,
-            bytes: r.take_bytes()?.to_vec(),
-        })
+        Ok((((hi as u128) << 64) | lo as u128, r.take_u64()?, r.take_bytes()?))
+    }
+}
+
+impl WireDecode for DescriptorBlob {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (id, version, bytes) = DescriptorBlob::take_view(r)?;
+        Ok(DescriptorBlob { id, version, bytes: bytes.to_vec() })
     }
 }
 

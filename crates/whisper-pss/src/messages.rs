@@ -5,7 +5,7 @@
 //! [`NylonMsg::App`] payloads.
 
 use crate::descriptors::DescriptorBlob;
-use crate::view::ViewEntry;
+use crate::view::{Entry, ViewEntry};
 use whisper_net::wire::{
     bytes_len, opt_len, seq_len, WireDecode, WireEncode, WireError, WireReader, WireWriter,
 };
@@ -134,7 +134,126 @@ const TAG_APP: u8 = 10;
 /// originator, payload length.
 pub const APP_HEADER_LEN: usize = 1 + 8 + 4;
 
+/// A [`NylonMsg::GossipReq`] or [`NylonMsg::GossipResp`] read where it
+/// was delivered ([`NylonMsg::gossip_view`]): the fixed fields by value,
+/// entries, key and descriptor blobs as views of the packet.
+#[derive(Clone, Copy, Debug)]
+pub struct GossipView<'a> {
+    /// Whether this is the request of an exchange (else the response).
+    pub request: bool,
+    /// The sender of the message.
+    pub sender: NodeId,
+    /// Whether the sender is a P-node.
+    pub sender_public: bool,
+    /// The sender's serialized public key, if it shipped one.
+    pub key: Option<&'a [u8]>,
+    /// The encoded entry sequence, validated.
+    entries: &'a [u8],
+    /// The encoded blob sequence, validated.
+    descs: &'a [u8],
+}
+
+impl<'a> GossipView<'a> {
+    /// The shipped view subset, rendezvous chains cut to
+    /// [`ROUTE_CAP`](crate::view::ROUTE_CAP) hops.
+    pub fn entries(&self) -> impl Iterator<Item = Entry> + 'a {
+        seq_items(self.entries, |r| r.take())
+    }
+
+    /// The piggybacked descriptor blobs as `(id, version, bytes)`.
+    pub fn descs(&self) -> impl Iterator<Item = (u128, u64, &'a [u8])> + 'a {
+        seq_items(self.descs, DescriptorBlob::take_view)
+    }
+}
+
+/// The items of the encoded sequence `seq`, which [`take_seq_view`] has
+/// walked before.
+fn seq_items<'a, T>(
+    seq: &'a [u8],
+    item: impl Fn(&mut WireReader<'a>) -> Result<T, WireError> + 'a,
+) -> impl Iterator<Item = T> + 'a {
+    let mut r = WireReader::new(seq);
+    let count = r.take_u32().unwrap_or(0);
+    (0..count).map_while(move |_| item(&mut r).ok())
+}
+
+/// Walks one encoded sequence as [`WireReader::take_seq`] would, decoding
+/// each item with `item`, and returns the bytes it spans in `wire`, the
+/// reader's input.
+fn take_seq_view<'a, T>(
+    r: &mut WireReader<'a>,
+    wire: &'a [u8],
+    item: impl Fn(&mut WireReader<'a>) -> Result<T, WireError>,
+) -> Result<&'a [u8], WireError> {
+    let start = wire.len() - r.remaining();
+    // An item takes at least a byte: a count beyond the input, which
+    // `take_seq` refuses before it allocates, fails here on the way.
+    for _ in 0..r.take_u32()? {
+        item(r)?;
+    }
+    Ok(&wire[start..wire.len() - r.remaining()])
+}
+
 impl NylonMsg {
+    /// Decodes `wire` as a gossip message without copying. `None` for any
+    /// other (or a malformed) message — exactly when
+    /// [`WireDecode::from_wire`] would not yield a
+    /// [`NylonMsg::GossipReq`] or [`NylonMsg::GossipResp`].
+    pub fn gossip_view(wire: &[u8]) -> Option<GossipView<'_>> {
+        let mut r = WireReader::new(wire);
+        let request = match r.take_u8().ok()? {
+            TAG_GOSSIP_REQ => true,
+            TAG_GOSSIP_RESP => false,
+            _ => return None,
+        };
+        let sender = r.take().ok()?;
+        let sender_public = r.take().ok()?;
+        let entries = take_seq_view(&mut r, wire, |r| r.take::<Entry>()).ok()?;
+        let key = match r.take_u8().ok()? {
+            0 => None,
+            1 => Some(r.take_bytes().ok()?),
+            _ => return None,
+        };
+        let descs = take_seq_view(&mut r, wire, DescriptorBlob::take_view).ok()?;
+        r.finish().ok()?;
+        Some(GossipView { request, sender, sender_public, key, entries, descs })
+    }
+
+    /// Exact length of the gossip message [`NylonMsg::put_gossip`] writes.
+    pub fn gossip_len<E: WireEncode>(
+        entries: &[E],
+        key: Option<&[u8]>,
+        descs: &[DescriptorBlob],
+    ) -> usize {
+        1 + 8 + 1 + seq_len(entries) + 1 + key.map_or(0, bytes_len) + seq_len(descs)
+    }
+
+    /// Writes a gossip message — the one place that knows its layout,
+    /// for the owned codec (`E` = [`ViewEntry`]) and for a sender writing
+    /// straight into its outgoing buffer (`E` = [`Entry`]) alike.
+    pub fn put_gossip<E: WireEncode>(
+        w: &mut WireWriter,
+        request: bool,
+        sender: NodeId,
+        sender_public: bool,
+        entries: &[E],
+        key: Option<&[u8]>,
+        descs: &[DescriptorBlob],
+    ) {
+        w.put_u8(if request { TAG_GOSSIP_REQ } else { TAG_GOSSIP_RESP });
+        w.put(&sender);
+        w.put(&sender_public);
+        w.put_seq(entries);
+        match key {
+            Some(key) => {
+                w.put_u8(1);
+                w.put_bytes(key);
+            }
+            None => w.put_u8(0),
+        }
+        w.put_seq(descs);
+    }
+
     /// Writes the part of an [`NylonMsg::App`] that precedes its payload;
     /// the caller appends exactly `payload_len` bytes to complete the
     /// message. This is how an upper layer builds its packet directly in
@@ -165,21 +284,18 @@ impl NylonMsg {
 impl WireEncode for NylonMsg {
     fn encode(&self, w: &mut WireWriter) {
         match self {
-            NylonMsg::GossipReq { sender, sender_public, entries, key, descs } => {
-                w.put_u8(TAG_GOSSIP_REQ);
-                w.put(sender);
-                w.put(sender_public);
-                w.put_seq(entries);
-                w.put_opt(key);
-                w.put_seq(descs);
-            }
-            NylonMsg::GossipResp { sender, sender_public, entries, key, descs } => {
-                w.put_u8(TAG_GOSSIP_RESP);
-                w.put(sender);
-                w.put(sender_public);
-                w.put_seq(entries);
-                w.put_opt(key);
-                w.put_seq(descs);
+            NylonMsg::GossipReq { sender, sender_public, entries, key, descs }
+            | NylonMsg::GossipResp { sender, sender_public, entries, key, descs } => {
+                let request = matches!(self, NylonMsg::GossipReq { .. });
+                NylonMsg::put_gossip(
+                    w,
+                    request,
+                    *sender,
+                    *sender_public,
+                    entries,
+                    key.as_deref(),
+                    descs,
+                );
             }
             NylonMsg::Relayed { from, remaining, path_back, inner } => {
                 w.put_u8(TAG_RELAYED);
@@ -231,7 +347,7 @@ impl WireEncode for NylonMsg {
         match self {
             NylonMsg::GossipReq { entries, key, descs, .. }
             | NylonMsg::GossipResp { entries, key, descs, .. } => {
-                1 + 8 + 1 + seq_len(entries) + opt_len(key) + seq_len(descs)
+                NylonMsg::gossip_len(entries, key.as_deref(), descs)
             }
             NylonMsg::Relayed { remaining, path_back, inner, .. } => {
                 1 + 8 + seq_len(remaining) + seq_len(path_back) + bytes_len(inner)

@@ -10,11 +10,12 @@
 
 use crate::backlog::{CbEntry, ConnectionBacklog};
 use crate::config::NylonConfig;
-use crate::descriptors::{DescriptorBlob, DescriptorStore};
-use crate::messages::{NylonMsg, APP_HEADER_LEN};
+use crate::descriptors::DescriptorStore;
+use crate::messages::{GossipView, NylonMsg, APP_HEADER_LEN};
 use crate::transport::{peer_of_token, SendOutcome, Transport, TIMER_OPEN_TIMEOUT};
-use crate::view::{View, ViewEntry};
+use crate::view::{Entry, View, ViewEntry};
 use std::collections::HashMap;
+use std::time::Instant;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::{Ctx, Protocol};
@@ -66,6 +67,23 @@ pub enum NylonEvent {
     },
 }
 
+/// A decoded message: gossip as a view of the packet, everything else
+/// owned.
+enum Incoming<'a> {
+    Gossip(GossipView<'a>),
+    Other(NylonMsg),
+}
+
+impl Incoming<'_> {
+    /// `None` for what [`NylonMsg::from_wire`] rejects.
+    fn parse(data: &[u8]) -> Option<Incoming<'_>> {
+        match NylonMsg::gossip_view(data) {
+            Some(gossip) => Some(Incoming::Gossip(gossip)),
+            None => NylonMsg::from_wire(data).ok().map(Incoming::Other),
+        }
+    }
+}
+
 /// The Nylon protocol state of one node.
 pub struct NylonCore {
     cfg: NylonConfig,
@@ -73,8 +91,9 @@ pub struct NylonCore {
     id: NodeId,
     public: bool,
     view: View,
+    /// The gossip buffer being shipped; kept for its allocation.
+    buffer: Vec<Entry>,
     cb: ConnectionBacklog,
-    keystore: HashMap<NodeId, PublicKey>,
     transport: Transport,
     bootstrap: Vec<NodeId>,
     outstanding: Option<(NodeId, u64)>,
@@ -108,8 +127,8 @@ impl NylonCore {
             id: NodeId(u64::MAX),
             public: false,
             view: View::new(),
+            buffer: Vec::new(),
             cb,
-            keystore: HashMap::new(),
             transport: Transport::new(),
             bootstrap: Vec::new(),
             outstanding: None,
@@ -160,12 +179,6 @@ impl NylonCore {
         &self.cb
     }
 
-    /// The known public key of `node`, if the key sampling service has
-    /// seen it.
-    pub fn key_of(&self, node: NodeId) -> Option<&PublicKey> {
-        self.keystore.get(&node)
-    }
-
     /// Number of completed gossip cycles (diagnostics).
     pub fn cycles_run(&self) -> u64 {
         self.cycles_run
@@ -185,7 +198,7 @@ impl NylonCore {
 
     /// The `getPeer()` API of Fig. 1: a uniformly random view entry.
     pub fn get_peer(&self, ctx: &mut Ctx<'_>) -> Option<ViewEntry> {
-        self.view.random(ctx.rng()).cloned()
+        self.view.random(ctx.rng()).map(ViewEntry::from)
     }
 
     /// Whether a direct send to `to` would currently work.
@@ -266,7 +279,7 @@ impl NylonCore {
     }
 
     /// Models a process restart with full volatile-state loss: the view,
-    /// connection backlog, learned keys, transport contacts and any
+    /// connection backlog (learned keys with it), transport contacts and any
     /// in-flight gossip state vanish. Identity, configuration and the
     /// bootstrap list survive (they live on disk), and the view is
     /// re-seeded from the bootstrap list so the next gossip cycle —
@@ -276,7 +289,6 @@ impl NylonCore {
         ctx.metrics().count("pss.restarts", 1);
         self.view = View::new();
         self.cb = ConnectionBacklog::new(self.cfg.cb_capacity());
-        self.keystore.clear();
         self.transport = Transport::new();
         self.outstanding = None;
         self.ping_pending.clear();
@@ -360,7 +372,9 @@ impl NylonCore {
     fn note_direct_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, from_ep: Endpoint) {
         self.transport.note_contact(from, from_ep, ctx.now());
         self.transport.on_established(ctx, from, from_ep);
-        self.punch_retries.remove(&from);
+        if !self.punch_retries.is_empty() {
+            self.punch_retries.remove(&from);
+        }
     }
 
     /// Message dispatch; returns upcall events.
@@ -371,13 +385,13 @@ impl NylonCore {
         from_ep: Endpoint,
         data: &[u8],
     ) -> Vec<NylonEvent> {
-        let Ok(msg) = ctx.prof_decode(|| NylonMsg::from_wire(data)) else {
+        let Some(msg) = ctx.prof_decode(|| Incoming::parse(data)) else {
             ctx.metrics().count("pss.malformed", 1);
             return Vec::new();
         };
         self.note_direct_packet(ctx, from, from_ep);
         let mut events = Vec::new();
-        self.handle_msg(ctx, from, from_ep, msg, &mut events);
+        self.handle(ctx, from, from_ep, msg, &mut events);
         events
     }
 
@@ -385,8 +399,50 @@ impl NylonCore {
     // Gossip
     // ---------------------------------------------------------------
 
-    fn self_entry(&self) -> ViewEntry {
-        ViewEntry { node: self.id, age: 0, public: self.public, route: vec![] }
+    /// Fills the gossip buffer for `partner` from the current view.
+    fn fill_buffer(&mut self, ctx: &mut Ctx<'_>, partner: NodeId) {
+        self.view.fill_buffer(
+            &mut self.buffer,
+            Entry::new(self.id, 0, self.public, &[]),
+            partner,
+            self.cfg.gossip_len,
+            self.id,
+            self.cfg.max_route,
+            ctx.rng(),
+        );
+    }
+
+    /// Ships the gossip buffer to `to` with this node's key and the next
+    /// batch of descriptor blobs, written straight into a pool buffer.
+    fn send_gossip(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        request: bool,
+        to: NodeId,
+        to_public: bool,
+        route_hint: &[NodeId],
+    ) -> SendOutcome {
+        // Exactly one batch per message: drawing it advances the cursors.
+        let descs = self.descs.next_batch(self.cfg.descriptor_gossip);
+        let key = self.cfg.key_sampling.then(|| self.keypair.public().wire_bytes());
+        let t0 = ctx.prof_enabled().then(Instant::now);
+        let len = NylonMsg::gossip_len(&self.buffer, key, &descs);
+        let mut wire = ctx.payload_writer(len);
+        NylonMsg::put_gossip(&mut wire, request, self.id, self.public, &self.buffer, key, &descs);
+        debug_assert_eq!(wire.len(), len, "gossip_len() disagrees with put_gossip()");
+        let wire = wire.finish();
+        if let Some(t0) = t0 {
+            ctx.prof_encode_ns(t0.elapsed().as_nanos() as u64);
+        }
+        self.transport.send_encoded(
+            ctx,
+            self.id,
+            to,
+            to_public,
+            wire,
+            route_hint,
+            self.cfg.open_timeout,
+        )
     }
 
     fn do_gossip_cycle(&mut self, ctx: &mut Ctx<'_>) {
@@ -410,27 +466,14 @@ impl NylonCore {
                 }
             }
         }
-        let Some(partner_entry) = self.view.oldest().cloned() else {
+        let Some(&partner_entry) = self.view.oldest() else {
             return;
         };
         let partner = partner_entry.node;
-        let buffer = self.view.make_buffer(
-            self.self_entry(),
-            partner,
-            self.cfg.gossip_len,
-            self.id,
-            self.cfg.max_route,
-            ctx.rng(),
-        );
-        let msg = NylonMsg::GossipReq {
-            sender: self.id,
-            sender_public: self.public,
-            entries: buffer,
-            key: self.key_payload(),
-            descs: self.descs.next_batch(self.cfg.descriptor_gossip),
-        };
+        self.fill_buffer(ctx, partner);
         ctx.metrics().count("pss.gossip_initiated", 1);
-        let outcome = self.send_msg(ctx, partner, partner_entry.public, &msg, &partner_entry.route);
+        let outcome =
+            self.send_gossip(ctx, true, partner, partner_entry.public, partner_entry.route());
         if outcome == SendOutcome::Failed {
             ctx.metrics().count(
                 if partner_entry.public { "pss.sendfail_removed_public" } else { "pss.sendfail_removed_natted" },
@@ -453,17 +496,33 @@ impl NylonCore {
         self.cfg.key_sampling.then(|| self.keypair.public().to_bytes())
     }
 
-    fn learn_key(&mut self, node: NodeId, key: &Option<Vec<u8>>) {
-        if let Some(bytes) = key {
-            if let Some(pk) = PublicKey::from_bytes(bytes) {
-                self.cb.set_key(node, pk.clone());
-                self.keystore.insert(node, pk);
+    /// The key a message from a peer carried, as `bytes`: `held` — what
+    /// the connection backlog has for that peer — when it is that very
+    /// key (the usual case, and no parse), else `bytes` parsed. A message
+    /// without a valid key leaves the peer with `held`.
+    fn key_from(bytes: Option<&[u8]>, held: Option<PublicKey>) -> Option<PublicKey> {
+        match (bytes, held) {
+            (Some(bytes), Some(held)) if held.wire_bytes() == bytes => Some(held),
+            (Some(bytes), held) => PublicKey::from_bytes(bytes).or(held),
+            (None, held) => held,
+        }
+    }
+
+    /// A message from `node` carried `key`: its backlog entry, if it has
+    /// one, takes it.
+    fn learn_key(&mut self, node: NodeId, key: Option<&[u8]>) {
+        if let Some(held) = self.cb.get(node).map(|e| e.key.clone()) {
+            if let Some(key) = Self::key_from(key, held) {
+                self.cb.set_key(node, key);
             }
         }
     }
 
-    fn insert_cb(&mut self, node: NodeId, public: bool) {
-        let key = self.keystore.get(&node).cloned();
+    /// Puts `node` at the head of the backlog with the key its message
+    /// carried, or else the key the backlog had for it.
+    fn insert_cb(&mut self, node: NodeId, public: bool, key: Option<&[u8]>) {
+        let held = self.cb.get(node).and_then(|e| e.key.clone());
+        let key = Self::key_from(key, held);
         self.cb.insert(CbEntry { node, public, key }, self.cfg.pi);
     }
 
@@ -507,6 +566,69 @@ impl NylonCore {
     // Message handling
     // ---------------------------------------------------------------
 
+    fn handle(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        outer_from: NodeId,
+        outer_ep: Endpoint,
+        msg: Incoming<'_>,
+        events: &mut Vec<NylonEvent>,
+    ) {
+        match msg {
+            Incoming::Gossip(gossip) => self.handle_gossip(ctx, gossip, events),
+            Incoming::Other(msg) => self.handle_msg(ctx, outer_from, outer_ep, msg, events),
+        }
+    }
+
+    /// Both halves of a gossip exchange, read from the packet: whether the
+    /// message came directly or as the inner message of a relayed one.
+    fn handle_gossip(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        gossip: GossipView<'_>,
+        events: &mut Vec<NylonEvent>,
+    ) {
+        let GossipView { request, sender, sender_public, .. } = gossip;
+        // Fold piggybacked blobs into the store; every merged-fresh blob
+        // surfaces as a `NylonEvent::Descriptor` for the layer above.
+        for (id, version, bytes) in gossip.descs() {
+            if self.descs.offer(id, version, bytes) {
+                ctx.metrics().count("pss.desc_merged", 1);
+                events.push(NylonEvent::Descriptor { id, version, bytes: bytes.to_vec() });
+            }
+        }
+        if request {
+            // Build the reply from the *pre-merge* view, as the
+            // push-pull exchange prescribes.
+            self.fill_buffer(ctx, sender);
+            self.merge_gossip(&gossip);
+            self.send_gossip(ctx, false, sender, sender_public, &[]);
+            self.maintain_cb(ctx);
+            ctx.metrics().count("pss.gossip_served", 1);
+        } else {
+            if matches!(self.outstanding, Some((p, _)) if p == sender) {
+                self.outstanding = None;
+            }
+            self.merge_gossip(&gossip);
+            self.maintain_cb(ctx);
+            ctx.metrics().count("pss.gossip_completed", 1);
+            events.push(NylonEvent::GossipCompleted { partner: sender });
+        }
+    }
+
+    /// Merges the shipped entries into the view and puts the sender, with
+    /// the key it shipped, at the head of the connection backlog.
+    fn merge_gossip(&mut self, gossip: &GossipView<'_>) {
+        self.view.merge_entries(
+            gossip.entries(),
+            self.id,
+            self.cfg.view_size,
+            self.cfg.pi,
+            self.cfg.oldest_p_discard,
+        );
+        self.insert_cb(gossip.sender, gossip.sender_public, gossip.key);
+    }
+
     fn handle_msg(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -516,55 +638,8 @@ impl NylonCore {
         events: &mut Vec<NylonEvent>,
     ) {
         match msg {
-            NylonMsg::GossipReq { sender, sender_public, entries, key, descs } => {
-                self.learn_key(sender, &key);
-                self.merge_descriptors(ctx, descs, events);
-                // Build the reply from the *pre-merge* view, as the
-                // push-pull exchange prescribes.
-                let reply_buffer = self.view.make_buffer(
-                    self.self_entry(),
-                    sender,
-                    self.cfg.gossip_len,
-                    self.id,
-                    self.cfg.max_route,
-                    ctx.rng(),
-                );
-                self.view.merge(
-                    entries,
-                    self.id,
-                    self.cfg.view_size,
-                    self.cfg.pi,
-                    self.cfg.oldest_p_discard,
-                );
-                self.insert_cb(sender, sender_public);
-                let resp = NylonMsg::GossipResp {
-                    sender: self.id,
-                    sender_public: self.public,
-                    entries: reply_buffer,
-                    key: self.key_payload(),
-                    descs: self.descs.next_batch(self.cfg.descriptor_gossip),
-                };
-                self.send_msg(ctx, sender, sender_public, &resp, &[]);
-                self.maintain_cb(ctx);
-                ctx.metrics().count("pss.gossip_served", 1);
-            }
-            NylonMsg::GossipResp { sender, sender_public, entries, key, descs } => {
-                self.learn_key(sender, &key);
-                self.merge_descriptors(ctx, descs, events);
-                if matches!(self.outstanding, Some((p, _)) if p == sender) {
-                    self.outstanding = None;
-                }
-                self.view.merge(
-                    entries,
-                    self.id,
-                    self.cfg.view_size,
-                    self.cfg.pi,
-                    self.cfg.oldest_p_discard,
-                );
-                self.insert_cb(sender, sender_public);
-                self.maintain_cb(ctx);
-                ctx.metrics().count("pss.gossip_completed", 1);
-                events.push(NylonEvent::GossipCompleted { partner: sender });
+            NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. } => {
+                debug_assert!(false, "Incoming::parse hands gossip to handle_gossip as a view");
             }
             NylonMsg::Relayed { from, remaining, path_back, inner } => {
                 if remaining.is_empty() {
@@ -576,8 +651,8 @@ impl NylonCore {
                         self.transport.note_reply_route(from, route, ctx.now());
                     }
                     ctx.metrics().count("pss.relayed_delivered", 1);
-                    if let Ok(inner_msg) = NylonMsg::from_wire(&inner) {
-                        self.handle_msg(ctx, from, outer_ep, inner_msg, events);
+                    if let Some(inner_msg) = Incoming::parse(&inner) {
+                        self.handle(ctx, from, outer_ep, inner_msg, events);
                     }
                 } else {
                     // Forward one hop.
@@ -687,38 +762,17 @@ impl NylonCore {
                 // Contact recorded at the outer level; nothing else to do.
             }
             NylonMsg::Ping { from, key } => {
-                self.learn_key(from, &key);
+                self.learn_key(from, key.as_deref());
                 let pong = NylonMsg::Pong { from: self.id, key: self.key_payload() };
                 ctx.send_wire(outer_ep, &pong);
             }
             NylonMsg::Pong { from, key } => {
-                self.learn_key(from, &key);
                 self.ping_pending.remove(&from);
                 // Pings target P-nodes only, so the pong sender is public.
-                self.insert_cb(from, true);
+                self.insert_cb(from, true, key.as_deref());
             }
             NylonMsg::App { from, payload } => {
                 events.push(NylonEvent::Payload { from, data: payload });
-            }
-        }
-    }
-
-    /// Folds piggybacked blobs into the store; every merged-fresh blob
-    /// surfaces as a [`NylonEvent::Descriptor`] for the layer above.
-    fn merge_descriptors(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        descs: Vec<DescriptorBlob>,
-        events: &mut Vec<NylonEvent>,
-    ) {
-        for blob in descs {
-            if self.descs.offer(blob.id, blob.version, &blob.bytes) {
-                ctx.metrics().count("pss.desc_merged", 1);
-                events.push(NylonEvent::Descriptor {
-                    id: blob.id,
-                    version: blob.version,
-                    bytes: blob.bytes,
-                });
             }
         }
     }

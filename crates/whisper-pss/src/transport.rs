@@ -39,10 +39,42 @@ pub enum SendOutcome {
     Failed,
 }
 
-#[derive(Clone, Debug)]
-struct Contact {
-    ep: Endpoint,
-    expires: SimTime,
+/// A per-peer table of values with an expiry time each. A lookup never
+/// returns an expired value; expired entries are dropped in one sweep
+/// whenever the table has doubled since the last one, so it holds at most
+/// twice the peers heard from within the time to live, at amortised
+/// constant cost per insertion.
+#[derive(Debug)]
+struct Expiring<V> {
+    map: HashMap<NodeId, (V, SimTime)>,
+    /// Size at which the next sweep runs.
+    sweep_at: usize,
+}
+
+impl<V> Default for Expiring<V> {
+    fn default() -> Self {
+        Expiring { map: HashMap::new(), sweep_at: Self::FIRST_SWEEP }
+    }
+}
+
+impl<V> Expiring<V> {
+    const FIRST_SWEEP: usize = 16;
+
+    fn insert(&mut self, peer: NodeId, value: V, expires: SimTime, now: SimTime) {
+        self.map.insert(peer, (value, expires));
+        if self.map.len() >= self.sweep_at {
+            self.map.retain(|_, (_, expires)| *expires > now);
+            self.sweep_at = (2 * self.map.len()).max(Self::FIRST_SWEEP);
+        }
+    }
+
+    fn get(&self, peer: NodeId, now: SimTime) -> Option<&V> {
+        self.map.get(&peer).filter(|(_, expires)| *expires > now).map(|(value, _)| value)
+    }
+
+    fn remove(&mut self, peer: NodeId) {
+        self.map.remove(&peer);
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -71,10 +103,14 @@ impl Outgoing<'_> {
 
     /// The wire image as owned bytes, for wrapping in a relayed message
     /// or queueing behind a hole punch.
-    fn into_inner(self) -> Vec<u8> {
+    fn into_inner(self, ctx: &mut Ctx<'_>) -> Vec<u8> {
         match self {
             Outgoing::Msg(msg) => msg.to_wire(),
-            Outgoing::Wire(wire) => wire.to_vec(),
+            Outgoing::Wire(wire) => {
+                let inner = wire.to_vec();
+                ctx.recycle(wire); // or the pool is a buffer short
+                inner
+            }
         }
     }
 }
@@ -95,8 +131,9 @@ pub fn peer_of_token(token: u64) -> NodeId {
 /// The per-node transport state.
 #[derive(Debug, Default)]
 pub struct Transport {
-    contacts: HashMap<NodeId, Contact>,
-    reply_routes: HashMap<NodeId, (Vec<NodeId>, SimTime)>,
+    /// Where each NATted peer's packets last came from.
+    contacts: Expiring<Endpoint>,
+    reply_routes: Expiring<Vec<NodeId>>,
     opens: HashMap<NodeId, PendingOpen>,
 }
 
@@ -109,29 +146,33 @@ impl Transport {
     /// Records that a packet was just received from `peer` at `ep`:
     /// replying to that endpoint will traverse `peer`'s NAT while the
     /// association lives.
+    ///
+    /// Only a NATted sender needs the record. A public host's packets
+    /// leave from port 0, so its contact would be
+    /// [`Endpoint::public`]`(peer)` — the address every sender falls back
+    /// to for a peer its directory marks public, with or without one.
     pub fn note_contact(&mut self, peer: NodeId, ep: Endpoint, now: SimTime) {
-        self.contacts.insert(peer, Contact { ep, expires: now + CONTACT_TTL });
+        if ep.port != 0 {
+            self.contacts.insert(peer, ep, now + CONTACT_TTL, now);
+        }
     }
 
     /// Records a working relayed route to `origin` (relays first, then
     /// `origin` itself), learned from a relayed message's `path_back`.
     pub fn note_reply_route(&mut self, origin: NodeId, route: Vec<NodeId>, now: SimTime) {
-        self.reply_routes.insert(origin, (route, now + REPLY_ROUTE_TTL));
+        self.reply_routes.insert(origin, route, now + REPLY_ROUTE_TTL, now);
     }
 
     /// Forgets everything known about `peer` (e.g. it was detected dead).
     pub fn forget(&mut self, peer: NodeId) {
-        self.contacts.remove(&peer);
-        self.reply_routes.remove(&peer);
+        self.contacts.remove(peer);
+        self.reply_routes.remove(peer);
         self.opens.remove(&peer);
     }
 
-    /// The fresh endpoint for `peer`, if any.
+    /// The fresh endpoint recorded for the NATted `peer`, if any.
     pub fn contact(&self, peer: NodeId, now: SimTime) -> Option<Endpoint> {
-        self.contacts
-            .get(&peer)
-            .filter(|c| c.expires > now)
-            .map(|c| c.ep)
+        self.contacts.get(peer, now).copied()
     }
 
     /// Whether a direct send to `peer` is currently possible.
@@ -142,11 +183,6 @@ impl Transport {
     /// Whether an open handshake towards `peer` is in flight.
     pub fn opening(&self, peer: NodeId) -> bool {
         self.opens.contains_key(&peer)
-    }
-
-    /// Number of fresh contacts (diagnostics).
-    pub fn live_contacts(&self, now: SimTime) -> usize {
-        self.contacts.values().filter(|c| c.expires > now).count()
     }
 
     /// Sends `msg` to `to` using the best available mechanism.
@@ -214,13 +250,10 @@ impl Transport {
             return SendOutcome::Direct;
         }
         // 3. Fresh relayed reverse route.
-        let reply_route = self
-            .reply_routes
-            .get(&to)
-            .filter(|(_, exp)| *exp > now)
-            .map(|(r, _)| r.clone());
-        if let Some(route) = reply_route.filter(|r| !r.is_empty()) {
-            self.relay(ctx, me, &route, msg.into_inner(), now);
+        if let Some(route) = self.reply_routes.get(to, now).filter(|r| !r.is_empty()) {
+            let route = route.clone();
+            let inner = msg.into_inner(ctx);
+            self.relay(ctx, me, &route, inner, now);
             return SendOutcome::Relayed;
         }
         // 4. Rendezvous chain: queue the message and start (or join) a
@@ -229,7 +262,7 @@ impl Transport {
         if !route_hint.is_empty() {
             let mut chain = route_hint.to_vec();
             chain.push(to);
-            let inner = msg.into_inner();
+            let inner = msg.into_inner(ctx);
             if let Some(open) = self.opens.get_mut(&to) {
                 open.queued.push(inner);
                 return SendOutcome::Queued;
@@ -310,13 +343,17 @@ impl Transport {
         }
         // Remember the chain as a (tentative) reply route so immediate
         // follow-ups do not restart the handshake.
-        self.reply_routes
-            .insert(peer, (open.chain, now + REPLY_ROUTE_TTL));
+        self.note_reply_route(peer, open.chain, now);
     }
 
     /// Completes an open handshake towards `peer` (a direct packet
     /// arrived): flushes queued messages to the now-known endpoint.
     pub fn on_established(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, ep: Endpoint) {
+        // Called for every direct packet, and there is rarely a handshake
+        // in flight: an empty map is not worth hashing into.
+        if self.opens.is_empty() {
+            return;
+        }
         if let Some(open) = self.opens.remove(&peer) {
             ctx.metrics().count("pss.open_punch_ok", 1);
             for inner in open.queued {
@@ -363,6 +400,37 @@ mod tests {
         t.note_reply_route(NodeId(5), vec![NodeId(1), NodeId(5)], SimTime::ZERO);
         t.forget(NodeId(5));
         assert_eq!(t.contact(NodeId(5), SimTime::ZERO), None);
-        assert_eq!(t.live_contacts(SimTime::ZERO), 0);
+        assert!(t.reply_routes.get(NodeId(5), SimTime::ZERO).is_none());
+    }
+
+    #[test]
+    fn only_natted_senders_leave_a_contact() {
+        let mut t = Transport::new();
+        t.note_contact(NodeId(5), Endpoint::public(NodeId(5)), SimTime::ZERO);
+        assert_eq!(t.contact(NodeId(5), SimTime::ZERO), None);
+        assert!(t.contacts.map.is_empty());
+        assert!(t.can_reach_directly(NodeId(5), true, SimTime::ZERO), "its directory entry says so");
+    }
+
+    #[test]
+    fn expired_entries_are_swept_as_the_table_doubles() {
+        let mut t = Transport::new();
+        let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+        // One new NATted peer a second, far more than are ever live.
+        let ttl = REPLY_ROUTE_TTL.as_secs();
+        for s in 0..20 * ttl {
+            t.note_reply_route(NodeId(s), vec![NodeId(1), NodeId(s)], at(s));
+            assert!(t.reply_routes.map.len() as u64 <= 2 * ttl + 2, "at {s} s");
+            if s >= 1 {
+                assert!(t.reply_routes.get(NodeId(s - 1), at(s)).is_some(), "live entries survive");
+            }
+        }
+        for s in 0..3 * CONTACT_TTL.as_secs() {
+            t.note_contact(NodeId(s), Endpoint { node: NodeId(s), port: 7 }, at(s));
+        }
+        assert!(t.contacts.map.len() as u64 <= 2 * CONTACT_TTL.as_secs() + 2);
+        let now = at(3 * CONTACT_TTL.as_secs());
+        assert_eq!(t.contact(NodeId(0), now), None);
+        assert!(t.contact(NodeId(3 * CONTACT_TTL.as_secs() - 1), now).is_some());
     }
 }

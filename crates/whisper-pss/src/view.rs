@@ -1,11 +1,23 @@
 //! Partial views and the biased truncation policy of paper §III-B-1.
+//!
+//! An entry exists in two forms. [`Entry`] is what a [`View`] stores and
+//! what the gossip path moves: the rendezvous chain sits inline, at most
+//! [`ROUTE_CAP`] hops, so an entry is `Copy` and merging, evicting and
+//! sorting touch no heap. [`ViewEntry`], with its chain in a `Vec`, is
+//! the owned form at the boundary — what tests, the owned message codec
+//! and callers outside the crate construct and read.
 
 use whisper_rand::seq::SliceRandom;
 use whisper_rand::Rng;
 use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use whisper_net::NodeId;
 
-/// One entry of a PSS view.
+/// Longest rendezvous chain a stored entry holds
+/// ([`NylonConfig::max_route`](crate::NylonConfig::max_route) may not
+/// exceed it; a longer chain received from a peer is cut to it).
+pub const ROUTE_CAP: usize = 3;
+
+/// One entry of a PSS view, in its owned form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ViewEntry {
     /// The node this entry points to.
@@ -20,16 +32,26 @@ pub struct ViewEntry {
     pub route: Vec<NodeId>,
 }
 
+/// Writes the wire image both forms of an entry share.
+fn put_entry(w: &mut WireWriter, node: NodeId, age: u16, public: bool, route: &[NodeId]) {
+    w.put(&node);
+    w.put_u16(age);
+    w.put(&public);
+    w.put_seq(route);
+}
+
+/// Exact length of what [`put_entry`] writes.
+fn entry_len(route: &[NodeId]) -> usize {
+    8 + 2 + 1 + whisper_net::wire::seq_len(route)
+}
+
 impl WireEncode for ViewEntry {
     fn encode(&self, w: &mut WireWriter) {
-        w.put(&self.node);
-        w.put_u16(self.age);
-        w.put(&self.public);
-        w.put_seq(&self.route);
+        put_entry(w, self.node, self.age, self.public, &self.route);
     }
 
     fn encoded_len(&self) -> usize {
-        8 + 2 + 1 + whisper_net::wire::seq_len(&self.route)
+        entry_len(&self.route)
     }
 }
 
@@ -44,11 +66,105 @@ impl WireDecode for ViewEntry {
     }
 }
 
+/// One entry of a PSS view as the view stores it: the fields of
+/// [`ViewEntry`] with the rendezvous chain inline.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Entry {
+    /// The node this entry points to.
+    pub node: NodeId,
+    /// Freshness: 0 when the node inserts itself, +1 every local cycle.
+    pub age: u16,
+    /// Whether the node is publicly reachable (a P-node).
+    pub public: bool,
+    hops: u8,
+    /// The first `hops` are the chain; the rest stay `NodeId(0)` so that
+    /// the derived equality compares chains.
+    route: [NodeId; ROUTE_CAP],
+}
+
+impl Entry {
+    /// An entry with the first [`ROUTE_CAP`] hops of `route`.
+    pub fn new(node: NodeId, age: u16, public: bool, route: &[NodeId]) -> Entry {
+        let hops = route.len().min(ROUTE_CAP);
+        let mut inline = [NodeId(0); ROUTE_CAP];
+        inline[..hops].copy_from_slice(&route[..hops]);
+        Entry { node, age, public, hops: hops as u8, route: inline }
+    }
+
+    /// The rendezvous chain (see [`ViewEntry::route`]).
+    pub fn route(&self) -> &[NodeId] {
+        &self.route[..self.hops as usize]
+    }
+
+    /// This entry as shipped to a gossip partner by `via`: `via` in front
+    /// of the chain, which keeps at most `max_route` hops.
+    fn forwarded(&self, via: NodeId, max_route: usize) -> Entry {
+        let kept = self.route().len().min(max_route.saturating_sub(1)).min(ROUTE_CAP - 1);
+        let mut route = [NodeId(0); ROUTE_CAP];
+        route[0] = via;
+        route[1..=kept].copy_from_slice(&self.route[..kept]);
+        Entry { hops: kept as u8 + 1, route, ..*self }
+    }
+}
+
+impl std::fmt::Debug for Entry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Entry")
+            .field("node", &self.node)
+            .field("age", &self.age)
+            .field("public", &self.public)
+            .field("route", &self.route())
+            .finish()
+    }
+}
+
+impl From<&ViewEntry> for Entry {
+    fn from(e: &ViewEntry) -> Entry {
+        Entry::new(e.node, e.age, e.public, &e.route)
+    }
+}
+
+impl From<&Entry> for ViewEntry {
+    fn from(e: &Entry) -> ViewEntry {
+        ViewEntry { node: e.node, age: e.age, public: e.public, route: e.route().to_vec() }
+    }
+}
+
+/// The wire image of an [`Entry`] is that of the [`ViewEntry`] it
+/// converts to.
+impl WireEncode for Entry {
+    fn encode(&self, w: &mut WireWriter) {
+        put_entry(w, self.node, self.age, self.public, self.route());
+    }
+
+    fn encoded_len(&self) -> usize {
+        entry_len(self.route())
+    }
+}
+
+/// Accepts exactly the byte strings [`ViewEntry`] decodes from, keeping
+/// the first [`ROUTE_CAP`] hops of the chain.
+impl WireDecode for Entry {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let mut entry = Entry::new(r.take()?, r.take_u16()?, r.take()?, &[]);
+        // A hop count beyond the input, which `take_seq` refuses before
+        // it allocates, runs into the end of the input here.
+        for i in 0..r.take_u32()? as usize {
+            let hop = r.take()?;
+            if i < ROUTE_CAP {
+                entry.route[i] = hop;
+                entry.hops = i as u8 + 1;
+            }
+        }
+        Ok(entry)
+    }
+}
+
 /// A bounded partial view with the healer merge policy and WHISPER's
 /// P-node bias.
 #[derive(Clone, Debug, Default)]
 pub struct View {
-    entries: Vec<ViewEntry>,
+    entries: Vec<Entry>,
 }
 
 impl View {
@@ -58,7 +174,7 @@ impl View {
     }
 
     /// The entries, in no particular order.
-    pub fn entries(&self) -> &[ViewEntry] {
+    pub fn entries(&self) -> &[Entry] {
         &self.entries
     }
 
@@ -78,7 +194,7 @@ impl View {
     }
 
     /// The entry for `node`, if present.
-    pub fn get(&self, node: NodeId) -> Option<&ViewEntry> {
+    pub fn get(&self, node: NodeId) -> Option<&Entry> {
         self.entries.iter().find(|e| e.node == node)
     }
 
@@ -95,6 +211,12 @@ impl View {
     /// Inserts an entry directly (bootstrap); replaces an existing entry
     /// for the same node if the new one is fresher.
     pub fn insert(&mut self, entry: ViewEntry) {
+        self.absorb(Entry::from(&entry));
+    }
+
+    /// Adds `entry`, or lets it replace the entry for the same node if it
+    /// is the fresher of the two.
+    fn absorb(&mut self, entry: Entry) {
         match self.entries.iter_mut().find(|e| e.node == entry.node) {
             Some(existing) => {
                 if entry.age < existing.age {
@@ -130,18 +252,18 @@ impl View {
 
     /// The oldest entry — the healer's exchange partner. Ties are broken
     /// by node id for determinism.
-    pub fn oldest(&self) -> Option<&ViewEntry> {
+    pub fn oldest(&self) -> Option<&Entry> {
         self.entries.iter().max_by_key(|e| (e.age, e.node))
     }
 
     /// A uniformly random entry (the `getPeer()` API of Fig. 1).
-    pub fn random<R: Rng>(&self, rng: &mut R) -> Option<&ViewEntry> {
+    pub fn random<R: Rng>(&self, rng: &mut R) -> Option<&Entry> {
         self.entries.choose(rng)
     }
 
     /// A uniformly random P-node entry.
-    pub fn random_public<R: Rng>(&self, rng: &mut R) -> Option<&ViewEntry> {
-        let publics: Vec<&ViewEntry> = self.entries.iter().filter(|e| e.public).collect();
+    pub fn random_public<R: Rng>(&self, rng: &mut R) -> Option<&Entry> {
+        let publics: Vec<&Entry> = self.entries.iter().filter(|e| e.public).collect();
         publics.choose(rng).copied()
     }
 
@@ -149,6 +271,8 @@ impl View {
     /// fresh entry followed by up to `len - 1` random others (excluding
     /// the partner itself). Forwarded entries get `via` prepended to their
     /// rendezvous chain, capped at `max_route`.
+    ///
+    /// The owned form of [`View::fill_buffer`].
     pub fn make_buffer<R: Rng>(
         &self,
         self_entry: ViewEntry,
@@ -158,22 +282,33 @@ impl View {
         max_route: usize,
         rng: &mut R,
     ) -> Vec<ViewEntry> {
-        let mut buffer = vec![self_entry];
-        let mut candidates: Vec<&ViewEntry> = self
-            .entries
-            .iter()
-            .filter(|e| e.node != partner && e.node != via)
-            .collect();
-        candidates.shuffle(rng);
-        for entry in candidates.into_iter().take(len.saturating_sub(1)) {
-            let mut forwarded = entry.clone();
-            let mut route = Vec::with_capacity(max_route);
-            route.push(via);
-            route.extend(forwarded.route.iter().copied().take(max_route.saturating_sub(1)));
-            forwarded.route = route;
-            buffer.push(forwarded);
+        let mut buffer = Vec::new();
+        self.fill_buffer(&mut buffer, Entry::from(&self_entry), partner, len, via, max_route, rng);
+        std::iter::once(self_entry).chain(buffer[1..].iter().map(ViewEntry::from)).collect()
+    }
+
+    /// [`View::make_buffer`] into `buffer`, whose earlier contents are
+    /// dropped and whose allocation is reused. Draws from `rng` what a
+    /// shuffle of the candidate entries draws, whatever `len` is.
+    #[allow(clippy::too_many_arguments)]
+    pub fn fill_buffer<R: Rng>(
+        &self,
+        buffer: &mut Vec<Entry>,
+        self_entry: Entry,
+        partner: NodeId,
+        len: usize,
+        via: NodeId,
+        max_route: usize,
+        rng: &mut R,
+    ) {
+        buffer.clear();
+        buffer.push(self_entry);
+        buffer.extend(self.entries.iter().filter(|e| e.node != partner && e.node != via));
+        buffer[1..].shuffle(rng);
+        buffer.truncate(len.max(1));
+        for entry in &mut buffer[1..] {
+            *entry = entry.forwarded(via, max_route);
         }
-        buffer
     }
 
     /// Merges `received` entries and truncates to `cap` with the healer
@@ -185,6 +320,8 @@ impl View {
     ///   first in favour of fresher N-nodes, bounding P-node in-degree.
     ///
     /// Entries pointing at `me` are ignored.
+    ///
+    /// The owned form of [`View::merge_entries`].
     pub fn merge(
         &mut self,
         received: Vec<ViewEntry>,
@@ -193,74 +330,64 @@ impl View {
         pi: usize,
         oldest_p_discard: bool,
     ) {
+        self.merge_entries(received.iter().map(Entry::from), me, cap, pi, oldest_p_discard);
+    }
+
+    /// [`View::merge`] of entries as they are stored, in place: the view's
+    /// own vector holds the union, is sorted and is cut.
+    pub fn merge_entries(
+        &mut self,
+        received: impl IntoIterator<Item = Entry>,
+        me: NodeId,
+        cap: usize,
+        pi: usize,
+        oldest_p_discard: bool,
+    ) {
         // Union, deduplicated by node keeping the freshest copy.
-        let mut union: Vec<ViewEntry> = std::mem::take(&mut self.entries);
         for entry in received {
-            if entry.node == me {
-                continue;
-            }
-            match union.iter_mut().find(|e| e.node == entry.node) {
-                Some(existing) => {
-                    if entry.age < existing.age {
-                        *existing = entry;
-                    }
-                }
-                None => union.push(entry),
+            if entry.node != me {
+                self.absorb(entry);
             }
         }
-        // Deterministic healer order: freshest first.
-        union.sort_by_key(|e| (e.age, e.node));
-
-        if union.len() <= cap {
-            self.entries = union;
+        // Deterministic healer order: freshest first. Nodes are unique,
+        // so the keys are and an unstable sort has one possible result.
+        self.entries.sort_unstable_by_key(|e| (e.age, e.node));
+        if self.entries.len() <= cap {
             return;
         }
-
-        let mut kept: Vec<ViewEntry> = union.drain(..cap).collect();
-        let mut spare: Vec<ViewEntry> = union; // older entries, sorted
-
-        if pi > 0 {
-            let p_in_kept = kept.iter().filter(|e| e.public).count();
-            if p_in_kept < pi {
-                // The Π bias kicks in only when the unbiased healer would
-                // leave too few P-nodes: force spare P-nodes in, pushing
-                // out the oldest kept N-nodes. With `oldest_p_discard`
-                // (the paper's refinement) the *freshest* spare P-nodes
-                // are chosen, so the protected slots rotate and no single
-                // stale P-node accumulates in-degree; without it the
-                // oldest spares are taken — the protected P-nodes then
-                // never change, concentrating load (and keeping possibly
-                // dead P-nodes around), which is exactly the effect the
-                // ablation quantifies.
-                let needed = pi - p_in_kept;
-                let mut spare_publics: Vec<ViewEntry> = Vec::new();
-                if oldest_p_discard {
-                    spare.retain(|e| {
-                        if e.public && spare_publics.len() < needed {
-                            spare_publics.push(e.clone());
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                } else {
-                    for e in spare.iter().rev() {
-                        if e.public && spare_publics.len() < needed {
-                            spare_publics.push(e.clone());
-                        }
-                    }
-                    spare.retain(|e| !spare_publics.iter().any(|p| p.node == e.node));
+        // The first `cap` entries are kept, the older ones are spare.
+        let p_in_kept = self.entries[..cap].iter().filter(|e| e.public).count();
+        if p_in_kept < pi {
+            // The Π bias kicks in only when the unbiased healer would
+            // leave too few P-nodes: force spare P-nodes in, pushing
+            // out the oldest kept N-nodes. With `oldest_p_discard`
+            // (the paper's refinement) the *freshest* spare P-nodes
+            // are chosen, so the protected slots rotate and no single
+            // stale P-node accumulates in-degree; without it the
+            // oldest spares are taken — the protected P-nodes then
+            // never change, concentrating load (and keeping possibly
+            // dead P-nodes around), which is exactly the effect the
+            // ablation quantifies.
+            let mut needed = pi - p_in_kept;
+            let len = self.entries.len();
+            for k in 0..len - cap {
+                if needed == 0 {
+                    break;
                 }
-                for replacement in spare_publics {
-                    // Remove the oldest non-public entry.
-                    if let Some(pos) = kept.iter().rposition(|e| !e.public) {
-                        kept.remove(pos);
-                        kept.push(replacement);
-                    }
+                let replacement = self.entries[if oldest_p_discard { cap + k } else { len - 1 - k }];
+                if !replacement.public {
+                    continue;
+                }
+                needed -= 1;
+                // It takes the place of the oldest kept N-node and goes
+                // behind the kept entries.
+                if let Some(pos) = self.entries[..cap].iter().rposition(|e| !e.public) {
+                    self.entries[pos..cap].rotate_left(1);
+                    self.entries[cap - 1] = replacement;
                 }
             }
         }
-        self.entries = kept;
+        self.entries.truncate(cap);
     }
 }
 
@@ -272,6 +399,193 @@ mod tests {
 
     fn e(node: u64, age: u16, public: bool) -> ViewEntry {
         ViewEntry { node: NodeId(node), age, public, route: vec![] }
+    }
+
+    /// `merge` and `make_buffer` as they were when a view held owned
+    /// entries, kept as the oracles of the two tests below.
+    mod oracle {
+        use super::super::ViewEntry;
+        use whisper_net::NodeId;
+        use whisper_rand::seq::SliceRandom;
+        use whisper_rand::Rng;
+
+        pub fn make_buffer<R: Rng>(
+            entries: &[ViewEntry],
+            self_entry: ViewEntry,
+            partner: NodeId,
+            len: usize,
+            via: NodeId,
+            max_route: usize,
+            rng: &mut R,
+        ) -> Vec<ViewEntry> {
+            let mut buffer = vec![self_entry];
+            let mut candidates: Vec<&ViewEntry> =
+                entries.iter().filter(|e| e.node != partner && e.node != via).collect();
+            candidates.shuffle(rng);
+            for entry in candidates.into_iter().take(len.saturating_sub(1)) {
+                let mut forwarded = entry.clone();
+                let mut route = Vec::with_capacity(max_route);
+                route.push(via);
+                route.extend(forwarded.route.iter().copied().take(max_route.saturating_sub(1)));
+                forwarded.route = route;
+                buffer.push(forwarded);
+            }
+            buffer
+        }
+
+        pub fn merge(
+            entries: Vec<ViewEntry>,
+            received: Vec<ViewEntry>,
+            me: NodeId,
+            cap: usize,
+            pi: usize,
+            oldest_p_discard: bool,
+        ) -> Vec<ViewEntry> {
+            let mut union: Vec<ViewEntry> = entries;
+            for entry in received {
+                if entry.node == me {
+                    continue;
+                }
+                match union.iter_mut().find(|e| e.node == entry.node) {
+                    Some(existing) => {
+                        if entry.age < existing.age {
+                            *existing = entry;
+                        }
+                    }
+                    None => union.push(entry),
+                }
+            }
+            union.sort_by_key(|e| (e.age, e.node));
+
+            if union.len() <= cap {
+                return union;
+            }
+
+            let mut kept: Vec<ViewEntry> = union.drain(..cap).collect();
+            let mut spare: Vec<ViewEntry> = union; // older entries, sorted
+
+            if pi > 0 {
+                let p_in_kept = kept.iter().filter(|e| e.public).count();
+                if p_in_kept < pi {
+                    let needed = pi - p_in_kept;
+                    let mut spare_publics: Vec<ViewEntry> = Vec::new();
+                    if oldest_p_discard {
+                        spare.retain(|e| {
+                            if e.public && spare_publics.len() < needed {
+                                spare_publics.push(e.clone());
+                                false
+                            } else {
+                                true
+                            }
+                        });
+                    } else {
+                        for e in spare.iter().rev() {
+                            if e.public && spare_publics.len() < needed {
+                                spare_publics.push(e.clone());
+                            }
+                        }
+                        spare.retain(|e| !spare_publics.iter().any(|p| p.node == e.node));
+                    }
+                    for replacement in spare_publics {
+                        // Remove the oldest non-public entry.
+                        if let Some(pos) = kept.iter().rposition(|e| !e.public) {
+                            kept.remove(pos);
+                            kept.push(replacement);
+                        }
+                    }
+                }
+            }
+            kept
+        }
+    }
+
+    fn gen_entry(g: &mut whisper_rand::check::Gen) -> ViewEntry {
+        // Few nodes, so views and buffers overlap, carry duplicates and
+        // point at `me`; publicity is a property of the node.
+        let node = g.gen_range(0..24u64);
+        ViewEntry {
+            node: NodeId(node),
+            age: g.gen_range(0..12u16),
+            public: node % 3 == 0,
+            route: g.vec(ROUTE_CAP, |g| NodeId(g.gen_range(0..24u64))),
+        }
+    }
+
+    fn owned(view: &View) -> Vec<ViewEntry> {
+        view.entries().iter().map(ViewEntry::from).collect()
+    }
+
+    #[test]
+    fn merge_matches_the_owned_oracle() {
+        whisper_rand::check::check(400, "merge_matches_the_owned_oracle", |g| {
+            let me = NodeId(g.gen_range(0..24u64));
+            let mut view = View::new();
+            for entry in g.vec(14, gen_entry) {
+                view.insert(entry);
+            }
+            let received = g.vec(8, gen_entry); // duplicates and `me` included
+            let pi = if g.gen() { 3 } else { 0 };
+            let discard: bool = g.gen();
+            let expected = oracle::merge(owned(&view), received.clone(), me, 10, pi, discard);
+            view.merge(received, me, 10, pi, discard);
+            assert_eq!(owned(&view), expected, "same entries in the same order");
+        });
+    }
+
+    #[test]
+    fn buffer_bytes_and_rng_draws_match_the_owned_oracle() {
+        use whisper_net::wire::WireWriter;
+        whisper_rand::check::check(400, "buffer_bytes_and_rng_draws_match_the_owned_oracle", |g| {
+            let mut view = View::new();
+            for entry in g.vec(12, gen_entry) {
+                view.insert(entry);
+            }
+            let me = NodeId(g.gen_range(0..24u64));
+            let partner = NodeId(g.gen_range(0..24u64));
+            let (len, max_route) = (g.gen_range(0..8usize), g.gen_range(0..=ROUTE_CAP));
+            let self_entry = ViewEntry { node: me, age: 0, public: g.gen(), route: vec![] };
+            let seed = g.gen();
+            let mut oracle_rng = StdRng::seed_from_u64(seed);
+            let mut expected = WireWriter::new();
+            expected.put_seq(&oracle::make_buffer(
+                &owned(&view),
+                self_entry.clone(),
+                partner,
+                len,
+                me,
+                max_route,
+                &mut oracle_rng,
+            ));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut buffer = vec![Entry::new(NodeId(99), 9, true, &[NodeId(9)])]; // stale scratch
+            view.fill_buffer(
+                &mut buffer,
+                Entry::from(&self_entry),
+                partner,
+                len,
+                me,
+                max_route,
+                &mut rng,
+            );
+            let mut written = WireWriter::new();
+            written.put_seq(&buffer);
+            assert_eq!(written.into_bytes(), expected.into_bytes());
+            assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>(), "same draws");
+        });
+    }
+
+    #[test]
+    fn inline_entries_cut_chains_to_the_cap() {
+        use whisper_net::wire::{WireDecode, WireEncode};
+        let long: Vec<NodeId> = (1..=5).map(NodeId).collect();
+        let owned = ViewEntry { node: NodeId(9), age: 4, public: true, route: long.clone() };
+        let inline = Entry::from(&owned);
+        assert_eq!(inline.route(), &long[..ROUTE_CAP]);
+        assert_eq!(Entry::from_wire(&owned.to_wire()).unwrap(), inline, "decode cuts alike");
+        let short = Entry::new(NodeId(9), 4, true, &long[..2]);
+        assert_eq!(short.to_wire(), ViewEntry::from(&short).to_wire());
+        assert_eq!(Entry::from_wire(&short.to_wire()).unwrap(), short);
+        assert_ne!(short, Entry::new(NodeId(9), 4, true, &long[..1]));
     }
 
     #[test]

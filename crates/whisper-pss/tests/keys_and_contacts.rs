@@ -1,0 +1,111 @@
+//! Where a peer's key and contact live: the key a message carries goes
+//! into the connection-backlog entry of its sender and nowhere else, and
+//! the transport remembers where NATted senders' packets came from — a
+//! public sender is reachable at its public endpoint anyway.
+
+use whisper_crypto::rsa::{KeyPair, PublicKey};
+use whisper_net::nat::NatType;
+use whisper_net::sim::{Sim, SimConfig};
+use whisper_net::wire::WireEncode;
+use whisper_net::{Endpoint, NodeId};
+use whisper_pss::messages::NylonMsg;
+use whisper_pss::transport::SendOutcome;
+use whisper_pss::{NylonConfig, NylonCore, NylonNode};
+use whisper_rand::rngs::StdRng;
+use whisper_rand::SeedableRng;
+
+/// A lone node; messages are handed to it as if they had just arrived.
+fn lone_node() -> (Sim, NodeId, StdRng) {
+    let cfg = NylonConfig::default();
+    let mut keyrng = StdRng::seed_from_u64(42);
+    let mut sim = Sim::new(SimConfig::cluster(42));
+    let core = NylonCore::new(cfg.clone(), KeyPair::generate(cfg.rsa, &mut keyrng));
+    let id = sim.add_node(Box::new(NylonNode::new(core)), NatType::Public);
+    sim.run_for_secs(1);
+    (sim, id, keyrng)
+}
+
+fn deliver(sim: &mut Sim, to: NodeId, from_ep: Endpoint, msg: &NylonMsg) {
+    let wire = msg.to_wire();
+    assert!(sim.with_node_ctx::<NylonNode>(to, |node, ctx| {
+        drop(node.core_mut().on_message(ctx, from_ep.node, from_ep, &wire));
+    }));
+}
+
+fn gossip_req(sender: NodeId, key: Option<Vec<u8>>) -> NylonMsg {
+    NylonMsg::GossipReq { sender, sender_public: false, entries: vec![], key, descs: vec![] }
+}
+
+fn cb_key(sim: &Sim, id: NodeId, peer: NodeId) -> Option<PublicKey> {
+    sim.node::<NylonNode>(id).unwrap().core().cb().get(peer).expect("peer in the CB").key.clone()
+}
+
+#[test]
+fn the_backlog_entry_holds_the_key_its_sender_shipped() {
+    let (mut sim, id, mut keyrng) = lone_node();
+    let rsa = NylonConfig::default().rsa;
+    let first = KeyPair::generate(rsa, &mut keyrng).public().clone();
+    let second = KeyPair::generate(rsa, &mut keyrng).public().clone();
+    let peer = NodeId(77);
+    let peer_ep = Endpoint { node: peer, port: 9 };
+
+    deliver(&mut sim, id, peer_ep, &gossip_req(peer, Some(first.to_bytes())));
+    assert_eq!(cb_key(&sim, id, peer), Some(first.clone()));
+
+    // Keyless, and malformed in each way the strict parser rejects: the
+    // entry keeps the key it has.
+    let mut trailing = second.to_bytes();
+    trailing.push(0);
+    for key in [None, Some(vec![]), Some(vec![0xFF; 20]), Some(trailing)] {
+        deliver(&mut sim, id, peer_ep, &gossip_req(peer, key));
+        assert_eq!(cb_key(&sim, id, peer), Some(first.clone()));
+    }
+    // A ping carries a key too; so does the pong that puts a P-node in.
+    deliver(&mut sim, id, peer_ep, &NylonMsg::Ping { from: peer, key: Some(second.to_bytes()) });
+    assert_eq!(cb_key(&sim, id, peer), Some(second.clone()));
+    deliver(&mut sim, id, peer_ep, &gossip_req(peer, Some(first.to_bytes())));
+    assert_eq!(cb_key(&sim, id, peer), Some(first.clone()), "the latest key shipped wins");
+    let p_node = NodeId(78);
+    deliver(
+        &mut sim,
+        id,
+        Endpoint::public(p_node),
+        &NylonMsg::Pong { from: p_node, key: Some(second.to_bytes()) },
+    );
+    assert_eq!(cb_key(&sim, id, p_node), Some(second));
+    // A ping from a stranger leaves no trace: there is no entry to hold it.
+    deliver(&mut sim, id, peer_ep, &NylonMsg::Ping { from: NodeId(79), key: Some(first.to_bytes()) });
+    assert!(sim.node::<NylonNode>(id).unwrap().core().cb().get(NodeId(79)).is_none());
+
+    // A restart forgets the backlog and the keys with it.
+    sim.with_node_ctx::<NylonNode>(id, |node, ctx| node.core_mut().on_restart(ctx));
+    assert!(sim.node::<NylonNode>(id).unwrap().core().cb().is_empty());
+    deliver(&mut sim, id, peer_ep, &gossip_req(peer, None));
+    assert_eq!(cb_key(&sim, id, peer), None, "nothing remembered the key across the restart");
+}
+
+#[test]
+fn contacts_are_kept_for_natted_senders_only_and_both_stay_reachable() {
+    let (mut sim, id, _) = lone_node();
+    let natted = Endpoint { node: NodeId(70), port: 4242 };
+    let public = Endpoint::public(NodeId(71));
+    deliver(&mut sim, id, natted, &NylonMsg::Punch { from: natted.node });
+    deliver(&mut sim, id, public, &NylonMsg::Punch { from: public.node });
+    let now = sim.now();
+    let core = sim.node::<NylonNode>(id).unwrap().core();
+    // Asked about a peer it is told nothing of, the transport answers
+    // from its contacts alone.
+    assert!(core.can_reach_directly(natted.node, false, now), "contact recorded");
+    assert!(!core.can_reach_directly(public.node, false, now), "no contact needed, none kept");
+    assert!(core.can_reach_directly(public.node, true, now));
+
+    let sent_before = sim.metrics().counter("net.payload_pooled");
+    sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
+        let core = node.core_mut();
+        // The directory entry a sender holds says which kind the peer is.
+        assert_eq!(core.send_app(ctx, natted.node, false, &[], b"x".to_vec()), SendOutcome::Direct);
+        assert_eq!(core.send_app(ctx, public.node, true, &[], b"x".to_vec()), SendOutcome::Direct);
+    });
+    assert_eq!(sim.metrics().counter("net.payload_pooled"), sent_before + 2, "both left directly");
+    assert_eq!(sim.metrics().counter("pss.send_failed"), 0);
+}

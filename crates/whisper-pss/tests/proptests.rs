@@ -9,7 +9,7 @@ use whisper_net::{Endpoint, NodeId};
 use whisper_pss::backlog::{CbEntry, ConnectionBacklog};
 use whisper_pss::descriptors::DescriptorBlob;
 use whisper_pss::messages::NylonMsg;
-use whisper_pss::view::{View, ViewEntry};
+use whisper_pss::view::{Entry, View, ViewEntry};
 use whisper_rand::check::{check, Gen};
 use whisper_rand::Rng;
 
@@ -45,9 +45,10 @@ fn merge_invariants() {
         }
         // Count distinct publics available in the union.
         let mut union_nodes = std::collections::HashMap::new();
-        for e in view.entries().iter().cloned().chain(received.iter().cloned()) {
-            if e.node != me {
-                union_nodes.entry(e.node).or_insert(e.public);
+        let held = view.entries().iter().map(|e| (e.node, e.public));
+        for (node, public) in held.chain(received.iter().map(|e| (e.node, e.public))) {
+            if node != me {
+                union_nodes.entry(node).or_insert(public);
             }
         }
         let avail_publics = union_nodes.values().filter(|p| **p).count();
@@ -234,5 +235,70 @@ fn descriptor_blob_round_trip_and_exact_len() {
         let bytes = blob.to_wire();
         assert_eq!(bytes.len(), blob.encoded_len());
         assert_eq!(DescriptorBlob::from_wire(&bytes).unwrap(), blob);
+    });
+}
+
+/// The borrowed gossip decoder accepts exactly what the owned one decodes
+/// as a gossip message, and lends the same sender, flag, entries (chains
+/// up to the cap), key and blobs — on honest encodings of every variant
+/// and on truncated, extended, bit-flipped and arbitrary byte strings.
+#[test]
+fn gossip_view_agrees_with_the_owned_decoder() {
+    check(2048, "gossip_view_agrees_with_the_owned_decoder", |g| {
+        let mut msg = gen_msg(g);
+        // Offsets of the tag, of the sender's flag and (gossip only) of
+        // the key's presence byte: where one wrong value decides.
+        let mut decisive = vec![0, 9];
+        if let NylonMsg::GossipReq { entries, .. } | NylonMsg::GossipResp { entries, .. } = &mut msg
+        {
+            // Chains beyond the cap, too.
+            for entry in entries.iter_mut() {
+                entry.route = g.vec(5, |g| NodeId(g.gen_range(0..40u64)));
+            }
+            decisive.push(10 + whisper_net::wire::seq_len(entries));
+        }
+        let mut wire = msg.to_wire();
+        match g.gen_range(0..6u8) {
+            0 => {}
+            1 => wire.truncate(g.gen_range(0..=wire.len())),
+            2 => wire.extend(g.bytes(12)),
+            3 => {
+                for _ in 0..g.gen_range(1..4u8) {
+                    let at = g.gen_range(0..wire.len());
+                    wire[at] ^= 1 << g.gen_range(0..8u8);
+                }
+            }
+            4 => {
+                let at = decisive[g.gen_range(0..decisive.len())].min(wire.len() - 1);
+                wire[at] = g.gen_range(0..4u8);
+            }
+            _ => wire = g.bytes(120),
+        }
+        let view = NylonMsg::gossip_view(&wire);
+        let (request, sender, sender_public, entries, key, descs) = match NylonMsg::from_wire(&wire)
+        {
+            Ok(NylonMsg::GossipReq { sender, sender_public, entries, key, descs }) => {
+                (true, sender, sender_public, entries, key, descs)
+            }
+            Ok(NylonMsg::GossipResp { sender, sender_public, entries, key, descs }) => {
+                (false, sender, sender_public, entries, key, descs)
+            }
+            _ => {
+                assert!(view.is_none(), "the view accepted what the owned decoder did not");
+                return;
+            }
+        };
+        let view = view.expect("the view declined a gossip message");
+        assert_eq!((view.request, view.sender, view.sender_public), (request, sender, sender_public));
+        assert_eq!(view.key, key.as_deref());
+        assert_eq!(
+            view.entries().collect::<Vec<Entry>>(),
+            entries.iter().map(Entry::from).collect::<Vec<Entry>>()
+        );
+        let blobs: Vec<DescriptorBlob> = view
+            .descs()
+            .map(|(id, version, bytes)| DescriptorBlob { id, version, bytes: bytes.to_vec() })
+            .collect();
+        assert_eq!(blobs, descs);
     });
 }

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Flat self-time profile of one perfbench workload, for hosts without perf:
+# Sampled profile of one perfbench workload, for hosts without perf:
 #
-#   scripts/prof/flatprof.sh <workload> [seed]     (TOP=40 for a longer table)
+#   scripts/prof/flatprof.sh <workload> [seed]     (TOP=40 for longer tables)
+#   UNDER='host_windows|timed_window' scripts/prof/flatprof.sh gossip_scale
 #
 # Builds the SIGPROF sampler (sigprof.c) with cc, runs the perfbench binary
 # under it as the driver would (untraced, 8 s of windows) and prints the
-# top-N symbols with libc split out (resolve.py, through nm). Writes only
+# top-N symbols by self and by inclusive time, with libc split out and
+# attributed to its first caller outside libc (resolve.py, through nm).
+# UNDER keeps only the samples beneath a frame matching the regex: the one
+# above is the measured windows without the three set-ups. Writes only
 # under target/prof/. Exits 0 with a notice when cc, nm or python3 is
 # missing: a profile is an aid, never a gate.
 set -euo pipefail

@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
-"""Turns a sigprof.c sample file into a flat self-time profile.
+"""Turns a sigprof.c sample file into self-time and caller-attributed profiles.
 
-usage: resolve.py <samples> [top_n]
+usage: [UNDER=<regex>] resolve.py <samples> [top_n]
 
-Each sample is attributed to the mapped file it fell in and, through
-`nm`, to the nearest symbol below it. Prints the top-N symbols and the
-share of samples per mapped file, with libc's allocator split out.
+Each sample is a program counter and the call stack above it. Every frame
+is attributed to the mapped file it fell in and, through `nm`, to the
+nearest symbol below it (a function inlined into its caller counts as the
+caller). Prints the top-N symbols by self time and by inclusive time (the
+samples with the symbol anywhere on the stack), the share of samples per
+mapped file with libc's allocator split out, and — since a stripped libc
+cannot say on whose behalf it ran — the first non-libc caller of every
+sample that ended in libc (Rust's `raw_vec`/`alloc` plumbing passed over). With UNDER set, only samples with a frame whose
+symbol matches the regex are counted: UNDER='host_windows|timed_window'
+keeps perfbench's measured windows and drops its set-ups.
 """
 import bisect
 import collections
@@ -20,6 +27,9 @@ import sys
 # "(static code before <next export>)" — for the allocator's that is
 # __default_morecore and __libc_malloc, which this pattern also matches.
 ALLOCATOR = re.compile(r"^(__libc_|__default_)?(malloc|calloc|realloc|free|cfree|memalign|morecore)(_\w+)?$")
+# Rust's own allocation plumbing between a libc call and the code that
+# wanted the memory: passed over when naming the caller of a libc sample.
+PLUMBING = re.compile(r"^(alloc::raw_vec::|alloc::alloc::|__rust_|__rdl_|__rustc)")
 
 
 def symbols(path):
@@ -48,52 +58,104 @@ def resolve(table, addr):
     return f"(static code before {following})", following
 
 
+class Resolver:
+    """Maps an address to (mapped file, symbol, is-libc, is-allocator), cached."""
+
+    def __init__(self, maps):
+        # Load bias of each file: its lowest mapping (position-independent
+        # executables and shared objects link at address 0).
+        self.base = {}
+        for start, _, _, path in maps:
+            self.base[path] = min(start, self.base.get(path, start))
+        self.text = [(s, e, p) for s, e, perms, p in maps if "x" in perms]
+        self.tables, self.cache = {}, {}
+
+    def path_of(self, addr):
+        return next((p for s, e, p in self.text if s <= addr < e), "[unmapped]")
+
+    def frame(self, addr):
+        if addr not in self.cache:
+            path = self.path_of(addr)
+            name = owner = "?"
+            if path.startswith("/"):
+                if path not in self.tables:
+                    self.tables[path] = symbols(path)
+                if self.tables[path]:
+                    name, owner = resolve(self.tables[path], addr - self.base[path])
+            libc = "libc" in os.path.basename(path)
+            self.cache[addr] = (path, name, libc, libc and bool(ALLOCATOR.match(owner)))
+        return self.cache[addr]
+
+
+def stack_of(fields):
+    """Addresses of one sample, innermost first: the interrupted program
+    counter, then return addresses moved back into their call instruction."""
+    pc, frames = fields[0], fields[1:]
+    # The unwinder starts in the signal handler; the interrupted frame is
+    # the one it reports at `pc`.
+    above = frames[frames.index(pc) + 1:] if pc in frames else frames[2:]
+    return [pc] + [ret - 1 for ret in above]
+
+
+def table(title, counts, total, top_n):
+    print(f"\n{title:>7} {'samples':>8}  symbol")
+    for (file, name), n in counts.most_common(top_n):
+        print(f"{100 * n / total:7.2f} {n:8d}  {name}  [{os.path.basename(file)}]")
+
+
 def main():
     samples_path = sys.argv[1]
     top_n = int(sys.argv[2]) if len(sys.argv) > 2 else 25
-    maps, pcs = [], []
+    under = re.compile(os.environ["UNDER"]) if os.environ.get("UNDER") else None
+    maps, stacks = [], []
     for line in open(samples_path):
         if line.startswith("M "):
             fields = line[2:].split()
             start, end = (int(x, 16) for x in fields[0].split("-"))
             maps.append((start, end, fields[1], fields[5] if len(fields) > 5 else "[anon]"))
         elif line.startswith("S "):
-            pcs.append(int(line[2:], 16))
-    if not pcs:
+            stacks.append(stack_of([int(x, 16) for x in line[2:].split()]))
+    if not stacks:
         sys.exit("no samples (did the program run long enough to tick?)")
-    # Load bias of each file: its lowest mapping (position-independent
-    # executables and shared objects link at address 0).
-    base = {}
-    for start, _, _, path in maps:
-        base[path] = min(start, base.get(path, start))
-    text = [(s, e, p) for s, e, perms, p in maps if "x" in perms]
-    tables = {}
-    by_symbol, by_file = collections.Counter(), collections.Counter()
+    resolver = Resolver(maps)
+    resolved = [[resolver.frame(addr) for addr in stack] for stack in stacks]
+    print(f"{len(resolved)} samples")
+    if under:
+        resolved = [frames for frames in resolved if any(under.search(f[1]) for f in frames)]
+        print(f"{len(resolved)} of them under a frame matching /{under.pattern}/; shares are of these")
+        if not resolved:
+            sys.exit("no sample matches UNDER (was the frame inlined away?)")
+    total = len(resolved)
+
+    self_time, inclusive, by_file = collections.Counter(), collections.Counter(), collections.Counter()
+    callers, allocator_callers = collections.Counter(), collections.Counter()
     allocator = 0
-    for pc in pcs:
-        path = next((p for s, e, p in text if s <= pc < e), "[unmapped]")
-        by_file[path] += 1
-        name = owner = "?"
-        if path.startswith("/"):
-            if path not in tables:
-                tables[path] = symbols(path)
-            if tables[path]:
-                name, owner = resolve(tables[path], pc - base[path])
-        if "libc" in os.path.basename(path) and ALLOCATOR.match(owner):
-            allocator += 1
-        by_symbol[(os.path.basename(path), name)] += 1
-    total = len(pcs)
-    print(f"{total} samples")
-    print(f"\n{'self %':>7} {'samples':>8}  symbol")
-    for (file, name), n in by_symbol.most_common(top_n):
-        print(f"{100 * n / total:7.2f} {n:8d}  {name}  [{file}]")
+    for frames in resolved:
+        file, name, libc, in_allocator = frames[0]
+        self_time[(file, name)] += 1
+        by_file[file] += 1
+        for key in {(f[0], f[1]) for f in frames}:
+            inclusive[key] += 1
+        if libc:
+            caller = next(((f[0], f[1]) for f in frames if not f[2] and not PLUMBING.match(f[1])),
+                          ("?", "(no caller outside libc)"))
+            callers[caller] += 1
+            if in_allocator:
+                allocator += 1
+                allocator_callers[caller] += 1
+    table("self %", self_time, total, top_n)
+    table("incl %", inclusive, total, top_n)
     print(f"\n{'share %':>7} {'samples':>8}  mapped file")
-    for path, n in by_file.most_common():
-        print(f"{100 * n / total:7.2f} {n:8d}  {path}")
-    libc = sum(n for p, n in by_file.items() if "libc" in os.path.basename(p))
-    print(f"\nlibc {100 * libc / total:.1f} % of all samples: allocator (malloc.c) "
+    for file, n in by_file.most_common():
+        print(f"{100 * n / total:7.2f} {n:8d}  {file}")
+    libc = sum(callers.values())
+    print(f"\nlibc {100 * libc / total:.1f} % of these samples: allocator (malloc.c) "
           f"{100 * allocator / total:.1f} %, the rest (mem*/str* kernels, mostly) "
           f"{100 * (libc - allocator) / total:.1f} %")
+    print(f"\n{'libc %':>7} {'alloc %':>8}  first caller outside libc")
+    for caller, n in callers.most_common(top_n):
+        print(f"{100 * n / total:7.2f} {100 * allocator_callers[caller] / total:8.2f}  "
+              f"{caller[1]}  [{os.path.basename(caller[0])}]")
 
 
 if __name__ == "__main__":

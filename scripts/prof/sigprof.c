@@ -1,18 +1,26 @@
-/* LD_PRELOAD sampler: records the program counter on every SIGPROF tick of
- * the process CPU timer and, at exit, writes the samples with the process's
- * executable mappings to $FLATPROF_OUT for resolve.py. Built and driven by
- * flatprof.sh; for hosts without perf. */
+/* LD_PRELOAD sampler: on every SIGPROF tick of the process CPU timer records
+ * the program counter and the call stack above it and, at exit, writes the
+ * samples with the process's executable mappings to $FLATPROF_OUT for
+ * resolve.py. Built and driven by flatprof.sh; for hosts without perf. */
 #define _GNU_SOURCE
+#include <execinfo.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
-#define MAX_SAMPLES (1u << 22)
+#define MAX_SAMPLES (1u << 18) /* 17 minutes of CPU time */
+#define MAX_DEPTH 48
 #define TICK_US 4000 /* 250 Hz of CPU time */
 
-static unsigned long pcs[MAX_SAMPLES];
+struct sample {
+    unsigned long pc;
+    int depth;
+    void *stack[MAX_DEPTH];
+};
+
+static struct sample samples[MAX_SAMPLES]; /* untouched pages cost nothing */
 static unsigned long taken;
 
 static void on_tick(int sig, siginfo_t *info, void *uc) {
@@ -20,12 +28,15 @@ static void on_tick(int sig, siginfo_t *info, void *uc) {
     (void)sig, (void)info;
     if (k < MAX_SAMPLES) {
 #if defined(__x86_64__)
-        pcs[k] = ((ucontext_t *)uc)->uc_mcontext.gregs[REG_RIP];
+        samples[k].pc = ((ucontext_t *)uc)->uc_mcontext.gregs[REG_RIP];
 #elif defined(__aarch64__)
-        pcs[k] = ((ucontext_t *)uc)->uc_mcontext.pc;
+        samples[k].pc = ((ucontext_t *)uc)->uc_mcontext.pc;
 #else
 #error "sigprof.c: read the program counter for this architecture here"
 #endif
+        /* Handler and signal trampoline first, then the interrupted frame
+         * and its callers; resolve.py drops what precedes `pc`. */
+        samples[k].depth = backtrace(samples[k].stack, MAX_DEPTH);
     }
 }
 
@@ -36,6 +47,10 @@ static void set_timer(long us) {
 
 __attribute__((constructor)) static void start(void) {
     struct sigaction sa = {0};
+    void *warm[4];
+    /* The first backtrace() loads the unwinder and allocates: not from a
+     * signal handler. */
+    backtrace(warm, 4);
     sa.sa_sigaction = on_tick;
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigaction(SIGPROF, &sa, 0);
@@ -53,6 +68,12 @@ __attribute__((destructor)) static void stop(void) {
         while (fgets(line, sizeof line, maps)) fprintf(out, "M %s", line);
         fclose(maps);
     }
-    for (unsigned long k = 0; k < n; k++) fprintf(out, "S %lx\n", pcs[k]);
+    /* "S <pc> <frame> <frame> ...", innermost frame first. */
+    for (unsigned long k = 0; k < n; k++) {
+        fprintf(out, "S %lx", samples[k].pc);
+        for (int d = 0; d < samples[k].depth; d++)
+            fprintf(out, " %lx", (unsigned long)samples[k].stack[d]);
+        fputc('\n', out);
+    }
     fclose(out);
 }
