@@ -5,47 +5,12 @@
 //!   partition, adaptive vs. fixed RTO; medians land in
 //!   `WHISPER_BENCH_JSON` when set);
 //! * `--nodes N` / `--shards S` — override the population size and the
-//!   engine shard count (DESIGN.md §12); with `--scale` they restrict
-//!   the sweep to the single `(N, S)` cell;
-//! * `--scale` — run the scale-out sweep (full-stack nodes-per-second
-//!   curve, 384→1M nodes × 1/2/4/8 shards) instead of Table I;
-//! * `--sched heap|wheel` — with `--scale`, pick the event scheduler
-//!   (reference binary heap vs calendar wheel; DESIGN.md §14) for a
-//!   trace-invariant throughput A/B;
-//! * `--reps N` — with `--scale`, time each cell N times and keep the
-//!   best run (suppresses shared-host noise);
-//! * `--prof` — with `--scale`, add one untimed profiled repetition
-//!   per cell recording the `prof/...` bucket rows (DESIGN.md §16);
-//! * `--max-allocs-per-send X` — with `--scale`, exit non-zero if any
-//!   cell exceeds X allocs/send.
+//!   engine shard count (DESIGN.md §12).
 
-use whisper_bench::experiments::{self, scaling, table1};
-use whisper_net::sched::Scheduler;
+use whisper_bench::experiments::{self, table1};
 
 fn main() {
     let quick = experiments::quick_flag();
-    if std::env::args().any(|a| a == "--scale") {
-        let mut params = if quick { scaling::Params::quick() } else { scaling::Params::paper() };
-        if let Some(nodes) = experiments::arg_value("--nodes") {
-            params.nodes = vec![nodes];
-        }
-        if let Some(shards) = experiments::arg_value("--shards") {
-            params.shards = vec![shards];
-        }
-        if let Some(s) = experiments::arg_str("--sched") {
-            params.sched = Scheduler::parse(&s).expect("--sched takes `heap` or `wheel`");
-        }
-        if let Some(reps) = experiments::arg_value("--reps") {
-            params.reps = reps;
-        }
-        params.prof = std::env::args().any(|a| a == "--prof");
-        if let Some(max) = experiments::arg_str("--max-allocs-per-send") {
-            params.max_allocs_per_send =
-                Some(max.parse().expect("--max-allocs-per-send takes a number"));
-        }
-        scaling::run(scaling::Stack::Whisper, &params);
-        return;
-    }
     let faults_only = std::env::args().any(|a| a == "--faults");
     if !faults_only {
         let mut params = if quick { table1::Params::quick() } else { table1::Params::paper() };

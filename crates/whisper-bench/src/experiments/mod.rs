@@ -10,7 +10,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod lifecycle;
-pub mod scaling;
 pub mod table1;
 pub mod table2;
 
@@ -22,19 +21,13 @@ pub fn quick_flag() -> bool {
 /// Reads a `--flag N` or `--flag=N` numeric argument from the process
 /// arguments (e.g. `--nodes 4000`, `--shards=8`).
 pub fn arg_value(flag: &str) -> Option<usize> {
-    arg_str(flag)?.parse().ok()
-}
-
-/// Reads a `--flag VALUE` or `--flag=VALUE` string argument from the
-/// process arguments (e.g. `--sched wheel`).
-pub fn arg_str(flag: &str) -> Option<String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == flag {
-            return args.next();
+            return args.next()?.parse().ok();
         }
         if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-            return Some(v.to_string());
+            return v.parse().ok();
         }
     }
     None

@@ -50,10 +50,10 @@ pub struct NetBuilder {
     /// Seed for key generation (distinct from the engine seed).
     pub key_seed: u64,
     /// Generate at most this many distinct key pairs and cycle them
-    /// across the population (`None` = one key per node). Scale-out
-    /// sweeps set this: RSA keygen is O(nodes) and would dominate a
-    /// 10k-node build, while throughput runs only need *plausible* keys,
-    /// not unique ones.
+    /// across the population (`None` = one key per node). `scale_smoke`
+    /// sets this: RSA keygen is O(nodes) and would dominate a 10k-node
+    /// build, while a smoke run only needs *plausible* keys, not unique
+    /// ones.
     pub key_cycle: Option<usize>,
 }
 

@@ -74,13 +74,6 @@ impl Journal {
         Journal::default()
     }
 
-    /// Adopts raw bytes as the journal contents (models mounting a disk
-    /// image of unknown integrity; [`replay`](Self::replay) decides what
-    /// survives).
-    pub fn from_raw(buf: Vec<u8>) -> Journal {
-        Journal { buf, checkpoint_at: 0 }
-    }
-
     /// The raw on-"disk" bytes.
     pub fn raw(&self) -> &[u8] {
         &self.buf

@@ -424,11 +424,6 @@ impl Ppss {
         &mut self.journal
     }
 
-    /// Whether this node has verified the deletion of `group`.
-    pub fn is_deleted(&self, group: GroupId) -> bool {
-        self.deleted.contains(&group)
-    }
-
     /// Must be called once at node start: arms the cycle timers.
     pub fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.cfg.validate();

@@ -130,42 +130,38 @@ pub struct WclConfig {
     pub retry_timeout: SimDuration,
     /// Maximum retries (Π in the paper).
     pub max_retries: usize,
-    /// Whether to amortize onion crypto over cached circuits (see module
-    /// docs). When `false`, every packet is a full RSA onion, exactly as
-    /// in the paper.
-    pub circuits: bool,
     /// How long a relay keeps a circuit alive. The source refreshes its
     /// cached route after half this, so a live conversation never races
     /// relay expiry.
     pub circuit_ttl: SimDuration,
-    /// Maximum circuits a relay stores (oldest evicted first).
-    pub circuit_capacity: usize,
     /// Adaptive retransmission timeout (Jacobson/Karn): per-destination
     /// `srtt + 4·rttvar` with exponential backoff and deterministic
     /// jitter. When `false`, every retry waits exactly `retry_timeout`
     /// (the paper's fixed timer); `retry_timeout` also seeds the RTO for
     /// destinations with no RTT sample yet.
     pub adaptive_rto: bool,
-    /// Lower clamp on the adaptive RTO (guards against a few lucky fast
-    /// RTTs producing a hair-trigger timer).
-    pub rto_min: SimDuration,
-    /// Upper clamp on the adaptive RTO, including backoff.
-    pub rto_max: SimDuration,
-    /// Relay suspicion score above which [`Wcl`] steers path construction
-    /// away from a relay while healthier candidates exist. `0.0` disables
-    /// the health tracker.
-    pub suspicion_threshold: f64,
-    /// Half-life of relay suspicion decay: a relay implicated in a failed
-    /// route is forgiven exponentially as evidence ages.
-    pub suspicion_half_life: SimDuration,
-    /// Consecutive unanswered attempts towards one destination before the
-    /// WCL degrades that destination from circuit packets to
-    /// RSA-onion-per-packet (`0` disables degradation).
-    pub degrade_after: u32,
-    /// How long a degraded destination stays degraded without a
-    /// successful response before circuit amortization is re-enabled.
-    pub degrade_cooldown: SimDuration,
 }
+
+/// Maximum circuits a relay stores (oldest evicted first).
+const CIRCUIT_CAPACITY: usize = 1024;
+/// Lower clamp on the adaptive RTO (guards against a few lucky fast RTTs
+/// producing a hair-trigger timer).
+const RTO_MIN: SimDuration = SimDuration::from_millis(250);
+/// Upper clamp on the adaptive RTO, including backoff.
+const RTO_MAX: SimDuration = SimDuration::from_secs(10);
+/// Relay suspicion score above which [`Wcl`] steers path construction
+/// away from a relay while healthier candidates exist.
+const SUSPICION_THRESHOLD: f64 = 1.5;
+/// Half-life of relay suspicion decay: a relay implicated in a failed
+/// route is forgiven exponentially as evidence ages.
+const SUSPICION_HALF_LIFE: SimDuration = SimDuration::from_secs(60);
+/// Consecutive unanswered attempts towards one destination before the WCL
+/// degrades that destination from circuit packets to
+/// RSA-onion-per-packet.
+const DEGRADE_AFTER: u32 = 4;
+/// How long a degraded destination stays degraded without a successful
+/// response before circuit amortization is re-enabled.
+const DEGRADE_COOLDOWN: SimDuration = SimDuration::from_secs(60);
 
 impl Default for WclConfig {
     fn default() -> Self {
@@ -173,16 +169,8 @@ impl Default for WclConfig {
             mixes: 2,
             retry_timeout: SimDuration::from_secs(2),
             max_retries: 3,
-            circuits: true,
             circuit_ttl: SimDuration::from_secs(120),
-            circuit_capacity: 1024,
             adaptive_rto: true,
-            rto_min: SimDuration::from_millis(250),
-            rto_max: SimDuration::from_secs(10),
-            suspicion_threshold: 1.5,
-            suspicion_half_life: SimDuration::from_secs(60),
-            degrade_after: 4,
-            degrade_cooldown: SimDuration::from_secs(60),
         }
     }
 }
@@ -457,7 +445,7 @@ impl Wcl {
     /// Creates WCL state.
     pub fn new(cfg: WclConfig) -> Self {
         assert!(cfg.mixes >= 1, "at least one mix required");
-        let circuits = CircuitTable::new(cfg.circuit_capacity.max(1), cfg.circuit_ttl.as_micros());
+        let circuits = CircuitTable::new(CIRCUIT_CAPACITY, cfg.circuit_ttl.as_micros());
         Wcl {
             cfg,
             pending: HashMap::new(),
@@ -586,7 +574,7 @@ impl Wcl {
     /// Fixed mode returns `retry_timeout` unchanged (and draws no
     /// randomness, so pre-existing traces replay identically). Adaptive
     /// mode computes `srtt + 4·rttvar` (seeded from `retry_timeout` when
-    /// no sample exists), clamps to `[rto_min, rto_max]`, doubles per
+    /// no sample exists), clamps to `[RTO_MIN, RTO_MAX]`, doubles per
     /// failed attempt, and applies ±12.5% deterministic jitter from the
     /// sim RNG so synchronized failures do not retry in lockstep.
     fn retry_delay(&self, ctx: &mut Ctx<'_>, dest: NodeId, attempts: usize) -> SimDuration {
@@ -598,12 +586,7 @@ impl Wcl {
             .get(&dest)
             .map(|e| (e.rto_secs() * 1e6) as u64)
             .unwrap_or_else(|| self.cfg.retry_timeout.as_micros());
-        let backed = rto_backoff_us(
-            base_us,
-            attempts,
-            self.cfg.rto_min.as_micros(),
-            self.cfg.rto_max.as_micros(),
-        );
+        let backed = rto_backoff_us(base_us, attempts, RTO_MIN.as_micros(), RTO_MAX.as_micros());
         let jitter = ctx.rng().gen_range(0..(backed / 4).max(1));
         let us = backed - backed / 8 + jitter;
         ctx.metrics().sample("wcl.rto_s", us as f64 / 1e6);
@@ -676,17 +659,14 @@ impl Wcl {
         if let Some(&b) = p.used_gateways.last() {
             self.penalize_relay(ctx, b, now);
         }
-        // Degradation ladder: after `degrade_after` consecutive
+        // Degradation ladder: after `DEGRADE_AFTER` consecutive
         // unanswered attempts the destination falls back from circuit
         // packets to RSA-onion-per-packet — a relay that keeps losing
         // circuit state cannot hurt a route that carries no circuit.
         let streak = self.fail_streak.entry(p.dest.node).or_insert(0);
         *streak += 1;
-        if self.cfg.degrade_after > 0
-            && *streak >= self.cfg.degrade_after
-            && !self.degraded(p.dest.node, now)
-        {
-            self.degraded_until.insert(p.dest.node, now + self.cfg.degrade_cooldown);
+        if *streak >= DEGRADE_AFTER && !self.degraded(p.dest.node, now) {
+            self.degraded_until.insert(p.dest.node, now + DEGRADE_COOLDOWN);
             ctx.metrics().count("wcl.degraded_enter", 1);
         }
         if p.attempts > self.cfg.max_retries {
@@ -731,9 +711,8 @@ impl Wcl {
 
     /// Bumps `relay`'s suspicion score (decayed first, then +1).
     fn penalize_relay(&mut self, ctx: &mut Ctx<'_>, relay: NodeId, now: SimTime) {
-        let half_life = self.cfg.suspicion_half_life;
         let s = self.health.entry(relay).or_insert(Suspicion { score: 0.0, updated: now });
-        s.score = decayed_score(s.score, s.updated, now, half_life) + 1.0;
+        s.score = decayed_score(s.score, s.updated, now, SUSPICION_HALF_LIFE) + 1.0;
         s.updated = now;
         ctx.metrics().count("wcl.relay_suspected", 1);
     }
@@ -742,7 +721,7 @@ impl Wcl {
     pub fn relay_suspicion(&self, relay: NodeId, now: SimTime) -> f64 {
         self.health
             .get(&relay)
-            .map(|s| decayed_score(s.score, s.updated, now, self.cfg.suspicion_half_life))
+            .map(|s| decayed_score(s.score, s.updated, now, SUSPICION_HALF_LIFE))
             .unwrap_or(0.0)
     }
 
@@ -760,12 +739,6 @@ impl Wcl {
     /// (test hook).
     pub fn cached_routes(&self) -> usize {
         self.routes.by_dest.len()
-    }
-
-    /// The adaptive RTO estimate for `dest` in seconds, if any RTT sample
-    /// has been taken (test/diagnostic hook; unclamped, no backoff).
-    pub fn rto_estimate_secs(&self, dest: NodeId) -> Option<f64> {
-        self.rtt.get(&dest).map(|e| e.rto_secs())
     }
 
     /// Builds a path avoiding `avoid_a` / `avoid_b` and sends. Returns the
@@ -801,7 +774,7 @@ impl Wcl {
         // Steady-state fast path: a cached circuit carries the packet with
         // three CTR layers and zero RSA. Skipped when a retry is steering
         // away from specific mixes — those want a *different* path.
-        if self.cfg.circuits && !degraded && avoid_a.is_empty() && avoid_b.is_empty() {
+        if !degraded && avoid_a.is_empty() && avoid_b.is_empty() {
             if let Some(route) = self.routes.get(dest.node) {
                 if route.expires > now {
                     let (first_hop, mixes) = (route.first_hop, route.mixes);
@@ -874,28 +847,25 @@ impl Wcl {
         // Relay health bias: while healthier candidates exist, drop the
         // ones whose decayed suspicion exceeds the threshold. Never
         // empties a candidate list — a suspect relay beats no relay.
-        if self.cfg.suspicion_threshold > 0.0 {
-            let threshold = self.cfg.suspicion_threshold;
-            let healthy_b: Vec<GatewayInfo> = b_candidates
-                .iter()
-                .filter(|g| self.relay_suspicion(g.node, now) < threshold)
-                .cloned()
-                .collect();
-            if !healthy_b.is_empty() && healthy_b.len() < b_candidates.len() {
-                ctx.metrics()
-                    .count("wcl.relay_avoided", (b_candidates.len() - healthy_b.len()) as u64);
-                b_candidates = healthy_b;
-            }
-            let healthy_a: Vec<(NodeId, bool, PublicKey)> = a_candidates
-                .iter()
-                .filter(|(n, _, _)| self.relay_suspicion(*n, now) < threshold)
-                .cloned()
-                .collect();
-            if !healthy_a.is_empty() && healthy_a.len() < a_candidates.len() {
-                ctx.metrics()
-                    .count("wcl.relay_avoided", (a_candidates.len() - healthy_a.len()) as u64);
-                a_candidates = healthy_a;
-            }
+        let healthy_b: Vec<GatewayInfo> = b_candidates
+            .iter()
+            .filter(|g| self.relay_suspicion(g.node, now) < SUSPICION_THRESHOLD)
+            .cloned()
+            .collect();
+        if !healthy_b.is_empty() && healthy_b.len() < b_candidates.len() {
+            ctx.metrics()
+                .count("wcl.relay_avoided", (b_candidates.len() - healthy_b.len()) as u64);
+            b_candidates = healthy_b;
+        }
+        let healthy_a: Vec<(NodeId, bool, PublicKey)> = a_candidates
+            .iter()
+            .filter(|(n, _, _)| self.relay_suspicion(*n, now) < SUSPICION_THRESHOLD)
+            .cloned()
+            .collect();
+        if !healthy_a.is_empty() && healthy_a.len() < a_candidates.len() {
+            ctx.metrics()
+                .count("wcl.relay_avoided", (a_candidates.len() - healthy_a.len()) as u64);
+            a_candidates = healthy_a;
         }
 
         // Mixes must be distinct: drop A candidates equal to the chosen B
@@ -937,16 +907,10 @@ impl Wcl {
 
         let cost_before = whisper_crypto::costs::snapshot();
         let build_started = ctx.prof_enabled().then(std::time::Instant::now);
-        // With circuits enabled the onion doubles as circuit
-        // establishment: each layer carries that hop's link key and
-        // circuit ids. Degraded destinations get a plain onion — no
-        // circuit to lose.
-        let established = if self.cfg.circuits && !degraded {
-            let (src_circuit, setups) = circuit::establish(path.len(), ctx.rng());
-            Some((src_circuit, setups))
-        } else {
-            None
-        };
+        // The onion doubles as circuit establishment: each layer carries
+        // that hop's link key and circuit ids. Degraded destinations get
+        // a plain onion — no circuit to lose.
+        let established = (!degraded).then(|| circuit::establish(path.len(), ctx.rng()));
         let built = match &established {
             Some((_, setups)) => {
                 let exts: Vec<Vec<u8>> = setups.iter().map(|s| s.encode()).collect();
@@ -1017,7 +981,7 @@ impl Wcl {
     }
 
     /// Handles a full RSA onion packet (first packet of a route, or every
-    /// packet when circuits are disabled).
+    /// packet to a degraded destination).
     fn on_onion_packet(
         &mut self,
         ctx: &mut Ctx<'_>,

@@ -19,8 +19,7 @@
 //! otherwise; both produce the same bytes and both charge the same
 //! [`crate::costs`] block count, so nothing simulated depends on which
 //! one ran. [`Aes128::ctr_apply_in_place_portable`] runs the table kernel
-//! unconditionally, so tests and benches exercise the fallback on AES-NI
-//! hosts too.
+//! unconditionally, so tests exercise the fallback on AES-NI hosts too.
 //!
 //! ```
 //! use whisper_crypto::aes::{Aes128, AesKey, CtrNonce};
@@ -306,15 +305,6 @@ impl Aes128 {
     pub fn ctr_apply_in_place_portable(&self, nonce: &CtrNonce, data: &mut [u8]) {
         self.ctr_xor_table(nonce, 0, data);
         crate::costs::add_aes_blocks(data.len().div_ceil(16) as u64);
-    }
-
-    /// Whether [`Aes128::ctr_apply_in_place`] runs the AES-NI kernel on
-    /// this CPU.
-    pub fn hardware_kernel() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        return ni::available();
-        #[cfg(not(target_arch = "x86_64"))]
-        return false;
     }
 
     /// The AES-NI CTR kernel, same contract as

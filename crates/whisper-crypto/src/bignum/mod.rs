@@ -17,7 +17,6 @@
 //! ```
 
 mod arith;
-mod karatsuba;
 mod modular;
 mod prime;
 

@@ -201,7 +201,7 @@ impl Montgomery {
     /// Long exponents (private-key operations: CRT decrypt, sign) run
     /// fixed-window left-to-right exponentiation with
     /// `2^WINDOW_BITS`-ary precomputation; short ones fall back to
-    /// [`Montgomery::pow_binary`]. For a uniformly random `e`-bit
+    /// plain square-and-multiply. For a uniformly random `e`-bit
     /// exponent, binary costs `e` squarings plus `e/2` multiplies while
     /// the 4-bit window costs `e` squarings plus `e/4 · 15/16` table
     /// multiplies plus 14 precompute multiplies — ≈ 17% fewer
@@ -224,11 +224,11 @@ impl Montgomery {
         self.run(out, exp, |acc| self.pow_mont(acc, base, exp));
     }
 
-    /// Plain left-to-right binary square-and-multiply — the reference
-    /// implementation the windowed path is validated (and benchmarked)
-    /// against, and the fast path for short exponents. Same deterministic
-    /// limb-op accounting as [`Montgomery::pow`].
-    pub fn pow_binary(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+    /// Plain left-to-right binary square-and-multiply at any exponent
+    /// length — the oracle the windowed path is validated against. Same
+    /// deterministic limb-op accounting as [`Montgomery::pow`].
+    #[cfg(test)]
+    fn pow_binary(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         let mut out = vec![0u64; self.limbs()];
         self.run(&mut out, exp, |acc| self.binary_mont(acc, base, exp));
         BigUint::from_limbs(out)

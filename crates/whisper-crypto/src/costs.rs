@@ -32,24 +32,27 @@ thread_local! {
 /// Model cost of one AES-128 block operation, in picoseconds.
 ///
 /// Calibrated against the T-table implementation in [`crate::aes`] on the
-/// reference machine: the `aes128_ctr/1024B` micro-benchmark measures
-/// 3.6–3.9 µs for 64 blocks (≈56–61 ns/block, ≈250 MiB/s); 66 ns rounds
-/// that up to a stable figure (≈230 MiB/s). The constant is fixed by
-/// design — it must never be measured at runtime, or determinism would
-/// break.
+/// reference machine: the `aes128_ctr/1024B` micro-benchmark (since
+/// retired; perfbench's `crypto.probe.aes_ctr_ns_per_kib` reads the same
+/// kernel) measured 3.6–3.9 µs for 64 blocks (≈56–61 ns/block,
+/// ≈250 MiB/s); 66 ns rounds that up to a stable figure (≈230 MiB/s).
+/// The constant is fixed by design — it must never be measured at
+/// runtime, or determinism would break.
 pub const AES_PS_PER_BLOCK: u64 = 66_000;
 
 /// Model cost of one RSA limb-operation unit, in picoseconds.
 ///
 /// One unit is one inner-loop step of a CIOS Montgomery multiplication
 /// (`n²` units per multiplication on an `n`-limb modulus). Calibrated against
-/// the `rsa/decrypt/384` micro-benchmark — the simulation operating point
-/// — where one CRT decrypt counts 5,193 units and measures 33–57 µs on
-/// the reference machine across PR 7 → PR 10 runs (8.8 ns/unit ⇒ model
-/// ≈45.7 µs, inside that window). At larger moduli the
-/// per-multiplication overhead amortizes and the model overestimates
-/// (measured `rsa/decrypt/1024` ≈324 µs vs ≈868 µs modeled); a single
-/// constant cannot fit both, and the simulation size wins.
+/// the `rsa/decrypt/384` micro-benchmark (since retired; perfbench's
+/// `crypto.probe.rsa_decrypt_ns` reads the same operation) — the
+/// simulation operating point — where one CRT decrypt counted 5,193 units
+/// and measured 33–57 µs on the reference machine across PR 7 → PR 10
+/// runs (8.8 ns/unit ⇒ model ≈45.7 µs, inside that window). At larger
+/// moduli the per-multiplication overhead amortizes and the model
+/// overestimates (measured `rsa/decrypt/1024` ≈324 µs vs ≈868 µs
+/// modeled); a single constant cannot fit both, and the simulation size
+/// wins.
 ///
 /// Measured against modelled, after the allocation-free fixed-width
 /// multiplication (DESIGN.md § "RSA private-key path"): a Sim384 decrypt

@@ -51,9 +51,6 @@ const MIN_CLASS_CAP: usize = 64;
 const NUM_CLASSES: usize = 8;
 /// Retained buffers per class; beyond this, returned buffers are freed.
 const CLASS_LIMIT: usize = 4096;
-/// Capacity hint for encode scratch buffers when the final size is
-/// unknown (typical gossip / circuit packets are a few hundred bytes).
-const ENCODE_HINT: usize = 512;
 
 /// An immutable, reference-counted message payload.
 ///
@@ -109,8 +106,9 @@ pub struct PayloadWriter {
 
 impl PayloadWriter {
     /// Starts a payload in `shell`, a buffer nobody else holds. `pooled`
-    /// is false when the owning pool is disabled, so A/B runs account the
-    /// same bytes as fresh allocations.
+    /// is false when the owning pool is disabled, so the unpooled
+    /// reference configuration accounts the same bytes as fresh
+    /// allocations.
     fn new(mut shell: Arc<Vec<u8>>, pooled: bool) -> Self {
         let buf = std::mem::take(Arc::get_mut(&mut shell).expect("pool buffers have one owner"));
         PayloadWriter { shell, writer: WireWriter::from_vec(buf), pooled }
@@ -211,7 +209,7 @@ pub struct PayloadPool {
 
 impl PayloadPool {
     /// Creates a pool. A disabled pool always misses and never retains —
-    /// the engine's `pooling: false` A/B mode.
+    /// the engine's `pooling: false` determinism-reference configuration.
     pub fn new(enabled: bool) -> Self {
         PayloadPool { enabled, classes: vec![Vec::new(); NUM_CLASSES], stats: PoolStats::default() }
     }
@@ -272,11 +270,6 @@ impl PayloadPool {
             self.stats.miss_bytes += cap as u64;
         }
         Arc::new(Vec::with_capacity(cap))
-    }
-
-    /// Takes a scratch buffer for wire encoding (final size unknown).
-    pub fn take_scratch(&mut self) -> Vec<u8> {
-        self.take(ENCODE_HINT)
     }
 
     /// Starts a payload of `len` bytes in a buffer from this pool.

@@ -48,19 +48,6 @@ pub enum Scheduler {
     Wheel,
 }
 
-impl Scheduler {
-    /// Parse a scheduler name as used by the bench `--sched` flag.
-    ///
-    /// Accepts `"heap"` and `"wheel"`; returns `None` otherwise.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "heap" => Some(Scheduler::Heap),
-            "wheel" => Some(Scheduler::Wheel),
-            _ => None,
-        }
-    }
-}
-
 /// Heap adapter ordering items by their canonical key (min via
 /// `Reverse`).
 struct ByKey<T: Keyed>(T);

@@ -469,16 +469,17 @@ pub struct SimConfig {
     /// The choice never affects traces — it is pure wall-clock policy.
     pub threads: Option<bool>,
     /// Whether shards recycle payload buffers through their
-    /// [`PayloadPool`] (default `true`). Purely a performance knob: the
+    /// [`PayloadPool`] (default `true`). `false` is a reference
+    /// configuration of the determinism matrix, not a product mode: the
     /// trace is byte-identical with pooling on or off — only the exempt
     /// `net.pool_*` statistics and the allocation-accounting counters
     /// (`net.alloc*`, `net.payload_pooled`) reflect the setting.
     pub pooling: bool,
     /// Per-shard event-queue implementation (default
-    /// [`Scheduler::Wheel`], the hierarchical calendar queue). Both
-    /// schedulers pop in canonical key order, so the choice is pure
-    /// wall-clock policy — traces are byte-identical either way
-    /// (DESIGN.md §14).
+    /// [`Scheduler::Wheel`], the hierarchical calendar queue).
+    /// [`Scheduler::Heap`] is the reference the determinism matrix
+    /// compares the wheel against: both pop in canonical key order, so
+    /// traces are byte-identical either way (DESIGN.md §14).
     pub scheduler: Scheduler,
     /// Expected final node count, used to pre-reserve per-shard arena,
     /// queue-bucket and exchange capacity at build time (0 = no
@@ -562,7 +563,8 @@ impl SimConfig {
 
     /// Returns the config with the given event-queue scheduler (see
     /// [`SimConfig::scheduler`]). Traces are byte-identical for either
-    /// choice; this is the A/B knob for the `--sched` bench flag.
+    /// choice; the determinism matrix runs both, nothing else selects
+    /// the heap.
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
         self.scheduler = scheduler;
         self

@@ -257,7 +257,6 @@ fn run_stack_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
     use whisper_rand::SeedableRng;
 
     let cfg = WhisperConfig::default();
-    assert!(cfg.wcl.circuits, "circuit amortization is on by default");
     let mut keyrng = StdRng::seed_from_u64(seed);
     let mut sim = Sim::new(SimConfig::cluster(seed).with_shards(shards).with_profiling(true));
     let mk = |boot: bool, keyrng: &mut StdRng| {

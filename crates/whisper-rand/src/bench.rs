@@ -1,98 +1,35 @@
-//! A minimal wall-clock micro-benchmark harness, replacing the workspace's
-//! former `criterion` dependency.
+//! A flat-row recorder for experiment results.
 //!
-//! Deliberately small: calibrate an iteration count, take N timed samples,
-//! report min / mean / max per-iteration time (plus throughput when
-//! declared). No statistics engine, no HTML reports, no state on disk —
-//! the numbers feed `EXPERIMENTS.md` tables and regressions are judged by
-//! eye, which is all the paper comparison needs.
-//!
-//! ## Example
-//!
-//! ```no_run
-//! use whisper_rand::bench::{Bench, Throughput};
-//!
-//! fn main() {
-//!     let mut b = Bench::from_args();
-//!     let mut g = b.group("hashing");
-//!     g.throughput(Throughput::Bytes(4096));
-//!     let data = vec![0u8; 4096];
-//!     g.bench_function("sum", |b| b.iter(|| data.iter().map(|&x| x as u64).sum::<u64>()));
-//!     g.finish();
-//! }
-//! ```
-//!
-//! Run via `cargo bench --offline`; pass a substring after `--` to filter:
-//! `cargo bench --offline -- rsa`.
+//! Experiments that report a handful of named numbers (`table1 --faults`,
+//! `group_lifecycle`) [`record`](Bench::record) them and
+//! [`emit_json`](Bench::emit_json) merges them into the file named by
+//! `WHISPER_BENCH_JSON` — the flat `"id": value` format of the
+//! `BENCH_pr*.json` snapshots that `scripts/bench_trend.sh` reads.
+//! Timing lives in `perfbench/`, not here.
 
-use std::time::{Duration, Instant};
-
-/// Re-export of [`std::hint::black_box`]: an identity function opaque to
-/// the optimizer, used to keep benchmarked results alive.
-pub use std::hint::black_box;
-
-/// Minimum time a calibrated sample should take. Short enough that a
-/// full bench suite stays in CI budgets, long enough to dominate timer
-/// noise (~tens of ns) by five orders of magnitude.
-const TARGET_SAMPLE: Duration = Duration::from_millis(10);
-
-/// Default number of timed samples per benchmark.
-const DEFAULT_SAMPLES: usize = 20;
-
-/// Top-level harness: owns the CLI filter, prints one line per benchmark,
-/// and records each benchmark's median for machine-readable export.
+/// Named values of one run, in recording order.
+#[derive(Default)]
 pub struct Bench {
-    filter: Option<String>,
-    /// `(full id, median ns/iter)` for every benchmark that ran.
     results: Vec<(String, f64)>,
 }
 
 impl Bench {
-    /// Builds a harness from `std::env::args`.
-    ///
-    /// The first argument not starting with `-` is treated as a substring
-    /// filter on `group/name` ids (flags that Cargo passes to bench
-    /// binaries, like `--bench`, are ignored).
-    pub fn from_args() -> Bench {
-        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        Bench { filter, results: Vec::new() }
-    }
-
-    /// A harness that runs everything (no filter).
+    /// An empty recorder.
     pub fn new() -> Bench {
-        Bench { filter: None, results: Vec::new() }
+        Bench::default()
     }
 
-    /// Opens a named benchmark group.
-    pub fn group(&mut self, name: &str) -> BenchGroup<'_> {
-        BenchGroup {
-            bench: self,
-            name: name.to_string(),
-            samples: DEFAULT_SAMPLES,
-            throughput: None,
-        }
-    }
-
-    /// Median ns/iter of an already-run benchmark, by exact full id
-    /// (`group/name`). `None` if it did not run (e.g. filtered out).
-    pub fn median_of(&self, full_id: &str) -> Option<f64> {
-        self.results.iter().find(|(id, _)| id == full_id).map(|(_, m)| *m)
-    }
-
-    /// Records a derived value (e.g. a speedup ratio computed from two
-    /// medians) so it lands in the [`Bench::emit_json`] output alongside
-    /// the measured benchmarks.
+    /// Records `value` under `full_id` (`group/name`).
     pub fn record(&mut self, full_id: impl Into<String>, value: f64) {
         self.results.push((full_id.into(), value));
     }
 
-    /// Writes every recorded median to the JSON file named by the
+    /// Writes every recorded value to the JSON file named by the
     /// `WHISPER_BENCH_JSON` environment variable (no-op when unset).
     ///
-    /// The format is a flat object, `{"group/name": median_ns, ...}`,
-    /// sorted by key. An existing file is merged into (this run's ids
-    /// win), so the two bench binaries — and filtered re-runs — can
-    /// accumulate into one file.
+    /// The format is a flat object, `{"group/name": value, ...}`, sorted
+    /// by key. An existing file is merged into (this run's ids win), so
+    /// several binaries can accumulate into one file.
     pub fn emit_json(&self) {
         let Ok(path) = std::env::var("WHISPER_BENCH_JSON") else {
             return;
@@ -100,33 +37,46 @@ impl Bench {
         if path.is_empty() {
             return;
         }
-        let mut merged: Vec<(String, f64)> = std::fs::read_to_string(&path)
-            .map(|s| parse_flat_json(&s))
-            .unwrap_or_default();
-        for (id, median) in &self.results {
+        let existing = std::fs::read_to_string(&path).unwrap_or_default();
+        if let Err(e) = std::fs::write(&path, self.merged_json(&existing)) {
+            eprintln!("warning: could not write {path}: {e}");
+        } else {
+            println!("bench rows written to {path}");
+        }
+    }
+
+    /// `existing` (a file this module wrote, or empty) with this run's
+    /// rows merged in. Values are written in their shortest form that
+    /// parses back to the same `f64`; a non-finite value has no JSON form
+    /// and is left out, whether recorded now or found in `existing`.
+    fn merged_json(&self, existing: &str) -> String {
+        let mut merged = parse_flat_json(existing);
+        for (id, value) in &self.results {
+            if !value.is_finite() {
+                eprintln!("warning: {id} is {value}; row not written");
+                continue;
+            }
             match merged.iter_mut().find(|(k, _)| k == id) {
-                Some(slot) => slot.1 = *median,
-                None => merged.push((id.clone(), *median)),
+                Some(slot) => slot.1 = *value,
+                None => merged.push((id.clone(), *value)),
             }
         }
         merged.sort_by(|a, b| a.0.cmp(&b.0));
         let mut out = String::from("{\n");
-        for (i, (id, median)) in merged.iter().enumerate() {
+        for (i, (id, value)) in merged.iter().enumerate() {
             let comma = if i + 1 < merged.len() { "," } else { "" };
-            out.push_str(&format!("  \"{id}\": {median:.1}{comma}\n"));
+            out.push_str(&format!("  \"{id}\": {value}{comma}\n"));
         }
         out.push_str("}\n");
-        if let Err(e) = std::fs::write(&path, out) {
-            eprintln!("warning: could not write {path}: {e}");
-        } else {
-            println!("bench medians written to {path}");
-        }
+        out
     }
 }
 
 /// Parses the flat `{"id": number, ...}` JSON this module writes. Only
 /// has to understand its own output — string keys without escapes, plain
-/// numbers — so a line scanner is enough; anything else is skipped.
+/// numbers — so a line scanner is enough; anything else is skipped,
+/// including the `NaN`/`inf` rows an older build could write (Rust's
+/// `f64` parser accepts them, JSON readers do not).
 fn parse_flat_json(s: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for line in s.lines() {
@@ -138,173 +88,12 @@ fn parse_flat_json(s: &str) -> Vec<(String, f64)> {
         if key.len() < 2 || !key.starts_with('"') || !key.ends_with('"') {
             continue;
         }
-        if let Ok(v) = value.trim().parse::<f64>() {
-            out.push((key[1..key.len() - 1].to_string(), v));
+        match value.trim().parse::<f64>() {
+            Ok(v) if v.is_finite() => out.push((key[1..key.len() - 1].to_string(), v)),
+            _ => {}
         }
     }
     out
-}
-
-impl Default for Bench {
-    fn default() -> Self {
-        Bench::new()
-    }
-}
-
-/// Units for throughput reporting.
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    /// The benchmarked operation processes this many bytes per iteration.
-    Bytes(u64),
-    /// The benchmarked operation processes this many items per iteration.
-    Elements(u64),
-}
-
-/// How `iter_batched` amortizes setup; kept for call-site compatibility
-/// with the criterion API, currently ignored (setup always runs per
-/// iteration, outside the timed section).
-#[derive(Clone, Copy, Debug)]
-pub enum BatchSize {
-    /// Setup output is small; per-iteration setup is fine.
-    SmallInput,
-    /// Setup output is large.
-    LargeInput,
-}
-
-/// A group of related benchmarks sharing a name prefix and settings.
-pub struct BenchGroup<'a> {
-    bench: &'a mut Bench,
-    name: String,
-    samples: usize,
-    throughput: Option<Throughput>,
-}
-
-impl BenchGroup<'_> {
-    /// Sets the number of timed samples for subsequent benchmarks.
-    pub fn sample_size(&mut self, n: usize) {
-        self.samples = n.max(2);
-    }
-
-    /// Declares per-iteration throughput for subsequent benchmarks.
-    pub fn throughput(&mut self, t: Throughput) {
-        self.throughput = Some(t);
-    }
-
-    /// Runs one benchmark. `f` receives a [`Bencher`] and must call one of
-    /// its `iter` methods exactly once.
-    pub fn bench_function(&mut self, id: impl std::fmt::Display, mut f: impl FnMut(&mut Bencher)) {
-        let full = format!("{}/{}", self.name, id);
-        if let Some(filter) = &self.bench.filter {
-            if !full.contains(filter.as_str()) {
-                return;
-            }
-        }
-
-        // Calibrate: grow the iteration count until one sample is long
-        // enough to trust.
-        let mut iters: u64 = 1;
-        loop {
-            let mut b = Bencher { iters, elapsed: Duration::ZERO };
-            f(&mut b);
-            if b.elapsed >= TARGET_SAMPLE || iters >= 1 << 30 {
-                break;
-            }
-            // Jump straight toward the target, at least doubling.
-            let scale = TARGET_SAMPLE.as_nanos() / b.elapsed.as_nanos().max(1);
-            iters = (iters * 2).max((iters as u128 * scale.min(1 << 20)) as u64).min(1 << 30);
-        }
-
-        let mut per_iter: Vec<f64> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let mut b = Bencher { iters, elapsed: Duration::ZERO };
-            f(&mut b);
-            per_iter.push(b.elapsed.as_nanos() as f64 / iters as f64);
-        }
-        per_iter.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-        let min = per_iter[0];
-        let max = *per_iter.last().expect("samples >= 2");
-        let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
-        let median = per_iter[per_iter.len() / 2];
-        self.bench.results.push((full.clone(), median));
-
-        let thrpt = match self.throughput {
-            Some(Throughput::Bytes(n)) => {
-                format!("  thrpt: {}/s", human_bytes(n as f64 / (mean * 1e-9)))
-            }
-            Some(Throughput::Elements(n)) => {
-                format!("  thrpt: {:.2} Melem/s", n as f64 / (mean * 1e-9) / 1e6)
-            }
-            None => String::new(),
-        };
-        println!(
-            "{full:<40} time: [{} {} {}]{thrpt}  ({} samples × {iters} iters)",
-            human_ns(min),
-            human_ns(mean),
-            human_ns(max),
-            self.samples,
-        );
-    }
-
-    /// Ends the group (kept for criterion-API symmetry; prints nothing).
-    pub fn finish(self) {}
-}
-
-/// Timer handle passed to benchmark closures.
-pub struct Bencher {
-    iters: u64,
-    elapsed: Duration,
-}
-
-impl Bencher {
-    /// Times `iters` back-to-back calls of `f`.
-    pub fn iter<T>(&mut self, mut f: impl FnMut() -> T) {
-        let start = Instant::now();
-        for _ in 0..self.iters {
-            black_box(f());
-        }
-        self.elapsed = start.elapsed();
-    }
-
-    /// Times `routine` on a fresh `setup()` output per iteration; only the
-    /// routine is inside the timed section.
-    pub fn iter_batched<S, T>(
-        &mut self,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> T,
-        _size: BatchSize,
-    ) {
-        let mut total = Duration::ZERO;
-        for _ in 0..self.iters {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
-            total += start.elapsed();
-        }
-        self.elapsed = total;
-    }
-}
-
-fn human_ns(ns: f64) -> String {
-    if ns < 1e3 {
-        format!("{ns:.1} ns")
-    } else if ns < 1e6 {
-        format!("{:.2} µs", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.3} s", ns / 1e9)
-    }
-}
-
-fn human_bytes(bytes_per_s: f64) -> String {
-    const KIB: f64 = 1024.0;
-    if bytes_per_s < KIB * KIB {
-        format!("{:.1} KiB", bytes_per_s / KIB)
-    } else if bytes_per_s < KIB * KIB * KIB {
-        format!("{:.2} MiB", bytes_per_s / (KIB * KIB))
-    } else {
-        format!("{:.2} GiB", bytes_per_s / (KIB * KIB * KIB))
-    }
 }
 
 #[cfg(test)]
@@ -312,49 +101,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_runs_and_reports() {
-        let mut bench = Bench::new();
-        let mut g = bench.group("selftest");
-        g.sample_size(3);
-        let mut calls = 0u64;
-        g.bench_function("noop", |b| b.iter(|| calls = calls.wrapping_add(1)));
-        g.throughput(Throughput::Bytes(8));
-        g.bench_function("batched", |b| {
-            b.iter_batched(|| 21u64, |x| x * 2, BatchSize::SmallInput)
-        });
-        g.finish();
-        assert!(calls > 0);
-    }
-
-    #[test]
-    fn filter_skips_nonmatching() {
-        let mut bench = Bench { filter: Some("nomatch".into()), results: Vec::new() };
-        let mut g = bench.group("selftest");
-        let mut ran = false;
-        g.bench_function("skipped", |b| {
-            ran = true;
-            b.iter(|| 1)
-        });
-        assert!(!ran, "filtered benchmark must not run");
-        assert!(bench.median_of("selftest/skipped").is_none());
-    }
-
-    #[test]
-    fn medians_are_recorded() {
-        let mut bench = Bench::new();
-        let mut g = bench.group("selftest");
-        g.sample_size(3);
-        g.bench_function("spin", |b| b.iter(|| std::hint::black_box(1 + 1)));
-        g.finish();
-        let median = bench.median_of("selftest/spin").expect("benchmark ran");
-        assert!(median > 0.0);
-        assert!(bench.median_of("selftest/other").is_none());
-    }
-
-    #[test]
     fn flat_json_round_trips() {
         let parsed = parse_flat_json("{\n  \"a/b\": 12.5,\n  \"c/d\": 3.0\n}\n");
         assert_eq!(parsed, vec![("a/b".to_string(), 12.5), ("c/d".to_string(), 3.0)]);
         assert!(parse_flat_json("not json at all").is_empty());
+    }
+
+    #[test]
+    fn written_rows_read_back_exactly_and_non_finite_ones_are_left_out() {
+        let mut bench = Bench::new();
+        bench.record("allocs/per_send", 0.0937);
+        bench.record("broken/ratio", f64::NAN);
+        bench.record("scaling/rate", 380427.8);
+        let json = bench.merged_json("{\n  \"kept/old\": 2.0,\n  \"stale/ratio\": NaN\n}\n");
+        assert_eq!(
+            parse_flat_json(&json),
+            vec![
+                ("allocs/per_send".to_string(), 0.0937),
+                ("kept/old".to_string(), 2.0),
+                ("scaling/rate".to_string(), 380427.8),
+            ]
+        );
+        assert!(!json.contains("NaN"), "NaN is not JSON; bench_trend.sh would choke on {json}");
     }
 }

@@ -30,8 +30,8 @@
 //!   reproducible multi-node simulations (node *i* gets stream *i*).
 //! * [`check`] — a seeded property-test helper (replaces `proptest`):
 //!   random case generation with shrink-on-failure reporting.
-//! * [`bench`](mod@bench) — a minimal wall-clock micro-benchmark harness (replaces
-//!   `criterion`) used by the `whisper-bench` crate.
+//! * [`bench`](mod@bench) — the flat-row recorder behind the
+//!   `WHISPER_BENCH_JSON` files of the `whisper-bench` experiments.
 //!
 //! ## Example
 //!

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Prints how every benchmark metric moved across the BENCH_pr*.json
-# snapshots, in PR order. Each snapshot is the flat `"metric": value`
-# JSON that `whisper_rand::bench` merges into WHISPER_BENCH_JSON.
+# snapshots, in PR order. Each snapshot is flat `"metric": value` JSON:
+# up to PR 12 the rows `whisper_rand::bench` merged into
+# WHISPER_BENCH_JSON, from PR 16 on the `<workload>/<metric>` rows that
+# scripts/bench_snapshot.sh flattens out of a `perfbench --all` report.
 #
 # For every metric that appears in at least two snapshots the script
 # prints the first and last recorded values, the overall delta, and the

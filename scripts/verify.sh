@@ -4,7 +4,7 @@
 # Hermetic by construction: every step runs with `--offline`, so it works
 # from a clean checkout with an empty cargo registry and no network. The
 # workspace has zero external dependencies (see crates/whisper-rand for
-# the in-tree randomness/test/bench substrate that makes this possible).
+# the in-tree randomness/property-test substrate that makes this possible).
 #
 # Each step is wall-clock timed so regressions in verify latency are
 # visible in the step-by-step log (`[t+...s]` prefixes).
@@ -24,7 +24,7 @@ step() {
   echo "==> $1"
 }
 
-step "offline release build (lib, bins, tests, benches, examples)"
+step "offline release build (lib, bins, tests, examples)"
 cargo build --release --offline --workspace --all-targets
 
 step "offline test suite (whole workspace)"
@@ -39,7 +39,7 @@ step "rustdoc builds clean (no warnings; whisper-net denies missing docs)"
 # rustdoc lint classes (broken intra-doc links etc.) workspace-wide.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 
-step "scheduler/shard-matrix determinism (release: byte-identical traces, heap vs wheel x 1/2/4 shards, pool on+off, profiler on)"
+step "determinism matrix (release: byte-identical traces across heap/wheel x 1/2/4 shards x threads on/off x pool on/off, profiler on)"
 cargo test -q --release --offline -p whisper-net --test determinism
 
 step "chaos acceptance suite (384 + 1k-node/4-shard, release, fixed seed matrix)"
@@ -54,26 +54,16 @@ step "group-lifecycle bench (1k nodes / 4 shards; propagation + recovery metrics
 mkdir -p target/verify
 WHISPER_BENCH_JSON=target/verify/BENCH_pr9.json cargo run -q --release --offline -p whisper-bench --bin group_lifecycle
 
-step "engine scale-out smoke (nodes-per-second, quick sweep)"
-cargo run -q --release --offline -p whisper-bench --bin fig5_biased_pss -- --scale --quick | grep '^scaling:'
+step "scale-out smoke (10k nodes/1 shard must stay <= 0.2 allocs/send; 100k and 1M nodes/4 shards must complete)"
+cargo run -q --release --offline -p whisper-bench --bin scale_smoke
 
-step "allocation-regression gate (10k-node pooled cell must stay <= 0.2 allocs/send)"
-# Steady-state allocs/send with the payload pool is ~0.1 (DESIGN.md §13/§16);
-# the 0.2 gate catches any change that silently re-introduces per-send heap
-# allocation on the hot path without flaking on startup-phase noise.
-cargo run -q --release --offline -p whisper-bench --bin fig5_biased_pss -- --scale --quick --nodes 10000 --shards 1 --max-allocs-per-send 0.2 | grep '^scaling:'
-
-step "100k-node smoke (release, single cell, pooled hot path)"
-cargo run -q --release --offline -p whisper-bench --bin fig5_biased_pss -- --scale --quick --nodes 100000 --shards 4 | grep '^scaling:'
-
-step "1M-node smoke (release, single cell, calendar-wheel scheduler, short window)"
-cargo run -q --release --offline -p whisper-bench --bin fig5_biased_pss -- --scale --nodes 1000000 --shards 4 --sched wheel | grep '^scaling:'
-
-step "the benchmark, smoke mode (perfbench/: five loaded workloads end to end, correctness checks on)"
+step "the benchmark, smoke mode (perfbench/: five loaded workloads end to end, checks on, seeds 7 and 11 against scripts/golden/perfbench_smoke.tsv)"
 # Its own package with its own target directory; it reaches the crates
 # through their public items only, so this is also the check that a
-# refactor kept every item the benchmark imports.
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke
+# refactor kept every item the benchmark imports. The golden table holds
+# the deterministic rows of both runs: a simulated result that moved is a
+# diff here, not a sentence in a PR description.
+scripts/perfbench_golden.sh
 
 step "done"
 echo "verify: OK (total $((SECONDS - VERIFY_T0))s)"
