@@ -841,7 +841,7 @@ impl Ppss {
             else {
                 continue;
             };
-            let buffer = Self::build_buffer(state, &my_entry, partner.node, gossip_len, ctx);
+            let buffer = Self::build_buffer(state, partner.node, gossip_len, ctx);
             let (member_adds, member_removes) = state.membership.recent_dots(EXCHANGE_DOTS);
             let msg_id = wcl.alloc_msg_id();
             let msg = PpssMsg::Exchange {
@@ -1370,7 +1370,7 @@ impl Ppss {
         }
         if !is_response {
             // Answer with our own buffer (built pre-merge).
-            let buffer = Self::build_buffer(state, &my_entry, from_entry.node, cfg.gossip_len, ctx);
+            let buffer = Self::build_buffer(state, from_entry.node, cfg.gossip_len, ctx);
             let (member_adds, member_removes) = state.membership.recent_dots(EXCHANGE_DOTS);
             let resp = PpssMsg::Exchange {
                 group,
@@ -1477,7 +1477,6 @@ impl Ppss {
     /// `from_entry`).
     fn build_buffer(
         state: &GroupState,
-        _my_entry: &PrivateEntry,
         partner: NodeId,
         len: usize,
         ctx: &mut Ctx<'_>,

@@ -93,12 +93,8 @@ impl Metrics {
             for (&name, &v) in &d.counters {
                 *self.counters.entry(name).or_insert(0) += v;
             }
-            for (&node, t) in &d.traffic {
-                let e = self.traffic.entry(node).or_default();
-                e.up_bytes += t.up_bytes;
-                e.down_bytes += t.down_bytes;
-                e.up_msgs += t.up_msgs;
-                e.down_msgs += t.down_msgs;
+            for (&node, &t) in &d.traffic {
+                self.add_traffic(node, t);
             }
         }
         let mut names: Vec<&'static str> = Vec::new();
@@ -169,20 +165,6 @@ impl Metrics {
         e.down_msgs += t.down_msgs;
     }
 
-    /// Credits an outgoing message of `payload_len` bytes to `node`.
-    pub fn record_up(&mut self, node: NodeId, payload_len: usize) {
-        let t = self.traffic.entry(node).or_default();
-        t.up_bytes += (payload_len + HEADER_OVERHEAD) as u64;
-        t.up_msgs += 1;
-    }
-
-    /// Credits a delivered message of `payload_len` bytes to `node`.
-    pub fn record_down(&mut self, node: NodeId, payload_len: usize) {
-        let t = self.traffic.entry(node).or_default();
-        t.down_bytes += (payload_len + HEADER_OVERHEAD) as u64;
-        t.down_msgs += 1;
-    }
-
     /// Cumulative traffic of `node`.
     pub fn traffic(&self, node: NodeId) -> Traffic {
         self.traffic.get(&node).copied().unwrap_or_default()
@@ -246,30 +228,35 @@ mod tests {
         assert!(m.samples("other").is_empty());
     }
 
+    fn up(bytes: u64) -> Traffic {
+        Traffic { up_bytes: bytes, up_msgs: 1, ..Traffic::default() }
+    }
+
     #[test]
-    fn traffic_includes_header_overhead() {
+    fn traffic_deltas_add_up_per_node() {
         let mut m = Metrics::new();
         let n = NodeId(1);
-        m.record_up(n, 100);
-        m.record_down(n, 50);
-        let t = m.traffic(n);
-        assert_eq!(t.up_bytes, 100 + HEADER_OVERHEAD as u64);
-        assert_eq!(t.down_bytes, 50 + HEADER_OVERHEAD as u64);
-        assert_eq!(t.up_msgs, 1);
-        assert_eq!(t.down_msgs, 1);
+        m.add_traffic(n, up(128));
+        m.add_traffic(n, Traffic { down_bytes: 78, down_msgs: 1, ..Traffic::default() });
+        m.add_traffic(n, up(40));
+        assert_eq!(
+            m.traffic(n),
+            Traffic { up_bytes: 168, down_bytes: 78, up_msgs: 2, down_msgs: 1 }
+        );
+        assert_eq!(m.traffic(NodeId(2)), Traffic::default());
     }
 
     #[test]
     fn snapshot_delta() {
         let mut m = Metrics::new();
         let n = NodeId(1);
-        m.record_up(n, 100);
+        m.add_traffic(n, up(128));
         let before = m.traffic_snapshot();
-        m.record_up(n, 200);
-        m.record_down(NodeId(2), 10);
+        m.add_traffic(n, up(228));
+        m.add_traffic(NodeId(2), Traffic { down_bytes: 38, down_msgs: 1, ..Traffic::default() });
         let after = m.traffic_snapshot();
         let delta = traffic_delta(&before, &after);
-        assert_eq!(delta[&n].up_bytes, 200 + HEADER_OVERHEAD as u64);
+        assert_eq!(delta[&n].up_bytes, 228);
         assert_eq!(delta[&n].up_msgs, 1);
         assert_eq!(delta[&NodeId(2)].down_msgs, 1);
     }
@@ -279,7 +266,7 @@ mod tests {
         let mut m = Metrics::new();
         m.count("c", 1);
         m.sample("s", 1.0);
-        m.record_up(NodeId(1), 10);
+        m.add_traffic(NodeId(1), up(38));
         m.reset_counters_and_samples();
         assert_eq!(m.counter("c"), 0);
         assert!(m.samples("s").is_empty());

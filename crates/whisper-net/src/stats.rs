@@ -128,16 +128,6 @@ impl Cdf {
     }
 }
 
-/// Renders a fixed-width row of `label` followed by values — the bench
-/// binaries print tables the way the paper formats them.
-pub fn format_row(label: &str, values: &[f64], precision: usize) -> String {
-    let mut out = format!("{label:<28}");
-    for v in values {
-        out.push_str(&format!(" {v:>12.precision$}"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,13 +199,5 @@ mod tests {
         assert_eq!(c.min(), 1.0);
         c.push(0.5);
         assert_eq!(c.min(), 0.5, "re-sorts after new push");
-    }
-
-    #[test]
-    fn format_row_alignment() {
-        let row = format_row("success", &[98.3, 1.42], 2);
-        assert!(row.starts_with("success"));
-        assert!(row.contains("98.30"));
-        assert!(row.contains("1.42"));
     }
 }

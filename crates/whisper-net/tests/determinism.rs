@@ -97,6 +97,19 @@ fn run_trace_scheduled(
     pooling: bool,
     sched: Scheduler,
 ) -> Vec<u8> {
+    run_trace_in_runs(seed, shards, threaded, pooling, sched, 1)
+}
+
+/// [`run_trace_scheduled`] with the 30 simulated seconds cut into `runs`
+/// `run_for` calls of equal length.
+fn run_trace_in_runs(
+    seed: u64,
+    shards: usize,
+    threaded: bool,
+    pooling: bool,
+    sched: Scheduler,
+    runs: u64,
+) -> Vec<u8> {
     // Profiling stays ON for the whole matrix: the wall-clock buckets it
     // gathers land only in the exempt `prof.*` counters, so the trace must
     // not change with the profiler running (DESIGN.md §16).
@@ -117,7 +130,9 @@ fn run_trace_scheduled(
             NatType::Public,
         );
     }
-    sim.run_for_secs(30);
+    for _ in 0..runs {
+        sim.run_for(SimDuration::from_micros(30_000_000 / runs));
+    }
 
     let mut out = Vec::new();
     for id in sim.node_ids() {
@@ -235,6 +250,23 @@ fn scheduler_is_invisible_to_the_trace() {
                 );
             }
         }
+    }
+}
+
+/// Run boundaries are invisible: a deadline cuts a lookahead window short
+/// wherever it falls, the shards' threads end with every run and the next
+/// run starts new ones, and none of it may show. 3 000 runs of 10 ms —
+/// windows are 6 ms from the earliest pending event, so deadlines keep
+/// landing inside one, with cross-shard deliveries in flight — replay
+/// one run of 30 s byte for byte, on every driver.
+#[test]
+fn run_boundaries_are_invisible_to_the_trace() {
+    let base = run_trace(7);
+    for (shards, threaded) in [(1, false), (4, false), (4, true)] {
+        assert!(
+            base == run_trace_in_runs(7, shards, threaded, true, Scheduler::Wheel, 3_000),
+            "{shards} shards, threaded {threaded}: 3000 runs of 10 ms diverged from one of 30 s"
+        );
     }
 }
 

@@ -651,8 +651,16 @@ impl NylonCore {
                         self.transport.note_reply_route(from, route, ctx.now());
                     }
                     ctx.metrics().count("pss.relayed_delivered", 1);
-                    if let Some(inner_msg) = Incoming::parse(&inner) {
-                        self.handle(ctx, from, outer_ep, inner_msg, events);
+                    match Incoming::parse(&inner) {
+                        // No honest sender nests (`Transport::relay` wraps
+                        // gossip and `App` frames only), and unwrapping
+                        // level by level would let one packet, a few
+                        // thousand deep, overflow this thread's stack.
+                        Some(Incoming::Other(NylonMsg::Relayed { .. })) => {
+                            ctx.metrics().count("pss.relayed_nested", 1);
+                        }
+                        Some(inner_msg) => self.handle(ctx, from, outer_ep, inner_msg, events),
+                        None => {}
                     }
                 } else {
                     // Forward one hop.

@@ -71,10 +71,6 @@ impl<V> Expiring<V> {
     fn get(&self, peer: NodeId, now: SimTime) -> Option<&V> {
         self.map.get(&peer).filter(|(_, expires)| *expires > now).map(|(value, _)| value)
     }
-
-    fn remove(&mut self, peer: NodeId) {
-        self.map.remove(&peer);
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -163,13 +159,6 @@ impl Transport {
         self.reply_routes.insert(origin, route, now + REPLY_ROUTE_TTL, now);
     }
 
-    /// Forgets everything known about `peer` (e.g. it was detected dead).
-    pub fn forget(&mut self, peer: NodeId) {
-        self.contacts.remove(peer);
-        self.reply_routes.remove(peer);
-        self.opens.remove(&peer);
-    }
-
     /// The fresh endpoint recorded for the NATted `peer`, if any.
     pub fn contact(&self, peer: NodeId, now: SimTime) -> Option<Endpoint> {
         self.contacts.get(peer, now).copied()
@@ -178,11 +167,6 @@ impl Transport {
     /// Whether a direct send to `peer` is currently possible.
     pub fn can_reach_directly(&self, peer: NodeId, peer_public: bool, now: SimTime) -> bool {
         peer_public || self.contact(peer, now).is_some()
-    }
-
-    /// Whether an open handshake towards `peer` is in flight.
-    pub fn opening(&self, peer: NodeId) -> bool {
-        self.opens.contains_key(&peer)
     }
 
     /// Sends `msg` to `to` using the best available mechanism.
@@ -391,16 +375,6 @@ mod tests {
         assert!(!t.can_reach_directly(NodeId(5), false, SimTime::ZERO));
         t.note_contact(NodeId(5), Endpoint { node: NodeId(5), port: 3 }, SimTime::ZERO);
         assert!(t.can_reach_directly(NodeId(5), false, SimTime::ZERO));
-    }
-
-    #[test]
-    fn forget_clears_state() {
-        let mut t = Transport::new();
-        t.note_contact(NodeId(5), Endpoint { node: NodeId(5), port: 3 }, SimTime::ZERO);
-        t.note_reply_route(NodeId(5), vec![NodeId(1), NodeId(5)], SimTime::ZERO);
-        t.forget(NodeId(5));
-        assert_eq!(t.contact(NodeId(5), SimTime::ZERO), None);
-        assert!(t.reply_routes.get(NodeId(5), SimTime::ZERO).is_none());
     }
 
     #[test]

@@ -261,12 +261,6 @@ impl View {
         self.entries.choose(rng)
     }
 
-    /// A uniformly random P-node entry.
-    pub fn random_public<R: Rng>(&self, rng: &mut R) -> Option<&Entry> {
-        let publics: Vec<&Entry> = self.entries.iter().filter(|e| e.public).collect();
-        publics.choose(rng).copied()
-    }
-
     /// Builds the gossip buffer to ship to a partner: the sender's own
     /// fresh entry followed by up to `len - 1` random others (excluding
     /// the partner itself). Forwarded entries get `via` prepended to their
@@ -792,20 +786,5 @@ mod tests {
         };
         let bytes = entry.to_wire();
         assert_eq!(ViewEntry::from_wire(&bytes).unwrap(), entry);
-    }
-
-    #[test]
-    fn random_public_picks_only_publics() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut v = View::new();
-        for i in 0..9 {
-            v.insert(e(i, 0, false));
-        }
-        v.insert(e(100, 0, true));
-        for _ in 0..20 {
-            assert_eq!(v.random_public(&mut rng).unwrap().node, NodeId(100));
-        }
-        let empty = View::new();
-        assert!(empty.random_public(&mut rng).is_none());
     }
 }

@@ -109,3 +109,38 @@ fn contacts_are_kept_for_natted_senders_only_and_both_stay_reachable() {
     assert_eq!(sim.metrics().counter("net.payload_pooled"), sent_before + 2, "both left directly");
     assert_eq!(sim.metrics().counter("pss.send_failed"), 0);
 }
+
+/// A relayed message is unwrapped once, at its destination. A `Relayed`
+/// inside a `Relayed` is nothing an honest sender builds, and unwrapping
+/// it level by level let a single packet exhaust the stack (a debug build
+/// died at 1 000 levels, a release build at 5 000): the inner one is
+/// dropped and counted, and the node lives on.
+#[test]
+fn a_relayed_message_is_unwrapped_once_however_deep_the_sender_nested() {
+    let (mut sim, id, mut keyrng) = lone_node();
+    let (peer, relay) = (NodeId(77), Endpoint { node: NodeId(76), port: 9 });
+    let relayed = |inner: Vec<u8>| NylonMsg::Relayed {
+        from: peer,
+        remaining: vec![],
+        path_back: vec![relay.node],
+        inner,
+    };
+
+    let mut wire = NylonMsg::Punch { from: peer }.to_wire();
+    for _ in 0..10_000 {
+        wire = relayed(wire).to_wire();
+    }
+    assert!(sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
+        drop(node.core_mut().on_message(ctx, relay.node, relay, &wire));
+    }));
+    assert_eq!(sim.metrics().counter("pss.relayed_delivered"), 1);
+    assert_eq!(sim.metrics().counter("pss.relayed_nested"), 1);
+
+    // What relays do carry still arrives: a gossip request, wrapped once.
+    let key = KeyPair::generate(NylonConfig::default().rsa, &mut keyrng).public().clone();
+    let request = gossip_req(peer, Some(key.to_bytes())).to_wire();
+    deliver(&mut sim, id, relay, &relayed(request));
+    assert_eq!(cb_key(&sim, id, peer), Some(key), "the relayed request was merged");
+    assert_eq!(sim.metrics().counter("pss.relayed_delivered"), 2);
+    assert_eq!(sim.metrics().counter("pss.relayed_nested"), 1);
+}

@@ -39,7 +39,7 @@ step "rustdoc builds clean (no warnings; whisper-net denies missing docs)"
 # rustdoc lint classes (broken intra-doc links etc.) workspace-wide.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 
-step "determinism matrix (release: byte-identical traces across heap/wheel x 1/2/4 shards x threads on/off x pool on/off, profiler on)"
+step "determinism matrix (release: byte-identical traces across heap/wheel x 1/2/4 shards x threads on/off x pool on/off x one run/3000 runs, profiler on)"
 cargo test -q --release --offline -p whisper-net --test determinism
 
 step "chaos acceptance suite (384 + 1k-node/4-shard, release, fixed seed matrix)"
