@@ -62,6 +62,7 @@ pub mod sim;
 pub mod stats;
 pub mod wire;
 
+mod barrier;
 mod id;
 mod time;
 

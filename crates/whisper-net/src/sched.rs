@@ -7,7 +7,9 @@
 //! * [`Scheduler::Wheel`] — a hierarchical calendar queue
 //!   ([`CalendarQueue`]): timing-wheel buckets over the discrete sim
 //!   clock with an overflow heap for far-future timers, giving `O(1)`
-//!   amortised push/pop on dense event streams.
+//!   amortised push/pop on dense event streams, in memory proportional
+//!   to the buckets that hold events (drained second-level buckets pass
+//!   their allocation on to the next one that fills).
 //!
 //! Both pop in exactly the same order — ascending by the canonical
 //! event key `(at µs, src, seq)` (see DESIGN.md §12/§14) — so the
@@ -86,7 +88,9 @@ const MASK: u64 = NB - 1;
 /// * **L0** — 1024 buckets of 2⁸ µs (256 µs) granules ⇒ ≈ 262 ms span;
 /// * **L1** — 1024 buckets of 2¹⁸ µs (≈ 262 ms) granules ⇒ ≈ 268 s
 ///   span; drained one granule at a time into L0 as the cursor crosses
-///   an L1 boundary;
+///   an L1 boundary. A drained bucket's allocation goes onto a spare
+///   list and the next L1 bucket to receive its first item takes it, so
+///   L1 memory follows the buckets that hold items, not all 1024;
 /// * **overflow** — a `BinaryHeap` for items due beyond the L1 span
 ///   (long-lived timers), promoted into the wheels as their window
 ///   comes into range.
@@ -105,8 +109,11 @@ pub struct CalendarQueue<T: Keyed> {
     /// Whether the corresponding L0 bucket is currently sorted
     /// (descending by key). Only ever true for the cursor bucket.
     l0_sorted: Vec<bool>,
-    /// Level-1 buckets (≈ 262 ms granules).
+    /// Level-1 buckets (≈ 262 ms granules). One without capacity takes
+    /// a spare at its first push.
     l1: Vec<Vec<T>>,
+    /// Emptied allocations of drained L1 buckets, handed on by `place`.
+    l1_spares: Vec<Vec<T>>,
     /// Items due beyond the L1 span.
     overflow: BinaryHeap<Reverse<ByKey<T>>>,
     /// Cursor: the L0 granule currently being drained.
@@ -126,6 +133,7 @@ impl<T: Keyed> CalendarQueue<T> {
             l0: (0..NB).map(|_| Vec::new()).collect(),
             l0_sorted: vec![false; NB as usize],
             l1: (0..NB).map(|_| Vec::new()).collect(),
+            l1_spares: Vec::new(),
             overflow: BinaryHeap::new(),
             cur0: 0,
             len: 0,
@@ -216,7 +224,13 @@ impl<T: Keyed> CalendarQueue<T> {
             let d1 = d0 >> BUCKET_BITS;
             let cur1 = cur0 >> BUCKET_BITS;
             if d1 - cur1 < NB {
-                self.l1[(d1 & MASK) as usize].push(item);
+                let bucket = &mut self.l1[(d1 & MASK) as usize];
+                if bucket.capacity() == 0 {
+                    if let Some(spare) = self.l1_spares.pop() {
+                        *bucket = spare;
+                    }
+                }
+                bucket.push(item);
                 self.l1_len += 1;
             } else {
                 self.overflow.push(Reverse(ByKey(item)));
@@ -296,9 +310,21 @@ impl<T: Keyed> CalendarQueue<T> {
             let d0 = item.key().0 >> G0_SHIFT;
             self.place(item, d0);
         }
-        // Hand the emptied allocation back so the bucket keeps its
-        // capacity for the next wrap of the wheel.
-        self.l1[b] = bucket;
+        // The bucket's turn comes again one wrap of the wheel (268 s)
+        // later; the buckets filling now are the ones a few granules
+        // ahead, so the emptied allocation goes to whichever needs one
+        // next. The steady state still allocates nothing, and holds as
+        // many allocations as L1 buckets are occupied at once. (A granule
+        // in which nothing was due has none to pass on.)
+        if bucket.capacity() > 0 {
+            self.l1_spares.push(bucket);
+        }
+    }
+
+    /// Items all L1 allocations together have room for, spares included.
+    #[cfg(test)]
+    fn l1_capacity(&self) -> usize {
+        self.l1.iter().chain(&self.l1_spares).map(Vec::capacity).sum()
     }
 }
 
@@ -450,6 +476,53 @@ mod tests {
         assert_eq!(q.pop(), Some(Item((50, 7, 0))));
         assert_eq!(q.pop(), Some(Item((50, 9, 0))));
         assert_eq!(q.pop(), Some(Item((60, 0, 0))));
+    }
+
+    /// A steady load of timers 1–20 s ahead occupies some 77 L1 buckets
+    /// at a time, and over a wrap of the wheel every one of the 1 024
+    /// takes its turn. L1 memory must follow the occupied buckets: were
+    /// each drained bucket to keep its allocation for its next turn 268 s
+    /// later, all 1 024 would end up sized for a full granule — over 25
+    /// times the items ever queued at once.
+    #[test]
+    fn l1_capacity_follows_the_occupied_buckets() {
+        const STEP_US: u64 = 700;
+        const REVOLUTION_US: u64 = 1 << (G0_SHIFT + 2 * BUCKET_BITS);
+        let mut wheel = CalendarQueue::new();
+        // As the engine does for a known population: L0 buckets that
+        // never grow, so that any growth seen below is L1's.
+        wheel.reserve(16 << BUCKET_BITS);
+        let mut heap = BinaryHeap::new();
+        let (mut now, mut seq, mut lcg, mut peak_len) = (0u64, 0u64, 1u64, 0usize);
+        let capacities = |q: &CalendarQueue<Item>| {
+            (q.l1_capacity(), q.l0.iter().map(Vec::capacity).sum::<usize>(), q.overflow.capacity())
+        };
+        let mut at_previous_end = capacities(&wheel);
+        for revolution in 1..=3 {
+            while now < revolution * REVOLUTION_US + 20_000_000 {
+                now += STEP_US;
+                while wheel.peek_key().is_some_and(|key| key.0 <= now) {
+                    let Reverse(expected) = heap.pop().expect("the heap holds the same items");
+                    assert_eq!(wheel.pop().map(|item| item.0), Some(expected));
+                }
+                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let key = (now + 1_000_000 + (lcg >> 33) % 19_000_000, 1, seq);
+                seq += 1;
+                wheel.push(Item(key));
+                heap.push(Reverse(key));
+                peak_len = peak_len.max(wheel.len());
+            }
+            assert!(
+                wheel.l1_capacity() < 8 * peak_len,
+                "revolution {revolution}: L1 has room for {} items, at most {peak_len} were queued",
+                wheel.l1_capacity()
+            );
+            if revolution == 3 {
+                assert_eq!(capacities(&wheel), at_previous_end, "the third revolution allocated");
+            }
+            at_previous_end = capacities(&wheel);
+        }
+        assert!(now > 805_000_000 && peak_len > 10_000);
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! windows bounded by the minimum cross-shard link latency, exchanging
 //! cross-shard sends as batched per-destination vectors at window
 //! barriers — shard after shard, or each shard on a scoped thread that
-//! lives for one [`Sim::run_until`].
+//! lives for one [`Sim::run_until`]. The threads cross one
+//! spin-then-sleep barrier per window (`barrier.rs`): what they hand
+//! each other — mailboxes, the time of the next event, a panic flag —
+//! exists in two copies used by alternate windows, so a thread may run
+//! ahead into the next window while another still reads the last.
 //!
 //! # The determinism contract
 //!
@@ -46,6 +50,7 @@
 //! applies them once the callback returns. This keeps the borrow
 //! structure simple and the event order well-defined.
 
+use crate::barrier::WindowBarrier;
 use crate::fault::{Fault, FaultPlan, FaultState};
 use crate::id::{Endpoint, NodeId};
 use crate::latency::NetProfile;
@@ -58,7 +63,7 @@ use crate::wire::WireEncode;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Mutex;
 use whisper_rand::rngs::StdRng;
 
 /// RNG stream lane for protocol randomness ([`Ctx::rng`]).
@@ -177,6 +182,10 @@ impl AllocTally {
 ///   filtering, traffic accounting, effect application).
 /// * `callback_ns` — protocol callback time; contains the `encode_ns` /
 ///   `decode_ns` / `crypto_model_ns` sub-buckets reported by [`Ctx`].
+/// * `windows` — lookahead windows this shard ran; `barrier_wait_ns` —
+///   from its arrival at each window's barrier to its release (threaded
+///   driver only). A waiter may spin, so this is time CPU accounting
+///   cannot tell from work.
 #[derive(Default)]
 struct ProfTally {
     enabled: bool,
@@ -187,6 +196,8 @@ struct ProfTally {
     decode_ns: u64,
     crypto_model_ns: u64,
     events: u64,
+    windows: u64,
+    barrier_wait_ns: u64,
 }
 
 impl ProfTally {
@@ -197,9 +208,6 @@ impl ProfTally {
     /// Drains the accumulated buckets into the exempt `prof.*` counters,
     /// keeping the `enabled` flag.
     fn flush(&mut self, metrics: &mut Metrics) {
-        if self.events == 0 && self.sched_ns == 0 {
-            return;
-        }
         let engine_ns = self.dispatch_ns.saturating_sub(self.callback_ns);
         for (name, v) in [
             ("prof.sched_ns", self.sched_ns),
@@ -209,6 +217,8 @@ impl ProfTally {
             ("prof.decode_ns", self.decode_ns),
             ("prof.crypto_model_ns", self.crypto_model_ns),
             ("prof.events", self.events),
+            ("prof.windows", self.windows),
+            ("prof.barrier_wait_ns", self.barrier_wait_ns),
         ] {
             if v > 0 {
                 metrics.count(name, v);
@@ -725,6 +735,7 @@ impl Shard {
     /// other shards are appended to the per-destination `outboxes`.
     fn run_window(&mut self, horizon_us: u64, env: &EngineEnv<'_>) {
         let profiling = self.prof.enabled;
+        self.prof.windows += profiling as u64;
         loop {
             let t_sched = profiling.then(std::time::Instant::now);
             let Some(key) = self.queue.peek_key() else { break };
@@ -991,45 +1002,55 @@ impl Shard {
     }
 }
 
-/// The cross-shard mailboxes: `boxes[dst][src]` holds what shard `src`
-/// sent shard `dst` in the window just run. A window is the three steps
-/// [`Shard::run_window`], [`Mailboxes::post`], [`Mailboxes::collect`],
-/// and every driver goes through them in that order with all posts of a
-/// window before its first collect (DESIGN.md §12). A box is therefore
-/// locked by its source only while posting and by its destination only
-/// while collecting: the locks make the hand-over safe and are never
-/// contended.
+/// The cross-shard mailboxes, in two generations: `boxes[g][dst][src]`
+/// holds what shard `src` sent shard `dst` in a window posted to
+/// generation `g`. A window is the three steps [`Shard::run_window`],
+/// [`Mailboxes::post`], [`Mailboxes::collect`], and every driver goes
+/// through them in that order with all posts of a window before its first
+/// collect (DESIGN.md §12). The threaded driver posts window `k` to
+/// generation `k mod 2`, so that a shard already running window `k + 1`
+/// fills other boxes than the ones a slower shard is still draining; the
+/// sequential callers, for which a window's collects end before the next
+/// one's posts begin, use generation 0 alone. Either way a box is locked
+/// by its source only while posting and by its destination only while
+/// collecting: the locks make the hand-over safe and are never contended.
 struct Mailboxes {
-    boxes: Vec<Vec<Mutex<Vec<Event>>>>,
+    boxes: [Vec<Vec<Mutex<Vec<Event>>>>; 2],
 }
 
 impl Mailboxes {
     fn new(shards: usize) -> Self {
         let row = || (0..shards).map(|_| Mutex::new(Vec::new())).collect();
-        Mailboxes { boxes: (0..shards).map(|_| row()).collect() }
+        let generation = || (0..shards).map(|_| row()).collect();
+        Mailboxes { boxes: [generation(), generation()] }
     }
 
     /// Hands `shard`'s nonempty outboxes to their destinations by
-    /// swapping each with the box its destination drained one window
+    /// swapping each with the box of `generation` its destination drained
     /// earlier: both vectors keep their capacity, so the steady state
-    /// moves events without allocating.
-    fn post(&self, shard: &mut Shard) {
+    /// moves events without allocating. Returns the earliest arrival time
+    /// posted, in µs (`u64::MAX` if nothing was).
+    fn post(&self, generation: usize, shard: &mut Shard) -> u64 {
         let src = shard.index;
+        let mut earliest_us = u64::MAX;
         for (dst, outbox) in shard.outboxes.iter_mut().enumerate() {
             if outbox.is_empty() {
                 continue;
             }
-            let mut mailbox = self.boxes[dst][src].lock().expect("no panic holds a mailbox");
+            earliest_us = outbox.iter().map(|ev| ev.at.as_micros()).fold(earliest_us, u64::min);
+            let mut mailbox =
+                self.boxes[generation][dst][src].lock().expect("no panic holds a mailbox");
             debug_assert!(mailbox.is_empty(), "collected before the next post");
             std::mem::swap(outbox, &mut *mailbox);
         }
+        earliest_us
     }
 
-    /// Drains everything posted to `shard` into its queue. Event keys
-    /// make the queue's contents order-insensitive, so the order of
-    /// draining cannot leak into the trace.
-    fn collect(&self, shard: &mut Shard) {
-        for mailbox in &self.boxes[shard.index] {
+    /// Drains everything posted to `shard` in `generation` into its
+    /// queue. Event keys make the queue's contents order-insensitive, so
+    /// the order of draining cannot leak into the trace.
+    fn collect(&self, generation: usize, shard: &mut Shard) {
+        for mailbox in &self.boxes[generation][shard.index] {
             let mut mailbox = mailbox.lock().expect("no panic holds a mailbox");
             for ev in mailbox.drain(..) {
                 debug_assert!(
@@ -1060,9 +1081,11 @@ pub struct Sim {
     /// Conservative lookahead window length in µs (unbounded with one
     /// shard).
     lookahead_us: u64,
-    /// Whether `run_until` runs each shard on a thread of its own
-    /// (trace-invariant).
-    threaded: bool,
+    /// Where the shard threads of a run meet once per window; `None`
+    /// when `run_until` runs the shards in turn on the caller's thread
+    /// (trace-invariant either way). Built once: whether its waiters may
+    /// spin depends on the host's core count, which is slow to ask for.
+    barrier: Option<WindowBarrier>,
     mail: Mailboxes,
 }
 
@@ -1092,6 +1115,7 @@ impl Sim {
             && cfg.threads.unwrap_or_else(|| {
                 std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1) > 1
             });
+        let barrier = threaded.then(|| WindowBarrier::for_shards(cfg.shards));
         let harness_rng = StdRng::for_stream_lane(cfg.seed, 0, LANE_HARNESS);
         let shards = (0..cfg.shards).map(|i| Shard::new(i, &cfg)).collect();
         Sim {
@@ -1105,7 +1129,7 @@ impl Sim {
             next_node_id: 0,
             control_seq: 0,
             lookahead_us,
-            threaded,
+            barrier,
         }
     }
 
@@ -1278,18 +1302,20 @@ impl Sim {
         let applied = shard.invoke(pos, &EngineEnv { cfg, fault }, Some(metrics), |proto, ctx| {
             proto.as_any_mut().downcast_mut::<T>().map(|node| f(node, ctx)).is_some()
         });
-        mail.post(shard);
+        mail.post(0, shard);
         for shard in shards.iter_mut() {
-            mail.collect(shard);
+            mail.collect(0, shard);
         }
         self.sync_metrics();
         applied == Some(true)
     }
 
     /// Runs events until the queues are exhausted or `deadline` is
-    /// reached; time ends exactly at `deadline`.
+    /// reached; time ends exactly at `deadline`. The clock never runs
+    /// backwards: a deadline earlier than [`Sim::now`] is a no-op.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.threaded {
+        let deadline = deadline.max(self.now);
+        if self.barrier.is_some() {
             self.run_windows_threaded(deadline.as_micros());
         } else {
             self.run_windows(deadline.as_micros());
@@ -1329,52 +1355,71 @@ impl Sim {
             let Some(horizon) = Self::horizon(t_next, *lookahead_us, deadline_us) else { break };
             for shard in shards.iter_mut() {
                 shard.run_window(horizon, &env);
-                mail.post(shard);
+                mail.post(0, shard);
             }
             for shard in shards.iter_mut() {
-                mail.collect(shard);
+                mail.collect(0, shard);
             }
         }
     }
 
     /// The threaded driver: one scoped thread per shard runs the same
-    /// steps, with a barrier after the posts and one after the collects.
-    /// Each thread publishes its queue head before the second barrier and
-    /// reads all of them after it, so every thread computes the same
-    /// horizon and nothing has to coordinate them. The threads end with
-    /// the run.
+    /// steps and crosses **one** barrier per window, between its post and
+    /// its collect. Before the barrier of window `k` each thread publishes,
+    /// in generation `k mod 2` of `next_at`, the earlier of its queue head
+    /// and the earliest arrival it posted; after it, each reads that
+    /// generation of every shard. The minimum over heads before the
+    /// collects and over everything posted *is* the minimum over heads
+    /// after the collects, so every thread computes the horizon the
+    /// sequential driver would and nothing has to coordinate them. What a
+    /// thread writes in window `k + 1` — published minimum, mailboxes,
+    /// panic flag — is generation `(k + 1) mod 2`, which no thread still
+    /// reads or drains: generation `k mod 2` is written again in window
+    /// `k + 2` only, after barrier `k + 1`, at which every thread arrives
+    /// with its reads and its collect of window `k` done. The threads end
+    /// with the run.
     ///
     /// A callback that panics must not leave the other threads waiting
     /// at a barrier nobody will complete: the thread that caught it still
     /// arrives, all of them leave after that barrier, and the panic
     /// resumes in the caller.
     fn run_windows_threaded(&mut self, deadline_us: u64) {
-        let Sim { cfg, fault, shards, mail, lookahead_us, .. } = self;
+        let Sim { cfg, fault, shards, mail, lookahead_us, barrier, .. } = self;
         let (env, mail, lookahead_us) = (EngineEnv { cfg, fault }, &*mail, *lookahead_us);
-        let next_at: Vec<AtomicU64> =
-            shards.iter_mut().map(|s| AtomicU64::new(s.head_us())).collect();
-        let barrier = Barrier::new(shards.len());
-        let panicked = AtomicBool::new(false);
-        let run_shard = |shard: &mut Shard| loop {
-            let t_next = next_at.iter().map(|a| a.load(Ordering::SeqCst)).min().unwrap_or(u64::MAX);
-            let Some(horizon) = Self::horizon(t_next, lookahead_us, deadline_us) else { break };
-            let window = catch_unwind(AssertUnwindSafe(|| {
-                shard.run_window(horizon, &env);
-                mail.post(shard);
-            }));
-            if window.is_err() {
-                panicked.store(true, Ordering::SeqCst);
+        let barrier = barrier.as_ref().expect("a threaded simulation has its barrier");
+        let t_first = shards.iter_mut().map(Shard::head_us).min().unwrap_or(u64::MAX);
+        let nshards = shards.len();
+        let generation = || (0..nshards).map(|_| AtomicU64::new(u64::MAX)).collect::<Vec<_>>();
+        let next_at = [generation(), generation()];
+        let panicked = [AtomicBool::new(false), AtomicBool::new(false)];
+        let run_shard = |shard: &mut Shard| {
+            let mut t_next = t_first;
+            for window in 0usize.. {
+                let Some(horizon) = Self::horizon(t_next, lookahead_us, deadline_us) else { break };
+                let parity = window % 2;
+                let (next_at, panicked) = (&next_at[parity], &panicked[parity]);
+                let ran = catch_unwind(AssertUnwindSafe(|| {
+                    shard.run_window(horizon, &env);
+                    let earliest_us = shard.head_us().min(mail.post(parity, shard));
+                    next_at[shard.index].store(earliest_us, Ordering::SeqCst);
+                }));
+                if ran.is_err() {
+                    panicked.store(true, Ordering::SeqCst);
+                }
+                let arrived = shard.prof.enabled.then(std::time::Instant::now);
+                barrier.wait(); // every post made, minimum published, panic flagged
+                if let Some(t0) = arrived {
+                    shard.prof.barrier_wait_ns += t0.elapsed().as_nanos() as u64;
+                }
+                if let Err(panic) = ran {
+                    resume_unwind(panic);
+                }
+                if panicked.load(Ordering::SeqCst) {
+                    break;
+                }
+                t_next = next_at.iter().map(|a| a.load(Ordering::SeqCst)).min().unwrap_or(u64::MAX);
+                mail.collect(parity, shard);
             }
-            barrier.wait(); // every post made, every panic flagged
-            if let Err(panic) = window {
-                resume_unwind(panic);
-            }
-            if panicked.load(Ordering::SeqCst) {
-                break;
-            }
-            mail.collect(shard);
-            next_at[shard.index].store(shard.head_us(), Ordering::SeqCst);
-            barrier.wait(); // every collect made, every head published
         };
         std::thread::scope(|scope| {
             // One thread per shard; the caller only waits. Measured: with

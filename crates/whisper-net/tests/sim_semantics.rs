@@ -430,9 +430,10 @@ impl Protocol for Bomb {
     }
 }
 
-/// Four nodes on two shards, one of which panics a second into the run.
-fn run_with_a_panicking_callback(threads: bool) {
-    let mut sim = Sim::new(SimConfig::cluster(1).with_shards(2).with_threads(threads));
+/// Four nodes over `shards` shards, one of which panics a second into
+/// the run.
+fn run_with_a_panicking_callback(shards: usize, threads: bool) {
+    let mut sim = Sim::new(SimConfig::cluster(1).with_shards(shards).with_threads(threads));
     for id in 0..4 {
         sim.add_node(Box::new(Bomb { armed: id == 1, ticks: 0 }), NatType::Public);
     }
@@ -445,14 +446,150 @@ fn run_with_a_panicking_callback(threads: bool) {
 #[test]
 #[should_panic(expected = "the callback's own panic")]
 fn a_panicking_callback_ends_a_threaded_run_with_its_panic() {
-    run_with_a_panicking_callback(true);
+    run_with_a_panicking_callback(2, true);
+}
+
+/// The same with a thread per node: three threads wait for the one that
+/// panicked, and with more threads than cores they wait asleep.
+#[test]
+#[should_panic(expected = "the callback's own panic")]
+fn a_panicking_callback_ends_a_four_thread_run_with_its_panic() {
+    run_with_a_panicking_callback(4, true);
 }
 
 /// Control: on the sequential driver the panic simply unwinds.
 #[test]
 #[should_panic(expected = "the callback's own panic")]
 fn a_panicking_callback_ends_a_sequential_run_with_its_panic() {
-    run_with_a_panicking_callback(false);
+    run_with_a_panicking_callback(2, false);
+}
+
+/// Ticks every 100 ms and notes the time of every timer it is given.
+struct Clock {
+    fired: Vec<SimTime>,
+}
+
+impl Clock {
+    const TICK: u64 = 0;
+    const ONCE: u64 = 1;
+}
+
+impl Protocol for Clock {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(SimDuration::from_millis(100), Self::TICK);
+    }
+    fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Endpoint, _: &Payload) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.fired.push(ctx.now());
+        if token == Self::TICK {
+            ctx.set_timer(SimDuration::from_millis(100), Self::TICK);
+        }
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// `run_until` with a deadline the clock has already passed — which
+/// `churn::run_with_churn` asks for whenever a script's first ticks
+/// precede a warmed-up `now()` — must leave the clock alone. Setting it
+/// back let a harness callback read an earlier `now()` than the node's
+/// last callback had, and a timer armed there fire "before" it.
+#[test]
+fn run_until_a_past_deadline_does_not_rewind_the_clock() {
+    for (shards, threads) in [(1, false), (2, true)] {
+        let mut sim = Sim::new(SimConfig::cluster(5).with_shards(shards).with_threads(threads));
+        let node = sim.add_node(Box::new(Clock { fired: Vec::new() }), NatType::Public);
+        sim.run_for_secs(5);
+        let five_s = sim.now();
+        sim.run_until(SimTime::from_micros(1_000_000));
+        assert_eq!(sim.now(), five_s, "{shards} shard(s)");
+        let mut seen = None;
+        sim.with_node_ctx::<Clock>(node, |_, ctx| {
+            seen = Some(ctx.now());
+            ctx.set_timer(SimDuration::from_millis(100), Clock::ONCE);
+        });
+        assert_eq!(seen, Some(five_s), "{shards} shard(s)");
+        sim.run_for_secs(1);
+        let fired = &sim.node::<Clock>(node).unwrap().fired;
+        assert_eq!(fired.len(), 50 + 1 + 10, "{shards} shard(s)");
+        assert!(
+            fired.windows(2).all(|w| w[0] <= w[1]),
+            "a callback saw time run backwards ({shards} shard(s)): {fired:?}"
+        );
+    }
+}
+
+/// Returns every packet to its sender with the count in it raised by one,
+/// up to [`Bouncer::BOUNCES`]; notes when each arrived.
+struct Bouncer {
+    /// Whom to send the first packet, for the node that starts.
+    serve_to: Option<NodeId>,
+    arrivals: Vec<(SimTime, u32)>,
+}
+
+impl Bouncer {
+    const BOUNCES: u32 = 1000;
+}
+
+impl Protocol for Bouncer {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(peer) = self.serve_to {
+            ctx.send_to(Endpoint::public(peer), 0u32.to_be_bytes().to_vec());
+        }
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, from_ep: Endpoint, data: &Payload) {
+        let count = u32::from_be_bytes(data.as_slice().try_into().unwrap());
+        self.arrivals.push((ctx.now(), count));
+        if count < Self::BOUNCES {
+            ctx.send_to(from_ep, (count + 1).to_be_bytes().to_vec());
+        }
+    }
+    fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Two nodes on different shards and no timers: once the receiver has
+/// answered, both queues are empty and the only pending event of the whole
+/// simulation sits in a mailbox. The threaded driver takes the next
+/// window's start from what each shard publishes before the barrier, so
+/// here it must come from what a shard *posted*, not from a queue head —
+/// or the run ends with the packet undelivered. Runs are 3 ms, about one
+/// flight time, so that each ends between a post and its delivery.
+#[test]
+fn an_event_pending_only_in_a_mailbox_is_still_due() {
+    type Stop = (SimTime, u64, usize, usize);
+    fn run(shards: usize, threads: bool) -> (Vec<Stop>, Vec<(SimTime, u32)>) {
+        let mut sim = Sim::new(SimConfig::cluster(9).with_shards(shards).with_threads(threads));
+        let bouncer = |serve_to| Box::new(Bouncer { serve_to, arrivals: Vec::new() });
+        let a = sim.add_node(bouncer(None), NatType::Public);
+        let b = sim.add_node(bouncer(Some(a)), NatType::Public);
+        let arrived = |sim: &Sim, id| sim.node::<Bouncer>(id).unwrap().arrivals.len();
+        let mut stops = Vec::new();
+        while arrived(&sim, a) + arrived(&sim, b) <= Bouncer::BOUNCES as usize {
+            assert!(stops.len() < 10_000, "the packet got stuck ({shards} shards)");
+            sim.run_for(SimDuration::from_millis(3));
+            stops.push((sim.now(), sim.in_flight_msgs(), arrived(&sim, a), arrived(&sim, b)));
+        }
+        let mut arrivals = sim.node::<Bouncer>(a).unwrap().arrivals.clone();
+        arrivals.extend_from_slice(&sim.node::<Bouncer>(b).unwrap().arrivals);
+        (stops, arrivals)
+    }
+    let one_shard = run(1, false);
+    let (stops, arrivals) = &one_shard;
+    assert_eq!(arrivals.len(), Bouncer::BOUNCES as usize + 1);
+    let (last, earlier) = stops.split_last().unwrap();
+    assert!(earlier.len() >= 700 && earlier.iter().all(|stop| stop.1 == 1) && last.1 == 0);
+    assert_eq!(one_shard, run(2, false), "2 shards, sequential");
+    assert_eq!(one_shard, run(2, true), "2 shards, threaded");
 }
 
 /// A WHISPER stack up to the WCL — Nylon underneath, no PPSS on top —

@@ -11,7 +11,10 @@
 # them, alternating which side goes first. Per workload and end-to-end
 # metric it prints the parent's median, quartile distance and min-max, the
 # change's median and min-max, the pairs the change won (ties count for
-# neither side), and a verdict from the metric's direction and bound:
+# neither side), and a verdict from the metric's direction and bound
+# (below). A run that covers both gossip_scale and gossip_scale_mt also
+# prints, per side, what the extra threads buy: the ratio of the two
+# workloads' node_s_per_wall_s medians (ROADMAP item 2).
 #
 #   better         of at least 10 pairs the change won 9 in 10, and the
 #                  medians are further apart than the parent's quartiles
@@ -96,10 +99,15 @@ for workload in "${workloads[@]}"; do
   done
 done
 
-python3 - "$runs" "$sha" "$seed" "$behaviour_changes" <<'EOF'
+# gossip_scale_mt's shards and threads, as perfbench picks them.
+threads=$(nproc)
+[ "$threads" -gt 4 ] && threads=4
+
+python3 - "$runs" "$sha" "$seed" "$behaviour_changes" "$threads" <<'EOF'
 import json, statistics, sys
 
 runs_path, sha, seed, behaviour_changes = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4] == "1"
+mt_threads = sys.argv[5]
 bench = json.load(open("BENCHMARK.json"))
 DETERMINISTIC = ["rtt_p50_ms", "rtt_p95_ms", "wire_bytes_per_node_s"]
 
@@ -164,6 +172,14 @@ for workload, pairs in runs.items():
               f"| {fmt(pm)} | {fmt(quartile_distance(p))} | {fmt(min(p))}-{fmt(max(p))} "
               f"| {fmt(cm)} | {fmt(min(c))}-{fmt(max(c))} | {won}/{won + lost} | {verdict} |")
 print()
+if "gossip_scale" in runs and "gossip_scale_mt" in runs:
+    def median_speed(workload, side):
+        return statistics.median(
+            r[side]["metrics"]["node_s_per_wall_s"]["value"] for r in runs[workload].values())
+    for side in ("parent", "change"):
+        one, mt = median_speed("gossip_scale", side), median_speed("gossip_scale_mt", side)
+        print(f"bench_gate: {side}: gossip_scale_mt on {mt_threads} threads runs at {mt / one:.2f} x "
+              f"gossip_scale (node_s_per_wall_s medians {fmt(mt)} / {fmt(one)})")
 for f in failures:
     print(f"bench_gate: {f}")
 print(f"bench_gate: {'FAILED' if failures else 'passed'} "
