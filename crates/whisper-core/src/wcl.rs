@@ -1007,7 +1007,7 @@ impl Wcl {
                     ctx.metrics().count("wcl.bad_next_hop", 1);
                     return None;
                 };
-                self.install_circuit(ctx, &ext, next_hop.clone());
+                self.install_circuit(ctx, &ext, next_hop);
                 ctx.metrics().count("wcl.relayed", 1);
                 let fwd = WclPacket { header, body: packet.body }.to_wire();
                 // A mix reaches the next hop through an existing contact
@@ -1043,8 +1043,15 @@ impl Wcl {
             return;
         };
         let entry = CircuitEntry::new(setup.key, next_hop, setup.cid_out);
-        self.circuits.insert(ctx.now().as_micros(), setup.cid_in, entry);
+        self.carry_circuit(ctx.now(), setup.cid_in, entry);
         ctx.metrics().count("wcl.circuit_installed", 1);
+    }
+
+    /// Stores `entry` as the circuit packets under `cid_in` ride from
+    /// `now` on. Public as a test hook, for circuit state no setup
+    /// extension this node parses would have produced.
+    pub fn carry_circuit(&mut self, now: SimTime, cid_in: CircuitId, entry: CircuitEntry) {
+        self.circuits.insert(now.as_micros(), cid_in, entry);
     }
 
     /// Handles a steady-state circuit packet: one CTR layer stripped, then

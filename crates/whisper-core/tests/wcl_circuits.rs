@@ -1,15 +1,22 @@
 //! Circuit amortization lifecycle tests: cache hit on the second send,
 //! TTL expiry, and miss-and-rebuild after a relay loses its state. These
 //! pin the behavior DESIGN.md § "Circuit amortization" promises, on the
-//! same minimal controlled topology as `wcl_paths.rs`.
+//! same minimal controlled topology as `wcl_paths.rs`. The last three
+//! tests are the hostile side of the same path: setup extensions,
+//! installed next hops and circuit packets no honest source produces.
 
-use whisper_core::{DestInfo, WhisperConfig, WhisperNode};
-use whisper_crypto::rsa::KeyPair;
+use std::cell::RefCell;
+use whisper_core::{DestInfo, WclEvent, WhisperApi, WhisperConfig, WhisperNode};
+use whisper_crypto::aes::AesKey;
+use whisper_crypto::circuit::{CircuitEntry, CircuitId, HopSetup, DEST_SETUP_LEN, RELAY_SETUP_LEN};
+use whisper_crypto::onion::{build_onion_ext, OnionPacket};
+use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::nat::NatType;
-use whisper_net::sim::{Sim, SimConfig};
+use whisper_net::sim::{Ctx, Sim, SimConfig};
+use whisper_net::wire::WireWriter;
 use whisper_net::{NodeId, SimDuration};
 use whisper_rand::rngs::StdRng;
-use whisper_rand::SeedableRng;
+use whisper_rand::{Rng, SeedableRng};
 
 struct Rig {
     sim: Sim,
@@ -229,4 +236,193 @@ fn retry_on_an_expired_route_counts_no_teardown() {
     let m = r.sim.metrics();
     assert!(m.counter("wcl.route_retry") >= 2, "retries ran");
     assert_eq!(m.counter("wcl.circuit_teardown"), 0, "no live circuit was ever torn down");
+}
+
+/// Runs `f` on `node`'s stack inside a callback of its own.
+fn in_callback<R>(
+    sim: &mut Sim,
+    node: NodeId,
+    f: impl FnOnce(&mut WhisperApi<'_>, &mut Ctx<'_>) -> R,
+) -> R {
+    let mut result = None;
+    sim.with_node_ctx::<WhisperNode>(node, |n, ctx| {
+        result = Some(n.with_api(|api, _| f(api, ctx)));
+    });
+    result.expect("node alive")
+}
+
+/// Hands `packet` to `node`'s WCL as the payload of a Nylon `App` message
+/// that has just arrived.
+fn hand_to_wcl(sim: &mut Sim, node: NodeId, packet: &[u8]) -> Option<WclEvent> {
+    in_callback(sim, node, |api, ctx| api.wcl.on_app_payload(ctx, api.nylon, packet))
+}
+
+fn carried_circuits(sim: &mut Sim, node: NodeId) -> usize {
+    in_callback(sim, node, |api, _| api.wcl.carried_circuits())
+}
+
+fn public_key_of(sim: &mut Sim, node: NodeId) -> PublicKey {
+    in_callback(sim, node, |api, _| api.nylon.keypair().public().clone())
+}
+
+/// The address of a public `node` as an onion layer names it.
+fn public_hop_addr(node: NodeId) -> Vec<u8> {
+    let mut addr = node.to_bytes().to_vec();
+    addr.push(1);
+    addr
+}
+
+/// The wire image of an onion packet (tag `0xC1`).
+fn onion_wire(onion: &OnionPacket) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_u8(0xC1);
+    w.put_bytes(&onion.header);
+    w.put_bytes(&onion.body);
+    w.into_bytes()
+}
+
+/// The wire image of a circuit packet (tag `0xC2`).
+fn circuit_wire(cid: CircuitId, nonce: [u8; 8], body: &[u8]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_u8(0xC2);
+    w.put_raw(&cid.0);
+    w.put_raw(&nonce);
+    w.put_bytes(body);
+    w.into_bytes()
+}
+
+/// A setup extension of a foreign length is the source's problem, not the
+/// packet's: the hop counts it, installs nothing, and the layer it came
+/// in is relayed or delivered all the same.
+#[test]
+fn foreign_length_setup_is_counted_and_the_layer_still_travels() {
+    let mut r = rig(WhisperConfig::default(), 6, 206);
+    let (relay, dest) = (r.publics[2], r.publics[3]);
+    let path = [
+        (public_key_of(&mut r.sim, relay), public_hop_addr(relay)),
+        (public_key_of(&mut r.sim, dest), public_hop_addr(dest)),
+    ];
+    // Neither 24 nor 32 bytes: one short of the relay form, one beyond
+    // the destination form.
+    let exts = [vec![0xAA; RELAY_SETUP_LEN - 1], vec![0xBB; DEST_SETUP_LEN + 1]];
+    let mut rng = StdRng::seed_from_u64(206);
+    let onion = build_onion_ext(&path, b"rides on regardless", &exts, &mut rng).unwrap();
+    r.sim.metrics_mut().reset_counters_and_samples();
+
+    let at_relay = hand_to_wcl(&mut r.sim, relay, &onion_wire(&onion));
+    assert!(at_relay.is_none(), "a relay delivers nothing");
+    let m = r.sim.metrics();
+    assert_eq!(m.counter("wcl.circuit_bad_setup"), 1, "the relay's extension");
+    assert_eq!(m.counter("wcl.relayed"), 1, "and its layer went on");
+    r.sim.run_for_secs(2);
+    let m = r.sim.metrics();
+    assert_eq!(m.counter("wcl.circuit_bad_setup"), 2, "the destination's extension");
+    assert_eq!(m.counter("wcl.delivered"), 1, "and its layer was delivered");
+    assert_eq!(m.counter("wcl.circuit_installed"), 0);
+    assert_eq!(m.counter("wcl.peel_failed") + m.counter("wcl.bad_next_hop"), 0);
+    for node in [relay, dest] {
+        assert_eq!(carried_circuits(&mut r.sim, node), 0, "nothing installed at {node:?}");
+    }
+}
+
+/// A circuit whose stored next hop does not parse — which no setup this
+/// node peeled itself can have installed — drops its packets before any
+/// work is spent on the body: no CTR pass, no frame, nothing sent.
+#[test]
+fn malformed_next_hop_drops_the_packet_before_any_work() {
+    let mut r = rig(WhisperConfig::default(), 6, 207);
+    let relay = r.publics[2];
+    let good = public_hop_addr(r.publics[3]);
+    let bad_hops: [Vec<u8>; 5] = [
+        Vec::new(),                      // a destination's, under a relay's ids
+        good[..8].to_vec(),              // the flag byte missing
+        [&good[..], &[0]].concat(),      // a byte too many
+        [&good[..8], &[2]].concat(),     // a flag that is neither class
+        [&good[..8], &[0xFF]].concat(),
+    ];
+    let now = r.sim.now();
+    for (i, hop) in bad_hops.iter().enumerate() {
+        let entry = CircuitEntry::new(AesKey([7; 16]), hop.clone(), Some(CircuitId([0xEE; 8])));
+        in_callback(&mut r.sim, relay, |api, _| {
+            api.wcl.carry_circuit(now, CircuitId([i as u8; 8]), entry)
+        });
+    }
+    r.sim.metrics_mut().reset_counters_and_samples();
+    let sent_before = r.sim.metrics().traffic(relay).up_msgs;
+    let cost_before = whisper_crypto::costs::snapshot();
+    for i in 0..bad_hops.len() {
+        let packet = circuit_wire(CircuitId([i as u8; 8]), [3; 8], &[0x5A; 256]);
+        assert!(hand_to_wcl(&mut r.sim, relay, &packet).is_none());
+    }
+    assert_eq!(whisper_crypto::costs::snapshot(), cost_before, "no AES block was touched");
+    let m = r.sim.metrics();
+    assert_eq!(m.counter("wcl.bad_next_hop"), bad_hops.len() as u64);
+    assert_eq!(m.traffic(relay).up_msgs, sent_before, "nothing left the node");
+    for untouched in ["wcl.relayed", "wcl.circuit_forwarded", "wcl.relay_drop", "wcl.delivered"] {
+        assert_eq!(m.counter(untouched), 0, "{untouched}");
+    }
+    assert!(m.samples("wcl.circuit_fwd_us").is_empty(), "no peel was sampled");
+}
+
+/// Totality of the circuit path's two decoders. Whatever follows a `0xC2`
+/// tag — random bytes, a valid packet of a carried circuit cut short or
+/// grown, or one with a bit flipped in a field the hop itself reads (tag,
+/// circuit id, length) — `Wcl::on_app_payload` returns without
+/// panicking, delivers nothing, forwards nothing and installs nothing;
+/// and `HopSetup::decode` takes any extension, accepting exactly its two
+/// lengths. (A flip in the nonce or the body is a well-formed packet: CTR
+/// carries no integrity, the garbage it decrypts to is the PPSS
+/// signature check's to reject.)
+#[test]
+fn circuit_decoders_are_total_on_hostile_bytes() {
+    let cfg = WhisperConfig::default();
+    let keypair = KeyPair::generate(cfg.nylon.rsa, &mut StdRng::seed_from_u64(208));
+    let mut sim = Sim::new(SimConfig::ideal(208));
+    let node = sim.add_node(Box::new(WhisperNode::new(cfg, keypair)), NatType::Public);
+    // One circuit ending here and one passing through, so that a packet
+    // which did name them would be delivered or forwarded.
+    let (ending, passing) = (CircuitId([0x11; 8]), CircuitId([0x22; 8]));
+    let now = sim.now();
+    in_callback(&mut sim, node, |api, _| {
+        let ends_here = CircuitEntry::new(AesKey([1; 16]), Vec::new(), None);
+        api.wcl.carry_circuit(now, ending, ends_here);
+        let through = CircuitEntry::new(
+            AesKey([2; 16]),
+            public_hop_addr(NodeId(9)),
+            Some(CircuitId([0x33; 8])),
+        );
+        api.wcl.carry_circuit(now, passing, through);
+    });
+    let sim = RefCell::new(sim);
+    whisper_rand::check::check(512, "circuit_decoders_are_total_on_hostile_bytes", |g| {
+        let sim = &mut *sim.borrow_mut();
+        let body = g.bytes(80);
+        let valid = circuit_wire(if g.gen_bool(0.5) { ending } else { passing }, g.gen(), &body);
+        let packet = match g.gen_range(0..4u8) {
+            0 => [&[0xC2][..], &g.bytes(120)].concat(),
+            1 => valid[..g.gen_range(0..valid.len())].to_vec(),
+            2 => [&valid[..], &g.bytes(8), &[0]].concat(),
+            _ => {
+                // Tag and id are bytes 0..9, the body length bytes 17..21.
+                let at = if g.gen_bool(0.7) { g.gen_range(0..9) } else { g.gen_range(17..21) };
+                let mut flipped = valid;
+                flipped[at] ^= 1 << g.gen_range(0..8u32);
+                flipped
+            }
+        };
+        assert!(hand_to_wcl(sim, node, &packet).is_none(), "delivered {packet:02x?}");
+        assert_eq!(carried_circuits(sim, node), 2);
+        let m = sim.metrics();
+        assert_eq!(m.counter("wcl.delivered") + m.counter("wcl.circuit_forwarded"), 0);
+        assert_eq!(m.traffic(node).up_msgs, 0, "nothing sent");
+
+        let ext = g.bytes(40);
+        match HopSetup::decode(&ext) {
+            Some(setup) => {
+                assert!([DEST_SETUP_LEN, RELAY_SETUP_LEN].contains(&ext.len()));
+                assert_eq!(setup.encode(), ext, "what was accepted reads back");
+            }
+            None => assert!(![DEST_SETUP_LEN, RELAY_SETUP_LEN].contains(&ext.len())),
+        }
+    });
 }

@@ -34,7 +34,8 @@
 
 use whisper_rand::Rng;
 
-// The one place `unsafe` is allowed: `std::arch` intrinsics.
+// Beside `sha256/ni.rs`, the one place `unsafe` is allowed: `std::arch`
+// intrinsics.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod ni;
@@ -156,13 +157,12 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
-/// An expanded AES-128 cipher instance (11 round keys).
+/// An expanded AES-128 cipher instance: the 11 round keys, 176 bytes, and
+/// nothing else — every kernel reads this one schedule (the T-table kernel
+/// as little-endian column words, the hardware kernel as whole vectors).
 #[derive(Clone)]
 pub struct Aes128 {
     round_keys: [[u8; 16]; 11],
-    /// The same schedule as packed little-endian column words, for the
-    /// T-table encryption path.
-    rk32: [[u32; 4]; 11],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -192,14 +192,20 @@ impl Aes128 {
             }
         }
         let mut round_keys = [[0u8; 16]; 11];
-        let mut rk32 = [[0u32; 4]; 11];
         for r in 0..11 {
             for c in 0..4 {
                 round_keys[r][c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-                rk32[r][c] = u32::from_le_bytes(w[r * 4 + c]);
             }
         }
-        Aes128 { round_keys, rk32 }
+        Aes128 { round_keys }
+    }
+
+    /// Column `j` of round key `round` as the T-table kernel's state word:
+    /// little-endian, byte `i` = row `i`.
+    #[inline(always)]
+    fn round_key_column(&self, round: usize, j: usize) -> u32 {
+        let k = &self.round_keys[round];
+        u32::from_le_bytes([k[j * 4], k[j * 4 + 1], k[j * 4 + 2], k[j * 4 + 3]])
     }
 
     /// Encrypts one 16-byte block in place (T-table fast path; validated
@@ -215,7 +221,7 @@ impl Aes128 {
                 block[j * 4 + 1],
                 block[j * 4 + 2],
                 block[j * 4 + 3],
-            ]) ^ self.rk32[0][j];
+            ]) ^ self.round_key_column(0, j);
         }
         for round in 1..10 {
             // ShiftRows moves the byte at row r of output column j in
@@ -227,7 +233,7 @@ impl Aes128 {
                     ^ t[1][((c[(j + 1) & 3] >> 8) & 0xff) as usize]
                     ^ t[2][((c[(j + 2) & 3] >> 16) & 0xff) as usize]
                     ^ t[3][(c[(j + 3) & 3] >> 24) as usize]
-                    ^ self.rk32[round][j];
+                    ^ self.round_key_column(round, j);
             }
             c = n;
         }
@@ -238,7 +244,7 @@ impl Aes128 {
                 SBOX[((c[(j + 1) & 3] >> 8) & 0xff) as usize],
                 SBOX[((c[(j + 2) & 3] >> 16) & 0xff) as usize],
                 SBOX[(c[(j + 3) & 3] >> 24) as usize],
-            ]) ^ self.rk32[10][j];
+            ]) ^ self.round_key_column(10, j);
             block[j * 4..j * 4 + 4].copy_from_slice(&v.to_le_bytes());
         }
     }
@@ -660,6 +666,14 @@ mod tests {
         for i in 0..=255u8 {
             assert_eq!(inv[SBOX[i as usize] as usize], i);
         }
+    }
+
+    /// One schedule per key: 11 round keys of 16 bytes and no second copy
+    /// in another word order (every `CircuitEntry`, `SourceCircuit` hop
+    /// and cached route holds one of these).
+    #[test]
+    fn cipher_is_one_schedule() {
+        assert_eq!(std::mem::size_of::<Aes128>(), 176);
     }
 
     #[test]

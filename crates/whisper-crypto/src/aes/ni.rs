@@ -2,10 +2,11 @@
 //! in the parent module, producing the same keystream from the same
 //! expanded key.
 //!
-//! This is the only module in the workspace's libraries that contains
-//! `unsafe` code: every other crate forbids it, and this crate denies it
-//! everywhere but here (the `#[allow]` sits on the `mod ni` declaration).
-//! The module boundary is the safety boundary: [`ctr_xor`] is a safe
+//! With `sha256/ni.rs` this is one of the two modules in the workspace's
+//! libraries that contain `unsafe` code: every other crate forbids it, and
+//! this crate denies it everywhere but in those two (the `#[allow]` sits
+//! on the `mod ni` declarations). The module boundary is the safety
+//! boundary: [`ctr_xor`] is a safe
 //! function that checks the CPU feature itself before it enters the
 //! `#[target_feature]` code, so no caller can reach an `aesenc` on a CPU
 //! without one, and every pointer the kernel forms is derived from a slice

@@ -169,6 +169,21 @@ impl BigUint {
         self.div_rem(modulus).1
     }
 
+    /// Returns `self % d` for a word-sized divisor: one pass of short
+    /// division over the limbs, no quotient and no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is zero.
+    pub fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "division by zero");
+        let mut rem: u128 = 0;
+        for &limb in self.limbs.iter().rev() {
+            rem = ((rem << 64) | limb as u128) % d as u128;
+        }
+        rem as u64
+    }
+
     /// Knuth Algorithm D (TAOCP vol. 2, 4.3.1) for multi-limb divisors.
     fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         const B: u128 = 1u128 << 64;

@@ -26,14 +26,26 @@ pub fn is_probable_prime<R: Rng>(n: &BigUint, rng: &mut R) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }
-    for &p in &SMALL_PRIMES {
-        let pb = BigUint::from(p);
-        if *n == pb {
-            return true;
+    // Trial division, one pass over `n` per run of primes whose product
+    // fits a word: `n mod p = (n mod product) mod p` for every p in the
+    // run, and the second reduction is word arithmetic.
+    let mut run_start = 0;
+    while run_start < SMALL_PRIMES.len() {
+        let mut product = 1u64;
+        let mut run_end = run_start;
+        while let Some(longer) =
+            SMALL_PRIMES.get(run_end).and_then(|&p| product.checked_mul(p))
+        {
+            product = longer;
+            run_end += 1;
         }
-        if n.rem(&pb).is_zero() {
-            return false;
+        let residue = n.rem_u64(product);
+        let run = &SMALL_PRIMES[run_start..run_end];
+        if let Some(&p) = run.iter().find(|&&p| residue.is_multiple_of(p)) {
+            // A multiple of p is prime exactly when it is p.
+            return n.to_u64() == Some(p);
         }
+        run_start = run_end;
     }
     // Write n-1 = d * 2^s with d odd.
     let n_minus_1 = n.sub(&BigUint::one());

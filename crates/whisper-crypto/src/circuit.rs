@@ -38,13 +38,25 @@
 //! bitwise unlinkable across hops; the regression test in
 //! `tests/threat_model.rs` asserts exactly this.
 //!
+//! # State per circuit
+//!
+//! A relay's first touch of its own state for a packet is the table
+//! look-up, on a node the simulator last ran thousands of events ago, so
+//! what a circuit occupies is what a hop costs. A [`CircuitEntry`] is one
+//! flat record — link key, one expanded AES schedule (176 bytes, shared
+//! by every kernel), the next hop's address inline, the outbound id —
+//! and the [`CircuitTable`] keeps the entries themselves in a queue in
+//! insertion order, which is expiry order, with a sorted id index beside
+//! it for look-ups: 264 bytes a circuit, no tree, no heap block per
+//! entry (DESIGN.md §9).
+//!
 //! This module is deliberately free of networking types: time is a plain
 //! microsecond count and next-hop addresses are opaque bytes, so the WCL
 //! layer above owns all policy (TTLs, capacities, when to rebuild).
 
 use crate::aes::{Aes128, AesKey, CtrNonce};
 use crate::sha256::Sha256;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use whisper_rand::Rng;
 
 /// A local circuit identifier, meaningful only on one link. 64 bits keeps
@@ -240,16 +252,49 @@ pub fn peel_layer_in_place(key: &AesKey, nonce: &CtrNonce, body: &mut [u8]) {
     Aes128::new(key).ctr_apply_in_place(nonce, body);
 }
 
+/// Longest next-hop address a [`CircuitEntry`] holds without a heap
+/// allocation: the 9 bytes (node id ‖ public flag) WCL installs.
+const INLINE_HOP_LEN: usize = 9;
+
+/// A next-hop address: opaque bytes, inline when they fit.
+#[derive(Clone)]
+enum NextHop {
+    Inline { len: u8, bytes: [u8; INLINE_HOP_LEN] },
+    /// Longer than anything the stack installs; kept for the caller that
+    /// builds one anyway.
+    Heap(Vec<u8>),
+}
+
+impl NextHop {
+    fn new(addr: Vec<u8>) -> NextHop {
+        if addr.len() > INLINE_HOP_LEN {
+            return NextHop::Heap(addr);
+        }
+        let mut bytes = [0u8; INLINE_HOP_LEN];
+        bytes[..addr.len()].copy_from_slice(&addr);
+        NextHop::Inline { len: addr.len() as u8, bytes }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            NextHop::Inline { len, bytes } => &bytes[..*len as usize],
+            NextHop::Heap(addr) => addr,
+        }
+    }
+}
+
 /// What a hop remembers about one circuit.
 ///
 /// The expanded AES key schedule is computed once at installation and
 /// cached, so every subsequent packet on the circuit peels with zero
 /// key-schedule work (the deterministic cost model is unaffected: only
-/// CTR block work is accounted, never schedule expansion).
+/// CTR block work is accounted, never schedule expansion). An entry is
+/// one flat record — key, schedule, next hop, outbound id — with nothing
+/// on the heap behind it.
 #[derive(Clone)]
 pub struct CircuitEntry {
     key: AesKey,
-    next_hop: Vec<u8>,
+    next_hop: NextHop,
     cid_out: Option<CircuitId>,
     cipher: Aes128,
 }
@@ -258,7 +303,7 @@ impl std::fmt::Debug for CircuitEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print key material (nor the cached schedule).
         f.debug_struct("CircuitEntry")
-            .field("next_hop", &self.next_hop)
+            .field("next_hop", &self.next_hop())
             .field("cid_out", &self.cid_out)
             .finish()
     }
@@ -268,7 +313,7 @@ impl CircuitEntry {
     /// Builds an entry, expanding and caching the link key's schedule.
     pub fn new(key: AesKey, next_hop: Vec<u8>, cid_out: Option<CircuitId>) -> CircuitEntry {
         let cipher = Aes128::new(&key);
-        CircuitEntry { key, next_hop, cid_out, cipher }
+        CircuitEntry { key, next_hop: NextHop::new(next_hop), cid_out, cipher }
     }
 
     /// The link key packets arriving on this circuit are sealed under.
@@ -278,7 +323,7 @@ impl CircuitEntry {
 
     /// Opaque next-hop address (empty at the destination).
     pub fn next_hop(&self) -> &[u8] {
-        &self.next_hop
+        self.next_hop.as_slice()
     }
 
     /// Outbound circuit id (`None` at the destination).
@@ -292,29 +337,46 @@ impl CircuitEntry {
     }
 }
 
+/// One stored circuit.
+#[derive(Debug)]
+struct Slot {
+    expires_at_us: u64,
+    cid: CircuitId,
+    entry: CircuitEntry,
+}
+
 /// A bounded, TTL'd map of `cid_in → CircuitEntry`, with deterministic
-/// insertion-order eviction (a `BTreeMap` plus an explicit FIFO queue, so
-/// behavior never depends on hash iteration order — see DESIGN.md
-/// § "Determinism & randomness").
+/// insertion-order eviction.
 ///
 /// The TTL is one constant and callers' clocks only move forward, so
-/// insertion order is expiry order: every [`CircuitTable::insert`] first
-/// pops the expired prefix of the queue, and the table therefore holds
-/// live circuits only — a source re-establishes every half TTL under
-/// fresh ids and never names the old ones again, so without the sweep
-/// they would pile up to the capacity bound and every lookup would
-/// descend a tree of dead entries. A [`CircuitTable::lookup`] is one
-/// probe; it still compares the entry's own expiry, so an entry past its
-/// time is never returned even before the next insert collects it.
+/// insertion order is expiry order, and a queue of the circuits in that
+/// order *is* the store: one contiguous ring of flat slots, swept
+/// from the front, filled at the back. Beside it a dense index, sorted
+/// by id, maps `cid → position in the queue` and serves look-ups only —
+/// nothing ever iterates it, so behavior cannot depend on the order of
+/// ids (see DESIGN.md § "Determinism & randomness"), and a sorted vector
+/// has no worst case an id chosen by a hostile source could reach.
+///
+/// Every [`CircuitTable::insert`] first pops the expired prefix of the
+/// queue, and the table therefore holds live circuits only — a source
+/// re-establishes every half TTL under fresh ids and never names the old
+/// ones again, so without the sweep they would pile up to the capacity
+/// bound and every lookup would search among dead entries. A
+/// [`CircuitTable::lookup`] is one binary search and one slot; it still
+/// compares the entry's own expiry, so an entry past its time is never
+/// returned even before the next insert collects it.
 #[derive(Debug)]
 pub struct CircuitTable {
     cap: usize,
     ttl_us: u64,
-    /// `cid → (entry, expires_at_us)`.
-    entries: BTreeMap<CircuitId, (CircuitEntry, u64)>,
-    /// `(expires_at_us, cid)` of exactly the stored circuits, in
-    /// insertion order.
-    order: VecDeque<(u64, CircuitId)>,
+    /// Exactly the stored circuits, oldest insertion first.
+    slots: VecDeque<Slot>,
+    /// Sequence number of `slots[0]`: slot `i` has number `head_seq + i`,
+    /// which stays true of the slots behind it when the front is popped.
+    head_seq: u64,
+    /// `(cid as a big-endian integer, sequence number of its slot)`,
+    /// sorted by id; one element per slot.
+    index: Vec<(u64, u64)>,
 }
 
 impl CircuitTable {
@@ -326,54 +388,72 @@ impl CircuitTable {
     /// Panics if `cap` is zero.
     pub fn new(cap: usize, ttl_us: u64) -> Self {
         assert!(cap >= 1, "circuit table capacity must be positive");
-        CircuitTable { cap, ttl_us, entries: BTreeMap::new(), order: VecDeque::new() }
+        CircuitTable { cap, ttl_us, slots: VecDeque::new(), head_seq: 0, index: Vec::new() }
     }
 
     /// Number of stored circuits: after an insert at time `t`, exactly
     /// the circuits unexpired at `t`.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
+    }
+
+    /// Where `cid` is in the index (`Ok`) or belongs (`Err`).
+    fn index_of(&self, cid: CircuitId) -> Result<usize, usize> {
+        let key = u64::from_be_bytes(cid.0);
+        self.index.binary_search_by_key(&key, |&(k, _)| k)
     }
 
     /// Inserts (or refreshes) a circuit after collecting every expired
     /// one, evicting the oldest insertion when still full.
     pub fn insert(&mut self, now_us: u64, cid: CircuitId, entry: CircuitEntry) {
-        while self.order.front().is_some_and(|(expires, _)| *expires <= now_us) {
+        while self.slots.front().is_some_and(|slot| slot.expires_at_us <= now_us) {
             self.evict_oldest();
         }
-        if self.entries.remove(&cid).is_some() {
-            self.order.retain(|(_, c)| *c != cid);
+        // A refresh moves the circuit to the back of the queue: its old
+        // slot goes, and every slot behind it moves up by one. Linear,
+        // and rare — a source draws a fresh id for every establishment.
+        if let Ok(at) = self.index_of(cid) {
+            let (_, seq) = self.index.remove(at);
+            self.slots.remove((seq - self.head_seq) as usize);
+            for (_, later) in self.index.iter_mut().filter(|(_, s)| *s > seq) {
+                *later -= 1;
+            }
         }
-        while self.entries.len() >= self.cap {
+        while self.slots.len() >= self.cap {
             self.evict_oldest();
         }
-        let expires = now_us.saturating_add(self.ttl_us);
-        self.entries.insert(cid, (entry, expires));
-        self.order.push_back((expires, cid));
+        let at = self.index_of(cid).expect_err("any old slot of this id was just removed");
+        self.index.insert(at, (u64::from_be_bytes(cid.0), self.head_seq + self.slots.len() as u64));
+        let expires_at_us = now_us.saturating_add(self.ttl_us);
+        self.slots.push_back(Slot { expires_at_us, cid, entry });
     }
 
     fn evict_oldest(&mut self) {
-        if let Some((_, cid)) = self.order.pop_front() {
-            self.entries.remove(&cid);
+        if let Some(slot) = self.slots.pop_front() {
+            let at = self.index_of(slot.cid).expect("every slot is indexed");
+            self.index.remove(at);
+            self.head_seq += 1;
         }
     }
 
-    /// Looks up a live circuit (one probe; expired circuits are never
-    /// returned, and are collected by the next insert).
+    /// Looks up a live circuit (expired circuits are never returned, and
+    /// are collected by the next insert).
     pub fn lookup(&self, now_us: u64, cid: CircuitId) -> Option<&CircuitEntry> {
-        self.entries.get(&cid).filter(|(_, expires)| *expires > now_us).map(|(entry, _)| entry)
+        let (_, seq) = self.index[self.index_of(cid).ok()?];
+        let slot = &self.slots[(seq - self.head_seq) as usize];
+        (slot.expires_at_us > now_us).then_some(&slot.entry)
     }
 
     /// Drops every stored circuit (simulates a relay losing state, e.g. a
     /// restart after churn).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        self.slots.clear();
+        self.index.clear();
     }
 }
 
@@ -594,6 +674,95 @@ mod tests {
         });
     }
 
+    /// The table this one replaced, as its model: the entries in a
+    /// `BTreeMap` and the FIFO of their ids beside it.
+    struct ModelTable {
+        cap: usize,
+        ttl_us: u64,
+        /// `cid → (first key byte of the entry, expires_at_us)`.
+        entries: std::collections::BTreeMap<CircuitId, (u8, u64)>,
+        order: VecDeque<(u64, CircuitId)>,
+    }
+
+    impl ModelTable {
+        fn insert(&mut self, now_us: u64, cid: CircuitId, tag: u8) {
+            let evict_oldest = |m: &mut ModelTable| {
+                let (_, oldest) = m.order.pop_front().unwrap();
+                m.entries.remove(&oldest);
+            };
+            while self.order.front().is_some_and(|(expires, _)| *expires <= now_us) {
+                evict_oldest(self);
+            }
+            if self.entries.remove(&cid).is_some() {
+                self.order.retain(|(_, c)| *c != cid);
+            }
+            while self.entries.len() >= self.cap {
+                evict_oldest(self);
+            }
+            let expires = now_us.saturating_add(self.ttl_us);
+            self.entries.insert(cid, (tag, expires));
+            self.order.push_back((expires, cid));
+        }
+
+        fn lookup(&self, now_us: u64, cid: CircuitId) -> Option<u8> {
+            self.entries.get(&cid).filter(|(_, expires)| *expires > now_us).map(|(tag, _)| *tag)
+        }
+    }
+
+    /// Queue + index against map + queue under random inserts, refreshes,
+    /// look-ups and state loss on a moving clock: the same length, and
+    /// for every id the same entry or none — hence the same evictions in
+    /// the same order.
+    #[test]
+    fn table_matches_its_btreemap_model() {
+        whisper_rand::check::check(256, "table_matches_its_btreemap_model", |g| {
+            let cap = g.gen_range(1..=8usize);
+            let ttl_us = if g.gen_bool(0.2) { u64::MAX } else { g.gen_range(1..=40u64) };
+            let mut table = CircuitTable::new(cap, ttl_us);
+            let mut model = ModelTable {
+                cap,
+                ttl_us,
+                entries: std::collections::BTreeMap::new(),
+                order: VecDeque::new(),
+            };
+            let ids = g.gen_range(1..=14u8);
+            let mut now = 0u64;
+            for step in 0..g.gen_range(1..=150usize) {
+                now += g.gen_range(0..=ttl_us.min(40) / 2 + 1);
+                if g.gen_bool(0.03) {
+                    table.clear();
+                    model.entries.clear();
+                    model.order.clear();
+                } else if g.gen_bool(0.7) {
+                    let (id, tag) = (g.gen_range(0..ids), step as u8);
+                    table.insert(now, cid(id), entry(tag));
+                    model.insert(now, cid(id), tag);
+                }
+                assert_eq!(table.len(), model.entries.len(), "len at t={now}");
+                assert_eq!(table.is_empty(), model.entries.is_empty());
+                for probe in 0..ids {
+                    assert_eq!(
+                        table.lookup(now, cid(probe)).map(|e| e.key().0[0]),
+                        model.lookup(now, cid(probe)),
+                        "circuit {probe} at t={now} (cap {cap}, ttl {ttl_us})"
+                    );
+                }
+            }
+        });
+    }
+
+    /// The address WCL installs lives in the entry itself; a longer one —
+    /// which only a caller outside the stack builds — is kept whole.
+    #[test]
+    fn next_hop_round_trips_inline_and_beyond() {
+        for len in [0usize, 1, 9, 10, 40] {
+            let addr: Vec<u8> = (0..len as u8).collect();
+            let e = CircuitEntry::new(AesKey([1; 16]), addr.clone(), Some(cid(2)));
+            assert_eq!(e.next_hop(), addr, "{len} bytes");
+            assert_eq!(matches!(e.next_hop, NextHop::Inline { .. }), len <= 9, "{len} bytes");
+        }
+    }
+
     #[test]
     fn table_evicts_oldest_insertion_first() {
         let mut t = CircuitTable::new(2, u64::MAX);
@@ -621,7 +790,7 @@ mod tests {
     #[test]
     fn table_eviction_is_deterministic() {
         // Same insertion sequence ⇒ same survivors, regardless of id
-        // values (BTreeMap + FIFO, never hash order).
+        // values (a FIFO queue, never hash order).
         let run = || {
             let mut t = CircuitTable::new(4, u64::MAX);
             for b in [9u8, 3, 7, 1, 8, 2] {

@@ -77,6 +77,24 @@ fn division_invariant() {
     });
 }
 
+/// The allocation-free word remainder agrees with the general division
+/// for values of 1–33 limbs and divisors over the whole word range
+/// (small ones, where the quotient is long, as often as large ones).
+#[test]
+fn rem_u64_matches_rem() {
+    check(256, "rem_u64_matches_rem", |g| {
+        let limbs = g.gen_range(1..=33usize);
+        let bytes: Vec<u8> = (0..limbs * 8).map(|_| g.gen()).collect();
+        let n = big(&bytes);
+        let d = (g.gen::<u64>() >> g.gen_range(0..64u32)).max(1);
+        let expected = n.rem(&BigUint::from(d));
+        assert_eq!(BigUint::from(n.rem_u64(d)), expected, "{limbs} limbs mod {d}");
+        assert_eq!(n.rem_u64(u64::MAX), n.rem(&BigUint::from(u64::MAX)).to_u64().unwrap());
+        assert_eq!(n.rem_u64(1), 0);
+        assert_eq!(BigUint::zero().rem_u64(d), 0);
+    });
+}
+
 #[test]
 fn shifts_invert() {
     check(64, "shifts_invert", |g| {

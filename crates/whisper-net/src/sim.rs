@@ -639,7 +639,7 @@ struct Shard {
     traffic: Vec<Traffic>,
     /// Positions with a nonzero `traffic` delta since the last sync.
     traffic_dirty: Vec<u32>,
-    /// Delta metric sink, drained into the master sink at run boundaries.
+    /// Delta metric sink, emptied into the master sink at run boundaries.
     metrics: Metrics,
     /// Shard-local payload buffer pool; delivered buffers are recycled
     /// here and handed back out by [`Ctx::send_wire`].
@@ -753,7 +753,11 @@ impl Shard {
                 self.in_flight -= 1;
             }
             self.now = ev.at;
-            self.metrics.set_tag(Some(key));
+            // Tags exist to merge the series of several shards; one shard
+            // records in canonical order as it is.
+            if self.nshards > 1 {
+                self.metrics.set_tag(Some(key));
+            }
             let t_disp = profiling.then(std::time::Instant::now);
             self.dispatch(ev, env);
             if let Some(t0) = t_disp {
@@ -1457,42 +1461,44 @@ impl Sim {
     }
 
     /// Drains every shard's delta metrics into the master sink in
-    /// canonical event order. Pool statistics are flushed here too — into
+    /// canonical event order; the shard sinks come back empty, with the
+    /// memory they had. Pool statistics are flushed here too — into
     /// the `net.pool_*` counters, which are shard-local by nature and
     /// therefore exempt from the determinism-trace comparison (DESIGN.md
     /// §13), like the `*_wall_us` samples.
     fn sync_metrics(&mut self) {
-        let deltas: Vec<Metrics> = self
-            .shards
-            .iter_mut()
-            .map(|s| {
-                let stats = s.pool.take_stats();
-                for (name, v) in [
-                    ("net.pool_hits", stats.hits),
-                    ("net.pool_misses", stats.misses),
-                    ("net.pool_miss_bytes", stats.miss_bytes),
-                    ("net.pool_recycled", stats.recycled),
-                    ("net.pool_drop_shared", stats.drop_shared),
-                    ("net.pool_drop_full", stats.drop_full),
-                ] {
-                    if v > 0 {
-                        s.metrics.count(name, v);
-                    }
+        let Sim { shards, metrics, .. } = self;
+        for s in shards.iter_mut() {
+            let stats = s.pool.take_stats();
+            for (name, v) in [
+                ("net.pool_hits", stats.hits),
+                ("net.pool_misses", stats.misses),
+                ("net.pool_miss_bytes", stats.miss_bytes),
+                ("net.pool_recycled", stats.recycled),
+                ("net.pool_drop_shared", stats.drop_shared),
+                ("net.pool_drop_full", stats.drop_full),
+            ] {
+                if v > 0 {
+                    metrics.count(name, v);
                 }
-                s.prof.flush(&mut s.metrics);
-                // Fold the dense per-slot traffic deltas into the shard
-                // sink (dirty positions only, then reset — the master map
-                // merge below reconstructs per-node totals).
-                let nshards = s.nshards;
-                let base = s.index as u64;
-                for pos in s.traffic_dirty.drain(..) {
-                    let t = std::mem::take(&mut s.traffic[pos as usize]);
-                    s.metrics.add_traffic(NodeId(pos as u64 * nshards + base), t);
-                }
-                std::mem::take(&mut s.metrics)
-            })
-            .collect();
-        self.metrics.merge_shard_deltas(deltas);
+            }
+            s.prof.flush(metrics);
+            // Fold the dense per-slot traffic deltas into the per-node
+            // totals (dirty positions only, then reset).
+            let (nshards, base) = (s.nshards, s.index as u64);
+            for pos in s.traffic_dirty.drain(..) {
+                let t = std::mem::take(&mut s.traffic[pos as usize]);
+                metrics.add_traffic(NodeId(pos as u64 * nshards + base), t);
+            }
+        }
+        match shards.as_mut_slice() {
+            [only] => metrics.append_shard_delta(&mut only.metrics),
+            many => {
+                let mut deltas: Vec<&mut Metrics> =
+                    many.iter_mut().map(|s| &mut s.metrics).collect();
+                metrics.merge_shard_deltas(&mut deltas);
+            }
+        }
     }
 }
 

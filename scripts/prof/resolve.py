@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Turns a sigprof.c sample file into self-time and caller-attributed profiles.
+"""Turns a sigprof.c sample file into self-time and caller-attributed profiles,
+or a heapprof.c site file into live-heap tables.
 
 usage: [UNDER=<regex>] resolve.py <samples> [top_n]
 
@@ -13,6 +14,12 @@ cannot say on whose behalf it ran — the first non-libc caller of every
 sample that ended in libc (Rust's `raw_vec`/`alloc` plumbing passed over). With UNDER set, only samples with a frame whose
 symbol matches the regex are counted: UNDER='host_windows|timed_window'
 keeps perfbench's measured windows and drops its set-ups.
+
+A file with `H <bytes> <blocks> <frames>` lines (heapprof.c: what was live
+per call site when the heap peaked) is resolved the same way and printed as
+MB and blocks by owner — the first frame outside libc, the interposer and
+Rust's alloc::/core::/hashbrown:: plumbing — and by the chain of the first
+four such frames.
 """
 import bisect
 import collections
@@ -30,6 +37,11 @@ ALLOCATOR = re.compile(r"^(__libc_|__default_)?(malloc|calloc|realloc|free|cfree
 # Rust's own allocation plumbing between a libc call and the code that
 # wanted the memory: passed over when naming the caller of a libc sample.
 PLUMBING = re.compile(r"^(alloc::raw_vec::|alloc::alloc::|__rust_|__rdl_|__rustc)")
+# What stands between an allocation and the code that owns the memory in a
+# heap profile: the above and every generic container of the standard
+# library (`alloc::vec::Vec<T>::push`, `<alloc::… as core::clone::Clone>::clone`,
+# `hashbrown::raw::RawTable::reserve_rehash`, ...).
+CONTAINERS = re.compile(r"^(<?(alloc|core|hashbrown)::|__rust_|__rdl_|__rustc)")
 
 
 def symbols(path):
@@ -103,11 +115,37 @@ def table(title, counts, total, top_n):
         print(f"{100 * n / total:7.2f} {n:8d}  {name}  [{os.path.basename(file)}]")
 
 
+def heap_tables(resolver, sites, peak, top_n):
+    """Live bytes and blocks per owner and per four-owner chain."""
+    owners, chains = collections.Counter(), collections.Counter()
+    blocks = collections.Counter()
+    for size, count, stack in sites:
+        # Return addresses, moved back into their call instruction.
+        frames = [resolver.frame(ret - 1) for ret in stack]
+        named = [name for path, name, libc, _ in frames
+                 if not libc and "heapprof" not in os.path.basename(path) and not CONTAINERS.match(name)]
+        owner = named[0] if named else "(no frame outside libc and the containers)"
+        chain = " <- ".join(named[:4]) if named else owner
+        owners[owner] += size
+        chains[chain] += size
+        blocks[owner] += count
+        blocks[chain] += count
+    total = sum(owners.values())
+    print(f"{total / 1e6:.1f} MB live in {sum(count for _, count, _ in sites)} blocks "
+          f"at {len(sites)} sites when the heap peaked"
+          + (f" (interposer's own count: {peak[0] / 1e6:.1f} MB, {peak[1]} blocks)" if peak else ""))
+    for title, counts in (("first frame outside libc, alloc::, core::, hashbrown::", owners),
+                          ("chain of four such frames, innermost first", chains)):
+        print(f"\n{'MB':>8} {'%':>6} {'blocks':>9}  {title}")
+        for name, size in counts.most_common(top_n):
+            print(f"{size / 1e6:8.2f} {100 * size / total:6.1f} {blocks[name]:9d}  {name}")
+
+
 def main():
     samples_path = sys.argv[1]
     top_n = int(sys.argv[2]) if len(sys.argv) > 2 else 25
     under = re.compile(os.environ["UNDER"]) if os.environ.get("UNDER") else None
-    maps, stacks = [], []
+    maps, stacks, sites, peak = [], [], [], None
     for line in open(samples_path):
         if line.startswith("M "):
             fields = line[2:].split()
@@ -115,6 +153,14 @@ def main():
             maps.append((start, end, fields[1], fields[5] if len(fields) > 5 else "[anon]"))
         elif line.startswith("S "):
             stacks.append(stack_of([int(x, 16) for x in line[2:].split()]))
+        elif line.startswith("H "):
+            fields = line[2:].split()
+            sites.append((int(fields[0]), int(fields[1]), [int(x, 16) for x in fields[2:]]))
+        elif line.startswith("P "):
+            peak = tuple(int(x) for x in line[2:].split())
+    if sites:
+        heap_tables(Resolver(maps), sites, peak, top_n)
+        return
     if not stacks:
         sys.exit("no samples (did the program run long enough to tick?)")
     resolver = Resolver(maps)
