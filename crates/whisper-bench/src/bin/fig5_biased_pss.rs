@@ -2,9 +2,7 @@
 //! Flags:
 //! * `--quick` — smoke-test scale;
 //! * `--no-oldest-p-discard` — ablation: protect P-node slots by
-//!   seniority instead of freshness;
-//! * `--nodes N` / `--shards S` — override the population size and the
-//!   engine shard count (DESIGN.md §12).
+//!   seniority instead of freshness.
 
 use whisper_bench::experiments::{self, fig5};
 
@@ -13,12 +11,6 @@ fn main() {
     let mut params = if quick { fig5::Params::quick() } else { fig5::Params::paper() };
     if std::env::args().any(|a| a == "--no-oldest-p-discard") {
         params.oldest_p_discard = false;
-    }
-    if let Some(nodes) = experiments::arg_value("--nodes") {
-        params.nodes = nodes;
-    }
-    if let Some(shards) = experiments::arg_value("--shards") {
-        params.shards = shards;
     }
     fig5::run(&params);
 }

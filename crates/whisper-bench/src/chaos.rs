@@ -24,6 +24,7 @@ use whisper_core::node::{GroupApp, WhisperApi, WhisperNode};
 use whisper_core::{GroupId, PrivateEntry};
 use whisper_net::fault::{FaultPlan, GilbertElliott};
 use whisper_net::sim::Ctx;
+use whisper_net::stats::Cdf;
 use whisper_net::{NodeId, SimTime};
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
@@ -508,40 +509,11 @@ pub struct LifecycleOutcome {
     pub trace: Vec<u8>,
 }
 
-fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut v = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let idx = ((v.len() as f64 - 1.0) * p).round() as usize;
-    v[idx.min(v.len() - 1)]
-}
-
 /// Serializes every deterministic observable of a finished run, for the
-/// shard-invariance comparison (same exemptions as the determinism
-/// suite: `net.pool_*` counters are shard-local by construction and
-/// `*_wall_us` samples are the sanctioned host-dependent output).
+/// shard-invariance comparison: the trace the determinism suite compares
+/// (host-side metric families exempt), then the final clock.
 fn serialize_observables(net: &WhisperNet) -> Vec<u8> {
-    let m = net.sim.metrics();
-    let mut out = Vec::new();
-    for name in m.counter_names().filter(|n| !n.starts_with("net.pool_")) {
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&m.counter(name).to_le_bytes());
-    }
-    for name in m.sample_names().filter(|n| !n.ends_with("_wall_us")) {
-        out.extend_from_slice(name.as_bytes());
-        for v in m.samples(name) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    for (node, traffic) in m.traffic_snapshot() {
-        out.extend_from_slice(&node.0.to_le_bytes());
-        out.extend_from_slice(&traffic.up_msgs.to_le_bytes());
-        out.extend_from_slice(&traffic.down_msgs.to_le_bytes());
-        out.extend_from_slice(&traffic.up_bytes.to_le_bytes());
-        out.extend_from_slice(&traffic.down_bytes.to_le_bytes());
-    }
+    let mut out = net.sim.metrics().deterministic_trace();
     out.extend_from_slice(&net.sim.now().as_micros().to_le_bytes());
     out
 }
@@ -732,7 +704,11 @@ pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
         deleted,
         resurrections,
         desc_prop_samples: prop.len(),
-        desc_prop_p95_s: percentile(prop, 0.95),
+        desc_prop_p95_s: if prop.is_empty() {
+            0.0
+        } else {
+            Cdf::from_samples(prop.iter().copied()).percentile(95.0)
+        },
         late_members,
         migrated_ok,
         journal_replays: m.counter("ppss.journal_replayed"),

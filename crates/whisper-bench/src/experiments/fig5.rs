@@ -23,8 +23,6 @@ pub struct Params {
     pub pis: Vec<usize>,
     /// Whether to apply the oldest-P-discard bias (ablation: disable).
     pub oldest_p_discard: bool,
-    /// Engine shard count (performance knob only; DESIGN.md §12).
-    pub shards: usize,
 }
 
 impl Params {
@@ -36,7 +34,6 @@ impl Params {
             seed: 5,
             pis: vec![0, 1, 2, 3],
             oldest_p_discard: true,
-            shards: 1,
         }
     }
 
@@ -59,9 +56,7 @@ pub fn run(params: &Params) {
     for &pi in &params.pis {
         let mut cfg = NylonConfig::with_pi(pi);
         cfg.oldest_p_discard = params.oldest_p_discard;
-        let mut builder = NetBuilder::cluster(params.nodes, params.seed);
-        builder.sim = builder.sim.clone().with_shards(params.shards);
-        let mut net = builder.build_pss(&cfg);
+        let mut net = NetBuilder::cluster(params.nodes, params.seed).build_pss(&cfg);
         net.sim.run_for_secs(params.secs);
 
         let snap = OverlaySnapshot::new(

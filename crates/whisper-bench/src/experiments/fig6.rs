@@ -66,8 +66,7 @@ pub fn run(params: &Params) {
             let mut net = builder.build_pss(&cfg);
             net.sim.run_for_secs(params.warmup);
             let before = net.sim.metrics().traffic_snapshot();
-            net.sim
-                .run_for_secs(params.cycles * cfg.cycle.as_secs());
+            net.sim.run_for_secs(params.cycles * whisper_pss::nylon::CYCLE.as_secs());
             let after = net.sim.metrics().traffic_snapshot();
             let delta = traffic_delta(&before, &after);
 

@@ -19,7 +19,7 @@ pub fn quick_flag() -> bool {
 }
 
 /// Reads a `--flag N` or `--flag=N` numeric argument from the process
-/// arguments (e.g. `--nodes 4000`, `--shards=8`).
+/// arguments (e.g. `--seed 11`, `--seed=11`).
 pub fn arg_value(flag: &str) -> Option<usize> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {

@@ -30,8 +30,6 @@ pub struct Params {
     pub churn_window: u64,
     /// Engine seed.
     pub seed: u64,
-    /// Engine shard count (performance knob only; DESIGN.md §12).
-    pub shards: usize,
 }
 
 impl Params {
@@ -45,7 +43,6 @@ impl Params {
             settle: 250,
             churn_window: 900,
             seed: 7,
-            shards: 1,
         }
     }
 
@@ -72,9 +69,8 @@ struct Ratios {
 }
 
 fn run_one(params: &Params, x_percent: f64) -> Ratios {
-    let mut builder = NetBuilder::cluster(params.nodes, params.seed);
-    builder.sim = builder.sim.clone().with_shards(params.shards);
-    let mut net = builder.build_whisper(|_| Box::new(whisper_core::node::NoApp));
+    let mut net = NetBuilder::cluster(params.nodes, params.seed)
+        .build_whisper(|_| Box::new(whisper_core::node::NoApp));
     net.sim.run_for_secs(params.warmup);
 
     // One leader (P-node) per group, as in the paper where each group is

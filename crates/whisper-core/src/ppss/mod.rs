@@ -13,7 +13,7 @@ pub mod group;
 pub mod journal;
 pub mod messages;
 
-use crate::wcl::{GatewayInfo, Wcl};
+use crate::wcl::{DestInfo, GatewayInfo, Wcl};
 use descriptor::{GroupDescriptor, MemberDot, Membership, DELTA_DOTS};
 use election::{ElectionOutcome, LeaderTracker};
 use group::{
@@ -35,12 +35,17 @@ pub const TIMER_PPSS_CYCLE: u64 = 5;
 /// Timer token: persistent-connection-pool refresh.
 pub const TIMER_PCP_REFRESH: u64 = 6;
 
+/// Entries shipped per exchange (paper: 5).
+pub const GOSSIP_LEN: usize = 5;
+/// Π — gateways advertised per NATted member (paper: 3).
+pub const GATEWAYS: usize = 3;
+
 /// PPSS configuration.
 #[derive(Clone, Debug)]
 pub struct PpssConfig {
     /// Private view size per group.
     ///
-    /// Must be strictly larger than `gossip_len`: when every exchange
+    /// Must be strictly larger than [`GOSSIP_LEN`]: when every exchange
     /// ships the whole view, age-0 copies of a *dead* member's entry
     /// replicate faster than holders age them (each transfer duplicates
     /// the freshest copy), and views freeze at an all-fresh fixed point
@@ -48,12 +53,8 @@ pub struct PpssConfig {
     /// keeps the duplication rate below the aging rate, which is exactly
     /// why the classic PSS exchanges `c/2` of `c` entries.
     pub view_size: usize,
-    /// Entries shipped per exchange (paper: 5).
-    pub gossip_len: usize,
     /// PPSS cycle period (paper: 1 minute).
     pub cycle: SimDuration,
-    /// Π — gateways advertised per NATted member (paper: 3).
-    pub gateways: usize,
     /// PCP refresh period (lower frequency than gossip; bounded by the
     /// NAT association lease).
     pub pcp_refresh: SimDuration,
@@ -68,13 +69,10 @@ impl PpssConfig {
     ///
     /// # Panics
     ///
-    /// Panics when `gossip_len >= view_size` (see `view_size` docs: a
+    /// Panics when `view_size <= GOSSIP_LEN` (see `view_size` docs: a
     /// full-view exchange breaks failure pruning).
     pub fn validate(&self) {
-        assert!(
-            self.gossip_len < self.view_size,
-            "PPSS gossip_len must be smaller than view_size"
-        );
+        assert!(GOSSIP_LEN < self.view_size, "PPSS view_size must exceed GOSSIP_LEN");
     }
 }
 
@@ -82,9 +80,7 @@ impl Default for PpssConfig {
     fn default() -> Self {
         PpssConfig {
             view_size: 8,
-            gossip_len: 5,
             cycle: SimDuration::from_secs(60),
-            gateways: 3,
             pcp_refresh: SimDuration::from_secs(120),
             hb_miss_threshold: 4,
             election_cycles: 3,
@@ -448,7 +444,7 @@ impl Ppss {
                 .cb()
                 .publics()
                 .filter_map(|e| e.key.clone().map(|key| GatewayInfo { node: e.node, key }))
-                .take(self.cfg.gateways)
+                .take(GATEWAYS)
                 .collect()
         };
         PrivateEntry {
@@ -469,12 +465,10 @@ impl Ppss {
     ///
     /// # Panics
     ///
-    /// Panics if the node already belongs to a group with this name.
-    /// # Panics
-    ///
-    /// Also panics if a group with this name was deleted: the tombstone
-    /// is sticky, so the name can never be reused (resurrection is
-    /// impossible by construction).
+    /// Panics if the node already belongs to a group with this name, or
+    /// if a group with this name was deleted: the tombstone is sticky, so
+    /// the name can never be reused (resurrection is impossible by
+    /// construction).
     pub fn create_group(&mut self, ctx: &mut Ctx<'_>, nylon: &NylonCore, name: &str) -> GroupId {
         let id = GroupId::from_name(name);
         assert!(!self.groups.contains_key(&id), "already a member of {name:?}");
@@ -637,6 +631,29 @@ impl Ppss {
         true
     }
 
+    /// The wire image of an application message to `group` — the one
+    /// place a [`PpssMsg::AppData`] is built — with our entry when the
+    /// receiver is to reply directly. `None` if we are not a member.
+    fn app_data(
+        &self,
+        nylon: &NylonCore,
+        group: GroupId,
+        data: Vec<u8>,
+        with_reply_entry: bool,
+    ) -> Option<Vec<u8>> {
+        let passport = self.groups.get(&group)?.passport.clone();
+        let reply_entry = with_reply_entry.then(|| self.my_entry(nylon));
+        Some(PpssMsg::AppData { group, passport, data, reply_entry }.to_wire())
+    }
+
+    /// Where to reach member `to` of `group`: its pinned entry, else the
+    /// one in the private view.
+    fn member_dest(&self, group: GroupId, to: NodeId) -> Option<DestInfo> {
+        let state = self.groups.get(&group)?;
+        let entry = state.pcp.get(&to).or_else(|| state.view.iter().find(|e| e.node == to))?;
+        Some(entry.dest_info())
+    }
+
     /// Sends application bytes to a group member over a WCL route,
     /// optionally shipping our entry so the member can reply directly.
     ///
@@ -653,24 +670,11 @@ impl Ppss {
         data: Vec<u8>,
         with_reply_entry: bool,
     ) -> bool {
-        let my_entry = with_reply_entry.then(|| self.my_entry(nylon));
-        let Some(state) = self.groups.get(&group) else {
+        let Some(dest) = self.member_dest(group, to) else {
             return false;
         };
-        let Some(entry) = state
-            .pcp
-            .get(&to)
-            .or_else(|| state.view.iter().find(|e| e.node == to))
-        else {
-            return false;
-        };
-        let msg = PpssMsg::AppData {
-            group,
-            passport: state.passport.clone(),
-            data,
-            reply_entry: my_entry,
-        };
-        wcl.send_untracked(ctx, nylon, &entry.dest_info(), &msg.to_wire())
+        self.app_data(nylon, group, data, with_reply_entry)
+            .is_some_and(|wire| wcl.send_untracked(ctx, nylon, &dest, &wire))
     }
 
     /// Like [`Ppss::send_app`], but tracked through the WCL retry
@@ -689,21 +693,10 @@ impl Ppss {
         data: Vec<u8>,
         with_reply_entry: bool,
     ) -> Option<u64> {
-        let my_entry = with_reply_entry.then(|| self.my_entry(nylon));
-        let state = self.groups.get(&group)?;
-        let entry = state
-            .pcp
-            .get(&to)
-            .or_else(|| state.view.iter().find(|e| e.node == to))?;
-        let msg = PpssMsg::AppData {
-            group,
-            passport: state.passport.clone(),
-            data,
-            reply_entry: my_entry,
-        };
+        let dest = self.member_dest(group, to)?;
+        let wire = self.app_data(nylon, group, data, with_reply_entry)?;
         let msg_id = wcl.alloc_msg_id();
-        wcl.send(ctx, nylon, &entry.dest_info(), msg.to_wire(), msg_id)
-            .then_some(msg_id)
+        wcl.send(ctx, nylon, &dest, wire, msg_id).then_some(msg_id)
     }
 
     /// Sends application bytes to an explicit entry (e.g. one shipped in
@@ -719,17 +712,8 @@ impl Ppss {
         data: Vec<u8>,
         with_reply_entry: bool,
     ) -> bool {
-        let my_entry = with_reply_entry.then(|| self.my_entry(nylon));
-        let Some(state) = self.groups.get(&group) else {
-            return false;
-        };
-        let msg = PpssMsg::AppData {
-            group,
-            passport: state.passport.clone(),
-            data,
-            reply_entry: my_entry,
-        };
-        wcl.send_untracked(ctx, nylon, &to.dest_info(), &msg.to_wire())
+        self.app_data(nylon, group, data, with_reply_entry)
+            .is_some_and(|wire| wcl.send_untracked(ctx, nylon, &to.dest_info(), &wire))
     }
 
     // ----------------------------------------------------------------
@@ -759,8 +743,8 @@ impl Ppss {
         let me = nylon.id();
         let my_key = nylon.keypair().public().clone(); // a handle, not a copy
         let my_key_bytes = my_key.wire_bytes();
-        let (hb_miss_threshold, election_cycles, gossip_len) =
-            (self.cfg.hb_miss_threshold, self.cfg.election_cycles, self.cfg.gossip_len);
+        let (hb_miss_threshold, election_cycles) =
+            (self.cfg.hb_miss_threshold, self.cfg.election_cycles);
         let groups: Vec<GroupId> = self.group_ids();
         for group in groups {
             let state = self.groups.get_mut(&group).expect("listed");
@@ -841,7 +825,7 @@ impl Ppss {
             else {
                 continue;
             };
-            let buffer = Self::build_buffer(state, partner.node, gossip_len, ctx);
+            let buffer = Self::build_buffer(state, partner.node, ctx);
             let (member_adds, member_removes) = state.membership.recent_dots(EXCHANGE_DOTS);
             let msg_id = wcl.alloc_msg_id();
             let msg = PpssMsg::Exchange {
@@ -1238,7 +1222,7 @@ impl Ppss {
         state.dirty = true;
         // Seed the joiner with a slice of our view plus ourselves.
         let mut entries = vec![my_entry];
-        entries.extend(state.view.iter().take(self.cfg.gossip_len).cloned());
+        entries.extend(state.view.iter().take(GOSSIP_LEN).cloned());
         let ack = PpssMsg::JoinAck {
             group,
             passport,
@@ -1370,7 +1354,7 @@ impl Ppss {
         }
         if !is_response {
             // Answer with our own buffer (built pre-merge).
-            let buffer = Self::build_buffer(state, from_entry.node, cfg.gossip_len, ctx);
+            let buffer = Self::build_buffer(state, from_entry.node, ctx);
             let (member_adds, member_removes) = state.membership.recent_dots(EXCHANGE_DOTS);
             let resp = PpssMsg::Exchange {
                 group,
@@ -1472,20 +1456,15 @@ impl Ppss {
         events
     }
 
-    /// Builds the exchange buffer: a random `len`-sized subset of the
-    /// view, excluding the partner (our fresh entry travels separately as
+    /// Builds the exchange buffer: a random [`GOSSIP_LEN`]-sized subset of
+    /// the view, excluding the partner (our fresh entry travels separately as
     /// `from_entry`).
-    fn build_buffer(
-        state: &GroupState,
-        partner: NodeId,
-        len: usize,
-        ctx: &mut Ctx<'_>,
-    ) -> Vec<PrivateEntry> {
+    fn build_buffer(state: &GroupState, partner: NodeId, ctx: &mut Ctx<'_>) -> Vec<PrivateEntry> {
         use whisper_rand::seq::SliceRandom;
         let mut candidates: Vec<&PrivateEntry> =
             state.view.iter().filter(|e| e.node != partner).collect();
         candidates.shuffle(ctx.rng());
-        candidates.into_iter().take(len).cloned().collect()
+        candidates.into_iter().take(GOSSIP_LEN).cloned().collect()
     }
 }
 

@@ -39,7 +39,7 @@ use whisper_crypto::onion::{self, PeelResult};
 use whisper_crypto::rsa::PublicKey;
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use whisper_net::wire::{bytes_len, WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use whisper_net::{NodeId, SimDuration, SimTime};
 use whisper_pss::transport::SendOutcome;
 use whisper_pss::NylonCore;
@@ -91,7 +91,7 @@ impl WireEncode for GatewayInfo {
     }
 
     fn encoded_len(&self) -> usize {
-        8 + whisper_net::wire::bytes_len(self.key.wire_bytes())
+        8 + bytes_len(self.key.wire_bytes())
     }
 }
 
@@ -125,23 +125,23 @@ pub struct WclConfig {
     /// values tolerate `f − 1` colluding mixes at extra cost (§III-A
     /// footnote; exercised by the path-length ablation).
     pub mixes: usize,
-    /// How long to wait for a response before retrying over an
-    /// alternative path.
-    pub retry_timeout: SimDuration,
-    /// Maximum retries (Π in the paper).
-    pub max_retries: usize,
     /// How long a relay keeps a circuit alive. The source refreshes its
     /// cached route after half this, so a live conversation never races
     /// relay expiry.
     pub circuit_ttl: SimDuration,
     /// Adaptive retransmission timeout (Jacobson/Karn): per-destination
     /// `srtt + 4·rttvar` with exponential backoff and deterministic
-    /// jitter. When `false`, every retry waits exactly `retry_timeout`
-    /// (the paper's fixed timer); `retry_timeout` also seeds the RTO for
-    /// destinations with no RTT sample yet.
+    /// jitter. When `false`, every retry waits exactly [`RETRY_TIMEOUT`]
+    /// (the paper's fixed timer); [`RETRY_TIMEOUT`] also seeds the RTO
+    /// for destinations with no RTT sample yet.
     pub adaptive_rto: bool,
 }
 
+/// How long to wait for a response before retrying over an alternative
+/// path (the paper's fixed timer).
+pub const RETRY_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Maximum retries (Π in the paper).
+pub const MAX_RETRIES: usize = 3;
 /// Maximum circuits a relay stores (oldest evicted first).
 const CIRCUIT_CAPACITY: usize = 1024;
 /// Lower clamp on the adaptive RTO (guards against a few lucky fast RTTs
@@ -167,8 +167,6 @@ impl Default for WclConfig {
     fn default() -> Self {
         WclConfig {
             mixes: 2,
-            retry_timeout: SimDuration::from_secs(2),
-            max_retries: 3,
             circuit_ttl: SimDuration::from_secs(120),
             adaptive_rto: true,
         }
@@ -195,33 +193,47 @@ pub enum WclEvent {
     },
 }
 
-/// The wire format of a WCL packet (inside a Nylon `App` payload).
-#[derive(Clone, Debug, PartialEq)]
-struct WclPacket {
-    header: Vec<u8>,
-    body: Vec<u8>,
+/// The wire format of an RSA onion packet (inside a Nylon `App`
+/// payload): the layered header and the AES-encrypted body, each behind
+/// its length.
+///
+/// Like a [`CircuitPacket`], only ever a view of a delivered payload: a
+/// mix reads the header, peels it, and copies the body — which it forwards
+/// verbatim — once, into its outgoing buffer behind the inner header
+/// ([`onion_frame`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct OnionView<'a> {
+    header: &'a [u8],
+    body: &'a [u8],
 }
 
 const WCL_TAG: u8 = 0xC1;
 
-impl WireEncode for WclPacket {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u8(WCL_TAG);
-        w.put_bytes(&self.header);
-        w.put_bytes(&self.body);
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + whisper_net::wire::bytes_len(&self.header) + whisper_net::wire::bytes_len(&self.body)
-    }
+/// Writes an onion packet: the one place that knows the layout
+/// [`OnionView::from_wire`] reads.
+fn put_onion(w: &mut WireWriter, header: &[u8], body: &[u8]) {
+    w.put_u8(WCL_TAG);
+    w.put_bytes(header);
+    w.put_bytes(body);
 }
 
-impl WireDecode for WclPacket {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+/// Writes a whole outgoing onion packet — Nylon framing, then
+/// [`put_onion`] — into a pool buffer.
+fn onion_frame(ctx: &mut Ctx<'_>, nylon: &NylonCore, header: &[u8], body: &[u8]) -> PayloadWriter {
+    let mut frame = nylon.begin_app(ctx, 1 + bytes_len(header) + bytes_len(body));
+    put_onion(&mut frame, header, body);
+    frame
+}
+
+impl<'a> OnionView<'a> {
+    fn from_wire(wire: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = WireReader::new(wire);
         if r.take_u8()? != WCL_TAG {
             return Err(WireError::new("not a WCL packet"));
         }
-        Ok(WclPacket { header: r.take_bytes()?.to_vec(), body: r.take_bytes()?.to_vec() })
+        let (header, body) = (r.take_bytes()?, r.take_bytes()?);
+        r.finish()?;
+        Ok(OnionView { header, body })
     }
 }
 
@@ -529,7 +541,7 @@ impl Wcl {
 
     /// Sends `payload` confidentially to `dest`, tracking it for retries:
     /// if [`Wcl::notify_response`] is not called with `msg_id` before the
-    /// retry timeout, an alternative path is tried (up to `max_retries`).
+    /// retry timeout, an alternative path is tried (up to [`MAX_RETRIES`]).
     ///
     /// Counts the Table I statistics: `wcl.route_first_success`,
     /// `wcl.route_alt_success`, `wcl.route_no_alt`,
@@ -571,21 +583,20 @@ impl Wcl {
 
     /// The retransmission timeout for the next attempt towards `dest`.
     ///
-    /// Fixed mode returns `retry_timeout` unchanged (and draws no
+    /// Fixed mode returns [`RETRY_TIMEOUT`] unchanged (and draws no
     /// randomness, so pre-existing traces replay identically). Adaptive
-    /// mode computes `srtt + 4·rttvar` (seeded from `retry_timeout` when
+    /// mode computes `srtt + 4·rttvar` (seeded from [`RETRY_TIMEOUT`] when
     /// no sample exists), clamps to `[RTO_MIN, RTO_MAX]`, doubles per
     /// failed attempt, and applies ±12.5% deterministic jitter from the
     /// sim RNG so synchronized failures do not retry in lockstep.
     fn retry_delay(&self, ctx: &mut Ctx<'_>, dest: NodeId, attempts: usize) -> SimDuration {
         if !self.cfg.adaptive_rto {
-            return self.cfg.retry_timeout;
+            return RETRY_TIMEOUT;
         }
         let base_us = self
             .rtt
             .get(&dest)
-            .map(|e| (e.rto_secs() * 1e6) as u64)
-            .unwrap_or_else(|| self.cfg.retry_timeout.as_micros());
+            .map_or(RETRY_TIMEOUT.as_micros(), |e| (e.rto_secs() * 1e6) as u64);
         let backed = rto_backoff_us(base_us, attempts, RTO_MIN.as_micros(), RTO_MAX.as_micros());
         let jitter = ctx.rng().gen_range(0..(backed / 4).max(1));
         let us = backed - backed / 8 + jitter;
@@ -669,7 +680,7 @@ impl Wcl {
             self.degraded_until.insert(p.dest.node, now + DEGRADE_COOLDOWN);
             ctx.metrics().count("wcl.degraded_enter", 1);
         }
-        if p.attempts > self.cfg.max_retries {
+        if p.attempts > MAX_RETRIES {
             ctx.metrics().count("wcl.route_exhausted", 1);
             return Some(WclEvent::RouteFailed {
                 msg_id,
@@ -934,9 +945,9 @@ impl Wcl {
             (cost.aes_model_ns() + cost.rsa_model_ns()) as f64 / 1000.0,
         );
         sample_crypto_cost(ctx, nylon.is_public(), &cost);
-        let wire = WclPacket { header: packet.header, body: packet.body }.to_wire();
         ctx.metrics().count("wcl.paths_built", 1);
-        let outcome = nylon.send_app(ctx, a.0, a.1, &[], wire);
+        let frame = onion_frame(ctx, nylon, &packet.header, &packet.body);
+        let outcome = nylon.send_app_frame(ctx, a.0, a.1, &[], frame);
         if outcome == SendOutcome::Failed {
             return None;
         }
@@ -966,18 +977,27 @@ impl Wcl {
     /// strips one CTR layer and forwards or delivers.
     ///
     /// Returns `None` if the payload is neither (the caller may try other
-    /// parsers).
+    /// parsers), and for a packet that carries one of the two tags but is
+    /// not well-formed — dropped, and counted under `wcl.malformed`.
     pub fn on_app_payload(
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
         data: &[u8],
     ) -> Option<WclEvent> {
-        match data.first() {
-            Some(&WCL_TAG) => self.on_onion_packet(ctx, nylon, data),
-            Some(&CIRCUIT_TAG) => self.on_circuit_packet(ctx, nylon, data),
-            _ => None,
-        }
+        let handled = match data.first() {
+            Some(&WCL_TAG) => ctx
+                .prof_decode(|| OnionView::from_wire(data))
+                .map(|packet| self.on_onion_packet(ctx, nylon, packet)),
+            Some(&CIRCUIT_TAG) => ctx
+                .prof_decode(|| CircuitPacket::from_wire(data))
+                .map(|packet| self.on_circuit_packet(ctx, nylon, packet)),
+            _ => return None,
+        };
+        handled.unwrap_or_else(|_| {
+            ctx.metrics().count("wcl.malformed", 1);
+            None
+        })
     }
 
     /// Handles a full RSA onion packet (first packet of a route, or every
@@ -986,12 +1006,11 @@ impl Wcl {
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
-        data: &[u8],
+        packet: OnionView<'_>,
     ) -> Option<WclEvent> {
-        let packet = ctx.prof_decode(|| WclPacket::from_wire(data)).ok()?;
         let cost_before = whisper_crypto::costs::snapshot();
         let peel_started = ctx.prof_enabled().then(std::time::Instant::now);
-        let peeled = onion::peel_with_body(nylon.keypair(), &packet.header, &packet.body);
+        let peeled = onion::peel_with_body(nylon.keypair(), packet.header, packet.body);
         let cost = whisper_crypto::costs::snapshot().since(cost_before);
         if let Some(started) = peel_started {
             ctx.prof_crypto_model_ns(started.elapsed().as_nanos() as u64);
@@ -1009,12 +1028,12 @@ impl Wcl {
                 };
                 self.install_circuit(ctx, &ext, next_hop);
                 ctx.metrics().count("wcl.relayed", 1);
-                let fwd = WclPacket { header, body: packet.body }.to_wire();
+                let fwd = onion_frame(ctx, nylon, &header, packet.body);
                 // A mix reaches the next hop through an existing contact
                 // (B → D relies on D's earlier ping) or directly when the
                 // next hop is public. No rendezvous chains here: a mix
                 // must not interrogate the network about the next hop.
-                let outcome = nylon.send_app(ctx, next, next_public, &[], fwd);
+                let outcome = nylon.send_app_frame(ctx, next, next_public, &[], fwd);
                 if outcome == SendOutcome::Failed {
                     ctx.metrics().count("wcl.relay_drop", 1);
                 }
@@ -1062,9 +1081,8 @@ impl Wcl {
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
-        data: &[u8],
+        packet: CircuitPacket<'_>,
     ) -> Option<WclEvent> {
-        let packet = ctx.prof_decode(|| CircuitPacket::from_wire(data)).ok()?;
         let now_us = ctx.now().as_micros();
         let Some(entry) = self.circuits.lookup(now_us, packet.cid) else {
             ctx.metrics().count("wcl.circuit_miss_drop", 1);
@@ -1174,12 +1192,33 @@ mod tests {
         Wcl::new(WclConfig { mixes: 0, ..WclConfig::default() });
     }
 
+    fn onion_wire(header: &[u8], body: &[u8]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        put_onion(&mut w, header, body);
+        w.into_bytes()
+    }
+
+    /// The onion view accepts exactly the images its writer produces.
     #[test]
-    fn wcl_packet_wire_round_trip() {
-        let p = WclPacket { header: vec![1, 2, 3], body: vec![4, 5] };
-        let bytes = p.to_wire();
-        assert_eq!(WclPacket::from_wire(&bytes).unwrap(), p);
-        assert!(WclPacket::from_wire(&[0xFF, 0, 0]).is_err());
+    fn onion_view_reads_what_its_writer_writes_and_nothing_else() {
+        let cases: [(&[u8], &[u8]); 3] = [(&[1, 2, 3], &[4, 5]), (&[9; 300], &[]), (&[], &[7; 70])];
+        for (header, body) in cases {
+            let wire = onion_wire(header, body);
+            assert_eq!(OnionView::from_wire(&wire).unwrap(), OnionView { header, body });
+        }
+        let wire = onion_wire(&[1, 2, 3], &[4, 5]);
+        assert_eq!(wire, [0xC1, 0, 0, 0, 3, 1, 2, 3, 0, 0, 0, 2, 4, 5], "the bytes on the wire");
+        for cut in 0..wire.len() {
+            assert!(OnionView::from_wire(&wire[..cut]).is_err(), "truncated to {cut} bytes");
+        }
+        let mut trailing = wire.clone();
+        trailing.push(0);
+        assert!(OnionView::from_wire(&trailing).is_err(), "one trailing byte");
+        let mut circuit = wire;
+        circuit[0] = CIRCUIT_TAG;
+        assert!(OnionView::from_wire(&circuit).is_err(), "a 0xC2 image");
+        assert!(OnionView::from_wire(&[0xFF, 0, 0]).is_err());
+        assert!(OnionView::from_wire(&[]).is_err(), "the empty slice");
     }
 
     #[test]
@@ -1200,9 +1239,8 @@ mod tests {
         trailing.push(0);
         assert!(CircuitPacket::from_wire(&trailing).is_err(), "trailing bytes");
         // The two WCL wire formats never parse as each other.
-        assert!(WclPacket::from_wire(&bytes).is_err());
-        let onion = WclPacket { header: vec![1], body: vec![2] }.to_wire();
-        assert!(CircuitPacket::from_wire(&onion).is_err());
+        assert!(OnionView::from_wire(&bytes).is_err());
+        assert!(CircuitPacket::from_wire(&onion_wire(&[1], &[2])).is_err());
     }
 
     #[test]

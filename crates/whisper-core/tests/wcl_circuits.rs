@@ -364,21 +364,31 @@ fn malformed_next_hop_drops_the_packet_before_any_work() {
     assert!(m.samples("wcl.circuit_fwd_us").is_empty(), "no peel was sampled");
 }
 
-/// Totality of the circuit path's two decoders. Whatever follows a `0xC2`
-/// tag — random bytes, a valid packet of a carried circuit cut short or
-/// grown, or one with a bit flipped in a field the hop itself reads (tag,
-/// circuit id, length) — `Wcl::on_app_payload` returns without
-/// panicking, delivers nothing, forwards nothing and installs nothing;
-/// and `HopSetup::decode` takes any extension, accepting exactly its two
-/// lengths. (A flip in the nonce or the body is a well-formed packet: CTR
-/// carries no integrity, the garbage it decrypts to is the PPSS
-/// signature check's to reject.)
+/// Totality of the WCL's decoders on a node that holds keys — its RSA
+/// key, a circuit ending here, a circuit passing through — so that a
+/// well-formed packet *would* be delivered, forwarded or installed.
+///
+/// Whatever follows a `0xC2` tag — random bytes, a valid packet of a
+/// carried circuit cut short or grown, or one with a bit flipped in a
+/// field the hop itself reads (tag, circuit id, length) — and whatever
+/// follows a `0xC1` tag — random bytes, an onion sealed for this very node
+/// cut short or grown, or one with a bit flipped in the tag or in either
+/// length field — `Wcl::on_app_payload` returns without panicking,
+/// delivers nothing, forwards nothing and installs nothing, and a packet
+/// that still carries its tag is counted under the name of its drop. The
+/// borrowed onion view refuses what the owned decoder it replaced refused.
+/// `HopSetup::decode` takes any extension, accepting exactly its two
+/// lengths. (A flip in a circuit packet's nonce or body is a well-formed
+/// packet: CTR carries no integrity, the garbage it decrypts to is the
+/// PPSS signature check's to reject.)
 #[test]
 fn circuit_decoders_are_total_on_hostile_bytes() {
     let cfg = WhisperConfig::default();
-    let keypair = KeyPair::generate(cfg.nylon.rsa, &mut StdRng::seed_from_u64(208));
+    let mut keyrng = StdRng::seed_from_u64(208);
+    let keypair = KeyPair::generate(cfg.nylon.rsa, &mut keyrng);
+    let next = KeyPair::generate(cfg.nylon.rsa, &mut keyrng);
     let mut sim = Sim::new(SimConfig::ideal(208));
-    let node = sim.add_node(Box::new(WhisperNode::new(cfg, keypair)), NatType::Public);
+    let node = sim.add_node(Box::new(WhisperNode::new(cfg, keypair.clone())), NatType::Public);
     // One circuit ending here and one passing through, so that a packet
     // which did name them would be delivered or forwarded.
     let (ending, passing) = (CircuitId([0x11; 8]), CircuitId([0x22; 8]));
@@ -393,12 +403,31 @@ fn circuit_decoders_are_total_on_hostile_bytes() {
         );
         api.wcl.carry_circuit(now, passing, through);
     });
+    // Two onions this node can peel, each layer with a circuit to install:
+    // one it is the destination of, one it is to relay.
+    let setup = |cid_out| {
+        HopSetup { cid_in: CircuitId([0x44; 8]), cid_out, key: AesKey([4; 16]) }.encode()
+    };
+    let path = [
+        (keypair.public().clone(), public_hop_addr(node)),
+        (next.public().clone(), public_hop_addr(NodeId(9))),
+    ];
+    let for_here =
+        build_onion_ext(&path[..1], &[0x5A; 60], &[setup(None)], &mut keyrng).unwrap();
+    let through_here = build_onion_ext(
+        &path,
+        &[0x5A; 60],
+        &[setup(Some(CircuitId([0x55; 8]))), setup(None)],
+        &mut keyrng,
+    )
+    .unwrap();
+
     let sim = RefCell::new(sim);
     whisper_rand::check::check(512, "circuit_decoders_are_total_on_hostile_bytes", |g| {
         let sim = &mut *sim.borrow_mut();
         let body = g.bytes(80);
         let valid = circuit_wire(if g.gen_bool(0.5) { ending } else { passing }, g.gen(), &body);
-        let packet = match g.gen_range(0..4u8) {
+        let circuit_packet = match g.gen_range(0..4u8) {
             0 => [&[0xC2][..], &g.bytes(120)].concat(),
             1 => valid[..g.gen_range(0..valid.len())].to_vec(),
             2 => [&valid[..], &g.bytes(8), &[0]].concat(),
@@ -410,11 +439,45 @@ fn circuit_decoders_are_total_on_hostile_bytes() {
                 flipped
             }
         };
-        assert!(hand_to_wcl(sim, node, &packet).is_none(), "delivered {packet:02x?}");
-        assert_eq!(carried_circuits(sim, node), 2);
-        let m = sim.metrics();
-        assert_eq!(m.counter("wcl.delivered") + m.counter("wcl.circuit_forwarded"), 0);
-        assert_eq!(m.traffic(node).up_msgs, 0, "nothing sent");
+        let onion = if g.gen_bool(0.5) { &for_here } else { &through_here };
+        let valid = onion_wire(onion);
+        let onion_packet = match g.gen_range(0..4u8) {
+            0 => [&[0xC1][..], &g.bytes(200)].concat(),
+            1 => valid[..g.gen_range(0..valid.len())].to_vec(),
+            2 => [&valid[..], &g.bytes(8), &[0]].concat(),
+            _ => {
+                // The tag is byte 0, the header length bytes 1..5, the
+                // body length the four bytes behind the header.
+                let body_len_at = 5 + onion.header.len();
+                let at = match g.gen_range(0..3u8) {
+                    0 => 0,
+                    1 => g.gen_range(1..5),
+                    _ => g.gen_range(body_len_at..body_len_at + 4),
+                };
+                let mut flipped = valid;
+                flipped[at] ^= 1 << g.gen_range(0..8u32);
+                flipped
+            }
+        };
+        for packet in [circuit_packet, onion_packet] {
+            let drops = |sim: &Sim| -> u64 {
+                ["wcl.malformed", "wcl.peel_failed", "wcl.circuit_miss_drop"]
+                    .iter()
+                    .map(|name| sim.metrics().counter(name))
+                    .sum()
+            };
+            let dropped_before = drops(sim);
+            assert!(hand_to_wcl(sim, node, &packet).is_none(), "delivered {packet:02x?}");
+            assert_eq!(carried_circuits(sim, node), 2, "installed from {packet:02x?}");
+            let m = sim.metrics();
+            assert_eq!(m.counter("wcl.delivered") + m.counter("wcl.relayed"), 0);
+            assert_eq!(m.counter("wcl.circuit_installed"), 0);
+            assert_eq!(m.traffic(node).up_msgs, 0, "nothing sent");
+            // A packet whose tag survived is a WCL packet, and its drop has
+            // a name; any other first byte is somebody else's to parse.
+            let tagged = matches!(packet.first(), Some(0xC1 | 0xC2));
+            assert_eq!(drops(sim) - dropped_before, tagged as u64, "{packet:02x?}");
+        }
 
         let ext = g.bytes(40);
         match HopSetup::decode(&ext) {
@@ -425,4 +488,14 @@ fn circuit_decoders_are_total_on_hostile_bytes() {
             None => assert!(![DEST_SETUP_LEN, RELAY_SETUP_LEN].contains(&ext.len())),
         }
     });
+
+    // The control: untouched, both onions do what the mutants must not.
+    let sim = &mut *sim.borrow_mut();
+    let delivered = hand_to_wcl(sim, node, &onion_wire(&for_here));
+    assert_eq!(delivered, Some(WclEvent::Delivered { payload: vec![0x5A; 60] }));
+    assert!(hand_to_wcl(sim, node, &onion_wire(&through_here)).is_none());
+    let m = sim.metrics();
+    assert_eq!((m.counter("wcl.delivered"), m.counter("wcl.relayed")), (1, 1));
+    assert_eq!(m.counter("wcl.circuit_installed"), 2);
+    assert_eq!(m.traffic(node).up_msgs, 1, "the relayed onion left for its next hop");
 }

@@ -94,19 +94,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// Inverse S-box, computed at first use.
-fn inv_sbox() -> &'static [u8; 256] {
-    use std::sync::OnceLock;
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let mut inv = [0u8; 256];
-        for (i, &s) in SBOX.iter().enumerate() {
-            inv[s as usize] = i as u8;
-        }
-        inv
-    })
-}
-
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
 /// Encryption T-tables: the fused SubBytes+MixColumns lookup of the
@@ -209,8 +196,9 @@ impl Aes128 {
     }
 
     /// Encrypts one 16-byte block in place (T-table fast path; validated
-    /// against the byte-wise reference by the FIPS 197 vectors and
-    /// [`Aes128::decrypt_block`] round trips).
+    /// against the byte-wise reference on random blocks and by the FIPS 197
+    /// vectors). CTR never runs the cipher backwards, so there is no
+    /// block decryption.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         let t = &enc_tables().te;
         // State as four little-endian column words: byte i = row i.
@@ -264,20 +252,6 @@ impl Aes128 {
         sub_bytes(block);
         shift_rows(block);
         add_round_key(block, &self.round_keys[10]);
-    }
-
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[10]);
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        for round in (1..10).rev() {
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-        }
-        add_round_key(block, &self.round_keys[0]);
     }
 
     /// Applies the CTR keystream; encryption and decryption are the same
@@ -344,26 +318,22 @@ impl Aes128 {
     }
 }
 
+// The round helpers below survive only for the reference implementation
+// the T-table fast path is validated against.
+
 /// State layout: column-major, `state[c*4 + r]` = row r, column c (matching
 /// the byte order of FIPS 197 inputs).
+#[cfg(test)]
 fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
     for i in 0..16 {
         state[i] ^= rk[i];
     }
 }
-// The forward round helpers below survive only for the reference
-// implementation the T-table fast path is validated against.
+
 #[cfg(test)]
 fn sub_bytes(state: &mut [u8; 16]) {
     for b in state.iter_mut() {
         *b = SBOX[*b as usize];
-    }
-}
-
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    let inv = inv_sbox();
-    for b in state.iter_mut() {
-        *b = inv[*b as usize];
     }
 }
 
@@ -377,15 +347,6 @@ fn shift_rows(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [state[r], state[4 + r], state[8 + r], state[12 + r]];
-        for c in 0..4 {
-            state[c * 4 + r] = row[(c + 4 - r) % 4];
-        }
-    }
-}
-
 #[cfg(test)]
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
@@ -394,16 +355,6 @@ fn mix_columns(state: &mut [u8; 16]) {
         state[c * 4 + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
         state[c * 4 + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
         state[c * 4 + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[c * 4], state[c * 4 + 1], state[c * 4 + 2], state[c * 4 + 3]];
-        state[c * 4] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        state[c * 4 + 1] = gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        state[c * 4 + 2] = gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        state[c * 4 + 3] = gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
     }
 }
 
@@ -472,22 +423,6 @@ mod tests {
                 cipher.encrypt_block_reference(&mut reference);
                 assert_eq!(fast, reference);
             }
-        }
-    }
-
-    #[test]
-    fn decrypt_inverts_encrypt() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let key = AesKey::random(&mut rng);
-        let cipher = Aes128::new(&key);
-        for _ in 0..50 {
-            let mut block = [0u8; 16];
-            rng.fill(&mut block);
-            let original = block;
-            cipher.encrypt_block(&mut block);
-            assert_ne!(block, original);
-            cipher.decrypt_block(&mut block);
-            assert_eq!(block, original);
         }
     }
 
@@ -661,10 +596,10 @@ mod tests {
     }
 
     #[test]
-    fn sbox_inverse_is_consistent() {
-        let inv = inv_sbox();
-        for i in 0..=255u8 {
-            assert_eq!(inv[SBOX[i as usize] as usize], i);
+    fn sbox_is_a_permutation() {
+        let mut seen = [false; 256];
+        for s in SBOX {
+            assert!(!std::mem::replace(&mut seen[s as usize], true), "{s:#04x} twice");
         }
     }
 

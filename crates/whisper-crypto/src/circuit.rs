@@ -14,8 +14,9 @@
 //! * Each hop stores `cid_in → (key, next hop, cid_out)` in a bounded,
 //!   TTL'd [`CircuitTable`].
 //! * **Subsequent** packets are layered AES-CTR only: the source applies
-//!   one CTR layer per hop ([`seal_layers`]); each relay strips exactly
-//!   one ([`peel_layer`]) and forwards under its outbound circuit id.
+//!   one CTR layer per hop ([`SourceCircuit::seal_in_place`]); each relay
+//!   strips exactly one ([`CircuitEntry::peel_in_place`]) and forwards
+//!   under its outbound circuit id.
 //!
 //! # Unlinkability
 //!
@@ -149,8 +150,9 @@ pub struct SourceCircuit {
 }
 
 impl SourceCircuit {
-    /// [`seal_layers_in_place`] under this circuit's keys, with the
-    /// schedules cached at establishment instead of expanded per packet.
+    /// Applies the source-side layering to `body` where it lies — CTR
+    /// layers are length-preserving — under the schedules cached at
+    /// establishment: what [`seal_layers`] computes from the bare keys.
     pub fn seal_in_place(&self, nonce0: &CtrNonce, body: &mut [u8]) {
         innermost_layer_first(self.ciphers.len(), nonce0, |hop, nonce| {
             self.ciphers[hop].ctr_apply_in_place(nonce, body);
@@ -197,19 +199,16 @@ pub fn next_nonce(nonce: &CtrNonce) -> CtrNonce {
 /// (destination) first, so that hop `i` — peeling with `keys[i]` and the
 /// `i`-th nonce in the [`next_nonce`] chain from `nonce0` — strips
 /// exactly the outermost remaining layer.
+///
+/// The reference form — a copy of the payload, every schedule expanded
+/// on the spot — that [`SourceCircuit::seal_in_place`], which the stack
+/// seals with, is tested against.
 pub fn seal_layers(keys: &[AesKey], nonce0: &CtrNonce, payload: &[u8]) -> Vec<u8> {
     let mut body = payload.to_vec();
-    seal_layers_in_place(keys, nonce0, &mut body);
-    body
-}
-
-/// [`seal_layers`] on a caller-owned buffer: CTR layers are
-/// length-preserving, so the whole source-side layering runs in one
-/// allocation-free pass per hop instead of one fresh buffer per layer.
-pub fn seal_layers_in_place(keys: &[AesKey], nonce0: &CtrNonce, body: &mut [u8]) {
     innermost_layer_first(keys.len(), nonce0, |hop, nonce| {
-        Aes128::new(&keys[hop]).ctr_apply_in_place(nonce, body);
+        Aes128::new(&keys[hop]).ctr_apply_in_place(nonce, &mut body);
     });
+    body
 }
 
 /// Walks the layers of an `n_hops` circuit in sealing order — the
@@ -238,18 +237,6 @@ fn innermost_layer_first(
     for (hop, nonce) in chain.iter().enumerate().rev() {
         layer(hop, nonce);
     }
-}
-
-/// Strips one circuit layer — the entire steady-state crypto cost of a
-/// hop.
-pub fn peel_layer(key: &AesKey, nonce: &CtrNonce, body: &[u8]) -> Vec<u8> {
-    Aes128::new(key).ctr_apply(nonce, body)
-}
-
-/// [`peel_layer`] on a caller-owned buffer: the relay forwarding path
-/// strips its layer without allocating an output body.
-pub fn peel_layer_in_place(key: &AesKey, nonce: &CtrNonce, body: &mut [u8]) {
-    Aes128::new(key).ctr_apply_in_place(nonce, body);
 }
 
 /// Longest next-hop address a [`CircuitEntry`] holds without a heap
@@ -331,7 +318,9 @@ impl CircuitEntry {
         self.cid_out
     }
 
-    /// Strips this circuit's layer using the cached key schedule.
+    /// Strips this circuit's layer from `body` where it lies, using the
+    /// cached key schedule: one CTR pass, the entire steady-state crypto
+    /// cost of a hop.
     pub fn peel_in_place(&self, nonce: &CtrNonce, body: &mut [u8]) {
         self.cipher.ctr_apply_in_place(nonce, body);
     }
@@ -471,6 +460,14 @@ mod tests {
         CircuitId([b; 8])
     }
 
+    /// One hop's work on a packet: `body` with the layer of `setup`'s
+    /// circuit stripped.
+    fn peeled(setup: &HopSetup, nonce: &CtrNonce, body: &[u8]) -> Vec<u8> {
+        let mut body = body.to_vec();
+        CircuitEntry::new(setup.key, vec![], setup.cid_out).peel_in_place(nonce, &mut body);
+        body
+    }
+
     #[test]
     fn establish_then_walk_all_layers() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -489,7 +486,7 @@ mod tests {
         let mut body = seal_layers(&source.keys, &nonce0, payload);
         let mut nonce = nonce0;
         for setup in &setups {
-            body = peel_layer(&setup.key, &nonce, &body);
+            body = peeled(setup, &nonce, &body);
             nonce = next_nonce(&nonce);
         }
         assert_eq!(body, payload);
@@ -503,7 +500,7 @@ mod tests {
         assert_eq!(setups[0].cid_out, None);
         let nonce0 = CtrNonce([1; 8]);
         let body = seal_layers(&source.keys, &nonce0, b"direct");
-        assert_eq!(peel_layer(&setups[0].key, &nonce0, &body), b"direct");
+        assert_eq!(peeled(&setups[0], &nonce0, &body), b"direct");
     }
 
     #[test]
@@ -528,64 +525,40 @@ mod tests {
         // After the first and second peels the payload is still covered
         // by at least one remaining layer.
         for setup in &setups[..2] {
-            body = peel_layer(&setup.key, &nonce, &body);
+            body = peeled(setup, &nonce, &body);
             nonce = next_nonce(&nonce);
             assert!(!leaks(&body), "payload visible before the last hop");
         }
     }
 
+    /// The schedules cached at establishment (source) and at installation
+    /// (relay) against the per-packet expansion from the bare keys: the
+    /// same bytes at the same deterministic cost, on the stack-array nonce
+    /// chain (≤ 8 hops) and on its `Vec` overflow (> 8 hops).
     #[test]
-    fn in_place_seal_and_peel_match_allocating_forms() {
-        let mut rng = StdRng::seed_from_u64(11);
-        // Cover both the stack-array nonce chain (≤ 8 hops) and the Vec
-        // overflow path (> 8 hops).
+    fn cached_schedules_match_per_packet_expansion() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let nonce0 = CtrNonce([7; 8]);
         for hops in [1usize, 3, 8, 9, 12] {
             let (source, setups) = establish(hops, &mut rng);
-            let payload: Vec<u8> = (0..100u8).collect();
-            let nonce0 = CtrNonce([3; 8]);
-            let sealed = seal_layers(&source.keys, &nonce0, &payload);
-            let mut sealed_in_place = payload.clone();
-            seal_layers_in_place(&source.keys, &nonce0, &mut sealed_in_place);
-            assert_eq!(sealed, sealed_in_place, "{hops} hops: seal forms diverge");
+            let payload: Vec<u8> = (0..=255u8).collect();
+            let before = crate::costs::snapshot();
+            let expected = seal_layers(&source.keys, &nonce0, &payload);
+            let expected_cost = crate::costs::snapshot().since(before);
+            let mut body = payload.clone();
+            let before = crate::costs::snapshot();
+            source.seal_in_place(&nonce0, &mut body);
+            assert_eq!(crate::costs::snapshot().since(before), expected_cost, "{hops} hops");
+            assert_eq!(body, expected, "{hops} hops: seal forms diverge");
 
             let mut nonce = nonce0;
-            let mut body = sealed_in_place;
             for setup in &setups {
-                let reference = peel_layer(&setup.key, &nonce, &body);
-                peel_layer_in_place(&setup.key, &nonce, &mut body);
-                assert_eq!(reference, body, "{hops} hops: peel forms diverge");
+                let reference = Aes128::new(&setup.key).ctr_apply(&nonce, &body);
+                body = peeled(setup, &nonce, &body);
+                assert_eq!(body, reference, "{hops} hops: peel forms diverge");
                 nonce = next_nonce(&nonce);
             }
             assert_eq!(body, payload);
-        }
-    }
-
-    #[test]
-    fn cached_schedules_match_per_packet_expansion() {
-        // Relay side: the schedule expanded at install time.
-        let key = AesKey([5; 16]);
-        let entry = CircuitEntry::new(key, vec![], None);
-        let nonce = CtrNonce([7; 8]);
-        let mut via_entry = vec![9u8; 64];
-        let mut via_free = via_entry.clone();
-        entry.peel_in_place(&nonce, &mut via_entry);
-        peel_layer_in_place(&key, &nonce, &mut via_free);
-        assert_eq!(via_entry, via_free);
-        // Source side: the schedules expanded at establishment, on both
-        // the stack-array and the overflow nonce chain, and at the same
-        // deterministic cost as the per-packet expansion.
-        let mut rng = StdRng::seed_from_u64(12);
-        for hops in [1usize, 3, 8, 9] {
-            let (source, _) = establish(hops, &mut rng);
-            let payload: Vec<u8> = (0..=255u8).collect();
-            let before = crate::costs::snapshot();
-            let expected = seal_layers(&source.keys, &nonce, &payload);
-            let expected_cost = crate::costs::snapshot().since(before);
-            let mut cached = payload.clone();
-            let before = crate::costs::snapshot();
-            source.seal_in_place(&nonce, &mut cached);
-            assert_eq!(crate::costs::snapshot().since(before), expected_cost, "{hops} hops");
-            assert_eq!(cached, expected, "{hops} hops");
         }
     }
 

@@ -151,19 +151,6 @@ fn aes_ctr_round_trips() {
 }
 
 #[test]
-fn aes_block_round_trips() {
-    check(64, "aes_block_round_trips", |g| {
-        let block: [u8; 16] = g.gen();
-        let key: [u8; 16] = g.gen();
-        let cipher = Aes128::new(&AesKey(key));
-        let mut b = block;
-        cipher.encrypt_block(&mut b);
-        cipher.decrypt_block(&mut b);
-        assert_eq!(b, block);
-    });
-}
-
-#[test]
 fn sha256_incremental_equals_oneshot() {
     check(64, "sha256_incremental_equals_oneshot", |g| {
         let data = g.bytes(499);

@@ -233,6 +233,37 @@ impl Metrics {
         self.traffic.clone()
     }
 
+    /// Every deterministic observable of this sink, serialized: all
+    /// counters and sample series, then per-node traffic — except the
+    /// families of host-side measurements, which legitimately differ
+    /// between two runs of one simulation: the `net.pool_*` counters
+    /// (which shard's pool served a buffer depends on the shard layout),
+    /// the `prof.*` counters (wall-clock profiler buckets) and the
+    /// `*_wall_us` series (wall-clock samples). Two runs of the same
+    /// simulation — any shard count, thread policy, scheduler or profiler
+    /// setting, and a fixed pooling mode — must produce equal traces; this
+    /// is the one definition of what that comparison exempts. Callers
+    /// append what else they compare (the final clock, protocol state).
+    pub fn deterministic_trace(&self) -> Vec<u8> {
+        let host_side = |name: &&str| {
+            name.starts_with("net.pool_") || name.starts_with("prof.") || name.ends_with("_wall_us")
+        };
+        let mut out = Vec::new();
+        for name in self.counter_names().filter(|n| !host_side(n)) {
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(&self.counter(name).to_le_bytes());
+        }
+        for name in self.sample_names().filter(|n| !host_side(n)) {
+            out.extend_from_slice(name.as_bytes());
+            out.extend(self.samples(name).iter().flat_map(|v| v.to_le_bytes()));
+        }
+        for (node, t) in &self.traffic {
+            let row = [node.0, t.up_msgs, t.down_msgs, t.up_bytes, t.down_bytes];
+            out.extend(row.iter().flat_map(|v| v.to_le_bytes()));
+        }
+        out
+    }
+
     /// Resets counters and samples but keeps traffic (useful between
     /// warm-up and measurement phases). Nothing recorded before is
     /// readable afterwards, by value or by name.
@@ -407,6 +438,39 @@ mod tests {
         master.merge_shard_deltas(&mut [&mut a, &mut b]);
         assert_eq!(master.samples("s"), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(master.samples("only_b"), &[7.0]);
+    }
+
+    /// The trace holds every counter, series and traffic row but one name
+    /// from each host-side family, whose values it must not see.
+    #[test]
+    fn deterministic_trace_exempts_the_host_side_families() {
+        let record = |host_side: u64| {
+            let mut m = Metrics::new();
+            m.count("net.allocs", 3);
+            m.sample("wcl.rtt_s", 0.25);
+            m.add_traffic(NodeId(4), up(66));
+            m.count("net.pool_hits", host_side);
+            m.count("prof.callback_ns", host_side);
+            m.sample("ppss.journal_replay_wall_us", host_side as f64);
+            m
+        };
+        let trace = record(1).deterministic_trace();
+        assert_eq!(trace, record(2).deterministic_trace(), "host-side values are not in it");
+        let find = |needle: &[u8]| trace.windows(needle.len()).any(|w| w == needle);
+        assert!(find(b"net.allocs") && find(b"wcl.rtt_s"));
+        assert!(find(&0.25f64.to_le_bytes()) && find(&66u64.to_le_bytes()));
+        assert!(!find(b"pool_") && !find(b"prof.") && !find(b"wall_us"));
+        // Everything else is: a counter, a sample or a byte of traffic
+        // more is a different trace.
+        for change in [
+            |m: &mut Metrics| m.count("net.allocs", 1),
+            |m: &mut Metrics| m.sample("wcl.rtt_s", 0.25),
+            |m: &mut Metrics| m.add_traffic(NodeId(4), up(1)),
+        ] {
+            let mut m = record(1);
+            change(&mut m);
+            assert_ne!(m.deterministic_trace(), trace);
+        }
     }
 
     #[test]

@@ -142,21 +142,9 @@ impl Deref for Payload {
     }
 }
 
-impl AsRef<[u8]> for Payload {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
 impl From<Vec<u8>> for Payload {
     fn from(buf: Vec<u8>) -> Self {
         Payload::fresh(buf)
-    }
-}
-
-impl From<&[u8]> for Payload {
-    fn from(bytes: &[u8]) -> Self {
-        Payload::fresh(bytes.to_vec())
     }
 }
 
@@ -169,13 +157,6 @@ impl std::fmt::Debug for Payload {
             .finish()
     }
 }
-
-impl PartialEq for Payload {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-impl Eq for Payload {}
 
 /// Host-side (never trace-visible) pool statistics, drained into the
 /// exempt `net.pool_*` counters at metric sync points.
@@ -212,11 +193,6 @@ impl PayloadPool {
     /// the engine's `pooling: false` determinism-reference configuration.
     pub fn new(enabled: bool) -> Self {
         PayloadPool { enabled, classes: vec![Vec::new(); NUM_CLASSES], stats: PoolStats::default() }
-    }
-
-    /// Whether this pool retains and serves buffers.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Smallest class whose buffers are guaranteed to hold `len` bytes.

@@ -457,6 +457,12 @@ impl Keyed for Event {
     }
 }
 
+/// NAT association-rule lease time. The paper quotes Cisco's defaults:
+/// 5 minutes for UDP, 24 hours for TCP — and WHISPER's connection reuse
+/// relies on the long TCP-style leases (§II-C; DESIGN.md §7), so every
+/// emulated device leases for 2 hours.
+pub const NAT_LEASE: SimDuration = SimDuration::from_secs(7200);
+
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -465,11 +471,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Latency/loss environment.
     pub profile: NetProfile,
-    /// NAT association-rule lease time. The paper quotes Cisco's
-    /// defaults: 5 minutes for UDP, 24 hours for TCP — and WHISPER's
-    /// connection reuse relies on the long TCP-style leases (§II-C). The
-    /// simulator defaults to 2 hours.
-    pub nat_lease: SimDuration,
     /// Number of engine shards (≥ 1). Nodes are partitioned by
     /// `NodeId % shards`; traces are byte-identical for any value.
     /// Sharding requires `profile.min_delay() > 0`.
@@ -511,7 +512,6 @@ impl SimConfig {
         SimConfig {
             seed,
             profile,
-            nat_lease: SimDuration::from_secs(7200),
             shards: 1,
             threads: None,
             pooling: true,
@@ -966,7 +966,7 @@ impl Shard {
                         continue;
                     }
                     let src_port =
-                        if public { 0 } else { slot.nat.outbound(to, now, env.cfg.nat_lease) };
+                        if public { 0 } else { slot.nat.outbound(to, now, NAT_LEASE) };
                     let from_ep = Endpoint { node: from, port: src_port };
                     if env.fault.partition_blocks(now, from, to.node) {
                         metrics.count("net.drop_partition", 1);
@@ -1698,7 +1698,7 @@ mod tests {
     /// same trace for 1, 2 and 4 shards, sequential or threaded.
     #[test]
     fn sharded_run_matches_single_shard() {
-        fn run(shards: usize, threads: bool) -> (Vec<(&'static str, u64)>, Vec<u64>) {
+        fn run(shards: usize, threads: bool) -> Vec<u8> {
             let cfg = SimConfig::cluster(21)
                 .with_shards(shards)
                 .with_threads(threads)
@@ -1712,26 +1712,10 @@ mod tests {
                 sim.add_node(Box::new(p), NatType::RestrictedCone);
             }
             sim.run_for_secs(10);
-            // Pool hit/miss statistics are shard-local by design (a
-            // buffer freed on shard i is only reusable there) and the
-            // profiler buckets are wall-clock measurements; both families
-            // are exempt from shard invariance (profiling is ON here to
-            // prove everything else stays byte-identical).
-            let counters = sim
-                .metrics()
-                .counter_names()
-                .filter(|n| !n.starts_with("net.pool_") && !n.starts_with("prof."))
-                .map(|n| (n, sim.metrics().counter(n)))
-                .collect();
-            let traffic = sim
-                .node_ids()
-                .iter()
-                .map(|&id| {
-                    let t = sim.metrics().traffic(id);
-                    t.up_bytes ^ t.down_bytes.rotate_left(17) ^ (t.up_msgs << 32) ^ t.down_msgs
-                })
-                .collect();
-            (counters, traffic)
+            // Everything but the host-side families: pool statistics are
+            // shard-local by design, and profiling is ON here to prove
+            // that all else stays byte-identical under it.
+            sim.metrics().deterministic_trace()
         }
         let base = run(1, false);
         assert_eq!(base, run(2, false), "2 shards, sequential");

@@ -333,32 +333,9 @@ fn run_stack_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
 /// counters and sample series but the host-dependent families, per-node
 /// traffic, and the final clock.
 fn stack_observables(sim: &Sim) -> Vec<u8> {
-    let metrics = sim.metrics();
-    let mut out = Vec::new();
-    // `net.pool_*` hit/miss statistics are shard-local by construction (a
-    // buffer freed on shard i is only reusable there) and exempt from the
-    // contract, exactly like the `*_wall_us` samples and the wall-clock
-    // `prof.*` profiler buckets. DESIGN.md §13, §16.
-    for name in metrics
-        .counter_names()
-        .filter(|n| !n.starts_with("net.pool_") && !n.starts_with("prof."))
-    {
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&metrics.counter(name).to_le_bytes());
-    }
-    for name in metrics.sample_names().filter(|n| !n.ends_with("_wall_us")) {
-        out.extend_from_slice(name.as_bytes());
-        for v in metrics.samples(name) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    for (node, traffic) in metrics.traffic_snapshot() {
-        out.extend_from_slice(&node.0.to_le_bytes());
-        out.extend_from_slice(&traffic.up_msgs.to_le_bytes());
-        out.extend_from_slice(&traffic.down_msgs.to_le_bytes());
-        out.extend_from_slice(&traffic.up_bytes.to_le_bytes());
-        out.extend_from_slice(&traffic.down_bytes.to_le_bytes());
-    }
+    // Which families are host-dependent is `Metrics`' to say (DESIGN.md
+    // §13, §16); the chaos harness compares runs with the same function.
+    let mut out = sim.metrics().deterministic_trace();
     out.extend_from_slice(&sim.now().as_micros().to_le_bytes());
     out
 }
@@ -518,21 +495,7 @@ fn run_fault_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
         out.extend_from_slice(&(chatter.trace.len() as u64).to_le_bytes());
         out.extend_from_slice(&chatter.trace);
     }
-    let metrics = sim.metrics();
-    // Same `net.pool_*` / `prof.*` exemptions as the full-stack trace
-    // (DESIGN.md §13, §16).
-    for name in metrics
-        .counter_names()
-        .filter(|n| !n.starts_with("net.pool_") && !n.starts_with("prof."))
-    {
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&metrics.counter(name).to_le_bytes());
-    }
-    for (node, traffic) in metrics.traffic_snapshot() {
-        out.extend_from_slice(&node.0.to_le_bytes());
-        out.extend_from_slice(&traffic.up_msgs.to_le_bytes());
-        out.extend_from_slice(&traffic.down_msgs.to_le_bytes());
-    }
+    out.extend_from_slice(&sim.metrics().deterministic_trace());
     out.extend_from_slice(&sim.now().as_micros().to_le_bytes());
     out
 }

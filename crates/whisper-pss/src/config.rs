@@ -1,12 +1,15 @@
 //! Nylon / biased-PSS configuration.
 
 use whisper_crypto::rsa::RsaKeySize;
-use whisper_net::SimDuration;
 
 /// Parameters of the Nylon PSS and its WHISPER extensions.
 ///
 /// The defaults match the paper's evaluation settings: view size `c = 10`,
-/// a 10-second PSS cycle, Π = 3 and sim-grade RSA keys.
+/// Π = 3 and sim-grade RSA keys. What no experiment varies is a constant
+/// beside the code that reads it: the 10-second cycle
+/// ([`crate::nylon::CYCLE`]), the hole-punch timeout
+/// ([`crate::transport::OPEN_TIMEOUT`]) and the descriptor piggyback
+/// ([`crate::nylon::DESCRIPTOR_GOSSIP`], [`crate::nylon::DESCRIPTOR_CAP`]).
 #[derive(Clone, Debug)]
 pub struct NylonConfig {
     /// View size `c`.
@@ -14,8 +17,6 @@ pub struct NylonConfig {
     /// Entries shipped per gossip exchange (including the sender's own
     /// fresh entry). The classic choice is `c / 2`.
     pub gossip_len: usize,
-    /// PSS cycle period (paper: 10 s).
-    pub cycle: SimDuration,
     /// Minimum number of P-nodes to keep in the view (Π). 0 disables the
     /// bias entirely (the unmodified PSS used as Fig. 5's baseline).
     pub pi: usize,
@@ -32,9 +33,6 @@ pub struct NylonConfig {
     /// Connection backlog capacity as a multiple of `view_size` (paper:
     /// 2 × c).
     pub cb_factor: usize,
-    /// How long to wait for hole punching before falling back to relayed
-    /// delivery.
-    pub open_timeout: SimDuration,
     /// RSA modulus size used for this node's key pair.
     pub rsa: RsaKeySize,
     /// Stale-peer eviction: view entries whose age exceeds this many
@@ -45,12 +43,6 @@ pub struct NylonConfig {
     /// live entry can reach between refreshes, or healthy peers get
     /// purged too.
     pub max_age: u16,
-    /// Group-descriptor blobs piggybacked per gossip message (the
-    /// relay-level dissemination of `descriptors`). `0` disables the
-    /// piggyback entirely.
-    pub descriptor_gossip: usize,
-    /// Capacity of the relay-level descriptor store.
-    pub descriptor_cap: usize,
 }
 
 impl Default for NylonConfig {
@@ -58,17 +50,13 @@ impl Default for NylonConfig {
         NylonConfig {
             view_size: 10,
             gossip_len: 5,
-            cycle: SimDuration::from_secs(10),
             pi: 3,
             oldest_p_discard: true,
             key_sampling: true,
             max_route: 3,
             cb_factor: 2,
-            open_timeout: SimDuration::from_millis(800),
             rsa: RsaKeySize::Sim384,
             max_age: 20,
-            descriptor_gossip: 2,
-            descriptor_cap: 256,
         }
     }
 }
@@ -117,7 +105,7 @@ mod tests {
         let c = NylonConfig::default();
         c.validate();
         assert_eq!(c.view_size, 10);
-        assert_eq!(c.cycle.as_secs(), 10);
+        assert_eq!(crate::nylon::CYCLE.as_secs(), 10);
         assert_eq!(c.cb_capacity(), 20);
     }
 

@@ -3,7 +3,7 @@
 //! Group descriptors (see `whisper-core`'s `ppss::descriptor`) travel the
 //! network as **opaque versioned blobs** piggybacked on the PSS gossip
 //! that runs anyway: every [`crate::messages::NylonMsg::GossipReq`] /
-//! `GossipResp` carries up to `NylonConfig::descriptor_gossip` blobs. At
+//! `GossipResp` carries up to [`crate::nylon::DESCRIPTOR_GOSSIP`] blobs. At
 //! this layer nobody verifies signatures — non-members relay descriptors
 //! they cannot check (only members hold the key history), which is
 //! exactly what gives descriptors network-wide reach without revealing
@@ -153,7 +153,7 @@ impl DescriptorStore {
     /// tombstones than slots they round-robin among themselves; remaining
     /// slots go to the ordinary rotation.
     pub fn next_batch(&mut self, n: usize) -> Vec<DescriptorBlob> {
-        if self.entries.is_empty() || n == 0 {
+        if self.entries.is_empty() {
             return Vec::new();
         }
         let mut out = Vec::with_capacity(n.min(self.entries.len()));

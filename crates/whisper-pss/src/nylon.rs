@@ -22,6 +22,14 @@ use whisper_net::sim::{Ctx, Protocol};
 use whisper_net::wire::WireDecode;
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 
+/// PSS cycle period (paper: 10 s).
+pub const CYCLE: SimDuration = SimDuration::from_secs(10);
+/// Group-descriptor blobs piggybacked per gossip message (the relay-level
+/// dissemination of [`crate::descriptors`]).
+pub const DESCRIPTOR_GOSSIP: usize = 2;
+/// Capacity of the relay-level descriptor store.
+pub const DESCRIPTOR_CAP: usize = 256;
+
 /// Timer token: periodic gossip cycle.
 const TIMER_GOSSIP_CYCLE: u64 = 1;
 /// Timer token kind: gossip response timeout (generation in the high bits).
@@ -120,7 +128,7 @@ impl NylonCore {
     pub fn new(cfg: NylonConfig, keypair: KeyPair) -> Self {
         cfg.validate();
         let cb = ConnectionBacklog::new(cfg.cb_capacity());
-        let descs = DescriptorStore::new(cfg.descriptor_cap);
+        let descs = DescriptorStore::new(DESCRIPTOR_CAP);
         NylonCore {
             cfg,
             keypair,
@@ -206,10 +214,9 @@ impl NylonCore {
         self.transport.can_reach_directly(to, to_public, now)
     }
 
-    /// Sends an opaque upper-layer payload to `to`.
-    ///
-    /// `to_public` and `route_hint` come from whatever directory entry the
-    /// caller holds (CB entry, view entry, or PPSS private-view entry).
+    /// Sends an opaque upper-layer payload to `to`: the payload copied
+    /// into a [`NylonCore::begin_app`] frame, for a caller that holds it
+    /// as a `Vec` already.
     pub fn send_app(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -218,25 +225,29 @@ impl NylonCore {
         route_hint: &[NodeId],
         payload: Vec<u8>,
     ) -> SendOutcome {
-        let msg = NylonMsg::App { from: self.id, payload };
-        self.send_msg(ctx, to, to_public, &msg, route_hint)
+        let mut frame = self.begin_app(ctx, payload.len());
+        frame.put_raw(&payload);
+        self.send_app_frame(ctx, to, to_public, route_hint, frame)
     }
 
-    /// Starts an application message of `payload_len` payload bytes in a
-    /// pool buffer, positioned after the Nylon framing: the caller
-    /// appends exactly `payload_len` bytes — and may rework them in place
-    /// through [`whisper_net::wire::WireWriter::as_mut_slice`] — then
-    /// passes the finished buffer to [`NylonCore::send_app_frame`]. The
-    /// bytes on the wire are those of [`NylonCore::send_app`]; what is
-    /// saved is the `Vec` in between and the copy out of it.
+    /// Starts an application message (a [`NylonMsg::App`]) of
+    /// `payload_len` payload bytes in a pool buffer, positioned after the
+    /// Nylon framing: the caller appends exactly `payload_len` bytes — and
+    /// may rework them in place through
+    /// [`whisper_net::wire::WireWriter::as_mut_slice`] — then passes the
+    /// finished buffer to [`NylonCore::send_app_frame`]. An upper layer
+    /// writes its packet once, where it leaves from.
     pub fn begin_app(&self, ctx: &mut Ctx<'_>, payload_len: usize) -> PayloadWriter {
         let mut frame = ctx.payload_writer(APP_HEADER_LEN + payload_len);
         NylonMsg::put_app_header(&mut frame, self.id, payload_len);
         frame
     }
 
-    /// Sends an application message built with [`NylonCore::begin_app`];
-    /// otherwise [`NylonCore::send_app`].
+    /// Sends an application message built with [`NylonCore::begin_app`] —
+    /// the one way application bytes leave a node.
+    ///
+    /// `to_public` and `route_hint` come from whatever directory entry the
+    /// caller holds (CB entry, view entry, or PPSS private-view entry).
     pub fn send_app_frame(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -247,15 +258,7 @@ impl NylonCore {
     ) -> SendOutcome {
         let frame = frame.finish();
         debug_assert!(NylonMsg::app_view(&frame).is_some(), "payload_len bytes must follow begin_app");
-        self.transport.send_encoded(
-            ctx,
-            self.id,
-            to,
-            to_public,
-            frame,
-            route_hint,
-            self.cfg.open_timeout,
-        )
+        self.transport.send_encoded(ctx, self.id, to, to_public, frame, route_hint)
     }
 
     // ---------------------------------------------------------------
@@ -266,14 +269,10 @@ impl NylonCore {
     pub fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.id = ctx.id();
         self.public = ctx.nat_type().is_public();
-        for &b in &self.bootstrap.clone() {
-            if b != self.id {
-                self.view.insert(ViewEntry { node: b, age: 0, public: true, route: vec![] });
-            }
-        }
+        self.seed_view();
         // Desynchronize cycles across nodes.
         let offset = SimDuration::from_micros(
-            whisper_rand::Rng::gen_range(ctx.rng(), 0..self.cfg.cycle.as_micros().max(1)),
+            whisper_rand::Rng::gen_range(ctx.rng(), 0..CYCLE.as_micros()),
         );
         ctx.set_timer(offset, TIMER_GOSSIP_CYCLE);
     }
@@ -294,11 +293,15 @@ impl NylonCore {
         self.ping_pending.clear();
         self.punch_retries.clear();
         self.descs.clear();
-        let id = self.id;
-        for &b in &self.bootstrap.clone() {
-            if b != id {
-                self.view.insert(ViewEntry { node: b, age: 0, public: true, route: vec![] });
-            }
+        self.seed_view();
+    }
+
+    /// Puts every bootstrap node — public by definition — into the view
+    /// as a fresh entry: how a node joins, re-joins after a restart and
+    /// recovers from an empty view.
+    fn seed_view(&mut self) {
+        for &node in self.bootstrap.iter().filter(|&&b| b != self.id) {
+            self.view.insert(ViewEntry { node, age: 0, public: true, route: vec![] });
         }
     }
 
@@ -307,7 +310,7 @@ impl NylonCore {
         match token & 0xFF {
             TIMER_GOSSIP_CYCLE => {
                 self.do_gossip_cycle(ctx);
-                ctx.set_timer(self.cfg.cycle, TIMER_GOSSIP_CYCLE);
+                ctx.set_timer(CYCLE, TIMER_GOSSIP_CYCLE);
             }
             TIMER_GOSSIP_TIMEOUT => {
                 let gen = token >> 8;
@@ -423,7 +426,7 @@ impl NylonCore {
         route_hint: &[NodeId],
     ) -> SendOutcome {
         // Exactly one batch per message: drawing it advances the cursors.
-        let descs = self.descs.next_batch(self.cfg.descriptor_gossip);
+        let descs = self.descs.next_batch(DESCRIPTOR_GOSSIP);
         let key = self.cfg.key_sampling.then(|| self.keypair.public().wire_bytes());
         let t0 = ctx.prof_enabled().then(Instant::now);
         let len = NylonMsg::gossip_len(&self.buffer, key, &descs);
@@ -434,15 +437,7 @@ impl NylonCore {
         if let Some(t0) = t0 {
             ctx.prof_encode_ns(t0.elapsed().as_nanos() as u64);
         }
-        self.transport.send_encoded(
-            ctx,
-            self.id,
-            to,
-            to_public,
-            wire,
-            route_hint,
-            self.cfg.open_timeout,
-        )
+        self.transport.send_encoded(ctx, self.id, to, to_public, wire, route_hint)
     }
 
     fn do_gossip_cycle(&mut self, ctx: &mut Ctx<'_>) {
@@ -460,11 +455,7 @@ impl NylonCore {
         }
         if self.view.is_empty() {
             // Rejoin through the bootstrap list.
-            for &b in &self.bootstrap.clone() {
-                if b != self.id {
-                    self.view.insert(ViewEntry { node: b, age: 0, public: true, route: vec![] });
-                }
-            }
+            self.seed_view();
         }
         let Some(&partner_entry) = self.view.oldest() else {
             return;
@@ -488,7 +479,7 @@ impl NylonCore {
         );
         self.gossip_gen += 1;
         self.outstanding = Some((partner, self.gossip_gen));
-        let timeout = SimDuration::from_micros(self.cfg.cycle.as_micros() / 2);
+        let timeout = SimDuration::from_micros(CYCLE.as_micros() / 2);
         ctx.set_timer(timeout, TIMER_GOSSIP_TIMEOUT | (self.gossip_gen << 8));
     }
 
@@ -652,8 +643,8 @@ impl NylonCore {
                     }
                     ctx.metrics().count("pss.relayed_delivered", 1);
                     match Incoming::parse(&inner) {
-                        // No honest sender nests (`Transport::relay` wraps
-                        // gossip and `App` frames only), and unwrapping
+                        // No honest sender nests (`Transport::send_encoded`
+                        // wraps gossip and `App` frames only), and unwrapping
                         // level by level would let one packet, a few
                         // thousand deep, overflow this thread's stack.
                         Some(Incoming::Other(NylonMsg::Relayed { .. })) => {
@@ -759,12 +750,11 @@ impl NylonCore {
                     ctx.send_wire(ep, &fwd);
                 }
             }
-            NylonMsg::Punch { from } => {
+            NylonMsg::Punch { .. } => {
                 // Contact already recorded by `on_message`; acknowledge so
                 // the puncher learns its probe went through.
                 let ack = NylonMsg::PunchAck { from: self.id };
                 ctx.send_wire(outer_ep, &ack);
-                let _ = from;
             }
             NylonMsg::PunchAck { .. } => {
                 // Contact recorded at the outer level; nothing else to do.
@@ -783,18 +773,6 @@ impl NylonCore {
                 events.push(NylonEvent::Payload { from, data: payload });
             }
         }
-    }
-
-    fn send_msg(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        to: NodeId,
-        to_public: bool,
-        msg: &NylonMsg,
-        route_hint: &[NodeId],
-    ) -> SendOutcome {
-        self.transport
-            .send(ctx, self.id, to, to_public, msg, route_hint, self.cfg.open_timeout)
     }
 }
 

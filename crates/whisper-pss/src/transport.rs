@@ -13,14 +13,18 @@
 use crate::messages::NylonMsg;
 use std::collections::HashMap;
 use whisper_net::sim::Ctx;
-use whisper_net::wire::WireEncode;
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 
 /// Validity window for a learned contact. Kept below the (TCP-style) NAT
 /// association lease so we never use an endpoint whose association rule
-/// is about to expire. The simulator's default lease is 2 hours; real
-/// Cisco TCP leases are 24 hours (paper §II-C).
+/// is about to expire. The simulator's lease
+/// ([`whisper_net::sim::NAT_LEASE`]) is 2 hours; real Cisco TCP leases
+/// are 24 hours (paper §II-C).
 pub const CONTACT_TTL: SimDuration = SimDuration::from_secs(5760);
+
+/// How long to wait for hole punching before falling back to relayed
+/// delivery.
+pub const OPEN_TIMEOUT: SimDuration = SimDuration::from_millis(800);
 
 /// Validity window for a relayed reverse route.
 pub const REPLY_ROUTE_TTL: SimDuration = SimDuration::from_secs(120);
@@ -82,35 +86,6 @@ struct PendingOpen {
     queued: Vec<Vec<u8>>,
 }
 
-/// A message on its way out: still a value to encode, or already the
-/// wire image the caller built in a pool buffer.
-enum Outgoing<'a> {
-    Msg(&'a NylonMsg),
-    Wire(Payload),
-}
-
-impl Outgoing<'_> {
-    fn send_direct(self, ctx: &mut Ctx<'_>, ep: Endpoint) {
-        match self {
-            Outgoing::Msg(msg) => ctx.send_wire(ep, msg),
-            Outgoing::Wire(wire) => ctx.send_to(ep, wire),
-        }
-    }
-
-    /// The wire image as owned bytes, for wrapping in a relayed message
-    /// or queueing behind a hole punch.
-    fn into_inner(self, ctx: &mut Ctx<'_>) -> Vec<u8> {
-        match self {
-            Outgoing::Msg(msg) => msg.to_wire(),
-            Outgoing::Wire(wire) => {
-                let inner = wire.to_vec();
-                ctx.recycle(wire); // or the pool is a buffer short
-                inner
-            }
-        }
-    }
-}
-
 /// Timer token kinds used by the transport (low byte of the token).
 pub const TIMER_OPEN_TIMEOUT: u64 = 3;
 
@@ -169,34 +144,19 @@ impl Transport {
         peer_public || self.contact(peer, now).is_some()
     }
 
-    /// Sends `msg` to `to` using the best available mechanism.
+    /// Sends `wire` — a message the caller has encoded into a pool buffer
+    /// ([`Ctx::payload_writer`]) — to `to` using the best available
+    /// mechanism. A direct send hands that buffer to the network as it
+    /// is, with no further copy; relaying or queueing copies the bytes
+    /// into the wrapper that needs them and hands the buffer back to the
+    /// pool.
     ///
     /// * `to_public` — whether the peer is directly reachable;
     /// * `route_hint` — rendezvous chain from a view entry (first element
     ///   must be a node we can reach), used for relaying / punching;
-    /// * `me` — our node id;
-    /// * `open_timeout` — how long to wait for hole punching before the
-    ///   relay fallback.
+    /// * `me` — our node id.
     ///
     /// Returns how the message travelled.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        me: NodeId,
-        to: NodeId,
-        to_public: bool,
-        msg: &NylonMsg,
-        route_hint: &[NodeId],
-        open_timeout: SimDuration,
-    ) -> SendOutcome {
-        self.send_outgoing(ctx, me, to, to_public, Outgoing::Msg(msg), route_hint, open_timeout)
-    }
-
-    /// [`Transport::send`] for a message the caller has already encoded
-    /// into a pool buffer ([`Ctx::payload_writer`]): a direct send hands
-    /// that buffer to the network as it is, with no further copy.
-    #[allow(clippy::too_many_arguments)]
     pub fn send_encoded(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -205,52 +165,32 @@ impl Transport {
         to_public: bool,
         wire: Payload,
         route_hint: &[NodeId],
-        open_timeout: SimDuration,
-    ) -> SendOutcome {
-        self.send_outgoing(ctx, me, to, to_public, Outgoing::Wire(wire), route_hint, open_timeout)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_outgoing(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        me: NodeId,
-        to: NodeId,
-        to_public: bool,
-        msg: Outgoing<'_>,
-        route_hint: &[NodeId],
-        open_timeout: SimDuration,
     ) -> SendOutcome {
         let now = ctx.now();
-        // 1. Fresh direct contact (covers public peers we have talked to,
-        //    and NATted peers whose association towards us is open).
-        if let Some(ep) = self.contact(to, now) {
-            msg.send_direct(ctx, ep);
-            return SendOutcome::Direct;
-        }
-        // 2. Public peer: always addressable.
-        if to_public {
-            msg.send_direct(ctx, Endpoint::public(to));
+        // 1. Fresh direct contact (a NATted peer whose association towards
+        //    us is open); 2. public peer: always addressable.
+        if let Some(ep) = self.contact(to, now).or(to_public.then_some(Endpoint::public(to))) {
+            ctx.send_to(ep, wire);
             return SendOutcome::Direct;
         }
         // 3. Fresh relayed reverse route.
         if let Some(route) = self.reply_routes.get(to, now).filter(|r| !r.is_empty()) {
-            let route = route.clone();
-            let inner = msg.into_inner(ctx);
-            self.relay(ctx, me, &route, inner, now);
+            let inner = unpooled(ctx, wire);
+            self.relay(ctx, me, route, inner);
+            ctx.metrics().count("pss.relayed_sent", 1);
             return SendOutcome::Relayed;
         }
         // 4. Rendezvous chain: queue the message and start (or join) a
         //    hole-punching handshake; the timeout handler falls back to
         //    relaying over the same chain.
         if !route_hint.is_empty() {
-            let mut chain = route_hint.to_vec();
-            chain.push(to);
-            let inner = msg.into_inner(ctx);
+            let inner = unpooled(ctx, wire);
             if let Some(open) = self.opens.get_mut(&to) {
                 open.queued.push(inner);
                 return SendOutcome::Queued;
             }
+            let mut chain = route_hint.to_vec();
+            chain.push(to);
             // The handshake starts at the first hop: use a fresh contact
             // when we have one, else try its public endpoint (if the hop
             // is NATted with no open association the packet dies at its
@@ -258,11 +198,11 @@ impl Transport {
             let first = chain[0];
             let first_ep = self.contact(first, now).unwrap_or(Endpoint::public(first));
             self.start_open(ctx, me, first_ep, &chain);
-            self.opens
-                .insert(to, PendingOpen { chain: chain.clone(), queued: vec![inner] });
-            ctx.set_timer(open_timeout, open_timeout_token(to));
+            self.opens.insert(to, PendingOpen { chain, queued: vec![inner] });
+            ctx.set_timer(OPEN_TIMEOUT, open_timeout_token(to));
             return SendOutcome::Queued;
         }
+        ctx.recycle(wire);
         ctx.metrics().count("pss.send_failed", 1);
         SendOutcome::Failed
     }
@@ -280,19 +220,12 @@ impl Transport {
 
     /// Relays the wire image `inner` along the non-empty `route` (relays
     /// first, destination last).
-    fn relay(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        me: NodeId,
-        route: &[NodeId],
-        inner: Vec<u8>,
-        now: SimTime,
-    ) {
+    fn relay(&self, ctx: &mut Ctx<'_>, me: NodeId, route: &[NodeId], inner: Vec<u8>) {
         let first = route[0];
         // Relay chains are built from gossip paths, whose first hop we
         // have talked to; if the contact expired, try the public address
         // (works when the relay is a P-node).
-        let ep = self.contact(first, now).unwrap_or(Endpoint::public(first));
+        let ep = self.contact(first, ctx.now()).unwrap_or(Endpoint::public(first));
         let relayed = NylonMsg::Relayed {
             from: me,
             remaining: route[1..].to_vec(),
@@ -300,7 +233,6 @@ impl Transport {
             inner,
         };
         ctx.send_wire(ep, &relayed);
-        ctx.metrics().count("pss.relayed_sent", 1);
     }
 
     /// Handles the open-timeout timer for `peer`: if the handshake did not
@@ -311,19 +243,10 @@ impl Transport {
         };
         ctx.metrics().count("pss.open_relay_fallback", 1);
         let now = ctx.now();
+        // Re-wrap each queued message as a relayed delivery over the
+        // chain, which ends in `peer` and so is never empty.
         for inner in open.queued {
-            // Re-wrap each queued message as a relayed delivery.
-            let Some(&first) = open.chain.first() else { continue };
-            let ep = self
-                .contact(first, now)
-                .unwrap_or(Endpoint::public(first));
-            let relayed = NylonMsg::Relayed {
-                from: me,
-                remaining: open.chain[1..].to_vec(),
-                path_back: vec![me],
-                inner,
-            };
-            ctx.send_wire(ep, &relayed);
+            self.relay(ctx, me, &open.chain, inner);
         }
         // Remember the chain as a (tentative) reply route so immediate
         // follow-ups do not restart the handshake.
@@ -345,6 +268,14 @@ impl Transport {
             }
         }
     }
+}
+
+/// The bytes of `wire` as the `Vec` a relayed wrapper or the hole-punch
+/// queue holds; the buffer goes back, or the pool is a buffer short.
+fn unpooled(ctx: &mut Ctx<'_>, wire: Payload) -> Vec<u8> {
+    let inner = wire.to_vec();
+    ctx.recycle(wire);
+    inner
 }
 
 #[cfg(test)]

@@ -319,7 +319,7 @@ fn eviction_purges_dead_peers_and_bounds_staleness() {
     // max_age cycles plus diffusion slack: a dead entry's age only grows
     // (nobody re-injects it at age 0), so this bounds its lifetime.
     let cycles = cfg.max_age as u64 + 7;
-    sim.run_for_secs(cycles * cfg.cycle.as_secs());
+    sim.run_for_secs(cycles * whisper_pss::nylon::CYCLE.as_secs());
     let mut checked = 0usize;
     for &id in &ids {
         let Some(node) = sim.node::<NylonNode>(id) else { continue };

@@ -1,15 +1,17 @@
 //! Where a peer's key and contact live: the key a message carries goes
 //! into the connection-backlog entry of its sender and nowhere else, and
 //! the transport remembers where NATted senders' packets came from — a
-//! public sender is reachable at its public endpoint anyway.
+//! public sender is reachable at its public endpoint anyway. And what
+//! the transport makes of that knowledge: the three routes an application
+//! frame can take out of a node.
 
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::nat::NatType;
-use whisper_net::sim::{Sim, SimConfig};
+use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
 use whisper_net::wire::WireEncode;
-use whisper_net::{Endpoint, NodeId};
+use whisper_net::{Endpoint, NodeId, Payload, SimDuration};
 use whisper_pss::messages::NylonMsg;
-use whisper_pss::transport::SendOutcome;
+use whisper_pss::transport::{SendOutcome, OPEN_TIMEOUT};
 use whisper_pss::{NylonConfig, NylonCore, NylonNode};
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
@@ -143,4 +145,117 @@ fn a_relayed_message_is_unwrapped_once_however_deep_the_sender_nested() {
     assert_eq!(cb_key(&sim, id, peer), Some(key), "the relayed request was merged");
     assert_eq!(sim.metrics().counter("pss.relayed_delivered"), 2);
     assert_eq!(sim.metrics().counter("pss.relayed_nested"), 1);
+}
+
+/// A host that keeps every packet it is sent, as sent.
+#[derive(Default)]
+struct Recorder {
+    got: Vec<Vec<u8>>,
+}
+
+impl Protocol for Recorder {
+    fn on_start(&mut self, _: &mut Ctx<'_>) {}
+    fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Endpoint, data: &Payload) {
+        self.got.push(data.to_vec());
+    }
+    fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+const PAYLOAD: &[u8] = b"one payload, two ways in, three ways out";
+
+/// The three ways an application message leaves a node.
+#[derive(Clone, Copy, Debug)]
+enum Route {
+    /// To a peer the sender's directory marks public.
+    Direct,
+    /// Wrapped, over the reverse route a relayed message left behind.
+    Relayed,
+    /// Held while a hole punch runs, sent when the peer's own packet
+    /// arrives.
+    PunchedThrough,
+}
+
+/// Sends one payload out of a lone node over `route` — as a `Vec` through
+/// `send_app`, or written into a `begin_app` frame — and returns what the
+/// host at the other end of the first link received, with the sender's
+/// allocation accounting.
+fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
+    let (mut sim, id, _) = lone_node();
+    let peer = sim.add_node(Box::<Recorder>::default(), NatType::Public);
+    let stranger = NodeId(70);
+    // `to`, what the sender's directory says of it, the rendezvous chain.
+    let (to, to_public, hint, expected) = match route {
+        Route::Direct => (peer, true, vec![], SendOutcome::Direct),
+        Route::Relayed => {
+            // A relayed message from the stranger came in over the peer
+            // (one that asks for no answer, so the peer hears nothing else).
+            let relayed = NylonMsg::Relayed {
+                from: stranger,
+                remaining: vec![],
+                path_back: vec![stranger, peer],
+                inner: NylonMsg::PunchAck { from: stranger }.to_wire(),
+            };
+            deliver(&mut sim, id, Endpoint::public(peer), &relayed);
+            (stranger, false, vec![], SendOutcome::Relayed)
+        }
+        // The directory knows a rendezvous node for the peer and no more.
+        Route::PunchedThrough => (peer, false, vec![stranger], SendOutcome::Queued),
+    };
+    sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
+        let core = node.core_mut();
+        let outcome = if framed {
+            let mut frame = core.begin_app(ctx, PAYLOAD.len());
+            frame.put_raw(PAYLOAD);
+            core.send_app_frame(ctx, to, to_public, &hint, frame)
+        } else {
+            core.send_app(ctx, to, to_public, &hint, PAYLOAD.to_vec())
+        };
+        assert_eq!(outcome, expected, "{route:?}");
+    });
+    if let Route::PunchedThrough = route {
+        sim.run_for(SimDuration::from_micros(OPEN_TIMEOUT.as_micros() / 2));
+        assert!(sim.node::<Recorder>(peer).unwrap().got.is_empty(), "held while the punch runs");
+        // Any direct packet from the peer completes the handshake.
+        deliver(&mut sim, id, Endpoint::public(peer), &NylonMsg::PunchAck { from: peer });
+    }
+    sim.run_for_secs(1);
+    let m = sim.metrics();
+    let accounting =
+        [m.counter("net.allocs"), m.counter("net.alloc_bytes"), m.counter("net.payload_pooled")];
+    assert_eq!(m.counter("pss.send_failed"), 0);
+    (sim.node::<Recorder>(peer).unwrap().got.clone(), accounting)
+}
+
+/// `send_app` is `begin_app` + `send_app_frame` with a copy in front: the
+/// same bytes reach the network over every route the transport can take,
+/// and the sender is charged the same allocations for them.
+#[test]
+fn a_payload_leaves_as_the_same_bytes_whichever_way_it_was_handed_over() {
+    let app = |from: NodeId| NylonMsg::App { from, payload: PAYLOAD.to_vec() };
+    for route in [Route::Direct, Route::Relayed, Route::PunchedThrough] {
+        let (owned, owned_accounting) = send_over(route, false);
+        let (framed, framed_accounting) = send_over(route, true);
+        assert_eq!(owned, framed, "{route:?}: bytes on the wire");
+        assert_eq!(owned_accounting, framed_accounting, "{route:?}: allocs, alloc_bytes, pooled");
+        // And they are the message the owned codec spells out.
+        let sender = NodeId(0);
+        let on_the_wire = match route {
+            Route::Direct => vec![app(sender).to_wire()],
+            Route::Relayed => vec![NylonMsg::Relayed {
+                from: sender,
+                remaining: vec![NodeId(70)],
+                path_back: vec![sender],
+                inner: app(sender).to_wire(),
+            }
+            .to_wire()],
+            Route::PunchedThrough => vec![app(sender).to_wire()],
+        };
+        assert_eq!(owned, on_the_wire, "{route:?}");
+    }
 }

@@ -66,4 +66,7 @@ step "the benchmark, smoke mode (perfbench/: five loaded workloads end to end, c
 scripts/perfbench_golden.sh
 
 step "done"
+# Not a gate: what a simplifying PR's "net negative" is read from
+# (scripts/loc.sh <rev> gives the same count for any revision).
+echo "loc: $(scripts/loc.sh | awk '{ printf "%s%s %s", sep, $1, $2; sep = ", " }')"
 echo "verify: OK (total $((SECONDS - VERIFY_T0))s)"

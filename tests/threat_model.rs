@@ -129,7 +129,7 @@ fn mix_cannot_link_source_and_destination() {
 #[test]
 fn circuit_packets_unlinkable_across_hops() {
     use whisper::crypto::aes::CtrNonce;
-    use whisper::crypto::circuit::{self, HopSetup};
+    use whisper::crypto::circuit::{self, CircuitEntry, HopSetup};
 
     let mut rng = StdRng::seed_from_u64(6);
     let (source, setups) = circuit::establish(3, &mut rng);
@@ -143,7 +143,7 @@ fn circuit_packets_unlinkable_across_hops() {
     let mut body = sealed;
     for setup in &setups {
         links.push((setup.cid_in, nonce, body.clone()));
-        body = circuit::peel_layer(&setup.key, &nonce, &body);
+        CircuitEntry::new(setup.key, Vec::new(), setup.cid_out).peel_in_place(&nonce, &mut body);
         nonce = circuit::next_nonce(&nonce);
     }
     assert_eq!(body, payload, "destination recovers the plaintext");
