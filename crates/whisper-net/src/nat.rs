@@ -14,6 +14,7 @@
 
 use crate::id::Endpoint;
 use crate::time::{SimDuration, SimTime};
+use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use whisper_rand::Rng;
 
 /// The NAT behaviour of a simulated host.
@@ -47,6 +48,35 @@ impl NatType {
     /// Whether this host is directly reachable (a P-node).
     pub fn is_public(self) -> bool {
         matches!(self, NatType::Public)
+    }
+}
+
+/// One byte: 0 for a public host, 1–4 for the NATted types in
+/// [`NatType::NATTED`]'s order.
+impl WireEncode for NatType {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u8(match self {
+            NatType::Public => 0,
+            NatType::FullCone => 1,
+            NatType::RestrictedCone => 2,
+            NatType::PortRestrictedCone => 3,
+            NatType::Symmetric => 4,
+        });
+    }
+
+    fn encoded_len(&self) -> usize {
+        1
+    }
+}
+
+/// A code outside the five types is an error, never a default type.
+impl WireDecode for NatType {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match r.take_u8()? {
+            0 => Ok(NatType::Public),
+            code @ 1..=4 => Ok(NatType::NATTED[code as usize - 1]),
+            _ => Err(WireError::new("unknown NAT type")),
+        }
     }
 }
 
@@ -539,6 +569,19 @@ mod tests {
         let later = T0 + LEASE + SimDuration::from_secs(1);
         let p2 = d.outbound(ep(2, 0), later, LEASE);
         assert_ne!(p1, p2, "new session, new port");
+    }
+
+    #[test]
+    fn nat_type_is_one_byte_on_the_wire_and_unknown_codes_are_refused() {
+        let all = std::iter::once(NatType::Public).chain(NatType::NATTED);
+        for (code, t) in all.enumerate() {
+            assert_eq!(t.to_wire(), [code as u8]);
+            assert_eq!(NatType::from_wire(&[code as u8]), Ok(t));
+        }
+        for code in 5..=u8::MAX {
+            assert!(NatType::from_wire(&[code]).is_err(), "code {code}");
+        }
+        assert!(NatType::from_wire(&[]).is_err());
     }
 
     #[test]

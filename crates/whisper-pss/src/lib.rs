@@ -11,12 +11,16 @@
 //! * gossip exchanges use the *healer* strategy of the Jelasity et al.
 //!   framework (exchange with the oldest entry, keep the freshest),
 //! * view entries carry **rendezvous chains** — the reverse gossip path an
-//!   entry travelled — so that any node in a view can be reached through a
-//!   chain of relays even when it sits behind a NAT,
+//!   entry travelled, back to the nearest public node — so that any node
+//!   in a view can be reached through a chain of relays even when it sits
+//!   behind a NAT; a stored chain can always be walked hop by hop
+//!   ([`view`]),
 //! * connection establishment performs real **hole punching** through
-//!   those rendezvous nodes, falling back to relaying when punching fails
-//!   (which, with the emulated NAT devices of `whisper-net`, happens
-//!   exactly for the symmetric/port-sensitive combinations).
+//!   those rendezvous nodes where a punch can succeed, and relays over
+//!   them where it cannot: for the symmetric/port-sensitive combinations
+//!   of the emulated NAT devices of `whisper-net`, which the two ends
+//!   find out from each other's NAT type, and when the handshake times
+//!   out ([`transport`]).
 //!
 //! WHISPER's additions (paper §III-B):
 //!

@@ -19,6 +19,7 @@ use std::time::Instant;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::{Ctx, Protocol};
+use whisper_net::nat::can_hole_punch;
 use whisper_net::wire::WireDecode;
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 
@@ -73,6 +74,19 @@ pub enum NylonEvent {
         /// Opaque blob bytes.
         bytes: Vec<u8>,
     },
+}
+
+/// How a message came: the relays that carried it, the one this node
+/// heard from first (empty when the sender sent it directly), and whether
+/// that one is a P-node.
+#[derive(Clone, Copy)]
+struct Via<'a> {
+    relays: &'a [NodeId],
+    head_public: bool,
+}
+
+impl Via<'_> {
+    const DIRECT: Via<'static> = Via { relays: &[], head_public: false };
 }
 
 /// A decoded message: gossip as a view of the packet, everything else
@@ -394,7 +408,7 @@ impl NylonCore {
         };
         self.note_direct_packet(ctx, from, from_ep);
         let mut events = Vec::new();
-        self.handle(ctx, from, from_ep, msg, &mut events);
+        self.handle(ctx, from, from_ep, Via::DIRECT, msg, &mut events);
         events
     }
 
@@ -404,7 +418,7 @@ impl NylonCore {
 
     /// Fills the gossip buffer for `partner` from the current view.
     fn fill_buffer(&mut self, ctx: &mut Ctx<'_>, partner: NodeId) {
-        self.view.fill_buffer(
+        let skipped = self.view.fill_buffer(
             &mut self.buffer,
             Entry::new(self.id, 0, self.public, &[]),
             partner,
@@ -413,6 +427,9 @@ impl NylonCore {
             self.cfg.max_route,
             ctx.rng(),
         );
+        if skipped > 0 {
+            ctx.metrics().count("pss.chain_full_skipped", skipped as u64);
+        }
     }
 
     /// Ships the gossip buffer to `to` with this node's key and the next
@@ -557,26 +574,34 @@ impl NylonCore {
     // Message handling
     // ---------------------------------------------------------------
 
+    /// Passes `msg` on to `next`, the next hop of the chain it travels.
+    fn forward(&mut self, ctx: &mut Ctx<'_>, next: NodeId, msg: &NylonMsg) {
+        let ep = self.transport.next_hop_ep(ctx, next);
+        ctx.send_wire(ep, msg);
+    }
+
     fn handle(
         &mut self,
         ctx: &mut Ctx<'_>,
         outer_from: NodeId,
         outer_ep: Endpoint,
+        via: Via<'_>,
         msg: Incoming<'_>,
         events: &mut Vec<NylonEvent>,
     ) {
         match msg {
-            Incoming::Gossip(gossip) => self.handle_gossip(ctx, gossip, events),
+            Incoming::Gossip(gossip) => self.handle_gossip(ctx, gossip, via, events),
             Incoming::Other(msg) => self.handle_msg(ctx, outer_from, outer_ep, msg, events),
         }
     }
 
-    /// Both halves of a gossip exchange, read from the packet: whether the
-    /// message came directly or as the inner message of a relayed one.
+    /// Both halves of a gossip exchange, read from the packet, which came
+    /// directly or as the inner message of a relayed one: `via`.
     fn handle_gossip(
         &mut self,
         ctx: &mut Ctx<'_>,
         gossip: GossipView<'_>,
+        via: Via<'_>,
         events: &mut Vec<NylonEvent>,
     ) {
         let GossipView { request, sender, sender_public, .. } = gossip;
@@ -592,7 +617,7 @@ impl NylonCore {
             // Build the reply from the *pre-merge* view, as the
             // push-pull exchange prescribes.
             self.fill_buffer(ctx, sender);
-            self.merge_gossip(&gossip);
+            self.merge_gossip(&gossip, via);
             self.send_gossip(ctx, false, sender, sender_public, &[]);
             self.maintain_cb(ctx);
             ctx.metrics().count("pss.gossip_served", 1);
@@ -600,18 +625,23 @@ impl NylonCore {
             if matches!(self.outstanding, Some((p, _)) if p == sender) {
                 self.outstanding = None;
             }
-            self.merge_gossip(&gossip);
+            self.merge_gossip(&gossip, via);
             self.maintain_cb(ctx);
             ctx.metrics().count("pss.gossip_completed", 1);
             events.push(NylonEvent::GossipCompleted { partner: sender });
         }
     }
 
-    /// Merges the shipped entries into the view and puts the sender, with
-    /// the key it shipped, at the head of the connection backlog.
-    fn merge_gossip(&mut self, gossip: &GossipView<'_>) {
+    /// Merges the shipped entries, each with the chain that reaches it
+    /// from here ([`Entry::received`]), into the view and puts the sender,
+    /// with the key it shipped, at the head of the connection backlog.
+    fn merge_gossip(&mut self, gossip: &GossipView<'_>, via: Via<'_>) {
+        let (sender, sender_public, max_route) =
+            (gossip.sender, gossip.sender_public, self.cfg.max_route);
         self.view.merge_entries(
-            gossip.entries(),
+            gossip.entries().filter_map(|e| {
+                e.received(sender, sender_public, via.relays, via.head_public, max_route)
+            }),
             self.id,
             self.cfg.view_size,
             self.cfg.pi,
@@ -632,15 +662,28 @@ impl NylonCore {
             NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. } => {
                 debug_assert!(false, "Incoming::parse hands gossip to handle_gossip as a view");
             }
-            NylonMsg::Relayed { from, remaining, path_back, inner } => {
-                if remaining.is_empty() {
-                    // Final destination: remember the reverse route, then
-                    // process the inner message as if it came from `from`.
-                    let mut route: Vec<NodeId> = path_back.clone();
-                    route.reverse();
-                    if !route.is_empty() {
-                        self.transport.note_reply_route(from, route, ctx.now());
+            NylonMsg::Relayed { from, remaining, mut path_back, inner } => {
+                if let Some((&next, rest)) = remaining.split_first() {
+                    // Forward one hop.
+                    path_back.push(self.id);
+                    let fwd =
+                        NylonMsg::Relayed { from, remaining: rest.to_vec(), path_back, inner };
+                    self.forward(ctx, next, &fwd);
+                    ctx.metrics().count("pss.relayed_forwarded", 1);
+                } else {
+                    // Final destination: the way the message came, walked
+                    // backwards, is a working route to `from` — each relay
+                    // holds the contact of the one it took the packet
+                    // from. Remember it, then process the inner message
+                    // as one `from` sent over it.
+                    path_back.reverse();
+                    if !path_back.is_empty() {
+                        self.transport.note_reply_route(from, path_back.clone(), ctx.now());
                     }
+                    let via = Via {
+                        relays: &path_back[..path_back.len().saturating_sub(1)],
+                        head_public: outer_ep.port == 0,
+                    };
                     ctx.metrics().count("pss.relayed_delivered", 1);
                     match Incoming::parse(&inner) {
                         // No honest sender nests (`Transport::send_encoded`
@@ -650,85 +693,72 @@ impl NylonCore {
                         Some(Incoming::Other(NylonMsg::Relayed { .. })) => {
                             ctx.metrics().count("pss.relayed_nested", 1);
                         }
-                        Some(inner_msg) => self.handle(ctx, from, outer_ep, inner_msg, events),
+                        Some(inner_msg) => self.handle(ctx, from, outer_ep, via, inner_msg, events),
                         None => {}
                     }
-                } else {
-                    // Forward one hop.
-                    let next = remaining[0];
-                    let mut path = path_back;
-                    path.push(self.id);
-                    let fwd = NylonMsg::Relayed {
-                        from,
-                        remaining: remaining[1..].to_vec(),
-                        path_back: path,
-                        inner,
-                    };
-                    let ep = self
-                        .transport
-                        .contact(next, ctx.now())
-                        .unwrap_or(Endpoint::public(next));
-                    ctx.send_wire(ep, &fwd);
-                    ctx.metrics().count("pss.relayed_forwarded", 1);
                 }
             }
-            NylonMsg::OpenReq { requester, mut requester_ep, remaining, path_back } => {
+            NylonMsg::OpenReq {
+                requester,
+                requester_nat,
+                mut requester_ep,
+                remaining,
+                mut path_back,
+            } => {
                 // The first relay (receiving straight from the requester)
                 // records the externally observed endpoint.
                 if requester_ep.is_none() && outer_from == requester {
                     requester_ep = Some(outer_ep);
                 }
-                if remaining.is_empty() {
-                    // We are the target: punch towards the requester (with
-                    // delayed re-punches — the first probe can race the
-                    // requester's own outbound packet through its filter)
-                    // and answer along the reverse path.
-                    if let Some(rep) = requester_ep {
+                if let Some((&next, rest)) = remaining.split_first() {
+                    path_back.push(self.id);
+                    let fwd = NylonMsg::OpenReq {
+                        requester,
+                        requester_nat,
+                        requester_ep,
+                        remaining: rest.to_vec(),
+                        path_back,
+                    };
+                    self.forward(ctx, next, &fwd);
+                } else {
+                    // We are the target: unless the two NAT types rule it
+                    // out, punch towards the requester (with delayed
+                    // re-punches — the first probe can race the
+                    // requester's own outbound packet through its filter);
+                    // either way answer along the reverse path.
+                    let nat = ctx.nat_type();
+                    if let Some(rep) = requester_ep.filter(|_| can_hole_punch(requester_nat, nat)) {
                         let punch = NylonMsg::Punch { from: self.id };
                         ctx.send_wire(rep, &punch);
                         self.punch_retries.insert(requester, (rep, PUNCH_RETRIES));
                         ctx.set_timer(PUNCH_RETRY_DELAY, TIMER_PUNCH_RETRY | (requester.0 << 8));
                     }
-                    let mut route: Vec<NodeId> = path_back;
-                    route.reverse();
-                    if let Some((&next, rest)) = route.split_first() {
+                    path_back.reverse();
+                    if let Some((&next, rest)) = path_back.split_first() {
                         let ack = NylonMsg::OpenAck {
                             target: self.id,
+                            target_nat: nat,
                             target_ep: None,
                             remaining: rest.to_vec(),
                         };
-                        let ep = self
-                            .transport
-                            .contact(next, ctx.now())
-                            .unwrap_or(Endpoint::public(next));
-                        ctx.send_wire(ep, &ack);
+                        self.forward(ctx, next, &ack);
                     }
                     ctx.metrics().count("pss.open_served", 1);
-                } else {
-                    let next = remaining[0];
-                    let mut path = path_back;
-                    path.push(self.id);
-                    let fwd = NylonMsg::OpenReq {
-                        requester,
-                        requester_ep,
-                        remaining: remaining[1..].to_vec(),
-                        path_back: path,
-                    };
-                    let ep = self
-                        .transport
-                        .contact(next, ctx.now())
-                        .unwrap_or(Endpoint::public(next));
-                    ctx.send_wire(ep, &fwd);
                 }
             }
-            NylonMsg::OpenAck { target, mut target_ep, remaining } => {
+            NylonMsg::OpenAck { target, target_nat, mut target_ep, remaining } => {
                 if target_ep.is_none() && outer_from == target {
                     target_ep = Some(outer_ep);
                 }
-                if remaining.is_empty() {
-                    // We are the requester: punch towards the target's
-                    // observed endpoint. Any direct answer (PunchAck or
-                    // the target's own punch) establishes the channel.
+                if let Some((&next, rest)) = remaining.split_first() {
+                    let remaining = rest.to_vec();
+                    let fwd = NylonMsg::OpenAck { target, target_nat, target_ep, remaining };
+                    self.forward(ctx, next, &fwd);
+                } else if self.transport.on_open_ack(ctx, self.id, target, target_nat) {
+                    // We are the requester, and the pair can be punched:
+                    // punch towards the target's observed endpoint. Any
+                    // direct answer (PunchAck or the target's own punch)
+                    // establishes the channel.
                     if let Some(tep) = target_ep {
                         // Double punch: encode once, send two clones.
                         let punch = NylonMsg::Punch { from: self.id };
@@ -736,18 +766,6 @@ impl NylonCore {
                         ctx.send_to(tep, wire.clone());
                         ctx.send_to(tep, wire);
                     }
-                } else {
-                    let next = remaining[0];
-                    let fwd = NylonMsg::OpenAck {
-                        target,
-                        target_ep,
-                        remaining: remaining[1..].to_vec(),
-                    };
-                    let ep = self
-                        .transport
-                        .contact(next, ctx.now())
-                        .unwrap_or(Endpoint::public(next));
-                    ctx.send_wire(ep, &fwd);
                 }
             }
             NylonMsg::Punch { .. } => {

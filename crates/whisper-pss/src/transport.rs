@@ -7,11 +7,16 @@
 //! Otherwise it either relays messages along the peer's rendezvous chain
 //! or first attempts to punch a hole through both NATs via an
 //! `OpenReq`/`OpenAck`/`Punch` handshake coordinated over that chain.
-//! Whether punching succeeds is decided by the emulated NAT devices, not
-//! by this code.
+//! The handshake runs only where it can achieve something: a public
+//! node has no NAT to open, so it relays at once and the peer answers it
+//! directly; and the two ends tell each other their NAT types, so a pair
+//! that cannot be punched ([`can_hole_punch`]) is relayed as soon as the
+//! acknowledgement arrives. Whether a punch that is attempted succeeds
+//! is decided by the emulated NAT devices, not by this code.
 
 use crate::messages::NylonMsg;
 use std::collections::HashMap;
+use whisper_net::nat::{can_hole_punch, NatType};
 use whisper_net::sim::Ctx;
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 
@@ -23,7 +28,7 @@ use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 pub const CONTACT_TTL: SimDuration = SimDuration::from_secs(5760);
 
 /// How long to wait for hole punching before falling back to relayed
-/// delivery.
+/// delivery: what a lost handshake message or punch costs.
 pub const OPEN_TIMEOUT: SimDuration = SimDuration::from_millis(800);
 
 /// Validity window for a relayed reverse route.
@@ -144,6 +149,18 @@ impl Transport {
         peer_public || self.contact(peer, now).is_some()
     }
 
+    /// Where to send what goes to `next`, a hop of a rendezvous chain or
+    /// of a relayed message's way back: its contact, or — none is kept
+    /// for a public hop — its public address, counted as
+    /// `pss.fwd_no_contact`. Over a valid chain only a P-node is ever
+    /// addressed that way; a NATted one drops the packet at its NAT.
+    pub fn next_hop_ep(&self, ctx: &mut Ctx<'_>, next: NodeId) -> Endpoint {
+        self.contact(next, ctx.now()).unwrap_or_else(|| {
+            ctx.metrics().count("pss.fwd_no_contact", 1);
+            Endpoint::public(next)
+        })
+    }
+
     /// Sends `wire` — a message the caller has encoded into a pool buffer
     /// ([`Ctx::payload_writer`]) — to `to` using the best available
     /// mechanism. A direct send hands that buffer to the network as it
@@ -180,9 +197,7 @@ impl Transport {
             ctx.metrics().count("pss.relayed_sent", 1);
             return SendOutcome::Relayed;
         }
-        // 4. Rendezvous chain: queue the message and start (or join) a
-        //    hole-punching handshake; the timeout handler falls back to
-        //    relaying over the same chain.
+        // 4. Rendezvous chain.
         if !route_hint.is_empty() {
             let inner = unpooled(ctx, wire);
             if let Some(open) = self.opens.get_mut(&to) {
@@ -191,13 +206,28 @@ impl Transport {
             }
             let mut chain = route_hint.to_vec();
             chain.push(to);
-            // The handshake starts at the first hop: use a fresh contact
-            // when we have one, else try its public endpoint (if the hop
-            // is NATted with no open association the packet dies at its
-            // NAT and the timeout cleans up).
-            let first = chain[0];
-            let first_ep = self.contact(first, now).unwrap_or(Endpoint::public(first));
-            self.start_open(ctx, me, first_ep, &chain);
+            let nat = ctx.nat_type();
+            if nat.is_public() {
+                // No NAT of ours to open: the chain carries the message
+                // and the peer answers to our public address.
+                self.relay(ctx, me, &chain, inner);
+                ctx.metrics().count("pss.relayed_sent", 1);
+                return SendOutcome::Relayed;
+            }
+            // Queue the message and start a hole-punching handshake; it
+            // ends in a direct channel, in the peer's word that the two
+            // NATs cannot be punched, or in the timeout — and the last
+            // two relay over the same chain.
+            let open = NylonMsg::OpenReq {
+                requester: me,
+                requester_nat: nat,
+                requester_ep: None,
+                remaining: chain[1..].to_vec(),
+                path_back: vec![me],
+            };
+            let first_ep = self.next_hop_ep(ctx, chain[0]);
+            ctx.send_wire(first_ep, &open);
+            ctx.metrics().count("pss.open_started", 1);
             self.opens.insert(to, PendingOpen { chain, queued: vec![inner] });
             ctx.set_timer(OPEN_TIMEOUT, open_timeout_token(to));
             return SendOutcome::Queued;
@@ -207,50 +237,56 @@ impl Transport {
         SendOutcome::Failed
     }
 
-    fn start_open(&mut self, ctx: &mut Ctx<'_>, me: NodeId, first_ep: Endpoint, chain: &[NodeId]) {
-        let open = NylonMsg::OpenReq {
-            requester: me,
-            requester_ep: None,
-            remaining: chain[1..].to_vec(),
-            path_back: vec![me],
-        };
-        ctx.send_wire(first_ep, &open);
-        ctx.metrics().count("pss.open_started", 1);
-    }
-
     /// Relays the wire image `inner` along the non-empty `route` (relays
     /// first, destination last).
     fn relay(&self, ctx: &mut Ctx<'_>, me: NodeId, route: &[NodeId], inner: Vec<u8>) {
-        let first = route[0];
-        // Relay chains are built from gossip paths, whose first hop we
-        // have talked to; if the contact expired, try the public address
-        // (works when the relay is a P-node).
-        let ep = self.contact(first, ctx.now()).unwrap_or(Endpoint::public(first));
         let relayed = NylonMsg::Relayed {
             from: me,
             remaining: route[1..].to_vec(),
             path_back: vec![me],
             inner,
         };
+        let ep = self.next_hop_ep(ctx, route[0]);
         ctx.send_wire(ep, &relayed);
     }
 
-    /// Handles the open-timeout timer for `peer`: if the handshake did not
-    /// complete, flushes queued messages over the relay chain.
-    pub fn on_open_timeout(&mut self, ctx: &mut Ctx<'_>, me: NodeId, peer: NodeId) {
+    /// Ends the handshake towards `peer`, if one is still pending, without
+    /// a direct channel: counts `why` and relays what was queued over the
+    /// chain, which ends in `peer` and so is never empty.
+    fn relay_queued(&mut self, ctx: &mut Ctx<'_>, me: NodeId, peer: NodeId, why: &'static str) {
         let Some(open) = self.opens.remove(&peer) else {
             return; // handshake completed in time
         };
-        ctx.metrics().count("pss.open_relay_fallback", 1);
-        let now = ctx.now();
-        // Re-wrap each queued message as a relayed delivery over the
-        // chain, which ends in `peer` and so is never empty.
+        ctx.metrics().count(why, 1);
         for inner in open.queued {
             self.relay(ctx, me, &open.chain, inner);
         }
-        // Remember the chain as a (tentative) reply route so immediate
-        // follow-ups do not restart the handshake.
-        self.note_reply_route(peer, open.chain, now);
+        // Follow-ups take the chain as a reply route and do not restart
+        // the handshake.
+        self.note_reply_route(peer, open.chain, ctx.now());
+    }
+
+    /// Handles the open-timeout timer for `peer`: a punch that should
+    /// have worked did not, within [`OPEN_TIMEOUT`].
+    pub fn on_open_timeout(&mut self, ctx: &mut Ctx<'_>, me: NodeId, peer: NodeId) {
+        self.relay_queued(ctx, me, peer, "pss.open_relay_fallback");
+    }
+
+    /// Handles the acknowledgement of the open request sent to `peer`,
+    /// which is behind a `peer_nat`: `true` if a punch is worth sending.
+    /// If the two NAT types rule it out, relays what was queued at once.
+    pub fn on_open_ack(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        me: NodeId,
+        peer: NodeId,
+        peer_nat: NatType,
+    ) -> bool {
+        let punchable = can_hole_punch(ctx.nat_type(), peer_nat);
+        if !punchable {
+            self.relay_queued(ctx, me, peer, "pss.open_unpunchable");
+        }
+        punchable
     }
 
     /// Completes an open handshake towards `peer` (a direct packet

@@ -6,15 +6,25 @@
 //! sorting touch no heap. [`ViewEntry`], with its chain in a `Vec`, is
 //! the owned form at the boundary — what tests, the owned message codec
 //! and callers outside the crate construct and read.
+//!
+//! A stored chain is *valid by construction*: its holder can send
+//! directly to the first hop, every hop to the next and the last to the
+//! target, where "directly" means that the next node is public or that a
+//! live contact for it is held. What a node ships ([`View::fill_buffer`])
+//! and what it stores of what it is shipped ([`Entry::received`]) are the
+//! two steps that keep it so (DESIGN.md §7).
 
 use whisper_rand::seq::SliceRandom;
 use whisper_rand::Rng;
 use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use whisper_net::NodeId;
 
-/// Longest rendezvous chain a stored entry holds
+/// Longest rendezvous chain an entry holds
 /// ([`NylonConfig::max_route`](crate::NylonConfig::max_route) may not
-/// exceed it; a longer chain received from a peer is cut to it).
+/// exceed it). A chain is never cut to fit — what is left would end at a
+/// node that has never met the target: an entry whose chain cannot grow
+/// is not forwarded, and a longer chain received from a peer is refused
+/// by the decoder.
 pub const ROUTE_CAP: usize = 3;
 
 /// One entry of a PSS view, in its owned form.
@@ -27,8 +37,10 @@ pub struct ViewEntry {
     /// Whether the node is publicly reachable (a P-node).
     pub public: bool,
     /// Rendezvous chain: `route[0]` is a node the *holder* of this entry
-    /// can contact and that can (transitively) reach `node`. Grows by one
-    /// as the entry is forwarded, capped by configuration.
+    /// can send to directly, every hop can send directly to the next and
+    /// the last to `node`. Empty for a public `node`. A forwarder puts
+    /// itself in front unless the first hop is a P-node, which anyone
+    /// reaches; a chain that is full is not forwarded.
     pub route: Vec<NodeId>,
 }
 
@@ -55,14 +67,11 @@ impl WireEncode for ViewEntry {
     }
 }
 
+/// Refuses a chain of more than [`ROUTE_CAP`] hops, as [`Entry`] does.
 impl WireDecode for ViewEntry {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ViewEntry {
-            node: r.take()?,
-            age: r.take_u16()?,
-            public: r.take()?,
-            route: r.take_seq()?,
-        })
+        let entry = Entry::decode(r)?;
+        Ok(ViewEntry::from(&entry))
     }
 }
 
@@ -77,18 +86,28 @@ pub struct Entry {
     /// Whether the node is publicly reachable (a P-node).
     pub public: bool,
     hops: u8,
+    /// Whether the chain's first hop is known to be a P-node — there is
+    /// a first hop, then — so that the chain is as good in anyone's hands
+    /// as in the holder's. Not on the wire: [`Entry::received`] works it
+    /// out from who sent the entry.
+    head_public: bool,
     /// The first `hops` are the chain; the rest stay `NodeId(0)` so that
     /// the derived equality compares chains.
     route: [NodeId; ROUTE_CAP],
 }
 
 impl Entry {
-    /// An entry with the first [`ROUTE_CAP`] hops of `route`.
+    /// An entry with the chain `route`, whose first hop is not known to
+    /// be public.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `route` has more than [`ROUTE_CAP`] hops.
     pub fn new(node: NodeId, age: u16, public: bool, route: &[NodeId]) -> Entry {
-        let hops = route.len().min(ROUTE_CAP);
+        assert!(route.len() <= ROUTE_CAP, "a rendezvous chain has at most ROUTE_CAP hops");
         let mut inline = [NodeId(0); ROUTE_CAP];
-        inline[..hops].copy_from_slice(&route[..hops]);
-        Entry { node, age, public, hops: hops as u8, route: inline }
+        inline[..route.len()].copy_from_slice(route);
+        Entry { node, age, public, hops: route.len() as u8, head_public: false, route: inline }
     }
 
     /// The rendezvous chain (see [`ViewEntry::route`]).
@@ -96,14 +115,71 @@ impl Entry {
         &self.route[..self.hops as usize]
     }
 
-    /// This entry as shipped to a gossip partner by `via`: `via` in front
-    /// of the chain, which keeps at most `max_route` hops.
-    fn forwarded(&self, via: NodeId, max_route: usize) -> Entry {
-        let kept = self.route().len().min(max_route.saturating_sub(1)).min(ROUTE_CAP - 1);
+    /// This entry with `front` ahead of its chain, whose new first hop is
+    /// public or not as `head_public` says; `None` if that makes more
+    /// than `max_route` hops.
+    fn behind(&self, front: &[NodeId], head_public: bool, max_route: usize) -> Option<Entry> {
+        let hops = front.len() + self.hops as usize;
+        if hops > max_route.min(ROUTE_CAP) {
+            return None;
+        }
         let mut route = [NodeId(0); ROUTE_CAP];
-        route[0] = via;
-        route[1..=kept].copy_from_slice(&self.route[..kept]);
-        Entry { hops: kept as u8 + 1, route, ..*self }
+        route[..front.len()].copy_from_slice(front);
+        route[front.len()..hops].copy_from_slice(self.route());
+        Some(Entry { hops: hops as u8, head_public, route, ..*self })
+    }
+
+    /// This entry as `via`, its holder, ships it to a gossip partner —
+    /// who reaches `via` directly, having just exchanged a packet with
+    /// it. A public target needs no chain. A chain that starts at a
+    /// P-node serves the partner as it serves `via`, and goes unchanged:
+    /// no chain grows past the P-node nearest its target. Any other
+    /// chain gets `via` in front, or — being `max_route` hops already —
+    /// is not shipped at all: `None`.
+    fn forwarded(&self, via: NodeId, max_route: usize) -> Option<Entry> {
+        if self.public {
+            Some(Entry::new(self.node, self.age, true, &[]))
+        } else if self.head_public {
+            Some(*self)
+        } else {
+            self.behind(&[via], false, max_route)
+        }
+    }
+
+    /// This entry, shipped by `sender`, as its receiver stores it — or
+    /// `None` if the receiver could not use it.
+    ///
+    /// `via` is how the message came: empty when `sender` sent it
+    /// directly, else the relays that carried it, the one the receiver
+    /// heard from (`via_head_public` says whether that one is a P-node)
+    /// first. A chain whose first hop is a P-node holds for anyone; it is
+    /// one unless it is `sender`, who puts itself in front of what it
+    /// forwards, and `sender` is NATted. The sender's own entry and a
+    /// chain that starts at a NATted sender hold for a node that reaches
+    /// the sender directly; a receiver that was reached over `via`
+    /// reaches it over `via` reversed — each relay holds the contact of
+    /// the one it took the packet from — and stores that in front, or
+    /// nothing if it exceeds `max_route` hops.
+    pub fn received(
+        &self,
+        sender: NodeId,
+        sender_public: bool,
+        via: &[NodeId],
+        via_head_public: bool,
+        max_route: usize,
+    ) -> Option<Entry> {
+        if self.public {
+            return Some(Entry::new(self.node, self.age, true, &[]));
+        }
+        match self.route().first() {
+            // Only the target itself vouches for being reachable directly.
+            None if self.node != sender => None,
+            Some(&head) if head != sender || sender_public => {
+                Some(Entry { head_public: true, ..*self })
+            }
+            _ if via.is_empty() => Some(Entry { head_public: false, ..*self }),
+            _ => self.behind(via, via_head_public, max_route),
+        }
     }
 }
 
@@ -114,10 +190,14 @@ impl std::fmt::Debug for Entry {
             .field("age", &self.age)
             .field("public", &self.public)
             .field("route", &self.route())
+            .field("head_public", &self.head_public)
             .finish()
     }
 }
 
+/// # Panics
+///
+/// Panics if the chain has more than [`ROUTE_CAP`] hops.
 impl From<&ViewEntry> for Entry {
     fn from(e: &ViewEntry) -> Entry {
         Entry::new(e.node, e.age, e.public, &e.route)
@@ -142,20 +222,19 @@ impl WireEncode for Entry {
     }
 }
 
-/// Accepts exactly the byte strings [`ViewEntry`] decodes from, keeping
-/// the first [`ROUTE_CAP`] hops of the chain.
+/// Refuses a chain of more than [`ROUTE_CAP`] hops: no honest peer ships
+/// one, and no part of it is a chain.
 impl WireDecode for Entry {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let mut entry = Entry::new(r.take()?, r.take_u16()?, r.take()?, &[]);
-        // A hop count beyond the input, which `take_seq` refuses before
-        // it allocates, runs into the end of the input here.
-        for i in 0..r.take_u32()? as usize {
-            let hop = r.take()?;
-            if i < ROUTE_CAP {
-                entry.route[i] = hop;
-                entry.hops = i as u8 + 1;
-            }
+        let hops = r.take_u32()? as usize;
+        if hops > ROUTE_CAP {
+            return Err(WireError::new("rendezvous chain longer than ROUTE_CAP"));
         }
+        for hop in &mut entry.route[..hops] {
+            *hop = r.take()?;
+        }
+        entry.hops = hops as u8;
         Ok(entry)
     }
 }
@@ -263,8 +342,10 @@ impl View {
 
     /// Builds the gossip buffer to ship to a partner: the sender's own
     /// fresh entry followed by up to `len - 1` random others (excluding
-    /// the partner itself). Forwarded entries get `via` prepended to their
-    /// rendezvous chain, capped at `max_route`.
+    /// the partner itself), each as `via` forwards it — `via` in front of
+    /// a chain that does not start at a P-node, no chain for a public
+    /// target, and an entry whose chain is `max_route` hops already left
+    /// out.
     ///
     /// The owned form of [`View::fill_buffer`].
     pub fn make_buffer<R: Rng>(
@@ -282,7 +363,8 @@ impl View {
     }
 
     /// [`View::make_buffer`] into `buffer`, whose earlier contents are
-    /// dropped and whose allocation is reused. Draws from `rng` what a
+    /// dropped and whose allocation is reused; returns how many entries
+    /// were left out for their full chains. Draws from `rng` what a
     /// shuffle of the candidate entries draws, whatever `len` is.
     #[allow(clippy::too_many_arguments)]
     pub fn fill_buffer<R: Rng>(
@@ -294,15 +376,28 @@ impl View {
         via: NodeId,
         max_route: usize,
         rng: &mut R,
-    ) {
+    ) -> usize {
         buffer.clear();
         buffer.push(self_entry);
         buffer.extend(self.entries.iter().filter(|e| e.node != partner && e.node != via));
         buffer[1..].shuffle(rng);
-        buffer.truncate(len.max(1));
-        for entry in &mut buffer[1..] {
-            *entry = entry.forwarded(via, max_route);
+        // The first `len - 1` of the shuffled candidates that can be
+        // forwarded, moved up over those that cannot.
+        let (mut kept, mut skipped) = (1, 0);
+        for at in 1..buffer.len() {
+            if kept >= len {
+                break;
+            }
+            match buffer[at].forwarded(via, max_route) {
+                Some(entry) => {
+                    buffer[kept] = entry;
+                    kept += 1;
+                }
+                None => skipped += 1,
+            }
         }
+        buffer.truncate(kept);
+        skipped
     }
 
     /// Merges `received` entries and truncates to `cap` with the healer
@@ -395,16 +490,19 @@ mod tests {
         ViewEntry { node: NodeId(node), age, public, route: vec![] }
     }
 
-    /// `merge` and `make_buffer` as they were when a view held owned
-    /// entries, kept as the oracles of the two tests below.
+    /// `merge` as it was when a view held owned entries, and the
+    /// forwarding rule of `make_buffer` spelled out over them: the
+    /// oracles of the two tests below.
     mod oracle {
         use super::super::ViewEntry;
         use whisper_net::NodeId;
         use whisper_rand::seq::SliceRandom;
         use whisper_rand::Rng;
 
+        /// `entries` pairs each entry with whether its chain's first hop
+        /// is known to be a P-node.
         pub fn make_buffer<R: Rng>(
-            entries: &[ViewEntry],
+            entries: &[(ViewEntry, bool)],
             self_entry: ViewEntry,
             partner: NodeId,
             len: usize,
@@ -413,15 +511,22 @@ mod tests {
             rng: &mut R,
         ) -> Vec<ViewEntry> {
             let mut buffer = vec![self_entry];
-            let mut candidates: Vec<&ViewEntry> =
-                entries.iter().filter(|e| e.node != partner && e.node != via).collect();
+            let mut candidates: Vec<&(ViewEntry, bool)> =
+                entries.iter().filter(|(e, _)| e.node != partner && e.node != via).collect();
             candidates.shuffle(rng);
-            for entry in candidates.into_iter().take(len.saturating_sub(1)) {
+            for (entry, head_public) in candidates {
+                if buffer.len() >= len {
+                    break;
+                }
                 let mut forwarded = entry.clone();
-                let mut route = Vec::with_capacity(max_route);
-                route.push(via);
-                route.extend(forwarded.route.iter().copied().take(max_route.saturating_sub(1)));
-                forwarded.route = route;
+                if entry.public {
+                    forwarded.route.clear();
+                } else if entry.route.is_empty() || !head_public {
+                    if entry.route.len() >= max_route {
+                        continue; // full: left out, never cut
+                    }
+                    forwarded.route.insert(0, via);
+                }
                 buffer.push(forwarded);
             }
             buffer
@@ -530,10 +635,25 @@ mod tests {
     fn buffer_bytes_and_rng_draws_match_the_owned_oracle() {
         use whisper_net::wire::WireWriter;
         whisper_rand::check::check(400, "buffer_bytes_and_rng_draws_match_the_owned_oracle", |g| {
+            // Entries as they are stored: received from a sender that is
+            // the first hop of some chains, public or not — so some chains
+            // start at a P-node and some do not — and, now and then, over
+            // a relay.
+            let (sender, sender_public) = (NodeId(g.gen_range(0..24u64)), g.gen());
+            let relays = g.vec(1, |_| NodeId(30));
+            let received = g.vec(12, gen_entry);
             let mut view = View::new();
-            for entry in g.vec(12, gen_entry) {
-                view.insert(entry);
-            }
+            view.merge_entries(
+                received.iter().filter_map(|e| {
+                    Entry::from(e).received(sender, sender_public, &relays, g.gen(), ROUTE_CAP)
+                }),
+                NodeId(99),
+                12,
+                0,
+                false,
+            );
+            let with_heads: Vec<(ViewEntry, bool)> =
+                view.entries().iter().map(|e| (ViewEntry::from(e), e.head_public)).collect();
             let me = NodeId(g.gen_range(0..24u64));
             let partner = NodeId(g.gen_range(0..24u64));
             let (len, max_route) = (g.gen_range(0..8usize), g.gen_range(0..=ROUTE_CAP));
@@ -542,7 +662,7 @@ mod tests {
             let mut oracle_rng = StdRng::seed_from_u64(seed);
             let mut expected = WireWriter::new();
             expected.put_seq(&oracle::make_buffer(
-                &owned(&view),
+                &with_heads,
                 self_entry.clone(),
                 partner,
                 len,
@@ -552,7 +672,7 @@ mod tests {
             ));
             let mut rng = StdRng::seed_from_u64(seed);
             let mut buffer = vec![Entry::new(NodeId(99), 9, true, &[NodeId(9)])]; // stale scratch
-            view.fill_buffer(
+            let skipped = view.fill_buffer(
                 &mut buffer,
                 Entry::from(&self_entry),
                 partner,
@@ -564,22 +684,78 @@ mod tests {
             let mut written = WireWriter::new();
             written.put_seq(&buffer);
             assert_eq!(written.into_bytes(), expected.into_bytes());
+            for shipped in &buffer[1..] {
+                assert_eq!(shipped.public, shipped.route().is_empty(), "a chain iff NATted");
+            }
+            if len > view.len() {
+                let candidates = view.nodes().filter(|&n| n != partner && n != me).count();
+                assert_eq!(buffer.len() - 1 + skipped, candidates, "left out or shipped");
+            }
             assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>(), "same draws");
         });
     }
 
     #[test]
-    fn inline_entries_cut_chains_to_the_cap() {
+    fn chains_beyond_the_cap_are_refused_not_cut() {
         use whisper_net::wire::{WireDecode, WireEncode};
         let long: Vec<NodeId> = (1..=5).map(NodeId).collect();
-        let owned = ViewEntry { node: NodeId(9), age: 4, public: true, route: long.clone() };
-        let inline = Entry::from(&owned);
-        assert_eq!(inline.route(), &long[..ROUTE_CAP]);
-        assert_eq!(Entry::from_wire(&owned.to_wire()).unwrap(), inline, "decode cuts alike");
-        let short = Entry::new(NodeId(9), 4, true, &long[..2]);
-        assert_eq!(short.to_wire(), ViewEntry::from(&short).to_wire());
-        assert_eq!(Entry::from_wire(&short.to_wire()).unwrap(), short);
-        assert_ne!(short, Entry::new(NodeId(9), 4, true, &long[..1]));
+        for hops in 0..=long.len() {
+            let route = long[..hops].to_vec();
+            let owned = ViewEntry { node: NodeId(9), age: 4, public: false, route };
+            let wire = owned.to_wire();
+            if hops <= ROUTE_CAP {
+                let inline = Entry::from(&owned);
+                assert_eq!(inline.route(), &long[..hops]);
+                assert_eq!(inline.to_wire(), wire);
+                assert_eq!(Entry::from_wire(&wire), Ok(inline));
+                assert_eq!(ViewEntry::from_wire(&wire), Ok(owned));
+            } else {
+                assert!(Entry::from_wire(&wire).is_err(), "{hops} hops");
+                assert!(ViewEntry::from_wire(&wire).is_err(), "{hops} hops, owned decoder");
+            }
+        }
+        let short = Entry::new(NodeId(9), 4, false, &long[..2]);
+        assert_ne!(short, Entry::new(NodeId(9), 4, false, &long[..1]));
+    }
+
+    /// What a receiver stores for each kind of entry a sender ships:
+    /// nodes 1–3 are NATted, `P` is public.
+    #[test]
+    fn a_received_chain_is_one_its_receiver_can_walk() {
+        const P: NodeId = NodeId(100);
+        let (target, sender, other, relay) = (NodeId(1), NodeId(2), NodeId(3), NodeId(4));
+        let shipped = |route: &[NodeId]| Entry::new(target, 5, false, route);
+        let direct = |e: Entry, public| e.received(sender, public, &[], false, ROUTE_CAP);
+        let relayed = |e: Entry, max| e.received(sender, false, &[relay, P], false, max);
+
+        // Sent directly. A chain that starts at the sender is as public
+        // as the sender; any other first hop is one the sender did not
+        // have to cover, a P-node.
+        let stored = direct(shipped(&[sender, other]), false).unwrap();
+        assert_eq!((stored.route(), stored.head_public), (&[sender, other][..], false));
+        assert!(direct(shipped(&[sender, other]), true).unwrap().head_public);
+        let stored = direct(shipped(&[P, other]), false).unwrap();
+        assert_eq!((stored.route(), stored.head_public), (&[P, other][..], true));
+        // The sender's own entry holds for whoever heard the sender; an
+        // empty chain for another NATted node holds for nobody.
+        let own = Entry::new(sender, 0, false, &[]);
+        assert_eq!(direct(own, false).unwrap().route(), &[]);
+        assert_eq!(direct(shipped(&[]), false), None);
+        // A public target needs no chain, whatever was shipped.
+        let public = Entry::new(P, 3, true, &[sender]);
+        assert_eq!(direct(public, false), Some(Entry::new(P, 3, true, &[])));
+
+        // Relayed over [P, relay] — heard from `relay`. What leans on the
+        // sender gets the way back in front, or is not taken when that is
+        // too long; what starts at a P-node is left alone.
+        let stored = relayed(own, ROUTE_CAP).unwrap();
+        assert_eq!((stored.route(), stored.head_public), (&[relay, P][..], false));
+        assert_eq!(relayed(shipped(&[sender]), ROUTE_CAP).unwrap().route(), &[relay, P, sender]);
+        assert_eq!(relayed(shipped(&[sender, other]), ROUTE_CAP), None);
+        assert_eq!(relayed(shipped(&[sender]), 2), None, "max_route, not only the cap");
+        assert_eq!(relayed(shipped(&[P, other]), ROUTE_CAP).unwrap().route(), &[P, other]);
+        let heard_from_public = own.received(sender, false, &[P], true, ROUTE_CAP).unwrap();
+        assert!(heard_from_public.head_public);
     }
 
     #[test]
@@ -745,22 +921,47 @@ mod tests {
     #[test]
     fn make_buffer_includes_self_first_and_prepends_route() {
         let mut rng = StdRng::seed_from_u64(1);
+        let (me, sender, p_node) = (NodeId(42), NodeId(50), NodeId(60));
+        let natted = |node: u64, route: &[NodeId]| Entry::new(NodeId(node), 2, false, route);
         let mut v = View::new();
-        let mut entry = e(5, 2, false);
-        entry.route = vec![NodeId(50), NodeId(51), NodeId(52)];
-        v.insert(entry);
-        v.insert(e(6, 1, true));
-        let me = NodeId(42);
-        let self_entry = ViewEntry { node: me, age: 0, public: true, route: vec![] };
-        let buf = v.make_buffer(self_entry.clone(), NodeId(6), 3, me, 3, &mut rng);
-        assert_eq!(buf[0], self_entry);
-        assert_eq!(buf.len(), 2, "partner excluded, so only node 5 remains");
-        assert_eq!(buf[1].node, NodeId(5));
-        assert_eq!(
-            buf[1].route,
-            vec![me, NodeId(50), NodeId(51)],
-            "sender prepended, chain capped at 3"
+        v.merge_entries(
+            [
+                // Heard from the NATted sender itself: no chain yet.
+                Entry::new(sender, 0, false, &[]),
+                // Chains that start at the NATted sender, one of them full.
+                natted(5, &[sender, NodeId(51)]),
+                natted(6, &[sender, NodeId(51), NodeId(52)]),
+                // A chain that starts at a P-node.
+                natted(7, &[p_node, NodeId(71)]),
+                // A public target, shipped with a chain nobody needs.
+                Entry::new(NodeId(8), 1, true, &[sender]),
+            ]
+            .iter()
+            .filter_map(|e| e.received(sender, false, &[], false, ROUTE_CAP)),
+            me,
+            10,
+            0,
+            false,
         );
+        assert_eq!(v.len(), 5);
+        let self_entry = ViewEntry { node: me, age: 0, public: true, route: vec![] };
+        let buf = v.make_buffer(self_entry.clone(), NodeId(9), 10, me, ROUTE_CAP, &mut rng);
+        assert_eq!(buf[0], self_entry);
+        let route_of =
+            |node: u64| buf[1..].iter().find(|e| e.node == NodeId(node)).map(|e| e.route.clone());
+        assert_eq!(route_of(sender.0), Some(vec![me]), "we heard it, the partner hears us");
+        assert_eq!(route_of(5), Some(vec![me, sender, NodeId(51)]), "before a NATted head");
+        assert_eq!(route_of(6), None, "a full chain is left out, not cut");
+        assert_eq!(route_of(7), Some(vec![p_node, NodeId(71)]), "a P-node head serves anyone");
+        assert_eq!(route_of(8), Some(vec![]), "a public target needs no chain");
+        assert_eq!(buf.len(), 5);
+        let mut buffer = Vec::new();
+        let own = Entry::from(&self_entry);
+        let skipped = v.fill_buffer(&mut buffer, own, NodeId(9), 10, me, ROUTE_CAP, &mut rng);
+        assert_eq!((buffer.len(), skipped), (5, 1));
+        // The partner and the forwarder themselves are not shipped.
+        let buf = v.make_buffer(self_entry, NodeId(7), 10, sender, ROUTE_CAP, &mut rng);
+        assert!(buf[1..].iter().all(|e| e.node != NodeId(7) && e.node != sender));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! into the connection-backlog entry of its sender and nowhere else, and
 //! the transport remembers where NATted senders' packets came from — a
 //! public sender is reachable at its public endpoint anyway. And what
-//! the transport makes of that knowledge: the three routes an application
+//! the transport makes of that knowledge: the four routes an application
 //! frame can take out of a node.
 
 use whisper_crypto::rsa::{KeyPair, PublicKey};
@@ -16,13 +16,18 @@ use whisper_pss::{NylonConfig, NylonCore, NylonNode};
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
 
-/// A lone node; messages are handed to it as if they had just arrived.
+/// A lone public node; messages are handed to it as if they had just
+/// arrived.
 fn lone_node() -> (Sim, NodeId, StdRng) {
+    lone_node_behind(NatType::Public)
+}
+
+fn lone_node_behind(nat: NatType) -> (Sim, NodeId, StdRng) {
     let cfg = NylonConfig::default();
     let mut keyrng = StdRng::seed_from_u64(42);
     let mut sim = Sim::new(SimConfig::cluster(42));
     let core = NylonCore::new(cfg.clone(), KeyPair::generate(cfg.rsa, &mut keyrng));
-    let id = sim.add_node(Box::new(NylonNode::new(core)), NatType::Public);
+    let id = sim.add_node(Box::new(NylonNode::new(core)), nat);
     sim.run_for_secs(1);
     (sim, id, keyrng)
 }
@@ -169,16 +174,19 @@ impl Protocol for Recorder {
 
 const PAYLOAD: &[u8] = b"one payload, two ways in, three ways out";
 
-/// The three ways an application message leaves a node.
+/// The four ways an application message leaves a node.
 #[derive(Clone, Copy, Debug)]
 enum Route {
     /// To a peer the sender's directory marks public.
     Direct,
     /// Wrapped, over the reverse route a relayed message left behind.
     Relayed,
-    /// Held while a hole punch runs, sent when the peer's own packet
-    /// arrives.
+    /// From a NATted sender: held while a hole punch runs, sent when the
+    /// peer's own packet arrives.
     PunchedThrough,
+    /// From a public sender, which has no NAT to punch: wrapped, over the
+    /// peer's rendezvous chain, at once.
+    RelayedAtOnce,
 }
 
 /// Sends one payload out of a lone node over `route` — as a `Vec` through
@@ -186,7 +194,10 @@ enum Route {
 /// host at the other end of the first link received, with the sender's
 /// allocation accounting.
 fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
-    let (mut sim, id, _) = lone_node();
+    let (mut sim, id, _) = lone_node_behind(match route {
+        Route::PunchedThrough => NatType::RestrictedCone,
+        _ => NatType::Public,
+    });
     let peer = sim.add_node(Box::<Recorder>::default(), NatType::Public);
     let stranger = NodeId(70);
     // `to`, what the sender's directory says of it, the rendezvous chain.
@@ -206,6 +217,8 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
         }
         // The directory knows a rendezvous node for the peer and no more.
         Route::PunchedThrough => (peer, false, vec![stranger], SendOutcome::Queued),
+        // The peer is the stranger's rendezvous node.
+        Route::RelayedAtOnce => (stranger, false, vec![peer], SendOutcome::Relayed),
     };
     sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
         let core = node.core_mut();
@@ -238,7 +251,7 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
 #[test]
 fn a_payload_leaves_as_the_same_bytes_whichever_way_it_was_handed_over() {
     let app = |from: NodeId| NylonMsg::App { from, payload: PAYLOAD.to_vec() };
-    for route in [Route::Direct, Route::Relayed, Route::PunchedThrough] {
+    for route in [Route::Direct, Route::Relayed, Route::PunchedThrough, Route::RelayedAtOnce] {
         let (owned, owned_accounting) = send_over(route, false);
         let (framed, framed_accounting) = send_over(route, true);
         assert_eq!(owned, framed, "{route:?}: bytes on the wire");
@@ -247,7 +260,7 @@ fn a_payload_leaves_as_the_same_bytes_whichever_way_it_was_handed_over() {
         let sender = NodeId(0);
         let on_the_wire = match route {
             Route::Direct => vec![app(sender).to_wire()],
-            Route::Relayed => vec![NylonMsg::Relayed {
+            Route::Relayed | Route::RelayedAtOnce => vec![NylonMsg::Relayed {
                 from: sender,
                 remaining: vec![NodeId(70)],
                 path_back: vec![sender],

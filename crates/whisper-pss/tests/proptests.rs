@@ -4,12 +4,13 @@
 //! Written against `whisper_rand::check`: seeded case generation with
 //! shrink-on-failure reporting.
 
+use whisper_net::nat::NatType;
 use whisper_net::wire::{WireDecode, WireEncode};
 use whisper_net::{Endpoint, NodeId};
 use whisper_pss::backlog::{CbEntry, ConnectionBacklog};
 use whisper_pss::descriptors::DescriptorBlob;
 use whisper_pss::messages::NylonMsg;
-use whisper_pss::view::{Entry, View, ViewEntry};
+use whisper_pss::view::{Entry, View, ViewEntry, ROUTE_CAP};
 use whisper_rand::check::{check, Gen};
 use whisper_rand::Rng;
 
@@ -156,6 +157,13 @@ fn gen_endpoint(g: &mut Gen) -> Endpoint {
     Endpoint { node: NodeId(g.gen_range(0..40u64)), port: g.gen() }
 }
 
+fn gen_nat(g: &mut Gen) -> NatType {
+    match g.gen_range(0..5usize) {
+        0 => NatType::Public,
+        natted => NatType::NATTED[natted - 1],
+    }
+}
+
 fn gen_opt<T>(g: &mut Gen, f: impl FnOnce(&mut Gen) -> T) -> Option<T> {
     g.gen::<bool>().then(|| f(g))
 }
@@ -186,12 +194,14 @@ fn gen_msg(g: &mut Gen) -> NylonMsg {
         },
         3 => NylonMsg::OpenReq {
             requester: NodeId(g.gen_range(0..40u64)),
+            requester_nat: gen_nat(g),
             requester_ep: gen_opt(g, gen_endpoint),
             remaining: gen_path(g),
             path_back: gen_path(g),
         },
         4 => NylonMsg::OpenAck {
             target: NodeId(g.gen_range(0..40u64)),
+            target_nat: gen_nat(g),
             target_ep: gen_opt(g, gen_endpoint),
             remaining: gen_path(g),
         },
@@ -213,6 +223,44 @@ fn nylon_msg_round_trip_and_exact_len() {
         let bytes = msg.to_wire();
         assert_eq!(bytes.len(), msg.encoded_len(), "encoded_len mismatch for {msg:?}");
         assert_eq!(NylonMsg::from_wire(&bytes).unwrap(), msg);
+    });
+}
+
+/// The NAT type an `OpenReq` / `OpenAck` carries is one of the five or the
+/// message is refused: whatever the byte holds, decoding neither panics
+/// nor settles for a default type.
+#[test]
+fn open_handshake_refuses_unknown_nat_codes() {
+    const NAT_AT: usize = 1 + 8; // behind the tag and the requester / target
+    check(512, "open_handshake_refuses_unknown_nat_codes", |g| {
+        let path = g.vec(4, |g| NodeId(g.gen_range(0..40u64)));
+        let msg = if g.gen() {
+            NylonMsg::OpenReq {
+                requester: NodeId(g.gen_range(0..40u64)),
+                requester_nat: gen_nat(g),
+                requester_ep: gen_opt(g, gen_endpoint),
+                remaining: path.clone(),
+                path_back: path,
+            }
+        } else {
+            NylonMsg::OpenAck {
+                target: NodeId(g.gen_range(0..40u64)),
+                target_nat: gen_nat(g),
+                target_ep: gen_opt(g, gen_endpoint),
+                remaining: path,
+            }
+        };
+        let mut wire = msg.to_wire();
+        let code: u8 = if g.gen() { g.gen_range(0..8u8) } else { g.gen() };
+        wire[NAT_AT] = code;
+        match (NylonMsg::from_wire(&wire), NatType::from_wire(&[code])) {
+            (Ok(NylonMsg::OpenReq { requester_nat: nat, .. }), Ok(expected))
+            | (Ok(NylonMsg::OpenAck { target_nat: nat, .. }), Ok(expected)) => {
+                assert_eq!(nat, expected)
+            }
+            (Err(_), Err(_)) => assert!(code >= 5, "code {code} is a NAT type"),
+            (decoded, nat) => panic!("code {code}: message {decoded:?}, NAT type {nat:?}"),
+        }
     });
 }
 
@@ -239,9 +287,10 @@ fn descriptor_blob_round_trip_and_exact_len() {
 }
 
 /// The borrowed gossip decoder accepts exactly what the owned one decodes
-/// as a gossip message, and lends the same sender, flag, entries (chains
-/// up to the cap), key and blobs — on honest encodings of every variant
-/// and on truncated, extended, bit-flipped and arbitrary byte strings.
+/// as a gossip message — neither takes a chain beyond the cap — and lends
+/// the same sender, flag, entries, key and blobs: on honest encodings of
+/// every variant and on truncated, extended, bit-flipped and arbitrary
+/// byte strings.
 #[test]
 fn gossip_view_agrees_with_the_owned_decoder() {
     check(2048, "gossip_view_agrees_with_the_owned_decoder", |g| {
@@ -251,9 +300,12 @@ fn gossip_view_agrees_with_the_owned_decoder() {
         let mut decisive = vec![0, 9];
         if let NylonMsg::GossipReq { entries, .. } | NylonMsg::GossipResp { entries, .. } = &mut msg
         {
-            // Chains beyond the cap, too.
+            // Chains up to the cap and, in one message of four, one beyond.
             for entry in entries.iter_mut() {
-                entry.route = g.vec(5, |g| NodeId(g.gen_range(0..40u64)));
+                entry.route = g.vec(ROUTE_CAP, |g| NodeId(g.gen_range(0..40u64)));
+            }
+            if let Some(entry) = entries.last_mut().filter(|_| g.gen_range(0..4u8) == 0) {
+                entry.route = vec![NodeId(7); ROUTE_CAP + g.gen_range(1..3usize)];
             }
             decisive.push(10 + whisper_net::wire::seq_len(entries));
         }
