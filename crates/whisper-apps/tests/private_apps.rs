@@ -64,8 +64,7 @@ fn build_group(
 
 #[test]
 fn tchord_ring_converges_and_lookups_find_owners() {
-    let mut cfg = WhisperConfig::default();
-    cfg.ppss.cycle = SimDuration::from_secs(30);
+    let cfg = WhisperConfig::default();
     let tcfg = TChordConfig { cycle: SimDuration::from_secs(20), ..TChordConfig::default() };
     let (mut sim, group, _leader, members) = build_group(
         30,
@@ -154,8 +153,7 @@ fn tchord_ring_converges_and_lookups_find_owners() {
 
 #[test]
 fn aggregation_estimates_group_size() {
-    let mut cfg = WhisperConfig::default();
-    cfg.ppss.cycle = SimDuration::from_secs(30);
+    let cfg = WhisperConfig::default();
     let group_size = 10usize;
     let (mut sim, group, leader, members) = build_group(
         24,
@@ -252,8 +250,7 @@ fn aggregation_estimates_group_size() {
 #[test]
 fn broadcast_reaches_all_members() {
     use whisper_apps::broadcast::{BroadcastApp, BroadcastConfig};
-    let mut cfg = WhisperConfig::default();
-    cfg.ppss.cycle = SimDuration::from_secs(30);
+    let cfg = WhisperConfig::default();
     let (mut sim, group, leader, members) = build_group(
         26,
         10,
@@ -310,8 +307,7 @@ fn broadcast_reaches_all_members() {
 #[test]
 fn gosskip_sorted_overlay_answers_point_and_range_queries() {
     use whisper_apps::gosskip::{GosSkipApp, GosSkipConfig};
-    let mut cfg = WhisperConfig::default();
-    cfg.ppss.cycle = SimDuration::from_secs(30);
+    let cfg = WhisperConfig::default();
     // Application keys: spread deterministically; node id * 1000 keeps
     // the order obvious.
     let (mut sim, group, _leader, members) = build_group(
@@ -420,8 +416,7 @@ fn gosskip_sorted_overlay_answers_point_and_range_queries() {
 
 #[test]
 fn tchord_crash_restart_drops_inflight_and_regrows_the_ring() {
-    let mut cfg = WhisperConfig::default();
-    cfg.ppss.cycle = SimDuration::from_secs(30);
+    let cfg = WhisperConfig::default();
     let (mut sim, group, _leader, members) = build_group(
         26,
         10,
@@ -473,8 +468,7 @@ fn tchord_crash_restart_drops_inflight_and_regrows_the_ring() {
 #[test]
 fn gosskip_crash_restart_keeps_surfaced_results_only() {
     use whisper_apps::gosskip::{GosSkipApp, GosSkipConfig};
-    let mut cfg = WhisperConfig::default();
-    cfg.ppss.cycle = SimDuration::from_secs(30);
+    let cfg = WhisperConfig::default();
     let (mut sim, group, _leader, members) = build_group(
         26,
         10,
@@ -545,8 +539,7 @@ fn gosskip_crash_restart_keeps_surfaced_results_only() {
 #[test]
 fn broadcast_crash_restart_never_reuses_sequence_numbers() {
     use whisper_apps::broadcast::{BroadcastApp, BroadcastConfig};
-    let mut cfg = WhisperConfig::default();
-    cfg.ppss.cycle = SimDuration::from_secs(30);
+    let cfg = WhisperConfig::default();
     let (mut sim, group, _leader, members) = build_group(
         26,
         10,

@@ -245,6 +245,10 @@ pub struct ChaosOutcome {
     /// `Σup − (Σdown + Σ drop counters + in-flight)`; non-zero means a
     /// message vanished without a named cause.
     pub unattributed: i64,
+    /// `wcl.route_attempts − (Σ the five outcome counters + sends still
+    /// pending)`; non-zero means a tracked send ended in no outcome, or in
+    /// more than one.
+    pub unresolved_sends: i64,
     /// Live nodes whose Nylon view is empty after the heal window.
     pub empty_views: usize,
     /// Live nodes at the end of the run.
@@ -428,15 +432,26 @@ pub const DROP_COUNTERS: [&str; 7] = [
     "net.drop_sender_gone",
 ];
 
+/// The ways a tracked WCL send ends; with the sends still pending they
+/// must account for every `wcl.route_attempts`.
+pub const SEND_OUTCOMES: [&str; 5] = [
+    "wcl.route_first_success",
+    "wcl.route_alt_success",
+    "wcl.route_no_alt",
+    "wcl.route_exhausted",
+    "wcl.restart_pending_dropped",
+];
+
 fn collect(net: &WhisperNet, skipped: u64) -> ChaosOutcome {
     let (mut sent, mut acked, mut echoed) = (0u64, 0u64, 0u64);
     let mut empty_views = 0usize;
-    let mut live_nodes = 0usize;
+    let (mut live_nodes, mut pending) = (0usize, 0u64);
     for &id in &net.ids {
         let Some(node) = net.sim.node::<WhisperNode>(id) else {
             continue;
         };
         live_nodes += 1;
+        pending += node.wcl().pending_sends() as u64;
         if let Some(app) = node.app::<EchoApp>() {
             sent += app.sent;
             acked += app.acked;
@@ -452,6 +467,8 @@ fn collect(net: &WhisperNet, skipped: u64) -> ChaosOutcome {
     let down: u64 = traffic.values().map(|t| t.down_msgs).sum();
     let drops: u64 = DROP_COUNTERS.iter().map(|n| m.counter(n)).sum();
     let unattributed = up as i64 - (down + drops + net.sim.in_flight_msgs()) as i64;
+    let resolved: u64 = SEND_OUTCOMES.iter().map(|n| m.counter(n)).sum();
+    let unresolved_sends = m.counter("wcl.route_attempts") as i64 - (resolved + pending) as i64;
     let counters = m
         .counter_names()
         .map(|n| (n.to_string(), m.counter(n)))
@@ -463,6 +480,7 @@ fn collect(net: &WhisperNet, skipped: u64) -> ChaosOutcome {
         skipped,
         repair_s: m.samples("wcl.repair_s").to_vec(),
         unattributed,
+        unresolved_sends,
         empty_views,
         live_nodes,
         counters,

@@ -39,6 +39,15 @@ pub const TIMER_PCP_REFRESH: u64 = 6;
 pub const GOSSIP_LEN: usize = 5;
 /// Π — gateways advertised per NATted member (paper: 3).
 pub const GATEWAYS: usize = 3;
+/// PPSS cycle period (paper: 1 minute).
+pub const CYCLE: SimDuration = SimDuration::from_secs(60);
+/// PCP refresh period (lower frequency than gossip; bounded by the NAT
+/// association lease).
+pub const PCP_REFRESH: SimDuration = SimDuration::from_secs(120);
+/// Heartbeat-silent cycles before a leader election starts.
+pub const HB_MISS_THRESHOLD: u64 = 4;
+/// Aggregation cycles before an election round is decided.
+pub const ELECTION_CYCLES: u64 = 3;
 
 /// PPSS configuration.
 #[derive(Clone, Debug)]
@@ -53,15 +62,6 @@ pub struct PpssConfig {
     /// keeps the duplication rate below the aging rate, which is exactly
     /// why the classic PSS exchanges `c/2` of `c` entries.
     pub view_size: usize,
-    /// PPSS cycle period (paper: 1 minute).
-    pub cycle: SimDuration,
-    /// PCP refresh period (lower frequency than gossip; bounded by the
-    /// NAT association lease).
-    pub pcp_refresh: SimDuration,
-    /// Heartbeat-silent cycles before a leader election starts.
-    pub hb_miss_threshold: u64,
-    /// Aggregation cycles before an election round is decided.
-    pub election_cycles: u64,
 }
 
 impl PpssConfig {
@@ -78,13 +78,7 @@ impl PpssConfig {
 
 impl Default for PpssConfig {
     fn default() -> Self {
-        PpssConfig {
-            view_size: 8,
-            cycle: SimDuration::from_secs(60),
-            pcp_refresh: SimDuration::from_secs(120),
-            hb_miss_threshold: 4,
-            election_cycles: 3,
-        }
+        PpssConfig { view_size: 8 }
     }
 }
 
@@ -427,10 +421,9 @@ impl Ppss {
             return;
         }
         self.started = true;
-        let offset =
-            SimDuration::from_micros(ctx.rng().gen_range(0..self.cfg.cycle.as_micros().max(1)));
+        let offset = SimDuration::from_micros(ctx.rng().gen_range(0..CYCLE.as_micros()));
         ctx.set_timer(offset, TIMER_PPSS_CYCLE);
-        ctx.set_timer(self.cfg.pcp_refresh, TIMER_PCP_REFRESH);
+        ctx.set_timer(PCP_REFRESH, TIMER_PCP_REFRESH);
     }
 
     /// Builds this node's fresh private-view entry: identity key plus Π
@@ -730,7 +723,7 @@ impl Ppss {
         let mut events = Vec::new();
         let mut to_journal: Vec<GroupId> = Vec::new();
         self.cycles_run += 1;
-        ctx.set_timer(self.cfg.cycle, TIMER_PPSS_CYCLE);
+        ctx.set_timer(CYCLE, TIMER_PPSS_CYCLE);
         // Retry pending joins — in sorted order: each retry draws from the
         // node RNG (route choice, onion padding), so walking the `HashMap`
         // in its per-process order would make the run irreproducible.
@@ -743,8 +736,6 @@ impl Ppss {
         let me = nylon.id();
         let my_key = nylon.keypair().public().clone(); // a handle, not a copy
         let my_key_bytes = my_key.wire_bytes();
-        let (hb_miss_threshold, election_cycles) =
-            (self.cfg.hb_miss_threshold, self.cfg.election_cycles);
         let groups: Vec<GroupId> = self.group_ids();
         for group in groups {
             let state = self.groups.get_mut(&group).expect("listed");
@@ -752,7 +743,7 @@ impl Ppss {
             if state.is_leader() {
                 state.tracker.beat();
             } else {
-                match state.tracker.on_cycle(me, my_key_bytes, hb_miss_threshold, election_cycles)
+                match state.tracker.on_cycle(me, my_key_bytes, HB_MISS_THRESHOLD, ELECTION_CYCLES)
                 {
                     ElectionOutcome::Won { epoch } => {
                         let new_key = KeyPair::generate(nylon.config().rsa, ctx.rng());
@@ -873,7 +864,7 @@ impl Ppss {
     /// Refreshes every persistent connection (paper §IV-C); re-arms the
     /// timer.
     pub fn on_pcp_refresh(&mut self, ctx: &mut Ctx<'_>, nylon: &mut NylonCore, wcl: &mut Wcl) {
-        ctx.set_timer(self.cfg.pcp_refresh, TIMER_PCP_REFRESH);
+        ctx.set_timer(PCP_REFRESH, TIMER_PCP_REFRESH);
         let my_entry = self.my_entry(nylon);
         let groups: Vec<GroupId> = self.group_ids();
         for group in groups {
@@ -1118,7 +1109,9 @@ impl Ppss {
                 self.handle_join_req(ctx, nylon, wcl, group, accreditation, entry);
             }
             PpssMsg::JoinAck { group, passport, key_history, entries } => {
-                self.handle_join_ack(ctx, nylon, group, passport, key_history, entries, &mut events);
+                self.handle_join_ack(
+                    ctx, nylon, wcl, group, passport, key_history, entries, &mut events,
+                );
             }
             PpssMsg::Exchange {
                 group,
@@ -1210,16 +1203,21 @@ impl Ppss {
             return;
         }
         let passport = Passport::issue(leader_key, group, entry.node);
-        // The admission gets a unique dot; it rides the next descriptor
-        // so every member's OR-set learns of the join.
-        let dot = MemberDot {
-            node: entry.node,
-            epoch: state.tracker.epoch,
-            counter: state.next_dot,
-        };
-        state.next_dot += 1;
-        state.membership.add(dot);
-        state.dirty = true;
+        // A retransmitted request — its ack was lost, or is still on its
+        // way — is answered again, not admitted again.
+        let admitted = !state.membership.is_member(entry.node);
+        if admitted {
+            // The admission gets a unique dot; it rides the next
+            // descriptor so every member's OR-set learns of the join.
+            let dot = MemberDot {
+                node: entry.node,
+                epoch: state.tracker.epoch,
+                counter: state.next_dot,
+            };
+            state.next_dot += 1;
+            state.membership.add(dot);
+            state.dirty = true;
+        }
         // Seed the joiner with a slice of our view plus ourselves.
         let mut entries = vec![my_entry];
         entries.extend(state.view.iter().take(GOSSIP_LEN).cloned());
@@ -1230,9 +1228,11 @@ impl Ppss {
             entries,
         };
         state.merge_entries(me, vec![entry.clone()], cap);
-        ctx.metrics().count("ppss.joins_accepted", 1);
+        ctx.metrics().count(if admitted { "ppss.joins_accepted" } else { "ppss.join_reacked" }, 1);
         wcl.send_untracked(ctx, nylon, &entry.dest_info(), &ack.to_wire());
-        self.journal_group(group);
+        if admitted {
+            self.journal_group(group);
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1240,6 +1240,7 @@ impl Ppss {
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
+        wcl: &mut Wcl,
         group: GroupId,
         passport: Passport,
         key_history: Vec<Vec<u8>>,
@@ -1263,7 +1264,10 @@ impl Ppss {
             ctx.metrics().count("ppss.join_ack_invalid", 1);
             return;
         }
-        self.pending_joins.remove(&group);
+        // The ack is the answer to the tracked `JoinReq`.
+        if let Some(msg_id) = self.pending_joins.remove(&group).and_then(|p| p.msg_id) {
+            wcl.notify_response(ctx, msg_id);
+        }
         let mut state = GroupState::fresh(history, None, passport, LeaderTracker::new());
         state.merge_entries(nylon.id(), entries, self.cfg.view_size);
         self.groups.insert(group, state);
@@ -1559,6 +1563,61 @@ mod tests {
         assert_eq!(memo_len(&sim), None);
         assert_eq!(deliver(&mut sim, me, &app_data(group, peer)), vec![]);
         assert_eq!(sim.metrics().counter("ppss.resurrection_blocked"), 1);
+    }
+
+    /// A `JoinReq` the leader has already admitted is answered again, not
+    /// admitted again: the joiner whose ack never took effect asks a second
+    /// time and gets a passport that verifies, while the leader's OR-set
+    /// keeps the one dot it issued and nothing is republished.
+    #[test]
+    fn repeated_join_request_is_acked_again_but_admitted_once() {
+        let cfg = WhisperConfig::default();
+        let mut keys = StdRng::seed_from_u64(3);
+        let mut sim = Sim::new(SimConfig::cluster(7));
+        let ids: Vec<NodeId> = (0..6u64)
+            .map(|i| {
+                let key = KeyPair::generate(cfg.nylon.rsa, &mut keys);
+                let mut node = WhisperNode::new(cfg.clone(), key);
+                let boot = [NodeId(0), NodeId(1)].into_iter().filter(|b| b.0 != i).collect();
+                node.nylon_mut().set_bootstrap(boot);
+                sim.add_node(Box::new(node), NatType::Public)
+            })
+            .collect();
+        sim.run_for_secs(250);
+        let (leader, joiner) = (ids[2], ids[5]);
+        let mut invitation = None;
+        sim.with_node_ctx::<WhisperNode>(leader, |n, ctx| {
+            let group = n.create_group(ctx, "once");
+            invitation = n.invite(group, joiner);
+        });
+        let invitation = invitation.expect("the creator leads");
+        let group = invitation.group;
+        let request = |sim: &mut Sim| {
+            let inv = invitation.clone();
+            sim.with_node_ctx::<WhisperNode>(joiner, |n, ctx| n.join_group(ctx, inv));
+            sim.run_for(CYCLE * 2); // the handshake, then a descriptor publish
+        };
+        let leader_sees = |sim: &Sim| {
+            let state = &sim.node::<WhisperNode>(leader).unwrap().ppss().groups[&group];
+            let dots = state.membership.dots().0.iter().filter(|d| d.node == joiner).count();
+            (dots, state.desc_seq, state.dirty)
+        };
+        let count = |sim: &Sim, name: &str| sim.metrics().counter(name);
+
+        request(&mut sim);
+        assert_eq!(count(&sim, "ppss.joins_completed"), 1);
+        let (dots, desc_seq, dirty) = leader_sees(&sim);
+        assert_eq!((dots, dirty), (1, false), "admitted and published");
+
+        // The joiner is back where it was before the ack arrived.
+        sim.with_node_ctx::<WhisperNode>(joiner, |n, _| n.ppss_mut().groups.clear());
+        request(&mut sim);
+        assert_eq!(count(&sim, "ppss.joins_completed"), 2, "the second ack is valid too");
+        assert_eq!(count(&sim, "ppss.join_ack_invalid"), 0);
+        assert_eq!(count(&sim, "ppss.joins_accepted"), 1);
+        assert_eq!(count(&sim, "ppss.join_reacked"), 1);
+        assert_eq!(leader_sees(&sim), (1, desc_seq, false), "one dot, nothing republished");
+        assert_eq!(count(&sim, "wcl.route_retry") + count(&sim, "wcl.route_exhausted"), 0);
     }
 
     /// The periodic checkpoint drops the one before last: however many

@@ -15,7 +15,10 @@
 //! Sends that expect an answer register in a pending table; if no
 //! response arrives in time the WCL rebuilds an **alternative path**
 //! (different `A` and/or `B`) and retries, up to Π times — the machinery
-//! measured by Table I.
+//! measured by Table I. A tracked send ends in exactly one way: answered
+//! at the first try, answered after a retry, abandoned for want of an
+//! alternative path, abandoned with its retries exhausted, or lost with
+//! the process that made it.
 //!
 //! # Circuit amortization
 //!
@@ -30,6 +33,9 @@
 //! ordinary retry machinery then tears the stale route down and
 //! re-establishes over a fresh RSA onion.
 
+mod recovery;
+
+use recovery::Recovery;
 use whisper_rand::seq::SliceRandom;
 use whisper_rand::Rng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -125,13 +131,9 @@ pub struct WclConfig {
     /// values tolerate `f − 1` colluding mixes at extra cost (§III-A
     /// footnote; exercised by the path-length ablation).
     pub mixes: usize,
-    /// How long a relay keeps a circuit alive. The source refreshes its
-    /// cached route after half this, so a live conversation never races
-    /// relay expiry.
-    pub circuit_ttl: SimDuration,
-    /// Adaptive retransmission timeout (Jacobson/Karn): per-destination
-    /// `srtt + 4·rttvar` with exponential backoff and deterministic
-    /// jitter. When `false`, every retry waits exactly [`RETRY_TIMEOUT`]
+    /// Adaptive retransmission timeout (Jacobson/Karn): a smoothed
+    /// per-destination estimate with exponential backoff and
+    /// deterministic jitter. When `false`, every retry waits exactly [`RETRY_TIMEOUT`]
     /// (the paper's fixed timer); [`RETRY_TIMEOUT`] also seeds the RTO
     /// for destinations with no RTT sample yet.
     pub adaptive_rto: bool,
@@ -142,32 +144,17 @@ pub struct WclConfig {
 pub const RETRY_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// Maximum retries (Π in the paper).
 pub const MAX_RETRIES: usize = 3;
+/// How long a relay keeps a circuit alive. The source refreshes its
+/// cached route after half this, so a live conversation never races
+/// relay expiry.
+pub const CIRCUIT_TTL: SimDuration = SimDuration::from_secs(120);
 /// Maximum circuits a relay stores (oldest evicted first).
 const CIRCUIT_CAPACITY: usize = 1024;
-/// Lower clamp on the adaptive RTO (guards against a few lucky fast RTTs
-/// producing a hair-trigger timer).
-const RTO_MIN: SimDuration = SimDuration::from_millis(250);
-/// Upper clamp on the adaptive RTO, including backoff.
-const RTO_MAX: SimDuration = SimDuration::from_secs(10);
-/// Relay suspicion score above which [`Wcl`] steers path construction
-/// away from a relay while healthier candidates exist.
-const SUSPICION_THRESHOLD: f64 = 1.5;
-/// Half-life of relay suspicion decay: a relay implicated in a failed
-/// route is forgiven exponentially as evidence ages.
-const SUSPICION_HALF_LIFE: SimDuration = SimDuration::from_secs(60);
-/// Consecutive unanswered attempts towards one destination before the WCL
-/// degrades that destination from circuit packets to
-/// RSA-onion-per-packet.
-const DEGRADE_AFTER: u32 = 4;
-/// How long a degraded destination stays degraded without a successful
-/// response before circuit amortization is re-enabled.
-const DEGRADE_COOLDOWN: SimDuration = SimDuration::from_secs(60);
 
 impl Default for WclConfig {
     fn default() -> Self {
         WclConfig {
             mixes: 2,
-            circuit_ttl: SimDuration::from_secs(120),
             adaptive_rto: true,
         }
     }
@@ -311,57 +298,11 @@ struct PendingSend {
     sent_at: whisper_net::SimTime,
 }
 
-/// Per-destination smoothed RTT state (Jacobson's algorithm, the same
-/// EWMA every production transport uses). Units are seconds.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct RttEstimate {
-    srtt: f64,
-    rttvar: f64,
-}
-
-impl RttEstimate {
-    /// Seeds the estimator from the first sample (RFC 6298 §2.2).
-    fn first(rtt: f64) -> Self {
-        RttEstimate { srtt: rtt, rttvar: rtt / 2.0 }
+impl PendingSend {
+    /// The mixes `A` and `B` of the latest attempt.
+    fn last_relays(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.used_first_mixes.last().into_iter().chain(self.used_gateways.last()).copied()
     }
-
-    /// Folds in a subsequent sample (RFC 6298 §2.3: β = 1/4, α = 1/8).
-    fn update(&mut self, rtt: f64) {
-        self.rttvar = 0.75 * self.rttvar + 0.25 * (self.srtt - rtt).abs();
-        self.srtt = 0.875 * self.srtt + 0.125 * rtt;
-    }
-
-    /// The retransmission timeout this estimate implies, before clamping
-    /// and backoff.
-    fn rto_secs(&self) -> f64 {
-        self.srtt + 4.0 * self.rttvar
-    }
-}
-
-/// Base RTO with exponential backoff: clamp to `[min_us, max_us]`, then
-/// double per failed attempt (attempt 1 = no backoff), capped at
-/// `max_us`. Pure so the arithmetic is unit-testable without a sim.
-fn rto_backoff_us(base_us: u64, attempts: usize, min_us: u64, max_us: u64) -> u64 {
-    let clamped = base_us.clamp(min_us, max_us.max(min_us));
-    let shift = attempts.saturating_sub(1).min(16) as u32;
-    clamped.saturating_mul(1u64 << shift).min(max_us.max(min_us))
-}
-
-/// A relay's suspicion score plus when it was last touched; the effective
-/// score decays exponentially from `updated`.
-#[derive(Clone, Copy, Debug)]
-struct Suspicion {
-    score: f64,
-    updated: SimTime,
-}
-
-/// Exponentially decayed suspicion score.
-fn decayed_score(score: f64, updated: SimTime, now: SimTime, half_life: SimDuration) -> f64 {
-    if half_life == SimDuration::ZERO {
-        return score;
-    }
-    let elapsed = now.since(updated).as_secs_f64();
-    score * 0.5_f64.powf(elapsed / half_life.as_secs_f64())
 }
 
 /// The source's cached route to one destination: the circuit keys, where
@@ -424,18 +365,9 @@ pub struct Wcl {
     routes: RouteCache,
     /// Relay/destination side: circuits this node carries.
     circuits: CircuitTable,
-    /// Per-destination smoothed RTT (Karn-filtered: only first-attempt
-    /// responses feed it).
-    rtt: BTreeMap<NodeId, RttEstimate>,
-    /// Cross-message relay health: relays implicated in unanswered routes
-    /// accumulate suspicion that decays over time.
-    health: BTreeMap<NodeId, Suspicion>,
-    /// Consecutive unanswered attempts per destination (drives
-    /// degradation).
-    fail_streak: BTreeMap<NodeId, u32>,
-    /// Destinations currently degraded to RSA-onion-per-packet, with the
-    /// instant the degradation lapses.
-    degraded_until: BTreeMap<NodeId, SimTime>,
+    /// What tracked sends have taught this source: the retry timer per
+    /// destination and which relays to steer around.
+    recovery: Recovery,
     /// Where a circuit packet addressed to this node is decrypted: lent
     /// out as the payload of [`WclEvent::Delivered`] and handed back
     /// through [`Wcl::reclaim`], so a delivery allocates nothing once
@@ -457,24 +389,21 @@ impl Wcl {
     /// Creates WCL state.
     pub fn new(cfg: WclConfig) -> Self {
         assert!(cfg.mixes >= 1, "at least one mix required");
-        let circuits = CircuitTable::new(CIRCUIT_CAPACITY, cfg.circuit_ttl.as_micros());
+        let circuits = CircuitTable::new(CIRCUIT_CAPACITY, CIRCUIT_TTL.as_micros());
         Wcl {
+            recovery: Recovery::new(cfg.adaptive_rto),
             cfg,
             pending: HashMap::new(),
             next_msg_id: 1,
             routes: RouteCache::default(),
             circuits,
-            rtt: BTreeMap::new(),
-            health: BTreeMap::new(),
-            fail_streak: BTreeMap::new(),
-            degraded_until: BTreeMap::new(),
             deliver_buf: Vec::new(),
         }
     }
 
     /// Models a process restart with full volatile-state loss: pending
-    /// sends, cached routes, carried circuits, RTT estimates, relay
-    /// health and degradation state all vanish. Invoked from
+    /// sends, cached routes, carried circuits, RTT estimates and relay
+    /// health all vanish. Invoked from
     /// `WhisperNode::on_crash_restart` when a scripted
     /// [`whisper_net::fault::Fault::CrashRestart`] brings the node back.
     pub fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -484,10 +413,7 @@ impl Wcl {
         self.pending.clear();
         self.routes.clear();
         self.circuits.clear();
-        self.rtt.clear();
-        self.health.clear();
-        self.fail_streak.clear();
-        self.degraded_until.clear();
+        self.recovery.clear();
     }
 
     /// Drops all circuit state — the relay table and any cached source
@@ -555,15 +481,11 @@ impl Wcl {
         msg_id: u64,
     ) -> bool {
         ctx.metrics().count("wcl.route_attempts", 1);
-        let first = self.try_send(ctx, nylon, dest, &payload, &[], &[]);
-        let (used_a, used_b) = match first {
-            Some((a, b)) => (vec![a], vec![b]),
-            None => {
-                // Could not even build the first path; treated as "no
-                // alternative" immediately.
-                ctx.metrics().count("wcl.route_no_alt", 1);
-                return false;
-            }
+        let Some((a, b)) = self.try_send(ctx, nylon, dest, &payload, &[], &[]) else {
+            // Could not even build the first path; treated as "no
+            // alternative" immediately.
+            ctx.metrics().count("wcl.route_no_alt", 1);
+            return false;
         };
         self.pending.insert(
             msg_id,
@@ -571,78 +493,47 @@ impl Wcl {
                 dest: dest.clone(),
                 payload,
                 attempts: 1,
-                used_first_mixes: used_a,
-                used_gateways: used_b,
+                used_first_mixes: vec![a],
+                used_gateways: vec![b],
                 sent_at: ctx.now(),
             },
         );
-        let delay = self.retry_delay(ctx, dest.node, 1);
+        let delay = self.recovery.retry_delay(ctx, dest.node, 1);
         ctx.set_timer(delay, retry_token(msg_id));
         true
     }
 
-    /// The retransmission timeout for the next attempt towards `dest`.
-    ///
-    /// Fixed mode returns [`RETRY_TIMEOUT`] unchanged (and draws no
-    /// randomness, so pre-existing traces replay identically). Adaptive
-    /// mode computes `srtt + 4·rttvar` (seeded from [`RETRY_TIMEOUT`] when
-    /// no sample exists), clamps to `[RTO_MIN, RTO_MAX]`, doubles per
-    /// failed attempt, and applies ±12.5% deterministic jitter from the
-    /// sim RNG so synchronized failures do not retry in lockstep.
-    fn retry_delay(&self, ctx: &mut Ctx<'_>, dest: NodeId, attempts: usize) -> SimDuration {
-        if !self.cfg.adaptive_rto {
-            return RETRY_TIMEOUT;
-        }
-        let base_us = self
-            .rtt
-            .get(&dest)
-            .map_or(RETRY_TIMEOUT.as_micros(), |e| (e.rto_secs() * 1e6) as u64);
-        let backed = rto_backoff_us(base_us, attempts, RTO_MIN.as_micros(), RTO_MAX.as_micros());
-        let jitter = ctx.rng().gen_range(0..(backed / 4).max(1));
-        let us = backed - backed / 8 + jitter;
-        ctx.metrics().sample("wcl.rto_s", us as f64 / 1e6);
-        SimDuration::from_micros(us)
-    }
-
     /// Tells the WCL that the request behind `msg_id` got its answer;
     /// updates the Table I counters, the RTT estimator (Karn's rule:
-    /// only first-attempt responses are unambiguous) and the relay
-    /// health / degradation state for the route that worked.
+    /// only first-attempt responses are unambiguous) and the health of
+    /// the relays that carried it.
     pub fn notify_response(&mut self, ctx: &mut Ctx<'_>, msg_id: u64) {
         if let Some(p) = self.pending.remove(&msg_id) {
             // Fig. 7's "total rtt": request out, answer back, in
             // simulated seconds.
             let rtt = ctx.now().since(p.sent_at).as_secs_f64();
             ctx.metrics().sample("wcl.rtt_s", rtt);
-            if p.attempts <= 1 {
+            let first_try = p.attempts <= 1;
+            if first_try {
                 ctx.metrics().count("wcl.route_first_success", 1);
-                self.rtt
-                    .entry(p.dest.node)
-                    .and_modify(|e| e.update(rtt))
-                    .or_insert_with(|| RttEstimate::first(rtt));
             } else {
                 ctx.metrics().count("wcl.route_alt_success", 1);
                 // Route-repair latency: first attempt out → answer over
                 // the repaired path back.
                 ctx.metrics().sample("wcl.repair_s", rtt);
             }
-            // The relays that carried the answered attempt are healthy.
-            if let Some(&a) = p.used_first_mixes.last() {
-                self.health.remove(&a);
-            }
-            if let Some(&b) = p.used_gateways.last() {
-                self.health.remove(&b);
-            }
-            self.fail_streak.remove(&p.dest.node);
-            if self.degraded_until.remove(&p.dest.node).is_some() {
-                ctx.metrics().count("wcl.degraded_exit", 1);
-            }
+            self.recovery.on_answer(p.dest.node, first_try.then_some(rtt), p.last_relays());
         }
     }
 
     /// Whether `msg_id` is still awaiting a response.
     pub fn is_pending(&self, msg_id: u64) -> bool {
         self.pending.contains_key(&msg_id)
+    }
+
+    /// Tracked sends still awaiting a response or a retry timer.
+    pub fn pending_sends(&self) -> usize {
+        self.pending.len()
     }
 
     /// Handles a retry timer. Returns a [`WclEvent::RouteFailed`] when the
@@ -662,24 +553,7 @@ impl Wcl {
         if self.routes.remove(p.dest.node).is_some_and(|route| route.expires > now) {
             ctx.metrics().count("wcl.circuit_teardown", 1);
         }
-        // Implicate the relays of the unanswered attempt: their suspicion
-        // biases future path construction away from them until it decays.
-        if let Some(&a) = p.used_first_mixes.last() {
-            self.penalize_relay(ctx, a, now);
-        }
-        if let Some(&b) = p.used_gateways.last() {
-            self.penalize_relay(ctx, b, now);
-        }
-        // Degradation ladder: after `DEGRADE_AFTER` consecutive
-        // unanswered attempts the destination falls back from circuit
-        // packets to RSA-onion-per-packet — a relay that keeps losing
-        // circuit state cannot hurt a route that carries no circuit.
-        let streak = self.fail_streak.entry(p.dest.node).or_insert(0);
-        *streak += 1;
-        if *streak >= DEGRADE_AFTER && !self.degraded(p.dest.node, now) {
-            self.degraded_until.insert(p.dest.node, now + DEGRADE_COOLDOWN);
-            ctx.metrics().count("wcl.degraded_enter", 1);
-        }
+        self.recovery.on_timeout(ctx, p.last_relays());
         if p.attempts > MAX_RETRIES {
             ctx.metrics().count("wcl.route_exhausted", 1);
             return Some(WclEvent::RouteFailed {
@@ -702,10 +576,8 @@ impl Wcl {
                 p.attempts += 1;
                 p.used_first_mixes.push(a);
                 p.used_gateways.push(b);
-                let attempts = p.attempts;
-                let dest = p.dest.node;
+                let delay = self.recovery.retry_delay(ctx, p.dest.node, p.attempts);
                 self.pending.insert(msg_id, p);
-                let delay = self.retry_delay(ctx, dest, attempts);
                 ctx.set_timer(delay, retry_token(msg_id));
                 None
             }
@@ -718,27 +590,6 @@ impl Wcl {
                 })
             }
         }
-    }
-
-    /// Bumps `relay`'s suspicion score (decayed first, then +1).
-    fn penalize_relay(&mut self, ctx: &mut Ctx<'_>, relay: NodeId, now: SimTime) {
-        let s = self.health.entry(relay).or_insert(Suspicion { score: 0.0, updated: now });
-        s.score = decayed_score(s.score, s.updated, now, SUSPICION_HALF_LIFE) + 1.0;
-        s.updated = now;
-        ctx.metrics().count("wcl.relay_suspected", 1);
-    }
-
-    /// The current (decayed) suspicion score of `relay`.
-    pub fn relay_suspicion(&self, relay: NodeId, now: SimTime) -> f64 {
-        self.health
-            .get(&relay)
-            .map(|s| decayed_score(s.score, s.updated, now, SUSPICION_HALF_LIFE))
-            .unwrap_or(0.0)
-    }
-
-    /// Whether `dest` is currently degraded to RSA-onion-per-packet.
-    pub fn degraded(&self, dest: NodeId, now: SimTime) -> bool {
-        self.degraded_until.get(&dest).is_some_and(|&until| until > now)
     }
 
     /// Whether a cached circuit route to `dest` exists (test hook).
@@ -766,26 +617,10 @@ impl Wcl {
         let me = nylon.id();
         let now = ctx.now();
 
-        // Degradation ladder: a destination with repeated circuit rebuild
-        // failures rides plain RSA onions (no fast path, no circuit
-        // establishment) until a response arrives or the cooldown lapses.
-        let degraded = match self.degraded_until.get(&dest.node) {
-            Some(&until) if until > now => {
-                ctx.metrics().count("wcl.degraded_send", 1);
-                true
-            }
-            Some(_) => {
-                self.degraded_until.remove(&dest.node);
-                self.fail_streak.remove(&dest.node);
-                false
-            }
-            None => false,
-        };
-
         // Steady-state fast path: a cached circuit carries the packet with
         // three CTR layers and zero RSA. Skipped when a retry is steering
         // away from specific mixes — those want a *different* path.
-        if !degraded && avoid_a.is_empty() && avoid_b.is_empty() {
+        if avoid_a.is_empty() && avoid_b.is_empty() {
             if let Some(route) = self.routes.get(dest.node) {
                 if route.expires > now {
                     let (first_hop, mixes) = (route.first_hop, route.mixes);
@@ -855,29 +690,9 @@ impl Wcl {
             .map(|e| (e.node, e.public, e.key.clone().expect("filtered")))
             .collect();
 
-        // Relay health bias: while healthier candidates exist, drop the
-        // ones whose decayed suspicion exceeds the threshold. Never
-        // empties a candidate list — a suspect relay beats no relay.
-        let healthy_b: Vec<GatewayInfo> = b_candidates
-            .iter()
-            .filter(|g| self.relay_suspicion(g.node, now) < SUSPICION_THRESHOLD)
-            .cloned()
-            .collect();
-        if !healthy_b.is_empty() && healthy_b.len() < b_candidates.len() {
-            ctx.metrics()
-                .count("wcl.relay_avoided", (b_candidates.len() - healthy_b.len()) as u64);
-            b_candidates = healthy_b;
-        }
-        let healthy_a: Vec<(NodeId, bool, PublicKey)> = a_candidates
-            .iter()
-            .filter(|(n, _, _)| self.relay_suspicion(*n, now) < SUSPICION_THRESHOLD)
-            .cloned()
-            .collect();
-        if !healthy_a.is_empty() && healthy_a.len() < a_candidates.len() {
-            ctx.metrics()
-                .count("wcl.relay_avoided", (a_candidates.len() - healthy_a.len()) as u64);
-            a_candidates = healthy_a;
-        }
+        // Relay health bias: suspects go while healthier candidates exist.
+        self.recovery.keep_healthy(ctx, &mut b_candidates, |g| g.node);
+        self.recovery.keep_healthy(ctx, &mut a_candidates, |(n, _, _)| *n);
 
         // Mixes must be distinct: drop A candidates equal to the chosen B
         // later; choose B first for simplicity.
@@ -919,20 +734,10 @@ impl Wcl {
         let cost_before = whisper_crypto::costs::snapshot();
         let build_started = ctx.prof_enabled().then(std::time::Instant::now);
         // The onion doubles as circuit establishment: each layer carries
-        // that hop's link key and circuit ids. Degraded destinations get
-        // a plain onion — no circuit to lose.
-        let established = (!degraded).then(|| circuit::establish(path.len(), ctx.rng()));
-        let built = match &established {
-            Some((_, setups)) => {
-                let exts: Vec<Vec<u8>> = setups.iter().map(|s| s.encode()).collect();
-                onion::build_onion_ext(&path, payload, &exts, ctx.rng())
-            }
-            None => onion::build_onion(&path, payload, ctx.rng()),
-        };
-        let packet = match built {
-            Ok(p) => p,
-            Err(_) => return None,
-        };
+        // that hop's link key and circuit ids.
+        let (src_circuit, setups) = circuit::establish(path.len(), ctx.rng());
+        let exts: Vec<Vec<u8>> = setups.iter().map(|s| s.encode()).collect();
+        let packet = onion::build_onion_ext(&path, payload, &exts, ctx.rng()).ok()?;
         let cost = whisper_crypto::costs::snapshot().since(cost_before);
         if let Some(started) = build_started {
             ctx.prof_crypto_model_ns(started.elapsed().as_nanos() as u64);
@@ -951,23 +756,20 @@ impl Wcl {
         if outcome == SendOutcome::Failed {
             return None;
         }
-        if let Some((src_circuit, _)) = established {
-            // Cache for half the relay-side TTL: the source always
-            // re-establishes well before any relay forgets the circuit.
-            let expires =
-                now + SimDuration::from_micros(self.cfg.circuit_ttl.as_micros() / 2);
-            self.routes.insert(
-                now,
-                dest.node,
-                CachedRoute {
-                    circuit: src_circuit,
-                    first_hop: (a.0, a.1),
-                    mixes: (a.0, b.node),
-                    expires,
-                },
-            );
-            ctx.metrics().count("wcl.circuit_established", 1);
-        }
+        // Cache for half the relay-side TTL: the source always
+        // re-establishes well before any relay forgets the circuit.
+        let expires = now + SimDuration::from_micros(CIRCUIT_TTL.as_micros() / 2);
+        self.routes.insert(
+            now,
+            dest.node,
+            CachedRoute {
+                circuit: src_circuit,
+                first_hop: (a.0, a.1),
+                mixes: (a.0, b.node),
+                expires,
+            },
+        );
+        ctx.metrics().count("wcl.circuit_established", 1);
         Some((a.0, b.node))
     }
 
@@ -1000,8 +802,7 @@ impl Wcl {
         })
     }
 
-    /// Handles a full RSA onion packet (first packet of a route, or every
-    /// packet to a degraded destination).
+    /// Handles a full RSA onion packet (the first packet of a route).
     fn on_onion_packet(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1241,51 +1042,6 @@ mod tests {
         // The two WCL wire formats never parse as each other.
         assert!(OnionView::from_wire(&bytes).is_err());
         assert!(CircuitPacket::from_wire(&onion_wire(&[1], &[2])).is_err());
-    }
-
-    #[test]
-    fn rtt_estimator_follows_jacobson() {
-        let mut e = RttEstimate::first(0.1);
-        assert!((e.srtt - 0.1).abs() < 1e-12);
-        assert!((e.rttvar - 0.05).abs() < 1e-12);
-        assert!((e.rto_secs() - 0.3).abs() < 1e-12, "srtt + 4·rttvar");
-        // A stream of identical samples shrinks the variance towards 0,
-        // so the RTO converges on srtt.
-        for _ in 0..200 {
-            e.update(0.1);
-        }
-        assert!((e.srtt - 0.1).abs() < 1e-6);
-        assert!(e.rto_secs() < 0.11, "variance decays on a stable path");
-        // A spike widens the variance again.
-        e.update(0.5);
-        assert!(e.rto_secs() > 0.4, "rto reacts to a late sample");
-    }
-
-    #[test]
-    fn rto_backoff_clamps_and_doubles() {
-        let (min, max) = (250_000u64, 10_000_000u64);
-        assert_eq!(rto_backoff_us(1_000, 1, min, max), min, "clamped up");
-        assert_eq!(rto_backoff_us(20_000_000, 1, min, max), max, "clamped down");
-        assert_eq!(rto_backoff_us(400_000, 1, min, max), 400_000);
-        assert_eq!(rto_backoff_us(400_000, 2, min, max), 800_000);
-        assert_eq!(rto_backoff_us(400_000, 3, min, max), 1_600_000);
-        assert_eq!(rto_backoff_us(400_000, 9, min, max), max, "backoff capped");
-        // Degenerate attempt counts do not overflow.
-        assert_eq!(rto_backoff_us(400_000, 0, min, max), 400_000);
-        assert_eq!(rto_backoff_us(max, 10_000, min, max), max);
-    }
-
-    #[test]
-    fn suspicion_decays_with_half_life() {
-        let t0 = SimTime::ZERO;
-        let hl = SimDuration::from_secs(60);
-        assert_eq!(decayed_score(2.0, t0, t0, hl), 2.0);
-        let after_hl = t0 + hl;
-        assert!((decayed_score(2.0, t0, after_hl, hl) - 1.0).abs() < 1e-9);
-        let after_2hl = t0 + hl + hl;
-        assert!((decayed_score(2.0, t0, after_2hl, hl) - 0.5).abs() < 1e-9);
-        // Zero half-life = no decay (degenerate config, not division).
-        assert_eq!(decayed_score(2.0, t0, after_2hl, SimDuration::ZERO), 2.0);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! installed next hops and circuit packets no honest source produces.
 
 use std::cell::RefCell;
+use whisper_core::wcl::CIRCUIT_TTL;
 use whisper_core::{DestInfo, WclEvent, WhisperApi, WhisperConfig, WhisperNode};
 use whisper_crypto::aes::AesKey;
 use whisper_crypto::circuit::{CircuitEntry, CircuitId, HopSetup, DEST_SETUP_LEN, RELAY_SETUP_LEN};
@@ -17,6 +18,12 @@ use whisper_net::wire::WireWriter;
 use whisper_net::{NodeId, SimDuration};
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
+
+/// How long a source keeps a route cached, in seconds: half the
+/// relay-side TTL.
+fn source_cache_secs() -> u64 {
+    CIRCUIT_TTL.as_secs() / 2
+}
 
 struct Rig {
     sim: Sim,
@@ -71,6 +78,19 @@ fn send_untracked(sim: &mut Sim, source: NodeId, dest_info: &DestInfo, payload: 
     sent
 }
 
+/// Sends `payload` tracked; nobody answers at this layer, so every retry
+/// fires.
+fn send_tracked(sim: &mut Sim, source: NodeId, dest_info: &DestInfo, payload: &[u8]) {
+    let mut sent = false;
+    sim.with_node_ctx::<WhisperNode>(source, |node, ctx| {
+        node.with_api(|api, _| {
+            let id = api.wcl.alloc_msg_id();
+            sent = api.wcl.send(ctx, api.nylon, dest_info, payload.to_vec(), id);
+        });
+    });
+    assert!(sent);
+}
+
 #[test]
 fn second_send_rides_the_cached_circuit() {
     let mut r = rig(WhisperConfig::default(), 6, 201);
@@ -102,13 +122,12 @@ fn second_send_rides_the_cached_circuit() {
 
 #[test]
 fn circuit_ttl_expires_and_reestablishes() {
-    let mut cfg = WhisperConfig::default();
-    cfg.wcl.circuit_ttl = SimDuration::from_secs(10);
-    let mut r = rig(cfg, 6, 202);
+    let mut r = rig(WhisperConfig::default(), 6, 202);
     let dest_info = dest_info_of(&mut r.sim, r.dest);
 
     assert!(send_untracked(&mut r.sim, r.source, &dest_info, b"establish"));
-    r.sim.run_for_secs(30); // source cache (ttl/2 = 5 s) and relay ttl both lapse
+    // The source cache (CIRCUIT_TTL / 2) and the relay TTL both lapse.
+    r.sim.run_for(CIRCUIT_TTL + SimDuration::from_secs(10));
 
     assert!(send_untracked(&mut r.sim, r.source, &dest_info, b"after expiry"));
     r.sim.run_for_secs(5);
@@ -153,14 +172,7 @@ fn relay_state_loss_drops_then_retry_rebuilds() {
     // A *tracked* send recovers: the first attempt also dies on the stale
     // circuit, the retry timer tears the route down and rebuilds over a
     // fresh RSA onion.
-    let mut sent = false;
-    r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
-        node.with_api(|api, _| {
-            let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"must arrive".to_vec(), id);
-        });
-    });
-    assert!(sent);
+    send_tracked(&mut r.sim, r.source, &dest_info, b"must arrive");
     r.sim.run_for_secs(30);
     let m = r.sim.metrics();
     assert!(m.counter("wcl.circuit_teardown") >= 1, "stale route torn down");
@@ -182,9 +194,7 @@ fn cached_routes(sim: &mut Sim, node: NodeId) -> usize {
 
 #[test]
 fn route_cache_holds_unexpired_routes_only() {
-    let mut cfg = WhisperConfig::default();
-    cfg.wcl.circuit_ttl = SimDuration::from_secs(10); // source cache: 5 s
-    let mut r = rig(cfg, 6, 204);
+    let mut r = rig(WhisperConfig::default(), 6, 204);
     // One route each to four destinations, as a node with random-view
     // peers accretes them.
     let early: Vec<NodeId> = r.publics[2..5].iter().copied().chain([r.dest]).collect();
@@ -193,11 +203,11 @@ fn route_cache_holds_unexpired_routes_only() {
         assert!(send_untracked(&mut r.sim, r.source, &info, b"hello"));
     }
     assert_eq!(cached_routes(&mut r.sim, r.source), 4);
-    r.sim.run_for_secs(4);
+    r.sim.run_for_secs(source_cache_secs() - 10);
     let late = dest_info_of(&mut r.sim, r.publics[5]);
     assert!(send_untracked(&mut r.sim, r.source, &late, b"hello"));
     assert_eq!(cached_routes(&mut r.sim, r.source), 5, "nothing has expired yet");
-    r.sim.run_for_secs(2); // the first four lapse, the fifth has 3 s left
+    r.sim.run_for_secs(12); // the first four lapse, the fifth has 48 s left
     // The next establishment (towards a destination seen before or not)
     // collects every expired route.
     let again = dest_info_of(&mut r.sim, early[0]);
@@ -210,31 +220,29 @@ fn route_cache_holds_unexpired_routes_only() {
 #[test]
 fn retry_on_an_expired_route_counts_no_teardown() {
     let mut cfg = WhisperConfig::default();
-    // The route lapses (1 s) before the first retry (2 s), as it does for
-    // a conversation whose peer has gone quiet.
-    cfg.wcl.circuit_ttl = SimDuration::from_secs(2);
-    cfg.wcl.adaptive_rto = false;
+    cfg.wcl.adaptive_rto = false; // a retry exactly 2 s after its send
     let mut r = rig(cfg, 6, 205);
-    let silent = dest_info_of(&mut r.sim, r.dest);
-    let other = dest_info_of(&mut r.sim, r.publics[2]);
-    // A tracked send nobody answers at this layer: every retry fires.
-    let mut sent = false;
-    r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
-        node.with_api(|api, _| {
-            let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &silent, b"anyone?".to_vec(), id);
-        });
-    });
-    assert!(sent);
+    let held = dest_info_of(&mut r.sim, r.publics[2]);
+    let swept = dest_info_of(&mut r.sim, r.dest);
+    // Two routes that lapse together, as they do for conversations whose
+    // peers have gone quiet ...
+    assert!(send_untracked(&mut r.sim, r.source, &held, b"hello"));
+    assert!(send_untracked(&mut r.sim, r.source, &swept, b"hello"));
+    // ... and on each, shortly before, a tracked send nobody answers.
+    r.sim.run_for(SimDuration::from_millis(source_cache_secs() * 1000 - 1800));
+    send_tracked(&mut r.sim, r.source, &held, b"anyone?");
+    r.sim.run_for(SimDuration::from_millis(600));
+    send_tracked(&mut r.sim, r.source, &swept, b"anyone?");
+    assert_eq!(r.sim.metrics().counter("wcl.circuit_hit"), 2, "both rode their circuits");
+    // The first retry finds its route lapsed but still held; the path it
+    // builds instead is an establishment, which sweeps every lapsed route
+    // before the second retry looks for its own.
     r.sim.run_for(SimDuration::from_millis(1500));
-    // An establishment elsewhere sweeps the lapsed route before the retry
-    // looks for it ...
-    assert!(send_untracked(&mut r.sim, r.source, &other, b"hello"));
-    assert_eq!(cached_routes(&mut r.sim, r.source), 1);
-    // ... and the later retries find theirs lapsed but still held.
-    r.sim.run_for_secs(30);
+    assert_eq!(r.sim.metrics().counter("wcl.route_retry"), 1);
+    assert_eq!(cached_routes(&mut r.sim, r.source), 1, "the rebuilt route only");
+    r.sim.run_for(SimDuration::from_millis(600));
     let m = r.sim.metrics();
-    assert!(m.counter("wcl.route_retry") >= 2, "retries ran");
+    assert_eq!(m.counter("wcl.route_retry"), 2, "both first retries ran, no second one yet");
     assert_eq!(m.counter("wcl.circuit_teardown"), 0, "no live circuit was ever torn down");
 }
 

@@ -168,13 +168,12 @@ fn forged_passport_is_silently_ignored() {
 
 #[test]
 fn dead_members_are_pruned_from_private_views() {
-    let mut cfg = WhisperConfig::default();
-    cfg.ppss.cycle = whisper_net::SimDuration::from_secs(30);
+    let cfg = WhisperConfig::default();
     let mut net = build(30, &cfg, SimConfig::cluster(12), 250);
     let leader = net.ids[3];
     let members: Vec<NodeId> = net.ids[4..14].to_vec();
     let group = form_group(&mut net, leader, &members, "churny");
-    net.sim.run_for_secs(300);
+    net.sim.run_for_secs(600); // 10 PPSS cycles
 
     let victim = members[0];
     assert!(members_of(&net, group, &net.ids).contains(&victim));
@@ -182,7 +181,7 @@ fn dead_members_are_pruned_from_private_views() {
     // Pruning is epidemic: a holder drops the dead entry only after
     // itself exhausting WCL retries against it, and fresh copies keep
     // circulating until every holder has; give it a realistic horizon.
-    net.sim.run_for_secs(900);
+    net.sim.run_for_secs(1800);
 
     for &m in &members_of(&net, group, &net.ids) {
         let node: &WhisperNode = net.sim.node(m).unwrap();
@@ -198,20 +197,17 @@ fn dead_members_are_pruned_from_private_views() {
 
 #[test]
 fn leader_election_after_leader_death() {
-    let mut cfg = WhisperConfig::default();
-    cfg.ppss.cycle = whisper_net::SimDuration::from_secs(20);
-    cfg.ppss.hb_miss_threshold = 3;
-    cfg.ppss.election_cycles = 2;
+    let cfg = WhisperConfig::default();
     let mut net = build(25, &cfg, SimConfig::cluster(13), 250);
     let leader = net.ids[3];
     let members: Vec<NodeId> = net.ids[4..12].to_vec();
     let group = form_group(&mut net, leader, &members, "survivable");
-    net.sim.run_for_secs(200);
+    net.sim.run_for_secs(600); // 10 PPSS cycles
     let joined: Vec<NodeId> = members_of(&net, group, &net.ids);
     assert!(joined.len() >= 6, "{} joined", joined.len());
 
     net.sim.remove_node(leader);
-    net.sim.run_for_secs(800);
+    net.sim.run_for_secs(2400); // 40 cycles: silence, election, key gossip
 
     assert!(
         net.sim.metrics().counter("ppss.elections_won") >= 1,
@@ -256,14 +252,12 @@ fn leader_election_after_leader_death() {
 
 #[test]
 fn persistent_paths_survive_view_turnover() {
-    let mut cfg = WhisperConfig::default();
-    cfg.ppss.cycle = whisper_net::SimDuration::from_secs(30);
-    cfg.ppss.pcp_refresh = whisper_net::SimDuration::from_secs(60);
+    let cfg = WhisperConfig::default();
     let mut net = build(30, &cfg, SimConfig::cluster(14), 250);
     let leader = net.ids[3];
     let members: Vec<NodeId> = net.ids[4..14].to_vec();
     let group = form_group(&mut net, leader, &members, "pcp");
-    net.sim.run_for_secs(300);
+    net.sim.run_for_secs(600); // 10 PPSS cycles
 
     // Leader pins its first private-view member.
     let mut pinned = None;
@@ -277,7 +271,7 @@ fn persistent_paths_survive_view_turnover() {
         });
     });
     let pinned = pinned.expect("leader had a view entry to pin");
-    net.sim.run_for_secs(600);
+    net.sim.run_for_secs(1200); // 20 cycles of view turnover, 10 PCP refreshes
 
     let node: &WhisperNode = net.sim.node(leader).unwrap();
     let state = node.ppss().group(group).unwrap();

@@ -340,14 +340,19 @@ fn stack_observables(sim: &Sim) -> Vec<u8> {
     out
 }
 
-/// One node with two join handshakes that never complete (their leaders
-/// left the network) and two pinned peers: every PPSS cycle retries both
-/// joins and every PCP refresh writes to both peers, and each of those
-/// sends draws from the node's RNG. The PPSS keeps both sets in
-/// `HashMap`s, whose iteration order differs from one map instance to
-/// the next even within a process — so this trace repeats only if the
-/// PPSS walks them in a canonical order.
+/// One node with two pinned peers and two join handshakes that never
+/// complete: every PCP refresh writes to both peers and every PPSS cycle
+/// retries both joins, and each of those sends draws from the node's RNG.
+/// The PPSS keeps both sets in `HashMap`s, whose iteration order differs
+/// from one map instance to the next even within a process — so this
+/// trace repeats only if the PPSS walks them in a canonical order.
+///
+/// What the scenario needs, in the order it sets it up: both pinned peers
+/// refreshed at least once while nothing can drop them (every node still
+/// alive), then both orphaned joins retried over at least four cycles
+/// (their leaders gone).
 fn run_pending_joins_and_pins_trace(seed: u64) -> Vec<u8> {
+    use whisper_core::ppss::{CYCLE, PCP_REFRESH};
     use whisper_core::{WhisperConfig, WhisperNode};
     use whisper_crypto::rsa::KeyPair;
     use whisper_rand::rngs::StdRng;
@@ -374,18 +379,17 @@ fn run_pending_joins_and_pins_trace(seed: u64) -> Vec<u8> {
             invitations.push(node.invite(group, joiner).expect("leaders invite"));
         });
     }
-    // Two more members for the live group, so the joiner has peers to pin.
-    let live_group = invitations[0].group;
+    // The live group: the joiner and two more members, so it has peers to
+    // pin once its view has filled.
+    let mut invitations = invitations.into_iter();
+    let alive = invitations.next().expect("three invitations");
+    let live_group = alive.group;
+    sim.with_node_ctx::<WhisperNode>(joiner, |node, ctx| node.join_group(ctx, alive));
     for &member in &ids[3..5] {
         let inv = sim.node::<WhisperNode>(leader).unwrap().invite(live_group, member).unwrap();
         sim.with_node_ctx::<WhisperNode>(member, |node, ctx| node.join_group(ctx, inv));
     }
-    sim.remove_node(gone_a);
-    sim.remove_node(gone_b);
-    for inv in invitations {
-        sim.with_node_ctx::<WhisperNode>(joiner, |node, ctx| node.join_group(ctx, inv));
-    }
-    sim.run_for_secs(300);
+    sim.run_for(CYCLE * 5);
     let mut pinned = 0;
     sim.with_node_ctx::<WhisperNode>(joiner, |node, _| {
         node.with_api(|api, _| {
@@ -395,11 +399,24 @@ fn run_pending_joins_and_pins_trace(seed: u64) -> Vec<u8> {
         });
     });
     assert_eq!(pinned, 2, "the joiner pinned two peers of the live group");
-    sim.run_for_secs(400);
+    sim.run_for(PCP_REFRESH);
+    let refreshes = sim.metrics().counter("ppss.pcp_refreshes");
+    assert_eq!(refreshes, 2, "one refresh period wrote to both pinned peers");
+
+    // Only now do the other two leaders leave, and the joins towards them
+    // start failing: once when asked for, then once per cycle.
+    sim.remove_node(gone_a);
+    sim.remove_node(gone_b);
+    let attempts = sim.metrics().counter("ppss.join_attempts");
+    for inv in invitations {
+        sim.with_node_ctx::<WhisperNode>(joiner, |node, ctx| node.join_group(ctx, inv));
+    }
+    sim.run_for(CYCLE * 5);
 
     let m = sim.metrics();
-    assert!(m.counter("ppss.join_attempts") >= 8, "both orphaned joins were retried for cycles");
-    assert!(m.counter("ppss.pcp_refreshes") >= 4, "both pinned peers were refreshed");
+    let retried = m.counter("ppss.join_attempts") - attempts;
+    assert!(retried >= 2 * (1 + 4), "both orphaned joins were retried for four cycles: {retried}");
+    assert_eq!(m.counter("ppss.joins_completed"), 3, "the live group's joins, no orphaned one");
     stack_observables(&sim)
 }
 

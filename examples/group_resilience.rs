@@ -14,14 +14,10 @@ use whisper::core::{GroupId, WhisperConfig, WhisperNode};
 use whisper::crypto::rsa::KeyPair;
 use whisper::net::nat::{NatDistribution, NatType};
 use whisper::net::sim::{Sim, SimConfig};
-use whisper::net::{NodeId, SimDuration};
+use whisper::net::NodeId;
 
 fn main() {
-    let mut cfg = WhisperConfig::default();
-    // Faster PPSS cycles so the demo runs in seconds of wall time.
-    cfg.ppss.cycle = SimDuration::from_secs(20);
-    cfg.ppss.hb_miss_threshold = 3;
-    cfg.ppss.election_cycles = 2;
+    let cfg = WhisperConfig::default();
 
     let mut key_rng = StdRng::seed_from_u64(99);
     let mut sim = Sim::new(SimConfig::cluster(99));
@@ -46,7 +42,7 @@ fn main() {
         let inv = sim.node::<WhisperNode>(leader).unwrap().invite(group, m).unwrap();
         sim.with_node_ctx::<WhisperNode>(m, |node, ctx| node.join_group(ctx, inv));
     }
-    sim.run_for_secs(200);
+    sim.run_for_secs(600); // 10 PPSS cycles
     let members: Vec<NodeId> = ids[4..12]
         .iter()
         .copied()
@@ -59,7 +55,7 @@ fn main() {
 
     println!("\n*** killing the leader ***\n");
     sim.remove_node(leader);
-    sim.run_for_secs(800);
+    sim.run_for_secs(2400); // 40 cycles: silence, election, key gossip
 
     let wins = sim.metrics().counter("ppss.elections_won");
     let adoptions = sim.metrics().counter("ppss.new_key_accepted");
@@ -89,7 +85,7 @@ fn main() {
             .invite(group, newcomer)
             .expect("new leader holds the group key");
         sim.with_node_ctx::<WhisperNode>(newcomer, |node, ctx| node.join_group(ctx, inv));
-        sim.run_for_secs(120);
+        sim.run_for_secs(240);
         let joined = sim
             .node::<WhisperNode>(newcomer)
             .is_some_and(|n| n.ppss().group(group).is_some());

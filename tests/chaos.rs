@@ -3,6 +3,8 @@
 //!
 //! * **Attribution** — every sim-level send is delivered, counted under a
 //!   named drop counter, or still in flight: `unattributed == 0`.
+//! * **Conservation** — every tracked WCL send has ended in exactly one of
+//!   its five outcomes or is still pending: `unresolved_sends == 0`.
 //! * **Delivery** — tracked request/response traffic reaches ≥ 90% (full
 //!   runs) once the heal window has passed.
 //! * **Convergence** — no live node ends with an empty Nylon view.
@@ -28,6 +30,13 @@ fn assert_invariants(scenario: Scenario, out: &ChaosOutcome, min_delivery: f64) 
         "{}: {} message(s) vanished without a named drop counter\ncounters: {:?}",
         scenario.name(),
         out.unattributed,
+        out.counters
+    );
+    assert_eq!(
+        out.unresolved_sends, 0,
+        "{}: {} tracked send(s) ended in no outcome or in several\ncounters: {:?}",
+        scenario.name(),
+        out.unresolved_sends,
         out.counters
     );
     assert!(
@@ -174,6 +183,11 @@ fn assert_lifecycle_invariants(out: &LifecycleOutcome, min_delivery: f64, max_pr
     assert_eq!(
         out.echo.unattributed, 0,
         "lifecycle: message(s) vanished without a named drop counter\ncounters: {:?}",
+        out.echo.counters
+    );
+    assert_eq!(
+        out.echo.unresolved_sends, 0,
+        "lifecycle: tracked send(s) ended in no outcome or in several\ncounters: {:?}",
         out.echo.counters
     );
     assert_eq!(
