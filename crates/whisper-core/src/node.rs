@@ -304,14 +304,15 @@ impl WhisperNode {
         f(&mut api, app.as_mut())
     }
 
-    /// Hands an application payload to the WCL (WCL packets are the only
+    /// Hands an application payload that `prev` — a node, and whether it
+    /// is known to be public — sent to the WCL (WCL packets are the only
     /// payload type this stack emits) and what it delivers to the PPSS.
-    fn on_app_payload(&mut self, ctx: &mut Ctx<'_>, data: &[u8]) {
-        if let Some(WclEvent::Delivered { payload }) =
-            self.wcl.on_app_payload(ctx, &mut self.nylon, data)
+    fn on_app_payload(&mut self, ctx: &mut Ctx<'_>, prev: (NodeId, bool), data: &[u8]) {
+        if let Some(WclEvent::Delivered { payload, via }) =
+            self.wcl.on_app_payload(ctx, &mut self.nylon, prev, data)
         {
             if let Some(events) =
-                self.ppss.on_delivered(ctx, &mut self.nylon, &mut self.wcl, &payload)
+                self.ppss.on_delivered(ctx, &mut self.nylon, &mut self.wcl, via, &payload)
             {
                 self.dispatch_ppss_events(ctx, events);
             }
@@ -371,15 +372,17 @@ impl Protocol for WhisperNode {
         // Application traffic — every WCL packet — is read where it was
         // delivered; only the PSS's own messages take the owned decode.
         if let Some((_, app)) = self.nylon.on_app_message(ctx, from, from_ep, data) {
-            self.on_app_payload(ctx, app);
+            // A public host's packets leave from port 0.
+            self.on_app_payload(ctx, (from, from_ep.port == 0), app);
             return;
         }
         let nylon_events = self.nylon.on_message(ctx, from, from_ep, data);
         for event in nylon_events {
             match event {
                 // An application payload that came wrapped in a relayed
-                // message.
-                NylonEvent::Payload { data, .. } => self.on_app_payload(ctx, &data),
+                // message: the way back to its sender is the reply route
+                // the wrapper left, whatever the sender's class.
+                NylonEvent::Payload { from, data } => self.on_app_payload(ctx, (from, false), &data),
                 NylonEvent::GossipCompleted { .. } => {}
                 NylonEvent::Descriptor { bytes, .. } => {
                     let events = self.ppss.on_descriptor(ctx, &bytes);

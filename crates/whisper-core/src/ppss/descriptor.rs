@@ -320,6 +320,13 @@ impl Membership {
             .any(|d| d.node == node && !self.removes.contains(d))
     }
 
+    /// Whether `node` was admitted once and every admission this replica
+    /// knows of has been tombstoned since. (A node this replica has not
+    /// heard about at all is neither a member nor revoked.)
+    pub fn is_revoked(&self, node: NodeId) -> bool {
+        self.removes.iter().any(|d| d.node == node) && !self.is_member(node)
+    }
+
     /// Current members, sorted (deterministic).
     pub fn members(&self) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self

@@ -249,7 +249,10 @@ pub enum PpssMsg {
         /// The sender's most recent removal dots (capped).
         member_removes: Vec<MemberDot>,
     },
-    /// Application payload between group members.
+    /// Application payload between group members. On the wire, who is
+    /// talking comes first — passport and reply entry, the message's
+    /// [`Preamble`](crate::wcl::Preamble) — and what follows is an
+    /// [`PpssMsg::AppShort`] image.
     AppData {
         /// Target group.
         group: GroupId,
@@ -260,6 +263,15 @@ pub enum PpssMsg {
         /// Optionally, the sender's entry so the receiver can reply with a
         /// single WCL path (the T-Chord pattern of §V-G).
         reply_entry: Option<PrivateEntry>,
+    },
+    /// An [`PpssMsg::AppData`] without passport and reply entry: what of
+    /// it travels on a circuit that has already carried both in this
+    /// direction. The receiver supplies them from what it kept.
+    AppShort {
+        /// Target group.
+        group: GroupId,
+        /// Opaque application bytes.
+        data: Vec<u8>,
     },
     /// Persistent-path refresh (paper §IV-C): updates the stored entry
     /// (and therefore the Π gateway P-nodes) for a PCP member.
@@ -280,6 +292,13 @@ const TAG_JOIN_ACK: u8 = 2;
 const TAG_EXCHANGE: u8 = 3;
 const TAG_APP_DATA: u8 = 4;
 const TAG_PCP_REFRESH: u8 = 5;
+const TAG_APP_SHORT: u8 = 6;
+
+/// Wire size of the [`PpssMsg::AppShort`] carrying `data` — and so of what
+/// an [`PpssMsg::AppData`] image ends in, behind its preamble.
+pub fn app_short_len(data: &[u8]) -> usize {
+    1 + 16 + bytes_len(data)
+}
 
 impl WireEncode for PpssMsg {
     fn encode(&self, w: &mut WireWriter) {
@@ -325,11 +344,11 @@ impl WireEncode for PpssMsg {
             }
             PpssMsg::AppData { group, passport, data, reply_entry } => {
                 w.put_u8(TAG_APP_DATA);
-                w.put(group);
                 w.put(passport);
-                w.put_bytes(data);
                 w.put_opt(reply_entry);
+                PpssMsg::put_app_short(w, group, data);
             }
+            PpssMsg::AppShort { group, data } => PpssMsg::put_app_short(w, group, data),
             PpssMsg::PcpRefresh { group, passport, entry, respond } => {
                 w.put_u8(TAG_PCP_REFRESH);
                 w.put(group);
@@ -375,13 +394,22 @@ impl WireEncode for PpssMsg {
                     + seq_len(member_adds)
                     + seq_len(member_removes)
             }
-            PpssMsg::AppData { group, passport, data, reply_entry } => {
-                group.encoded_len() + passport.encoded_len() + bytes_len(data) + opt_len(reply_entry)
+            PpssMsg::AppData { passport, data, reply_entry, .. } => {
+                passport.encoded_len() + opt_len(reply_entry) + app_short_len(data)
             }
+            PpssMsg::AppShort { data, .. } => app_short_len(data) - 1,
             PpssMsg::PcpRefresh { group, passport, entry, .. } => {
                 group.encoded_len() + passport.encoded_len() + entry.encoded_len() + 1
             }
         }
+    }
+}
+
+impl PpssMsg {
+    fn put_app_short(w: &mut WireWriter, group: &GroupId, data: &[u8]) {
+        w.put_u8(TAG_APP_SHORT);
+        w.put(group);
+        w.put_bytes(data);
     }
 }
 
@@ -412,12 +440,15 @@ impl WireDecode for PpssMsg {
                 member_adds: r.take_seq()?,
                 member_removes: r.take_seq()?,
             },
-            TAG_APP_DATA => PpssMsg::AppData {
-                group: r.take()?,
-                passport: r.take()?,
-                data: r.take_bytes()?.to_vec(),
-                reply_entry: r.take_opt()?,
-            },
+            TAG_APP_DATA => {
+                let (passport, reply_entry) = (r.take()?, r.take_opt()?);
+                if r.take_u8()? != TAG_APP_SHORT {
+                    return Err(WireError::new("no message behind the preamble"));
+                }
+                let (group, data) = (r.take()?, r.take_bytes()?.to_vec());
+                PpssMsg::AppData { group, passport, data, reply_entry }
+            }
+            TAG_APP_SHORT => PpssMsg::AppShort { group: r.take()?, data: r.take_bytes()?.to_vec() },
             TAG_PCP_REFRESH => PpssMsg::PcpRefresh {
                 group: r.take()?,
                 passport: r.take()?,
@@ -510,6 +541,35 @@ mod tests {
             entry: entry(1),
             respond: true,
         });
+        round_trip(PpssMsg::AppShort { group: GroupId(7), data: vec![0; 256] });
+    }
+
+    /// A long application message is its preamble followed by the image of
+    /// the short one: cutting the first off leaves the second, and its
+    /// length follows from the data alone.
+    #[test]
+    fn app_data_ends_in_its_short_form() {
+        let passport = Passport { node: NodeId(1), signature: vec![9; 48] };
+        for reply_entry in [None, Some(entry(1))] {
+            for data in [vec![], vec![7u8; 300]] {
+                let long = PpssMsg::AppData {
+                    group: GroupId(7),
+                    passport: passport.clone(),
+                    data: data.clone(),
+                    reply_entry: reply_entry.clone(),
+                }
+                .to_wire();
+                let short = PpssMsg::AppShort { group: GroupId(7), data: data.clone() }.to_wire();
+                assert_eq!(short.len(), app_short_len(&data));
+                assert_eq!(long[long.len() - short.len()..], short[..]);
+                // The preamble alone, or with a foreign message behind it,
+                // is no message.
+                assert!(PpssMsg::from_wire(&long[..long.len() - short.len()]).is_err());
+                let mut foreign = long.clone();
+                foreign[long.len() - short.len()] = TAG_APP_DATA;
+                assert!(PpssMsg::from_wire(&foreign).is_err());
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub mod group;
 pub mod journal;
 pub mod messages;
 
-use crate::wcl::{DestInfo, GatewayInfo, Wcl};
+use crate::wcl::{Arrival, DestInfo, GatewayInfo, Preamble, Wcl};
 use descriptor::{GroupDescriptor, MemberDot, Membership, DELTA_DOTS};
 use election::{ElectionOutcome, LeaderTracker};
 use group::{
@@ -21,7 +21,7 @@ use group::{
 };
 use journal::Journal;
 pub use messages::PrivateEntry;
-use messages::{ElectionBallot, Heartbeat, NewKeyAnnouncement, PpssMsg};
+use messages::{app_short_len, ElectionBallot, Heartbeat, NewKeyAnnouncement, PpssMsg};
 use whisper_rand::Rng;
 use std::collections::{BTreeSet, HashMap};
 use whisper_crypto::rsa::{KeyPair, PublicKey};
@@ -202,15 +202,22 @@ impl GroupState {
         self.latest_descriptor.as_ref()
     }
 
+    /// This node's own passport for the group.
+    pub fn passport(&self) -> &Passport {
+        &self.passport
+    }
+
     /// The memo of verified peer passports (diagnostics).
     pub fn verified_passports(&self) -> &PassportMemo {
         &self.verified
     }
 
     /// Whether `passport` proves membership of `group` (this state's
-    /// group) under the key history.
+    /// group) under the key history, and this node has not learned that
+    /// its holder was revoked since it was issued.
     fn admits(&mut self, group: GroupId, passport: &Passport) -> bool {
         self.verified.verify(passport, group, &self.key_history)
+            && !self.membership.is_revoked(passport.node)
     }
 
     fn current_key(&self) -> &PublicKey {
@@ -548,7 +555,7 @@ impl Ppss {
         pending.msg_id = Some(msg_id);
         let dest = pending.invitation.entry_point.dest_info();
         ctx.metrics().count("ppss.join_attempts", 1);
-        wcl.send(ctx, nylon, &dest, msg.to_wire(), msg_id);
+        wcl.send(ctx, nylon, &dest, msg.to_wire(), None, msg_id);
     }
 
     /// Adds `node` (taken from the private view) to the persistent
@@ -626,17 +633,22 @@ impl Ppss {
 
     /// The wire image of an application message to `group` — the one
     /// place a [`PpssMsg::AppData`] is built — with our entry when the
-    /// receiver is to reply directly. `None` if we are not a member.
+    /// receiver is to reply directly, and how much of it says only who is
+    /// talking: the WCL leaves that out on a circuit that has carried it.
+    /// `None` if we are not a member.
     fn app_data(
         &self,
         nylon: &NylonCore,
         group: GroupId,
         data: Vec<u8>,
         with_reply_entry: bool,
-    ) -> Option<Vec<u8>> {
+    ) -> Option<(Vec<u8>, Preamble)> {
         let passport = self.groups.get(&group)?.passport.clone();
         let reply_entry = with_reply_entry.then(|| self.my_entry(nylon));
-        Some(PpssMsg::AppData { group, passport, data, reply_entry }.to_wire())
+        let message_len = app_short_len(&data);
+        let wire = PpssMsg::AppData { group, passport, data, reply_entry }.to_wire();
+        let once = Preamble { len: wire.len() - message_len, topic: group.0 };
+        Some((wire, once))
     }
 
     /// Where to reach member `to` of `group`: its pinned entry, else the
@@ -667,7 +679,7 @@ impl Ppss {
             return false;
         };
         self.app_data(nylon, group, data, with_reply_entry)
-            .is_some_and(|wire| wcl.send_untracked(ctx, nylon, &dest, &wire))
+            .is_some_and(|(wire, once)| wcl.send_untracked(ctx, nylon, &dest, &wire, Some(once)))
     }
 
     /// Like [`Ppss::send_app`], but tracked through the WCL retry
@@ -687,9 +699,9 @@ impl Ppss {
         with_reply_entry: bool,
     ) -> Option<u64> {
         let dest = self.member_dest(group, to)?;
-        let wire = self.app_data(nylon, group, data, with_reply_entry)?;
+        let (wire, once) = self.app_data(nylon, group, data, with_reply_entry)?;
         let msg_id = wcl.alloc_msg_id();
-        wcl.send(ctx, nylon, &dest, wire, msg_id).then_some(msg_id)
+        wcl.send(ctx, nylon, &dest, wire, Some(once), msg_id).then_some(msg_id)
     }
 
     /// Sends application bytes to an explicit entry (e.g. one shipped in
@@ -705,8 +717,9 @@ impl Ppss {
         data: Vec<u8>,
         with_reply_entry: bool,
     ) -> bool {
-        self.app_data(nylon, group, data, with_reply_entry)
-            .is_some_and(|wire| wcl.send_untracked(ctx, nylon, &to.dest_info(), &wire))
+        self.app_data(nylon, group, data, with_reply_entry).is_some_and(|(wire, once)| {
+            wcl.send_untracked(ctx, nylon, &to.dest_info(), &wire, Some(once))
+        })
     }
 
     // ----------------------------------------------------------------
@@ -834,7 +847,7 @@ impl Ppss {
             };
             state.outstanding = Some((partner.node, msg_id));
             ctx.metrics().count("ppss.exchanges_initiated", 1);
-            if !wcl.send(ctx, nylon, &partner.dest_info(), msg.to_wire(), msg_id) {
+            if !wcl.send(ctx, nylon, &partner.dest_info(), msg.to_wire(), None, msg_id) {
                 // No route constructible at all (e.g. every advertised
                 // gateway is gone): without this, the unreachable partner
                 // would stay the oldest entry and be re-selected forever.
@@ -882,7 +895,7 @@ impl Ppss {
                     respond: true,
                 };
                 ctx.metrics().count("ppss.pcp_refreshes", 1);
-                wcl.send_untracked(ctx, nylon, &target.dest_info(), &msg.to_wire());
+                wcl.send_untracked(ctx, nylon, &target.dest_info(), &msg.to_wire(), None);
             }
         }
     }
@@ -1080,13 +1093,16 @@ impl Ppss {
     // Message handling (called for every WCL-delivered payload)
     // ----------------------------------------------------------------
 
-    /// Processes a confidential payload delivered by the WCL. Returns
-    /// `None` if it does not parse as a PPSS message.
+    /// Processes a confidential payload delivered by the WCL on the
+    /// circuit `via`: once its sender is authenticated, answers to it ride
+    /// that circuit back. Returns `None` if it does not parse as a PPSS
+    /// message.
     pub fn on_delivered(
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
         wcl: &mut Wcl,
+        via: Option<Arrival>,
         payload: &[u8],
     ) -> Option<Vec<PpssEvent>> {
         let msg = PpssMsg::from_wire(payload).ok()?;
@@ -1096,6 +1112,7 @@ impl Ppss {
             | PpssMsg::JoinAck { group, .. }
             | PpssMsg::Exchange { group, .. }
             | PpssMsg::AppData { group, .. }
+            | PpssMsg::AppShort { group, .. }
             | PpssMsg::PcpRefresh { group, .. } => *group,
         };
         if self.deleted.contains(&gid) {
@@ -1106,7 +1123,7 @@ impl Ppss {
         }
         match msg {
             PpssMsg::JoinReq { group, accreditation, entry } => {
-                self.handle_join_req(ctx, nylon, wcl, group, accreditation, entry);
+                self.handle_join_req(ctx, nylon, wcl, via, group, accreditation, entry);
             }
             PpssMsg::JoinAck { group, passport, key_history, entries } => {
                 self.handle_join_ack(
@@ -1127,26 +1144,35 @@ impl Ppss {
                 member_removes,
             } => {
                 self.handle_exchange(
-                    ctx, nylon, wcl, group, passport, *from_entry, entries, exchange_id,
+                    ctx, nylon, wcl, via, group, passport, *from_entry, entries, exchange_id,
                     is_response, hb, election, new_key, member_adds, member_removes,
                     &mut events,
                 );
             }
             PpssMsg::AppData { group, passport, data, reply_entry } => {
-                let Some(state) = self.groups.get_mut(&group) else {
-                    ctx.metrics().count("ppss.dropped_unknown_group", 1);
+                // What the sender stated about itself: the bytes between
+                // the tag and the message proper.
+                let stated = Some(&payload[1..payload.len() - app_short_len(&data)]);
+                self.handle_app_data(
+                    ctx, wcl, via, group, passport, reply_entry, stated, data, &mut events,
+                );
+            }
+            PpssMsg::AppShort { group, data } => {
+                // Who is talking is what the circuit's far end stated on
+                // it, about this group, while this node has carried it;
+                // anything else would be a guess.
+                let kept = wcl.heard(ctx.now(), via).filter(|(topic, _)| *topic == group.0);
+                let Some((passport, reply_entry)) = kept.and_then(|(_, stated)| {
+                    let mut r = WireReader::new(stated);
+                    let from = (r.take().ok()?, r.take_opt().ok()?);
+                    r.finish().ok().map(|()| from)
+                }) else {
+                    ctx.metrics().count("ppss.context_miss", 1);
                     return Some(events);
                 };
-                if !state.admits(group, &passport) {
-                    ctx.metrics().count("ppss.dropped_bad_passport", 1);
-                    return Some(events);
-                }
-                events.push(PpssEvent::AppMessage {
-                    group,
-                    from: passport.node,
-                    data,
-                    reply_entry,
-                });
+                self.handle_app_data(
+                    ctx, wcl, via, group, passport, reply_entry, None, data, &mut events,
+                );
             }
             PpssMsg::PcpRefresh { group, passport, entry, respond } => {
                 let my_entry = self.my_entry(nylon);
@@ -1157,6 +1183,7 @@ impl Ppss {
                     ctx.metrics().count("ppss.dropped_bad_passport", 1);
                     return Some(events);
                 }
+                wcl.bind_return(ctx.now(), via, passport.node);
                 // Refresh wherever we hold this member.
                 if state.pcp.contains_key(&entry.node) {
                     state.pcp.insert(entry.node, entry.clone());
@@ -1171,18 +1198,52 @@ impl Ppss {
                         entry: my_entry,
                         respond: false,
                     };
-                    wcl.send_untracked(ctx, nylon, &entry.dest_info(), &msg.to_wire());
+                    wcl.send_untracked(ctx, nylon, &entry.dest_info(), &msg.to_wire(), None);
                 }
             }
         }
         Some(events)
     }
 
+    /// An application message from the holder of `passport`, who stated
+    /// it and its reply entry in this very message (`stated`, as they
+    /// arrived) or earlier on the same circuit: checked the same either
+    /// way, then handed up.
+    #[allow(clippy::too_many_arguments)]
+    fn handle_app_data(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        wcl: &mut Wcl,
+        via: Option<Arrival>,
+        group: GroupId,
+        passport: Passport,
+        reply_entry: Option<PrivateEntry>,
+        stated: Option<&[u8]>,
+        data: Vec<u8>,
+        events: &mut Vec<PpssEvent>,
+    ) {
+        let Some(state) = self.groups.get_mut(&group) else {
+            ctx.metrics().count("ppss.dropped_unknown_group", 1);
+            return;
+        };
+        if !state.admits(group, &passport) {
+            ctx.metrics().count("ppss.dropped_bad_passport", 1);
+            return;
+        }
+        wcl.bind_return(ctx.now(), via, passport.node);
+        if let Some(stated) = stated {
+            wcl.hear(ctx.now(), via, group.0, stated);
+        }
+        events.push(PpssEvent::AppMessage { group, from: passport.node, data, reply_entry });
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn handle_join_req(
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
         wcl: &mut Wcl,
+        via: Option<Arrival>,
         group: GroupId,
         accreditation: Vec<u8>,
         entry: PrivateEntry,
@@ -1202,6 +1263,7 @@ impl Ppss {
             ctx.metrics().count("ppss.join_rejected", 1);
             return;
         }
+        wcl.bind_return(ctx.now(), via, entry.node);
         let passport = Passport::issue(leader_key, group, entry.node);
         // A retransmitted request — its ack was lost, or is still on its
         // way — is answered again, not admitted again.
@@ -1229,7 +1291,7 @@ impl Ppss {
         };
         state.merge_entries(me, vec![entry.clone()], cap);
         ctx.metrics().count(if admitted { "ppss.joins_accepted" } else { "ppss.join_reacked" }, 1);
-        wcl.send_untracked(ctx, nylon, &entry.dest_info(), &ack.to_wire());
+        wcl.send_untracked(ctx, nylon, &entry.dest_info(), &ack.to_wire(), None);
         if admitted {
             self.journal_group(group);
         }
@@ -1283,6 +1345,7 @@ impl Ppss {
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
         wcl: &mut Wcl,
+        via: Option<Arrival>,
         group: GroupId,
         passport: Passport,
         from_entry: PrivateEntry,
@@ -1309,6 +1372,7 @@ impl Ppss {
             ctx.metrics().count("ppss.dropped_bad_passport", 1);
             return;
         }
+        wcl.bind_return(ctx.now(), via, passport.node);
         // Key-change announcements are processed *before* heartbeats:
         // hearing an epoch-N heartbeat must not stop us from installing
         // the epoch-N group key. Elections can produce several winners
@@ -1374,7 +1438,7 @@ impl Ppss {
                 member_removes,
             };
             ctx.metrics().count("ppss.exchanges_served", 1);
-            wcl.send_untracked(ctx, nylon, &from_entry.dest_info(), &resp.to_wire());
+            wcl.send_untracked(ctx, nylon, &from_entry.dest_info(), &resp.to_wire(), None);
         } else {
             if state.outstanding == Some((from_entry.node, exchange_id)) {
                 state.outstanding = None;
@@ -1488,7 +1552,9 @@ mod tests {
         let wire = msg.to_wire();
         let mut events = None;
         sim.with_node_ctx::<WhisperNode>(node, |n, ctx| {
-            n.with_api(|api, _| events = api.ppss.on_delivered(ctx, api.nylon, api.wcl, &wire));
+            n.with_api(|api, _| {
+                events = api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, &wire)
+            });
         });
         events.expect("a PPSS message")
     }

@@ -71,7 +71,7 @@ fn tracked_send_to_natted_dest_succeeds_and_notifies() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"probe".to_vec(), id);
+            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"probe".to_vec(), None, id);
         });
     });
     assert!(sent, "path must be constructible after warm-up");
@@ -94,7 +94,7 @@ fn send_fails_cleanly_when_natted_dest_has_no_gateways() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"probe".to_vec(), id);
+            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"probe".to_vec(), None, id);
         });
     });
     assert!(!sent, "no gateway ⇒ no path to a NATted destination");
@@ -113,7 +113,7 @@ fn public_dest_uses_cb_publics_as_gateway() {
     let mut sent = false;
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
-            sent = api.wcl.send_untracked(ctx, api.nylon, &dest_info, b"to public");
+            sent = api.wcl.send_untracked(ctx, api.nylon, &dest_info, b"to public", None);
         });
     });
     assert!(sent);
@@ -149,7 +149,7 @@ fn longer_paths_use_more_relays() {
     let mut sent = false;
     sim.with_node_ctx::<WhisperNode>(source, |node, ctx| {
         node.with_api(|api, _| {
-            sent = api.wcl.send_untracked(ctx, api.nylon, &dest_info, b"long path");
+            sent = api.wcl.send_untracked(ctx, api.nylon, &dest_info, b"long path", None);
         });
     });
     assert!(sent);
@@ -170,7 +170,7 @@ fn retries_avoid_previously_used_mixes() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"doomed".to_vec(), id);
+            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"doomed".to_vec(), None, id);
         });
     });
     assert!(sent, "first path still constructible (gateways are alive)");
@@ -207,7 +207,7 @@ fn route_failed_exhausted_clears_pending_and_cached_route() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             msg_id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"doomed".to_vec(), msg_id);
+            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"doomed".to_vec(), None, msg_id);
         });
     });
     assert!(sent, "plenty of live relays to build the first path");
@@ -242,7 +242,7 @@ fn route_failed_no_alternative_clears_pending_and_cached_route() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             msg_id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"doomed".to_vec(), msg_id);
+            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"doomed".to_vec(), None, msg_id);
         });
     });
     assert!(sent);

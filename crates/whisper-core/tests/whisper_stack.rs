@@ -155,7 +155,7 @@ fn forged_passport_is_silently_ignored() {
     net.sim.with_node_ctx::<WhisperNode>(outsider, |node, ctx| {
         node.with_api(|api, _| {
             let dest = victim_entry.dest_info();
-            api.wcl.send_untracked(ctx, api.nylon, &dest, &forged);
+            api.wcl.send_untracked(ctx, api.nylon, &dest, &forged, None);
         });
     });
     net.sim.run_for_secs(30);

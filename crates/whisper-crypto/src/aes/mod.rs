@@ -273,8 +273,17 @@ impl Aes128 {
     /// elsewhere; the blocks processed are accounted in [`crate::costs`]
     /// identically for both.
     pub fn ctr_apply_in_place(&self, nonce: &CtrNonce, data: &mut [u8]) {
-        if !self.ctr_xor_hardware(nonce, 0, data) {
-            self.ctr_xor_table(nonce, 0, data);
+        self.ctr_apply_in_place_at(nonce, 0, data);
+    }
+
+    /// [`Aes128::ctr_apply_in_place`] with the keystream starting at block
+    /// `first_block` instead of block 0: two uses of one `(key, nonce)`
+    /// whose block ranges do not overlap share no keystream, whatever the
+    /// nonce — how the two directions of a circuit stay apart
+    /// ([`crate::circuit::Direction`]).
+    pub fn ctr_apply_in_place_at(&self, nonce: &CtrNonce, first_block: u64, data: &mut [u8]) {
+        if !self.ctr_xor_hardware(nonce, first_block, data) {
+            self.ctr_xor_table(nonce, first_block, data);
         }
         crate::costs::add_aes_blocks(data.len().div_ceil(16) as u64);
     }
@@ -301,8 +310,7 @@ impl Aes128 {
     }
 
     /// The T-table CTR kernel: block `i` of the keystream is
-    /// `AES(nonce ‖ be64(i))`, and `data` starts at block `first_block`
-    /// (always 0 outside the known-answer tests).
+    /// `AES(nonce ‖ be64(i))`, and `data` starts at block `first_block`.
     fn ctr_xor_table(&self, nonce: &CtrNonce, first_block: u64, data: &mut [u8]) {
         let mut counter_block = [0u8; 16];
         counter_block[..8].copy_from_slice(&nonce.0);

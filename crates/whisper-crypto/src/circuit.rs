@@ -39,17 +39,44 @@
 //! bitwise unlinkable across hops; the regression test in
 //! `tests/threat_model.rs` asserts exactly this.
 //!
+//! # The return direction
+//!
+//! A circuit is walked backwards over the same state: every hop also
+//! remembers the neighbour the establishing onion came from, and a
+//! [`Direction::Return`] packet enters a relay under the id the relay
+//! *forwards* under (the table's second index), gains the relay's layer
+//! and leaves for that neighbour under the relay's inbound id. Only the
+//! source holds every link key, so only it can strip the layers
+//! ([`SourceCircuit::open_return_in_place`]). The same three
+//! re-randomizations hold:
+//!
+//! * the **ids** are the link-local ones of the way out, so they differ
+//!   on every link;
+//! * the **nonce** moves by a per-hop step derived from the link key
+//!   ([`CircuitEntry::return_nonce`]) — a hash chain would leave the
+//!   source, which receives the *last* nonce, unable to recover the
+//!   earlier ones, while a keyed step it can simply subtract. (The step is
+//!   constant for a circuit: whoever watches both links of a relay can
+//!   match two packets' nonce *differences*, as it can match their
+//!   lengths and timing; the nonces themselves share nothing.)
+//! * the **body** gains one CTR layer per hop.
+//!
+//! Under one link key the two directions draw from disjoint halves of
+//! the counter space ([`Direction`]), so no `(key, nonce, counter)`
+//! triple — hence no keystream block — can serve both, whatever the
+//! nonces are.
+//!
 //! # State per circuit
 //!
 //! A relay's first touch of its own state for a packet is the table
 //! look-up, on a node the simulator last ran thousands of events ago, so
 //! what a circuit occupies is what a hop costs. A [`CircuitEntry`] is one
-//! flat record — link key, one expanded AES schedule (176 bytes, shared
-//! by every kernel), the next hop's address inline, the outbound id —
-//! and the [`CircuitTable`] keeps the entries themselves in a queue in
-//! insertion order, which is expiry order, with a sorted id index beside
-//! it for look-ups: 264 bytes a circuit, no tree, no heap block per
-//! entry (DESIGN.md §9).
+//! flat record — one expanded AES schedule (176 bytes, shared by every
+//! kernel and by both directions), the two neighbours' addresses inline,
+//! the outbound id, the return step — and the [`CircuitTable`] keeps the
+//! entries themselves in a queue in insertion order, which is expiry
+//! order, with two sorted id indices beside it for look-ups: no tree, no
+//! heap block per entry (DESIGN.md §9).
 //!
 //! This module is deliberately free of networking types: time is a plain
 //! microsecond count and next-hop addresses are opaque bytes, so the WCL
@@ -147,6 +174,8 @@ pub struct SourceCircuit {
     pub keys: Vec<AesKey>,
     /// `ciphers[i]` is the expanded schedule of `keys[i]`.
     ciphers: Vec<Aes128>,
+    /// `return_steps[i]` is what hop `i` adds to a return packet's nonce.
+    return_steps: Vec<u64>,
 }
 
 impl SourceCircuit {
@@ -158,6 +187,50 @@ impl SourceCircuit {
             self.ciphers[hop].ctr_apply_in_place(nonce, body);
         });
     }
+
+    /// Strips every hop's layer from the body of a return packet that
+    /// reached the source under the nonce `received`: the first hop's —
+    /// the last one applied — first, each under the nonce that hop sent
+    /// the packet on with, which is the next one's minus this one's step.
+    pub fn open_return_in_place(&self, received: &CtrNonce, body: &mut [u8]) {
+        let mut nonce = u64::from_be_bytes(received.0);
+        for (cipher, step) in self.ciphers.iter().zip(&self.return_steps) {
+            let at = CtrNonce(nonce.to_be_bytes());
+            cipher.ctr_apply_in_place_at(&at, Direction::Return.first_block(), body);
+            nonce = nonce.wrapping_sub(*step);
+        }
+    }
+}
+
+/// Which way a packet travels a circuit: from the source that established
+/// it, or back towards it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Direction {
+    /// Source to destination: every hop strips a layer.
+    Forward,
+    /// Destination to source: every hop adds a layer.
+    Return,
+}
+
+impl Direction {
+    /// The counter block a packet's keystream starts at. A body is far
+    /// shorter than 2⁶³ blocks, so under one link key the two directions
+    /// use disjoint halves of every nonce's keystream.
+    const fn first_block(self) -> u64 {
+        match self {
+            Direction::Forward => 0,
+            Direction::Return => 1 << 63,
+        }
+    }
+}
+
+/// What the hop holding `key` adds to the nonce of a return packet: 64
+/// bits only the source and that hop can compute.
+fn return_step(key: &AesKey) -> u64 {
+    let mut labelled = *b"wcl-return-step\0................";
+    labelled[16..].copy_from_slice(&key.0);
+    let digest = Sha256::digest(&labelled);
+    u64::from_be_bytes(digest[..8].try_into().expect("8 of 32 bytes"))
 }
 
 /// Draws fresh circuit state for an `n_hops` route: the source keeps the
@@ -181,7 +254,8 @@ pub fn establish<R: Rng>(n_hops: usize, rng: &mut R) -> (SourceCircuit, Vec<HopS
         })
         .collect();
     let ciphers = keys.iter().map(Aes128::new).collect();
-    (SourceCircuit { first_cid: cids[0], keys, ciphers }, setups)
+    let return_steps = keys.iter().map(return_step).collect();
+    (SourceCircuit { first_cid: cids[0], keys, ciphers, return_steps }, setups)
 }
 
 /// Derives the nonce the next hop will use: `SHA-256(nonce)` truncated to
@@ -276,13 +350,17 @@ impl NextHop {
 /// cached, so every subsequent packet on the circuit peels with zero
 /// key-schedule work (the deterministic cost model is unaffected: only
 /// CTR block work is accounted, never schedule expansion). An entry is
-/// one flat record — key, schedule, next hop, outbound id — with nothing
-/// on the heap behind it.
+/// one flat record — schedule, both neighbours, outbound id, return step
+/// — with nothing on the heap behind it, and serves both directions.
 #[derive(Clone)]
 pub struct CircuitEntry {
-    key: AesKey,
     next_hop: NextHop,
+    /// The neighbour the establishing onion came from; empty until
+    /// [`CircuitEntry::reached_from`] says.
+    prev_hop: [u8; INLINE_HOP_LEN],
+    prev_len: u8,
     cid_out: Option<CircuitId>,
+    return_step: u64,
     cipher: Aes128,
 }
 
@@ -299,18 +377,35 @@ impl std::fmt::Debug for CircuitEntry {
 impl CircuitEntry {
     /// Builds an entry, expanding and caching the link key's schedule.
     pub fn new(key: AesKey, next_hop: Vec<u8>, cid_out: Option<CircuitId>) -> CircuitEntry {
-        let cipher = Aes128::new(&key);
-        CircuitEntry { key, next_hop: NextHop::new(next_hop), cid_out, cipher }
+        CircuitEntry {
+            next_hop: NextHop::new(next_hop),
+            prev_hop: [0; INLINE_HOP_LEN],
+            prev_len: 0,
+            cid_out,
+            return_step: return_step(&key),
+            cipher: Aes128::new(&key),
+        }
     }
 
-    /// The link key packets arriving on this circuit are sealed under.
-    pub fn key(&self) -> &AesKey {
-        &self.key
+    /// Records the neighbour the establishing onion came from, where
+    /// return packets are handed on to. An address longer than the stack
+    /// installs is not kept: the circuit then has no way back.
+    pub fn reached_from(mut self, prev_hop: &[u8]) -> CircuitEntry {
+        if prev_hop.len() <= INLINE_HOP_LEN {
+            self.prev_hop[..prev_hop.len()].copy_from_slice(prev_hop);
+            self.prev_len = prev_hop.len() as u8;
+        }
+        self
     }
 
     /// Opaque next-hop address (empty at the destination).
     pub fn next_hop(&self) -> &[u8] {
         self.next_hop.as_slice()
+    }
+
+    /// Opaque address of the previous hop (empty when none was recorded).
+    pub fn prev_hop(&self) -> &[u8] {
+        &self.prev_hop[..self.prev_len as usize]
     }
 
     /// Outbound circuit id (`None` at the destination).
@@ -322,16 +417,30 @@ impl CircuitEntry {
     /// cached key schedule: one CTR pass, the entire steady-state crypto
     /// cost of a hop.
     pub fn peel_in_place(&self, nonce: &CtrNonce, body: &mut [u8]) {
-        self.cipher.ctr_apply_in_place(nonce, body);
+        self.apply_in_place(Direction::Forward, nonce, body);
+    }
+
+    /// This hop's layer for a packet travelling in `direction` — stripped
+    /// on the way out, added on the way back; in CTR the same pass.
+    pub fn apply_in_place(&self, direction: Direction, nonce: &CtrNonce, body: &mut [u8]) {
+        self.cipher.ctr_apply_in_place_at(nonce, direction.first_block(), body);
+    }
+
+    /// The nonce this hop applies its return layer under and hands a
+    /// return packet on with, having received it under `received`. (The
+    /// destination, which originates the packet, draws its own.)
+    pub fn return_nonce(&self, received: &CtrNonce) -> CtrNonce {
+        CtrNonce(u64::from_be_bytes(received.0).wrapping_add(self.return_step).to_be_bytes())
     }
 }
 
 /// One stored circuit.
 #[derive(Debug)]
-struct Slot {
+struct Slot<A> {
     expires_at_us: u64,
     cid: CircuitId,
     entry: CircuitEntry,
+    attached: A,
 }
 
 /// A bounded, TTL'd map of `cid_in → CircuitEntry`, with deterministic
@@ -340,9 +449,11 @@ struct Slot {
 /// The TTL is one constant and callers' clocks only move forward, so
 /// insertion order is expiry order, and a queue of the circuits in that
 /// order *is* the store: one contiguous ring of flat slots, swept
-/// from the front, filled at the back. Beside it a dense index, sorted
-/// by id, maps `cid → position in the queue` and serves look-ups only —
-/// nothing ever iterates it, so behavior cannot depend on the order of
+/// from the front, filled at the back. Beside it two dense indices,
+/// sorted by id, map an id to a position in the queue and serve look-ups
+/// only — the inbound id of every circuit for packets on their way out,
+/// the outbound id of every relayed one for packets on their way back.
+/// Nothing ever iterates them, so behavior cannot depend on the order of
 /// ids (see DESIGN.md § "Determinism & randomness"), and a sorted vector
 /// has no worst case an id chosen by a hostile source could reach.
 ///
@@ -354,21 +465,35 @@ struct Slot {
 /// [`CircuitTable::lookup`] is one binary search and one slot; it still
 /// compares the entry's own expiry, so an entry past its time is never
 /// returned even before the next insert collects it.
+///
+/// A slot also holds one `A`, born as `A::default()`, for whatever the
+/// layer above keeps per circuit ([`CircuitTable::slot_mut`]): it leaves
+/// with the slot, whichever way the slot leaves.
 #[derive(Debug)]
-pub struct CircuitTable {
+pub struct CircuitTable<A = ()> {
     cap: usize,
     ttl_us: u64,
     /// Exactly the stored circuits, oldest insertion first.
-    slots: VecDeque<Slot>,
+    slots: VecDeque<Slot<A>>,
     /// Sequence number of `slots[0]`: slot `i` has number `head_seq + i`,
     /// which stays true of the slots behind it when the front is popped.
     head_seq: u64,
     /// `(cid as a big-endian integer, sequence number of its slot)`,
-    /// sorted by id; one element per slot.
-    index: Vec<(u64, u64)>,
+    /// sorted; one element per slot.
+    by_cid_in: Vec<(u64, u64)>,
+    /// The same for the outbound id of every slot that has one. Inbound
+    /// ids are unique (a re-insert replaces); outbound ids are whatever a
+    /// source wrote into its setups, so two slots may share one — the
+    /// older of them answers.
+    by_cid_out: Vec<(u64, u64)>,
 }
 
-impl CircuitTable {
+/// A circuit id as an index key.
+fn index_key(cid: CircuitId) -> u64 {
+    u64::from_be_bytes(cid.0)
+}
+
+impl<A: Default> CircuitTable<A> {
     /// Creates a table holding at most `cap` circuits, each expiring
     /// `ttl_us` microseconds after insertion.
     ///
@@ -377,7 +502,14 @@ impl CircuitTable {
     /// Panics if `cap` is zero.
     pub fn new(cap: usize, ttl_us: u64) -> Self {
         assert!(cap >= 1, "circuit table capacity must be positive");
-        CircuitTable { cap, ttl_us, slots: VecDeque::new(), head_seq: 0, index: Vec::new() }
+        CircuitTable {
+            cap,
+            ttl_us,
+            slots: VecDeque::new(),
+            head_seq: 0,
+            by_cid_in: Vec::new(),
+            by_cid_out: Vec::new(),
+        }
     }
 
     /// Number of stored circuits: after an insert at time `t`, exactly
@@ -391,58 +523,94 @@ impl CircuitTable {
         self.slots.is_empty()
     }
 
-    /// Where `cid` is in the index (`Ok`) or belongs (`Err`).
-    fn index_of(&self, cid: CircuitId) -> Result<usize, usize> {
-        let key = u64::from_be_bytes(cid.0);
-        self.index.binary_search_by_key(&key, |&(k, _)| k)
+    /// The sequence number of the slot `cid` arrives under, if stored.
+    fn seq_of(&self, cid: CircuitId) -> Option<u64> {
+        let key = index_key(cid);
+        let at = self.by_cid_in.partition_point(|&(k, _)| k < key);
+        self.by_cid_in.get(at).filter(|(k, _)| *k == key).map(|&(_, seq)| seq)
+    }
+
+    /// Removes the slot numbered `seq` from the queue and both indices.
+    fn remove_slot(&mut self, seq: u64) {
+        let slot = self.slots.remove((seq - self.head_seq) as usize).expect("an indexed slot");
+        // Popping the front renumbers nobody: `head_seq` moves instead.
+        let popped_front = seq == self.head_seq;
+        let ids = [(&mut self.by_cid_in, Some(slot.cid)), (&mut self.by_cid_out, slot.entry.cid_out)];
+        for (index, id) in ids {
+            if let Some(id) = id {
+                let at = index.binary_search(&(index_key(id), seq)).expect("every slot is indexed");
+                index.remove(at);
+            }
+            if !popped_front {
+                for (_, later) in index.iter_mut().filter(|(_, s)| *s > seq) {
+                    *later -= 1;
+                }
+            }
+        }
+        self.head_seq += popped_front as u64;
     }
 
     /// Inserts (or refreshes) a circuit after collecting every expired
     /// one, evicting the oldest insertion when still full.
     pub fn insert(&mut self, now_us: u64, cid: CircuitId, entry: CircuitEntry) {
         while self.slots.front().is_some_and(|slot| slot.expires_at_us <= now_us) {
-            self.evict_oldest();
+            self.remove_slot(self.head_seq);
         }
         // A refresh moves the circuit to the back of the queue: its old
         // slot goes, and every slot behind it moves up by one. Linear,
         // and rare — a source draws a fresh id for every establishment.
-        if let Ok(at) = self.index_of(cid) {
-            let (_, seq) = self.index.remove(at);
-            self.slots.remove((seq - self.head_seq) as usize);
-            for (_, later) in self.index.iter_mut().filter(|(_, s)| *s > seq) {
-                *later -= 1;
-            }
+        if let Some(seq) = self.seq_of(cid) {
+            self.remove_slot(seq);
         }
         while self.slots.len() >= self.cap {
-            self.evict_oldest();
+            self.remove_slot(self.head_seq);
         }
-        let at = self.index_of(cid).expect_err("any old slot of this id was just removed");
-        self.index.insert(at, (u64::from_be_bytes(cid.0), self.head_seq + self.slots.len() as u64));
+        let seq = self.head_seq + self.slots.len() as u64;
+        for (index, id) in [(&mut self.by_cid_in, Some(cid)), (&mut self.by_cid_out, entry.cid_out)] {
+            if let Some(id) = id {
+                let element = (index_key(id), seq);
+                let at = index.binary_search(&element).expect_err("a fresh sequence number");
+                index.insert(at, element);
+            }
+        }
         let expires_at_us = now_us.saturating_add(self.ttl_us);
-        self.slots.push_back(Slot { expires_at_us, cid, entry });
+        self.slots.push_back(Slot { expires_at_us, cid, entry, attached: A::default() });
     }
 
-    fn evict_oldest(&mut self) {
-        if let Some(slot) = self.slots.pop_front() {
-            let at = self.index_of(slot.cid).expect("every slot is indexed");
-            self.index.remove(at);
-            self.head_seq += 1;
-        }
+    /// The live slot numbered `seq`.
+    fn live(&self, now_us: u64, seq: u64) -> Option<&Slot<A>> {
+        self.slots.get((seq - self.head_seq) as usize).filter(|slot| slot.expires_at_us > now_us)
     }
 
     /// Looks up a live circuit (expired circuits are never returned, and
     /// are collected by the next insert).
     pub fn lookup(&self, now_us: u64, cid: CircuitId) -> Option<&CircuitEntry> {
-        let (_, seq) = self.index[self.index_of(cid).ok()?];
-        let slot = &self.slots[(seq - self.head_seq) as usize];
-        (slot.expires_at_us > now_us).then_some(&slot.entry)
+        self.live(now_us, self.seq_of(cid)?).map(|slot| &slot.entry)
+    }
+
+    /// Looks up the live circuit that *forwards* under `cid_out` — the id
+    /// a return packet arrives under — with the inbound id it then leaves
+    /// under.
+    pub fn lookup_return(&self, now_us: u64, cid_out: CircuitId) -> Option<(CircuitId, &CircuitEntry)> {
+        let key = index_key(cid_out);
+        let at = self.by_cid_out.partition_point(|&(k, _)| k < key);
+        let &(_, seq) = self.by_cid_out.get(at).filter(|(k, _)| *k == key)?;
+        self.live(now_us, seq).map(|slot| (slot.cid, &slot.entry))
+    }
+
+    /// A live circuit together with what is attached to its slot.
+    pub fn slot_mut(&mut self, now_us: u64, cid: CircuitId) -> Option<(&CircuitEntry, &mut A)> {
+        let at = (self.seq_of(cid)? - self.head_seq) as usize;
+        let slot = self.slots.get_mut(at).filter(|slot| slot.expires_at_us > now_us)?;
+        Some((&slot.entry, &mut slot.attached))
     }
 
     /// Drops every stored circuit (simulates a relay losing state, e.g. a
     /// restart after churn).
     pub fn clear(&mut self) {
         self.slots.clear();
-        self.index.clear();
+        self.by_cid_in.clear();
+        self.by_cid_out.clear();
     }
 }
 
@@ -454,6 +622,11 @@ mod tests {
 
     fn entry(b: u8) -> CircuitEntry {
         CircuitEntry::new(AesKey([b; 16]), vec![b], None)
+    }
+
+    /// The tag `entry(b)` carries.
+    fn tag(e: &CircuitEntry) -> u8 {
+        e.next_hop()[0]
     }
 
     fn cid(b: u8) -> CircuitId {
@@ -595,7 +768,7 @@ mod tests {
 
     #[test]
     fn table_lookup_hit_and_ttl_expiry() {
-        let mut t = CircuitTable::new(8, 1_000);
+        let mut t = CircuitTable::<()>::new(8, 1_000);
         t.insert(0, cid(1), entry(1));
         assert_eq!(t.lookup(999, cid(1)).map(|e| e.next_hop().to_vec()), Some(vec![1]));
         // At exactly the expiry instant the entry is gone, and the next
@@ -618,7 +791,7 @@ mod tests {
         whisper_rand::check::check(64, "sweep_keeps_every_live_circuit_and_nothing_else", |g| {
             let cap = g.gen_range(1..=6usize);
             let ttl = g.gen_range(1..=40u64);
-            let mut table = CircuitTable::new(cap, ttl);
+            let mut table = CircuitTable::<()>::new(cap, ttl);
             // The model: `(cid, inserted_at)`, oldest first, one record
             // per id (a re-insert moves the id to the back).
             let mut model: Vec<(u8, u64)> = Vec::new();
@@ -652,13 +825,13 @@ mod tests {
     struct ModelTable {
         cap: usize,
         ttl_us: u64,
-        /// `cid → (first key byte of the entry, expires_at_us)`.
-        entries: std::collections::BTreeMap<CircuitId, (u8, u64)>,
+        /// `cid → (tag of the entry, its outbound id, expires_at_us)`.
+        entries: std::collections::BTreeMap<CircuitId, (u8, Option<CircuitId>, u64)>,
         order: VecDeque<(u64, CircuitId)>,
     }
 
     impl ModelTable {
-        fn insert(&mut self, now_us: u64, cid: CircuitId, tag: u8) {
+        fn insert(&mut self, now_us: u64, cid: CircuitId, tag: u8, out: Option<CircuitId>) {
             let evict_oldest = |m: &mut ModelTable| {
                 let (_, oldest) = m.order.pop_front().unwrap();
                 m.entries.remove(&oldest);
@@ -673,25 +846,34 @@ mod tests {
                 evict_oldest(self);
             }
             let expires = now_us.saturating_add(self.ttl_us);
-            self.entries.insert(cid, (tag, expires));
+            self.entries.insert(cid, (tag, out, expires));
             self.order.push_back((expires, cid));
         }
 
         fn lookup(&self, now_us: u64, cid: CircuitId) -> Option<u8> {
-            self.entries.get(&cid).filter(|(_, expires)| *expires > now_us).map(|(tag, _)| *tag)
+            self.entries.get(&cid).filter(|(_, _, expires)| *expires > now_us).map(|(tag, ..)| *tag)
+        }
+
+        /// The oldest stored circuit forwarding under `out`, if it is
+        /// still live.
+        fn lookup_return(&self, now_us: u64, out: CircuitId) -> Option<(CircuitId, u8)> {
+            let oldest = self.order.iter().find(|(_, cid)| self.entries[cid].1 == Some(out))?;
+            let (tag, _, expires) = self.entries[&oldest.1];
+            (expires > now_us).then_some((oldest.1, tag))
         }
     }
 
-    /// Queue + index against map + queue under random inserts, refreshes,
-    /// look-ups and state loss on a moving clock: the same length, and
-    /// for every id the same entry or none — hence the same evictions in
-    /// the same order.
+    /// Queue + indices against map + queue under random inserts, refreshes,
+    /// look-ups in both directions and state loss on a moving clock: the
+    /// same length, and for every id the same entry or none — hence the
+    /// same evictions in the same order — and what was attached to a slot
+    /// found again exactly while the slot is.
     #[test]
     fn table_matches_its_btreemap_model() {
         whisper_rand::check::check(256, "table_matches_its_btreemap_model", |g| {
             let cap = g.gen_range(1..=8usize);
             let ttl_us = if g.gen_bool(0.2) { u64::MAX } else { g.gen_range(1..=40u64) };
-            let mut table = CircuitTable::new(cap, ttl_us);
+            let mut table = CircuitTable::<Option<u8>>::new(cap, ttl_us);
             let mut model = ModelTable {
                 cap,
                 ttl_us,
@@ -708,16 +890,31 @@ mod tests {
                     model.order.clear();
                 } else if g.gen_bool(0.7) {
                     let (id, tag) = (g.gen_range(0..ids), step as u8);
-                    table.insert(now, cid(id), entry(tag));
-                    model.insert(now, cid(id), tag);
+                    // Outbound ids from a small set: sources may collide.
+                    let out = g.gen_bool(0.6).then(|| cid(100 + g.gen_range(0..4u8)));
+                    table.insert(now, cid(id), CircuitEntry::new(AesKey([tag; 16]), vec![tag], out));
+                    *table.slot_mut(now, cid(id)).expect("just inserted").1 = Some(tag);
+                    model.insert(now, cid(id), tag, out);
                 }
                 assert_eq!(table.len(), model.entries.len(), "len at t={now}");
                 assert_eq!(table.is_empty(), model.entries.is_empty());
                 for probe in 0..ids {
                     assert_eq!(
-                        table.lookup(now, cid(probe)).map(|e| e.key().0[0]),
+                        table.lookup(now, cid(probe)).map(tag),
                         model.lookup(now, cid(probe)),
                         "circuit {probe} at t={now} (cap {cap}, ttl {ttl_us})"
+                    );
+                    assert_eq!(
+                        table.slot_mut(now, cid(probe)).map(|(_, attached)| *attached),
+                        model.lookup(now, cid(probe)).map(Some),
+                        "what rides slot {probe} at t={now}"
+                    );
+                }
+                for out in 100..104u8 {
+                    assert_eq!(
+                        table.lookup_return(now, cid(out)).map(|(cid_in, e)| (cid_in, tag(e))),
+                        model.lookup_return(now, cid(out)),
+                        "way back under {out} at t={now} (cap {cap}, ttl {ttl_us})"
                     );
                 }
             }
@@ -725,20 +922,75 @@ mod tests {
     }
 
     /// The address WCL installs lives in the entry itself; a longer one —
-    /// which only a caller outside the stack builds — is kept whole.
+    /// which only a caller outside the stack builds — is kept whole as a
+    /// next hop and not at all as a previous one.
     #[test]
     fn next_hop_round_trips_inline_and_beyond() {
         for len in [0usize, 1, 9, 10, 40] {
             let addr: Vec<u8> = (0..len as u8).collect();
             let e = CircuitEntry::new(AesKey([1; 16]), addr.clone(), Some(cid(2)));
+            assert_eq!(e.prev_hop(), [0u8; 0], "none recorded yet");
+            let e = e.reached_from(&addr);
             assert_eq!(e.next_hop(), addr, "{len} bytes");
+            assert_eq!(e.prev_hop(), if len <= 9 { &addr[..] } else { &[] }, "{len} bytes");
             assert_eq!(matches!(e.next_hop, NextHop::Inline { .. }), len <= 9, "{len} bytes");
         }
     }
 
+    /// The way back: the destination draws a nonce and adds its layer,
+    /// every relay moves the nonce by its step and adds its own, and the
+    /// source — from the one nonce it receives — strips them all. On the
+    /// way no two links carry the same nonce, and no layer hides less than
+    /// the forward one does.
+    #[test]
+    fn return_layers_open_at_the_source_only() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let payload: Vec<u8> = (0..=255u8).cycle().take(700).collect();
+        for hops in [1usize, 2, 3, 5] {
+            let (source, setups) = establish(hops, &mut rng);
+            let entries: Vec<CircuitEntry> =
+                setups.iter().map(|s| CircuitEntry::new(s.key, vec![], s.cid_out)).collect();
+            let mut body = payload.clone();
+            let mut nonce = CtrNonce::random(&mut rng);
+            let mut seen = vec![nonce];
+            entries[hops - 1].apply_in_place(Direction::Return, &nonce, &mut body);
+            for relay in entries[..hops - 1].iter().rev() {
+                assert_ne!(body, payload);
+                nonce = relay.return_nonce(&nonce);
+                assert!(!seen.contains(&nonce), "{hops} hops: a nonce twice on the way back");
+                seen.push(nonce);
+                relay.apply_in_place(Direction::Return, &nonce, &mut body);
+            }
+            let before = crate::costs::snapshot();
+            source.open_return_in_place(&nonce, &mut body);
+            let cost = crate::costs::snapshot().since(before);
+            assert_eq!(cost.aes_blocks, (hops * payload.len().div_ceil(16)) as u64);
+            assert_eq!(body, payload, "{hops} hops");
+        }
+    }
+
+    /// Under one key and one nonce the two directions share no keystream
+    /// block: the return half starts 2⁶³ blocks in.
+    #[test]
+    fn directions_draw_from_disjoint_keystream() {
+        let e = entry(5);
+        let nonce = CtrNonce([3; 8]);
+        let (mut out, mut back) = (vec![0u8; 4096], vec![0u8; 4096]);
+        e.apply_in_place(Direction::Forward, &nonce, &mut out);
+        e.apply_in_place(Direction::Return, &nonce, &mut back);
+        let blocks = |stream: &[u8]| -> std::collections::BTreeSet<[u8; 16]> {
+            stream.chunks(16).map(|b| b.try_into().unwrap()).collect()
+        };
+        assert!(blocks(&out).is_disjoint(&blocks(&back)));
+        let mut reference = vec![0u8; 4096];
+        Aes128::new(&AesKey([5; 16])).ctr_apply_in_place_at(&nonce, 1 << 63, &mut reference);
+        assert_eq!(back, reference);
+        assert_eq!(Direction::Forward.first_block(), 0);
+    }
+
     #[test]
     fn table_evicts_oldest_insertion_first() {
-        let mut t = CircuitTable::new(2, u64::MAX);
+        let mut t = CircuitTable::<()>::new(2, u64::MAX);
         t.insert(0, cid(1), entry(1));
         t.insert(1, cid(2), entry(2));
         t.insert(2, cid(3), entry(3)); // evicts cid(1)
@@ -750,13 +1002,13 @@ mod tests {
 
     #[test]
     fn table_reinsert_refreshes_position_and_expiry() {
-        let mut t = CircuitTable::new(2, 100);
+        let mut t = CircuitTable::<()>::new(2, 100);
         t.insert(0, cid(1), entry(1));
         t.insert(1, cid(2), entry(2));
         t.insert(50, cid(1), entry(9)); // refresh: now newest, expires at 150
         t.insert(60, cid(3), entry(3)); // evicts cid(2), the oldest
         assert!(t.lookup(70, cid(2)).is_none());
-        assert_eq!(t.lookup(140, cid(1)).map(|e| e.key().0[0]), Some(9));
+        assert_eq!(t.lookup(140, cid(1)).map(tag), Some(9));
         assert!(t.lookup(150, cid(1)).is_none(), "refreshed expiry honored");
     }
 
@@ -765,7 +1017,7 @@ mod tests {
         // Same insertion sequence ⇒ same survivors, regardless of id
         // values (a FIFO queue, never hash order).
         let run = || {
-            let mut t = CircuitTable::new(4, u64::MAX);
+            let mut t = CircuitTable::<()>::new(4, u64::MAX);
             for b in [9u8, 3, 7, 1, 8, 2] {
                 t.insert(b as u64, cid(b), entry(b));
             }
@@ -777,7 +1029,7 @@ mod tests {
 
     #[test]
     fn clear_simulates_state_loss() {
-        let mut t = CircuitTable::new(8, u64::MAX);
+        let mut t = CircuitTable::<()>::new(8, u64::MAX);
         t.insert(0, cid(1), entry(1));
         t.clear();
         assert!(t.lookup(1, cid(1)).is_none());

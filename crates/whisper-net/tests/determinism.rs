@@ -270,8 +270,37 @@ fn run_boundaries_are_invisible_to_the_trace() {
     }
 }
 
-/// Runs the full WHISPER stack — PSS warm-up, then WCL sends that
-/// establish and then ride a cached circuit — and serializes every
+/// Answers every application message it is shipped an entry with, as a
+/// request/response application does.
+struct Answerer;
+
+impl whisper_core::GroupApp for Answerer {
+    fn on_message(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        api: &mut whisper_core::WhisperApi<'_>,
+        group: whisper_core::GroupId,
+        _from: NodeId,
+        data: &[u8],
+        reply_entry: Option<whisper_core::PrivateEntry>,
+    ) {
+        if let Some(entry) = reply_entry {
+            api.send_private_to_entry(ctx, group, &entry, data.to_vec(), false);
+        }
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Runs the full WHISPER stack — PSS warm-up, a join, then a conversation
+/// that establishes a circuit and rides it both ways, stating who talks
+/// once in each direction — and serializes every
 /// deterministic observable: all counters, all sample series *except* the
 /// wall-clock `*_wall_us` secondaries (the one sanctioned
 /// host-dependent output; see DESIGN.md § "Deterministic crypto
@@ -292,7 +321,8 @@ fn run_stack_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
     let mut keyrng = StdRng::seed_from_u64(seed);
     let mut sim = Sim::new(SimConfig::cluster(seed).with_shards(shards).with_profiling(true));
     let mk = |boot: bool, keyrng: &mut StdRng| {
-        let mut node = WhisperNode::new(cfg.clone(), KeyPair::generate(cfg.nylon.rsa, keyrng));
+        let key = KeyPair::generate(cfg.nylon.rsa, keyrng);
+        let mut node = WhisperNode::with_app(cfg.clone(), key, Box::new(Answerer));
         if !boot {
             node.nylon_mut().set_bootstrap(vec![NodeId(0), NodeId(1)]);
         }
@@ -309,23 +339,30 @@ fn run_stack_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
     let dest = sim.add_node(Box::new(mk(false, &mut keyrng)), NatType::PortRestrictedCone);
     sim.run_for_secs(250);
 
-    let mut dest_info = None;
-    sim.with_node_ctx::<WhisperNode>(dest, |node, _| {
-        node.with_api(|api, _| dest_info = Some(api.my_entry().dest_info()));
+    let mut invitation = None;
+    sim.with_node_ctx::<WhisperNode>(dest, |node, ctx| {
+        let group = node.create_group(ctx, "traced");
+        invitation = node.invite(group, source);
     });
-    let dest_info = dest_info.expect("dest alive");
-    // First send builds the RSA onion and installs the circuit; the rest
-    // ride it, so the trace covers both packet formats.
+    let invitation = invitation.expect("the creator leads");
+    let group = invitation.group;
+    sim.with_node_ctx::<WhisperNode>(source, |node, ctx| node.join_group(ctx, invitation));
+    sim.run_for_secs(3);
+    // The join built the RSA onion and installed the circuit its ack came
+    // back on; the messages ride it out and their echoes ride it back, so
+    // the trace covers every packet format and both forms of a message.
     for i in 0..4u8 {
         sim.with_node_ctx::<WhisperNode>(source, |node, ctx| {
-            node.with_api(|api, _| {
-                api.wcl.send_untracked(ctx, api.nylon, &dest_info, &[b'p', i]);
-            });
+            node.with_api(|api, _| assert!(api.send_private(ctx, group, dest, vec![b'p', i], true)));
         });
         sim.run_for_secs(3);
     }
 
-    assert!(sim.metrics().counter("wcl.circuit_hit") >= 1, "steady-state path exercised");
+    let count = |name: &str| sim.metrics().counter(name);
+    assert!(count("wcl.circuit_forwarded") >= 8, "steady-state path exercised, both ways");
+    assert!(count("wcl.return_delivered") >= 5, "the ack and the four echoes rode back");
+    assert_eq!(count("wcl.short_sent"), 3 + 3, "who talks was said once each way");
+    assert_eq!(count("ppss.context_miss"), 0);
     stack_observables(&sim)
 }
 

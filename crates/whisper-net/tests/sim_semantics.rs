@@ -678,6 +678,9 @@ struct CircuitHop {
     wcl: whisper_core::Wcl,
     /// Source role: where to send, every [`CircuitHop::SEND_EVERY`].
     dest: Option<whisper_core::DestInfo>,
+    /// Destination role: whom every delivered packet is echoed to, back
+    /// on the circuit it came in on.
+    echo_to: Option<whisper_core::DestInfo>,
     /// Allocations of each callback that forwarded a circuit packet.
     relayed: Vec<u64>,
     /// Allocations of each callback that was delivered one.
@@ -702,10 +705,15 @@ impl Protocol for CircuitHop {
         // What `WhisperNode::on_message` does, minus the PPSS.
         match self.nylon.on_app_message(ctx, from, from_ep, data) {
             Some((_, app)) => {
-                if let Some(whisper_core::WclEvent::Delivered { payload }) =
-                    self.wcl.on_app_payload(ctx, &mut self.nylon, app)
+                let prev = (from, from_ep.port == 0);
+                if let Some(whisper_core::WclEvent::Delivered { payload, via }) =
+                    self.wcl.on_app_payload(ctx, &mut self.nylon, prev, app)
                 {
                     assert_eq!(payload, Self::PAYLOAD);
+                    if let Some(source) = &self.echo_to {
+                        self.wcl.bind_return(ctx.now(), via, source.node);
+                        self.wcl.send_untracked(ctx, &mut self.nylon, source, &payload, None);
+                    }
                     self.wcl.reclaim(payload);
                 }
             }
@@ -729,7 +737,7 @@ impl Protocol for CircuitHop {
             return;
         }
         let dest = self.dest.as_ref().expect("only the source arms the send timer");
-        self.wcl.send_untracked(ctx, &mut self.nylon, dest, &Self::PAYLOAD);
+        self.wcl.send_untracked(ctx, &mut self.nylon, dest, &Self::PAYLOAD, None);
         ctx.set_timer(Self::SEND_EVERY, Self::TIMER_SEND);
     }
 
@@ -742,10 +750,12 @@ impl Protocol for CircuitHop {
 }
 
 /// The circuit data path's allocation budget, on a counting allocator: a
-/// node that relays a steady-state circuit packet, and the node a packet
-/// is delivered to, handle it — Nylon decode, circuit lookup, body copy,
-/// AES layer, Nylon re-framing, hand-over to the engine — without one
-/// heap allocation. Before the path was rebuilt each relayed packet cost
+/// node that relays a steady-state circuit packet, either way, and the
+/// node a packet is delivered to — the destination, which answers it on
+/// the circuit's return direction in the same callback, and the source
+/// the answer comes home to — handle it — Nylon decode, circuit lookup,
+/// body copy, AES layer, Nylon re-framing, hand-over to the engine —
+/// without one heap allocation. Before the path was rebuilt each relayed packet cost
 /// six (measured with this test): a `Vec<NylonEvent>`, three copies of
 /// the body (`NylonMsg::App`, `CircuitPacket`, its re-encoding), the
 /// engine's effect list and the payload's `Arc` box.
@@ -769,11 +779,13 @@ fn steady_state_circuit_forward_allocations_are_zero() {
     let mut keyrng = whisper_rand::rngs::StdRng::seed_from_u64(0xA110C);
     let mut sim = Sim::new(SimConfig::cluster(71));
     let mut ids = Vec::new();
-    let mut dest_key = None;
+    let (mut source_key, mut dest_key) = (None, None);
     for i in 0..10u64 {
         let keypair = KeyPair::generate(cfg.rsa, &mut keyrng);
-        if i == 9 {
-            dest_key = Some(keypair.public().clone());
+        match i {
+            8 => source_key = Some(keypair.public().clone()),
+            9 => dest_key = Some(keypair.public().clone()),
+            _ => {}
         }
         let mut nylon = NylonCore::new(cfg.clone(), keypair);
         nylon.set_bootstrap([NodeId(0), NodeId(1)].into_iter().filter(|b| b.0 != i).collect());
@@ -781,6 +793,7 @@ fn steady_state_circuit_forward_allocations_are_zero() {
             nylon,
             wcl: Wcl::new(WclConfig::default()),
             dest: None,
+            echo_to: None,
             relayed: Vec::with_capacity(3 * packets),
             delivered: Vec::with_capacity(2 * packets),
         };
@@ -789,8 +802,9 @@ fn steady_state_circuit_forward_allocations_are_zero() {
     // Let the PSS fill the connection backlogs the WCL draws its mixes from.
     sim.run_for_secs(250);
     let (source, dest) = (ids[8], ids[9]);
-    let dest_info =
-        DestInfo { node: dest, public: true, key: dest_key.unwrap(), gateways: Vec::new() };
+    let info = |node, key: Option<_>| DestInfo { node, public: true, key: key.unwrap(), gateways: Vec::new() };
+    let (source_info, dest_info) = (info(source, source_key), info(dest, dest_key));
+    sim.node_mut::<CircuitHop>(dest).unwrap().echo_to = Some(source_info);
     sim.with_node_ctx::<CircuitHop>(source, |hop, ctx| {
         hop.dest = Some(dest_info);
         ctx.set_timer(SimDuration::ZERO, CircuitHop::TIMER_SEND);
@@ -815,8 +829,11 @@ fn steady_state_circuit_forward_allocations_are_zero() {
         ids.iter().flat_map(|&id| sim.node::<CircuitHop>(id).unwrap().relayed.clone()).collect();
     let delivered: Vec<u64> =
         ids.iter().flat_map(|&id| sim.node::<CircuitHop>(id).unwrap().delivered.clone()).collect();
-    assert!(delivered.len() + 5 >= packets, "only {} packets delivered", delivered.len());
+    assert!(delivered.len() + 10 >= 2 * packets, "only {} packets delivered", delivered.len());
     assert!(relayed.len() >= 2 * delivered.len() - 10, "two mixes relay each packet");
+    let m = sim.metrics();
+    assert_eq!(m.counter("wcl.return_sent"), m.counter("wcl.delivered") - m.counter("wcl.return_delivered"));
+    assert!(m.counter("wcl.paths_built") <= 3, "one onion per half TTL, none for the echoes");
     for (what, counts) in [("relayed", &relayed), ("delivered", &delivered)] {
         let allocating = counts.iter().filter(|&&n| n > 0).count();
         let worst = counts.iter().max().copied().unwrap_or(0);
