@@ -20,7 +20,7 @@ fn main() {
     go!(table1);
     go!(fig7);
     go!(table2);
-    go!(fig8);
+    go!(fig8).print();
     go!(fig9);
     go!(ablation_path_length);
     go!(ablation_cb_size);

@@ -45,12 +45,38 @@ impl Params {
     }
 }
 
-/// Runs the experiment and prints Fig. 8-style output.
-pub fn run(params: &Params) {
-    report::banner(
-        "Figure 8",
-        "bandwidth vs. number of private groups subscribed per node (PlanetLab)",
-    );
+/// A row of the figure: the stacked percentiles (p5, p25, p50, p75, p90)
+/// of per-node KB/s over one node class, `None` when the class is empty.
+pub type Stacked = Option<[f64; 5]>;
+
+/// The rows of a setting, in [`Setting::rows`] order.
+pub const ROWS: [&str; 4] =
+    ["P-nodes up (KB/s)", "P-nodes down (KB/s)", "N-nodes up (KB/s)", "N-nodes down (KB/s)"];
+
+/// What one subscription setting measured.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Setting {
+    /// Groups each node subscribes to.
+    pub per_node: usize,
+    /// Groups in the population (one per P-node).
+    pub groups: usize,
+    /// The [`ROWS`].
+    pub rows: [Stacked; 4],
+}
+
+/// Fig. 8: one setting per swept subscription count, in sweep order, each
+/// measured over `cycles` PPSS cycles.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Fig8 {
+    /// Measured PPSS cycles per setting.
+    pub cycles: u64,
+    /// The settings.
+    pub settings: Vec<Setting>,
+}
+
+/// Runs the experiment.
+pub fn run(params: &Params) -> Fig8 {
+    let mut settings = Vec::new();
     for &per_node in &params.subscriptions {
         let mut net = NetBuilder::planetlab(params.nodes, params.seed)
             .build_whisper(|_| Box::new(whisper_core::node::NoApp));
@@ -68,23 +94,36 @@ pub fn run(params: &Params) {
         let delta = traffic_delta(&before, &after);
         let secs = (params.cycles * 60) as f64;
 
-        let collect = |ids: &[NodeId], up: bool| -> Cdf {
-            Cdf::from_samples(ids.iter().filter_map(|id| delta.get(id)).map(|t| {
+        let stacked = |ids: &[NodeId], up: bool| -> Stacked {
+            let mut kbs = Cdf::from_samples(ids.iter().filter_map(|id| delta.get(id)).map(|t| {
                 (if up { t.up_bytes } else { t.down_bytes }) as f64 / secs / 1024.0
-            }))
+            }));
+            (!kbs.is_empty()).then(|| kbs.stacked_percentiles())
         };
-        report::section(&format!(
-            "{per_node} group(s) per node — {} groups total, KB/s over {} cycles",
-            groups.len(),
-            params.cycles
-        ));
-        let publics = net.publics();
-        let natted = net.natted();
-        report::stacked("P-nodes up (KB/s)", &mut collect(&publics, true));
-        report::stacked("P-nodes down (KB/s)", &mut collect(&publics, false));
-        report::stacked("N-nodes up (KB/s)", &mut collect(&natted, true));
-        report::stacked("N-nodes down (KB/s)", &mut collect(&natted, false));
+        let (publics, natted) = (net.publics(), net.natted());
+        let rows = [(&publics, true), (&publics, false), (&natted, true), (&natted, false)];
+        settings.push(Setting { per_node, groups: groups.len(), rows: rows.map(|(ids, up)| stacked(ids, up)) });
     }
-    println!();
-    println!("(paper: costs grow linearly with subscriptions; P-nodes pay more, both within reasonable values)");
+    Fig8 { cycles: params.cycles, settings }
+}
+
+impl Fig8 {
+    /// Prints Fig. 8-style output.
+    pub fn print(&self) {
+        report::banner(
+            "Figure 8",
+            "bandwidth vs. number of private groups subscribed per node (PlanetLab)",
+        );
+        for s in &self.settings {
+            report::section(&format!(
+                "{} group(s) per node — {} groups total, KB/s over {} cycles",
+                s.per_node, s.groups, self.cycles
+            ));
+            for (label, row) in ROWS.iter().zip(s.rows) {
+                report::stacked(label, row);
+            }
+        }
+        println!();
+        println!("(paper: costs grow linearly with subscriptions; P-nodes pay more, both within reasonable values)");
+    }
 }

@@ -84,6 +84,18 @@ impl NetBuilder {
         NetBuilder { sim: SimConfig::planetlab(seed), ..NetBuilder::cluster(nodes, seed) }
     }
 
+    /// Node `i`'s NAT type and bootstrap list: the first `bootstraps` nodes
+    /// are public and bootstrap from each other, every later one draws its
+    /// NAT type from `dist` and bootstraps from all of them.
+    fn place(&self, i: usize, sim: &mut Sim, dist: &NatDistribution) -> (NatType, Vec<NodeId>) {
+        let bootstraps = (0..self.bootstraps as u64).map(NodeId);
+        if i < self.bootstraps {
+            (NatType::Public, bootstraps.filter(|n| n.0 != i as u64).collect())
+        } else {
+            (dist.sample(sim.rng()), bootstraps.collect())
+        }
+    }
+
     /// Builds a network of plain PSS nodes ([`NylonNode`]) — used by the
     /// Fig. 5 / Fig. 6 experiments that evaluate the PSS layer alone.
     pub fn build_pss(&self, nylon_cfg: &NylonConfig) -> PssNet {
@@ -95,21 +107,8 @@ impl NetBuilder {
         let mut ids = Vec::with_capacity(self.nodes);
         for (i, key) in keys.into_iter().enumerate() {
             let mut core = NylonCore::new(nylon_cfg.clone(), key);
-            let nat = if i < self.bootstraps {
-                NatType::Public
-            } else {
-                dist.sample(sim.rng())
-            };
-            if i >= self.bootstraps {
-                core.set_bootstrap((0..self.bootstraps as u64).map(NodeId).collect());
-            } else {
-                core.set_bootstrap(
-                    (0..self.bootstraps as u64)
-                        .map(NodeId)
-                        .filter(|n| n.0 != i as u64)
-                        .collect(),
-                );
-            }
+            let (nat, bootstrap) = self.place(i, &mut sim, &dist);
+            core.set_bootstrap(bootstrap);
             ids.push(sim.add_node(Box::new(NylonNode::new(core)), nat));
         }
         PssNet { sim, ids }
@@ -127,22 +126,8 @@ impl NetBuilder {
         let mut ids = Vec::with_capacity(self.nodes);
         for (i, key) in keys.into_iter().enumerate() {
             let mut node = WhisperNode::with_app(self.whisper.clone(), key, make_app(i));
-            let nat = if i < self.bootstraps {
-                NatType::Public
-            } else {
-                dist.sample(sim.rng())
-            };
-            if i >= self.bootstraps {
-                node.nylon_mut()
-                    .set_bootstrap((0..self.bootstraps as u64).map(NodeId).collect());
-            } else {
-                node.nylon_mut().set_bootstrap(
-                    (0..self.bootstraps as u64)
-                        .map(NodeId)
-                        .filter(|n| n.0 != i as u64)
-                        .collect(),
-                );
-            }
+            let (nat, bootstrap) = self.place(i, &mut sim, &dist);
+            node.nylon_mut().set_bootstrap(bootstrap);
             ids.push(sim.add_node(Box::new(node), nat));
         }
         WhisperNet { sim, ids, builder: self.clone() }
@@ -157,23 +142,22 @@ pub struct PssNet {
     pub ids: Vec<NodeId>,
 }
 
+/// The live nodes among `ids` that are public (or, `public == false`,
+/// NATted).
+fn live_by_nat(sim: &Sim, ids: &[NodeId], public: bool) -> Vec<NodeId> {
+    let wanted = |id: &NodeId| sim.nat_type(*id).is_some_and(|t| t.is_public() == public);
+    ids.iter().copied().filter(wanted).collect()
+}
+
 impl PssNet {
     /// Ids of live public nodes.
     pub fn publics(&self) -> Vec<NodeId> {
-        self.ids
-            .iter()
-            .copied()
-            .filter(|id| self.sim.nat_type(*id).is_some_and(|t| t.is_public()))
-            .collect()
+        live_by_nat(&self.sim, &self.ids, true)
     }
 
     /// Ids of live NATted nodes.
     pub fn natted(&self) -> Vec<NodeId> {
-        self.ids
-            .iter()
-            .copied()
-            .filter(|id| self.sim.nat_type(*id).is_some_and(|t| !t.is_public()))
-            .collect()
+        live_by_nat(&self.sim, &self.ids, false)
     }
 }
 
@@ -191,20 +175,12 @@ pub struct WhisperNet {
 impl WhisperNet {
     /// Ids of live public nodes.
     pub fn publics(&self) -> Vec<NodeId> {
-        self.ids
-            .iter()
-            .copied()
-            .filter(|id| self.sim.nat_type(*id).is_some_and(|t| t.is_public()))
-            .collect()
+        live_by_nat(&self.sim, &self.ids, true)
     }
 
     /// Ids of live NATted nodes.
     pub fn natted(&self) -> Vec<NodeId> {
-        self.ids
-            .iter()
-            .copied()
-            .filter(|id| self.sim.nat_type(*id).is_some_and(|t| !t.is_public()))
-            .collect()
+        live_by_nat(&self.sim, &self.ids, false)
     }
 
     /// Live node ids.

@@ -41,13 +41,13 @@ pub fn cdf(label: &str, samples: &mut Cdf, points: usize) {
     println!();
 }
 
-/// Prints a Fig. 8-style stacked-percentile row.
-pub fn stacked(label: &str, samples: &mut Cdf) {
-    if samples.is_empty() {
+/// Prints a Fig. 8-style stacked-percentile row: p5, p25, p50, p75, p90
+/// (`None`: no samples).
+pub fn stacked(label: &str, percentiles: Option<[f64; 5]>) {
+    let Some([p5, p25, p50, p75, p90]) = percentiles else {
         println!("{label:<26} (no samples)");
         return;
-    }
-    let [p5, p25, p50, p75, p90] = samples.stacked_percentiles();
+    };
     println!(
         "{label:<26} p5={p5:>10.2} p25={p25:>10.2} p50={p50:>10.2} p75={p75:>10.2} p90={p90:>10.2}"
     );

@@ -14,7 +14,7 @@ pub mod journal;
 pub mod messages;
 
 use crate::wcl::{Arrival, DestInfo, GatewayInfo, Preamble, Wcl};
-use descriptor::{GroupDescriptor, MemberDot, Membership, DELTA_DOTS};
+use descriptor::{GroupDescriptor, MemberDot, Membership, Window, WindowDigest};
 use election::{ElectionOutcome, LeaderTracker};
 use group::{
     issue_accreditation, verify_accreditation, GroupId, Invitation, Passport, PassportMemo,
@@ -24,6 +24,7 @@ pub use messages::PrivateEntry;
 use messages::{app_short_len, ElectionBallot, Heartbeat, NewKeyAnnouncement, PpssMsg};
 use whisper_rand::Rng;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
@@ -145,8 +146,10 @@ pub struct GroupState {
     pcp: HashMap<NodeId, PrivateEntry>,
     /// Leader liveness / election state.
     tracker: LeaderTracker,
-    /// Outstanding exchange: (partner, WCL msg id).
-    outstanding: Option<(NodeId, u64)>,
+    /// Outstanding exchange: partner, WCL msg id, and the membership
+    /// window whose digest the request stated — what the partner gets if
+    /// it asks.
+    outstanding: Option<(NodeId, u64, Arc<Window>)>,
     /// Latest verified key announcement, piggybacked for dissemination.
     latest_announcement: Option<NewKeyAnnouncement>,
     /// Accumulated membership OR-set, grown from descriptor deltas.
@@ -241,6 +244,24 @@ impl GroupState {
         self.view.sort_by_key(|e| (e.age, e.node));
         self.view.truncate(cap);
     }
+
+    /// Folds a partner's membership window into the OR-set — `true` when
+    /// that taught anything — and drops whoever it revokes from the view
+    /// and PCP at once instead of leaving them to liveness pruning.
+    fn fold_window(&mut self, ctx: &mut Ctx<'_>, window: &Window) -> bool {
+        let changed = self.membership.merge(window);
+        if changed {
+            self.dirty = true;
+            ctx.metrics().count("ppss.membership_folded", 1);
+        }
+        for dot in &window.removes {
+            if !self.membership.is_member(dot.node) {
+                self.view.retain(|e| e.node != dot.node);
+                self.pcp.remove(&dot.node);
+            }
+        }
+        changed
+    }
 }
 
 impl GroupState {
@@ -279,15 +300,6 @@ impl GroupState {
 /// anyway: the bound on what event-driven appends can pile up in eight
 /// cycles.
 const JOURNAL_COMPACT_BYTES: usize = 128 * 1024;
-
-/// Admission/removal dots piggybacked on each member-to-member exchange.
-/// Descriptors carry only [`DELTA_DOTS`]-sized deltas, so these pairwise
-/// merges are what make the membership OR-set converge: a late joiner
-/// learns old admissions from the members it gossips with. The cap keeps
-/// exchanges bounded; groups larger than this still converge, just over
-/// more cycles (each exchange ships the newest dots, older ones arrive
-/// transitively from peers that already hold them).
-const EXCHANGE_DOTS: usize = 64;
 
 /// Record tag: a full durable snapshot of one group.
 const REC_GROUP: u8 = 1;
@@ -791,7 +803,7 @@ impl Ppss {
             // descriptor circulating.
             if state.is_leader() && (state.dirty || state.latest_descriptor.is_none()) {
                 state.desc_seq += 1;
-                let (adds, removes) = state.membership.recent_dots(DELTA_DOTS);
+                let (adds, removes) = state.membership.delta();
                 let key = state.leader_key.as_ref().expect("leader");
                 let desc = GroupDescriptor::sign(
                     key,
@@ -830,7 +842,6 @@ impl Ppss {
                 continue;
             };
             let buffer = Self::build_buffer(state, partner.node, ctx);
-            let (member_adds, member_removes) = state.membership.recent_dots(EXCHANGE_DOTS);
             let msg_id = wcl.alloc_msg_id();
             let msg = PpssMsg::Exchange {
                 group,
@@ -842,10 +853,10 @@ impl Ppss {
                 hb: state.tracker.heartbeat(),
                 election: state.tracker.ballot(),
                 new_key: state.latest_announcement.clone(),
-                member_adds,
-                member_removes,
+                window: state.membership.window_digest(),
+                dots: None,
             };
-            state.outstanding = Some((partner.node, msg_id));
+            state.outstanding = Some((partner.node, msg_id, state.membership.window().clone()));
             ctx.metrics().count("ppss.exchanges_initiated", 1);
             if !wcl.send(ctx, nylon, &partner.dest_info(), msg.to_wire(), None, msg_id) {
                 // No route constructible at all (e.g. every advertised
@@ -1072,7 +1083,7 @@ impl Ppss {
     pub fn on_route_failed(&mut self, msg_id: u64, dest: NodeId) -> Vec<PpssEvent> {
         let mut events = Vec::new();
         for (gid, state) in self.groups.iter_mut() {
-            if state.outstanding == Some((dest, msg_id)) {
+            if state.outstanding.as_ref().is_some_and(|(to, id, _)| (*to, *id) == (dest, msg_id)) {
                 state.outstanding = None;
                 // The paper treats exhausted retries as destination
                 // failure: drop it from the private view.
@@ -1111,6 +1122,7 @@ impl Ppss {
             PpssMsg::JoinReq { group, .. }
             | PpssMsg::JoinAck { group, .. }
             | PpssMsg::Exchange { group, .. }
+            | PpssMsg::Dots { group, .. }
             | PpssMsg::AppData { group, .. }
             | PpssMsg::AppShort { group, .. }
             | PpssMsg::PcpRefresh { group, .. } => *group,
@@ -1140,14 +1152,28 @@ impl Ppss {
                 hb,
                 election,
                 new_key,
-                member_adds,
-                member_removes,
+                window,
+                dots,
             } => {
                 self.handle_exchange(
                     ctx, nylon, wcl, via, group, passport, *from_entry, entries, exchange_id,
-                    is_response, hb, election, new_key, member_adds, member_removes,
-                    &mut events,
+                    is_response, hb, election, new_key, window, dots, &mut events,
                 );
+            }
+            PpssMsg::Dots { group, passport, dots } => {
+                let Some(state) = self.groups.get_mut(&group) else {
+                    ctx.metrics().count("ppss.dropped_unknown_group", 1);
+                    return Some(events);
+                };
+                if !state.admits(group, &passport) {
+                    ctx.metrics().count("ppss.dropped_bad_passport", 1);
+                    return Some(events);
+                }
+                wcl.bind_return(ctx.now(), via, passport.node);
+                if state.fold_window(ctx, &dots) {
+                    self.journal_group(group);
+                    events.push(PpssEvent::ViewUpdated { group });
+                }
             }
             PpssMsg::AppData { group, passport, data, reply_entry } => {
                 // What the sender stated about itself: the bytes between
@@ -1355,8 +1381,8 @@ impl Ppss {
         hb: Heartbeat,
         election: Option<ElectionBallot>,
         new_key: Option<NewKeyAnnouncement>,
-        member_adds: Vec<MemberDot>,
-        member_removes: Vec<MemberDot>,
+        window: WindowDigest,
+        dots: Option<Arc<Window>>,
         events: &mut Vec<PpssEvent>,
     ) {
         let my_entry = self.my_entry(nylon);
@@ -1404,26 +1430,19 @@ impl Ppss {
         if let Some(ballot) = election {
             state.tracker.observe_ballot(ballot);
         }
-        // Membership anti-entropy: fold the peer's dots into our OR-set.
-        // This, not the (latest-only, bounded-delta) descriptor, is what
-        // carries old admissions to late joiners.
-        if state.membership.merge(&Membership::from_dots(member_adds, member_removes.clone())) {
-            journal_after = true;
-            state.dirty = true;
-            ctx.metrics().count("ppss.membership_folded", 1);
-        }
-        // Explicitly-removed nodes leave the view immediately instead of
-        // lingering until liveness pruning notices.
-        for dot in &member_removes {
-            if !state.membership.is_member(dot.node) {
-                state.view.retain(|e| e.node != dot.node);
-                state.pcp.remove(&dot.node);
-            }
-        }
+        // Membership anti-entropy — this, not the (latest-only,
+        // bounded-delta) descriptor, is what carries old admissions to late
+        // joiners. Each side ends up holding what it would if both windows
+        // shipped both ways, but a window ships only to a side that lacks
+        // it (DESIGN.md §15).
         if !is_response {
-            // Answer with our own buffer (built pre-merge).
+            // Answer with our own buffer, and our window if it differs from
+            // the one the request stated — which asks for that one too.
             let buffer = Self::build_buffer(state, from_entry.node, ctx);
-            let (member_adds, member_removes) = state.membership.recent_dots(EXCHANGE_DOTS);
+            let dots = state.membership.window_unless(window);
+            if dots.is_some() {
+                ctx.metrics().count("ppss.windows_asked", 1);
+            }
             let resp = PpssMsg::Exchange {
                 group,
                 passport: state.passport.clone(),
@@ -1434,17 +1453,33 @@ impl Ppss {
                 hb: state.tracker.heartbeat(),
                 election: state.tracker.ballot(),
                 new_key: state.latest_announcement.clone(),
-                member_adds,
-                member_removes,
+                window: state.membership.window_digest(),
+                dots,
             };
             ctx.metrics().count("ppss.exchanges_served", 1);
             wcl.send_untracked(ctx, nylon, &from_entry.dest_info(), &resp.to_wire(), None);
         } else {
-            if state.outstanding == Some((from_entry.node, exchange_id)) {
-                state.outstanding = None;
-            }
+            let asked = state
+                .outstanding
+                .take_if(|(to, id, _)| (*to, *id) == (from_entry.node, exchange_id));
             wcl.notify_response(ctx, exchange_id);
             ctx.metrics().count("ppss.exchanges_completed", 1);
+            if let Some(theirs) = dots {
+                // The window our request stated (the current one for an
+                // answer that outlived it): the responder would have merged
+                // it before answering, and shipped the window of the union.
+                let ours = asked.map_or_else(|| state.membership.window().clone(), |(.., w)| w);
+                journal_after |= state.fold_window(ctx, &theirs.joined(&ours));
+                // Of ours, the responder needs what its window lacks.
+                let missing = ours.minus(&theirs);
+                if !missing.is_empty() {
+                    let passport = state.passport.clone();
+                    let follow_up = PpssMsg::Dots { group, passport, dots: missing }.to_wire();
+                    if wcl.send_on_route(ctx, nylon, &from_entry.dest_info(), &follow_up) {
+                        ctx.metrics().count("ppss.windows_sent", 1);
+                    }
+                }
+            }
         }
         let mut received = entries;
         received.push(from_entry);

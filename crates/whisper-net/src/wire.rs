@@ -212,15 +212,16 @@ impl<'a> WireReader<'a> {
 
     /// Reads a length-prefixed sequence.
     ///
-    /// The length is sanity-checked against the remaining input so a
-    /// corrupted prefix cannot trigger an enormous allocation.
+    /// The length is sanity-checked against the remaining input, and what
+    /// is reserved up front is bounded by it in bytes, so a corrupted
+    /// prefix cannot trigger an allocation larger than the input.
     pub fn take_seq<T: WireDecode>(&mut self) -> Result<Vec<T>, WireError> {
         let len = self.take_u32()? as usize;
         if len > self.remaining() {
             // Every element occupies at least one byte.
             return Err(WireError::new("sequence length exceeds input"));
         }
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::with_capacity(len.min(self.remaining() / size_of::<T>().max(1)));
         for _ in 0..len {
             out.push(T::decode(self)?);
         }

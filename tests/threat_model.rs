@@ -283,6 +283,54 @@ fn membership_invisible_to_active_prober() {
         .ppss()
         .group(group)
         .is_none());
+
+    // Over the WCL this time, so that it reaches the PPSS: an exchange
+    // response that ships a window — with a dot for the prober in it — and
+    // so asks for the target's. A member checks the passport before it
+    // would fold or answer anything: it sends no window, learns no dot,
+    // and reacts no more than the non-member, which knows no such group.
+    use std::sync::Arc;
+    use whisper::core::ppss::descriptor::{MemberDot, Window};
+    let entry_of = |sim: &mut Sim, id: NodeId| {
+        let mut entry = None;
+        sim.with_node_ctx::<WhisperNode>(id, |node, _| node.with_api(|api, _| entry = Some(api.my_entry())));
+        entry.expect("up")
+    };
+    let planted = MemberDot { node: prober, epoch: 0, counter: 1 << 40 };
+    let asking = PpssMsg::Exchange {
+        group,
+        passport: Passport { node: prober, signature: vec![0u8; 48] },
+        from_entry: Box::new(entry_of(&mut sim, prober)),
+        entries: vec![],
+        exchange_id: 1,
+        is_response: true,
+        hb: Default::default(),
+        election: None,
+        new_key: None,
+        window: [0; 16],
+        dots: Some(Arc::new(Window { adds: vec![planted], removes: vec![] })),
+    }
+    .to_wire();
+    let counters = |sim: &Sim| {
+        ["ppss.windows_sent", "ppss.dropped_bad_passport", "ppss.dropped_unknown_group"]
+            .map(|name| sim.metrics().counter(name))
+    };
+    let (before, up_before) = (counters(&sim), [member_target, nonmember_target].map(|t| sim.metrics().traffic(t).up_msgs));
+    for target in [member_target, nonmember_target] {
+        let dest = entry_of(&mut sim, target).dest_info();
+        sim.with_node_ctx::<WhisperNode>(prober, |node, ctx| {
+            node.with_api(|api, _| assert!(api.wcl.send_untracked(ctx, api.nylon, &dest, &asking, None)));
+        });
+    }
+    sim.run_for_secs(2);
+    let after = counters(&sim);
+    assert_eq!(after[0], before[0], "a window went out to the prober");
+    assert_eq!((after[1] - before[1], after[2] - before[2]), (1, 1), "each target dropped it, by name");
+    let up_after = [member_target, nonmember_target].map(|t| sim.metrics().traffic(t).up_msgs);
+    let (member_delta, nonmember_delta) = (up_after[0] - up_before[0], up_after[1] - up_before[1]);
+    assert!(member_delta <= nonmember_delta + 2, "member reacted: {member_delta} vs {nonmember_delta}");
+    let held = sim.node::<WhisperNode>(member_target).unwrap().ppss().group(group).unwrap().membership().dots();
+    assert!(!held.0.contains(&planted), "the member folded the prober's dot");
 }
 
 /// A passive observer classifying nodes by traffic volume cannot separate
@@ -606,6 +654,34 @@ fn no_keystream_block_serves_both_directions() {
     };
     assert_eq!(blocks(&out).len(), 1024, "a keystream does not repeat");
     assert!(blocks(&out).is_disjoint(&blocks(&back)));
+}
+
+/// The follow-up that carries a requester's membership window when a
+/// response asked for it is one more circuit packet: over a group's first
+/// five cycles, while the members' windows still differ and follow-ups go
+/// out, nothing any link carries shows the group id or a member's passport.
+/// (That an exchange is larger when a window ships is a size channel; the
+/// traffic-analysis adversary it would serve is parked, DESIGN.md §15.)
+#[test]
+fn a_window_follow_up_shows_relays_no_group_id() {
+    let (mut sim, ids, log) = build_tapped_net(25, 10);
+    let (leader, members) = (ids[3], &ids[4..12]);
+    let from = log.lock().unwrap().len();
+    let group = form_tapped_group(&mut sim, leader, members, "windows");
+    sim.run_for_secs(300);
+    assert!(sim.metrics().counter("ppss.windows_sent") > 0, "no follow-up was sent");
+    let passports: Vec<Vec<u8>> = std::iter::once(&leader)
+        .chain(members)
+        .filter_map(|&m| Some(sim.node::<Tap>(m)?.inner.ppss().group(group)?.passport().signature.clone()))
+        .collect();
+    assert!(passports.len() > members.len() / 2, "the group formed");
+    let shows = |packet: &[u8], secret: &[u8]| packet.windows(16).any(|w| secret.windows(16).any(|s| s == w));
+    for crossing in wcl_crossings(&log, from) {
+        assert!(!shows(&crossing.packet, &group.0.to_be_bytes()), "the group id at {}", crossing.at);
+        for passport in &passports {
+            assert!(!shows(&crossing.packet, passport), "a passport at {}", crossing.at);
+        }
+    }
 }
 
 /// End-to-end content privacy over the live stack: a secret string sent

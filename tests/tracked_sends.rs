@@ -213,6 +213,16 @@ fn answers_ride_back_under_loss(seed: u64) {
     let rode_back = count("wcl.return_sent");
     assert_eq!(untracked, rode_back + count("wcl.return_unbound") + count("wcl.return_stale"));
     assert!(rode_back * 100 >= untracked * 98, "{rode_back} of {untracked} rode back");
+    // The one untracked send that goes out instead: the follow-up with a
+    // requester's window, asked for by a response, on the request's own
+    // circuit. With it every send is accounted for — a circuit packet or
+    // an onion, first try, retry, answer or follow-up.
+    let follow_ups = count("ppss.windows_sent");
+    assert!(follow_ups > 0 && follow_ups <= count("ppss.windows_asked"));
+    assert_eq!(
+        count("wcl.circuit_hit") + count("wcl.paths_built"),
+        count("wcl.route_attempts") + count("wcl.route_retry") + untracked + follow_ups
+    );
     assert!(count("ppss.context_miss") * 1000 <= count("wcl.short_sent"));
 }
 
