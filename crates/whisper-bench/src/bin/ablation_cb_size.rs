@@ -5,5 +5,5 @@ use whisper_bench::experiments::{self, ablation_cb_size};
 
 fn main() {
     let params = if experiments::quick_flag() { ablation_cb_size::Params::quick() } else { ablation_cb_size::Params::paper() };
-    ablation_cb_size::run(&params);
+    ablation_cb_size::run(&params).print();
 }

@@ -1,6 +1,6 @@
-//! Runs every table/figure experiment in sequence, producing the full
-//! output recorded in `EXPERIMENTS.md`. Pass `--quick` for the
-//! smoke-test variants.
+//! Runs every table/figure experiment in sequence and prints each.
+//! `scripts/paper_tables.sh` pastes the full output into `EXPERIMENTS.md`;
+//! `--quick` (the smoke-test variants) is `scripts/golden/figures_quick.txt`.
 
 use whisper_bench::experiments::{self, *};
 
@@ -15,13 +15,13 @@ fn main() {
             }
         };
     }
-    go!(fig5);
-    go!(fig6);
-    go!(table1);
-    go!(fig7);
-    go!(table2);
+    go!(fig5).print();
+    go!(fig6).print();
+    go!(table1).print();
+    go!(fig7).print();
+    go!(table2).print();
     go!(fig8).print();
-    go!(fig9);
-    go!(ablation_path_length);
-    go!(ablation_cb_size);
+    go!(fig9).print();
+    go!(ablation_path_length).print();
+    go!(ablation_cb_size).print();
 }

@@ -12,5 +12,5 @@ fn main() {
     if std::env::args().any(|a| a == "--no-oldest-p-discard") {
         params.oldest_p_discard = false;
     }
-    fig5::run(&params);
+    fig5::run(&params).print();
 }

@@ -5,5 +5,5 @@ use whisper_bench::experiments::{self, fig6};
 
 fn main() {
     let params = if experiments::quick_flag() { fig6::Params::quick() } else { fig6::Params::paper() };
-    fig6::run(&params);
+    fig6::run(&params).print();
 }

@@ -5,5 +5,5 @@ use whisper_bench::experiments::{self, fig7};
 
 fn main() {
     let params = if experiments::quick_flag() { fig7::Params::quick() } else { fig7::Params::paper() };
-    fig7::run(&params);
+    fig7::run(&params).print();
 }

@@ -13,5 +13,5 @@ use whisper_bench::experiments::{self, lifecycle};
 fn main() {
     let quick = experiments::quick_flag();
     let seed = experiments::arg_value("--seed").map(|s| s as u64).unwrap_or(7);
-    lifecycle::run(quick, seed);
+    lifecycle::run(quick, seed).print();
 }

@@ -11,7 +11,7 @@ fn main() {
     let quick = experiments::quick_flag();
     let faults_only = std::env::args().any(|a| a == "--faults");
     if !faults_only {
-        table1::run(&if quick { table1::Params::quick() } else { table1::Params::paper() });
+        table1::run(&if quick { table1::Params::quick() } else { table1::Params::paper() }).print();
     }
-    table1::run_fault_scenarios(quick, 7);
+    table1::run_fault_scenarios(quick, 7).print();
 }

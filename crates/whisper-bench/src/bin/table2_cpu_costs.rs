@@ -5,5 +5,5 @@ use whisper_bench::experiments::{self, table2};
 
 fn main() {
     let params = if experiments::quick_flag() { table2::Params::quick() } else { table2::Params::paper() };
-    table2::run(&params);
+    table2::run(&params).print();
 }

@@ -283,70 +283,84 @@ pub fn run_scenario(scenario: Scenario, params: &ChaosParams) -> ChaosOutcome {
     builder.whisper.wcl.adaptive_rto = params.adaptive_rto;
     let mut net = builder.build_whisper(|_| Box::new(EchoApp::default()));
     net.sim.run_for_secs(params.warmup);
+    let (leaders, groups, membership) =
+        net.form_groups(params.groups, "chaos", params.seed ^ 0x51, params.settle);
 
-    let leaders: Vec<NodeId> = net.publics().into_iter().take(params.groups).collect();
-    assert_eq!(leaders.len(), params.groups, "not enough P-nodes for leaders");
-    let groups = net.create_groups(&leaders, "chaos");
-    let membership = net.subscribe_members(&leaders, &groups, 1, params.seed ^ 0x51);
-    net.sim.run_for_secs(params.settle);
+    let (from, to) = fault_window(&net, params);
+    let mut rng = StdRng::seed_from_u64(params.seed ^ 0xC4A0_5EED);
+    let victims = shuffled_victims(&net, &leaders, &mut rng);
+    let plan = build_plan(scenario, &net, &victims, from, to);
+    net.sim.install_fault_plan(plan);
 
-    // The fault window is anchored to the request schedule: it opens
-    // `fault_after_round` rounds into the workload, halfway between two
-    // send instants — the preceding round's requests (answered within a
-    // second on the cluster profile) are the pre-fault baseline, and the
-    // requests issued *inside* the window exercise retry and repair.
+    let mut requests = Requests::default();
+    for _round in 0..params.rounds {
+        for (gi, members) in membership.iter().enumerate() {
+            requests.round(&mut net, groups[gi], members, params.pairs_per_round, &mut rng);
+        }
+        net.sim.run_for_secs(params.round_period);
+    }
+    net.sim.run_for_secs(params.heal_wait);
+    collect(&net, requests.skipped)
+}
+
+/// The tracked request workload: a nonce per request, and the request
+/// slots it had to skip.
+#[derive(Default)]
+struct Requests {
+    nonce: u64,
+    skipped: u64,
+}
+
+impl Requests {
+    /// Issues `count` requests in `group`, each from a random one of
+    /// `members`; none when the group has fewer than two members.
+    fn round(&mut self, net: &mut WhisperNet, group: GroupId, members: &[NodeId], count: usize, rng: &mut StdRng) {
+        if members.len() < 2 {
+            return;
+        }
+        for _ in 0..count {
+            let src = members[rng.gen_range(0..members.len())];
+            self.nonce += 1;
+            if !send_request(net, group, src, self.nonce, rng) {
+                self.skipped += 1;
+            }
+        }
+    }
+}
+
+/// The fault window, anchored to the request schedule: it opens
+/// `fault_after_round` rounds into the workload, halfway between two send
+/// instants — the preceding round's requests (answered within a second on
+/// the cluster profile) are the pre-fault baseline, and the requests issued
+/// *inside* the window exercise retry and repair.
+fn fault_window(net: &WhisperNet, params: &ChaosParams) -> (SimTime, SimTime) {
     let t0 = net.sim.now().as_micros();
     let from = SimTime::from_micros(
         t0 + (params.fault_after_round * params.round_period + params.round_period / 2)
             * 1_000_000,
     );
-    let to = SimTime::from_micros(from.as_micros() + params.fault_len * 1_000_000);
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0xC4A0_5EED);
-    let mut protected: Vec<NodeId> = leaders.clone();
-    protected.extend((0..net.builder.bootstraps as u64).map(NodeId));
-    let plan = build_plan(scenario, &net, &protected, from, to, &mut rng);
-    net.sim.install_fault_plan(plan);
+    (from, SimTime::from_micros(from.as_micros() + params.fault_len * 1_000_000))
+}
 
-    let mut nonce = 0u64;
-    let mut skipped = 0u64;
-    for _round in 0..params.rounds {
-        for (gi, members) in membership.iter().enumerate() {
-            if members.len() < 2 {
-                continue;
-            }
-            for _ in 0..params.pairs_per_round {
-                let src = members[rng.gen_range(0..members.len())];
-                nonce += 1;
-                if !send_request(&mut net, groups[gi], src, nonce, &mut rng) {
-                    skipped += 1;
-                }
-            }
-        }
-        net.sim.run_for_secs(params.round_period);
+/// The nodes a fault may hit, shuffled with `rng`. Bootstraps and group
+/// leaders stay on the "mainland" / alive, so every scenario has a live
+/// core to re-converge around.
+fn shuffled_victims(net: &WhisperNet, leaders: &[NodeId], rng: &mut StdRng) -> Vec<NodeId> {
+    let mut victims = net.expendable(leaders);
+    for i in (1..victims.len()).rev() {
+        victims.swap(i, rng.gen_range(0..=i));
     }
-    net.sim.run_for_secs(params.heal_wait);
-    collect(&net, skipped)
+    victims
 }
 
 /// Builds the scripted fault plan for `scenario` over `[from, to)`.
 fn build_plan(
     scenario: Scenario,
     net: &WhisperNet,
-    protected: &[NodeId],
+    victims: &[NodeId],
     from: SimTime,
     to: SimTime,
-    rng: &mut StdRng,
 ) -> FaultPlan {
-    // Bootstraps and group leaders stay on the "mainland" / alive, so
-    // every scenario has a live core to re-converge around.
-    let mut victims: Vec<NodeId> = net
-        .live()
-        .into_iter()
-        .filter(|id| !protected.contains(id))
-        .collect();
-    for i in (1..victims.len()).rev() {
-        victims.swap(i, rng.gen_range(0..=i));
-    }
     match scenario {
         Scenario::Partition => {
             let island: Vec<NodeId> = victims.iter().take(victims.len() / 4).copied().collect();
@@ -556,39 +570,21 @@ pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
     builder.whisper.wcl.adaptive_rto = params.adaptive_rto;
     let mut net = builder.build_whisper(|_| Box::new(EchoApp::default()));
     net.sim.run_for_secs(params.warmup);
-
-    let leaders: Vec<NodeId> = net.publics().into_iter().take(params.groups).collect();
-    assert_eq!(leaders.len(), params.groups, "not enough P-nodes for leaders");
-    let groups = net.create_groups(&leaders, "life");
-    let mut membership = net.subscribe_members(&leaders, &groups, 1, params.seed ^ 0x51);
-    net.sim.run_for_secs(params.settle);
+    let (leaders, groups, mut membership) =
+        net.form_groups(params.groups, "life", params.seed ^ 0x51, params.settle);
 
     // Fault plan: two sequential windows. A partition island first (the
     // deletions happen *inside* it, so tombstones must cross the healed
     // cut), then staggered crash/restarts two rounds after the heal (the
     // migration happens inside that one, and restarted members must
     // rebuild group state from their journals alone).
-    let t0 = net.sim.now().as_micros();
-    let from = SimTime::from_micros(
-        t0 + (params.fault_after_round * params.round_period + params.round_period / 2)
-            * 1_000_000,
-    );
-    let to = SimTime::from_micros(from.as_micros() + params.fault_len * 1_000_000);
+    let (from, to) = fault_window(&net, params);
     let crash_from =
         SimTime::from_micros(to.as_micros() + 2 * params.round_period * 1_000_000);
     let crash_to =
         SimTime::from_micros(crash_from.as_micros() + params.fault_len * 1_000_000);
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x11FE_C7C1E);
-    let mut protected: Vec<NodeId> = leaders.clone();
-    protected.extend((0..net.builder.bootstraps as u64).map(NodeId));
-    let mut victims: Vec<NodeId> = net
-        .live()
-        .into_iter()
-        .filter(|id| !protected.contains(id))
-        .collect();
-    for i in (1..victims.len()).rev() {
-        victims.swap(i, rng.gen_range(0..=i));
-    }
+    let victims = shuffled_victims(&net, &leaders, &mut rng);
     let island: Vec<NodeId> = victims.iter().take(victims.len() / 10).copied().collect();
     let mut plan = FaultPlan::new().partition(island, from, to);
     let crashed = (victims.len() / 16).max(1);
@@ -614,8 +610,7 @@ pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
     let mut deleted: Vec<GroupId> = Vec::new();
     let mut late: Option<(NodeId, GroupId, Vec<NodeId>)> = None;
     let mut migrant: Option<(NodeId, GroupId)> = None;
-    let mut nonce = 0u64;
-    let mut skipped = 0u64;
+    let mut requests = Requests::default();
     for round in 0..params.rounds {
         if round == late_round {
             // Create + join a fresh group while the workload is running.
@@ -666,34 +661,19 @@ pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
             }
         }
         for (gi, members) in membership.iter().enumerate() {
-            if !active[gi] || members.len() < 2 {
-                continue;
-            }
-            for _ in 0..params.pairs_per_round {
-                let src = members[rng.gen_range(0..members.len())];
-                nonce += 1;
-                if !send_request(&mut net, groups[gi], src, nonce, &mut rng) {
-                    skipped += 1;
-                }
+            if active[gi] {
+                requests.round(&mut net, groups[gi], members, params.pairs_per_round, &mut rng);
             }
         }
         // The late group joins the workload once formed.
         if let Some((_, gid, invitees)) = &late {
-            if invitees.len() >= 2 {
-                for _ in 0..params.pairs_per_round.min(2) {
-                    let src = invitees[rng.gen_range(0..invitees.len())];
-                    nonce += 1;
-                    if !send_request(&mut net, *gid, src, nonce, &mut rng) {
-                        skipped += 1;
-                    }
-                }
-            }
+            requests.round(&mut net, *gid, invitees, params.pairs_per_round.min(2), &mut rng);
         }
         net.sim.run_for_secs(params.round_period);
     }
     net.sim.run_for_secs(params.heal_wait);
 
-    let echo = collect(&net, skipped);
+    let echo = collect(&net, requests.skipped);
     let resurrections = net
         .live()
         .into_iter()

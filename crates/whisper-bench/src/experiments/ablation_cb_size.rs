@@ -3,11 +3,8 @@
 //! leases. This ablation sweeps the factor under churn and measures route
 //! success.
 
-use crate::harness::NetBuilder;
+use crate::harness::{NetBuilder, Routes};
 use crate::report;
-use whisper_rand::rngs::StdRng;
-use whisper_rand::{Rng, SeedableRng};
-use whisper_net::NodeId;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -48,67 +45,38 @@ impl Params {
     }
 }
 
+/// The ablation: `(cb_factor, route outcomes)` per swept factor, in
+/// sweep order.
+#[derive(Clone, Debug)]
+pub struct CbSize {
+    /// The rows.
+    pub rows: Vec<(usize, Routes)>,
+}
+
 /// Runs the ablation.
-pub fn run(params: &Params) {
-    report::banner(
-        "Ablation: connection backlog size",
-        "CB = factor × c under churn — route success sensitivity",
-    );
-    println!(
-        "{:<10} {:>12} {:>10} {:>10} {:>12}",
-        "cb_factor", "success %", "alt %", "no-alt %", "routes"
-    );
+pub fn run(params: &Params) -> CbSize {
+    let mut rows = Vec::new();
     for &factor in &params.cb_factors {
         let mut builder = NetBuilder::cluster(params.nodes, params.seed);
         builder.whisper.nylon.cb_factor = factor;
-        let mut net = builder.build_whisper(|_| Box::new(whisper_core::node::NoApp));
-        net.sim.run_for_secs(params.warmup);
-        let leaders: Vec<NodeId> = net.publics().into_iter().take(params.groups).collect();
-        let groups = net.create_groups(&leaders, "ablcb");
-        net.subscribe_members(&leaders, &groups, 1, params.seed ^ 0x13);
-        net.sim.run_for_secs(params.warmup);
-        net.sim.metrics_mut().reset_counters_and_samples();
-
-        let mut key_rng = StdRng::seed_from_u64(params.seed ^ 0xCB);
-        let mut group_rng = StdRng::seed_from_u64(params.seed ^ 0xCB1);
-        let leaves_per_min =
-            (params.nodes as f64 * params.churn_percent / 100.0).round() as usize;
-        let mut protected: Vec<NodeId> = leaders.clone();
-        protected.extend((0..net.builder.bootstraps as u64).map(NodeId));
-        for _minute in 0..params.measure / 60 {
-            net.sim.run_for_secs(60);
-            for _ in 0..leaves_per_min {
-                let candidates: Vec<NodeId> = net
-                    .live()
-                    .into_iter()
-                    .filter(|id| !protected.contains(id))
-                    .collect();
-                if candidates.is_empty() {
-                    break;
-                }
-                let victim = candidates[net.sim.rng().gen_range(0..candidates.len())];
-                net.sim.remove_node(victim);
-            }
-            for _ in 0..leaves_per_min {
-                let gi = group_rng.gen_range(0..groups.len());
-                net.spawn_node(&mut key_rng, Some((leaders[gi], groups[gi])));
-            }
-        }
-        net.sim.run_for_secs(30);
-
-        let m = net.sim.metrics();
-        let first = m.counter("wcl.route_first_success");
-        let alt = m.counter("wcl.route_alt_success");
-        let no_alt = m.counter("wcl.route_no_alt");
-        let total = (first + alt + no_alt).max(1);
-        println!(
-            "{:<10} {:>11.2}% {:>9.2}% {:>9.2}% {:>12}",
-            factor,
-            first as f64 / total as f64 * 100.0,
-            alt as f64 / total as f64 * 100.0,
-            no_alt as f64 / total as f64 * 100.0,
-            total
-        );
+        let (mut net, leaders, groups) =
+            builder.grouped(params.warmup, params.groups, "ablcb", params.seed ^ 0x13, params.warmup);
+        net.churn(params.measure, params.churn_percent, &leaders, &groups, params.seed ^ 0xCB, params.seed ^ 0xCB1);
+        rows.push((factor, net.routes()));
     }
-    println!("(expected: small CBs limit first-mix choice and hurt success; 2×c is comfortable)");
+    CbSize { rows }
+}
+
+impl CbSize {
+    /// Prints the ablation's table.
+    pub fn print(&self) {
+        report::banner(
+            "Ablation: connection backlog size",
+            "CB = factor × c under churn — route success sensitivity",
+        );
+        println!("{:<10} {}", "cb_factor", Routes::HEADER);
+        for (factor, routes) in &self.rows {
+            println!("{factor:<10} {routes}");
+        }
+    }
 }

@@ -3,10 +3,10 @@
 //! measures what longer paths cost in exchange latency, route success and
 //! bandwidth.
 
-use crate::harness::NetBuilder;
+use crate::harness::{NetBuilder, Routes};
 use crate::report;
 use whisper_net::stats::Cdf;
-use whisper_net::NodeId;
+use whisper_net::metrics::traffic_delta;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -44,56 +44,76 @@ impl Params {
     }
 }
 
+/// What one path length measured.
+#[derive(Clone, Debug)]
+pub struct Row {
+    /// Mixes per path.
+    pub mixes: usize,
+    /// Exchange round trips, seconds each.
+    pub rtt_s: Cdf,
+    /// Route outcomes.
+    pub routes: Routes,
+    /// Bytes sent by the whole population while measuring.
+    pub up_bytes: u64,
+    /// PPSS exchanges completed while measuring.
+    pub exchanges: u64,
+}
+
+/// The ablation: one row per swept mix count, in sweep order.
+#[derive(Clone, Debug)]
+pub struct PathLength {
+    /// The rows.
+    pub rows: Vec<Row>,
+}
+
 /// Runs the ablation.
-pub fn run(params: &Params) {
-    report::banner(
-        "Ablation: path length",
-        "f mixes tolerate f−1 colluding mixes — at what cost?",
-    );
-    println!(
-        "{:<8} {:>12} {:>12} {:>12} {:>14} {:>14}",
-        "mixes", "rtt p50 (s)", "rtt p90 (s)", "success %", "KB/exchange", "exchanges"
-    );
+pub fn run(params: &Params) -> PathLength {
+    let mut rows = Vec::new();
     for &mixes in &params.mixes {
         let mut builder = NetBuilder::cluster(params.nodes, params.seed);
         builder.whisper.wcl.mixes = mixes;
-        let mut net = builder.build_whisper(|_| Box::new(whisper_core::node::NoApp));
-        net.sim.run_for_secs(params.warmup);
-        let leaders: Vec<NodeId> = net.publics().into_iter().take(params.groups).collect();
-        let groups = net.create_groups(&leaders, "ablpath");
-        net.subscribe_members(&leaders, &groups, 1, params.seed ^ 0x12);
-        net.sim.run_for_secs(params.warmup);
+        let (mut net, ..) = builder.grouped(params.warmup, params.groups, "ablpath", params.seed ^ 0x12, params.warmup);
         let before = net.sim.metrics().traffic_snapshot();
-        net.sim.metrics_mut().reset_counters_and_samples();
         net.sim.run_for_secs(params.measure);
         let after = net.sim.metrics().traffic_snapshot();
 
         let m = net.sim.metrics();
-        let mut rtt = Cdf::from_samples(m.samples("wcl.rtt_s").iter().copied());
-        let first = m.counter("wcl.route_first_success");
-        let alt = m.counter("wcl.route_alt_success");
-        let fails = m.counter("wcl.route_no_alt") + m.counter("wcl.route_exhausted");
-        let total = (first + alt + fails).max(1);
-        let success = (first + alt) as f64 / total as f64 * 100.0;
-        let bytes: u64 = whisper_net::metrics::traffic_delta(&before, &after)
-            .values()
-            .map(|t| t.up_bytes)
-            .sum();
-        let exchanges = m.counter("ppss.exchanges_completed").max(1);
-        let (p50, p90) = if rtt.is_empty() {
-            (f64::NAN, f64::NAN)
-        } else {
-            (rtt.median(), rtt.percentile(90.0))
-        };
-        println!(
-            "{:<8} {:>12.3} {:>12.3} {:>12.2} {:>14.2} {:>14}",
+        rows.push(Row {
             mixes,
-            p50,
-            p90,
-            success,
-            bytes as f64 / exchanges as f64 / 1024.0,
-            exchanges
-        );
+            rtt_s: Cdf::from_samples(m.samples("wcl.rtt_s").iter().copied()),
+            routes: net.routes(),
+            up_bytes: traffic_delta(&before, &after).values().map(|t| t.up_bytes).sum(),
+            exchanges: m.counter("ppss.exchanges_completed"),
+        });
     }
-    println!("(expected: latency and bandwidth grow with path length; success dips slightly)");
+    PathLength { rows }
+}
+
+impl PathLength {
+    /// Prints the ablation's table.
+    pub fn print(&self) {
+        report::banner(
+            "Ablation: path length",
+            "f mixes tolerate f−1 colluding mixes — at what cost?",
+        );
+        println!(
+            "{:<8} {:>12} {:>12} {:>12} {:>14} {:>14}",
+            "mixes", "rtt p50 (s)", "rtt p90 (s)", "success %", "KB/exchange", "exchanges"
+        );
+        for row in &self.rows {
+            let mut rtt = row.rtt_s.clone();
+            let (p50, p90) = if rtt.is_empty() { (f64::NAN, f64::NAN) } else { (rtt.median(), rtt.percentile(90.0)) };
+            let [first, alt, _] = row.routes.shares();
+            let exchanges = row.exchanges.max(1);
+            println!(
+                "{:<8} {:>12.3} {:>12.3} {:>12.2} {:>14.2} {:>14}",
+                row.mixes,
+                p50,
+                p90,
+                first + alt,
+                row.up_bytes as f64 / exchanges as f64 / 1024.0,
+                exchanges
+            );
+        }
+    }
 }

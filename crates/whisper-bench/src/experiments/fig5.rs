@@ -7,6 +7,7 @@
 use crate::harness::NetBuilder;
 use crate::report;
 use whisper_net::stats::Cdf;
+use whisper_net::NodeId;
 use whisper_pss::graph::OverlaySnapshot;
 use whisper_pss::{NylonConfig, NylonNode};
 
@@ -43,16 +44,35 @@ impl Params {
     }
 }
 
-/// Runs the experiment and prints Fig. 5-style output.
-pub fn run(params: &Params) {
-    report::banner(
-        "Figure 5",
-        "biased PSS: clustering coefficient and in-degree distributions",
-    );
-    println!(
-        "nodes={} secs={} view=c=10 oldest_p_discard={}",
-        params.nodes, params.secs, params.oldest_p_discard
-    );
+/// What one Π measured.
+#[derive(Clone, Debug)]
+pub struct Setting {
+    /// P-nodes enforced per view.
+    pub pi: usize,
+    /// Local clustering coefficient of every node.
+    pub clustering: Cdf,
+    /// In-degree of each live N-node.
+    pub indeg_n: Cdf,
+    /// In-degree of each live P-node.
+    pub indeg_p: Cdf,
+    /// Mean local clustering coefficient.
+    pub mean_cc: f64,
+    /// P-node entries per view, averaged over the population.
+    pub p_in_views: f64,
+}
+
+/// Fig. 5: one setting per swept Π, in sweep order.
+#[derive(Clone, Debug)]
+pub struct Fig5 {
+    /// What was run.
+    pub params: Params,
+    /// The settings.
+    pub settings: Vec<Setting>,
+}
+
+/// Runs the experiment.
+pub fn run(params: &Params) -> Fig5 {
+    let mut settings = Vec::new();
     for &pi in &params.pis {
         let mut cfg = NylonConfig::with_pi(pi);
         cfg.oldest_p_discard = params.oldest_p_discard;
@@ -69,52 +89,52 @@ pub fn run(params: &Params) {
                 })
                 .collect(),
         );
-        let publics = net.publics();
-        let natted = net.natted();
-
-        report::section(&format!("Π = {pi}"));
-        let cc = snap.clustering_coefficients();
-        let mut cc_all = Cdf::from_samples(cc.values().copied());
-        report::cdf("local clustering coefficient (all nodes)", &mut cc_all, 11);
-
         let in_deg = snap.in_degrees();
-        let mut deg_n = Cdf::from_samples(
-            natted.iter().map(|id| *in_deg.get(id).unwrap_or(&0) as f64),
-        );
-        let mut deg_p = Cdf::from_samples(
-            publics.iter().map(|id| *in_deg.get(id).unwrap_or(&0) as f64),
-        );
-        report::cdf("in-degree (N-nodes)", &mut deg_n, 11);
-        report::cdf("in-degree (P-nodes)", &mut deg_p, 11);
-        if std::env::var("FIG5_DEBUG").is_ok() {
-            dump_counters(&net);
-        }
-        report::row(
-            "summary",
-            &[
-                ("mean_cc", snap.mean_clustering()),
-                ("mean_indeg_N", deg_n.mean()),
-                ("mean_indeg_P", deg_p.mean()),
-                (
-                    "p_in_views_avg",
-                    net.ids
-                        .iter()
-                        .filter_map(|id| net.sim.node::<NylonNode>(*id))
-                        .map(|n| n.core().view().p_count() as f64)
-                        .sum::<f64>()
-                        / net.ids.len() as f64,
-                ),
-            ],
-        );
+        let indeg = |ids: Vec<NodeId>| Cdf::from_samples(ids.iter().map(|id| *in_deg.get(id).unwrap_or(&0) as f64));
+        settings.push(Setting {
+            pi,
+            clustering: Cdf::from_samples(snap.clustering_coefficients().values().copied()),
+            indeg_n: indeg(net.natted()),
+            indeg_p: indeg(net.publics()),
+            mean_cc: snap.mean_clustering(),
+            p_in_views: net
+                .ids
+                .iter()
+                .filter_map(|id| net.sim.node::<NylonNode>(*id))
+                .map(|n| n.core().view().p_count() as f64)
+                .sum::<f64>()
+                / net.ids.len() as f64,
+        });
     }
+    Fig5 { params: params.clone(), settings }
 }
 
-/// Diagnostic dump of class-tagged PSS counters (debugging aid).
-pub fn dump_counters(net: &crate::harness::PssNet) {
-    for name in ["pss.partner_public", "pss.partner_natted",
-                 "pss.timeout_removed_public", "pss.timeout_removed_natted",
-                 "pss.sendfail_removed_public", "pss.sendfail_removed_natted",
-                 "pss.gossip_initiated", "pss.gossip_completed"] {
-        println!("  {name} = {}", net.sim.metrics().counter(name));
+impl Fig5 {
+    /// Prints Fig. 5-style output.
+    pub fn print(&self) {
+        report::banner(
+            "Figure 5",
+            "biased PSS: clustering coefficient and in-degree distributions",
+        );
+        let params = &self.params;
+        println!(
+            "nodes={} secs={} view=c=10 oldest_p_discard={}",
+            params.nodes, params.secs, params.oldest_p_discard
+        );
+        for s in &self.settings {
+            report::section(&format!("Π = {}", s.pi));
+            report::cdf("local clustering coefficient (all nodes)", &s.clustering, 11);
+            report::cdf("in-degree (N-nodes)", &s.indeg_n, 11);
+            report::cdf("in-degree (P-nodes)", &s.indeg_p, 11);
+            report::row(
+                "summary",
+                &[
+                    ("mean_cc", s.mean_cc),
+                    ("mean_indeg_N", s.indeg_n.mean()),
+                    ("mean_indeg_P", s.indeg_p.mean()),
+                    ("p_in_views_avg", s.p_in_views),
+                ],
+            );
+        }
     }
 }

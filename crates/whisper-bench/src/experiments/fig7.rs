@@ -10,7 +10,6 @@
 use crate::harness::NetBuilder;
 use crate::report;
 use whisper_net::stats::Cdf;
-use whisper_net::NodeId;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -56,55 +55,89 @@ impl Params {
     }
 }
 
-fn run_profile(params: &Params, label: &str, builder: NetBuilder) {
-    let mut net = builder.build_whisper(|_| Box::new(whisper_core::node::NoApp));
-    net.sim.run_for_secs(params.warmup);
-    let publics = net.publics();
-    let leaders: Vec<NodeId> = publics.into_iter().take(params.groups).collect();
-    let groups = net.create_groups(&leaders, "fig7");
-    net.subscribe_members(&leaders, &groups, 1, params.seed ^ 0x71);
-    net.sim.run_for_secs(params.warmup);
-    net.sim.metrics_mut().reset_counters_and_samples();
-    net.sim.run_for_secs(params.measure);
+/// What one profile measured.
+#[derive(Clone, Debug)]
+pub struct Profile {
+    /// `cluster` or `PlanetLab`.
+    pub label: &'static str,
+    /// Population size.
+    pub nodes: usize,
+    /// Onion path constructions, µs each.
+    pub build_us: Cdf,
+    /// RSA decryptions at the mixes and the destination, µs each.
+    pub peel_us: Cdf,
+    /// Exchange round trips, seconds each.
+    pub rtt_s: Cdf,
+}
 
-    report::section(&format!("{label}: {} nodes, {} groups", net.ids.len(), params.groups));
-    let m = net.sim.metrics();
-    let mut rtt = Cdf::from_samples(m.samples("wcl.rtt_s").iter().copied());
-    let mut build = Cdf::from_samples(m.samples("wcl.build_path_us").iter().map(|v| v / 1e6));
-    let mut peel = Cdf::from_samples(m.samples("wcl.peel_us").iter().map(|v| v / 1e6));
-    report::cdf("build WCL path (s, per onion)", &mut build, 11);
-    report::cdf("RSA decrypts (s, per hop)", &mut peel, 11);
-    report::cdf("total rtt (s, per exchange)", &mut rtt, 11);
-    if !rtt.is_empty() && !build.is_empty() {
-        let ratio = rtt.median() / build.median().max(1e-9);
-        println!(
-            "network-to-crypto ratio (median rtt / median path build): {ratio:.0}x  — {}",
-            if ratio > 10.0 {
-                "network delays dominate, as the paper reports"
-            } else {
-                "UNEXPECTED: crypto is not negligible"
-            }
-        );
-        println!(
-            "exchanges measured: {} (≤2s: {:.1}%, ≤0.5s: {:.1}%)",
-            rtt.len(),
-            rtt.fraction_below(2.0) * 100.0,
-            rtt.fraction_below(0.5) * 100.0
-        );
+impl Profile {
+    /// Median exchange RTT over median path build: how far network delays
+    /// dominate the crypto.
+    pub fn network_to_crypto(&self) -> f64 {
+        self.rtt_s.clone().median() / (self.build_us.clone().median() / 1e6).max(1e-9)
     }
 }
 
-/// Runs the experiment and prints Fig. 7-style output.
-pub fn run(params: &Params) {
-    report::banner("Figure 7", "RTT breakdown of PPSS view exchanges over WCL routes");
-    run_profile(
-        params,
-        "cluster",
-        NetBuilder::cluster(params.cluster_nodes, params.seed),
-    );
-    run_profile(
-        params,
-        "PlanetLab",
-        NetBuilder::planetlab(params.planetlab_nodes, params.seed + 1),
-    );
+/// Fig. 7: the cluster profile, then PlanetLab.
+#[derive(Clone, Debug)]
+pub struct Fig7 {
+    /// What was run.
+    pub params: Params,
+    /// The two profiles.
+    pub profiles: [Profile; 2],
+}
+
+fn run_profile(params: &Params, label: &'static str, builder: NetBuilder) -> Profile {
+    let (mut net, ..) = builder.grouped(params.warmup, params.groups, "fig7", params.seed ^ 0x71, params.warmup);
+    net.sim.run_for_secs(params.measure);
+    let m = net.sim.metrics();
+    let cdf = |name: &str| Cdf::from_samples(m.samples(name).iter().copied());
+    Profile {
+        label,
+        nodes: net.ids.len(),
+        build_us: cdf("wcl.build_path_us"),
+        peel_us: cdf("wcl.peel_us"),
+        rtt_s: cdf("wcl.rtt_s"),
+    }
+}
+
+/// Runs the experiment.
+pub fn run(params: &Params) -> Fig7 {
+    Fig7 {
+        params: params.clone(),
+        profiles: [
+            run_profile(params, "cluster", NetBuilder::cluster(params.cluster_nodes, params.seed)),
+            run_profile(params, "PlanetLab", NetBuilder::planetlab(params.planetlab_nodes, params.seed + 1)),
+        ],
+    }
+}
+
+impl Fig7 {
+    /// Prints Fig. 7-style output.
+    pub fn print(&self) {
+        report::banner("Figure 7", "RTT breakdown of PPSS view exchanges over WCL routes");
+        for p in &self.profiles {
+            report::section(&format!("{}: {} nodes, {} groups", p.label, p.nodes, self.params.groups));
+            report::cdf("build WCL path (µs, per onion)", &p.build_us, 11);
+            report::cdf("RSA decrypts (µs, per hop)", &p.peel_us, 11);
+            report::cdf("total rtt (s, per exchange)", &p.rtt_s, 11);
+            if p.rtt_s.is_empty() || p.build_us.is_empty() {
+                continue;
+            }
+            let ratio = p.network_to_crypto();
+            let verdict = if ratio > 10.0 {
+                "network delays dominate, as the paper reports"
+            } else {
+                "UNEXPECTED: crypto is not negligible"
+            };
+            println!("network-to-crypto ratio (median rtt / median path build): {ratio:.0}x  — {verdict}");
+            let mut rtt = p.rtt_s.clone();
+            println!(
+                "exchanges measured: {} (≤2s: {:.1}%, ≤0.5s: {:.1}%)",
+                rtt.len(),
+                rtt.fraction_below(2.0) * 100.0,
+                rtt.fraction_below(0.5) * 100.0
+            );
+        }
+    }
 }

@@ -108,6 +108,15 @@ pub fn run(params: &Params) -> Fig8 {
 }
 
 impl Fig8 {
+    /// What each added subscription costs in row `row` of [`ROWS`], per
+    /// sweep step: (median at k₂ − median at k₁) / (k₂ − k₁), KB/s per
+    /// group.
+    pub fn step_costs(&self, row: usize) -> Vec<f64> {
+        let median = |s: &Setting| s.rows[row].map_or(f64::NAN, |p| p[2]);
+        let step = |w: &[Setting]| (median(&w[1]) - median(&w[0])) / (w[1].per_node - w[0].per_node) as f64;
+        self.settings.windows(2).map(step).collect()
+    }
+
     /// Prints Fig. 8-style output.
     pub fn print(&self) {
         report::banner(
@@ -122,6 +131,13 @@ impl Fig8 {
             for (label, row) in ROWS.iter().zip(s.rows) {
                 report::stacked(label, row);
             }
+        }
+        report::section("KB/s per added group: (p50 at k₂ − p50 at k₁) / (k₂ − k₁)");
+        let steps: Vec<String> =
+            self.settings.windows(2).map(|w| format!("{}→{}", w[0].per_node, w[1].per_node)).collect();
+        for (i, label) in ROWS.iter().enumerate() {
+            let costs: Vec<(&str, f64)> = steps.iter().map(String::as_str).zip(self.step_costs(i)).collect();
+            report::row(label, &costs);
         }
         println!();
         println!("(paper: costs grow linearly with subscriptions; P-nodes pay more, both within reasonable values)");

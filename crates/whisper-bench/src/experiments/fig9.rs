@@ -41,13 +41,29 @@ impl Params {
     }
 }
 
-/// Runs the experiment and prints Fig. 9-style output.
-pub fn run(params: &Params) {
-    report::banner("Figure 9", "private T-Chord DHT routing delays (cluster)");
-    println!(
-        "nodes={} group={} queries={}",
-        params.nodes, params.group_size, params.queries
-    );
+/// Fig. 9: the ring T-Chord built and the queries routed over it.
+#[derive(Clone, Debug)]
+pub struct Fig9 {
+    /// What was run.
+    pub params: Params,
+    /// Members that joined the DHT group.
+    pub joined: usize,
+    /// Joined members whose first successor is the ideal ring's.
+    pub correct_successors: usize,
+    /// Queries issued.
+    pub issued: usize,
+    /// Queries answered.
+    pub completed: usize,
+    /// Answers that came from the key's owner on the ideal ring.
+    pub correct_owner: usize,
+    /// Routing delay of each answered query, seconds.
+    pub delays_s: Cdf,
+    /// Routing hops of each answered query.
+    pub hops: Cdf,
+}
+
+/// Runs the experiment.
+pub fn run(params: &Params) -> Fig9 {
     let group = GroupId::from_name("fig9-0");
     let builder = NetBuilder::cluster(params.nodes, params.seed);
     let mut net = builder
@@ -79,7 +95,6 @@ pub fn run(params: &Params) {
                 .is_some_and(|n| n.ppss().group(gid).is_some())
         })
         .collect();
-    println!("members joined: {}/{}", joined.len(), params.group_size);
     let ring = IdealRing::new(&joined);
 
     // Ring quality before querying.
@@ -91,7 +106,6 @@ pub fn run(params: &Params) {
             app.neighbors().successors.first().copied() == ring.successor_of(**m)
         })
         .count();
-    println!("correct successors: {correct_succ}/{} (T-Chord convergence)", joined.len());
 
     // Issue the queries from random members.
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x93);
@@ -128,12 +142,38 @@ pub fn run(params: &Params) {
             }
         }
     }
-    report::section("results");
-    println!(
-        "queries issued: {issued}, completed: {completed} ({:.1}%), correct owner: {correct_owner}/{completed}",
-        completed as f64 / issued.max(1) as f64 * 100.0
-    );
-    report::cdf("routing delay (s)", &mut delays, 11);
-    report::cdf("routing hops", &mut hops, 6);
-    println!("(paper: delays range ~0.19 s to ~1.5 s depending on route length)");
+    Fig9 {
+        params: params.clone(),
+        joined: joined.len(),
+        correct_successors: correct_succ,
+        issued,
+        completed,
+        correct_owner,
+        delays_s: delays,
+        hops,
+    }
+}
+
+impl Fig9 {
+    /// Prints Fig. 9-style output.
+    pub fn print(&self) {
+        report::banner("Figure 9", "private T-Chord DHT routing delays (cluster)");
+        let params = &self.params;
+        println!(
+            "nodes={} group={} queries={}",
+            params.nodes, params.group_size, params.queries
+        );
+        println!("members joined: {}/{}", self.joined, params.group_size);
+        println!("correct successors: {}/{} (T-Chord convergence)", self.correct_successors, self.joined);
+        report::section("results");
+        let (issued, completed) = (self.issued, self.completed);
+        println!(
+            "queries issued: {issued}, completed: {completed} ({:.1}%), correct owner: {}/{completed}",
+            completed as f64 / issued.max(1) as f64 * 100.0,
+            self.correct_owner
+        );
+        report::cdf("routing delay (s)", &self.delays_s, 11);
+        report::cdf("routing hops", &self.hops, 6);
+        println!("(paper: delays range ~0.19 s to ~1.5 s depending on route length)");
+    }
 }

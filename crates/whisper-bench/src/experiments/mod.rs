@@ -1,5 +1,6 @@
-//! One module per paper table/figure; each exposes `run(params)` plus a
-//! `Params` type with `paper()` (full scale) and `quick()` (smoke test)
+//! One module per paper table/figure; each exposes `run(params)`, which
+//! returns the result, a `print` method on that result, and a `Params`
+//! type with `paper()` (full scale) and `quick()` (smoke test)
 //! constructors. The binaries in `src/bin/` are thin wrappers.
 
 pub mod ablation_cb_size;

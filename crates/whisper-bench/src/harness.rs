@@ -3,6 +3,7 @@
 
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
+use whisper_core::node::NoApp;
 use whisper_core::{GroupApp, GroupId, WhisperConfig, WhisperNode};
 use whisper_crypto::rsa::{KeyPair, RsaKeySize};
 use whisper_net::nat::{NatDistribution, NatType};
@@ -114,6 +115,25 @@ impl NetBuilder {
         PssNet { sim, ids }
     }
 
+    /// The preamble of the churn and route experiments: builds the
+    /// population without an app, lets the PSS converge for `warmup` s,
+    /// runs [`WhisperNet::form_groups`] and resets the counters and
+    /// samples. Returns the network, the leaders and the groups.
+    pub fn grouped(
+        &self,
+        warmup: u64,
+        groups: usize,
+        prefix: &str,
+        seed: u64,
+        settle: u64,
+    ) -> (WhisperNet, Vec<NodeId>, Vec<GroupId>) {
+        let mut net = self.build_whisper(|_| Box::new(NoApp));
+        net.sim.run_for_secs(warmup);
+        let (leaders, gids, _) = net.form_groups(groups, prefix, seed, settle);
+        net.sim.metrics_mut().reset_counters_and_samples();
+        (net, leaders, gids)
+    }
+
     /// Builds a network of full WHISPER stacks, with an app plugin per
     /// node supplied by `make_app`.
     pub fn build_whisper(
@@ -221,6 +241,32 @@ impl WhisperNet {
         })
     }
 
+    /// Each of the first `groups` live P-nodes leads one group
+    /// (`{prefix}-{i}`), every other non-bootstrap node joins one of them
+    /// (drawn from `seed`), then `settle` s pass. Returns the leaders, the
+    /// groups and each group's members.
+    pub fn form_groups(
+        &mut self,
+        groups: usize,
+        prefix: &str,
+        seed: u64,
+        settle: u64,
+    ) -> (Vec<NodeId>, Vec<GroupId>, Vec<Vec<NodeId>>) {
+        let leaders: Vec<NodeId> = self.publics().into_iter().take(groups).collect();
+        assert_eq!(leaders.len(), groups, "not enough P-nodes for leaders");
+        let gids = self.create_groups(&leaders, prefix);
+        let membership = self.subscribe_members(&leaders, &gids, 1, seed);
+        self.sim.run_for_secs(settle);
+        (leaders, gids, membership)
+    }
+
+    /// Live nodes other than the bootstraps and `leaders`: the ones churn
+    /// and faults may take down.
+    pub fn expendable(&self, leaders: &[NodeId]) -> Vec<NodeId> {
+        let core = |id: &NodeId| id.0 < self.builder.bootstraps as u64 || leaders.contains(id);
+        self.live().into_iter().filter(|id| !core(id)).collect()
+    }
+
     /// Number of live members of `group`.
     pub fn member_count(&self, group: GroupId) -> usize {
         self.live()
@@ -284,5 +330,99 @@ impl WhisperNet {
             }
         }
         membership
+    }
+
+    /// Table I's churn script, 100 % replacement: for `secs / 60` minutes,
+    /// at the end of each minute `percent` % of the population leaves
+    /// (random live nodes other than the leaders and bootstraps) and as
+    /// many fresh nodes each join a random group (the PPSS join retries
+    /// until the leader answers). Replacement keys are drawn from
+    /// `key_seed`, their groups from `group_seed`. Ends with 30 s in which
+    /// in-flight retries resolve.
+    pub fn churn(
+        &mut self,
+        secs: u64,
+        percent: f64,
+        leaders: &[NodeId],
+        groups: &[GroupId],
+        key_seed: u64,
+        group_seed: u64,
+    ) {
+        let mut key_rng = StdRng::seed_from_u64(key_seed);
+        let mut group_rng = StdRng::seed_from_u64(group_seed);
+        let per_min = (self.builder.nodes as f64 * percent / 100.0).round() as usize;
+        for _minute in 0..secs / 60 {
+            self.sim.run_for_secs(60);
+            for _ in 0..per_min {
+                let candidates = self.expendable(leaders);
+                if candidates.is_empty() {
+                    break;
+                }
+                let victim = candidates[self.sim.rng().gen_range(0..candidates.len())];
+                self.sim.remove_node(victim);
+            }
+            for _ in 0..per_min {
+                let gi = group_rng.gen_range(0..groups.len());
+                self.spawn_node(&mut key_rng, Some((leaders[gi], groups[gi])));
+            }
+        }
+        self.sim.run_for_secs(30);
+    }
+
+    /// The route outcomes since the last counter reset, counted the
+    /// Table I way. The paper's footnote 3 excludes destination failures
+    /// ("we do not consider that the failure of the destination node is a
+    /// WCL route failure"); like the authors we have ground truth: a failed
+    /// route whose destination has left the network is a destination
+    /// failure, one whose destination is alive a routing failure. (Under
+    /// 100 %-replacement churn node ids are never reused, so liveness at
+    /// the end equals liveness at the failure for departed nodes.) A live
+    /// destination that no alternative reached and one whose retries ran
+    /// out both count as "No alt.": the paper's table has no column for
+    /// "alternatives existed, none answered".
+    pub fn routes(&self) -> Routes {
+        let m = self.sim.metrics();
+        let failed = [m.samples("wcl.failed_dest_noalt"), m.samples("wcl.failed_dest_exhausted")].concat();
+        let no_alt = failed.iter().filter(|&&dest| self.sim.contains(NodeId(dest as u64))).count() as u64;
+        let (first, alt) = (m.counter("wcl.route_first_success"), m.counter("wcl.route_alt_success"));
+        Routes { first, alt, no_alt, dest_failures: failed.len() as u64 - no_alt }
+    }
+}
+
+/// Route outcomes, as [`WhisperNet::routes`] counts them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Routes {
+    /// Routes that succeeded on the first attempt.
+    pub first: u64,
+    /// Routes that succeeded over an alternative path.
+    pub alt: u64,
+    /// Routes to a live destination that no path reached.
+    pub no_alt: u64,
+    /// Failed routes whose destination had left (in no share).
+    pub dest_failures: u64,
+}
+
+impl Routes {
+    /// Column headers matching [`Routes`]'s `Display`.
+    pub const HEADER: &'static str =
+        "   Success       Alt.    No alt.       routes    dest-fail";
+
+    /// Success, Alt. and No alt. in % of the routes that count.
+    pub fn shares(&self) -> [f64; 3] {
+        let total = (self.first + self.alt + self.no_alt).max(1);
+        [self.first, self.alt, self.no_alt].map(|n| n as f64 / total as f64 * 100.0)
+    }
+
+    /// Route attempts, destination failures included.
+    pub fn attempts(&self) -> u64 {
+        self.first + self.alt + self.no_alt + self.dest_failures
+    }
+}
+
+impl std::fmt::Display for Routes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [success, alt, no_alt] = self.shares();
+        let (attempts, dest_failures) = (self.attempts(), self.dest_failures);
+        write!(f, "{success:>9.2}% {alt:>9.2}% {no_alt:>9.2}% {attempts:>12} {dest_failures:>12}")
     }
 }

@@ -15,12 +15,19 @@
 //! | `ablation_path_length` | §III-A footnote — longer onion paths |
 //! | `ablation_cb_size` | §III-A — connection backlog sizing |
 //! | `all_experiments` | everything above, in sequence |
+//! | `group_lifecycle` | beyond the paper — descriptor propagation and journal recovery under faults |
+//! | `scale_smoke` | beyond the paper — 10k / 100k / 1M PSS nodes complete, allocations per send |
 //!
 //! Run them in release mode, e.g.
 //! `cargo run --release -p whisper-bench --bin fig5_biased_pss`.
 //!
+//! Each `experiments::<fig>::run` returns the figure's result and its
+//! `print` renders it: `tests/paper_claims.rs` asserts the paper's claims
+//! on the results, and `print` is the only renderer of what
+//! `scripts/golden/figures_quick.txt` and EXPERIMENTS.md hold.
+//!
 //! This library holds the shared scaffolding: deterministic population
-//! builders, group formation, bandwidth reporting and plot-style output.
+//! builders, group formation, churn, route outcomes and plot-style output.
 
 pub mod chaos;
 pub mod experiments;

@@ -19,7 +19,8 @@ pub fn section(title: &str) {
 }
 
 /// Prints a CDF as `value fraction` pairs (gnuplot-ready), labelled.
-pub fn cdf(label: &str, samples: &mut Cdf, points: usize) {
+pub fn cdf(label: &str, samples: &Cdf, points: usize) {
+    let mut samples = samples.clone();
     if samples.is_empty() {
         println!("{label}: (no samples)");
         return;

@@ -63,7 +63,7 @@ pub const DELTA_DOTS: usize = 4;
 /// `EXCHANGE_DOTS` of them: nobody ever re-ships the 65th-newest dot, so
 /// in a group of more than this many members the OR-sets do **not**
 /// converge (only the leader, which minted every dot, holds them all;
-/// EXPERIMENTS.md § "A third of onion_cold's bytes were membership the
+/// EXPERIMENTS.md@70f897e § "A third of onion_cold's bytes were membership the
 /// partner already had").
 pub const EXCHANGE_DOTS: usize = 64;
 

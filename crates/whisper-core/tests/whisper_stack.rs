@@ -469,7 +469,7 @@ fn a_completed_exchange_leaves_each_side_the_others_window() {
     assert!(differed >= 5, "only {differed} of {completed} exchanges had windows to ship");
 }
 
-/// **Not what the OR-set does today** (EXPERIMENTS.md § "A third of
+/// **Not what the OR-set does today** (EXPERIMENTS.md@70f897e § "A third of
 /// onion_cold's bytes were membership the partner already had"): every
 /// exchange ships the newest `EXCHANGE_DOTS` dots only, so in a group with
 /// more members than that nobody ever re-ships the older admissions, and a

@@ -16,7 +16,7 @@ use std::sync::{Condvar, Mutex};
 /// [`std::hint::spin_loop`] each) before it sleeps. Set from measurement,
 /// not an option: on the 2-core reference host `gossip_scale_mt` reads
 /// the same at 4 000, 20 000 and 200 000 polls, a fifth less at 1 000 and
-/// two fifths less at 0 (EXPERIMENTS.md § "One barrier per window").
+/// two fifths less at 0 (EXPERIMENTS.md@70f897e § "One barrier per window").
 /// 4 000 polls take ≈ 44 µs there, about the length of a window: a shard
 /// later than that is not finishing its window, it has lost its core,
 /// and this one is better given back too.

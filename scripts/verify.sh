@@ -39,6 +39,9 @@ step "rustdoc builds clean (no warnings; whisper-net denies missing docs)"
 # rustdoc lint classes (broken intra-doc links etc.) workspace-wide.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 
+step "the paper's claims, quick tier (release: tests/paper_claims.rs at Params::quick(); ignored in the debug pass above)"
+cargo test -q --release --offline --test paper_claims
+
 step "determinism matrix (release: byte-identical traces across heap/wheel x 1/2/4 shards x threads on/off x pool on/off x one run/3000 runs, profiler on)"
 cargo test -q --release --offline -p whisper-net --test determinism
 
@@ -57,13 +60,15 @@ WHISPER_BENCH_JSON=target/verify/BENCH_pr9.json cargo run -q --release --offline
 step "scale-out smoke (10k nodes/1 shard must stay <= 0.2 allocs/send; 100k and 1M nodes/4 shards must complete)"
 cargo run -q --release --offline -p whisper-bench --bin scale_smoke
 
-step "the benchmark, smoke mode (perfbench/: five loaded workloads end to end, checks on, seeds 7 and 11 against scripts/golden/perfbench_smoke.tsv)"
-# Its own package with its own target directory; it reaches the crates
-# through their public items only, so this is also the check that a
-# refactor kept every item the benchmark imports. The golden table holds
-# the deterministic rows of both runs: a simulated result that moved is a
-# diff here, not a sentence in a PR description.
-scripts/perfbench_golden.sh
+step "golden tables (perfbench --smoke on seeds 7 and 11, all_experiments --quick; EXPERIMENTS.md stamp)"
+# perfbench/ is its own package with its own target directory; it reaches
+# the crates through their public items only, so this is also the check
+# that a refactor kept every item the benchmark imports. The two golden
+# tables hold the benchmark's deterministic rows and the paper's figures
+# at smoke scale: a simulated result that moved is a diff here, not a
+# sentence in a PR description, and a figure that moved without
+# scripts/paper_tables.sh regenerating EXPERIMENTS.md fails the stamp.
+scripts/golden.sh
 
 step "done"
 # Not a gate: what a simplifying PR's "net negative" is read from

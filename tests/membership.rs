@@ -12,7 +12,7 @@
 //! alone. The bound per seed is therefore the most cycles `ef9b323` takes
 //! under that family of perturbations (none, and a draw at every second,
 //! third, fifth, seventh or eleventh exchange); this tree takes 5 on both
-//! seeds unperturbed (EXPERIMENTS.md § "A third of onion_cold's bytes were
+//! seeds unperturbed (EXPERIMENTS.md@70f897e § "A third of onion_cold's bytes were
 //! membership the partner already had").
 
 use whisper_bench::harness::{NetBuilder, WhisperNet};
