@@ -877,7 +877,7 @@ impl Wcl {
                         &nonce0,
                         body,
                     );
-                    let cost = crypto_sampled(ctx, nylon.is_public(), || {
+                    let ((), cost) = crypto_sampled(ctx, nylon.is_public(), |_| {
                         route.circuit.seal_in_place(&nonce0, &mut frame.as_mut_slice()[body_at..])
                     });
                     ctx.metrics().sample(
@@ -978,17 +978,14 @@ impl Wcl {
         path.push((b.key.clone(), hop_addr(b.node, true)));
         path.push((dest.key.clone(), hop_addr(dest.node, dest.public)));
 
-        let cost_before = whisper_crypto::costs::snapshot();
-        let build_started = ctx.prof_enabled().then(std::time::Instant::now);
-        // The onion doubles as circuit establishment: each layer carries
-        // that hop's link key and circuit ids.
-        let (src_circuit, setups) = circuit::establish(path.len(), ctx.rng());
-        let exts: Vec<Vec<u8>> = setups.iter().map(|s| s.encode()).collect();
-        let packet = onion::build_onion_ext(&path, payload, &exts, ctx.rng()).ok()?;
-        let cost = whisper_crypto::costs::snapshot().since(cost_before);
-        if let Some(started) = build_started {
-            ctx.prof_crypto_model_ns(started.elapsed().as_nanos() as u64);
-        }
+        let (built, cost) = crypto_sampled(ctx, nylon.is_public(), |ctx| {
+            // The onion doubles as circuit establishment: each layer
+            // carries that hop's link key and circuit ids.
+            let (src_circuit, setups) = circuit::establish(path.len(), ctx.rng());
+            let exts: Vec<Vec<u8>> = setups.iter().map(|s| s.encode()).collect();
+            onion::build_onion_ext(&path, payload, &exts, ctx.rng()).map(|p| (src_circuit, p))
+        });
+        let (src_circuit, packet) = built.ok()?;
         // The sample is the deterministic model cost (see DESIGN.md
         // § "Deterministic crypto accounting"); host time goes to the
         // profiler only, and only when it is on.
@@ -996,7 +993,6 @@ impl Wcl {
             "wcl.build_path_us",
             (cost.aes_model_ns() + cost.rsa_model_ns()) as f64 / 1000.0,
         );
-        sample_crypto_cost(ctx, nylon.is_public(), &cost);
         ctx.metrics().count("wcl.paths_built", 1);
         let frame = onion_frame(ctx, nylon, &packet.header, &packet.body);
         let outcome = nylon.send_app_frame(ctx, a.0, a.1, &[], frame);
@@ -1061,18 +1057,13 @@ impl Wcl {
         prev: (NodeId, bool),
         packet: OnionView<'_>,
     ) -> Option<WclEvent> {
-        let cost_before = whisper_crypto::costs::snapshot();
-        let peel_started = ctx.prof_enabled().then(std::time::Instant::now);
-        let peeled = onion::peel_with_body(nylon.keypair(), packet.header, packet.body);
-        let cost = whisper_crypto::costs::snapshot().since(cost_before);
-        if let Some(started) = peel_started {
-            ctx.prof_crypto_model_ns(started.elapsed().as_nanos() as u64);
-        }
+        let (peeled, cost) = crypto_sampled(ctx, nylon.is_public(), |_| {
+            onion::peel_with_body(nylon.keypair(), packet.header, packet.body)
+        });
         ctx.metrics().sample(
             "wcl.peel_us",
             (cost.aes_model_ns() + cost.rsa_model_ns()) as f64 / 1000.0,
         );
-        sample_crypto_cost(ctx, nylon.is_public(), &cost);
         match peeled {
             Ok(PeelResult::Relay { next_hop, header, ext }) => {
                 let Some((next, next_public)) = parse_hop_addr(&next_hop) else {
@@ -1237,7 +1228,7 @@ impl Wcl {
     ) -> Option<WclEvent> {
         let route = self.routes.by_first_cid.get_mut(&packet.cid)?;
         let mut payload = lend(&mut self.deliver_buf, packet.body);
-        crypto_sampled(ctx, is_public, || {
+        crypto_sampled(ctx, is_public, |_| {
             route.circuit.open_return_in_place(&packet.nonce, &mut payload)
         });
         ctx.metrics().count("wcl.delivered", 1);
@@ -1256,23 +1247,24 @@ fn lend(deliver_buf: &mut Vec<u8>, body: &[u8]) -> Vec<u8> {
     payload
 }
 
-/// Runs `work` — circuit crypto — and records what it cost under the
-/// deterministic model (the Table II per-class samples; host time goes to
-/// the profiler, when it is on), returning the cost.
-fn crypto_sampled(
-    ctx: &mut Ctx<'_>,
+/// Runs `work` — onion or circuit crypto, handed the context for its
+/// randomness — and records what it cost under the deterministic model
+/// (the Table II per-class samples; host time goes to the profiler, when
+/// it is on), returning the work's value and the cost.
+fn crypto_sampled<'a, T>(
+    ctx: &mut Ctx<'a>,
     is_public: bool,
-    work: impl FnOnce(),
-) -> whisper_crypto::costs::CryptoCosts {
+    work: impl FnOnce(&mut Ctx<'a>) -> T,
+) -> (T, whisper_crypto::costs::CryptoCosts) {
     let cost_before = whisper_crypto::costs::snapshot();
     let wall_started = ctx.prof_enabled().then(std::time::Instant::now);
-    work();
+    let value = work(ctx);
     let cost = whisper_crypto::costs::snapshot().since(cost_before);
     if let Some(started) = wall_started {
         ctx.prof_crypto_model_ns(started.elapsed().as_nanos() as u64);
     }
     sample_crypto_cost(ctx, is_public, &cost);
-    cost
+    (value, cost)
 }
 
 /// Applies `entry`'s layer for `direction` to `body` in place, sampled as
@@ -1285,7 +1277,7 @@ fn layer_sampled(
     nonce: &CtrNonce,
     body: &mut [u8],
 ) -> whisper_crypto::costs::CryptoCosts {
-    crypto_sampled(ctx, is_public, || entry.apply_in_place(direction, nonce, body))
+    crypto_sampled(ctx, is_public, |_| entry.apply_in_place(direction, nonce, body)).1
 }
 
 /// Samples the per-class crypto cost metrics (Table II) from a
