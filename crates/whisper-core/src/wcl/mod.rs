@@ -721,8 +721,10 @@ impl Wcl {
         ctx.metrics().count("wcl.route_attempts", 1);
         let Some((a, b)) = self.try_send(ctx, nylon, dest, &payload, once, (&[], &[])) else {
             // Could not even build the first path; treated as "no
-            // alternative" immediately.
+            // alternative" immediately, and its destination recorded as
+            // for a retry that ran out of paths, so Table I counts it.
             ctx.metrics().count("wcl.route_no_alt", 1);
+            ctx.metrics().sample("wcl.failed_dest_noalt", dest.node.0 as f64);
             return false;
         };
         self.pending.insert(
