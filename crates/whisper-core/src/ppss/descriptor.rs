@@ -4,18 +4,26 @@
 //! passport/accreditation machinery).
 //!
 //! A [`GroupDescriptor`] is a small (~200–300 byte) RSA-signed summary of
-//! a group's durable state: leadership epoch, a hash of the key history,
-//! a bounded membership delta, and a deletion tombstone flag. Leaders
-//! sign and publish one whenever durable state changes; descriptors then
-//! travel as opaque blobs piggybacked on Nylon gossip exchanges (see
-//! `whisper_pss::descriptors`), so propagation needs no extra messages
-//! and reaches non-members (who relay but cannot verify — only members
-//! hold the key history a signature checks against).
+//! what a group is, not who is in it: leadership epoch, a hash of the key
+//! history and a deletion tombstone flag. A leader signs one when it holds
+//! none at its current epoch (at the group's birth, and after an election)
+//! and when it deletes the group; descriptors then travel as opaque blobs
+//! piggybacked on Nylon gossip exchanges (see `whisper_pss::descriptors`),
+//! so propagation needs no extra messages and reaches non-members, who
+//! relay what they can neither verify (only members hold the key history
+//! a signature checks against) nor read a member from.
+//!
+//! Membership travels one way only: as [`Window`]s of dots inside the
+//! WCL-sealed, passport-checked PPSS exchanges (`PpssMsg::Exchange` and
+//! its `PpssMsg::Dots` follow-up). A descriptor's `adds` and `removes`
+//! are always empty as leaders sign them, and members ignore any dots
+//! one carries.
 //!
 //! ## Merge rules
 //!
-//! Two replicas that have seen any interleaving of descriptors converge
-//! because every component is a join-semilattice:
+//! Two replicas that have seen any interleaving of descriptors and
+//! windows converge on what they saw, because every component is a
+//! join-semilattice:
 //!
 //! * **Descriptor state** (epoch, key hash): epoch-dominated
 //!   last-writer-wins — ordered by `(tombstone, epoch, seq)`, with a
@@ -26,7 +34,9 @@
 //!   tombstones the specific dots it observed. Merge is dot-set union,
 //!   and a node is a member iff it has an add dot that no replica has
 //!   tombstoned. Re-admission after removal works naturally (a fresh dot
-//!   is not covered by old remove dots).
+//!   is not covered by old remove dots). Windows carry only the newest
+//!   [`EXCHANGE_DOTS`] of each kind, so a group larger than that does not
+//!   converge on old admissions (see there).
 //! * **Deletion**: the tombstone flag is sticky — it dominates every
 //!   epoch forever, so once any replica has seen a verified deletion, no
 //!   sequence of stale descriptors, rejoining nodes or partition healing
@@ -51,20 +61,17 @@ const SIGN_DOMAIN: &[u8] = b"whisper-descr-v1";
 /// hashes bytes with this prefix).
 const WINDOW_DOMAIN: &[u8] = b"whisper-window-v1";
 
-/// Maximum add + remove dots shipped per descriptor. Descriptors are a
-/// *delta* of the most recent membership changes, re-gossiped every
-/// anti-entropy round; the accumulated OR-set lives at the members.
-pub const DELTA_DOTS: usize = 4;
-
 /// Admission and removal dots in a membership's [`Window`]: what a PPSS
-/// exchange ships to a partner whose window differs. Descriptors carry
-/// only [`DELTA_DOTS`]-sized deltas, so these pairwise merges are what
-/// carries old admissions to a late joiner — but only the newest
-/// `EXCHANGE_DOTS` of them: nobody ever re-ships the 65th-newest dot, so
-/// in a group of more than this many members the OR-sets do **not**
-/// converge (only the leader, which minted every dot, holds them all;
+/// exchange ships to a partner whose window differs. Descriptors name no
+/// member, so these pairwise merges are the only way a dot reaches a
+/// member other than the leader that minted it: a new admission, an old
+/// one for a late joiner, a revocation — but only the newest
+/// `EXCHANGE_DOTS` of each kind: nobody ever re-ships the 65th-newest
+/// dot, so in a group of more than this many members the OR-sets do
+/// **not** converge on old admissions (only the leader holds them all;
 /// EXPERIMENTS.md@70f897e § "A third of onion_cold's bytes were membership the
-/// partner already had").
+/// partner already had"). A revocation is among the newest removes for
+/// as long as fewer than this many follow it.
 pub const EXCHANGE_DOTS: usize = 64;
 
 /// One membership-change event: `node` was admitted (or that admission
@@ -124,9 +131,11 @@ pub struct GroupDescriptor {
     pub key_hash: [u8; 32],
     /// Deletion tombstone: sticky, dominates every epoch forever.
     pub tombstone: bool,
-    /// Recent admission dots (bounded delta, see [`DELTA_DOTS`]).
+    /// Admission dots: empty as leaders sign descriptors, and ignored by
+    /// members (membership travels in exchange [`Window`]s only). The
+    /// field stays because the benchmark's signing probe fills it.
     pub adds: Vec<MemberDot>,
-    /// Recent revocation dots (bounded delta).
+    /// Revocation dots: empty and ignored, as `adds`.
     pub removes: Vec<MemberDot>,
     /// Simulated publish time in microseconds (propagation-latency
     /// measurement; not covered by any correctness rule).
@@ -359,9 +368,10 @@ impl WireDecode for Window {
     }
 }
 
-/// The accumulated membership OR-set of one group, grown from descriptor
-/// deltas. Plain dot-set union on merge; deterministic iteration (sorted
-/// sets) everywhere.
+/// The accumulated membership OR-set of one group: the leader's own
+/// admissions and revocations, and the windows of its holder's exchanges.
+/// Plain dot-set union on merge; deterministic iteration (sorted sets)
+/// everywhere.
 #[derive(Clone, Debug, Default)]
 pub struct Membership {
     adds: BTreeSet<MemberDot>,
@@ -403,7 +413,8 @@ impl Membership {
     }
 
     /// Tombstones every known add dot of `node` (leader operation).
-    /// Returns the dots revoked — these go into the next descriptor delta.
+    /// Returns the dots revoked; they head the window, which carries them
+    /// to the members over the leader's next exchanges.
     pub fn remove(&mut self, node: NodeId) -> Vec<MemberDot> {
         let dots: Vec<MemberDot> = self
             .adds
@@ -418,31 +429,20 @@ impl Membership {
         dots
     }
 
-    /// Folds `adds` and `removes` in. Returns `true` when anything new was
+    /// Folds a partner's window in. Returns `true` when anything new was
     /// learned.
-    fn fold(&mut self, adds: &[MemberDot], removes: &[MemberDot]) -> bool {
+    pub fn merge(&mut self, window: &Window) -> bool {
         let mut changed = false;
-        for d in adds {
+        for d in &window.adds {
             changed |= self.adds.insert(*d);
         }
-        for d in removes {
+        for d in &window.removes {
             changed |= self.removes.insert(*d);
         }
         if changed {
             self.window.take();
         }
         changed
-    }
-
-    /// Folds a descriptor's delta in. Returns `true` when anything new
-    /// was learned.
-    pub fn apply(&mut self, desc: &GroupDescriptor) -> bool {
-        self.fold(&desc.adds, &desc.removes)
-    }
-
-    /// Folds a partner's window in. Returns `true` on change.
-    pub fn merge(&mut self, window: &Window) -> bool {
-        self.fold(&window.adds, &window.removes)
     }
 
     /// Whether `node` has a live (un-tombstoned) admission dot.
@@ -504,13 +504,6 @@ impl Membership {
             let digest = window.digest();
             (Arc::new(window), digest)
         })
-    }
-
-    /// The newest [`DELTA_DOTS`] of each kind, for the next descriptor.
-    pub fn delta(&self) -> (Vec<MemberDot>, Vec<MemberDot>) {
-        let window = self.window();
-        let head = |dots: &[MemberDot]| dots[..dots.len().min(DELTA_DOTS)].to_vec();
-        (head(&window.adds), head(&window.removes))
     }
 }
 
@@ -645,37 +638,20 @@ mod tests {
 
     #[test]
     fn merge_is_commutative_idempotent_and_convergent() {
-        // Three replicas see different interleavings of the same deltas.
-        let deltas = [
-            (vec![dot(1, 1, 1), dot(2, 1, 2)], vec![]),
-            (vec![dot(3, 1, 3)], vec![dot(2, 1, 2)]),
-            (vec![dot(2, 2, 1)], vec![dot(1, 1, 1)]),
+        // Three replicas see different interleavings of the same windows.
+        let windows = [
+            Window { adds: vec![dot(1, 1, 1), dot(2, 1, 2)], removes: vec![] },
+            Window { adds: vec![dot(3, 1, 3)], removes: vec![dot(2, 1, 2)] },
+            Window { adds: vec![dot(2, 2, 1)], removes: vec![dot(1, 1, 1)] },
         ];
-        let gk = key(1);
-        let descs: Vec<GroupDescriptor> = deltas
-            .iter()
-            .map(|(a, r)| {
-                GroupDescriptor::sign(
-                    &gk,
-                    GroupId::from_name("crdt"),
-                    1,
-                    1,
-                    &[gk.public().clone()],
-                    false,
-                    a.clone(),
-                    r.clone(),
-                    0,
-                )
-            })
-            .collect();
         let orders: [[usize; 3]; 3] = [[0, 1, 2], [2, 1, 0], [1, 2, 0]];
         let replicas: Vec<Membership> = orders
             .iter()
             .map(|order| {
                 let mut m = Membership::new();
                 for &i in order {
-                    m.apply(&descs[i]);
-                    m.apply(&descs[i]); // idempotent
+                    m.merge(&windows[i]);
+                    assert!(!m.merge(&windows[i]), "idempotent");
                 }
                 m
             })
@@ -683,24 +659,20 @@ mod tests {
         assert_eq!(replicas[0], replicas[1]);
         assert_eq!(replicas[1], replicas[2]);
         assert_eq!(replicas[0].members(), vec![NodeId(2), NodeId(3)]);
-        // Window merge agrees with delta application.
         let mut a = replicas[0].clone();
         assert!(!a.merge(replicas[1].window()), "nothing new between converged replicas");
     }
 
     #[test]
-    fn windows_and_deltas_are_bounded_and_newest_first() {
+    fn windows_are_bounded_and_newest_first() {
         let mut m = Membership::new();
         for i in 0..100 {
             m.add(dot(i, 1, i));
         }
-        let (adds, removes) = m.delta();
-        assert_eq!(adds.len(), DELTA_DOTS);
-        assert!(removes.is_empty());
-        assert_eq!(adds[0].counter, 99, "newest dot first");
         let window = m.window().clone();
+        assert!(window.removes.is_empty());
         assert_eq!(window.adds.len(), EXCHANGE_DOTS);
-        assert_eq!(window.adds[..DELTA_DOTS], adds[..], "the delta is the window's head");
+        assert_eq!(window.adds[0].counter, 99, "newest dot first");
         assert_eq!(window.adds[EXCHANGE_DOTS - 1].counter, 100 - EXCHANGE_DOTS as u64);
     }
 
@@ -764,7 +736,7 @@ mod tests {
                     let mut older = requester.clone();
                     let floor = older.window().adds.last().copied();
                     let old = minted.iter().filter(|d| floor.is_some_and(|f| newest_first(d) > newest_first(&f)));
-                    older.fold(&old.copied().collect::<Vec<_>>(), &[]);
+                    older.merge(&Window { adds: old.copied().collect(), removes: vec![] });
                     older
                 }
                 _ => part(g),

@@ -152,7 +152,10 @@ pub struct GroupState {
     outstanding: Option<(NodeId, u64, Arc<Window>)>,
     /// Latest verified key announcement, piggybacked for dissemination.
     latest_announcement: Option<NewKeyAnnouncement>,
-    /// Accumulated membership OR-set, grown from descriptor deltas.
+    /// Accumulated membership OR-set: a leader's own admissions and
+    /// revocations, and the windows this node's exchanges traded — the
+    /// only way dots travel, sealed by the WCL and behind the passport
+    /// check (descriptors name no member).
     membership: Membership,
     /// Latest verified descriptor under the epoch-dominated LWW order.
     latest_descriptor: Option<GroupDescriptor>,
@@ -160,8 +163,6 @@ pub struct GroupState {
     desc_seq: u64,
     /// Next admission counter (leaders; makes membership dots unique).
     next_dot: u64,
-    /// Durable state changed since the last descriptor publish (leader).
-    dirty: bool,
     /// Peers' passports already verified against `key_history` (which
     /// only grows, so a remembered pass stays a pass). Volatile: it is
     /// born empty with the state, on join and on journal replay alike.
@@ -194,7 +195,8 @@ impl GroupState {
         self.tracker.epoch
     }
 
-    /// The accumulated membership OR-set.
+    /// The accumulated membership OR-set, as this node's exchanges have
+    /// brought it up to date (descriptors name no member).
     pub fn membership(&self) -> &Membership {
         &self.membership
     }
@@ -251,7 +253,6 @@ impl GroupState {
     fn fold_window(&mut self, ctx: &mut Ctx<'_>, window: &Window) -> bool {
         let changed = self.membership.merge(window);
         if changed {
-            self.dirty = true;
             ctx.metrics().count("ppss.membership_folded", 1);
         }
         for dot in &window.removes {
@@ -285,7 +286,6 @@ impl GroupState {
             latest_descriptor: None,
             desc_seq: 0,
             next_dot: 0,
-            dirty: false,
             verified: PassportMemo::default(),
         }
     }
@@ -493,7 +493,6 @@ impl Ppss {
             GroupState::fresh(vec![group_key.public().clone()], Some(group_key), passport, tracker);
         state.membership.add(MemberDot { node: nylon.id(), epoch: 0, counter: 0 });
         state.next_dot = 1;
-        state.dirty = true;
         self.groups.insert(id, state);
         ctx.metrics().count("ppss.groups_created", 1);
         self.journal_group(id);
@@ -622,9 +621,11 @@ impl Ppss {
     }
 
     /// Revokes `node`'s membership (leader operation): tombstones its
-    /// admission dots in the OR-set — the revocation travels in the next
-    /// published descriptor — and drops it from the view and PCP.
-    /// Returns `false` when not a leader or `node` had no live dots.
+    /// admission dots in the OR-set and drops it from the view and PCP.
+    /// The revocation reaches the members in the windows of the leader's
+    /// next exchanges and spreads between them from there; no descriptor
+    /// is signed for it. Returns `false` when not a leader or `node` had
+    /// no live dots.
     pub fn remove_member(&mut self, group: GroupId, node: NodeId) -> bool {
         let Some(state) = self.groups.get_mut(&group) else {
             return false;
@@ -638,7 +639,6 @@ impl Ppss {
         }
         state.view.retain(|e| e.node != node);
         state.pcp.remove(&node);
-        state.dirty = true;
         self.journal_group(group);
         true
     }
@@ -789,7 +789,6 @@ impl Ppss {
                         // passport — and with it, the announcement itself.
                         state.leader_key = Some(new_key);
                         state.latest_announcement = Some(ann);
-                        state.dirty = true;
                         to_journal.push(group);
                         ctx.metrics().count("ppss.elections_won", 1);
                         events.push(PpssEvent::BecameLeader { group, epoch });
@@ -797,27 +796,28 @@ impl Ppss {
                     ElectionOutcome::Idle => {}
                 }
             }
-            // Leaders publish a fresh signed descriptor whenever durable
-            // state changed (admissions, revocations, epoch/key changes)
-            // — and once at group birth so even an unchanged group has a
-            // descriptor circulating.
-            if state.is_leader() && (state.dirty || state.latest_descriptor.is_none()) {
+            // A leader signs a descriptor when it holds none at its
+            // current epoch: at the group's birth, after winning an
+            // election, or on learning, as a co-leader, of a newer epoch.
+            // What a descriptor says changes at no other time (deletion
+            // signs its own tombstone): it names no member.
+            let epoch = state.tracker.epoch;
+            let current = state.latest_descriptor.as_ref().is_some_and(|d| d.epoch >= epoch);
+            if state.is_leader() && !current {
                 state.desc_seq += 1;
-                let (adds, removes) = state.membership.delta();
                 let key = state.leader_key.as_ref().expect("leader");
                 let desc = GroupDescriptor::sign(
                     key,
                     group,
-                    state.tracker.epoch,
+                    epoch,
                     state.desc_seq,
                     &state.key_history,
                     false,
-                    adds,
-                    removes,
+                    Vec::new(),
+                    Vec::new(),
                     ctx.now().as_micros(),
                 );
                 state.latest_descriptor = Some(desc);
-                state.dirty = false;
                 ctx.metrics().count("ppss.desc_published", 1);
                 to_journal.push(group);
             }
@@ -1001,10 +1001,6 @@ impl Ppss {
                 state.desc_seq = desc_seq;
                 state.next_dot = next_dot;
                 state.view = contacts;
-                // A restarted leader republishes on its next cycle so
-                // the network relearns the descriptor it is the durable
-                // root for.
-                state.dirty = state.leader_key.is_some();
                 self.pending_joins.remove(&group); // the join completed
                 self.groups.insert(group, state);
             }
@@ -1161,15 +1157,9 @@ impl Ppss {
                 );
             }
             PpssMsg::Dots { group, passport, dots } => {
-                let Some(state) = self.groups.get_mut(&group) else {
-                    ctx.metrics().count("ppss.dropped_unknown_group", 1);
+                let Some(state) = self.admit(ctx, wcl, via, group, &passport, None) else {
                     return Some(events);
                 };
-                if !state.admits(group, &passport) {
-                    ctx.metrics().count("ppss.dropped_bad_passport", 1);
-                    return Some(events);
-                }
-                wcl.bind_return(ctx.now(), via, passport.node);
                 if state.fold_window(ctx, &dots) {
                     self.journal_group(group);
                     events.push(PpssEvent::ViewUpdated { group });
@@ -1202,14 +1192,10 @@ impl Ppss {
             }
             PpssMsg::PcpRefresh { group, passport, entry, respond } => {
                 let my_entry = self.my_entry(nylon);
-                let Some(state) = self.groups.get_mut(&group) else {
+                let Some(state) = self.admit(ctx, wcl, via, group, &passport, Some(entry.node))
+                else {
                     return Some(events);
                 };
-                if !state.admits(group, &passport) || passport.node != entry.node {
-                    ctx.metrics().count("ppss.dropped_bad_passport", 1);
-                    return Some(events);
-                }
-                wcl.bind_return(ctx.now(), via, passport.node);
                 // Refresh wherever we hold this member.
                 if state.pcp.contains_key(&entry.node) {
                     state.pcp.insert(entry.node, entry.clone());
@@ -1231,6 +1217,35 @@ impl Ppss {
         Some(events)
     }
 
+    /// The admission gate in front of every message one member sends
+    /// another: the state of `group`, if this node holds it and `passport`
+    /// admits its holder — who must be `claimed`, when the message names
+    /// the node it comes from — with answers to that holder bound to the
+    /// circuit `via`. Anything else is dropped, counted by name
+    /// (`ppss.dropped_unknown_group`, `ppss.dropped_bad_passport`) and
+    /// answered with nothing: the sender learns nothing about our
+    /// membership (paper §IV-A).
+    fn admit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        wcl: &mut Wcl,
+        via: Option<Arrival>,
+        group: GroupId,
+        passport: &Passport,
+        claimed: Option<NodeId>,
+    ) -> Option<&mut GroupState> {
+        let Some(state) = self.groups.get_mut(&group) else {
+            ctx.metrics().count("ppss.dropped_unknown_group", 1);
+            return None;
+        };
+        if !state.admits(group, passport) || claimed.is_some_and(|node| node != passport.node) {
+            ctx.metrics().count("ppss.dropped_bad_passport", 1);
+            return None;
+        }
+        wcl.bind_return(ctx.now(), via, passport.node);
+        Some(state)
+    }
+
     /// An application message from the holder of `passport`, who stated
     /// it and its reply entry in this very message (`stated`, as they
     /// arrived) or earlier on the same circuit: checked the same either
@@ -1248,15 +1263,9 @@ impl Ppss {
         data: Vec<u8>,
         events: &mut Vec<PpssEvent>,
     ) {
-        let Some(state) = self.groups.get_mut(&group) else {
-            ctx.metrics().count("ppss.dropped_unknown_group", 1);
-            return;
-        };
-        if !state.admits(group, &passport) {
-            ctx.metrics().count("ppss.dropped_bad_passport", 1);
+        if self.admit(ctx, wcl, via, group, &passport, None).is_none() {
             return;
         }
-        wcl.bind_return(ctx.now(), via, passport.node);
         if let Some(stated) = stated {
             wcl.hear(ctx.now(), via, group.0, stated);
         }
@@ -1295,8 +1304,8 @@ impl Ppss {
         // way — is answered again, not admitted again.
         let admitted = !state.membership.is_member(entry.node);
         if admitted {
-            // The admission gets a unique dot; it rides the next
-            // descriptor so every member's OR-set learns of the join.
+            // The admission gets a unique dot; the leader's exchange
+            // windows carry it to the members' OR-sets.
             let dot = MemberDot {
                 node: entry.node,
                 epoch: state.tracker.epoch,
@@ -1304,7 +1313,6 @@ impl Ppss {
             };
             state.next_dot += 1;
             state.membership.add(dot);
-            state.dirty = true;
         }
         // Seed the joiner with a slice of our view plus ourselves.
         let mut entries = vec![my_entry];
@@ -1388,17 +1396,9 @@ impl Ppss {
         let my_entry = self.my_entry(nylon);
         let me = nylon.id();
         let cfg = self.cfg.clone();
-        let Some(state) = self.groups.get_mut(&group) else {
-            ctx.metrics().count("ppss.dropped_unknown_group", 1);
+        let Some(state) = self.admit(ctx, wcl, via, group, &passport, Some(from_entry.node)) else {
             return;
         };
-        if !state.admits(group, &passport) || passport.node != from_entry.node {
-            // Invalid passports are ignored silently (paper §IV-A): the
-            // sender learns nothing about our membership.
-            ctx.metrics().count("ppss.dropped_bad_passport", 1);
-            return;
-        }
-        wcl.bind_return(ctx.now(), via, passport.node);
         // Key-change announcements are processed *before* heartbeats:
         // hearing an epoch-N heartbeat must not stop us from installing
         // the epoch-N group key. Elections can produce several winners
@@ -1430,11 +1430,11 @@ impl Ppss {
         if let Some(ballot) = election {
             state.tracker.observe_ballot(ballot);
         }
-        // Membership anti-entropy — this, not the (latest-only,
-        // bounded-delta) descriptor, is what carries old admissions to late
-        // joiners. Each side ends up holding what it would if both windows
-        // shipped both ways, but a window ships only to a side that lacks
-        // it (DESIGN.md §15).
+        // Membership anti-entropy — the only way dots travel between
+        // members (descriptors name none): admissions, revocations, old
+        // admissions for late joiners. Each side ends up holding what it
+        // would if both windows shipped both ways, but a window ships only
+        // to a side that lacks it (DESIGN.md §15).
         if !is_response {
             // Answer with our own buffer, and our window if it differs from
             // the one the request stated — which asks for that one too.
@@ -1496,9 +1496,10 @@ impl Ppss {
     ///
     /// Non-members relay blobs without ever reaching this point (the
     /// store merge happens inside `whisper-pss`); members verify the
-    /// signature against their key history and fold verified descriptors
-    /// into the group CRDT. A verified deletion tombstone destroys the
-    /// group on the spot, forever.
+    /// signature against their key history, adopt a newer epoch and the
+    /// fresher descriptor, and fold nothing into the membership: any dots
+    /// a descriptor carries are ignored. A verified deletion tombstone
+    /// destroys the group on the spot, forever.
     pub fn on_descriptor(&mut self, ctx: &mut Ctx<'_>, bytes: &[u8]) -> Vec<PpssEvent> {
         let mut events = Vec::new();
         let Ok(desc) = GroupDescriptor::from_wire(bytes) else {
@@ -1531,13 +1532,10 @@ impl Ppss {
             events.push(PpssEvent::GroupDeleted { group });
             return events;
         }
-        let mut changed = state.membership.apply(&desc);
-        if desc.epoch > state.tracker.epoch {
-            // The signer verified, so a higher epoch is authoritative
-            // even before its heartbeats reach us.
-            state.tracker.accept_new_epoch(desc.epoch);
-            changed = true;
-        }
+        // The signer verified, so a higher epoch is authoritative even
+        // before its heartbeats reach us.
+        let mut changed = desc.epoch > state.tracker.epoch;
+        state.tracker.accept_new_epoch(desc.epoch);
         let fresher = state
             .latest_descriptor
             .as_ref()
@@ -1669,7 +1667,8 @@ mod tests {
     /// A `JoinReq` the leader has already admitted is answered again, not
     /// admitted again: the joiner whose ack never took effect asks a second
     /// time and gets a passport that verifies, while the leader's OR-set
-    /// keeps the one dot it issued and nothing is republished.
+    /// keeps the one dot it issued and its descriptor stays the one signed
+    /// at the group's birth.
     #[test]
     fn repeated_join_request_is_acked_again_but_admitted_once() {
         let cfg = WhisperConfig::default();
@@ -1696,19 +1695,18 @@ mod tests {
         let request = |sim: &mut Sim| {
             let inv = invitation.clone();
             sim.with_node_ctx::<WhisperNode>(joiner, |n, ctx| n.join_group(ctx, inv));
-            sim.run_for(CYCLE * 2); // the handshake, then a descriptor publish
+            sim.run_for(CYCLE * 2); // the handshake, then the leader's cycles
         };
         let leader_sees = |sim: &Sim| {
             let state = &sim.node::<WhisperNode>(leader).unwrap().ppss().groups[&group];
             let dots = state.membership.dots().0.iter().filter(|d| d.node == joiner).count();
-            (dots, state.desc_seq, state.dirty)
+            (dots, state.desc_seq)
         };
         let count = |sim: &Sim, name: &str| sim.metrics().counter(name);
 
         request(&mut sim);
         assert_eq!(count(&sim, "ppss.joins_completed"), 1);
-        let (dots, desc_seq, dirty) = leader_sees(&sim);
-        assert_eq!((dots, dirty), (1, false), "admitted and published");
+        assert_eq!(leader_sees(&sim), (1, 1), "admitted; signed once, at birth");
 
         // The joiner is back where it was before the ack arrived.
         sim.with_node_ctx::<WhisperNode>(joiner, |n, _| n.ppss_mut().groups.clear());
@@ -1717,8 +1715,42 @@ mod tests {
         assert_eq!(count(&sim, "ppss.join_ack_invalid"), 0);
         assert_eq!(count(&sim, "ppss.joins_accepted"), 1);
         assert_eq!(count(&sim, "ppss.join_reacked"), 1);
-        assert_eq!(leader_sees(&sim), (1, desc_seq, false), "one dot, nothing republished");
+        assert_eq!(leader_sees(&sim), (1, 1), "one dot, nothing re-signed");
         assert_eq!(count(&sim, "wcl.route_retry") + count(&sim, "wcl.route_exhausted"), 0);
+    }
+
+    /// A leader signs a descriptor when it holds none at its epoch, not
+    /// when its membership changes: a group that admits 39 members and
+    /// revokes one is signed for once, at birth, and its descriptor names
+    /// none of them.
+    #[test]
+    fn a_leader_signs_once_per_epoch_not_per_membership_change() {
+        let cfg = WhisperConfig::default();
+        let key = KeyPair::generate(cfg.nylon.rsa, &mut StdRng::seed_from_u64(4));
+        let mut sim = Sim::new(SimConfig::cluster(8));
+        let me = sim.add_node(Box::new(WhisperNode::new(cfg, key)), NatType::Public);
+        sim.run_for_secs(1);
+        let mut group = GroupId(0);
+        sim.with_node_ctx::<WhisperNode>(me, |n, ctx| group = n.create_group(ctx, "forty"));
+        // 39 join requests, as the WCL would deliver them; the acks find
+        // no route, which changes nothing about the admissions.
+        let key = sim.node::<WhisperNode>(me).unwrap().nylon().keypair().public().clone();
+        let joiners: Vec<NodeId> = (0..39).map(|i| NodeId(1000 + i)).collect();
+        for &node in &joiners {
+            let invitation = sim.node::<WhisperNode>(me).unwrap().invite(group, node).unwrap();
+            let entry = PrivateEntry { node, age: 0, public: false, key: key.clone(), gateways: vec![] };
+            deliver(&mut sim, me, &PpssMsg::JoinReq { group, accreditation: invitation.accreditation, entry });
+        }
+        sim.run_for(CYCLE * 3);
+        sim.with_node_ctx::<WhisperNode>(me, |n, _| assert!(n.remove_member(group, joiners[0])));
+        sim.run_for(CYCLE * 3);
+
+        let state = sim.node::<WhisperNode>(me).unwrap().ppss().group(group).unwrap();
+        assert_eq!(state.membership().members().len(), 39, "40 admitted, one revoked");
+        assert!(state.membership().is_revoked(joiners[0]));
+        assert_eq!(sim.metrics().counter("ppss.desc_published"), 1);
+        let desc = state.latest_descriptor().expect("signed at birth");
+        assert!(desc.adds.is_empty() && desc.removes.is_empty(), "the descriptor names a member");
     }
 
     /// The periodic checkpoint drops the one before last: however many

@@ -329,11 +329,14 @@ fn multi_group_memberships_stay_separate() {
 
 // ---------------------------------------------------------------------
 // Durable group lifecycle: journal replay, corruption salvage, deletion
-// tombstones and descriptor-carried membership (PR 9).
+// tombstones, relayed descriptors and exchange-carried membership.
 // ---------------------------------------------------------------------
 
+/// Every member adopts the leader's signed descriptor from the relay
+/// gossip, and every member's OR-set covers the group — the work of the
+/// exchange windows, since descriptors name no member.
 #[test]
-fn descriptors_propagate_membership_to_all_members() {
+fn members_adopt_the_descriptor_and_exchanges_converge_membership() {
     let cfg = WhisperConfig::default();
     let mut net = build(30, &cfg, SimConfig::cluster(21), 250);
     let leader = net.ids[4];
@@ -345,8 +348,9 @@ fn descriptors_propagate_membership_to_all_members() {
     assert!(joined.len() >= 8, "{} joined", joined.len());
 
     // Every member eventually adopts a signed descriptor, and the OR-set
-    // converges: exchanges carry old admission dots to late joiners, so
-    // each member's membership covers (nearly) the whole group.
+    // converges: exchange windows carry every admission dot, old ones to
+    // late joiners included, so each member's membership covers (nearly)
+    // the whole group.
     let mut adopted = 0;
     let mut converged = 0;
     for &m in &joined {
@@ -370,7 +374,7 @@ fn descriptors_propagate_membership_to_all_members() {
         joined.len()
     );
     let metrics = net.sim.metrics();
-    assert!(metrics.counter("ppss.desc_published") > 0, "leader published");
+    assert_eq!(metrics.counter("ppss.desc_published"), 1, "signed once, at birth");
     assert!(metrics.counter("ppss.desc_adopted") > 0, "members adopted");
     assert!(metrics.counter("pss.desc_merged") > 0, "relays carried blobs");
     assert!(
@@ -504,6 +508,41 @@ fn a_150_member_group_converges_to_the_leaders_set() {
         shares[shares.len() / 2],
         shares[shares.len() - 1],
     );
+}
+
+/// What a group larger than one window does guarantee: a revocation
+/// reaches every member. The leader of a 150-member group revokes one;
+/// the remove dot heads the leader's window, and exchanges carry it from
+/// member to member until every other member holds it, within six PPSS
+/// cycles (four on this seed).
+#[test]
+fn a_revocation_reaches_every_member_of_a_150_member_group() {
+    let cfg = WhisperConfig::default();
+    let mut net = build(170, &cfg, SimConfig::cluster(26), 250);
+    let leader = net.ids[5];
+    let members: Vec<NodeId> = net.ids[10..159].to_vec();
+    let group = form_group(&mut net, leader, &members, "wide");
+    net.sim.run_for_secs(5 * 60);
+    let joined = members_of(&net, group, &net.ids);
+    assert_eq!(joined.len(), 150, "the group formed");
+
+    let revoked = members[0];
+    net.sim.with_node_ctx::<WhisperNode>(leader, |node, _| assert!(node.remove_member(group, revoked)));
+    let others: Vec<NodeId> = joined.iter().copied().filter(|&m| m != leader && m != revoked).collect();
+    let mut cycles = 0;
+    loop {
+        let missing = others
+            .iter()
+            .filter(|&&m| !held(&net, m, group).is_some_and(|s| s.is_revoked(revoked)))
+            .count();
+        if missing == 0 {
+            break;
+        }
+        assert!(cycles < 6, "after {cycles} cycles {missing} of {} members still admit {revoked}", others.len());
+        net.sim.run_for_secs(60);
+        cycles += 1;
+    }
+    eprintln!("revocation reached all {} other members in {cycles} cycles", others.len());
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! Churn scripting, mirroring the SPLAY churn module used for Table I.
+//! Churn scripting in the shape of the SPLAY churn module's scripts.
 //!
-//! The paper's script (printed under Table I) is:
+//! The paper's Table I script (printed under the table) is:
 //!
 //! ```text
 //! from 0s to 30s join 1000
@@ -11,7 +11,10 @@
 //!
 //! [`ChurnScript`] expresses that family of scripts; [`run_with_churn`]
 //! executes one against a [`Sim`], creating nodes through a caller-provided
-//! factory and killing uniformly random victims.
+//! factory and killing uniformly random victims; the PSS churn tests
+//! drive it. Table I does not: its replacement nodes must join a private
+//! group and its leaders must survive, so `whisper-bench` runs the
+//! script's churn phase in `WhisperNet::churn`.
 
 use crate::id::NodeId;
 use crate::sim::Sim;
@@ -58,26 +61,6 @@ pub struct ChurnScript {
 }
 
 impl ChurnScript {
-    /// The exact Table I script with churn rate `x_percent` % per minute
-    /// (the paper evaluates X ∈ {0, 0.2, 1, 5, 10}).
-    pub fn paper_table1(x_percent: f64) -> Self {
-        let mut phases = vec![ChurnPhase::RampJoin {
-            from: SimTime::ZERO,
-            to: SimTime::from_micros(30_000_000),
-            count: 1000,
-        }];
-        if x_percent > 0.0 {
-            phases.push(ChurnPhase::ConstChurn {
-                from: SimTime::from_micros(300_000_000),
-                to: SimTime::from_micros(1_200_000_000),
-                fraction: x_percent / 100.0,
-                interval: SimDuration::from_secs(60),
-                replacement_ratio: 1.0,
-            });
-        }
-        ChurnScript { phases, stop_at: SimTime::from_micros(1_200_000_000) }
-    }
-
     /// All times at which the driver must act, sorted and deduplicated.
     pub fn ticks(&self) -> Vec<SimTime> {
         let mut ticks = Vec::new();
@@ -212,15 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_script_shape() {
-        let s = ChurnScript::paper_table1(1.0);
-        assert_eq!(s.phases.len(), 2);
-        assert_eq!(s.stop_at.as_secs(), 1200);
-        let no_churn = ChurnScript::paper_table1(0.0);
-        assert_eq!(no_churn.phases.len(), 1);
-    }
-
-    #[test]
     fn ramp_join_reaches_target_population() {
         let mut sim = Sim::new(SimConfig::ideal(1));
         let script = ChurnScript {
@@ -322,25 +296,5 @@ mod tests {
             |_, _| {},
         );
         assert!(sim.contains(bootstrap));
-    }
-
-    #[test]
-    fn table1_rates_match_paper_counts() {
-        // "Churn rate: X=1% / minute (150 leaves & 150 joins / 15 min.)"
-        // with a 1,000-node population: 10 leaves per minute × 15.
-        let script = ChurnScript::paper_table1(1.0);
-        let action = script.action_at(SimTime::from_micros(300_000_000), 1000);
-        assert_eq!(action.leave, 10);
-        assert_eq!(action.join, 10);
-        // 15 churn rounds in [300, 1200): 150 total, matching the paper.
-        let rounds = script
-            .ticks()
-            .into_iter()
-            .filter(|t| {
-                let a = script.action_at(*t, 1000);
-                a.leave > 0
-            })
-            .count();
-        assert_eq!(rounds, 15);
     }
 }

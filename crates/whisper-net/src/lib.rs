@@ -21,7 +21,8 @@
 //!   allocation and filtering, they are not table-driven.
 //! * [`latency`] — link latency/loss models calibrated to the paper's two
 //!   environments (switched-cluster and PlanetLab profiles).
-//! * [`churn`] — the SPLAY-style churn script interpreter used by Table I.
+//! * [`churn`] — a SPLAY-style churn script interpreter (the PSS churn
+//!   tests use it; Table I runs its own, `whisper-bench`'s `WhisperNet::churn`).
 //! * [`wire`] — a small binary codec; every simulated message is really
 //!   encoded, so byte counts (and therefore bandwidth results) come from
 //!   actual serialized sizes.

@@ -7,7 +7,9 @@
 //! this layer nobody verifies signatures — non-members relay descriptors
 //! they cannot check (only members hold the key history), which is
 //! exactly what gives descriptors network-wide reach without revealing
-//! who is a member.
+//! who is a member: a descriptor states a group's epoch, key-history hash
+//! and deletion flag, and names no member (membership travels only inside
+//! the WCL-sealed PPSS exchanges).
 //!
 //! Convergence is plain last-writer-wins per id on `(version, bytes)`:
 //! the publisher derives `version` from `(epoch, seq)` and pins deletion

@@ -333,6 +333,43 @@ fn membership_invisible_to_active_prober() {
     assert!(!held.0.contains(&planted), "the member folded the prober's dot");
 }
 
+/// Membership privacy at the relays: the signed group descriptors every
+/// node stores and re-gossips, non-members included, name no member. A
+/// group forms and its leader revokes a member; then the group's
+/// descriptor is in non-members' relay stores, and no descriptor there
+/// carries a membership dot.
+#[test]
+fn relayed_descriptors_name_no_member() {
+    use std::collections::BTreeSet;
+    use whisper::core::ppss::descriptor::GroupDescriptor;
+    use whisper::net::wire::WireDecode;
+    let (mut sim, ids) = build_net(30, 12);
+    let leader = ids[4];
+    let members: Vec<NodeId> = ids[5..15].to_vec();
+    let group = form_group(&mut sim, leader, &members, "unnamed");
+    sim.run_for_secs(300);
+    sim.with_node_ctx::<WhisperNode>(leader, |node, _| assert!(node.remove_member(group, members[0])));
+    sim.run_for_secs(300);
+
+    let (mut relaying, mut named) = (0, Vec::new());
+    for &id in ids.iter().filter(|&&id| id != leader && !members.contains(&id)) {
+        let store = sim.node::<WhisperNode>(id).unwrap().nylon().descriptors();
+        for blob in store.ids() {
+            let desc = GroupDescriptor::from_wire(store.get(blob).unwrap().1).expect("a descriptor");
+            relaying += usize::from(desc.group == group);
+            named.extend(desc.adds.iter().chain(&desc.removes).map(|dot| (id, dot.node)));
+        }
+    }
+    assert!(relaying > 0, "no non-member relays the group's descriptor");
+    let distinct: BTreeSet<NodeId> = named.iter().map(|&(_, member)| member).collect();
+    assert!(
+        named.is_empty(),
+        "{} non-members' relay stores name {} members: {distinct:?}",
+        named.iter().map(|&(id, _)| id).collect::<BTreeSet<_>>().len(),
+        distinct.len(),
+    );
+}
+
 /// A passive observer classifying nodes by traffic volume cannot separate
 /// group members from non-members among NATted nodes (membership privacy
 /// against traffic counting, within a small factor: members do strictly
