@@ -258,9 +258,16 @@ impl WhisperNode {
         self.app.as_any().downcast_ref::<T>()
     }
 
-    /// Creates a private group led by this node (harness entry point).
+    /// Creates a private group led by this node (harness entry point) and
+    /// returns its id. When the PPSS refuses the name — this node holds
+    /// that group already, or it was deleted — nothing is created and the
+    /// refusal is counted ([`Ppss::create_group`]); the id comes back all
+    /// the same, and the node holds the group exactly when
+    /// `ppss().group(id)` is some.
     pub fn create_group(&mut self, ctx: &mut Ctx<'_>, name: &str) -> GroupId {
-        let group = self.ppss.create_group(ctx, &self.nylon, name);
+        let Some(group) = self.ppss.create_group(ctx, &self.nylon, name) else {
+            return GroupId::from_name(name);
+        };
         let WhisperNode { nylon, wcl, ppss, app } = self;
         let mut api = WhisperApi { nylon, wcl, ppss };
         app.on_joined(ctx, &mut api, group);
@@ -288,7 +295,7 @@ impl WhisperNode {
         true
     }
 
-    /// Revokes `member`'s admission dots (leader operation).
+    /// Revokes `member` (leader operation): see [`Ppss::remove_member`].
     pub fn remove_member(&mut self, group: GroupId, member: NodeId) -> bool {
         self.ppss.remove_member(group, member)
     }

@@ -1,10 +1,8 @@
 //! PPSS wire messages. All of them travel *inside* WCL onion payloads:
 //! relays and observers only ever see ciphertext.
 
-use crate::ppss::descriptor::{Window, WindowDigest};
 use crate::ppss::group::{GroupId, Passport};
 use crate::wcl::{DestInfo, GatewayInfo};
-use std::sync::Arc;
 use whisper_crypto::rsa::PublicKey;
 use whisper_net::wire::{
     bytes_len, opt_len, seq_len, WireDecode, WireEncode, WireError, WireReader, WireWriter,
@@ -241,26 +239,9 @@ pub enum PpssMsg {
         election: Option<ElectionBallot>,
         /// Latest group-key change announcement, if any.
         new_key: Option<NewKeyAnnouncement>,
-        /// Membership anti-entropy: the digest of the sender's
-        /// [`Window`] — all a request says of it.
-        window: WindowDigest,
-        /// The responder's window itself, in a response whose window
-        /// differs from the request's only; shipping it also asks the
-        /// requester for its own ([`PpssMsg::Dots`]). On the wire one bit
-        /// beside `is_response` says it follows.
-        dots: Option<Arc<Window>>,
-    },
-    /// The follow-up a requester sends when a response asked for it, on
-    /// the request's circuit: of the window whose digest the request
-    /// stated, the dots the response's window does not hold.
-    Dots {
-        /// Target group.
-        group: GroupId,
-        /// Sender's passport.
-        passport: Passport,
-        /// The requester's window as it was when it sent the request, less
-        /// what the responder showed it holds.
-        dots: Window,
+        /// The sender's whole revoked set, sorted: the receiver folds it
+        /// into its own by union.
+        revoked: Vec<NodeId>,
     },
     /// Application payload between group members. On the wire, who is
     /// talking comes first — passport and reply entry, the message's
@@ -306,11 +287,6 @@ const TAG_EXCHANGE: u8 = 3;
 const TAG_APP_DATA: u8 = 4;
 const TAG_PCP_REFRESH: u8 = 5;
 const TAG_APP_SHORT: u8 = 6;
-const TAG_DOTS: u8 = 7;
-
-/// `Exchange` flag bits: a response, and one whose window follows.
-const FLAG_RESPONSE: u8 = 1;
-const FLAG_DOTS: u8 = 2;
 
 /// Wire size of the [`PpssMsg::AppShort`] carrying `data` — and so of what
 /// an [`PpssMsg::AppData`] image ends in, behind its preamble.
@@ -344,8 +320,7 @@ impl WireEncode for PpssMsg {
                 hb,
                 election,
                 new_key,
-                window,
-                dots,
+                revoked,
             } => {
                 w.put_u8(TAG_EXCHANGE);
                 w.put(group);
@@ -353,21 +328,11 @@ impl WireEncode for PpssMsg {
                 w.put(from_entry.as_ref());
                 w.put_seq(entries);
                 w.put_u64(*exchange_id);
-                let flags = if *is_response { FLAG_RESPONSE } else { 0 };
-                w.put_u8(if dots.is_some() { flags | FLAG_DOTS } else { flags });
+                w.put(is_response);
                 w.put(hb);
                 w.put_opt(election);
                 w.put_opt(new_key);
-                w.put_raw(window);
-                if let Some(dots) = dots {
-                    w.put(dots.as_ref());
-                }
-            }
-            PpssMsg::Dots { group, passport, dots } => {
-                w.put_u8(TAG_DOTS);
-                w.put(group);
-                w.put(passport);
-                w.put(dots);
+                w.put_seq(revoked);
             }
             PpssMsg::AppData { group, passport, data, reply_entry } => {
                 w.put_u8(TAG_APP_DATA);
@@ -405,8 +370,7 @@ impl WireEncode for PpssMsg {
                 hb,
                 election,
                 new_key,
-                window,
-                dots,
+                revoked,
                 ..
             } => {
                 group.encoded_len()
@@ -414,15 +378,11 @@ impl WireEncode for PpssMsg {
                     + from_entry.encoded_len()
                     + seq_len(entries)
                     + 8 // exchange_id
-                    + 1 // flags
+                    + 1 // is_response
                     + hb.encoded_len()
                     + opt_len(election)
                     + opt_len(new_key)
-                    + window.len()
-                    + dots.as_ref().map_or(0, |d| d.encoded_len())
-            }
-            PpssMsg::Dots { group, passport, dots } => {
-                group.encoded_len() + passport.encoded_len() + dots.encoded_len()
+                    + seq_len(revoked)
             }
             PpssMsg::AppData { passport, data, reply_entry, .. } => {
                 passport.encoded_len() + opt_len(reply_entry) + app_short_len(data)
@@ -457,33 +417,18 @@ impl WireDecode for PpssMsg {
                 key_history: r.take_seq()?,
                 entries: r.take_seq()?,
             },
-            TAG_EXCHANGE => {
-                let (group, passport, from_entry) = (r.take()?, r.take()?, Box::new(r.take()?));
-                let (entries, exchange_id) = (r.take_seq()?, r.take_u64()?);
-                // A request never carries a window.
-                let (is_response, with_dots) = match r.take_u8()? {
-                    0 => (false, false),
-                    FLAG_RESPONSE => (true, false),
-                    flags if flags == FLAG_RESPONSE | FLAG_DOTS => (true, true),
-                    _ => return Err(WireError::new("exchange flags")),
-                };
-                PpssMsg::Exchange {
-                    group,
-                    passport,
-                    from_entry,
-                    entries,
-                    exchange_id,
-                    is_response,
-                    hb: r.take()?,
-                    election: r.take_opt()?,
-                    new_key: r.take_opt()?,
-                    window: r.take_raw(16)?.try_into().expect("16 bytes taken"),
-                    dots: if with_dots { Some(Arc::new(r.take()?)) } else { None },
-                }
-            }
-            TAG_DOTS => {
-                PpssMsg::Dots { group: r.take()?, passport: r.take()?, dots: r.take()? }
-            }
+            TAG_EXCHANGE => PpssMsg::Exchange {
+                group: r.take()?,
+                passport: r.take()?,
+                from_entry: Box::new(r.take()?),
+                entries: r.take_seq()?,
+                exchange_id: r.take_u64()?,
+                is_response: r.take()?,
+                hb: r.take()?,
+                election: r.take_opt()?,
+                new_key: r.take_opt()?,
+                revoked: r.take_seq()?,
+            },
             TAG_APP_DATA => {
                 let (passport, reply_entry) = (r.take()?, r.take_opt()?);
                 if r.take_u8()? != TAG_APP_SHORT {
@@ -507,7 +452,6 @@ impl WireDecode for PpssMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ppss::descriptor::MemberDot;
     use whisper_rand::rngs::StdRng;
     use whisper_rand::SeedableRng;
     use whisper_crypto::rsa::{KeyPair, RsaKeySize};
@@ -531,31 +475,6 @@ mod tests {
     fn round_trip(msg: PpssMsg) {
         let bytes = msg.to_wire();
         assert_eq!(PpssMsg::from_wire(&bytes).unwrap(), msg);
-    }
-
-    fn window() -> Window {
-        let dot = |node, counter| MemberDot { node: NodeId(node), epoch: 1, counter };
-        Window { adds: vec![dot(4, 2), dot(3, 1)], removes: vec![dot(3, 1)] }
-    }
-
-    /// The bit that says a window follows is only a response's to set.
-    #[test]
-    fn a_request_carries_no_window() {
-        let wire = PpssMsg::Exchange {
-            group: GroupId(7),
-            passport: Passport { node: NodeId(1), signature: vec![9; 48] },
-            from_entry: Box::new(entry(1)),
-            entries: vec![],
-            exchange_id: 3,
-            is_response: false,
-            hb: Heartbeat::default(),
-            election: None,
-            new_key: None,
-            window: [0; 16],
-            dots: Some(Arc::new(window())),
-        }
-        .to_wire();
-        assert_eq!(PpssMsg::from_wire(&wire), Err(WireError::new("exchange flags")));
     }
 
     #[test]
@@ -596,8 +515,7 @@ mod tests {
                 key: vec![7; 10],
             }),
             new_key: None,
-            window: [5; 16],
-            dots: Some(Arc::new(window())),
+            revoked: vec![NodeId(3), NodeId(8)],
         });
         let request = PpssMsg::Exchange {
             group: GroupId(7),
@@ -609,8 +527,7 @@ mod tests {
             hb: Heartbeat::default(),
             election: None,
             new_key: None,
-            window: window().digest(),
-            dots: None,
+            revoked: vec![],
         };
         round_trip(request.clone());
         let mut response = request;
@@ -618,7 +535,6 @@ mod tests {
             *is_response = true;
         }
         round_trip(response);
-        round_trip(PpssMsg::Dots { group: GroupId(7), passport: passport.clone(), dots: window() });
         round_trip(PpssMsg::AppData {
             group: GroupId(7),
             passport: passport.clone(),

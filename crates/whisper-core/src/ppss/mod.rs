@@ -14,7 +14,7 @@ pub mod journal;
 pub mod messages;
 
 use crate::wcl::{Arrival, DestInfo, GatewayInfo, Preamble, Wcl};
-use descriptor::{GroupDescriptor, MemberDot, Membership, Window, WindowDigest};
+use descriptor::GroupDescriptor;
 use election::{ElectionOutcome, LeaderTracker};
 use group::{
     issue_accreditation, verify_accreditation, GroupId, Invitation, Passport, PassportMemo,
@@ -24,7 +24,6 @@ pub use messages::PrivateEntry;
 use messages::{app_short_len, ElectionBallot, Heartbeat, NewKeyAnnouncement, PpssMsg};
 use whisper_rand::Rng;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
@@ -146,23 +145,18 @@ pub struct GroupState {
     pcp: HashMap<NodeId, PrivateEntry>,
     /// Leader liveness / election state.
     tracker: LeaderTracker,
-    /// Outstanding exchange: partner, WCL msg id, and the membership
-    /// window whose digest the request stated — what the partner gets if
-    /// it asks.
-    outstanding: Option<(NodeId, u64, Arc<Window>)>,
+    /// Outstanding exchange: partner and WCL msg id.
+    outstanding: Option<(NodeId, u64)>,
     /// Latest verified key announcement, piggybacked for dissemination.
     latest_announcement: Option<NewKeyAnnouncement>,
-    /// Accumulated membership OR-set: a leader's own admissions and
-    /// revocations, and the windows this node's exchanges traded — the
-    /// only way dots travel, sealed by the WCL and behind the passport
-    /// check (descriptors name no member).
-    membership: Membership,
+    /// The nodes revoked from the group, as a leader revoked them or an
+    /// exchange brought them: grow-only, merged by union, shipped whole in
+    /// every exchange (sealed by the WCL, behind the passport check).
+    revoked: BTreeSet<NodeId>,
     /// Latest verified descriptor under the epoch-dominated LWW order.
     latest_descriptor: Option<GroupDescriptor>,
     /// Publish sequence of the last descriptor this node signed.
     desc_seq: u64,
-    /// Next admission counter (leaders; makes membership dots unique).
-    next_dot: u64,
     /// Peers' passports already verified against `key_history` (which
     /// only grows, so a remembered pass stays a pass). Volatile: it is
     /// born empty with the state, on join and on journal replay alike.
@@ -195,10 +189,9 @@ impl GroupState {
         self.tracker.epoch
     }
 
-    /// The accumulated membership OR-set, as this node's exchanges have
-    /// brought it up to date (descriptors name no member).
-    pub fn membership(&self) -> &Membership {
-        &self.membership
+    /// The nodes this member knows to be revoked from the group.
+    pub fn revoked(&self) -> &BTreeSet<NodeId> {
+        &self.revoked
     }
 
     /// The latest verified group descriptor, if any arrived or was
@@ -222,7 +215,7 @@ impl GroupState {
     /// its holder was revoked since it was issued.
     fn admits(&mut self, group: GroupId, passport: &Passport) -> bool {
         self.verified.verify(passport, group, &self.key_history)
-            && !self.membership.is_revoked(passport.node)
+            && !self.revoked.contains(&passport.node)
     }
 
     fn current_key(&self) -> &PublicKey {
@@ -231,7 +224,7 @@ impl GroupState {
 
     fn merge_entries(&mut self, me: NodeId, entries: Vec<PrivateEntry>, cap: usize) {
         for entry in entries {
-            if entry.node == me {
+            if entry.node == me || self.revoked.contains(&entry.node) {
                 continue;
             }
             match self.view.iter_mut().find(|e| e.node == entry.node) {
@@ -247,18 +240,16 @@ impl GroupState {
         self.view.truncate(cap);
     }
 
-    /// Folds a partner's membership window into the OR-set — `true` when
-    /// that taught anything — and drops whoever it revokes from the view
-    /// and PCP at once instead of leaving them to liveness pruning.
-    fn fold_window(&mut self, ctx: &mut Ctx<'_>, window: &Window) -> bool {
-        let changed = self.membership.merge(window);
-        if changed {
-            ctx.metrics().count("ppss.membership_folded", 1);
-        }
-        for dot in &window.removes {
-            if !self.membership.is_member(dot.node) {
-                self.view.retain(|e| e.node != dot.node);
-                self.pcp.remove(&dot.node);
+    /// Folds revocations into the revoked set — `true` when that taught
+    /// anything — and drops whoever is newly revoked from the view and PCP
+    /// at once instead of leaving them to liveness pruning.
+    fn fold_revoked(&mut self, revoked: &[NodeId]) -> bool {
+        let mut changed = false;
+        for &node in revoked {
+            if self.revoked.insert(node) {
+                self.view.retain(|e| e.node != node);
+                self.pcp.remove(&node);
+                changed = true;
             }
         }
         changed
@@ -282,10 +273,9 @@ impl GroupState {
             tracker,
             outstanding: None,
             latest_announcement: None,
-            membership: Membership::new(),
+            revoked: BTreeSet::new(),
             latest_descriptor: None,
             desc_seq: 0,
-            next_dot: 0,
             verified: PassportMemo::default(),
         }
     }
@@ -309,8 +299,8 @@ const REC_TOMBSTONE: u8 = 2;
 const REC_PENDING: u8 = 3;
 
 /// Serializes the durable slice of one group's state: everything a node
-/// must still know after losing RAM — keys, passport, epoch, membership
-/// dots, the latest descriptor and a contact cache to re-bootstrap the
+/// must still know after losing RAM — keys, passport, epoch, revoked
+/// set, the latest descriptor and a contact cache to re-bootstrap the
 /// private view from. Volatile state (in-flight exchanges, the PCP
 /// freshness, announcements) is deliberately absent.
 fn encode_group_record(group: GroupId, state: &GroupState) -> Vec<u8> {
@@ -323,11 +313,9 @@ fn encode_group_record(group: GroupId, state: &GroupState) -> Vec<u8> {
     w.put(&state.passport);
     w.put_u64(state.tracker.epoch);
     w.put_u64(state.desc_seq);
-    w.put_u64(state.next_dot);
     w.put_opt(&state.latest_descriptor);
-    let (adds, removes) = state.membership.dots();
-    w.put_seq(&adds);
-    w.put_seq(&removes);
+    let revoked: Vec<NodeId> = state.revoked.iter().copied().collect();
+    w.put_seq(&revoked);
     // Contact cache: the private view plus PCP at checkpoint time,
     // sorted so the record bytes are independent of HashMap order.
     let mut contacts: Vec<PrivateEntry> = state.view.clone();
@@ -475,28 +463,35 @@ impl Ppss {
 
     /// Creates a new private group with this node as its leader.
     ///
-    /// # Panics
-    ///
-    /// Panics if the node already belongs to a group with this name, or
-    /// if a group with this name was deleted: the tombstone is sticky, so
-    /// the name can never be reused (resurrection is impossible by
-    /// construction).
-    pub fn create_group(&mut self, ctx: &mut Ctx<'_>, nylon: &NylonCore, name: &str) -> GroupId {
+    /// Returns `None`, creating nothing, if the node already belongs to a
+    /// group with this name (`ppss.create_refused_held`), or if a group
+    /// with this name was deleted (`ppss.resurrection_blocked`): the
+    /// tombstone is sticky, so the name can never be reused.
+    pub fn create_group(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nylon: &NylonCore,
+        name: &str,
+    ) -> Option<GroupId> {
         let id = GroupId::from_name(name);
-        assert!(!self.groups.contains_key(&id), "already a member of {name:?}");
-        assert!(!self.deleted.contains(&id), "group {name:?} was deleted; tombstones are forever");
+        if self.groups.contains_key(&id) {
+            ctx.metrics().count("ppss.create_refused_held", 1);
+            return None;
+        }
+        if self.deleted.contains(&id) {
+            ctx.metrics().count("ppss.resurrection_blocked", 1);
+            return None;
+        }
         let group_key = KeyPair::generate(nylon.config().rsa, ctx.rng());
         let passport = Passport::issue(&group_key, id, nylon.id());
         let mut tracker = LeaderTracker::new();
         tracker.beat();
-        let mut state =
+        let state =
             GroupState::fresh(vec![group_key.public().clone()], Some(group_key), passport, tracker);
-        state.membership.add(MemberDot { node: nylon.id(), epoch: 0, counter: 0 });
-        state.next_dot = 1;
         self.groups.insert(id, state);
         ctx.metrics().count("ppss.groups_created", 1);
         self.journal_group(id);
-        id
+        Some(id)
     }
 
     /// Issues an invitation for `invitee` (leader operation; the
@@ -620,25 +615,18 @@ impl Ppss {
         Some(vec![PpssEvent::GroupDeleted { group }])
     }
 
-    /// Revokes `node`'s membership (leader operation): tombstones its
-    /// admission dots in the OR-set and drops it from the view and PCP.
-    /// The revocation reaches the members in the windows of the leader's
-    /// next exchanges and spreads between them from there; no descriptor
-    /// is signed for it. Returns `false` when not a leader or `node` had
-    /// no live dots.
+    /// Revokes `node`'s membership (leader operation): adds it to the
+    /// revoked set and drops it from the view and PCP. The revocation
+    /// reaches the members in the leader's next exchanges and spreads
+    /// between them from there; no descriptor is signed for it. Returns
+    /// `false` when not a leader or `node` was revoked already.
     pub fn remove_member(&mut self, group: GroupId, node: NodeId) -> bool {
         let Some(state) = self.groups.get_mut(&group) else {
             return false;
         };
-        if state.leader_key.is_none() {
+        if state.leader_key.is_none() || !state.fold_revoked(&[node]) {
             return false;
         }
-        let revoked = state.membership.remove(node);
-        if revoked.is_empty() {
-            return false;
-        }
-        state.view.retain(|e| e.node != node);
-        state.pcp.remove(&node);
         self.journal_group(group);
         true
     }
@@ -853,10 +841,9 @@ impl Ppss {
                 hb: state.tracker.heartbeat(),
                 election: state.tracker.ballot(),
                 new_key: state.latest_announcement.clone(),
-                window: state.membership.window_digest(),
-                dots: None,
+                revoked: state.revoked.iter().copied().collect(),
             };
-            state.outstanding = Some((partner.node, msg_id, state.membership.window().clone()));
+            state.outstanding = Some((partner.node, msg_id));
             ctx.metrics().count("ppss.exchanges_initiated", 1);
             if !wcl.send(ctx, nylon, &partner.dest_info(), msg.to_wire(), None, msg_id) {
                 // No route constructible at all (e.g. every advertised
@@ -921,7 +908,7 @@ impl Ppss {
     /// or corrupt record is attributed to `ppss.journal_truncated` /
     /// `ppss.journal_corrupt` and everything after it is dropped.
     /// Restored groups come back with their keys, passport, epoch,
-    /// membership dots, latest descriptor and a journaled contact cache
+    /// revoked set, latest descriptor and a journaled contact cache
     /// as the private view; all in-flight state (outstanding exchanges,
     /// the PCP, pending announcements) is volatile and starts empty.
     pub fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -970,10 +957,8 @@ impl Ppss {
                 let passport: Passport = r.take()?;
                 let epoch = r.take_u64()?;
                 let desc_seq = r.take_u64()?;
-                let next_dot = r.take_u64()?;
                 let latest_descriptor: Option<GroupDescriptor> = r.take_opt()?;
-                let adds: Vec<MemberDot> = r.take_seq()?;
-                let removes: Vec<MemberDot> = r.take_seq()?;
+                let revoked: Vec<NodeId> = r.take_seq()?;
                 let contacts: Vec<PrivateEntry> = r.take_seq()?;
                 r.finish()?;
                 if self.deleted.contains(&group) {
@@ -996,10 +981,9 @@ impl Ppss {
                     tracker.beat();
                 }
                 let mut state = GroupState::fresh(key_history, leader_key, passport, tracker);
-                state.membership = Membership::from_dots(adds, removes);
+                state.revoked = revoked.into_iter().collect();
                 state.latest_descriptor = latest_descriptor;
                 state.desc_seq = desc_seq;
-                state.next_dot = next_dot;
                 state.view = contacts;
                 self.pending_joins.remove(&group); // the join completed
                 self.groups.insert(group, state);
@@ -1079,7 +1063,7 @@ impl Ppss {
     pub fn on_route_failed(&mut self, msg_id: u64, dest: NodeId) -> Vec<PpssEvent> {
         let mut events = Vec::new();
         for (gid, state) in self.groups.iter_mut() {
-            if state.outstanding.as_ref().is_some_and(|(to, id, _)| (*to, *id) == (dest, msg_id)) {
+            if state.outstanding == Some((dest, msg_id)) {
                 state.outstanding = None;
                 // The paper treats exhausted retries as destination
                 // failure: drop it from the private view.
@@ -1118,7 +1102,6 @@ impl Ppss {
             PpssMsg::JoinReq { group, .. }
             | PpssMsg::JoinAck { group, .. }
             | PpssMsg::Exchange { group, .. }
-            | PpssMsg::Dots { group, .. }
             | PpssMsg::AppData { group, .. }
             | PpssMsg::AppShort { group, .. }
             | PpssMsg::PcpRefresh { group, .. } => *group,
@@ -1148,22 +1131,12 @@ impl Ppss {
                 hb,
                 election,
                 new_key,
-                window,
-                dots,
+                revoked,
             } => {
                 self.handle_exchange(
                     ctx, nylon, wcl, via, group, passport, *from_entry, entries, exchange_id,
-                    is_response, hb, election, new_key, window, dots, &mut events,
+                    is_response, hb, election, new_key, revoked, &mut events,
                 );
-            }
-            PpssMsg::Dots { group, passport, dots } => {
-                let Some(state) = self.admit(ctx, wcl, via, group, &passport, None) else {
-                    return Some(events);
-                };
-                if state.fold_window(ctx, &dots) {
-                    self.journal_group(group);
-                    events.push(PpssEvent::ViewUpdated { group });
-                }
             }
             PpssMsg::AppData { group, passport, data, reply_entry } => {
                 // What the sender stated about itself: the bytes between
@@ -1294,26 +1267,22 @@ impl Ppss {
             ctx.metrics().count("ppss.join_ignored_not_leader", 1);
             return;
         };
+        if state.revoked.contains(&entry.node) {
+            // A revocation sticks: the accreditation it was admitted with
+            // does not admit it again.
+            ctx.metrics().count("ppss.join_rejected_revoked", 1);
+            return;
+        }
         if !verify_accreditation(&accreditation, group, entry.node, &state.key_history) {
             ctx.metrics().count("ppss.join_rejected", 1);
             return;
         }
         wcl.bind_return(ctx.now(), via, entry.node);
+        // The passport is a deterministic signature: a retransmitted
+        // request — its ack was lost, or is still on its way — gets the
+        // same one again. Nothing is journaled: the passport is all the
+        // admission there is.
         let passport = Passport::issue(leader_key, group, entry.node);
-        // A retransmitted request — its ack was lost, or is still on its
-        // way — is answered again, not admitted again.
-        let admitted = !state.membership.is_member(entry.node);
-        if admitted {
-            // The admission gets a unique dot; the leader's exchange
-            // windows carry it to the members' OR-sets.
-            let dot = MemberDot {
-                node: entry.node,
-                epoch: state.tracker.epoch,
-                counter: state.next_dot,
-            };
-            state.next_dot += 1;
-            state.membership.add(dot);
-        }
         // Seed the joiner with a slice of our view plus ourselves.
         let mut entries = vec![my_entry];
         entries.extend(state.view.iter().take(GOSSIP_LEN).cloned());
@@ -1324,11 +1293,8 @@ impl Ppss {
             entries,
         };
         state.merge_entries(me, vec![entry.clone()], cap);
-        ctx.metrics().count(if admitted { "ppss.joins_accepted" } else { "ppss.join_reacked" }, 1);
+        ctx.metrics().count("ppss.joins_accepted", 1);
         wcl.send_untracked(ctx, nylon, &entry.dest_info(), &ack.to_wire(), None);
-        if admitted {
-            self.journal_group(group);
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1389,8 +1355,7 @@ impl Ppss {
         hb: Heartbeat,
         election: Option<ElectionBallot>,
         new_key: Option<NewKeyAnnouncement>,
-        window: WindowDigest,
-        dots: Option<Arc<Window>>,
+        revoked: Vec<NodeId>,
         events: &mut Vec<PpssEvent>,
     ) {
         let my_entry = self.my_entry(nylon);
@@ -1430,19 +1395,13 @@ impl Ppss {
         if let Some(ballot) = election {
             state.tracker.observe_ballot(ballot);
         }
-        // Membership anti-entropy — the only way dots travel between
-        // members (descriptors name none): admissions, revocations, old
-        // admissions for late joiners. Each side ends up holding what it
-        // would if both windows shipped both ways, but a window ships only
-        // to a side that lacks it (DESIGN.md §15).
+        // Revocations — the only membership members keep, and the only way
+        // it travels (descriptors name no member). A responder folds the
+        // request's set before it answers with its own, so one exchange
+        // leaves both sides with the union.
+        journal_after |= state.fold_revoked(&revoked);
         if !is_response {
-            // Answer with our own buffer, and our window if it differs from
-            // the one the request stated — which asks for that one too.
             let buffer = Self::build_buffer(state, from_entry.node, ctx);
-            let dots = state.membership.window_unless(window);
-            if dots.is_some() {
-                ctx.metrics().count("ppss.windows_asked", 1);
-            }
             let resp = PpssMsg::Exchange {
                 group,
                 passport: state.passport.clone(),
@@ -1453,40 +1412,22 @@ impl Ppss {
                 hb: state.tracker.heartbeat(),
                 election: state.tracker.ballot(),
                 new_key: state.latest_announcement.clone(),
-                window: state.membership.window_digest(),
-                dots,
+                revoked: state.revoked.iter().copied().collect(),
             };
             ctx.metrics().count("ppss.exchanges_served", 1);
             wcl.send_untracked(ctx, nylon, &from_entry.dest_info(), &resp.to_wire(), None);
         } else {
-            let asked = state
-                .outstanding
-                .take_if(|(to, id, _)| (*to, *id) == (from_entry.node, exchange_id));
+            state.outstanding.take_if(|&mut sent| sent == (from_entry.node, exchange_id));
             wcl.notify_response(ctx, exchange_id);
             ctx.metrics().count("ppss.exchanges_completed", 1);
-            if let Some(theirs) = dots {
-                // The window our request stated (the current one for an
-                // answer that outlived it): the responder would have merged
-                // it before answering, and shipped the window of the union.
-                let ours = asked.map_or_else(|| state.membership.window().clone(), |(.., w)| w);
-                journal_after |= state.fold_window(ctx, &theirs.joined(&ours));
-                // Of ours, the responder needs what its window lacks.
-                let missing = ours.minus(&theirs);
-                if !missing.is_empty() {
-                    let passport = state.passport.clone();
-                    let follow_up = PpssMsg::Dots { group, passport, dots: missing }.to_wire();
-                    if wcl.send_on_route(ctx, nylon, &from_entry.dest_info(), &follow_up) {
-                        ctx.metrics().count("ppss.windows_sent", 1);
-                    }
-                }
-            }
         }
         let mut received = entries;
         received.push(from_entry);
         state.merge_entries(me, received, cfg.view_size);
         if journal_after {
-            // The key history (and possibly the epoch) changed — that is
-            // durable state; losing it on crash would orphan passports.
+            // The key history (and possibly the epoch) or the revoked set
+            // changed — that is durable state; losing it on crash would
+            // orphan passports or re-admit the revoked.
             self.journal_group(group);
         }
         events.push(PpssEvent::ViewUpdated { group });
@@ -1497,9 +1438,8 @@ impl Ppss {
     /// Non-members relay blobs without ever reaching this point (the
     /// store merge happens inside `whisper-pss`); members verify the
     /// signature against their key history, adopt a newer epoch and the
-    /// fresher descriptor, and fold nothing into the membership: any dots
-    /// a descriptor carries are ignored. A verified deletion tombstone
-    /// destroys the group on the spot, forever.
+    /// fresher descriptor, and ignore any dots a descriptor carries. A
+    /// verified deletion tombstone destroys the group on the spot, forever.
     pub fn on_descriptor(&mut self, ctx: &mut Ctx<'_>, bytes: &[u8]) -> Vec<PpssEvent> {
         let mut events = Vec::new();
         let Ok(desc) = GroupDescriptor::from_wire(bytes) else {
@@ -1574,6 +1514,7 @@ mod tests {
     use super::*;
     use crate::ppss::group::PASSPORT_MEMO_CAP;
     use crate::{WhisperConfig, WhisperNode};
+    use whisper_crypto::rsa::RsaKeySize;
     use whisper_net::nat::NatType;
     use whisper_net::sim::{Sim, SimConfig};
     use whisper_rand::rngs::StdRng;
@@ -1664,13 +1605,13 @@ mod tests {
         assert_eq!(sim.metrics().counter("ppss.resurrection_blocked"), 1);
     }
 
-    /// A `JoinReq` the leader has already admitted is answered again, not
-    /// admitted again: the joiner whose ack never took effect asks a second
-    /// time and gets a passport that verifies, while the leader's OR-set
-    /// keeps the one dot it issued and its descriptor stays the one signed
-    /// at the group's birth.
+    /// A `JoinReq` the leader has already answered is answered again, with
+    /// the same passport: the joiner whose ack never took effect asks a
+    /// second time and gets a passport that verifies. The leader journals
+    /// nothing for an answer, and its descriptor stays the one signed at
+    /// the group's birth.
     #[test]
-    fn repeated_join_request_is_acked_again_but_admitted_once() {
+    fn repeated_join_request_is_answered_with_the_same_passport() {
         let cfg = WhisperConfig::default();
         let mut keys = StdRng::seed_from_u64(3);
         let mut sim = Sim::new(SimConfig::cluster(7));
@@ -1697,32 +1638,156 @@ mod tests {
             sim.with_node_ctx::<WhisperNode>(joiner, |n, ctx| n.join_group(ctx, inv));
             sim.run_for(CYCLE * 2); // the handshake, then the leader's cycles
         };
-        let leader_sees = |sim: &Sim| {
-            let state = &sim.node::<WhisperNode>(leader).unwrap().ppss().groups[&group];
-            let dots = state.membership.dots().0.iter().filter(|d| d.node == joiner).count();
-            (dots, state.desc_seq)
-        };
+        let passport = |sim: &Sim| sim.node::<WhisperNode>(joiner).unwrap().ppss().groups[&group].passport.clone();
         let count = |sim: &Sim, name: &str| sim.metrics().counter(name);
 
         request(&mut sim);
         assert_eq!(count(&sim, "ppss.joins_completed"), 1);
-        assert_eq!(leader_sees(&sim), (1, 1), "admitted; signed once, at birth");
+        let first = passport(&sim);
 
         // The joiner is back where it was before the ack arrived.
         sim.with_node_ctx::<WhisperNode>(joiner, |n, _| n.ppss_mut().groups.clear());
         request(&mut sim);
         assert_eq!(count(&sim, "ppss.joins_completed"), 2, "the second ack is valid too");
         assert_eq!(count(&sim, "ppss.join_ack_invalid"), 0);
-        assert_eq!(count(&sim, "ppss.joins_accepted"), 1);
-        assert_eq!(count(&sim, "ppss.join_reacked"), 1);
-        assert_eq!(leader_sees(&sim), (1, 1), "one dot, nothing re-signed");
+        assert_eq!(count(&sim, "ppss.joins_accepted"), 2);
+        assert_eq!(passport(&sim), first, "the same passport");
+        assert_eq!(sim.node::<WhisperNode>(leader).unwrap().ppss().groups[&group].desc_seq, 1, "signed once, at birth");
         assert_eq!(count(&sim, "wcl.route_retry") + count(&sim, "wcl.route_exhausted"), 0);
+
+        // A third request, as the WCL would deliver it: answered, not
+        // journaled.
+        let mut entry = None;
+        sim.with_node_ctx::<WhisperNode>(joiner, |n, _| n.with_api(|api, _| entry = Some(api.my_entry())));
+        let journal = sim.node::<WhisperNode>(leader).unwrap().ppss().journal().raw().to_vec();
+        let accreditation = invitation.accreditation.clone();
+        deliver(&mut sim, leader, &PpssMsg::JoinReq { group, accreditation, entry: entry.unwrap() });
+        assert_eq!(count(&sim, "ppss.joins_accepted"), 3);
+        assert_eq!(sim.node::<WhisperNode>(leader).unwrap().ppss().journal().raw(), &journal[..], "nothing journaled");
+    }
+
+    /// `create_group` refuses a name this node already holds: nothing is
+    /// created or replaced, and the refusal is counted.
+    #[test]
+    fn create_group_refuses_a_held_name() {
+        let cfg = WhisperConfig::default();
+        let key = KeyPair::generate(cfg.nylon.rsa, &mut StdRng::seed_from_u64(5));
+        let mut sim = Sim::new(SimConfig::cluster(9));
+        let me = sim.add_node(Box::new(WhisperNode::new(cfg, key)), NatType::Public);
+        sim.run_for_secs(1);
+        let create = |sim: &mut Sim| {
+            let mut created = None;
+            sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
+                created = n.with_api(|api, _| api.ppss.create_group(ctx, api.nylon, "taken"));
+            });
+            created
+        };
+        let group = create(&mut sim).expect("a new name");
+        let key = |sim: &Sim| sim.node::<WhisperNode>(me).unwrap().ppss().groups[&group].current_key().clone();
+        let before = key(&sim);
+        assert_eq!(create(&mut sim), None);
+        assert_eq!(sim.metrics().counter("ppss.create_refused_held"), 1);
+        assert_eq!(sim.metrics().counter("ppss.groups_created"), 1);
+        assert_eq!(key(&sim), before, "the held group is untouched");
+    }
+
+    /// `create_group` refuses the name of a deleted group: the tombstone
+    /// wins, nothing is created, and the refusal is counted.
+    #[test]
+    fn create_group_refuses_a_deleted_name() {
+        let cfg = WhisperConfig::default();
+        let key = KeyPair::generate(cfg.nylon.rsa, &mut StdRng::seed_from_u64(6));
+        let mut sim = Sim::new(SimConfig::cluster(10));
+        let me = sim.add_node(Box::new(WhisperNode::new(cfg, key)), NatType::Public);
+        sim.run_for_secs(1);
+        let mut again = Some(GroupId(0));
+        sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
+            let group = n.create_group(ctx, "gone");
+            assert!(n.delete_group(ctx, group));
+            again = n.with_api(|api, _| api.ppss.create_group(ctx, api.nylon, "gone"));
+        });
+        assert_eq!(again, None);
+        assert_eq!(sim.metrics().counter("ppss.resurrection_blocked"), 1);
+        assert!(sim.node::<WhisperNode>(me).unwrap().ppss().group(GroupId::from_name("gone")).is_none());
+    }
+
+    /// The revoked set is a grow-only CRDT through the journal: replicas
+    /// that revoke, exchange (push-pull union, journaled on change as
+    /// `handle_exchange` does) and crash-restart from their journals in any
+    /// interleaving never lose a revoked node, and once every pair has
+    /// exchanged they all hold every node any of them revoked.
+    #[test]
+    fn revoked_sets_converge_under_any_interleaving_and_restart() {
+        use whisper_rand::Rng;
+        let key = KeyPair::generate(RsaKeySize::Sim384, &mut StdRng::seed_from_u64(7));
+        let group = GroupId::from_name("revocations");
+        let replica = |node: u64| {
+            let mut ppss = Ppss::new(PpssConfig::default());
+            let passport = Passport { node: NodeId(node), signature: vec![1; 48] };
+            let state =
+                GroupState::fresh(vec![key.public().clone()], None, passport, LeaderTracker::new());
+            ppss.groups.insert(group, state);
+            ppss.journal_group(group);
+            ppss
+        };
+        let revoked = |p: &Ppss| p.groups[&group].revoked.clone();
+        let fold = |p: &mut Ppss, nodes: &[NodeId]| {
+            if p.groups.get_mut(&group).unwrap().fold_revoked(nodes) {
+                p.journal_group(group);
+            }
+        };
+        let exchange = |rs: &mut [Ppss], a: usize, b: usize| {
+            let request: Vec<NodeId> = revoked(&rs[a]).into_iter().collect();
+            fold(&mut rs[b], &request);
+            let response: Vec<NodeId> = revoked(&rs[b]).into_iter().collect();
+            fold(&mut rs[a], &response);
+        };
+        whisper_rand::check::check(200, "revoked_sets_converge_under_any_interleaving_and_restart", |g| {
+            let mut replicas: Vec<Ppss> = (0..g.gen_range(2..=5u64)).map(replica).collect();
+            let n = replicas.len();
+            let mut everything = BTreeSet::new();
+            for _ in 0..g.gen_range(0..60) {
+                let before: Vec<BTreeSet<NodeId>> = replicas.iter().map(revoked).collect();
+                let r = g.gen_range(0..n);
+                match g.gen_range(0..3u8) {
+                    0 => {
+                        let node = NodeId(g.gen_range(100..140));
+                        everything.insert(node);
+                        fold(&mut replicas[r], &[node]);
+                    }
+                    1 => {
+                        let other = (r + g.gen_range(1..n)) % n;
+                        exchange(&mut replicas, r, other);
+                    }
+                    _ => {
+                        let p = &mut replicas[r];
+                        p.groups.clear();
+                        for record in &p.journal.replay().records {
+                            p.apply_record(record).expect("a record this code wrote");
+                        }
+                    }
+                }
+                for (now, then) in replicas.iter().map(revoked).zip(&before) {
+                    assert!(now.is_superset(then), "a revoked node left a set");
+                }
+            }
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j {
+                        exchange(&mut replicas, i, j);
+                    }
+                }
+            }
+            for p in &replicas {
+                assert_eq!(revoked(p), everything, "converged on every revocation");
+            }
+        });
     }
 
     /// A leader signs a descriptor when it holds none at its epoch, not
     /// when its membership changes: a group that admits 39 members and
     /// revokes one is signed for once, at birth, and its descriptor names
-    /// none of them.
+    /// none of them. Revoking the same member twice is refused.
     #[test]
     fn a_leader_signs_once_per_epoch_not_per_membership_change() {
         let cfg = WhisperConfig::default();
@@ -1742,12 +1807,15 @@ mod tests {
             deliver(&mut sim, me, &PpssMsg::JoinReq { group, accreditation: invitation.accreditation, entry });
         }
         sim.run_for(CYCLE * 3);
-        sim.with_node_ctx::<WhisperNode>(me, |n, _| assert!(n.remove_member(group, joiners[0])));
+        sim.with_node_ctx::<WhisperNode>(me, |n, _| {
+            assert!(n.remove_member(group, joiners[0]));
+            assert!(!n.remove_member(group, joiners[0]), "revoked already");
+        });
         sim.run_for(CYCLE * 3);
 
         let state = sim.node::<WhisperNode>(me).unwrap().ppss().group(group).unwrap();
-        assert_eq!(state.membership().members().len(), 39, "40 admitted, one revoked");
-        assert!(state.membership().is_revoked(joiners[0]));
+        assert_eq!(sim.metrics().counter("ppss.joins_accepted"), 39);
+        assert_eq!(state.revoked(), &BTreeSet::from([joiners[0]]));
         assert_eq!(sim.metrics().counter("ppss.desc_published"), 1);
         let desc = state.latest_descriptor().expect("signed at birth");
         assert!(desc.adds.is_empty() && desc.removes.is_empty(), "the descriptor names a member");

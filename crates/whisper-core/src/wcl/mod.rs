@@ -586,22 +586,6 @@ impl Wcl {
             || self.try_send(ctx, nylon, dest, payload, once, (&[], &[])).is_some()
     }
 
-    /// Sends `payload` untracked over this node's own route to `dest` —
-    /// the circuit its latest tracked send there went out on, while that
-    /// is fresh — and never back on a circuit `dest` opened: the follow-up
-    /// to a request `dest` has just answered goes where the request went.
-    ///
-    /// Returns `false` if no path could be constructed.
-    pub fn send_on_route(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        dest: &DestInfo,
-        payload: &[u8],
-    ) -> bool {
-        self.try_send(ctx, nylon, dest, payload, None, (&[], &[])).is_some()
-    }
-
     /// Notes that `peer` — whom the layer above has authenticated as the
     /// sender of what arrived `via` — is at the far end of that circuit:
     /// untracked sends to it ride the circuit back from now on. The last

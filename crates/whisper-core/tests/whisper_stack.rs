@@ -6,7 +6,7 @@
 
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
-use whisper_core::ppss::descriptor::{MemberDot, Membership, Window, EXCHANGE_DOTS};
+use whisper_core::ppss::journal::Journal;
 use whisper_core::ppss::messages::PpssMsg;
 use whisper_core::{GroupId, WhisperConfig, WhisperNode};
 use whisper_crypto::rsa::KeyPair;
@@ -148,8 +148,7 @@ fn forged_passport_is_silently_ignored() {
         hb: Default::default(),
         election: None,
         new_key: None,
-        window: [0; 16],
-        dots: None,
+        revoked: vec![],
     }
     .to_wire();
     let before = net.sim.metrics().counter("ppss.dropped_bad_passport");
@@ -333,10 +332,11 @@ fn multi_group_memberships_stay_separate() {
 // ---------------------------------------------------------------------
 
 /// Every member adopts the leader's signed descriptor from the relay
-/// gossip, and every member's OR-set covers the group — the work of the
-/// exchange windows, since descriptors name no member.
+/// gossip, and a revocation spreads to every member through the exchanges
+/// alone: no descriptor is signed for it, and nobody keeps the revoked
+/// node in its view.
 #[test]
-fn members_adopt_the_descriptor_and_exchanges_converge_membership() {
+fn members_adopt_the_descriptor_and_exchanges_spread_a_revocation() {
     let cfg = WhisperConfig::default();
     let mut net = build(30, &cfg, SimConfig::cluster(21), 250);
     let leader = net.ids[4];
@@ -346,33 +346,20 @@ fn members_adopt_the_descriptor_and_exchanges_converge_membership() {
 
     let joined = members_of(&net, group, &net.ids);
     assert!(joined.len() >= 8, "{} joined", joined.len());
+    let adopted = joined
+        .iter()
+        .filter(|&&m| net.sim.node::<WhisperNode>(m).unwrap().ppss().group(group).unwrap().latest_descriptor().is_some())
+        .count();
+    assert!(adopted >= joined.len() - 1, "{adopted}/{} members adopted a descriptor", joined.len());
 
-    // Every member eventually adopts a signed descriptor, and the OR-set
-    // converges: exchange windows carry every admission dot, old ones to
-    // late joiners included, so each member's membership covers (nearly)
-    // the whole group.
-    let mut adopted = 0;
-    let mut converged = 0;
-    for &m in &joined {
-        let node: &WhisperNode = net.sim.node(m).unwrap();
-        let state = node.ppss().group(group).unwrap();
-        if state.latest_descriptor().is_some() {
-            adopted += 1;
-        }
-        if state.membership().members().len() >= joined.len() - 1 {
-            converged += 1;
-        }
+    let revoked = *joined.iter().find(|&&m| m != leader).expect("a member");
+    net.sim.with_node_ctx::<WhisperNode>(leader, |node, _| assert!(node.remove_member(group, revoked)));
+    net.sim.run_for_secs(4 * 60);
+    for &m in joined.iter().filter(|&&m| m != revoked) {
+        let state = net.sim.node::<WhisperNode>(m).unwrap().ppss().group(group).unwrap();
+        assert!(state.revoked().contains(&revoked), "{m} does not hold the revocation");
+        assert!(state.view().iter().all(|e| e.node != revoked), "{m} keeps {revoked} in its view");
     }
-    assert!(
-        adopted >= joined.len() - 1,
-        "{adopted}/{} members adopted a descriptor",
-        joined.len()
-    );
-    assert!(
-        converged >= joined.len() - 1,
-        "{converged}/{} memberships converged",
-        joined.len()
-    );
     let metrics = net.sim.metrics();
     assert_eq!(metrics.counter("ppss.desc_published"), 1, "signed once, at birth");
     assert!(metrics.counter("ppss.desc_adopted") > 0, "members adopted");
@@ -383,138 +370,59 @@ fn members_adopt_the_descriptor_and_exchanges_converge_membership() {
     );
 }
 
-/// The dots `node` holds for `group`, if it is a member.
-fn held(net: &Net, node: NodeId, group: GroupId) -> Option<Membership> {
-    net.sim.node::<WhisperNode>(node)?.ppss().group(group).map(|s| s.membership().clone())
-}
-
-/// Whether `of` holds every dot of `window`.
-fn holds(of: &Membership, window: &Window) -> bool {
-    let (adds, removes) = of.dots();
-    let all = |dots: &[MemberDot], set: &[MemberDot]| dots.iter().all(|d| set.binary_search(d).is_ok());
-    all(&window.adds, &adds) && all(&window.removes, &removes)
-}
-
-/// What an exchange does guarantee for the membership OR-set, in a group
-/// with more admissions than one window holds: once it has completed, the
-/// requester holds the responder's newest `EXCHANGE_DOTS` dots of each kind
-/// and the responder the requester's — the window the request stated, or
-/// the one the response shipped. (Not that the group converges: see the
-/// ignored test below.) A leader with a dozen real members admits a
-/// hundred more that no route reaches; then, member after member, one
-/// exchange is started by hand towards the partner the cycle picks, and
-/// the two sides' windows before and after are compared with what each
-/// holds once the answer — and the follow-up, when asked for — are in.
+/// A revocation sticks: a revoked member that has lost the group and
+/// sends its `JoinReq` again, with an accreditation issued before the
+/// revocation, gets no passport back — its leader refuses it, under
+/// `ppss.join_rejected_revoked` — and every other member still drops what
+/// comes under its old passport.
 #[test]
-fn a_completed_exchange_leaves_each_side_the_others_window() {
-    use whisper_core::ppss::messages::PrivateEntry;
+fn a_revoked_member_that_asks_again_is_not_admitted() {
     let cfg = WhisperConfig::default();
-    let mut net = build(30, &cfg, SimConfig::cluster(25), 250);
+    let mut net = build(30, &cfg, SimConfig::cluster(27), 250);
     let leader = net.ids[4];
-    let members: Vec<NodeId> = net.ids[5..17].to_vec();
-    let group = form_group(&mut net, leader, &members, "wide");
+    let members: Vec<NodeId> = net.ids[5..13].to_vec();
+    let group = form_group(&mut net, leader, &members, "sticky");
     net.sim.run_for_secs(300);
-    let mut real = members_of(&net, group, &net.ids);
-    assert!(real.len() >= 12, "{} joined", real.len());
+    let joined = members_of(&net, group, &net.ids);
+    let victim = *joined.iter().find(|&&m| m != leader).expect("a member");
+    let passport =
+        net.sim.node::<WhisperNode>(victim).unwrap().ppss().group(group).unwrap().passport().clone();
+    let invitation = net.sim.node::<WhisperNode>(leader).unwrap().invite(group, victim).unwrap();
 
-    // A hundred admissions of nodes nobody can route to (NATted, no
-    // gateways): the leader's OR-set outgrows one window.
-    let key = net.sim.node::<WhisperNode>(leader).unwrap().nylon().keypair().public().clone();
-    for i in 0..100 {
-        let node = NodeId(10_000 + i);
-        let invitation = net.sim.node::<WhisperNode>(leader).unwrap().invite(group, node).unwrap();
-        let entry = PrivateEntry { node, age: 0, public: false, key: key.clone(), gateways: vec![] };
-        let request =
-            PpssMsg::JoinReq { group, accreditation: invitation.accreditation, entry }.to_wire();
-        net.sim.with_node_ctx::<WhisperNode>(leader, |n, ctx| {
-            n.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, &request));
+    net.sim.with_node_ctx::<WhisperNode>(leader, |node, _| assert!(node.remove_member(group, victim)));
+    net.sim.run_for_secs(6 * 60);
+    // The victim loses its disk, restarts with nothing and asks again.
+    net.sim.with_node_ctx::<WhisperNode>(victim, |node, ctx| {
+        *node.ppss_mut().journal_mut() = Journal::new();
+        node.ppss_mut().on_restart(ctx);
+        node.join_group(ctx, invitation);
+    });
+    let completed = net.sim.metrics().counter("ppss.joins_completed");
+    net.sim.run_for_secs(5 * 60);
+    let metrics = net.sim.metrics();
+    assert!(
+        net.sim.node::<WhisperNode>(victim).unwrap().ppss().group(group).is_none(),
+        "a passport came back"
+    );
+    assert_eq!(metrics.counter("ppss.joins_completed"), completed);
+    assert!(metrics.counter("ppss.join_rejected_revoked") > 0, "the leader did not refuse it by name");
+
+    let data = PpssMsg::AppData { group, passport, data: b"still here".to_vec(), reply_entry: None }.to_wire();
+    let others: Vec<NodeId> = joined.iter().copied().filter(|&m| m != victim).collect();
+    let dropped = metrics.counter("ppss.dropped_bad_passport");
+    for &m in &others {
+        net.sim.with_node_ctx::<WhisperNode>(m, |node, ctx| {
+            let events = node.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, &data));
+            assert_eq!(events, Some(vec![]), "{m} admits the revoked {victim}");
         });
     }
-    assert!(held(&net, leader, group).unwrap().dots().0.len() > EXCHANGE_DOTS + 40);
-
-    let (mut completed, mut differed) = (0, 0);
-    for _round in 0..3 {
-        real.sort_unstable();
-        for &a in &real {
-            let view = net.sim.node::<WhisperNode>(a).unwrap().ppss().group(group).unwrap().view().to_vec();
-            // The partner the cycle picks: the oldest entry.
-            let Some(b) = view.iter().max_by_key(|e| (e.age, e.node)).map(|e| e.node) else { continue };
-            if !real.contains(&b) {
-                continue; // an admitted node no route reaches
-            }
-            let ours = held(&net, a, group).unwrap().window().clone();
-            let theirs_before = held(&net, b, group).unwrap().window().clone();
-            net.sim.with_node_ctx::<WhisperNode>(a, |n, ctx| {
-                n.with_api(|api, _| api.ppss.on_cycle(ctx, api.nylon, api.wcl));
-            });
-            net.sim.run_for_secs(2);
-            let view = net.sim.node::<WhisperNode>(a).unwrap().ppss().group(group).unwrap().view().to_vec();
-            if !view.iter().any(|e| e.node == b && e.age == 0) {
-                continue; // no answer yet: the exchange has not completed
-            }
-            completed += 1;
-            differed += usize::from(ours != theirs_before);
-            let (a_now, b_now) = (held(&net, a, group).unwrap(), held(&net, b, group).unwrap());
-            assert!(holds(&b_now, &ours), "{b} lacks the window {a} stated");
-            // A window only ever trades dots for newer ones: what it held
-            // before and after, it held when it answered.
-            let kept = |before: &[MemberDot], after: &[MemberDot]| -> Vec<MemberDot> {
-                before.iter().filter(|d| after.contains(d)).copied().collect()
-            };
-            let theirs_after = b_now.window();
-            let answered = Window {
-                adds: kept(&theirs_before.adds, &theirs_after.adds),
-                removes: kept(&theirs_before.removes, &theirs_after.removes),
-            };
-            assert!(holds(&a_now, &answered), "{a} lacks the window {b} answered with");
-        }
-    }
-    assert!(completed >= 20, "only {completed} exchanges completed");
-    assert!(differed >= 5, "only {differed} of {completed} exchanges had windows to ship");
+    assert_eq!(net.sim.metrics().counter("ppss.dropped_bad_passport") - dropped, others.len() as u64);
 }
 
-/// **Not what the OR-set does today** (EXPERIMENTS.md@70f897e § "A third of
-/// onion_cold's bytes were membership the partner already had"): every
-/// exchange ships the newest `EXCHANGE_DOTS` dots only, so in a group with
-/// more members than that nobody ever re-ships the older admissions, and a
-/// member holds its leader's whole set only if it was there to hear each
-/// dot while it was among the newest. Convergence waits for delta journal
-/// records (ROADMAP, "Resident set per node").
-#[test]
-#[ignore = "fails: a group larger than one window does not converge"]
-fn a_150_member_group_converges_to_the_leaders_set() {
-    let cfg = WhisperConfig::default();
-    let mut net = build(170, &cfg, SimConfig::cluster(26), 250);
-    let leader = net.ids[5];
-    let members: Vec<NodeId> = net.ids[10..160].to_vec();
-    let group = form_group(&mut net, leader, &members, "wide");
-    net.sim.run_for_secs(20 * 60);
-    let joined = members_of(&net, group, &net.ids);
-    let led = held(&net, leader, group).unwrap();
-    let mut shares: Vec<f64> = joined
-        .iter()
-        .map(|&m| held(&net, m, group).unwrap().dots().0.len() as f64 / led.dots().0.len() as f64)
-        .collect();
-    shares.sort_by(f64::total_cmp);
-    let converged = joined.iter().filter(|&&m| held(&net, m, group).unwrap() == led).count();
-    assert_eq!(
-        converged,
-        joined.len(),
-        "after 20 cycles {converged} of {} members hold the leader's {} admissions; \
-         held share min {:.2} median {:.2} max {:.2}",
-        joined.len(),
-        led.dots().0.len(),
-        shares[0],
-        shares[shares.len() / 2],
-        shares[shares.len() - 1],
-    );
-}
-
-/// What a group larger than one window does guarantee: a revocation
-/// reaches every member. The leader of a 150-member group revokes one;
-/// the remove dot heads the leader's window, and exchanges carry it from
-/// member to member until every other member holds it, within six PPSS
-/// cycles (four on this seed).
+/// A revocation reaches every member of a large group. The leader of a
+/// 150-member group revokes one; every exchange carries the whole revoked
+/// set, and so the revocation goes from member to member until every other
+/// member holds it, within six PPSS cycles.
 #[test]
 fn a_revocation_reaches_every_member_of_a_150_member_group() {
     let cfg = WhisperConfig::default();
@@ -533,7 +441,10 @@ fn a_revocation_reaches_every_member_of_a_150_member_group() {
     loop {
         let missing = others
             .iter()
-            .filter(|&&m| !held(&net, m, group).is_some_and(|s| s.is_revoked(revoked)))
+            .filter(|&&m| {
+                let state = net.sim.node::<WhisperNode>(m).and_then(|n| n.ppss().group(group));
+                !state.is_some_and(|s| s.revoked().contains(&revoked))
+            })
             .count();
         if missing == 0 {
             break;

@@ -285,34 +285,31 @@ fn membership_invisible_to_active_prober() {
         .is_none());
 
     // Over the WCL this time, so that it reaches the PPSS: an exchange
-    // response that ships a window — with a dot for the prober in it — and
-    // so asks for the target's. A member checks the passport before it
-    // would fold or answer anything: it sends no window, learns no dot,
-    // and reacts no more than the non-member, which knows no such group.
-    use std::sync::Arc;
-    use whisper::core::ppss::descriptor::{MemberDot, Window};
+    // request that plants a revocation of a real member and asks for an
+    // answer. A member checks the passport before it would fold or answer
+    // anything: it answers nothing, revokes nobody, and reacts no more than
+    // the non-member, which knows no such group.
     let entry_of = |sim: &mut Sim, id: NodeId| {
         let mut entry = None;
         sim.with_node_ctx::<WhisperNode>(id, |node, _| node.with_api(|api, _| entry = Some(api.my_entry())));
         entry.expect("up")
     };
-    let planted = MemberDot { node: prober, epoch: 0, counter: 1 << 40 };
+    let planted = members[1];
     let asking = PpssMsg::Exchange {
         group,
         passport: Passport { node: prober, signature: vec![0u8; 48] },
         from_entry: Box::new(entry_of(&mut sim, prober)),
         entries: vec![],
         exchange_id: 1,
-        is_response: true,
+        is_response: false,
         hb: Default::default(),
         election: None,
         new_key: None,
-        window: [0; 16],
-        dots: Some(Arc::new(Window { adds: vec![planted], removes: vec![] })),
+        revoked: vec![planted],
     }
     .to_wire();
     let counters = |sim: &Sim| {
-        ["ppss.windows_sent", "ppss.dropped_bad_passport", "ppss.dropped_unknown_group"]
+        ["ppss.dropped_bad_passport", "ppss.dropped_unknown_group"]
             .map(|name| sim.metrics().counter(name))
     };
     let (before, up_before) = (counters(&sim), [member_target, nonmember_target].map(|t| sim.metrics().traffic(t).up_msgs));
@@ -324,13 +321,12 @@ fn membership_invisible_to_active_prober() {
     }
     sim.run_for_secs(2);
     let after = counters(&sim);
-    assert_eq!(after[0], before[0], "a window went out to the prober");
-    assert_eq!((after[1] - before[1], after[2] - before[2]), (1, 1), "each target dropped it, by name");
+    assert_eq!((after[0] - before[0], after[1] - before[1]), (1, 1), "each target dropped it, by name");
     let up_after = [member_target, nonmember_target].map(|t| sim.metrics().traffic(t).up_msgs);
     let (member_delta, nonmember_delta) = (up_after[0] - up_before[0], up_after[1] - up_before[1]);
     assert!(member_delta <= nonmember_delta + 2, "member reacted: {member_delta} vs {nonmember_delta}");
-    let held = sim.node::<WhisperNode>(member_target).unwrap().ppss().group(group).unwrap().membership().dots();
-    assert!(!held.0.contains(&planted), "the member folded the prober's dot");
+    let state = sim.node::<WhisperNode>(member_target).unwrap().ppss().group(group).unwrap();
+    assert!(!state.revoked().contains(&planted), "the member folded the prober's revocation");
 }
 
 /// Membership privacy at the relays: the signed group descriptors every
@@ -693,20 +689,27 @@ fn no_keystream_block_serves_both_directions() {
     assert!(blocks(&out).is_disjoint(&blocks(&back)));
 }
 
-/// The follow-up that carries a requester's membership window when a
-/// response asked for it is one more circuit packet: over a group's first
-/// five cycles, while the members' windows still differ and follow-ups go
-/// out, nothing any link carries shows the group id or a member's passport.
-/// (That an exchange is larger when a window ships is a size channel; the
-/// traffic-analysis adversary it would serve is parked, DESIGN.md §15.)
+/// An exchange that carries a non-empty revoked set is sealed like any
+/// other: over a group's first five cycles, with a member revoked after
+/// the second and the revocation travelling in every exchange from then
+/// on, nothing any link carries shows the group id or a member's passport.
+/// (That an exchange is larger when revocations exist is a size channel;
+/// the traffic-analysis adversary it would serve is parked, DESIGN.md §15.)
 #[test]
-fn a_window_follow_up_shows_relays_no_group_id() {
+fn an_exchange_carrying_a_non_empty_revoked_set_shows_relays_no_group_id_or_passport() {
     let (mut sim, ids, log) = build_tapped_net(25, 10);
     let (leader, members) = (ids[3], &ids[4..12]);
     let from = log.lock().unwrap().len();
-    let group = form_tapped_group(&mut sim, leader, members, "windows");
-    sim.run_for_secs(300);
-    assert!(sim.metrics().counter("ppss.windows_sent") > 0, "no follow-up was sent");
+    let group = form_tapped_group(&mut sim, leader, members, "revocations");
+    sim.run_for_secs(120);
+    sim.with_node_ctx::<Tap>(leader, |tap, _| assert!(tap.inner.remove_member(group, members[0])));
+    sim.run_for_secs(180);
+    let spread = members[1..]
+        .iter()
+        .filter_map(|&m| sim.node::<Tap>(m)?.inner.ppss().group(group))
+        .filter(|state| !state.revoked().is_empty())
+        .count();
+    assert!(spread > 0, "no exchange carried the revocation");
     let passports: Vec<Vec<u8>> = std::iter::once(&leader)
         .chain(members)
         .filter_map(|&m| Some(sim.node::<Tap>(m)?.inner.ppss().group(group)?.passport().signature.clone()))
