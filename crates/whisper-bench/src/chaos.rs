@@ -517,12 +517,12 @@ pub struct LifecycleOutcome {
     /// Live nodes still holding a deleted group at the end. The
     /// tentpole invariant: **zero**, always.
     pub resurrections: usize,
-    /// Number of descriptor-adoption latency samples observed.
-    pub desc_prop_samples: usize,
-    /// 95th percentile of descriptor propagation latency, seconds
-    /// (publication → adoption by a member, across partitions and
-    /// restarts).
-    pub desc_prop_p95_s: f64,
+    /// Number of deletion-propagation latency samples observed.
+    pub deletion_prop_samples: usize,
+    /// 95th percentile of deletion propagation latency, seconds
+    /// (tombstone publication → a member applying it, across partitions
+    /// and restarts).
+    pub deletion_prop_p95_s: f64,
     /// Live members of the group created *mid-run* (join-under-churn).
     pub late_members: usize,
     /// Whether the migrated member ended the run holding its new group.
@@ -563,7 +563,7 @@ fn serialize_observables(net: &WhisperNet) -> Vec<u8> {
 ///   **deleted** — tombstones must cross the partition and reach
 ///   crash-restarted members, and nothing may resurrect;
 /// * the round after that, one member **migrates** from the first group
-///   to the second (removal dot in one, fresh admission in the other).
+///   to the second (a revocation in one, a passport in the other).
 pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
     let mut builder = NetBuilder::cluster(params.nodes, params.seed);
     builder.sim = builder.sim.clone().with_shards(params.shards);
@@ -641,8 +641,8 @@ pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
             }
         }
         if round == migrate_round {
-            // Move one member from group 0 to group 1: a removal dot in
-            // one OR-set, a fresh admission dot in the other.
+            // Move one member from group 0 to group 1: a revocation in
+            // one, a passport in the other.
             let candidate = membership.first().and_then(|m| {
                 m.iter()
                     .copied()
@@ -697,12 +697,12 @@ pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
         })
         .unwrap_or(false);
     let m = net.sim.metrics();
-    let prop = m.samples("ppss.desc_prop_s");
+    let prop = m.samples("ppss.deletion_prop_s");
     LifecycleOutcome {
         deleted,
         resurrections,
-        desc_prop_samples: prop.len(),
-        desc_prop_p95_s: if prop.is_empty() {
+        deletion_prop_samples: prop.len(),
+        deletion_prop_p95_s: if prop.is_empty() {
             0.0
         } else {
             Cdf::from_samples(prop.iter().copied()).percentile(95.0)

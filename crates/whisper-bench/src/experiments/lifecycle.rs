@@ -1,11 +1,12 @@
-//! Group-lifecycle robustness sweep (DESIGN.md §15): descriptor
+//! Group-lifecycle robustness sweep (DESIGN.md §15): deletion
 //! propagation latency and journal recovery while groups are created,
 //! joined, migrated and deleted under a partition and a staggered
 //! crash/restart wave.
 //!
 //! Not a paper figure — this is reproduction-hardening evidence. The
 //! cells land in the `WHISPER_BENCH_JSON` merge file under
-//! `lifecycle/...` ids (verify.sh writes them to `BENCH_pr9.json`).
+//! `lifecycle/...` ids (verify.sh writes them to
+//! `target/verify/lifecycle.json`).
 
 use crate::chaos::{run_group_lifecycle, ChaosParams};
 use crate::report;
@@ -41,8 +42,8 @@ pub fn run(quick: bool, seed: u64) -> Lifecycle {
     assert_eq!(out.resurrections, 0, "lifecycle bench: deleted group resurrected");
     let rows = [
         ("delivery_pct", out.echo.delivery_ratio() * 100.0),
-        ("desc_prop_p95_s", out.desc_prop_p95_s),
-        ("desc_prop_samples", out.desc_prop_samples as f64),
+        ("deletion_prop_p95_s", out.deletion_prop_p95_s),
+        ("deletion_prop_samples", out.deletion_prop_samples as f64),
         ("journal_replays", out.journal_replays as f64),
         ("journal_groups_restored", out.journal_restored as f64),
         ("journal_replay_wall_us", out.replay_wall_us_mean),
@@ -59,7 +60,7 @@ impl Lifecycle {
     pub fn print(&self) {
         report::banner(
             "Lifecycle",
-            "group churn: descriptor propagation + journal recovery under faults",
+            "group churn: deletion propagation + journal recovery under faults",
         );
         let params = &self.params;
         println!(

@@ -1,17 +1,20 @@
-//! Signed group descriptors and the CRDT merge that keeps replicas
-//! convergent across partitions (the group-lifecycle design of
-//! "Pretty Private Group Management" grafted onto the paper's
-//! passport/accreditation machinery).
+//! Signed group descriptors: how a leader deletes its group (the
+//! group-lifecycle design of "Pretty Private Group Management" grafted
+//! onto the paper's passport/accreditation machinery).
 //!
-//! A [`GroupDescriptor`] is a small (~200–300 byte) RSA-signed summary of
-//! what a group is, not who is in it: leadership epoch, a hash of the key
-//! history and a deletion tombstone flag. A leader signs one when it holds
-//! none at its current epoch (at the group's birth, and after an election)
-//! and when it deletes the group; descriptors then travel as opaque blobs
+//! The paper's PPSS has no descriptor. A member learns its group's epoch
+//! from leader heartbeats and each new key from the signed announcement,
+//! both inside WCL-sealed exchanges (§IV-A), and a live group signs
+//! nothing else. What no exchange can do is reach the members that will
+//! never exchange again once the group is gone, so deletion alone takes a
+//! [`GroupDescriptor`]: a small (~200 byte) RSA-signed tombstone stating
+//! the group, the deleter's epoch and a hash of its key history, signed by
+//! a leader in `Ppss::delete_group`. It travels as an opaque blob
 //! piggybacked on Nylon gossip exchanges (see `whisper_pss::descriptors`),
 //! so propagation needs no extra messages and reaches non-members, who
-//! relay what they can neither verify (only members hold the key history
-//! a signature checks against) nor read a member from.
+//! relay what they cannot verify (only members hold the key history a
+//! signature checks against). A relay thus learns a group's id only once
+//! the group is deleted.
 //!
 //! Members hold no membership list. A passport proves admission on its
 //! own (paper §III), so all a member keeps besides it is the group's
@@ -19,19 +22,16 @@
 //! `GroupState` (`ppss/mod.rs`). Every PPSS exchange, request and response
 //! alike, carries the sender's whole set inside the WCL-sealed,
 //! passport-checked message, and the receiver folds it in by union. A
-//! descriptor's `adds` and `removes` are always empty as leaders sign
-//! them, and members ignore any dots one carries.
+//! descriptor's `adds`, `removes` and `seq` are left empty or zero by
+//! leaders and ignored by members; the fields stay because the
+//! benchmark's signing probe fills them.
 //!
 //! ## Merge rules
 //!
-//! Two replicas that have seen any interleaving of descriptors and
+//! Two replicas that have seen any interleaving of tombstones and
 //! exchanges converge on what they saw, because every component is a
 //! join-semilattice:
 //!
-//! * **Descriptor state** (epoch, key hash): epoch-dominated
-//!   last-writer-wins — ordered by `(tombstone, epoch, seq)`, with a
-//!   deterministic byte tiebreak for the co-leader case where two valid
-//!   descriptors share an `(epoch, seq)`.
 //! * **Revocations**: a grow-only set of node ids, merged by union. A
 //!   node that enters it never leaves it: its passport stops admitting it
 //!   at every member that holds the set, and its leader refuses its
@@ -39,11 +39,12 @@
 //!   replicas converge at every group size, within the rounds a rumour
 //!   takes to reach every member by push-pull. The cost is 8 bytes per
 //!   revocation in every exchange and in the journal record of the group.
-//! * **Deletion**: the tombstone flag is sticky — it dominates every
-//!   epoch forever, so once any replica has seen a verified deletion, no
-//!   sequence of stale descriptors, rejoining nodes or partition healing
-//!   can resurrect the group. Resurrection is impossible by construction,
-//!   not by timeout.
+//! * **Deletion**: a member that verifies a tombstone destroys the
+//!   group's state and journals the id in its sticky deleted set, which
+//!   blocks joining, re-creating and re-admitting the group forever. Any
+//!   verified descriptor that is not a tombstone changes nothing. Relays
+//!   keep the greater bytes per id, so co-leaders' tombstones converge.
+//!   Resurrection is impossible by construction, not by timeout.
 
 use crate::ppss::group::GroupId;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
@@ -100,26 +101,26 @@ pub fn key_history_hash(history: &[PublicKey]) -> [u8; 32] {
     Sha256::digest(&m)
 }
 
-/// An RSA-signed summary of a group's durable state.
+/// An RSA-signed statement about a group; leaders sign only deletion
+/// tombstones.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupDescriptor {
     /// The group.
     pub group: GroupId,
     /// Leadership epoch the signer held when publishing.
     pub epoch: u64,
-    /// Publish sequence within the epoch (LWW tiebreak).
+    /// Publish sequence: zero as leaders sign, ignored by members.
     pub seq: u64,
     /// [`key_history_hash`] of the signer's key history.
     pub key_hash: [u8; 32],
-    /// Deletion tombstone: sticky, dominates every epoch forever.
+    /// Deletion tombstone: the only kind a member acts on.
     pub tombstone: bool,
     /// Admission dots: empty as leaders sign descriptors, and ignored by
-    /// members (revocations travel in PPSS exchanges only). The field
-    /// stays because the benchmark's signing probe fills it.
+    /// members (revocations travel in PPSS exchanges only).
     pub adds: Vec<MemberDot>,
     /// Revocation dots: empty and ignored, as `adds`.
     pub removes: Vec<MemberDot>,
-    /// Simulated publish time in microseconds (propagation-latency
+    /// Simulated publish time in microseconds (deletion-propagation
     /// measurement; not covered by any correctness rule).
     pub born_at: u64,
     /// Serialized group public key the signature verifies under.
@@ -176,8 +177,8 @@ impl GroupDescriptor {
 
     /// Verifies the signature against a key history: the signer key must
     /// be a current-or-past group key (same acceptance rule as passports,
-    /// so descriptors from a leader we have not caught up with via its
-    /// `NewKeyAnnouncement` yet still verify once the key lands).
+    /// so a tombstone from a leader we have not caught up with via its
+    /// `NewKeyAnnouncement` yet still verifies once the key lands).
     pub fn verify(&self, history: &[PublicKey]) -> bool {
         let Some(signer) = PublicKey::from_bytes(&self.signer_key) else {
             return false;
@@ -186,30 +187,6 @@ impl GroupDescriptor {
             return false;
         }
         signer.verify(&descriptor_message(self), &self.signature).is_ok()
-    }
-
-    /// Relay-level LWW version for the unverified blob store: tombstones
-    /// pin the maximum (they can never be displaced), everything else
-    /// orders by epoch then publish sequence.
-    pub fn version(&self) -> u64 {
-        if self.tombstone {
-            u64::MAX
-        } else {
-            (self.epoch << 24) | (self.seq & 0xFF_FFFF)
-        }
-    }
-
-    /// The epoch-dominated LWW order (strict): tombstones dominate
-    /// everything, then epoch, then sequence, then — for the co-leader
-    /// tie — the lexicographically greater signed bytes, so every replica
-    /// picks the same winner without coordination.
-    pub fn dominates(&self, other: &GroupDescriptor) -> bool {
-        let lhs = (self.tombstone, self.epoch, self.seq);
-        let rhs = (other.tombstone, other.epoch, other.seq);
-        if lhs != rhs {
-            return lhs > rhs;
-        }
-        (&self.signer_key, &self.signature) > (&other.signer_key, &other.signature)
     }
 }
 
@@ -340,38 +317,6 @@ mod tests {
             d.verify(&[other.public().clone(), gk.public().clone()]),
             "past keys in the history stay acceptable"
         );
-    }
-
-    #[test]
-    fn lww_order_is_epoch_dominated() {
-        let gk = key(1);
-        let old = descriptor(&gk, 2, 9, false);
-        let new = descriptor(&gk, 3, 1, false);
-        assert!(new.dominates(&old), "higher epoch wins regardless of seq");
-        assert!(!old.dominates(&new));
-        let later_seq = descriptor(&gk, 3, 2, false);
-        assert!(later_seq.dominates(&new));
-    }
-
-    #[test]
-    fn equal_epoch_seq_ties_break_deterministically() {
-        // Two co-leaders (the paper allows several) publish at the same
-        // (epoch, seq): both replicas must pick the same winner.
-        let a = descriptor(&key(1), 3, 1, false);
-        let b = descriptor(&key(2), 3, 1, false);
-        assert_ne!(a, b);
-        assert!(a.dominates(&b) ^ b.dominates(&a), "exactly one wins");
-    }
-
-    #[test]
-    fn tombstone_dominates_every_epoch_forever() {
-        let gk = key(1);
-        let tomb = descriptor(&gk, 1, 0, true);
-        let futuristic = descriptor(&gk, 1000, 999, false);
-        assert!(tomb.dominates(&futuristic), "deleted is deleted");
-        assert!(!futuristic.dominates(&tomb));
-        assert_eq!(tomb.version(), u64::MAX, "relay LWW can never displace it");
-        assert!(futuristic.version() < u64::MAX);
     }
 
     #[test]

@@ -153,10 +153,6 @@ pub struct GroupState {
     /// exchange brought them: grow-only, merged by union, shipped whole in
     /// every exchange (sealed by the WCL, behind the passport check).
     revoked: BTreeSet<NodeId>,
-    /// Latest verified descriptor under the epoch-dominated LWW order.
-    latest_descriptor: Option<GroupDescriptor>,
-    /// Publish sequence of the last descriptor this node signed.
-    desc_seq: u64,
     /// Peers' passports already verified against `key_history` (which
     /// only grows, so a remembered pass stays a pass). Volatile: it is
     /// born empty with the state, on join and on journal replay alike.
@@ -192,12 +188,6 @@ impl GroupState {
     /// The nodes this member knows to be revoked from the group.
     pub fn revoked(&self) -> &BTreeSet<NodeId> {
         &self.revoked
-    }
-
-    /// The latest verified group descriptor, if any arrived or was
-    /// published yet.
-    pub fn latest_descriptor(&self) -> Option<&GroupDescriptor> {
-        self.latest_descriptor.as_ref()
     }
 
     /// This node's own passport for the group.
@@ -257,7 +247,7 @@ impl GroupState {
 }
 
 impl GroupState {
-    /// A freshly initialised group state (no descriptor seen yet).
+    /// A freshly initialised group state.
     fn fresh(
         key_history: Vec<PublicKey>,
         leader_key: Option<KeyPair>,
@@ -274,8 +264,6 @@ impl GroupState {
             outstanding: None,
             latest_announcement: None,
             revoked: BTreeSet::new(),
-            latest_descriptor: None,
-            desc_seq: 0,
             verified: PassportMemo::default(),
         }
     }
@@ -300,9 +288,9 @@ const REC_PENDING: u8 = 3;
 
 /// Serializes the durable slice of one group's state: everything a node
 /// must still know after losing RAM — keys, passport, epoch, revoked
-/// set, the latest descriptor and a contact cache to re-bootstrap the
-/// private view from. Volatile state (in-flight exchanges, the PCP
-/// freshness, announcements) is deliberately absent.
+/// set and a contact cache to re-bootstrap the private view from.
+/// Volatile state (in-flight exchanges, the PCP freshness,
+/// announcements) is deliberately absent.
 fn encode_group_record(group: GroupId, state: &GroupState) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_u8(REC_GROUP);
@@ -312,8 +300,6 @@ fn encode_group_record(group: GroupId, state: &GroupState) -> Vec<u8> {
     w.put_opt(&state.leader_key.as_ref().map(|k| k.to_bytes()));
     w.put(&state.passport);
     w.put_u64(state.tracker.epoch);
-    w.put_u64(state.desc_seq);
-    w.put_opt(&state.latest_descriptor);
     let revoked: Vec<NodeId> = state.revoked.iter().copied().collect();
     w.put_seq(&revoked);
     // Contact cache: the private view plus PCP at checkpoint time,
@@ -577,36 +563,35 @@ impl Ppss {
         true
     }
 
-    /// Deletes `group` (leader operation): publishes a signed deletion
-    /// tombstone into the relay-level descriptor store, journals the
-    /// tombstone, and drops all local group state. Returns the events to
-    /// dispatch, or `None` if this node is not a leader of the group.
+    /// Deletes `group` (leader operation): signs a deletion tombstone —
+    /// the only descriptor a leader signs — and publishes it into the
+    /// relay-level descriptor store, journals the tombstone, and drops all
+    /// local group state. Returns the events to dispatch, or `None` if
+    /// this node is not a leader of the group.
     ///
-    /// Deletion is permanent by construction: the tombstone descriptor
-    /// pins the relay LWW maximum (no stale descriptor can displace it),
-    /// every member that verifies it destroys its state the same way,
-    /// and the local tombstone set blocks joins and re-creation forever.
+    /// Deletion is permanent by construction: every member that verifies
+    /// the tombstone destroys its state the same way, and the local
+    /// tombstone set blocks joins and re-creation forever.
     pub fn delete_group(
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
         group: GroupId,
     ) -> Option<Vec<PpssEvent>> {
-        let state = self.groups.get_mut(&group)?;
+        let state = self.groups.get(&group)?;
         let leader_key = state.leader_key.as_ref()?;
-        state.desc_seq += 1;
         let tomb = GroupDescriptor::sign(
             leader_key,
             group,
             state.tracker.epoch,
-            state.desc_seq,
+            0,
             &state.key_history,
             true,
             Vec::new(),
             Vec::new(),
             ctx.now().as_micros(),
         );
-        nylon.publish_descriptor(group.0, tomb.version(), &tomb.to_wire());
+        nylon.publish_descriptor(group.0, &tomb.to_wire());
         self.groups.remove(&group);
         self.pending_joins.remove(&group);
         self.deleted.insert(group);
@@ -784,39 +769,6 @@ impl Ppss {
                     ElectionOutcome::Idle => {}
                 }
             }
-            // A leader signs a descriptor when it holds none at its
-            // current epoch: at the group's birth, after winning an
-            // election, or on learning, as a co-leader, of a newer epoch.
-            // What a descriptor says changes at no other time (deletion
-            // signs its own tombstone): it names no member.
-            let epoch = state.tracker.epoch;
-            let current = state.latest_descriptor.as_ref().is_some_and(|d| d.epoch >= epoch);
-            if state.is_leader() && !current {
-                state.desc_seq += 1;
-                let key = state.leader_key.as_ref().expect("leader");
-                let desc = GroupDescriptor::sign(
-                    key,
-                    group,
-                    epoch,
-                    state.desc_seq,
-                    &state.key_history,
-                    false,
-                    Vec::new(),
-                    Vec::new(),
-                    ctx.now().as_micros(),
-                );
-                state.latest_descriptor = Some(desc);
-                ctx.metrics().count("ppss.desc_published", 1);
-                to_journal.push(group);
-            }
-            // Every member re-offers its latest verified descriptor to
-            // the relay store each cycle. The store itself is volatile
-            // (a restarted relay loses it), so the members are the
-            // durable root the deterministic anti-entropy repair grows
-            // back from.
-            if let Some(desc) = &state.latest_descriptor {
-                nylon.publish_descriptor(group.0, desc.version(), &desc.to_wire());
-            }
             // Age the private view and gossip with its oldest member.
             for e in &mut state.view {
                 e.age = e.age.saturating_add(1);
@@ -908,9 +860,9 @@ impl Ppss {
     /// or corrupt record is attributed to `ppss.journal_truncated` /
     /// `ppss.journal_corrupt` and everything after it is dropped.
     /// Restored groups come back with their keys, passport, epoch,
-    /// revoked set, latest descriptor and a journaled contact cache
-    /// as the private view; all in-flight state (outstanding exchanges,
-    /// the PCP, pending announcements) is volatile and starts empty.
+    /// revoked set and a journaled contact cache as the private view;
+    /// all in-flight state (outstanding exchanges, the PCP, pending
+    /// announcements) is volatile and starts empty.
     pub fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
         let replay_started = std::time::Instant::now();
         let recovery = self.journal.replay();
@@ -956,8 +908,6 @@ impl Ppss {
                 let leader_bytes: Option<Vec<u8>> = r.take_opt()?;
                 let passport: Passport = r.take()?;
                 let epoch = r.take_u64()?;
-                let desc_seq = r.take_u64()?;
-                let latest_descriptor: Option<GroupDescriptor> = r.take_opt()?;
                 let revoked: Vec<NodeId> = r.take_seq()?;
                 let contacts: Vec<PrivateEntry> = r.take_seq()?;
                 r.finish()?;
@@ -982,8 +932,6 @@ impl Ppss {
                 }
                 let mut state = GroupState::fresh(key_history, leader_key, passport, tracker);
                 state.revoked = revoked.into_iter().collect();
-                state.latest_descriptor = latest_descriptor;
-                state.desc_seq = desc_seq;
                 state.view = contacts;
                 self.pending_joins.remove(&group); // the join completed
                 self.groups.insert(group, state);
@@ -1437,64 +1385,45 @@ impl Ppss {
     ///
     /// Non-members relay blobs without ever reaching this point (the
     /// store merge happens inside `whisper-pss`); members verify the
-    /// signature against their key history, adopt a newer epoch and the
-    /// fresher descriptor, and ignore any dots a descriptor carries. A
-    /// verified deletion tombstone destroys the group on the spot, forever.
+    /// signature against their key history. A verified deletion tombstone
+    /// destroys the group on the spot, forever; any other verified
+    /// descriptor says nothing the exchanges do not, and is dropped.
     pub fn on_descriptor(&mut self, ctx: &mut Ctx<'_>, bytes: &[u8]) -> Vec<PpssEvent> {
-        let mut events = Vec::new();
         let Ok(desc) = GroupDescriptor::from_wire(bytes) else {
             ctx.metrics().count("ppss.desc_unparseable", 1);
-            return events;
+            return Vec::new();
         };
         let group = desc.group;
         if self.deleted.contains(&group) {
             if !desc.tombstone {
                 ctx.metrics().count("ppss.resurrection_blocked", 1);
             }
-            return events;
+            return Vec::new();
         }
-        let Some(state) = self.groups.get_mut(&group) else {
-            return events; // not a member: relay-only, nothing to verify
+        let Some(state) = self.groups.get(&group) else {
+            return Vec::new(); // not a member: relay-only, nothing to verify
         };
         if !desc.verify(&state.key_history) {
             // Signed under a key we have not learned yet (it will verify
             // once the NewKeyAnnouncement lands), or forged. Either way:
             // fail closed.
             ctx.metrics().count("ppss.desc_unverified", 1);
-            return events;
+            return Vec::new();
         }
-        if desc.tombstone {
-            self.groups.remove(&group);
-            self.pending_joins.remove(&group);
-            self.deleted.insert(group);
-            self.journal.append(&encode_tombstone_record(group));
-            ctx.metrics().count("ppss.groups_deleted", 1);
-            events.push(PpssEvent::GroupDeleted { group });
-            return events;
+        if !desc.tombstone {
+            ctx.metrics().count("ppss.desc_ignored", 1);
+            return Vec::new();
         }
-        // The signer verified, so a higher epoch is authoritative even
-        // before its heartbeats reach us.
-        let mut changed = desc.epoch > state.tracker.epoch;
-        state.tracker.accept_new_epoch(desc.epoch);
-        let fresher = state
-            .latest_descriptor
-            .as_ref()
-            .is_none_or(|cur| desc.dominates(cur));
-        if fresher {
-            let now = ctx.now().as_micros();
-            if now >= desc.born_at {
-                ctx.metrics()
-                    .sample("ppss.desc_prop_s", (now - desc.born_at) as f64 / 1e6);
-            }
-            ctx.metrics().count("ppss.desc_adopted", 1);
-            state.latest_descriptor = Some(desc);
-            changed = true;
+        let now = ctx.now().as_micros();
+        if now >= desc.born_at {
+            ctx.metrics().sample("ppss.deletion_prop_s", (now - desc.born_at) as f64 / 1e6);
         }
-        if changed {
-            self.journal_group(group);
-            events.push(PpssEvent::ViewUpdated { group });
-        }
-        events
+        self.groups.remove(&group);
+        self.pending_joins.remove(&group);
+        self.deleted.insert(group);
+        self.journal.append(&encode_tombstone_record(group));
+        ctx.metrics().count("ppss.groups_deleted", 1);
+        vec![PpssEvent::GroupDeleted { group }]
     }
 
     /// Builds the exchange buffer: a random [`GOSSIP_LEN`]-sized subset of
@@ -1608,8 +1537,7 @@ mod tests {
     /// A `JoinReq` the leader has already answered is answered again, with
     /// the same passport: the joiner whose ack never took effect asks a
     /// second time and gets a passport that verifies. The leader journals
-    /// nothing for an answer, and its descriptor stays the one signed at
-    /// the group's birth.
+    /// nothing for an answer.
     #[test]
     fn repeated_join_request_is_answered_with_the_same_passport() {
         let cfg = WhisperConfig::default();
@@ -1652,7 +1580,6 @@ mod tests {
         assert_eq!(count(&sim, "ppss.join_ack_invalid"), 0);
         assert_eq!(count(&sim, "ppss.joins_accepted"), 2);
         assert_eq!(passport(&sim), first, "the same passport");
-        assert_eq!(sim.node::<WhisperNode>(leader).unwrap().ppss().groups[&group].desc_seq, 1, "signed once, at birth");
         assert_eq!(count(&sim, "wcl.route_retry") + count(&sim, "wcl.route_exhausted"), 0);
 
         // A third request, as the WCL would deliver it: answered, not
@@ -1784,12 +1711,13 @@ mod tests {
         });
     }
 
-    /// A leader signs a descriptor when it holds none at its epoch, not
-    /// when its membership changes: a group that admits 39 members and
-    /// revokes one is signed for once, at birth, and its descriptor names
-    /// none of them. Revoking the same member twice is refused.
+    /// A live group signs nothing; deletion signs once. A group that
+    /// admits 39 members, revokes one and changes leader in an election
+    /// puts no blob in the relay store; deleting it there puts one
+    /// tombstone, signed under the elected leader's key. Revoking the same
+    /// member twice is refused.
     #[test]
-    fn a_leader_signs_once_per_epoch_not_per_membership_change() {
+    fn a_live_group_signs_nothing_and_deletion_signs_once() {
         let cfg = WhisperConfig::default();
         let key = KeyPair::generate(cfg.nylon.rsa, &mut StdRng::seed_from_u64(4));
         let mut sim = Sim::new(SimConfig::cluster(8));
@@ -1811,14 +1739,26 @@ mod tests {
             assert!(n.remove_member(group, joiners[0]));
             assert!(!n.remove_member(group, joiners[0]), "revoked already");
         });
-        sim.run_for(CYCLE * 3);
+        // The leader steps down; alone, it hears no heartbeat and wins
+        // the election that follows, under a new group key.
+        sim.with_node_ctx::<WhisperNode>(me, |n, _| n.ppss_mut().groups.get_mut(&group).unwrap().leader_key = None);
+        sim.run_for(CYCLE * (HB_MISS_THRESHOLD + ELECTION_CYCLES + 3));
 
-        let state = sim.node::<WhisperNode>(me).unwrap().ppss().group(group).unwrap();
+        let node = sim.node::<WhisperNode>(me).unwrap();
+        let state = node.ppss().group(group).unwrap();
         assert_eq!(sim.metrics().counter("ppss.joins_accepted"), 39);
+        assert_eq!(sim.metrics().counter("ppss.elections_won"), 1);
+        assert!(state.is_leader() && state.epoch() == 1 && state.key_history().len() == 2);
         assert_eq!(state.revoked(), &BTreeSet::from([joiners[0]]));
-        assert_eq!(sim.metrics().counter("ppss.desc_published"), 1);
-        let desc = state.latest_descriptor().expect("signed at birth");
-        assert!(desc.adds.is_empty() && desc.removes.is_empty(), "the descriptor names a member");
+        assert!(node.nylon().descriptors().is_empty(), "a live group signed a descriptor");
+        let history = state.key_history().to_vec();
+
+        sim.with_node_ctx::<WhisperNode>(me, |n, ctx| assert!(n.delete_group(ctx, group)));
+        let store = sim.node::<WhisperNode>(me).unwrap().nylon().descriptors();
+        assert_eq!(store.ids(), vec![group.0], "deletion signs once");
+        let tomb = GroupDescriptor::from_wire(store.get(group.0).unwrap()).unwrap();
+        assert!(tomb.tombstone && tomb.epoch == 1 && tomb.verify(&history[1..]));
+        assert!(tomb.adds.is_empty() && tomb.removes.is_empty(), "the tombstone names a member");
     }
 
     /// The periodic checkpoint drops the one before last: however many
@@ -1907,9 +1847,8 @@ mod tests {
                     20..45 => 3 + 1 + 1,
                     _ => 2 + 1 + 2,
                 };
-                // The birth appends twice (creation, first descriptor),
-                // the deletion once.
-                let between = 2 * u32::from((cycles - 8..cycles).contains(&20))
+                // The birth appends once, the deletion once.
+                let between = u32::from((cycles - 8..cycles).contains(&20))
                     + u32::from((cycles - 8..cycles).contains(&45));
                 let records = (checkpoint(cycles - 8) + between + checkpoint(cycles)) as usize;
                 let journal = sim.node::<WhisperNode>(me).unwrap().ppss().journal();

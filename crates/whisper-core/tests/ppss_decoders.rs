@@ -2,18 +2,20 @@
 //! slice; `wcl_circuits.rs::circuit_decoders_are_total_on_hostile_bytes`
 //! is the template). Every message kind — the exchange request and
 //! response, each carrying the sender's non-empty revoked set, and the
-//! rest — and the group's signed descriptor, built from a running group's
-//! own state, then cut short, grown, spliced, bit-flipped or given a
-//! sequence length that claims the whole remaining input:
+//! rest — and the signed tombstone of a deletion, built from a running
+//! group's own state, then cut short, grown, spliced, bit-flipped or given
+//! a sequence length that claims the whole remaining input:
 //! `PpssMsg::from_wire` and `GroupDescriptor::from_wire` refuse it or
 //! read back exactly what they were given, never reserve more than the
-//! input for it, and a member handed it does not panic.
+//! input for it, and a member handed it does not panic. A validly signed
+//! descriptor that is not a tombstone changes no state.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use whisper_core::ppss::descriptor::GroupDescriptor;
+use whisper_core::ppss::group::{issue_accreditation, Invitation, Passport};
 use whisper_core::ppss::messages::{Heartbeat, PpssMsg};
-use whisper_core::{GroupId, WhisperConfig, WhisperNode};
+use whisper_core::{GroupId, PpssEvent, WhisperConfig, WhisperNode};
 use whisper_crypto::rsa::KeyPair;
 use whisper_net::nat::NatType;
 use whisper_net::sim::{Sim, SimConfig};
@@ -86,9 +88,11 @@ impl Decoder {
 type Image = (Decoder, Vec<u8>, Vec<usize>);
 
 /// A running group — leader, three members, a revocation, some cycles of
-/// exchanges — and every kind of PPSS message, and the group descriptor,
-/// as its state makes them.
-fn running_group() -> (Sim, NodeId, Vec<Image>) {
+/// exchanges — and every kind of PPSS message as its state makes them,
+/// and the tombstone of a second group the leader deleted, which the
+/// first member still holds. Returns the sim, the leader, that member and
+/// the images.
+fn running_group() -> (Sim, NodeId, NodeId, Vec<Image>) {
     let cfg = WhisperConfig::default();
     let mut keys = StdRng::seed_from_u64(25);
     let mut sim = Sim::new(SimConfig::cluster(25));
@@ -102,11 +106,17 @@ fn running_group() -> (Sim, NodeId, Vec<Image>) {
     sim.run_for_secs(150);
     let (leader, member) = (ids[2], ids[3]);
     let mut group = GroupId(0);
-    sim.with_node_ctx::<WhisperNode>(leader, |n, ctx| group = n.create_group(ctx, "hostile"));
+    let mut doomed = GroupId(0);
+    sim.with_node_ctx::<WhisperNode>(leader, |n, ctx| {
+        group = n.create_group(ctx, "hostile");
+        doomed = n.create_group(ctx, "doomed");
+    });
     for &m in &ids[3..6] {
         let invitation = sim.node::<WhisperNode>(leader).unwrap().invite(group, m).unwrap();
         sim.with_node_ctx::<WhisperNode>(m, |n, ctx| n.join_group(ctx, invitation));
     }
+    let invitation = sim.node::<WhisperNode>(leader).unwrap().invite(doomed, member).unwrap();
+    sim.with_node_ctx::<WhisperNode>(member, |n, ctx| n.join_group(ctx, invitation));
     sim.run_for_secs(200);
     sim.with_node_ctx::<WhisperNode>(leader, |n, _| assert!(n.remove_member(group, ids[5])));
     sim.run_for_secs(200);
@@ -140,7 +150,6 @@ fn running_group() -> (Sim, NodeId, Vec<Image>) {
     let key_history: Vec<Vec<u8>> = led.key_history().iter().map(|k| k.to_bytes()).collect();
     let history_len = 4 + key_history.iter().map(|k| 4 + k.len()).sum::<usize>();
     let accreditation = stack(leader).invite(group, NodeId(7)).unwrap().accreditation;
-    let descriptor = led.latest_descriptor().expect("signed at birth").to_wire();
     // Behind the group, epoch, sequence, key hash and tombstone flag.
     let adds_at = 16 + 8 + 8 + 32 + 1;
     let messages = vec![
@@ -170,13 +179,18 @@ fn running_group() -> (Sim, NodeId, Vec<Image>) {
     ];
     let mut images: Vec<Image> =
         messages.into_iter().map(|(msg, seqs)| (Decoder::Ppss, msg.to_wire(), seqs)).collect();
-    images.push((Decoder::Descriptor, descriptor, vec![adds_at, adds_at + 4]));
-    (sim, leader, images)
+    // The sim does not run on: the member holds `doomed` while the
+    // tombstone sits in the leader's relay store.
+    assert!(stack(member).ppss().group(doomed).is_some(), "the member joined both");
+    sim.with_node_ctx::<WhisperNode>(leader, |n, ctx| assert!(n.delete_group(ctx, doomed)));
+    let tombstone = sim.node::<WhisperNode>(leader).unwrap().nylon().descriptors().get(doomed.0).unwrap().to_vec();
+    images.push((Decoder::Descriptor, tombstone, vec![adds_at, adds_at + 4]));
+    (sim, leader, member, images)
 }
 
 #[test]
 fn ppss_decoders_are_total_on_hostile_bytes() {
-    let (sim, leader, images) = running_group();
+    let (sim, leader, member, images) = running_group();
     // The unmutated images read back as themselves, and each prefix said
     // to be a sequence length is one: one element more breaks the image.
     for (decoder, image, seqs) in &images {
@@ -227,9 +241,15 @@ fn ppss_decoders_are_total_on_hostile_bytes() {
         // whatever its length; nothing else may outgrow the input.
         assert!(largest <= hostile.len() + 512, "{largest} B reserved for {} B", hostile.len());
 
+        // Messages go to the leader; tombstones to the member that still
+        // holds the deleted group, which checks their signatures.
         let sim = &mut *sim.borrow_mut();
         let mut handled = None;
-        sim.with_node_ctx::<WhisperNode>(leader, |n, ctx| {
+        let to = match decoder {
+            Decoder::Ppss => leader,
+            Decoder::Descriptor => member,
+        };
+        sim.with_node_ctx::<WhisperNode>(to, |n, ctx| {
             handled = Some(match decoder {
                 Decoder::Ppss => n.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, &hostile).is_some()),
                 Decoder::Descriptor => {
@@ -239,6 +259,72 @@ fn ppss_decoders_are_total_on_hostile_bytes() {
                 }
             });
         });
-        assert_eq!(handled.expect("the leader is up"), decoded.is_ok());
+        assert_eq!(handled.expect("the node is up"), decoded.is_ok());
     });
+}
+
+/// A descriptor that verifies under the group's key but is no tombstone
+/// changes nothing at a member: no epoch, no event, no journal record —
+/// it is only counted. The same key's tombstone deletes the group.
+#[test]
+fn a_validly_signed_live_descriptor_changes_no_state() {
+    let cfg = WhisperConfig::default();
+    let mut keys = StdRng::seed_from_u64(26);
+    let mut sim = Sim::new(SimConfig::cluster(26));
+    let ids: Vec<NodeId> = (0..2u64)
+        .map(|i| {
+            let mut node = WhisperNode::new(cfg.clone(), KeyPair::generate(cfg.nylon.rsa, &mut keys));
+            node.nylon_mut().set_bootstrap(vec![NodeId(1 - i)]);
+            sim.add_node(Box::new(node), NatType::Public)
+        })
+        .collect();
+    sim.run_for_secs(30);
+    let (me, other) = (ids[0], ids[1]);
+    // A group whose key this test holds: the invitation and the ack are
+    // what its leader would send.
+    let group_key = KeyPair::generate(cfg.nylon.rsa, &mut keys);
+    let group = GroupId::from_name("live");
+    let mut entry_point = None;
+    sim.with_node_ctx::<WhisperNode>(other, |n, _| n.with_api(|api, _| entry_point = Some(api.my_entry())));
+    let invitation = Invitation {
+        group,
+        group_key: group_key.public().clone(),
+        accreditation: issue_accreditation(&group_key, group, me),
+        entry_point: entry_point.unwrap(),
+    };
+    sim.with_node_ctx::<WhisperNode>(me, |n, ctx| n.join_group(ctx, invitation));
+    let ack = PpssMsg::JoinAck {
+        group,
+        passport: Passport::issue(&group_key, group, me),
+        key_history: vec![group_key.public().to_bytes()],
+        entries: vec![],
+    };
+    let deliver = |sim: &mut Sim, wire: &[u8], descriptor: bool| {
+        let mut events = Vec::new();
+        sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
+            events = if descriptor {
+                n.ppss_mut().on_descriptor(ctx, wire)
+            } else {
+                n.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, wire)).unwrap()
+            };
+        });
+        events
+    };
+    deliver(&mut sim, &ack.to_wire(), false);
+    let epoch = |sim: &Sim| sim.node::<WhisperNode>(me).unwrap().ppss().group(group).map(|s| s.epoch());
+    let journal = |sim: &Sim| sim.node::<WhisperNode>(me).unwrap().ppss().journal().raw().to_vec();
+    assert_eq!(epoch(&sim), Some(0), "joined");
+    let before = journal(&sim);
+
+    let history = [group_key.public().clone()];
+    let sign = |tombstone| GroupDescriptor::sign(&group_key, group, 5, 1, &history, tombstone, vec![], vec![], 0);
+    let live = sign(false);
+    assert!(live.verify(&history));
+    assert_eq!(deliver(&mut sim, &live.to_wire(), true), vec![]);
+    assert_eq!(epoch(&sim), Some(0), "the descriptor's epoch was adopted");
+    assert_eq!(journal(&sim), before, "the descriptor was journaled");
+    assert_eq!(sim.metrics().counter("ppss.desc_ignored"), 1);
+
+    assert_eq!(deliver(&mut sim, &sign(true).to_wire(), true), vec![PpssEvent::GroupDeleted { group }]);
+    assert_eq!(epoch(&sim), None);
 }

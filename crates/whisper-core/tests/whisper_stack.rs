@@ -331,12 +331,11 @@ fn multi_group_memberships_stay_separate() {
 // tombstones, relayed descriptors and exchange-carried membership.
 // ---------------------------------------------------------------------
 
-/// Every member adopts the leader's signed descriptor from the relay
-/// gossip, and a revocation spreads to every member through the exchanges
-/// alone: no descriptor is signed for it, and nobody keeps the revoked
-/// node in its view.
+/// A revocation spreads to every member through the exchanges alone: no
+/// descriptor is signed for it, no relay carries a blob, and nobody keeps
+/// the revoked node in its view.
 #[test]
-fn members_adopt_the_descriptor_and_exchanges_spread_a_revocation() {
+fn exchanges_spread_a_revocation_to_every_member() {
     let cfg = WhisperConfig::default();
     let mut net = build(30, &cfg, SimConfig::cluster(21), 250);
     let leader = net.ids[4];
@@ -346,12 +345,6 @@ fn members_adopt_the_descriptor_and_exchanges_spread_a_revocation() {
 
     let joined = members_of(&net, group, &net.ids);
     assert!(joined.len() >= 8, "{} joined", joined.len());
-    let adopted = joined
-        .iter()
-        .filter(|&&m| net.sim.node::<WhisperNode>(m).unwrap().ppss().group(group).unwrap().latest_descriptor().is_some())
-        .count();
-    assert!(adopted >= joined.len() - 1, "{adopted}/{} members adopted a descriptor", joined.len());
-
     let revoked = *joined.iter().find(|&&m| m != leader).expect("a member");
     net.sim.with_node_ctx::<WhisperNode>(leader, |node, _| assert!(node.remove_member(group, revoked)));
     net.sim.run_for_secs(4 * 60);
@@ -360,14 +353,7 @@ fn members_adopt_the_descriptor_and_exchanges_spread_a_revocation() {
         assert!(state.revoked().contains(&revoked), "{m} does not hold the revocation");
         assert!(state.view().iter().all(|e| e.node != revoked), "{m} keeps {revoked} in its view");
     }
-    let metrics = net.sim.metrics();
-    assert_eq!(metrics.counter("ppss.desc_published"), 1, "signed once, at birth");
-    assert!(metrics.counter("ppss.desc_adopted") > 0, "members adopted");
-    assert!(metrics.counter("pss.desc_merged") > 0, "relays carried blobs");
-    assert!(
-        !metrics.samples("ppss.desc_prop_s").is_empty(),
-        "propagation latency sampled"
-    );
+    assert_eq!(net.sim.metrics().counter("pss.desc_merged"), 0, "a relay carried a blob");
 }
 
 /// A revocation sticks: a revoked member that has lost the group and
@@ -598,6 +584,10 @@ fn deleted_groups_never_resurrect() {
     assert!(
         net.sim.metrics().counter("ppss.groups_deleted") as usize >= joined.len(),
         "every member tore the group down"
+    );
+    assert!(
+        !net.sim.metrics().samples("ppss.deletion_prop_s").is_empty(),
+        "deletion propagation sampled"
     );
 
     // A node presenting a pre-deletion invitation cannot rejoin: the

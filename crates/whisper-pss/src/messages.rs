@@ -27,7 +27,7 @@ pub enum NylonMsg {
         entries: Vec<ViewEntry>,
         /// Serialized public key, if key sampling is on.
         key: Option<Vec<u8>>,
-        /// Piggybacked group-descriptor blobs (relay-level anti-entropy).
+        /// Piggybacked group-deletion blobs (relay-level anti-entropy).
         descs: Vec<DescriptorBlob>,
     },
     /// Gossip exchange response (same shape as the request).
@@ -40,7 +40,7 @@ pub enum NylonMsg {
         entries: Vec<ViewEntry>,
         /// Serialized public key, if key sampling is on.
         key: Option<Vec<u8>>,
-        /// Piggybacked group-descriptor blobs (relay-level anti-entropy).
+        /// Piggybacked group-deletion blobs (relay-level anti-entropy).
         descs: Vec<DescriptorBlob>,
     },
     /// A message relayed along a rendezvous chain. `remaining` lists the
@@ -167,8 +167,8 @@ impl<'a> GossipView<'a> {
         seq_items(self.entries, |r| r.take())
     }
 
-    /// The piggybacked descriptor blobs as `(id, version, bytes)`.
-    pub fn descs(&self) -> impl Iterator<Item = (u128, u64, &'a [u8])> + 'a {
+    /// The piggybacked descriptor blobs as `(id, bytes)`.
+    pub fn descs(&self) -> impl Iterator<Item = (u128, &'a [u8])> + 'a {
         seq_items(self.descs, DescriptorBlob::take_view)
     }
 }
@@ -442,7 +442,7 @@ mod tests {
                 route: vec![NodeId(4)],
             }],
             key: Some(vec![1, 2, 3]),
-            descs: vec![DescriptorBlob { id: 7, version: 3, bytes: vec![9; 20] }],
+            descs: vec![DescriptorBlob { id: 7, bytes: vec![9; 20] }],
         });
         round_trip(NylonMsg::GossipResp {
             sender: NodeId(1),

@@ -63,14 +63,11 @@ pub enum NylonEvent {
         /// The exchange partner.
         partner: NodeId,
     },
-    /// A fresher group-descriptor blob was merged into the relay store
-    /// (the layer above verifies and interprets it; this layer only
-    /// relays).
+    /// A new group-deletion blob was merged into the relay store (the
+    /// layer above verifies and interprets it; this layer only relays).
     Descriptor {
         /// Blob identifier (a group id, opaque here).
         id: u128,
-        /// LWW version of the merged blob.
-        version: u64,
         /// Opaque blob bytes.
         bytes: Vec<u8>,
     },
@@ -211,11 +208,11 @@ impl NylonCore {
         &self.descs
     }
 
-    /// Publishes (or refreshes) a descriptor blob into the relay store;
-    /// it will piggyback on subsequent gossip exchanges. Returns `true`
-    /// when the blob was news under the store's LWW rule.
-    pub fn publish_descriptor(&mut self, id: u128, version: u64, bytes: &[u8]) -> bool {
-        self.descs.offer(id, version, bytes)
+    /// Publishes a descriptor blob into the relay store; it will
+    /// piggyback on subsequent gossip exchanges. Returns `true` when the
+    /// blob was news under the store's rule.
+    pub fn publish_descriptor(&mut self, id: u128, bytes: &[u8]) -> bool {
+        self.descs.offer(id, bytes)
     }
 
     /// The `getPeer()` API of Fig. 1: a uniformly random view entry.
@@ -442,7 +439,7 @@ impl NylonCore {
         to_public: bool,
         route_hint: &[NodeId],
     ) -> SendOutcome {
-        // Exactly one batch per message: drawing it advances the cursors.
+        // Exactly one batch per message: drawing it advances the cursor.
         let descs = self.descs.next_batch(DESCRIPTOR_GOSSIP);
         let key = self.cfg.key_sampling.then(|| self.keypair.public().wire_bytes());
         let t0 = ctx.prof_enabled().then(Instant::now);
@@ -607,10 +604,10 @@ impl NylonCore {
         let GossipView { request, sender, sender_public, .. } = gossip;
         // Fold piggybacked blobs into the store; every merged-fresh blob
         // surfaces as a `NylonEvent::Descriptor` for the layer above.
-        for (id, version, bytes) in gossip.descs() {
-            if self.descs.offer(id, version, bytes) {
+        for (id, bytes) in gossip.descs() {
+            if self.descs.offer(id, bytes) {
                 ctx.metrics().count("pss.desc_merged", 1);
-                events.push(NylonEvent::Descriptor { id, version, bytes: bytes.to_vec() });
+                events.push(NylonEvent::Descriptor { id, bytes: bytes.to_vec() });
             }
         }
         if request {

@@ -148,7 +148,6 @@ fn view_entry_decode_never_panics() {
 fn gen_blob(g: &mut Gen) -> DescriptorBlob {
     DescriptorBlob {
         id: ((g.gen::<u64>() as u128) << 64) | g.gen::<u64>() as u128,
-        version: g.gen(),
         bytes: g.bytes(40),
     }
 }
@@ -349,7 +348,7 @@ fn gossip_view_agrees_with_the_owned_decoder() {
         );
         let blobs: Vec<DescriptorBlob> = view
             .descs()
-            .map(|(id, version, bytes)| DescriptorBlob { id, version, bytes: bytes.to_vec() })
+            .map(|(id, bytes)| DescriptorBlob { id, bytes: bytes.to_vec() })
             .collect();
         assert_eq!(blobs, descs);
     });

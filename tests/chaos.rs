@@ -206,13 +206,13 @@ fn assert_lifecycle_invariants(out: &LifecycleOutcome, min_delivery: f64, max_pr
         out.echo.skipped,
     );
     assert!(
-        out.desc_prop_samples > 0,
-        "lifecycle: no descriptor propagation latency was sampled"
+        out.deletion_prop_samples > 0,
+        "lifecycle: no deletion propagation latency was sampled"
     );
     assert!(
-        out.desc_prop_p95_s <= max_prop_p95_s,
-        "lifecycle: descriptor propagation p95 {:.1}s exceeds {:.0}s",
-        out.desc_prop_p95_s,
+        out.deletion_prop_p95_s <= max_prop_p95_s,
+        "lifecycle: deletion propagation p95 {:.1}s exceeds {:.0}s",
+        out.deletion_prop_p95_s,
         max_prop_p95_s
     );
     assert!(
@@ -236,8 +236,8 @@ fn smoke_group_lifecycle() {
         "lifecycle smoke: delivery={:.3} sent={} prop_samples={} prop_p95={:.1}s late={} replays={} restored={} deleted={}",
         out.echo.delivery_ratio(),
         out.echo.sent,
-        out.desc_prop_samples,
-        out.desc_prop_p95_s,
+        out.deletion_prop_samples,
+        out.deletion_prop_p95_s,
         out.late_members,
         out.journal_replays,
         out.journal_restored,

@@ -329,14 +329,12 @@ fn membership_invisible_to_active_prober() {
     assert!(!state.revoked().contains(&planted), "the member folded the prober's revocation");
 }
 
-/// Membership privacy at the relays: the signed group descriptors every
-/// node stores and re-gossips, non-members included, name no member. A
-/// group forms and its leader revokes a member; then the group's
-/// descriptor is in non-members' relay stores, and no descriptor there
-/// carries a membership dot.
+/// Relays never see a live group's id: a group forms and its leader
+/// revokes a member, and no non-member's relay store holds a blob for it.
+/// Once the leader deletes the group, non-members do relay its tombstone,
+/// which names no member.
 #[test]
-fn relayed_descriptors_name_no_member() {
-    use std::collections::BTreeSet;
+fn relays_hold_no_blob_for_a_live_group() {
     use whisper::core::ppss::descriptor::GroupDescriptor;
     use whisper::net::wire::WireDecode;
     let (mut sim, ids) = build_net(30, 12);
@@ -346,24 +344,29 @@ fn relayed_descriptors_name_no_member() {
     sim.run_for_secs(300);
     sim.with_node_ctx::<WhisperNode>(leader, |node, _| assert!(node.remove_member(group, members[0])));
     sim.run_for_secs(300);
+    assert!(sim.node::<WhisperNode>(members[1]).unwrap().ppss().group(group).is_some(), "the group formed");
 
-    let (mut relaying, mut named) = (0, Vec::new());
-    for &id in ids.iter().filter(|&&id| id != leader && !members.contains(&id)) {
-        let store = sim.node::<WhisperNode>(id).unwrap().nylon().descriptors();
-        for blob in store.ids() {
-            let desc = GroupDescriptor::from_wire(store.get(blob).unwrap().1).expect("a descriptor");
-            relaying += usize::from(desc.group == group);
-            named.extend(desc.adds.iter().chain(&desc.removes).map(|dot| (id, dot.node)));
-        }
+    let non_members: Vec<NodeId> =
+        ids.iter().copied().filter(|&id| id != leader && !members.contains(&id)).collect();
+    let relaying = |sim: &Sim| {
+        non_members
+            .iter()
+            .filter(|&&id| sim.node::<WhisperNode>(id).unwrap().nylon().descriptors().ids().contains(&group.0))
+            .copied()
+            .collect::<Vec<NodeId>>()
+    };
+    let live = relaying(&sim);
+    assert!(live.is_empty(), "{} non-members relay the live group's id: {live:?}", live.len());
+
+    sim.with_node_ctx::<WhisperNode>(leader, |node, ctx| assert!(node.delete_group(ctx, group)));
+    sim.run_for_secs(300);
+    let deleted = relaying(&sim);
+    assert!(deleted.len() * 2 > non_members.len(), "{}/{} relay the tombstone", deleted.len(), non_members.len());
+    for id in deleted {
+        let blob = sim.node::<WhisperNode>(id).unwrap().nylon().descriptors().get(group.0).unwrap();
+        let tomb = GroupDescriptor::from_wire(blob).expect("a descriptor");
+        assert!(tomb.tombstone && tomb.adds.is_empty() && tomb.removes.is_empty(), "{id} relays {tomb:?}");
     }
-    assert!(relaying > 0, "no non-member relays the group's descriptor");
-    let distinct: BTreeSet<NodeId> = named.iter().map(|&(_, member)| member).collect();
-    assert!(
-        named.is_empty(),
-        "{} non-members' relay stores name {} members: {distinct:?}",
-        named.iter().map(|&(id, _)| id).collect::<BTreeSet<_>>().len(),
-        distinct.len(),
-    );
 }
 
 /// A passive observer classifying nodes by traffic volume cannot separate
