@@ -53,23 +53,21 @@
 //! receiving end keeps it ([`Wcl::hear`], [`Wcl::heard`]) for exactly as
 //! long as it keeps the circuit.
 
+mod circuit_path;
+mod onion_path;
 mod recovery;
+mod routes;
 
+use circuit_path::{CircuitPacket, CIRCUIT_TAG, RETURN_TAG};
+use onion_path::{OnionView, WCL_TAG};
 use recovery::Recovery;
-use whisper_rand::seq::SliceRandom;
-use whisper_rand::Rng;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use whisper_crypto::aes::CtrNonce;
-use whisper_crypto::circuit::{
-    self, CircuitEntry, CircuitId, CircuitTable, Direction, HopSetup, SourceCircuit,
-};
-use whisper_crypto::onion::{self, PeelResult};
+use routes::{Conversation, RouteCache};
+use std::collections::{BTreeMap, HashMap};
+use whisper_crypto::circuit::{CircuitId, CircuitTable};
 use whisper_crypto::rsa::PublicKey;
-use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{bytes_len, WireDecode, WireEncode, WireError, WireReader, WireWriter};
-use whisper_net::{NodeId, SimDuration, SimTime};
-use whisper_pss::transport::SendOutcome;
+use whisper_net::{NodeId, SimDuration};
 use whisper_pss::NylonCore;
 
 /// Onion-layer hop address: the node id plus its reachability class —
@@ -229,152 +227,6 @@ pub struct Preamble {
     pub topic: u128,
 }
 
-/// What the two ends of a circuit have stated to each other on it, as one
-/// end holds it: lives and dies with the route (source) or the circuit
-/// slot (destination).
-#[derive(Debug, Default)]
-struct Conversation {
-    /// The preamble this end last sent in full.
-    said: Option<Preamble>,
-    /// The topic and bytes of the preamble the other end last sent.
-    heard: Option<(u128, Vec<u8>)>,
-}
-
-impl Conversation {
-    /// What of `payload` has to travel, given what was already said.
-    fn unsaid<'p>(&self, payload: &'p [u8], once: Option<Preamble>) -> &'p [u8] {
-        match once.filter(|_| self.said == once) {
-            Some(said) => payload.get(said.len..).unwrap_or(payload),
-            None => payload,
-        }
-    }
-}
-
-/// The wire format of an RSA onion packet (inside a Nylon `App`
-/// payload): the layered header and the AES-encrypted body, each behind
-/// its length.
-///
-/// Like a [`CircuitPacket`], only ever a view of a delivered payload: a
-/// mix reads the header, peels it, and copies the body — which it forwards
-/// verbatim — once, into its outgoing buffer behind the inner header
-/// ([`onion_frame`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct OnionView<'a> {
-    header: &'a [u8],
-    body: &'a [u8],
-}
-
-const WCL_TAG: u8 = 0xC1;
-
-/// Writes an onion packet: the one place that knows the layout
-/// [`OnionView::from_wire`] reads.
-fn put_onion(w: &mut WireWriter, header: &[u8], body: &[u8]) {
-    w.put_u8(WCL_TAG);
-    w.put_bytes(header);
-    w.put_bytes(body);
-}
-
-/// Writes a whole outgoing onion packet — Nylon framing, then
-/// [`put_onion`] — into a pool buffer.
-fn onion_frame(ctx: &mut Ctx<'_>, nylon: &NylonCore, header: &[u8], body: &[u8]) -> PayloadWriter {
-    let mut frame = nylon.begin_app(ctx, 1 + bytes_len(header) + bytes_len(body));
-    put_onion(&mut frame, header, body);
-    frame
-}
-
-impl<'a> OnionView<'a> {
-    fn from_wire(wire: &'a [u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(wire);
-        if r.take_u8()? != WCL_TAG {
-            return Err(WireError::new("not a WCL packet"));
-        }
-        let (header, body) = (r.take_bytes()?, r.take_bytes()?);
-        r.finish()?;
-        Ok(OnionView { header, body })
-    }
-}
-
-/// The steady-state wire format once a circuit exists: no RSA header at
-/// all, just the hop-local circuit id, the CTR nonce for this link, and
-/// the layered body. Every field changes at each hop (the id is
-/// hop-local, the nonce is hash-chained on the way out and stepped by a
-/// keyed offset on the way back, the body loses or gains one CTR layer),
-/// so adjacent links share no bytes. The tag says which way the packet
-/// travels — as the two addresses of its datagram do.
-///
-/// A circuit packet is only ever a view of a delivered payload: a relay
-/// reads the id and the nonce, copies the body into its outgoing buffer
-/// behind a fresh header ([`put_circuit_header`]) and strips its layer
-/// there; nothing on the way owns a `Vec`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct CircuitPacket<'a> {
-    direction: Direction,
-    cid: CircuitId,
-    nonce: CtrNonce,
-    body: &'a [u8],
-}
-
-const CIRCUIT_TAG: u8 = 0xC2;
-const RETURN_TAG: u8 = 0xC3;
-
-/// Wire size of a circuit packet with a `body_len`-byte body.
-const fn circuit_packet_len(body_len: usize) -> usize {
-    1 + 8 + 8 + 4 + body_len
-}
-
-/// Writes everything of a circuit packet but the body; the caller appends
-/// exactly `body_len` bytes.
-fn put_circuit_header(
-    w: &mut WireWriter,
-    direction: Direction,
-    cid: CircuitId,
-    nonce: &CtrNonce,
-    body_len: usize,
-) {
-    w.put_u8(match direction {
-        Direction::Forward => CIRCUIT_TAG,
-        Direction::Return => RETURN_TAG,
-    });
-    w.put_raw(&cid.0);
-    w.put_raw(&nonce.0);
-    w.put_u32(body_len as u32);
-}
-
-/// Writes a whole outgoing circuit packet — Nylon framing, circuit header
-/// and a copy of `body` — into a pool buffer, returning it with the
-/// offset of the body: the one place the body is copied to, and where the
-/// caller then applies its CTR layers in place.
-fn circuit_frame(
-    ctx: &mut Ctx<'_>,
-    nylon: &NylonCore,
-    direction: Direction,
-    cid: CircuitId,
-    nonce: &CtrNonce,
-    body: &[u8],
-) -> (PayloadWriter, usize) {
-    let mut frame = nylon.begin_app(ctx, circuit_packet_len(body.len()));
-    put_circuit_header(&mut frame, direction, cid, nonce, body.len());
-    let body_at = frame.len();
-    frame.put_raw(body);
-    (frame, body_at)
-}
-
-impl<'a> CircuitPacket<'a> {
-    fn from_wire(wire: &'a [u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(wire);
-        let direction = match r.take_u8()? {
-            CIRCUIT_TAG => Direction::Forward,
-            RETURN_TAG => Direction::Return,
-            _ => return Err(WireError::new("not a circuit packet")),
-        };
-        let cid = CircuitId(r.take_raw(8)?.try_into().expect("8 bytes taken"));
-        let nonce = CtrNonce(r.take_raw(8)?.try_into().expect("8 bytes taken"));
-        let body = r.take_bytes()?;
-        r.finish()?;
-        Ok(CircuitPacket { direction, cid, nonce, body })
-    }
-}
-
 struct PendingSend {
     dest: DestInfo,
     payload: Vec<u8>,
@@ -389,77 +241,6 @@ impl PendingSend {
     /// The mixes `A` and `B` of the latest attempt.
     fn last_relays(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.used_first_mixes.last().into_iter().chain(self.used_gateways.last()).copied()
-    }
-}
-
-/// The source's cached route to one destination: the circuit keys, where
-/// to inject packets, and which mixes the route runs through (needed so
-/// retries can avoid them).
-struct CachedRoute {
-    circuit: SourceCircuit,
-    first_hop: (NodeId, bool),
-    mixes: (NodeId, NodeId),
-    expires: whisper_net::SimTime,
-    talk: Conversation,
-}
-
-/// The source's route cache: after an insert at time `t` it holds exactly
-/// the routes unexpired at `t`, so a node that keeps meeting new
-/// destinations does not keep a dead route (three AES schedules) for
-/// each one it ever spoke to.
-///
-/// A held route is two things: what sends to its destination ride while it
-/// is that destination's *current* route, and — for as long as it is held
-/// — where return packets on its circuit end. A retry that gives up on a
-/// route takes the first away and leaves the second: the answer that was
-/// merely slow still comes home.
-#[derive(Default)]
-struct RouteCache {
-    /// Every held route under the id its first hop listens on, which is
-    /// the id return packets come back under. `BTreeMap`s so nothing ever
-    /// depends on hash iteration order.
-    by_first_cid: BTreeMap<CircuitId, CachedRoute>,
-    /// The route sends to each destination ride.
-    current: BTreeMap<NodeId, CircuitId>,
-    /// `(expires, first cid, dest)` of every insert, in insertion order —
-    /// which is expiry order, the lifetime being one constant.
-    expiry: VecDeque<(SimTime, CircuitId, NodeId)>,
-}
-
-impl RouteCache {
-    /// The current route to `dest`.
-    fn get_mut(&mut self, dest: NodeId) -> Option<&mut CachedRoute> {
-        self.by_first_cid.get_mut(self.current.get(&dest)?)
-    }
-
-    /// Caches `route` as the current one to `dest` after collecting every
-    /// expired one.
-    fn insert(&mut self, now: SimTime, dest: NodeId, route: CachedRoute) {
-        while let Some(&(_, cid, old)) = self.expiry.front().filter(|(e, ..)| *e <= now) {
-            self.expiry.pop_front();
-            self.by_first_cid.remove(&cid);
-            if self.current.get(&old) == Some(&cid) {
-                self.current.remove(&old);
-            }
-        }
-        let cid = route.circuit.first_cid;
-        self.expiry.push_back((route.expires, cid, dest));
-        self.current.insert(dest, cid);
-        self.by_first_cid.insert(cid, route);
-    }
-
-    /// Stops sends to `dest` riding its current route, which stays held as
-    /// the end of its circuit's way back. `true` if that took a route that
-    /// had not expired out of use.
-    fn retire(&mut self, dest: NodeId, now: SimTime) -> bool {
-        let retired = self.current.remove(&dest).and_then(|cid| self.by_first_cid.get(&cid));
-        retired.is_some_and(|route| route.expires > now)
-    }
-
-    fn clear(&mut self) {
-        self.by_first_cid.clear();
-        self.current.clear();
-        self.expiry.clear();
     }
 }
 
@@ -584,104 +365,6 @@ impl Wcl {
     ) -> bool {
         self.send_back(ctx, nylon, dest.node, payload, once)
             || self.try_send(ctx, nylon, dest, payload, once, (&[], &[])).is_some()
-    }
-
-    /// Notes that `peer` — whom the layer above has authenticated as the
-    /// sender of what arrived `via` — is at the far end of that circuit:
-    /// untracked sends to it ride the circuit back from now on. The last
-    /// circuit a peer spoke on wins, so whoever replays a member's
-    /// credentials on a circuit of its own holds the binding only until
-    /// the member speaks again.
-    pub fn bind_return(&mut self, now: SimTime, via: Option<Arrival>, peer: NodeId) {
-        let Some(Arrival::Forward(cid)) = via else {
-            return; // the way back from a source is its route
-        };
-        if let Some(bound) = self.return_ways.get_mut(&peer) {
-            *bound = cid;
-            return;
-        }
-        if self.return_ways.len() >= CIRCUIT_CAPACITY {
-            let (circuits, now_us) = (&self.circuits, now.as_micros());
-            self.return_ways.retain(|_, cid| circuits.lookup(now_us, *cid).is_some());
-        }
-        self.return_ways.insert(peer, cid);
-    }
-
-    /// What is kept of the conversation on the circuit `via`, if the
-    /// circuit still exists (a destination's record starts here).
-    fn talk_mut(&mut self, now: SimTime, via: Arrival) -> Option<&mut Conversation> {
-        match via {
-            Arrival::Forward(cid) => {
-                let (_, talk) = self.circuits.slot_mut(now.as_micros(), cid)?;
-                Some(talk.get_or_insert_with(Box::default))
-            }
-            Arrival::Return(cid) => self.routes.by_first_cid.get_mut(&cid).map(|route| &mut route.talk),
-        }
-    }
-
-    /// Keeps `preamble` — what the far end of the circuit `via` has just
-    /// stated about itself on `topic`, authenticated by the layer above —
-    /// for as long as this node keeps the circuit, as the bytes it came
-    /// in.
-    pub fn hear(&mut self, now: SimTime, via: Option<Arrival>, topic: u128, preamble: &[u8]) {
-        if let Some(talk) = via.and_then(|via| self.talk_mut(now, via)) {
-            let (was, bytes) = talk.heard.get_or_insert_with(Default::default);
-            *was = topic;
-            bytes.clear();
-            bytes.extend_from_slice(preamble);
-        }
-    }
-
-    /// The topic and bytes last [heard](Wcl::hear) on the circuit `via`.
-    pub fn heard(&mut self, now: SimTime, via: Option<Arrival>) -> Option<(u128, &[u8])> {
-        let (topic, bytes) = self.talk_mut(now, via?)?.heard.as_ref()?;
-        Some((*topic, bytes))
-    }
-
-    /// Sends `payload` back on the circuit `peer` is bound to: this node's
-    /// CTR layer, then the previous hop. `false` — and nothing sent — when
-    /// there is no such circuit any more, counted under the reason.
-    fn send_back(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        peer: NodeId,
-        payload: &[u8],
-        once: Option<Preamble>,
-    ) -> bool {
-        let Some(&cid) = self.return_ways.get(&peer) else {
-            ctx.metrics().count("wcl.return_unbound", 1);
-            return false;
-        };
-        // Good for as long as the source itself trusts the circuit: the
-        // first half of its life here.
-        let half_life_on = ctx.now().as_micros() + CIRCUIT_TTL.as_micros() / 2;
-        let way = self.circuits.slot_mut(half_life_on, cid).and_then(|(entry, talk)| {
-            Some((entry, talk, parse_hop_addr(entry.prev_hop())?))
-        });
-        let Some((entry, talk, (prev, prev_public))) = way else {
-            self.return_ways.remove(&peer);
-            ctx.metrics().count("wcl.return_stale", 1);
-            return false;
-        };
-        let talk = talk.get_or_insert_with(Box::default);
-        let body = talk.unsaid(payload, once);
-        let nonce = CtrNonce::random(ctx.rng());
-        let (mut frame, body_at) = circuit_frame(ctx, nylon, Direction::Return, cid, &nonce, body);
-        let layered = &mut frame.as_mut_slice()[body_at..];
-        let cost = layer_sampled(ctx, nylon.is_public(), entry, Direction::Return, &nonce, layered);
-        ctx.metrics().sample("wcl.circuit_seal_us", cost.aes_model_ns() as f64 / 1000.0);
-        if nylon.send_app_frame(ctx, prev, prev_public, &[], frame) == SendOutcome::Failed {
-            ctx.metrics().count("wcl.return_stale", 1);
-            return false;
-        }
-        talk.said = once.or(talk.said);
-        ctx.metrics().count("wcl.circuit_hit", 1);
-        ctx.metrics().count("wcl.return_sent", 1);
-        if body.len() < payload.len() {
-            ctx.metrics().count("wcl.short_sent", 1);
-        }
-        true
     }
 
     /// Sends `payload` confidentially to `dest`, tracking it for retries:
@@ -829,181 +512,6 @@ impl Wcl {
         self.routes.by_first_cid.len()
     }
 
-    /// Builds a path avoiding the first mixes and the gateways in `avoid`
-    /// and sends. Returns the `(A, B)` pair used, or `None` when no path
-    /// can be constructed.
-    fn try_send(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        dest: &DestInfo,
-        payload: &[u8],
-        once: Option<Preamble>,
-        (avoid_a, avoid_b): (&[NodeId], &[NodeId]),
-    ) -> Option<(NodeId, NodeId)> {
-        let me = nylon.id();
-        let now = ctx.now();
-
-        // Steady-state fast path: a cached circuit carries the packet with
-        // three CTR layers and zero RSA. Skipped when a retry is steering
-        // away from specific mixes — those want a *different* path.
-        if avoid_a.is_empty() && avoid_b.is_empty() {
-            if let Some(route) = self.routes.get_mut(dest.node) {
-                if route.expires > now {
-                    let (first_hop, mixes) = (route.first_hop, route.mixes);
-                    let nonce0 = CtrNonce::random(ctx.rng());
-                    let body = route.talk.unsaid(payload, once);
-                    // The packet is written once, straight into the
-                    // outgoing buffer, and sealed there.
-                    let (mut frame, body_at) = circuit_frame(
-                        ctx,
-                        nylon,
-                        Direction::Forward,
-                        route.circuit.first_cid,
-                        &nonce0,
-                        body,
-                    );
-                    let ((), cost) = crypto_sampled(ctx, nylon.is_public(), |_| {
-                        route.circuit.seal_in_place(&nonce0, &mut frame.as_mut_slice()[body_at..])
-                    });
-                    ctx.metrics().sample(
-                        "wcl.circuit_seal_us",
-                        cost.aes_model_ns() as f64 / 1000.0,
-                    );
-                    let outcome = nylon.send_app_frame(ctx, first_hop.0, first_hop.1, &[], frame);
-                    if outcome != SendOutcome::Failed {
-                        route.talk.said = once.or(route.talk.said);
-                        ctx.metrics().count("wcl.circuit_hit", 1);
-                        if body.len() < payload.len() {
-                            ctx.metrics().count("wcl.short_sent", 1);
-                        }
-                        return Some(mixes);
-                    }
-                    // The link into the circuit is gone; tear the route
-                    // down and fall through to a fresh RSA onion.
-                    ctx.metrics().count("wcl.circuit_teardown", 1);
-                }
-                self.routes.retire(dest.node, now);
-            }
-        }
-
-        // Gateway B: a P-node able to reach D. For NATted destinations it
-        // must come from the destination's advertised gateways; public
-        // destinations accept any P-node we know (paper §IV-B), preferring
-        // our CB publics.
-        let mut b_candidates: Vec<GatewayInfo> = if dest.public {
-            let mut from_cb: Vec<GatewayInfo> = nylon
-                .cb()
-                .publics()
-                .filter(|e| e.node != dest.node && e.node != me)
-                .filter_map(|e| e.key.clone().map(|key| GatewayInfo { node: e.node, key }))
-                .collect();
-            if from_cb.is_empty() {
-                from_cb = dest.gateways.clone();
-            }
-            from_cb
-        } else {
-            dest.gateways.clone()
-        };
-        b_candidates.retain(|g| !avoid_b.contains(&g.node) && g.node != me && g.node != dest.node);
-
-        // First mix A: a CB entry with a known key and a still-open path
-        // from us. Falls back to B candidates as a degenerate choice only
-        // if the CB is empty (bootstrap corner).
-        let mut a_candidates: Vec<(NodeId, bool, PublicKey)> = nylon
-            .cb()
-            .iter()
-            .filter(|e| {
-                e.node != dest.node
-                    && e.node != me
-                    && !avoid_a.contains(&e.node)
-                    && e.key.is_some()
-                    && nylon.can_reach_directly(e.node, e.public, now)
-            })
-            .map(|e| (e.node, e.public, e.key.clone().expect("filtered")))
-            .collect();
-
-        // Relay health bias: suspects go while healthier candidates exist.
-        self.recovery.keep_healthy(ctx, &mut b_candidates, |g| g.node);
-        self.recovery.keep_healthy(ctx, &mut a_candidates, |(n, _, _)| *n);
-
-        // Mixes must be distinct: drop A candidates equal to the chosen B
-        // later; choose B first for simplicity.
-        let b = {
-            let mut rngs: Vec<&GatewayInfo> = b_candidates.iter().collect();
-            rngs.shuffle(ctx.rng());
-            rngs.first().map(|g| (*g).clone())
-        }?;
-        a_candidates.retain(|(n, _, _)| *n != b.node);
-        if a_candidates.is_empty() {
-            return None;
-        }
-        let a = a_candidates[ctx.rng().gen_range(0..a_candidates.len())].clone();
-
-        // Intermediate extra mixes for paths longer than 2 (ablation):
-        // additional P-nodes from the CB between A and B.
-        let mut path: Vec<(PublicKey, Vec<u8>)> = Vec::with_capacity(self.cfg.mixes + 1);
-        path.push((a.2.clone(), hop_addr(a.0, a.1)));
-        if self.cfg.mixes > 2 {
-            let extras: Vec<GatewayInfo> = nylon
-                .cb()
-                .publics()
-                .filter(|e| {
-                    e.node != a.0 && e.node != b.node && e.node != dest.node && e.node != me
-                })
-                .filter_map(|e| e.key.clone().map(|key| GatewayInfo { node: e.node, key }))
-                .take(self.cfg.mixes - 2)
-                .collect();
-            if extras.len() < self.cfg.mixes - 2 {
-                return None;
-            }
-            for extra in extras {
-                path.push((extra.key, hop_addr(extra.node, true)));
-            }
-        }
-        path.push((b.key.clone(), hop_addr(b.node, true)));
-        path.push((dest.key.clone(), hop_addr(dest.node, dest.public)));
-
-        let (built, cost) = crypto_sampled(ctx, nylon.is_public(), |ctx| {
-            // The onion doubles as circuit establishment: each layer
-            // carries that hop's link key and circuit ids.
-            let (src_circuit, setups) = circuit::establish(path.len(), ctx.rng());
-            let exts: Vec<Vec<u8>> = setups.iter().map(|s| s.encode()).collect();
-            onion::build_onion_ext(&path, payload, &exts, ctx.rng()).map(|p| (src_circuit, p))
-        });
-        let (src_circuit, packet) = built.ok()?;
-        // The sample is the deterministic model cost (see DESIGN.md
-        // § "Deterministic crypto accounting"); host time goes to the
-        // profiler only, and only when it is on.
-        ctx.metrics().sample(
-            "wcl.build_path_us",
-            (cost.aes_model_ns() + cost.rsa_model_ns()) as f64 / 1000.0,
-        );
-        ctx.metrics().count("wcl.paths_built", 1);
-        let frame = onion_frame(ctx, nylon, &packet.header, &packet.body);
-        let outcome = nylon.send_app_frame(ctx, a.0, a.1, &[], frame);
-        if outcome == SendOutcome::Failed {
-            return None;
-        }
-        // Cache for half the relay-side TTL: the source always
-        // re-establishes well before any relay forgets the circuit.
-        let expires = now + SimDuration::from_micros(CIRCUIT_TTL.as_micros() / 2);
-        self.routes.insert(
-            now,
-            dest.node,
-            CachedRoute {
-                circuit: src_circuit,
-                first_hop: (a.0, a.1),
-                mixes: (a.0, b.node),
-                expires,
-                // The onion stated it on every circuit it set up.
-                talk: Conversation { said: once, heard: None },
-            },
-        );
-        ctx.metrics().count("wcl.circuit_established", 1);
-        Some((a.0, b.node))
-    }
-
     /// Processes an incoming Nylon `App` payload that `prev` — a node and
     /// whether it is public — sent. If it is a WCL onion packet this node
     /// either relays it (one onion layer peeled) or delivers it
@@ -1034,203 +542,6 @@ impl Wcl {
             None
         })
     }
-
-    /// Handles a full RSA onion packet (the first packet of a route).
-    fn on_onion_packet(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        prev: (NodeId, bool),
-        packet: OnionView<'_>,
-    ) -> Option<WclEvent> {
-        let (peeled, cost) = crypto_sampled(ctx, nylon.is_public(), |_| {
-            onion::peel_with_body(nylon.keypair(), packet.header, packet.body)
-        });
-        ctx.metrics().sample(
-            "wcl.peel_us",
-            (cost.aes_model_ns() + cost.rsa_model_ns()) as f64 / 1000.0,
-        );
-        match peeled {
-            Ok(PeelResult::Relay { next_hop, header, ext }) => {
-                let Some((next, next_public)) = parse_hop_addr(&next_hop) else {
-                    ctx.metrics().count("wcl.bad_next_hop", 1);
-                    return None;
-                };
-                self.install_circuit(ctx, &ext, next_hop, prev);
-                ctx.metrics().count("wcl.relayed", 1);
-                let fwd = onion_frame(ctx, nylon, &header, packet.body);
-                // A mix reaches the next hop through an existing contact
-                // (B → D relies on D's earlier ping) or directly when the
-                // next hop is public. No rendezvous chains here: a mix
-                // must not interrogate the network about the next hop.
-                let outcome = nylon.send_app_frame(ctx, next, next_public, &[], fwd);
-                if outcome == SendOutcome::Failed {
-                    ctx.metrics().count("wcl.relay_drop", 1);
-                }
-                None
-            }
-            Ok(PeelResult::Destination { payload, ext }) => {
-                let via = self.install_circuit(ctx, &ext, Vec::new(), prev).map(Arrival::Forward);
-                ctx.metrics().count("wcl.delivered", 1);
-                Some(WclEvent::Delivered { payload, via })
-            }
-            Err(_) => {
-                ctx.metrics().count("wcl.peel_failed", 1);
-                None
-            }
-        }
-    }
-
-    /// Stores the circuit state a just-peeled onion layer delivered for
-    /// this node, with the neighbour the onion came from as the way back,
-    /// and returns the id it listens under (no-op for layers without an
-    /// extension).
-    fn install_circuit(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        ext: &[u8],
-        next_hop: Vec<u8>,
-        prev: (NodeId, bool),
-    ) -> Option<CircuitId> {
-        if ext.is_empty() {
-            return None;
-        }
-        let Some(setup) = HopSetup::decode(ext) else {
-            ctx.metrics().count("wcl.circuit_bad_setup", 1);
-            return None;
-        };
-        let entry = CircuitEntry::new(setup.key, next_hop, setup.cid_out)
-            .reached_from(&hop_addr(prev.0, prev.1));
-        self.carry_circuit(ctx.now(), setup.cid_in, entry);
-        ctx.metrics().count("wcl.circuit_installed", 1);
-        Some(setup.cid_in)
-    }
-
-    /// Stores `entry` as the circuit packets under `cid_in` ride from
-    /// `now` on. Public as a test hook, for circuit state no setup
-    /// extension this node parses would have produced.
-    pub fn carry_circuit(&mut self, now: SimTime, cid_in: CircuitId, entry: CircuitEntry) {
-        self.circuits.insert(now.as_micros(), cid_in, entry);
-    }
-
-    /// Handles a steady-state circuit packet: one CTR layer stripped (on
-    /// the way out) or added (on the way back), then forwarded under the
-    /// id of the next link or delivered. Unknown or expired circuit ids are
-    /// silently dropped — the source's retry machinery recovers by
-    /// re-establishing over RSA.
-    fn on_circuit_packet(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        packet: CircuitPacket<'_>,
-    ) -> Option<WclEvent> {
-        let now_us = ctx.now().as_micros();
-        // The entry, and where its packet goes on: to which neighbour and
-        // under which id. The way out ends where there is no outbound id;
-        // the way back ends at the source, which carries no entry for it.
-        let hop = match packet.direction {
-            Direction::Forward => self
-                .circuits
-                .lookup(now_us, packet.cid)
-                .map(|entry| (entry, entry.cid_out().map(|cid_out| (entry.next_hop(), cid_out)))),
-            Direction::Return => self
-                .circuits
-                .lookup_return(now_us, packet.cid)
-                .map(|(cid_in, entry)| (entry, Some((entry.prev_hop(), cid_in)))),
-        };
-        let Some((entry, onward)) = hop else {
-            if packet.direction == Direction::Return {
-                if let Some(home) = self.on_return_home(ctx, nylon.is_public(), packet) {
-                    return Some(home);
-                }
-            }
-            ctx.metrics().count("wcl.circuit_miss_drop", 1);
-            return None;
-        };
-        // The body is copied exactly once — into the buffer it leaves in
-        // (the next hop's packet, or the delivery buffer) — and this hop's
-        // layer is applied there, in place, with the entry's cached key
-        // schedule (the entry is borrowed, not cloned: a clone would copy
-        // the schedule per packet).
-        match onward {
-            Some((hop_addr, cid_onward)) => {
-                // Checked before any work is spent on the body. (Only a
-                // source that lies in its own setup extension gets here:
-                // `on_onion_packet` installs hops it has parsed.)
-                let Some((next, next_public)) = parse_hop_addr(hop_addr) else {
-                    ctx.metrics().count("wcl.bad_next_hop", 1);
-                    return None;
-                };
-                // The nonce this hop's layer is under, and the one the
-                // packet leaves with.
-                let (layer_nonce, onward_nonce) = match packet.direction {
-                    Direction::Forward => (packet.nonce, circuit::next_nonce(&packet.nonce)),
-                    Direction::Return => {
-                        let stepped = entry.return_nonce(&packet.nonce);
-                        (stepped, stepped)
-                    }
-                };
-                let (mut frame, body_at) = circuit_frame(
-                    ctx,
-                    nylon,
-                    packet.direction,
-                    cid_onward,
-                    &onward_nonce,
-                    packet.body,
-                );
-                let body = &mut frame.as_mut_slice()[body_at..];
-                let public = nylon.is_public();
-                let cost = layer_sampled(ctx, public, entry, packet.direction, &layer_nonce, body);
-                ctx.metrics().sample("wcl.circuit_fwd_us", cost.aes_model_ns() as f64 / 1000.0);
-                ctx.metrics().count("wcl.relayed", 1);
-                ctx.metrics().count("wcl.circuit_forwarded", 1);
-                let outcome = nylon.send_app_frame(ctx, next, next_public, &[], frame);
-                if outcome == SendOutcome::Failed {
-                    ctx.metrics().count("wcl.relay_drop", 1);
-                }
-                None
-            }
-            None => {
-                let mut payload = lend(&mut self.deliver_buf, packet.body);
-                let public = nylon.is_public();
-                let cost =
-                    layer_sampled(ctx, public, entry, packet.direction, &packet.nonce, &mut payload);
-                ctx.metrics().sample("wcl.circuit_fwd_us", cost.aes_model_ns() as f64 / 1000.0);
-                ctx.metrics().count("wcl.delivered", 1);
-                ctx.metrics().count("wcl.circuit_delivered", 1);
-                Some(WclEvent::Delivered { payload, via: Some(Arrival::Forward(packet.cid)) })
-            }
-        }
-    }
-
-    /// A return packet at the end of its way: if this node holds the route
-    /// whose first hop listens under the packet's id — in use or given up
-    /// on — every hop's layer is stripped and the payload delivered.
-    fn on_return_home(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        is_public: bool,
-        packet: CircuitPacket<'_>,
-    ) -> Option<WclEvent> {
-        let route = self.routes.by_first_cid.get_mut(&packet.cid)?;
-        let mut payload = lend(&mut self.deliver_buf, packet.body);
-        crypto_sampled(ctx, is_public, |_| {
-            route.circuit.open_return_in_place(&packet.nonce, &mut payload)
-        });
-        ctx.metrics().count("wcl.delivered", 1);
-        ctx.metrics().count("wcl.circuit_delivered", 1);
-        ctx.metrics().count("wcl.return_delivered", 1);
-        Some(WclEvent::Delivered { payload, via: Some(Arrival::Return(packet.cid)) })
-    }
-}
-
-/// The delivery buffer, lent out holding a copy of `body` for the last
-/// layers to come off in place ([`Wcl::reclaim`] takes it back).
-fn lend(deliver_buf: &mut Vec<u8>, body: &[u8]) -> Vec<u8> {
-    let mut payload = std::mem::take(deliver_buf);
-    payload.clear();
-    payload.extend_from_slice(body);
-    payload
 }
 
 /// Runs `work` — onion or circuit crypto, handed the context for its
@@ -1251,19 +562,6 @@ fn crypto_sampled<'a, T>(
     }
     sample_crypto_cost(ctx, is_public, &cost);
     (value, cost)
-}
-
-/// Applies `entry`'s layer for `direction` to `body` in place, sampled as
-/// [`crypto_sampled`] does.
-fn layer_sampled(
-    ctx: &mut Ctx<'_>,
-    is_public: bool,
-    entry: &CircuitEntry,
-    direction: Direction,
-    nonce: &CtrNonce,
-    body: &mut [u8],
-) -> whisper_crypto::costs::CryptoCosts {
-    crypto_sampled(ctx, is_public, |_| entry.apply_in_place(direction, nonce, body)).1
 }
 
 /// Samples the per-class crypto cost metrics (Table II) from a
@@ -1287,6 +585,8 @@ fn sample_crypto_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use whisper_crypto::circuit::CircuitEntry;
+    use whisper_net::SimTime;
 
     #[test]
     fn retry_token_round_trip() {
@@ -1309,57 +609,6 @@ mod tests {
         Wcl::new(WclConfig { mixes: 0, ..WclConfig::default() });
     }
 
-    fn onion_wire(header: &[u8], body: &[u8]) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        put_onion(&mut w, header, body);
-        w.into_bytes()
-    }
-
-    /// The onion view accepts exactly the images its writer produces.
-    #[test]
-    fn onion_view_reads_what_its_writer_writes_and_nothing_else() {
-        let cases: [(&[u8], &[u8]); 3] = [(&[1, 2, 3], &[4, 5]), (&[9; 300], &[]), (&[], &[7; 70])];
-        for (header, body) in cases {
-            let wire = onion_wire(header, body);
-            assert_eq!(OnionView::from_wire(&wire).unwrap(), OnionView { header, body });
-        }
-        let wire = onion_wire(&[1, 2, 3], &[4, 5]);
-        assert_eq!(wire, [0xC1, 0, 0, 0, 3, 1, 2, 3, 0, 0, 0, 2, 4, 5], "the bytes on the wire");
-        for cut in 0..wire.len() {
-            assert!(OnionView::from_wire(&wire[..cut]).is_err(), "truncated to {cut} bytes");
-        }
-        let mut trailing = wire.clone();
-        trailing.push(0);
-        assert!(OnionView::from_wire(&trailing).is_err(), "one trailing byte");
-        let mut circuit = wire;
-        circuit[0] = CIRCUIT_TAG;
-        assert!(OnionView::from_wire(&circuit).is_err(), "a 0xC2 image");
-        assert!(OnionView::from_wire(&[0xFF, 0, 0]).is_err());
-        assert!(OnionView::from_wire(&[]).is_err(), "the empty slice");
-    }
-
-    #[test]
-    fn circuit_packet_wire_round_trip() {
-        let body = [1u8, 2, 3, 4];
-        for (direction, tag) in [(Direction::Forward, CIRCUIT_TAG), (Direction::Return, RETURN_TAG)] {
-            let mut w = WireWriter::new();
-            put_circuit_header(&mut w, direction, CircuitId([7; 8]), &CtrNonce([9; 8]), body.len());
-            w.put_raw(&body);
-            let bytes = w.into_bytes();
-            assert_eq!(bytes[0], tag);
-            assert_eq!(bytes.len(), circuit_packet_len(body.len()));
-            let packet =
-                CircuitPacket { direction, cid: CircuitId([7; 8]), nonce: CtrNonce([9; 8]), body: &body };
-            assert_eq!(CircuitPacket::from_wire(&bytes).unwrap(), packet);
-            assert!(CircuitPacket::from_wire(&bytes[..bytes.len() - 1]).is_err(), "truncated body");
-            let mut trailing = bytes.clone();
-            trailing.push(0);
-            assert!(CircuitPacket::from_wire(&trailing).is_err(), "trailing bytes");
-            // The WCL wire formats never parse as each other.
-            assert!(OnionView::from_wire(&bytes).is_err());
-        }
-        assert!(CircuitPacket::from_wire(&onion_wire(&[1], &[2])).is_err());
-    }
 
     fn ends_here(wcl: &mut Wcl, now: SimTime, id: u64) -> Option<Arrival> {
         let cid = CircuitId(id.to_be_bytes());
