@@ -10,6 +10,82 @@ use whisper_net::NodeId;
 use whisper_pss::NylonCore;
 
 impl GroupState {
+    /// Ages the private view and starts an exchange with its oldest member.
+    /// A partner no route reaches at all is dropped on the spot: it would
+    /// otherwise stay the oldest entry and be picked again forever.
+    pub(super) fn start_exchange(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nylon: &mut NylonCore,
+        wcl: &mut Wcl,
+        group: GroupId,
+        my_entry: &PrivateEntry,
+        events: &mut Vec<PpssEvent>,
+    ) {
+        for e in &mut self.view {
+            e.age = e.age.saturating_add(1);
+        }
+        let Some(partner) = self.view.iter().max_by_key(|e| (e.age, e.node)).cloned() else {
+            return;
+        };
+        let msg_id = wcl.alloc_msg_id();
+        let msg = self.exchange_msg(ctx, group, partner.node, my_entry, msg_id, false);
+        self.outstanding = Some((partner.node, msg_id));
+        ctx.metrics().count("ppss.exchanges_initiated", 1);
+        if !wcl.send(ctx, nylon, &partner.dest_info(), msg.to_wire(), None, msg_id) {
+            // No route constructible at all (e.g. every advertised gateway
+            // is gone).
+            events.push(self.drop_unreachable(group, partner.node));
+        }
+    }
+
+    /// The exchange message to `partner`, request or response: our entry,
+    /// a random [`GOSSIP_LEN`]-sized subset of the view without the
+    /// partner, and what the group gossips beside them — heartbeat, ballot,
+    /// key announcement and the whole revoked set.
+    fn exchange_msg(
+        &self,
+        ctx: &mut Ctx<'_>,
+        group: GroupId,
+        partner: NodeId,
+        my_entry: &PrivateEntry,
+        exchange_id: u64,
+        is_response: bool,
+    ) -> PpssMsg {
+        PpssMsg::Exchange {
+            group,
+            passport: self.passport.clone(),
+            from_entry: Box::new(my_entry.clone()),
+            entries: self.build_buffer(partner, ctx),
+            exchange_id,
+            is_response,
+            hb: self.tracker.heartbeat(),
+            election: self.tracker.ballot(),
+            new_key: self.latest_announcement.clone(),
+            revoked: self.revoked.iter().copied().collect(),
+        }
+    }
+
+    /// Builds the exchange buffer: a random [`GOSSIP_LEN`]-sized subset of
+    /// the view, excluding the partner (our fresh entry travels separately
+    /// as `from_entry`).
+    fn build_buffer(&self, partner: NodeId, ctx: &mut Ctx<'_>) -> Vec<PrivateEntry> {
+        use whisper_rand::seq::SliceRandom;
+        let mut candidates: Vec<&PrivateEntry> =
+            self.view.iter().filter(|e| e.node != partner).collect();
+        candidates.shuffle(ctx.rng());
+        candidates.into_iter().take(GOSSIP_LEN).cloned().collect()
+    }
+
+    /// Drops `node`, the partner of an exchange that no route reaches, from
+    /// the view and the PCP.
+    pub(super) fn drop_unreachable(&mut self, group: GroupId, node: NodeId) -> PpssEvent {
+        self.outstanding = None;
+        self.view.retain(|e| e.node != node);
+        self.pcp.remove(&node);
+        PpssEvent::MemberUnreachable { group, node }
+    }
+
     pub(super) fn merge_entries(&mut self, me: NodeId, entries: Vec<PrivateEntry>, cap: usize) {
         for entry in entries {
             if entry.node == me || self.revoked.contains(&entry.node) {
@@ -107,19 +183,7 @@ impl Ppss {
         // leaves both sides with the union.
         journal_after |= state.fold_revoked(&revoked);
         if !is_response {
-            let buffer = Self::build_buffer(state, from_entry.node, ctx);
-            let resp = PpssMsg::Exchange {
-                group,
-                passport: state.passport.clone(),
-                from_entry: Box::new(my_entry.clone()),
-                entries: buffer,
-                exchange_id,
-                is_response: true,
-                hb: state.tracker.heartbeat(),
-                election: state.tracker.ballot(),
-                new_key: state.latest_announcement.clone(),
-                revoked: state.revoked.iter().copied().collect(),
-            };
+            let resp = state.exchange_msg(ctx, group, from_entry.node, &my_entry, exchange_id, true);
             ctx.metrics().count("ppss.exchanges_served", 1);
             wcl.send_untracked(ctx, nylon, &from_entry.dest_info(), &resp.to_wire(), None);
         } else {
@@ -137,16 +201,5 @@ impl Ppss {
             self.journal_group(group);
         }
         events.push(PpssEvent::ViewUpdated { group });
-    }
-
-    /// Builds the exchange buffer: a random [`GOSSIP_LEN`]-sized subset of
-    /// the view, excluding the partner (our fresh entry travels separately as
-    /// `from_entry`).
-    pub(super) fn build_buffer(state: &GroupState, partner: NodeId, ctx: &mut Ctx<'_>) -> Vec<PrivateEntry> {
-        use whisper_rand::seq::SliceRandom;
-        let mut candidates: Vec<&PrivateEntry> =
-            state.view.iter().filter(|e| e.node != partner).collect();
-        candidates.shuffle(ctx.rng());
-        candidates.into_iter().take(GOSSIP_LEN).cloned().collect()
     }
 }

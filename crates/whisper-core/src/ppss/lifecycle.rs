@@ -245,12 +245,24 @@ impl Ppss {
             ctx.now().as_micros(),
         );
         nylon.publish_descriptor(group.0, &tomb.to_wire());
+        Some(self.delete_here(ctx, group))
+    }
+
+    /// Forgets `group` for good, durably: [`Ppss::bury`], then the
+    /// tombstone journaled.
+    fn delete_here(&mut self, ctx: &mut Ctx<'_>, group: GroupId) -> Vec<PpssEvent> {
+        self.bury(group);
+        self.journal.append(&encode_tombstone_record(group));
+        ctx.metrics().count("ppss.groups_deleted", 1);
+        vec![PpssEvent::GroupDeleted { group }]
+    }
+
+    /// Forgets `group`: its state and any pending join go, the tombstone
+    /// stays.
+    fn bury(&mut self, group: GroupId) {
         self.groups.remove(&group);
         self.pending_joins.remove(&group);
         self.deleted.insert(group);
-        self.journal.append(&encode_tombstone_record(group));
-        ctx.metrics().count("ppss.groups_deleted", 1);
-        Some(vec![PpssEvent::GroupDeleted { group }])
     }
 
     /// Revokes `node`'s membership (leader operation): adds it to the
@@ -358,9 +370,7 @@ impl Ppss {
             REC_TOMBSTONE => {
                 let group: GroupId = r.take()?;
                 r.finish()?;
-                self.groups.remove(&group);
-                self.pending_joins.remove(&group);
-                self.deleted.insert(group);
+                self.bury(group);
             }
             REC_PENDING => {
                 let group: GroupId = r.take()?;
@@ -557,11 +567,6 @@ impl Ppss {
         if now >= desc.born_at {
             ctx.metrics().sample("ppss.deletion_prop_s", (now - desc.born_at) as f64 / 1e6);
         }
-        self.groups.remove(&group);
-        self.pending_joins.remove(&group);
-        self.deleted.insert(group);
-        self.journal.append(&encode_tombstone_record(group));
-        ctx.metrics().count("ppss.groups_deleted", 1);
-        vec![PpssEvent::GroupDeleted { group }]
+        self.delete_here(ctx, group)
     }
 }

@@ -396,6 +396,18 @@ impl WireEncode for PpssMsg {
 }
 
 impl PpssMsg {
+    /// The group the message is about.
+    pub fn group(&self) -> GroupId {
+        match self {
+            PpssMsg::JoinReq { group, .. }
+            | PpssMsg::JoinAck { group, .. }
+            | PpssMsg::Exchange { group, .. }
+            | PpssMsg::AppData { group, .. }
+            | PpssMsg::AppShort { group, .. }
+            | PpssMsg::PcpRefresh { group, .. } => *group,
+        }
+    }
+
     fn put_app_short(w: &mut WireWriter, group: &GroupId, data: &[u8]) {
         w.put_u8(TAG_APP_SHORT);
         w.put(group);

@@ -484,43 +484,7 @@ impl Ppss {
                     ElectionOutcome::Idle => {}
                 }
             }
-            // Age the private view and gossip with its oldest member.
-            for e in &mut state.view {
-                e.age = e.age.saturating_add(1);
-            }
-            let Some(partner) = state
-                .view
-                .iter()
-                .max_by_key(|e| (e.age, e.node))
-                .cloned()
-            else {
-                continue;
-            };
-            let buffer = Self::build_buffer(state, partner.node, ctx);
-            let msg_id = wcl.alloc_msg_id();
-            let msg = PpssMsg::Exchange {
-                group,
-                passport: state.passport.clone(),
-                from_entry: Box::new(my_entry.clone()),
-                entries: buffer,
-                exchange_id: msg_id,
-                is_response: false,
-                hb: state.tracker.heartbeat(),
-                election: state.tracker.ballot(),
-                new_key: state.latest_announcement.clone(),
-                revoked: state.revoked.iter().copied().collect(),
-            };
-            state.outstanding = Some((partner.node, msg_id));
-            ctx.metrics().count("ppss.exchanges_initiated", 1);
-            if !wcl.send(ctx, nylon, &partner.dest_info(), msg.to_wire(), None, msg_id) {
-                // No route constructible at all (e.g. every advertised
-                // gateway is gone): without this, the unreachable partner
-                // would stay the oldest entry and be re-selected forever.
-                state.outstanding = None;
-                state.view.retain(|e| e.node != partner.node);
-                state.pcp.remove(&partner.node);
-                events.push(PpssEvent::MemberUnreachable { group, node: partner.node });
-            }
+            state.start_exchange(ctx, nylon, wcl, group, &my_entry, &mut events);
         }
         if self.cycles_run.is_multiple_of(8) {
             // Periodic checkpoint: refresh every group's journaled contact
@@ -570,12 +534,9 @@ impl Ppss {
         let mut events = Vec::new();
         for (gid, state) in self.groups.iter_mut() {
             if state.outstanding == Some((dest, msg_id)) {
-                state.outstanding = None;
                 // The paper treats exhausted retries as destination
                 // failure: drop it from the private view.
-                state.view.retain(|e| e.node != dest);
-                state.pcp.remove(&dest);
-                events.push(PpssEvent::MemberUnreachable { group: *gid, node: dest });
+                events.push(state.drop_unreachable(*gid, dest));
             }
         }
         for pending in self.pending_joins.values_mut() {
@@ -604,15 +565,7 @@ impl Ppss {
     ) -> Option<Vec<PpssEvent>> {
         let msg = PpssMsg::from_wire(payload).ok()?;
         let mut events = Vec::new();
-        let gid = match &msg {
-            PpssMsg::JoinReq { group, .. }
-            | PpssMsg::JoinAck { group, .. }
-            | PpssMsg::Exchange { group, .. }
-            | PpssMsg::AppData { group, .. }
-            | PpssMsg::AppShort { group, .. }
-            | PpssMsg::PcpRefresh { group, .. } => *group,
-        };
-        if self.deleted.contains(&gid) {
+        if self.deleted.contains(&msg.group()) {
             // A verified tombstone outranks every message about the
             // group, including join handshakes still in flight.
             ctx.metrics().count("ppss.resurrection_blocked", 1);

@@ -3,9 +3,11 @@
 //! through the relays to the destination, and back on the circuit from
 //! the destination to the source.
 
+use super::routes::{CachedRoute, Conversation};
 use super::{crypto_sampled, parse_hop_addr, Arrival, Preamble, Wcl, WclEvent, CIRCUIT_CAPACITY, CIRCUIT_TTL};
 use whisper_crypto::aes::CtrNonce;
 use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, Direction};
+use whisper_crypto::costs::CryptoCosts;
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireError, WireReader, WireWriter};
@@ -63,7 +65,7 @@ fn put_circuit_header(
 /// and a copy of `body` — into a pool buffer, returning it with the
 /// offset of the body: the one place the body is copied to, and where the
 /// caller then applies its CTR layers in place.
-pub(super) fn circuit_frame(
+fn circuit_frame(
     ctx: &mut Ctx<'_>,
     nylon: &NylonCore,
     direction: Direction,
@@ -137,29 +139,63 @@ impl Wcl {
         let way = self.circuits.slot_mut(half_life_on, cid).and_then(|(entry, talk)| {
             Some((entry, talk, parse_hop_addr(entry.prev_hop())?))
         });
-        let Some((entry, talk, (prev, prev_public))) = way else {
+        let Some((entry, talk, prev)) = way else {
             self.return_ways.remove(&peer);
             ctx.metrics().count("wcl.return_stale", 1);
             return false;
         };
         let talk = talk.get_or_insert_with(Box::default);
-        let body = talk.unsaid(payload, once);
-        let nonce = CtrNonce::random(ctx.rng());
-        let (mut frame, body_at) = circuit_frame(ctx, nylon, Direction::Return, cid, &nonce, body);
-        let layered = &mut frame.as_mut_slice()[body_at..];
-        let cost = layer_sampled(ctx, nylon.is_public(), entry, Direction::Return, &nonce, layered);
-        ctx.metrics().sample("wcl.circuit_seal_us", cost.aes_model_ns() as f64 / 1000.0);
-        if nylon.send_app_frame(ctx, prev, prev_public, &[], frame) == SendOutcome::Failed {
-            ctx.metrics().count("wcl.return_stale", 1);
-            return false;
+        let public = nylon.is_public();
+        let sent = send_on_circuit(
+            ctx,
+            nylon,
+            prev,
+            (Direction::Return, cid),
+            talk,
+            payload,
+            once,
+            |ctx, nonce, body| layer_sampled(ctx, public, entry, Direction::Return, nonce, body),
+        );
+        ctx.metrics().count(if sent { "wcl.return_sent" } else { "wcl.return_stale" }, 1);
+        sent
+    }
+
+    /// Sends `payload` to `dest` on its current route while the source
+    /// trusts it: three CTR layers and zero RSA. Returns the route's mixes,
+    /// or `None` when there is no such route; one that has expired, or
+    /// whose link in is gone, is taken out of use.
+    pub(super) fn send_on_route(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nylon: &mut NylonCore,
+        dest: NodeId,
+        payload: &[u8],
+        once: Option<Preamble>,
+    ) -> Option<(NodeId, NodeId)> {
+        let now = ctx.now();
+        let route = self.routes.get_mut(dest)?;
+        if route.expires > now {
+            let CachedRoute { circuit, first_hop, mixes, talk, .. } = route;
+            let public = nylon.is_public();
+            let sent = send_on_circuit(
+                ctx,
+                nylon,
+                *first_hop,
+                (Direction::Forward, circuit.first_cid),
+                talk,
+                payload,
+                once,
+                |ctx, nonce, body| crypto_sampled(ctx, public, |_| circuit.seal_in_place(nonce, body)).1,
+            );
+            if sent {
+                return Some(*mixes);
+            }
+            // The link into the circuit is gone; tear the route down, and
+            // the caller falls through to a fresh RSA onion.
+            ctx.metrics().count("wcl.circuit_teardown", 1);
         }
-        talk.said = once.or(talk.said);
-        ctx.metrics().count("wcl.circuit_hit", 1);
-        ctx.metrics().count("wcl.return_sent", 1);
-        if body.len() < payload.len() {
-            ctx.metrics().count("wcl.short_sent", 1);
-        }
-        true
+        self.routes.retire(dest, now);
+        None
     }
 
     /// Handles a steady-state circuit packet: one CTR layer stripped (on
@@ -240,14 +276,13 @@ impl Wcl {
                 None
             }
             None => {
-                let mut payload = lend(&mut self.deliver_buf, packet.body);
                 let public = nylon.is_public();
-                let cost =
-                    layer_sampled(ctx, public, entry, packet.direction, &packet.nonce, &mut payload);
-                ctx.metrics().sample("wcl.circuit_fwd_us", cost.aes_model_ns() as f64 / 1000.0);
-                ctx.metrics().count("wcl.delivered", 1);
-                ctx.metrics().count("wcl.circuit_delivered", 1);
-                Some(WclEvent::Delivered { payload, via: Some(Arrival::Forward(packet.cid)) })
+                let via = Arrival::Forward(packet.cid);
+                Some(deliver(ctx, &mut self.deliver_buf, packet.body, via, |ctx, payload| {
+                    let cost =
+                        layer_sampled(ctx, public, entry, packet.direction, &packet.nonce, payload);
+                    ctx.metrics().sample("wcl.circuit_fwd_us", cost.aes_model_ns() as f64 / 1000.0);
+                }))
             }
         }
     }
@@ -262,24 +297,64 @@ impl Wcl {
         packet: CircuitPacket<'_>,
     ) -> Option<WclEvent> {
         let route = self.routes.by_first_cid.get_mut(&packet.cid)?;
-        let mut payload = lend(&mut self.deliver_buf, packet.body);
-        crypto_sampled(ctx, is_public, |_| {
-            route.circuit.open_return_in_place(&packet.nonce, &mut payload)
+        let via = Arrival::Return(packet.cid);
+        let home = deliver(ctx, &mut self.deliver_buf, packet.body, via, |ctx, payload| {
+            crypto_sampled(ctx, is_public, |_| route.circuit.open_return_in_place(&packet.nonce, payload));
         });
-        ctx.metrics().count("wcl.delivered", 1);
-        ctx.metrics().count("wcl.circuit_delivered", 1);
         ctx.metrics().count("wcl.return_delivered", 1);
-        Some(WclEvent::Delivered { payload, via: Some(Arrival::Return(packet.cid)) })
+        Some(home)
     }
 }
 
-/// The delivery buffer, lent out holding a copy of `body` for the last
-/// layers to come off in place ([`Wcl::reclaim`] takes it back).
-fn lend(deliver_buf: &mut Vec<u8>, body: &[u8]) -> Vec<u8> {
+/// Sends what of `payload` is still unsaid on `talk` as one circuit packet
+/// to the neighbour `to`, headed `(direction, cid)`: a fresh nonce, the
+/// packet written once into its outgoing buffer and this end's layers
+/// applied there by `layer`. `false`, and nothing said, when the link to
+/// `to` is gone.
+#[allow(clippy::too_many_arguments)]
+fn send_on_circuit(
+    ctx: &mut Ctx<'_>,
+    nylon: &mut NylonCore,
+    to: (NodeId, bool),
+    (direction, cid): (Direction, CircuitId),
+    talk: &mut Conversation,
+    payload: &[u8],
+    once: Option<Preamble>,
+    layer: impl FnOnce(&mut Ctx<'_>, &CtrNonce, &mut [u8]) -> CryptoCosts,
+) -> bool {
+    let body = talk.unsaid(payload, once);
+    let nonce = CtrNonce::random(ctx.rng());
+    let (mut frame, body_at) = circuit_frame(ctx, nylon, direction, cid, &nonce, body);
+    let cost = layer(ctx, &nonce, &mut frame.as_mut_slice()[body_at..]);
+    ctx.metrics().sample("wcl.circuit_seal_us", cost.aes_model_ns() as f64 / 1000.0);
+    if nylon.send_app_frame(ctx, to.0, to.1, &[], frame) == SendOutcome::Failed {
+        return false;
+    }
+    talk.said = once.or(talk.said);
+    ctx.metrics().count("wcl.circuit_hit", 1);
+    if body.len() < payload.len() {
+        ctx.metrics().count("wcl.short_sent", 1);
+    }
+    true
+}
+
+/// Hands up a circuit packet's `body` once `open` has taken its last
+/// layers off, in place, in the delivery buffer: lent out holding a copy
+/// of the body ([`Wcl::reclaim`] takes it back).
+fn deliver(
+    ctx: &mut Ctx<'_>,
+    deliver_buf: &mut Vec<u8>,
+    body: &[u8],
+    via: Arrival,
+    open: impl FnOnce(&mut Ctx<'_>, &mut [u8]),
+) -> WclEvent {
     let mut payload = std::mem::take(deliver_buf);
     payload.clear();
     payload.extend_from_slice(body);
-    payload
+    open(ctx, &mut payload);
+    ctx.metrics().count("wcl.delivered", 1);
+    ctx.metrics().count("wcl.circuit_delivered", 1);
+    WclEvent::Delivered { payload, via: Some(via) }
 }
 
 /// Applies `entry`'s layer for `direction` to `body` in place, sampled as
@@ -291,10 +366,9 @@ fn layer_sampled(
     direction: Direction,
     nonce: &CtrNonce,
     body: &mut [u8],
-) -> whisper_crypto::costs::CryptoCosts {
+) -> CryptoCosts {
     crypto_sampled(ctx, is_public, |_| entry.apply_in_place(direction, nonce, body)).1
 }
-
 
 #[cfg(test)]
 mod tests {

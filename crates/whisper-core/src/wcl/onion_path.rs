@@ -4,9 +4,7 @@
 
 use super::routes::{CachedRoute, Conversation};
 use super::{crypto_sampled, hop_addr, parse_hop_addr, Arrival, DestInfo, GatewayInfo, Preamble, Wcl, WclEvent, CIRCUIT_TTL};
-use super::circuit_path::circuit_frame;
-use whisper_crypto::aes::CtrNonce;
-use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, Direction, HopSetup};
+use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, HopSetup};
 use whisper_crypto::onion::{self, PeelResult};
 use whisper_crypto::rsa::PublicKey;
 use whisper_net::payload::PayloadWriter;
@@ -82,42 +80,8 @@ impl Wcl {
         // three CTR layers and zero RSA. Skipped when a retry is steering
         // away from specific mixes — those want a *different* path.
         if avoid_a.is_empty() && avoid_b.is_empty() {
-            if let Some(route) = self.routes.get_mut(dest.node) {
-                if route.expires > now {
-                    let (first_hop, mixes) = (route.first_hop, route.mixes);
-                    let nonce0 = CtrNonce::random(ctx.rng());
-                    let body = route.talk.unsaid(payload, once);
-                    // The packet is written once, straight into the
-                    // outgoing buffer, and sealed there.
-                    let (mut frame, body_at) = circuit_frame(
-                        ctx,
-                        nylon,
-                        Direction::Forward,
-                        route.circuit.first_cid,
-                        &nonce0,
-                        body,
-                    );
-                    let ((), cost) = crypto_sampled(ctx, nylon.is_public(), |_| {
-                        route.circuit.seal_in_place(&nonce0, &mut frame.as_mut_slice()[body_at..])
-                    });
-                    ctx.metrics().sample(
-                        "wcl.circuit_seal_us",
-                        cost.aes_model_ns() as f64 / 1000.0,
-                    );
-                    let outcome = nylon.send_app_frame(ctx, first_hop.0, first_hop.1, &[], frame);
-                    if outcome != SendOutcome::Failed {
-                        route.talk.said = once.or(route.talk.said);
-                        ctx.metrics().count("wcl.circuit_hit", 1);
-                        if body.len() < payload.len() {
-                            ctx.metrics().count("wcl.short_sent", 1);
-                        }
-                        return Some(mixes);
-                    }
-                    // The link into the circuit is gone; tear the route
-                    // down and fall through to a fresh RSA onion.
-                    ctx.metrics().count("wcl.circuit_teardown", 1);
-                }
-                self.routes.retire(dest.node, now);
+            if let Some(mixes) = self.send_on_route(ctx, nylon, dest.node, payload, once) {
+                return Some(mixes);
             }
         }
 

@@ -74,10 +74,11 @@ pub(super) struct Slot {
     /// the slot itself stays to keep the arena dense).
     pub(super) proto: Option<Box<dyn Protocol>>,
     pub(super) nat: NatDevice,
-    /// Protocol randomness ([`Ctx::rng`]); lane [`LANE_PROTO`].
+    /// Protocol randomness ([`Ctx::rng`]); lane
+    /// [`LANE_PROTO`](super::LANE_PROTO).
     pub(super) proto_rng: StdRng,
     /// Link randomness (delay/loss/burst draws at send time); lane
-    /// [`LANE_LINK`].
+    /// [`LANE_LINK`](super::LANE_LINK).
     pub(super) link_rng: StdRng,
     /// Next sequence number for events this node originates.
     pub(super) seq: u64,
@@ -86,6 +87,16 @@ pub(super) struct Slot {
     /// Per-fault Gilbert–Elliott chain state for this node's uplink
     /// (indexed like the installed fault list, grown lazily).
     pub(super) ge_bad: Vec<bool>,
+}
+
+impl Slot {
+    /// The next event this node originates: `kind` at `at`, under the
+    /// node's next key.
+    fn event(&mut self, at: SimTime, kind: EventKind) -> Event {
+        let seq = self.seq;
+        self.seq += 1;
+        Event { at, src: self.id.0 + 1, seq, kind }
+    }
 }
 
 /// Read-only engine environment shared by all shards during a window.
@@ -256,48 +267,8 @@ impl Shard {
 
     fn dispatch(&mut self, ev: Event, env: &EngineEnv<'_>) {
         match ev.kind {
-            EventKind::Start { node } => {
-                let Some(pos) = self.slot_pos(node) else { return };
-                let hot = self.hot[pos];
-                if hot & HOT_ALIVE == 0 {
-                    return; // removed before it started
-                }
-                if hot & HOT_DOWN != 0 {
-                    // Defer to the restart instant, reusing the original
-                    // key so the relative order of deferred events is
-                    // preserved (the control-class restart still sorts
-                    // first).
-                    let up_at = self.slots[pos].down_until.expect("HOT_DOWN set");
-                    self.queue.push(Event {
-                        at: up_at.max(self.now),
-                        src: ev.src,
-                        seq: ev.seq,
-                        kind: EventKind::Start { node },
-                    });
-                    return;
-                }
-                self.invoke(pos, env, None, |proto, ctx| proto.on_start(ctx));
-            }
-            EventKind::Timer { node, token } => {
-                let Some(pos) = self.slot_pos(node) else { return };
-                let hot = self.hot[pos];
-                if hot & HOT_ALIVE == 0 {
-                    return;
-                }
-                // A crashed node runs nothing; its timers are deferred to
-                // the restart instant and fire *after* the restart
-                // callback (control events sort first at equal times).
-                if hot & HOT_DOWN != 0 {
-                    let up_at = self.slots[pos].down_until.expect("HOT_DOWN set");
-                    self.queue.push(Event {
-                        at: up_at.max(self.now),
-                        src: ev.src,
-                        seq: ev.seq,
-                        kind: EventKind::Timer { node, token },
-                    });
-                    return;
-                }
-                self.invoke(pos, env, None, |proto, ctx| proto.on_timer(ctx, token));
+            EventKind::Start { node } | EventKind::Timer { node, .. } => {
+                self.run_on_node(node, ev, env)
             }
             EventKind::FaultCrash { node, restart_at } => {
                 let Some(pos) = self.slot_pos(node) else { return };
@@ -369,6 +340,30 @@ impl Shard {
         }
     }
 
+    /// Runs a `Start` or `Timer` event on its node, unless the node was
+    /// removed. A crashed node runs nothing: the event is re-queued at the
+    /// restart instant under its original key, so deferred events keep
+    /// their relative order and fire *after* the restart callback (the
+    /// control-class restart sorts first at equal times).
+    fn run_on_node(&mut self, node: NodeId, ev: Event, env: &EngineEnv<'_>) {
+        let Some(pos) = self.slot_pos(node) else { return };
+        let hot = self.hot[pos];
+        if hot & HOT_ALIVE == 0 {
+            return;
+        }
+        if hot & HOT_DOWN != 0 {
+            let up_at = self.slots[pos].down_until.expect("HOT_DOWN set");
+            self.queue.push(Event { at: up_at.max(self.now), ..ev });
+            return;
+        }
+        match ev.kind {
+            EventKind::Timer { token, .. } => {
+                self.invoke(pos, env, None, |proto, ctx| proto.on_timer(ctx, token))
+            }
+            _ => self.invoke(pos, env, None, |proto, ctx| proto.on_start(ctx)),
+        };
+    }
+
     /// Runs one callback on the slot and applies its effects; `None` if
     /// the slot holds no live protocol. The callback's [`Ctx`] records
     /// into `sink`, or into this shard's delta sink when there is none.
@@ -425,14 +420,7 @@ impl Shard {
         for effect in effects.drain(..) {
             match effect {
                 Effect::Timer { delay, token } => {
-                    let ev = Event {
-                        at: now + delay,
-                        src: from.0 + 1,
-                        seq: slot.seq,
-                        kind: EventKind::Timer { node: from, token },
-                    };
-                    slot.seq += 1;
-                    queue.push(ev);
+                    queue.push(slot.event(now + delay, EventKind::Timer { node: from, token }));
                 }
                 Effect::Send { to, data } => {
                     Self::record_traffic(traffic, traffic_dirty, pos, true, data.len());
@@ -440,15 +428,8 @@ impl Shard {
                     if to.node == from {
                         let delay = env.cfg.profile.link.sample(&mut slot.link_rng);
                         let from_ep = Endpoint { node: from, port: 0 };
-                        let ev = Event {
-                            at: now + delay,
-                            src: from.0 + 1,
-                            seq: slot.seq,
-                            kind: EventKind::Deliver { to, from, from_ep, data },
-                        };
-                        slot.seq += 1;
                         *in_flight += 1;
-                        queue.push(ev);
+                        queue.push(slot.event(now + delay, EventKind::Deliver { to, from, from_ep, data }));
                         continue;
                     }
                     let src_port =
@@ -472,13 +453,7 @@ impl Shard {
                         delay = delay * factor;
                         metrics.count("net.delay_spiked", 1);
                     }
-                    let ev = Event {
-                        at: now + delay,
-                        src: from.0 + 1,
-                        seq: slot.seq,
-                        kind: EventKind::Deliver { to, from, from_ep, data },
-                    };
-                    slot.seq += 1;
+                    let ev = slot.event(now + delay, EventKind::Deliver { to, from, from_ep, data });
                     let dest = (to.node.0 % nshards) as usize;
                     if dest == index as usize {
                         *in_flight += 1;
