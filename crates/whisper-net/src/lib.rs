@@ -21,8 +21,6 @@
 //!   allocation and filtering, they are not table-driven.
 //! * [`latency`] — link latency/loss models calibrated to the paper's two
 //!   environments (switched-cluster and PlanetLab profiles).
-//! * [`churn`] — a SPLAY-style churn script interpreter (the PSS churn
-//!   tests use it; Table I runs its own, `whisper-bench`'s `WhisperNet::churn`).
 //! * [`wire`] — a small binary codec; every simulated message is really
 //!   encoded, so byte counts (and therefore bandwidth results) come from
 //!   actual serialized sizes.
@@ -52,7 +50,6 @@
 //! assert_eq!(sim.now().as_secs(), 10);
 //! ```
 
-pub mod churn;
 pub mod fault;
 pub mod latency;
 pub mod metrics;

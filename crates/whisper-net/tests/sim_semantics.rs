@@ -571,8 +571,8 @@ impl Protocol for Clock {
     }
 }
 
-/// `run_until` with a deadline the clock has already passed — which
-/// `churn::run_with_churn` asks for whenever a script's first ticks
+/// `run_until` with a deadline the clock has already passed — which a
+/// driver of absolute instants asks for whenever its first instants
 /// precede a warmed-up `now()` — must leave the clock alone. Setting it
 /// back let a harness callback read an earlier `now()` than the node's
 /// last callback had, and a timer armed there fire "before" it.

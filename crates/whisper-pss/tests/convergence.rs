@@ -224,41 +224,36 @@ fn app_payloads_flow_between_neighbours() {
     );
 }
 
-/// End-to-end use of the churn module: the Table I script shape (scaled
-/// down) applied to a running PSS through `run_with_churn`; the overlay
-/// must stay connected and views must purge departed nodes over time.
+/// The Table I script shape, scaled down, on a running PSS: from 250 s to
+/// 850 s, 5 % of the nodes leave each minute and as many newcomers join,
+/// then the run goes on to 1000 s. The overlay must stay connected and
+/// views must purge departed nodes over time.
 #[test]
 fn pss_survives_scripted_churn() {
-    use whisper_net::churn::{run_with_churn, ChurnPhase, ChurnScript};
-    use whisper_net::{SimDuration, SimTime};
+    use whisper_rand::Rng;
 
     let cfg = NylonConfig::default();
     let (mut sim, ids) = build_network(80, 2, &cfg, SimConfig::cluster(90), 250);
     let bootstraps = [ids[0], ids[1]];
-    let script = ChurnScript {
-        phases: vec![ChurnPhase::ConstChurn {
-            from: SimTime::ZERO + SimDuration::from_secs(250),
-            to: SimTime::ZERO + SimDuration::from_secs(850),
-            fraction: 0.05, // 5% per minute
-            interval: SimDuration::from_secs(60),
-            replacement_ratio: 1.0,
-        }],
-        stop_at: SimTime::ZERO + SimDuration::from_secs(1000),
-    };
     let mut keyrng = StdRng::seed_from_u64(0xC0C0);
-    run_with_churn(
-        &mut sim,
-        &script,
-        |sim| {
-            let mut core =
-                NylonCore::new(cfg.clone(), KeyPair::generate(cfg.rsa, &mut keyrng));
+    for _minute in 0..10 {
+        // Kills first, then joins: a replacement never replaces itself.
+        let churned = (sim.len() as f64 * 0.05).round() as usize;
+        for _ in 0..churned {
+            let candidates: Vec<_> =
+                sim.node_ids().into_iter().filter(|id| !bootstraps.contains(id)).collect();
+            let victim = candidates[sim.rng().gen_range(0..candidates.len())];
+            sim.remove_node(victim);
+        }
+        for _ in 0..churned {
+            let mut core = NylonCore::new(cfg.clone(), KeyPair::generate(cfg.rsa, &mut keyrng));
             core.set_bootstrap(bootstraps.to_vec());
             let nat = NatDistribution::paper_default().sample(sim.rng());
-            sim.add_node(Box::new(NylonNode::new(core)), nat)
-        },
-        &bootstraps,
-        |_, _| {},
-    );
+            sim.add_node(Box::new(NylonNode::new(core)), nat);
+        }
+        sim.run_for_secs(60);
+    }
+    sim.run_for_secs(150);
     assert_eq!(sim.len(), 80, "full replacement keeps the population");
 
     // Views contain mostly live nodes and stay near-full.
