@@ -102,7 +102,9 @@ impl LeaderTracker {
         }
         match &mut self.election {
             Some(e) if e.round == ballot.round => {
-                if (ballot.value, ballot.node) > (e.best.value, e.best.node) {
+                if (proposal_value(ballot.node), ballot.node)
+                    > (proposal_value(e.best.node), e.best.node)
+                {
                     e.best = ballot;
                 }
             }
@@ -121,7 +123,7 @@ impl LeaderTracker {
 
     /// Called by a member each PPSS cycle.
     ///
-    /// * `me` / `my_key` — used to propose when an election must start;
+    /// * `me` — who proposes when an election must start;
     /// * `miss_threshold` — cycles without heartbeat progress before
     ///   proposing;
     /// * `decide_after` — cycles of aggregation before declaring the
@@ -129,7 +131,6 @@ impl LeaderTracker {
     pub fn on_cycle(
         &mut self,
         me: NodeId,
-        my_key: &[u8],
         miss_threshold: u64,
         decide_after: u64,
     ) -> ElectionOutcome {
@@ -156,14 +157,8 @@ impl LeaderTracker {
             return ElectionOutcome::Idle;
         }
         if self.cycles_since_progress > miss_threshold {
-            let ballot = ElectionBallot {
-                round: self.epoch + 1,
-                value: proposal_value(me),
-                node: me,
-                key: my_key.to_vec(),
-            };
-            self.election =
-                Some(Election { round: self.epoch + 1, best: ballot, cycles: 0 });
+            let ballot = ElectionBallot { round: self.epoch + 1, node: me };
+            self.election = Some(Election { round: ballot.round, best: ballot, cycles: 0 });
         }
         ElectionOutcome::Idle
     }
@@ -191,19 +186,19 @@ mod tests {
     use super::*;
 
     fn ballot(round: u64, node: u64) -> ElectionBallot {
-        ElectionBallot { round, value: proposal_value(NodeId(node)), node: NodeId(node), key: vec![] }
+        ElectionBallot { round, node: NodeId(node) }
     }
 
     #[test]
     fn heartbeat_progress_resets_staleness() {
         let mut t = LeaderTracker::new();
-        t.on_cycle(NodeId(1), &[], 5, 3);
-        t.on_cycle(NodeId(1), &[], 5, 3);
+        t.on_cycle(NodeId(1), 5, 3);
+        t.on_cycle(NodeId(1), 5, 3);
         assert_eq!(t.staleness(), 2);
         t.observe_heartbeat(Heartbeat { epoch: 0, seq: 1 });
         assert_eq!(t.staleness(), 0);
         t.observe_heartbeat(Heartbeat { epoch: 0, seq: 1 }); // no progress
-        t.on_cycle(NodeId(1), &[], 5, 3);
+        t.on_cycle(NodeId(1), 5, 3);
         assert_eq!(t.staleness(), 1);
     }
 
@@ -211,7 +206,7 @@ mod tests {
     fn election_starts_after_threshold() {
         let mut t = LeaderTracker::new();
         for _ in 0..=5 {
-            assert_eq!(t.on_cycle(NodeId(1), &[], 5, 3), ElectionOutcome::Idle);
+            assert_eq!(t.on_cycle(NodeId(1), 5, 3), ElectionOutcome::Idle);
         }
         assert!(t.electing());
         assert_eq!(t.ballot().unwrap().node, NodeId(1));
@@ -235,13 +230,13 @@ mod tests {
         let mut t = LeaderTracker::new();
         // I start proposing after the threshold...
         for _ in 0..=6 {
-            t.on_cycle(me, &[], 5, 3);
+            t.on_cycle(me, 5, 3);
         }
         assert!(t.electing());
         // ...nobody outbids me, so after `decide_after` cycles I win.
         let mut outcome = ElectionOutcome::Idle;
         for _ in 0..4 {
-            outcome = t.on_cycle(me, &[], 5, 3);
+            outcome = t.on_cycle(me, 5, 3);
             if outcome != ElectionOutcome::Idle {
                 break;
             }
@@ -262,11 +257,11 @@ mod tests {
         };
         let mut t = LeaderTracker::new();
         for _ in 0..=6 {
-            t.on_cycle(low, &[], 5, 3);
+            t.on_cycle(low, 5, 3);
         }
         t.observe_ballot(ballot(1, high.0));
         for _ in 0..5 {
-            assert_eq!(t.on_cycle(low, &[], 5, 3), ElectionOutcome::Idle);
+            assert_eq!(t.on_cycle(low, 5, 3), ElectionOutcome::Idle);
         }
         let _ = low;
     }

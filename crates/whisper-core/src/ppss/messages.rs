@@ -92,41 +92,31 @@ impl WireDecode for Heartbeat {
 }
 
 /// A leader-election proposal: the gossip-aggregated maximum wins
-/// (paper §IV-A).
+/// (paper §IV-A). What it proposes is a function of the proposer
+/// ([`proposal_value`](crate::ppss::election::proposal_value)), which
+/// every receiver computes for itself.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ElectionBallot {
     /// The epoch being elected (`current epoch + 1`).
     pub round: u64,
-    /// The proposed value (hash of the proposer's identifier).
-    pub value: u64,
     /// The proposer.
     pub node: NodeId,
-    /// The proposer's serialized public key (to verify the eventual new
-    /// group key announcement).
-    pub key: Vec<u8>,
 }
 
 impl WireEncode for ElectionBallot {
     fn encode(&self, w: &mut WireWriter) {
         w.put_u64(self.round);
-        w.put_u64(self.value);
         w.put(&self.node);
-        w.put_bytes(&self.key);
     }
 
     fn encoded_len(&self) -> usize {
-        8 + 8 + 8 + bytes_len(&self.key)
+        8 + 8
     }
 }
 
 impl WireDecode for ElectionBallot {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ElectionBallot {
-            round: r.take_u64()?,
-            value: r.take_u64()?,
-            node: r.take()?,
-            key: r.take_bytes()?.to_vec(),
-        })
+        Ok(ElectionBallot { round: r.take_u64()?, node: r.take()? })
     }
 }
 
@@ -138,8 +128,6 @@ pub struct NewKeyAnnouncement {
     pub epoch: u64,
     /// The new group public key, serialized.
     pub group_key: Vec<u8>,
-    /// The elected leader.
-    pub signer: NodeId,
     /// The leader's serialized identity key.
     pub signer_key: Vec<u8>,
     /// Signature by the leader's identity key over `epoch ‖ group_key`.
@@ -170,13 +158,12 @@ impl WireEncode for NewKeyAnnouncement {
     fn encode(&self, w: &mut WireWriter) {
         w.put_u64(self.epoch);
         w.put_bytes(&self.group_key);
-        w.put(&self.signer);
         w.put_bytes(&self.signer_key);
         w.put_bytes(&self.signature);
     }
 
     fn encoded_len(&self) -> usize {
-        8 + bytes_len(&self.group_key) + 8 + bytes_len(&self.signer_key) + bytes_len(&self.signature)
+        8 + bytes_len(&self.group_key) + bytes_len(&self.signer_key) + bytes_len(&self.signature)
     }
 }
 
@@ -185,7 +172,6 @@ impl WireDecode for NewKeyAnnouncement {
         Ok(NewKeyAnnouncement {
             epoch: r.take_u64()?,
             group_key: r.take_bytes()?.to_vec(),
-            signer: r.take()?,
             signer_key: r.take_bytes()?.to_vec(),
             signature: r.take_bytes()?.to_vec(),
         })
@@ -520,12 +506,7 @@ mod tests {
             exchange_id: 99,
             is_response: true,
             hb: Heartbeat { epoch: 2, seq: 17 },
-            election: Some(ElectionBallot {
-                round: 3,
-                value: 42,
-                node: NodeId(5),
-                key: vec![7; 10],
-            }),
+            election: Some(ElectionBallot { round: 3, node: NodeId(5) }),
             new_key: None,
             revoked: vec![NodeId(3), NodeId(8)],
         });
@@ -600,7 +581,6 @@ mod tests {
             epoch: 2,
             signature: leader_identity.sign(&NewKeyAnnouncement::message(2, &group_key)),
             group_key,
-            signer: NodeId(5),
             signer_key: leader_identity.public().to_bytes(),
         };
         assert_eq!(ann.verify().as_ref(), Some(new_group.public()));

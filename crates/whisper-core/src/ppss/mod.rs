@@ -447,42 +447,35 @@ impl Ppss {
         }
         let my_entry = self.my_entry(nylon);
         let me = nylon.id();
-        let my_key = nylon.keypair().public().clone(); // a handle, not a copy
-        let my_key_bytes = my_key.wire_bytes();
         let groups: Vec<GroupId> = self.group_ids();
         for group in groups {
             let state = self.groups.get_mut(&group).expect("listed");
             // Leader heartbeats / member election bookkeeping.
             if state.is_leader() {
                 state.tracker.beat();
-            } else {
-                match state.tracker.on_cycle(me, my_key_bytes, HB_MISS_THRESHOLD, ELECTION_CYCLES)
-                {
-                    ElectionOutcome::Won { epoch } => {
-                        let new_key = KeyPair::generate(nylon.config().rsa, ctx.rng());
-                        let group_key = new_key.public().to_bytes();
-                        let ann = NewKeyAnnouncement {
-                            epoch,
-                            signature: nylon
-                                .keypair()
-                                .sign(&NewKeyAnnouncement::message(epoch, &group_key)),
-                            group_key,
-                            signer: me,
-                            signer_key: my_key_bytes.to_vec(),
-                        };
-                        state.key_history.push(new_key.public().clone());
-                        // Keep the old passport: it stays valid through
-                        // the key history, and members that have not yet
-                        // learned the new key would reject a new-key
-                        // passport — and with it, the announcement itself.
-                        state.leader_key = Some(new_key);
-                        state.latest_announcement = Some(ann);
-                        to_journal.push(group);
-                        ctx.metrics().count("ppss.elections_won", 1);
-                        events.push(PpssEvent::BecameLeader { group, epoch });
-                    }
-                    ElectionOutcome::Idle => {}
-                }
+            } else if let ElectionOutcome::Won { epoch } =
+                state.tracker.on_cycle(me, HB_MISS_THRESHOLD, ELECTION_CYCLES)
+            {
+                let new_key = KeyPair::generate(nylon.config().rsa, ctx.rng());
+                let group_key = new_key.public().to_bytes();
+                let ann = NewKeyAnnouncement {
+                    epoch,
+                    signature: nylon
+                        .keypair()
+                        .sign(&NewKeyAnnouncement::message(epoch, &group_key)),
+                    group_key,
+                    signer_key: nylon.keypair().public().wire_bytes().to_vec(),
+                };
+                state.key_history.push(new_key.public().clone());
+                // Keep the old passport: it stays valid through
+                // the key history, and members that have not yet
+                // learned the new key would reject a new-key
+                // passport — and with it, the announcement itself.
+                state.leader_key = Some(new_key);
+                state.latest_announcement = Some(ann);
+                to_journal.push(group);
+                ctx.metrics().count("ppss.elections_won", 1);
+                events.push(PpssEvent::BecameLeader { group, epoch });
             }
             state.start_exchange(ctx, nylon, wcl, group, &my_entry, &mut events);
         }

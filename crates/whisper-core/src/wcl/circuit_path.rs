@@ -7,7 +7,6 @@ use super::routes::{CachedRoute, Conversation};
 use super::{crypto_sampled, parse_hop_addr, Arrival, Preamble, Wcl, WclEvent, CIRCUIT_CAPACITY, CIRCUIT_TTL};
 use whisper_crypto::aes::CtrNonce;
 use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, Direction};
-use whisper_crypto::costs::CryptoCosts;
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireError, WireReader, WireWriter};
@@ -185,7 +184,9 @@ impl Wcl {
                 talk,
                 payload,
                 once,
-                |ctx, nonce, body| crypto_sampled(ctx, public, |_| circuit.seal_in_place(nonce, body)).1,
+                |ctx, nonce, body| {
+                    crypto_sampled(ctx, public, |_| circuit.seal_in_place(nonce, body));
+                },
             );
             if sent {
                 return Some(*mixes);
@@ -264,9 +265,7 @@ impl Wcl {
                     packet.body,
                 );
                 let body = &mut frame.as_mut_slice()[body_at..];
-                let public = nylon.is_public();
-                let cost = layer_sampled(ctx, public, entry, packet.direction, &layer_nonce, body);
-                ctx.metrics().sample("wcl.circuit_fwd_us", cost.aes_model_ns() as f64 / 1000.0);
+                layer_sampled(ctx, nylon.is_public(), entry, packet.direction, &layer_nonce, body);
                 ctx.metrics().count("wcl.relayed", 1);
                 ctx.metrics().count("wcl.circuit_forwarded", 1);
                 let outcome = nylon.send_app_frame(ctx, next, next_public, &[], frame);
@@ -279,9 +278,7 @@ impl Wcl {
                 let public = nylon.is_public();
                 let via = Arrival::Forward(packet.cid);
                 Some(deliver(ctx, &mut self.deliver_buf, packet.body, via, |ctx, payload| {
-                    let cost =
-                        layer_sampled(ctx, public, entry, packet.direction, &packet.nonce, payload);
-                    ctx.metrics().sample("wcl.circuit_fwd_us", cost.aes_model_ns() as f64 / 1000.0);
+                    layer_sampled(ctx, public, entry, packet.direction, &packet.nonce, payload)
                 }))
             }
         }
@@ -320,13 +317,12 @@ fn send_on_circuit(
     talk: &mut Conversation,
     payload: &[u8],
     once: Option<Preamble>,
-    layer: impl FnOnce(&mut Ctx<'_>, &CtrNonce, &mut [u8]) -> CryptoCosts,
+    layer: impl FnOnce(&mut Ctx<'_>, &CtrNonce, &mut [u8]),
 ) -> bool {
     let body = talk.unsaid(payload, once);
     let nonce = CtrNonce::random(ctx.rng());
     let (mut frame, body_at) = circuit_frame(ctx, nylon, direction, cid, &nonce, body);
-    let cost = layer(ctx, &nonce, &mut frame.as_mut_slice()[body_at..]);
-    ctx.metrics().sample("wcl.circuit_seal_us", cost.aes_model_ns() as f64 / 1000.0);
+    layer(ctx, &nonce, &mut frame.as_mut_slice()[body_at..]);
     if nylon.send_app_frame(ctx, to.0, to.1, &[], frame) == SendOutcome::Failed {
         return false;
     }
@@ -366,8 +362,8 @@ fn layer_sampled(
     direction: Direction,
     nonce: &CtrNonce,
     body: &mut [u8],
-) -> CryptoCosts {
-    crypto_sampled(ctx, is_public, |_| entry.apply_in_place(direction, nonce, body)).1
+) {
+    crypto_sampled(ctx, is_public, |_| entry.apply_in_place(direction, nonce, body));
 }
 
 #[cfg(test)]
