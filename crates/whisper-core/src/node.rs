@@ -268,9 +268,7 @@ impl WhisperNode {
         let Some(group) = self.ppss.create_group(ctx, &self.nylon, name) else {
             return GroupId::from_name(name);
         };
-        let WhisperNode { nylon, wcl, ppss, app } = self;
-        let mut api = WhisperApi { nylon, wcl, ppss };
-        app.on_joined(ctx, &mut api, group);
+        self.with_api(|api, app| app.on_joined(ctx, api, group));
         group
     }
 
@@ -328,26 +326,22 @@ impl WhisperNode {
     }
 
     fn dispatch_ppss_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<PpssEvent>) {
-        let WhisperNode { nylon, wcl, ppss, app } = self;
-        let mut api = WhisperApi { nylon, wcl, ppss };
-        for event in events {
-            match event {
-                PpssEvent::Joined { group } => app.on_joined(ctx, &mut api, group),
-                PpssEvent::ViewUpdated { group } => app.on_view_updated(ctx, &mut api, group),
-                PpssEvent::AppMessage { group, from, data, reply_entry } => {
-                    app.on_message(ctx, &mut api, group, from, &data, reply_entry)
-                }
-                PpssEvent::MemberUnreachable { group, node } => {
-                    app.on_member_unreachable(ctx, &mut api, group, node)
-                }
-                PpssEvent::BecameLeader { group, .. } => {
-                    app.on_view_updated(ctx, &mut api, group)
-                }
-                PpssEvent::GroupDeleted { group } => {
-                    app.on_group_deleted(ctx, &mut api, group)
+        self.with_api(|api, app| {
+            for event in events {
+                match event {
+                    PpssEvent::Joined { group } => app.on_joined(ctx, api, group),
+                    PpssEvent::ViewUpdated { group } => app.on_view_updated(ctx, api, group),
+                    PpssEvent::AppMessage { group, from, data, reply_entry } => {
+                        app.on_message(ctx, api, group, from, &data, reply_entry)
+                    }
+                    PpssEvent::MemberUnreachable { group, node } => {
+                        app.on_member_unreachable(ctx, api, group, node)
+                    }
+                    PpssEvent::BecameLeader { group, .. } => app.on_view_updated(ctx, api, group),
+                    PpssEvent::GroupDeleted { group } => app.on_group_deleted(ctx, api, group),
                 }
             }
-        }
+        });
     }
 }
 
@@ -355,9 +349,7 @@ impl Protocol for WhisperNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.nylon.on_start(ctx);
         self.ppss.on_start(ctx);
-        let WhisperNode { nylon, wcl, ppss, app } = self;
-        let mut api = WhisperApi { nylon, wcl, ppss };
-        app.on_start(ctx, &mut api);
+        self.with_api(|api, app| app.on_start(ctx, api));
     }
 
     fn on_crash_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -370,9 +362,7 @@ impl Protocol for WhisperNode {
         self.wcl.on_restart(ctx);
         self.nylon.on_restart(ctx);
         self.ppss.on_restart(ctx);
-        let WhisperNode { nylon, wcl, ppss, app } = self;
-        let mut api = WhisperApi { nylon, wcl, ppss };
-        app.on_crash_restart(ctx, &mut api);
+        self.with_api(|api, app| app.on_crash_restart(ctx, api));
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, from_ep: Endpoint, data: &Payload) {
@@ -424,12 +414,7 @@ impl Protocol for WhisperNode {
             TIMER_PCP_REFRESH => {
                 self.ppss.on_pcp_refresh(ctx, &mut self.nylon, &mut self.wcl);
             }
-            TIMER_APP => {
-                let app_token = token >> 8;
-                let WhisperNode { nylon, wcl, ppss, app } = self;
-                let mut api = WhisperApi { nylon, wcl, ppss };
-                app.on_timer(ctx, &mut api, app_token);
-            }
+            TIMER_APP => self.with_api(|api, app| app.on_timer(ctx, api, token >> 8)),
             _ => {
                 let _ = self.nylon.on_timer(ctx, token);
             }

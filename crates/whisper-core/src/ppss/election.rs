@@ -34,7 +34,7 @@ pub enum ElectionOutcome {
 
 #[derive(Clone, Debug)]
 struct Election {
-    round: u64,
+    /// The best ballot seen, whose round is the election's.
     best: ElectionBallot,
     cycles: u64,
 }
@@ -84,13 +84,7 @@ impl LeaderTracker {
             self.cycles_since_progress = 0;
             // A live(r) leader cancels any stale election for an older
             // round.
-            if self
-                .election
-                .as_ref()
-                .is_some_and(|e| e.round <= self.epoch)
-            {
-                self.election = None;
-            }
+            self.election.take_if(|e| e.best.round <= self.epoch);
         }
     }
 
@@ -101,17 +95,15 @@ impl LeaderTracker {
             return; // stale round
         }
         match &mut self.election {
-            Some(e) if e.round == ballot.round => {
+            Some(e) if e.best.round == ballot.round => {
                 if (proposal_value(ballot.node), ballot.node)
                     > (proposal_value(e.best.node), e.best.node)
                 {
                     e.best = ballot;
                 }
             }
-            Some(e) if e.round > ballot.round => {}
-            _ => {
-                self.election = Some(Election { round: ballot.round, best: ballot, cycles: 0 });
-            }
+            Some(e) if e.best.round > ballot.round => {}
+            _ => self.election = Some(Election { best: ballot, cycles: 0 }),
         }
     }
 
@@ -138,13 +130,9 @@ impl LeaderTracker {
         if let Some(e) = &mut self.election {
             e.cycles += 1;
             if e.cycles >= decide_after {
-                let won = e.best.node == me;
-                let round = e.round;
-                if won {
-                    self.election = None;
-                    self.epoch = round;
-                    self.last_seq = 0;
-                    self.cycles_since_progress = 0;
+                let round = e.best.round;
+                if e.best.node == me {
+                    self.accept_new_epoch(round);
                     return ElectionOutcome::Won { epoch: round };
                 }
                 // Losers wait for the winner's announcement; if none comes
@@ -157,8 +145,8 @@ impl LeaderTracker {
             return ElectionOutcome::Idle;
         }
         if self.cycles_since_progress > miss_threshold {
-            let ballot = ElectionBallot { round: self.epoch + 1, node: me };
-            self.election = Some(Election { round: ballot.round, best: ballot, cycles: 0 });
+            let best = ElectionBallot { round: self.epoch + 1, node: me };
+            self.election = Some(Election { best, cycles: 0 });
         }
         ElectionOutcome::Idle
     }

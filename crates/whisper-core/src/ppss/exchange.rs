@@ -1,8 +1,8 @@
 //! The private view exchange (paper §IV-B): what a member ships its
 //! partner, and how either side folds what it receives.
 
-use super::messages::{ElectionBallot, Heartbeat, NewKeyAnnouncement, PpssMsg};
-use super::{GroupId, GroupState, Passport, Ppss, PpssEvent, PrivateEntry, GOSSIP_LEN};
+use super::messages::PpssMsg;
+use super::{GroupId, GroupState, Ppss, PpssEvent, PrivateEntry, GOSSIP_LEN};
 use crate::wcl::{Arrival, Wcl};
 use whisper_net::sim::Ctx;
 use whisper_net::wire::WireEncode;
@@ -121,25 +121,32 @@ impl GroupState {
 }
 
 impl Ppss {
-    #[allow(clippy::too_many_arguments)]
+    /// An exchange request or response `msg`, as [`Ppss::on_delivered`]
+    /// dispatches it: answered if a request, folded in either way.
     pub(super) fn handle_exchange(
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
         wcl: &mut Wcl,
         via: Option<Arrival>,
-        group: GroupId,
-        passport: Passport,
-        from_entry: PrivateEntry,
-        entries: Vec<PrivateEntry>,
-        exchange_id: u64,
-        is_response: bool,
-        hb: Heartbeat,
-        election: Option<ElectionBallot>,
-        new_key: Option<NewKeyAnnouncement>,
-        revoked: Vec<NodeId>,
+        msg: PpssMsg,
         events: &mut Vec<PpssEvent>,
     ) {
+        let PpssMsg::Exchange {
+            group,
+            passport,
+            from_entry,
+            entries,
+            exchange_id,
+            is_response,
+            hb,
+            election,
+            new_key,
+            revoked,
+        } = msg
+        else {
+            unreachable!("dispatched on its tag");
+        };
         let my_entry = self.my_entry(nylon);
         let me = nylon.id();
         let cfg = self.cfg.clone();
@@ -183,7 +190,8 @@ impl Ppss {
         // leaves both sides with the union.
         journal_after |= state.fold_revoked(&revoked);
         if !is_response {
-            let resp = state.exchange_msg(ctx, group, from_entry.node, &my_entry, exchange_id, true);
+            let resp =
+                state.exchange_msg(ctx, group, from_entry.node, &my_entry, exchange_id, true);
             ctx.metrics().count("ppss.exchanges_served", 1);
             wcl.send_untracked(ctx, nylon, &from_entry.dest_info(), &resp.to_wire(), None);
         } else {
@@ -192,7 +200,7 @@ impl Ppss {
             ctx.metrics().count("ppss.exchanges_completed", 1);
         }
         let mut received = entries;
-        received.push(from_entry);
+        received.push(*from_entry);
         state.merge_entries(me, received, cfg.view_size);
         if journal_after {
             // The key history (and possibly the epoch) or the revoked set

@@ -16,13 +16,19 @@ use whisper_net::NodeId;
 use whisper_pss::NylonCore;
 
 impl GroupState {
-    /// A freshly initialised group state.
+    /// A freshly initialised group state at leadership `epoch`; a leader
+    /// starts with its first heartbeat.
     pub(super) fn fresh(
         key_history: Vec<PublicKey>,
         leader_key: Option<KeyPair>,
         passport: Passport,
-        tracker: LeaderTracker,
+        epoch: u64,
     ) -> GroupState {
+        let mut tracker = LeaderTracker::new();
+        tracker.accept_new_epoch(epoch);
+        if leader_key.is_some() {
+            tracker.beat();
+        }
         GroupState {
             key_history,
             leader_key,
@@ -136,10 +142,8 @@ impl Ppss {
         }
         let group_key = KeyPair::generate(nylon.config().rsa, ctx.rng());
         let passport = Passport::issue(&group_key, id, nylon.id());
-        let mut tracker = LeaderTracker::new();
-        tracker.beat();
         let state =
-            GroupState::fresh(vec![group_key.public().clone()], Some(group_key), passport, tracker);
+            GroupState::fresh(vec![group_key.public().clone()], Some(group_key), passport, 0);
         self.groups.insert(id, state);
         ctx.metrics().count("ppss.groups_created", 1);
         self.journal_group(id);
@@ -350,18 +354,10 @@ impl Ppss {
                 if key_history.len() != keys.len() {
                     return Err(WireError::new("journaled group key"));
                 }
-                let leader_key = match leader_bytes {
-                    Some(b) => {
-                        Some(KeyPair::from_bytes(&b).ok_or(WireError::new("journaled key pair"))?)
-                    }
-                    None => None,
-                };
-                let mut tracker = LeaderTracker::new();
-                tracker.accept_new_epoch(epoch);
-                if leader_key.is_some() {
-                    tracker.beat();
-                }
-                let mut state = GroupState::fresh(key_history, leader_key, passport, tracker);
+                let leader_key = leader_bytes
+                    .map(|b| KeyPair::from_bytes(&b).ok_or(WireError::new("journaled key pair")))
+                    .transpose()?;
+                let mut state = GroupState::fresh(key_history, leader_key, passport, epoch);
                 state.revoked = revoked.into_iter().collect();
                 state.view = contacts;
                 self.pending_joins.remove(&group); // the join completed
@@ -521,7 +517,7 @@ impl Ppss {
         if let Some(msg_id) = self.pending_joins.remove(&group).and_then(|p| p.msg_id) {
             wcl.notify_response(ctx, msg_id);
         }
-        let mut state = GroupState::fresh(history, None, passport, LeaderTracker::new());
+        let mut state = GroupState::fresh(history, None, passport, 0);
         state.merge_entries(nylon.id(), entries, self.cfg.view_size);
         self.groups.insert(group, state);
         ctx.metrics().count("ppss.joins_completed", 1);

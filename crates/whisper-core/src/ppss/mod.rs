@@ -447,8 +447,7 @@ impl Ppss {
         }
         let my_entry = self.my_entry(nylon);
         let me = nylon.id();
-        let groups: Vec<GroupId> = self.group_ids();
-        for group in groups {
+        for group in self.group_ids() {
             let state = self.groups.get_mut(&group).expect("listed");
             // Leader heartbeats / member election bookkeeping.
             if state.is_leader() {
@@ -501,8 +500,7 @@ impl Ppss {
     pub fn on_pcp_refresh(&mut self, ctx: &mut Ctx<'_>, nylon: &mut NylonCore, wcl: &mut Wcl) {
         ctx.set_timer(PCP_REFRESH, TIMER_PCP_REFRESH);
         let my_entry = self.my_entry(nylon);
-        let groups: Vec<GroupId> = self.group_ids();
-        for group in groups {
+        for group in self.group_ids() {
             let state = self.groups.get_mut(&group).expect("listed");
             // Sorted for the same reason as the pending joins in
             // `on_cycle`: every refresh draws from the node RNG.
@@ -573,22 +571,8 @@ impl Ppss {
                     ctx, nylon, wcl, group, passport, key_history, entries, &mut events,
                 );
             }
-            PpssMsg::Exchange {
-                group,
-                passport,
-                from_entry,
-                entries,
-                exchange_id,
-                is_response,
-                hb,
-                election,
-                new_key,
-                revoked,
-            } => {
-                self.handle_exchange(
-                    ctx, nylon, wcl, via, group, passport, *from_entry, entries, exchange_id,
-                    is_response, hb, election, new_key, revoked, &mut events,
-                );
+            msg @ PpssMsg::Exchange { .. } => {
+                self.handle_exchange(ctx, nylon, wcl, via, msg, &mut events);
             }
             PpssMsg::AppData { group, passport, data, reply_entry } => {
                 // What the sender stated about itself: the bytes between

@@ -211,8 +211,7 @@ fn revoked_sets_converge_under_any_interleaving_and_restart() {
     let replica = |node: u64| {
         let mut ppss = Ppss::new(PpssConfig::default());
         let passport = Passport { node: NodeId(node), signature: vec![1; 48] };
-        let state =
-            GroupState::fresh(vec![key.public().clone()], None, passport, LeaderTracker::new());
+        let state = GroupState::fresh(vec![key.public().clone()], None, passport, 0);
         ppss.groups.insert(group, state);
         ppss.journal_group(group);
         ppss

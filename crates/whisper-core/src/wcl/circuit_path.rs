@@ -4,7 +4,9 @@
 //! the destination to the source.
 
 use super::routes::{CachedRoute, Conversation};
-use super::{crypto_sampled, parse_hop_addr, Arrival, Preamble, Wcl, WclEvent, CIRCUIT_CAPACITY, CIRCUIT_TTL};
+use super::{
+    crypto_sampled, parse_hop_addr, Arrival, Preamble, Wcl, WclEvent, CIRCUIT_CAPACITY, CIRCUIT_TTL,
+};
 use whisper_crypto::aes::CtrNonce;
 use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, Direction};
 use whisper_net::payload::PayloadWriter;
@@ -296,7 +298,9 @@ impl Wcl {
         let route = self.routes.by_first_cid.get_mut(&packet.cid)?;
         let via = Arrival::Return(packet.cid);
         let home = deliver(ctx, &mut self.deliver_buf, packet.body, via, |ctx, payload| {
-            crypto_sampled(ctx, is_public, |_| route.circuit.open_return_in_place(&packet.nonce, payload));
+            crypto_sampled(ctx, is_public, |_| {
+                route.circuit.open_return_in_place(&packet.nonce, payload)
+            });
         });
         ctx.metrics().count("wcl.return_delivered", 1);
         Some(home)
@@ -369,7 +373,6 @@ fn layer_sampled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wcl::onion_path::tests::onion_wire;
     use crate::wcl::onion_path::OnionView;
 
     #[test]
@@ -392,6 +395,7 @@ mod tests {
             // The WCL wire formats never parse as each other.
             assert!(OnionView::from_wire(&bytes).is_err());
         }
-        assert!(CircuitPacket::from_wire(&onion_wire(&[1], &[2])).is_err());
+        // An onion packet: header [1], body [2].
+        assert!(CircuitPacket::from_wire(&[0xC1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 2]).is_err());
     }
 }

@@ -317,7 +317,7 @@ impl Wcl {
     /// protocol itself calls it on a restart only.
     pub fn flush_circuits(&mut self) {
         self.circuits.clear();
-        self.routes.clear();
+        self.routes = RouteCache::default();
         self.return_ways.clear();
     }
 
@@ -463,42 +463,24 @@ impl Wcl {
             ctx.metrics().count("wcl.circuit_teardown", 1);
         }
         self.recovery.on_timeout(ctx, p.last_relays());
+        let dest = p.dest.node;
         if p.attempts > MAX_RETRIES {
             ctx.metrics().count("wcl.route_exhausted", 1);
-            return Some(WclEvent::RouteFailed {
-                msg_id,
-                dest: p.dest.node,
-                no_alternative: false,
-            });
+            return Some(WclEvent::RouteFailed { msg_id, dest, no_alternative: false });
         }
-        let retry = self.try_send(
-            ctx,
-            nylon,
-            &p.dest,
-            &p.payload,
-            p.once,
-            (&p.used_first_mixes, &p.used_gateways),
-        );
-        match retry {
-            Some((a, b)) => {
-                ctx.metrics().count("wcl.route_retry", 1);
-                p.attempts += 1;
-                p.used_first_mixes.push(a);
-                p.used_gateways.push(b);
-                let delay = self.recovery.retry_delay(ctx, p.dest.node, p.attempts);
-                self.pending.insert(msg_id, p);
-                ctx.set_timer(delay, retry_token(msg_id));
-                None
-            }
-            None => {
-                ctx.metrics().count("wcl.route_no_alt", 1);
-                Some(WclEvent::RouteFailed {
-                    msg_id,
-                    dest: p.dest.node,
-                    no_alternative: true,
-                })
-            }
-        }
+        let avoid = (&p.used_first_mixes[..], &p.used_gateways[..]);
+        let Some((a, b)) = self.try_send(ctx, nylon, &p.dest, &p.payload, p.once, avoid) else {
+            ctx.metrics().count("wcl.route_no_alt", 1);
+            return Some(WclEvent::RouteFailed { msg_id, dest, no_alternative: true });
+        };
+        ctx.metrics().count("wcl.route_retry", 1);
+        p.attempts += 1;
+        p.used_first_mixes.push(a);
+        p.used_gateways.push(b);
+        let delay = self.recovery.retry_delay(ctx, dest, p.attempts);
+        self.pending.insert(msg_id, p);
+        ctx.set_timer(delay, retry_token(msg_id));
+        None
     }
 
     /// Whether a cached circuit route to `dest` exists (test hook).
@@ -545,9 +527,10 @@ impl Wcl {
 }
 
 /// Runs `work` — onion or circuit crypto, handed the context for its
-/// randomness — and records what it cost under the deterministic model
-/// (the Table II per-class samples; host time goes to the profiler, when
-/// it is on), returning the work's value and the cost.
+/// randomness — and records what it cost: the Table II per-class samples,
+/// in the deterministic model's microseconds so traces are
+/// host-independent (host time goes to the profiler, when it is on).
+/// Returns the work's value and the cost.
 fn crypto_sampled<'a, T>(
     ctx: &mut Ctx<'a>,
     is_public: bool,
@@ -560,26 +543,14 @@ fn crypto_sampled<'a, T>(
     if let Some(started) = wall_started {
         ctx.prof_crypto_model_ns(started.elapsed().as_nanos() as u64);
     }
-    sample_crypto_cost(ctx, is_public, &cost);
+    let (rsa, aes) = if is_public {
+        ("crypto.rsa_us.pnode", "crypto.aes_us.pnode")
+    } else {
+        ("crypto.rsa_us.nnode", "crypto.aes_us.nnode")
+    };
+    ctx.metrics().sample(rsa, cost.rsa_model_ns() as f64 / 1000.0);
+    ctx.metrics().sample(aes, cost.aes_model_ns() as f64 / 1000.0);
     (value, cost)
-}
-
-/// Samples the per-class crypto cost metrics (Table II) from a
-/// [`whisper_crypto::costs::CryptoCosts`] delta, using the deterministic
-/// model nanoseconds so traces are host-independent.
-fn sample_crypto_cost(
-    ctx: &mut Ctx<'_>,
-    is_public: bool,
-    cost: &whisper_crypto::costs::CryptoCosts,
-) {
-    ctx.metrics().sample(
-        if is_public { "crypto.rsa_us.pnode" } else { "crypto.rsa_us.nnode" },
-        cost.rsa_model_ns() as f64 / 1000.0,
-    );
-    ctx.metrics().sample(
-        if is_public { "crypto.aes_us.pnode" } else { "crypto.aes_us.nnode" },
-        cost.aes_model_ns() as f64 / 1000.0,
-    );
 }
 
 #[cfg(test)]

@@ -3,7 +3,10 @@
 //! layer, install the circuit state it carries, forward or deliver.
 
 use super::routes::{CachedRoute, Conversation};
-use super::{crypto_sampled, hop_addr, parse_hop_addr, Arrival, DestInfo, GatewayInfo, Preamble, Wcl, WclEvent, CIRCUIT_TTL};
+use super::{
+    crypto_sampled, hop_addr, parse_hop_addr, Arrival, DestInfo, GatewayInfo, Preamble, Wcl,
+    WclEvent, CIRCUIT_TTL,
+};
 use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, HopSetup};
 use whisper_crypto::onion::{self, PeelResult};
 use whisper_crypto::rsa::PublicKey;
@@ -283,11 +286,11 @@ impl Wcl {
 }
 
 #[cfg(test)]
-pub(super) mod tests {
+mod tests {
     use super::*;
     use crate::wcl::circuit_path::CIRCUIT_TAG;
 
-    pub(in crate::wcl) fn onion_wire(header: &[u8], body: &[u8]) -> Vec<u8> {
+    fn onion_wire(header: &[u8], body: &[u8]) -> Vec<u8> {
         let mut w = WireWriter::new();
         put_onion(&mut w, header, body);
         w.into_bytes()

@@ -90,12 +90,6 @@ impl RouteCache {
         let retired = self.current.remove(&dest).and_then(|cid| self.by_first_cid.get(&cid));
         retired.is_some_and(|route| route.expires > now)
     }
-
-    pub(super) fn clear(&mut self) {
-        self.by_first_cid.clear();
-        self.current.clear();
-        self.expiry.clear();
-    }
 }
 
 impl Wcl {

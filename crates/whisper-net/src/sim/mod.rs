@@ -64,7 +64,9 @@ use crate::id::NodeId;
 use crate::metrics::{Metrics, Traffic};
 use crate::nat::{NatDevice, NatType};
 use crate::time::{SimDuration, SimTime};
-use shard::{EngineEnv, Event, EventKind, Shard, Slot, CONTROL_SRC, HOT_ALIVE, HOT_DOWN, HOT_PUBLIC};
+use shard::{
+    EngineEnv, Event, EventKind, Shard, Slot, CONTROL_SRC, HOT_ALIVE, HOT_DOWN, HOT_PUBLIC,
+};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -424,36 +424,36 @@ impl Shard {
                 }
                 Effect::Send { to, data } => {
                     Self::record_traffic(traffic, traffic_dirty, pos, true, data.len());
-                    // Loopback: skip NAT and loss, deliver with link delay.
-                    if to.node == from {
+                    let (from_ep, delay) = if to.node == from {
+                        // Loopback: skip NAT and loss, deliver with link delay.
                         let delay = env.cfg.profile.link.sample(&mut slot.link_rng);
-                        let from_ep = Endpoint { node: from, port: 0 };
-                        *in_flight += 1;
-                        queue.push(slot.event(now + delay, EventKind::Deliver { to, from, from_ep, data }));
-                        continue;
-                    }
-                    let src_port =
-                        if public { 0 } else { slot.nat.outbound(to, now, NAT_LEASE) };
-                    let from_ep = Endpoint { node: from, port: src_port };
-                    if env.fault.partition_blocks(now, from, to.node) {
-                        metrics.count("net.drop_partition", 1);
-                        continue;
-                    }
-                    if env.cfg.profile.sample_loss(&mut slot.link_rng) {
-                        metrics.count("net.lost", 1);
-                        continue;
-                    }
-                    if env.fault.burst_drop(now, &mut slot.ge_bad, &mut slot.link_rng) {
-                        metrics.count("net.lost_burst", 1);
-                        continue;
-                    }
-                    let mut delay = env.cfg.profile.sample_delay(&mut slot.link_rng);
-                    let factor = env.fault.delay_factor(now);
-                    if factor > 1 {
-                        delay = delay * factor;
-                        metrics.count("net.delay_spiked", 1);
-                    }
-                    let ev = slot.event(now + delay, EventKind::Deliver { to, from, from_ep, data });
+                        (Endpoint { node: from, port: 0 }, delay)
+                    } else {
+                        let src_port =
+                            if public { 0 } else { slot.nat.outbound(to, now, NAT_LEASE) };
+                        if env.fault.partition_blocks(now, from, to.node) {
+                            metrics.count("net.drop_partition", 1);
+                            continue;
+                        }
+                        if env.cfg.profile.sample_loss(&mut slot.link_rng) {
+                            metrics.count("net.lost", 1);
+                            continue;
+                        }
+                        if env.fault.burst_drop(now, &mut slot.ge_bad, &mut slot.link_rng) {
+                            metrics.count("net.lost_burst", 1);
+                            continue;
+                        }
+                        let mut delay = env.cfg.profile.sample_delay(&mut slot.link_rng);
+                        let factor = env.fault.delay_factor(now);
+                        if factor > 1 {
+                            delay = delay * factor;
+                            metrics.count("net.delay_spiked", 1);
+                        }
+                        (Endpoint { node: from, port: src_port }, delay)
+                    };
+                    // Loopback stays on this shard, like any send to it.
+                    let ev =
+                        slot.event(now + delay, EventKind::Deliver { to, from, from_ep, data });
                     let dest = (to.node.0 % nshards) as usize;
                     if dest == index as usize {
                         *in_flight += 1;
