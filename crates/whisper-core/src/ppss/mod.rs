@@ -9,11 +9,11 @@
 
 pub mod descriptor;
 pub mod election;
+mod exchange;
 pub mod group;
 pub mod journal;
-pub mod messages;
-mod exchange;
 mod lifecycle;
+pub mod messages;
 
 use crate::wcl::{Arrival, DestInfo, GatewayInfo, Preamble, Wcl};
 use election::{ElectionOutcome, LeaderTracker};
@@ -211,7 +211,6 @@ impl GroupState {
     fn current_key(&self) -> &PublicKey {
         self.key_history.last().expect("non-empty history")
     }
-
 }
 
 /// The private peer sampling service of one node.

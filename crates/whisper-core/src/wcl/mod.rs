@@ -580,7 +580,6 @@ mod tests {
         Wcl::new(WclConfig { mixes: 0, ..WclConfig::default() });
     }
 
-
     fn ends_here(wcl: &mut Wcl, now: SimTime, id: u64) -> Option<Arrival> {
         let cid = CircuitId(id.to_be_bytes());
         let entry = CircuitEntry::new(whisper_crypto::aes::AesKey([0; 16]), vec![], None);

@@ -282,7 +282,6 @@ impl Wcl {
     pub fn carry_circuit(&mut self, now: SimTime, cid_in: CircuitId, entry: CircuitEntry) {
         self.circuits.insert(now.as_micros(), cid_in, entry);
     }
-
 }
 
 #[cfg(test)]
@@ -318,5 +317,4 @@ mod tests {
         assert!(OnionView::from_wire(&[0xFF, 0, 0]).is_err());
         assert!(OnionView::from_wire(&[]).is_err(), "the empty slice");
     }
-
 }

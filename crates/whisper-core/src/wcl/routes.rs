@@ -123,5 +123,4 @@ impl Wcl {
         let (topic, bytes) = self.talk_mut(now, via?)?.heard.as_ref()?;
         Some((*topic, bytes))
     }
-
 }

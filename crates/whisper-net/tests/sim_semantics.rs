@@ -761,7 +761,7 @@ impl Protocol for CircuitHop {
 /// engine's effect list and the payload's `Arc` box.
 ///
 /// "Zero" used to have one exception: the callbacks record their
-/// deterministic cost samples (the `crypto.*_us.*` series) in
+/// deterministic cost samples (`crypto.*_us.*`) in
 /// series that grew by doubling from nothing in every run window. The
 /// shard's sink now keeps the capacity a window gave it, so once a window
 /// of this size has run, every callback reads exactly 0.
