@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Lines of product code per crate: what is left of every file under
 # crates/*/src once it is cut at its `#[cfg(test)] mod` and blank lines
-# and `//` comment lines (doc comments included) are dropped. The number
-# a simplifying PR's "net negative" is read from.
+# and `//` comment lines (doc comments included) are dropped. A file
+# named `tests.rs` is a module's `#[cfg(test)] mod tests;` kept beside it,
+# and counts as tests. The number a simplifying PR's "net negative" is
+# read from.
 #
-#   scripts/loc.sh           the working tree
+#   scripts/loc.sh           the working tree, then its five longest
+#                            files under crates/*/src, every line counted
+#                            (tests included): the size of a module
 #   scripts/loc.sh <rev>     a `git archive` of <rev>, the working tree,
 #                            and the change from the one to the other
 #
@@ -18,7 +22,7 @@ cd "$(dirname "$0")/.."
 # `<crate> <lines>` per crate under $1, sorted by crate.
 count() {
   for crate in "$1"/crates/*/; do
-    find "$crate/src" -name '*.rs' -print0 | sort -z | xargs -0 awk -v crate="$(basename "$crate")" '
+    find "$crate/src" -name '*.rs' ! -name tests.rs -print0 | sort -z | xargs -0 awk -v crate="$(basename "$crate")" '
       FNR == 1 { n += held; in_tests = 0; held = 0 }
       in_tests { next }
       # `#[cfg(test)]` counts (as the attribute of an item) unless the next
@@ -33,6 +37,9 @@ count() {
 
 if [ $# -eq 0 ]; then
   count "$PWD" | awk '{ printf "%-16s %6d\n", $1, $2; total += $2 } END { printf "%-16s %6d\n", "total", total }'
+  echo
+  echo "longest files (all lines):"
+  find crates/*/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total"' | sort -k1,1nr -k2,2 | awk 'NR <= 5'
   exit 0
 fi
 

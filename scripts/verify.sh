@@ -73,5 +73,5 @@ scripts/golden.sh
 step "done"
 # Not a gate: what a simplifying PR's "net negative" is read from
 # (scripts/loc.sh <rev> gives the same count for any revision).
-echo "loc: $(scripts/loc.sh | awk '{ printf "%s%s %s", sep, $1, $2; sep = ", " }')"
+echo "loc: $(scripts/loc.sh | awk 'NF == 0 { exit } { printf "%s%s %s", sep, $1, $2; sep = ", " }')"
 echo "verify: OK (total $((SECONDS - VERIFY_T0))s)"
