@@ -1,6 +1,5 @@
-//! Engine-semantics tests: ordering, loss accounting, churn-runner
-//! integration with the latency profiles, and determinism across
-//! heterogeneous configurations.
+//! Engine-semantics tests: ordering, loss accounting, node removal
+//! mid-flight, and determinism across heterogeneous configurations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
