@@ -512,7 +512,8 @@ fn collect(net: &WhisperNet, skipped: u64) -> ChaosOutcome {
 pub struct LifecycleOutcome {
     /// The tracked echo workload over the surviving groups.
     pub echo: ChaosOutcome,
-    /// Groups deleted mid-run (their leaders published tombstones).
+    /// Groups deleted mid-run (their leaders sent their members
+    /// tombstones).
     pub deleted: Vec<GroupId>,
     /// Live nodes still holding a deleted group at the end. The
     /// tentpole invariant: **zero**, always.
@@ -520,8 +521,8 @@ pub struct LifecycleOutcome {
     /// Number of deletion-propagation latency samples observed.
     pub deletion_prop_samples: usize,
     /// 95th percentile of deletion propagation latency, seconds
-    /// (tombstone publication → a member applying it, across partitions
-    /// and restarts).
+    /// (tombstone signed → a member applying it, pushed or in answer to
+    /// an exchange, across partitions and restarts).
     pub deletion_prop_p95_s: f64,
     /// Live members of the group created *mid-run* (join-under-churn).
     pub late_members: usize,
@@ -560,7 +561,8 @@ fn serialize_observables(net: &WhisperNet) -> Vec<u8> {
 /// * the scripted fault window (a partition island *plus* staggered
 ///   crash/restarts) opens after `fault_after_round` rounds;
 /// * one round into the window, `max(1, groups/4)` groups are
-///   **deleted** — tombstones must cross the partition and reach
+///   **deleted** — tombstones, pushed from member to member and
+///   answered to exchange requests, must cross the partition and reach
 ///   crash-restarted members, and nothing may resurrect;
 /// * the round after that, one member **migrates** from the first group
 ///   to the second (a revocation in one, a passport in the other).

@@ -282,11 +282,11 @@ impl WhisperNode {
         self.ppss.join_group(ctx, &mut self.nylon, &mut self.wcl, invitation);
     }
 
-    /// Deletes `group` (leader operation): publishes the deletion
-    /// tombstone and destroys local state. Returns `false` when this
-    /// node is not a leader of the group.
+    /// Deletes `group` (leader operation): sends the signed deletion
+    /// tombstone to the members it knows and destroys local state.
+    /// Returns `false` when this node is not a leader of the group.
     pub fn delete_group(&mut self, ctx: &mut Ctx<'_>, group: GroupId) -> bool {
-        let Some(events) = self.ppss.delete_group(ctx, &mut self.nylon, group) else {
+        let Some(events) = self.ppss.delete_group(ctx, &mut self.nylon, &mut self.wcl, group) else {
             return false;
         };
         self.dispatch_ppss_events(ctx, events);
@@ -354,9 +354,9 @@ impl Protocol for WhisperNode {
 
     fn on_crash_restart(&mut self, ctx: &mut Ctx<'_>) {
         // Volatile state is gone: WCL pending sends, routes and circuits,
-        // the Nylon view, NAT session state and the relay descriptor
-        // store. The PPSS rebuilds its group table exclusively from a
-        // replay of its journal (the node's "disk"); the bootstrap list
+        // the Nylon view and NAT session state. The PPSS rebuilds its
+        // group table and tombstones exclusively from a replay of its
+        // journal (the node's "disk"); the bootstrap list
         // survives as on-disk configuration, so the node re-converges
         // through its deferred gossip and PPSS cycle timers.
         self.wcl.on_restart(ctx);
@@ -381,10 +381,6 @@ impl Protocol for WhisperNode {
                 // the wrapper left, whatever the sender's class.
                 NylonEvent::Payload { from, data } => self.on_app_payload(ctx, (from, false), &data),
                 NylonEvent::GossipCompleted { .. } => {}
-                NylonEvent::Descriptor { bytes, .. } => {
-                    let events = self.ppss.on_descriptor(ctx, &bytes);
-                    self.dispatch_ppss_events(ctx, events);
-                }
             }
         }
     }
@@ -416,7 +412,7 @@ impl Protocol for WhisperNode {
             }
             TIMER_APP => self.with_api(|api, app| app.on_timer(ctx, api, token >> 8)),
             _ => {
-                let _ = self.nylon.on_timer(ctx, token);
+                self.nylon.on_timer(ctx, token);
             }
         }
     }

@@ -5,16 +5,18 @@
 //! The paper's PPSS has no descriptor. A member learns its group's epoch
 //! from leader heartbeats and each new key from the signed announcement,
 //! both inside WCL-sealed exchanges (§IV-A), and a live group signs
-//! nothing else. What no exchange can do is reach the members that will
-//! never exchange again once the group is gone, so deletion alone takes a
-//! [`GroupDescriptor`]: a small (~200 byte) RSA-signed tombstone stating
-//! the group, the deleter's epoch and a hash of its key history, signed by
-//! a leader in `Ppss::delete_group`. It travels as an opaque blob
-//! piggybacked on Nylon gossip exchanges (see `whisper_pss::descriptors`),
-//! so propagation needs no extra messages and reaches non-members, who
-//! relay what they cannot verify (only members hold the key history a
-//! signature checks against). A relay thus learns a group's id only once
-//! the group is deleted.
+//! nothing else. Deletion alone takes a [`GroupDescriptor`]: a small
+//! (~200 byte) RSA-signed tombstone stating the group, the deleter's epoch
+//! and a hash of its key history, signed by a leader in
+//! `Ppss::delete_group`. It travels inside the group, WCL-sealed like
+//! every PPSS message, as a
+//! [`PpssMsg::Deleted`](crate::ppss::messages::PpssMsg::Deleted): the
+//! leader pushes it to its private view and persistent connection pool,
+//! every member that verifies it pushes it on once the same way, and a
+//! node that holds it answers any exchange request for the group with it,
+//! which reaches the members the push missed at their next exchange. No
+//! relay ever sees it, so no outsider learns a group's id, live or
+//! deleted.
 //!
 //! Members hold no membership list. A passport proves admission on its
 //! own (paper §III), so all a member keeps besides it is the group's
@@ -42,9 +44,10 @@
 //! * **Deletion**: a member that verifies a tombstone destroys the
 //!   group's state and journals the id in its sticky deleted set, which
 //!   blocks joining, re-creating and re-admitting the group forever. Any
-//!   verified descriptor that is not a tombstone changes nothing. Relays
-//!   keep the greater bytes per id, so co-leaders' tombstones converge.
-//!   Resurrection is impossible by construction, not by timeout.
+//!   verified descriptor that is not a tombstone changes nothing. A node
+//!   keeps the first tombstone it verified; co-leaders' tombstones are
+//!   all deletions, so which one it keeps changes nothing. Resurrection is
+//!   impossible by construction, not by timeout.
 
 use crate::ppss::group::GroupId;
 use whisper_crypto::rsa::{KeyPair, PublicKey};

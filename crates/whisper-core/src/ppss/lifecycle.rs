@@ -8,7 +8,7 @@ use super::group::{issue_accreditation, verify_accreditation, Invitation, Passpo
 use super::messages::PpssMsg;
 use super::{GroupId, GroupState, Passport, Ppss, PpssEvent, PrivateEntry, GOSSIP_LEN};
 use crate::wcl::{Arrival, Wcl};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
@@ -56,8 +56,9 @@ const JOURNAL_COMPACT_BYTES: usize = 128 * 1024;
 
 /// Record tag: a full durable snapshot of one group.
 pub(super) const REC_GROUP: u8 = 1;
-/// Record tag: the group was deleted; sticky forever.
-const REC_TOMBSTONE: u8 = 2;
+/// Record tag: the group was deleted, under the signed tombstone the
+/// record keeps; sticky forever.
+pub(super) const REC_TOMBSTONE: u8 = 2;
 /// Record tag: a join handshake was started from an invitation.
 const REC_PENDING: u8 = 3;
 
@@ -90,10 +91,11 @@ fn encode_group_record(group: GroupId, state: &GroupState) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn encode_tombstone_record(group: GroupId) -> Vec<u8> {
+fn encode_tombstone_record(group: GroupId, tombstone: &[u8]) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_u8(REC_TOMBSTONE);
     w.put(&group);
+    w.put_bytes(tombstone);
     w.into_bytes()
 }
 
@@ -136,7 +138,7 @@ impl Ppss {
             ctx.metrics().count("ppss.create_refused_held", 1);
             return None;
         }
-        if self.deleted.contains(&id) {
+        if self.deleted.contains_key(&id) {
             ctx.metrics().count("ppss.resurrection_blocked", 1);
             return None;
         }
@@ -183,7 +185,7 @@ impl Ppss {
         if self.groups.contains_key(&group) {
             return;
         }
-        if self.deleted.contains(&group) {
+        if self.deleted.contains_key(&group) {
             // The invitation outlived the group; the tombstone wins.
             ctx.metrics().count("ppss.resurrection_blocked", 1);
             return;
@@ -221,10 +223,11 @@ impl Ppss {
     }
 
     /// Deletes `group` (leader operation): signs a deletion tombstone —
-    /// the only descriptor a leader signs — and publishes it into the
-    /// relay-level descriptor store, journals the tombstone, and drops all
-    /// local group state. Returns the events to dispatch, or `None` if
-    /// this node is not a leader of the group.
+    /// the only descriptor a leader signs — and deletes the group here as
+    /// a member that verified it would: pushes it to the private view and
+    /// PCP, journals it and drops all local group state. Returns the
+    /// events to dispatch, or `None` if this node is not a leader of the
+    /// group.
     ///
     /// Deletion is permanent by construction: every member that verifies
     /// the tombstone destroys its state the same way, and the local
@@ -233,6 +236,7 @@ impl Ppss {
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
+        wcl: &mut Wcl,
         group: GroupId,
     ) -> Option<Vec<PpssEvent>> {
         let state = self.groups.get(&group)?;
@@ -248,25 +252,43 @@ impl Ppss {
             Vec::new(),
             ctx.now().as_micros(),
         );
-        nylon.publish_descriptor(group.0, &tomb.to_wire());
-        Some(self.delete_here(ctx, group))
+        Some(self.delete_here(ctx, nylon, wcl, group, tomb.to_wire()))
     }
 
-    /// Forgets `group` for good, durably: [`Ppss::bury`], then the
-    /// tombstone journaled.
-    fn delete_here(&mut self, ctx: &mut Ctx<'_>, group: GroupId) -> Vec<PpssEvent> {
-        self.bury(group);
-        self.journal.append(&encode_tombstone_record(group));
+    /// Forgets `group` for good under `tombstone`, its signed image: the
+    /// tombstone goes to every member in the private view and the PCP, in
+    /// a [`PpssMsg::Deleted`] each, then [`Ppss::bury`] and the journal
+    /// record.
+    fn delete_here(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nylon: &mut NylonCore,
+        wcl: &mut Wcl,
+        group: GroupId,
+        tombstone: Vec<u8>,
+    ) -> Vec<PpssEvent> {
+        if let Some(state) = self.groups.get(&group) {
+            // By node, as the PCP refresh goes: every send draws from the
+            // node RNG.
+            let targets: BTreeMap<NodeId, &PrivateEntry> =
+                state.pcp.values().chain(&state.view).map(|e| (e.node, e)).collect();
+            let push = PpssMsg::Deleted { tombstone: tombstone.clone(), exchange_id: 0 }.to_wire();
+            for target in targets.values() {
+                wcl.send_untracked(ctx, nylon, &target.dest_info(), &push, None);
+            }
+        }
+        self.journal.append(&encode_tombstone_record(group, &tombstone));
+        self.bury(group, tombstone);
         ctx.metrics().count("ppss.groups_deleted", 1);
         vec![PpssEvent::GroupDeleted { group }]
     }
 
     /// Forgets `group`: its state and any pending join go, the tombstone
     /// stays.
-    fn bury(&mut self, group: GroupId) {
+    fn bury(&mut self, group: GroupId, tombstone: Vec<u8>) {
         self.groups.remove(&group);
         self.pending_joins.remove(&group);
-        self.deleted.insert(group);
+        self.deleted.insert(group, tombstone);
     }
 
     /// Revokes `node`'s membership (leader operation): adds it to the
@@ -346,7 +368,7 @@ impl Ppss {
                 let revoked: Vec<NodeId> = r.take_seq()?;
                 let contacts: Vec<PrivateEntry> = r.take_seq()?;
                 r.finish()?;
-                if self.deleted.contains(&group) {
+                if self.deleted.contains_key(&group) {
                     return Ok(()); // a tombstone never un-deletes
                 }
                 let key_history: Vec<PublicKey> =
@@ -365,8 +387,9 @@ impl Ppss {
             }
             REC_TOMBSTONE => {
                 let group: GroupId = r.take()?;
+                let tombstone = r.take_bytes()?.to_vec();
                 r.finish()?;
-                self.bury(group);
+                self.bury(group, tombstone);
             }
             REC_PENDING => {
                 let group: GroupId = r.take()?;
@@ -374,7 +397,7 @@ impl Ppss {
                 let accreditation: Vec<u8> = r.take_bytes()?.to_vec();
                 let entry_point: PrivateEntry = r.take()?;
                 r.finish()?;
-                if self.groups.contains_key(&group) || self.deleted.contains(&group) {
+                if self.groups.contains_key(&group) || self.deleted.contains_key(&group) {
                     return Ok(());
                 }
                 let group_key =
@@ -426,8 +449,8 @@ impl Ppss {
         for id in pending {
             records.push(encode_pending_record(id, &self.pending_joins[&id].invitation));
         }
-        for id in &self.deleted {
-            records.push(encode_tombstone_record(*id));
+        for (id, tombstone) in &self.deleted {
+            records.push(encode_tombstone_record(*id, tombstone));
         }
         records
     }
@@ -526,43 +549,54 @@ impl Ppss {
         events.push(PpssEvent::ViewUpdated { group });
     }
 
-    /// Processes a descriptor blob surfaced by the Nylon relay layer.
+    /// Handles a [`PpssMsg::Deleted`]: `bytes` is the tombstone it
+    /// carried, `exchange_id` the request it answers (0 when pushed).
     ///
-    /// Non-members relay blobs without ever reaching this point (the
-    /// store merge happens inside `whisper-pss`); members verify the
-    /// signature against their key history. A verified deletion tombstone
-    /// destroys the group on the spot, forever; any other verified
-    /// descriptor says nothing the exchanges do not, and is dropped.
-    pub fn on_descriptor(&mut self, ctx: &mut Ctx<'_>, bytes: &[u8]) -> Vec<PpssEvent> {
+    /// A member verifies the signature against its key history. A
+    /// verified deletion tombstone destroys the group on the spot, forever,
+    /// and goes on to the view and PCP ([`Ppss::delete_here`]); any other
+    /// verified descriptor says nothing the exchanges do not, and is
+    /// dropped. A non-member has nothing to verify it against and drops
+    /// it. An answer ends the tracked exchange request it echoes once this
+    /// node holds the group deleted under these very bytes: asking again
+    /// would only bring them again.
+    pub(super) fn on_descriptor(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nylon: &mut NylonCore,
+        wcl: &mut Wcl,
+        bytes: &[u8],
+        exchange_id: u64,
+    ) -> Vec<PpssEvent> {
         let Ok(desc) = GroupDescriptor::from_wire(bytes) else {
             ctx.metrics().count("ppss.desc_unparseable", 1);
             return Vec::new();
         };
         let group = desc.group;
-        if self.deleted.contains(&group) {
+        let mut events = Vec::new();
+        if self.deleted.contains_key(&group) {
             if !desc.tombstone {
                 ctx.metrics().count("ppss.resurrection_blocked", 1);
             }
-            return Vec::new();
+        } else if let Some(state) = self.groups.get(&group) {
+            if !desc.verify(&state.key_history) {
+                // Signed under a key we have not learned yet (it will
+                // verify once the NewKeyAnnouncement lands), or forged.
+                // Either way: fail closed.
+                ctx.metrics().count("ppss.desc_unverified", 1);
+            } else if !desc.tombstone {
+                ctx.metrics().count("ppss.desc_ignored", 1);
+            } else {
+                let now = ctx.now().as_micros();
+                if now >= desc.born_at {
+                    ctx.metrics().sample("ppss.deletion_prop_s", (now - desc.born_at) as f64 / 1e6);
+                }
+                events = self.delete_here(ctx, nylon, wcl, group, bytes.to_vec());
+            }
         }
-        let Some(state) = self.groups.get(&group) else {
-            return Vec::new(); // not a member: relay-only, nothing to verify
-        };
-        if !desc.verify(&state.key_history) {
-            // Signed under a key we have not learned yet (it will verify
-            // once the NewKeyAnnouncement lands), or forged. Either way:
-            // fail closed.
-            ctx.metrics().count("ppss.desc_unverified", 1);
-            return Vec::new();
+        if exchange_id != 0 && self.deleted.get(&group).is_some_and(|held| held == bytes) {
+            wcl.notify_response(ctx, exchange_id);
         }
-        if !desc.tombstone {
-            ctx.metrics().count("ppss.desc_ignored", 1);
-            return Vec::new();
-        }
-        let now = ctx.now().as_micros();
-        if now >= desc.born_at {
-            ctx.metrics().sample("ppss.deletion_prop_s", (now - desc.born_at) as f64 / 1e6);
-        }
-        self.delete_here(ctx, group)
+        events
     }
 }

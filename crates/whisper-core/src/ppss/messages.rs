@@ -265,6 +265,19 @@ pub enum PpssMsg {
         /// Whether the receiver should answer with its own fresh entry.
         respond: bool,
     },
+    /// A group's deletion, as its leader signed it: pushed by the leader
+    /// and then once by every member that applies it, to the private view
+    /// and PCP, and the answer of a node that holds it to any exchange
+    /// request for the group.
+    Deleted {
+        /// The image of the signed tombstone
+        /// ([`GroupDescriptor`](crate::ppss::descriptor::GroupDescriptor));
+        /// the receiver parses and verifies it.
+        tombstone: Vec<u8>,
+        /// The exchange request this answers, echoed so that the
+        /// requester's tracked send ends; 0 when pushed.
+        exchange_id: u64,
+    },
 }
 
 const TAG_JOIN_REQ: u8 = 1;
@@ -273,6 +286,7 @@ const TAG_EXCHANGE: u8 = 3;
 const TAG_APP_DATA: u8 = 4;
 const TAG_PCP_REFRESH: u8 = 5;
 const TAG_APP_SHORT: u8 = 6;
+const TAG_DELETED: u8 = 7;
 
 /// Wire size of the [`PpssMsg::AppShort`] carrying `data` — and so of what
 /// an [`PpssMsg::AppData`] image ends in, behind its preamble.
@@ -334,6 +348,11 @@ impl WireEncode for PpssMsg {
                 w.put(entry);
                 w.put(respond);
             }
+            PpssMsg::Deleted { tombstone, exchange_id } => {
+                w.put_u8(TAG_DELETED);
+                w.put_bytes(tombstone);
+                w.put_u64(*exchange_id);
+            }
         }
     }
 
@@ -377,20 +396,23 @@ impl WireEncode for PpssMsg {
             PpssMsg::PcpRefresh { group, passport, entry, .. } => {
                 group.encoded_len() + passport.encoded_len() + entry.encoded_len() + 1
             }
+            PpssMsg::Deleted { tombstone, .. } => bytes_len(tombstone) + 8,
         }
     }
 }
 
 impl PpssMsg {
-    /// The group the message is about.
-    pub fn group(&self) -> GroupId {
+    /// The group the message is about; `None` for a
+    /// [`PpssMsg::Deleted`], whose group only its signed tombstone names.
+    pub fn group(&self) -> Option<GroupId> {
         match self {
             PpssMsg::JoinReq { group, .. }
             | PpssMsg::JoinAck { group, .. }
             | PpssMsg::Exchange { group, .. }
             | PpssMsg::AppData { group, .. }
             | PpssMsg::AppShort { group, .. }
-            | PpssMsg::PcpRefresh { group, .. } => *group,
+            | PpssMsg::PcpRefresh { group, .. } => Some(*group),
+            PpssMsg::Deleted { .. } => None,
         }
     }
 
@@ -442,6 +464,9 @@ impl WireDecode for PpssMsg {
                 entry: r.take()?,
                 respond: r.take()?,
             },
+            TAG_DELETED => {
+                PpssMsg::Deleted { tombstone: r.take_bytes()?.to_vec(), exchange_id: r.take_u64()? }
+            }
             _ => return Err(WireError::new("unknown PPSS message tag")),
         })
     }
@@ -541,6 +566,7 @@ mod tests {
             respond: true,
         });
         round_trip(PpssMsg::AppShort { group: GroupId(7), data: vec![0; 256] });
+        round_trip(PpssMsg::Deleted { tombstone: vec![3; 200], exchange_id: 42 });
     }
 
     /// A long application message is its preamble followed by the image of

@@ -22,7 +22,7 @@ use journal::Journal;
 use lifecycle::PendingJoin;
 pub use messages::PrivateEntry;
 use messages::{app_short_len, NewKeyAnnouncement, PpssMsg};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode, WireReader};
@@ -224,9 +224,11 @@ pub struct Ppss {
     /// and [`Ppss::on_restart`] rebuilds the group table *only* from a
     /// replay of it.
     journal: Journal,
-    /// Groups whose deletion this node has verified. Sticky: nothing in
-    /// here can ever be joined, re-created or gossiped about again.
-    deleted: BTreeSet<GroupId>,
+    /// Groups whose deletion this node has verified, each with the signed
+    /// tombstone that deleted it. Sticky: nothing in here can ever be
+    /// joined, re-created or exchanged about again, and an exchange
+    /// request for one is answered with its tombstone.
+    deleted: BTreeMap<GroupId, Vec<u8>>,
 }
 
 impl std::fmt::Debug for Ppss {
@@ -245,7 +247,7 @@ impl Ppss {
             started: false,
             cycles_run: 0,
             journal: Journal::new(),
-            deleted: BTreeSet::new(),
+            deleted: BTreeMap::new(),
         }
     }
 
@@ -269,6 +271,12 @@ impl Ppss {
     /// The state of `group`, if this node is a member.
     pub fn group(&self, group: GroupId) -> Option<&GroupState> {
         self.groups.get(&group)
+    }
+
+    /// The image of the signed tombstone that deleted `group` here, if one
+    /// did.
+    pub fn tombstone(&self, group: GroupId) -> Option<&[u8]> {
+        self.deleted.get(&group).map(Vec::as_slice)
     }
 
     /// The group journal (the node's durable "disk").
@@ -555,10 +563,16 @@ impl Ppss {
     ) -> Option<Vec<PpssEvent>> {
         let msg = PpssMsg::from_wire(payload).ok()?;
         let mut events = Vec::new();
-        if self.deleted.contains(&msg.group()) {
+        if let Some(tombstone) = msg.group().and_then(|group| self.deleted.get(&group)) {
             // A verified tombstone outranks every message about the
-            // group, including join handshakes still in flight.
+            // group, including join handshakes still in flight. An
+            // exchange request comes from a member the deletion has not
+            // reached yet: its answer is the tombstone.
             ctx.metrics().count("ppss.resurrection_blocked", 1);
+            if let PpssMsg::Exchange { from_entry, exchange_id, is_response: false, .. } = &msg {
+                let answer = PpssMsg::Deleted { tombstone: tombstone.clone(), exchange_id: *exchange_id };
+                wcl.send_untracked(ctx, nylon, &from_entry.dest_info(), &answer.to_wire(), None);
+            }
             return Some(events);
         }
         match msg {
@@ -620,6 +634,9 @@ impl Ppss {
                     };
                     wcl.send_untracked(ctx, nylon, &entry.dest_info(), &msg.to_wire(), None);
                 }
+            }
+            PpssMsg::Deleted { tombstone, exchange_id } => {
+                events = self.on_descriptor(ctx, nylon, wcl, &tombstone, exchange_id);
             }
         }
         Some(events)

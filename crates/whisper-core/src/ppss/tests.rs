@@ -1,7 +1,7 @@
 use super::*;
 use crate::ppss::descriptor::GroupDescriptor;
 use crate::ppss::group::PASSPORT_MEMO_CAP;
-use crate::ppss::lifecycle::REC_GROUP;
+use crate::ppss::lifecycle::{REC_GROUP, REC_TOMBSTONE};
 use crate::{WhisperConfig, WhisperNode};
 use whisper_crypto::rsa::RsaKeySize;
 use whisper_net::nat::NatType;
@@ -272,9 +272,9 @@ fn revoked_sets_converge_under_any_interleaving_and_restart() {
 
 /// A live group signs nothing; deletion signs once. A group that
 /// admits 39 members, revokes one and changes leader in an election
-/// puts no blob in the relay store; deleting it there puts one
-/// tombstone, signed under the elected leader's key. Revoking the same
-/// member twice is refused.
+/// holds and journals no tombstone; deleting it there keeps one, signed
+/// under the elected leader's key and naming no member, and journals it.
+/// Revoking the same member twice is refused.
 #[test]
 fn a_live_group_signs_nothing_and_deletion_signs_once() {
     let cfg = WhisperConfig::default();
@@ -309,13 +309,16 @@ fn a_live_group_signs_nothing_and_deletion_signs_once() {
     assert_eq!(sim.metrics().counter("ppss.elections_won"), 1);
     assert!(state.is_leader() && state.epoch() == 1 && state.key_history().len() == 2);
     assert_eq!(state.revoked(), &BTreeSet::from([joiners[0]]));
-    assert!(node.nylon().descriptors().is_empty(), "a live group signed a descriptor");
+    let tombstones = |ppss: &Ppss| ppss.journal().replay().records.iter().filter(|r| r[0] == REC_TOMBSTONE).count();
+    assert!(node.ppss().tombstone(group).is_none(), "a live group signed a descriptor");
+    assert_eq!(tombstones(node.ppss()), 0);
     let history = state.key_history().to_vec();
 
     sim.with_node_ctx::<WhisperNode>(me, |n, ctx| assert!(n.delete_group(ctx, group)));
-    let store = sim.node::<WhisperNode>(me).unwrap().nylon().descriptors();
-    assert_eq!(store.ids(), vec![group.0], "deletion signs once");
-    let tomb = GroupDescriptor::from_wire(store.get(group.0).unwrap()).unwrap();
+    let ppss = sim.node::<WhisperNode>(me).unwrap().ppss();
+    assert_eq!(ppss.deleted.keys().collect::<Vec<_>>(), [&group], "deletion signs once");
+    assert_eq!(tombstones(ppss), 1, "the tombstone is journaled");
+    let tomb = GroupDescriptor::from_wire(ppss.tombstone(group).unwrap()).unwrap();
     assert!(tomb.tombstone && tomb.epoch == 1 && tomb.verify(&history[1..]));
     assert!(tomb.adds.is_empty() && tomb.removes.is_empty(), "the tombstone names a member");
 }

@@ -1,0 +1,206 @@
+//! The Nylon decoders on hostile bytes (ROADMAP item 4 (a), the Nylon
+//! slice; `ppss_decoders.rs` is the template). Datagrams taken off the wire
+//! of a running stack — gossip requests and responses, relayed messages and
+//! application frames among them — then cut short, grown, spliced,
+//! bit-flipped or given a sequence length that claims the whole remaining
+//! input: `NylonMsg::from_wire` refuses it or reads back exactly what it
+//! was given, `NylonMsg::gossip_view` and `NylonMsg::app_view` accept
+//! exactly what it decodes as their kind and allocate nothing, the owned
+//! decoder reserves no more than the input can fill, and a node handed it
+//! does not panic.
+
+mod watching;
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+use whisper_core::{GroupId, WhisperConfig, WhisperNode};
+use whisper_crypto::rsa::KeyPair;
+use whisper_net::nat::{NatDistribution, NatType};
+use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
+use whisper_net::wire::{opt_len, seq_len, WireDecode, WireEncode};
+use whisper_net::{Endpoint, NodeId, Payload};
+use whisper_pss::messages::NylonMsg;
+use whisper_pss::ViewEntry;
+use whisper_rand::rngs::StdRng;
+use whisper_rand::{Rng, SeedableRng};
+
+/// Every datagram a node received, in delivery order.
+type WireLog = Arc<Mutex<Vec<Vec<u8>>>>;
+
+/// A stack that logs every datagram before it handles it.
+struct Tap {
+    inner: WhisperNode,
+    log: WireLog,
+}
+
+impl Protocol for Tap {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.inner.on_start(ctx);
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, ep: Endpoint, data: &Payload) {
+        self.log.lock().unwrap().push(data.to_vec());
+        self.inner.on_message(ctx, from, ep, data);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.inner.on_timer(ctx, token);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A datagram and the offsets of the sequence and byte-string length
+/// prefixes in it.
+type Image = (Vec<u8>, Vec<usize>);
+
+/// Where the length prefixes of `msg`'s image sit: behind the tag, the
+/// sender and what precedes each.
+fn length_prefixes(msg: &NylonMsg) -> Vec<usize> {
+    match msg {
+        NylonMsg::GossipReq { entries, key, .. } | NylonMsg::GossipResp { entries, key, .. } => {
+            let key_at = 1 + 8 + 1 + seq_len(entries) + 1;
+            [Some(10), key.as_ref().map(|_| key_at)].into_iter().flatten().collect()
+        }
+        NylonMsg::Relayed { remaining, path_back, .. } => {
+            let path_back_at = 9 + seq_len(remaining);
+            vec![9, path_back_at, path_back_at + seq_len(path_back)]
+        }
+        NylonMsg::OpenReq { requester_ep, remaining, .. } => {
+            let remaining_at = 1 + 8 + 1 + opt_len(requester_ep);
+            vec![remaining_at, remaining_at + seq_len(remaining)]
+        }
+        NylonMsg::OpenAck { target_ep, .. } => vec![1 + 8 + 1 + opt_len(target_ep)],
+        NylonMsg::Ping { key: Some(_), .. } | NylonMsg::Pong { key: Some(_), .. } => vec![10],
+        NylonMsg::App { .. } => vec![9],
+        _ => vec![],
+    }
+}
+
+/// A 30-node stack, most of it behind NATs, with a group that has gossiped
+/// for a while: up to three datagrams of every kind it put on the wire —
+/// relayed ones told apart by what they carry — and a node to hand hostile
+/// bytes to.
+fn running_stack() -> (Sim, NodeId, Vec<Image>) {
+    let cfg = WhisperConfig::default();
+    let log = WireLog::default();
+    let mut keys = StdRng::seed_from_u64(31);
+    let mut sim = Sim::new(SimConfig::cluster(31));
+    let dist = NatDistribution::paper_default();
+    let ids: Vec<NodeId> = (0..30u64)
+        .map(|i| {
+            let mut node = WhisperNode::new(cfg.clone(), KeyPair::generate(cfg.nylon.rsa, &mut keys));
+            node.nylon_mut().set_bootstrap([NodeId(0), NodeId(1)].into_iter().filter(|b| b.0 != i).collect());
+            let nat = if i < 2 { NatType::Public } else { dist.sample(sim.rng()) };
+            sim.add_node(Box::new(Tap { inner: node, log: log.clone() }), nat)
+        })
+        .collect();
+    sim.run_for_secs(150);
+    let leader = ids[3];
+    let mut group = GroupId(0);
+    sim.with_node_ctx::<Tap>(leader, |tap, ctx| group = tap.inner.create_group(ctx, "wire"));
+    for &m in &ids[4..12] {
+        let invitation = sim.node::<Tap>(leader).unwrap().inner.invite(group, m).unwrap();
+        sim.with_node_ctx::<Tap>(m, |tap, ctx| tap.inner.join_group(ctx, invitation));
+    }
+    sim.run_for_secs(300);
+
+    let mut kinds: BTreeMap<(u8, Option<u8>), Vec<Image>> = BTreeMap::new();
+    for datagram in log.lock().unwrap().iter() {
+        let msg = NylonMsg::from_wire(datagram).expect("an honest datagram decodes");
+        let inner = match &msg {
+            NylonMsg::Relayed { inner, .. } => inner.first().copied(),
+            _ => None,
+        };
+        let same = kinds.entry((datagram[0], inner)).or_default();
+        if same.len() < 3 {
+            same.push((datagram.clone(), length_prefixes(&msg)));
+        }
+    }
+    let seen: Vec<(u8, Option<u8>)> = kinds.keys().copied().collect();
+    // Gossip both ways, relayed gossip and application frames.
+    for kind in [(1, None), (2, None), (3, Some(1)), (10, None)] {
+        assert!(seen.contains(&kind), "no datagram of kind {kind:?} on the wire; saw {seen:?}");
+    }
+    (sim, ids[20], kinds.into_values().flatten().collect())
+}
+
+#[test]
+fn nylon_decoders_are_total_on_hostile_bytes() {
+    let (sim, target, images) = running_stack();
+    // The unmutated images read back as themselves, and each prefix said
+    // to be a length is one: one element more breaks the image.
+    for (image, prefixes) in &images {
+        assert_eq!(NylonMsg::from_wire(image).map(|m| m.to_wire()).as_ref(), Ok(image));
+        for &at in prefixes {
+            let count = u32::from_be_bytes(image[at..at + 4].try_into().expect("4 bytes"));
+            let mut claimed = image.clone();
+            claimed[at..at + 4].copy_from_slice(&(count + 1).to_be_bytes());
+            assert!(NylonMsg::from_wire(&claimed).is_err(), "tag {}: no length at {at}", image[0]);
+        }
+    }
+
+    let sim = RefCell::new(sim);
+    whisper_rand::check::check(1024, "nylon_decoders_are_total_on_hostile_bytes", |g| {
+        let (image, prefixes) = &images[g.gen_range(0..images.len())];
+        let hostile = match g.gen_range(0..6u8) {
+            0 => [&image[..1], &g.bytes(300)].concat(),
+            1 => image[..g.gen_range(0..image.len())].to_vec(),
+            2 => [&image[..], &g.bytes(8), &[0]].concat(),
+            3 => {
+                let (other, _) = &images[g.gen_range(0..images.len())];
+                let (head, tail) = (g.gen_range(0..=image.len()), g.gen_range(0..=other.len()));
+                [&image[..head], &other[tail..]].concat()
+            }
+            4 => {
+                let mut flipped = image.clone();
+                flipped[g.gen_range(0..image.len())] ^= 1 << g.gen_range(0..8u32);
+                flipped
+            }
+            _ => {
+                // A length that claims every byte left, one per element.
+                let at = match prefixes.len() {
+                    0 => g.gen_range(0..image.len().saturating_sub(4).max(1)),
+                    n => prefixes[g.gen_range(0..n)],
+                };
+                let mut claimed = image.clone();
+                if at + 4 <= claimed.len() {
+                    claimed[at..at + 4].copy_from_slice(&((image.len() - at - 4) as u32).to_be_bytes());
+                }
+                claimed
+            }
+        };
+        let (decoded, largest) = watching::largest_during(|| NylonMsg::from_wire(&hostile));
+        let (views, viewed) =
+            watching::largest_during(|| (NylonMsg::gossip_view(&hostile).is_some(), NylonMsg::app_view(&hostile)));
+        // Nothing a Nylon message holds is denser in memory than its view
+        // entries — a 15-byte wire entry is a `ViewEntry` in memory — and
+        // a `Vec` grows to at most twice the items it holds, and to no
+        // fewer than four.
+        let items = (2 * hostile.len() / 15).max(4);
+        assert!(largest <= items * size_of::<ViewEntry>(), "{largest} B reserved for {} B", hostile.len());
+        assert_eq!(viewed, 0, "a borrowed view allocated");
+        let (gossip, app) = views;
+        if let Ok(msg) = &decoded {
+            assert_eq!(msg.to_wire(), hostile, "accepted, but not what it reads back as");
+        }
+        let as_gossip = matches!(decoded, Ok(NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. }));
+        assert_eq!(gossip, as_gossip, "gossip_view and from_wire disagree");
+        match (&decoded, app) {
+            (Ok(NylonMsg::App { from, payload }), Some(view)) => assert_eq!((*from, &payload[..]), view),
+            (Ok(NylonMsg::App { .. }), None) => panic!("app_view declined an App"),
+            (_, app) => assert!(app.is_none(), "app_view accepted what from_wire does not read as an App"),
+        }
+
+        // A stack handed the datagram, from a peer it knows or not.
+        let from = NodeId(g.gen_range(0..30u64));
+        let sim = &mut *sim.borrow_mut();
+        sim.with_node_ctx::<Tap>(target, |tap, ctx| {
+            let port = if from.0 < 2 { 0 } else { 1 };
+            tap.inner.on_message(ctx, from, Endpoint { node: from, port }, &Payload::fresh(hostile));
+        });
+    });
+}

@@ -1,17 +1,19 @@
 //! The PPSS decoders on hostile bytes (ROADMAP item 4 (a), the PPSS
 //! slice; `wcl_circuits.rs::circuit_decoders_are_total_on_hostile_bytes`
 //! is the template). Every message kind — the exchange request and
-//! response, each carrying the sender's non-empty revoked set, and the
-//! rest — and the signed tombstone of a deletion, built from a running
-//! group's own state, then cut short, grown, spliced, bit-flipped or given
-//! a sequence length that claims the whole remaining input:
-//! `PpssMsg::from_wire` and `GroupDescriptor::from_wire` refuse it or
-//! read back exactly what they were given, never reserve more than the
-//! input for it, and a member handed it does not panic. A validly signed
-//! descriptor that is not a tombstone changes no state.
+//! response, each carrying the sender's non-empty revoked set, the
+//! deletion that carries a tombstone, and the rest — and the signed
+//! tombstone of a deletion, built from a running group's own state, then
+//! cut short, grown, spliced, bit-flipped or given a sequence length that
+//! claims the whole remaining input: `PpssMsg::from_wire` and
+//! `GroupDescriptor::from_wire` refuse it or read back exactly what they
+//! were given, never reserve more than the input for it, and a member
+//! handed it does not panic. A validly signed descriptor that is not a
+//! tombstone changes no state.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, RefCell};
+mod watching;
+
+use std::cell::RefCell;
 use whisper_core::ppss::descriptor::GroupDescriptor;
 use whisper_core::ppss::group::{issue_accreditation, Invitation, Passport};
 use whisper_core::ppss::messages::{Heartbeat, PpssMsg};
@@ -23,48 +25,6 @@ use whisper_net::wire::{WireDecode, WireEncode, WireError};
 use whisper_net::NodeId;
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
-
-thread_local! {
-    /// The largest single heap request this thread made since the reset.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, noting per thread the largest request.
-struct Watching;
-
-fn note(size: usize) {
-    // `try_with`: a thread tearing its locals down still allocates.
-    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
-}
-
-// SAFETY: every request is passed unchanged to `System`, whose contract is
-// the one this impl inherits; the only addition is an update of a
-// const-initialised, destructor-free thread-local `Cell`, which neither
-// allocates nor unwinds.
-unsafe impl GlobalAlloc for Watching {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Watching = Watching;
 
 /// What reads an image: the PPSS message decoder or the descriptor's.
 #[derive(Clone, Copy, Debug)]
@@ -180,10 +140,12 @@ fn running_group() -> (Sim, NodeId, NodeId, Vec<Image>) {
     let mut images: Vec<Image> =
         messages.into_iter().map(|(msg, seqs)| (Decoder::Ppss, msg.to_wire(), seqs)).collect();
     // The sim does not run on: the member holds `doomed` while the
-    // tombstone sits in the leader's relay store.
+    // leader's push of the tombstone waits in the queue.
     assert!(stack(member).ppss().group(doomed).is_some(), "the member joined both");
     sim.with_node_ctx::<WhisperNode>(leader, |n, ctx| assert!(n.delete_group(ctx, doomed)));
-    let tombstone = sim.node::<WhisperNode>(leader).unwrap().nylon().descriptors().get(doomed.0).unwrap().to_vec();
+    let tombstone = sim.node::<WhisperNode>(leader).unwrap().ppss().tombstone(doomed).unwrap().to_vec();
+    let deleted = PpssMsg::Deleted { tombstone: tombstone.clone(), exchange_id: 77 };
+    images.push((Decoder::Ppss, deleted.to_wire(), vec![1]));
     images.push((Decoder::Descriptor, tombstone, vec![adds_at, adds_at + 4]));
     (sim, leader, member, images)
 }
@@ -231,9 +193,7 @@ fn ppss_decoders_are_total_on_hostile_bytes() {
                 claimed
             }
         };
-        LARGEST.with(|n| n.set(0));
-        let decoded = decoder.read_back(&hostile);
-        let largest = LARGEST.with(Cell::get);
+        let (decoded, largest) = watching::largest_during(|| decoder.read_back(&hostile));
         if let Ok(read) = &decoded {
             assert_eq!(read, &hostile, "accepted, but not what it reads back as");
         }
@@ -241,8 +201,9 @@ fn ppss_decoders_are_total_on_hostile_bytes() {
         // whatever its length; nothing else may outgrow the input.
         assert!(largest <= hostile.len() + 512, "{largest} B reserved for {} B", hostile.len());
 
-        // Messages go to the leader; tombstones to the member that still
-        // holds the deleted group, which checks their signatures.
+        // Messages go to the leader; tombstones, pushed as a deletion
+        // would push them, to the member that still holds the deleted
+        // group, which checks their signatures.
         let sim = &mut *sim.borrow_mut();
         let mut handled = None;
         let to = match decoder {
@@ -250,13 +211,15 @@ fn ppss_decoders_are_total_on_hostile_bytes() {
             Decoder::Descriptor => member,
         };
         sim.with_node_ctx::<WhisperNode>(to, |n, ctx| {
+            let unparseable = ctx.metrics().counter("ppss.desc_unparseable");
+            let wire = match decoder {
+                Decoder::Ppss => hostile.clone(),
+                Decoder::Descriptor => PpssMsg::Deleted { tombstone: hostile.clone(), exchange_id: 0 }.to_wire(),
+            };
+            let delivered = n.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, &wire).is_some());
             handled = Some(match decoder {
-                Decoder::Ppss => n.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, &hostile).is_some()),
-                Decoder::Descriptor => {
-                    let unparseable = ctx.metrics().counter("ppss.desc_unparseable");
-                    n.ppss_mut().on_descriptor(ctx, &hostile);
-                    ctx.metrics().counter("ppss.desc_unparseable") == unparseable
-                }
+                Decoder::Ppss => delivered,
+                Decoder::Descriptor => ctx.metrics().counter("ppss.desc_unparseable") == unparseable,
             });
         });
         assert_eq!(handled.expect("the node is up"), decoded.is_ok());
@@ -299,18 +262,16 @@ fn a_validly_signed_live_descriptor_changes_no_state() {
         key_history: vec![group_key.public().to_bytes()],
         entries: vec![],
     };
-    let deliver = |sim: &mut Sim, wire: &[u8], descriptor: bool| {
+    let deliver = |sim: &mut Sim, msg: PpssMsg| {
         let mut events = Vec::new();
         sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
-            events = if descriptor {
-                n.ppss_mut().on_descriptor(ctx, wire)
-            } else {
-                n.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, wire)).unwrap()
-            };
+            let wire = msg.to_wire();
+            events = n.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, &wire)).unwrap();
         });
         events
     };
-    deliver(&mut sim, &ack.to_wire(), false);
+    let pushed = |desc: &GroupDescriptor| PpssMsg::Deleted { tombstone: desc.to_wire(), exchange_id: 0 };
+    deliver(&mut sim, ack);
     let epoch = |sim: &Sim| sim.node::<WhisperNode>(me).unwrap().ppss().group(group).map(|s| s.epoch());
     let journal = |sim: &Sim| sim.node::<WhisperNode>(me).unwrap().ppss().journal().raw().to_vec();
     assert_eq!(epoch(&sim), Some(0), "joined");
@@ -320,11 +281,11 @@ fn a_validly_signed_live_descriptor_changes_no_state() {
     let sign = |tombstone| GroupDescriptor::sign(&group_key, group, 5, 1, &history, tombstone, vec![], vec![], 0);
     let live = sign(false);
     assert!(live.verify(&history));
-    assert_eq!(deliver(&mut sim, &live.to_wire(), true), vec![]);
+    assert_eq!(deliver(&mut sim, pushed(&live)), vec![]);
     assert_eq!(epoch(&sim), Some(0), "the descriptor's epoch was adopted");
     assert_eq!(journal(&sim), before, "the descriptor was journaled");
     assert_eq!(sim.metrics().counter("ppss.desc_ignored"), 1);
 
-    assert_eq!(deliver(&mut sim, &sign(true).to_wire(), true), vec![PpssEvent::GroupDeleted { group }]);
+    assert_eq!(deliver(&mut sim, pushed(&sign(true))), vec![PpssEvent::GroupDeleted { group }]);
     assert_eq!(epoch(&sim), None);
 }

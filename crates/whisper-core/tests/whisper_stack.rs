@@ -328,12 +328,12 @@ fn multi_group_memberships_stay_separate() {
 
 // ---------------------------------------------------------------------
 // Durable group lifecycle: journal replay, corruption salvage, deletion
-// tombstones, relayed descriptors and exchange-carried membership.
+// tombstones and exchange-carried membership.
 // ---------------------------------------------------------------------
 
 /// A revocation spreads to every member through the exchanges alone: no
-/// descriptor is signed for it, no relay carries a blob, and nobody keeps
-/// the revoked node in its view.
+/// descriptor is signed for it, and nobody keeps the revoked node in its
+/// view.
 #[test]
 fn exchanges_spread_a_revocation_to_every_member() {
     let cfg = WhisperConfig::default();
@@ -353,7 +353,6 @@ fn exchanges_spread_a_revocation_to_every_member() {
         assert!(state.revoked().contains(&revoked), "{m} does not hold the revocation");
         assert!(state.view().iter().all(|e| e.node != revoked), "{m} keeps {revoked} in its view");
     }
-    assert_eq!(net.sim.metrics().counter("pss.desc_merged"), 0, "a relay carried a blob");
 }
 
 /// A revocation sticks: a revoked member that has lost the group and
@@ -440,6 +439,63 @@ fn a_revocation_reaches_every_member_of_a_150_member_group() {
         cycles += 1;
     }
     eprintln!("revocation reached all {} other members in {cycles} cycles", others.len());
+}
+
+/// A deletion reaches every member of a large group, within two PPSS
+/// cycles. The leader of a 150-member group deletes it; the tombstone goes
+/// to the leader's view and PCP, and on from every member that applies it.
+/// That push reaches, within seconds, every member some other member holds;
+/// a member nobody holds learns it from the answer to its next exchange
+/// request, sent within a cycle to a partner that has already deleted.
+#[test]
+fn a_deletion_reaches_every_member_of_a_150_member_group() {
+    let cfg = WhisperConfig::default();
+    let mut net = build(170, &cfg, SimConfig::cluster(26), 250);
+    let leader = net.ids[5];
+    let members: Vec<NodeId> = net.ids[10..159].to_vec();
+    let group = form_group(&mut net, leader, &members, "wide");
+    net.sim.run_for_secs(5 * 60);
+    let joined = members_of(&net, group, &net.ids);
+    assert_eq!(joined.len(), 150, "the group formed");
+
+    net.sim.with_node_ctx::<WhisperNode>(leader, |node, ctx| assert!(node.delete_group(ctx, group)));
+    let mut seconds = 0;
+    loop {
+        let holding = members_of(&net, group, &joined).len();
+        if holding == 0 {
+            break;
+        }
+        assert!(seconds < 2 * 60, "after {seconds} s {holding} of {} members still hold the group", joined.len() - 1);
+        net.sim.run_for_secs(1);
+        seconds += 1;
+    }
+    eprintln!("deletion reached all {} other members in {seconds} s", joined.len() - 1);
+}
+
+/// Deletions are not rationed: a leader that has deleted 256 groups of its
+/// own before still deletes the next one at every member.
+#[test]
+fn a_leaders_257th_deletion_reaches_every_member() {
+    let cfg = WhisperConfig::default();
+    let mut net = build(30, &cfg, SimConfig::cluster(28), 250);
+    let leader = net.ids[4];
+    net.sim.with_node_ctx::<WhisperNode>(leader, |node, ctx| {
+        for i in 0..256 {
+            let spent = node.create_group(ctx, &format!("spent-{i}"));
+            assert!(node.delete_group(ctx, spent), "leader deletes its group");
+        }
+    });
+    let members: Vec<NodeId> = net.ids[5..13].to_vec();
+    let group = form_group(&mut net, leader, &members, "257th");
+    net.sim.run_for_secs(400);
+    let joined = members_of(&net, group, &net.ids);
+    assert!(joined.len() >= 8, "{} joined before deletion", joined.len());
+
+    net.sim.with_node_ctx::<WhisperNode>(leader, |node, ctx| assert!(node.delete_group(ctx, group)));
+    net.sim.run_for_secs(600);
+    let survivors = members_of(&net, group, &net.ids);
+    assert!(survivors.is_empty(), "{} nodes still hold the deleted group: {survivors:?}", survivors.len());
+    assert_eq!(net.sim.metrics().counter("ppss.groups_deleted") as usize, 257 + joined.len() - 1);
 }
 
 #[test]
@@ -572,7 +628,7 @@ fn deleted_groups_never_resurrect() {
     net.sim.with_node_ctx::<WhisperNode>(leader, |node, ctx| {
         assert!(node.delete_group(ctx, group), "leader deletes its group");
     });
-    // Tombstone descriptors ride the relay gossip to every member.
+    // The tombstone goes from member to member inside the group.
     net.sim.run_for_secs(600);
 
     let survivors = members_of(&net, group, &net.ids);

@@ -732,7 +732,7 @@ impl Protocol for CircuitHop {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token != Self::TIMER_SEND {
-            drop(self.nylon.on_timer(ctx, token));
+            self.nylon.on_timer(ctx, token);
             return;
         }
         let dest = self.dest.as_ref().expect("only the source arms the send timer");
@@ -875,7 +875,7 @@ impl Protocol for GossipCounter {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let cycles = self.nylon.cycles_run();
         let before = allocations();
-        drop(self.nylon.on_timer(ctx, token));
+        self.nylon.on_timer(ctx, token);
         if self.nylon.cycles_run() != cycles {
             self.allocated += allocations() - before;
         }

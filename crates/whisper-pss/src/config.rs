@@ -7,9 +7,8 @@ use whisper_crypto::rsa::RsaKeySize;
 /// The defaults match the paper's evaluation settings: view size `c = 10`,
 /// Π = 3 and sim-grade RSA keys. What no experiment varies is a constant
 /// beside the code that reads it: the 10-second cycle
-/// ([`crate::nylon::CYCLE`]), the hole-punch timeout
-/// ([`crate::transport::OPEN_TIMEOUT`]) and the descriptor piggyback
-/// ([`crate::nylon::DESCRIPTOR_GOSSIP`], [`crate::nylon::DESCRIPTOR_CAP`]).
+/// ([`crate::nylon::CYCLE`]) and the hole-punch timeout
+/// ([`crate::transport::OPEN_TIMEOUT`]).
 #[derive(Clone, Debug)]
 pub struct NylonConfig {
     /// View size `c`.

@@ -35,10 +35,14 @@
 //! §III-A — the FIFO of recently contacted nodes from which WCL onion
 //! paths are built — and the graph instrumentation (in-degree
 //! distribution, clustering coefficient) used by Fig. 5.
+//!
+//! Nothing here knows of private groups: gossip carries view entries and
+//! keys only, and everything about a group — its deletion included —
+//! travels inside WCL-sealed [`messages::NylonMsg::App`] payloads between
+//! its members.
 
 pub mod backlog;
 pub mod config;
-pub mod descriptors;
 pub mod graph;
 pub mod messages;
 pub mod nylon;
@@ -47,6 +51,5 @@ pub mod view;
 
 pub use backlog::{CbEntry, ConnectionBacklog};
 pub use config::NylonConfig;
-pub use descriptors::{DescriptorBlob, DescriptorStore};
 pub use nylon::{NylonCore, NylonEvent, NylonNode};
 pub use view::{View, ViewEntry};

@@ -4,8 +4,8 @@
 //! with the `whisper-net` codec. Upper layers (WCL/PPSS) travel inside
 //! [`NylonMsg::App`] payloads.
 
-use crate::descriptors::DescriptorBlob;
 use crate::view::{Entry, ViewEntry};
+use std::convert::Infallible;
 use whisper_net::wire::{
     bytes_len, opt_len, seq_len, WireDecode, WireEncode, WireError, WireReader, WireWriter,
 };
@@ -27,8 +27,9 @@ pub enum NylonMsg {
         entries: Vec<ViewEntry>,
         /// Serialized public key, if key sampling is on.
         key: Option<Vec<u8>>,
-        /// Piggybacked group-deletion blobs (relay-level anti-entropy).
-        descs: Vec<DescriptorBlob>,
+        /// Always empty and never on the wire (a sequence of a type with
+        /// no values): the benchmark's gossip probe names the field.
+        descs: Vec<Infallible>,
     },
     /// Gossip exchange response (same shape as the request).
     GossipResp {
@@ -40,8 +41,9 @@ pub enum NylonMsg {
         entries: Vec<ViewEntry>,
         /// Serialized public key, if key sampling is on.
         key: Option<Vec<u8>>,
-        /// Piggybacked group-deletion blobs (relay-level anti-entropy).
-        descs: Vec<DescriptorBlob>,
+        /// Always empty and never on the wire (a sequence of a type with
+        /// no values): the benchmark's gossip probe names the field.
+        descs: Vec<Infallible>,
     },
     /// A message relayed along a rendezvous chain. `remaining` lists the
     /// hops still to traverse; its last element is the final destination.
@@ -143,7 +145,7 @@ pub const APP_HEADER_LEN: usize = 1 + 8 + 4;
 
 /// A [`NylonMsg::GossipReq`] or [`NylonMsg::GossipResp`] read where it
 /// was delivered ([`NylonMsg::gossip_view`]): the fixed fields by value,
-/// entries, key and descriptor blobs as views of the packet.
+/// entries and key as views of the packet.
 #[derive(Clone, Copy, Debug)]
 pub struct GossipView<'a> {
     /// Whether this is the request of an exchange (else the response).
@@ -156,47 +158,26 @@ pub struct GossipView<'a> {
     pub key: Option<&'a [u8]>,
     /// The encoded entry sequence, validated.
     entries: &'a [u8],
-    /// The encoded blob sequence, validated.
-    descs: &'a [u8],
 }
 
 impl<'a> GossipView<'a> {
     /// The shipped view subset, as shipped: the receiver stores what
     /// [`Entry::received`] makes of each.
     pub fn entries(&self) -> impl Iterator<Item = Entry> + 'a {
-        seq_items(self.entries, |r| r.take())
-    }
-
-    /// The piggybacked descriptor blobs as `(id, bytes)`.
-    pub fn descs(&self) -> impl Iterator<Item = (u128, &'a [u8])> + 'a {
-        seq_items(self.descs, DescriptorBlob::take_view)
+        let mut r = WireReader::new(self.entries);
+        let count = r.take_u32().unwrap_or(0);
+        (0..count).map_while(move |_| r.take().ok())
     }
 }
 
-/// The items of the encoded sequence `seq`, which [`take_seq_view`] has
-/// walked before.
-fn seq_items<'a, T>(
-    seq: &'a [u8],
-    item: impl Fn(&mut WireReader<'a>) -> Result<T, WireError> + 'a,
-) -> impl Iterator<Item = T> + 'a {
-    let mut r = WireReader::new(seq);
-    let count = r.take_u32().unwrap_or(0);
-    (0..count).map_while(move |_| item(&mut r).ok())
-}
-
-/// Walks one encoded sequence as [`WireReader::take_seq`] would, decoding
-/// each item with `item`, and returns the bytes it spans in `wire`, the
-/// reader's input.
-fn take_seq_view<'a, T>(
-    r: &mut WireReader<'a>,
-    wire: &'a [u8],
-    item: impl Fn(&mut WireReader<'a>) -> Result<T, WireError>,
-) -> Result<&'a [u8], WireError> {
+/// Walks one encoded entry sequence as [`WireReader::take_seq`] would and
+/// returns the bytes it spans in `wire`, the reader's input.
+fn take_entries_view<'a>(r: &mut WireReader<'a>, wire: &'a [u8]) -> Result<&'a [u8], WireError> {
     let start = wire.len() - r.remaining();
-    // An item takes at least a byte: a count beyond the input, which
+    // An entry takes at least a byte: a count beyond the input, which
     // `take_seq` refuses before it allocates, fails here on the way.
     for _ in 0..r.take_u32()? {
-        item(r)?;
+        r.take::<Entry>()?;
     }
     Ok(&wire[start..wire.len() - r.remaining()])
 }
@@ -215,24 +196,19 @@ impl NylonMsg {
         };
         let sender = r.take().ok()?;
         let sender_public = r.take().ok()?;
-        let entries = take_seq_view(&mut r, wire, |r| r.take::<Entry>()).ok()?;
+        let entries = take_entries_view(&mut r, wire).ok()?;
         let key = match r.take_u8().ok()? {
             0 => None,
             1 => Some(r.take_bytes().ok()?),
             _ => return None,
         };
-        let descs = take_seq_view(&mut r, wire, DescriptorBlob::take_view).ok()?;
         r.finish().ok()?;
-        Some(GossipView { request, sender, sender_public, key, entries, descs })
+        Some(GossipView { request, sender, sender_public, key, entries })
     }
 
     /// Exact length of the gossip message [`NylonMsg::put_gossip`] writes.
-    pub fn gossip_len<E: WireEncode>(
-        entries: &[E],
-        key: Option<&[u8]>,
-        descs: &[DescriptorBlob],
-    ) -> usize {
-        1 + 8 + 1 + seq_len(entries) + 1 + key.map_or(0, bytes_len) + seq_len(descs)
+    pub fn gossip_len<E: WireEncode>(entries: &[E], key: Option<&[u8]>) -> usize {
+        1 + 8 + 1 + seq_len(entries) + 1 + key.map_or(0, bytes_len)
     }
 
     /// Writes a gossip message — the one place that knows its layout,
@@ -245,7 +221,6 @@ impl NylonMsg {
         sender_public: bool,
         entries: &[E],
         key: Option<&[u8]>,
-        descs: &[DescriptorBlob],
     ) {
         w.put_u8(if request { TAG_GOSSIP_REQ } else { TAG_GOSSIP_RESP });
         w.put(&sender);
@@ -258,7 +233,6 @@ impl NylonMsg {
             }
             None => w.put_u8(0),
         }
-        w.put_seq(descs);
     }
 
     /// Writes the part of an [`NylonMsg::App`] that precedes its payload;
@@ -291,18 +265,10 @@ impl NylonMsg {
 impl WireEncode for NylonMsg {
     fn encode(&self, w: &mut WireWriter) {
         match self {
-            NylonMsg::GossipReq { sender, sender_public, entries, key, descs }
-            | NylonMsg::GossipResp { sender, sender_public, entries, key, descs } => {
+            NylonMsg::GossipReq { sender, sender_public, entries, key, .. }
+            | NylonMsg::GossipResp { sender, sender_public, entries, key, .. } => {
                 let request = matches!(self, NylonMsg::GossipReq { .. });
-                NylonMsg::put_gossip(
-                    w,
-                    request,
-                    *sender,
-                    *sender_public,
-                    entries,
-                    key.as_deref(),
-                    descs,
-                );
+                NylonMsg::put_gossip(w, request, *sender, *sender_public, entries, key.as_deref());
             }
             NylonMsg::Relayed { from, remaining, path_back, inner } => {
                 w.put_u8(TAG_RELAYED);
@@ -354,9 +320,8 @@ impl WireEncode for NylonMsg {
 
     fn encoded_len(&self) -> usize {
         match self {
-            NylonMsg::GossipReq { entries, key, descs, .. }
-            | NylonMsg::GossipResp { entries, key, descs, .. } => {
-                NylonMsg::gossip_len(entries, key.as_deref(), descs)
+            NylonMsg::GossipReq { entries, key, .. } | NylonMsg::GossipResp { entries, key, .. } => {
+                NylonMsg::gossip_len(entries, key.as_deref())
             }
             NylonMsg::Relayed { remaining, path_back, inner, .. } => {
                 1 + 8 + seq_len(remaining) + seq_len(path_back) + bytes_len(inner)
@@ -382,14 +347,14 @@ impl WireDecode for NylonMsg {
                 sender_public: r.take()?,
                 entries: r.take_seq()?,
                 key: r.take_opt()?,
-                descs: r.take_seq()?,
+                descs: Vec::new(),
             },
             TAG_GOSSIP_RESP => NylonMsg::GossipResp {
                 sender: r.take()?,
                 sender_public: r.take()?,
                 entries: r.take_seq()?,
                 key: r.take_opt()?,
-                descs: r.take_seq()?,
+                descs: Vec::new(),
             },
             TAG_RELAYED => NylonMsg::Relayed {
                 from: r.take()?,
@@ -442,7 +407,7 @@ mod tests {
                 route: vec![NodeId(4)],
             }],
             key: Some(vec![1, 2, 3]),
-            descs: vec![DescriptorBlob { id: 7, bytes: vec![9; 20] }],
+            descs: vec![],
         });
         round_trip(NylonMsg::GossipResp {
             sender: NodeId(1),

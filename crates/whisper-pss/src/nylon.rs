@@ -10,7 +10,6 @@
 
 use crate::backlog::{CbEntry, ConnectionBacklog};
 use crate::config::NylonConfig;
-use crate::descriptors::DescriptorStore;
 use crate::messages::{GossipView, NylonMsg, APP_HEADER_LEN};
 use crate::transport::{peer_of_token, SendOutcome, Transport, TIMER_OPEN_TIMEOUT};
 use crate::view::{Entry, View, ViewEntry};
@@ -25,11 +24,6 @@ use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 
 /// PSS cycle period (paper: 10 s).
 pub const CYCLE: SimDuration = SimDuration::from_secs(10);
-/// Group-descriptor blobs piggybacked per gossip message (the relay-level
-/// dissemination of [`crate::descriptors`]).
-pub const DESCRIPTOR_GOSSIP: usize = 2;
-/// Capacity of the relay-level descriptor store.
-pub const DESCRIPTOR_CAP: usize = 256;
 
 /// Timer token: periodic gossip cycle.
 const TIMER_GOSSIP_CYCLE: u64 = 1;
@@ -62,14 +56,6 @@ pub enum NylonEvent {
     GossipCompleted {
         /// The exchange partner.
         partner: NodeId,
-    },
-    /// A new group-deletion blob was merged into the relay store (the
-    /// layer above verifies and interprets it; this layer only relays).
-    Descriptor {
-        /// Blob identifier (a group id, opaque here).
-        id: u128,
-        /// Opaque blob bytes.
-        bytes: Vec<u8>,
     },
 }
 
@@ -120,7 +106,6 @@ pub struct NylonCore {
     ping_pending: HashMap<NodeId, SimTime>,
     punch_retries: HashMap<NodeId, (Endpoint, u8)>,
     cycles_run: u64,
-    descs: DescriptorStore,
 }
 
 impl std::fmt::Debug for NylonCore {
@@ -139,7 +124,6 @@ impl NylonCore {
     pub fn new(cfg: NylonConfig, keypair: KeyPair) -> Self {
         cfg.validate();
         let cb = ConnectionBacklog::new(cfg.cb_capacity());
-        let descs = DescriptorStore::new(DESCRIPTOR_CAP);
         NylonCore {
             cfg,
             keypair,
@@ -155,7 +139,6 @@ impl NylonCore {
             ping_pending: HashMap::new(),
             punch_retries: HashMap::new(),
             cycles_run: 0,
-            descs,
         }
     }
 
@@ -201,18 +184,6 @@ impl NylonCore {
     /// Number of completed gossip cycles (diagnostics).
     pub fn cycles_run(&self) -> u64 {
         self.cycles_run
-    }
-
-    /// The relay-level group-descriptor store.
-    pub fn descriptors(&self) -> &DescriptorStore {
-        &self.descs
-    }
-
-    /// Publishes a descriptor blob into the relay store; it will
-    /// piggyback on subsequent gossip exchanges. Returns `true` when the
-    /// blob was news under the store's rule.
-    pub fn publish_descriptor(&mut self, id: u128, bytes: &[u8]) -> bool {
-        self.descs.offer(id, bytes)
     }
 
     /// The `getPeer()` API of Fig. 1: a uniformly random view entry.
@@ -303,7 +274,6 @@ impl NylonCore {
         self.outstanding = None;
         self.ping_pending.clear();
         self.punch_retries.clear();
-        self.descs.clear();
         self.seed_view();
     }
 
@@ -316,8 +286,8 @@ impl NylonCore {
         }
     }
 
-    /// Timer dispatch; returns upcall events.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> Vec<NylonEvent> {
+    /// Timer dispatch.
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token & 0xFF {
             TIMER_GOSSIP_CYCLE => {
                 self.do_gossip_cycle(ctx);
@@ -358,7 +328,6 @@ impl NylonCore {
             }
             _ => {}
         }
-        Vec::new()
     }
 
     /// The allocation-free front door for application traffic: if `data`
@@ -429,8 +398,8 @@ impl NylonCore {
         }
     }
 
-    /// Ships the gossip buffer to `to` with this node's key and the next
-    /// batch of descriptor blobs, written straight into a pool buffer.
+    /// Ships the gossip buffer to `to` with this node's key, written
+    /// straight into a pool buffer.
     fn send_gossip(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -439,13 +408,11 @@ impl NylonCore {
         to_public: bool,
         route_hint: &[NodeId],
     ) -> SendOutcome {
-        // Exactly one batch per message: drawing it advances the cursor.
-        let descs = self.descs.next_batch(DESCRIPTOR_GOSSIP);
         let key = self.cfg.key_sampling.then(|| self.keypair.public().wire_bytes());
         let t0 = ctx.prof_enabled().then(Instant::now);
-        let len = NylonMsg::gossip_len(&self.buffer, key, &descs);
+        let len = NylonMsg::gossip_len(&self.buffer, key);
         let mut wire = ctx.payload_writer(len);
-        NylonMsg::put_gossip(&mut wire, request, self.id, self.public, &self.buffer, key, &descs);
+        NylonMsg::put_gossip(&mut wire, request, self.id, self.public, &self.buffer, key);
         debug_assert_eq!(wire.len(), len, "gossip_len() disagrees with put_gossip()");
         let wire = wire.finish();
         if let Some(t0) = t0 {
@@ -602,14 +569,6 @@ impl NylonCore {
         events: &mut Vec<NylonEvent>,
     ) {
         let GossipView { request, sender, sender_public, .. } = gossip;
-        // Fold piggybacked blobs into the store; every merged-fresh blob
-        // surfaces as a `NylonEvent::Descriptor` for the layer above.
-        for (id, bytes) in gossip.descs() {
-            if self.descs.offer(id, bytes) {
-                ctx.metrics().count("pss.desc_merged", 1);
-                events.push(NylonEvent::Descriptor { id, bytes: bytes.to_vec() });
-            }
-        }
         if request {
             // Build the reply from the *pre-merge* view, as the
             // push-pull exchange prescribes.
@@ -834,7 +793,7 @@ impl Protocol for NylonNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let _ = self.core.on_timer(ctx, token);
+        self.core.on_timer(ctx, token);
     }
 
     fn on_crash_restart(&mut self, ctx: &mut Ctx<'_>) {

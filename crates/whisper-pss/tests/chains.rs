@@ -72,7 +72,7 @@ impl Protocol for Watcher {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        drop(self.core.on_timer(ctx, token));
+        self.core.on_timer(ctx, token);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

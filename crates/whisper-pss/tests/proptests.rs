@@ -8,7 +8,6 @@ use whisper_net::nat::NatType;
 use whisper_net::wire::{WireDecode, WireEncode};
 use whisper_net::{Endpoint, NodeId};
 use whisper_pss::backlog::{CbEntry, ConnectionBacklog};
-use whisper_pss::descriptors::DescriptorBlob;
 use whisper_pss::messages::NylonMsg;
 use whisper_pss::view::{Entry, View, ViewEntry, ROUTE_CAP};
 use whisper_rand::check::{check, Gen};
@@ -145,13 +144,6 @@ fn view_entry_decode_never_panics() {
     });
 }
 
-fn gen_blob(g: &mut Gen) -> DescriptorBlob {
-    DescriptorBlob {
-        id: ((g.gen::<u64>() as u128) << 64) | g.gen::<u64>() as u128,
-        bytes: g.bytes(40),
-    }
-}
-
 fn gen_endpoint(g: &mut Gen) -> Endpoint {
     Endpoint { node: NodeId(g.gen_range(0..40u64)), port: g.gen() }
 }
@@ -176,14 +168,14 @@ fn gen_msg(g: &mut Gen) -> NylonMsg {
             sender_public: g.gen(),
             entries: g.vec(6, gen_entry),
             key: gen_opt(g, |g| g.bytes(60)),
-            descs: g.vec(3, gen_blob),
+            descs: vec![],
         },
         1 => NylonMsg::GossipResp {
             sender: NodeId(g.gen_range(0..40u64)),
             sender_public: g.gen(),
             entries: g.vec(6, gen_entry),
             key: gen_opt(g, |g| g.bytes(60)),
-            descs: g.vec(3, gen_blob),
+            descs: vec![],
         },
         2 => NylonMsg::Relayed {
             from: NodeId(g.gen_range(0..40u64)),
@@ -274,20 +266,9 @@ fn view_entry_round_trip_and_exact_len() {
     });
 }
 
-/// [`DescriptorBlob`] round-trips with an exact `encoded_len()`.
-#[test]
-fn descriptor_blob_round_trip_and_exact_len() {
-    check(128, "descriptor_blob_round_trip_and_exact_len", |g| {
-        let blob = gen_blob(g);
-        let bytes = blob.to_wire();
-        assert_eq!(bytes.len(), blob.encoded_len());
-        assert_eq!(DescriptorBlob::from_wire(&bytes).unwrap(), blob);
-    });
-}
-
 /// The borrowed gossip decoder accepts exactly what the owned one decodes
 /// as a gossip message — neither takes a chain beyond the cap — and lends
-/// the same sender, flag, entries, key and blobs: on honest encodings of
+/// the same sender, flag, entries and key: on honest encodings of
 /// every variant and on truncated, extended, bit-flipped and arbitrary
 /// byte strings.
 #[test]
@@ -326,13 +307,12 @@ fn gossip_view_agrees_with_the_owned_decoder() {
             _ => wire = g.bytes(120),
         }
         let view = NylonMsg::gossip_view(&wire);
-        let (request, sender, sender_public, entries, key, descs) = match NylonMsg::from_wire(&wire)
-        {
-            Ok(NylonMsg::GossipReq { sender, sender_public, entries, key, descs }) => {
-                (true, sender, sender_public, entries, key, descs)
+        let (request, sender, sender_public, entries, key) = match NylonMsg::from_wire(&wire) {
+            Ok(NylonMsg::GossipReq { sender, sender_public, entries, key, .. }) => {
+                (true, sender, sender_public, entries, key)
             }
-            Ok(NylonMsg::GossipResp { sender, sender_public, entries, key, descs }) => {
-                (false, sender, sender_public, entries, key, descs)
+            Ok(NylonMsg::GossipResp { sender, sender_public, entries, key, .. }) => {
+                (false, sender, sender_public, entries, key)
             }
             _ => {
                 assert!(view.is_none(), "the view accepted what the owned decoder did not");
@@ -346,10 +326,5 @@ fn gossip_view_agrees_with_the_owned_decoder() {
             view.entries().collect::<Vec<Entry>>(),
             entries.iter().map(Entry::from).collect::<Vec<Entry>>()
         );
-        let blobs: Vec<DescriptorBlob> = view
-            .descs()
-            .map(|(id, bytes)| DescriptorBlob { id, bytes: bytes.to_vec() })
-            .collect();
-        assert_eq!(blobs, descs);
     });
 }

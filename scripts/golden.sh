@@ -18,7 +18,9 @@
 #
 # A change that is not meant to alter simulated behaviour leaves both
 # tables alone. One that moves a row regenerates them in the same commit,
-# reruns scripts/paper_tables.sh and says why in CHANGES.md.
+# reruns scripts/paper_tables.sh and says why in CHANGES.md. On a
+# mismatch the check prints, before the raw diff, one line per seed and
+# workload naming the perfbench columns that moved: the move to declare.
 #
 # No jq in the container: `--out` writes one JSON object per line with
 # machine-fixed key order, so sed is enough.
@@ -32,6 +34,24 @@ mkdir -p "$out" scripts/golden
 status=0
 
 num='\{"value": ([^,]+),'
+
+# One line per seed x workload row of $2 that differs from $1, naming the
+# columns that moved.
+moved_columns() {
+  awk -F'\t' '
+    NR == FNR { if (FNR == 1) for (i = 1; i <= NF; i++) name[i] = $i; else was[$1 FS $2] = $0; next }
+    FNR == 1 { next }
+    !(($1 FS $2) in was) { print "  seed " $1 " " $2 ": new row"; next }
+    {
+      split(was[$1 FS $2], old, FS)
+      moved = ""
+      for (i = 3; i <= NF; i++) if ($i != old[i]) moved = moved " " name[i]
+      if (moved != "") print "  seed " $1 " " $2 ":" moved
+      delete was[$1 FS $2]
+    }
+    END { for (row in was) { split(row, k, FS); print "  seed " k[1] " " k[2] ": row gone" } }
+  ' "$1" "$2"
+}
 {
   printf 'seed\tworkload\tsim_digest\tinputs_digest\trtt_p50_ms\trtt_p95_ms\twire_bytes_per_node_s\tops_ok_share\n'
   for seed in 7 11; do
@@ -50,10 +70,13 @@ if [ "${1:-}" = "--regen" ]; then
   cp "$out/figures_quick.txt" "$figures_golden"
   echo "golden: wrote $perfbench_golden and $figures_golden"
 else
-  if diff -u "$perfbench_golden" "$out/perfbench_smoke.tsv"; then
+  if cmp -s "$perfbench_golden" "$out/perfbench_smoke.tsv"; then
     echo "perfbench golden: $(($(wc -l <"$perfbench_golden") - 1)) rows match $perfbench_golden"
   else
-    echo "perfbench golden: simulated results differ from $perfbench_golden (see the diff above)" >&2
+    echo "perfbench golden: columns that moved, per seed and workload:"
+    moved_columns "$perfbench_golden" "$out/perfbench_smoke.tsv"
+    diff -u "$perfbench_golden" "$out/perfbench_smoke.tsv" || true
+    echo "perfbench golden: simulated results differ from $perfbench_golden (see above)" >&2
     status=1
   fi
   if diff -u "$figures_golden" "$out/figures_quick.txt"; then

@@ -247,8 +247,8 @@ fn smoke_group_lifecycle() {
 }
 
 /// The tentpole determinism clause: the lifecycle scenario — group
-/// creation, joins, migration, deletion tombstones, journal replays,
-/// descriptor gossip — produces byte-identical observable traces
+/// creation, joins, migration, deletion tombstones pushed and answered
+/// inside the group, journal replays — produces byte-identical observable traces
 /// whether the engine runs 1, 2 or 4 shards.
 #[test]
 fn group_lifecycle_is_shard_invariant() {

@@ -329,46 +329,6 @@ fn membership_invisible_to_active_prober() {
     assert!(!state.revoked().contains(&planted), "the member folded the prober's revocation");
 }
 
-/// Relays never see a live group's id: a group forms and its leader
-/// revokes a member, and no non-member's relay store holds a blob for it.
-/// Once the leader deletes the group, non-members do relay its tombstone,
-/// which names no member.
-#[test]
-fn relays_hold_no_blob_for_a_live_group() {
-    use whisper::core::ppss::descriptor::GroupDescriptor;
-    use whisper::net::wire::WireDecode;
-    let (mut sim, ids) = build_net(30, 12);
-    let leader = ids[4];
-    let members: Vec<NodeId> = ids[5..15].to_vec();
-    let group = form_group(&mut sim, leader, &members, "unnamed");
-    sim.run_for_secs(300);
-    sim.with_node_ctx::<WhisperNode>(leader, |node, _| assert!(node.remove_member(group, members[0])));
-    sim.run_for_secs(300);
-    assert!(sim.node::<WhisperNode>(members[1]).unwrap().ppss().group(group).is_some(), "the group formed");
-
-    let non_members: Vec<NodeId> =
-        ids.iter().copied().filter(|&id| id != leader && !members.contains(&id)).collect();
-    let relaying = |sim: &Sim| {
-        non_members
-            .iter()
-            .filter(|&&id| sim.node::<WhisperNode>(id).unwrap().nylon().descriptors().ids().contains(&group.0))
-            .copied()
-            .collect::<Vec<NodeId>>()
-    };
-    let live = relaying(&sim);
-    assert!(live.is_empty(), "{} non-members relay the live group's id: {live:?}", live.len());
-
-    sim.with_node_ctx::<WhisperNode>(leader, |node, ctx| assert!(node.delete_group(ctx, group)));
-    sim.run_for_secs(300);
-    let deleted = relaying(&sim);
-    assert!(deleted.len() * 2 > non_members.len(), "{}/{} relay the tombstone", deleted.len(), non_members.len());
-    for id in deleted {
-        let blob = sim.node::<WhisperNode>(id).unwrap().nylon().descriptors().get(group.0).unwrap();
-        let tomb = GroupDescriptor::from_wire(blob).expect("a descriptor");
-        assert!(tomb.tombstone && tomb.adds.is_empty() && tomb.removes.is_empty(), "{id} relays {tomb:?}");
-    }
-}
-
 /// A passive observer classifying nodes by traffic volume cannot separate
 /// group members from non-members among NATted nodes (membership privacy
 /// against traffic counting, within a small factor: members do strictly
@@ -723,6 +683,37 @@ fn an_exchange_carrying_a_non_empty_revoked_set_shows_relays_no_group_id_or_pass
         assert!(!shows(&crossing.packet, &group.0.to_be_bytes()), "the group id at {}", crossing.at);
         for passport in &passports {
             assert!(!shows(&crossing.packet, passport), "a passport at {}", crossing.at);
+        }
+    }
+}
+
+/// Relays never see a group's id, live or deleted: a group forms, its
+/// leader revokes a member and later deletes the group, and no datagram a
+/// non-member receives at any time holds the id's 16 bytes. The deletion
+/// reaches every member all the same, inside the group.
+#[test]
+fn no_non_member_receives_a_group_id_before_or_after_deletion() {
+    let (mut sim, ids, log) = build_tapped_net(30, 12);
+    let (leader, members) = (ids[4], &ids[5..15]);
+    let group = form_tapped_group(&mut sim, leader, members, "unnamed");
+    sim.run_for_secs(300);
+    sim.with_node_ctx::<Tap>(leader, |tap, _| assert!(tap.inner.remove_member(group, members[0])));
+    sim.run_for_secs(300);
+    let holding = |sim: &Sim| {
+        members[1..].iter().filter(|&&m| sim.node::<Tap>(m).unwrap().inner.ppss().group(group).is_some()).count()
+    };
+    assert!(holding(&sim) > members.len() / 2, "the group formed");
+
+    let deleted_at = log.lock().unwrap().len();
+    sim.with_node_ctx::<Tap>(leader, |tap, ctx| assert!(tap.inner.delete_group(ctx, group)));
+    sim.run_for_secs(300);
+    assert_eq!(holding(&sim), 0, "a member still holds the deleted group");
+
+    let id = group.0.to_be_bytes();
+    for (i, (at, from, datagram)) in log.lock().unwrap().iter().enumerate() {
+        if *at != leader && !members.contains(at) {
+            let when = if i < deleted_at { "before" } else { "after" };
+            assert!(!datagram.windows(16).any(|w| w == id), "{at} received the group id from {from} {when} the deletion");
         }
     }
 }
