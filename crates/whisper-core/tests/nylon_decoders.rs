@@ -2,9 +2,11 @@
 //! slice; `ppss_decoders.rs` is the template). Datagrams taken off the wire
 //! of a running stack — gossip requests and responses, relayed messages and
 //! application frames among them — then cut short, grown, spliced,
-//! bit-flipped or given a sequence length that claims the whole remaining
-//! input: `NylonMsg::from_wire` refuses it or reads back exactly what it
-//! was given, `NylonMsg::gossip_view` and `NylonMsg::app_view` accept
+//! bit-flipped, given a sequence length that claims the whole remaining
+//! input or a NAT-type byte of any value: `NylonMsg::from_wire` refuses it
+//! or reads back exactly what it was given — but for the NAT type of a
+//! NATted view entry, which the owned form reads as NATted and writes as
+//! symmetric — `NylonMsg::gossip_view` and `NylonMsg::app_view` accept
 //! exactly what it decodes as their kind and allocate nothing, the owned
 //! decoder reserves no more than the input can fill, and a node handed it
 //! does not panic.
@@ -53,9 +55,9 @@ impl Protocol for Tap {
     }
 }
 
-/// A datagram and the offsets of the sequence and byte-string length
-/// prefixes in it.
-type Image = (Vec<u8>, Vec<usize>);
+/// A datagram, the offsets of the sequence and byte-string length
+/// prefixes in it and those of its NAT-type bytes.
+type Image = (Vec<u8>, Vec<usize>, Vec<usize>);
 
 /// Where the length prefixes of `msg`'s image sit: behind the tag, the
 /// sender and what precedes each.
@@ -78,6 +80,41 @@ fn length_prefixes(msg: &NylonMsg) -> Vec<usize> {
         NylonMsg::App { .. } => vec![9],
         _ => vec![],
     }
+}
+
+/// Where the NAT types of `msg`'s image sit: behind the requester or the
+/// target of an open, in each view entry of a gossip message.
+fn nat_bytes(msg: &NylonMsg) -> Vec<usize> {
+    match msg {
+        NylonMsg::GossipReq { entries, .. } | NylonMsg::GossipResp { entries, .. } => {
+            // Behind the tag, sender, flag and count; in an entry, behind
+            // its node and age.
+            let mut at = 1 + 8 + 1 + 4;
+            entries
+                .iter()
+                .map(|entry| {
+                    at += entry.encoded_len();
+                    at - entry.encoded_len() + 8 + 2
+                })
+                .collect()
+        }
+        NylonMsg::OpenReq { .. } | NylonMsg::OpenAck { .. } => vec![1 + 8],
+        _ => vec![],
+    }
+}
+
+/// `wire`, a datagram that decodes as `msg`, as the owned form writes it
+/// back: the NAT type of every NATted view entry symmetric.
+fn as_owned_writes(wire: &[u8], msg: &NylonMsg) -> Vec<u8> {
+    let mut owned = wire.to_vec();
+    if let NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. } = msg {
+        for at in nat_bytes(msg) {
+            if owned[at] != 0 {
+                owned[at] = NatType::Symmetric.to_wire()[0];
+            }
+        }
+    }
+    owned
 }
 
 /// A 30-node stack, most of it behind NATs, with a group that has gossiped
@@ -109,17 +146,24 @@ fn running_stack() -> (Sim, NodeId, Vec<Image>) {
     sim.run_for_secs(300);
 
     let mut kinds: BTreeMap<(u8, Option<u8>), Vec<Image>> = BTreeMap::new();
+    let mut entry_codes = [false; 5];
     for datagram in log.lock().unwrap().iter() {
         let msg = NylonMsg::from_wire(datagram).expect("an honest datagram decodes");
+        if let NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. } = msg {
+            for at in nat_bytes(&msg) {
+                entry_codes[datagram[at] as usize] = true;
+            }
+        }
         let inner = match &msg {
             NylonMsg::Relayed { inner, .. } => inner.first().copied(),
             _ => None,
         };
         let same = kinds.entry((datagram[0], inner)).or_default();
         if same.len() < 3 {
-            same.push((datagram.clone(), length_prefixes(&msg)));
+            same.push((datagram.clone(), length_prefixes(&msg), nat_bytes(&msg)));
         }
     }
+    assert_eq!(entry_codes, [true; 5], "view entries of every NAT type were shipped");
     let seen: Vec<(u8, Option<u8>)> = kinds.keys().copied().collect();
     // Gossip both ways, relayed gossip and application frames.
     for kind in [(1, None), (2, None), (3, Some(1)), (10, None)] {
@@ -131,10 +175,22 @@ fn running_stack() -> (Sim, NodeId, Vec<Image>) {
 #[test]
 fn nylon_decoders_are_total_on_hostile_bytes() {
     let (sim, target, images) = running_stack();
-    // The unmutated images read back as themselves, and each prefix said
-    // to be a length is one: one element more breaks the image.
-    for (image, prefixes) in &images {
-        assert_eq!(NylonMsg::from_wire(image).map(|m| m.to_wire()).as_ref(), Ok(image));
+    // The unmutated images read back as themselves, each prefix said to be
+    // a length is one — one element more breaks the image — and each byte
+    // said to be a NAT type is one: it takes the codes 0–4 and no other.
+    // Gossip takes one exactly when the owned decoder does.
+    for (image, prefixes, nats) in &images {
+        let msg = NylonMsg::from_wire(image).expect("an honest datagram decodes");
+        assert_eq!(msg.to_wire(), as_owned_writes(image, &msg));
+        let gossip = matches!(msg, NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. });
+        for &at in nats {
+            for code in 0..=u8::MAX {
+                let mut coded = image.clone();
+                coded[at] = code;
+                assert_eq!(NylonMsg::from_wire(&coded).is_ok(), code <= 4, "tag {}: code {code}", image[0]);
+                assert_eq!(NylonMsg::gossip_view(&coded).is_some(), gossip && code <= 4, "code {code}");
+            }
+        }
         for &at in prefixes {
             let count = u32::from_be_bytes(image[at..at + 4].try_into().expect("4 bytes"));
             let mut claimed = image.clone();
@@ -145,13 +201,13 @@ fn nylon_decoders_are_total_on_hostile_bytes() {
 
     let sim = RefCell::new(sim);
     whisper_rand::check::check(1024, "nylon_decoders_are_total_on_hostile_bytes", |g| {
-        let (image, prefixes) = &images[g.gen_range(0..images.len())];
-        let hostile = match g.gen_range(0..6u8) {
+        let (image, prefixes, nats) = &images[g.gen_range(0..images.len())];
+        let hostile = match g.gen_range(0..7u8) {
             0 => [&image[..1], &g.bytes(300)].concat(),
             1 => image[..g.gen_range(0..image.len())].to_vec(),
             2 => [&image[..], &g.bytes(8), &[0]].concat(),
             3 => {
-                let (other, _) = &images[g.gen_range(0..images.len())];
+                let (other, _, _) = &images[g.gen_range(0..images.len())];
                 let (head, tail) = (g.gen_range(0..=image.len()), g.gen_range(0..=other.len()));
                 [&image[..head], &other[tail..]].concat()
             }
@@ -159,6 +215,12 @@ fn nylon_decoders_are_total_on_hostile_bytes() {
                 let mut flipped = image.clone();
                 flipped[g.gen_range(0..image.len())] ^= 1 << g.gen_range(0..8u32);
                 flipped
+            }
+            5 if !nats.is_empty() => {
+                // A NAT type of any value, or one of the five.
+                let mut coded = image.clone();
+                coded[nats[g.gen_range(0..nats.len())]] = if g.gen() { g.gen() } else { g.gen_range(0..5) };
+                coded
             }
             _ => {
                 // A length that claims every byte left, one per element.
@@ -185,7 +247,12 @@ fn nylon_decoders_are_total_on_hostile_bytes() {
         assert_eq!(viewed, 0, "a borrowed view allocated");
         let (gossip, app) = views;
         if let Ok(msg) = &decoded {
-            assert_eq!(msg.to_wire(), hostile, "accepted, but not what it reads back as");
+            assert_eq!(msg.to_wire(), as_owned_writes(&hostile, msg), "accepted, but not what it reads back as");
+        }
+        if let Ok(NylonMsg::GossipReq { entries, .. } | NylonMsg::GossipResp { entries, .. }) = &decoded {
+            for (entry, at) in entries.iter().zip(nat_bytes(decoded.as_ref().unwrap())) {
+                assert_eq!(entry.public, hostile[at] == 0, "code {}: read as NATted iff not 0", hostile[at]);
+            }
         }
         let as_gossip = matches!(decoded, Ok(NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. }));
         assert_eq!(gossip, as_gossip, "gossip_view and from_wire disagree");

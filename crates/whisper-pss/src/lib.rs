@@ -18,9 +18,12 @@
 //! * connection establishment performs real **hole punching** through
 //!   those rendezvous nodes where a punch can succeed, and relays over
 //!   them where it cannot: for the symmetric/port-sensitive combinations
-//!   of the emulated NAT devices of `whisper-net`, which the two ends
-//!   find out from each other's NAT type, and when the handshake times
-//!   out ([`transport`]).
+//!   of the emulated NAT devices of `whisper-net`, which a requester reads
+//!   off the view entry — an entry carries its node's NAT type — before
+//!   it sends, and when the handshake times out. A requester waits only
+//!   for what the two NATs need: the peer's punch where its own NAT lets
+//!   it in, else the acknowledgement, after which the queued message
+//!   itself is the punch ([`transport`]).
 //!
 //! WHISPER's additions (paper §III-B):
 //!

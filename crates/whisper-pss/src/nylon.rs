@@ -18,7 +18,7 @@ use std::time::Instant;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::{Ctx, Protocol};
-use whisper_net::nat::can_hole_punch;
+use whisper_net::nat::{can_hole_punch, NatType};
 use whisper_net::wire::WireDecode;
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 
@@ -34,9 +34,10 @@ const TIMER_GOSSIP_TIMEOUT: u64 = 2;
 /// can be filtered if it beats the other side's own outbound packet (e.g.
 /// symmetric → restricted-cone), while a later one passes.
 const TIMER_PUNCH_RETRY: u64 = 8;
-/// How many delayed re-punches to send, and their spacing.
+/// How many delayed re-punches to send.
 const PUNCH_RETRIES: u8 = 2;
-const PUNCH_RETRY_DELAY: SimDuration = SimDuration::from_millis(250);
+/// The spacing of the delayed re-punches.
+pub const PUNCH_RETRY_DELAY: SimDuration = SimDuration::from_millis(250);
 
 /// How long a pending CB ping may stay unanswered before we retry another
 /// candidate.
@@ -94,7 +95,7 @@ pub struct NylonCore {
     cfg: NylonConfig,
     keypair: KeyPair,
     id: NodeId,
-    public: bool,
+    nat: NatType,
     view: View,
     /// The gossip buffer being shipped; kept for its allocation.
     buffer: Vec<Entry>,
@@ -112,7 +113,7 @@ impl std::fmt::Debug for NylonCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NylonCore")
             .field("id", &self.id)
-            .field("public", &self.public)
+            .field("nat", &self.nat)
             .field("view", &self.view.len())
             .field("cb", &self.cb.len())
             .finish()
@@ -128,7 +129,7 @@ impl NylonCore {
             cfg,
             keypair,
             id: NodeId(u64::MAX),
-            public: false,
+            nat: NatType::Symmetric,
             view: View::new(),
             buffer: Vec::new(),
             cb,
@@ -158,7 +159,7 @@ impl NylonCore {
 
     /// Whether this node is a P-node.
     pub fn is_public(&self) -> bool {
-        self.public
+        self.nat.is_public()
     }
 
     /// The configuration.
@@ -240,7 +241,8 @@ impl NylonCore {
     ) -> SendOutcome {
         let frame = frame.finish();
         debug_assert!(NylonMsg::app_view(&frame).is_some(), "payload_len bytes must follow begin_app");
-        self.transport.send_encoded(ctx, self.id, to, to_public, frame, route_hint)
+        let to_nat = to_public.then_some(NatType::Public);
+        self.transport.send_encoded(ctx, self.id, to, to_nat, frame, route_hint)
     }
 
     // ---------------------------------------------------------------
@@ -250,7 +252,7 @@ impl NylonCore {
     /// Must be called once when the node starts.
     pub fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.id = ctx.id();
-        self.public = ctx.nat_type().is_public();
+        self.nat = ctx.nat_type();
         self.seed_view();
         // Desynchronize cycles across nodes.
         let offset = SimDuration::from_micros(
@@ -301,7 +303,7 @@ impl NylonCore {
                         // entries so failed nodes leave views quickly.
                         if let Some(e) = self.view.get(partner) {
                             ctx.metrics().count(
-                                if e.public { "pss.timeout_removed_public" } else { "pss.timeout_removed_natted" },
+                                if e.is_public() { "pss.timeout_removed_public" } else { "pss.timeout_removed_natted" },
                                 1,
                             );
                         }
@@ -346,18 +348,31 @@ impl NylonCore {
         data: &'d [u8],
     ) -> Option<(NodeId, &'d [u8])> {
         let app = ctx.prof_decode(|| NylonMsg::app_view(data))?;
-        self.note_direct_packet(ctx, from, from_ep);
+        let (_, ended) = self.note_direct_packet(ctx, from, from_ep);
+        if ended {
+            self.punch_ack(ctx, from_ep);
+        }
         Some(app)
     }
 
-    /// Any direct packet proves a working return path to `from` and
-    /// completes a pending hole punch towards it.
-    fn note_direct_packet(&mut self, ctx: &mut Ctx<'_>, from: NodeId, from_ep: Endpoint) {
+    /// Any direct packet proves a working return path to `from`,
+    /// completes a pending hole punch towards it and ends our punching
+    /// towards it. Returns whether it did each of the last two.
+    fn note_direct_packet(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: NodeId,
+        from_ep: Endpoint,
+    ) -> (bool, bool) {
         self.transport.note_contact(from, from_ep, ctx.now());
-        self.transport.on_established(ctx, from, from_ep);
-        if !self.punch_retries.is_empty() {
-            self.punch_retries.remove(&from);
-        }
+        let opened = self.transport.on_established(ctx, from, from_ep);
+        let ended = !self.punch_retries.is_empty() && self.punch_retries.remove(&from).is_some();
+        (opened, ended)
+    }
+
+    /// Answers a direct packet from `to` with a [`NylonMsg::PunchAck`].
+    fn punch_ack(&self, ctx: &mut Ctx<'_>, to: Endpoint) {
+        ctx.send_wire(to, &NylonMsg::PunchAck { from: self.id });
     }
 
     /// Message dispatch; returns upcall events.
@@ -372,7 +387,21 @@ impl NylonCore {
             ctx.metrics().count("pss.malformed", 1);
             return Vec::new();
         };
-        self.note_direct_packet(ctx, from, from_ep);
+        let (opened, ended) = self.note_direct_packet(ctx, from, from_ep);
+        // The packet that ends our punching is answered directly, so that
+        // its sender's open ends on a direct packet: a gossip request by
+        // the response, anything else but a `PunchAck` by one `PunchAck`.
+        // A punch is answered unless it completed our own open: our queue
+        // went or goes to the puncher, and that answers it.
+        let ack = match &msg {
+            Incoming::Gossip(gossip) => ended && !gossip.request,
+            Incoming::Other(NylonMsg::Punch { .. }) => !opened,
+            Incoming::Other(NylonMsg::PunchAck { .. }) => false,
+            Incoming::Other(_) => ended,
+        };
+        if ack {
+            self.punch_ack(ctx, from_ep);
+        }
         let mut events = Vec::new();
         self.handle(ctx, from, from_ep, Via::DIRECT, msg, &mut events);
         events
@@ -386,7 +415,7 @@ impl NylonCore {
     fn fill_buffer(&mut self, ctx: &mut Ctx<'_>, partner: NodeId) {
         let skipped = self.view.fill_buffer(
             &mut self.buffer,
-            Entry::new(self.id, 0, self.public, &[]),
+            Entry::new(self.id, 0, self.nat, &[]),
             partner,
             self.cfg.gossip_len,
             self.id,
@@ -405,20 +434,20 @@ impl NylonCore {
         ctx: &mut Ctx<'_>,
         request: bool,
         to: NodeId,
-        to_public: bool,
+        to_nat: Option<NatType>,
         route_hint: &[NodeId],
     ) -> SendOutcome {
         let key = self.cfg.key_sampling.then(|| self.keypair.public().wire_bytes());
         let t0 = ctx.prof_enabled().then(Instant::now);
         let len = NylonMsg::gossip_len(&self.buffer, key);
         let mut wire = ctx.payload_writer(len);
-        NylonMsg::put_gossip(&mut wire, request, self.id, self.public, &self.buffer, key);
+        NylonMsg::put_gossip(&mut wire, request, self.id, self.is_public(), &self.buffer, key);
         debug_assert_eq!(wire.len(), len, "gossip_len() disagrees with put_gossip()");
         let wire = wire.finish();
         if let Some(t0) = t0 {
             ctx.prof_encode_ns(t0.elapsed().as_nanos() as u64);
         }
-        self.transport.send_encoded(ctx, self.id, to, to_public, wire, route_hint)
+        self.transport.send_encoded(ctx, self.id, to, to_nat, wire, route_hint)
     }
 
     fn do_gossip_cycle(&mut self, ctx: &mut Ctx<'_>) {
@@ -445,17 +474,17 @@ impl NylonCore {
         self.fill_buffer(ctx, partner);
         ctx.metrics().count("pss.gossip_initiated", 1);
         let outcome =
-            self.send_gossip(ctx, true, partner, partner_entry.public, partner_entry.route());
+            self.send_gossip(ctx, true, partner, Some(partner_entry.nat), partner_entry.route());
         if outcome == SendOutcome::Failed {
             ctx.metrics().count(
-                if partner_entry.public { "pss.sendfail_removed_public" } else { "pss.sendfail_removed_natted" },
+                if partner_entry.is_public() { "pss.sendfail_removed_public" } else { "pss.sendfail_removed_natted" },
                 1,
             );
             self.view.remove(partner);
             return;
         }
         ctx.metrics().count(
-            if partner_entry.public { "pss.partner_public" } else { "pss.partner_natted" },
+            if partner_entry.is_public() { "pss.partner_public" } else { "pss.partner_natted" },
             1,
         );
         self.gossip_gen += 1;
@@ -516,7 +545,7 @@ impl NylonCore {
             .view
             .entries()
             .iter()
-            .filter(|e| e.public && !self.cb.contains(e.node) && !self.ping_pending.contains_key(&e.node))
+            .filter(|e| e.is_public() && !self.cb.contains(e.node) && !self.ping_pending.contains_key(&e.node))
             .map(|e| e.node)
             .take(missing - in_flight)
             .collect();
@@ -574,7 +603,7 @@ impl NylonCore {
             // push-pull exchange prescribes.
             self.fill_buffer(ctx, sender);
             self.merge_gossip(&gossip, via);
-            self.send_gossip(ctx, false, sender, sender_public, &[]);
+            self.send_gossip(ctx, false, sender, sender_public.then_some(NatType::Public), &[]);
             self.maintain_cb(ctx);
             ctx.metrics().count("pss.gossip_served", 1);
         } else {
@@ -710,28 +739,13 @@ impl NylonCore {
                     let remaining = rest.to_vec();
                     let fwd = NylonMsg::OpenAck { target, target_nat, target_ep, remaining };
                     self.forward(ctx, next, &fwd);
-                } else if self.transport.on_open_ack(ctx, self.id, target, target_nat) {
-                    // We are the requester, and the pair can be punched:
-                    // punch towards the target's observed endpoint. Any
-                    // direct answer (PunchAck or the target's own punch)
-                    // establishes the channel.
-                    if let Some(tep) = target_ep {
-                        // Double punch: encode once, send two clones.
-                        let punch = NylonMsg::Punch { from: self.id };
-                        let wire = ctx.encode_payload(&punch);
-                        ctx.send_to(tep, wire.clone());
-                        ctx.send_to(tep, wire);
-                    }
+                } else {
+                    self.transport.on_open_ack(ctx, self.id, target, target_nat, target_ep);
                 }
             }
-            NylonMsg::Punch { .. } => {
-                // Contact already recorded by `on_message`; acknowledge so
-                // the puncher learns its probe went through.
-                let ack = NylonMsg::PunchAck { from: self.id };
-                ctx.send_wire(outer_ep, &ack);
-            }
-            NylonMsg::PunchAck { .. } => {
-                // Contact recorded at the outer level; nothing else to do.
+            NylonMsg::Punch { .. } | NylonMsg::PunchAck { .. } => {
+                // Contact recorded, open completed and answer sent by
+                // `on_message`; nothing else to do.
             }
             NylonMsg::Ping { from, key } => {
                 self.learn_key(from, key.as_deref());

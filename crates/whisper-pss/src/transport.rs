@@ -5,14 +5,17 @@
 //! endpoint it recently received a packet from (replying to a sender
 //! always traverses the sender's NAT while the association rule lives).
 //! Otherwise it either relays messages along the peer's rendezvous chain
-//! or first attempts to punch a hole through both NATs via an
-//! `OpenReq`/`OpenAck`/`Punch` handshake coordinated over that chain.
-//! The handshake runs only where it can achieve something: a public
-//! node has no NAT to open, so it relays at once and the peer answers it
-//! directly; and the two ends tell each other their NAT types, so a pair
-//! that cannot be punched ([`can_hole_punch`]) is relayed as soon as the
-//! acknowledgement arrives. Whether a punch that is attempted succeeds
-//! is decided by the emulated NAT devices, not by this code.
+//! or first opens a hole through both NATs with an `OpenReq`/`OpenAck`
+//! handshake coordinated over that chain. The handshake runs only where
+//! it can achieve something, and a requester waits only for what its own
+//! NAT and the peer's need: a public node has no NAT to open and relays
+//! at once, as does a node whose view entry says the peer's NAT type and
+//! its own cannot be punched ([`can_hole_punch`]); a restricted-cone
+//! node opens its own filter with one `Punch` before it asks, so the
+//! peer's punch gets in; and a requester whose NAT lets no punch in sends
+//! what it queued straight to the endpoint the acknowledgement names —
+//! the queued message is the punch. Whether a punch that is attempted
+//! succeeds is decided by the emulated NAT devices, not by this code.
 
 use crate::messages::NylonMsg;
 use std::collections::HashMap;
@@ -89,6 +92,10 @@ struct PendingOpen {
     chain: Vec<NodeId>,
     /// Serialized inner messages awaiting delivery.
     queued: Vec<Vec<u8>>,
+    /// Where the queue was sent when the acknowledgement came, if it has:
+    /// a direct packet from there completes the open without sending it
+    /// again.
+    sent_to: Option<Endpoint>,
 }
 
 /// Timer token kinds used by the transport (low byte of the token).
@@ -168,7 +175,9 @@ impl Transport {
     /// into the wrapper that needs them and hands the buffer back to the
     /// pool.
     ///
-    /// * `to_public` — whether the peer is directly reachable;
+    /// * `to_nat` — the peer's NAT type as the caller's directory entry
+    ///   gives it; `None` for a NATted peer of unknown type, whose
+    ///   handshake finds out whether a punch can work;
     /// * `route_hint` — rendezvous chain from a view entry (first element
     ///   must be a node we can reach), used for relaying / punching;
     /// * `me` — our node id.
@@ -179,13 +188,14 @@ impl Transport {
         ctx: &mut Ctx<'_>,
         me: NodeId,
         to: NodeId,
-        to_public: bool,
+        to_nat: Option<NatType>,
         wire: Payload,
         route_hint: &[NodeId],
     ) -> SendOutcome {
         let now = ctx.now();
         // 1. Fresh direct contact (a NATted peer whose association towards
         //    us is open); 2. public peer: always addressable.
+        let to_public = to_nat.is_some_and(NatType::is_public);
         if let Some(ep) = self.contact(to, now).or(to_public.then_some(Endpoint::public(to))) {
             ctx.send_to(ep, wire);
             return SendOutcome::Direct;
@@ -201,6 +211,9 @@ impl Transport {
         if !route_hint.is_empty() {
             let inner = unpooled(ctx, wire);
             if let Some(open) = self.opens.get_mut(&to) {
+                if let Some(ep) = open.sent_to {
+                    ctx.send_to(ep, inner.clone());
+                }
                 open.queued.push(inner);
                 return SendOutcome::Queued;
             }
@@ -213,6 +226,21 @@ impl Transport {
                 self.relay(ctx, me, &chain, inner);
                 ctx.metrics().count("pss.relayed_sent", 1);
                 return SendOutcome::Relayed;
+            }
+            if to_nat.is_some_and(|to_nat| !can_hole_punch(nat, to_nat)) {
+                // No punch can work: relay at once, as the handshake
+                // would on its acknowledgement, and keep the chain as the
+                // reply route.
+                self.relay(ctx, me, &chain, inner);
+                ctx.metrics().count("pss.open_unpunchable", 1);
+                self.note_reply_route(to, chain, now);
+                return SendOutcome::Relayed;
+            }
+            if nat == NatType::RestrictedCone {
+                // A restricted-cone filter admits any port of a host it
+                // has sent to: one packet towards the peer lets in the
+                // punch the peer sends when the request reaches it.
+                ctx.send_wire(Endpoint::public(to), &NylonMsg::Punch { from: me });
             }
             // Queue the message and start a hole-punching handshake; it
             // ends in a direct channel, in the peer's word that the two
@@ -228,7 +256,7 @@ impl Transport {
             let first_ep = self.next_hop_ep(ctx, chain[0]);
             ctx.send_wire(first_ep, &open);
             ctx.metrics().count("pss.open_started", 1);
-            self.opens.insert(to, PendingOpen { chain, queued: vec![inner] });
+            self.opens.insert(to, PendingOpen { chain, queued: vec![inner], sent_to: None });
             ctx.set_timer(OPEN_TIMEOUT, open_timeout_token(to));
             return SendOutcome::Queued;
         }
@@ -273,36 +301,55 @@ impl Transport {
     }
 
     /// Handles the acknowledgement of the open request sent to `peer`,
-    /// which is behind a `peer_nat`: `true` if a punch is worth sending.
-    /// If the two NAT types rule it out, relays what was queued at once.
+    /// which is behind a `peer_nat` and, as the chain's last hop saw it,
+    /// at `peer_ep`. An open that has completed needs nothing. If the two
+    /// NAT types rule a punch out, relays what was queued at once
+    /// (`pss.open_unpunchable`, as when the view entry says so before the
+    /// handshake). Otherwise the queued messages are the punch: they go
+    /// to `peer_ep`, through the hole the peer's own punch opened in its
+    /// NAT, and the open waits for the peer's direct answer.
     pub fn on_open_ack(
         &mut self,
         ctx: &mut Ctx<'_>,
         me: NodeId,
         peer: NodeId,
         peer_nat: NatType,
-    ) -> bool {
-        let punchable = can_hole_punch(ctx.nat_type(), peer_nat);
-        if !punchable {
+        peer_ep: Option<Endpoint>,
+    ) {
+        if !can_hole_punch(ctx.nat_type(), peer_nat) {
             self.relay_queued(ctx, me, peer, "pss.open_unpunchable");
+            return;
         }
-        punchable
+        let Some(open) = self.opens.get_mut(&peer).filter(|open| open.sent_to.is_none()) else {
+            return;
+        };
+        if let Some(ep) = peer_ep {
+            for inner in &open.queued {
+                ctx.send_to(ep, inner.clone());
+            }
+            open.sent_to = Some(ep);
+        }
     }
 
     /// Completes an open handshake towards `peer` (a direct packet
-    /// arrived): flushes queued messages to the now-known endpoint.
-    pub fn on_established(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, ep: Endpoint) {
+    /// arrived from `ep`): sends the queue there unless it went there
+    /// already. Returns whether an open was pending.
+    pub fn on_established(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, ep: Endpoint) -> bool {
         // Called for every direct packet, and there is rarely a handshake
         // in flight: an empty map is not worth hashing into.
         if self.opens.is_empty() {
-            return;
+            return false;
         }
-        if let Some(open) = self.opens.remove(&peer) {
-            ctx.metrics().count("pss.open_punch_ok", 1);
+        let Some(open) = self.opens.remove(&peer) else {
+            return false;
+        };
+        ctx.metrics().count("pss.open_punch_ok", 1);
+        if open.sent_to != Some(ep) {
             for inner in open.queued {
                 ctx.send_to(ep, inner);
             }
         }
+        true
     }
 }
 

@@ -5,7 +5,12 @@
 //! [`ROUTE_CAP`] hops, so an entry is `Copy` and merging, evicting and
 //! sorting touch no heap. [`ViewEntry`], with its chain in a `Vec`, is
 //! the owned form at the boundary — what tests, the owned message codec
-//! and callers outside the crate construct and read.
+//! and callers outside the crate construct and read. An `Entry` carries
+//! its node's [`NatType`], which tells a NATted requester before any
+//! handshake whether a punch can work; the owned form keeps only whether
+//! the node is public, and a NATted `ViewEntry` converts to a
+//! [`NatType::Symmetric`] entry — the type that promises least, so it
+//! never starts a punch the true type would forbid.
 //!
 //! A stored chain is *valid by construction*: its holder can send
 //! directly to the first hop, every hop to the next and the last to the
@@ -16,6 +21,7 @@
 
 use whisper_rand::seq::SliceRandom;
 use whisper_rand::Rng;
+use whisper_net::nat::NatType;
 use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use whisper_net::NodeId;
 
@@ -44,11 +50,12 @@ pub struct ViewEntry {
     pub route: Vec<NodeId>,
 }
 
-/// Writes the wire image both forms of an entry share.
-fn put_entry(w: &mut WireWriter, node: NodeId, age: u16, public: bool, route: &[NodeId]) {
+/// Writes the wire image both forms of an entry share. The NAT type takes
+/// the byte of a public flag: 0 for a P-node, 1–4 for the NATted types.
+fn put_entry(w: &mut WireWriter, node: NodeId, age: u16, nat: NatType, route: &[NodeId]) {
     w.put(&node);
     w.put_u16(age);
-    w.put(&public);
+    w.put(&nat);
     w.put_seq(route);
 }
 
@@ -57,9 +64,10 @@ fn entry_len(route: &[NodeId]) -> usize {
     8 + 2 + 1 + whisper_net::wire::seq_len(route)
 }
 
+/// The wire image of the [`Entry`] it converts to.
 impl WireEncode for ViewEntry {
     fn encode(&self, w: &mut WireWriter) {
-        put_entry(w, self.node, self.age, self.public, &self.route);
+        put_entry(w, self.node, self.age, nat_of(self.public), &self.route);
     }
 
     fn encoded_len(&self) -> usize {
@@ -67,7 +75,8 @@ impl WireEncode for ViewEntry {
     }
 }
 
-/// Refuses a chain of more than [`ROUTE_CAP`] hops, as [`Entry`] does.
+/// Refuses a chain of more than [`ROUTE_CAP`] hops and a NAT code above 4,
+/// as [`Entry`] does; reads any NATted code as NATted.
 impl WireDecode for ViewEntry {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let entry = Entry::decode(r)?;
@@ -76,15 +85,17 @@ impl WireDecode for ViewEntry {
 }
 
 /// One entry of a PSS view as the view stores it: the fields of
-/// [`ViewEntry`] with the rendezvous chain inline.
+/// [`ViewEntry`] with the rendezvous chain inline and the node's NAT type
+/// for its public flag.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Entry {
     /// The node this entry points to.
     pub node: NodeId,
     /// Freshness: 0 when the node inserts itself, +1 every local cycle.
     pub age: u16,
-    /// Whether the node is publicly reachable (a P-node).
-    pub public: bool,
+    /// The node's NAT type, as the node itself shipped it;
+    /// [`NatType::Public`] for a P-node.
+    pub nat: NatType,
     hops: u8,
     /// Whether the chain's first hop is known to be a P-node — there is
     /// a first hop, then — so that the chain is as good in anyone's hands
@@ -103,11 +114,16 @@ impl Entry {
     /// # Panics
     ///
     /// Panics if `route` has more than [`ROUTE_CAP`] hops.
-    pub fn new(node: NodeId, age: u16, public: bool, route: &[NodeId]) -> Entry {
+    pub fn new(node: NodeId, age: u16, nat: NatType, route: &[NodeId]) -> Entry {
         assert!(route.len() <= ROUTE_CAP, "a rendezvous chain has at most ROUTE_CAP hops");
         let mut inline = [NodeId(0); ROUTE_CAP];
         inline[..route.len()].copy_from_slice(route);
-        Entry { node, age, public, hops: route.len() as u8, head_public: false, route: inline }
+        Entry { node, age, nat, hops: route.len() as u8, head_public: false, route: inline }
+    }
+
+    /// Whether the node is publicly reachable (a P-node).
+    pub fn is_public(&self) -> bool {
+        self.nat.is_public()
     }
 
     /// The rendezvous chain (see [`ViewEntry::route`]).
@@ -137,8 +153,8 @@ impl Entry {
     /// chain gets `via` in front, or — being `max_route` hops already —
     /// is not shipped at all: `None`.
     fn forwarded(&self, via: NodeId, max_route: usize) -> Option<Entry> {
-        if self.public {
-            Some(Entry::new(self.node, self.age, true, &[]))
+        if self.is_public() {
+            Some(Entry::new(self.node, self.age, NatType::Public, &[]))
         } else if self.head_public {
             Some(*self)
         } else {
@@ -168,8 +184,8 @@ impl Entry {
         via_head_public: bool,
         max_route: usize,
     ) -> Option<Entry> {
-        if self.public {
-            return Some(Entry::new(self.node, self.age, true, &[]));
+        if self.is_public() {
+            return Some(Entry::new(self.node, self.age, NatType::Public, &[]));
         }
         match self.route().first() {
             // Only the target itself vouches for being reachable directly.
@@ -188,33 +204,43 @@ impl std::fmt::Debug for Entry {
         f.debug_struct("Entry")
             .field("node", &self.node)
             .field("age", &self.age)
-            .field("public", &self.public)
+            .field("nat", &self.nat)
             .field("route", &self.route())
             .field("head_public", &self.head_public)
             .finish()
     }
 }
 
+/// The NAT type an owned entry stands for: [`NatType::Symmetric`] for any
+/// NATted node.
+fn nat_of(public: bool) -> NatType {
+    if public {
+        NatType::Public
+    } else {
+        NatType::Symmetric
+    }
+}
+
+/// A NATted entry becomes a [`NatType::Symmetric`] one.
+///
 /// # Panics
 ///
 /// Panics if the chain has more than [`ROUTE_CAP`] hops.
 impl From<&ViewEntry> for Entry {
     fn from(e: &ViewEntry) -> Entry {
-        Entry::new(e.node, e.age, e.public, &e.route)
+        Entry::new(e.node, e.age, nat_of(e.public), &e.route)
     }
 }
 
 impl From<&Entry> for ViewEntry {
     fn from(e: &Entry) -> ViewEntry {
-        ViewEntry { node: e.node, age: e.age, public: e.public, route: e.route().to_vec() }
+        ViewEntry { node: e.node, age: e.age, public: e.is_public(), route: e.route().to_vec() }
     }
 }
 
-/// The wire image of an [`Entry`] is that of the [`ViewEntry`] it
-/// converts to.
 impl WireEncode for Entry {
     fn encode(&self, w: &mut WireWriter) {
-        put_entry(w, self.node, self.age, self.public, self.route());
+        put_entry(w, self.node, self.age, self.nat, self.route());
     }
 
     fn encoded_len(&self) -> usize {
@@ -222,8 +248,8 @@ impl WireEncode for Entry {
     }
 }
 
-/// Refuses a chain of more than [`ROUTE_CAP`] hops: no honest peer ships
-/// one, and no part of it is a chain.
+/// Refuses a chain of more than [`ROUTE_CAP`] hops — no honest peer ships
+/// one, and no part of it is a chain — and a NAT code above 4.
 impl WireDecode for Entry {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let mut entry = Entry::new(r.take()?, r.take_u16()?, r.take()?, &[]);
@@ -284,7 +310,7 @@ impl View {
 
     /// Number of P-node entries.
     pub fn p_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.public).count()
+        self.entries.iter().filter(|e| e.is_public()).count()
     }
 
     /// Inserts an entry directly (bootstrap); replaces an existing entry
@@ -445,7 +471,7 @@ impl View {
             return;
         }
         // The first `cap` entries are kept, the older ones are spare.
-        let p_in_kept = self.entries[..cap].iter().filter(|e| e.public).count();
+        let p_in_kept = self.entries[..cap].iter().filter(|e| e.is_public()).count();
         if p_in_kept < pi {
             // The Π bias kicks in only when the unbiased healer would
             // leave too few P-nodes: force spare P-nodes in, pushing
@@ -464,13 +490,13 @@ impl View {
                     break;
                 }
                 let replacement = self.entries[if oldest_p_discard { cap + k } else { len - 1 - k }];
-                if !replacement.public {
+                if !replacement.is_public() {
                     continue;
                 }
                 needed -= 1;
                 // It takes the place of the oldest kept N-node and goes
                 // behind the kept entries.
-                if let Some(pos) = self.entries[..cap].iter().rposition(|e| !e.public) {
+                if let Some(pos) = self.entries[..cap].iter().rposition(|e| !e.is_public()) {
                     self.entries[pos..cap].rotate_left(1);
                     self.entries[cap - 1] = replacement;
                 }
@@ -671,7 +697,7 @@ mod tests {
                 &mut oracle_rng,
             ));
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut buffer = vec![Entry::new(NodeId(99), 9, true, &[NodeId(9)])]; // stale scratch
+            let mut buffer = vec![Entry::new(NodeId(99), 9, NatType::Public, &[NodeId(9)])]; // stale scratch
             let skipped = view.fill_buffer(
                 &mut buffer,
                 Entry::from(&self_entry),
@@ -685,7 +711,7 @@ mod tests {
             written.put_seq(&buffer);
             assert_eq!(written.into_bytes(), expected.into_bytes());
             for shipped in &buffer[1..] {
-                assert_eq!(shipped.public, shipped.route().is_empty(), "a chain iff NATted");
+                assert_eq!(shipped.is_public(), shipped.route().is_empty(), "a chain iff NATted");
             }
             if len > view.len() {
                 let candidates = view.nodes().filter(|&n| n != partner && n != me).count();
@@ -714,8 +740,8 @@ mod tests {
                 assert!(ViewEntry::from_wire(&wire).is_err(), "{hops} hops, owned decoder");
             }
         }
-        let short = Entry::new(NodeId(9), 4, false, &long[..2]);
-        assert_ne!(short, Entry::new(NodeId(9), 4, false, &long[..1]));
+        let short = Entry::new(NodeId(9), 4, NatType::Symmetric, &long[..2]);
+        assert_ne!(short, Entry::new(NodeId(9), 4, NatType::Symmetric, &long[..1]));
     }
 
     /// What a receiver stores for each kind of entry a sender ships:
@@ -724,7 +750,7 @@ mod tests {
     fn a_received_chain_is_one_its_receiver_can_walk() {
         const P: NodeId = NodeId(100);
         let (target, sender, other, relay) = (NodeId(1), NodeId(2), NodeId(3), NodeId(4));
-        let shipped = |route: &[NodeId]| Entry::new(target, 5, false, route);
+        let shipped = |route: &[NodeId]| Entry::new(target, 5, NatType::Symmetric, route);
         let direct = |e: Entry, public| e.received(sender, public, &[], false, ROUTE_CAP);
         let relayed = |e: Entry, max| e.received(sender, false, &[relay, P], false, max);
 
@@ -738,12 +764,12 @@ mod tests {
         assert_eq!((stored.route(), stored.head_public), (&[P, other][..], true));
         // The sender's own entry holds for whoever heard the sender; an
         // empty chain for another NATted node holds for nobody.
-        let own = Entry::new(sender, 0, false, &[]);
+        let own = Entry::new(sender, 0, NatType::Symmetric, &[]);
         assert_eq!(direct(own, false).unwrap().route(), &[]);
         assert_eq!(direct(shipped(&[]), false), None);
         // A public target needs no chain, whatever was shipped.
-        let public = Entry::new(P, 3, true, &[sender]);
-        assert_eq!(direct(public, false), Some(Entry::new(P, 3, true, &[])));
+        let public = Entry::new(P, 3, NatType::Public, &[sender]);
+        assert_eq!(direct(public, false), Some(Entry::new(P, 3, NatType::Public, &[])));
 
         // Relayed over [P, relay] — heard from `relay`. What leans on the
         // sender gets the way back in front, or is not taken when that is
@@ -922,19 +948,19 @@ mod tests {
     fn make_buffer_includes_self_first_and_prepends_route() {
         let mut rng = StdRng::seed_from_u64(1);
         let (me, sender, p_node) = (NodeId(42), NodeId(50), NodeId(60));
-        let natted = |node: u64, route: &[NodeId]| Entry::new(NodeId(node), 2, false, route);
+        let natted = |node: u64, route: &[NodeId]| Entry::new(NodeId(node), 2, NatType::Symmetric, route);
         let mut v = View::new();
         v.merge_entries(
             [
                 // Heard from the NATted sender itself: no chain yet.
-                Entry::new(sender, 0, false, &[]),
+                Entry::new(sender, 0, NatType::Symmetric, &[]),
                 // Chains that start at the NATted sender, one of them full.
                 natted(5, &[sender, NodeId(51)]),
                 natted(6, &[sender, NodeId(51), NodeId(52)]),
                 // A chain that starts at a P-node.
                 natted(7, &[p_node, NodeId(71)]),
                 // A public target, shipped with a chain nobody needs.
-                Entry::new(NodeId(8), 1, true, &[sender]),
+                Entry::new(NodeId(8), 1, NatType::Public, &[sender]),
             ]
             .iter()
             .filter_map(|e| e.received(sender, false, &[], false, ROUTE_CAP)),

@@ -51,7 +51,7 @@ impl Watcher {
             // Only the sender vouches for a NATted node without a chain:
             // itself.
             let bare = route.is_empty() && entry.node != gossip.sender;
-            if entry.public != route.is_empty() && (entry.public || bare) {
+            if entry.is_public() != route.is_empty() && (entry.is_public() || bare) {
                 self.malformed.push(format!("{entry:?} from {}", gossip.sender));
             }
             if route.len() >= 2 && route[0] == gossip.sender {
@@ -120,8 +120,8 @@ fn check_views(sim: &Sim, ids: &[NodeId]) -> [usize; ROUTE_CAP + 1] {
         for entry in core(holder).view().entries() {
             let route = entry.route();
             assert!(route.len() <= ROUTE_CAP, "{holder}: {entry:?}");
-            assert_eq!(entry.public, is_public(sim, entry.node), "{holder}: {entry:?}");
-            assert!(!entry.public || route.is_empty(), "{holder}: {entry:?}: public, with a chain");
+            assert_eq!(Some(entry.nat), sim.nat_type(entry.node), "{holder}: {entry:?}: its NAT type");
+            assert!(!entry.is_public() || route.is_empty(), "{holder}: {entry:?}: public, with a chain");
             by_hops[route.len()] += 1;
             let mut at = holder;
             for &next in route.iter().chain([&entry.node]) {

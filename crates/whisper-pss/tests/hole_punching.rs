@@ -2,37 +2,107 @@
 //! NAT emulation: for every pair of NAT types, the Nylon open handshake
 //! must establish a direct channel exactly when the theoretical matrix
 //! (`can_hole_punch`) says it can — and must deliver the payload over the
-//! rendezvous chain when it cannot: at once when the handshake says so,
-//! after the time-out when the handshake's own messages are lost.
+//! rendezvous chain when it cannot: at once when the view entry or the
+//! handshake says so, after the time-out when the handshake's own
+//! messages are lost. Under [`SimConfig::ideal`] every hop costs 1 µs, so
+//! the tests read one-way-delay counts off the clock.
 
 use whisper_crypto::rsa::KeyPair;
 use whisper_net::fault::FaultPlan;
 use whisper_net::nat::{can_hole_punch, NatType};
-use whisper_net::sim::{Sim, SimConfig};
-use whisper_net::{NodeId, SimDuration};
+use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
+use whisper_net::wire::WireDecode;
+use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
+use whisper_pss::messages::NylonMsg;
+use whisper_pss::nylon::PUNCH_RETRY_DELAY;
 use whisper_pss::transport::OPEN_TIMEOUT;
-use whisper_pss::{NylonConfig, NylonCore, NylonNode};
+use whisper_pss::{NylonConfig, NylonCore, NylonEvent};
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
 
+/// One hop under [`SimConfig::ideal`].
+const HOP: SimDuration = SimDuration::from_micros(1);
+
+/// A PSS node that counts the payloads it receives, notes who sent it a
+/// `Punch` and times the gossip exchanges it starts.
+struct Probe {
+    core: NylonCore,
+    payloads: u64,
+    punched_by: Vec<NodeId>,
+    /// When the exchange now outstanding was started.
+    started: Option<SimTime>,
+    /// Partner and start-to-completion time of every exchange completed.
+    exchanges: Vec<(NodeId, SimDuration)>,
+}
+
+impl Protocol for Probe {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.core.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, from_ep: Endpoint, data: &Payload) {
+        if let Ok(NylonMsg::Punch { from }) = NylonMsg::from_wire(data) {
+            self.punched_by.push(from);
+        }
+        for event in self.core.on_message(ctx, from, from_ep, data) {
+            match event {
+                NylonEvent::Payload { .. } => self.payloads += 1,
+                NylonEvent::GossipCompleted { partner } => {
+                    if let Some(t0) = self.started.take() {
+                        self.exchanges.push((partner, ctx.now().since(t0)));
+                    }
+                }
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        // The gossip-cycle timer is the one that advances `cycles_run`.
+        let cycles = self.core.cycles_run();
+        self.core.on_timer(ctx, token);
+        if self.core.cycles_run() != cycles {
+            self.started = Some(ctx.now());
+        }
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+fn probe(sim: &Sim, node: NodeId) -> &Probe {
+    sim.node::<Probe>(node).expect("a probe")
+}
+
 /// One public rendezvous/bootstrap node plus nodes A and B behind the
-/// given NAT types, after `warm_s` seconds of gossip: everyone has talked
-/// to the RV, A and B have open associations towards it and the RV has
-/// contacts for both, so it can relay and coordinate. Returns the sim, A
-/// and B.
-fn trio(nat_a: NatType, nat_b: NatType, seed: u64, warm_s: u64) -> (Sim, NodeId, NodeId) {
+/// given NAT types, on the network `profile` makes of `seed`, after
+/// `warm_s` seconds of gossip: everyone has talked to the RV, A and B have
+/// open associations towards it and the RV has contacts for both, so it
+/// can relay and coordinate. Returns the sim, A and B.
+fn trio(
+    profile: fn(u64) -> SimConfig,
+    nat_a: NatType,
+    nat_b: NatType,
+    seed: u64,
+    warm_s: u64,
+) -> (Sim, NodeId, NodeId) {
     let cfg = NylonConfig::default();
     let mut keyrng = StdRng::seed_from_u64(seed);
-    let mut sim = Sim::new(SimConfig::cluster(seed));
+    let mut sim = Sim::new(profile(seed));
 
-    let mk = |rng: &mut StdRng| NylonCore::new(cfg.clone(), KeyPair::generate(cfg.rsa, rng));
-    let rv = sim.add_node(Box::new(NylonNode::new(mk(&mut keyrng))), NatType::Public);
-    let mut core_a = mk(&mut keyrng);
-    core_a.set_bootstrap(vec![rv]);
-    let a = sim.add_node(Box::new(NylonNode::new(core_a)), nat_a);
-    let mut core_b = mk(&mut keyrng);
-    core_b.set_bootstrap(vec![rv]);
-    let b = sim.add_node(Box::new(NylonNode::new(core_b)), nat_b);
+    let mut add = |sim: &mut Sim, nat: NatType, bootstrap: Vec<NodeId>| {
+        let mut core = NylonCore::new(cfg.clone(), KeyPair::generate(cfg.rsa, &mut keyrng));
+        core.set_bootstrap(bootstrap);
+        let node = Probe { core, payloads: 0, punched_by: vec![], started: None, exchanges: vec![] };
+        sim.add_node(Box::new(node), nat)
+    };
+    let rv = add(&mut sim, NatType::Public, vec![]);
+    let a = add(&mut sim, nat_a, vec![rv]);
+    let b = add(&mut sim, nat_b, vec![rv]);
     sim.run_for_secs(warm_s);
     (sim, a, b)
 }
@@ -41,48 +111,63 @@ fn trio(nat_a: NatType, nat_b: NatType, seed: u64, warm_s: u64) -> (Sim, NodeId,
 /// with one another — one cycle and a second's grace; a seed under which
 /// an early riser's second cycle already went to the other is refused —
 /// so that what A sends B next has the chain and nothing else to go by.
-fn strangers(nat_a: NatType, nat_b: NatType, seed: u64) -> (Sim, NodeId, NodeId) {
-    let (sim, a, b) = trio(nat_a, nat_b, seed, 11);
+fn strangers_on(
+    profile: fn(u64) -> SimConfig,
+    nat_a: NatType,
+    nat_b: NatType,
+    seed: u64,
+) -> (Sim, NodeId, NodeId) {
+    let (sim, a, b) = trio(profile, nat_a, nat_b, seed, 11);
     let m = sim.metrics();
     assert_eq!(m.counter("pss.gossip_served"), m.counter("pss.gossip_completed"));
     assert!(m.counter("pss.gossip_completed") >= 2, "seed {seed}: A and B have met the RV");
-    assert_eq!(
-        m.counter("pss.open_started") + m.counter("pss.relayed_sent"),
-        0,
-        "seed {seed}: A and B have met already, pick another"
-    );
+    assert!(!have_met(&sim), "seed {seed}: A and B have met already, pick another");
     (sim, a, b)
 }
 
+/// Whether A and B of a [`trio`] have sent one another anything.
+fn have_met(sim: &Sim) -> bool {
+    let met = ["pss.open_started", "pss.open_unpunchable", "pss.relayed_sent"];
+    met.iter().any(|c| sim.metrics().counter(c) > 0)
+}
+
+/// [`strangers_on`] the ideal network, from the first seed from `seed` on
+/// under which A and B have not met.
+fn ideal_strangers(nat_a: NatType, nat_b: NatType, seed: u64) -> (Sim, NodeId, NodeId) {
+    let unmet = (seed..).find(|&s| !have_met(&trio(SimConfig::ideal, nat_a, nat_b, s, 11).0));
+    strangers_on(SimConfig::ideal, nat_a, nat_b, unmet.expect("some seed"))
+}
+
+/// [`strangers_on`] the cluster profile.
+fn strangers(nat_a: NatType, nat_b: NatType, seed: u64) -> (Sim, NodeId, NodeId) {
+    strangers_on(SimConfig::cluster, nat_a, nat_b, seed)
+}
+
 /// A sends an app payload to B through the rendezvous chain [rv] — node
-/// 0, the first added.
+/// 0, the first added — saying nothing of B's NAT type.
 fn send_over_rv(sim: &mut Sim, a: NodeId, b: NodeId, payload: &[u8]) {
-    sim.with_node_ctx::<NylonNode>(a, |node, ctx| {
-        node.core_mut().send_app(ctx, b, false, &[NodeId(0)], payload.to_vec());
+    sim.with_node_ctx::<Probe>(a, |node, ctx| {
+        node.core.send_app(ctx, b, false, &[NodeId(0)], payload.to_vec());
     });
 }
 
 fn payloads_received(sim: &Sim, node: NodeId) -> u64 {
-    sim.node::<NylonNode>(node).map_or(0, |n| n.payloads_received())
+    sim.node::<Probe>(node).map_or(0, |n| n.payloads)
 }
 
-/// Has A of a [`trio`] send to B over the RV. Returns (payload delivered,
+/// Has A of a [`trio`] send to B over the RV. Returns (payloads delivered,
 /// direct channel established at A).
-fn try_pair(nat_a: NatType, nat_b: NatType, seed: u64) -> (bool, bool) {
+fn try_pair(nat_a: NatType, nat_b: NatType, seed: u64) -> (u64, bool) {
     // A few gossip cycles, in which A and B may well meet: the outcome
     // is the same from whichever exchange the first handshake starts.
-    let (mut sim, a, b) = trio(nat_a, nat_b, seed, 45);
+    let (mut sim, a, b) = trio(SimConfig::cluster, nat_a, nat_b, seed, 45);
     send_over_rv(&mut sim, a, b, b"punch me");
     sim.run_for_secs(10);
 
-    let delivered = sim
-        .node::<NylonNode>(b)
-        .map(|n| n.payloads_received() > 0)
-        .unwrap_or(false);
     // Direct channel: after the handshake, A holds a working contact for
     // B that did not come from the relay path.
     let punched = sim.metrics().counter("pss.open_punch_ok") > 0;
-    (delivered, punched)
+    (payloads_received(&sim, b), punched)
 }
 
 #[test]
@@ -93,9 +178,9 @@ fn punching_outcomes_match_theory_for_all_nat_pairs() {
             let seed = 1000 + (i * 4 + j) as u64;
             let (delivered, punched) = try_pair(nat_a, nat_b, seed);
             let expected = can_hole_punch(nat_a, nat_b);
-            assert!(
-                delivered,
-                "{nat_a:?} → {nat_b:?}: payload must arrive (punch or relay)"
+            assert_eq!(
+                delivered, 1,
+                "{nat_a:?} → {nat_b:?}: payload must arrive exactly once (punch or relay)"
             );
             assert_eq!(
                 punched, expected,
@@ -109,15 +194,16 @@ fn punching_outcomes_match_theory_for_all_nat_pairs() {
 fn public_targets_never_need_punching() {
     for (i, &nat_a) in NatType::NATTED.iter().enumerate() {
         let (delivered, _) = try_pair(nat_a, NatType::Public, 2000 + i as u64);
-        assert!(delivered, "{nat_a:?} → Public must deliver");
+        assert_eq!(delivered, 1, "{nat_a:?} → Public must deliver");
     }
 }
 
 #[test]
 fn relay_fallback_carries_traffic_for_symmetric_pairs() {
-    // Symmetric ↔ symmetric cannot punch, and the handshake says so: the
-    // RV relays the payload the moment B's acknowledgement reaches A, no
-    // punch is sent and no time-out is waited for.
+    // Symmetric ↔ symmetric cannot punch. A send that names no NAT type
+    // learns it from the handshake: the RV relays the payload the moment
+    // B's acknowledgement reaches A, no punch is sent and no time-out is
+    // waited for.
     let (mut sim, a, b) = strangers(NatType::Symmetric, NatType::Symmetric, 7777);
     let blocked_before = sim.metrics().counter("net.nat_blocked");
     send_over_rv(&mut sim, a, b, b"via relay");
@@ -161,4 +247,91 @@ fn the_timeout_still_relays_when_the_handshake_is_lost() {
         assert_eq!(m.counter("pss.open_unpunchable"), 0, "{nat_b:?}");
         assert_eq!(m.counter("pss.open_punch_ok"), 0, "{nat_b:?}");
     }
+}
+
+/// Every punchable pair of NATted strangers opens a direct channel before
+/// the target's first re-punch is due: a restricted-cone requester has
+/// opened its own filter to the target's punch, and any other requester
+/// sends the queued payload itself through the target's hole.
+#[test]
+fn punchable_strangers_open_before_the_first_re_punch() {
+    for (i, &nat_a) in NatType::NATTED.iter().enumerate() {
+        for (j, &nat_b) in NatType::NATTED.iter().enumerate() {
+            if !can_hole_punch(nat_a, nat_b) {
+                continue;
+            }
+            let (mut sim, a, b) = ideal_strangers(nat_a, nat_b, 3000 + 100 * (i * 4 + j) as u64);
+            send_over_rv(&mut sim, a, b, b"before the re-punch");
+            sim.run_for(PUNCH_RETRY_DELAY - HOP);
+            assert_eq!(payloads_received(&sim, b), 1, "{nat_a:?} → {nat_b:?}");
+            let m = sim.metrics();
+            assert_eq!(m.counter("pss.open_punch_ok"), 1, "{nat_a:?} → {nat_b:?}");
+            assert_eq!(m.counter("pss.relayed_delivered"), 0, "{nat_a:?} → {nat_b:?}: not relayed");
+        }
+    }
+}
+
+/// One-way delays of a first gossip exchange over a k-hop chain: the
+/// table of DESIGN.md §7, "When no punch is attempted".
+fn delays(requester: NatType, target: NatType, k: u64) -> u64 {
+    if !can_hole_punch(requester, target) {
+        2 * k + 2 // relayed both ways
+    } else if matches!(requester, NatType::FullCone | NatType::RestrictedCone) {
+        k + 4 // the target's punch gets in: request and response go direct
+    } else {
+        2 * k + 4 // the queued request follows the acknowledgement
+    }
+}
+
+/// The first gossip exchange between two NATted nodes goes over the
+/// one-hop chain through the RV, and takes the one-way delays its two NAT
+/// types need. A pair that cannot be punched starts no open at all.
+#[test]
+fn a_first_exchange_takes_what_the_two_nat_types_need() {
+    for (i, &nat_a) in NatType::NATTED.iter().enumerate() {
+        for (j, &nat_b) in NatType::NATTED.iter().enumerate() {
+            let pair = format!("{nat_a:?} / {nat_b:?}");
+            let (mut sim, a, b) = trio(SimConfig::ideal, nat_a, nat_b, 4000 + (i * 4 + j) as u64, 0);
+            let first = |sim: &Sim| {
+                let with = |x, y| probe(sim, x).exchanges.iter().find(|e| e.0 == y).map(|e| (x, e.1));
+                with(a, b).or(with(b, a))
+            };
+            while first(&sim).is_none() && sim.now().as_micros() < 120_000_000 {
+                sim.run_for_secs(1);
+            }
+            let (requester, took) = first(&sim).unwrap_or_else(|| panic!("{pair}: A and B never met"));
+            let (req, tgt) = if requester == a { (nat_a, nat_b) } else { (nat_b, nat_a) };
+            let punchable = can_hole_punch(req, tgt) as u64;
+            assert_eq!(took.as_micros(), delays(req, tgt, 1), "{req:?} → {tgt:?}: delays");
+            let m = sim.metrics();
+            assert_eq!(m.counter("pss.open_started"), punchable, "{req:?} → {tgt:?}");
+            assert_eq!(m.counter("pss.open_punch_ok"), punchable, "{req:?} → {tgt:?}");
+            assert_eq!(m.counter("pss.open_unpunchable"), 1 - punchable, "{req:?} → {tgt:?}");
+            assert_eq!(m.counter("pss.open_relay_fallback"), 0, "{req:?} → {tgt:?}");
+        }
+    }
+}
+
+/// A port-restricted requester's filter lets no punch in, so nothing is
+/// gained by punching back: the queued payload, sent to the endpoint the
+/// acknowledgement names, is the punch. It arrives once, and the
+/// target's `PunchAck` for it completes the open.
+#[test]
+fn the_queued_message_is_the_punch() {
+    let (nat_a, nat_b) = (NatType::PortRestrictedCone, NatType::FullCone);
+    let (mut sim, a, b) = ideal_strangers(nat_a, nat_b, 5000);
+    let blocked_before = sim.metrics().counter("net.nat_blocked");
+    send_over_rv(&mut sim, a, b, b"the punch");
+    // Request, the target's punch and acknowledgement, the payload.
+    sim.run_for(HOP * 4);
+    assert_eq!(payloads_received(&sim, b), 0);
+    sim.run_for(HOP);
+    assert_eq!(payloads_received(&sim, b), 1, "2k + 3 delays");
+    sim.run_for(OPEN_TIMEOUT * 2);
+    assert_eq!(payloads_received(&sim, b), 1, "exactly once");
+    assert!(probe(&sim, b).punched_by.iter().all(|&p| p != a), "no Punch left the requester");
+    let m = sim.metrics();
+    assert_eq!(m.counter("net.nat_blocked") - blocked_before, 1, "only the target's punch, at A");
+    assert_eq!(m.counter("pss.open_punch_ok"), 1);
+    assert_eq!(m.counter("pss.open_relay_fallback"), 0);
 }

@@ -194,8 +194,10 @@ enum Route {
 /// host at the other end of the first link received, with the sender's
 /// allocation accounting.
 fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
+    // A port-restricted sender: a restricted-cone one would also send
+    // the peer a `Punch` that opens its own filter.
     let (mut sim, id, _) = lone_node_behind(match route {
-        Route::PunchedThrough => NatType::RestrictedCone,
+        Route::PunchedThrough => NatType::PortRestrictedCone,
         _ => NatType::Public,
     });
     let peer = sim.add_node(Box::<Recorder>::default(), NatType::Public);

@@ -45,7 +45,7 @@ fn merge_invariants() {
         }
         // Count distinct publics available in the union.
         let mut union_nodes = std::collections::HashMap::new();
-        let held = view.entries().iter().map(|e| (e.node, e.public));
+        let held = view.entries().iter().map(|e| (e.node, e.is_public()));
         for (node, public) in held.chain(received.iter().map(|e| (e.node, e.public))) {
             if node != me {
                 union_nodes.entry(node).or_insert(public);
@@ -266,17 +266,46 @@ fn view_entry_round_trip_and_exact_len() {
     });
 }
 
+/// Offset of an entry's NAT type in its wire image: behind node and age.
+const ENTRY_NAT_AT: usize = 8 + 2;
+
+/// The byte an entry carries for its node's NAT type: each of the codes
+/// 0–4 round-trips through [`Entry`] as its type, the owned form reads the
+/// four NATted ones as NATted (and converts back to a symmetric entry),
+/// and both decoders refuse every code above 4.
+#[test]
+fn an_entry_carries_its_nat_type_and_nothing_else() {
+    check(256, "an_entry_carries_its_nat_type_and_nothing_else", |g| {
+        let route = g.vec(ROUTE_CAP, |g| NodeId(g.gen_range(0..40u64)));
+        let nat = gen_nat(g);
+        let entry = Entry::new(NodeId(g.gen_range(0..40u64)), g.gen(), nat, &route);
+        let mut wire = entry.to_wire();
+        assert_eq!(wire[ENTRY_NAT_AT..ENTRY_NAT_AT + 1], nat.to_wire()[..]);
+        assert_eq!(Entry::from_wire(&wire), Ok(entry));
+        let owned = ViewEntry::from_wire(&wire).expect("the owned form reads what Entry does");
+        assert_eq!(owned, ViewEntry::from(&entry));
+        assert_eq!(owned.public, nat.is_public());
+        let natted_as = if nat.is_public() { NatType::Public } else { NatType::Symmetric };
+        assert_eq!(Entry::from(&owned).nat, natted_as);
+        assert_eq!(owned.to_wire(), Entry::from(&owned).to_wire());
+        wire[ENTRY_NAT_AT] = g.gen_range(5..=u8::MAX);
+        assert!(Entry::from_wire(&wire).is_err());
+        assert!(ViewEntry::from_wire(&wire).is_err());
+    });
+}
+
 /// The borrowed gossip decoder accepts exactly what the owned one decodes
-/// as a gossip message — neither takes a chain beyond the cap — and lends
-/// the same sender, flag, entries and key: on honest encodings of
-/// every variant and on truncated, extended, bit-flipped and arbitrary
-/// byte strings.
+/// as a gossip message — neither takes a chain beyond the cap or a NAT
+/// type above 4 — and lends the same sender, flag, entries (read as the
+/// owned form reads them) and key: on honest encodings of every variant
+/// and on truncated, extended, bit-flipped and arbitrary byte strings.
 #[test]
 fn gossip_view_agrees_with_the_owned_decoder() {
     check(2048, "gossip_view_agrees_with_the_owned_decoder", |g| {
         let mut msg = gen_msg(g);
         // Offsets of the tag, of the sender's flag and (gossip only) of
-        // the key's presence byte: where one wrong value decides.
+        // the entries' NAT types and the key's presence byte: where one
+        // wrong value decides.
         let mut decisive = vec![0, 9];
         if let NylonMsg::GossipReq { entries, .. } | NylonMsg::GossipResp { entries, .. } = &mut msg
         {
@@ -287,7 +316,12 @@ fn gossip_view_agrees_with_the_owned_decoder() {
             if let Some(entry) = entries.last_mut().filter(|_| g.gen_range(0..4u8) == 0) {
                 entry.route = vec![NodeId(7); ROUTE_CAP + g.gen_range(1..3usize)];
             }
-            decisive.push(10 + whisper_net::wire::seq_len(entries));
+            let mut at = 10 + 4;
+            for entry in entries.iter() {
+                decisive.push(at + ENTRY_NAT_AT);
+                at += entry.encoded_len();
+            }
+            decisive.push(at);
         }
         let mut wire = msg.to_wire();
         match g.gen_range(0..6u8) {
@@ -302,7 +336,7 @@ fn gossip_view_agrees_with_the_owned_decoder() {
             }
             4 => {
                 let at = decisive[g.gen_range(0..decisive.len())].min(wire.len() - 1);
-                wire[at] = g.gen_range(0..4u8);
+                wire[at] = g.gen_range(0..7u8);
             }
             _ => wire = g.bytes(120),
         }
@@ -322,9 +356,6 @@ fn gossip_view_agrees_with_the_owned_decoder() {
         let view = view.expect("the view declined a gossip message");
         assert_eq!((view.request, view.sender, view.sender_public), (request, sender, sender_public));
         assert_eq!(view.key, key.as_deref());
-        assert_eq!(
-            view.entries().collect::<Vec<Entry>>(),
-            entries.iter().map(Entry::from).collect::<Vec<Entry>>()
-        );
+        assert_eq!(view.entries().map(|e| ViewEntry::from(&e)).collect::<Vec<ViewEntry>>(), entries);
     });
 }

@@ -20,7 +20,8 @@
 # tables alone. One that moves a row regenerates them in the same commit,
 # reruns scripts/paper_tables.sh and says why in CHANGES.md. On a
 # mismatch the check prints, before the raw diff, one line per seed and
-# workload naming the perfbench columns that moved: the move to declare.
+# workload naming the perfbench columns that moved, each numeric one with
+# its old and new value and the relative change: the move to declare.
 #
 # No jq in the container: `--out` writes one JSON object per line with
 # machine-fixed key order, so sed is enough.
@@ -36,16 +37,27 @@ status=0
 num='\{"value": ([^,]+),'
 
 # One line per seed x workload row of $2 that differs from $1, naming the
-# columns that moved.
+# columns that moved; a numeric one as "name old → new (±x.xx %)".
 moved_columns() {
   awk -F'\t' '
+    function numeric(x) { return x ~ /^-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$/ }
     NR == FNR { if (FNR == 1) for (i = 1; i <= NF; i++) name[i] = $i; else was[$1 FS $2] = $0; next }
     FNR == 1 { next }
     !(($1 FS $2) in was) { print "  seed " $1 " " $2 ": new row"; next }
     {
       split(was[$1 FS $2], old, FS)
       moved = ""
-      for (i = 3; i <= NF; i++) if ($i != old[i]) moved = moved " " name[i]
+      sep = " "
+      for (i = 3; i <= NF; i++) {
+        if ($i == old[i]) continue
+        column = name[i]
+        if (numeric($i) && numeric(old[i])) {
+          column = column " " old[i] " → " $i
+          if (old[i] != 0) column = column sprintf(" (%+.2f %%)", 100 * ($i - old[i]) / old[i])
+        }
+        moved = moved sep column
+        sep = ", "
+      }
       if (moved != "") print "  seed " $1 " " $2 ":" moved
       delete was[$1 FS $2]
     }
