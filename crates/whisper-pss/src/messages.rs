@@ -90,13 +90,16 @@ pub enum NylonMsg {
         /// Hops left on the reverse path; last element is the requester.
         remaining: Vec<NodeId>,
     },
-    /// Hole-punching probe sent directly to a (guessed) endpoint.
+    /// Hole-punching probe sent directly to a (guessed) endpoint — or, by
+    /// a restricted-cone requester, to the target's public address, to
+    /// open its own filter to the target's probe.
     Punch {
         /// Sender.
         from: NodeId,
     },
-    /// Acknowledgement of a [`NylonMsg::Punch`]; tells the puncher its
-    /// probe traversed the NAT.
+    /// Acknowledgement of a [`NylonMsg::Punch`], or of the direct packet
+    /// that ends the receiver's punching: tells the puncher its probe
+    /// traversed the NAT.
     PunchAck {
         /// Sender.
         from: NodeId,
