@@ -187,7 +187,8 @@ fn nylon_decoders_are_total_on_hostile_bytes() {
             for code in 0..=u8::MAX {
                 let mut coded = image.clone();
                 coded[at] = code;
-                assert_eq!(NylonMsg::from_wire(&coded).is_ok(), code <= 4, "tag {}: code {code}", image[0]);
+                let tag = image[0];
+                assert_eq!(NylonMsg::from_wire(&coded).is_ok(), code <= 4, "tag {tag}: code {code}");
                 assert_eq!(NylonMsg::gossip_view(&coded).is_some(), gossip && code <= 4, "code {code}");
             }
         }
@@ -219,7 +220,8 @@ fn nylon_decoders_are_total_on_hostile_bytes() {
             5 if !nats.is_empty() => {
                 // A NAT type of any value, or one of the five.
                 let mut coded = image.clone();
-                coded[nats[g.gen_range(0..nats.len())]] = if g.gen() { g.gen() } else { g.gen_range(0..5) };
+                let code = if g.gen() { g.gen() } else { g.gen_range(0..5) };
+                coded[nats[g.gen_range(0..nats.len())]] = code;
                 coded
             }
             _ => {
@@ -247,11 +249,15 @@ fn nylon_decoders_are_total_on_hostile_bytes() {
         assert_eq!(viewed, 0, "a borrowed view allocated");
         let (gossip, app) = views;
         if let Ok(msg) = &decoded {
-            assert_eq!(msg.to_wire(), as_owned_writes(&hostile, msg), "accepted, but not what it reads back as");
+            let owned = as_owned_writes(&hostile, msg);
+            assert_eq!(msg.to_wire(), owned, "accepted, but not what it reads back as");
         }
-        if let Ok(NylonMsg::GossipReq { entries, .. } | NylonMsg::GossipResp { entries, .. }) = &decoded {
-            for (entry, at) in entries.iter().zip(nat_bytes(decoded.as_ref().unwrap())) {
-                assert_eq!(entry.public, hostile[at] == 0, "code {}: read as NATted iff not 0", hostile[at]);
+        if let Ok(msg @ (NylonMsg::GossipReq { entries, .. } | NylonMsg::GossipResp { entries, .. })) =
+            &decoded
+        {
+            for (entry, at) in entries.iter().zip(nat_bytes(msg)) {
+                let code = hostile[at];
+                assert_eq!(entry.public, code == 0, "code {code}: read as NATted iff not 0");
             }
         }
         let as_gossip = matches!(decoded, Ok(NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. }));

@@ -697,7 +697,8 @@ mod tests {
                 &mut oracle_rng,
             ));
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut buffer = vec![Entry::new(NodeId(99), 9, NatType::Public, &[NodeId(9)])]; // stale scratch
+            // Stale scratch.
+            let mut buffer = vec![Entry::new(NodeId(99), 9, NatType::Public, &[NodeId(9)])];
             let skipped = view.fill_buffer(
                 &mut buffer,
                 Entry::from(&self_entry),
