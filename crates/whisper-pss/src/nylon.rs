@@ -11,7 +11,7 @@
 use crate::backlog::{CbEntry, ConnectionBacklog};
 use crate::config::NylonConfig;
 use crate::messages::{GossipView, NylonMsg, APP_HEADER_LEN};
-use crate::transport::{peer_of_token, SendOutcome, Transport, TIMER_OPEN_TIMEOUT};
+use crate::transport::{peer_of_token, SendOutcome, Transport, OPEN_TIMEOUT, TIMER_OPEN_TIMEOUT};
 use crate::view::{Entry, View, ViewEntry};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -30,9 +30,10 @@ const TIMER_GOSSIP_CYCLE: u64 = 1;
 /// Timer token kind: gossip response timeout (generation in the high bits).
 const TIMER_GOSSIP_TIMEOUT: u64 = 2;
 /// Timer token kind: delayed re-punch towards an opening peer (peer id in
-/// the high bits). Real hole punching repeats its probes: the first punch
-/// can be filtered if it beats the other side's own outbound packet (e.g.
-/// symmetric → restricted-cone), while a later one passes.
+/// the high bits), and after the last one the end of the wait for the
+/// peer's first direct packet. Real hole punching repeats its probes: the
+/// first punch can be filtered if it beats the other side's own outbound
+/// packet (e.g. symmetric → restricted-cone), while a later one passes.
 const TIMER_PUNCH_RETRY: u64 = 8;
 /// How many delayed re-punches to send.
 const PUNCH_RETRIES: u8 = 2;
@@ -105,6 +106,10 @@ pub struct NylonCore {
     outstanding: Option<(NodeId, u64)>,
     gossip_gen: u64,
     ping_pending: HashMap<NodeId, SimTime>,
+    /// The requesters whose open we served: where to re-punch each and
+    /// how many re-punches are left. An entry lives until the first
+    /// direct packet from its requester, which it has answered, or until
+    /// [`OPEN_TIMEOUT`] after the request.
     punch_retries: HashMap<NodeId, (Endpoint, u8)>,
     cycles_run: u64,
 }
@@ -319,13 +324,16 @@ impl NylonCore {
             }
             TIMER_PUNCH_RETRY => {
                 let peer = peer_of_token(token);
-                if let Some((ep, remaining)) = self.punch_retries.remove(&peer) {
-                    let punch = NylonMsg::Punch { from: self.id };
-                    ctx.send_wire(ep, &punch);
-                    if remaining > 1 {
-                        self.punch_retries.insert(peer, (ep, remaining - 1));
-                        ctx.set_timer(PUNCH_RETRY_DELAY, TIMER_PUNCH_RETRY | (peer.0 << 8));
-                    }
+                // The timer after the last re-punch, due `OPEN_TIMEOUT`
+                // after the request, ends the wait for the requester's
+                // first direct packet.
+                let entry = self.punch_retries.remove(&peer);
+                if let Some((ep, left)) = entry.filter(|&(_, left)| left > 0) {
+                    ctx.send_wire(ep, &NylonMsg::Punch { from: self.id });
+                    self.punch_retries.insert(peer, (ep, left - 1));
+                    let last = OPEN_TIMEOUT - PUNCH_RETRY_DELAY * u64::from(PUNCH_RETRIES);
+                    let next = if left > 1 { PUNCH_RETRY_DELAY } else { last };
+                    ctx.set_timer(next, TIMER_PUNCH_RETRY | (peer.0 << 8));
                 }
             }
             _ => {}
@@ -348,31 +356,37 @@ impl NylonCore {
         data: &'d [u8],
     ) -> Option<(NodeId, &'d [u8])> {
         let app = ctx.prof_decode(|| NylonMsg::app_view(data))?;
-        let (_, ended) = self.note_direct_packet(ctx, from, from_ep);
-        if ended {
-            self.punch_ack(ctx, from_ep);
-        }
+        self.note_direct_packet(ctx, from, from_ep, None);
         Some(app)
     }
 
-    /// Any direct packet proves a working return path to `from`,
-    /// completes a pending hole punch towards it and ends our punching
-    /// towards it. Returns whether it did each of the last two.
+    /// Any direct packet — `msg`, or an `App` frame for `None` — proves a
+    /// working return path to `from`, completes a pending hole punch
+    /// towards it and ends our punching towards it. The packet that ends
+    /// our punching is answered directly, so that its sender's open ends
+    /// on a direct packet: a gossip request by the response, anything
+    /// else but a `PunchAck` by one `PunchAck`. A punch is answered
+    /// unless it completed our own open: our queue went or goes to the
+    /// puncher, and that answers it.
     fn note_direct_packet(
         &mut self,
         ctx: &mut Ctx<'_>,
         from: NodeId,
         from_ep: Endpoint,
-    ) -> (bool, bool) {
+        msg: Option<&Incoming<'_>>,
+    ) {
         self.transport.note_contact(from, from_ep, ctx.now());
         let opened = self.transport.on_established(ctx, from, from_ep);
         let ended = !self.punch_retries.is_empty() && self.punch_retries.remove(&from).is_some();
-        (opened, ended)
-    }
-
-    /// Answers a direct packet from `to` with a [`NylonMsg::PunchAck`].
-    fn punch_ack(&self, ctx: &mut Ctx<'_>, to: Endpoint) {
-        ctx.send_wire(to, &NylonMsg::PunchAck { from: self.id });
+        let answer = match msg {
+            Some(Incoming::Gossip(gossip)) => ended && !gossip.request,
+            Some(Incoming::Other(NylonMsg::Punch { .. })) => !opened,
+            Some(Incoming::Other(NylonMsg::PunchAck { .. })) => false,
+            _ => ended,
+        };
+        if answer {
+            ctx.send_wire(from_ep, &NylonMsg::PunchAck { from: self.id });
+        }
     }
 
     /// Message dispatch; returns upcall events.
@@ -387,21 +401,7 @@ impl NylonCore {
             ctx.metrics().count("pss.malformed", 1);
             return Vec::new();
         };
-        let (opened, ended) = self.note_direct_packet(ctx, from, from_ep);
-        // The packet that ends our punching is answered directly, so that
-        // its sender's open ends on a direct packet: a gossip request by
-        // the response, anything else but a `PunchAck` by one `PunchAck`.
-        // A punch is answered unless it completed our own open: our queue
-        // went or goes to the puncher, and that answers it.
-        let ack = match &msg {
-            Incoming::Gossip(gossip) => ended && !gossip.request,
-            Incoming::Other(NylonMsg::Punch { .. }) => !opened,
-            Incoming::Other(NylonMsg::PunchAck { .. }) => false,
-            Incoming::Other(_) => ended,
-        };
-        if ack {
-            self.punch_ack(ctx, from_ep);
-        }
+        self.note_direct_packet(ctx, from, from_ep, Some(&msg));
         let mut events = Vec::new();
         self.handle(ctx, from, from_ep, Via::DIRECT, msg, &mut events);
         events

@@ -14,8 +14,10 @@
 //! node opens its own filter with one `Punch` before it asks, so the
 //! peer's punch gets in; and a requester whose NAT lets no punch in sends
 //! what it queued straight to the endpoint the acknowledgement names —
-//! the queued message is the punch. Whether a punch that is attempted
-//! succeeds is decided by the emulated NAT devices, not by this code.
+//! the queued message is the punch. Each message goes out once: what went
+//! directly is not relayed again when the time-out ends an open that got
+//! no answer. Whether a punch that is attempted succeeds is decided by
+//! the emulated NAT devices, not by this code.
 
 use crate::messages::NylonMsg;
 use std::collections::HashMap;
@@ -229,11 +231,8 @@ impl Transport {
             }
             if to_nat.is_some_and(|to_nat| !can_hole_punch(nat, to_nat)) {
                 // No punch can work: relay at once, as the handshake
-                // would on its acknowledgement, and keep the chain as the
-                // reply route.
-                self.relay(ctx, me, &chain, inner);
-                ctx.metrics().count("pss.open_unpunchable", 1);
-                self.note_reply_route(to, chain, now);
+                // would on its acknowledgement.
+                self.relay_over(ctx, me, to, chain, [inner], "pss.open_unpunchable");
                 return SendOutcome::Relayed;
             }
             if nat == NatType::RestrictedCone {
@@ -278,26 +277,41 @@ impl Transport {
         ctx.send_wire(ep, &relayed);
     }
 
-    /// Ends the handshake towards `peer`, if one is still pending, without
-    /// a direct channel: counts `why` and relays what was queued over the
-    /// chain, which ends in `peer` and so is never empty.
-    fn relay_queued(&mut self, ctx: &mut Ctx<'_>, me: NodeId, peer: NodeId, why: &'static str) {
-        let Some(open) = self.opens.remove(&peer) else {
-            return; // handshake completed in time
-        };
+    /// Counts `why`, relays `messages` over `chain`, which ends in `peer`
+    /// and so is never empty, and keeps the chain as the reply route to
+    /// `peer`: what follows takes it and starts no handshake.
+    fn relay_over(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        me: NodeId,
+        peer: NodeId,
+        chain: Vec<NodeId>,
+        messages: impl IntoIterator<Item = Vec<u8>>,
+        why: &'static str,
+    ) {
         ctx.metrics().count(why, 1);
-        for inner in open.queued {
-            self.relay(ctx, me, &open.chain, inner);
+        for inner in messages {
+            self.relay(ctx, me, &chain, inner);
         }
-        // Follow-ups take the chain as a reply route and do not restart
-        // the handshake.
-        self.note_reply_route(peer, open.chain, ctx.now());
+        self.note_reply_route(peer, chain, ctx.now());
     }
 
     /// Handles the open-timeout timer for `peer`: a punch that should
-    /// have worked did not, within [`OPEN_TIMEOUT`].
+    /// have worked did not, within [`OPEN_TIMEOUT`], and the chain takes
+    /// over. What was queued is relayed (`pss.open_relay_fallback`) —
+    /// unless it went to the endpoint the acknowledgement named, and what
+    /// was queued after it followed it there: then it went once, as any
+    /// direct send, and only the peer's answer is missing
+    /// (`pss.open_unanswered`).
     pub fn on_open_timeout(&mut self, ctx: &mut Ctx<'_>, me: NodeId, peer: NodeId) {
-        self.relay_queued(ctx, me, peer, "pss.open_relay_fallback");
+        let Some(open) = self.opens.remove(&peer) else {
+            return; // handshake completed in time
+        };
+        if open.sent_to.is_some() {
+            self.relay_over(ctx, me, peer, open.chain, [], "pss.open_unanswered");
+        } else {
+            self.relay_over(ctx, me, peer, open.chain, open.queued, "pss.open_relay_fallback");
+        }
     }
 
     /// Handles the acknowledgement of the open request sent to `peer`,
@@ -305,9 +319,10 @@ impl Transport {
     /// at `peer_ep`. An open that has completed needs nothing. If the two
     /// NAT types rule a punch out, relays what was queued at once
     /// (`pss.open_unpunchable`, as when the view entry says so before the
-    /// handshake). Otherwise the queued messages are the punch: they go
-    /// to `peer_ep`, through the hole the peer's own punch opened in its
-    /// NAT, and the open waits for the peer's direct answer.
+    /// handshake). Otherwise, unless the peer's NAT is symmetric, the
+    /// queued messages are the punch: they go to `peer_ep`, through the
+    /// hole the peer's own punch opened in its NAT, and the open waits for
+    /// the peer's direct answer.
     pub fn on_open_ack(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -317,13 +332,18 @@ impl Transport {
         peer_ep: Option<Endpoint>,
     ) {
         if !can_hole_punch(ctx.nat_type(), peer_nat) {
-            self.relay_queued(ctx, me, peer, "pss.open_unpunchable");
+            if let Some(open) = self.opens.remove(&peer) {
+                self.relay_over(ctx, me, peer, open.chain, open.queued, "pss.open_unpunchable");
+            }
             return;
         }
         let Some(open) = self.opens.get_mut(&peer).filter(|open| open.sent_to.is_none()) else {
             return;
         };
-        if let Some(ep) = peer_ep {
+        // A symmetric NAT keeps a mapping for each destination, and the
+        // one the chain's last hop saw lets only that hop in: the peer's
+        // punch, from the mapping that reaches us, has to come first.
+        if let Some(ep) = peer_ep.filter(|_| peer_nat != NatType::Symmetric) {
             for inner in &open.queued {
                 ctx.send_to(ep, inner.clone());
             }

@@ -159,12 +159,14 @@ fn chains_hold(seed: u64) {
     let m = sim.metrics();
     let measured: Vec<u64> =
         COUNTERS.iter().zip(&warm).map(|(c, before)| m.counter(c) - before).collect();
-    let [initiated, completed, timeouts, fallbacks, unpunchable, punched, sendfail] = measured[..]
+    let [initiated, completed, timeouts, fallbacks, unanswered, unpunchable, punched, sendfail] =
+        measured[..]
     else {
-        unreachable!("seven counters");
+        unreachable!("eight counters");
     };
     assert_eq!(initiated, NODES as u64 * MEASURED_CYCLES);
-    assert_eq!((timeouts, fallbacks, sendfail), (0, 0, 0), "time-outs, fallbacks, failed sends");
+    let lost = (timeouts, fallbacks, unanswered, sendfail);
+    assert_eq!(lost, (0, 0, 0, 0), "time-outs, fallbacks, unanswered opens, failed sends");
     assert!(completed.abs_diff(initiated) <= NODES as u64 / 100, "{completed} of {initiated}");
     assert!(unpunchable > 0 && punched > 0, "the handshake ran both ways: {measured:?}");
     assert_eq!(m.counter("pss.malformed"), 0, "nothing was shipped that a decoder refuses");
@@ -183,11 +185,12 @@ fn chains_hold(seed: u64) {
     assert!(covered > 0, "two-hop chains were shipped");
 }
 
-const COUNTERS: [&str; 7] = [
+const COUNTERS: [&str; 8] = [
     "pss.gossip_initiated",
     "pss.gossip_completed",
     "pss.gossip_timeout",
     "pss.open_relay_fallback",
+    "pss.open_unanswered",
     "pss.open_unpunchable",
     "pss.open_punch_ok",
     "pss.send_failed",

@@ -335,3 +335,79 @@ fn the_queued_message_is_the_punch() {
     assert_eq!(m.counter("pss.open_punch_ok"), 1);
     assert_eq!(m.counter("pss.open_relay_fallback"), 0);
 }
+
+/// The target answers the first direct packet of an open it served for as
+/// long as the requester waits, not just while it re-punches: a payload
+/// whose hop takes longer than the re-punches still completes the open,
+/// and arrives once.
+#[test]
+fn a_payload_that_comes_after_the_re_punches_is_still_answered() {
+    // A symmetric requester's filter lets none of the target's punches in.
+    let (mut sim, a, b) = ideal_strangers(NatType::Symmetric, NatType::FullCone, 6200);
+    let sent_at = sim.now();
+    // The payload leaves 2k + 2 delays after the send.
+    let slow = (PUNCH_RETRY_DELAY * 3).as_micros() / HOP.as_micros();
+    let spike = FaultPlan::new().latency_spike(sent_at + HOP * 4, sent_at + HOP * 5, slow);
+    sim.install_fault_plan(spike);
+    send_over_rv(&mut sim, a, b, b"slow, not lost");
+    sim.run_for(PUNCH_RETRY_DELAY * 3);
+    assert_eq!(payloads_received(&sim, b), 0, "still on its way");
+    sim.run_for(OPEN_TIMEOUT - PUNCH_RETRY_DELAY * 3 - HOP);
+    assert_eq!(payloads_received(&sim, b), 1);
+    assert_eq!(sim.metrics().counter("pss.open_punch_ok"), 1, "answered before the time-out");
+    sim.run_for(OPEN_TIMEOUT * 2);
+    assert_eq!(payloads_received(&sim, b), 1, "exactly once");
+    let m = sim.metrics();
+    assert_eq!(m.counter("pss.open_relay_fallback"), 0);
+    assert_eq!(m.counter("pss.open_unanswered"), 0);
+}
+
+/// What the acknowledgement let the requester send directly went once.
+/// If the target's answer to it is lost, the time-out gives up on the
+/// channel and leaves what follows to the chain, but sends nothing again.
+#[test]
+fn a_payload_that_went_direct_is_not_relayed_again() {
+    let (mut sim, a, b) = ideal_strangers(NatType::Symmetric, NatType::FullCone, 6100);
+    let sent_at = sim.now();
+    // The payload reaches B 2k + 3 delays after the send; cut off B's
+    // answer, and heal before the time-out, so that a relay would arrive.
+    let cut = sent_at + HOP * 5;
+    let heal = sent_at + SimDuration::from_micros(OPEN_TIMEOUT.as_micros() / 2);
+    sim.install_fault_plan(FaultPlan::new().partition([b], cut, heal));
+    send_over_rv(&mut sim, a, b, b"once");
+    sim.run_for(OPEN_TIMEOUT * 3);
+    assert_eq!(payloads_received(&sim, b), 1, "exactly once");
+    let m = sim.metrics();
+    assert!(m.counter("net.drop_partition") >= 1, "the answer was lost");
+    assert_eq!(m.counter("pss.open_unanswered"), 1);
+    assert_eq!(m.counter("pss.open_relay_fallback"), 0);
+    assert_eq!(m.counter("pss.open_punch_ok"), 0);
+}
+
+/// A symmetric NAT lets into the mapping the chain's last hop saw only
+/// that hop, so a requester sends nothing to the endpoint a symmetric
+/// target's acknowledgement names. Should every punch of the target be
+/// lost, the time-out relays what was queued.
+#[test]
+fn a_symmetric_targets_acknowledged_endpoint_is_not_used() {
+    let (mut sim, a, b) = ideal_strangers(NatType::FullCone, NatType::Symmetric, 6300);
+    let sent_at = sim.now();
+    // B punches as it acknowledges, 2 delays after the send, and
+    // re-punches one and two `PUNCH_RETRY_DELAY`s later: cut A off from
+    // the punches, not from the acknowledgement the RV forwards.
+    let plan = FaultPlan::new().partition([a], sent_at + HOP * 2, sent_at + HOP * 3).partition(
+        [a],
+        sent_at + PUNCH_RETRY_DELAY,
+        sent_at + PUNCH_RETRY_DELAY * 3,
+    );
+    sim.install_fault_plan(plan);
+    let blocked_before = sim.metrics().counter("net.nat_blocked");
+    send_over_rv(&mut sim, a, b, b"relayed");
+    sim.run_for(OPEN_TIMEOUT * 2);
+    assert_eq!(payloads_received(&sim, b), 1, "exactly once");
+    let m = sim.metrics();
+    assert!(m.counter("net.drop_partition") >= 3, "the punch and both re-punches");
+    assert_eq!(m.counter("net.nat_blocked"), blocked_before, "nothing thrown at B's NAT");
+    assert_eq!(m.counter("pss.open_relay_fallback"), 1);
+    assert_eq!(m.counter("pss.open_unanswered"), 0);
+}
