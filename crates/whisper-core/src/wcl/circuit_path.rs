@@ -12,7 +12,7 @@ use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, Direction};
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireError, WireReader, WireWriter};
-use whisper_net::{NodeId, SimTime};
+use whisper_net::{nat::NatType, NodeId, SimTime};
 use whisper_pss::transport::SendOutcome;
 use whisper_pss::NylonCore;
 
@@ -270,7 +270,7 @@ impl Wcl {
                 layer_sampled(ctx, nylon.is_public(), entry, packet.direction, &layer_nonce, body);
                 ctx.metrics().count("wcl.relayed", 1);
                 ctx.metrics().count("wcl.circuit_forwarded", 1);
-                let outcome = nylon.send_app_frame(ctx, next, next_public, &[], frame);
+                let outcome = nylon.send_app_frame(ctx, next, next_public.then_some(NatType::Public), &[], frame);
                 if outcome == SendOutcome::Failed {
                     ctx.metrics().count("wcl.relay_drop", 1);
                 }
@@ -327,7 +327,7 @@ fn send_on_circuit(
     let nonce = CtrNonce::random(ctx.rng());
     let (mut frame, body_at) = circuit_frame(ctx, nylon, direction, cid, &nonce, body);
     layer(ctx, &nonce, &mut frame.as_mut_slice()[body_at..]);
-    if nylon.send_app_frame(ctx, to.0, to.1, &[], frame) == SendOutcome::Failed {
+    if nylon.send_app_frame(ctx, to.0, to.1.then_some(NatType::Public), &[], frame) == SendOutcome::Failed {
         return false;
     }
     talk.said = once.or(talk.said);

@@ -13,7 +13,7 @@ use whisper_crypto::rsa::PublicKey;
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{bytes_len, WireError, WireReader, WireWriter};
-use whisper_net::{NodeId, SimDuration, SimTime};
+use whisper_net::{nat::NatType, NodeId, SimDuration, SimTime};
 use whisper_pss::transport::SendOutcome;
 use whisper_pss::NylonCore;
 use whisper_rand::seq::SliceRandom;
@@ -182,7 +182,7 @@ impl Wcl {
         );
         ctx.metrics().count("wcl.paths_built", 1);
         let frame = onion_frame(ctx, nylon, &packet.header, &packet.body);
-        let outcome = nylon.send_app_frame(ctx, a.0, a.1, &[], frame);
+        let outcome = nylon.send_app_frame(ctx, a.0, a.1.then_some(NatType::Public), &[], frame);
         if outcome == SendOutcome::Failed {
             return None;
         }
@@ -233,7 +233,7 @@ impl Wcl {
                 // (B → D relies on D's earlier ping) or directly when the
                 // next hop is public. No rendezvous chains here: a mix
                 // must not interrogate the network about the next hop.
-                let outcome = nylon.send_app_frame(ctx, next, next_public, &[], fwd);
+                let outcome = nylon.send_app_frame(ctx, next, next_public.then_some(NatType::Public), &[], fwd);
                 if outcome == SendOutcome::Failed {
                     ctx.metrics().count("wcl.relay_drop", 1);
                 }

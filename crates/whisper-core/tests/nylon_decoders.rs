@@ -72,18 +72,18 @@ fn length_prefixes(msg: &NylonMsg) -> Vec<usize> {
             vec![9, path_back_at, path_back_at + seq_len(path_back)]
         }
         NylonMsg::OpenReq { requester_ep, remaining, .. } => {
-            let remaining_at = 1 + 8 + 1 + opt_len(requester_ep);
+            let remaining_at = 1 + 8 + opt_len(requester_ep);
             vec![remaining_at, remaining_at + seq_len(remaining)]
         }
-        NylonMsg::OpenAck { target_ep, .. } => vec![1 + 8 + 1 + opt_len(target_ep)],
+        NylonMsg::OpenAck { target_ep, .. } => vec![1 + 8 + opt_len(target_ep)],
         NylonMsg::Ping { key: Some(_), .. } | NylonMsg::Pong { key: Some(_), .. } => vec![10],
         NylonMsg::App { .. } => vec![9],
         _ => vec![],
     }
 }
 
-/// Where the NAT types of `msg`'s image sit: behind the requester or the
-/// target of an open, in each view entry of a gossip message.
+/// Where the NAT types of `msg`'s image sit: in each view entry of a
+/// gossip message.
 fn nat_bytes(msg: &NylonMsg) -> Vec<usize> {
     match msg {
         NylonMsg::GossipReq { entries, .. } | NylonMsg::GossipResp { entries, .. } => {
@@ -98,7 +98,6 @@ fn nat_bytes(msg: &NylonMsg) -> Vec<usize> {
                 })
                 .collect()
         }
-        NylonMsg::OpenReq { .. } | NylonMsg::OpenAck { .. } => vec![1 + 8],
         _ => vec![],
     }
 }
@@ -107,11 +106,9 @@ fn nat_bytes(msg: &NylonMsg) -> Vec<usize> {
 /// back: the NAT type of every NATted view entry symmetric.
 fn as_owned_writes(wire: &[u8], msg: &NylonMsg) -> Vec<u8> {
     let mut owned = wire.to_vec();
-    if let NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. } = msg {
-        for at in nat_bytes(msg) {
-            if owned[at] != 0 {
-                owned[at] = NatType::Symmetric.to_wire()[0];
-            }
+    for at in nat_bytes(msg) {
+        if owned[at] != 0 {
+            owned[at] = NatType::Symmetric.to_wire()[0];
         }
     }
     owned
@@ -149,10 +146,8 @@ fn running_stack() -> (Sim, NodeId, Vec<Image>) {
     let mut entry_codes = [false; 5];
     for datagram in log.lock().unwrap().iter() {
         let msg = NylonMsg::from_wire(datagram).expect("an honest datagram decodes");
-        if let NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. } = msg {
-            for at in nat_bytes(&msg) {
-                entry_codes[datagram[at] as usize] = true;
-            }
+        for at in nat_bytes(&msg) {
+            entry_codes[datagram[at] as usize] = true;
         }
         let inner = match &msg {
             NylonMsg::Relayed { inner, .. } => inner.first().copied(),

@@ -7,7 +7,8 @@ use whisper_crypto::rsa::RsaKeySize;
 /// The defaults match the paper's evaluation settings: view size `c = 10`,
 /// Π = 3 and sim-grade RSA keys. What no experiment varies is a constant
 /// beside the code that reads it: the 10-second cycle
-/// ([`crate::nylon::CYCLE`]) and the hole-punch timeout
+/// ([`crate::nylon::CYCLE`]), the stale-entry age
+/// ([`crate::nylon::MAX_AGE`]) and the hole-punch timeout
 /// ([`crate::transport::OPEN_TIMEOUT`]).
 #[derive(Clone, Debug)]
 pub struct NylonConfig {
@@ -34,14 +35,6 @@ pub struct NylonConfig {
     pub cb_factor: usize,
     /// RSA modulus size used for this node's key pair.
     pub rsa: RsaKeySize,
-    /// Stale-peer eviction: view entries whose age exceeds this many
-    /// cycles are dropped at the start of each gossip cycle, so killed or
-    /// partitioned peers leave every live view within a bounded number of
-    /// rounds (the Π bias would otherwise keep dead P-nodes alive
-    /// forever). `0` disables eviction. Must comfortably exceed the age a
-    /// live entry can reach between refreshes, or healthy peers get
-    /// purged too.
-    pub max_age: u16,
 }
 
 impl Default for NylonConfig {
@@ -55,7 +48,6 @@ impl Default for NylonConfig {
             max_route: 3,
             cb_factor: 2,
             rsa: RsaKeySize::Sim384,
-            max_age: 20,
         }
     }
 }
@@ -89,8 +81,8 @@ impl NylonConfig {
             "view entries store at most ROUTE_CAP hops of a rendezvous chain"
         );
         assert!(
-            self.max_age == 0 || self.max_age as usize > 2 * self.view_size / self.gossip_len,
-            "max_age must exceed the refresh interval a live entry can see"
+            (crate::nylon::MAX_AGE as usize) > 2 * self.view_size / self.gossip_len,
+            "MAX_AGE must exceed the refresh interval a live entry can see"
         );
     }
 }
@@ -128,19 +120,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "max_age")]
+    #[should_panic(expected = "MAX_AGE")]
     fn hair_trigger_max_age_rejected() {
-        NylonConfig { max_age: 4, ..NylonConfig::default() }.validate();
+        NylonConfig { view_size: 50, ..NylonConfig::default() }.validate();
     }
 
     #[test]
     #[should_panic(expected = "ROUTE_CAP")]
     fn oversized_max_route_rejected() {
         NylonConfig { max_route: crate::view::ROUTE_CAP + 1, ..NylonConfig::default() }.validate();
-    }
-
-    #[test]
-    fn zero_max_age_disables_eviction() {
-        NylonConfig { max_age: 0, ..NylonConfig::default() }.validate();
     }
 }

@@ -9,7 +9,6 @@ use std::convert::Infallible;
 use whisper_net::wire::{
     bytes_len, opt_len, seq_len, WireDecode, WireEncode, WireError, WireReader, WireWriter,
 };
-use whisper_net::nat::NatType;
 use whisper_net::{Endpoint, NodeId};
 
 /// A Nylon-layer message.
@@ -61,15 +60,13 @@ pub enum NylonMsg {
     },
     /// Hole-punching request travelling along a rendezvous chain towards
     /// the target (the last element of `remaining`). The first relay fills
-    /// `requester_ep` with the endpoint it observed.
+    /// `requester_ep` with the endpoint it observed. It carries no NAT
+    /// type: the requester sends it only where a punch can work.
     OpenReq {
         /// The node that wants to open a direct channel.
         requester: NodeId,
-        /// The requester's NAT type: a target whose own type rules a
-        /// punch out ([`whisper_net::nat::can_hole_punch`]) sends none.
-        requester_nat: NatType,
         /// Requester's externally observed endpoint (filled by the first
-        /// relay).
+        /// relay): the target punches towards it.
         requester_ep: Option<Endpoint>,
         /// Hops left; last element is the target.
         remaining: Vec<NodeId>,
@@ -81,9 +78,6 @@ pub enum NylonMsg {
     OpenAck {
         /// The target that accepted the open request.
         target: NodeId,
-        /// The target's NAT type: a requester whose own type rules a
-        /// punch out relays over the chain at once.
-        target_nat: NatType,
         /// Target's externally observed endpoint (filled by the first
         /// relay on the way back).
         target_ep: Option<Endpoint>,
@@ -280,18 +274,16 @@ impl WireEncode for NylonMsg {
                 w.put_seq(path_back);
                 w.put_bytes(inner);
             }
-            NylonMsg::OpenReq { requester, requester_nat, requester_ep, remaining, path_back } => {
+            NylonMsg::OpenReq { requester, requester_ep, remaining, path_back } => {
                 w.put_u8(TAG_OPEN_REQ);
                 w.put(requester);
-                w.put(requester_nat);
                 w.put_opt(requester_ep);
                 w.put_seq(remaining);
                 w.put_seq(path_back);
             }
-            NylonMsg::OpenAck { target, target_nat, target_ep, remaining } => {
+            NylonMsg::OpenAck { target, target_ep, remaining } => {
                 w.put_u8(TAG_OPEN_ACK);
                 w.put(target);
-                w.put(target_nat);
                 w.put_opt(target_ep);
                 w.put_seq(remaining);
             }
@@ -330,11 +322,9 @@ impl WireEncode for NylonMsg {
                 1 + 8 + seq_len(remaining) + seq_len(path_back) + bytes_len(inner)
             }
             NylonMsg::OpenReq { requester_ep, remaining, path_back, .. } => {
-                1 + 8 + 1 + opt_len(requester_ep) + seq_len(remaining) + seq_len(path_back)
+                1 + 8 + opt_len(requester_ep) + seq_len(remaining) + seq_len(path_back)
             }
-            NylonMsg::OpenAck { target_ep, remaining, .. } => {
-                1 + 8 + 1 + opt_len(target_ep) + seq_len(remaining)
-            }
+            NylonMsg::OpenAck { target_ep, remaining, .. } => 1 + 8 + opt_len(target_ep) + seq_len(remaining),
             NylonMsg::Punch { .. } | NylonMsg::PunchAck { .. } => 1 + 8,
             NylonMsg::Ping { key, .. } | NylonMsg::Pong { key, .. } => 1 + 8 + opt_len(key),
             NylonMsg::App { payload, .. } => 1 + 8 + bytes_len(payload),
@@ -367,14 +357,12 @@ impl WireDecode for NylonMsg {
             },
             TAG_OPEN_REQ => NylonMsg::OpenReq {
                 requester: r.take()?,
-                requester_nat: r.take()?,
                 requester_ep: r.take_opt()?,
                 remaining: r.take_seq()?,
                 path_back: r.take_seq()?,
             },
             TAG_OPEN_ACK => NylonMsg::OpenAck {
                 target: r.take()?,
-                target_nat: r.take()?,
                 target_ep: r.take_opt()?,
                 remaining: r.take_seq()?,
             },
@@ -435,14 +423,12 @@ mod tests {
     fn open_handshake_round_trip() {
         round_trip(NylonMsg::OpenReq {
             requester: NodeId(1),
-            requester_nat: NatType::Symmetric,
             requester_ep: Some(Endpoint { node: NodeId(1), port: 9 }),
             remaining: vec![NodeId(5)],
             path_back: vec![NodeId(1), NodeId(4)],
         });
         round_trip(NylonMsg::OpenAck {
             target: NodeId(5),
-            target_nat: NatType::FullCone,
             target_ep: None,
             remaining: vec![NodeId(4), NodeId(1)],
         });

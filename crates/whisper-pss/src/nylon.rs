@@ -18,12 +18,21 @@ use std::time::Instant;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::{Ctx, Protocol};
-use whisper_net::nat::{can_hole_punch, NatType};
+use whisper_net::nat::NatType;
 use whisper_net::wire::WireDecode;
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 
 /// PSS cycle period (paper: 10 s).
 pub const CYCLE: SimDuration = SimDuration::from_secs(10);
+
+/// Stale-peer eviction: view entries whose age exceeds this many cycles
+/// are dropped at the start of each gossip cycle, so killed or partitioned
+/// peers leave every live view within a bounded number of rounds (the Π
+/// bias would otherwise keep dead P-nodes alive forever). It comfortably
+/// exceeds the age a live entry can reach between refreshes
+/// ([`NylonConfig::validate`] holds a configuration to that), or healthy
+/// peers would be purged too.
+pub const MAX_AGE: u16 = 20;
 
 /// Timer token: periodic gossip cycle.
 const TIMER_GOSSIP_CYCLE: u64 = 1;
@@ -192,9 +201,10 @@ impl NylonCore {
         self.cycles_run
     }
 
-    /// The `getPeer()` API of Fig. 1: a uniformly random view entry.
-    pub fn get_peer(&self, ctx: &mut Ctx<'_>) -> Option<ViewEntry> {
-        self.view.random(ctx.rng()).map(ViewEntry::from)
+    /// The `getPeer()` API of Fig. 1: a uniformly random view entry, with
+    /// the NAT type and the chain a send to it needs.
+    pub fn get_peer(&self, ctx: &mut Ctx<'_>) -> Option<Entry> {
+        self.view.random(ctx.rng()).copied()
     }
 
     /// Whether a direct send to `to` would currently work.
@@ -209,13 +219,13 @@ impl NylonCore {
         &mut self,
         ctx: &mut Ctx<'_>,
         to: NodeId,
-        to_public: bool,
+        to_nat: Option<NatType>,
         route_hint: &[NodeId],
         payload: Vec<u8>,
     ) -> SendOutcome {
         let mut frame = self.begin_app(ctx, payload.len());
         frame.put_raw(&payload);
-        self.send_app_frame(ctx, to, to_public, route_hint, frame)
+        self.send_app_frame(ctx, to, to_nat, route_hint, frame)
     }
 
     /// Starts an application message (a [`NylonMsg::App`]) of
@@ -234,19 +244,19 @@ impl NylonCore {
     /// Sends an application message built with [`NylonCore::begin_app`] —
     /// the one way application bytes leave a node.
     ///
-    /// `to_public` and `route_hint` come from whatever directory entry the
-    /// caller holds (CB entry, view entry, or PPSS private-view entry).
+    /// `to_nat` and `route_hint` come from whatever directory entry the
+    /// caller holds (CB entry, view entry, or PPSS private-view entry), as
+    /// [`Transport::send_encoded`] takes them.
     pub fn send_app_frame(
         &mut self,
         ctx: &mut Ctx<'_>,
         to: NodeId,
-        to_public: bool,
+        to_nat: Option<NatType>,
         route_hint: &[NodeId],
         frame: PayloadWriter,
     ) -> SendOutcome {
         let frame = frame.finish();
         debug_assert!(NylonMsg::app_view(&frame).is_some(), "payload_len bytes must follow begin_app");
-        let to_nat = to_public.then_some(NatType::Public);
         self.transport.send_encoded(ctx, self.id, to, to_nat, frame, route_hint)
     }
 
@@ -454,14 +464,12 @@ impl NylonCore {
         self.cycles_run += 1;
         self.view.increment_ages();
         // Stale-peer eviction: entries no refresh has touched for
-        // `max_age` cycles belong to dead or unreachable peers — without
+        // `MAX_AGE` cycles belong to dead or unreachable peers — without
         // this, the Π bias keeps re-injecting dead P-nodes into merged
         // views, poisoning gateway selection indefinitely.
-        if self.cfg.max_age > 0 {
-            let evicted = self.view.evict_older_than(self.cfg.max_age);
-            if evicted > 0 {
-                ctx.metrics().count("pss.stale_evicted", evicted as u64);
-            }
+        let evicted = self.view.evict_older_than(MAX_AGE);
+        if evicted > 0 {
+            ctx.metrics().count("pss.stale_evicted", evicted as u64);
         }
         if self.view.is_empty() {
             // Rejoin through the bootstrap list.
@@ -683,13 +691,7 @@ impl NylonCore {
                     }
                 }
             }
-            NylonMsg::OpenReq {
-                requester,
-                requester_nat,
-                mut requester_ep,
-                remaining,
-                mut path_back,
-            } => {
+            NylonMsg::OpenReq { requester, mut requester_ep, remaining, mut path_back } => {
                 // The first relay (receiving straight from the requester)
                 // records the externally observed endpoint.
                 if requester_ep.is_none() && outer_from == requester {
@@ -697,22 +699,16 @@ impl NylonCore {
                 }
                 if let Some((&next, rest)) = remaining.split_first() {
                     path_back.push(self.id);
-                    let fwd = NylonMsg::OpenReq {
-                        requester,
-                        requester_nat,
-                        requester_ep,
-                        remaining: rest.to_vec(),
-                        path_back,
-                    };
+                    let remaining = rest.to_vec();
+                    let fwd = NylonMsg::OpenReq { requester, requester_ep, remaining, path_back };
                     self.forward(ctx, next, &fwd);
                 } else {
-                    // We are the target: unless the two NAT types rule it
-                    // out, punch towards the requester (with delayed
-                    // re-punches — the first probe can race the
-                    // requester's own outbound packet through its filter);
-                    // either way answer along the reverse path.
-                    let nat = ctx.nat_type();
-                    if let Some(rep) = requester_ep.filter(|_| can_hole_punch(requester_nat, nat)) {
+                    // We are the target: punch towards the requester (with
+                    // delayed re-punches — the first probe can race the
+                    // requester's own outbound packet through its filter)
+                    // and answer along the reverse path. The requester
+                    // asks only where a punch can work.
+                    if let Some(rep) = requester_ep {
                         let punch = NylonMsg::Punch { from: self.id };
                         ctx.send_wire(rep, &punch);
                         self.punch_retries.insert(requester, (rep, PUNCH_RETRIES));
@@ -720,27 +716,23 @@ impl NylonCore {
                     }
                     path_back.reverse();
                     if let Some((&next, rest)) = path_back.split_first() {
-                        let ack = NylonMsg::OpenAck {
-                            target: self.id,
-                            target_nat: nat,
-                            target_ep: None,
-                            remaining: rest.to_vec(),
-                        };
+                        let remaining = rest.to_vec();
+                        let ack = NylonMsg::OpenAck { target: self.id, target_ep: None, remaining };
                         self.forward(ctx, next, &ack);
                     }
                     ctx.metrics().count("pss.open_served", 1);
                 }
             }
-            NylonMsg::OpenAck { target, target_nat, mut target_ep, remaining } => {
+            NylonMsg::OpenAck { target, mut target_ep, remaining } => {
                 if target_ep.is_none() && outer_from == target {
                     target_ep = Some(outer_ep);
                 }
                 if let Some((&next, rest)) = remaining.split_first() {
                     let remaining = rest.to_vec();
-                    let fwd = NylonMsg::OpenAck { target, target_nat, target_ep, remaining };
+                    let fwd = NylonMsg::OpenAck { target, target_ep, remaining };
                     self.forward(ctx, next, &fwd);
                 } else {
-                    self.transport.on_open_ack(ctx, self.id, target, target_nat, target_ep);
+                    self.transport.on_open_ack(ctx, target, target_ep);
                 }
             }
             NylonMsg::Punch { .. } | NylonMsg::PunchAck { .. } => {

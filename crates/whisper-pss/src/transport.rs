@@ -6,18 +6,22 @@
 //! always traverses the sender's NAT while the association rule lives).
 //! Otherwise it either relays messages along the peer's rendezvous chain
 //! or first opens a hole through both NATs with an `OpenReq`/`OpenAck`
-//! handshake coordinated over that chain. The handshake runs only where
-//! it can achieve something, and a requester waits only for what its own
-//! NAT and the peer's need: a public node has no NAT to open and relays
-//! at once, as does a node whose view entry says the peer's NAT type and
-//! its own cannot be punched ([`can_hole_punch`]); a restricted-cone
-//! node opens its own filter with one `Punch` before it asks, so the
-//! peer's punch gets in; and a requester whose NAT lets no punch in sends
-//! what it queued straight to the endpoint the acknowledgement names —
-//! the queued message is the punch. Each message goes out once: what went
-//! directly is not relayed again when the time-out ends an open that got
-//! no answer. Whether a punch that is attempted succeeds is decided by
-//! the emulated NAT devices, not by this code.
+//! handshake coordinated over that chain. Whether a punch can work is
+//! decided once, by the requester, before it sends
+//! ([`can_hole_punch`] on its own NAT type and the one its view entry
+//! gives the peer; a send that names no type takes the peer to be
+//! symmetric): a public node has no NAT to open and relays at once, as
+//! does a node whose NAT and the peer's cannot be punched. The handshake
+//! carries no NAT type, and the target punches whenever it is asked. A
+//! requester waits only for what its own NAT and the peer's need: a
+//! restricted-cone node opens its own filter with one `Punch` before it
+//! asks, so the peer's punch gets in; and a requester whose NAT lets no
+//! punch in sends what it queued straight to the endpoint the
+//! acknowledgement names — the queued message is the punch — unless the
+//! peer is symmetric. Each message goes out once: what went directly is
+//! not relayed again when the time-out ends an open that got no answer.
+//! Whether a punch that is attempted succeeds is decided by the emulated
+//! NAT devices, not by this code.
 
 use crate::messages::NylonMsg;
 use std::collections::HashMap;
@@ -92,6 +96,8 @@ struct PendingOpen {
     /// Relay chain (last element = target) used for the handshake and the
     /// relay fallback.
     chain: Vec<NodeId>,
+    /// The target's NAT type as the sender gave it.
+    nat: NatType,
     /// Serialized inner messages awaiting delivery.
     queued: Vec<Vec<u8>>,
     /// Where the queue was sent when the acknowledgement came, if it has:
@@ -178,8 +184,8 @@ impl Transport {
     /// pool.
     ///
     /// * `to_nat` — the peer's NAT type as the caller's directory entry
-    ///   gives it; `None` for a NATted peer of unknown type, whose
-    ///   handshake finds out whether a punch can work;
+    ///   gives it; `None` for a NATted peer of unknown type, taken to be
+    ///   [`NatType::Symmetric`], the type that promises least;
     /// * `route_hint` — rendezvous chain from a view entry (first element
     ///   must be a node we can reach), used for relaying / punching;
     /// * `me` — our node id.
@@ -221,6 +227,7 @@ impl Transport {
             }
             let mut chain = route_hint.to_vec();
             chain.push(to);
+            let to_nat = to_nat.unwrap_or(NatType::Symmetric);
             let nat = ctx.nat_type();
             if nat.is_public() {
                 // No NAT of ours to open: the chain carries the message
@@ -229,9 +236,8 @@ impl Transport {
                 ctx.metrics().count("pss.relayed_sent", 1);
                 return SendOutcome::Relayed;
             }
-            if to_nat.is_some_and(|to_nat| !can_hole_punch(nat, to_nat)) {
-                // No punch can work: relay at once, as the handshake
-                // would on its acknowledgement.
+            if !can_hole_punch(nat, to_nat) {
+                // No punch can work: relay at once.
                 self.relay_over(ctx, me, to, chain, [inner], "pss.open_unpunchable");
                 return SendOutcome::Relayed;
             }
@@ -242,12 +248,10 @@ impl Transport {
                 ctx.send_wire(Endpoint::public(to), &NylonMsg::Punch { from: me });
             }
             // Queue the message and start a hole-punching handshake; it
-            // ends in a direct channel, in the peer's word that the two
-            // NATs cannot be punched, or in the timeout — and the last
-            // two relay over the same chain.
+            // ends in a direct channel or in the timeout, which relays
+            // over the same chain.
             let open = NylonMsg::OpenReq {
                 requester: me,
-                requester_nat: nat,
                 requester_ep: None,
                 remaining: chain[1..].to_vec(),
                 path_back: vec![me],
@@ -255,7 +259,7 @@ impl Transport {
             let first_ep = self.next_hop_ep(ctx, chain[0]);
             ctx.send_wire(first_ep, &open);
             ctx.metrics().count("pss.open_started", 1);
-            self.opens.insert(to, PendingOpen { chain, queued: vec![inner], sent_to: None });
+            self.opens.insert(to, PendingOpen { chain, nat: to_nat, queued: vec![inner], sent_to: None });
             ctx.set_timer(OPEN_TIMEOUT, open_timeout_token(to));
             return SendOutcome::Queued;
         }
@@ -315,35 +319,19 @@ impl Transport {
     }
 
     /// Handles the acknowledgement of the open request sent to `peer`,
-    /// which is behind a `peer_nat` and, as the chain's last hop saw it,
-    /// at `peer_ep`. An open that has completed needs nothing. If the two
-    /// NAT types rule a punch out, relays what was queued at once
-    /// (`pss.open_unpunchable`, as when the view entry says so before the
-    /// handshake). Otherwise, unless the peer's NAT is symmetric, the
-    /// queued messages are the punch: they go to `peer_ep`, through the
-    /// hole the peer's own punch opened in its NAT, and the open waits for
-    /// the peer's direct answer.
-    pub fn on_open_ack(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        me: NodeId,
-        peer: NodeId,
-        peer_nat: NatType,
-        peer_ep: Option<Endpoint>,
-    ) {
-        if !can_hole_punch(ctx.nat_type(), peer_nat) {
-            if let Some(open) = self.opens.remove(&peer) {
-                self.relay_over(ctx, me, peer, open.chain, open.queued, "pss.open_unpunchable");
-            }
-            return;
-        }
+    /// which the chain's last hop saw at `peer_ep`. An open that has
+    /// completed needs nothing. Otherwise, unless the peer's NAT is
+    /// symmetric, the queued messages are the punch: they go to `peer_ep`,
+    /// through the hole the peer's own punch opened in its NAT, and the
+    /// open waits for the peer's direct answer.
+    pub fn on_open_ack(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, peer_ep: Option<Endpoint>) {
         let Some(open) = self.opens.get_mut(&peer).filter(|open| open.sent_to.is_none()) else {
             return;
         };
         // A symmetric NAT keeps a mapping for each destination, and the
         // one the chain's last hop saw lets only that hop in: the peer's
         // punch, from the mapping that reaches us, has to come first.
-        if let Some(ep) = peer_ep.filter(|_| peer_nat != NatType::Symmetric) {
+        if let Some(ep) = peer_ep.filter(|_| open.nat != NatType::Symmetric) {
             for inner in &open.queued {
                 ctx.send_to(ep, inner.clone());
             }

@@ -8,6 +8,7 @@ use whisper_crypto::rsa::KeyPair;
 use whisper_net::nat::{NatDistribution, NatType};
 use whisper_net::sim::{Sim, SimConfig};
 use whisper_pss::graph::OverlaySnapshot;
+use whisper_pss::nylon::MAX_AGE;
 use whisper_pss::{NylonConfig, NylonCore, NylonNode};
 
 /// Builds a network of `n` nodes (the first `bootstraps` are public
@@ -209,7 +210,7 @@ fn app_payloads_flow_between_neighbours() {
         sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
             let Some(peer) = node.core().get_peer(ctx) else { return };
             let core = node.core_mut();
-            core.send_app(ctx, peer.node, peer.public, &peer.route, b"hello".to_vec());
+            core.send_app(ctx, peer.node, Some(peer.nat), peer.route(), b"hello".to_vec());
         });
     }
     sim.run_for_secs(30);
@@ -286,34 +287,30 @@ fn pss_survives_scripted_churn() {
 }
 
 /// Stale-peer eviction (ISSUE: Nylon stale-peer eviction): kill a
-/// quarter of the network with no replacement; after `max_age` plus
+/// quarter of the network with no replacement; after [`MAX_AGE`] plus
 /// diffusion slack, **no** live node's view may reference a dead peer,
-/// every surviving entry's age is hard-bounded by `max_age`, and the
+/// every surviving entry's age is hard-bounded by `MAX_AGE`, and the
 /// eviction path itself must have fired.
 ///
 /// The healer policy (oldest-first partner selection + removal on
 /// timeout) already cleans dead entries in `view_size` cycles or so, so
 /// eviction only becomes observable when views are large relative to
-/// the gossip rate — hence the 30-entry views here. What eviction adds
-/// over the healer is the *hard* staleness bound, independent of view
-/// size.
+/// the gossip rate and to `MAX_AGE` — hence the 40-entry views here (in
+/// 30-entry ones the healer has every dead entry out before it is 20
+/// cycles old). What eviction adds over the healer is the *hard*
+/// staleness bound, independent of view size.
 #[test]
 fn eviction_purges_dead_peers_and_bounds_staleness() {
-    let cfg = NylonConfig {
-        view_size: 30,
-        gossip_len: 5,
-        max_age: 13,
-        ..NylonConfig::default()
-    };
+    let cfg = NylonConfig { view_size: 40, gossip_len: 5, ..NylonConfig::default() };
     cfg.validate();
     let (mut sim, ids) = build_network(80, 2, &cfg, SimConfig::cluster(91), 300);
     let victims: Vec<_> = ids.iter().copied().skip(2).step_by(4).collect();
     for &v in &victims {
         sim.remove_node(v);
     }
-    // max_age cycles plus diffusion slack: a dead entry's age only grows
+    // MAX_AGE cycles plus diffusion slack: a dead entry's age only grows
     // (nobody re-injects it at age 0), so this bounds its lifetime.
-    let cycles = cfg.max_age as u64 + 7;
+    let cycles = MAX_AGE as u64 + 7;
     sim.run_for_secs(cycles * whisper_pss::nylon::CYCLE.as_secs());
     let mut checked = 0usize;
     for &id in &ids {
@@ -328,10 +325,9 @@ fn eviction_purges_dead_peers_and_bounds_staleness() {
                 entry.node
             );
             assert!(
-                entry.age <= cfg.max_age,
-                "entry age {} exceeds the max_age bound {}",
-                entry.age,
-                cfg.max_age
+                entry.age <= MAX_AGE,
+                "entry age {} exceeds the MAX_AGE bound {MAX_AGE}",
+                entry.age
             );
         }
     }

@@ -2,10 +2,10 @@
 //! NAT emulation: for every pair of NAT types, the Nylon open handshake
 //! must establish a direct channel exactly when the theoretical matrix
 //! (`can_hole_punch`) says it can — and must deliver the payload over the
-//! rendezvous chain when it cannot: at once when the view entry or the
-//! handshake says so, after the time-out when the handshake's own
-//! messages are lost. Under [`SimConfig::ideal`] every hop costs 1 µs, so
-//! the tests read one-way-delay counts off the clock.
+//! rendezvous chain when it cannot: at once when the NAT types say so,
+//! after the time-out when the handshake's own messages are lost. Under
+//! [`SimConfig::ideal`] every hop costs 1 µs, so the tests read
+//! one-way-delay counts off the clock.
 
 use whisper_crypto::rsa::KeyPair;
 use whisper_net::fault::FaultPlan;
@@ -144,11 +144,17 @@ fn strangers(nat_a: NatType, nat_b: NatType, seed: u64) -> (Sim, NodeId, NodeId)
 }
 
 /// A sends an app payload to B through the rendezvous chain [rv] — node
-/// 0, the first added — saying nothing of B's NAT type.
-fn send_over_rv(sim: &mut Sim, a: NodeId, b: NodeId, payload: &[u8]) {
+/// 0, the first added — naming B's NAT type as `b_nat`.
+fn send_typed_over_rv(sim: &mut Sim, a: NodeId, b: NodeId, b_nat: Option<NatType>, payload: &[u8]) {
     sim.with_node_ctx::<Probe>(a, |node, ctx| {
-        node.core.send_app(ctx, b, false, &[NodeId(0)], payload.to_vec());
+        node.core.send_app(ctx, b, b_nat, &[NodeId(0)], payload.to_vec());
     });
+}
+
+/// [`send_typed_over_rv`] with B's true NAT type, as a view entry gives it.
+fn send_over_rv(sim: &mut Sim, a: NodeId, b: NodeId, payload: &[u8]) {
+    let b_nat = sim.nat_type(b);
+    send_typed_over_rv(sim, a, b, b_nat, payload);
 }
 
 fn payloads_received(sim: &Sim, node: NodeId) -> u64 {
@@ -198,54 +204,68 @@ fn public_targets_never_need_punching() {
     }
 }
 
+/// A chain send that names no NAT type takes the target to be symmetric,
+/// the type that promises least, whatever its true type (here full-cone):
+/// a requester that cannot punch a symmetric NAT relays at once, and any
+/// other opens but sends nothing to the endpoint the acknowledgement
+/// names. Cut off from the target's punches, it has the time-out relay.
 #[test]
-fn relay_fallback_carries_traffic_for_symmetric_pairs() {
-    // Symmetric ↔ symmetric cannot punch. A send that names no NAT type
-    // learns it from the handshake: the RV relays the payload the moment
-    // B's acknowledgement reaches A, no punch is sent and no time-out is
-    // waited for.
-    let (mut sim, a, b) = strangers(NatType::Symmetric, NatType::Symmetric, 7777);
-    let blocked_before = sim.metrics().counter("net.nat_blocked");
-    send_over_rv(&mut sim, a, b, b"via relay");
-    sim.run_for(SimDuration::from_micros(OPEN_TIMEOUT.as_micros() / 4));
-
-    assert_eq!(payloads_received(&sim, b), 1, "relayed well before the time-out");
-    let m = sim.metrics();
-    assert_eq!(m.counter("pss.open_unpunchable"), 1, "ended by the NAT types");
-    assert_eq!(m.counter("pss.open_relay_fallback"), 0);
-    assert_eq!(m.counter("pss.open_punch_ok"), 0);
-    assert!(m.counter("pss.relayed_forwarded") >= 1, "the RV actually forwarded content");
-    assert_eq!(m.counter("net.nat_blocked"), blocked_before, "no punch thrown at a closed NAT");
-    // The time-out that was armed finds nothing left to do.
-    sim.run_for_secs(10);
-    assert_eq!(payloads_received(&sim, b), 1);
-    assert_eq!(sim.metrics().counter("pss.open_relay_fallback"), 0);
+fn an_untyped_chain_send_takes_the_target_to_be_symmetric() {
+    for (i, &nat_a) in NatType::NATTED.iter().enumerate() {
+        let (mut sim, a, b) = ideal_strangers(nat_a, NatType::FullCone, 6400 + 100 * i as u64);
+        let sent_at = sim.now();
+        // The punch and both re-punches, as for a symmetric target below.
+        let plan = FaultPlan::new().partition([a], sent_at + HOP * 2, sent_at + HOP * 3).partition(
+            [a],
+            sent_at + PUNCH_RETRY_DELAY,
+            sent_at + PUNCH_RETRY_DELAY * 3,
+        );
+        sim.install_fault_plan(plan);
+        send_typed_over_rv(&mut sim, a, b, None, b"as if symmetric");
+        sim.run_for(OPEN_TIMEOUT * 2);
+        assert_eq!(payloads_received(&sim, b), 1, "{nat_a:?}: exactly once");
+        let m = sim.metrics();
+        let opens = can_hole_punch(nat_a, NatType::Symmetric) as u64;
+        assert_eq!(m.counter("pss.open_started"), opens, "{nat_a:?}");
+        assert_eq!(m.counter("pss.open_unpunchable"), 1 - opens, "{nat_a:?}");
+        assert_eq!(m.counter("pss.open_relay_fallback"), opens, "{nat_a:?}: nothing went direct");
+        assert_eq!(m.counter("pss.open_unanswered"), 0, "{nat_a:?}");
+        assert_eq!(m.counter("pss.open_punch_ok"), 0, "{nat_a:?}");
+    }
 }
 
 /// The time-out is for real loss. Cut A off while the handshake's answer
-/// travels, so that no acknowledgement (symmetric pair) or no punch and
-/// no acknowledgement (punchable pair) reaches it: [`OPEN_TIMEOUT`] after
-/// the send A gives up and the chain delivers.
+/// travels, so that no acknowledgement (a requester that no punch gets
+/// into) or no punch and no acknowledgement (one that a punch would open)
+/// reaches it: [`OPEN_TIMEOUT`] after the send A gives up and the chain
+/// delivers.
 #[test]
 fn the_timeout_still_relays_when_the_handshake_is_lost() {
-    for (nat_b, seed) in [(NatType::Symmetric, 7778), (NatType::FullCone, 7779)] {
-        let (mut sim, a, b) = strangers(NatType::Symmetric, nat_b, seed);
+    let pairs = [
+        (NatType::FullCone, NatType::PortRestrictedCone, 7778),
+        (NatType::Symmetric, NatType::FullCone, 7779),
+    ];
+    for (nat_a, nat_b, seed) in pairs {
+        let (mut sim, a, b) = strangers(nat_a, nat_b, seed);
         let sent_at = sim.now();
+        // Past the target's last re-punch, two `PUNCH_RETRY_DELAY`s after
+        // the request reaches it.
         sim.install_fault_plan(FaultPlan::new().partition(
             [a],
             sent_at + SimDuration::from_micros(1),
-            sent_at + SimDuration::from_micros(OPEN_TIMEOUT.as_micros() / 2),
+            sent_at + PUNCH_RETRY_DELAY * 3,
         ));
         send_over_rv(&mut sim, a, b, b"late, not lost");
         sim.run_for(OPEN_TIMEOUT - SimDuration::from_millis(1));
-        assert!(sim.metrics().counter("net.drop_partition") >= 1, "{nat_b:?}: the answer was lost");
-        assert_eq!(payloads_received(&sim, b), 0, "{nat_b:?}: held while the handshake may yet end");
+        let pair = format!("{nat_a:?} → {nat_b:?}");
+        assert!(sim.metrics().counter("net.drop_partition") >= 1, "{pair}: the answer was lost");
+        assert_eq!(payloads_received(&sim, b), 0, "{pair}: held while the handshake may yet end");
         sim.run_for_secs(1);
-        assert_eq!(payloads_received(&sim, b), 1, "{nat_b:?}: relayed on the time-out");
+        assert_eq!(payloads_received(&sim, b), 1, "{pair}: relayed on the time-out");
         let m = sim.metrics();
-        assert_eq!(m.counter("pss.open_relay_fallback"), 1, "{nat_b:?}");
-        assert_eq!(m.counter("pss.open_unpunchable"), 0, "{nat_b:?}");
-        assert_eq!(m.counter("pss.open_punch_ok"), 0, "{nat_b:?}");
+        assert_eq!(m.counter("pss.open_relay_fallback"), 1, "{pair}");
+        assert_eq!(m.counter("pss.open_unpunchable"), 0, "{pair}");
+        assert_eq!(m.counter("pss.open_punch_ok"), 0, "{pair}");
     }
 }
 

@@ -110,8 +110,9 @@ fn contacts_are_kept_for_natted_senders_only_and_both_stay_reachable() {
     sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
         let core = node.core_mut();
         // The directory entry a sender holds says which kind the peer is.
-        assert_eq!(core.send_app(ctx, natted.node, false, &[], b"x".to_vec()), SendOutcome::Direct);
-        assert_eq!(core.send_app(ctx, public.node, true, &[], b"x".to_vec()), SendOutcome::Direct);
+        let public_nat = Some(NatType::Public);
+        assert_eq!(core.send_app(ctx, natted.node, None, &[], b"x".to_vec()), SendOutcome::Direct);
+        assert_eq!(core.send_app(ctx, public.node, public_nat, &[], b"x".to_vec()), SendOutcome::Direct);
     });
     assert_eq!(sim.metrics().counter("net.payload_pooled"), sent_before + 2, "both left directly");
     assert_eq!(sim.metrics().counter("pss.send_failed"), 0);
@@ -203,8 +204,8 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
     let peer = sim.add_node(Box::<Recorder>::default(), NatType::Public);
     let stranger = NodeId(70);
     // `to`, what the sender's directory says of it, the rendezvous chain.
-    let (to, to_public, hint, expected) = match route {
-        Route::Direct => (peer, true, vec![], SendOutcome::Direct),
+    let (to, to_nat, hint, expected) = match route {
+        Route::Direct => (peer, Some(NatType::Public), vec![], SendOutcome::Direct),
         Route::Relayed => {
             // A relayed message from the stranger came in over the peer
             // (one that asks for no answer, so the peer hears nothing else).
@@ -215,21 +216,22 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
                 inner: NylonMsg::PunchAck { from: stranger }.to_wire(),
             };
             deliver(&mut sim, id, Endpoint::public(peer), &relayed);
-            (stranger, false, vec![], SendOutcome::Relayed)
+            (stranger, None, vec![], SendOutcome::Relayed)
         }
-        // The directory knows a rendezvous node for the peer and no more.
-        Route::PunchedThrough => (peer, false, vec![stranger], SendOutcome::Queued),
+        // The directory knows a rendezvous node for the peer and that a
+        // punch can work.
+        Route::PunchedThrough => (peer, Some(NatType::FullCone), vec![stranger], SendOutcome::Queued),
         // The peer is the stranger's rendezvous node.
-        Route::RelayedAtOnce => (stranger, false, vec![peer], SendOutcome::Relayed),
+        Route::RelayedAtOnce => (stranger, None, vec![peer], SendOutcome::Relayed),
     };
     sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
         let core = node.core_mut();
         let outcome = if framed {
             let mut frame = core.begin_app(ctx, PAYLOAD.len());
             frame.put_raw(PAYLOAD);
-            core.send_app_frame(ctx, to, to_public, &hint, frame)
+            core.send_app_frame(ctx, to, to_nat, &hint, frame)
         } else {
-            core.send_app(ctx, to, to_public, &hint, PAYLOAD.to_vec())
+            core.send_app(ctx, to, to_nat, &hint, PAYLOAD.to_vec())
         };
         assert_eq!(outcome, expected, "{route:?}");
     });

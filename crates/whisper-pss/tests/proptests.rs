@@ -185,14 +185,12 @@ fn gen_msg(g: &mut Gen) -> NylonMsg {
         },
         3 => NylonMsg::OpenReq {
             requester: NodeId(g.gen_range(0..40u64)),
-            requester_nat: gen_nat(g),
             requester_ep: gen_opt(g, gen_endpoint),
             remaining: gen_path(g),
             path_back: gen_path(g),
         },
         4 => NylonMsg::OpenAck {
             target: NodeId(g.gen_range(0..40u64)),
-            target_nat: gen_nat(g),
             target_ep: gen_opt(g, gen_endpoint),
             remaining: gen_path(g),
         },
@@ -214,44 +212,6 @@ fn nylon_msg_round_trip_and_exact_len() {
         let bytes = msg.to_wire();
         assert_eq!(bytes.len(), msg.encoded_len(), "encoded_len mismatch for {msg:?}");
         assert_eq!(NylonMsg::from_wire(&bytes).unwrap(), msg);
-    });
-}
-
-/// The NAT type an `OpenReq` / `OpenAck` carries is one of the five or the
-/// message is refused: whatever the byte holds, decoding neither panics
-/// nor settles for a default type.
-#[test]
-fn open_handshake_refuses_unknown_nat_codes() {
-    const NAT_AT: usize = 1 + 8; // behind the tag and the requester / target
-    check(512, "open_handshake_refuses_unknown_nat_codes", |g| {
-        let path = g.vec(4, |g| NodeId(g.gen_range(0..40u64)));
-        let msg = if g.gen() {
-            NylonMsg::OpenReq {
-                requester: NodeId(g.gen_range(0..40u64)),
-                requester_nat: gen_nat(g),
-                requester_ep: gen_opt(g, gen_endpoint),
-                remaining: path.clone(),
-                path_back: path,
-            }
-        } else {
-            NylonMsg::OpenAck {
-                target: NodeId(g.gen_range(0..40u64)),
-                target_nat: gen_nat(g),
-                target_ep: gen_opt(g, gen_endpoint),
-                remaining: path,
-            }
-        };
-        let mut wire = msg.to_wire();
-        let code: u8 = if g.gen() { g.gen_range(0..8u8) } else { g.gen() };
-        wire[NAT_AT] = code;
-        match (NylonMsg::from_wire(&wire), NatType::from_wire(&[code])) {
-            (Ok(NylonMsg::OpenReq { requester_nat: nat, .. }), Ok(expected))
-            | (Ok(NylonMsg::OpenAck { target_nat: nat, .. }), Ok(expected)) => {
-                assert_eq!(nat, expected)
-            }
-            (Err(_), Err(_)) => assert!(code >= 5, "code {code} is a NAT type"),
-            (decoded, nat) => panic!("code {code}: message {decoded:?}, NAT type {nat:?}"),
-        }
     });
 }
 

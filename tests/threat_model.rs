@@ -257,7 +257,7 @@ fn membership_invisible_to_active_prober() {
         sim.with_node_ctx::<WhisperNode>(prober, |node, ctx| {
             node.with_api(|api, _| {
                 let hint: Vec<NodeId> = vec![];
-                api.nylon.send_app(ctx, target, true, &hint, forged.clone());
+                api.nylon.send_app(ctx, target, Some(NatType::Public), &hint, forged.clone());
             });
         });
     }
@@ -567,7 +567,7 @@ fn a_return_packet_shows_a_relay_its_two_neighbours_and_nothing_else() {
     let stranger = ids[20];
     let since = log.lock().unwrap().len();
     sim.with_node_ctx::<Tap>(stranger, |tap, ctx| {
-        tap.inner.with_api(|api, _| api.nylon.send_app(ctx, b, true, &[], back[0].packet.clone()));
+        tap.inner.with_api(|api, _| api.nylon.send_app(ctx, b, Some(NatType::Public), &[], back[0].packet.clone()));
     });
     sim.run_for(whisper::net::SimDuration::from_millis(300));
     let replayed: Vec<(NodeId, NodeId)> =
