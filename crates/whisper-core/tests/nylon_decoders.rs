@@ -20,9 +20,9 @@ use whisper_core::{GroupId, WhisperConfig, WhisperNode};
 use whisper_crypto::rsa::KeyPair;
 use whisper_net::nat::{NatDistribution, NatType};
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
-use whisper_net::wire::{opt_len, seq_len, WireDecode, WireEncode};
+use whisper_net::wire::{seq_len, WireDecode, WireEncode};
 use whisper_net::{Endpoint, NodeId, Payload};
-use whisper_pss::messages::NylonMsg;
+use whisper_pss::messages::{ChainBody, NylonMsg};
 use whisper_pss::ViewEntry;
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
@@ -60,22 +60,21 @@ impl Protocol for Tap {
 type Image = (Vec<u8>, Vec<usize>, Vec<usize>);
 
 /// Where the length prefixes of `msg`'s image sit: behind the tag, the
-/// sender and what precedes each.
+/// sender, if the message names one, and what precedes each.
 fn length_prefixes(msg: &NylonMsg) -> Vec<usize> {
     match msg {
         NylonMsg::GossipReq { entries, key, .. } | NylonMsg::GossipResp { entries, key, .. } => {
             let key_at = 1 + 8 + 1 + seq_len(entries) + 1;
             [Some(10), key.as_ref().map(|_| key_at)].into_iter().flatten().collect()
         }
-        NylonMsg::Relayed { remaining, path_back, .. } => {
-            let path_back_at = 9 + seq_len(remaining);
-            vec![9, path_back_at, path_back_at + seq_len(path_back)]
+        NylonMsg::Chain { remaining, taken, body } => {
+            // The hops left, the hops taken, then the body: a relayed
+            // message's byte string, or an open's optional endpoint.
+            let taken_at = 1 + seq_len(remaining);
+            let inner_at = taken_at + seq_len(taken);
+            let relayed = matches!(body, ChainBody::Relayed(_));
+            [Some(1), Some(taken_at), relayed.then_some(inner_at)].into_iter().flatten().collect()
         }
-        NylonMsg::OpenReq { requester_ep, remaining, .. } => {
-            let remaining_at = 1 + 8 + opt_len(requester_ep);
-            vec![remaining_at, remaining_at + seq_len(remaining)]
-        }
-        NylonMsg::OpenAck { target_ep, .. } => vec![1 + 8 + opt_len(target_ep)],
         NylonMsg::Ping { key: Some(_), .. } | NylonMsg::Pong { key: Some(_), .. } => vec![10],
         NylonMsg::App { .. } => vec![9],
         _ => vec![],
@@ -150,7 +149,7 @@ fn running_stack() -> (Sim, NodeId, Vec<Image>) {
             entry_codes[datagram[at] as usize] = true;
         }
         let inner = match &msg {
-            NylonMsg::Relayed { inner, .. } => inner.first().copied(),
+            NylonMsg::Chain { body: ChainBody::Relayed(inner), .. } => inner.first().copied(),
             _ => None,
         };
         let same = kinds.entry((datagram[0], inner)).or_default();

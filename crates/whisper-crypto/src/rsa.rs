@@ -138,6 +138,11 @@ const PUBLIC_EXPONENT: u64 = 65537;
 /// Minimum PKCS#1 v1.5 padding overhead: 2 header bytes, >= 8 padding
 /// bytes, 1 separator.
 const PAD_OVERHEAD: usize = 11;
+/// The shortest modulus a key may have, in bytes: what a signature block
+/// needs (2 header bytes, a separator, a 32-byte digest), and what
+/// [`crate::hybrid::seal`] needs to encrypt its 24-byte secret behind 11
+/// bytes of padding. Shorter keys are refused where they are parsed.
+pub const MIN_MODULUS_BYTES: usize = 35;
 
 impl KeyPair {
     /// Generates a fresh key pair of the given size.
@@ -156,7 +161,8 @@ impl KeyPair {
     /// Derives the key pair of two distinct odd primes and a public
     /// exponent, or `None` when they make no usable key: equal or even
     /// "primes", an exponent with no inverse, or a modulus whose bit
-    /// length is not a whole number of bytes.
+    /// length is not a whole number of bytes or is under
+    /// [`MIN_MODULUS_BYTES`].
     fn from_primes(p: BigUint, q: BigUint, e: BigUint) -> Option<Self> {
         if p == q || p.is_even() || q.is_even() {
             return None;
@@ -166,7 +172,7 @@ impl KeyPair {
         let q1 = q.sub(&one);
         let d = e.modinv(&p1.mul(&q1))?;
         let n = p.mul(&q);
-        if !n.bits().is_multiple_of(8) {
+        if !n.bits().is_multiple_of(8) || n.bits() < 8 * MIN_MODULUS_BYTES {
             return None;
         }
         let k = n.bits() / 8;
@@ -261,7 +267,7 @@ impl KeyPair {
     /// rebuilding the CRT acceleration parameters. Returns `None` on
     /// malformed input (wrong framing, equal or even primes,
     /// non-invertible exponent, or a modulus whose bit length is not a
-    /// whole number of bytes).
+    /// whole number of bytes or is under [`MIN_MODULUS_BYTES`]).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         fn take<'a>(bytes: &mut &'a [u8]) -> Option<&'a [u8]> {
             let len = u16::from_be_bytes([*bytes.first()?, *bytes.get(1)?]) as usize;
@@ -389,7 +395,9 @@ impl PublicKey {
     /// those byte strings: `n` and `e` in their minimal big-endian form
     /// (no leading zero byte, `e` not empty) and nothing after `e`. One
     /// key therefore has one encoding, and the input itself becomes the
-    /// cached [`wire_bytes`](Self::wire_bytes).
+    /// cached [`wire_bytes`](Self::wire_bytes). A modulus under
+    /// [`MIN_MODULUS_BYTES`] is refused: it could neither check a
+    /// signature nor seal a secret.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let n_len = u16::from_be_bytes([*bytes.first()?, *bytes.get(1)?]) as usize;
         let n_bytes = bytes.get(2..2 + n_len)?;
@@ -403,7 +411,7 @@ impl PublicKey {
             return None;
         }
         let n = BigUint::from_bytes_be(n_bytes);
-        if !n.bits().is_multiple_of(8) {
+        if !n.bits().is_multiple_of(8) || n.bits() < 8 * MIN_MODULUS_BYTES {
             return None;
         }
         let k = n.bits() / 8;

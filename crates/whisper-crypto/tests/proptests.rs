@@ -11,9 +11,9 @@ use whisper_crypto::aes::{Aes128, AesKey, CtrNonce};
 use whisper_crypto::bignum::BigUint;
 use whisper_crypto::hybrid;
 use whisper_crypto::onion::{build_onion, peel, peel_with_body, PeelResult};
-use whisper_crypto::rsa::{KeyPair, RsaKeySize};
+use whisper_crypto::rsa::{KeyPair, PublicKey, RsaKeySize};
 use whisper_crypto::sha256::Sha256;
-use whisper_rand::check::check;
+use whisper_rand::check::{check, Gen};
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
 
@@ -246,5 +246,86 @@ fn peel_never_panics_on_garbage() {
         let bytes = g.bytes(199);
         let kp = &test_keys()[0];
         let _ = peel(kp, &bytes); // must return Err, not panic
+    });
+}
+
+/// `len(a) ‖ a ‖ len(b) ‖ b ‖ …` with two-byte length prefixes: the
+/// framing of a serialized public key (`n`, `e`) and key pair (`p`, `q`,
+/// `e`).
+fn framed(parts: &[&[u8]]) -> Vec<u8> {
+    parts.iter().flat_map(|part| [&(part.len() as u16).to_be_bytes()[..], part].concat()).collect()
+}
+
+/// `len` random bytes, the first with its top bit set: a number of
+/// exactly `8 · len` bits.
+fn whole_bytes(g: &mut Gen, len: usize) -> Vec<u8> {
+    let mut bytes: Vec<u8> = (0..len).map(|_| g.gen()).collect();
+    bytes[0] |= 0x80;
+    bytes
+}
+
+/// Signatures aimed at each check of `verify`'s layout, for a modulus of
+/// `k` bytes: arbitrary bytes, a block that opens with `00 01` — under
+/// `e = 1` it verifies to itself — and one laid out as `sign` writes it.
+fn hostile_signatures(g: &mut Gen, k: usize) -> [Vec<u8>; 3] {
+    let mut random = |len: usize| -> Vec<u8> { (0..len).map(|_| g.gen()).collect() };
+    let opened = [vec![0, 1], random(k.saturating_sub(2))].concat();
+    let laid_out = [vec![0, 1], vec![0xFF; k.saturating_sub(35)], vec![0], random(32)].concat();
+    [random(k + 2), opened, laid_out]
+}
+
+/// A key from the wire never panics the node that uses it: on arbitrary,
+/// truncated and hand-framed byte strings — moduli of 1 to 40 bytes, small
+/// exponents, `e = 1` among them — `PublicKey::from_bytes` never panics,
+/// and every key it accepts seals a 24-byte secret (what `hybrid::seal`
+/// hands it) and checks arbitrary signatures without panicking. The same
+/// for `KeyPair::from_bytes` on pairs of small "primes", whose accepted
+/// pairs sign, decrypt and hand out such a public key.
+#[test]
+fn keys_from_hostile_bytes_never_panic() {
+    let real = test_keys()[0].clone();
+    check(512, "keys_from_hostile_bytes_never_panic", |g| {
+        let e_len = g.gen_range(1..4usize);
+        let e = match g.gen_range(0..3u8) {
+            0 => vec![1],
+            1 => vec![1, 0, 1],
+            _ => whole_bytes(g, e_len),
+        };
+        // Half of the moduli within a byte or two of the shortest allowed.
+        let n_len = if g.gen() { g.gen_range(1..=40usize) } else { g.gen_range(33..=36usize) };
+        let public = match g.gen_range(0..4u8) {
+            0 | 1 => framed(&[&whole_bytes(g, n_len), &e]),
+            2 => {
+                let bytes = real.public().to_bytes();
+                bytes[..g.gen_range(0..=bytes.len())].to_vec()
+            }
+            _ => g.bytes(60),
+        };
+        let mut keys: Vec<PublicKey> = PublicKey::from_bytes(&public).into_iter().collect();
+        let (p_len, q_len) = (g.gen_range(1..=24usize), g.gen_range(1..=24usize));
+        let (mut p, mut q) = (whole_bytes(g, p_len), whole_bytes(g, q_len));
+        p[p_len - 1] |= 1;
+        q[q_len - 1] |= 1;
+        let pair = match g.gen_range(0..3u8) {
+            0 => framed(&[&p, &q, &e]),
+            1 => {
+                let bytes = real.to_bytes();
+                bytes[..g.gen_range(0..=bytes.len())].to_vec()
+            }
+            _ => g.bytes(80),
+        };
+        if let Some(pair) = KeyPair::from_bytes(&pair) {
+            let k = pair.public().modulus_bytes();
+            let _ = pair.sign(&g.bytes(40));
+            let _ = pair.decrypt(&g.bytes(k + 2));
+            keys.push(pair.public().clone());
+        }
+        let mut rng = StdRng::seed_from_u64(g.gen());
+        for key in keys {
+            key.encrypt(&[0x5A; 24], &mut rng).expect("an accepted key seals 24 bytes");
+            for signature in hostile_signatures(g, key.modulus_bytes()) {
+                let _ = key.verify(&g.bytes(40), &signature);
+            }
+        }
     });
 }

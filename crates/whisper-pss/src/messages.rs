@@ -44,45 +44,20 @@ pub enum NylonMsg {
         /// no values): the benchmark's gossip probe names the field.
         descs: Vec<Infallible>,
     },
-    /// A message relayed along a rendezvous chain. `remaining` lists the
-    /// hops still to traverse; its last element is the final destination.
-    /// `path_back` accumulates the hops traversed so far (origin first),
-    /// giving the destination a working reverse route.
-    Relayed {
-        /// Originator.
-        from: NodeId,
-        /// Hops left; last element is the destination.
+    /// A message walking a rendezvous chain: the one form of a relayed
+    /// message and of both halves of the open handshake. Each relay
+    /// pushes itself onto `taken` and passes the message on to the first
+    /// of `remaining`; the hop that has it straight from its origin
+    /// stamps the endpoint it saw into an open body.
+    Chain {
+        /// Hops left; the last one is the destination.
         remaining: Vec<NodeId>,
-        /// Hops already traversed, origin first.
-        path_back: Vec<NodeId>,
-        /// Serialized inner [`NylonMsg`].
-        inner: Vec<u8>,
-    },
-    /// Hole-punching request travelling along a rendezvous chain towards
-    /// the target (the last element of `remaining`). The first relay fills
-    /// `requester_ep` with the endpoint it observed. It carries no NAT
-    /// type: the requester sends it only where a punch can work.
-    OpenReq {
-        /// The node that wants to open a direct channel.
-        requester: NodeId,
-        /// Requester's externally observed endpoint (filled by the first
-        /// relay): the target punches towards it.
-        requester_ep: Option<Endpoint>,
-        /// Hops left; last element is the target.
-        remaining: Vec<NodeId>,
-        /// Hops traversed, origin first.
-        path_back: Vec<NodeId>,
-    },
-    /// Answer to [`NylonMsg::OpenReq`], travelling the reverse path. The
-    /// first relay to forward it fills `target_ep`.
-    OpenAck {
-        /// The target that accepted the open request.
-        target: NodeId,
-        /// Target's externally observed endpoint (filled by the first
-        /// relay on the way back).
-        target_ep: Option<Endpoint>,
-        /// Hops left on the reverse path; last element is the requester.
-        remaining: Vec<NodeId>,
+        /// Hops taken, origin first: never empty (the decoder refuses a
+        /// chain message with no origin), and the destination walks it
+        /// backwards to reach the origin.
+        taken: Vec<NodeId>,
+        /// What the chain carries.
+        body: ChainBody,
     },
     /// Hole-punching probe sent directly to a (guessed) endpoint — or, by
     /// a restricted-cone requester, to the target's public address, to
@@ -123,6 +98,20 @@ pub enum NylonMsg {
         /// Upper-layer bytes.
         payload: Vec<u8>,
     },
+}
+
+/// What a [`NylonMsg::Chain`] carries; on the wire, its tag is the
+/// message's.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ChainBody {
+    /// The wire image of a message for the destination, relayed there.
+    Relayed(Vec<u8>),
+    /// A hole-punching request: the destination punches towards the
+    /// origin's endpoint, as the first hop saw it, and answers.
+    OpenReq(Option<Endpoint>),
+    /// The answer to an open request, travelling back to the requester
+    /// with the target's endpoint as the first hop saw it.
+    OpenAck(Option<Endpoint>),
 }
 
 const TAG_GOSSIP_REQ: u8 = 1;
@@ -267,25 +256,18 @@ impl WireEncode for NylonMsg {
                 let request = matches!(self, NylonMsg::GossipReq { .. });
                 NylonMsg::put_gossip(w, request, *sender, *sender_public, entries, key.as_deref());
             }
-            NylonMsg::Relayed { from, remaining, path_back, inner } => {
-                w.put_u8(TAG_RELAYED);
-                w.put(from);
+            NylonMsg::Chain { remaining, taken, body } => {
+                w.put_u8(match body {
+                    ChainBody::Relayed(_) => TAG_RELAYED,
+                    ChainBody::OpenReq(_) => TAG_OPEN_REQ,
+                    ChainBody::OpenAck(_) => TAG_OPEN_ACK,
+                });
                 w.put_seq(remaining);
-                w.put_seq(path_back);
-                w.put_bytes(inner);
-            }
-            NylonMsg::OpenReq { requester, requester_ep, remaining, path_back } => {
-                w.put_u8(TAG_OPEN_REQ);
-                w.put(requester);
-                w.put_opt(requester_ep);
-                w.put_seq(remaining);
-                w.put_seq(path_back);
-            }
-            NylonMsg::OpenAck { target, target_ep, remaining } => {
-                w.put_u8(TAG_OPEN_ACK);
-                w.put(target);
-                w.put_opt(target_ep);
-                w.put_seq(remaining);
+                w.put_seq(taken);
+                match body {
+                    ChainBody::Relayed(inner) => w.put_bytes(inner),
+                    ChainBody::OpenReq(ep) | ChainBody::OpenAck(ep) => w.put_opt(ep),
+                }
             }
             NylonMsg::Punch { from } => {
                 w.put_u8(TAG_PUNCH);
@@ -318,13 +300,14 @@ impl WireEncode for NylonMsg {
             NylonMsg::GossipReq { entries, key, .. } | NylonMsg::GossipResp { entries, key, .. } => {
                 NylonMsg::gossip_len(entries, key.as_deref())
             }
-            NylonMsg::Relayed { remaining, path_back, inner, .. } => {
-                1 + 8 + seq_len(remaining) + seq_len(path_back) + bytes_len(inner)
+            NylonMsg::Chain { remaining, taken, body } => {
+                1 + seq_len(remaining)
+                    + seq_len(taken)
+                    + match body {
+                        ChainBody::Relayed(inner) => bytes_len(inner),
+                        ChainBody::OpenReq(ep) | ChainBody::OpenAck(ep) => opt_len(ep),
+                    }
             }
-            NylonMsg::OpenReq { requester_ep, remaining, path_back, .. } => {
-                1 + 8 + opt_len(requester_ep) + seq_len(remaining) + seq_len(path_back)
-            }
-            NylonMsg::OpenAck { target_ep, remaining, .. } => 1 + 8 + opt_len(target_ep) + seq_len(remaining),
             NylonMsg::Punch { .. } | NylonMsg::PunchAck { .. } => 1 + 8,
             NylonMsg::Ping { key, .. } | NylonMsg::Pong { key, .. } => 1 + 8 + opt_len(key),
             NylonMsg::App { payload, .. } => 1 + 8 + bytes_len(payload),
@@ -349,23 +332,19 @@ impl WireDecode for NylonMsg {
                 key: r.take_opt()?,
                 descs: Vec::new(),
             },
-            TAG_RELAYED => NylonMsg::Relayed {
-                from: r.take()?,
-                remaining: r.take_seq()?,
-                path_back: r.take_seq()?,
-                inner: r.take_bytes()?.to_vec(),
-            },
-            TAG_OPEN_REQ => NylonMsg::OpenReq {
-                requester: r.take()?,
-                requester_ep: r.take_opt()?,
-                remaining: r.take_seq()?,
-                path_back: r.take_seq()?,
-            },
-            TAG_OPEN_ACK => NylonMsg::OpenAck {
-                target: r.take()?,
-                target_ep: r.take_opt()?,
-                remaining: r.take_seq()?,
-            },
+            tag @ (TAG_RELAYED | TAG_OPEN_REQ | TAG_OPEN_ACK) => {
+                let remaining = r.take_seq()?;
+                let taken: Vec<NodeId> = r.take_seq()?;
+                if taken.is_empty() {
+                    return Err(WireError::new("chain message with no origin"));
+                }
+                let body = match tag {
+                    TAG_RELAYED => ChainBody::Relayed(r.take_bytes()?.to_vec()),
+                    TAG_OPEN_REQ => ChainBody::OpenReq(r.take_opt()?),
+                    _ => ChainBody::OpenAck(r.take_opt()?),
+                };
+                NylonMsg::Chain { remaining, taken, body }
+            }
             TAG_PUNCH => NylonMsg::Punch { from: r.take()? },
             TAG_PUNCH_ACK => NylonMsg::PunchAck { from: r.take()? },
             TAG_PING => NylonMsg::Ping { from: r.take()?, key: r.take_opt()? },
@@ -410,28 +389,15 @@ mod tests {
     }
 
     #[test]
-    fn relayed_round_trip() {
-        round_trip(NylonMsg::Relayed {
-            from: NodeId(1),
+    fn chain_and_punch_round_trip() {
+        let chain = |body| NylonMsg::Chain {
             remaining: vec![NodeId(2), NodeId(3)],
-            path_back: vec![NodeId(1)],
-            inner: b"inner".to_vec(),
-        });
-    }
-
-    #[test]
-    fn open_handshake_round_trip() {
-        round_trip(NylonMsg::OpenReq {
-            requester: NodeId(1),
-            requester_ep: Some(Endpoint { node: NodeId(1), port: 9 }),
-            remaining: vec![NodeId(5)],
-            path_back: vec![NodeId(1), NodeId(4)],
-        });
-        round_trip(NylonMsg::OpenAck {
-            target: NodeId(5),
-            target_ep: None,
-            remaining: vec![NodeId(4), NodeId(1)],
-        });
+            taken: vec![NodeId(1), NodeId(4)],
+            body,
+        };
+        round_trip(chain(ChainBody::Relayed(b"inner".to_vec())));
+        round_trip(chain(ChainBody::OpenReq(Some(Endpoint { node: NodeId(1), port: 9 }))));
+        round_trip(chain(ChainBody::OpenAck(None)));
         round_trip(NylonMsg::Punch { from: NodeId(7) });
         round_trip(NylonMsg::PunchAck { from: NodeId(7) });
     }

@@ -7,11 +7,17 @@
 //! layer above (the WCL embeds a `NylonCore` inside its own node type).
 //! [`NylonNode`] is a thin [`Protocol`] wrapper for running the PSS
 //! standalone, as the Fig. 5 / Fig. 6 experiments do.
+//!
+//! How a message reaches a peer is the [`Transport`]'s business: the core
+//! hands it every send, every direct packet, the transport's timers and
+//! the open request or acknowledgement that reaches its destination. The
+//! core itself forwards a [`NylonMsg::Chain`] one hop along its
+//! rendezvous chain and unwraps the relayed message that reaches it.
 
 use crate::backlog::{CbEntry, ConnectionBacklog};
 use crate::config::NylonConfig;
-use crate::messages::{GossipView, NylonMsg, APP_HEADER_LEN};
-use crate::transport::{peer_of_token, SendOutcome, Transport, OPEN_TIMEOUT, TIMER_OPEN_TIMEOUT};
+use crate::messages::{ChainBody, GossipView, NylonMsg, APP_HEADER_LEN};
+use crate::transport::{Arrival, SendOutcome, Transport};
 use crate::view::{Entry, View, ViewEntry};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -37,17 +43,8 @@ pub const MAX_AGE: u16 = 20;
 /// Timer token: periodic gossip cycle.
 const TIMER_GOSSIP_CYCLE: u64 = 1;
 /// Timer token kind: gossip response timeout (generation in the high bits).
+/// The transport's own timers take other kinds.
 const TIMER_GOSSIP_TIMEOUT: u64 = 2;
-/// Timer token kind: delayed re-punch towards an opening peer (peer id in
-/// the high bits), and after the last one the end of the wait for the
-/// peer's first direct packet. Real hole punching repeats its probes: the
-/// first punch can be filtered if it beats the other side's own outbound
-/// packet (e.g. symmetric → restricted-cone), while a later one passes.
-const TIMER_PUNCH_RETRY: u64 = 8;
-/// How many delayed re-punches to send.
-const PUNCH_RETRIES: u8 = 2;
-/// The spacing of the delayed re-punches.
-pub const PUNCH_RETRY_DELAY: SimDuration = SimDuration::from_millis(250);
 
 /// How long a pending CB ping may stay unanswered before we retry another
 /// candidate.
@@ -115,11 +112,6 @@ pub struct NylonCore {
     outstanding: Option<(NodeId, u64)>,
     gossip_gen: u64,
     ping_pending: HashMap<NodeId, SimTime>,
-    /// The requesters whose open we served: where to re-punch each and
-    /// how many re-punches are left. An entry lives until the first
-    /// direct packet from its requester, which it has answered, or until
-    /// [`OPEN_TIMEOUT`] after the request.
-    punch_retries: HashMap<NodeId, (Endpoint, u8)>,
     cycles_run: u64,
 }
 
@@ -152,7 +144,6 @@ impl NylonCore {
             outstanding: None,
             gossip_gen: 0,
             ping_pending: HashMap::new(),
-            punch_retries: HashMap::new(),
             cycles_run: 0,
         }
     }
@@ -257,7 +248,7 @@ impl NylonCore {
     ) -> SendOutcome {
         let frame = frame.finish();
         debug_assert!(NylonMsg::app_view(&frame).is_some(), "payload_len bytes must follow begin_app");
-        self.transport.send_encoded(ctx, self.id, to, to_nat, frame, route_hint)
+        self.transport.send_encoded(ctx, to, to_nat, frame, route_hint)
     }
 
     // ---------------------------------------------------------------
@@ -290,7 +281,6 @@ impl NylonCore {
         self.transport = Transport::new();
         self.outstanding = None;
         self.ping_pending.clear();
-        self.punch_retries.clear();
         self.seed_view();
     }
 
@@ -328,25 +318,7 @@ impl NylonCore {
                     }
                 }
             }
-            TIMER_OPEN_TIMEOUT => {
-                let peer = peer_of_token(token);
-                self.transport.on_open_timeout(ctx, self.id, peer);
-            }
-            TIMER_PUNCH_RETRY => {
-                let peer = peer_of_token(token);
-                // The timer after the last re-punch, due `OPEN_TIMEOUT`
-                // after the request, ends the wait for the requester's
-                // first direct packet.
-                let entry = self.punch_retries.remove(&peer);
-                if let Some((ep, left)) = entry.filter(|&(_, left)| left > 0) {
-                    ctx.send_wire(ep, &NylonMsg::Punch { from: self.id });
-                    self.punch_retries.insert(peer, (ep, left - 1));
-                    let last = OPEN_TIMEOUT - PUNCH_RETRY_DELAY * u64::from(PUNCH_RETRIES);
-                    let next = if left > 1 { PUNCH_RETRY_DELAY } else { last };
-                    ctx.set_timer(next, TIMER_PUNCH_RETRY | (peer.0 << 8));
-                }
-            }
-            _ => {}
+            _ => self.transport.on_timer(ctx, token),
         }
     }
 
@@ -366,37 +338,8 @@ impl NylonCore {
         data: &'d [u8],
     ) -> Option<(NodeId, &'d [u8])> {
         let app = ctx.prof_decode(|| NylonMsg::app_view(data))?;
-        self.note_direct_packet(ctx, from, from_ep, None);
+        self.transport.on_direct_packet(ctx, from, from_ep, Arrival::Other);
         Some(app)
-    }
-
-    /// Any direct packet — `msg`, or an `App` frame for `None` — proves a
-    /// working return path to `from`, completes a pending hole punch
-    /// towards it and ends our punching towards it. The packet that ends
-    /// our punching is answered directly, so that its sender's open ends
-    /// on a direct packet: a gossip request by the response, anything
-    /// else but a `PunchAck` by one `PunchAck`. A punch is answered
-    /// unless it completed our own open: our queue went or goes to the
-    /// puncher, and that answers it.
-    fn note_direct_packet(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        from: NodeId,
-        from_ep: Endpoint,
-        msg: Option<&Incoming<'_>>,
-    ) {
-        self.transport.note_contact(from, from_ep, ctx.now());
-        let opened = self.transport.on_established(ctx, from, from_ep);
-        let ended = !self.punch_retries.is_empty() && self.punch_retries.remove(&from).is_some();
-        let answer = match msg {
-            Some(Incoming::Gossip(gossip)) => ended && !gossip.request,
-            Some(Incoming::Other(NylonMsg::Punch { .. })) => !opened,
-            Some(Incoming::Other(NylonMsg::PunchAck { .. })) => false,
-            _ => ended,
-        };
-        if answer {
-            ctx.send_wire(from_ep, &NylonMsg::PunchAck { from: self.id });
-        }
     }
 
     /// Message dispatch; returns upcall events.
@@ -411,7 +354,13 @@ impl NylonCore {
             ctx.metrics().count("pss.malformed", 1);
             return Vec::new();
         };
-        self.note_direct_packet(ctx, from, from_ep, Some(&msg));
+        let arrival = match &msg {
+            Incoming::Other(NylonMsg::Punch { .. }) => Arrival::Punch,
+            Incoming::Other(NylonMsg::PunchAck { .. }) => Arrival::Answered,
+            Incoming::Gossip(gossip) if gossip.request => Arrival::Answered,
+            _ => Arrival::Other,
+        };
+        self.transport.on_direct_packet(ctx, from, from_ep, arrival);
         let mut events = Vec::new();
         self.handle(ctx, from, from_ep, Via::DIRECT, msg, &mut events);
         events
@@ -457,7 +406,7 @@ impl NylonCore {
         if let Some(t0) = t0 {
             ctx.prof_encode_ns(t0.elapsed().as_nanos() as u64);
         }
-        self.transport.send_encoded(ctx, self.id, to, to_nat, wire, route_hint)
+        self.transport.send_encoded(ctx, to, to_nat, wire, route_hint)
     }
 
     fn do_gossip_cycle(&mut self, ctx: &mut Ctx<'_>) {
@@ -575,12 +524,6 @@ impl NylonCore {
     // Message handling
     // ---------------------------------------------------------------
 
-    /// Passes `msg` on to `next`, the next hop of the chain it travels.
-    fn forward(&mut self, ctx: &mut Ctx<'_>, next: NodeId, msg: &NylonMsg) {
-        let ep = self.transport.next_hop_ep(ctx, next);
-        ctx.send_wire(ep, msg);
-    }
-
     fn handle(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -655,89 +598,56 @@ impl NylonCore {
             NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. } => {
                 debug_assert!(false, "Incoming::parse hands gossip to handle_gossip as a view");
             }
-            NylonMsg::Relayed { from, remaining, mut path_back, inner } => {
-                if let Some((&next, rest)) = remaining.split_first() {
-                    // Forward one hop.
-                    path_back.push(self.id);
-                    let fwd =
-                        NylonMsg::Relayed { from, remaining: rest.to_vec(), path_back, inner };
-                    self.forward(ctx, next, &fwd);
-                    ctx.metrics().count("pss.relayed_forwarded", 1);
-                } else {
-                    // Final destination: the way the message came, walked
-                    // backwards, is a working route to `from` — each relay
-                    // holds the contact of the one it took the packet
-                    // from. Remember it, then process the inner message
-                    // as one `from` sent over it.
-                    path_back.reverse();
-                    if !path_back.is_empty() {
-                        self.transport.note_reply_route(from, path_back.clone(), ctx.now());
+            NylonMsg::Chain { remaining, mut taken, mut body } => {
+                // The hop that has it straight from its origin stamps the
+                // endpoint it saw.
+                if let ChainBody::OpenReq(seen) | ChainBody::OpenAck(seen) = &mut body {
+                    if outer_from == taken[0] {
+                        seen.get_or_insert(outer_ep);
                     }
-                    let via = Via {
-                        relays: &path_back[..path_back.len().saturating_sub(1)],
-                        head_public: outer_ep.port == 0,
-                    };
-                    ctx.metrics().count("pss.relayed_delivered", 1);
-                    match Incoming::parse(&inner) {
-                        // No honest sender nests (`Transport::send_encoded`
-                        // wraps gossip and `App` frames only), and unwrapping
-                        // level by level would let one packet, a few
-                        // thousand deep, overflow this thread's stack.
-                        Some(Incoming::Other(NylonMsg::Relayed { .. })) => {
-                            ctx.metrics().count("pss.relayed_nested", 1);
+                }
+                if let Some((&next, rest)) = remaining.split_first() {
+                    if let ChainBody::Relayed(_) = body {
+                        ctx.metrics().count("pss.relayed_forwarded", 1);
+                    }
+                    taken.push(self.id);
+                    let fwd = NylonMsg::Chain { remaining: rest.to_vec(), taken, body };
+                    let ep = self.transport.next_hop_ep(ctx, next);
+                    ctx.send_wire(ep, &fwd);
+                    return;
+                }
+                match body {
+                    ChainBody::Relayed(inner) => {
+                        // Final destination: the way the message came,
+                        // walked backwards, is a working route to its
+                        // origin — each relay holds the contact of the one
+                        // it took the packet from. Remember it, then
+                        // process the inner message as one the origin sent
+                        // over it.
+                        let from = taken[0];
+                        taken.reverse();
+                        self.transport.note_reply_route(from, taken.clone(), ctx.now());
+                        let via = Via { relays: &taken[..taken.len() - 1], head_public: outer_ep.port == 0 };
+                        ctx.metrics().count("pss.relayed_delivered", 1);
+                        match Incoming::parse(&inner) {
+                            // No honest sender nests (`Transport::send_encoded`
+                            // wraps gossip and `App` frames only), and
+                            // unwrapping level by level would let one packet,
+                            // a few thousand deep, overflow this thread's stack.
+                            Some(Incoming::Other(NylonMsg::Chain { .. })) => {
+                                ctx.metrics().count("pss.relayed_nested", 1);
+                            }
+                            Some(inner_msg) => self.handle(ctx, from, outer_ep, via, inner_msg, events),
+                            None => {}
                         }
-                        Some(inner_msg) => self.handle(ctx, from, outer_ep, via, inner_msg, events),
-                        None => {}
                     }
-                }
-            }
-            NylonMsg::OpenReq { requester, mut requester_ep, remaining, mut path_back } => {
-                // The first relay (receiving straight from the requester)
-                // records the externally observed endpoint.
-                if requester_ep.is_none() && outer_from == requester {
-                    requester_ep = Some(outer_ep);
-                }
-                if let Some((&next, rest)) = remaining.split_first() {
-                    path_back.push(self.id);
-                    let remaining = rest.to_vec();
-                    let fwd = NylonMsg::OpenReq { requester, requester_ep, remaining, path_back };
-                    self.forward(ctx, next, &fwd);
-                } else {
-                    // We are the target: punch towards the requester (with
-                    // delayed re-punches — the first probe can race the
-                    // requester's own outbound packet through its filter)
-                    // and answer along the reverse path. The requester
-                    // asks only where a punch can work.
-                    if let Some(rep) = requester_ep {
-                        let punch = NylonMsg::Punch { from: self.id };
-                        ctx.send_wire(rep, &punch);
-                        self.punch_retries.insert(requester, (rep, PUNCH_RETRIES));
-                        ctx.set_timer(PUNCH_RETRY_DELAY, TIMER_PUNCH_RETRY | (requester.0 << 8));
-                    }
-                    path_back.reverse();
-                    if let Some((&next, rest)) = path_back.split_first() {
-                        let remaining = rest.to_vec();
-                        let ack = NylonMsg::OpenAck { target: self.id, target_ep: None, remaining };
-                        self.forward(ctx, next, &ack);
-                    }
-                    ctx.metrics().count("pss.open_served", 1);
-                }
-            }
-            NylonMsg::OpenAck { target, mut target_ep, remaining } => {
-                if target_ep.is_none() && outer_from == target {
-                    target_ep = Some(outer_ep);
-                }
-                if let Some((&next, rest)) = remaining.split_first() {
-                    let remaining = rest.to_vec();
-                    let fwd = NylonMsg::OpenAck { target, target_ep, remaining };
-                    self.forward(ctx, next, &fwd);
-                } else {
-                    self.transport.on_open_ack(ctx, target, target_ep);
+                    ChainBody::OpenReq(requester_ep) => self.transport.on_open_req(ctx, taken, requester_ep),
+                    ChainBody::OpenAck(target_ep) => self.transport.on_open_ack(ctx, taken[0], target_ep),
                 }
             }
             NylonMsg::Punch { .. } | NylonMsg::PunchAck { .. } => {
-                // Contact recorded, open completed and answer sent by
-                // `on_message`; nothing else to do.
+                // Contact recorded, open completed and answer sent by the
+                // transport; nothing else to do.
             }
             NylonMsg::Ping { from, key } => {
                 self.learn_key(from, key.as_deref());
@@ -754,6 +664,7 @@ impl NylonCore {
             }
         }
     }
+
 }
 
 /// A standalone PSS node: [`NylonCore`] wrapped as a [`Protocol`].

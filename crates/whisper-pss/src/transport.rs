@@ -1,29 +1,35 @@
 //! NAT-resilient message delivery: contact tracking, rendezvous-chain
-//! relaying, and the hole-punching state machine.
+//! relaying, and the whole hole-punching handshake — both of its ends,
+//! their timers and the rule that answers a punch.
 //!
 //! A node can reach a peer directly when it holds a *fresh contact* — an
 //! endpoint it recently received a packet from (replying to a sender
 //! always traverses the sender's NAT while the association rule lives).
 //! Otherwise it either relays messages along the peer's rendezvous chain
-//! or first opens a hole through both NATs with an `OpenReq`/`OpenAck`
-//! handshake coordinated over that chain. Whether a punch can work is
-//! decided once, by the requester, before it sends
-//! ([`can_hole_punch`] on its own NAT type and the one its view entry
-//! gives the peer; a send that names no type takes the peer to be
+//! or first opens a hole through both NATs with an open request and its
+//! acknowledgement, coordinated over that chain. All three travel as one
+//! [`NylonMsg::Chain`] with a different [`ChainBody`]; the node core only
+//! forwards it, and hands what reaches its destination here.
+//!
+//! Whether a punch can work is decided once, by the requester, before it
+//! sends ([`can_hole_punch`] on its own NAT type and the one its view
+//! entry gives the peer; a send that names no type takes the peer to be
 //! symmetric): a public node has no NAT to open and relays at once, as
 //! does a node whose NAT and the peer's cannot be punched. The handshake
-//! carries no NAT type, and the target punches whenever it is asked. A
-//! requester waits only for what its own NAT and the peer's need: a
-//! restricted-cone node opens its own filter with one `Punch` before it
-//! asks, so the peer's punch gets in; and a requester whose NAT lets no
-//! punch in sends what it queued straight to the endpoint the
-//! acknowledgement names — the queued message is the punch — unless the
-//! peer is symmetric. Each message goes out once: what went directly is
-//! not relayed again when the time-out ends an open that got no answer.
-//! Whether a punch that is attempted succeeds is decided by the emulated
-//! NAT devices, not by this code.
+//! carries no NAT type, and the target punches whenever it is asked, then
+//! re-punches ([`PUNCH_RETRY_DELAY`]) until the requester's first direct
+//! packet arrives, which it answers. A requester waits only for what its
+//! own NAT and the peer's need: a restricted-cone node opens its own
+//! filter with one `Punch` before it asks, so the peer's punch gets in;
+//! and a requester whose NAT lets no punch in sends what it queued
+//! straight to the endpoint the acknowledgement names — the queued message
+//! is the punch — unless the peer is symmetric. Each message goes out
+//! once: what went directly is not relayed again when the time-out
+//! ([`OPEN_TIMEOUT`]) ends an open that got no answer. Whether a punch
+//! that is attempted succeeds is decided by the emulated NAT devices, not
+//! by this code.
 
-use crate::messages::NylonMsg;
+use crate::messages::{ChainBody, NylonMsg};
 use std::collections::HashMap;
 use whisper_net::nat::{can_hole_punch, NatType};
 use whisper_net::sim::Ctx;
@@ -50,8 +56,10 @@ pub enum SendOutcome {
     Direct,
     /// Wrapped and forwarded along a relay chain.
     Relayed,
-    /// Queued while a hole-punching handshake runs; will be flushed
-    /// directly on success or relayed on timeout.
+    /// Queued while a hole-punching handshake runs: sent directly when
+    /// the punch works (or, where the requester's NAT lets no punch in, to
+    /// the endpoint the acknowledgement names), relayed on timeout only
+    /// if it never went directly.
     Queued,
     /// No contact, no reply route, no usable chain: dropped.
     Failed,
@@ -106,17 +114,38 @@ struct PendingOpen {
     sent_to: Option<Endpoint>,
 }
 
-/// Timer token kinds used by the transport (low byte of the token).
-pub const TIMER_OPEN_TIMEOUT: u64 = 3;
+/// Timer token kind (low byte; the peer's id in the high bits): the end of
+/// a requester's wait for a direct channel.
+const TIMER_OPEN_TIMEOUT: u64 = 3;
+/// Timer token kind: a target's delayed re-punch towards a requester, and
+/// after the last one the end of the wait for its first direct packet.
+/// Real hole punching repeats its probes: the first punch can be filtered
+/// if it beats the other side's own outbound packet (e.g. symmetric →
+/// restricted-cone), while a later one passes.
+const TIMER_PUNCH_RETRY: u64 = 8;
 
-/// Packs an open-timeout token for `peer`.
-pub fn open_timeout_token(peer: NodeId) -> u64 {
-    TIMER_OPEN_TIMEOUT | (peer.0 << 8)
+/// How many delayed re-punches a target sends.
+const PUNCH_RETRIES: u8 = 2;
+
+/// The spacing of a target's delayed re-punches.
+pub const PUNCH_RETRY_DELAY: SimDuration = SimDuration::from_millis(250);
+
+/// Packs a timer token of `kind` for `peer`.
+fn token(kind: u64, peer: NodeId) -> u64 {
+    kind | (peer.0 << 8)
 }
 
-/// Recovers the peer from an open-timeout token.
-pub fn peer_of_token(token: u64) -> NodeId {
-    NodeId(token >> 8)
+/// What a direct packet is to the rule that answers the packet ending a
+/// target's punching ([`Transport::on_direct_packet`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    /// A [`NylonMsg::Punch`].
+    Punch,
+    /// A [`NylonMsg::PunchAck`], or a gossip request, which its response
+    /// answers.
+    Answered,
+    /// Anything else.
+    Other,
 }
 
 /// The per-node transport state.
@@ -125,7 +154,13 @@ pub struct Transport {
     /// Where each NATted peer's packets last came from.
     contacts: Expiring<Endpoint>,
     reply_routes: Expiring<Vec<NodeId>>,
+    /// The opens this node requested, by target.
     opens: HashMap<NodeId, PendingOpen>,
+    /// The requesters whose open this node served: where to re-punch each
+    /// and how many re-punches are left. An entry lives until the first
+    /// direct packet from its requester, which it has answered, or until
+    /// [`OPEN_TIMEOUT`] after the request.
+    punching: HashMap<NodeId, (Endpoint, u8)>,
 }
 
 impl Transport {
@@ -149,7 +184,7 @@ impl Transport {
     }
 
     /// Records a working relayed route to `origin` (relays first, then
-    /// `origin` itself), learned from a relayed message's `path_back`.
+    /// `origin` itself), learned from a relayed message's hops taken.
     pub fn note_reply_route(&mut self, origin: NodeId, route: Vec<NodeId>, now: SimTime) {
         self.reply_routes.insert(origin, route, now + REPLY_ROUTE_TTL, now);
     }
@@ -187,14 +222,12 @@ impl Transport {
     ///   gives it; `None` for a NATted peer of unknown type, taken to be
     ///   [`NatType::Symmetric`], the type that promises least;
     /// * `route_hint` — rendezvous chain from a view entry (first element
-    ///   must be a node we can reach), used for relaying / punching;
-    /// * `me` — our node id.
+    ///   must be a node we can reach), used for relaying / punching.
     ///
     /// Returns how the message travelled.
     pub fn send_encoded(
         &mut self,
         ctx: &mut Ctx<'_>,
-        me: NodeId,
         to: NodeId,
         to_nat: Option<NatType>,
         wire: Payload,
@@ -211,7 +244,7 @@ impl Transport {
         // 3. Fresh relayed reverse route.
         if let Some(route) = self.reply_routes.get(to, now).filter(|r| !r.is_empty()) {
             let inner = unpooled(ctx, wire);
-            self.relay(ctx, me, route, inner);
+            self.send_chain(ctx, route, ChainBody::Relayed(inner));
             ctx.metrics().count("pss.relayed_sent", 1);
             return SendOutcome::Relayed;
         }
@@ -232,35 +265,28 @@ impl Transport {
             if nat.is_public() {
                 // No NAT of ours to open: the chain carries the message
                 // and the peer answers to our public address.
-                self.relay(ctx, me, &chain, inner);
+                self.send_chain(ctx, &chain, ChainBody::Relayed(inner));
                 ctx.metrics().count("pss.relayed_sent", 1);
                 return SendOutcome::Relayed;
             }
             if !can_hole_punch(nat, to_nat) {
                 // No punch can work: relay at once.
-                self.relay_over(ctx, me, to, chain, [inner], "pss.open_unpunchable");
+                self.relay_over(ctx, to, chain, [inner], "pss.open_unpunchable");
                 return SendOutcome::Relayed;
             }
             if nat == NatType::RestrictedCone {
                 // A restricted-cone filter admits any port of a host it
                 // has sent to: one packet towards the peer lets in the
                 // punch the peer sends when the request reaches it.
-                ctx.send_wire(Endpoint::public(to), &NylonMsg::Punch { from: me });
+                ctx.send_wire(Endpoint::public(to), &NylonMsg::Punch { from: ctx.id() });
             }
             // Queue the message and start a hole-punching handshake; it
             // ends in a direct channel or in the timeout, which relays
             // over the same chain.
-            let open = NylonMsg::OpenReq {
-                requester: me,
-                requester_ep: None,
-                remaining: chain[1..].to_vec(),
-                path_back: vec![me],
-            };
-            let first_ep = self.next_hop_ep(ctx, chain[0]);
-            ctx.send_wire(first_ep, &open);
+            self.send_chain(ctx, &chain, ChainBody::OpenReq(None));
             ctx.metrics().count("pss.open_started", 1);
             self.opens.insert(to, PendingOpen { chain, nat: to_nat, queued: vec![inner], sent_to: None });
-            ctx.set_timer(OPEN_TIMEOUT, open_timeout_token(to));
+            ctx.set_timer(OPEN_TIMEOUT, token(TIMER_OPEN_TIMEOUT, to));
             return SendOutcome::Queued;
         }
         ctx.recycle(wire);
@@ -268,17 +294,12 @@ impl Transport {
         SendOutcome::Failed
     }
 
-    /// Relays the wire image `inner` along the non-empty `route` (relays
+    /// Sends `body` from this node along the non-empty `route` (relays
     /// first, destination last).
-    fn relay(&self, ctx: &mut Ctx<'_>, me: NodeId, route: &[NodeId], inner: Vec<u8>) {
-        let relayed = NylonMsg::Relayed {
-            from: me,
-            remaining: route[1..].to_vec(),
-            path_back: vec![me],
-            inner,
-        };
+    fn send_chain(&self, ctx: &mut Ctx<'_>, route: &[NodeId], body: ChainBody) {
+        let msg = NylonMsg::Chain { remaining: route[1..].to_vec(), taken: vec![ctx.id()], body };
         let ep = self.next_hop_ep(ctx, route[0]);
-        ctx.send_wire(ep, &relayed);
+        ctx.send_wire(ep, &msg);
     }
 
     /// Counts `why`, relays `messages` over `chain`, which ends in `peer`
@@ -287,7 +308,6 @@ impl Transport {
     fn relay_over(
         &mut self,
         ctx: &mut Ctx<'_>,
-        me: NodeId,
         peer: NodeId,
         chain: Vec<NodeId>,
         messages: impl IntoIterator<Item = Vec<u8>>,
@@ -295,27 +315,72 @@ impl Transport {
     ) {
         ctx.metrics().count(why, 1);
         for inner in messages {
-            self.relay(ctx, me, &chain, inner);
+            self.send_chain(ctx, &chain, ChainBody::Relayed(inner));
         }
         self.note_reply_route(peer, chain, ctx.now());
     }
 
-    /// Handles the open-timeout timer for `peer`: a punch that should
-    /// have worked did not, within [`OPEN_TIMEOUT`], and the chain takes
-    /// over. What was queued is relayed (`pss.open_relay_fallback`) —
-    /// unless it went to the endpoint the acknowledgement named, and what
-    /// was queued after it followed it there: then it went once, as any
-    /// direct send, and only the peer's answer is missing
-    /// (`pss.open_unanswered`).
-    pub fn on_open_timeout(&mut self, ctx: &mut Ctx<'_>, me: NodeId, peer: NodeId) {
+    /// Handles a transport timer; any other token is ignored.
+    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        let peer = NodeId(token >> 8);
+        match token & 0xFF {
+            TIMER_OPEN_TIMEOUT => self.on_open_timeout(ctx, peer),
+            TIMER_PUNCH_RETRY => self.on_punch_retry(ctx, peer),
+            _ => {}
+        }
+    }
+
+    /// The open towards `peer` timed out: a punch that should have worked
+    /// did not, within [`OPEN_TIMEOUT`], and the chain takes over. What
+    /// was queued is relayed (`pss.open_relay_fallback`) — unless it went
+    /// to the endpoint the acknowledgement named, and what was queued
+    /// after it followed it there: then it went once, as any direct send,
+    /// and only the peer's answer is missing (`pss.open_unanswered`).
+    fn on_open_timeout(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
         let Some(open) = self.opens.remove(&peer) else {
             return; // handshake completed in time
         };
         if open.sent_to.is_some() {
-            self.relay_over(ctx, me, peer, open.chain, [], "pss.open_unanswered");
+            self.relay_over(ctx, peer, open.chain, [], "pss.open_unanswered");
         } else {
-            self.relay_over(ctx, me, peer, open.chain, open.queued, "pss.open_relay_fallback");
+            self.relay_over(ctx, peer, open.chain, open.queued, "pss.open_relay_fallback");
         }
+    }
+
+    /// A re-punch towards the requester `peer` is due; the timer after the
+    /// last one, due [`OPEN_TIMEOUT`] after the request, ends the wait for
+    /// the requester's first direct packet.
+    fn on_punch_retry(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
+        let entry = self.punching.remove(&peer);
+        if let Some((ep, left)) = entry.filter(|&(_, left)| left > 0) {
+            ctx.send_wire(ep, &NylonMsg::Punch { from: ctx.id() });
+            self.punching.insert(peer, (ep, left - 1));
+            let last = OPEN_TIMEOUT - PUNCH_RETRY_DELAY * u64::from(PUNCH_RETRIES);
+            let next = if left > 1 { PUNCH_RETRY_DELAY } else { last };
+            ctx.set_timer(next, token(TIMER_PUNCH_RETRY, peer));
+        }
+    }
+
+    /// This node is the target of an open request that took the hops
+    /// `taken` (requester first) and, if the first hop stamped it, saw the
+    /// requester at `requester_ep`. The requester asks only where a punch
+    /// can work: punch towards it, with delayed re-punches — the first
+    /// probe can race the requester's own outbound packet through its
+    /// filter — and answer back along the hops taken.
+    pub(crate) fn on_open_req(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        mut taken: Vec<NodeId>,
+        requester_ep: Option<Endpoint>,
+    ) {
+        if let Some(ep) = requester_ep {
+            ctx.send_wire(ep, &NylonMsg::Punch { from: ctx.id() });
+            self.punching.insert(taken[0], (ep, PUNCH_RETRIES));
+            ctx.set_timer(PUNCH_RETRY_DELAY, token(TIMER_PUNCH_RETRY, taken[0]));
+        }
+        taken.reverse();
+        self.send_chain(ctx, &taken, ChainBody::OpenAck(None));
+        ctx.metrics().count("pss.open_served", 1);
     }
 
     /// Handles the acknowledgement of the open request sent to `peer`,
@@ -339,25 +404,44 @@ impl Transport {
         }
     }
 
-    /// Completes an open handshake towards `peer` (a direct packet
-    /// arrived from `ep`): sends the queue there unless it went there
-    /// already. Returns whether an open was pending.
-    pub fn on_established(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, ep: Endpoint) -> bool {
+    /// A packet came straight from `from` at `from_ep`: it proves a
+    /// working return path, completes a pending open towards `from` — its
+    /// queue goes to `from_ep` unless it went there already — and ends
+    /// our punching towards it. The packet that ends our punching is
+    /// answered directly, so that its sender's open ends on a direct
+    /// packet: a gossip request by the response, anything else but a
+    /// `PunchAck` by one `PunchAck`. A punch is answered unless it
+    /// completed our own open: our queue went or goes to the puncher, and
+    /// that answers it.
+    pub(crate) fn on_direct_packet(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: NodeId,
+        from_ep: Endpoint,
+        arrival: Arrival,
+    ) {
+        self.note_contact(from, from_ep, ctx.now());
         // Called for every direct packet, and there is rarely a handshake
         // in flight: an empty map is not worth hashing into.
-        if self.opens.is_empty() {
-            return false;
-        }
-        let Some(open) = self.opens.remove(&peer) else {
-            return false;
-        };
-        ctx.metrics().count("pss.open_punch_ok", 1);
-        if open.sent_to != Some(ep) {
-            for inner in open.queued {
-                ctx.send_to(ep, inner);
+        let open = if self.opens.is_empty() { None } else { self.opens.remove(&from) };
+        let opened = open.is_some();
+        if let Some(open) = open {
+            ctx.metrics().count("pss.open_punch_ok", 1);
+            if open.sent_to != Some(from_ep) {
+                for inner in open.queued {
+                    ctx.send_to(from_ep, inner);
+                }
             }
         }
-        true
+        let ended = !self.punching.is_empty() && self.punching.remove(&from).is_some();
+        let answer = match arrival {
+            Arrival::Punch => !opened,
+            Arrival::Answered => false,
+            Arrival::Other => ended,
+        };
+        if answer {
+            ctx.send_wire(from_ep, &NylonMsg::PunchAck { from: ctx.id() });
+        }
     }
 }
 
@@ -372,13 +456,6 @@ fn unpooled(ctx: &mut Ctx<'_>, wire: Payload) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn token_round_trip() {
-        let t = open_timeout_token(NodeId(123456));
-        assert_eq!(t & 0xFF, TIMER_OPEN_TIMEOUT);
-        assert_eq!(peer_of_token(t), NodeId(123456));
-    }
 
     #[test]
     fn contacts_expire() {

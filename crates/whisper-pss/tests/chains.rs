@@ -10,7 +10,7 @@ use whisper_net::nat::{NatDistribution, NatType};
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
 use whisper_net::wire::WireDecode;
 use whisper_net::{Endpoint, NodeId, Payload};
-use whisper_pss::messages::NylonMsg;
+use whisper_pss::messages::{ChainBody, NylonMsg};
 use whisper_pss::nylon::CYCLE;
 use whisper_pss::view::ROUTE_CAP;
 use whisper_pss::{NylonConfig, NylonCore};
@@ -37,7 +37,7 @@ impl Watcher {
     fn watch(&mut self, wire: &[u8]) {
         let relayed;
         let wire = match NylonMsg::from_wire(wire) {
-            Ok(NylonMsg::Relayed { remaining, inner, .. }) if remaining.is_empty() => {
+            Ok(NylonMsg::Chain { remaining, body: ChainBody::Relayed(inner), .. }) if remaining.is_empty() => {
                 relayed = inner;
                 &relayed[..]
             }

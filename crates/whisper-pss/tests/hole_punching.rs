@@ -14,8 +14,7 @@ use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
 use whisper_net::wire::WireDecode;
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 use whisper_pss::messages::NylonMsg;
-use whisper_pss::nylon::PUNCH_RETRY_DELAY;
-use whisper_pss::transport::OPEN_TIMEOUT;
+use whisper_pss::transport::{OPEN_TIMEOUT, PUNCH_RETRY_DELAY};
 use whisper_pss::{NylonConfig, NylonCore, NylonEvent};
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;

@@ -10,7 +10,7 @@ use whisper_net::nat::NatType;
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
 use whisper_net::wire::WireEncode;
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration};
-use whisper_pss::messages::NylonMsg;
+use whisper_pss::messages::{ChainBody, NylonMsg};
 use whisper_pss::transport::{SendOutcome, OPEN_TIMEOUT};
 use whisper_pss::{NylonConfig, NylonCore, NylonNode};
 use whisper_rand::rngs::StdRng;
@@ -118,8 +118,8 @@ fn contacts_are_kept_for_natted_senders_only_and_both_stay_reachable() {
     assert_eq!(sim.metrics().counter("pss.send_failed"), 0);
 }
 
-/// A relayed message is unwrapped once, at its destination. A `Relayed`
-/// inside a `Relayed` is nothing an honest sender builds, and unwrapping
+/// A relayed message is unwrapped once, at its destination. A chain
+/// message inside a relayed one is nothing an honest sender builds, and unwrapping
 /// it level by level let a single packet exhaust the stack (a debug build
 /// died at 1 000 levels, a release build at 5 000): the inner one is
 /// dropped and counted, and the node lives on.
@@ -127,11 +127,10 @@ fn contacts_are_kept_for_natted_senders_only_and_both_stay_reachable() {
 fn a_relayed_message_is_unwrapped_once_however_deep_the_sender_nested() {
     let (mut sim, id, mut keyrng) = lone_node();
     let (peer, relay) = (NodeId(77), Endpoint { node: NodeId(76), port: 9 });
-    let relayed = |inner: Vec<u8>| NylonMsg::Relayed {
-        from: peer,
+    let relayed = |inner: Vec<u8>| NylonMsg::Chain {
         remaining: vec![],
-        path_back: vec![relay.node],
-        inner,
+        taken: vec![peer, relay.node],
+        body: ChainBody::Relayed(inner),
     };
 
     let mut wire = NylonMsg::Punch { from: peer }.to_wire();
@@ -151,6 +150,29 @@ fn a_relayed_message_is_unwrapped_once_however_deep_the_sender_nested() {
     assert_eq!(cb_key(&sim, id, peer), Some(key), "the relayed request was merged");
     assert_eq!(sim.metrics().counter("pss.relayed_delivered"), 2);
     assert_eq!(sim.metrics().counter("pss.relayed_nested"), 1);
+}
+
+/// A chain message names its origin once, as the first of the hops taken:
+/// one with no hops taken has no origin, and is refused as malformed — at
+/// its destination and on its way, whatever it carries — before anything
+/// reads it.
+#[test]
+fn a_chain_message_with_no_origin_is_malformed() {
+    let (mut sim, id, _) = lone_node();
+    let from = Endpoint { node: NodeId(76), port: 9 };
+    let ep = Some(from);
+    let mut sent = 0;
+    for body in [ChainBody::Relayed(b"x".to_vec()), ChainBody::OpenReq(ep), ChainBody::OpenAck(None)] {
+        for remaining in [vec![], vec![NodeId(75)]] {
+            let msg = NylonMsg::Chain { remaining, taken: vec![], body: body.clone() };
+            deliver(&mut sim, id, from, &msg);
+            sent += 1;
+            assert_eq!(sim.metrics().counter("pss.malformed"), sent, "{msg:?}");
+        }
+    }
+    assert_eq!(sim.in_flight_msgs(), 0, "nothing forwarded, answered or punched");
+    let m = sim.metrics();
+    assert_eq!(m.counter("pss.relayed_delivered") + m.counter("pss.open_served"), 0);
 }
 
 /// A host that keeps every packet it is sent, as sent.
@@ -209,11 +231,10 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
         Route::Relayed => {
             // A relayed message from the stranger came in over the peer
             // (one that asks for no answer, so the peer hears nothing else).
-            let relayed = NylonMsg::Relayed {
-                from: stranger,
+            let relayed = NylonMsg::Chain {
                 remaining: vec![],
-                path_back: vec![stranger, peer],
-                inner: NylonMsg::PunchAck { from: stranger }.to_wire(),
+                taken: vec![stranger, peer],
+                body: ChainBody::Relayed(NylonMsg::PunchAck { from: stranger }.to_wire()),
             };
             deliver(&mut sim, id, Endpoint::public(peer), &relayed);
             (stranger, None, vec![], SendOutcome::Relayed)
@@ -264,11 +285,10 @@ fn a_payload_leaves_as_the_same_bytes_whichever_way_it_was_handed_over() {
         let sender = NodeId(0);
         let on_the_wire = match route {
             Route::Direct => vec![app(sender).to_wire()],
-            Route::Relayed | Route::RelayedAtOnce => vec![NylonMsg::Relayed {
-                from: sender,
+            Route::Relayed | Route::RelayedAtOnce => vec![NylonMsg::Chain {
                 remaining: vec![NodeId(70)],
-                path_back: vec![sender],
-                inner: app(sender).to_wire(),
+                taken: vec![sender],
+                body: ChainBody::Relayed(app(sender).to_wire()),
             }
             .to_wire()],
             Route::PunchedThrough => vec![app(sender).to_wire()],

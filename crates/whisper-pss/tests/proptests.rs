@@ -8,7 +8,7 @@ use whisper_net::nat::NatType;
 use whisper_net::wire::{WireDecode, WireEncode};
 use whisper_net::{Endpoint, NodeId};
 use whisper_pss::backlog::{CbEntry, ConnectionBacklog};
-use whisper_pss::messages::NylonMsg;
+use whisper_pss::messages::{ChainBody, NylonMsg};
 use whisper_pss::view::{Entry, View, ViewEntry, ROUTE_CAP};
 use whisper_rand::check::{check, Gen};
 use whisper_rand::Rng;
@@ -30,6 +30,17 @@ fn gen_entry(g: &mut Gen) -> ViewEntry {
 /// P-nodes kept.
 #[test]
 fn merge_invariants() {
+    // A case once found and shrunk: the node itself among the entries held,
+    // the only P-node held and shipped again, fresher, among NATted ones.
+    // (As found, the P-node arrived marked NATted: the merge keeps that
+    // fresher copy, and a node's class is fixed in every generated case.)
+    let entry = |node: u64, age: u16, public: bool| ViewEntry { node: NodeId(node), age, public, route: vec![] };
+    let natted = |node: u64| entry(node, 0, false);
+    let initial = [30, 0, 1, 2].map(natted).into_iter().chain([entry(18, 6, true)]);
+    let initial = initial.chain([3, 4].map(natted)).collect();
+    let received = vec![natted(5), natted(6), entry(18, 0, true), natted(7)];
+    assert_merge_invariants(initial, received, 3, 1, false, NodeId(0));
+
     check(128, "merge_invariants", |g| {
         let initial = g.vec(14, gen_entry);
         let received = g.vec(14, gen_entry);
@@ -37,43 +48,54 @@ fn merge_invariants() {
         let pi = g.gen_range(0..5usize).min(cap);
         let discard: bool = g.gen();
         let me = NodeId(g.gen_range(0..40u64));
-        let mut view = View::new();
-        for e in initial {
-            if e.node != me {
-                view.insert(e);
-            }
-        }
-        // Count distinct publics available in the union.
-        let mut union_nodes = std::collections::HashMap::new();
-        let held = view.entries().iter().map(|e| (e.node, e.is_public()));
-        for (node, public) in held.chain(received.iter().map(|e| (e.node, e.public))) {
-            if node != me {
-                union_nodes.entry(node).or_insert(public);
-            }
-        }
-        let avail_publics = union_nodes.values().filter(|p| **p).count();
-        let avail_total = union_nodes.len();
-
-        view.merge(received, me, cap, pi, discard);
-
-        assert!(view.len() <= cap, "size bound");
-        assert_eq!(view.len(), view.len().min(avail_total));
-        assert!(!view.contains(me), "no self-entry");
-        let mut seen = std::collections::HashSet::new();
-        for e in view.entries() {
-            assert!(seen.insert(e.node), "duplicate {:?}", e.node);
-        }
-        if view.len() == cap {
-            // Π is satisfied whenever enough publics existed.
-            let expect = pi.min(avail_publics);
-            assert!(
-                view.p_count() >= expect.min(cap),
-                "Π violated: {} < {}",
-                view.p_count(),
-                expect
-            );
-        }
+        assert_merge_invariants(initial, received, cap, pi, discard, me);
     });
+}
+
+fn assert_merge_invariants(
+    initial: Vec<ViewEntry>,
+    received: Vec<ViewEntry>,
+    cap: usize,
+    pi: usize,
+    discard: bool,
+    me: NodeId,
+) {
+    let mut view = View::new();
+    for e in initial {
+        if e.node != me {
+            view.insert(e);
+        }
+    }
+    // Count distinct publics available in the union.
+    let mut union_nodes = std::collections::HashMap::new();
+    let held = view.entries().iter().map(|e| (e.node, e.is_public()));
+    for (node, public) in held.chain(received.iter().map(|e| (e.node, e.public))) {
+        if node != me {
+            union_nodes.entry(node).or_insert(public);
+        }
+    }
+    let avail_publics = union_nodes.values().filter(|p| **p).count();
+    let avail_total = union_nodes.len();
+
+    view.merge(received, me, cap, pi, discard);
+
+    assert!(view.len() <= cap, "size bound");
+    assert_eq!(view.len(), view.len().min(avail_total));
+    assert!(!view.contains(me), "no self-entry");
+    let mut seen = std::collections::HashSet::new();
+    for e in view.entries() {
+        assert!(seen.insert(e.node), "duplicate {:?}", e.node);
+    }
+    if view.len() == cap {
+        // Π is satisfied whenever enough publics existed.
+        let expect = pi.min(avail_publics);
+        assert!(
+            view.p_count() >= expect.min(cap),
+            "Π violated: {} < {}",
+            view.p_count(),
+            expect
+        );
+    }
 }
 
 /// Merge keeps, for every retained node, the freshest copy seen.
@@ -159,9 +181,16 @@ fn gen_opt<T>(g: &mut Gen, f: impl FnOnce(&mut Gen) -> T) -> Option<T> {
     g.gen::<bool>().then(|| f(g))
 }
 
-/// An arbitrary [`NylonMsg`], uniformly across all ten variants.
+/// An arbitrary [`NylonMsg`], uniformly across the ten kinds on the wire:
+/// a chain message once for each of its bodies.
 fn gen_msg(g: &mut Gen) -> NylonMsg {
     let gen_path = |g: &mut Gen| g.vec(4, |g| NodeId(g.gen_range(0..40u64)));
+    let gen_chain = |g: &mut Gen, body| NylonMsg::Chain {
+        remaining: gen_path(g),
+        // The origin, then the relays.
+        taken: [vec![NodeId(g.gen_range(0..40u64))], gen_path(g)].concat(),
+        body,
+    };
     match g.gen_range(0..10u8) {
         0 => NylonMsg::GossipReq {
             sender: NodeId(g.gen_range(0..40u64)),
@@ -177,23 +206,18 @@ fn gen_msg(g: &mut Gen) -> NylonMsg {
             key: gen_opt(g, |g| g.bytes(60)),
             descs: vec![],
         },
-        2 => NylonMsg::Relayed {
-            from: NodeId(g.gen_range(0..40u64)),
-            remaining: gen_path(g),
-            path_back: gen_path(g),
-            inner: g.bytes(80),
-        },
-        3 => NylonMsg::OpenReq {
-            requester: NodeId(g.gen_range(0..40u64)),
-            requester_ep: gen_opt(g, gen_endpoint),
-            remaining: gen_path(g),
-            path_back: gen_path(g),
-        },
-        4 => NylonMsg::OpenAck {
-            target: NodeId(g.gen_range(0..40u64)),
-            target_ep: gen_opt(g, gen_endpoint),
-            remaining: gen_path(g),
-        },
+        2 => {
+            let inner = g.bytes(80);
+            gen_chain(g, ChainBody::Relayed(inner))
+        }
+        3 => {
+            let requester_ep = gen_opt(g, gen_endpoint);
+            gen_chain(g, ChainBody::OpenReq(requester_ep))
+        }
+        4 => {
+            let target_ep = gen_opt(g, gen_endpoint);
+            gen_chain(g, ChainBody::OpenAck(target_ep))
+        }
         5 => NylonMsg::Punch { from: NodeId(g.gen_range(0..40u64)) },
         6 => NylonMsg::PunchAck { from: NodeId(g.gen_range(0..40u64)) },
         7 => NylonMsg::Ping { from: NodeId(g.gen_range(0..40u64)), key: gen_opt(g, |g| g.bytes(60)) },
