@@ -11,7 +11,7 @@
 
 use whisper_core::{GroupApp, GroupId, WhisperApi};
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::{NodeId, SimDuration};
 
 /// Which aggregate is being computed.
@@ -82,7 +82,7 @@ enum AggMsg {
 }
 
 impl WireEncode for AggMsg {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             AggMsg::Request { value } => {
                 w.put_u8(1);
@@ -93,10 +93,6 @@ impl WireEncode for AggMsg {
                 w.put_u64(value.to_bits());
             }
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + 8
     }
 }
 

@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use whisper_core::{GroupApp, GroupId, WhisperApi};
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::{NodeId, SimDuration};
 
 /// Identifier of a broadcast event.
@@ -26,13 +26,9 @@ pub struct EventId {
 }
 
 impl WireEncode for EventId {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put(&self.origin);
         w.put_u64(self.seq);
-    }
-
-    fn encoded_len(&self) -> usize {
-        16
     }
 }
 
@@ -52,13 +48,9 @@ pub struct Event {
 }
 
 impl WireEncode for Event {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put(&self.id);
         w.put_bytes(&self.payload);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + whisper_net::wire::bytes_len(&self.payload)
     }
 }
 
@@ -79,7 +71,7 @@ enum BcastMsg {
 }
 
 impl WireEncode for BcastMsg {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             BcastMsg::Gossip { events, digest, push } => {
                 w.put_u8(1);
@@ -91,14 +83,6 @@ impl WireEncode for BcastMsg {
                 w.put_u8(2);
                 w.put_seq(ids);
             }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        use whisper_net::wire::seq_len;
-        1 + match self {
-            BcastMsg::Gossip { events, digest, .. } => seq_len(events) + seq_len(digest) + 1,
-            BcastMsg::Request { ids } => seq_len(ids),
         }
     }
 }

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use whisper_core::{GroupApp, GroupId, PrivateEntry, WhisperApi};
 use whisper_crypto::sha256::Sha256;
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::{NodeId, SimDuration, SimTime};
 
 /// The deterministic skip level of a node: number of trailing zero bits
@@ -50,14 +50,10 @@ impl Descriptor for SkipDescriptor {
 }
 
 impl WireEncode for SkipDescriptor {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put_u64(self.key);
         w.put_u8(self.level);
         w.put(&self.entry);
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + 1 + self.entry.encoded_len()
     }
 }
 
@@ -77,7 +73,7 @@ enum SkipMsg {
 }
 
 impl WireEncode for SkipMsg {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             SkipMsg::Exchange { descriptors, respond } => {
                 w.put_u8(1);
@@ -112,17 +108,6 @@ impl WireEncode for SkipMsg {
                 w.put_u64(*query_id);
                 w.put_seq(keys);
             }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        use whisper_net::wire::seq_len;
-        1 + match self {
-            SkipMsg::Exchange { descriptors, .. } => seq_len(descriptors) + 1,
-            SkipMsg::Search { origin, .. } => 8 + 8 + origin.encoded_len() + 1,
-            SkipMsg::SearchReply { .. } => 8 + 8 + 8 + 1,
-            SkipMsg::Range { origin, acc, .. } => 8 + 8 + 8 + origin.encoded_len() + seq_len(acc) + 1,
-            SkipMsg::RangeReply { keys, .. } => 8 + seq_len(keys),
         }
     }
 }

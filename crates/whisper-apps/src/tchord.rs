@@ -17,7 +17,7 @@ use crate::tman::{Descriptor, TManView};
 use std::collections::HashMap;
 use whisper_core::{GroupApp, GroupId, PrivateEntry, WhisperApi};
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::{NodeId, SimDuration, SimTime};
 
 /// A T-Chord descriptor: a ring position plus the PPSS entry needed to
@@ -37,13 +37,9 @@ impl Descriptor for ChordDescriptor {
 }
 
 impl WireEncode for ChordDescriptor {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put_u64(self.key.0);
         w.put(&self.entry);
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + self.entry.encoded_len()
     }
 }
 
@@ -62,7 +58,7 @@ enum TChordMsg {
 }
 
 impl WireEncode for TChordMsg {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             TChordMsg::Exchange { descriptors, respond } => {
                 w.put_u8(1);
@@ -83,16 +79,6 @@ impl WireEncode for TChordMsg {
                 w.put_u64(owner_key.0);
                 w.put_u8(*hops);
             }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            TChordMsg::Exchange { descriptors, .. } => {
-                whisper_net::wire::seq_len(descriptors) + 1
-            }
-            TChordMsg::Lookup { origin, .. } => 8 + 8 + origin.encoded_len() + 1,
-            TChordMsg::LookupReply { .. } => 8 + 8 + 8 + 1,
         }
     }
 }

@@ -5,8 +5,8 @@
 //! * `--seed N` — override the scenario seed (default 7, the first
 //!   entry of the verify.sh acceptance matrix).
 //!
-//! Metrics land in the `WHISPER_BENCH_JSON` merge file (when set) under
-//! `lifecycle/...` ids.
+//! Prints one `metric value` row per metric; it panics if a drop goes
+//! unattributed or a deleted group comes back.
 
 use whisper_bench::experiments::{self, lifecycle};
 

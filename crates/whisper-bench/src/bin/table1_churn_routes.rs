@@ -2,8 +2,7 @@
 //! Flags:
 //! * `--quick` — fast smoke-test configuration;
 //! * `--faults` — run only the fault-plan extension (burst loss /
-//!   partition, adaptive vs. fixed RTO; medians land in
-//!   `WHISPER_BENCH_JSON` when set).
+//!   partition, adaptive vs. fixed RTO).
 
 use whisper_bench::experiments::{self, table1};
 

@@ -3,14 +3,11 @@
 //! joined, migrated and deleted under a partition and a staggered
 //! crash/restart wave.
 //!
-//! Not a paper figure — this is reproduction-hardening evidence. The
-//! cells land in the `WHISPER_BENCH_JSON` merge file under
-//! `lifecycle/...` ids (verify.sh writes them to
-//! `target/verify/lifecycle.json`).
+//! Not a paper figure — this is reproduction-hardening evidence, printed
+//! as one `metric value` row per cell.
 
 use crate::chaos::{run_group_lifecycle, ChaosParams};
 use crate::report;
-use whisper_rand::bench::Bench;
 
 /// The sweep's metrics, in print order.
 #[derive(Clone, Debug)]
@@ -55,8 +52,7 @@ pub fn run(quick: bool, seed: u64) -> Lifecycle {
 }
 
 impl Lifecycle {
-    /// Prints the metrics, then merges them into the `WHISPER_BENCH_JSON`
-    /// file under `lifecycle/...` ids.
+    /// Prints the metrics.
     pub fn print(&self) {
         report::banner(
             "Lifecycle",
@@ -68,11 +64,8 @@ impl Lifecycle {
             params.nodes, params.groups, params.shards, params.seed
         );
         println!("{:<28} {:>12}", "metric", "value");
-        let mut bench = Bench::new();
         for (metric, value) in self.rows {
             println!("{metric:<28} {value:>12.2}");
-            bench.record(format!("lifecycle/{metric}"), value);
         }
-        bench.emit_json();
     }
 }

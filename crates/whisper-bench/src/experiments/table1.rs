@@ -10,7 +10,6 @@
 use crate::chaos::{run_scenario, ChaosOutcome, ChaosParams, Scenario};
 use crate::harness::{NetBuilder, Routes};
 use crate::report;
-use whisper_rand::bench::Bench;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -104,9 +103,8 @@ pub fn run_fault_scenarios(quick: bool, seed: u64) -> Faults {
 }
 
 impl Faults {
-    /// Prints the table, then merges delivery ratio (percent) and mean
-    /// route-repair latency (milliseconds) per `(scenario, timer)` cell
-    /// into the `WHISPER_BENCH_JSON` file under `chaos/...` ids.
+    /// Prints delivery ratio (percent) and mean route-repair latency
+    /// (milliseconds) per `(scenario, timer)` cell.
     pub fn print(&self) {
         report::banner(
             "Table I ext.",
@@ -121,7 +119,6 @@ impl Faults {
             "{:<14} {:>10} {:>12} {:>14} {:>10}",
             "scenario", "timer", "delivery", "repair (ms)", "repairs"
         );
-        let mut bench = Bench::new();
         for (scenario, adaptive, out) in &self.cells {
             let timer = if *adaptive { "adaptive" } else { "fixed" };
             println!(
@@ -132,12 +129,7 @@ impl Faults {
                 out.repair_mean_s() * 1e3,
                 out.repair_s.len()
             );
-            let id = |metric: &str| format!("chaos/{}_{}_{}", scenario.name(), timer, metric);
-            bench.record(id("delivery_pct"), out.delivery_ratio() * 100.0);
-            bench.record(id("repair_ms"), out.repair_mean_s() * 1e3);
-            bench.record(id("repairs"), out.repair_s.len() as f64);
         }
-        bench.emit_json();
     }
 }
 

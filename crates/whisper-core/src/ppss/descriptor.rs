@@ -52,7 +52,7 @@
 use crate::ppss::group::GroupId;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_crypto::sha256::Sha256;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink, WireWriter};
 use whisper_net::NodeId;
 
 /// Domain separator for descriptor signatures (nothing else in the stack
@@ -74,14 +74,10 @@ pub struct MemberDot {
 }
 
 impl WireEncode for MemberDot {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put(&self.node);
         w.put_u64(self.epoch);
         w.put_u64(self.counter);
-    }
-
-    fn encoded_len(&self) -> usize {
-        24
     }
 }
 
@@ -194,7 +190,7 @@ impl GroupDescriptor {
 }
 
 impl WireEncode for GroupDescriptor {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put(&self.group);
         w.put_u64(self.epoch);
         w.put_u64(self.seq);
@@ -205,16 +201,6 @@ impl WireEncode for GroupDescriptor {
         w.put_u64(self.born_at);
         w.put_bytes(&self.signer_key);
         w.put_bytes(&self.signature);
-    }
-
-    fn encoded_len(&self) -> usize {
-        use whisper_net::wire::{bytes_len, seq_len};
-        16 + 8 + 8 + 32 + 1
-            + seq_len(&self.adds)
-            + seq_len(&self.removes)
-            + 8
-            + bytes_len(&self.signer_key)
-            + bytes_len(&self.signature)
     }
 }
 

@@ -107,9 +107,11 @@ impl LeaderTracker {
         }
     }
 
-    /// Called by a *leader* each PPSS cycle to advance its heartbeat.
+    /// Called by a *leader* each PPSS cycle to advance its heartbeat. A
+    /// sequence number already at `u64::MAX` (a leader adopts any higher
+    /// one it hears) stays there.
     pub fn beat(&mut self) {
-        self.last_seq += 1;
+        self.last_seq = self.last_seq.saturating_add(1);
         self.cycles_since_progress = 0;
     }
 
@@ -144,9 +146,12 @@ impl LeaderTracker {
             }
             return ElectionOutcome::Idle;
         }
-        if self.cycles_since_progress > miss_threshold {
-            let best = ElectionBallot { round: self.epoch + 1, node: me };
-            self.election = Some(Election { best, cycles: 0 });
+        // No round starts past the last epoch.
+        if let Some(round) = self.epoch.checked_add(1) {
+            if self.cycles_since_progress > miss_threshold {
+                let best = ElectionBallot { round, node: me };
+                self.election = Some(Election { best, cycles: 0 });
+            }
         }
         ElectionOutcome::Idle
     }
@@ -172,6 +177,7 @@ impl Default for LeaderTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ppss::{ELECTION_CYCLES, HB_MISS_THRESHOLD};
 
     fn ballot(round: u64, node: u64) -> ElectionBallot {
         ElectionBallot { round, node: NodeId(node) }
@@ -278,6 +284,32 @@ mod tests {
         assert_eq!(t.epoch, 2);
         t.accept_new_epoch(1);
         assert_eq!(t.epoch, 2, "older epochs ignored");
+    }
+
+    /// A heartbeat at the last epoch, then silence: the round after it
+    /// would overflow the epoch, so none starts.
+    #[test]
+    fn no_round_starts_past_the_last_epoch() {
+        let mut t = LeaderTracker::new();
+        t.observe_heartbeat(Heartbeat { epoch: u64::MAX, seq: u64::MAX });
+        for _ in 0..=HB_MISS_THRESHOLD {
+            let outcome = t.on_cycle(NodeId(1), HB_MISS_THRESHOLD, ELECTION_CYCLES);
+            assert_eq!(outcome, ElectionOutcome::Idle);
+        }
+        assert!(!t.electing());
+        assert_eq!(t.heartbeat(), Heartbeat { epoch: u64::MAX, seq: u64::MAX });
+    }
+
+    /// A leader that adopts the last sequence number of its own epoch
+    /// keeps beating at it.
+    #[test]
+    fn a_leader_at_the_last_seq_still_beats() {
+        let mut t = LeaderTracker::new();
+        t.accept_new_epoch(3);
+        t.observe_heartbeat(Heartbeat { epoch: 3, seq: u64::MAX });
+        t.beat();
+        assert_eq!(t.heartbeat(), Heartbeat { epoch: 3, seq: u64::MAX });
+        assert_eq!(t.staleness(), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::ppss::messages::PrivateEntry;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_crypto::sha256::Sha256;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::NodeId;
 
 /// Identifier of a private group (derived from its name; the name itself
@@ -45,14 +45,10 @@ impl GroupId {
 }
 
 impl WireEncode for GroupId {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         // The codec has no native u128; split into two big-endian u64s.
         w.put_u64((self.0 >> 64) as u64);
         w.put_u64(self.0 as u64);
-    }
-
-    fn encoded_len(&self) -> usize {
-        16
     }
 }
 
@@ -103,13 +99,9 @@ impl Passport {
 }
 
 impl WireEncode for Passport {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put(&self.node);
         w.put_bytes(&self.signature);
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + whisper_net::wire::bytes_len(&self.signature)
     }
 }
 

@@ -11,7 +11,7 @@ use crate::wcl::{Arrival, Wcl};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink, WireWriter};
 use whisper_net::NodeId;
 use whisper_pss::NylonCore;
 

@@ -4,9 +4,7 @@
 use crate::ppss::group::{GroupId, Passport};
 use crate::wcl::{DestInfo, GatewayInfo};
 use whisper_crypto::rsa::PublicKey;
-use whisper_net::wire::{
-    bytes_len, opt_len, seq_len, WireDecode, WireEncode, WireError, WireReader, WireWriter,
-};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireLen, WireReader, WireSink};
 use whisper_net::NodeId;
 
 /// One entry of a private view (paper §IV-B): the member's identity and
@@ -38,17 +36,13 @@ impl PrivateEntry {
 }
 
 impl WireEncode for PrivateEntry {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put(&self.node);
         w.put_u16(self.age);
         w.put(&self.public);
         // Cached canonical blob: no per-send key re-serialization.
         w.put_bytes(self.key.wire_bytes());
         w.put_seq(&self.gateways);
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + 2 + 1 + bytes_len(self.key.wire_bytes()) + seq_len(&self.gateways)
     }
 }
 
@@ -75,13 +69,9 @@ pub struct Heartbeat {
 }
 
 impl WireEncode for Heartbeat {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put_u64(self.epoch);
         w.put_u64(self.seq);
-    }
-
-    fn encoded_len(&self) -> usize {
-        16
     }
 }
 
@@ -104,13 +94,9 @@ pub struct ElectionBallot {
 }
 
 impl WireEncode for ElectionBallot {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put_u64(self.round);
         w.put(&self.node);
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + 8
     }
 }
 
@@ -155,15 +141,11 @@ impl NewKeyAnnouncement {
 }
 
 impl WireEncode for NewKeyAnnouncement {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put_u64(self.epoch);
         w.put_bytes(&self.group_key);
         w.put_bytes(&self.signer_key);
         w.put_bytes(&self.signature);
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + bytes_len(&self.group_key) + bytes_len(&self.signer_key) + bytes_len(&self.signature)
     }
 }
 
@@ -291,11 +273,11 @@ const TAG_DELETED: u8 = 7;
 /// Wire size of the [`PpssMsg::AppShort`] carrying `data` — and so of what
 /// an [`PpssMsg::AppData`] image ends in, behind its preamble.
 pub fn app_short_len(data: &[u8]) -> usize {
-    1 + 16 + bytes_len(data)
+    WireLen::of(|n| PpssMsg::put_app_short(n, &GroupId(0), data))
 }
 
 impl WireEncode for PpssMsg {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             PpssMsg::JoinReq { group, accreditation, entry } => {
                 w.put_u8(TAG_JOIN_REQ);
@@ -355,50 +337,6 @@ impl WireEncode for PpssMsg {
             }
         }
     }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            PpssMsg::JoinReq { group, accreditation, entry } => {
-                group.encoded_len() + bytes_len(accreditation) + entry.encoded_len()
-            }
-            PpssMsg::JoinAck { group, passport, key_history, entries } => {
-                group.encoded_len()
-                    + passport.encoded_len()
-                    + seq_len(key_history)
-                    + seq_len(entries)
-            }
-            PpssMsg::Exchange {
-                group,
-                passport,
-                from_entry,
-                entries,
-                hb,
-                election,
-                new_key,
-                revoked,
-                ..
-            } => {
-                group.encoded_len()
-                    + passport.encoded_len()
-                    + from_entry.encoded_len()
-                    + seq_len(entries)
-                    + 8 // exchange_id
-                    + 1 // is_response
-                    + hb.encoded_len()
-                    + opt_len(election)
-                    + opt_len(new_key)
-                    + seq_len(revoked)
-            }
-            PpssMsg::AppData { passport, data, reply_entry, .. } => {
-                passport.encoded_len() + opt_len(reply_entry) + app_short_len(data)
-            }
-            PpssMsg::AppShort { data, .. } => app_short_len(data) - 1,
-            PpssMsg::PcpRefresh { group, passport, entry, .. } => {
-                group.encoded_len() + passport.encoded_len() + entry.encoded_len() + 1
-            }
-            PpssMsg::Deleted { tombstone, .. } => bytes_len(tombstone) + 8,
-        }
-    }
 }
 
 impl PpssMsg {
@@ -416,7 +354,7 @@ impl PpssMsg {
         }
     }
 
-    fn put_app_short(w: &mut WireWriter, group: &GroupId, data: &[u8]) {
+    fn put_app_short<W: WireSink>(w: &mut W, group: &GroupId, data: &[u8]) {
         w.put_u8(TAG_APP_SHORT);
         w.put(group);
         w.put_bytes(data);

@@ -11,7 +11,7 @@ use whisper_crypto::aes::CtrNonce;
 use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, Direction};
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireError, WireReader, WireWriter};
+use whisper_net::wire::{WireError, WireLen, WireReader, WireSink};
 use whisper_net::{nat::NatType, NodeId, SimTime};
 use whisper_pss::transport::SendOutcome;
 use whisper_pss::NylonCore;
@@ -40,14 +40,17 @@ pub(super) const CIRCUIT_TAG: u8 = 0xC2;
 pub(super) const RETURN_TAG: u8 = 0xC3;
 
 /// Wire size of a circuit packet with a `body_len`-byte body.
-const fn circuit_packet_len(body_len: usize) -> usize {
-    1 + 8 + 8 + 4 + body_len
+fn circuit_packet_len(body_len: usize) -> usize {
+    let header = |n: &mut WireLen| {
+        put_circuit_header(n, Direction::Forward, CircuitId([0; 8]), &CtrNonce([0; 8]), body_len)
+    };
+    WireLen::of(header) + body_len
 }
 
 /// Writes everything of a circuit packet but the body; the caller appends
 /// exactly `body_len` bytes.
-fn put_circuit_header(
-    w: &mut WireWriter,
+fn put_circuit_header<W: WireSink>(
+    w: &mut W,
     direction: Direction,
     cid: CircuitId,
     nonce: &CtrNonce,
@@ -374,6 +377,7 @@ fn layer_sampled(
 mod tests {
     use super::*;
     use crate::wcl::onion_path::OnionView;
+    use whisper_net::wire::WireWriter;
 
     #[test]
     fn circuit_packet_wire_round_trip() {

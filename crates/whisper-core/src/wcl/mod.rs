@@ -66,7 +66,7 @@ use std::collections::{BTreeMap, HashMap};
 use whisper_crypto::circuit::{CircuitId, CircuitTable};
 use whisper_crypto::rsa::PublicKey;
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{bytes_len, WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::{NodeId, SimDuration};
 use whisper_pss::NylonCore;
 
@@ -110,14 +110,10 @@ pub struct GatewayInfo {
 }
 
 impl WireEncode for GatewayInfo {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put(&self.node);
         // Cached canonical blob: no per-send key re-serialization.
         w.put_bytes(self.key.wire_bytes());
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + bytes_len(self.key.wire_bytes())
     }
 }
 

@@ -12,7 +12,7 @@ use whisper_crypto::onion::{self, PeelResult};
 use whisper_crypto::rsa::PublicKey;
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{bytes_len, WireError, WireReader, WireWriter};
+use whisper_net::wire::{WireError, WireLen, WireReader, WireSink};
 use whisper_net::{nat::NatType, NodeId, SimDuration, SimTime};
 use whisper_pss::transport::SendOutcome;
 use whisper_pss::NylonCore;
@@ -37,7 +37,7 @@ pub(super) const WCL_TAG: u8 = 0xC1;
 
 /// Writes an onion packet: the one place that knows the layout
 /// [`OnionView::from_wire`] reads.
-fn put_onion(w: &mut WireWriter, header: &[u8], body: &[u8]) {
+fn put_onion<W: WireSink>(w: &mut W, header: &[u8], body: &[u8]) {
     w.put_u8(WCL_TAG);
     w.put_bytes(header);
     w.put_bytes(body);
@@ -46,7 +46,7 @@ fn put_onion(w: &mut WireWriter, header: &[u8], body: &[u8]) {
 /// Writes a whole outgoing onion packet — Nylon framing, then
 /// [`put_onion`] — into a pool buffer.
 fn onion_frame(ctx: &mut Ctx<'_>, nylon: &NylonCore, header: &[u8], body: &[u8]) -> PayloadWriter {
-    let mut frame = nylon.begin_app(ctx, 1 + bytes_len(header) + bytes_len(body));
+    let mut frame = nylon.begin_app(ctx, WireLen::of(|n| put_onion(n, header, body)));
     put_onion(&mut frame, header, body);
     frame
 }
@@ -288,6 +288,7 @@ impl Wcl {
 mod tests {
     use super::*;
     use crate::wcl::circuit_path::CIRCUIT_TAG;
+    use whisper_net::wire::WireWriter;
 
     fn onion_wire(header: &[u8], body: &[u8]) -> Vec<u8> {
         let mut w = WireWriter::new();

@@ -20,7 +20,7 @@ use whisper_core::{GroupId, WhisperConfig, WhisperNode};
 use whisper_crypto::rsa::KeyPair;
 use whisper_net::nat::{NatDistribution, NatType};
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
-use whisper_net::wire::{seq_len, WireDecode, WireEncode};
+use whisper_net::wire::{WireDecode, WireEncode, WireLen, WireSink};
 use whisper_net::{Endpoint, NodeId, Payload};
 use whisper_pss::messages::{ChainBody, NylonMsg};
 use whisper_pss::ViewEntry;
@@ -64,14 +64,14 @@ type Image = (Vec<u8>, Vec<usize>, Vec<usize>);
 fn length_prefixes(msg: &NylonMsg) -> Vec<usize> {
     match msg {
         NylonMsg::GossipReq { entries, key, .. } | NylonMsg::GossipResp { entries, key, .. } => {
-            let key_at = 1 + 8 + 1 + seq_len(entries) + 1;
+            let key_at = 1 + 8 + 1 + WireLen::of(|n| n.put_seq(entries)) + 1;
             [Some(10), key.as_ref().map(|_| key_at)].into_iter().flatten().collect()
         }
         NylonMsg::Chain { remaining, taken, body } => {
             // The hops left, the hops taken, then the body: a relayed
             // message's byte string, or an open's optional endpoint.
-            let taken_at = 1 + seq_len(remaining);
-            let inner_at = taken_at + seq_len(taken);
+            let taken_at = 1 + WireLen::of(|n| n.put_seq(remaining));
+            let inner_at = taken_at + WireLen::of(|n| n.put_seq(taken));
             let relayed = matches!(body, ChainBody::Relayed(_));
             [Some(1), Some(taken_at), relayed.then_some(inner_at)].into_iter().flatten().collect()
         }

@@ -9,19 +9,22 @@
 //! `GroupDescriptor::from_wire` refuse it or read back exactly what they
 //! were given, never reserve more than the input for it, and a member
 //! handed it does not panic. A validly signed descriptor that is not a
-//! tombstone changes no state.
+//! tombstone changes no state. The journal's group and pending-join
+//! records, mangled the same ways and framed with a valid checksum, fail
+//! a restart on that disk only as counted bad records.
 
 mod watching;
 
 use std::cell::RefCell;
 use whisper_core::ppss::descriptor::GroupDescriptor;
 use whisper_core::ppss::group::{issue_accreditation, Invitation, Passport};
+use whisper_core::ppss::journal::Journal;
 use whisper_core::ppss::messages::{Heartbeat, PpssMsg};
-use whisper_core::{GroupId, PpssEvent, WhisperConfig, WhisperNode};
-use whisper_crypto::rsa::KeyPair;
+use whisper_core::{GroupId, PpssEvent, PrivateEntry, WhisperConfig, WhisperNode};
+use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::nat::NatType;
-use whisper_net::sim::{Sim, SimConfig};
-use whisper_net::wire::{WireDecode, WireEncode, WireError};
+use whisper_net::sim::{Protocol, Sim, SimConfig};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader};
 use whisper_net::NodeId;
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
@@ -288,4 +291,144 @@ fn a_validly_signed_live_descriptor_changes_no_state() {
 
     assert_eq!(deliver(&mut sim, pushed(&sign(true))), vec![PpssEvent::GroupDeleted { group }]);
     assert_eq!(epoch(&sim), None);
+}
+
+/// Journal record tags, as the PPSS writes them.
+const REC_GROUP: u8 = 1;
+const REC_TOMBSTONE: u8 = 2;
+const REC_PENDING: u8 = 3;
+
+/// Reads a journal record as a restart does: `Err` when its layout does
+/// not hold; else whether every key in it parses, and the offsets of its
+/// length prefixes.
+fn read_record(record: &[u8]) -> Result<(bool, Vec<usize>), WireError> {
+    let mut r = WireReader::new(record);
+    let at = |r: &WireReader<'_>| record.len() - r.remaining();
+    let (mut keys_parse, mut prefixes) = (true, Vec::new());
+    match r.take_u8()? {
+        REC_GROUP => {
+            r.take::<GroupId>()?;
+            prefixes.push(at(&r));
+            let history: Vec<Vec<u8>> = r.take_seq()?;
+            keys_parse &= history.iter().all(|k| PublicKey::from_bytes(k).is_some());
+            let leader_at = at(&r) + 1;
+            let leader: Option<Vec<u8>> = r.take_opt()?;
+            prefixes.extend(leader.as_ref().map(|_| leader_at));
+            keys_parse &= leader.is_none_or(|k| KeyPair::from_bytes(&k).is_some());
+            // The passport's signature, behind its node.
+            prefixes.push(at(&r) + 8);
+            r.take::<Passport>()?;
+            r.take_u64()?;
+            prefixes.push(at(&r));
+            r.take_seq::<NodeId>()?;
+            prefixes.push(at(&r));
+            r.take_seq::<PrivateEntry>()?;
+        }
+        REC_TOMBSTONE => {
+            r.take::<GroupId>()?;
+            r.take_bytes()?;
+        }
+        REC_PENDING => {
+            r.take::<GroupId>()?;
+            prefixes.push(at(&r));
+            keys_parse &= PublicKey::from_bytes(r.take_bytes()?).is_some();
+            prefixes.push(at(&r));
+            r.take_bytes()?;
+            // The entry point's key behind its node, age and flag, then
+            // its gateways.
+            let key_at = at(&r) + 8 + 2 + 1;
+            let entry: PrivateEntry = r.take()?;
+            prefixes.extend([key_at, key_at + 4 + entry.key.wire_bytes().len()]);
+        }
+        _ => return Err(WireError::new("journal record tag")),
+    }
+    r.finish()?;
+    Ok((keys_parse, prefixes))
+}
+
+/// Crash-restarts `node` on `disk` and returns the bad records the
+/// replay counted.
+fn restart_on(sim: &mut Sim, node: NodeId, disk: Journal) -> u64 {
+    let mut bad = 0;
+    sim.with_node_ctx::<WhisperNode>(node, |n, ctx| {
+        let before = ctx.metrics().counter("ppss.journal_bad_record");
+        *n.ppss_mut().journal_mut() = disk;
+        n.on_crash_restart(ctx);
+        bad = ctx.metrics().counter("ppss.journal_bad_record") - before;
+    });
+    bad
+}
+
+/// Each group and pending-join record of the leader's journal, cut short,
+/// grown, bit-flipped or given a length that claims more than the input
+/// holds, re-framed with a valid checksum among the intact others: the
+/// leader restarts on that disk without panicking,
+/// `ppss.journal_bad_record` counts the record exactly when it does not
+/// parse, and no group whose tombstone record is intact comes back.
+#[test]
+fn journal_records_are_total_on_hostile_bytes() {
+    let (mut sim, leader, member, _) = running_group();
+    // A join the leader started and nobody has answered yet.
+    let mut later = GroupId(0);
+    sim.with_node_ctx::<WhisperNode>(member, |n, ctx| later = n.create_group(ctx, "later"));
+    let invitation = sim.node::<WhisperNode>(member).unwrap().invite(later, leader).unwrap();
+    sim.with_node_ctx::<WhisperNode>(leader, |n, ctx| n.join_group(ctx, invitation));
+    let records = sim.node::<WhisperNode>(leader).unwrap().ppss().journal().replay().records;
+    let tombstoned: Vec<GroupId> = records
+        .iter()
+        .filter(|r| r[0] == REC_TOMBSTONE)
+        .map(|r| GroupId::from_wire(&r[1..17]).unwrap())
+        .collect();
+    let targets: Vec<usize> =
+        (0..records.len()).filter(|&i| matches!(records[i][0], REC_GROUP | REC_PENDING)).collect();
+    for tag in [REC_GROUP, REC_PENDING] {
+        assert!(targets.iter().any(|&i| records[i][0] == tag), "no record tagged {tag}");
+    }
+    assert!(!tombstoned.is_empty(), "the leader deleted a group");
+    let disk = |records: &[Vec<u8>]| {
+        let mut journal = Journal::new();
+        for record in records {
+            journal.append(record);
+        }
+        journal
+    };
+    assert_eq!(restart_on(&mut sim, leader, disk(&records)), 0, "the intact journal");
+
+    let sim = RefCell::new(sim);
+    whisper_rand::check::check(256, "journal_records_are_total_on_hostile_bytes", |g| {
+        let target = targets[g.gen_range(0..targets.len())];
+        let record = &records[target];
+        let (_, prefixes) = read_record(record).expect("a record as written");
+        let hostile = match g.gen_range(0..4u8) {
+            0 => record[..g.gen_range(0..record.len())].to_vec(),
+            1 => [&record[..], &g.bytes(8), &[0]].concat(),
+            2 => {
+                let mut flipped = record.clone();
+                flipped[g.gen_range(0..record.len())] ^= 1 << g.gen_range(0..8u32);
+                flipped
+            }
+            _ => {
+                let at = prefixes[g.gen_range(0..prefixes.len())];
+                let claimed = if g.gen() { u32::MAX } else { (record.len() - at) as u32 };
+                let mut inflated = record.clone();
+                inflated[at..at + 4].copy_from_slice(&claimed.to_be_bytes());
+                inflated
+            }
+        };
+        let mut mangled = records.clone();
+        mangled[target] = hostile.clone();
+        let sim = &mut *sim.borrow_mut();
+        let bad = restart_on(sim, leader, disk(&mangled));
+        match read_record(&hostile) {
+            Err(e) => assert_eq!(bad, 1, "unparseable ({e}), not counted"),
+            Ok((true, _)) => assert_eq!(bad, 0, "parses, but counted"),
+            // A key that does not parse is refused, unless the replay
+            // skips the record before it reads the key.
+            Ok((false, _)) => assert!(bad <= 1),
+        }
+        let ppss = sim.node::<WhisperNode>(leader).unwrap().ppss();
+        for &group in &tombstoned {
+            assert!(ppss.group(group).is_none() && ppss.tombstone(group).is_some(), "{group:?} restored");
+        }
+    });
 }

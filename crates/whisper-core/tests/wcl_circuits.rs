@@ -21,7 +21,7 @@ use whisper_crypto::onion::{build_onion_ext, OnionPacket};
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::nat::NatType;
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
-use whisper_net::wire::{WireDecode, WireEncode, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireSink, WireWriter};
 use whisper_net::{NodeId, SimDuration};
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};

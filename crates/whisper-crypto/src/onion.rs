@@ -45,14 +45,10 @@ use crate::rsa::{KeyPair, PublicKey};
 use crate::CryptoError;
 use whisper_rand::Rng;
 
-const TAG_DEST: u8 = 0;
-const TAG_RELAY: u8 = 1;
-// Extension-carrying variants: identical to the legacy layers plus an
-// opaque per-hop extension blob (used by [`crate::circuit`] to deliver
-// link-key setups). Layers with an empty extension keep the legacy tags,
-// so extension-free onions are bit-for-bit the legacy format.
-const TAG_DEST_EXT: u8 = 2;
-const TAG_RELAY_EXT: u8 = 3;
+// Every layer carries an opaque per-hop extension blob, empty when the
+// hop gets none ([`crate::circuit`] delivers link-key setups in it).
+const TAG_DEST: u8 = 2;
+const TAG_RELAY: u8 = 3;
 
 /// A fully built onion: the layered routing header plus the AES-encrypted
 /// body.
@@ -82,23 +78,25 @@ pub enum PeelResult {
         next_hop: Vec<u8>,
         /// The inner header to forward.
         header: Vec<u8>,
-        /// Per-hop extension delivered to this mix (empty for legacy
-        /// layers); carries e.g. a circuit [`crate::circuit::HopSetup`].
+        /// Per-hop extension delivered to this mix (empty if the sender
+        /// gave it none); carries e.g. a circuit
+        /// [`crate::circuit::HopSetup`].
         ext: Vec<u8>,
     },
     /// This node is the destination; `payload` is the decrypted content.
     Destination {
         /// The decrypted message content.
         payload: Vec<u8>,
-        /// Per-hop extension delivered to the destination (empty for
-        /// legacy layers).
+        /// Per-hop extension delivered to the destination (empty if the
+        /// sender gave it none).
         ext: Vec<u8>,
     },
 }
 
 /// Builds an onion over `path` (mixes in forwarding order, destination
-/// last). The sender transmits the packet to `path[0]`; each layer `i`
-/// carries the address of `path[i + 1]`.
+/// last) with no extensions: [`build_onion_ext`] with `exts = &[]`. The
+/// sender transmits the packet to `path[0]`; each layer `i` carries the
+/// address of `path[i + 1]`.
 ///
 /// # Errors
 ///
@@ -119,9 +117,8 @@ pub fn build_onion<R: Rng>(
 /// Like [`build_onion`], but layer `i` additionally carries the opaque
 /// extension `exts[i]`, readable only by hop `i`. This is how circuit
 /// establishment ([`crate::circuit`]) piggybacks per-hop link keys on the
-/// first onion of a route. Layers whose extension is empty use the legacy
-/// wire tags, so `exts = &[]` (or all-empty) reproduces [`build_onion`]
-/// exactly.
+/// first onion of a route. An empty extension travels as one of length
+/// zero; `exts = &[]` gives every hop an empty one.
 ///
 /// # Errors
 ///
@@ -150,34 +147,28 @@ pub fn build_onion_ext<R: Rng>(
     let nonce = CtrNonce::random(rng);
     let body = Aes128::new(&key).ctr_apply(&nonce, payload);
 
-    // Innermost layer, for the destination:
-    // TAG_DEST ‖ k ‖ nonce, or TAG_DEST_EXT ‖ k ‖ nonce ‖ ext.
+    // Innermost layer, for the destination: TAG_DEST ‖ k ‖ nonce ‖ ext.
     let (dest_key, _) = path.last().expect("non-empty");
     let dest_ext = ext_of(path.len() - 1);
     let mut inner_plain = Vec::with_capacity(1 + 16 + 8 + dest_ext.len());
-    inner_plain.push(if dest_ext.is_empty() { TAG_DEST } else { TAG_DEST_EXT });
+    inner_plain.push(TAG_DEST);
     inner_plain.extend_from_slice(&key.0);
     inner_plain.extend_from_slice(&nonce.0);
     inner_plain.extend_from_slice(dest_ext);
     let mut header = hybrid::seal(dest_key, &inner_plain, rng)?.to_bytes();
 
-    // Wrap for each mix in reverse order; layer for path[i] names path[i+1].
+    // Wrap for each mix in reverse order; layer for path[i] names path[i+1]:
+    // TAG_RELAY ‖ len ‖ next hop ‖ len ‖ ext ‖ inner header.
     for i in (0..path.len() - 1).rev() {
         let (mix_key, _) = &path[i];
         let (_, next_addr) = &path[i + 1];
         let ext = ext_of(i);
         let mut plain = Vec::with_capacity(5 + next_addr.len() + ext.len() + header.len());
-        if ext.is_empty() {
-            plain.push(TAG_RELAY);
-            plain.extend_from_slice(&(next_addr.len() as u16).to_be_bytes());
-            plain.extend_from_slice(next_addr);
-        } else {
-            plain.push(TAG_RELAY_EXT);
-            plain.extend_from_slice(&(next_addr.len() as u16).to_be_bytes());
-            plain.extend_from_slice(next_addr);
-            plain.extend_from_slice(&(ext.len() as u16).to_be_bytes());
-            plain.extend_from_slice(ext);
-        }
+        plain.push(TAG_RELAY);
+        plain.extend_from_slice(&(next_addr.len() as u16).to_be_bytes());
+        plain.extend_from_slice(next_addr);
+        plain.extend_from_slice(&(ext.len() as u16).to_be_bytes());
+        plain.extend_from_slice(ext);
         plain.extend_from_slice(&header);
         header = hybrid::seal(mix_key, &plain, rng)?.to_bytes();
     }
@@ -195,8 +186,8 @@ pub fn peel(keypair: &KeyPair, header: &[u8]) -> Result<PeelResult, CryptoError>
     let blob = SealedBlob::from_bytes(header)?;
     let plain = hybrid::open(keypair, &blob)?;
     match plain.split_first() {
-        Some((&tag @ (TAG_DEST | TAG_DEST_EXT), rest)) => {
-            if rest.len() < 24 || (tag == TAG_DEST && rest.len() != 24) {
+        Some((&TAG_DEST, rest)) => {
+            if rest.len() < 24 {
                 return Err(CryptoError::MalformedOnion("bad destination layer length"));
             }
             // `payload` here is the raw 24-byte session secret; callers
@@ -207,7 +198,7 @@ pub fn peel(keypair: &KeyPair, header: &[u8]) -> Result<PeelResult, CryptoError>
                 ext: rest[24..].to_vec(),
             })
         }
-        Some((&tag @ (TAG_RELAY | TAG_RELAY_EXT), rest)) => {
+        Some((&TAG_RELAY, rest)) => {
             if rest.len() < 2 {
                 return Err(CryptoError::MalformedOnion("truncated relay layer"));
             }
@@ -217,21 +208,16 @@ pub fn peel(keypair: &KeyPair, header: &[u8]) -> Result<PeelResult, CryptoError>
                 .ok_or(CryptoError::MalformedOnion("truncated next-hop address"))?
                 .to_vec();
             let mut at = 2 + addr_len;
-            let ext = if tag == TAG_RELAY_EXT {
-                let len_bytes = rest
-                    .get(at..at + 2)
-                    .ok_or(CryptoError::MalformedOnion("truncated extension length"))?;
-                let ext_len = u16::from_be_bytes([len_bytes[0], len_bytes[1]]) as usize;
-                at += 2;
-                let ext = rest
-                    .get(at..at + ext_len)
-                    .ok_or(CryptoError::MalformedOnion("truncated extension"))?
-                    .to_vec();
-                at += ext_len;
-                ext
-            } else {
-                Vec::new()
-            };
+            let len_bytes = rest
+                .get(at..at + 2)
+                .ok_or(CryptoError::MalformedOnion("truncated extension length"))?;
+            let ext_len = u16::from_be_bytes([len_bytes[0], len_bytes[1]]) as usize;
+            at += 2;
+            let ext = rest
+                .get(at..at + ext_len)
+                .ok_or(CryptoError::MalformedOnion("truncated extension"))?
+                .to_vec();
+            at += ext_len;
             let header = rest[at..].to_vec();
             if header.is_empty() {
                 return Err(CryptoError::MalformedOnion("missing inner header"));
@@ -397,6 +383,37 @@ mod tests {
         // fixed-length paths make even that uniform.
         assert!(SealedBlob::from_bytes(&h2).is_ok());
         assert!(SealedBlob::from_bytes(&h3).is_ok());
+    }
+
+    /// No extensions and empty ones are the same onion, and every hop
+    /// peels an empty extension from it.
+    #[test]
+    fn empty_extensions_travel_as_zero_length_ones() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let ks = keys(3, &mut rng);
+        let path: Vec<_> = ks
+            .iter()
+            .zip([b"A".to_vec(), b"B".to_vec(), b"D".to_vec()])
+            .map(|(k, a)| (k.public().clone(), a))
+            .collect();
+        let packet = build_onion(&path, b"x", &mut StdRng::seed_from_u64(1)).unwrap();
+        let empties = vec![Vec::new(); 3];
+        let same = build_onion_ext(&path, b"x", &empties, &mut StdRng::seed_from_u64(1)).unwrap();
+        assert_eq!(packet, same);
+        let mut header = packet.header;
+        for mix in &ks[..2] {
+            let PeelResult::Relay { header: inner, ext, .. } = peel(mix, &header).unwrap() else {
+                panic!("a mix relays")
+            };
+            assert!(ext.is_empty());
+            header = inner;
+        }
+        let PeelResult::Destination { payload, ext } = peel_with_body(&ks[2], &header, &packet.body)
+            .unwrap()
+        else {
+            panic!("the last hop is the destination")
+        };
+        assert_eq!((payload.as_slice(), ext.as_slice()), (&b"x"[..], &[][..]));
     }
 
     #[test]

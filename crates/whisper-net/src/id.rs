@@ -1,4 +1,4 @@
-use crate::wire::{WireDecode, WireError, WireReader, WireWriter};
+use crate::wire::{WireDecode, WireError, WireReader, WireSink};
 use std::fmt;
 
 /// Identifier of a simulated node (one node = one host).
@@ -32,11 +32,8 @@ impl NodeId {
 }
 
 impl crate::wire::WireEncode for NodeId {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put_u64(self.0);
-    }
-    fn encoded_len(&self) -> usize {
-        8
     }
 }
 
@@ -74,12 +71,9 @@ impl fmt::Debug for Endpoint {
 }
 
 impl crate::wire::WireEncode for Endpoint {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put_u64(self.node.0);
         w.put_u16(self.port);
-    }
-    fn encoded_len(&self) -> usize {
-        10
     }
 }
 

@@ -14,7 +14,7 @@
 
 use crate::id::Endpoint;
 use crate::time::{SimDuration, SimTime};
-use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_rand::Rng;
 
 /// The NAT behaviour of a simulated host.
@@ -54,7 +54,7 @@ impl NatType {
 /// One byte: 0 for a public host, 1–4 for the NATted types in
 /// [`NatType::NATTED`]'s order.
 impl WireEncode for NatType {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put_u8(match self {
             NatType::Public => 0,
             NatType::FullCone => 1,
@@ -62,10 +62,6 @@ impl WireEncode for NatType {
             NatType::PortRestrictedCone => 3,
             NatType::Symmetric => 4,
         });
-    }
-
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 

@@ -41,7 +41,7 @@
 //! counters deliberately *differ* between pooling modes: that difference
 //! is the allocations-per-event measurement.
 
-use crate::wire::WireWriter;
+use crate::wire::{WireSink, WireWriter};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -92,10 +92,11 @@ impl Payload {
 /// A payload under construction in a buffer drawn from a [`PayloadPool`]
 /// ([`Ctx::payload_writer`](crate::sim::Ctx::payload_writer)).
 ///
-/// Derefs to the [`WireWriter`] filling it; [`WireWriter::as_mut_slice`]
-/// reaches the bytes already written, so they can be transformed in place
-/// while the buffer is still uniquely owned. [`PayloadWriter::finish`]
-/// ends that window: from then on the bytes are an immutable [`Payload`].
+/// A [`WireSink`] appending to the [`WireWriter`] it derefs to;
+/// [`WireWriter::as_mut_slice`] reaches the bytes already written, so they
+/// can be transformed in place while the buffer is still uniquely owned.
+/// [`PayloadWriter::finish`] ends that window: from then on the bytes are
+/// an immutable [`Payload`].
 #[derive(Debug)]
 pub struct PayloadWriter {
     /// The pool's reference-counted box, its buffer moved into `writer`.
@@ -119,6 +120,13 @@ impl PayloadWriter {
         *Arc::get_mut(&mut self.shell).expect("the shell never left this writer") =
             self.writer.into_bytes();
         Payload { buf: self.shell, pooled: self.pooled }
+    }
+}
+
+impl WireSink for PayloadWriter {
+    #[inline]
+    fn put_raw(&mut self, v: &[u8]) {
+        self.writer.put_raw(v);
     }
 }
 

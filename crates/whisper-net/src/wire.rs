@@ -6,7 +6,7 @@
 //! explicit length prefixes.
 //!
 //! ```
-//! use whisper_net::wire::{WireReader, WireWriter, WireEncode, WireDecode};
+//! use whisper_net::wire::{WireReader, WireSink, WireWriter};
 //!
 //! let mut w = WireWriter::new();
 //! w.put_u32(7);
@@ -90,45 +90,62 @@ impl WireWriter {
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         &mut self.buf
     }
+}
+
+impl WireSink for WireWriter {
+    #[inline]
+    fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+}
+
+/// Where a wire image goes: a [`WireWriter`], a pooled
+/// [`PayloadWriter`](crate::payload::PayloadWriter), or a [`WireLen`]
+/// that only counts. Every format is written once, against this trait,
+/// and its length is what the counter adds up.
+pub trait WireSink: Sized {
+    /// Appends raw bytes with no length prefix (fixed-size fields) — the
+    /// one method a sink implements; the others are written on top of it.
+    fn put_raw(&mut self, v: &[u8]);
 
     /// Appends a `u8`.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+    #[inline]
+    fn put_u8(&mut self, v: u8) {
+        self.put_raw(&[v]);
     }
 
     /// Appends a big-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+    #[inline]
+    fn put_u16(&mut self, v: u16) {
+        self.put_raw(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+    #[inline]
+    fn put_u32(&mut self, v: u32) {
+        self.put_raw(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+    #[inline]
+    fn put_u64(&mut self, v: u64) {
+        self.put_raw(&v.to_be_bytes());
     }
 
     /// Appends a length-prefixed byte string (`u32` length).
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    #[inline]
+    fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Appends raw bytes with no length prefix (fixed-size fields).
-    pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
+        self.put_raw(v);
     }
 
     /// Appends an encodable value.
-    pub fn put<T: WireEncode + ?Sized>(&mut self, v: &T) {
+    fn put<T: WireEncode + ?Sized>(&mut self, v: &T) {
         v.encode(self);
     }
 
     /// Appends a length-prefixed sequence of encodable values.
-    pub fn put_seq<T: WireEncode>(&mut self, items: &[T]) {
+    fn put_seq<T: WireEncode>(&mut self, items: &[T]) {
         self.put_u32(items.len() as u32);
         for item in items {
             item.encode(self);
@@ -136,7 +153,7 @@ impl WireWriter {
     }
 
     /// Appends an optional value as a presence byte plus the value.
-    pub fn put_opt<T: WireEncode>(&mut self, v: &Option<T>) {
+    fn put_opt<T: WireEncode>(&mut self, v: &Option<T>) {
         match v {
             Some(inner) => {
                 self.put_u8(1);
@@ -144,6 +161,27 @@ impl WireWriter {
             }
             None => self.put_u8(0),
         }
+    }
+}
+
+/// A [`WireSink`] that writes nothing and counts what a writer would
+/// append: the exact length of a wire image, from the code that writes it.
+#[derive(Debug)]
+pub struct WireLen(usize);
+
+impl WireLen {
+    /// The number of bytes `write` appends to a sink.
+    pub fn of(write: impl FnOnce(&mut WireLen)) -> usize {
+        let mut n = WireLen(0);
+        write(&mut n);
+        n.0
+    }
+}
+
+impl WireSink for WireLen {
+    #[inline]
+    fn put_raw(&mut self, v: &[u8]) {
+        self.0 += v.len();
     }
 }
 
@@ -228,7 +266,7 @@ impl<'a> WireReader<'a> {
         Ok(out)
     }
 
-    /// Reads an optional value written by [`WireWriter::put_opt`].
+    /// Reads an optional value written by [`WireSink::put_opt`].
     pub fn take_opt<T: WireDecode>(&mut self) -> Result<Option<T>, WireError> {
         match self.take_u8()? {
             0 => Ok(None),
@@ -252,35 +290,16 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Exact wire size of a length-prefixed byte string
-/// ([`WireWriter::put_bytes`]).
-pub const fn bytes_len(v: &[u8]) -> usize {
-    4 + v.len()
-}
-
-/// Exact wire size of a length-prefixed sequence
-/// ([`WireWriter::put_seq`]).
-pub fn seq_len<T: WireEncode>(items: &[T]) -> usize {
-    4 + items.iter().map(T::encoded_len).sum::<usize>()
-}
-
-/// Exact wire size of an optional value ([`WireWriter::put_opt`]).
-pub fn opt_len<T: WireEncode>(v: &Option<T>) -> usize {
-    1 + v.as_ref().map_or(0, T::encoded_len)
-}
-
 /// Types serializable with the wire codec.
 pub trait WireEncode {
     /// Appends this value to `w`.
-    fn encode(&self, w: &mut WireWriter);
+    fn encode<W: WireSink>(&self, w: &mut W);
 
-    /// Exact number of bytes [`WireEncode::encode`] will append — the
-    /// contract every implementation must uphold so writers can pre-size
-    /// buffers precisely (checked by a debug assertion in
-    /// [`WireEncode::to_wire`] and the engine's pooled encode path). The
-    /// helpers [`bytes_len`], [`seq_len`] and [`opt_len`] mirror the
-    /// variable-length writer methods.
-    fn encoded_len(&self) -> usize;
+    /// Exact number of bytes [`WireEncode::encode`] appends: `encode` run
+    /// against a [`WireLen`], so writers can pre-size buffers precisely.
+    fn encoded_len(&self) -> usize {
+        WireLen::of(|n| self.encode(n))
+    }
 
     /// Convenience: serializes into a fresh, exactly-sized buffer.
     fn to_wire(&self) -> Vec<u8>
@@ -315,11 +334,8 @@ pub trait WireDecode: Sized {
 macro_rules! impl_wire_uint {
     ($ty:ty, $put:ident, $take:ident) => {
         impl WireEncode for $ty {
-            fn encode(&self, w: &mut WireWriter) {
+            fn encode<W: WireSink>(&self, w: &mut W) {
                 w.$put(*self);
-            }
-            fn encoded_len(&self) -> usize {
-                std::mem::size_of::<$ty>()
             }
         }
         impl WireDecode for $ty {
@@ -336,11 +352,8 @@ impl_wire_uint!(u32, put_u32, take_u32);
 impl_wire_uint!(u64, put_u64, take_u64);
 
 impl WireEncode for Vec<u8> {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put_bytes(self);
-    }
-    fn encoded_len(&self) -> usize {
-        bytes_len(self)
     }
 }
 
@@ -351,11 +364,8 @@ impl WireDecode for Vec<u8> {
 }
 
 impl WireEncode for bool {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         w.put_u8(*self as u8);
-    }
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 
@@ -474,10 +484,63 @@ mod tests {
         let buf = v.to_wire();
         assert_eq!(buf.len(), v.encoded_len());
         assert_eq!(buf.capacity(), v.encoded_len(), "pre-sized, no reallocation");
-        assert_eq!(bytes_len(b"abc"), 7);
-        assert_eq!(seq_len(&[1u32, 2, 3]), 4 + 12);
-        assert_eq!(opt_len(&Some(7u64)), 9);
-        assert_eq!(opt_len::<u64>(&None), 1);
+    }
+
+    /// A value nesting options and sequences in each other.
+    struct Tree {
+        label: Option<Vec<u8>>,
+        children: Vec<Tree>,
+    }
+
+    impl WireEncode for Tree {
+        fn encode<W: WireSink>(&self, w: &mut W) {
+            w.put_opt(&self.label);
+            w.put_seq(&self.children);
+        }
+    }
+
+    /// Runs `$write` against a `WireWriter` and a `WireLen` bound to the
+    /// same name, and checks the count is the writer's length.
+    macro_rules! counts_as_written {
+        ($w:ident => $write:expr) => {{
+            let mut $w = WireWriter::new();
+            $write;
+            let written = $w.len();
+            assert_eq!(WireLen::of(|$w| $write), written, "{}", stringify!($write));
+        }};
+    }
+
+    #[test]
+    fn the_counter_counts_what_the_writer_appends() {
+        let leaf = |label: Option<&[u8]>| Tree { label: label.map(<[u8]>::to_vec), children: vec![] };
+        let tree = Tree {
+            label: None,
+            children: vec![
+                leaf(Some(b"ab")),
+                Tree { label: Some(vec![]), children: vec![leaf(None), leaf(Some(&[7; 9]))] },
+            ],
+        };
+        counts_as_written!(w => w.put_raw(&[]));
+        counts_as_written!(w => w.put_raw(&[1, 2, 3]));
+        counts_as_written!(w => w.put_u8(0xAB));
+        counts_as_written!(w => w.put_u16(0x1234));
+        counts_as_written!(w => w.put_u32(0xDEADBEEF));
+        counts_as_written!(w => w.put_u64(u64::MAX));
+        counts_as_written!(w => w.put_bytes(b""));
+        counts_as_written!(w => w.put_bytes(b"hello"));
+        counts_as_written!(w => w.put(&true));
+        counts_as_written!(w => w.put(&9u16));
+        counts_as_written!(w => w.put(&vec![1u8, 2, 3]));
+        counts_as_written!(w => w.put_seq::<u64>(&[]));
+        counts_as_written!(w => w.put_seq(&[1u32, 2, 3]));
+        counts_as_written!(w => w.put_seq(&[vec![1u8], vec![], vec![2; 300]]));
+        counts_as_written!(w => w.put_opt::<u32>(&None));
+        counts_as_written!(w => w.put_opt(&Some(5u64)));
+        counts_as_written!(w => w.put_opt(&Some(vec![4u8; 17])));
+        counts_as_written!(w => w.put(&tree));
+        let forest = [leaf(None), tree];
+        counts_as_written!(w => w.put_seq(&forest));
+        assert_eq!(Tree { label: None, children: vec![] }.encoded_len(), 1 + 4);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use whisper_net::nat::{NatDevice, NatType};
 use whisper_net::sched::{EventKey, EventQueue, Keyed, Scheduler};
 use whisper_net::stats::Cdf;
-use whisper_net::wire::{WireDecode, WireEncode, WireReader, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireReader, WireSink, WireWriter};
 use whisper_net::{Endpoint, NodeId, SimDuration, SimTime};
 use whisper_rand::check::check;
 use whisper_rand::Rng;

@@ -6,9 +6,7 @@
 
 use crate::view::{Entry, ViewEntry};
 use std::convert::Infallible;
-use whisper_net::wire::{
-    bytes_len, opt_len, seq_len, WireDecode, WireEncode, WireError, WireReader, WireWriter,
-};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireLen, WireReader, WireSink};
 use whisper_net::{Endpoint, NodeId};
 
 /// A Nylon-layer message.
@@ -194,14 +192,14 @@ impl NylonMsg {
 
     /// Exact length of the gossip message [`NylonMsg::put_gossip`] writes.
     pub fn gossip_len<E: WireEncode>(entries: &[E], key: Option<&[u8]>) -> usize {
-        1 + 8 + 1 + seq_len(entries) + 1 + key.map_or(0, bytes_len)
+        WireLen::of(|n| NylonMsg::put_gossip(n, true, NodeId(0), false, entries, key))
     }
 
     /// Writes a gossip message — the one place that knows its layout,
     /// for the owned codec (`E` = [`ViewEntry`]) and for a sender writing
     /// straight into its outgoing buffer (`E` = [`Entry`]) alike.
-    pub fn put_gossip<E: WireEncode>(
-        w: &mut WireWriter,
+    pub fn put_gossip<E: WireEncode, W: WireSink>(
+        w: &mut W,
         request: bool,
         sender: NodeId,
         sender_public: bool,
@@ -226,7 +224,7 @@ impl NylonMsg {
     /// message. This is how an upper layer builds its packet directly in
     /// the outgoing buffer instead of handing over a `Vec` to be copied
     /// into one.
-    pub fn put_app_header(w: &mut WireWriter, from: NodeId, payload_len: usize) {
+    pub fn put_app_header<W: WireSink>(w: &mut W, from: NodeId, payload_len: usize) {
         w.put_u8(TAG_APP);
         w.put(&from);
         w.put_u32(payload_len as u32);
@@ -249,7 +247,7 @@ impl NylonMsg {
 }
 
 impl WireEncode for NylonMsg {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
             NylonMsg::GossipReq { sender, sender_public, entries, key, .. }
             | NylonMsg::GossipResp { sender, sender_public, entries, key, .. } => {
@@ -292,25 +290,6 @@ impl WireEncode for NylonMsg {
                 w.put(from);
                 w.put_bytes(payload);
             }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            NylonMsg::GossipReq { entries, key, .. } | NylonMsg::GossipResp { entries, key, .. } => {
-                NylonMsg::gossip_len(entries, key.as_deref())
-            }
-            NylonMsg::Chain { remaining, taken, body } => {
-                1 + seq_len(remaining)
-                    + seq_len(taken)
-                    + match body {
-                        ChainBody::Relayed(inner) => bytes_len(inner),
-                        ChainBody::OpenReq(ep) | ChainBody::OpenAck(ep) => opt_len(ep),
-                    }
-            }
-            NylonMsg::Punch { .. } | NylonMsg::PunchAck { .. } => 1 + 8,
-            NylonMsg::Ping { key, .. } | NylonMsg::Pong { key, .. } => 1 + 8 + opt_len(key),
-            NylonMsg::App { payload, .. } => 1 + 8 + bytes_len(payload),
         }
     }
 }
@@ -358,7 +337,7 @@ impl WireDecode for NylonMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whisper_net::wire::{WireDecode, WireEncode};
+    use whisper_net::wire::{WireDecode, WireEncode, WireWriter};
 
     fn round_trip(msg: NylonMsg) {
         let bytes = msg.to_wire();

@@ -25,7 +25,7 @@ use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::{Ctx, Protocol};
 use whisper_net::nat::NatType;
-use whisper_net::wire::WireDecode;
+use whisper_net::wire::{WireDecode, WireSink};
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 
 /// PSS cycle period (paper: 10 s).

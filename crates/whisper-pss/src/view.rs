@@ -22,7 +22,7 @@
 use whisper_rand::seq::SliceRandom;
 use whisper_rand::Rng;
 use whisper_net::nat::NatType;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::NodeId;
 
 /// Longest rendezvous chain an entry holds
@@ -52,26 +52,17 @@ pub struct ViewEntry {
 
 /// Writes the wire image both forms of an entry share. The NAT type takes
 /// the byte of a public flag: 0 for a P-node, 1–4 for the NATted types.
-fn put_entry(w: &mut WireWriter, node: NodeId, age: u16, nat: NatType, route: &[NodeId]) {
+fn put_entry<W: WireSink>(w: &mut W, node: NodeId, age: u16, nat: NatType, route: &[NodeId]) {
     w.put(&node);
     w.put_u16(age);
     w.put(&nat);
     w.put_seq(route);
 }
 
-/// Exact length of what [`put_entry`] writes.
-fn entry_len(route: &[NodeId]) -> usize {
-    8 + 2 + 1 + whisper_net::wire::seq_len(route)
-}
-
 /// The wire image of the [`Entry`] it converts to.
 impl WireEncode for ViewEntry {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         put_entry(w, self.node, self.age, nat_of(self.public), &self.route);
-    }
-
-    fn encoded_len(&self) -> usize {
-        entry_len(&self.route)
     }
 }
 
@@ -239,12 +230,8 @@ impl From<&Entry> for ViewEntry {
 }
 
 impl WireEncode for Entry {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode<W: WireSink>(&self, w: &mut W) {
         put_entry(w, self.node, self.age, self.nat, self.route());
-    }
-
-    fn encoded_len(&self) -> usize {
-        entry_len(self.route())
     }
 }
 
@@ -659,7 +646,7 @@ mod tests {
 
     #[test]
     fn buffer_bytes_and_rng_draws_match_the_owned_oracle() {
-        use whisper_net::wire::WireWriter;
+        use whisper_net::wire::{WireSink, WireWriter};
         whisper_rand::check::check(400, "buffer_bytes_and_rng_draws_match_the_owned_oracle", |g| {
             // Entries as they are stored: received from a sender that is
             // the first hop of some chains, public or not — so some chains

@@ -8,7 +8,7 @@
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::nat::NatType;
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
-use whisper_net::wire::WireEncode;
+use whisper_net::wire::{WireEncode, WireSink};
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration};
 use whisper_pss::messages::{ChainBody, NylonMsg};
 use whisper_pss::transport::{SendOutcome, OPEN_TIMEOUT};

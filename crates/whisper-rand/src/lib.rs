@@ -30,8 +30,6 @@
 //!   reproducible multi-node simulations (node *i* gets stream *i*).
 //! * [`check`] — a seeded property-test helper (replaces `proptest`):
 //!   random case generation with shrink-on-failure reporting.
-//! * [`bench`](mod@bench) — the flat-row recorder behind the
-//!   `WHISPER_BENCH_JSON` files of the `whisper-bench` experiments.
 //!
 //! ## Example
 //!
@@ -54,7 +52,6 @@
 //! deck.shuffle(&mut node3);
 //! ```
 
-pub mod bench;
 pub mod check;
 mod splitmix;
 mod uniform;
