@@ -8,15 +8,18 @@
 # * scripts/golden/figures_quick.txt — the stdout of
 #   `all_experiments --quick`: the paper's figures and tables at smoke
 #   scale.
+# * scripts/golden/examples.txt — the stdout of the five programs under
+#   examples/, in release, one after the other, each under a `== name ==`
+#   line.
 #
 # It also checks that EXPERIMENTS.md's generated §V carries the figures
 # golden's SHA-256 in its stamp: a change that moves a figure without
 # regenerating the document (scripts/paper_tables.sh) fails here.
 #
 #   scripts/golden.sh           # check (a step of verify.sh)
-#   scripts/golden.sh --regen   # rewrite both tables
+#   scripts/golden.sh --regen   # rewrite all three tables
 #
-# A change that is not meant to alter simulated behaviour leaves both
+# A change that is not meant to alter simulated behaviour leaves the
 # tables alone. One that moves a row regenerates them in the same commit,
 # reruns scripts/paper_tables.sh and says why in CHANGES.md. On a
 # mismatch the check prints, before the raw diff, one line per seed and
@@ -30,6 +33,7 @@ cd "$(dirname "$0")/.."
 
 perfbench_golden=scripts/golden/perfbench_smoke.tsv
 figures_golden=scripts/golden/figures_quick.txt
+examples_golden=scripts/golden/examples.txt
 out=target/verify
 mkdir -p "$out" scripts/golden
 status=0
@@ -77,10 +81,16 @@ moved_columns() {
 
 cargo run --release --offline --quiet -p whisper-bench --bin all_experiments -- --quick >"$out/figures_quick.txt"
 
+for example in quickstart private_chat private_index sorted_directory group_resilience; do
+  echo "== $example =="
+  cargo run --release --offline --quiet --example "$example"
+done >"$out/examples.txt"
+
 if [ "${1:-}" = "--regen" ]; then
   cp "$out/perfbench_smoke.tsv" "$perfbench_golden"
   cp "$out/figures_quick.txt" "$figures_golden"
-  echo "golden: wrote $perfbench_golden and $figures_golden"
+  cp "$out/examples.txt" "$examples_golden"
+  echo "golden: wrote $perfbench_golden, $figures_golden and $examples_golden"
 else
   if cmp -s "$perfbench_golden" "$out/perfbench_smoke.tsv"; then
     echo "perfbench golden: $(($(wc -l <"$perfbench_golden") - 1)) rows match $perfbench_golden"
@@ -95,6 +105,12 @@ else
     echo "figures golden: $(wc -l <"$figures_golden") lines match $figures_golden"
   else
     echo "figures golden: all_experiments --quick differs from $figures_golden (see the diff above)" >&2
+    status=1
+  fi
+  if diff -u "$examples_golden" "$out/examples.txt"; then
+    echo "examples golden: $(wc -l <"$examples_golden") lines match $examples_golden"
+  else
+    echo "examples golden: the examples' stdout differs from $examples_golden (see the diff above)" >&2
     status=1
   fi
 fi

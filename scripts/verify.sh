@@ -57,14 +57,15 @@ cargo run -q --release --offline -p whisper-bench --bin group_lifecycle
 step "scale-out smoke (10k nodes/1 shard must stay <= 0.2 allocs/send; 100k and 1M nodes/4 shards must complete)"
 cargo run -q --release --offline -p whisper-bench --bin scale_smoke
 
-step "golden tables (perfbench --smoke on seeds 7 and 11, all_experiments --quick; EXPERIMENTS.md stamp)"
+step "golden tables (perfbench --smoke on seeds 7 and 11, all_experiments --quick, the five examples; EXPERIMENTS.md stamp)"
 # perfbench/ is its own package with its own target directory; it reaches
 # the crates through their public items only, so this is also the check
-# that a refactor kept every item the benchmark imports. The two golden
-# tables hold the benchmark's deterministic rows and the paper's figures
-# at smoke scale: a simulated result that moved is a diff here, not a
-# sentence in a PR description, and a figure that moved without
-# scripts/paper_tables.sh regenerating EXPERIMENTS.md fails the stamp.
+# that a refactor kept every item the benchmark imports. The golden
+# tables hold the benchmark's deterministic rows, the paper's figures at
+# smoke scale and the examples' stdout: a simulated result that moved is
+# a diff here, not a sentence in a PR description, and a figure that
+# moved without scripts/paper_tables.sh regenerating EXPERIMENTS.md fails
+# the stamp.
 scripts/golden.sh
 
 step "done"
