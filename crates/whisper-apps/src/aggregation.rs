@@ -184,13 +184,7 @@ impl GroupApp for AggregationApp {
                 // Merge ONLY if the counter-value actually leaves for the
                 // initiator: a one-sided merge destroys (or mints) mass.
                 let resp = AggMsg::Response { value: self.state.value() }.to_wire();
-                let sent = match &reply_entry {
-                    Some(entry) => {
-                        api.send_private_to_entry(ctx, self.group, entry, resp, false)
-                    }
-                    None => api.send_private(ctx, self.group, from, resp, false),
-                };
-                if sent {
+                if api.reply(ctx, self.group, from, reply_entry.as_ref(), resp, false) {
                     self.state.exchange(value);
                 } else {
                     ctx.metrics().count("agg.exchange_aborted", 1);

@@ -289,14 +289,7 @@ impl GroupApp for BroadcastApp {
                     .collect();
                 if !missing.is_empty() {
                     let req = BcastMsg::Request { ids: missing }.to_wire();
-                    match &reply_entry {
-                        Some(entry) => {
-                            api.send_private_to_entry(ctx, self.group, entry, req, true);
-                        }
-                        None => {
-                            api.send_private(ctx, self.group, from, req, true);
-                        }
-                    }
+                    api.reply(ctx, self.group, from, reply_entry.as_ref(), req, true);
                 }
                 // Push-back: hand the pusher whatever it is missing — this
                 // is how a member that appears in few views still recovers
@@ -313,14 +306,7 @@ impl GroupApp for BroadcastApp {
                     let back =
                         BcastMsg::Gossip { events: they_lack, digest: vec![], push: false }
                             .to_wire();
-                    match &reply_entry {
-                        Some(entry) => {
-                            api.send_private_to_entry(ctx, self.group, entry, back, false);
-                        }
-                        None => {
-                            api.send_private(ctx, self.group, from, back, false);
-                        }
-                    }
+                    api.reply(ctx, self.group, from, reply_entry.as_ref(), back, false);
                 }
             }
             BcastMsg::Request { ids } => {
@@ -333,14 +319,7 @@ impl GroupApp for BroadcastApp {
                 if !events.is_empty() {
                     let resp =
                         BcastMsg::Gossip { events, digest: vec![], push: false }.to_wire();
-                    match &reply_entry {
-                        Some(entry) => {
-                            api.send_private_to_entry(ctx, self.group, entry, resp, false);
-                        }
-                        None => {
-                            api.send_private(ctx, self.group, from, resp, false);
-                        }
-                    }
+                    api.reply(ctx, self.group, from, reply_entry.as_ref(), resp, false);
                 }
             }
         }

@@ -16,7 +16,7 @@
 //!
 //! All traffic runs inside a private group over WCL routes.
 
-use crate::tman::{Descriptor, TManView};
+use crate::tman::{Descriptor, Exchange, TMan};
 use std::collections::HashMap;
 use whisper_core::{GroupApp, GroupId, PrivateEntry, WhisperApi};
 use whisper_crypto::sha256::Sha256;
@@ -44,8 +44,8 @@ pub struct SkipDescriptor {
 }
 
 impl Descriptor for SkipDescriptor {
-    fn node(&self) -> NodeId {
-        self.entry.node
+    fn entry(&self) -> &PrivateEntry {
+        &self.entry
     }
 }
 
@@ -65,7 +65,7 @@ impl WireDecode for SkipDescriptor {
 
 #[derive(Clone, Debug, PartialEq)]
 enum SkipMsg {
-    Exchange { descriptors: Vec<SkipDescriptor>, respond: bool },
+    Exchange(Exchange<SkipDescriptor>),
     Search { query_id: u64, target: u64, origin: SkipDescriptor, hops: u8 },
     SearchReply { query_id: u64, owner: NodeId, owner_key: u64, hops: u8 },
     Range { query_id: u64, lo: u64, hi: u64, origin: SkipDescriptor, acc: Vec<u64>, hops: u8 },
@@ -75,10 +75,9 @@ enum SkipMsg {
 impl WireEncode for SkipMsg {
     fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
-            SkipMsg::Exchange { descriptors, respond } => {
+            SkipMsg::Exchange(exchange) => {
                 w.put_u8(1);
-                w.put_seq(descriptors);
-                w.put(respond);
+                w.put(exchange);
             }
             SkipMsg::Search { query_id, target, origin, hops } => {
                 w.put_u8(2);
@@ -115,7 +114,7 @@ impl WireEncode for SkipMsg {
 impl WireDecode for SkipMsg {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(match r.take_u8()? {
-            1 => SkipMsg::Exchange { descriptors: r.take_seq()?, respond: r.take()? },
+            1 => SkipMsg::Exchange(r.take()?),
             2 => SkipMsg::Search {
                 query_id: r.take_u64()?,
                 target: r.take_u64()?,
@@ -203,34 +202,29 @@ pub struct GosSkipApp {
     cfg: GosSkipConfig,
     my_key: u64,
     my_level: Option<u8>,
-    view: TManView<SkipDescriptor>,
-    directory: HashMap<NodeId, SkipDescriptor>,
+    tman: TMan<SkipDescriptor>,
     pending_search: HashMap<u64, (u64, SimTime)>,
     pending_range: HashMap<u64, SimTime>,
     searches: Vec<SearchResult>,
     ranges: Vec<RangeResult>,
     next_query: u64,
-    cycles: u64,
 }
 
 impl GosSkipApp {
     /// Creates the app for `group`; `key` is this member's application
     /// key (the sort dimension).
     pub fn new(group: GroupId, key: u64, cfg: GosSkipConfig) -> Self {
-        let cap = cfg.view_cap;
         GosSkipApp {
             group,
+            tman: TMan::new(cfg.view_cap, cfg.exchange_len),
             cfg,
             my_key: key,
             my_level: None,
-            view: TManView::new(cap),
-            directory: HashMap::new(),
             pending_search: HashMap::new(),
             pending_range: HashMap::new(),
             searches: Vec::new(),
             ranges: Vec::new(),
             next_query: 1,
-            cycles: 0,
         }
     }
 
@@ -252,11 +246,13 @@ impl GosSkipApp {
     /// The current left/right neighbours at level 0, if known.
     pub fn list_neighbors(&self) -> (Option<&SkipDescriptor>, Option<&SkipDescriptor>) {
         let left = self
+            .tman
             .directory
             .values()
             .filter(|d| d.key < self.my_key)
             .max_by_key(|d| (d.key, d.node()));
         let right = self
+            .tman
             .directory
             .values()
             .filter(|d| d.key > self.my_key)
@@ -276,34 +272,17 @@ impl GosSkipApp {
         dist >> d.level.min(8)
     }
 
-    fn absorb(&mut self, api: &WhisperApi<'_>, descriptors: Vec<SkipDescriptor>) {
-        let my_id = api.id();
-        let me = self.my_key;
-        for d in &descriptors {
-            if d.node() != my_id {
-                self.directory.insert(d.node(), d.clone());
-            }
-        }
-        self.view.merge(descriptors, my_id, |d| Self::rank(me, d));
-    }
-
     fn seed_from_ppss(&mut self, api: &WhisperApi<'_>) {
         // PPSS entries carry no application key; GosSkip only learns keys
-        // from its own exchanges. The private view still provides gossip
-        // partners for bootstrap via a synthetic descriptor (key unknown
-        // yet: derive the same way members derive their default keys).
-        let entries: Vec<PrivateEntry> = api.private_view(self.group).to_vec();
-        for entry in entries {
-            if !self.directory.contains_key(&entry.node) {
-                // Descriptor with an *estimated* key: corrected as soon as
-                // the member's own exchanges arrive.
-                let d = SkipDescriptor {
-                    key: default_key_of(entry.node),
-                    level: level_of(entry.node),
-                    entry,
-                };
-                self.directory.entry(d.node()).or_insert(d);
-            }
+        // from its own exchanges. Until a member's own exchange arrives,
+        // its directory descriptor carries an *estimated* key, derived the
+        // way members derive their default keys.
+        for entry in api.private_view(self.group) {
+            self.tman.directory.entry(entry.node).or_insert_with(|| SkipDescriptor {
+                key: default_key_of(entry.node),
+                level: level_of(entry.node),
+                entry: entry.clone(),
+            });
         }
     }
 
@@ -311,7 +290,8 @@ impl GosSkipApp {
     /// regard to direction, strictly closer than us.
     fn next_hop(&self, target: u64) -> Option<&SkipDescriptor> {
         let my_dist = self.my_key.abs_diff(target);
-        self.directory
+        self.tman
+            .directory
             .values()
             .filter(|d| d.key.abs_diff(target) < my_dist)
             .min_by_key(|d| (d.key.abs_diff(target), d.node()))
@@ -402,12 +382,7 @@ impl GosSkipApp {
         }
         // Continue right along the sorted list while successors can still
         // fall inside the range.
-        let right = self
-            .directory
-            .values()
-            .filter(|d| d.key > self.my_key)
-            .min_by_key(|d| (d.key, d.node()))
-            .cloned();
+        let right = self.list_neighbors().1.cloned();
         let continue_right = right.as_ref().is_some_and(|r| r.key <= hi);
         if continue_right && hops < self.cfg.ttl {
             let next = right.expect("checked");
@@ -457,8 +432,7 @@ impl GroupApp for GosSkipApp {
         // surfaced stay, and the level is re-derived from the node id.
         self.pending_search.clear();
         self.pending_range.clear();
-        self.view.clear();
-        self.directory.clear();
+        self.tman.clear();
         self.my_level = None;
     }
 
@@ -478,8 +452,7 @@ impl GroupApp for GosSkipApp {
         if group != self.group {
             return;
         }
-        self.directory.remove(&node);
-        self.view.remove(node);
+        self.tman.forget(node);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, api: &mut WhisperApi<'_>, token: u64) {
@@ -487,31 +460,15 @@ impl GroupApp for GosSkipApp {
             return;
         }
         api.set_app_timer(ctx, self.cfg.cycle, SKIP_TIMER);
-        self.cycles += 1;
         self.seed_from_ppss(api);
-        // Alternate best-ranked and random partners, like T-Chord.
-        let partner: Option<SkipDescriptor> = if self.cycles.is_multiple_of(2) {
-            self.view.best().cloned()
-        } else {
-            let view = api.private_view(self.group);
-            if view.is_empty() {
-                None
-            } else {
-                let pick = whisper_rand::Rng::gen_range(ctx.rng(), 0..view.len());
-                let entry = view[pick].clone();
-                Some(SkipDescriptor {
-                    key: default_key_of(entry.node),
-                    level: level_of(entry.node),
-                    entry,
-                })
-            }
+        let mine = self.my_descriptor(api);
+        let Some((partner, offer)) = self.tman.start(ctx.rng(), api.private_view(self.group), mine)
+        else {
+            return;
         };
-        let Some(partner) = partner else { return };
-        let mut descriptors = self.view.buffer(self.cfg.exchange_len);
-        descriptors.insert(0, self.my_descriptor(api));
-        let msg = SkipMsg::Exchange { descriptors, respond: true };
         ctx.metrics().count("gosskip.exchanges", 1);
-        api.send_private_to_entry(ctx, self.group, &partner.entry, msg.to_wire(), false);
+        let offer = SkipMsg::Exchange(offer).to_wire();
+        api.send_private_to_entry(ctx, self.group, &partner, offer, false);
     }
 
     fn on_message(
@@ -530,26 +487,17 @@ impl GroupApp for GosSkipApp {
             return;
         };
         match msg {
-            SkipMsg::Exchange { descriptors, respond } => {
-                let reply_to = descriptors.first().cloned();
-                self.absorb(api, descriptors);
-                if respond {
-                    if let Some(partner) = reply_to {
-                        let mut mine = self.view.buffer(self.cfg.exchange_len);
-                        mine.insert(0, self.my_descriptor(api));
-                        let resp = SkipMsg::Exchange { descriptors: mine, respond: false };
-                        api.send_private_to_entry(
-                            ctx,
-                            self.group,
-                            &partner.entry,
-                            resp.to_wire(),
-                            false,
-                        );
-                    }
+            SkipMsg::Exchange(exchange) => {
+                let (me, mine) = (self.my_key, self.my_descriptor(api));
+                if let Some((partner, answer)) =
+                    self.tman.on_exchange(api.id(), exchange, mine, |d| Self::rank(me, d))
+                {
+                    let answer = SkipMsg::Exchange(answer).to_wire();
+                    api.send_private_to_entry(ctx, self.group, &partner, answer, false);
                 }
             }
             SkipMsg::Search { query_id, target, origin, hops } => {
-                self.directory.insert(origin.node(), origin.clone());
+                self.tman.directory.insert(origin.node(), origin.clone());
                 if self.owns(target) {
                     let reply = SkipMsg::SearchReply {
                         query_id,
@@ -640,7 +588,7 @@ mod tests {
             },
         };
         for msg in [
-            SkipMsg::Exchange { descriptors: vec![d.clone()], respond: true },
+            SkipMsg::Exchange(Exchange { descriptors: vec![d.clone()], respond: true }),
             SkipMsg::Search { query_id: 1, target: 9, origin: d.clone(), hops: 2 },
             SkipMsg::SearchReply { query_id: 1, owner: NodeId(3), owner_key: 8, hops: 3 },
             SkipMsg::Range {

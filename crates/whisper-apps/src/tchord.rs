@@ -13,7 +13,7 @@
 //! exactly the pattern described for Fig. 9.
 
 use crate::chord::{ChordKey, RingNeighbors};
-use crate::tman::{Descriptor, TManView};
+use crate::tman::{Descriptor, Exchange, TMan};
 use std::collections::HashMap;
 use whisper_core::{GroupApp, GroupId, PrivateEntry, WhisperApi};
 use whisper_net::sim::Ctx;
@@ -31,8 +31,8 @@ pub struct ChordDescriptor {
 }
 
 impl Descriptor for ChordDescriptor {
-    fn node(&self) -> NodeId {
-        self.entry.node
+    fn entry(&self) -> &PrivateEntry {
+        &self.entry
     }
 }
 
@@ -52,7 +52,7 @@ impl WireDecode for ChordDescriptor {
 /// T-Chord wire messages (inside PPSS `AppData`).
 #[derive(Clone, Debug, PartialEq)]
 enum TChordMsg {
-    Exchange { descriptors: Vec<ChordDescriptor>, respond: bool },
+    Exchange(Exchange<ChordDescriptor>),
     Lookup { query_id: u64, key: ChordKey, origin: ChordDescriptor, hops: u8 },
     LookupReply { query_id: u64, owner: NodeId, owner_key: ChordKey, hops: u8 },
 }
@@ -60,10 +60,9 @@ enum TChordMsg {
 impl WireEncode for TChordMsg {
     fn encode<W: WireSink>(&self, w: &mut W) {
         match self {
-            TChordMsg::Exchange { descriptors, respond } => {
+            TChordMsg::Exchange(exchange) => {
                 w.put_u8(1);
-                w.put_seq(descriptors);
-                w.put(respond);
+                w.put(exchange);
             }
             TChordMsg::Lookup { query_id, key, origin, hops } => {
                 w.put_u8(2);
@@ -86,7 +85,7 @@ impl WireEncode for TChordMsg {
 impl WireDecode for TChordMsg {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(match r.take_u8()? {
-            1 => TChordMsg::Exchange { descriptors: r.take_seq()?, respond: r.take()? },
+            1 => TChordMsg::Exchange(r.take()?),
             2 => TChordMsg::Lookup {
                 query_id: r.take_u64()?,
                 key: ChordKey(r.take_u64()?),
@@ -168,30 +167,25 @@ pub struct TChordApp {
     group: GroupId,
     cfg: TChordConfig,
     my_key: Option<ChordKey>,
-    view: TManView<ChordDescriptor>,
-    directory: HashMap<NodeId, ChordDescriptor>,
+    tman: TMan<ChordDescriptor>,
     neighbors: RingNeighbors,
     pending: HashMap<u64, PendingLookup>,
     completed: Vec<LookupResult>,
     next_query: u64,
-    cycles: u64,
 }
 
 impl TChordApp {
     /// Creates the app for `group`.
     pub fn new(group: GroupId, cfg: TChordConfig) -> Self {
-        let view_cap = cfg.view_cap;
         TChordApp {
             group,
+            tman: TMan::new(cfg.view_cap, cfg.exchange_len),
             cfg,
             my_key: None,
-            view: TManView::new(view_cap),
-            directory: HashMap::new(),
             neighbors: RingNeighbors::default(),
             pending: HashMap::new(),
             completed: Vec::new(),
             next_query: 1,
-            cycles: 0,
         }
     }
 
@@ -217,7 +211,7 @@ impl TChordApp {
 
     /// T-Man cycles run.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.tman.cycles()
     }
 
     /// Issues a lookup for `key`; the result lands in
@@ -296,32 +290,22 @@ impl TChordApp {
         me.cw_distance(d.key).min(d.key.cw_distance(me))
     }
 
-    fn absorb(&mut self, api: &WhisperApi<'_>, descriptors: Vec<ChordDescriptor>) {
-        let me = self.ensure_key(api);
-        let my_id = api.id();
-        for d in &descriptors {
-            if d.node() != my_id {
-                self.directory.insert(d.node(), d.clone());
-            }
-        }
-        self.view.merge(descriptors, my_id, |d| Self::rank_of(me, d));
-        self.reselect(me);
-    }
-
     fn reselect(&mut self, me: ChordKey) {
         let candidates: Vec<(ChordKey, NodeId)> =
-            self.directory.values().map(|d| (d.key, d.node())).collect();
+            self.tman.directory.values().map(|d| (d.key, d.node())).collect();
         self.neighbors = RingNeighbors::select(me, &candidates, self.cfg.successors);
     }
 
     /// Seeds the candidate pool from the PPSS private view.
     fn seed_from_ppss(&mut self, api: &WhisperApi<'_>) {
-        let entries: Vec<PrivateEntry> = api.private_view(self.group).to_vec();
-        let descriptors: Vec<ChordDescriptor> = entries
-            .into_iter()
-            .map(|entry| ChordDescriptor { key: ChordKey::of_node(entry.node), entry })
+        let me = self.ensure_key(api);
+        let descriptors: Vec<ChordDescriptor> = api
+            .private_view(self.group)
+            .iter()
+            .map(|e| ChordDescriptor { key: ChordKey::of_node(e.node), entry: e.clone() })
             .collect();
-        self.absorb(api, descriptors);
+        self.tman.learn(api.id(), descriptors, |d| Self::rank_of(me, d));
+        self.reselect(me);
     }
 
     fn my_descriptor(&mut self, api: &WhisperApi<'_>) -> ChordDescriptor {
@@ -342,7 +326,7 @@ impl TChordApp {
             ctx.metrics().count("tchord.no_route", 1);
             return false;
         };
-        let Some(target) = self.directory.get(&next).cloned() else {
+        let Some(target) = self.tman.directory.get(&next).cloned() else {
             ctx.metrics().count("tchord.no_route", 1);
             return false;
         };
@@ -365,8 +349,7 @@ impl GroupApp for TChordApp {
         // Completed lookups were already surfaced to the caller and the
         // ring key is re-derived deterministically from the node id.
         self.pending.clear();
-        self.view.clear();
-        self.directory.clear();
+        self.tman.clear();
         self.neighbors = RingNeighbors::default();
     }
 
@@ -388,8 +371,7 @@ impl GroupApp for TChordApp {
         }
         // Drop the dead member from all routing state and re-derive the
         // ring neighbours (Chord stabilization on failure).
-        self.directory.remove(&node);
-        self.view.remove(node);
+        self.tman.forget(node);
         let me = self.ensure_key(api);
         self.reselect(me);
     }
@@ -399,30 +381,16 @@ impl GroupApp for TChordApp {
             return;
         }
         api.set_app_timer(ctx, self.cfg.cycle, TCHORD_TIMER);
-        self.cycles += 1;
         self.seed_from_ppss(api);
         self.retry_stale_lookups(ctx, api);
-        // Alternate partners: the best-ranked ring candidate on even
-        // cycles (refines the ring), a random PPSS member on odd cycles
-        // (keeps long links flowing) — T-Chord's dual source of peers.
-        let partner: Option<ChordDescriptor> = if self.cycles.is_multiple_of(2) {
-            self.view.best().cloned()
-        } else {
-            let view = api.private_view(self.group);
-            if view.is_empty() {
-                None
-            } else {
-                let pick = whisper_rand::Rng::gen_range(ctx.rng(), 0..view.len());
-                let entry = view[pick].clone();
-                Some(ChordDescriptor { key: ChordKey::of_node(entry.node), entry })
-            }
+        let mine = self.my_descriptor(api);
+        let Some((partner, offer)) = self.tman.start(ctx.rng(), api.private_view(self.group), mine)
+        else {
+            return;
         };
-        let Some(partner) = partner else { return };
-        let mut descriptors = self.view.buffer(self.cfg.exchange_len);
-        descriptors.insert(0, self.my_descriptor(api));
-        let msg = TChordMsg::Exchange { descriptors, respond: true };
         ctx.metrics().count("tchord.exchanges", 1);
-        api.send_private_to_entry(ctx, self.group, &partner.entry, msg.to_wire(), false);
+        let offer = TChordMsg::Exchange(offer).to_wire();
+        api.send_private_to_entry(ctx, self.group, &partner, offer, false);
     }
 
     fn on_message(
@@ -441,28 +409,21 @@ impl GroupApp for TChordApp {
             return;
         };
         match msg {
-            TChordMsg::Exchange { descriptors, respond } => {
-                let reply_to = descriptors.first().cloned();
-                self.absorb(api, descriptors);
-                if respond {
-                    if let Some(partner) = reply_to {
-                        let mut mine = self.view.buffer(self.cfg.exchange_len);
-                        mine.insert(0, self.my_descriptor(api));
-                        let resp = TChordMsg::Exchange { descriptors: mine, respond: false };
-                        api.send_private_to_entry(
-                            ctx,
-                            self.group,
-                            &partner.entry,
-                            resp.to_wire(),
-                            false,
-                        );
-                    }
+            TChordMsg::Exchange(exchange) => {
+                let me = self.ensure_key(api);
+                let mine = self.my_descriptor(api);
+                let rank = |d: &ChordDescriptor| Self::rank_of(me, d);
+                let answer = self.tman.on_exchange(api.id(), exchange, mine, rank);
+                self.reselect(me);
+                if let Some((partner, answer)) = answer {
+                    let answer = TChordMsg::Exchange(answer).to_wire();
+                    api.send_private_to_entry(ctx, self.group, &partner, answer, false);
                 }
             }
             TChordMsg::Lookup { query_id, key, origin, hops } => {
                 let me = self.ensure_key(api);
                 // Learn the originator on the way (free ring maintenance).
-                self.directory.insert(origin.node(), origin.clone());
+                self.tman.directory.insert(origin.node(), origin.clone());
                 if self.neighbors.owns(me, key) {
                     let reply = TChordMsg::LookupReply {
                         query_id,
@@ -548,7 +509,7 @@ mod tests {
             hops: 4,
         };
         assert_eq!(TChordMsg::from_wire(&msg.to_wire()).unwrap(), msg);
-        let msg = TChordMsg::Exchange { descriptors: vec![d], respond: true };
+        let msg = TChordMsg::Exchange(Exchange { descriptors: vec![d], respond: true });
         assert_eq!(TChordMsg::from_wire(&msg.to_wire()).unwrap(), msg);
         assert!(TChordMsg::from_wire(&[7]).is_err());
     }

@@ -1,5 +1,6 @@
-//! A generic T-Man view (Jelasity et al. \[12\]): gossip-based overlay
-//! topology construction driven by a ranking function.
+//! T-Man (Jelasity et al. \[12\]): gossip-based overlay topology
+//! construction driven by a ranking function — the exchange T-Chord and
+//! GosSkip both run.
 //!
 //! T-Man maintains, per node, a bounded view of peer descriptors ordered
 //! by a problem-specific *ranking*. Each cycle a node exchanges its best
@@ -11,202 +12,265 @@
 //! The ranking is supplied per call: it usually depends on the local
 //! node's own position (e.g. ring distance from the local Chord key).
 
+use std::collections::HashMap;
+use whisper_core::PrivateEntry;
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::NodeId;
+use whisper_rand::Rng;
 
-/// A peer descriptor usable in a T-Man view.
+/// A peer descriptor usable in a T-Man view: what the overlay ranks by,
+/// and the private-view entry that opens a confidential route to the node.
 pub trait Descriptor: Clone {
+    /// Where the node is reached.
+    fn entry(&self) -> &PrivateEntry;
+
     /// The node this descriptor names (views are deduplicated by node).
-    fn node(&self) -> NodeId;
+    fn node(&self) -> NodeId {
+        self.entry().node
+    }
 }
 
-/// A bounded, ranking-ordered view of descriptors.
+/// One T-Man exchange message: the sender's own descriptor, then the best
+/// of its view.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Exchange<D> {
+    /// The sender's descriptor first, then its best-ranked ones.
+    pub descriptors: Vec<D>,
+    /// Whether the receiver answers with an exchange of its own.
+    pub respond: bool,
+}
+
+impl<D: WireEncode> WireEncode for Exchange<D> {
+    fn encode<W: WireSink>(&self, w: &mut W) {
+        w.put_seq(&self.descriptors);
+        w.put(&self.respond);
+    }
+}
+
+impl<D: WireDecode> WireDecode for Exchange<D> {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(Exchange { descriptors: r.take_seq()?, respond: r.take()? })
+    }
+}
+
+/// The T-Man protocol at one node: the ranked view, a directory of every
+/// descriptor learned, and the cycle count that picks the partners.
 #[derive(Clone, Debug)]
-pub struct TManView<D: Descriptor> {
-    entries: Vec<D>,
-    cap: usize,
+pub struct TMan<D: Descriptor> {
+    /// Every descriptor learned, by node: the overlay's candidates for
+    /// links the ranking does not keep (fingers, list neighbours).
+    pub directory: HashMap<NodeId, D>,
+    view: Vec<D>,
+    view_cap: usize,
+    exchange_len: usize,
+    cycles: u64,
 }
 
-impl<D: Descriptor> TManView<D> {
-    /// Creates an empty view bounded to `cap` descriptors.
+impl<D: Descriptor> TMan<D> {
+    /// A node that knows nobody yet, keeping `view_cap` ranked
+    /// descriptors and offering its best `exchange_len`.
     ///
     /// # Panics
     ///
-    /// Panics if `cap` is zero.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "T-Man view capacity must be positive");
-        TManView { entries: Vec::new(), cap }
+    /// Panics if `view_cap` is zero.
+    pub fn new(view_cap: usize, exchange_len: usize) -> Self {
+        assert!(view_cap > 0, "T-Man view capacity must be positive");
+        TMan { directory: HashMap::new(), view: Vec::new(), view_cap, exchange_len, cycles: 0 }
     }
 
-    /// The current descriptors, best-ranked first (after the last merge).
-    pub fn entries(&self) -> &[D] {
-        &self.entries
+    /// The ranked view, best first: offers and well-ranked partners come
+    /// from here.
+    pub fn view(&self) -> &[D] {
+        &self.view
     }
 
-    /// Drops every descriptor (crash-restart: the view is a volatile
-    /// cache the gossip cycle regrows).
-    pub fn clear(&mut self) {
-        self.entries.clear();
+    /// Cycles run.
+    pub fn cycles(&self) -> u64 {
+        self.cycles
     }
 
-    /// Number of descriptors held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Whether a descriptor for `node` is present.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.entries.iter().any(|d| d.node() == node)
-    }
-
-    /// Removes the descriptor for `node` (e.g. it was detected dead).
-    pub fn remove(&mut self, node: NodeId) {
-        self.entries.retain(|d| d.node() != node);
-    }
-
-    /// Merges `incoming` descriptors, deduplicates by node (an incoming
-    /// descriptor replaces a held one for the same node), ranks with
-    /// `rank` (smaller is better) and truncates to capacity.
-    ///
-    /// `me` is always excluded.
-    pub fn merge(&mut self, incoming: impl IntoIterator<Item = D>, me: NodeId, rank: impl Fn(&D) -> u64) {
-        for d in incoming {
-            if d.node() == me {
-                continue;
-            }
-            match self.entries.iter_mut().find(|e| e.node() == d.node()) {
-                Some(existing) => *existing = d,
-                None => self.entries.push(d),
+    /// Learns `descriptors` (`me` aside): into the directory, and into the
+    /// view — where a descriptor replaces the one held for its node — which
+    /// is then ranked by `rank` (smaller is better) and cut to capacity.
+    pub fn learn(&mut self, me: NodeId, descriptors: Vec<D>, rank: impl Fn(&D) -> u64) {
+        for d in descriptors.into_iter().filter(|d| d.node() != me) {
+            self.directory.insert(d.node(), d.clone());
+            match self.view.iter_mut().find(|held| held.node() == d.node()) {
+                Some(held) => *held = d,
+                None => self.view.push(d),
             }
         }
-        self.entries
-            .sort_by_key(|d| (rank(d), d.node()));
-        self.entries.truncate(self.cap);
+        self.view.sort_by_key(|d| (rank(d), d.node()));
+        self.view.truncate(self.view_cap);
     }
 
-    /// The best `len` descriptors to ship to a partner (T-Man ships its
-    /// best candidates so the partner's view improves fastest).
-    pub fn buffer(&self, len: usize) -> Vec<D> {
-        self.entries.iter().take(len).cloned().collect()
+    /// Forgets `node` (it was found unreachable).
+    pub fn forget(&mut self, node: NodeId) {
+        self.directory.remove(&node);
+        self.view.retain(|d| d.node() != node);
     }
 
-    /// The best-ranked descriptor.
-    pub fn best(&self) -> Option<&D> {
-        self.entries.first()
+    /// Forgets everybody (crash-restart: view and directory are volatile
+    /// caches the cycles regrow).
+    pub fn clear(&mut self) {
+        self.view.clear();
+        self.directory.clear();
+    }
+
+    /// Runs one cycle: the partner — the best-ranked descriptor on even
+    /// cycles, which refines the topology, and a random member of
+    /// `private_view` on odd ones, which keeps long links flowing — and
+    /// the offer for it, which opens with `mine`. `None` when there is no
+    /// partner.
+    pub fn start(
+        &mut self,
+        rng: &mut impl Rng,
+        private_view: &[PrivateEntry],
+        mine: D,
+    ) -> Option<(PrivateEntry, Exchange<D>)> {
+        self.cycles += 1;
+        let partner = if self.cycles.is_multiple_of(2) {
+            self.view.first().map(Descriptor::entry)
+        } else if private_view.is_empty() {
+            None
+        } else {
+            Some(&private_view[rng.gen_range(0..private_view.len())])
+        };
+        Some((partner?.clone(), self.offer(mine, true)))
+    }
+
+    /// Takes in an exchange that arrived; when it asks for an answer,
+    /// returns the answer — opening with `mine` — and the entry of its
+    /// sender to send it to.
+    pub fn on_exchange(
+        &mut self,
+        me: NodeId,
+        exchange: Exchange<D>,
+        mine: D,
+        rank: impl Fn(&D) -> u64,
+    ) -> Option<(PrivateEntry, Exchange<D>)> {
+        let sender = exchange.descriptors.first().filter(|_| exchange.respond);
+        let sender = sender.map(|d| d.entry().clone());
+        self.learn(me, exchange.descriptors, rank);
+        Some((sender?, self.offer(mine, false)))
+    }
+
+    /// Our descriptor, then the best `exchange_len`: T-Man ships its best
+    /// candidates so the partner's view improves fastest.
+    fn offer(&self, mine: D, respond: bool) -> Exchange<D> {
+        let best = self.view.iter().take(self.exchange_len).cloned();
+        Exchange { descriptors: std::iter::once(mine).chain(best).collect(), respond }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+    use whisper_crypto::rsa::{KeyPair, PublicKey, RsaKeySize};
+    use whisper_rand::rngs::StdRng;
+    use whisper_rand::SeedableRng;
 
     #[derive(Clone, Debug, PartialEq)]
     struct Item {
-        node: NodeId,
+        entry: PrivateEntry,
         value: u64,
     }
 
     impl Descriptor for Item {
-        fn node(&self) -> NodeId {
-            self.node
+        fn entry(&self) -> &PrivateEntry {
+            &self.entry
         }
     }
 
+    fn entry(node: u64) -> PrivateEntry {
+        static KEY: OnceLock<PublicKey> = OnceLock::new();
+        let key = KEY.get_or_init(|| {
+            KeyPair::generate(RsaKeySize::Sim384, &mut StdRng::seed_from_u64(1)).public().clone()
+        });
+        let key = key.clone();
+        PrivateEntry { node: NodeId(node), age: 0, public: true, key, gateways: vec![] }
+    }
+
     fn item(node: u64, value: u64) -> Item {
-        Item { node: NodeId(node), value }
+        Item { entry: entry(node), value }
     }
 
-    #[test]
-    fn merge_ranks_and_truncates() {
-        let mut v = TManView::new(3);
-        v.merge(
-            vec![item(1, 50), item(2, 10), item(3, 30), item(4, 20)],
-            NodeId(0),
-            |d| d.value,
-        );
-        let nodes: Vec<u64> = v.entries().iter().map(|d| d.node.0).collect();
-        assert_eq!(nodes, vec![2, 4, 3], "ranked ascending, capped at 3");
+    fn nodes(items: &[Item]) -> Vec<u64> {
+        items.iter().map(|d| d.node().0).collect()
     }
 
+    /// The view keeps the best `view_cap` by rank, one per node (the
+    /// latest descriptor wins) and never our own; the directory keeps every
+    /// node learned.
     #[test]
-    fn merge_replaces_per_node() {
-        let mut v = TManView::new(4);
-        v.merge(vec![item(1, 50)], NodeId(0), |d| d.value);
-        v.merge(vec![item(1, 5)], NodeId(0), |d| d.value);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v.best().unwrap().value, 5);
+    fn learning_ranks_dedupes_and_truncates() {
+        let mut tman = TMan::new(3, 2);
+        let learned = vec![item(1, 50), item(2, 10), item(0, 0), item(3, 30), item(4, 20)];
+        tman.learn(NodeId(0), learned, |d| d.value);
+        assert_eq!(nodes(tman.view()), [2, 4, 3], "ranked ascending, capped at 3");
+        assert_eq!(tman.directory.len(), 4, "everyone but ourselves");
+        tman.learn(NodeId(0), vec![item(1, 5)], |d| d.value);
+        assert_eq!(nodes(tman.view()), [1, 2, 4]);
+        assert_eq!(tman.directory[&NodeId(1)].value, 5);
     }
 
+    /// Odd cycles draw a partner from the private view, even ones take the
+    /// best-ranked descriptor; every offer is our own descriptor and then
+    /// the best `exchange_len`, and only a request is answered — at the
+    /// entry of the descriptor it opens with.
     #[test]
-    fn self_excluded() {
-        let mut v = TManView::new(4);
-        v.merge(vec![item(7, 1)], NodeId(7), |d| d.value);
-        assert!(v.is_empty());
-    }
+    fn partners_alternate_and_offers_open_with_the_sender() {
+        let me = NodeId(0);
+        let mut tman = TMan::new(8, 2);
+        let mut rng = StdRng::seed_from_u64(7);
+        tman.learn(me, vec![item(0, 0), item(3, 30), item(1, 10), item(2, 20)], |d| d.value);
+        assert!(tman.start(&mut rng, &[], item(0, 0)).is_none(), "odd cycle, empty private view");
+        let (partner, offer) = tman.start(&mut rng, &[], item(0, 0)).expect("even cycle");
+        assert_eq!((partner.node, tman.cycles()), (NodeId(1), 2), "the best-ranked descriptor");
+        assert_eq!((nodes(&offer.descriptors), offer.respond), (vec![0, 1, 2], true));
+        let members = [entry(8), entry(9)];
+        let (partner, _) = tman.start(&mut rng, &members, item(0, 0)).expect("odd cycle");
+        assert!(members.contains(&partner), "a private-view member");
 
-    #[test]
-    fn buffer_ships_best() {
-        let mut v = TManView::new(10);
-        v.merge((0..8).map(|i| item(i, 100 - i)), NodeId(99), |d| d.value);
-        let buf = v.buffer(2);
-        assert_eq!(buf.len(), 2);
-        assert!(buf[0].value <= buf[1].value);
-    }
-
-    #[test]
-    fn remove_and_contains() {
-        let mut v = TManView::new(4);
-        v.merge(vec![item(1, 1), item(2, 2)], NodeId(0), |d| d.value);
-        assert!(v.contains(NodeId(1)));
-        v.remove(NodeId(1));
-        assert!(!v.contains(NodeId(1)));
-        assert_eq!(v.len(), 1);
+        let request = Exchange { descriptors: vec![item(5, 5), item(6, 60)], respond: true };
+        let (to, answer) = tman.on_exchange(me, request, item(0, 0), |d| d.value).expect("asked");
+        assert_eq!(to.node, NodeId(5));
+        assert_eq!((nodes(&answer.descriptors), answer.respond), (vec![0, 5, 1], false));
+        let answer = Exchange { descriptors: vec![item(4, 4)], respond: false };
+        assert!(tman.on_exchange(me, answer, item(0, 0), |d| d.value).is_none());
+        assert_eq!(tman.view()[0].node(), NodeId(4), "an answer is learned");
+        tman.forget(NodeId(4));
+        assert!(!tman.directory.contains_key(&NodeId(4)));
+        assert_eq!(nodes(tman.view()), [5, 1, 2, 3, 6], "nor in the view");
     }
 
     #[test]
     fn converges_to_target_topology() {
-        // Simulate T-Man convergence to a sorted line: 20 nodes with
-        // random values; ranking = |value - mine|. After a few rounds of
-        // all-pairs gossip each node's two best entries are its true
-        // line neighbours.
-        let values: Vec<u64> = vec![
+        // T-Man converging to a sorted line: 20 nodes with random values;
+        // ranking = |value - mine|; every node's private view holds all
+        // the others. After a few cycles each node's best entry is its
+        // true line neighbour.
+        let values: &[u64] = &[
             55, 3, 78, 12, 91, 44, 67, 23, 88, 5, 31, 72, 19, 60, 97, 8, 40, 83, 27, 50,
         ];
         let n = values.len();
-        let mut views: Vec<TManView<Item>> = (0..n).map(|_| TManView::new(4)).collect();
-        // Bootstrap: everyone knows node 0.
-        for i in 1..n {
-            views[i].merge(vec![item(0, values[0])], NodeId(i as u64), |d| {
-                d.value.abs_diff(values[i])
-            });
-            views[0].merge(vec![item(i as u64, values[i])], NodeId(0), |d| {
-                d.value.abs_diff(values[0])
-            });
-        }
-        for round in 0..20 {
+        let rank = |i: usize| move |d: &Item| d.value.abs_diff(values[i]);
+        let mine = |i: usize| item(i as u64, values[i]);
+        let mut nodes: Vec<TMan<Item>> = (0..n).map(|_| TMan::new(4, 4)).collect();
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..20 {
             for i in 0..n {
-                // Alternate ranked and random partners, as T-Man does to
-                // avoid local optima.
-                let partner = if round % 2 == 0 {
-                    views[i].best().map(|d| d.node().0 as usize)
-                } else {
-                    Some((i + round + 3) % n)
-                };
-                let Some(partner) = partner.filter(|p| *p != i) else {
+                let members: Vec<PrivateEntry> =
+                    (0..n).filter(|&j| j != i).map(|j| entry(j as u64)).collect();
+                let Some((partner, offer)) = nodes[i].start(&mut rng, &members, mine(i)) else {
                     continue;
                 };
-                let mut mine = views[i].buffer(4);
-                mine.push(item(i as u64, values[i]));
-                let mut theirs = views[partner].buffer(4);
-                theirs.push(item(partner as u64, values[partner]));
-                views[partner].merge(mine, NodeId(partner as u64), |d| {
-                    d.value.abs_diff(values[partner])
-                });
-                views[i].merge(theirs, NodeId(i as u64), |d| d.value.abs_diff(values[i]));
+                let p = partner.node.0 as usize;
+                let answer = nodes[p].on_exchange(NodeId(p as u64), offer, mine(p), rank(p));
+                let (to, answer) = answer.expect("a request is answered");
+                assert_eq!(to.node, NodeId(i as u64), "answered at the sender's entry");
+                assert!(nodes[i].on_exchange(NodeId(i as u64), answer, mine(i), rank(i)).is_none());
             }
         }
         // Check: each node's best entry is its true nearest neighbour.
@@ -216,7 +280,7 @@ mod tests {
                 .filter(|j| *j != i)
                 .min_by_key(|j| values[*j].abs_diff(values[i]))
                 .unwrap();
-            if views[i].best().map(|d| d.node().0) == Some(true_nearest as u64) {
+            if nodes[i].view().first().map(|d| d.node().0) == Some(true_nearest as u64) {
                 correct += 1;
             }
         }

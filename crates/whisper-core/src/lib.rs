@@ -26,4 +26,4 @@ pub mod wcl;
 pub use node::{GroupApp, WhisperApi, WhisperConfig, WhisperNode};
 pub use ppss::group::{GroupId, Invitation, Passport};
 pub use ppss::{Ppss, PpssConfig, PpssEvent, PrivateEntry};
-pub use wcl::{DestInfo, GatewayInfo, Wcl, WclConfig, WclEvent};
+pub use wcl::{GatewayInfo, Wcl, WclConfig, WclEvent};

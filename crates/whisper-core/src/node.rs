@@ -5,20 +5,12 @@
 //! group.
 
 use crate::ppss::group::{GroupId, Invitation};
-use crate::ppss::{Ppss, PpssConfig, PpssEvent, PrivateEntry, TIMER_PCP_REFRESH, TIMER_PPSS_CYCLE};
-use crate::wcl::{Wcl, WclConfig, WclEvent, TIMER_WCL_RETRY};
+use crate::ppss::{Ppss, PpssConfig, PpssEvent, PrivateEntry};
+use crate::wcl::{Wcl, WclConfig, WclEvent};
 use whisper_crypto::rsa::KeyPair;
 use whisper_net::sim::{Ctx, Protocol};
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration};
-use whisper_pss::{NylonConfig, NylonCore, NylonEvent};
-
-/// Timer token kind reserved for applications (low byte).
-pub const TIMER_APP: u64 = 7;
-
-/// Packs an application timer token.
-pub fn app_timer_token(token: u64) -> u64 {
-    TIMER_APP | (token << 8)
-}
+use whisper_pss::{timer, NylonConfig, NylonCore, NylonEvent};
 
 /// Configuration of a full WHISPER stack.
 #[derive(Clone, Debug, Default)]
@@ -58,7 +50,9 @@ impl WhisperApi<'_> {
         self.ppss.my_entry(self.nylon)
     }
 
-    /// Sends application bytes confidentially to a group member.
+    /// Sends application bytes confidentially to a group member: its
+    /// pinned entry, else the one in the private view. Returns `false`
+    /// when the member is in neither or no route could be built.
     pub fn send_private(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -67,8 +61,12 @@ impl WhisperApi<'_> {
         data: Vec<u8>,
         with_reply_entry: bool,
     ) -> bool {
-        self.ppss
-            .send_app(ctx, self.nylon, self.wcl, group, to, data, with_reply_entry)
+        let Some(dest) = self.ppss.member(group, to) else {
+            return false;
+        };
+        self.ppss.app_data(self.nylon, group, data, with_reply_entry).is_some_and(|(wire, once)| {
+            self.wcl.send_untracked(ctx, self.nylon, dest, &wire, Some(once))
+        })
     }
 
     /// Sends application bytes confidentially to a group member, tracked
@@ -83,11 +81,14 @@ impl WhisperApi<'_> {
         data: Vec<u8>,
         with_reply_entry: bool,
     ) -> Option<u64> {
-        self.ppss
-            .send_app_tracked(ctx, self.nylon, self.wcl, group, to, data, with_reply_entry)
+        let dest = self.ppss.member(group, to)?;
+        let (wire, once) = self.ppss.app_data(self.nylon, group, data, with_reply_entry)?;
+        let msg_id = self.wcl.alloc_msg_id();
+        self.wcl.send(ctx, self.nylon, dest, wire, Some(once), msg_id).then_some(msg_id)
     }
 
-    /// Sends application bytes to an explicit entry (reply pattern).
+    /// Sends application bytes to an explicit entry (e.g. one shipped in
+    /// a query for the reply, the §V-G T-Chord pattern).
     pub fn send_private_to_entry(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -96,8 +97,28 @@ impl WhisperApi<'_> {
         data: Vec<u8>,
         with_reply_entry: bool,
     ) -> bool {
-        self.ppss
-            .send_app_to_entry(ctx, self.nylon, self.wcl, group, to, data, with_reply_entry)
+        self.ppss.app_data(self.nylon, group, data, with_reply_entry).is_some_and(|(wire, once)| {
+            self.wcl.send_untracked(ctx, self.nylon, to, &wire, Some(once))
+        })
+    }
+
+    /// Answers `from`, whose message to `group` just arrived: at the
+    /// `reply_entry` it shipped, else as [`WhisperApi::send_private`]
+    /// does. Either way the answer rides back on the circuit the message
+    /// came in on while that is bound (see [`crate::wcl`]).
+    pub fn reply(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        group: GroupId,
+        from: NodeId,
+        reply_entry: Option<&PrivateEntry>,
+        data: Vec<u8>,
+        with_reply_entry: bool,
+    ) -> bool {
+        match reply_entry {
+            Some(entry) => self.send_private_to_entry(ctx, group, entry, data, with_reply_entry),
+            None => self.send_private(ctx, group, from, data, with_reply_entry),
+        }
     }
 
     /// Pins `node` into the persistent connection pool of `group`
@@ -108,8 +129,13 @@ impl WhisperApi<'_> {
 
     /// Arms an application timer; it fires as [`GroupApp::on_timer`] with
     /// `token`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is not below 2⁵⁶ ([`timer::PAYLOAD_BOUND`]): the
+    /// low byte of the simulator's timer token names the layer it is for.
     pub fn set_app_timer(&self, ctx: &mut Ctx<'_>, delay: SimDuration, token: u64) {
-        ctx.set_timer(delay, app_timer_token(token));
+        ctx.set_timer(delay, timer::token(timer::APP, token));
     }
 }
 
@@ -155,7 +181,7 @@ pub trait GroupApp: Send + 'static {
     }
 
     /// An application timer armed through [`WhisperApi::set_app_timer`]
-    /// fired.
+    /// fired, with the token it was armed with (below 2⁵⁶).
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, api: &mut WhisperApi<'_>, token: u64) {}
 
     /// The node crashed and restarted with full loss of volatile state.
@@ -386,8 +412,8 @@ impl Protocol for WhisperNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        match token & 0xFF {
-            TIMER_WCL_RETRY => {
+        match timer::kind(token) {
+            timer::WCL_RETRY => {
                 if let Some(WclEvent::RouteFailed { msg_id, dest, no_alternative }) =
                     self.wcl.on_retry_timer(ctx, &mut self.nylon, token)
                 {
@@ -403,14 +429,14 @@ impl Protocol for WhisperNode {
                     self.dispatch_ppss_events(ctx, events);
                 }
             }
-            TIMER_PPSS_CYCLE => {
+            timer::PPSS_CYCLE => {
                 let events = self.ppss.on_cycle(ctx, &mut self.nylon, &mut self.wcl);
                 self.dispatch_ppss_events(ctx, events);
             }
-            TIMER_PCP_REFRESH => {
+            timer::PCP_REFRESH => {
                 self.ppss.on_pcp_refresh(ctx, &mut self.nylon, &mut self.wcl);
             }
-            TIMER_APP => self.with_api(|api, app| app.on_timer(ctx, api, token >> 8)),
+            timer::APP => self.with_api(|api, app| app.on_timer(ctx, api, timer::payload(token))),
             _ => {
                 self.nylon.on_timer(ctx, token);
             }

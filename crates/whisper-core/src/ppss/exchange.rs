@@ -32,7 +32,7 @@ impl GroupState {
         let msg = self.exchange_msg(ctx, group, partner.node, my_entry, msg_id, false);
         self.outstanding = Some((partner.node, msg_id));
         ctx.metrics().count("ppss.exchanges_initiated", 1);
-        if !wcl.send(ctx, nylon, &partner.dest_info(), msg.to_wire(), None, msg_id) {
+        if !wcl.send(ctx, nylon, &partner, msg.to_wire(), None, msg_id) {
             // No route constructible at all (e.g. every advertised gateway
             // is gone).
             events.push(self.drop_unreachable(group, partner.node));
@@ -193,7 +193,7 @@ impl Ppss {
             let resp =
                 state.exchange_msg(ctx, group, from_entry.node, &my_entry, exchange_id, true);
             ctx.metrics().count("ppss.exchanges_served", 1);
-            wcl.send_untracked(ctx, nylon, &from_entry.dest_info(), &resp.to_wire(), None);
+            wcl.send_untracked(ctx, nylon, &from_entry, &resp.to_wire(), None);
         } else {
             state.outstanding.take_if(|&mut sent| sent == (from_entry.node, exchange_id));
             wcl.notify_response(ctx, exchange_id);

@@ -217,9 +217,8 @@ impl Ppss {
         };
         let msg_id = wcl.alloc_msg_id();
         pending.msg_id = Some(msg_id);
-        let dest = pending.invitation.entry_point.dest_info();
         ctx.metrics().count("ppss.join_attempts", 1);
-        wcl.send(ctx, nylon, &dest, msg.to_wire(), None, msg_id);
+        wcl.send(ctx, nylon, &pending.invitation.entry_point, msg.to_wire(), None, msg_id);
     }
 
     /// Deletes `group` (leader operation): signs a deletion tombstone —
@@ -274,7 +273,7 @@ impl Ppss {
                 state.pcp.values().chain(&state.view).map(|e| (e.node, e)).collect();
             let push = PpssMsg::Deleted { tombstone: tombstone.clone(), exchange_id: 0 }.to_wire();
             for target in targets.values() {
-                wcl.send_untracked(ctx, nylon, &target.dest_info(), &push, None);
+                wcl.send_untracked(ctx, nylon, target, &push, None);
             }
         }
         self.journal.append(&encode_tombstone_record(group, &tombstone));
@@ -504,7 +503,7 @@ impl Ppss {
         };
         state.merge_entries(me, vec![entry.clone()], cap);
         ctx.metrics().count("ppss.joins_accepted", 1);
-        wcl.send_untracked(ctx, nylon, &entry.dest_info(), &ack.to_wire(), None);
+        wcl.send_untracked(ctx, nylon, &entry, &ack.to_wire(), None);
     }
 
     #[allow(clippy::too_many_arguments)]

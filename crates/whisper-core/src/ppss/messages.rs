@@ -2,13 +2,14 @@
 //! relays and observers only ever see ciphertext.
 
 use crate::ppss::group::{GroupId, Passport};
-use crate::wcl::{DestInfo, GatewayInfo};
+use crate::wcl::GatewayInfo;
 use whisper_crypto::rsa::PublicKey;
 use whisper_net::wire::{WireDecode, WireEncode, WireError, WireLen, WireReader, WireSink};
 use whisper_net::NodeId;
 
 /// One entry of a private view (paper §IV-B): the member's identity and
-/// everything needed to open a confidential WCL route to it.
+/// everything needed to open a confidential WCL route to it — what the
+/// WCL sends to ([`crate::wcl::Wcl::send`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PrivateEntry {
     /// The member.
@@ -21,18 +22,6 @@ pub struct PrivateEntry {
     pub key: PublicKey,
     /// Π P-nodes that can reach the member (empty for P-nodes).
     pub gateways: Vec<GatewayInfo>,
-}
-
-impl PrivateEntry {
-    /// Converts to the WCL's destination descriptor.
-    pub fn dest_info(&self) -> DestInfo {
-        DestInfo {
-            node: self.node,
-            public: self.public,
-            key: self.key.clone(),
-            gateways: self.gateways.clone(),
-        }
-    }
 }
 
 impl WireEncode for PrivateEntry {
@@ -442,9 +431,6 @@ mod tests {
     fn private_entry_round_trip() {
         let e = entry(5);
         assert_eq!(PrivateEntry::from_wire(&e.to_wire()).unwrap(), e);
-        let d = e.dest_info();
-        assert_eq!(d.node, e.node);
-        assert_eq!(d.gateways.len(), 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod journal;
 mod lifecycle;
 pub mod messages;
 
-use crate::wcl::{Arrival, DestInfo, GatewayInfo, Preamble, Wcl};
+use crate::wcl::{Arrival, GatewayInfo, Preamble, Wcl};
 use election::{ElectionOutcome, LeaderTracker};
 use group::{GroupId, Passport, PassportMemo};
 use journal::Journal;
@@ -27,13 +27,8 @@ use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode, WireReader};
 use whisper_net::{NodeId, SimDuration};
-use whisper_pss::NylonCore;
+use whisper_pss::{timer, NylonCore};
 use whisper_rand::Rng;
-
-/// Timer token: the PPSS gossip cycle (all groups share one timer).
-pub const TIMER_PPSS_CYCLE: u64 = 5;
-/// Timer token: persistent-connection-pool refresh.
-pub const TIMER_PCP_REFRESH: u64 = 6;
 
 /// Entries shipped per exchange (paper: 5).
 pub const GOSSIP_LEN: usize = 5;
@@ -298,8 +293,8 @@ impl Ppss {
         }
         self.started = true;
         let offset = SimDuration::from_micros(ctx.rng().gen_range(0..CYCLE.as_micros()));
-        ctx.set_timer(offset, TIMER_PPSS_CYCLE);
-        ctx.set_timer(PCP_REFRESH, TIMER_PCP_REFRESH);
+        ctx.set_timer(offset, timer::token(timer::PPSS_CYCLE, 0));
+        ctx.set_timer(PCP_REFRESH, timer::token(timer::PCP_REFRESH, 0));
     }
 
     /// Builds this node's fresh private-view entry: identity key plus Π
@@ -343,7 +338,7 @@ impl Ppss {
     /// receiver is to reply directly, and how much of it says only who is
     /// talking: the WCL leaves that out on a circuit that has carried it.
     /// `None` if we are not a member.
-    fn app_data(
+    pub(crate) fn app_data(
         &self,
         nylon: &NylonCore,
         group: GroupId,
@@ -360,73 +355,9 @@ impl Ppss {
 
     /// Where to reach member `to` of `group`: its pinned entry, else the
     /// one in the private view.
-    fn member_dest(&self, group: GroupId, to: NodeId) -> Option<DestInfo> {
+    pub(crate) fn member(&self, group: GroupId, to: NodeId) -> Option<&PrivateEntry> {
         let state = self.groups.get(&group)?;
-        let entry = state.pcp.get(&to).or_else(|| state.view.iter().find(|e| e.node == to))?;
-        Some(entry.dest_info())
-    }
-
-    /// Sends application bytes to a group member over a WCL route,
-    /// optionally shipping our entry so the member can reply directly.
-    ///
-    /// Returns `false` when the target is not in the view/PCP or no route
-    /// could be built.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_app(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        wcl: &mut Wcl,
-        group: GroupId,
-        to: NodeId,
-        data: Vec<u8>,
-        with_reply_entry: bool,
-    ) -> bool {
-        let Some(dest) = self.member_dest(group, to) else {
-            return false;
-        };
-        self.app_data(nylon, group, data, with_reply_entry)
-            .is_some_and(|(wire, once)| wcl.send_untracked(ctx, nylon, &dest, &wire, Some(once)))
-    }
-
-    /// Like [`Ppss::send_app`], but tracked through the WCL retry
-    /// machinery: on success returns the message id, which the caller
-    /// must resolve via [`Wcl::notify_response`] once the application's
-    /// answer arrives (request/response apps and the chaos harness use
-    /// this to measure end-to-end delivery).
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_app_tracked(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        wcl: &mut Wcl,
-        group: GroupId,
-        to: NodeId,
-        data: Vec<u8>,
-        with_reply_entry: bool,
-    ) -> Option<u64> {
-        let dest = self.member_dest(group, to)?;
-        let (wire, once) = self.app_data(nylon, group, data, with_reply_entry)?;
-        let msg_id = wcl.alloc_msg_id();
-        wcl.send(ctx, nylon, &dest, wire, Some(once), msg_id).then_some(msg_id)
-    }
-
-    /// Sends application bytes to an explicit entry (e.g. one shipped in
-    /// a query for the reply, the §V-G T-Chord pattern).
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_app_to_entry(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        wcl: &mut Wcl,
-        group: GroupId,
-        to: &PrivateEntry,
-        data: Vec<u8>,
-        with_reply_entry: bool,
-    ) -> bool {
-        self.app_data(nylon, group, data, with_reply_entry).is_some_and(|(wire, once)| {
-            wcl.send_untracked(ctx, nylon, &to.dest_info(), &wire, Some(once))
-        })
+        state.pcp.get(&to).or_else(|| state.view.iter().find(|e| e.node == to))
     }
 
     // ----------------------------------------------------------------
@@ -443,7 +374,7 @@ impl Ppss {
         let mut events = Vec::new();
         let mut to_journal: Vec<GroupId> = Vec::new();
         self.cycles_run += 1;
-        ctx.set_timer(CYCLE, TIMER_PPSS_CYCLE);
+        ctx.set_timer(CYCLE, timer::token(timer::PPSS_CYCLE, 0));
         // Retry pending joins — in sorted order: each retry draws from the
         // node RNG (route choice, onion padding), so walking the `HashMap`
         // in its per-process order would make the run irreproducible.
@@ -505,7 +436,7 @@ impl Ppss {
     /// Refreshes every persistent connection (paper §IV-C); re-arms the
     /// timer.
     pub fn on_pcp_refresh(&mut self, ctx: &mut Ctx<'_>, nylon: &mut NylonCore, wcl: &mut Wcl) {
-        ctx.set_timer(PCP_REFRESH, TIMER_PCP_REFRESH);
+        ctx.set_timer(PCP_REFRESH, timer::token(timer::PCP_REFRESH, 0));
         let my_entry = self.my_entry(nylon);
         for group in self.group_ids() {
             let state = self.groups.get_mut(&group).expect("listed");
@@ -522,7 +453,7 @@ impl Ppss {
                     respond: true,
                 };
                 ctx.metrics().count("ppss.pcp_refreshes", 1);
-                wcl.send_untracked(ctx, nylon, &target.dest_info(), &msg.to_wire(), None);
+                wcl.send_untracked(ctx, nylon, &target, &msg.to_wire(), None);
             }
         }
     }
@@ -571,7 +502,7 @@ impl Ppss {
             ctx.metrics().count("ppss.resurrection_blocked", 1);
             if let PpssMsg::Exchange { from_entry, exchange_id, is_response: false, .. } = &msg {
                 let answer = PpssMsg::Deleted { tombstone: tombstone.clone(), exchange_id: *exchange_id };
-                wcl.send_untracked(ctx, nylon, &from_entry.dest_info(), &answer.to_wire(), None);
+                wcl.send_untracked(ctx, nylon, from_entry, &answer.to_wire(), None);
             }
             return Some(events);
         }
@@ -632,7 +563,7 @@ impl Ppss {
                         entry: my_entry,
                         respond: false,
                     };
-                    wcl.send_untracked(ctx, nylon, &entry.dest_info(), &msg.to_wire(), None);
+                    wcl.send_untracked(ctx, nylon, &entry, &msg.to_wire(), None);
                 }
             }
             PpssMsg::Deleted { tombstone, exchange_id } => {

@@ -58,6 +58,7 @@ mod onion_path;
 mod recovery;
 mod routes;
 
+use crate::ppss::PrivateEntry;
 use circuit_path::{CircuitPacket, CIRCUIT_TAG, RETURN_TAG};
 use onion_path::{OnionView, WCL_TAG};
 use recovery::Recovery;
@@ -68,7 +69,7 @@ use whisper_crypto::rsa::PublicKey;
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::{NodeId, SimDuration};
-use whisper_pss::NylonCore;
+use whisper_pss::{timer, NylonCore};
 
 /// Onion-layer hop address: the node id plus its reachability class —
 /// exactly what a real address (public IP vs. relayed endpoint) conveys.
@@ -84,19 +85,6 @@ fn parse_hop_addr(bytes: &[u8]) -> Option<(NodeId, bool)> {
         return None;
     }
     Some((NodeId::from_bytes(&bytes[..8])?, bytes[8] == 1))
-}
-
-/// Timer token kind used by WCL retry timers (low byte).
-pub const TIMER_WCL_RETRY: u64 = 4;
-
-/// Packs a retry-timer token for a message id.
-pub fn retry_token(msg_id: u64) -> u64 {
-    TIMER_WCL_RETRY | (msg_id << 8)
-}
-
-/// Recovers the message id from a retry token.
-pub fn msg_id_of_token(token: u64) -> u64 {
-    token >> 8
 }
 
 /// A P-node gateway able to reach a destination, with its public key
@@ -124,20 +112,6 @@ impl WireDecode for GatewayInfo {
             PublicKey::from_bytes(r.take_bytes()?).ok_or(WireError::new("bad gateway key"))?;
         Ok(GatewayInfo { node, key })
     }
-}
-
-/// Everything a source must know about a destination to build a WCL
-/// route (a PPSS private-view entry carries exactly this).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DestInfo {
-    /// The destination node.
-    pub node: NodeId,
-    /// Whether it is a P-node.
-    pub public: bool,
-    /// Its public key.
-    pub key: PublicKey,
-    /// Π P-nodes that can reach it (empty for public destinations).
-    pub gateways: Vec<GatewayInfo>,
 }
 
 /// WCL configuration.
@@ -224,7 +198,7 @@ pub struct Preamble {
 }
 
 struct PendingSend {
-    dest: DestInfo,
+    dest: PrivateEntry,
     payload: Vec<u8>,
     once: Option<Preamble>,
     attempts: usize,
@@ -344,7 +318,8 @@ impl Wcl {
         id
     }
 
-    /// Sends `payload` confidentially to `dest` without tracking
+    /// Sends `payload` confidentially to `dest` — its private-view entry,
+    /// whose `age` plays no part — without tracking
     /// (fire-and-forget, used for responses): back on the circuit `dest`
     /// last spoke to this node on while that is [bound](Wcl::bind_return)
     /// and fresh, over a route of this node's own otherwise. `once` marks
@@ -355,7 +330,7 @@ impl Wcl {
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
-        dest: &DestInfo,
+        dest: &PrivateEntry,
         payload: &[u8],
         once: Option<Preamble>,
     ) -> bool {
@@ -376,7 +351,7 @@ impl Wcl {
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
-        dest: &DestInfo,
+        dest: &PrivateEntry,
         payload: Vec<u8>,
         once: Option<Preamble>,
         msg_id: u64,
@@ -403,7 +378,7 @@ impl Wcl {
             },
         );
         let delay = self.recovery.retry_delay(ctx, dest.node, 1);
-        ctx.set_timer(delay, retry_token(msg_id));
+        ctx.set_timer(delay, timer::token(timer::WCL_RETRY, msg_id));
         true
     }
 
@@ -448,7 +423,7 @@ impl Wcl {
         nylon: &mut NylonCore,
         token: u64,
     ) -> Option<WclEvent> {
-        let msg_id = msg_id_of_token(token);
+        let msg_id = timer::payload(token);
         let mut p = self.pending.remove(&msg_id)?;
         let now = ctx.now();
         // The unanswered route is suspect — a relay may have lost its
@@ -475,7 +450,7 @@ impl Wcl {
         p.used_gateways.push(b);
         let delay = self.recovery.retry_delay(ctx, dest, p.attempts);
         self.pending.insert(msg_id, p);
-        ctx.set_timer(delay, retry_token(msg_id));
+        ctx.set_timer(delay, timer::token(timer::WCL_RETRY, msg_id));
         None
     }
 
@@ -554,13 +529,6 @@ mod tests {
     use super::*;
     use whisper_crypto::circuit::CircuitEntry;
     use whisper_net::SimTime;
-
-    #[test]
-    fn retry_token_round_trip() {
-        let t = retry_token(42);
-        assert_eq!(t & 0xFF, TIMER_WCL_RETRY);
-        assert_eq!(msg_id_of_token(t), 42);
-    }
 
     #[test]
     fn msg_ids_are_unique() {

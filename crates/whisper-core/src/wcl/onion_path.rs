@@ -4,9 +4,10 @@
 
 use super::routes::{CachedRoute, Conversation};
 use super::{
-    crypto_sampled, hop_addr, parse_hop_addr, Arrival, DestInfo, GatewayInfo, Preamble, Wcl,
-    WclEvent, CIRCUIT_TTL,
+    crypto_sampled, hop_addr, parse_hop_addr, Arrival, GatewayInfo, Preamble, Wcl, WclEvent,
+    CIRCUIT_TTL,
 };
+use crate::ppss::PrivateEntry;
 use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, HopSetup};
 use whisper_crypto::onion::{self, PeelResult};
 use whisper_crypto::rsa::PublicKey;
@@ -71,7 +72,7 @@ impl Wcl {
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
-        dest: &DestInfo,
+        dest: &PrivateEntry,
         payload: &[u8],
         once: Option<Preamble>,
         (avoid_a, avoid_b): (&[NodeId], &[NodeId]),

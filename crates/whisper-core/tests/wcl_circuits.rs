@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use whisper_core::ppss::messages::PpssMsg;
 use whisper_core::wcl::{Arrival, CIRCUIT_TTL};
 use whisper_core::{
-    DestInfo, GroupApp, GroupId, PrivateEntry, WclEvent, WhisperApi, WhisperConfig, WhisperNode,
+    GroupApp, GroupId, PrivateEntry, WclEvent, WhisperApi, WhisperConfig, WhisperNode,
 };
 use whisper_crypto::aes::AesKey;
 use whisper_crypto::circuit::{CircuitEntry, CircuitId, HopSetup, DEST_SETUP_LEN, RELAY_SETUP_LEN};
@@ -144,21 +144,21 @@ fn rig(cfg: WhisperConfig, extra_publics: usize, seed: u64) -> Rig {
     Rig { sim, source, dest, publics }
 }
 
-fn dest_info_of(sim: &mut Sim, dest: NodeId) -> DestInfo {
+fn entry_of(sim: &mut Sim, dest: NodeId) -> PrivateEntry {
     let mut info = None;
     sim.with_node_ctx::<WhisperNode>(dest, |node, _| {
         node.with_api(|api, _| {
-            info = Some(api.my_entry().dest_info());
+            info = Some(api.my_entry());
         });
     });
     info.expect("dest alive")
 }
 
-fn send_untracked(sim: &mut Sim, source: NodeId, dest_info: &DestInfo, payload: &[u8]) -> bool {
+fn send_untracked(sim: &mut Sim, source: NodeId, dest: &PrivateEntry, payload: &[u8]) -> bool {
     let mut sent = false;
     sim.with_node_ctx::<WhisperNode>(source, |node, ctx| {
         node.with_api(|api, _| {
-            sent = api.wcl.send_untracked(ctx, api.nylon, dest_info, payload, None);
+            sent = api.wcl.send_untracked(ctx, api.nylon, dest, payload, None);
         });
     });
     sent
@@ -166,12 +166,12 @@ fn send_untracked(sim: &mut Sim, source: NodeId, dest_info: &DestInfo, payload: 
 
 /// Sends `payload` tracked; nobody answers at this layer, so every retry
 /// fires.
-fn send_tracked(sim: &mut Sim, source: NodeId, dest_info: &DestInfo, payload: &[u8]) {
+fn send_tracked(sim: &mut Sim, source: NodeId, dest: &PrivateEntry, payload: &[u8]) {
     let mut sent = false;
     sim.with_node_ctx::<WhisperNode>(source, |node, ctx| {
         node.with_api(|api, _| {
             let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, dest_info, payload.to_vec(), None, id);
+            sent = api.wcl.send(ctx, api.nylon, dest, payload.to_vec(), None, id);
         });
     });
     assert!(sent);
@@ -180,10 +180,10 @@ fn send_tracked(sim: &mut Sim, source: NodeId, dest_info: &DestInfo, payload: &[
 #[test]
 fn second_send_rides_the_cached_circuit() {
     let mut r = rig(WhisperConfig::default(), 6, 201);
-    let dest_info = dest_info_of(&mut r.sim, r.dest);
+    let dest_entry = entry_of(&mut r.sim, r.dest);
 
     // First send: full RSA onion, establishing the circuit along the way.
-    assert!(send_untracked(&mut r.sim, r.source, &dest_info, b"first"));
+    assert!(send_untracked(&mut r.sim, r.source, &dest_entry, b"first"));
     r.sim.run_for_secs(5);
     let m = r.sim.metrics();
     assert_eq!(m.counter("wcl.circuit_established"), 1);
@@ -193,7 +193,7 @@ fn second_send_rides_the_cached_circuit() {
     assert_eq!(m.counter("wcl.circuit_installed"), 3);
 
     // Second send: no RSA at all — pure circuit forwarding.
-    assert!(send_untracked(&mut r.sim, r.source, &dest_info, b"second"));
+    assert!(send_untracked(&mut r.sim, r.source, &dest_entry, b"second"));
     r.sim.run_for_secs(5);
     let m = r.sim.metrics();
     assert_eq!(m.counter("wcl.circuit_established"), 1, "no re-establishment");
@@ -209,13 +209,13 @@ fn second_send_rides_the_cached_circuit() {
 #[test]
 fn circuit_ttl_expires_and_reestablishes() {
     let mut r = rig(WhisperConfig::default(), 6, 202);
-    let dest_info = dest_info_of(&mut r.sim, r.dest);
+    let dest_entry = entry_of(&mut r.sim, r.dest);
 
-    assert!(send_untracked(&mut r.sim, r.source, &dest_info, b"establish"));
+    assert!(send_untracked(&mut r.sim, r.source, &dest_entry, b"establish"));
     // The source cache (CIRCUIT_TTL / 2) and the relay TTL both lapse.
     r.sim.run_for(CIRCUIT_TTL + SimDuration::from_secs(10));
 
-    assert!(send_untracked(&mut r.sim, r.source, &dest_info, b"after expiry"));
+    assert!(send_untracked(&mut r.sim, r.source, &dest_entry, b"after expiry"));
     r.sim.run_for_secs(5);
     let m = r.sim.metrics();
     assert_eq!(
@@ -231,9 +231,9 @@ fn circuit_ttl_expires_and_reestablishes() {
 #[test]
 fn relay_state_loss_drops_then_retry_rebuilds() {
     let mut r = rig(WhisperConfig::default(), 6, 203);
-    let dest_info = dest_info_of(&mut r.sim, r.dest);
+    let dest_entry = entry_of(&mut r.sim, r.dest);
 
-    assert!(send_untracked(&mut r.sim, r.source, &dest_info, b"establish"));
+    assert!(send_untracked(&mut r.sim, r.source, &dest_entry, b"establish"));
     r.sim.run_for_secs(5);
     assert_eq!(r.sim.metrics().counter("wcl.delivered"), 1);
 
@@ -248,7 +248,7 @@ fn relay_state_loss_drops_then_retry_rebuilds() {
 
     // An untracked send rides the stale circuit and dies at the first
     // relay — fire-and-forget means nobody notices.
-    assert!(send_untracked(&mut r.sim, r.source, &dest_info, b"into the void"));
+    assert!(send_untracked(&mut r.sim, r.source, &dest_entry, b"into the void"));
     r.sim.run_for_secs(5);
     let m = r.sim.metrics();
     assert_eq!(m.counter("wcl.circuit_hit"), 1);
@@ -258,7 +258,7 @@ fn relay_state_loss_drops_then_retry_rebuilds() {
     // A *tracked* send recovers: the first attempt also dies on the stale
     // circuit, the retry timer tears the route down and rebuilds over a
     // fresh RSA onion.
-    send_tracked(&mut r.sim, r.source, &dest_info, b"must arrive");
+    send_tracked(&mut r.sim, r.source, &dest_entry, b"must arrive");
     r.sim.run_for_secs(30);
     let m = r.sim.metrics();
     assert!(m.counter("wcl.circuit_teardown") >= 1, "stale route torn down");
@@ -285,18 +285,18 @@ fn route_cache_holds_unexpired_routes_only() {
     // peers accretes them.
     let early: Vec<NodeId> = r.publics[2..5].iter().copied().chain([r.dest]).collect();
     for &dest in &early {
-        let info = dest_info_of(&mut r.sim, dest);
+        let info = entry_of(&mut r.sim, dest);
         assert!(send_untracked(&mut r.sim, r.source, &info, b"hello"));
     }
     assert_eq!(cached_routes(&mut r.sim, r.source), 4);
     r.sim.run_for_secs(source_cache_secs() - 10);
-    let late = dest_info_of(&mut r.sim, r.publics[5]);
+    let late = entry_of(&mut r.sim, r.publics[5]);
     assert!(send_untracked(&mut r.sim, r.source, &late, b"hello"));
     assert_eq!(cached_routes(&mut r.sim, r.source), 5, "nothing has expired yet");
     r.sim.run_for_secs(12); // the first four lapse, the fifth has 48 s left
     // The next establishment (towards a destination seen before or not)
     // collects every expired route.
-    let again = dest_info_of(&mut r.sim, early[0]);
+    let again = entry_of(&mut r.sim, early[0]);
     assert!(send_untracked(&mut r.sim, r.source, &again, b"hello again"));
     assert_eq!(cached_routes(&mut r.sim, r.source), 2, "the fifth route and the new one");
     assert_eq!(r.sim.metrics().counter("wcl.circuit_established"), 6);
@@ -308,8 +308,8 @@ fn retry_on_an_expired_route_counts_no_teardown() {
     let mut cfg = WhisperConfig::default();
     cfg.wcl.adaptive_rto = false; // a retry exactly 2 s after its send
     let mut r = rig(cfg, 6, 205);
-    let held = dest_info_of(&mut r.sim, r.publics[2]);
-    let swept = dest_info_of(&mut r.sim, r.dest);
+    let held = entry_of(&mut r.sim, r.publics[2]);
+    let swept = entry_of(&mut r.sim, r.dest);
     // Two routes that lapse together, as they do for conversations whose
     // peers have gone quiet ...
     assert!(send_untracked(&mut r.sim, r.source, &held, b"hello"));

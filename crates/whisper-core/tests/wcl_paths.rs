@@ -5,7 +5,7 @@
 
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
-use whisper_core::{DestInfo, WhisperConfig, WhisperNode};
+use whisper_core::{PrivateEntry, WhisperConfig, WhisperNode};
 use whisper_crypto::rsa::KeyPair;
 use whisper_net::nat::NatType;
 use whisper_net::sim::{Sim, SimConfig};
@@ -46,11 +46,11 @@ fn rig(extra_publics: usize, seed: u64) -> Rig {
 }
 
 /// The destination's own advertised contact info, as PPSS would ship it.
-fn dest_info_of(sim: &mut Sim, dest: NodeId) -> DestInfo {
+fn entry_of(sim: &mut Sim, dest: NodeId) -> PrivateEntry {
     let mut info = None;
     sim.with_node_ctx::<WhisperNode>(dest, |node, _| {
         node.with_api(|api, _| {
-            info = Some(api.my_entry().dest_info());
+            info = Some(api.my_entry());
         });
     });
     info.expect("dest alive")
@@ -59,19 +59,19 @@ fn dest_info_of(sim: &mut Sim, dest: NodeId) -> DestInfo {
 #[test]
 fn tracked_send_to_natted_dest_succeeds_and_notifies() {
     let mut r = rig(6, 101);
-    let dest_info = dest_info_of(&mut r.sim, r.dest);
-    assert!(!dest_info.public);
+    let dest_entry = entry_of(&mut r.sim, r.dest);
+    assert!(!dest_entry.public);
     assert!(
-        dest_info.gateways.len() >= 2,
+        dest_entry.gateways.len() >= 2,
         "dest advertises Π gateways (got {})",
-        dest_info.gateways.len()
+        dest_entry.gateways.len()
     );
     // Source sends a tracked payload (a raw PPSS-opaque blob).
     let mut sent = false;
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"probe".to_vec(), None, id);
+            sent = api.wcl.send(ctx, api.nylon, &dest_entry, b"probe".to_vec(), None, id);
         });
     });
     assert!(sent, "path must be constructible after warm-up");
@@ -88,13 +88,13 @@ fn tracked_send_to_natted_dest_succeeds_and_notifies() {
 #[test]
 fn send_fails_cleanly_when_natted_dest_has_no_gateways() {
     let mut r = rig(6, 102);
-    let mut dest_info = dest_info_of(&mut r.sim, r.dest);
-    dest_info.gateways.clear();
+    let mut dest_entry = entry_of(&mut r.sim, r.dest);
+    dest_entry.gateways.clear();
     let mut sent = true;
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"probe".to_vec(), None, id);
+            sent = api.wcl.send(ctx, api.nylon, &dest_entry, b"probe".to_vec(), None, id);
         });
     });
     assert!(!sent, "no gateway ⇒ no path to a NATted destination");
@@ -107,13 +107,13 @@ fn public_dest_uses_cb_publics_as_gateway() {
     // Target one of the extra publics; ship NO gateways at all (the
     // source must fall back to its own CB publics, paper §IV-B).
     let target = r.publics[0];
-    let mut dest_info = dest_info_of(&mut r.sim, target);
-    assert!(dest_info.public);
-    dest_info.gateways.clear();
+    let mut dest_entry = entry_of(&mut r.sim, target);
+    assert!(dest_entry.public);
+    dest_entry.gateways.clear();
     let mut sent = false;
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
-            sent = api.wcl.send_untracked(ctx, api.nylon, &dest_info, b"to public", None);
+            sent = api.wcl.send_untracked(ctx, api.nylon, &dest_entry, b"to public", None);
         });
     });
     assert!(sent);
@@ -145,11 +145,11 @@ fn longer_paths_use_more_relays() {
     let dest = sim.add_node(Box::new(mk(false, &mut keyrng)), NatType::FullCone);
     sim.run_for_secs(250);
 
-    let dest_info = dest_info_of(&mut sim, dest);
+    let dest_entry = entry_of(&mut sim, dest);
     let mut sent = false;
     sim.with_node_ctx::<WhisperNode>(source, |node, ctx| {
         node.with_api(|api, _| {
-            sent = api.wcl.send_untracked(ctx, api.nylon, &dest_info, b"long path", None);
+            sent = api.wcl.send_untracked(ctx, api.nylon, &dest_entry, b"long path", None);
         });
     });
     assert!(sent);
@@ -162,7 +162,7 @@ fn longer_paths_use_more_relays() {
 #[test]
 fn retries_avoid_previously_used_mixes() {
     let mut r = rig(6, 105);
-    let dest_info = dest_info_of(&mut r.sim, r.dest);
+    let dest_entry = entry_of(&mut r.sim, r.dest);
     // Kill the destination so every attempt times out and the retry
     // machinery walks through alternative gateways.
     r.sim.remove_node(r.dest);
@@ -170,7 +170,7 @@ fn retries_avoid_previously_used_mixes() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"doomed".to_vec(), None, id);
+            sent = api.wcl.send(ctx, api.nylon, &dest_entry, b"doomed".to_vec(), None, id);
         });
     });
     assert!(sent, "first path still constructible (gateways are alive)");
@@ -181,10 +181,10 @@ fn retries_avoid_previously_used_mixes() {
     // Each retry used a different gateway, so attempts are bounded by the
     // advertised gateway count.
     assert!(
-        retries <= dest_info.gateways.len() as u64,
+        retries <= dest_entry.gateways.len() as u64,
         "{} retries for {} gateways",
         retries,
-        dest_info.gateways.len()
+        dest_entry.gateways.len()
     );
     // The send eventually failed one way or the other.
     assert!(m.counter("wcl.route_no_alt") + m.counter("wcl.route_exhausted") >= 1);
@@ -200,14 +200,14 @@ fn retries_avoid_previously_used_mixes() {
 fn route_failed_exhausted_clears_pending_and_cached_route() {
     let mut r = rig(10, 106);
     let target = r.publics[0];
-    let dest_info = dest_info_of(&mut r.sim, target);
+    let dest_entry = entry_of(&mut r.sim, target);
     r.sim.remove_node(target);
     let mut msg_id = 0;
     let mut sent = false;
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             msg_id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"doomed".to_vec(), None, msg_id);
+            sent = api.wcl.send(ctx, api.nylon, &dest_entry, b"doomed".to_vec(), None, msg_id);
         });
     });
     assert!(sent, "plenty of live relays to build the first path");
@@ -233,8 +233,8 @@ fn route_failed_exhausted_clears_pending_and_cached_route() {
 #[test]
 fn route_failed_no_alternative_clears_pending_and_cached_route() {
     let mut r = rig(6, 107);
-    let dest_info = dest_info_of(&mut r.sim, r.dest);
-    let gateways = dest_info.gateways.len();
+    let dest_entry = entry_of(&mut r.sim, r.dest);
+    let gateways = dest_entry.gateways.len();
     assert!(gateways >= 2, "dest advertises Π gateways");
     r.sim.remove_node(r.dest);
     let mut msg_id = 0;
@@ -242,7 +242,7 @@ fn route_failed_no_alternative_clears_pending_and_cached_route() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             msg_id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_info, b"doomed".to_vec(), None, msg_id);
+            sent = api.wcl.send(ctx, api.nylon, &dest_entry, b"doomed".to_vec(), None, msg_id);
         });
     });
     assert!(sent);

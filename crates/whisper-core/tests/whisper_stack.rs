@@ -154,8 +154,7 @@ fn forged_passport_is_silently_ignored() {
     let before = net.sim.metrics().counter("ppss.dropped_bad_passport");
     net.sim.with_node_ctx::<WhisperNode>(outsider, |node, ctx| {
         node.with_api(|api, _| {
-            let dest = victim_entry.dest_info();
-            api.wcl.send_untracked(ctx, api.nylon, &dest, &forged, None);
+            api.wcl.send_untracked(ctx, api.nylon, &victim_entry, &forged, None);
         });
     });
     net.sim.run_for_secs(30);

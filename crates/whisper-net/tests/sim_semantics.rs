@@ -676,10 +676,10 @@ struct CircuitHop {
     nylon: whisper_pss::NylonCore,
     wcl: whisper_core::Wcl,
     /// Source role: where to send, every [`CircuitHop::SEND_EVERY`].
-    dest: Option<whisper_core::DestInfo>,
+    dest: Option<whisper_core::PrivateEntry>,
     /// Destination role: whom every delivered packet is echoed to, back
     /// on the circuit it came in on.
-    echo_to: Option<whisper_core::DestInfo>,
+    echo_to: Option<whisper_core::PrivateEntry>,
     /// Allocations of each callback that forwarded a circuit packet.
     relayed: Vec<u64>,
     /// Allocations of each callback that was delivered one.
@@ -766,7 +766,7 @@ impl Protocol for CircuitHop {
 /// of this size has run, every callback reads exactly 0.
 #[test]
 fn steady_state_circuit_forward_allocations_are_zero() {
-    use whisper_core::{DestInfo, Wcl, WclConfig};
+    use whisper_core::{PrivateEntry, Wcl, WclConfig};
     use whisper_crypto::rsa::KeyPair;
     use whisper_pss::{NylonConfig, NylonCore};
     use whisper_rand::SeedableRng;
@@ -801,11 +801,17 @@ fn steady_state_circuit_forward_allocations_are_zero() {
     // Let the PSS fill the connection backlogs the WCL draws its mixes from.
     sim.run_for_secs(250);
     let (source, dest) = (ids[8], ids[9]);
-    let info = |node, key: Option<_>| DestInfo { node, public: true, key: key.unwrap(), gateways: Vec::new() };
-    let (source_info, dest_info) = (info(source, source_key), info(dest, dest_key));
-    sim.node_mut::<CircuitHop>(dest).unwrap().echo_to = Some(source_info);
+    let entry = |node, key: Option<_>| PrivateEntry {
+        node,
+        age: 0,
+        public: true,
+        key: key.unwrap(),
+        gateways: Vec::new(),
+    };
+    let (source_entry, dest_entry) = (entry(source, source_key), entry(dest, dest_key));
+    sim.node_mut::<CircuitHop>(dest).unwrap().echo_to = Some(source_entry);
     sim.with_node_ctx::<CircuitHop>(source, |hop, ctx| {
-        hop.dest = Some(dest_info);
+        hop.dest = Some(dest_entry);
         ctx.set_timer(SimDuration::ZERO, CircuitHop::TIMER_SEND);
     });
     // Warm, two windows like the measured one: the first packet is an RSA

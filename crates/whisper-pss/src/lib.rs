@@ -49,6 +49,7 @@ pub mod config;
 pub mod graph;
 pub mod messages;
 pub mod nylon;
+pub mod timer;
 pub mod transport;
 pub mod view;
 

@@ -17,6 +17,7 @@
 use crate::backlog::{CbEntry, ConnectionBacklog};
 use crate::config::NylonConfig;
 use crate::messages::{ChainBody, GossipView, NylonMsg, APP_HEADER_LEN};
+use crate::timer;
 use crate::transport::{Arrival, SendOutcome, Transport};
 use crate::view::{Entry, View, ViewEntry};
 use std::collections::HashMap;
@@ -39,12 +40,6 @@ pub const CYCLE: SimDuration = SimDuration::from_secs(10);
 /// ([`NylonConfig::validate`] holds a configuration to that), or healthy
 /// peers would be purged too.
 pub const MAX_AGE: u16 = 20;
-
-/// Timer token: periodic gossip cycle.
-const TIMER_GOSSIP_CYCLE: u64 = 1;
-/// Timer token kind: gossip response timeout (generation in the high bits).
-/// The transport's own timers take other kinds.
-const TIMER_GOSSIP_TIMEOUT: u64 = 2;
 
 /// How long a pending CB ping may stay unanswered before we retry another
 /// candidate.
@@ -264,7 +259,7 @@ impl NylonCore {
         let offset = SimDuration::from_micros(
             whisper_rand::Rng::gen_range(ctx.rng(), 0..CYCLE.as_micros()),
         );
-        ctx.set_timer(offset, TIMER_GOSSIP_CYCLE);
+        ctx.set_timer(offset, timer::token(timer::GOSSIP_CYCLE, 0));
     }
 
     /// Models a process restart with full volatile-state loss: the view,
@@ -295,13 +290,13 @@ impl NylonCore {
 
     /// Timer dispatch.
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        match token & 0xFF {
-            TIMER_GOSSIP_CYCLE => {
+        match timer::kind(token) {
+            timer::GOSSIP_CYCLE => {
                 self.do_gossip_cycle(ctx);
-                ctx.set_timer(CYCLE, TIMER_GOSSIP_CYCLE);
+                ctx.set_timer(CYCLE, timer::token(timer::GOSSIP_CYCLE, 0));
             }
-            TIMER_GOSSIP_TIMEOUT => {
-                let gen = token >> 8;
+            timer::GOSSIP_TIMEOUT => {
+                let gen = timer::payload(token);
                 if let Some((partner, g)) = self.outstanding {
                     if g == gen {
                         // The healer policy drops unresponsive oldest
@@ -447,7 +442,7 @@ impl NylonCore {
         self.gossip_gen += 1;
         self.outstanding = Some((partner, self.gossip_gen));
         let timeout = SimDuration::from_micros(CYCLE.as_micros() / 2);
-        ctx.set_timer(timeout, TIMER_GOSSIP_TIMEOUT | (self.gossip_gen << 8));
+        ctx.set_timer(timeout, timer::token(timer::GOSSIP_TIMEOUT, self.gossip_gen));
     }
 
     fn key_payload(&self) -> Option<Vec<u8>> {

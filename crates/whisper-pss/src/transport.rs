@@ -30,6 +30,7 @@
 //! by this code.
 
 use crate::messages::{ChainBody, NylonMsg};
+use crate::timer;
 use std::collections::HashMap;
 use whisper_net::nat::{can_hole_punch, NatType};
 use whisper_net::sim::Ctx;
@@ -114,26 +115,14 @@ struct PendingOpen {
     sent_to: Option<Endpoint>,
 }
 
-/// Timer token kind (low byte; the peer's id in the high bits): the end of
-/// a requester's wait for a direct channel.
-const TIMER_OPEN_TIMEOUT: u64 = 3;
-/// Timer token kind: a target's delayed re-punch towards a requester, and
-/// after the last one the end of the wait for its first direct packet.
-/// Real hole punching repeats its probes: the first punch can be filtered
-/// if it beats the other side's own outbound packet (e.g. symmetric →
-/// restricted-cone), while a later one passes.
-const TIMER_PUNCH_RETRY: u64 = 8;
-
-/// How many delayed re-punches a target sends.
+/// How many delayed re-punches a target sends. Real hole punching repeats
+/// its probes: the first punch can be filtered if it beats the other
+/// side's own outbound packet (e.g. symmetric → restricted-cone), while a
+/// later one passes.
 const PUNCH_RETRIES: u8 = 2;
 
 /// The spacing of a target's delayed re-punches.
 pub const PUNCH_RETRY_DELAY: SimDuration = SimDuration::from_millis(250);
-
-/// Packs a timer token of `kind` for `peer`.
-fn token(kind: u64, peer: NodeId) -> u64 {
-    kind | (peer.0 << 8)
-}
 
 /// What a direct packet is to the rule that answers the packet ending a
 /// target's punching ([`Transport::on_direct_packet`]).
@@ -269,8 +258,10 @@ impl Transport {
                 ctx.metrics().count("pss.relayed_sent", 1);
                 return SendOutcome::Relayed;
             }
-            if !can_hole_punch(nat, to_nat) {
-                // No punch can work: relay at once.
+            if !can_hole_punch(nat, to_nat) || to.0 >= timer::PAYLOAD_BOUND {
+                // No punch can work: relay at once. Nor can one be timed
+                // for an id no timer token holds, which no node has: a
+                // forged view entry's.
                 self.relay_over(ctx, to, chain, [inner], "pss.open_unpunchable");
                 return SendOutcome::Relayed;
             }
@@ -286,7 +277,7 @@ impl Transport {
             self.send_chain(ctx, &chain, ChainBody::OpenReq(None));
             ctx.metrics().count("pss.open_started", 1);
             self.opens.insert(to, PendingOpen { chain, nat: to_nat, queued: vec![inner], sent_to: None });
-            ctx.set_timer(OPEN_TIMEOUT, token(TIMER_OPEN_TIMEOUT, to));
+            ctx.set_timer(OPEN_TIMEOUT, timer::token(timer::OPEN_TIMEOUT, to.0));
             return SendOutcome::Queued;
         }
         ctx.recycle(wire);
@@ -322,10 +313,10 @@ impl Transport {
 
     /// Handles a transport timer; any other token is ignored.
     pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let peer = NodeId(token >> 8);
-        match token & 0xFF {
-            TIMER_OPEN_TIMEOUT => self.on_open_timeout(ctx, peer),
-            TIMER_PUNCH_RETRY => self.on_punch_retry(ctx, peer),
+        let peer = NodeId(timer::payload(token));
+        match timer::kind(token) {
+            timer::OPEN_TIMEOUT => self.on_open_timeout(ctx, peer),
+            timer::PUNCH_RETRY => self.on_punch_retry(ctx, peer),
             _ => {}
         }
     }
@@ -357,7 +348,7 @@ impl Transport {
             self.punching.insert(peer, (ep, left - 1));
             let last = OPEN_TIMEOUT - PUNCH_RETRY_DELAY * u64::from(PUNCH_RETRIES);
             let next = if left > 1 { PUNCH_RETRY_DELAY } else { last };
-            ctx.set_timer(next, token(TIMER_PUNCH_RETRY, peer));
+            ctx.set_timer(next, timer::token(timer::PUNCH_RETRY, peer.0));
         }
     }
 
@@ -373,10 +364,12 @@ impl Transport {
         mut taken: Vec<NodeId>,
         requester_ep: Option<Endpoint>,
     ) {
-        if let Some(ep) = requester_ep {
+        // A requester id no timer token holds, which no node has, is forged:
+        // it gets its answer, and no punches to time.
+        if let Some(ep) = requester_ep.filter(|_| taken[0].0 < timer::PAYLOAD_BOUND) {
             ctx.send_wire(ep, &NylonMsg::Punch { from: ctx.id() });
             self.punching.insert(taken[0], (ep, PUNCH_RETRIES));
-            ctx.set_timer(PUNCH_RETRY_DELAY, token(TIMER_PUNCH_RETRY, taken[0]));
+            ctx.set_timer(PUNCH_RETRY_DELAY, timer::token(timer::PUNCH_RETRY, taken[0].0));
         }
         taken.reverse();
         self.send_chain(ctx, &taken, ChainBody::OpenAck(None));

@@ -13,7 +13,7 @@ use whisper_net::nat::{can_hole_punch, NatType};
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
 use whisper_net::wire::WireDecode;
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
-use whisper_pss::messages::NylonMsg;
+use whisper_pss::messages::{ChainBody, NylonMsg};
 use whisper_pss::transport::{OPEN_TIMEOUT, PUNCH_RETRY_DELAY};
 use whisper_pss::{NylonConfig, NylonCore, NylonEvent};
 use whisper_rand::rngs::StdRng;
@@ -429,4 +429,29 @@ fn a_symmetric_targets_acknowledged_endpoint_is_not_used() {
     assert_eq!(m.counter("net.nat_blocked"), blocked_before, "nothing thrown at B's NAT");
     assert_eq!(m.counter("pss.open_relay_fallback"), 1);
     assert_eq!(m.counter("pss.open_unanswered"), 0);
+}
+
+/// No node's id reaches 2⁵⁶, the most a timer token holds, but a forged
+/// view entry or chain message can name one: an open towards it relays at
+/// once, and an open request from it is answered without the re-punches a
+/// timer would pace — neither arms a timer, so neither panics.
+#[test]
+fn a_forged_peer_id_past_the_timer_bound_arms_no_timer() {
+    let (mut sim, a, b) = trio(SimConfig::cluster, NatType::RestrictedCone, NatType::Public, 7, 11);
+    let forged = NodeId(u64::MAX);
+    let opened = sim.metrics().counter("pss.open_started");
+    let relayed = sim.metrics().counter("pss.open_unpunchable");
+    send_typed_over_rv(&mut sim, a, forged, Some(NatType::RestrictedCone), b"to nobody");
+    assert_eq!(sim.metrics().counter("pss.open_started"), opened);
+    assert_eq!(sim.metrics().counter("pss.open_unpunchable"), relayed + 1);
+
+    let served = sim.metrics().counter("pss.open_served");
+    let request = NylonMsg::Chain {
+        remaining: vec![],
+        taken: vec![forged],
+        body: ChainBody::OpenReq(Some(Endpoint::public(a))),
+    };
+    sim.with_node_ctx::<Probe>(a, |_, ctx| ctx.send_wire(Endpoint::public(b), &request));
+    sim.run_for_secs(5);
+    assert_eq!(sim.metrics().counter("pss.open_served"), served + 1);
 }

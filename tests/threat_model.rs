@@ -314,7 +314,7 @@ fn membership_invisible_to_active_prober() {
     };
     let (before, up_before) = (counters(&sim), [member_target, nonmember_target].map(|t| sim.metrics().traffic(t).up_msgs));
     for target in [member_target, nonmember_target] {
-        let dest = entry_of(&mut sim, target).dest_info();
+        let dest = entry_of(&mut sim, target);
         sim.with_node_ctx::<WhisperNode>(prober, |node, ctx| {
             node.with_api(|api, _| assert!(api.wcl.send_untracked(ctx, api.nylon, &dest, &asking, None)));
         });
@@ -610,7 +610,7 @@ fn a_borrowed_passport_holds_the_way_back_only_until_its_owner_speaks() {
         back.iter().filter(|c| !back.iter().any(|next| next.from == c.at)).map(|c| c.at).collect()
     };
     let since = log.lock().unwrap().len();
-    let dest = leader_entry.expect("the leader is up").dest_info();
+    let dest = leader_entry.expect("the leader is up");
     sim.with_node_ctx::<Tap>(thief, |tap, ctx| {
         tap.inner.with_api(|api, _| assert!(api.wcl.send_untracked(ctx, api.nylon, &dest, &forged, None)));
     });
