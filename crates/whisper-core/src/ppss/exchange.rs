@@ -77,10 +77,11 @@ impl GroupState {
         candidates.into_iter().take(GOSSIP_LEN).cloned().collect()
     }
 
-    /// Drops `node`, the partner of an exchange that no route reaches, from
-    /// the view and the PCP.
+    /// Drops `node`, a member no route reaches, from the view and the PCP,
+    /// and forgets the exchange outstanding with it, if any: one with
+    /// another partner is still in flight.
     pub(super) fn drop_unreachable(&mut self, group: GroupId, node: NodeId) -> PpssEvent {
-        self.outstanding = None;
+        self.outstanding.take_if(|&mut (partner, _)| partner == node);
         self.view.retain(|e| e.node != node);
         self.pcp.remove(&node);
         PpssEvent::MemberUnreachable { group, node }

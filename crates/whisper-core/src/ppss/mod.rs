@@ -458,14 +458,17 @@ impl Ppss {
         }
     }
 
-    /// Handles a WCL route failure for a tracked send.
+    /// Handles a WCL route failure for a tracked send, whichever it was —
+    /// an exchange, a join or the application's: the paper treats
+    /// exhausted retries as the death of the destination, so `dest` leaves
+    /// the view and the PCP of every group that holds it.
     pub fn on_route_failed(&mut self, msg_id: u64, dest: NodeId) -> Vec<PpssEvent> {
         let mut events = Vec::new();
-        for (gid, state) in self.groups.iter_mut() {
-            if state.outstanding == Some((dest, msg_id)) {
-                // The paper treats exhausted retries as destination
-                // failure: drop it from the private view.
-                events.push(state.drop_unreachable(*gid, dest));
+        // In group order: the events reach the application in this order.
+        for group in self.group_ids() {
+            let state = self.groups.get_mut(&group).expect("listed");
+            if state.view.iter().any(|e| e.node == dest) || state.pcp.contains_key(&dest) {
+                events.push(state.drop_unreachable(group, dest));
             }
         }
         for pending in self.pending_joins.values_mut() {

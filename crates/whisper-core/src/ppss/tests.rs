@@ -439,3 +439,49 @@ fn checkpoints_keep_the_journal_bounded_and_replay_equivalent() {
     assert!(!from_compacted.is_empty());
     assert_eq!(from_history, from_compacted, "replay folds to the same state");
 }
+
+/// A member no route reaches leaves every group that holds it, whichever
+/// tracked send found that out — here an application's, which no exchange
+/// was waiting on: gone from both views and from the PCP it was pinned in,
+/// one `MemberUnreachable` per group that held it, and the exchanges in
+/// flight with other partners are still awaited.
+#[test]
+fn a_failed_route_evicts_its_member_from_every_group() {
+    let key = KeyPair::generate(RsaKeySize::Sim384, &mut StdRng::seed_from_u64(8));
+    let entry = |node: u64| PrivateEntry {
+        node: NodeId(node),
+        age: 0,
+        public: true,
+        key: key.public().clone(),
+        gateways: vec![],
+    };
+    let (dest, other) = (NodeId(7), NodeId(8));
+    let mut ppss = Ppss::new(PpssConfig::default());
+    let [pinned, viewed, unrelated] = ["pinned", "viewed", "unrelated"].map(GroupId::from_name);
+    for (group, view, outstanding) in [
+        (pinned, vec![entry(7), entry(8)], None),
+        (viewed, vec![entry(8), entry(7)], Some((other, 41))),
+        (unrelated, vec![entry(8)], Some((other, 42))),
+    ] {
+        let passport = Passport { node: NodeId(1), signature: vec![1; 48] };
+        let mut state = GroupState::fresh(vec![key.public().clone()], None, passport, 0);
+        state.view = view;
+        state.outstanding = outstanding;
+        ppss.groups.insert(group, state);
+    }
+    ppss.groups.get_mut(&pinned).unwrap().pcp.insert(dest, entry(7));
+
+    let app_msg_id = 99;
+    let events = ppss.on_route_failed(app_msg_id, dest);
+    let mut held = [pinned, viewed];
+    held.sort();
+    let expected = held.map(|group| PpssEvent::MemberUnreachable { group, node: dest });
+    assert_eq!(events, expected, "one event per group that held it, in group order");
+    for group in [pinned, viewed, unrelated] {
+        let state = &ppss.groups[&group];
+        assert_eq!(state.view.iter().map(|e| e.node).collect::<Vec<_>>(), vec![other], "{group:?}");
+        assert!(state.pcp.is_empty(), "{group:?}");
+    }
+    assert_eq!(ppss.groups[&viewed].outstanding, Some((other, 41)));
+    assert_eq!(ppss.groups[&unrelated].outstanding, Some((other, 42)));
+}

@@ -121,11 +121,12 @@ pub struct WclConfig {
     /// values tolerate `f − 1` colluding mixes at extra cost (§III-A
     /// footnote; exercised by the path-length ablation).
     pub mixes: usize,
-    /// Adaptive retransmission timeout (Jacobson/Karn): a smoothed
-    /// per-destination estimate with exponential backoff and
-    /// deterministic jitter. When `false`, every retry waits exactly [`RETRY_TIMEOUT`]
-    /// (the paper's fixed timer); [`RETRY_TIMEOUT`] also seeds the RTO
-    /// for destinations with no RTT sample yet.
+    /// Adaptive retransmission timeout (Jacobson/Karn): one smoothed
+    /// estimate per source, fed by the answers from every destination,
+    /// with exponential backoff and deterministic jitter. When `false`,
+    /// every retry waits exactly [`RETRY_TIMEOUT`] (the paper's fixed
+    /// timer); [`RETRY_TIMEOUT`] also seeds the RTO of a source that has
+    /// not been answered yet.
     pub adaptive_rto: bool,
 }
 
@@ -229,8 +230,8 @@ pub struct Wcl {
     /// every use, and swept against it when it outgrows the table's
     /// capacity, so it never holds more than that plus one.
     return_ways: BTreeMap<NodeId, CircuitId>,
-    /// What tracked sends have taught this source: the retry timer per
-    /// destination and which relays to steer around.
+    /// What tracked sends have taught this source: its one retry timer
+    /// and which relays to steer around.
     recovery: Recovery,
     /// Where a circuit packet addressed to this node is decrypted: lent
     /// out as the payload of [`WclEvent::Delivered`] and handed back
@@ -268,7 +269,7 @@ impl Wcl {
 
     /// Models a process restart with full volatile-state loss: pending
     /// sends, cached routes, carried circuits — with the return bindings
-    /// onto them and everything said on either — RTT estimates and relay
+    /// onto them and everything said on either — the RTT estimate and relay
     /// health all vanish. Invoked from
     /// `WhisperNode::on_crash_restart` when a scripted
     /// [`whisper_net::fault::Fault::CrashRestart`] brings the node back.
@@ -377,7 +378,7 @@ impl Wcl {
                 sent_at: ctx.now(),
             },
         );
-        let delay = self.recovery.retry_delay(ctx, dest.node, 1);
+        let delay = self.recovery.retry_delay(ctx, 1);
         ctx.set_timer(delay, timer::token(timer::WCL_RETRY, msg_id));
         true
     }
@@ -401,7 +402,7 @@ impl Wcl {
                 // the repaired path back.
                 ctx.metrics().sample("wcl.repair_s", rtt);
             }
-            self.recovery.on_answer(p.dest.node, first_try.then_some(rtt), p.last_relays());
+            self.recovery.on_answer(first_try.then_some(rtt), p.last_relays());
         }
     }
 
@@ -448,7 +449,7 @@ impl Wcl {
         p.attempts += 1;
         p.used_first_mixes.push(a);
         p.used_gateways.push(b);
-        let delay = self.recovery.retry_delay(ctx, dest, p.attempts);
+        let delay = self.recovery.retry_delay(ctx, p.attempts);
         self.pending.insert(msg_id, p);
         ctx.set_timer(delay, timer::token(timer::WCL_RETRY, msg_id));
         None

@@ -1,6 +1,12 @@
 //! What a source remembers from one tracked send to the next: how long an
-//! answer from each destination takes, and which relays sat on routes
-//! that went unanswered.
+//! answer takes, and which relays sat on routes that went unanswered.
+//!
+//! The round-trip estimate is one per source, not one per destination.
+//! Every route draws a fresh `A` and `B`, so a round trip belongs to the
+//! path of that send rather than to its destination. A table per
+//! destination starves: each entry holds a sample or two, and many first
+//! attempts still wait the fixed timer. One estimate fed by every answer
+//! learns from all of them.
 //!
 //! The paper's WCL recovers from an unanswered route in one way — a fixed
 //! timer, then an alternative path, at most Π times (§III-A). The two
@@ -27,8 +33,8 @@ const SUSPICION_THRESHOLD: f64 = 1.5;
 /// route is forgiven exponentially as evidence ages.
 const SUSPICION_HALF_LIFE: SimDuration = SimDuration::from_secs(60);
 
-/// Per-destination smoothed RTT state (Jacobson's algorithm, the same
-/// EWMA every production transport uses). Units are seconds.
+/// Smoothed RTT state (Jacobson's algorithm, the same EWMA every
+/// production transport uses). Units are seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct RttEstimate {
     srtt: f64,
@@ -77,13 +83,15 @@ fn decayed_score(score: f64, updated: SimTime, now: SimTime) -> f64 {
     score * 0.5_f64.powf(elapsed / SUSPICION_HALF_LIFE.as_secs_f64())
 }
 
-/// The recovery state of one source.
+/// The recovery state of one source: one retry clock for every
+/// destination, and the health of every relay it has used.
 pub(super) struct Recovery {
     /// [`super::WclConfig::adaptive_rto`].
     adaptive_rto: bool,
-    /// Per-destination smoothed RTT (Karn-filtered: only first-attempt
-    /// responses feed it).
-    rtt: BTreeMap<NodeId, RttEstimate>,
+    /// The smoothed RTT of this source's tracked sends, whatever their
+    /// destination (Karn-filtered: only first-attempt responses feed it);
+    /// `None` until one is answered.
+    rtt: Option<RttEstimate>,
     /// Cross-message relay health: relays implicated in unanswered routes
     /// accumulate suspicion that decays over time.
     health: BTreeMap<NodeId, Suspicion>,
@@ -91,31 +99,24 @@ pub(super) struct Recovery {
 
 impl Recovery {
     pub(super) fn new(adaptive_rto: bool) -> Self {
-        Recovery { adaptive_rto, rtt: BTreeMap::new(), health: BTreeMap::new() }
+        Recovery { adaptive_rto, rtt: None, health: BTreeMap::new() }
     }
 
-    /// The retransmission timeout for attempt number `attempts` towards
-    /// `dest`.
+    /// The retransmission timeout for attempt number `attempts`, towards
+    /// any destination.
     ///
     /// Fixed mode returns [`RETRY_TIMEOUT`] unchanged (and draws no
     /// randomness). Adaptive mode computes `srtt + 4·rttvar` (seeded from
-    /// [`RETRY_TIMEOUT`] when no sample exists), clamps to
+    /// [`RETRY_TIMEOUT`] while this source has no answer yet), clamps to
     /// `[RTO_MIN, RTO_MAX]`, doubles per failed attempt, and applies
     /// ±12.5% deterministic jitter from the sim RNG so synchronized
     /// failures do not retry in lockstep.
-    pub(super) fn retry_delay(
-        &self,
-        ctx: &mut Ctx<'_>,
-        dest: NodeId,
-        attempts: usize,
-    ) -> SimDuration {
+    pub(super) fn retry_delay(&self, ctx: &mut Ctx<'_>, attempts: usize) -> SimDuration {
         if !self.adaptive_rto {
             return RETRY_TIMEOUT;
         }
-        let base_us = self
-            .rtt
-            .get(&dest)
-            .map_or(RETRY_TIMEOUT.as_micros(), |e| (e.rto_secs() * 1e6) as u64);
+        let base_us =
+            self.rtt.map_or(RETRY_TIMEOUT.as_micros(), |e| (e.rto_secs() * 1e6) as u64);
         let backed = rto_backoff_us(base_us, attempts, RTO_MIN.as_micros(), RTO_MAX.as_micros());
         let jitter = ctx.rng().gen_range(0..(backed / 4).max(1));
         let us = backed - backed / 8 + jitter;
@@ -123,21 +124,20 @@ impl Recovery {
         SimDuration::from_micros(us)
     }
 
-    /// An attempt through `relays` to `dest` was answered: the relays are
-    /// healthy, and `first_try_rtt` — the round trip in seconds when the
-    /// answer came to the first attempt, the only unambiguous one (Karn's
-    /// rule) — feeds the estimator.
+    /// An attempt through `relays` was answered: the relays are healthy,
+    /// and `first_try_rtt` — the round trip in seconds when the answer came
+    /// to the first attempt, the only unambiguous one (Karn's rule) —
+    /// feeds the estimator.
     pub(super) fn on_answer(
         &mut self,
-        dest: NodeId,
         first_try_rtt: Option<f64>,
         relays: impl Iterator<Item = NodeId>,
     ) {
         if let Some(rtt) = first_try_rtt {
-            self.rtt
-                .entry(dest)
-                .and_modify(|e| e.update(rtt))
-                .or_insert_with(|| RttEstimate::first(rtt));
+            match &mut self.rtt {
+                Some(e) => e.update(rtt),
+                None => self.rtt = Some(RttEstimate::first(rtt)),
+            }
         }
         for relay in relays {
             self.health.remove(&relay);
@@ -180,7 +180,7 @@ impl Recovery {
 
     /// Forgets everything, as a process restart does.
     pub(super) fn clear(&mut self) {
-        self.rtt.clear();
+        self.rtt = None;
         self.health.clear();
     }
 }
@@ -219,6 +219,43 @@ mod tests {
         // Degenerate attempt counts do not overflow.
         assert_eq!(rto_backoff_us(400_000, 0, min, max), 400_000);
         assert_eq!(rto_backoff_us(max, 10_000, min, max), max);
+    }
+
+    /// The retry clock is the source's, not a destination's: answers from
+    /// two destinations set the timer towards a third that never answered,
+    /// and a restart puts it back on [`RETRY_TIMEOUT`].
+    #[test]
+    fn one_clock_for_every_destination() {
+        use crate::WhisperNode;
+        use whisper_crypto::rsa::{KeyPair, RsaKeySize};
+        use whisper_net::nat::NatType;
+        use whisper_net::sim::{Sim, SimConfig};
+        use whisper_rand::{rngs::StdRng, SeedableRng};
+
+        let key = KeyPair::generate(RsaKeySize::Sim384, &mut StdRng::seed_from_u64(1));
+        let mut sim = Sim::new(SimConfig::cluster(1));
+        let me = sim.add_node(Box::new(WhisperNode::new(Default::default(), key)), NatType::Public);
+        let within = |d: SimDuration, rto: f64| {
+            let secs = d.as_secs_f64();
+            (rto * 0.875..=rto * 1.125).contains(&secs)
+        };
+        sim.with_node_ctx::<WhisperNode>(me, |_, ctx| {
+            let mut recovery = Recovery::new(true);
+            let fixed = RETRY_TIMEOUT.as_secs_f64();
+            assert!(within(recovery.retry_delay(ctx, 1), fixed), "a source never answered");
+            // First-try answers from A and from B, through their relays.
+            recovery.on_answer(Some(0.4), [NodeId(10), NodeId(11)].into_iter());
+            recovery.on_answer(Some(0.4), [NodeId(20), NodeId(21)].into_iter());
+            // srtt 0.4 s, rttvar 0.15 s: the RTO towards C is 1 s.
+            let learned = recovery.retry_delay(ctx, 1);
+            assert!(within(learned, 1.0), "towards C: {learned:?}");
+            assert!(within(recovery.retry_delay(ctx, 2), 2.0), "doubled per retry");
+            // An answer to a retry is ambiguous and teaches nothing.
+            recovery.on_answer(None, std::iter::empty());
+            assert!(within(recovery.retry_delay(ctx, 1), 1.0), "Karn's rule");
+            recovery.clear();
+            assert!(within(recovery.retry_delay(ctx, 1), fixed), "forgotten on restart");
+        });
     }
 
     #[test]

@@ -14,7 +14,11 @@
 # neither side), and a verdict from the metric's direction and bound
 # (below). A run that covers both gossip_scale and gossip_scale_mt also
 # prints, per side, what the extra threads buy: the ratio of the two
-# workloads' node_s_per_wall_s medians (ROADMAP item 2).
+# workloads' node_s_per_wall_s medians (ROADMAP item 2). Per workload and
+# side, one more line gives the median of ops_attempted and of
+# wire_bytes_per_node_s / ops_attempted, the change's with its move: wire
+# bytes that rise only because more requests complete show as a rise in
+# the first and none in the second. These lines set no verdict.
 #
 #   better         of at least 10 pairs the change won 9 in 10, and the
 #                  medians are further apart than the parent's quartiles
@@ -126,6 +130,7 @@ def fmt(x):
     return f"{x:.4g}" if abs(x) < 1000 else f"{x:.0f}"
 
 failures = []
+volume = []  # the per-side ops_attempted lines, printed after the table
 print(f"parent {sha}, seed {seed}; `iqr` = distance between the parent's quartiles, `won` = pairs in")
 print("which the change read better / pairs not tied")
 print()
@@ -144,6 +149,16 @@ for workload, pairs in runs.items():
             failures.append(f"{workload}: sim_digest differs")
     else:
         print(f"| {workload} | sim_digest | | | {digests['parent'][0][:12]} | | | equal | | | |")
+    volume_medians = {s: (statistics.median(r["ops_attempted"] for r in reports),
+                          statistics.median(r["metrics"]["wire_bytes_per_node_s"]["value"]
+                                            / max(r["ops_attempted"], 1) for r in reports))
+                      for s, reports in sides.items()}
+    for s, (ops, per_op) in volume_medians.items():
+        def move(i):
+            base = volume_medians["parent"][i]
+            return f" ({volume_medians[s][i] / base - 1:+.2%})" if s == "change" and base else ""
+        volume.append(f"bench_gate: {workload} {s}: ops_attempted median {fmt(ops)}{move(0)}, "
+                      f"wire_bytes_per_node_s / ops_attempted median {per_op:.4g}{move(1)}")
     for m in bench["end_to_end"]:
         name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
         p = [r["metrics"][name]["value"] for r in sides["parent"]]
@@ -172,6 +187,8 @@ for workload, pairs in runs.items():
               f"| {fmt(pm)} | {fmt(quartile_distance(p))} | {fmt(min(p))}-{fmt(max(p))} "
               f"| {fmt(cm)} | {fmt(min(c))}-{fmt(max(c))} | {won}/{won + lost} | {verdict} |")
 print()
+for line in volume:
+    print(line)
 if "gossip_scale" in runs and "gossip_scale_mt" in runs:
     def median_speed(workload, side):
         return statistics.median(

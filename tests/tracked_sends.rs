@@ -216,3 +216,86 @@ fn answers_ride_back_under_loss_seed_7() {
 fn answers_ride_back_under_loss_seed_13() {
     answers_ride_back_under_loss(13);
 }
+
+/// Records every member the PPSS reports unreachable.
+#[derive(Default)]
+struct Evictions {
+    dropped: Vec<(GroupId, NodeId)>,
+}
+
+impl GroupApp for Evictions {
+    fn on_member_unreachable(
+        &mut self,
+        _ctx: &mut Ctx<'_>,
+        _api: &mut WhisperApi<'_>,
+        group: GroupId,
+        node: NodeId,
+    ) {
+        self.dropped.push((group, node));
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// The paper's reading of exhausted retries — the destination is dead —
+/// holds for an application's tracked send as it does for an exchange: on
+/// a lossy PlanetLab net, a question to a member that has left the
+/// simulation ends, once its retries run out, with that member gone from
+/// the asker's view, the application told, and nothing more sent to it.
+/// The member asked is the youngest entry of the view, so no exchange of
+/// the asker's is waiting on it (a partner is the oldest).
+#[test]
+fn an_exhausted_tracked_send_evicts_its_departed_member() {
+    let mut net =
+        NetBuilder::planetlab(40, 7).build_whisper(|_| Box::<Evictions>::default());
+    net.sim.run_for_secs(150);
+    let leaders: Vec<NodeId> = net.publics().into_iter().take(1).collect();
+    let groups = net.create_groups(&leaders, "evict");
+    net.subscribe_members(&leaders, &groups, 1, 0x51);
+    net.sim.run_for(CYCLE * 3);
+    let group = groups[0];
+    let expendable = net.expendable(&leaders);
+    let view = |net: &whisper_bench::harness::WhisperNet, id: NodeId| -> Vec<PrivateEntry> {
+        let node = net.sim.node::<WhisperNode>(id).expect("live");
+        node.ppss().group(group).map_or(vec![], |g| g.view().to_vec())
+    };
+    let (asker, gone) = expendable
+        .iter()
+        .find_map(|&asker| {
+            let youngest = view(&net, asker).into_iter().min_by_key(|e| (e.age, e.node))?;
+            expendable.contains(&youngest.node).then_some((asker, youngest.node))
+        })
+        .expect("a member with an expendable peer in its view");
+
+    net.sim.remove_node(gone);
+    let mut msg_id = None;
+    net.sim.with_node_ctx::<WhisperNode>(asker, |n, ctx| {
+        msg_id = n.with_api(|api, _| api.send_private_tracked(ctx, group, gone, b"Q".to_vec(), true));
+    });
+    let msg_id = msg_id.expect("a route to a member still in the view");
+    let pending = |net: &whisper_bench::harness::WhisperNet| {
+        net.sim.node::<WhisperNode>(asker).expect("live").wcl().is_pending(msg_id)
+    };
+    let mut waited = 0;
+    while pending(&net) {
+        assert!(waited < 60, "the send still retries after {waited} s");
+        net.sim.run_for_secs(1);
+        waited += 1;
+    }
+
+    assert!(view(&net, asker).iter().all(|e| e.node != gone), "{gone:?} left the view");
+    let app = net.sim.node::<WhisperNode>(asker).unwrap().app::<Evictions>().unwrap();
+    assert!(app.dropped.contains(&(group, gone)), "dropped: {:?}", app.dropped);
+    net.sim.with_node_ctx::<WhisperNode>(asker, |n, ctx| {
+        n.with_api(|api, _| {
+            assert_eq!(api.send_private_tracked(ctx, group, gone, b"Q".to_vec(), false), None);
+            assert!(!api.send_private(ctx, group, gone, b"Q".to_vec(), false));
+        });
+    });
+}
