@@ -501,11 +501,13 @@ impl Ppss {
             // A verified tombstone outranks every message about the
             // group, including join handshakes still in flight. An
             // exchange request comes from a member the deletion has not
-            // reached yet: its answer is the tombstone.
+            // reached yet: its answer is the tombstone, back on the
+            // circuit the request came in on — nothing is authenticated
+            // here, so not to whoever the request names.
             ctx.metrics().count("ppss.resurrection_blocked", 1);
-            if let PpssMsg::Exchange { from_entry, exchange_id, is_response: false, .. } = &msg {
+            if let PpssMsg::Exchange { exchange_id, is_response: false, .. } = &msg {
                 let answer = PpssMsg::Deleted { tombstone: tombstone.clone(), exchange_id: *exchange_id };
-                wcl.send_untracked(ctx, nylon, from_entry, &answer.to_wire(), None);
+                wcl.answer_on(ctx, nylon, via, &answer.to_wire());
             }
             return Some(events);
         }

@@ -122,18 +122,20 @@ impl Wcl {
         self.return_ways.insert(peer, cid);
     }
 
-    /// Sends `payload` back on the circuit `peer` is bound to: this node's
-    /// CTR layer, then the previous hop. `false` — and nothing sent — when
-    /// there is no such circuit any more, counted under the reason.
+    /// Sends `payload` back on the circuit this node carries under `way`:
+    /// this node's CTR layer, then the previous hop. `false` — and nothing
+    /// sent — without a circuit (`wcl.return_unbound`), or when it is gone
+    /// or no longer fresh, or the link to the previous hop is
+    /// (`wcl.return_stale`).
     pub(super) fn send_back(
         &mut self,
         ctx: &mut Ctx<'_>,
         nylon: &mut NylonCore,
-        peer: NodeId,
+        way: Option<CircuitId>,
         payload: &[u8],
         once: Option<Preamble>,
     ) -> bool {
-        let Some(&cid) = self.return_ways.get(&peer) else {
+        let Some(cid) = way else {
             ctx.metrics().count("wcl.return_unbound", 1);
             return false;
         };
@@ -144,7 +146,6 @@ impl Wcl {
             Some((entry, talk, parse_hop_addr(entry.prev_hop())?))
         });
         let Some((entry, talk, prev)) = way else {
-            self.return_ways.remove(&peer);
             ctx.metrics().count("wcl.return_stale", 1);
             return false;
         };
@@ -291,7 +292,9 @@ impl Wcl {
 
     /// A return packet at the end of its way: if this node holds the route
     /// whose first hop listens under the packet's id — in use or given up
-    /// on — every hop's layer is stripped and the payload delivered.
+    /// on — every hop's layer is stripped and the payload delivered, and
+    /// the route, unless it has expired, is its destination's current one
+    /// again.
     fn on_return_home(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -299,6 +302,9 @@ impl Wcl {
         packet: CircuitPacket<'_>,
     ) -> Option<WclEvent> {
         let route = self.routes.by_first_cid.get_mut(&packet.cid)?;
+        if route.expires > ctx.now() {
+            self.routes.current.insert(route.dest, packet.cid);
+        }
         let via = Arrival::Return(packet.cid);
         let home = deliver(ctx, &mut self.deliver_buf, packet.body, via, |ctx, payload| {
             crypto_sampled(ctx, is_public, |_| {

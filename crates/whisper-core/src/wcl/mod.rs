@@ -46,7 +46,9 @@
 //! a retry's alternative path is the answer's alternative path. The
 //! binding holds for the half [`CIRCUIT_TTL`] the source itself trusts
 //! the circuit for; without one (an answer by a third party, a late one)
-//! the send builds its own route as before.
+//! the send builds its own route as before. The one answer that goes out
+//! before its asker is authenticated takes the way back bound to nobody
+//! (`Wcl::answer_on`), or is not sent.
 //!
 //! What a payload opens with only to say who is talking (a [`Preamble`])
 //! is sent the first time on a circuit and left out afterwards; the
@@ -208,13 +210,6 @@ struct PendingSend {
     sent_at: whisper_net::SimTime,
 }
 
-impl PendingSend {
-    /// The mixes `A` and `B` of the latest attempt.
-    fn last_relays(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.used_first_mixes.last().into_iter().chain(self.used_gateways.last()).copied()
-    }
-}
-
 /// Per-node WCL state.
 pub struct Wcl {
     cfg: WclConfig,
@@ -230,8 +225,7 @@ pub struct Wcl {
     /// every use, and swept against it when it outgrows the table's
     /// capacity, so it never holds more than that plus one.
     return_ways: BTreeMap<NodeId, CircuitId>,
-    /// What tracked sends have taught this source: its one retry timer
-    /// and which relays to steer around.
+    /// What tracked sends have taught this source: its one retry timer.
     recovery: Recovery,
     /// Where a circuit packet addressed to this node is decrypted: lent
     /// out as the payload of [`WclEvent::Delivered`] and handed back
@@ -269,8 +263,8 @@ impl Wcl {
 
     /// Models a process restart with full volatile-state loss: pending
     /// sends, cached routes, carried circuits — with the return bindings
-    /// onto them and everything said on either — the RTT estimate and relay
-    /// health all vanish. Invoked from
+    /// onto them and everything said on either — and the RTT estimate all
+    /// vanish. Invoked from
     /// `WhisperNode::on_crash_restart` when a scripted
     /// [`whisper_net::fault::Fault::CrashRestart`] brings the node back.
     pub fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -335,8 +329,29 @@ impl Wcl {
         payload: &[u8],
         once: Option<Preamble>,
     ) -> bool {
-        self.send_back(ctx, nylon, dest.node, payload, once)
+        let bound = self.return_ways.get(&dest.node).copied();
+        self.send_back(ctx, nylon, bound, payload, once)
             || self.try_send(ctx, nylon, dest, payload, once, (&[], &[])).is_some()
+    }
+
+    /// Answers what arrived `via` back on the circuit it came in on,
+    /// bound to nobody: the way for an answer that goes out before its
+    /// asker is authenticated, which must reach whoever asked and nobody
+    /// the question merely names. Returns `false`, and sends nothing,
+    /// without such a circuit: the asker's tracked send retries on a
+    /// fresh one.
+    pub(crate) fn answer_on(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        nylon: &mut NylonCore,
+        via: Option<Arrival>,
+        payload: &[u8],
+    ) -> bool {
+        let way = match via {
+            Some(Arrival::Forward(cid)) => Some(cid),
+            _ => None,
+        };
+        self.send_back(ctx, nylon, way, payload, None)
     }
 
     /// Sends `payload` confidentially to `dest`, tracking it for retries:
@@ -384,9 +399,8 @@ impl Wcl {
     }
 
     /// Tells the WCL that the request behind `msg_id` got its answer;
-    /// updates the Table I counters, the RTT estimator (Karn's rule:
-    /// only first-attempt responses are unambiguous) and the health of
-    /// the relays that carried it.
+    /// updates the Table I counters and the RTT estimator (Karn's rule:
+    /// only first-attempt responses are unambiguous).
     pub fn notify_response(&mut self, ctx: &mut Ctx<'_>, msg_id: u64) {
         if let Some(p) = self.pending.remove(&msg_id) {
             // Fig. 7's "total rtt": request out, answer back, in
@@ -402,7 +416,7 @@ impl Wcl {
                 // the repaired path back.
                 ctx.metrics().sample("wcl.repair_s", rtt);
             }
-            self.recovery.on_answer(first_try.then_some(rtt), p.last_relays());
+            self.recovery.on_answer(first_try.then_some(rtt));
         }
     }
 
@@ -434,7 +448,6 @@ impl Wcl {
         if self.routes.retire(p.dest.node, now) {
             ctx.metrics().count("wcl.circuit_teardown", 1);
         }
-        self.recovery.on_timeout(ctx, p.last_relays());
         let dest = p.dest.node;
         if p.attempts > MAX_RETRIES {
             ctx.metrics().count("wcl.route_exhausted", 1);

@@ -125,10 +125,6 @@ impl Wcl {
             .map(|e| (e.node, e.public, e.key.clone().expect("filtered")))
             .collect();
 
-        // Relay health bias: suspects go while healthier candidates exist.
-        self.recovery.keep_healthy(ctx, &mut b_candidates, |g| g.node);
-        self.recovery.keep_healthy(ctx, &mut a_candidates, |(n, _, _)| *n);
-
         // Mixes must be distinct: drop A candidates equal to the chosen B
         // later; choose B first for simplicity.
         let b = {
@@ -192,8 +188,8 @@ impl Wcl {
         let expires = now + SimDuration::from_micros(CIRCUIT_TTL.as_micros() / 2);
         self.routes.insert(
             now,
-            dest.node,
             CachedRoute {
+                dest: dest.node,
                 circuit: src_circuit,
                 first_hop: (a.0, a.1),
                 mixes: (a.0, b.node),

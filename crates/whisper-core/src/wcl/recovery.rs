@@ -1,5 +1,5 @@
 //! What a source remembers from one tracked send to the next: how long an
-//! answer takes, and which relays sat on routes that went unanswered.
+//! answer takes.
 //!
 //! The round-trip estimate is one per source, not one per destination.
 //! Every route draws a fresh `A` and `B`, so a round trip belongs to the
@@ -9,16 +9,16 @@
 //! learns from all of them.
 //!
 //! The paper's WCL recovers from an unanswered route in one way — a fixed
-//! timer, then an alternative path, at most Π times (§III-A). The two
-//! mechanisms here only tune that: *when* the timer fires
-//! ([`Recovery::retry_delay`]) and *which* relays an alternative path
-//! prefers ([`Recovery::keep_healthy`]). Both are fed by the outcome of
-//! tracked sends alone ([`Recovery::on_answer`], [`Recovery::on_timeout`]).
+//! timer, then an alternative path, at most Π times (§III-A) — and keeps
+//! no memory of relays across messages; neither does this one. The
+//! estimate here only tunes *when* that timer fires
+//! ([`Recovery::retry_delay`]), fed by the answers to tracked sends
+//! ([`Recovery::on_answer`]). Which relays a retry avoids is the send's
+//! own business: the `A` and `B` it already tried.
 
 use super::RETRY_TIMEOUT;
-use std::collections::BTreeMap;
 use whisper_net::sim::Ctx;
-use whisper_net::{NodeId, SimDuration, SimTime};
+use whisper_net::SimDuration;
 use whisper_rand::Rng;
 
 /// Lower clamp on the adaptive RTO (guards against a few lucky fast RTTs
@@ -26,12 +26,6 @@ use whisper_rand::Rng;
 const RTO_MIN: SimDuration = SimDuration::from_millis(250);
 /// Upper clamp on the adaptive RTO, including backoff.
 const RTO_MAX: SimDuration = SimDuration::from_secs(10);
-/// Relay suspicion score above which path construction steers away from
-/// a relay while healthier candidates exist.
-const SUSPICION_THRESHOLD: f64 = 1.5;
-/// Half-life of relay suspicion decay: a relay implicated in a failed
-/// route is forgiven exponentially as evidence ages.
-const SUSPICION_HALF_LIFE: SimDuration = SimDuration::from_secs(60);
 
 /// Smoothed RTT state (Jacobson's algorithm, the same EWMA every
 /// production transport uses). Units are seconds.
@@ -69,22 +63,8 @@ fn rto_backoff_us(base_us: u64, attempts: usize, min_us: u64, max_us: u64) -> u6
     clamped.saturating_mul(1u64 << shift).min(max_us.max(min_us))
 }
 
-/// A relay's suspicion score plus when it was last touched; the effective
-/// score decays exponentially from `updated`.
-#[derive(Clone, Copy, Debug)]
-struct Suspicion {
-    score: f64,
-    updated: SimTime,
-}
-
-/// Exponentially decayed suspicion score.
-fn decayed_score(score: f64, updated: SimTime, now: SimTime) -> f64 {
-    let elapsed = now.since(updated).as_secs_f64();
-    score * 0.5_f64.powf(elapsed / SUSPICION_HALF_LIFE.as_secs_f64())
-}
-
 /// The recovery state of one source: one retry clock for every
-/// destination, and the health of every relay it has used.
+/// destination.
 pub(super) struct Recovery {
     /// [`super::WclConfig::adaptive_rto`].
     adaptive_rto: bool,
@@ -92,14 +72,11 @@ pub(super) struct Recovery {
     /// destination (Karn-filtered: only first-attempt responses feed it);
     /// `None` until one is answered.
     rtt: Option<RttEstimate>,
-    /// Cross-message relay health: relays implicated in unanswered routes
-    /// accumulate suspicion that decays over time.
-    health: BTreeMap<NodeId, Suspicion>,
 }
 
 impl Recovery {
     pub(super) fn new(adaptive_rto: bool) -> Self {
-        Recovery { adaptive_rto, rtt: None, health: BTreeMap::new() }
+        Recovery { adaptive_rto, rtt: None }
     }
 
     /// The retransmission timeout for attempt number `attempts`, towards
@@ -124,64 +101,21 @@ impl Recovery {
         SimDuration::from_micros(us)
     }
 
-    /// An attempt through `relays` was answered: the relays are healthy,
-    /// and `first_try_rtt` — the round trip in seconds when the answer came
-    /// to the first attempt, the only unambiguous one (Karn's rule) —
-    /// feeds the estimator.
-    pub(super) fn on_answer(
-        &mut self,
-        first_try_rtt: Option<f64>,
-        relays: impl Iterator<Item = NodeId>,
-    ) {
+    /// A tracked send was answered: `first_try_rtt` — the round trip in
+    /// seconds when the answer came to the first attempt, the only
+    /// unambiguous one (Karn's rule) — feeds the estimator.
+    pub(super) fn on_answer(&mut self, first_try_rtt: Option<f64>) {
         if let Some(rtt) = first_try_rtt {
             match &mut self.rtt {
                 Some(e) => e.update(rtt),
                 None => self.rtt = Some(RttEstimate::first(rtt)),
             }
         }
-        for relay in relays {
-            self.health.remove(&relay);
-        }
-    }
-
-    /// An attempt through `relays` went unanswered: each is implicated
-    /// (its score decayed first, then +1), which biases future path
-    /// construction away from it until the suspicion decays.
-    pub(super) fn on_timeout(&mut self, ctx: &mut Ctx<'_>, relays: impl Iterator<Item = NodeId>) {
-        let now = ctx.now();
-        for relay in relays {
-            let s = self.health.entry(relay).or_insert(Suspicion { score: 0.0, updated: now });
-            s.score = decayed_score(s.score, s.updated, now) + 1.0;
-            s.updated = now;
-            ctx.metrics().count("wcl.relay_suspected", 1);
-        }
-    }
-
-    /// Drops the candidates whose decayed suspicion exceeds the threshold
-    /// — while healthier ones exist: never empties a candidate list, a
-    /// suspect relay beats no relay.
-    pub(super) fn keep_healthy<T>(
-        &self,
-        ctx: &mut Ctx<'_>,
-        candidates: &mut Vec<T>,
-        node: impl Fn(&T) -> NodeId,
-    ) {
-        let now = ctx.now();
-        let suspect = |c: &T| {
-            let score = self.health.get(&node(c)).map(|s| decayed_score(s.score, s.updated, now));
-            score.is_some_and(|score| score >= SUSPICION_THRESHOLD)
-        };
-        let suspects = candidates.iter().filter(|c| suspect(c)).count();
-        if 0 < suspects && suspects < candidates.len() {
-            ctx.metrics().count("wcl.relay_avoided", suspects as u64);
-            candidates.retain(|c| !suspect(c));
-        }
     }
 
     /// Forgets everything, as a process restart does.
     pub(super) fn clear(&mut self) {
         self.rtt = None;
-        self.health.clear();
     }
 }
 
@@ -243,26 +177,18 @@ mod tests {
             let mut recovery = Recovery::new(true);
             let fixed = RETRY_TIMEOUT.as_secs_f64();
             assert!(within(recovery.retry_delay(ctx, 1), fixed), "a source never answered");
-            // First-try answers from A and from B, through their relays.
-            recovery.on_answer(Some(0.4), [NodeId(10), NodeId(11)].into_iter());
-            recovery.on_answer(Some(0.4), [NodeId(20), NodeId(21)].into_iter());
+            // First-try answers from A and from B.
+            recovery.on_answer(Some(0.4));
+            recovery.on_answer(Some(0.4));
             // srtt 0.4 s, rttvar 0.15 s: the RTO towards C is 1 s.
             let learned = recovery.retry_delay(ctx, 1);
             assert!(within(learned, 1.0), "towards C: {learned:?}");
             assert!(within(recovery.retry_delay(ctx, 2), 2.0), "doubled per retry");
             // An answer to a retry is ambiguous and teaches nothing.
-            recovery.on_answer(None, std::iter::empty());
+            recovery.on_answer(None);
             assert!(within(recovery.retry_delay(ctx, 1), 1.0), "Karn's rule");
             recovery.clear();
             assert!(within(recovery.retry_delay(ctx, 1), fixed), "forgotten on restart");
         });
-    }
-
-    #[test]
-    fn suspicion_decays_with_half_life() {
-        let (t0, hl) = (SimTime::ZERO, SUSPICION_HALF_LIFE);
-        assert_eq!(decayed_score(2.0, t0, t0), 2.0);
-        assert!((decayed_score(2.0, t0, t0 + hl) - 1.0).abs() < 1e-9);
-        assert!((decayed_score(2.0, t0, t0 + hl + hl) - 0.5).abs() < 1e-9);
     }
 }

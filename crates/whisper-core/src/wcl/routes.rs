@@ -27,10 +27,11 @@ impl Conversation {
     }
 }
 
-/// The source's cached route to one destination: the circuit keys, where
-/// to inject packets, and which mixes the route runs through (needed so
-/// retries can avoid them).
+/// The source's cached route to `dest`: the circuit keys, where to inject
+/// packets, and which mixes the route runs through (needed so retries can
+/// avoid them).
 pub(super) struct CachedRoute {
+    pub(super) dest: NodeId,
     pub(super) circuit: SourceCircuit,
     pub(super) first_hop: (NodeId, bool),
     pub(super) mixes: (NodeId, NodeId),
@@ -47,7 +48,11 @@ pub(super) struct CachedRoute {
 /// is that destination's *current* route, and — for as long as it is held
 /// — where return packets on its circuit end. A retry that gives up on a
 /// route takes the first away and leaves the second: the answer that was
-/// merely slow still comes home.
+/// merely slow still comes home, and gives the route back: sends ride the
+/// route an answer last came home on, while it is unexpired. That route
+/// is known to work both ways, and what its far end stated on it has been
+/// heard here; a retry's route whose answer was lost is neither, and the
+/// short answers its far end sends next could not be read.
 #[derive(Default)]
 pub(super) struct RouteCache {
     /// Every held route under the id its first hop listens on, which is
@@ -67,9 +72,9 @@ impl RouteCache {
         self.by_first_cid.get_mut(self.current.get(&dest)?)
     }
 
-    /// Caches `route` as the current one to `dest` after collecting every
-    /// expired one.
-    pub(super) fn insert(&mut self, now: SimTime, dest: NodeId, route: CachedRoute) {
+    /// Caches `route` as the current one to its destination after
+    /// collecting every expired one.
+    pub(super) fn insert(&mut self, now: SimTime, route: CachedRoute) {
         while let Some(&(_, cid, old)) = self.expiry.front().filter(|(e, ..)| *e <= now) {
             self.expiry.pop_front();
             self.by_first_cid.remove(&cid);
@@ -78,8 +83,8 @@ impl RouteCache {
             }
         }
         let cid = route.circuit.first_cid;
-        self.expiry.push_back((route.expires, cid, dest));
-        self.current.insert(dest, cid);
+        self.expiry.push_back((route.expires, cid, route.dest));
+        self.current.insert(route.dest, cid);
         self.by_first_cid.insert(cid, route);
     }
 

@@ -854,6 +854,59 @@ fn a_source_that_restarts_drops_the_late_answer() {
     assert_eq!(pending_sends(&mut r.sim, r.source), 0);
 }
 
+/// The tombstone is the one PPSS answer that goes out before anything is
+/// authenticated, and it shares its question's fate all the same: it
+/// rides back on the circuit the exchange request came in on, bound to
+/// nobody. The node the request names as its sender — a third node here
+/// — hears nothing, no onion is built for it, and the member that asked
+/// applies the deletion and has its tracked send answered.
+#[test]
+fn a_tombstone_answers_whoever_asked_not_whoever_the_request_names() {
+    let mut r = rig(WhisperConfig::default(), 6, 213);
+    let (group, way_out) = converse(&mut r);
+    let (asker, holder) = (r.source, r.dest);
+    let named = *r.publics[2..].iter().find(|p| !way_out.contains(p)).expect("a bystander");
+    // The holder leads the group and deletes it while the asker is out of
+    // its view, so no push goes the asker's way.
+    r.sim.with_node_ctx::<WhisperNode>(holder, |n, ctx| {
+        n.with_api(|api, _| api.ppss.on_route_failed(0, asker));
+        assert!(n.delete_group(ctx, group));
+    });
+    let (named_entry, holder_entry) = (entry_of(&mut r.sim, named), entry_of(&mut r.sim, holder));
+    in_callback(&mut r.sim, named, |api, _| api.wcl.flush_circuits());
+    r.sim.metrics_mut().reset_counters_and_samples();
+    in_callback(&mut r.sim, asker, |api, ctx| {
+        let passport = api.ppss.group(group).expect("the asker holds the group").passport().clone();
+        let exchange_id = api.wcl.alloc_msg_id();
+        let request = PpssMsg::Exchange {
+            group,
+            passport,
+            from_entry: Box::new(named_entry),
+            entries: Vec::new(),
+            exchange_id,
+            is_response: false,
+            hb: Default::default(),
+            election: None,
+            new_key: None,
+            revoked: Vec::new(),
+        };
+        assert!(api.wcl.send(ctx, api.nylon, &holder_entry, request.to_wire(), None, exchange_id));
+    });
+    r.sim.run_for_secs(2);
+
+    let m = r.sim.metrics();
+    assert_eq!(m.counter("ppss.exchanges_initiated"), 0, "no exchange but the one above");
+    assert_eq!(m.counter("wcl.paths_built"), 0, "no onion towards the node named");
+    assert_eq!(m.counter("wcl.return_sent"), 1, "the answer rode the request's circuit");
+    assert_eq!(m.counter("wcl.route_first_success"), 1, "and answered the asker's send");
+    assert_eq!(m.counter("ppss.resurrection_blocked"), 1, "the holder refused the request once");
+    assert_eq!(carried_circuits(&mut r.sim, named), 0, "nothing reached the node named");
+    in_callback(&mut r.sim, asker, |api, _| {
+        assert!(api.ppss.group(group).is_none(), "the asker applied the tombstone");
+        assert!(api.ppss.tombstone(group).is_some());
+    });
+}
+
 /// Who is talking is said once per circuit and checked every time: a
 /// member the leader revokes is refused on its very next message, a short
 /// one on a circuit that carried its passport before the revocation.

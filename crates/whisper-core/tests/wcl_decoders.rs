@@ -7,17 +7,23 @@
 //! does not panic, a packet that carries a WCL tag and is not well-formed
 //! is counted under `wcl.malformed` and nothing else is, and the largest
 //! single allocation the node makes stays within what the input can fill.
+//! Then the circuit setup (`HopSetup`) an onion layer carries, from a
+//! source that lies in it.
 
 mod watching;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use whisper_core::{GroupId, WhisperConfig, WhisperNode};
+use whisper_core::ppss::messages::PpssMsg;
+use whisper_core::{GroupId, WclEvent, WhisperConfig, WhisperNode};
+use whisper_crypto::aes::{AesKey, CtrNonce};
+use whisper_crypto::circuit::{self, CircuitEntry, CircuitId, Direction, DEST_SETUP_LEN, RELAY_SETUP_LEN};
+use whisper_crypto::onion::build_onion_ext;
 use whisper_crypto::rsa::KeyPair;
 use whisper_net::nat::{NatDistribution, NatType};
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
-use whisper_net::wire::{WireEncode, WireReader};
+use whisper_net::wire::{WireDecode, WireEncode, WireReader, WireSink, WireWriter};
 use whisper_net::{Endpoint, NodeId, Payload};
 use whisper_pss::messages::NylonMsg;
 use whisper_rand::rngs::StdRng;
@@ -212,4 +218,139 @@ fn wcl_decoders_are_total_on_hostile_bytes() {
         let fill = wire.len().next_power_of_two().max(BOOKKEEPING);
         assert!(largest <= fill, "{largest} B allocated for {} B: {hostile:02x?}", wire.len());
     });
+}
+
+/// Where a lying source's onion layer is handed: to a mix, whose layer
+/// names the next hop, or to the destination, whose layer names none.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Hop {
+    Relay,
+    Destination,
+}
+
+/// What a payload handed to `node` — as arriving from `sender`, a public
+/// node — came to: delivered by the WCL, and if so whether the PPSS took
+/// it as one of its messages.
+fn hand_over(sim: &mut Sim, node: NodeId, sender: NodeId, packet: &[u8]) -> (bool, bool) {
+    let mut outcome = (false, false);
+    sim.with_node_ctx::<WhisperNode>(node, |n, ctx| {
+        n.with_api(|api, _| {
+            let Some(WclEvent::Delivered { payload, via }) =
+                api.wcl.on_app_payload(ctx, api.nylon, (sender, true), packet)
+            else {
+                return;
+            };
+            outcome = (true, api.ppss.on_delivered(ctx, api.nylon, api.wcl, via, &payload).is_some());
+        });
+    });
+    outcome
+}
+
+/// A payload no PPSS message parses from.
+const NOT_PPSS: &[u8] = b"\xEEno PPSS message";
+
+/// `HopSetup` from a lying source (ROADMAP item 3 (c)): onion layers whose
+/// setup extension is cut, grown or bit-flipped, of every length up to 40
+/// bytes, or of the other hop's form, each handed to a mix and to a
+/// destination of a running stack, then a circuit packet on every circuit
+/// that got installed. Nothing panics; `wcl.circuit_bad_setup` counts
+/// exactly the foreign lengths and `wcl.circuit_installed` the two forms.
+/// A circuit packet on a swapped form ends in `wcl.bad_next_hop` (the
+/// relay form at a destination, which holds no next hop) or in a delivery
+/// the PPSS rejects (the destination form at a mix); a forward only ever
+/// leaves a mix, towards the next hop its own layer named.
+#[test]
+fn setup_extensions_from_a_lying_source_end_in_a_count_or_a_rejection() {
+    let cfg = WhisperConfig::default();
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut sim = Sim::new(SimConfig::cluster(41));
+    let ids: Vec<NodeId> = (0..3u64)
+        .map(|i| {
+            let mut node = WhisperNode::new(cfg.clone(), KeyPair::generate(cfg.nylon.rsa, &mut rng));
+            node.nylon_mut().set_bootstrap(vec![NodeId((i + 1) % 3)]);
+            sim.add_node(Box::new(node), NatType::Public)
+        })
+        .collect();
+    sim.run_for_secs(60);
+    let (sender, relay, dest) = (ids[0], ids[1], ids[2]);
+    let key = |sim: &Sim, node| sim.node::<WhisperNode>(node).unwrap().nylon().keypair().public().clone();
+    let addr = |node: NodeId| [&node.to_bytes()[..], &[1]].concat();
+    let bytes = |rng: &mut StdRng, len: usize| (0..len).map(|_| rng.gen::<u8>()).collect::<Vec<u8>>();
+    assert!(PpssMsg::from_wire(NOT_PPSS).is_err());
+
+    // Every length up to 40, then the two honest forms as they are, cut
+    // short, grown and with a bit flipped.
+    let mut exts: Vec<Vec<u8>> = (0..=40).map(|len| bytes(&mut rng, len)).collect();
+    let (_, setups) = circuit::establish(2, &mut rng);
+    for form in setups.iter().map(|s| s.encode()) {
+        let more = rng.gen_range(1..=8usize);
+        let grown = bytes(&mut rng, more);
+        let cut = form[..rng.gen_range(0..form.len())].to_vec();
+        exts.extend([form.clone(), cut, [&form[..], &grown].concat()]);
+        for _ in 0..4 {
+            let mut flipped = form.clone();
+            flipped[rng.gen_range(0..form.len())] ^= 1 << rng.gen_range(0..8u32);
+            exts.push(flipped);
+        }
+    }
+
+    for ext in &exts {
+        for hop in [Hop::Relay, Hop::Destination] {
+            let (at, path, layers) = match hop {
+                Hop::Relay => (
+                    relay,
+                    vec![(key(&sim, relay), addr(relay)), (key(&sim, dest), addr(dest))],
+                    vec![ext.clone(), Vec::new()],
+                ),
+                Hop::Destination => (dest, vec![(key(&sim, dest), addr(dest))], vec![ext.clone()]),
+            };
+            let onion = build_onion_ext(&path, NOT_PPSS, &layers, &mut rng).unwrap();
+            let mut wire = WireWriter::new();
+            wire.put_u8(0xC1);
+            wire.put_bytes(&onion.header);
+            wire.put_bytes(&onion.body);
+            sim.metrics_mut().reset_counters_and_samples();
+            let (delivered, accepted) = hand_over(&mut sim, at, sender, &wire.into_bytes());
+            let case = format!("{hop:?}, {} B: {ext:02x?}", ext.len());
+            assert_eq!((delivered, accepted), (hop == Hop::Destination, false), "{case}");
+            let installed = [RELAY_SETUP_LEN, DEST_SETUP_LEN].contains(&ext.len());
+            let foreign = !ext.is_empty() && !installed;
+            let m = sim.metrics();
+            assert_eq!(m.counter("wcl.circuit_bad_setup"), foreign as u64, "{case}");
+            assert_eq!(m.counter("wcl.circuit_installed"), installed as u64, "{case}");
+            if !installed {
+                continue;
+            }
+
+            // A packet on the circuit, sealed under the key the layer gave:
+            // what a hop that delivers it hands up is `NOT_PPSS`.
+            let cid = CircuitId(ext[..8].try_into().unwrap());
+            let key_at = if ext.len() == RELAY_SETUP_LEN { 16 } else { 8 };
+            let link_key = AesKey(ext[key_at..key_at + 16].try_into().unwrap());
+            let nonce = CtrNonce(rng.gen());
+            let mut body = NOT_PPSS.to_vec();
+            let sealer = CircuitEntry::new(link_key, Vec::new(), None);
+            sealer.apply_in_place(Direction::Forward, &nonce, &mut body);
+            let mut wire = WireWriter::new();
+            wire.put_u8(0xC2);
+            wire.put_raw(&cid.0);
+            wire.put_raw(&nonce.0);
+            wire.put_bytes(&body);
+            sim.metrics_mut().reset_counters_and_samples();
+            let (delivered, accepted) = hand_over(&mut sim, at, sender, &wire.into_bytes());
+            let m = sim.metrics();
+            let (forwarded, bad_hop) = (m.counter("wcl.circuit_forwarded"), m.counter("wcl.bad_next_hop"));
+            let expected = match (hop, ext.len()) {
+                // Honest at a mix: on to the hop its layer named.
+                (Hop::Relay, RELAY_SETUP_LEN) => (false, 1, 0),
+                // Swapped at a destination: no next hop to go to.
+                (Hop::Destination, RELAY_SETUP_LEN) => (false, 0, 1),
+                // Honest at a destination, or swapped at a mix: delivered,
+                // and the PPSS takes none of it.
+                _ => (true, 0, 0),
+            };
+            assert_eq!((delivered, forwarded, bad_hop), expected, "{case}");
+            assert!(!accepted, "{case}");
+        }
+    }
 }

@@ -3,7 +3,7 @@
 //! three groups by invitation and gossips for six PPSS cycles; every
 //! join and every exchange is a tracked send, and none of them may have
 //! engaged the recovery machinery — no retry, no exhausted route, no
-//! suspected relay, no torn-down circuit — nor been answered twice.
+//! torn-down circuit — nor been answered twice.
 
 use whisper_bench::harness::NetBuilder;
 use whisper_core::node::NoApp;
@@ -29,9 +29,7 @@ fn every_tracked_send_is_answered_first_try(seed: u64) {
     assert_eq!(count("ppss.join_attempts"), joiners as u64, "one request per join");
     assert_eq!(count("ppss.joins_accepted"), joiners as u64, "one admission per join");
     assert_eq!(count("ppss.joins_completed"), joiners as u64, "every join completed");
-    for idle in
-        ["wcl.route_exhausted", "wcl.route_retry", "wcl.relay_suspected", "wcl.circuit_teardown"]
-    {
+    for idle in ["wcl.route_exhausted", "wcl.route_retry", "wcl.circuit_teardown"] {
         assert_eq!(count(idle), 0, "{idle} on a lossless network");
     }
     let pending: usize = net
