@@ -240,7 +240,8 @@ pub struct ChaosOutcome {
     pub echoed: u64,
     /// Request slots skipped (source down, empty view, no route).
     pub skipped: u64,
-    /// Route-repair latencies observed (`wcl.repair_s`), seconds.
+    /// Route-repair latencies observed (`wcl.repair_s`), seconds, in no
+    /// particular order.
     pub repair_s: Vec<f64>,
     /// `Σup − (Σdown + Σ drop counters + in-flight)`; non-zero means a
     /// message vanished without a named cause.

@@ -7,6 +7,15 @@
 //! counters (e.g. WCL route successes) and sample series (e.g. RSA CPU
 //! time per operation) through [`Metrics`].
 //!
+//! # A series is a multiset
+//!
+//! Every reader of a series takes a sum, a count, a mean, a CDF or a set,
+//! so a series promises its values and not their order: on one shard they
+//! are stored in event order, on more each shard's delta is appended in
+//! turn at the end of a run. [`Metrics::deterministic_trace`] sorts every
+//! series before it serializes it, so two runs that differ only in their
+//! shard count still compare equal.
+//!
 //! # Sinks keep their memory
 //!
 //! A sink is written all the time and emptied often — a shard's delta
@@ -37,31 +46,13 @@ pub struct Traffic {
     pub down_msgs: u64,
 }
 
-/// Canonical event key used to order sample series across shards:
-/// `(time in µs, source class/id, per-source sequence number)`. Every
-/// event the sharded engine dispatches carries one, and keys compare the
-/// same way regardless of how nodes are partitioned.
-pub(crate) type SampleTag = (u64, u64, u64);
-
-/// One sample series. Empty means not sampled since the last reset.
-#[derive(Debug, Default)]
-struct Series {
-    values: Vec<f64>,
-    /// The event tag of each value, populated only while the engine has a
-    /// current-event tag set — in the shard sinks of a run on more than
-    /// one shard, where the tags merge the per-shard series back into the
-    /// canonical global order. Empty everywhere else.
-    tags: Vec<SampleTag>,
-}
-
 /// Metric sink shared by the simulator and all protocols.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// `None`: not counted since the last reset.
     counters: BTreeMap<&'static str, Option<u64>>,
-    samples: BTreeMap<&'static str, Series>,
-    /// Tag stamped on every sample recorded until the next `set_tag`.
-    cur_tag: Option<SampleTag>,
+    /// Empty: not sampled since the last reset.
+    samples: BTreeMap<&'static str, Vec<f64>>,
     traffic: BTreeMap<NodeId, Traffic>,
 }
 
@@ -83,123 +74,38 @@ impl Metrics {
 
     /// Appends a sample to series `name`.
     pub fn sample(&mut self, name: &'static str, value: f64) {
-        let series = self.samples.entry(name).or_default();
-        series.values.push(value);
-        if let Some(tag) = self.cur_tag {
-            series.tags.push(tag);
-        }
+        self.samples.entry(name).or_default().push(value);
     }
 
-    /// Sets (or clears) the event tag stamped on subsequent samples.
-    ///
-    /// On more than one shard the engine sets this to the current event's
-    /// canonical key before invoking a protocol callback and clears it at
-    /// window boundaries. A single shard records its events in canonical
-    /// order already and never tags; harness-time samples (no tag) are
-    /// appended directly to the master sink and never merged.
-    pub(crate) fn set_tag(&mut self, tag: Option<SampleTag>) {
-        self.cur_tag = tag;
-    }
-
-    /// Moves the counters of `delta` into `self`.
-    fn take_counters(&mut self, delta: &mut Metrics) {
+    /// Folds a shard's delta sink into `self` and leaves it empty. Counters
+    /// add; each series is appended — or, where `self` holds none of it,
+    /// exchanged for `self`'s empty one, which moves no sample. The fold is
+    /// additive, so the shards may come in any order.
+    pub(crate) fn absorb_shard_delta(&mut self, delta: &mut Metrics) {
         for (&name, slot) in &mut delta.counters {
             if let Some(v) = slot.take() {
                 self.count(name, v);
             }
         }
-    }
-
-    /// Folds the delta sink of a single-shard run into `self` and leaves
-    /// it empty. Counters merge by addition; every series was recorded in
-    /// canonical event order, so it is appended as it is — or, where
-    /// `self` holds nothing of that series, exchanged for the empty one,
-    /// which moves no sample at all.
-    pub(crate) fn append_shard_delta(&mut self, delta: &mut Metrics) {
-        self.take_counters(delta);
         for (&name, run) in &mut delta.samples {
-            debug_assert!(run.tags.is_empty(), "a single shard does not tag {name}");
-            if run.values.is_empty() {
+            if run.is_empty() {
                 continue;
             }
-            let out = &mut self.samples.entry(name).or_default().values;
+            let out = self.samples.entry(name).or_default();
             if out.is_empty() {
-                std::mem::swap(out, &mut run.values);
+                std::mem::swap(out, run);
             } else {
-                out.extend_from_slice(&run.values);
-                run.values.clear();
+                out.extend_from_slice(run);
+                run.clear();
             }
         }
     }
 
-    /// Folds per-shard delta sinks into `self` and leaves them empty.
-    ///
-    /// Counters merge by addition. Sample series are merged by
-    /// their event tags: within one shard samples were recorded in
-    /// nondecreasing tag order (shards process events in canonical key
-    /// order), so a k-way merge reproduces exactly the series a 1-shard
-    /// run would have recorded. Tags never collide across shards because
-    /// each event key contains its source id.
-    pub(crate) fn merge_shard_deltas(&mut self, deltas: &mut [&mut Metrics]) {
-        for d in deltas.iter_mut() {
-            self.take_counters(d);
-        }
-        let mut names: Vec<&'static str> = Vec::new();
-        for d in deltas.iter() {
-            for (&name, run) in &d.samples {
-                if !run.values.is_empty() && !names.contains(&name) {
-                    names.push(name);
-                }
-            }
-        }
-        names.sort_unstable();
-        for name in names {
-            // One (tags, values, cursor) run per shard that touched the
-            // series; repeatedly emit the run with the smallest head tag.
-            let mut runs: Vec<(&[SampleTag], &[f64], usize)> = deltas
-                .iter()
-                .filter_map(|d| {
-                    let run = d.samples.get(name)?;
-                    debug_assert_eq!(
-                        run.tags.len(),
-                        run.values.len(),
-                        "shard-delta series {name} must be fully tagged"
-                    );
-                    Some((run.tags.as_slice(), run.values.as_slice(), 0usize))
-                })
-                .collect();
-            let out = &mut self.samples.entry(name).or_default().values;
-            loop {
-                let mut best: Option<usize> = None;
-                for (i, (tags, _, cur)) in runs.iter().enumerate() {
-                    if *cur < tags.len()
-                        && best.is_none_or(|b| tags[*cur] < runs[b].0[runs[b].2])
-                    {
-                        best = Some(i);
-                    }
-                }
-                let Some(i) = best else { break };
-                let (_, vals, cur) = &mut runs[i];
-                out.push(vals[*cur]);
-                *cur += 1;
-            }
-        }
-        for d in deltas.iter_mut() {
-            d.clear_samples();
-        }
-    }
-
-    /// Empties every series, keeping its capacity.
-    fn clear_samples(&mut self) {
-        for series in self.samples.values_mut() {
-            series.values.clear();
-            series.tags.clear();
-        }
-    }
-
-    /// All samples recorded under `name`.
+    /// All samples recorded under `name`, a multiset: on one shard they
+    /// are stored in event order, on more shard after shard, so their
+    /// order depends on the shard count and nothing may read it.
     pub fn samples(&self, name: &str) -> &[f64] {
-        self.samples.get(name).map_or(&[], |series| &series.values)
+        self.samples.get(name).map_or(&[], Vec::as_slice)
     }
 
     /// Names of all counters, sorted.
@@ -209,7 +115,7 @@ impl Metrics {
 
     /// Names of all sample series, sorted.
     pub fn sample_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.samples.iter().filter(|(_, series)| !series.values.is_empty()).map(|(&name, _)| name)
+        self.samples.iter().filter(|(_, series)| !series.is_empty()).map(|(&name, _)| name)
     }
 
     /// Adds a whole [`Traffic`] delta to `node` (used by the engine to
@@ -242,8 +148,10 @@ impl Metrics {
     /// `*_wall_us` series (wall-clock samples). Two runs of the same
     /// simulation — any shard count, thread policy, scheduler or profiler
     /// setting, and a fixed pooling mode — must produce equal traces; this
-    /// is the one definition of what that comparison exempts. Callers
-    /// append what else they compare (the final clock, protocol state).
+    /// is the one definition of what that comparison exempts. A series
+    /// enters sorted by [`f64::total_cmp`], so it compares as a multiset
+    /// (its stored order depends on the shard count). Callers append what
+    /// else they compare (the final clock, protocol state).
     pub fn deterministic_trace(&self) -> Vec<u8> {
         let host_side = |name: &&str| {
             name.starts_with("net.pool_") || name.starts_with("prof.") || name.ends_with("_wall_us")
@@ -255,7 +163,9 @@ impl Metrics {
         }
         for name in self.sample_names().filter(|n| !host_side(n)) {
             out.extend_from_slice(name.as_bytes());
-            out.extend(self.samples(name).iter().flat_map(|v| v.to_le_bytes()));
+            let mut sorted = self.samples(name).to_vec();
+            sorted.sort_unstable_by(f64::total_cmp);
+            out.extend(sorted.iter().flat_map(|v| v.to_le_bytes()));
         }
         for (node, t) in &self.traffic {
             let row = [node.0, t.up_msgs, t.down_msgs, t.up_bytes, t.down_bytes];
@@ -271,7 +181,9 @@ impl Metrics {
         for slot in self.counters.values_mut() {
             *slot = None;
         }
-        self.clear_samples();
+        for series in self.samples.values_mut() {
+            series.clear();
+        }
     }
 }
 
@@ -375,9 +287,9 @@ mod tests {
         assert_eq!(m.samples("s.two"), &[3.0]);
     }
 
-    /// One shard: counters add, series are appended in the order recorded
-    /// (exchanged where the master holds none), and the delta sink comes
-    /// back empty but not deallocated.
+    /// A delta is absorbed additively: counters add, series are appended
+    /// in the order recorded (exchanged where the master holds none), and
+    /// the delta sink comes back empty but not deallocated.
     #[test]
     fn single_shard_delta_is_appended_and_left_empty() {
         let mut master = Metrics::new();
@@ -390,7 +302,7 @@ mod tests {
             delta.sample("held", 2.0);
             delta.sample("new", round as f64);
             delta.sample("new", 9.0);
-            master.append_shard_delta(&mut delta);
+            master.absorb_shard_delta(&mut delta);
             assert_eq!(names(&delta), (vec![], vec![]), "round {round}");
             assert_eq!(delta.counter("c"), 0);
         }
@@ -403,41 +315,61 @@ mod tests {
         master.reset_counters_and_samples();
         delta.sample("new", 5.0);
         let recorded_at = delta.samples("new").as_ptr();
-        master.append_shard_delta(&mut delta);
+        master.absorb_shard_delta(&mut delta);
         assert_eq!(master.samples("new"), &[5.0]);
         assert_eq!(master.samples("new").as_ptr(), recorded_at);
         assert_eq!(names(&master), (vec![], vec!["new"]));
-        assert!(delta.samples["new"].values.capacity() >= 6, "the master's old series");
+        assert!(delta.samples["new"].capacity() >= 6, "the master's old series");
     }
 
-    /// Several shards: the tagged series interleave by event key, a
-    /// series only one shard touched included, and the deltas come back
-    /// empty.
+    /// The values of series `name`, sorted: the multiset it stands for.
+    fn sorted(m: &Metrics, name: &str) -> Vec<f64> {
+        let mut values = m.samples(name).to_vec();
+        values.sort_unstable_by(f64::total_cmp);
+        values
+    }
+
+    /// One record stream split over two shard sinks folds, in either
+    /// order, into what a single sink recorded: the same counters and the
+    /// same values — of a series only one shard touched too — and both
+    /// deltas come back empty, so a second run starts from nothing.
     #[test]
-    fn tagged_shard_deltas_merge_in_event_order() {
-        let mut master = Metrics::new();
-        master.sample("s", 0.0);
-        let (mut a, mut b) = (Metrics::new(), Metrics::new());
-        for (sink, time, value) in [(0, 10, 1.0), (1, 20, 2.0), (1, 30, 3.0), (0, 40, 4.0)] {
-            let sink = if sink == 0 { &mut a } else { &mut b };
-            sink.set_tag(Some((time, 1, 0)));
-            sink.sample("s", value);
-            sink.count("c", 1);
+    fn shard_deltas_fold_in_any_order() {
+        // (recorded on `a`?, value), in event order.
+        let stream = [(true, 1.0), (false, 2.0), (false, 3.0), (true, 4.0), (true, 2.0)];
+        let record = || {
+            let (mut single, mut a, mut b) = (Metrics::new(), Metrics::new(), Metrics::new());
+            for (on_a, value) in stream {
+                for sink in [&mut single, if on_a { &mut a } else { &mut b }] {
+                    sink.sample("s", value);
+                    sink.count("c", 1);
+                }
+            }
+            for sink in [&mut single, &mut b] {
+                sink.sample("only_b", 7.0);
+            }
+            (single, a, b)
+        };
+        for a_first in [true, false] {
+            let (single, mut a, mut b) = record();
+            let mut master = Metrics::new();
+            let (first, second) = if a_first { (&mut a, &mut b) } else { (&mut b, &mut a) };
+            master.absorb_shard_delta(first);
+            master.absorb_shard_delta(second);
+            assert_eq!(names(&master), names(&single), "a first: {a_first}");
+            assert_eq!(master.counter("c"), single.counter("c"));
+            for name in ["s", "only_b"] {
+                assert_eq!(sorted(&master, name), sorted(&single, name), "a first: {a_first}");
+            }
+            for delta in [&a, &b] {
+                assert_eq!(names(delta), (vec![], vec![]));
+            }
+            a.sample("s", 5.0);
+            master.absorb_shard_delta(&mut a);
+            master.absorb_shard_delta(&mut b);
+            assert_eq!(sorted(&master, "s"), [1.0, 2.0, 2.0, 3.0, 4.0, 5.0]);
+            assert_eq!(master.samples("only_b"), &[7.0]);
         }
-        b.sample("only_b", 7.0);
-        master.merge_shard_deltas(&mut [&mut a, &mut b]);
-        assert_eq!(master.samples("s"), &[0.0, 1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(master.samples("only_b"), &[7.0]);
-        assert_eq!(master.counter("c"), 4);
-        for delta in [&a, &b] {
-            assert_eq!(names(delta), (vec![], vec![]));
-        }
-        // A second run through the same sinks starts from nothing.
-        a.set_tag(Some((50, 1, 0)));
-        a.sample("s", 5.0);
-        master.merge_shard_deltas(&mut [&mut a, &mut b]);
-        assert_eq!(master.samples("s"), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(master.samples("only_b"), &[7.0]);
     }
 
     /// The trace holds every counter, series and traffic row but one name
@@ -471,6 +403,25 @@ mod tests {
             change(&mut m);
             assert_ne!(m.deterministic_trace(), trace);
         }
+    }
+
+    /// The trace reads a series as a multiset: the same values stored in
+    /// another order — as another shard count stores them — give the same
+    /// bytes, other values of the same count and sum do not.
+    #[test]
+    fn deterministic_trace_does_not_see_sample_order() {
+        let record = |values: [f64; 4]| {
+            let mut m = Metrics::new();
+            for v in values {
+                m.sample("wcl.rtt_s", v);
+            }
+            m.deterministic_trace()
+        };
+        let trace = record([0.5, 2.0, -0.0, 2.0]);
+        assert_eq!(trace, record([2.0, -0.0, 2.0, 0.5]));
+        assert_eq!(trace, record([2.0, 2.0, 0.5, -0.0]));
+        assert_ne!(trace, record([0.5, 2.0, 0.0, 2.0]), "-0.0 is not 0.0");
+        assert_ne!(trace, record([1.0, 1.5, -0.0, 2.0]));
     }
 
     #[test]

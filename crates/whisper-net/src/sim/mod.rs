@@ -19,9 +19,10 @@
 //!
 //! # The determinism contract
 //!
-//! Two runs with the same seed produce **byte-identical traces and
-//! metrics for any shard count and any thread policy**. This holds
-//! because nothing trace-visible depends on partitioning:
+//! Two runs with the same seed produce **byte-identical traces
+//! ([`Metrics::deterministic_trace`]) for any shard count and any thread
+//! policy**. This holds because nothing trace-visible depends on
+//! partitioning:
 //!
 //! * Events are ordered by a canonical key `(time, source, sequence)`
 //!   where `source` is the originating node (or the control plane) and
@@ -40,6 +41,9 @@
 //!   recycled through shard-local pools ([`crate::payload`]); pooling is
 //!   invisible to the trace — only the exempt `net.pool_*` statistics
 //!   reflect it (DESIGN.md §13).
+//! * Sample series compare as multisets: each shard's delta is appended
+//!   to the master sink in turn, so a series' stored order depends on the
+//!   shard count, and [`Metrics::deterministic_trace`] sorts it away.
 //!
 //! See `DESIGN.md` §12 for the full algorithm and the rules code must
 //! follow to preserve the contract (no wall clock, no `HashMap`
@@ -149,8 +153,8 @@ pub struct Sim {
     fault: FaultState,
     /// Harness RNG ([`Sim::rng`]), independent of all engine streams.
     harness_rng: StdRng,
-    /// Master metric sink; shard deltas are merged into it at run
-    /// boundaries.
+    /// Master metric sink; shard deltas are folded into it at run
+    /// boundaries and after every harness callback.
     metrics: Metrics,
     next_node_id: u64,
     /// Sequence counter for control-plane events.
@@ -367,16 +371,14 @@ impl Sim {
         f: impl FnOnce(&mut T, &mut Ctx<'_>),
     ) -> bool {
         let si = (id.0 % self.cfg.shards as u64) as usize;
-        let Sim { cfg, fault, shards, metrics, mail, now, .. } = self;
+        let Sim { cfg, fault, shards, mail, now, .. } = self;
         let shard = &mut shards[si];
         let Some(pos) = shard.slot_pos(id) else { return false };
         if shard.hot[pos] & HOT_DOWN != 0 {
             return false; // a crashed node cannot run callbacks
         }
         shard.now = *now;
-        // Harness time has no event tag for the shard-delta merge to order
-        // samples by: record straight into the master sink.
-        let applied = shard.invoke(pos, &EngineEnv { cfg, fault }, Some(metrics), |proto, ctx| {
+        let applied = shard.invoke(pos, &EngineEnv { cfg, fault }, |proto, ctx| {
             proto.as_any_mut().downcast_mut::<T>().map(|node| f(node, ctx)).is_some()
         });
         mail.post(0, shard);
@@ -533,12 +535,14 @@ impl Sim {
         Some(&mut shard.slots[pos])
     }
 
-    /// Drains every shard's delta metrics into the master sink in
-    /// canonical event order; the shard sinks come back empty, with the
-    /// memory they had. Pool statistics are flushed here too — into
-    /// the `net.pool_*` counters, which are shard-local by nature and
-    /// therefore exempt from the determinism-trace comparison (DESIGN.md
-    /// §13), like the `*_wall_us` samples.
+    /// Folds every shard's delta metrics into the master sink, one
+    /// additive [`Metrics::absorb_shard_delta`] per shard, so a series'
+    /// stored order depends on the shard count and nothing else does; the
+    /// shard sinks come back empty, with the memory they had. Pool
+    /// statistics are flushed here too — into the `net.pool_*` counters,
+    /// which are shard-local by nature and therefore exempt from the
+    /// determinism-trace comparison (DESIGN.md §13), like the `*_wall_us`
+    /// samples.
     fn sync_metrics(&mut self) {
         let Sim { shards, metrics, .. } = self;
         for s in shards.iter_mut() {
@@ -563,14 +567,7 @@ impl Sim {
                 let t = std::mem::take(&mut s.traffic[pos as usize]);
                 metrics.add_traffic(NodeId(pos as u64 * nshards + base), t);
             }
-        }
-        match shards.as_mut_slice() {
-            [only] => metrics.append_shard_delta(&mut only.metrics),
-            many => {
-                let mut deltas: Vec<&mut Metrics> =
-                    many.iter_mut().map(|s| &mut s.metrics).collect();
-                metrics.merge_shard_deltas(&mut deltas);
-            }
+            metrics.absorb_shard_delta(&mut s.metrics);
         }
     }
 }

@@ -250,11 +250,6 @@ impl Shard {
                 self.in_flight -= 1;
             }
             self.now = ev.at;
-            // Tags exist to merge the series of several shards; one shard
-            // records in canonical order as it is.
-            if self.nshards > 1 {
-                self.metrics.set_tag(Some(key));
-            }
             let t_disp = profiling.then(std::time::Instant::now);
             self.dispatch(ev, env);
             if let Some(t0) = t_disp {
@@ -262,7 +257,6 @@ impl Shard {
                 self.prof.events += 1;
             }
         }
-        self.metrics.set_tag(None);
     }
 
     fn dispatch(&mut self, ev: Event, env: &EngineEnv<'_>) {
@@ -287,7 +281,7 @@ impl Shard {
                 if self.slots[pos].down_until.take().is_some() {
                     self.hot[pos] &= !HOT_DOWN;
                     self.metrics.count("net.fault_restart", 1);
-                    self.invoke(pos, env, None, |proto, ctx| proto.on_crash_restart(ctx));
+                    self.invoke(pos, env, |proto, ctx| proto.on_crash_restart(ctx));
                 }
             }
             EventKind::FaultRebind { node } => {
@@ -328,9 +322,7 @@ impl Shard {
                     false,
                     data.len(),
                 );
-                self.invoke(pos, env, None, |proto, ctx| {
-                    proto.on_message(ctx, from, from_ep, &data)
-                });
+                self.invoke(pos, env, |proto, ctx| proto.on_message(ctx, from, from_ep, &data));
                 // The engine's reference is the last one unless the
                 // protocol cloned the payload; recycle the buffer for a
                 // future send. Shared buffers are left alone, so reuse is
@@ -358,20 +350,19 @@ impl Shard {
         }
         match ev.kind {
             EventKind::Timer { token, .. } => {
-                self.invoke(pos, env, None, |proto, ctx| proto.on_timer(ctx, token))
+                self.invoke(pos, env, |proto, ctx| proto.on_timer(ctx, token))
             }
-            _ => self.invoke(pos, env, None, |proto, ctx| proto.on_start(ctx)),
+            _ => self.invoke(pos, env, |proto, ctx| proto.on_start(ctx)),
         };
     }
 
     /// Runs one callback on the slot and applies its effects; `None` if
     /// the slot holds no live protocol. The callback's [`Ctx`] records
-    /// into `sink`, or into this shard's delta sink when there is none.
+    /// into this shard's delta sink, event and harness callbacks alike.
     pub(super) fn invoke<R>(
         &mut self,
         pos: usize,
         env: &EngineEnv<'_>,
-        sink: Option<&mut Metrics>,
         f: impl FnOnce(&mut dyn Protocol, &mut Ctx<'_>) -> R,
     ) -> Option<R> {
         let now = self.now;
@@ -384,7 +375,7 @@ impl Shard {
                 id: slot.id,
                 nat_type: slot.nat.nat_type(),
                 rng: &mut slot.proto_rng,
-                metrics: sink.unwrap_or(metrics),
+                metrics,
                 pool,
                 tally: AllocTally::default(),
                 prof: ProfCtx::new(prof.enabled),

@@ -430,16 +430,17 @@ impl Protocol for SamplingTicker {
     }
 }
 
-/// The metric sinks are written once and keep their memory: on one shard
-/// — no event tags, a series handed to the master sink by exchanging it
-/// for the master's empty one — a run whose every callback records a
-/// sample allocates nothing at all once warm, neither inside the
-/// callbacks (the series has its capacity) nor between them, where the
-/// end of every `run_for` empties the shard's sink into the master's. The
-/// harness resets the master sink between windows, as the benchmark does.
-#[test]
-fn steady_state_sampling_allocations_are_zero_on_one_shard() {
-    let mut sim = Sim::new(SimConfig::cluster(34).with_expected_nodes(1 << 16));
+/// Runs 8 sampling tickers on `shards` shards (sequentially) through six
+/// warm-up windows and five measured ones, the harness resetting the
+/// master sink after each as the benchmark does; returns what the
+/// measured windows allocated in all and between callbacks.
+fn warm_sampling_allocations(shards: usize) -> (u64, u64) {
+    let mut sim = Sim::new(
+        SimConfig::cluster(34)
+            .with_shards(shards)
+            .with_threads(false)
+            .with_expected_nodes(1 << 16),
+    );
     let engine_side = Arc::new(AtomicU64::new(0));
     let add = |sim: &mut Sim, target| {
         sim.add_node(
@@ -462,9 +463,9 @@ fn steady_state_sampling_allocations_are_zero_on_one_shard() {
         m.reset_counters_and_samples();
         recorded
     };
-    // Warm: both copies of the series have grown (the shard's sink and
-    // the master's hand them back and forth) and the payload pool holds
-    // the most buffers ever in flight.
+    // Warm: every copy of the series has grown (the shard sinks and the
+    // master's hand them back and forth) and the payload pools hold the
+    // most buffers ever in flight.
     for _ in 0..6 {
         window(&mut sim);
     }
@@ -474,11 +475,29 @@ fn steady_state_sampling_allocations_are_zero_on_one_shard() {
         // 8 nodes × 200 ticks; the deliveries of a few straddle the
         // window's ends.
         let (delivered, samples) = window(&mut sim);
-        assert!((1590..=1610).contains(&delivered), "{delivered} deliveries");
+        assert!((1590..=1610).contains(&delivered), "{shards} shard(s): {delivered} deliveries");
         assert_eq!(samples, 1600 + delivered, "a sample per callback");
     }
-    assert_eq!(allocations() - before, 0, "allocations in five warm windows, callbacks included");
-    assert_eq!(engine_side.load(Ordering::Relaxed), 0, "of which between callbacks");
+    (allocations() - before, engine_side.load(Ordering::Relaxed))
+}
+
+/// The metric sinks are written once and keep their memory: a run whose
+/// every callback records a sample allocates nothing between callbacks
+/// once warm, where the end of every `run_for` folds each shard's sink
+/// into the master's — on one shard by exchanging the series for the
+/// master's empty one, on two by exchanging one and appending the other.
+/// On one shard nothing allocates inside the callbacks either (the series
+/// has its capacity); on two, a payload sent across shards is recycled
+/// into the receiver's pool, so the sender's allocates a fresh one.
+#[test]
+fn steady_state_sampling_allocations_are_zero_once_warm() {
+    for shards in [1, 2] {
+        let (total, between) = warm_sampling_allocations(shards);
+        if shards == 1 {
+            assert_eq!(total, 0, "allocations in five warm windows, callbacks included");
+        }
+        assert_eq!(between, 0, "of which between callbacks, on {shards} shard(s)");
+    }
 }
 
 /// Ticks every 100 ms; the armed one panics on its tenth tick.

@@ -152,9 +152,9 @@ fn full_nat_rebind_recovers() {
 // ------------------------------------------------- scale-out (1k nodes)
 
 /// 1000-node crash/restart chaos on the 4-shard engine: the sharded
-/// event loop, shard-local fault application and the tagged metrics
-/// merge all hold the same recovery invariants at ~3× the acceptance
-/// population (DESIGN.md §12).
+/// event loop, shard-local fault application and the per-shard metric
+/// deltas folded into one sink all hold the same recovery invariants at
+/// ~3× the acceptance population (DESIGN.md §12).
 #[test]
 #[ignore = "1k-node scale-out run; executed in release mode by scripts/verify.sh"]
 fn full_crash_restart_1k_nodes_on_4_shards() {
