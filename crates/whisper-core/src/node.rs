@@ -394,7 +394,7 @@ impl Protocol for WhisperNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, from_ep: Endpoint, data: &Payload) {
         // Application traffic — every WCL packet — is read where it was
         // delivered; only the PSS's own messages take the owned decode.
-        if let Some((_, app)) = self.nylon.on_app_message(ctx, from, from_ep, data) {
+        if let Some(app) = self.nylon.on_app_message(ctx, from, from_ep, data) {
             // A public host's packets leave from port 0.
             self.on_app_payload(ctx, (from, from_ep.port == 0), app);
             return;

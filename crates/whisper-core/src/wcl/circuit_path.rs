@@ -62,7 +62,7 @@ fn put_circuit_header<W: WireSink>(
     });
     w.put_raw(&cid.0);
     w.put_raw(&nonce.0);
-    w.put_u32(body_len as u32);
+    w.put_len(body_len);
 }
 
 /// Writes a whole outgoing circuit packet — Nylon framing, circuit header

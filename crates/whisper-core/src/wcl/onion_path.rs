@@ -302,7 +302,7 @@ mod tests {
             assert_eq!(OnionView::from_wire(&wire).unwrap(), OnionView { header, body });
         }
         let wire = onion_wire(&[1, 2, 3], &[4, 5]);
-        assert_eq!(wire, [0xC1, 0, 0, 0, 3, 1, 2, 3, 0, 0, 0, 2, 4, 5], "the bytes on the wire");
+        assert_eq!(wire, [0xC1, 3, 1, 2, 3, 2, 4, 5], "the bytes on the wire");
         for cut in 0..wire.len() {
             assert!(OnionView::from_wire(&wire[..cut]).is_err(), "truncated to {cut} bytes");
         }

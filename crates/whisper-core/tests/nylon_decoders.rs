@@ -3,14 +3,16 @@
 //! of a running stack — gossip requests and responses, relayed messages and
 //! application frames among them — then cut short, grown, spliced,
 //! bit-flipped, given a sequence length that claims the whole remaining
-//! input or a NAT-type byte of any value: `NylonMsg::from_wire` refuses it
-//! or reads back exactly what it was given — but for the NAT type of a
-//! NATted view entry, which the owned form reads as NATted and writes as
-//! symmetric — `NylonMsg::gossip_view` and `NylonMsg::app_view` accept
-//! exactly what it decodes as their kind and allocate nothing, the owned
-//! decoder reserves no more than the input can fill, and a node handed it
-//! does not panic.
+//! input, a length prefix no decoder may take (wider than it needs,
+//! claiming 2⁶² − 1, cut short) or a NAT-type byte of any value:
+//! `NylonMsg::from_wire` refuses it or reads back exactly what it was given
+//! — but for the NAT type of a NATted view entry, which the owned form
+//! reads as NATted and writes as symmetric — `NylonMsg::gossip_view` and
+//! `NylonMsg::app_view` accept exactly what it decodes as their kind and
+//! allocate nothing, the owned decoder reserves no more than the input can
+//! fill, and a node handed it does not panic.
 
+mod lengths;
 mod watching;
 
 use std::cell::RefCell;
@@ -60,7 +62,8 @@ impl Protocol for Tap {
 type Image = (Vec<u8>, Vec<usize>, Vec<usize>);
 
 /// Where the length prefixes of `msg`'s image sit: behind the tag, the
-/// sender, if the message names one, and what precedes each.
+/// sender, if the message names one, and what precedes each, as the codec
+/// sizes it.
 fn length_prefixes(msg: &NylonMsg) -> Vec<usize> {
     match msg {
         NylonMsg::GossipReq { entries, key, .. } | NylonMsg::GossipResp { entries, key, .. } => {
@@ -76,7 +79,7 @@ fn length_prefixes(msg: &NylonMsg) -> Vec<usize> {
             [Some(1), Some(taken_at), relayed.then_some(inner_at)].into_iter().flatten().collect()
         }
         NylonMsg::Ping { key: Some(_), .. } | NylonMsg::Pong { key: Some(_), .. } => vec![10],
-        NylonMsg::App { .. } => vec![9],
+        NylonMsg::App { .. } => vec![1],
         _ => vec![],
     }
 }
@@ -88,7 +91,7 @@ fn nat_bytes(msg: &NylonMsg) -> Vec<usize> {
         NylonMsg::GossipReq { entries, .. } | NylonMsg::GossipResp { entries, .. } => {
             // Behind the tag, sender, flag and count; in an entry, behind
             // its node and age.
-            let mut at = 1 + 8 + 1 + 4;
+            let mut at = 1 + 8 + 1 + WireLen::of(|n| n.put_len(entries.len()));
             entries
                 .iter()
                 .map(|entry| {
@@ -187,9 +190,7 @@ fn nylon_decoders_are_total_on_hostile_bytes() {
             }
         }
         for &at in prefixes {
-            let count = u32::from_be_bytes(image[at..at + 4].try_into().expect("4 bytes"));
-            let mut claimed = image.clone();
-            claimed[at..at + 4].copy_from_slice(&(count + 1).to_be_bytes());
+            let claimed = lengths::with_len(image, at, lengths::len_at(image, at).0 + 1);
             assert!(NylonMsg::from_wire(&claimed).is_err(), "tag {}: no length at {at}", image[0]);
         }
     }
@@ -197,7 +198,7 @@ fn nylon_decoders_are_total_on_hostile_bytes() {
     let sim = RefCell::new(sim);
     whisper_rand::check::check(1024, "nylon_decoders_are_total_on_hostile_bytes", |g| {
         let (image, prefixes, nats) = &images[g.gen_range(0..images.len())];
-        let hostile = match g.gen_range(0..7u8) {
+        let hostile = match g.gen_range(0..8u8) {
             0 => [&image[..1], &g.bytes(300)].concat(),
             1 => image[..g.gen_range(0..image.len())].to_vec(),
             2 => [&image[..], &g.bytes(8), &[0]].concat(),
@@ -218,27 +219,32 @@ fn nylon_decoders_are_total_on_hostile_bytes() {
                 coded[nats[g.gen_range(0..nats.len())]] = code;
                 coded
             }
+            6 if !prefixes.is_empty() => {
+                // A length prefix no decoder may take.
+                let at = prefixes[g.gen_range(0..prefixes.len())];
+                lengths::refused_prefix(g, image, at)
+            }
             _ => {
-                // A length that claims every byte left, one per element.
-                let at = match prefixes.len() {
-                    0 => g.gen_range(0..image.len().saturating_sub(4).max(1)),
-                    n => prefixes[g.gen_range(0..n)],
+                // A length that claims every byte left, one per element:
+                // over a prefix, or over a byte anywhere when there is none.
+                let (at, replaced) = match prefixes.len() {
+                    0 => (g.gen_range(0..image.len()), 1),
+                    n => {
+                        let at = prefixes[g.gen_range(0..n)];
+                        (at, lengths::len_at(image, at).1)
+                    }
                 };
-                let mut claimed = image.clone();
-                if at + 4 <= claimed.len() {
-                    claimed[at..at + 4].copy_from_slice(&((image.len() - at - 4) as u32).to_be_bytes());
-                }
-                claimed
+                lengths::claiming_the_rest(image, at, replaced)
             }
         };
         let (decoded, largest) = watching::largest_during(|| NylonMsg::from_wire(&hostile));
         let (views, viewed) =
             watching::largest_during(|| (NylonMsg::gossip_view(&hostile).is_some(), NylonMsg::app_view(&hostile)));
         // Nothing a Nylon message holds is denser in memory than its view
-        // entries — a 15-byte wire entry is a `ViewEntry` in memory — and
+        // entries — a 12-byte wire entry is a `ViewEntry` in memory — and
         // a `Vec` grows to at most twice the items it holds, and to no
         // fewer than four.
-        let items = (2 * hostile.len() / 15).max(4);
+        let items = (2 * hostile.len() / 12).max(4);
         assert!(largest <= items * size_of::<ViewEntry>(), "{largest} B reserved for {} B", hostile.len());
         assert_eq!(viewed, 0, "a borrowed view allocated");
         let (gossip, app) = views;
@@ -257,7 +263,7 @@ fn nylon_decoders_are_total_on_hostile_bytes() {
         let as_gossip = matches!(decoded, Ok(NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. }));
         assert_eq!(gossip, as_gossip, "gossip_view and from_wire disagree");
         match (&decoded, app) {
-            (Ok(NylonMsg::App { from, payload }), Some(view)) => assert_eq!((*from, &payload[..]), view),
+            (Ok(NylonMsg::App { payload }), Some(view)) => assert_eq!(&payload[..], view),
             (Ok(NylonMsg::App { .. }), None) => panic!("app_view declined an App"),
             (_, app) => assert!(app.is_none(), "app_view accepted what from_wire does not read as an App"),
         }

@@ -1,18 +1,20 @@
-//! The PPSS decoders on hostile bytes (ROADMAP item 4 (a), the PPSS
-//! slice; `wcl_circuits.rs::circuit_decoders_are_total_on_hostile_bytes`
-//! is the template). Every message kind — the exchange request and
-//! response, each carrying the sender's non-empty revoked set, the
-//! deletion that carries a tombstone, and the rest — and the signed
-//! tombstone of a deletion, built from a running group's own state, then
-//! cut short, grown, spliced, bit-flipped or given a sequence length that
-//! claims the whole remaining input: `PpssMsg::from_wire` and
+//! The PPSS decoders on hostile bytes (ROADMAP item 4 (a), the PPSS slice;
+//! `wcl_circuits.rs::circuit_decoders_are_total_on_hostile_bytes` is the
+//! template). Every message kind — the exchange request and response, each
+//! carrying the sender's non-empty revoked set, the deletion that carries a
+//! tombstone, and the rest — and the signed tombstone of a deletion, built
+//! from a running group's own state, then cut short, grown, spliced,
+//! bit-flipped, given a sequence length that claims the whole remaining
+//! input or a length prefix no decoder may take (wider than it needs,
+//! claiming 2⁶² − 1, cut short): `PpssMsg::from_wire` and
 //! `GroupDescriptor::from_wire` refuse it or read back exactly what they
 //! were given, never reserve more than the input for it, and a member
 //! handed it does not panic. A validly signed descriptor that is not a
 //! tombstone changes no state. The journal's group and pending-join
-//! records, mangled the same ways and framed with a valid checksum, fail
-//! a restart on that disk only as counted bad records.
+//! records, mangled the same ways and framed with a valid checksum, fail a
+//! restart on that disk only as counted bad records.
 
+mod lengths;
 mod watching;
 
 use std::cell::RefCell;
@@ -24,7 +26,7 @@ use whisper_core::{GroupId, PpssEvent, PrivateEntry, WhisperConfig, WhisperNode}
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::nat::NatType;
 use whisper_net::sim::{Protocol, Sim, SimConfig};
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireLen, WireReader, WireSink};
 use whisper_net::NodeId;
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
@@ -105,13 +107,13 @@ fn running_group() -> (Sim, NodeId, NodeId, Vec<Image>) {
         revoked: state.revoked().iter().copied().collect(),
     };
     // Where the sequences start: behind the tag, the group and what
-    // precedes them.
+    // precedes them, as the codec sizes it.
     let passport_end = 1 + 16 + passport.encoded_len();
     let entries_at = passport_end + entry.encoded_len();
-    let after_entries = entries_at + 4 + state.view().iter().map(|e| e.encoded_len()).sum::<usize>();
+    let after_entries = entries_at + WireLen::of(|n| n.put_seq(state.view()));
     let revoked_at = after_entries + 8 + 1 + 16 + 1 + 1;
     let key_history: Vec<Vec<u8>> = led.key_history().iter().map(|k| k.to_bytes()).collect();
-    let history_len = 4 + key_history.iter().map(|k| 4 + k.len()).sum::<usize>();
+    let history_len = WireLen::of(|n| n.put_seq(&key_history));
     let accreditation = stack(leader).invite(group, NodeId(7)).unwrap().accreditation;
     // Behind the group, epoch, sequence, key hash and tombstone flag.
     let adds_at = 16 + 8 + 8 + 32 + 1;
@@ -149,7 +151,9 @@ fn running_group() -> (Sim, NodeId, NodeId, Vec<Image>) {
     let tombstone = sim.node::<WhisperNode>(leader).unwrap().ppss().tombstone(doomed).unwrap().to_vec();
     let deleted = PpssMsg::Deleted { tombstone: tombstone.clone(), exchange_id: 77 };
     images.push((Decoder::Ppss, deleted.to_wire(), vec![1]));
-    images.push((Decoder::Descriptor, tombstone, vec![adds_at, adds_at + 4]));
+    let adds = GroupDescriptor::from_wire(&tombstone).expect("a tombstone as signed").adds;
+    let removes_at = adds_at + WireLen::of(|n| n.put_seq(&adds));
+    images.push((Decoder::Descriptor, tombstone, vec![adds_at, removes_at]));
     (sim, leader, member, images)
 }
 
@@ -161,9 +165,7 @@ fn ppss_decoders_are_total_on_hostile_bytes() {
     for (decoder, image, seqs) in &images {
         assert_eq!(decoder.read_back(image).as_ref(), Ok(image));
         for &at in seqs {
-            let count = u32::from_be_bytes(image[at..at + 4].try_into().expect("4 bytes"));
-            let mut claimed = image.clone();
-            claimed[at..at + 4].copy_from_slice(&(count + 1).to_be_bytes());
+            let claimed = lengths::with_len(image, at, lengths::len_at(image, at).0 + 1);
             assert!(decoder.read_back(&claimed).is_err(), "{decoder:?}: no sequence at {at}");
         }
     }
@@ -171,7 +173,7 @@ fn ppss_decoders_are_total_on_hostile_bytes() {
     let sim = RefCell::new(sim);
     whisper_rand::check::check(512, "ppss_decoders_are_total_on_hostile_bytes", |g| {
         let (decoder, image, seqs) = &images[g.gen_range(0..images.len())];
-        let hostile = match g.gen_range(0..6u8) {
+        let hostile = match g.gen_range(0..7u8) {
             0 => [&image[..1], &g.bytes(300)].concat(),
             1 => image[..g.gen_range(0..image.len())].to_vec(),
             2 => [&image[..], &g.bytes(8), &[0]].concat(),
@@ -185,15 +187,23 @@ fn ppss_decoders_are_total_on_hostile_bytes() {
                 flipped[g.gen_range(0..image.len())] ^= 1 << g.gen_range(0..8u32);
                 flipped
             }
+            5 if !seqs.is_empty() => {
+                // A length prefix no decoder may take.
+                let at = seqs[g.gen_range(0..seqs.len())];
+                lengths::refused_prefix(g, image, at)
+            }
             _ => {
-                // A length that claims every byte left, one per element.
-                let at = match seqs.len() {
-                    0 => g.gen_range(0..image.len() - 4),
-                    n => seqs[g.gen_range(0..n)],
+                // A length that claims every byte left, one per element:
+                // over a sequence's count, or over a byte anywhere when
+                // there is none.
+                let (at, replaced) = match seqs.len() {
+                    0 => (g.gen_range(0..image.len()), 1),
+                    n => {
+                        let at = seqs[g.gen_range(0..n)];
+                        (at, lengths::len_at(image, at).1)
+                    }
                 };
-                let mut claimed = image.clone();
-                claimed[at..at + 4].copy_from_slice(&((image.len() - at - 4) as u32).to_be_bytes());
-                claimed
+                lengths::claiming_the_rest(image, at, replaced)
             }
         };
         let (decoded, largest) = watching::largest_during(|| decoder.read_back(&hostile));
@@ -338,7 +348,7 @@ fn read_record(record: &[u8]) -> Result<(bool, Vec<usize>), WireError> {
             // its gateways.
             let key_at = at(&r) + 8 + 2 + 1;
             let entry: PrivateEntry = r.take()?;
-            prefixes.extend([key_at, key_at + 4 + entry.key.wire_bytes().len()]);
+            prefixes.extend([key_at, key_at + WireLen::of(|n| n.put_bytes(entry.key.wire_bytes()))]);
         }
         _ => return Err(WireError::new("journal record tag")),
     }
@@ -360,9 +370,10 @@ fn restart_on(sim: &mut Sim, node: NodeId, disk: Journal) -> u64 {
 }
 
 /// Each group and pending-join record of the leader's journal, cut short,
-/// grown, bit-flipped or given a length that claims more than the input
-/// holds, re-framed with a valid checksum among the intact others: the
-/// leader restarts on that disk without panicking,
+/// grown, bit-flipped, given a length that claims more than the input
+/// holds or a length prefix no decoder may take, re-framed with a valid
+/// checksum among the intact others: the leader restarts on that disk
+/// without panicking,
 /// `ppss.journal_bad_record` counts the record exactly when it does not
 /// parse, and no group whose tombstone record is intact comes back.
 #[test]
@@ -399,7 +410,7 @@ fn journal_records_are_total_on_hostile_bytes() {
         let target = targets[g.gen_range(0..targets.len())];
         let record = &records[target];
         let (_, prefixes) = read_record(record).expect("a record as written");
-        let hostile = match g.gen_range(0..4u8) {
+        let hostile = match g.gen_range(0..5u8) {
             0 => record[..g.gen_range(0..record.len())].to_vec(),
             1 => [&record[..], &g.bytes(8), &[0]].concat(),
             2 => {
@@ -407,12 +418,14 @@ fn journal_records_are_total_on_hostile_bytes() {
                 flipped[g.gen_range(0..record.len())] ^= 1 << g.gen_range(0..8u32);
                 flipped
             }
+            3 => {
+                let at = prefixes[g.gen_range(0..prefixes.len())];
+                let claimed = if g.gen() { u32::MAX as usize } else { record.len() - at };
+                lengths::with_len(record, at, claimed)
+            }
             _ => {
                 let at = prefixes[g.gen_range(0..prefixes.len())];
-                let claimed = if g.gen() { u32::MAX } else { (record.len() - at) as u32 };
-                let mut inflated = record.clone();
-                inflated[at..at + 4].copy_from_slice(&claimed.to_be_bytes());
-                inflated
+                lengths::refused_prefix(g, record, at)
             }
         };
         let mut mangled = records.clone();

@@ -21,8 +21,10 @@ use whisper_crypto::onion::{build_onion_ext, OnionPacket};
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::nat::NatType;
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
-use whisper_net::wire::{WireDecode, WireEncode, WireSink, WireWriter};
-use whisper_net::{NodeId, SimDuration};
+use whisper_net::wire::{WireDecode, WireEncode, WireLen, WireSink, WireWriter};
+use whisper_net::{Endpoint, NodeId, Payload, SimDuration};
+use whisper_pss::messages::{ChainBody, NylonMsg};
+use whisper_rand::check::Gen;
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
 
@@ -391,6 +393,17 @@ fn circuit_wire(tag: u8, cid: CircuitId, nonce: [u8; 8], body: &[u8]) -> Vec<u8>
     w.into_bytes()
 }
 
+/// `head`, a prefix for `len` that no decoder may take, then `tail`: `len`
+/// in eight bytes, wider than it needs; eight bytes that claim 2⁶² − 1;
+/// or the first two bytes of a four-byte prefix, and nothing behind.
+fn refused_len(g: &mut Gen, head: &[u8], len: usize, tail: &[u8]) -> Vec<u8> {
+    match g.gen_range(0..3u8) {
+        0 => [head, &(0xC000_0000_0000_0000 | len as u64).to_be_bytes(), tail].concat(),
+        1 => [head, &[0xFF; 8], tail].concat(),
+        _ => [head, &[0x80, 0]].concat(),
+    }
+}
+
 /// A setup extension of a foreign length is the source's problem, not the
 /// packet's: the hop counts it, installs nothing, and the layer it came
 /// in is relayed or delivered all the same.
@@ -469,11 +482,13 @@ fn malformed_next_hop_drops_the_packet_before_any_work() {
 /// forwarded, installed or handed to the application.
 ///
 /// Whatever follows a `0xC2` or `0xC3` tag — random bytes, a valid packet
-/// of a carried circuit, either way, cut short or grown, or one with a bit
-/// flipped in a field the hop itself reads (tag, circuit id, length) — and
-/// whatever follows a `0xC1` tag — random bytes, an onion sealed for this
-/// very node cut short or grown, or one with a bit flipped in the tag or
-/// in either length field — `Wcl::on_app_payload` returns without
+/// of a carried circuit, either way, cut short or grown, one with a bit
+/// flipped in a field the hop itself reads (tag, circuit id, length) or
+/// one whose length no decoder may take (wider than it needs, claiming
+/// 2⁶² − 1, cut short) — and whatever follows a `0xC1` tag — random
+/// bytes, an onion sealed for this very node cut short or grown, or one
+/// with a bit flipped in the tag or in either length field, or either
+/// length refused the same ways — `Wcl::on_app_payload` returns without
 /// panicking, delivers nothing, forwards nothing and installs nothing, and
 /// a packet that still carries its tag is counted under the name of its
 /// drop. The borrowed onion view refuses what the owned decoder it
@@ -582,13 +597,15 @@ fn circuit_decoders_are_total_on_hostile_bytes() {
             1 => circuit_wire(0xC2, passing, g.gen(), &body),
             _ => circuit_wire(0xC3, onward, g.gen(), &body),
         };
-        let circuit_packet = match g.gen_range(0..4u8) {
+        // Tag, id and nonce are bytes 0..17, the body length behind them.
+        let body_at = 17 + WireLen::of(|n| n.put_len(body.len()));
+        let circuit_packet = match g.gen_range(0..5u8) {
             0 => [&valid[..1], &g.bytes(120)].concat(),
             1 => valid[..g.gen_range(0..valid.len())].to_vec(),
             2 => [&valid[..], &g.bytes(8), &[0]].concat(),
+            3 => refused_len(g, &valid[..17], body.len(), &valid[body_at..]),
             _ => {
-                // Tag and id are bytes 0..9, the body length bytes 17..21.
-                let at = if g.gen_bool(0.7) { g.gen_range(0..9) } else { g.gen_range(17..21) };
+                let at = if g.gen_bool(0.7) { g.gen_range(0..9) } else { g.gen_range(17..body_at) };
                 let mut flipped = valid;
                 flipped[at] ^= 1 << g.gen_range(0..8u32);
                 flipped
@@ -596,18 +613,22 @@ fn circuit_decoders_are_total_on_hostile_bytes() {
         };
         let onion = if g.gen_bool(0.5) { &for_here } else { &through_here };
         let valid = onion_wire(onion);
-        let onion_packet = match g.gen_range(0..4u8) {
+        // The tag is byte 0, the header length behind it, the body
+        // length behind the header.
+        let header_at = 1 + WireLen::of(|n| n.put_len(onion.header.len()));
+        let body_len_at = header_at + onion.header.len();
+        let body_at = body_len_at + WireLen::of(|n| n.put_len(onion.body.len()));
+        let onion_packet = match g.gen_range(0..5u8) {
             0 => [&[0xC1][..], &g.bytes(200)].concat(),
             1 => valid[..g.gen_range(0..valid.len())].to_vec(),
             2 => [&valid[..], &g.bytes(8), &[0]].concat(),
+            3 if g.gen_bool(0.5) => refused_len(g, &valid[..1], onion.header.len(), &valid[header_at..]),
+            3 => refused_len(g, &valid[..body_len_at], onion.body.len(), &valid[body_at..]),
             _ => {
-                // The tag is byte 0, the header length bytes 1..5, the
-                // body length the four bytes behind the header.
-                let body_len_at = 5 + onion.header.len();
                 let at = match g.gen_range(0..3u8) {
                     0 => 0,
-                    1 => g.gen_range(1..5),
-                    _ => g.gen_range(body_len_at..body_len_at + 4),
+                    1 => g.gen_range(1..header_at),
+                    _ => g.gen_range(body_len_at..body_at),
                 };
                 let mut flipped = valid;
                 flipped[at] ^= 1 << g.gen_range(0..8u32);
@@ -685,6 +706,69 @@ fn circuit_decoders_are_total_on_hostile_bytes() {
     assert_eq!((m.counter("wcl.relayed"), m.counter("wcl.circuit_forwarded")), (2, 1));
     assert_eq!(m.traffic(node).up_msgs, 2, "the return packet left for the previous hop");
     assert_eq!(deliver(sim, &short(spoken)), Some(stated), "and the stated context still holds");
+}
+
+/// A host that keeps every datagram it is sent.
+#[derive(Default)]
+struct Inbox(Vec<Vec<u8>>);
+
+impl Protocol for Inbox {
+    fn on_start(&mut self, _: &mut Ctx<'_>) {}
+    fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Endpoint, data: &Payload) {
+        self.0.push(data.to_vec());
+    }
+    fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A WCL packet that came over a rendezvous chain reaches the WCL with the
+/// chain's first hop as its previous hop, not with the relay that handed
+/// it on: the circuit its onion sets up here leads back to the origin, so
+/// a return packet on it leaves wrapped for the origin, over the relay.
+#[test]
+fn a_relayed_wcl_packet_reaches_the_wcl_from_the_chains_first_hop() {
+    let cfg = WhisperConfig::default();
+    let mut keyrng = StdRng::seed_from_u64(210);
+    let keypair = KeyPair::generate(cfg.nylon.rsa, &mut keyrng);
+    let next = KeyPair::generate(cfg.nylon.rsa, &mut keyrng);
+    let mut sim = Sim::new(SimConfig::ideal(210));
+    let node = sim.add_node(Box::new(WhisperNode::new(cfg, keypair.clone())), NatType::Public);
+    let relay = sim.add_node(Box::<Inbox>::default(), NatType::Public);
+    let origin = NodeId(8_000);
+    sim.run_for_secs(1);
+    // An onion this node is to mix on towards node 9, setting up a circuit
+    // in under one id and out under another.
+    let (cid_in, cid_out) = (CircuitId([0x44; 8]), CircuitId([0x55; 8]));
+    let setup = HopSetup { cid_in, cid_out: Some(cid_out), key: AesKey([4; 16]) }.encode();
+    let path = [
+        (keypair.public().clone(), public_hop_addr(node)),
+        (next.public().clone(), public_hop_addr(NodeId(9))),
+    ];
+    let onion = build_onion_ext(&path, &[0x5A; 60], &[setup, vec![]], &mut keyrng).unwrap();
+    let relayed = NylonMsg::Chain {
+        remaining: vec![],
+        taken: vec![origin, relay],
+        body: ChainBody::Relayed(NylonMsg::App { payload: onion_wire(&onion) }.to_wire()),
+    };
+    sim.with_node_ctx::<WhisperNode>(node, |n, ctx| {
+        n.on_message(ctx, relay, Endpoint::public(relay), &Payload::fresh(relayed.to_wire()));
+    });
+    assert_eq!(sim.metrics().counter("wcl.circuit_installed"), 1);
+    assert!(hand_to_wcl(&mut sim, node, &circuit_wire(0xC3, cid_out, [3; 8], &[0x5A; 60])).is_none());
+    sim.run_for_secs(1);
+    let got = &sim.node::<Inbox>(relay).unwrap().0;
+    assert_eq!(got.len(), 1, "one datagram to the relay");
+    let Ok(NylonMsg::Chain { remaining, taken, body: ChainBody::Relayed(inner) }) = NylonMsg::from_wire(&got[0])
+    else {
+        panic!("not a relayed message: {:02x?}", got[0]);
+    };
+    assert_eq!((remaining, taken), (vec![origin], vec![node]), "wrapped for the origin");
+    assert_eq!(NylonMsg::app_view(&inner).and_then(|packet| packet.first().copied()), Some(0xC3));
 }
 
 /// Runs `f` on `node`'s [`Talker`] with the stack's API.

@@ -1,15 +1,17 @@
 //! The WCL decoders on hostile bytes (ROADMAP item 4 (a), the WCL slice;
 //! `nylon_decoders.rs` is the template). Onion (`0xC1`), circuit (`0xC2`)
 //! and return (`0xC3`) packets taken off the wire of a running stack, each
-//! where it arrived, then cut short, grown, spliced, bit-flipped or given a
-//! length that claims the whole remaining input, and handed back to the
-//! node that received it as the payload of a Nylon `App` message: the node
-//! does not panic, a packet that carries a WCL tag and is not well-formed
-//! is counted under `wcl.malformed` and nothing else is, and the largest
-//! single allocation the node makes stays within what the input can fill.
-//! Then the circuit setup (`HopSetup`) an onion layer carries, from a
-//! source that lies in it.
+//! where it arrived, then cut short, grown, spliced, bit-flipped, given a
+//! length that claims the whole remaining input or a length prefix no
+//! decoder may take (wider than it needs, claiming 2⁶² − 1, cut short), and
+//! handed back to the node that received it as the payload of a Nylon `App`
+//! message: the node does not panic, a packet that carries a WCL tag and is
+//! not well-formed is counted under `wcl.malformed` and nothing else is,
+//! and the largest single allocation the node makes stays within what the
+//! input can fill. Then the circuit setup (`HopSetup`) an onion layer
+//! carries, from a source that lies in it.
 
+mod lengths;
 mod watching;
 
 use std::cell::RefCell;
@@ -62,7 +64,7 @@ impl Protocol for Tap {
         self.inner.on_start(ctx);
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, from_ep: Endpoint, data: &Payload) {
-        if let Some((_, packet)) = NylonMsg::app_view(data) {
+        if let Some(packet) = NylonMsg::app_view(data) {
             if let Some(&tag @ 0xC1..=0xC3) = packet.first() {
                 let mut log = self.log.lock().unwrap();
                 let kept = log.entry(tag).or_default();
@@ -100,12 +102,14 @@ fn well_formed(packet: &[u8]) -> Option<bool> {
     Some(read.is_ok())
 }
 
-/// Where the length prefixes of a well-formed `packet` sit.
+/// Where the length prefixes of a well-formed `packet` sit: an onion's
+/// behind its tag and behind its header, a circuit packet's behind its
+/// tag, id and nonce.
 fn length_prefixes(packet: &[u8]) -> Vec<usize> {
     match packet[0] {
         0xC1 => {
-            let header = u32::from_be_bytes(packet[1..5].try_into().expect("4 bytes")) as usize;
-            vec![1, 5 + header]
+            let (header, width) = lengths::len_at(packet, 1);
+            vec![1, 1 + width + header]
         }
         _ => vec![17],
     }
@@ -166,9 +170,7 @@ fn wcl_decoders_are_total_on_hostile_bytes() {
     for image in &images {
         assert_eq!(well_formed(&image.packet), Some(true), "{:02x?}", image.packet);
         for at in length_prefixes(&image.packet) {
-            let mut claimed = image.packet.clone();
-            let len = u32::from_be_bytes(claimed[at..at + 4].try_into().expect("4 bytes"));
-            claimed[at..at + 4].copy_from_slice(&(len + 1).to_be_bytes());
+            let claimed = lengths::with_len(&image.packet, at, lengths::len_at(&image.packet, at).0 + 1);
             assert_eq!(well_formed(&claimed), Some(false), "no length at {at}");
         }
     }
@@ -177,7 +179,7 @@ fn wcl_decoders_are_total_on_hostile_bytes() {
     whisper_rand::check::check(1024, "wcl_decoders_are_total_on_hostile_bytes", |g| {
         let image = &images[g.gen_range(0..images.len())];
         let packet = &image.packet;
-        let hostile = match g.gen_range(0..6u8) {
+        let hostile = match g.gen_range(0..7u8) {
             0 => [&packet[..1], &g.bytes(300)].concat(),
             1 => packet[..g.gen_range(0..packet.len())].to_vec(),
             2 => [&packet[..], &g.bytes(8), &[0]].concat(),
@@ -191,18 +193,25 @@ fn wcl_decoders_are_total_on_hostile_bytes() {
                 flipped[g.gen_range(0..packet.len())] ^= 1 << g.gen_range(0..8u32);
                 flipped
             }
-            _ => {
+            5 => {
                 // A length that claims every byte left, or any length.
                 let prefixes = length_prefixes(packet);
                 let at = prefixes[g.gen_range(0..prefixes.len())];
-                let claim = if g.gen() { (packet.len() - at - 4) as u32 } else { g.gen() };
-                let mut claimed = packet.clone();
-                claimed[at..at + 4].copy_from_slice(&claim.to_be_bytes());
-                claimed
+                if g.gen() {
+                    lengths::claiming_the_rest(packet, at, lengths::len_at(packet, at).1)
+                } else {
+                    lengths::with_len(packet, at, g.gen::<u32>() as usize)
+                }
+            }
+            _ => {
+                // A length prefix no decoder may take.
+                let prefixes = length_prefixes(packet);
+                let at = prefixes[g.gen_range(0..prefixes.len())];
+                lengths::refused_prefix(g, packet, at)
             }
         };
         let sim = &mut *sim.borrow_mut();
-        let wire = NylonMsg::App { from: image.from, payload: hostile.clone() }.to_wire();
+        let wire = NylonMsg::App { payload: hostile.clone() }.to_wire();
         sim.metrics_mut().reset_counters_and_samples();
         let mut largest = 0;
         sim.with_node_ctx::<Tap>(image.at, |tap, ctx| {

@@ -5,6 +5,14 @@
 //! than estimates. Integers are big-endian; variable-length fields carry
 //! explicit length prefixes.
 //!
+//! Every length prefix and sequence count is one format,
+//! [`WireSink::put_len`]: a QUIC variable-length integer (RFC 9000 §16).
+//! The two top bits of its first byte give its width — 1, 2, 4 or 8
+//! bytes — and the other bits, big-endian, the value, so a length below
+//! 64 takes one byte and one below 16 384 two. The encoding is minimal:
+//! [`WireReader::take_len`] refuses a value written wider than it needs,
+//! so each message has exactly one image.
+//!
 //! ```
 //! use whisper_net::wire::{WireReader, WireSink, WireWriter};
 //!
@@ -132,10 +140,35 @@ pub trait WireSink: Sized {
         self.put_raw(&v.to_be_bytes());
     }
 
-    /// Appends a length-prefixed byte string (`u32` length).
+    /// Appends a length or a count in the fewest bytes that hold it: a
+    /// QUIC variable-length integer (RFC 9000 §16). The top two bits of
+    /// the first byte give the width — `00` one byte (below 2⁶), `01` two
+    /// (below 2¹⁴), `10` four (below 2³⁰), `11` eight (below 2⁶²) — and
+    /// the rest of the bits hold the value, big-endian.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is 2⁶² or more, which no width holds.
+    #[inline]
+    fn put_len(&mut self, len: usize) {
+        let v = len as u64;
+        if v < 1 << 6 {
+            self.put_u8(v as u8);
+        } else if v < 1 << 14 {
+            self.put_u16(v as u16 | 0x4000);
+        } else if v < 1 << 30 {
+            self.put_u32(v as u32 | 0x8000_0000);
+        } else {
+            assert!(v < 1 << 62, "a wire length holds at most 2^62 - 1");
+            self.put_u64(v | 0xC000_0000_0000_0000);
+        }
+    }
+
+    /// Appends a length-prefixed byte string: its length as
+    /// [`WireSink::put_len`] writes it, then the bytes.
     #[inline]
     fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u32(v.len() as u32);
+        self.put_len(v.len());
         self.put_raw(v);
     }
 
@@ -144,9 +177,10 @@ pub trait WireSink: Sized {
         v.encode(self);
     }
 
-    /// Appends a length-prefixed sequence of encodable values.
+    /// Appends a sequence of encodable values behind its count, written
+    /// as [`WireSink::put_len`] writes a length.
     fn put_seq<T: WireEncode>(&mut self, items: &[T]) {
-        self.put_u32(items.len() as u32);
+        self.put_len(items.len());
         for item in items {
             item.encode(self);
         }
@@ -232,9 +266,27 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_be_bytes(self.advance(8)?.try_into().unwrap()))
     }
 
+    /// Reads a length or a count written by [`WireSink::put_len`].
+    ///
+    /// # Errors
+    ///
+    /// Fails on a prefix cut short and on one written wider than its
+    /// value needs: each length has exactly one encoding.
+    pub fn take_len(&mut self) -> Result<usize, WireError> {
+        let first = *self.buf.get(self.pos).ok_or(WireError::new("truncated input"))?;
+        let width = 1usize << (first >> 6);
+        let bytes = self.advance(width)?;
+        let v = bytes[1..].iter().fold(u64::from(first & 0x3F), |v, &b| v << 8 | u64::from(b));
+        // The least value of each width above one byte: 2⁶, 2¹⁴, 2³⁰.
+        if width > 1 && v < 1 << (4 * width - 2) {
+            return Err(WireError::new("length not in its shortest form"));
+        }
+        usize::try_from(v).map_err(|_| WireError::new("length beyond the address space"))
+    }
+
     /// Reads a length-prefixed byte string.
     pub fn take_bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let len = self.take_u32()? as usize;
+        let len = self.take_len()?;
         self.advance(len)
     }
 
@@ -254,7 +306,7 @@ impl<'a> WireReader<'a> {
     /// is reserved up front is bounded by it in bytes, so a corrupted
     /// prefix cannot trigger an allocation larger than the input.
     pub fn take_seq<T: WireDecode>(&mut self) -> Result<Vec<T>, WireError> {
-        let len = self.take_u32()? as usize;
+        let len = self.take_len()?;
         if len > self.remaining() {
             // Every element occupies at least one byte.
             return Err(WireError::new("sequence length exceeds input"));
@@ -442,7 +494,7 @@ mod tests {
     #[test]
     fn absurd_sequence_length_rejected() {
         let mut w = WireWriter::new();
-        w.put_u32(u32::MAX); // claimed length
+        w.put_len((1 << 62) - 1); // claimed length
         let buf = w.into_bytes();
         let mut r = WireReader::new(&buf);
         assert!(r.take_seq::<u64>().is_err());
@@ -526,6 +578,9 @@ mod tests {
         counts_as_written!(w => w.put_u16(0x1234));
         counts_as_written!(w => w.put_u32(0xDEADBEEF));
         counts_as_written!(w => w.put_u64(u64::MAX));
+        for len in [0, 63, 64, 16_383, 16_384, (1 << 30) - 1, 1 << 30, (1 << 62) - 1] {
+            counts_as_written!(w => w.put_len(len));
+        }
         counts_as_written!(w => w.put_bytes(b""));
         counts_as_written!(w => w.put_bytes(b"hello"));
         counts_as_written!(w => w.put(&true));
@@ -540,7 +595,7 @@ mod tests {
         counts_as_written!(w => w.put(&tree));
         let forest = [leaf(None), tree];
         counts_as_written!(w => w.put_seq(&forest));
-        assert_eq!(Tree { label: None, children: vec![] }.encoded_len(), 1 + 4);
+        assert_eq!(Tree { label: None, children: vec![] }.encoded_len(), 1 + 1);
     }
 
     #[test]

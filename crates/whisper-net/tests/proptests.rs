@@ -7,7 +7,7 @@
 use whisper_net::nat::{NatDevice, NatType};
 use whisper_net::sched::{EventKey, EventQueue, Keyed, Scheduler};
 use whisper_net::stats::Cdf;
-use whisper_net::wire::{WireDecode, WireEncode, WireReader, WireSink, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireLen, WireReader, WireSink, WireWriter};
 use whisper_net::{Endpoint, NodeId, SimDuration, SimTime};
 use whisper_rand::check::check;
 use whisper_rand::Rng;
@@ -35,6 +35,90 @@ fn primitives_round_trip() {
         assert_eq!(r.take_bytes().unwrap(), &bytes[..]);
         assert!(r.finish().is_ok());
     });
+}
+
+/// `len` as a `width`-byte prefix: the width's two-bit code above the
+/// value, whether or not the value needs that many bytes.
+fn len_in_width(len: u64, width: usize) -> Vec<u8> {
+    let v = len | u64::from(width.trailing_zeros()) << (8 * width - 2);
+    v.to_be_bytes()[8 - width..].to_vec()
+}
+
+/// A length at each edge of each width takes the fewest bytes that hold
+/// it — the bytes RFC 9000 §16 spells — reads back, and counts as written.
+#[test]
+fn lengths_round_trip_at_every_width_edge() {
+    let edges: [(usize, &[u8]); 8] = [
+        (0, &[0x00]),
+        (63, &[0x3F]),
+        (64, &[0x40, 0x40]),
+        (16_383, &[0x7F, 0xFF]),
+        (16_384, &[0x80, 0x00, 0x40, 0x00]),
+        ((1 << 30) - 1, &[0xBF, 0xFF, 0xFF, 0xFF]),
+        (1 << 30, &[0xC0, 0, 0, 0, 0x40, 0, 0, 0]),
+        ((1 << 62) - 1, &[0xFF; 8]),
+    ];
+    for (len, image) in edges {
+        let mut w = WireWriter::new();
+        w.put_len(len);
+        assert_eq!(w.into_bytes(), image, "{len}");
+        assert_eq!(WireLen::of(|n| n.put_len(len)), image.len(), "{len}");
+        let mut r = WireReader::new(image);
+        assert_eq!(r.take_len(), Ok(len));
+        r.finish().unwrap();
+        // Cut short anywhere, it is refused.
+        for cut in 0..image.len() {
+            assert_eq!(WireReader::new(&image[..cut]).take_len(), Err(WireError::new("truncated input")));
+        }
+    }
+}
+
+/// No length is written wider than it needs, and none that was is read:
+/// every value below 2¹⁴ in each wider form, and values of every width in
+/// each form wider than theirs.
+#[test]
+fn every_non_minimal_length_is_refused() {
+    let refused = |len: u64, width: usize| {
+        let image = len_in_width(len, width);
+        let read = WireReader::new(&image).take_len();
+        assert_eq!(read, Err(WireError::new("length not in its shortest form")), "{len} in {width} bytes");
+    };
+    for len in 0..1 << 14 {
+        for width in [4, 8].into_iter().chain((len < 64).then_some(2)) {
+            refused(len, width);
+        }
+    }
+    check(512, "every_non_minimal_length_is_refused", |g| {
+        let len = g.gen_range(0..1u64 << 30);
+        refused(len, 8);
+        refused(len & 0x3FFF, 4);
+    });
+}
+
+#[test]
+#[should_panic(expected = "2^62")]
+fn a_length_no_width_holds_is_not_written() {
+    WireWriter::new().put_len(1 << 62);
+}
+
+/// A sequence count beyond the bytes left is refused by the count check,
+/// ahead of the reservation it would size: whatever its width, and by one
+/// element as by 2⁶² − 1. A count of exactly the bytes left reads.
+#[test]
+fn take_seq_refuses_a_count_beyond_the_input_before_it_allocates() {
+    for left in [0usize, 1, 63, 64, 300] {
+        for claim in [left + 1, 1 << 20, (1 << 62) - 1] {
+            let mut w = WireWriter::new();
+            w.put_len(claim);
+            w.put_raw(&vec![7; left]);
+            let image = w.into_bytes();
+            let read = WireReader::new(&image).take_seq::<u8>();
+            assert_eq!(read, Err(WireError::new("sequence length exceeds input")), "{claim} for {left}");
+        }
+        let mut w = WireWriter::new();
+        w.put_seq(&vec![7u8; left]);
+        assert_eq!(WireReader::new(&w.into_bytes()).take_seq::<u8>(), Ok(vec![7; left]));
+    }
 }
 
 #[test]

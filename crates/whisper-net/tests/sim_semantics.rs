@@ -722,7 +722,7 @@ impl Protocol for CircuitHop {
         let before = allocations();
         // What `WhisperNode::on_message` does, minus the PPSS.
         match self.nylon.on_app_message(ctx, from, from_ep, data) {
-            Some((_, app)) => {
+            Some(app) => {
                 let prev = (from, from_ep.port == 0);
                 if let Some(whisper_core::WclEvent::Delivered { payload, via }) =
                     self.wcl.on_app_payload(ctx, &mut self.nylon, prev, app)

@@ -103,11 +103,6 @@ impl ConnectionBacklog {
         }
     }
 
-    /// Removes `node` (e.g. observed failure).
-    pub fn remove(&mut self, node: NodeId) {
-        self.entries.retain(|e| e.node != node);
-    }
-
     /// How many more P-nodes are needed to satisfy Π.
     pub fn missing_publics(&self, pi: usize) -> usize {
         pi.saturating_sub(self.p_count())
@@ -195,14 +190,6 @@ mod tests {
         assert_eq!(cb.get(NodeId(1)).unwrap().key.as_ref(), Some(kp.public()));
         cb.set_key(NodeId(9), kp.public().clone()); // absent: no-op
         assert!(cb.get(NodeId(9)).is_none());
-    }
-
-    #[test]
-    fn remove_works() {
-        let mut cb = ConnectionBacklog::new(4);
-        cb.insert(entry(1, false), 0);
-        cb.remove(NodeId(1));
-        assert!(cb.is_empty());
     }
 
     #[test]

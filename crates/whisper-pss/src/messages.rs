@@ -89,10 +89,10 @@ pub enum NylonMsg {
         /// The P-node's serialized public key.
         key: Option<Vec<u8>>,
     },
-    /// Opaque upper-layer payload (WCL packets, PPSS exchanges, ...).
+    /// Opaque upper-layer payload (WCL packets, PPSS exchanges, ...). It
+    /// names no originator: that is the datagram's sender, or for a
+    /// relayed one the first hop its chain took.
     App {
-        /// Originator.
-        from: NodeId,
         /// Upper-layer bytes.
         payload: Vec<u8>,
     },
@@ -123,10 +123,6 @@ const TAG_PING: u8 = 8;
 const TAG_PONG: u8 = 9;
 const TAG_APP: u8 = 10;
 
-/// Bytes a [`NylonMsg::App`] puts in front of its payload: tag,
-/// originator, payload length.
-pub const APP_HEADER_LEN: usize = 1 + 8 + 4;
-
 /// A [`NylonMsg::GossipReq`] or [`NylonMsg::GossipResp`] read where it
 /// was delivered ([`NylonMsg::gossip_view`]): the fixed fields by value,
 /// entries and key as views of the packet.
@@ -149,7 +145,7 @@ impl<'a> GossipView<'a> {
     /// [`Entry::received`] makes of each.
     pub fn entries(&self) -> impl Iterator<Item = Entry> + 'a {
         let mut r = WireReader::new(self.entries);
-        let count = r.take_u32().unwrap_or(0);
+        let count = r.take_len().unwrap_or(0);
         (0..count).map_while(move |_| r.take().ok())
     }
 }
@@ -160,7 +156,7 @@ fn take_entries_view<'a>(r: &mut WireReader<'a>, wire: &'a [u8]) -> Result<&'a [
     let start = wire.len() - r.remaining();
     // An entry takes at least a byte: a count beyond the input, which
     // `take_seq` refuses before it allocates, fails here on the way.
-    for _ in 0..r.take_u32()? {
+    for _ in 0..r.take_len()? {
         r.take::<Entry>()?;
     }
     Ok(&wire[start..wire.len() - r.remaining()])
@@ -224,25 +220,22 @@ impl NylonMsg {
     /// message. This is how an upper layer builds its packet directly in
     /// the outgoing buffer instead of handing over a `Vec` to be copied
     /// into one.
-    pub fn put_app_header<W: WireSink>(w: &mut W, from: NodeId, payload_len: usize) {
+    pub fn put_app_header<W: WireSink>(w: &mut W, payload_len: usize) {
         w.put_u8(TAG_APP);
-        w.put(&from);
-        w.put_u32(payload_len as u32);
+        w.put_len(payload_len);
     }
 
-    /// Decodes `wire` as an [`NylonMsg::App`] without copying: the
-    /// originator and the payload as a view of `wire`. `None` for any
-    /// other (or a malformed) message — exactly when
-    /// [`WireDecode::from_wire`] would not yield an `App`.
-    pub fn app_view(wire: &[u8]) -> Option<(NodeId, &[u8])> {
+    /// Decodes `wire` as an [`NylonMsg::App`] without copying: the payload
+    /// as a view of `wire`. `None` for any other (or a malformed) message
+    /// — exactly when [`WireDecode::from_wire`] would not yield an `App`.
+    pub fn app_view(wire: &[u8]) -> Option<&[u8]> {
         let mut r = WireReader::new(wire);
         if r.take_u8().ok()? != TAG_APP {
             return None;
         }
-        let from = r.take().ok()?;
         let payload = r.take_bytes().ok()?;
         r.finish().ok()?;
-        Some((from, payload))
+        Some(payload)
     }
 }
 
@@ -285,9 +278,8 @@ impl WireEncode for NylonMsg {
                 w.put(from);
                 w.put_opt(key);
             }
-            NylonMsg::App { from, payload } => {
+            NylonMsg::App { payload } => {
                 w.put_u8(TAG_APP);
-                w.put(from);
                 w.put_bytes(payload);
             }
         }
@@ -328,7 +320,7 @@ impl WireDecode for NylonMsg {
             TAG_PUNCH_ACK => NylonMsg::PunchAck { from: r.take()? },
             TAG_PING => NylonMsg::Ping { from: r.take()?, key: r.take_opt()? },
             TAG_PONG => NylonMsg::Pong { from: r.take()?, key: r.take_opt()? },
-            TAG_APP => NylonMsg::App { from: r.take()?, payload: r.take_bytes()?.to_vec() },
+            TAG_APP => NylonMsg::App { payload: r.take_bytes()?.to_vec() },
             _ => return Err(WireError::new("unknown Nylon message tag")),
         })
     }
@@ -389,17 +381,17 @@ mod tests {
 
     #[test]
     fn app_round_trip() {
-        round_trip(NylonMsg::App { from: NodeId(1), payload: vec![0; 1000] });
+        round_trip(NylonMsg::App { payload: vec![0; 1000] });
     }
 
     #[test]
     fn app_view_and_header_agree_with_the_owned_codec() {
-        let msg = NylonMsg::App { from: NodeId(77), payload: vec![5; 300] };
+        let msg = NylonMsg::App { payload: vec![5; 300] };
         let wire = msg.to_wire();
-        assert_eq!(NylonMsg::app_view(&wire), Some((NodeId(77), &[5u8; 300][..])));
+        assert_eq!(NylonMsg::app_view(&wire), Some(&[5u8; 300][..]));
         let mut w = WireWriter::new();
-        NylonMsg::put_app_header(&mut w, NodeId(77), 300);
-        assert_eq!(w.len(), APP_HEADER_LEN);
+        NylonMsg::put_app_header(&mut w, 300);
+        assert_eq!(w.len(), 1 + 2, "the tag and a two-byte length");
         w.put_raw(&[5; 300]);
         assert_eq!(w.into_bytes(), wire);
         // Whatever the owned decoder rejects or decodes as another

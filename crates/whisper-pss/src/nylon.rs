@@ -16,7 +16,7 @@
 
 use crate::backlog::{CbEntry, ConnectionBacklog};
 use crate::config::NylonConfig;
-use crate::messages::{ChainBody, GossipView, NylonMsg, APP_HEADER_LEN};
+use crate::messages::{ChainBody, GossipView, NylonMsg};
 use crate::timer;
 use crate::transport::{Arrival, SendOutcome, Transport};
 use crate::view::{Entry, View, ViewEntry};
@@ -26,7 +26,7 @@ use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::payload::PayloadWriter;
 use whisper_net::sim::{Ctx, Protocol};
 use whisper_net::nat::NatType;
-use whisper_net::wire::{WireDecode, WireSink};
+use whisper_net::wire::{WireDecode, WireLen, WireSink};
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 
 /// PSS cycle period (paper: 10 s).
@@ -50,7 +50,8 @@ const PING_PENDING_TTL: SimDuration = SimDuration::from_secs(5);
 pub enum NylonEvent {
     /// An application payload arrived (sent by a peer's `send_app`).
     Payload {
-        /// Originating node.
+        /// Originating node: the first hop of the chain that relayed it,
+        /// or the node that sent it directly.
         from: NodeId,
         /// Opaque upper-layer bytes.
         data: Vec<u8>,
@@ -222,8 +223,9 @@ impl NylonCore {
     /// finished buffer to [`NylonCore::send_app_frame`]. An upper layer
     /// writes its packet once, where it leaves from.
     pub fn begin_app(&self, ctx: &mut Ctx<'_>, payload_len: usize) -> PayloadWriter {
-        let mut frame = ctx.payload_writer(APP_HEADER_LEN + payload_len);
-        NylonMsg::put_app_header(&mut frame, self.id, payload_len);
+        let header = WireLen::of(|n| NylonMsg::put_app_header(n, payload_len));
+        let mut frame = ctx.payload_writer(header + payload_len);
+        NylonMsg::put_app_header(&mut frame, payload_len);
         frame
     }
 
@@ -321,17 +323,17 @@ impl NylonCore {
     /// is an [`NylonMsg::App`] message, does everything
     /// [`NylonCore::on_message`] does for one — the sender's contact is
     /// noted, a pending hole punch towards it completes — and returns the
-    /// originator and the payload as a view of `data`, where `on_message`
-    /// would copy the payload into a [`NylonEvent::Payload`] inside a
-    /// fresh `Vec`. For anything else returns `None` and does nothing;
-    /// the caller then passes `data` to [`NylonCore::on_message`].
+    /// payload as a view of `data`, where `on_message` would copy it into
+    /// a [`NylonEvent::Payload`] inside a fresh `Vec`; its originator is
+    /// `from`. For anything else returns `None` and does nothing; the
+    /// caller then passes `data` to [`NylonCore::on_message`].
     pub fn on_app_message<'d>(
         &mut self,
         ctx: &mut Ctx<'_>,
         from: NodeId,
         from_ep: Endpoint,
         data: &'d [u8],
-    ) -> Option<(NodeId, &'d [u8])> {
+    ) -> Option<&'d [u8]> {
         let app = ctx.prof_decode(|| NylonMsg::app_view(data))?;
         self.transport.on_direct_packet(ctx, from, from_ep, Arrival::Other);
         Some(app)
@@ -654,8 +656,8 @@ impl NylonCore {
                 // Pings target P-nodes only, so the pong sender is public.
                 self.insert_cb(from, true, key.as_deref());
             }
-            NylonMsg::App { from, payload } => {
-                events.push(NylonEvent::Payload { from, data: payload });
+            NylonMsg::App { payload } => {
+                events.push(NylonEvent::Payload { from: outer_from, data: payload });
             }
         }
     }

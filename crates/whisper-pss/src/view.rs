@@ -240,7 +240,7 @@ impl WireEncode for Entry {
 impl WireDecode for Entry {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let mut entry = Entry::new(r.take()?, r.take_u16()?, r.take()?, &[]);
-        let hops = r.take_u32()? as usize;
+        let hops = r.take_len()?;
         if hops > ROUTE_CAP {
             return Err(WireError::new("rendezvous chain longer than ROUTE_CAP"));
         }

@@ -275,7 +275,7 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
 /// and the sender is charged the same allocations for them.
 #[test]
 fn a_payload_leaves_as_the_same_bytes_whichever_way_it_was_handed_over() {
-    let app = |from: NodeId| NylonMsg::App { from, payload: PAYLOAD.to_vec() };
+    let app = NylonMsg::App { payload: PAYLOAD.to_vec() };
     for route in [Route::Direct, Route::Relayed, Route::PunchedThrough, Route::RelayedAtOnce] {
         let (owned, owned_accounting) = send_over(route, false);
         let (framed, framed_accounting) = send_over(route, true);
@@ -284,14 +284,14 @@ fn a_payload_leaves_as_the_same_bytes_whichever_way_it_was_handed_over() {
         // And they are the message the owned codec spells out.
         let sender = NodeId(0);
         let on_the_wire = match route {
-            Route::Direct => vec![app(sender).to_wire()],
+            Route::Direct => vec![app.to_wire()],
             Route::Relayed | Route::RelayedAtOnce => vec![NylonMsg::Chain {
                 remaining: vec![NodeId(70)],
                 taken: vec![sender],
-                body: ChainBody::Relayed(app(sender).to_wire()),
+                body: ChainBody::Relayed(app.to_wire()),
             }
             .to_wire()],
-            Route::PunchedThrough => vec![app(sender).to_wire()],
+            Route::PunchedThrough => vec![app.to_wire()],
         };
         assert_eq!(owned, on_the_wire, "{route:?}");
     }

@@ -5,7 +5,7 @@
 //! shrink-on-failure reporting.
 
 use whisper_net::nat::NatType;
-use whisper_net::wire::{WireDecode, WireEncode};
+use whisper_net::wire::{WireDecode, WireEncode, WireLen, WireSink};
 use whisper_net::{Endpoint, NodeId};
 use whisper_pss::backlog::{CbEntry, ConnectionBacklog};
 use whisper_pss::messages::{ChainBody, NylonMsg};
@@ -222,7 +222,7 @@ fn gen_msg(g: &mut Gen) -> NylonMsg {
         6 => NylonMsg::PunchAck { from: NodeId(g.gen_range(0..40u64)) },
         7 => NylonMsg::Ping { from: NodeId(g.gen_range(0..40u64)), key: gen_opt(g, |g| g.bytes(60)) },
         8 => NylonMsg::Pong { from: NodeId(g.gen_range(0..40u64)), key: gen_opt(g, |g| g.bytes(60)) },
-        _ => NylonMsg::App { from: NodeId(g.gen_range(0..40u64)), payload: g.bytes(120) },
+        _ => NylonMsg::App { payload: g.bytes(120) },
     }
 }
 
@@ -300,7 +300,7 @@ fn gossip_view_agrees_with_the_owned_decoder() {
             if let Some(entry) = entries.last_mut().filter(|_| g.gen_range(0..4u8) == 0) {
                 entry.route = vec![NodeId(7); ROUTE_CAP + g.gen_range(1..3usize)];
             }
-            let mut at = 10 + 4;
+            let mut at = 10 + WireLen::of(|n| n.put_len(entries.len()));
             for entry in entries.iter() {
                 decisive.push(at + ENTRY_NAT_AT);
                 at += entry.encoded_len();

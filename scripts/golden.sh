@@ -24,7 +24,9 @@
 # reruns scripts/paper_tables.sh and says why in CHANGES.md. On a
 # mismatch the check prints, before the raw diff, one line per seed and
 # workload naming the perfbench columns that moved, each numeric one with
-# its old and new value and the relative change: the move to declare.
+# its old and new value and the relative change, and one line per figure
+# block with the number of its lines that moved (`fig6: 15 lines`): the
+# move to declare.
 #
 # No jq in the container: `--out` writes one JSON object per line with
 # machine-fixed key order, so sed is enough.
@@ -68,6 +70,48 @@ moved_columns() {
     END { for (row in was) { split(row, k, FS); print "  seed " k[1] " " k[2] ": row gone" } }
   ' "$1" "$2"
 }
+# One line per block of the figures output that differs between $1 and
+# $2: its name (`fig6`, `table2`, `ablation path length`) and how many of
+# its lines moved — the larger of the lines gone from it and come into it.
+moved_blocks() {
+  { diff --unchanged-line-format= --old-line-format='-%dn
+' --new-line-format='+%dn
+' "$1" "$2" || true; } | awk -v old="$1" -v new="$2" '
+    # A block opens with a bar of "=", its title and another bar.
+    function name(title, part, n) {
+      if (title ~ /^Figure [0-9]+/) return "fig" substr(title, 8, index(title ":", ":") - 8)
+      if (title ~ /^Table [IVX]+/) {
+        n = substr(title, 7, index(title ":", ":") - 7)
+        return "table" (n == "I" ? 1 : n == "II" ? 2 : n == "III" ? 3 : n == "IV" ? 4 : n)
+      }
+      split(title, part, ": ")
+      return tolower(part[1]) (part[2] == "" ? "" : " " part[2])
+    }
+    function blocks(file, of, line, n, bars, current) {
+      current = "header"
+      while ((getline line < file) > 0) {
+        n++
+        if (line ~ /^=+$/) bars++
+        else if (bars % 2 == 1) current = name(line)
+        of[n] = current
+        if (!(current in order)) order[current] = ++blocks_seen
+      }
+      close(file)
+    }
+    BEGIN { blocks(old, in_old); blocks(new, in_new) }
+    /^-/ { gone[in_old[substr($0, 2)]]++ }
+    /^\+/ { came[in_new[substr($0, 2)]]++ }
+    END {
+      for (b in order) rank[order[b]] = b
+      for (i = 1; i <= blocks_seen; i++) {
+        b = rank[i]
+        moved = gone[b] > came[b] ? gone[b] : came[b]
+        if (moved > 0) print "  " b ": " moved " line" (moved == 1 ? "" : "s")
+      }
+    }
+  '
+}
+
 {
   printf 'seed\tworkload\tsim_digest\tinputs_digest\trtt_p50_ms\trtt_p95_ms\twire_bytes_per_node_s\tops_ok_share\n'
   for seed in 7 11; do
@@ -101,10 +145,13 @@ else
     echo "perfbench golden: simulated results differ from $perfbench_golden (see above)" >&2
     status=1
   fi
-  if diff -u "$figures_golden" "$out/figures_quick.txt"; then
+  if cmp -s "$figures_golden" "$out/figures_quick.txt"; then
     echo "figures golden: $(wc -l <"$figures_golden") lines match $figures_golden"
   else
-    echo "figures golden: all_experiments --quick differs from $figures_golden (see the diff above)" >&2
+    echo "figures golden: lines that moved, per block:"
+    moved_blocks "$figures_golden" "$out/figures_quick.txt"
+    diff -u "$figures_golden" "$out/figures_quick.txt" || true
+    echo "figures golden: all_experiments --quick differs from $figures_golden (see above)" >&2
     status=1
   fi
   if diff -u "$examples_golden" "$out/examples.txt"; then

@@ -480,7 +480,7 @@ fn wcl_crossings(log: &WireLog, since: usize) -> Vec<Crossing> {
     use whisper::pss::messages::NylonMsg;
     let log = log.lock().unwrap();
     let wcl = log[since..].iter().filter_map(|(at, from, datagram)| {
-        let (_, packet) = NylonMsg::app_view(datagram)?;
+        let packet = NylonMsg::app_view(datagram)?;
         let tag = *packet.first().filter(|tag| (0xC1..=0xC3).contains(*tag))?;
         Some(Crossing { at: *at, from: *from, tag, packet: packet.to_vec() })
     });
