@@ -91,13 +91,11 @@ impl WireDecode for MemberDot {
 /// members can detect that a descriptor was signed under a history they
 /// have not caught up with yet.
 pub fn key_history_hash(history: &[PublicKey]) -> [u8; 32] {
-    let mut m = Vec::new();
+    let mut m = WireWriter::new();
     for k in history {
-        let bytes = k.to_bytes();
-        m.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-        m.extend_from_slice(&bytes);
+        m.put(k);
     }
-    Sha256::digest(&m)
+    Sha256::digest(&m.into_bytes())
 }
 
 /// An RSA-signed statement about a group; leaders sign only deletion

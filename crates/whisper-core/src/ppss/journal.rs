@@ -12,8 +12,11 @@
 //! ## Record framing
 //!
 //! ```text
-//! [u32 len (BE)] [8-byte checksum = Sha256(payload)[..8]] [payload; len bytes]
+//! [len (v)] [8-byte checksum = Sha256(payload)[..8]] [payload; len bytes]
 //! ```
+//!
+//! `(v)` is the wire codec's length prefix, [`WireSink::put_len`]: 1 byte
+//! below 64, 2 below 16 384.
 //!
 //! Payload contents are opaque to the journal (the PPSS layer encodes
 //! [`crate::ppss::journal`]-level records with the wire codec).
@@ -28,15 +31,18 @@
 //!   and counts as **truncated** (this also covers a corrupted length
 //!   field that inflates `len` past the buffer — indistinguishable from
 //!   truncation without trusting the very field that is in doubt),
-//! * a checksum mismatch stops the scan and counts as **corrupt**
+//! * a checksum mismatch, or a length prefix no writer writes (one wider
+//!   than its value needs), stops the scan and counts as **corrupt**
 //!   (framing after a damaged record cannot be trusted, so nothing past
 //!   it is salvaged).
 //!
 //! Both outcomes are deterministic functions of the byte buffer, so
 //! replicas recovering from identical "disks" converge byte-identically.
 
-/// Size of the `[len][checksum]` record header.
-const HEADER: usize = 4 + 8;
+use whisper_net::wire::{WireError, WireReader, WireSink, WireWriter};
+
+/// Bytes of a record's checksum.
+const CHECKSUM: usize = 8;
 
 /// An append-only, checksummed record log in a plain byte buffer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -63,7 +69,7 @@ pub struct Recovery {
     pub salvaged_bytes: usize,
 }
 
-fn checksum(payload: &[u8]) -> [u8; 8] {
+fn checksum(payload: &[u8]) -> [u8; CHECKSUM] {
     let digest = whisper_crypto::sha256::Sha256::digest(payload);
     digest[..8].try_into().expect("8 bytes")
 }
@@ -95,11 +101,13 @@ impl Journal {
         self.buf.is_empty()
     }
 
-    /// Appends one record.
+    /// Appends one record: `put_len(len) ‖ checksum ‖ payload`.
     pub fn append(&mut self, payload: &[u8]) {
-        self.buf.reserve(HEADER + payload.len());
-        self.buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        self.buf.extend_from_slice(&checksum(payload));
+        let mut header = WireWriter::with_capacity(8 + CHECKSUM);
+        header.put_len(payload.len());
+        header.put_raw(&checksum(payload));
+        self.buf.reserve(header.len() + payload.len());
+        self.buf.extend_from_slice(&header.into_bytes());
         self.buf.extend_from_slice(payload);
     }
 
@@ -138,24 +146,23 @@ impl Journal {
         let mut out = Recovery::default();
         let mut pos = 0usize;
         while pos < self.buf.len() {
-            if pos + HEADER > self.buf.len() {
-                out.truncated = 1;
-                break;
+            let mut r = WireReader::new(&self.buf[pos..]);
+            let record = r.take_len().and_then(|len| Ok((r.take_raw(CHECKSUM)?, r.take_raw(len)?)));
+            match record {
+                Ok((sum, payload)) if checksum(payload) == sum => {
+                    out.records.push(payload.to_vec());
+                    pos = self.buf.len() - r.remaining();
+                }
+                Err(e) if e == WireError::new("truncated input") => {
+                    out.truncated = 1;
+                    break;
+                }
+                // A checksum mismatch, or a length in a form no writer writes.
+                _ => {
+                    out.corrupt = 1;
+                    break;
+                }
             }
-            let len = u32::from_be_bytes(self.buf[pos..pos + 4].try_into().expect("4 bytes"))
-                as usize;
-            let body = pos + HEADER;
-            if len > self.buf.len() - body {
-                out.truncated = 1;
-                break;
-            }
-            let payload = &self.buf[body..body + len];
-            if checksum(payload) != self.buf[pos + 4..pos + HEADER] {
-                out.corrupt = 1;
-                break;
-            }
-            out.records.push(payload.to_vec());
-            pos = body + len;
         }
         out.salvaged_bytes = pos.min(self.buf.len());
         // `pos` stopped either at the end (clean) or at the first bad
@@ -170,8 +177,14 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use whisper_net::wire::WireLen;
     use whisper_rand::check::check;
     use whisper_rand::Rng;
+
+    /// Bytes of the header of a record of `len` payload bytes.
+    fn header(len: usize) -> usize {
+        WireLen::of(|n| n.put_len(len)) + CHECKSUM
+    }
 
     fn journal_of(records: &[&[u8]]) -> Journal {
         let mut j = Journal::new();
@@ -199,7 +212,7 @@ mod tests {
     #[test]
     fn truncated_header_salvages_prefix() {
         let mut j = journal_of(&[b"keep", b"lost"]);
-        let keep_len = HEADER + 4;
+        let keep_len = header(4) + 4;
         j.raw_mut().truncate(keep_len + 5); // mid-header of record 2
         let r = j.replay();
         assert_eq!(r.records, vec![b"keep".to_vec()]);
@@ -220,18 +233,18 @@ mod tests {
     #[test]
     fn bit_flip_in_body_is_corrupt_and_stops_the_scan() {
         let mut j = journal_of(&[b"keep", b"damaged", b"unreachable"]);
-        let flip_at = (HEADER + 4) + HEADER + 2; // byte inside record 2's body
+        let flip_at = (header(4) + 4) + header(7) + 2; // byte inside record 2's body
         j.raw_mut()[flip_at] ^= 0x40;
         let r = j.replay();
         assert_eq!(r.records, vec![b"keep".to_vec()]);
         assert_eq!((r.truncated, r.corrupt), (0, 1));
-        assert_eq!(r.salvaged_bytes, HEADER + 4);
+        assert_eq!(r.salvaged_bytes, header(4) + 4);
     }
 
     #[test]
     fn bit_flip_in_checksum_is_corrupt() {
         let mut j = journal_of(&[b"only"]);
-        j.raw_mut()[5] ^= 0x01; // checksum byte
+        j.raw_mut()[header(4) - 1] ^= 0x01; // checksum byte
         let r = j.replay();
         assert!(r.records.is_empty());
         assert_eq!((r.truncated, r.corrupt), (0, 1));
@@ -240,7 +253,7 @@ mod tests {
     #[test]
     fn inflated_length_field_reads_as_truncation() {
         let mut j = journal_of(&[b"keep", b"x"]);
-        let len_at = HEADER + 4; // record 2's length field
+        let len_at = header(4) + 4; // record 2's length field
         j.raw_mut()[len_at] = 0xFF; // len explodes past the buffer
         let r = j.replay();
         assert_eq!(r.records, vec![b"keep".to_vec()]);

@@ -71,9 +71,8 @@ fn encode_group_record(group: GroupId, state: &GroupState) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_u8(REC_GROUP);
     w.put(&group);
-    let keys: Vec<Vec<u8>> = state.key_history.iter().map(|k| k.to_bytes()).collect();
-    w.put_seq(&keys);
-    w.put_opt(&state.leader_key.as_ref().map(|k| k.to_bytes()));
+    w.put_seq(&state.key_history);
+    w.put_opt(&state.leader_key);
     w.put(&state.passport);
     w.put_u64(state.tracker.epoch);
     let revoked: Vec<NodeId> = state.revoked.iter().copied().collect();
@@ -103,7 +102,7 @@ fn encode_pending_record(group: GroupId, invitation: &Invitation) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_u8(REC_PENDING);
     w.put(&group);
-    w.put_bytes(&invitation.group_key.to_bytes());
+    w.put(&invitation.group_key);
     w.put_bytes(&invitation.accreditation);
     w.put(&invitation.entry_point);
     w.into_bytes()
@@ -360,8 +359,8 @@ impl Ppss {
         match r.take_u8()? {
             REC_GROUP => {
                 let group: GroupId = r.take()?;
-                let keys: Vec<Vec<u8>> = r.take_seq()?;
-                let leader_bytes: Option<Vec<u8>> = r.take_opt()?;
+                let key_history: Vec<PublicKey> = r.take_seq()?;
+                let leader_key: Option<KeyPair> = r.take_opt()?;
                 let passport: Passport = r.take()?;
                 let epoch = r.take_u64()?;
                 let revoked: Vec<NodeId> = r.take_seq()?;
@@ -370,14 +369,6 @@ impl Ppss {
                 if self.deleted.contains_key(&group) {
                     return Ok(()); // a tombstone never un-deletes
                 }
-                let key_history: Vec<PublicKey> =
-                    keys.iter().filter_map(|b| PublicKey::from_bytes(b)).collect();
-                if key_history.len() != keys.len() {
-                    return Err(WireError::new("journaled group key"));
-                }
-                let leader_key = leader_bytes
-                    .map(|b| KeyPair::from_bytes(&b).ok_or(WireError::new("journaled key pair")))
-                    .transpose()?;
                 let mut state = GroupState::fresh(key_history, leader_key, passport, epoch);
                 state.revoked = revoked.into_iter().collect();
                 state.view = contacts;
@@ -392,15 +383,13 @@ impl Ppss {
             }
             REC_PENDING => {
                 let group: GroupId = r.take()?;
-                let key_bytes: Vec<u8> = r.take_bytes()?.to_vec();
+                let group_key: PublicKey = r.take()?;
                 let accreditation: Vec<u8> = r.take_bytes()?.to_vec();
                 let entry_point: PrivateEntry = r.take()?;
                 r.finish()?;
                 if self.groups.contains_key(&group) || self.deleted.contains_key(&group) {
                     return Ok(());
                 }
-                let group_key =
-                    PublicKey::from_bytes(&key_bytes).ok_or(WireError::new("journaled invite"))?;
                 self.pending_joins.insert(
                     group,
                     PendingJoin {

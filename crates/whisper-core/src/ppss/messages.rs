@@ -29,8 +29,7 @@ impl WireEncode for PrivateEntry {
         w.put(&self.node);
         w.put_u16(self.age);
         w.put(&self.public);
-        // Cached canonical blob: no per-send key re-serialization.
-        w.put_bytes(self.key.wire_bytes());
+        w.put(&self.key);
         w.put_seq(&self.gateways);
     }
 }
@@ -41,8 +40,7 @@ impl WireDecode for PrivateEntry {
             node: r.take()?,
             age: r.take_u16()?,
             public: r.take()?,
-            key: PublicKey::from_bytes(r.take_bytes()?)
-                .ok_or(WireError::new("bad entry key"))?,
+            key: r.take()?,
             gateways: r.take_seq()?,
         })
     }

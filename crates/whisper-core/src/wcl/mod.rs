@@ -102,17 +102,13 @@ pub struct GatewayInfo {
 impl WireEncode for GatewayInfo {
     fn encode<W: WireSink>(&self, w: &mut W) {
         w.put(&self.node);
-        // Cached canonical blob: no per-send key re-serialization.
-        w.put_bytes(self.key.wire_bytes());
+        w.put(&self.key);
     }
 }
 
 impl WireDecode for GatewayInfo {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let node = r.take()?;
-        let key =
-            PublicKey::from_bytes(r.take_bytes()?).ok_or(WireError::new("bad gateway key"))?;
-        Ok(GatewayInfo { node, key })
+        Ok(GatewayInfo { node: r.take()?, key: r.take()? })
     }
 }
 

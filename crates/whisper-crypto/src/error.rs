@@ -20,8 +20,9 @@ pub enum CryptoError {
     BadSignature,
     /// An onion layer was malformed or was encrypted for a different key.
     MalformedOnion(&'static str),
-    /// A sealed blob was truncated or structurally invalid.
-    MalformedSealedBlob,
+    /// A sealed layer was shorter than one RSA block, or its block did not
+    /// carry a session secret.
+    MalformedSealedLayer,
 }
 
 impl fmt::Display for CryptoError {
@@ -37,7 +38,7 @@ impl fmt::Display for CryptoError {
             }
             CryptoError::BadSignature => write!(f, "signature verification failed"),
             CryptoError::MalformedOnion(what) => write!(f, "malformed onion layer: {what}"),
-            CryptoError::MalformedSealedBlob => write!(f, "malformed sealed blob"),
+            CryptoError::MalformedSealedLayer => write!(f, "malformed sealed layer"),
         }
     }
 }

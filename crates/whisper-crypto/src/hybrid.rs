@@ -6,68 +6,21 @@
 //! key. This mirrors how WHISPER encodes content "using symmetric
 //! encryption with a random key k" whose transport is protected by the
 //! mixes' public keys (paper §III-A).
+//!
+//! A sealed layer is one RSA block — exactly the recipient's
+//! [`modulus_bytes`](crate::rsa::PublicKey::modulus_bytes) — followed by
+//! the AES-CTR body, and nothing else: no length travels, because the
+//! opener splits the layer at its own modulus length.
 
 use crate::aes::{Aes128, AesKey, CtrNonce};
 use crate::rsa::{KeyPair, PublicKey};
 use crate::CryptoError;
 use whisper_rand::Rng;
 
-/// A hybrid-encrypted blob: RSA-encrypted header carrying the AES session
-/// key, followed by the AES-CTR body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SealedBlob {
-    /// RSA ciphertext of `key ‖ nonce` (length = modulus size).
-    pub sealed_key: Vec<u8>,
-    /// AES-CTR encrypted payload.
-    pub body: Vec<u8>,
-}
-
-impl SealedBlob {
-    /// Total wire size in bytes.
-    pub fn wire_len(&self) -> usize {
-        2 + self.sealed_key.len() + 4 + self.body.len()
-    }
-
-    /// Serializes to `len16(sealed_key) ‖ sealed_key ‖ len32(body) ‖ body`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        out.extend_from_slice(&(self.sealed_key.len() as u16).to_be_bytes());
-        out.extend_from_slice(&self.sealed_key);
-        out.extend_from_slice(&(self.body.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.body);
-        out
-    }
-
-    /// Parses a blob serialized by [`to_bytes`](Self::to_bytes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::MalformedSealedBlob`] on truncated or
-    /// oversized input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        let err = CryptoError::MalformedSealedBlob;
-        if bytes.len() < 2 {
-            return Err(err);
-        }
-        let klen = u16::from_be_bytes([bytes[0], bytes[1]]) as usize;
-        let sealed_key = bytes.get(2..2 + klen).ok_or(err.clone())?.to_vec();
-        let rest = &bytes[2 + klen..];
-        if rest.len() < 4 {
-            return Err(err);
-        }
-        let blen = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        let body = rest.get(4..4 + blen).ok_or(err.clone())?.to_vec();
-        if rest.len() != 4 + blen {
-            return Err(err);
-        }
-        Ok(SealedBlob { sealed_key, body })
-    }
-}
-
 /// Size of the sealed header payload: 16-byte AES key + 8-byte CTR nonce.
 const SESSION_SECRET_LEN: usize = 24;
 
-/// Seals `plaintext` for `recipient`.
+/// Seals `plaintext` for `recipient`: `RSA(k ‖ nonce) ‖ AES-CTR(plaintext)`.
 ///
 /// # Errors
 ///
@@ -78,34 +31,42 @@ pub fn seal<R: Rng>(
     recipient: &PublicKey,
     plaintext: &[u8],
     rng: &mut R,
-) -> Result<SealedBlob, CryptoError> {
+) -> Result<Vec<u8>, CryptoError> {
     let key = AesKey::random(rng);
     let nonce = CtrNonce::random(rng);
     let mut secret = [0u8; SESSION_SECRET_LEN];
     secret[..16].copy_from_slice(&key.0);
     secret[16..].copy_from_slice(&nonce.0);
-    let sealed_key = recipient.encrypt(&secret, rng)?;
-    let body = Aes128::new(&key).ctr_apply(&nonce, plaintext);
-    Ok(SealedBlob { sealed_key, body })
+    let mut sealed = recipient.encrypt(&secret, rng)?;
+    let block = sealed.len();
+    sealed.extend_from_slice(plaintext);
+    Aes128::new(&key).ctr_apply_in_place(&nonce, &mut sealed[block..]);
+    Ok(sealed)
 }
 
-/// Opens a blob sealed for `keypair`'s public key.
+/// Opens a layer sealed for `keypair`'s public key.
 ///
 /// # Errors
 ///
-/// Fails with [`CryptoError::InvalidPadding`] or
-/// [`CryptoError::MalformedSealedBlob`] when the blob was sealed for a
-/// different key or has been corrupted.
-pub fn open(keypair: &KeyPair, blob: &SealedBlob) -> Result<Vec<u8>, CryptoError> {
-    let secret = keypair.decrypt(&blob.sealed_key)?;
+/// Fails with [`CryptoError::MalformedSealedLayer`] when `sealed` is
+/// shorter than one RSA block — before any decryption — or its block
+/// carries no session secret, and with [`CryptoError::InvalidPadding`]
+/// when it was sealed for a different key or has been corrupted.
+pub fn open(keypair: &KeyPair, sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
+    let block = keypair.public().modulus_bytes();
+    if sealed.len() < block {
+        return Err(CryptoError::MalformedSealedLayer);
+    }
+    let (sealed_key, body) = sealed.split_at(block);
+    let secret = keypair.decrypt(sealed_key)?;
     if secret.len() != SESSION_SECRET_LEN {
-        return Err(CryptoError::MalformedSealedBlob);
+        return Err(CryptoError::MalformedSealedLayer);
     }
     let mut key = [0u8; 16];
     key.copy_from_slice(&secret[..16]);
     let mut nonce = [0u8; 8];
     nonce.copy_from_slice(&secret[16..]);
-    Ok(Aes128::new(&AesKey(key)).ctr_apply(&CtrNonce(nonce), &blob.body))
+    Ok(Aes128::new(&AesKey(key)).ctr_apply(&CtrNonce(nonce), body))
 }
 
 #[cfg(test)]
@@ -143,13 +104,11 @@ mod tests {
     fn ciphertext_differs_from_plaintext() {
         let (kp, mut rng) = setup();
         let msg = b"confidential group traffic".to_vec();
-        let blob = seal(kp.public(), &msg, &mut rng).unwrap();
-        assert_ne!(blob.body, msg);
+        let sealed = seal(kp.public(), &msg, &mut rng).unwrap();
+        let body = &sealed[kp.public().modulus_bytes()..];
+        assert_ne!(body, msg);
         // No plaintext substring leaks into the body.
-        assert!(!blob
-            .body
-            .windows(5)
-            .any(|w| msg.windows(5).any(|m| m == w)));
+        assert!(!body.windows(5).any(|w| msg.windows(5).any(|m| m == w)));
     }
 
     #[test]
@@ -157,37 +116,43 @@ mod tests {
         let (kp, mut rng) = setup();
         let a = seal(kp.public(), b"same message", &mut rng).unwrap();
         let b = seal(kp.public(), b"same message", &mut rng).unwrap();
-        assert_ne!(a.sealed_key, b.sealed_key);
-        assert_ne!(a.body, b.body);
+        let k = kp.public().modulus_bytes();
+        assert_ne!(a[..k], b[..k]);
+        assert_ne!(a[k..], b[k..]);
     }
 
+    /// A sealed layer is one RSA block and the body: nothing else.
     #[test]
-    fn wire_round_trip() {
+    fn a_layer_is_one_block_and_its_body() {
         let (kp, mut rng) = setup();
-        let blob = seal(kp.public(), b"wire format", &mut rng).unwrap();
-        let bytes = blob.to_bytes();
-        assert_eq!(bytes.len(), blob.wire_len());
-        assert_eq!(SealedBlob::from_bytes(&bytes).unwrap(), blob);
+        for len in [0usize, 1, 100] {
+            let sealed = seal(kp.public(), &vec![7; len], &mut rng).unwrap();
+            assert_eq!(sealed.len(), kp.public().modulus_bytes() + len);
+        }
     }
 
+    /// Anything shorter than one block is refused, before any decryption.
     #[test]
     fn truncated_wire_rejected() {
         let (kp, mut rng) = setup();
-        let bytes = seal(kp.public(), b"wire format", &mut rng).unwrap().to_bytes();
-        for cut in [0, 1, 10, bytes.len() - 1] {
-            assert!(SealedBlob::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        let sealed = seal(kp.public(), b"wire format", &mut rng).unwrap();
+        let k = kp.public().modulus_bytes();
+        for cut in [0, 1, 10, k - 1] {
+            let before = crate::costs::snapshot();
+            let opened = open(&kp, &sealed[..cut]);
+            assert_eq!(opened, Err(CryptoError::MalformedSealedLayer), "cut {cut}");
+            let decrypted = crate::costs::snapshot().since(before).rsa_limb_ops;
+            assert_eq!(decrypted, 0, "cut {cut}: an RSA operation ran");
         }
-        // Trailing garbage is rejected too.
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(SealedBlob::from_bytes(&extended).is_err());
+        // One block with the body cut opens to the body's prefix.
+        assert_eq!(open(&kp, &sealed[..k + 4]).unwrap(), b"wire");
     }
 
     #[test]
     fn corrupted_header_fails_open() {
         let (kp, mut rng) = setup();
-        let mut blob = seal(kp.public(), b"payload", &mut rng).unwrap();
-        blob.sealed_key[5] ^= 0xFF;
-        assert!(open(&kp, &blob).is_err());
+        let mut sealed = seal(kp.public(), b"payload", &mut rng).unwrap();
+        sealed[5] ^= 0xFF;
+        assert!(open(&kp, &sealed).is_err());
     }
 }

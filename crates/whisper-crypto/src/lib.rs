@@ -12,7 +12,8 @@
 //!   signatures with CRT-accelerated private-key operations,
 //! * [`aes`] — the AES-128 block cipher and a CTR stream mode,
 //! * [`sha256`] — the SHA-256 hash function,
-//! * [`hybrid`] — RSA-sealed AES session keys ("seal"/"open"),
+//! * [`hybrid`] — RSA-sealed AES session keys ("seal"/"open"): a sealed
+//!   layer is one RSA block and its AES-CTR body,
 //! * [`onion`] — the layered onion construction of paper §III-A: a small
 //!   RSA-protected routing header plus an AES-protected body,
 //! * [`circuit`] — circuit amortization: per-hop AES link keys established
@@ -27,6 +28,13 @@
 //! RSA moduli (384–512 bits) so that thousand-node experiments finish in
 //! reasonable time; see `RsaKeySize` in [`rsa`].
 //!
+//! # Wire images
+//!
+//! Keys and key pairs implement `whisper_net::wire`'s `WireEncode` and
+//! `WireDecode`, and an onion's relay layers are written with its codec:
+//! whisper-crypto depends on whisper-net for that module only, and writes
+//! no length prefix of its own.
+//!
 //! # Example
 //!
 //! ```
@@ -38,6 +46,8 @@
 //! let mut rng = whisper_rand::rngs::StdRng::seed_from_u64(42);
 //! let kp = KeyPair::generate(RsaKeySize::Sim384, &mut rng);
 //! let sealed = hybrid::seal(kp.public(), b"the content stays private", &mut rng)?;
+//! // One RSA block, then the AES-CTR body: no lengths travel.
+//! assert_eq!(sealed.len(), kp.public().modulus_bytes() + 25);
 //! let opened = hybrid::open(&kp, &sealed)?;
 //! assert_eq!(opened, b"the content stays private");
 //! # Ok(())

@@ -11,6 +11,12 @@
 //! Addresses are opaque byte strings here; the WCL layer above maps them
 //! to node identifiers.
 //!
+//! Each layer is a [`hybrid`] sealed layer — one RSA block, then the
+//! AES-CTR body — whose plaintext is, for the destination,
+//! `TAG_DEST ‖ k ‖ nonce ‖ ext` and, for a mix,
+//! `TAG_RELAY ‖ bytes(next hop) ‖ bytes(ext) ‖ inner layer`, a `bytes`
+//! field being a [`WireSink::put_bytes`] string.
+//!
 //! ```
 //! use whisper_crypto::onion::{build_onion, peel, PeelResult};
 //! use whisper_crypto::rsa::{KeyPair, RsaKeySize};
@@ -40,9 +46,10 @@
 //! ```
 
 use crate::aes::{Aes128, AesKey, CtrNonce};
-use crate::hybrid::{self, SealedBlob};
+use crate::hybrid;
 use crate::rsa::{KeyPair, PublicKey};
 use crate::CryptoError;
+use whisper_net::wire::{WireReader, WireSink, WireWriter};
 use whisper_rand::Rng;
 
 // Every layer carries an opaque per-hop extension blob, empty when the
@@ -155,22 +162,20 @@ pub fn build_onion_ext<R: Rng>(
     inner_plain.extend_from_slice(&key.0);
     inner_plain.extend_from_slice(&nonce.0);
     inner_plain.extend_from_slice(dest_ext);
-    let mut header = hybrid::seal(dest_key, &inner_plain, rng)?.to_bytes();
+    let mut header = hybrid::seal(dest_key, &inner_plain, rng)?;
 
     // Wrap for each mix in reverse order; layer for path[i] names path[i+1]:
-    // TAG_RELAY ‖ len ‖ next hop ‖ len ‖ ext ‖ inner header.
+    // TAG_RELAY ‖ bytes(next hop) ‖ bytes(ext) ‖ inner header.
     for i in (0..path.len() - 1).rev() {
         let (mix_key, _) = &path[i];
         let (_, next_addr) = &path[i + 1];
         let ext = ext_of(i);
-        let mut plain = Vec::with_capacity(5 + next_addr.len() + ext.len() + header.len());
-        plain.push(TAG_RELAY);
-        plain.extend_from_slice(&(next_addr.len() as u16).to_be_bytes());
-        plain.extend_from_slice(next_addr);
-        plain.extend_from_slice(&(ext.len() as u16).to_be_bytes());
-        plain.extend_from_slice(ext);
-        plain.extend_from_slice(&header);
-        header = hybrid::seal(mix_key, &plain, rng)?.to_bytes();
+        let mut plain = WireWriter::with_capacity(5 + next_addr.len() + ext.len() + header.len());
+        plain.put_u8(TAG_RELAY);
+        plain.put_bytes(next_addr);
+        plain.put_bytes(ext);
+        plain.put_raw(&header);
+        header = hybrid::seal(mix_key, &plain.into_bytes(), rng)?;
     }
 
     Ok(OnionPacket { header, body })
@@ -183,8 +188,7 @@ pub fn build_onion_ext<R: Rng>(
 /// Fails when the layer is encrypted for a different key or structurally
 /// malformed.
 pub fn peel(keypair: &KeyPair, header: &[u8]) -> Result<PeelResult, CryptoError> {
-    let blob = SealedBlob::from_bytes(header)?;
-    let plain = hybrid::open(keypair, &blob)?;
+    let plain = hybrid::open(keypair, header)?;
     match plain.split_first() {
         Some((&TAG_DEST, rest)) => {
             if rest.len() < 24 {
@@ -199,26 +203,11 @@ pub fn peel(keypair: &KeyPair, header: &[u8]) -> Result<PeelResult, CryptoError>
             })
         }
         Some((&TAG_RELAY, rest)) => {
-            if rest.len() < 2 {
-                return Err(CryptoError::MalformedOnion("truncated relay layer"));
-            }
-            let addr_len = u16::from_be_bytes([rest[0], rest[1]]) as usize;
-            let next_hop = rest
-                .get(2..2 + addr_len)
-                .ok_or(CryptoError::MalformedOnion("truncated next-hop address"))?
-                .to_vec();
-            let mut at = 2 + addr_len;
-            let len_bytes = rest
-                .get(at..at + 2)
-                .ok_or(CryptoError::MalformedOnion("truncated extension length"))?;
-            let ext_len = u16::from_be_bytes([len_bytes[0], len_bytes[1]]) as usize;
-            at += 2;
-            let ext = rest
-                .get(at..at + ext_len)
-                .ok_or(CryptoError::MalformedOnion("truncated extension"))?
-                .to_vec();
-            at += ext_len;
-            let header = rest[at..].to_vec();
+            let mut r = WireReader::new(rest);
+            let truncated = |_| CryptoError::MalformedOnion("truncated relay layer");
+            let next_hop = r.take_bytes().map_err(truncated)?.to_vec();
+            let ext = r.take_bytes().map_err(truncated)?.to_vec();
+            let header = r.take_raw(r.remaining()).map_err(truncated)?.to_vec();
             if header.is_empty() {
                 return Err(CryptoError::MalformedOnion("missing inner header"));
             }
@@ -352,10 +341,10 @@ mod tests {
     #[test]
     fn relay_cannot_tell_if_next_is_destination() {
         // The bytes a mix forwards look identical in structure whether the
-        // next hop is another mix or the destination: both are SealedBlobs
-        // of the same format. We verify that the forwarded header parses as
-        // a SealedBlob in both cases and has no distinguishing tag in the
-        // clear.
+        // next hop is another mix or the destination: both are sealed
+        // layers, one RSA block and its AES-CTR body, with no tag or
+        // length in the clear. We verify that the forwarded header opens
+        // under the right key in both cases and under no other.
         let mut rng = StdRng::seed_from_u64(15);
         let ks = keys(3, &mut rng);
         // Path of length 2: A then D. A's forwarded header IS D's layer.
@@ -378,11 +367,15 @@ mod tests {
         let PeelResult::Relay { header: h3, .. } = peel(&ks[0], &p3.header).unwrap() else {
             panic!()
         };
-        // Both are well-formed sealed blobs; the only visible difference is
-        // length, which depends on remaining depth — the paper's 4-node
+        // Both are well-formed sealed layers; the only visible difference
+        // is length, which depends on remaining depth — the paper's 4-node
         // fixed-length paths make even that uniform.
-        assert!(SealedBlob::from_bytes(&h2).is_ok());
-        assert!(SealedBlob::from_bytes(&h3).is_ok());
+        assert!(hybrid::open(&ks[1], &h2).is_ok(), "D's layer opens under D's key");
+        assert!(hybrid::open(&ks[1], &h3).is_ok(), "B's layer opens under B's key");
+        for h in [&h2, &h3] {
+            assert!(hybrid::open(&ks[0], h).is_err() && hybrid::open(&ks[2], h).is_err());
+        }
+        assert_ne!(h2.len(), h3.len());
     }
 
     /// No extensions and empty ones are the same onion, and every hop

@@ -30,6 +30,7 @@ use crate::bignum::{gen_prime, mul_acc, with_scratch, BigUint, Montgomery, STACK
 use crate::sha256::Sha256;
 use crate::CryptoError;
 use std::sync::Arc;
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_rand::Rng;
 
 /// Supported RSA modulus sizes.
@@ -62,28 +63,31 @@ impl RsaKeySize {
     }
 }
 
-/// An RSA public key `(n, e)`.
+/// An RSA public key: its modulus `n`. Every key's exponent is
+/// [`PUBLIC_EXPONENT`], so the modulus is all a key is.
 ///
 /// A key is immutable once built, and the protocol layers copy keys
 /// around constantly (view entries, gateway lists, destination
 /// descriptors, onion paths), so the handle is a shared pointer: a clone
-/// is a reference-count bump, not three buffer copies. Equality and
+/// is a reference-count bump, not two buffer copies. Equality and
 /// hashing are by value.
 ///
-/// The canonical wire serialization (`len(n) ‖ n ‖ len(e) ‖ e`) is
-/// computed once at construction and cached, so the hot gossip paths
-/// that ship the same unchanged key on every exchange never re-serialize
-/// it — see [`wire_bytes`](Self::wire_bytes).
+/// A key's image is its modulus, big-endian in exactly
+/// [`modulus_bytes`](Self::modulus_bytes) bytes, the first with its top
+/// bit set. It is computed once at construction and cached, so the hot
+/// gossip paths that ship the same unchanged key on every exchange never
+/// re-serialize it — see [`wire_bytes`](Self::wire_bytes). Inside a
+/// message ([`WireEncode`]) the image travels as one length-prefixed
+/// byte string.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct PublicKey(Arc<KeyParts>);
 
 #[derive(PartialEq, Eq, Hash)]
 struct KeyParts {
     n: BigUint,
-    e: BigUint,
-    k: usize, // modulus length in bytes
-    /// Cached canonical serialization; a pure function of `(n, e)`, so
-    /// the derived `PartialEq`/`Hash` stay consistent.
+    /// The cached image: `n` in its minimal big-endian form, whose
+    /// length is the modulus length; a pure function of `n`, so the
+    /// derived `PartialEq`/`Hash` stay consistent.
     wire: Vec<u8>,
 }
 
@@ -134,7 +138,8 @@ impl std::fmt::Debug for KeyPair {
     }
 }
 
-const PUBLIC_EXPONENT: u64 = 65537;
+/// The public exponent of every key: `e = 65537`. No image carries it.
+pub const PUBLIC_EXPONENT: u64 = 65537;
 /// Minimum PKCS#1 v1.5 padding overhead: 2 header bytes, >= 8 padding
 /// bytes, 1 separator.
 const PAD_OVERHEAD: usize = 11;
@@ -151,31 +156,26 @@ impl KeyPair {
         loop {
             let p = gen_prime(half, rng);
             let q = gen_prime(half, rng);
-            if let Some(pair) = Self::from_primes(p, q, BigUint::from(PUBLIC_EXPONENT)) {
-                debug_assert_eq!(pair.public.0.k, size.bytes());
+            if let Some(pair) = Self::from_primes(p, q) {
+                debug_assert_eq!(pair.public.modulus_bytes(), size.bytes());
                 return pair;
             }
         }
     }
 
-    /// Derives the key pair of two distinct odd primes and a public
-    /// exponent, or `None` when they make no usable key: equal or even
-    /// "primes", an exponent with no inverse, or a modulus whose bit
-    /// length is not a whole number of bytes or is under
-    /// [`MIN_MODULUS_BYTES`].
-    fn from_primes(p: BigUint, q: BigUint, e: BigUint) -> Option<Self> {
+    /// Derives the key pair of two distinct odd primes, or `None` when
+    /// they make no usable key: equal or even "primes", a
+    /// [`PUBLIC_EXPONENT`] with no inverse, or a modulus
+    /// [`PublicKey::from_bytes`] would refuse.
+    fn from_primes(p: BigUint, q: BigUint) -> Option<Self> {
         if p == q || p.is_even() || q.is_even() {
             return None;
         }
         let one = BigUint::one();
         let p1 = p.sub(&one);
         let q1 = q.sub(&one);
-        let d = e.modinv(&p1.mul(&q1))?;
-        let n = p.mul(&q);
-        if !n.bits().is_multiple_of(8) || n.bits() < 8 * MIN_MODULUS_BYTES {
-            return None;
-        }
-        let k = n.bits() / 8;
+        let d = BigUint::from(PUBLIC_EXPONENT).modinv(&p1.mul(&q1))?;
+        let public = PublicKey::from_bytes(&p.mul(&q).to_bytes_be())?;
         let p = CrtPrime { exp: d.rem(&p1), ctx: Montgomery::new(&p) };
         let q = CrtPrime { exp: d.rem(&q1), ctx: Montgomery::new(&q) };
         let (hi, lo) = larger_first(&p, &q);
@@ -184,7 +184,7 @@ impl KeyPair {
         inv.resize(hi.ctx.limbs(), 0);
         let mut coeff = vec![0u64; inv.len()];
         hi.ctx.to_mont(&mut coeff, &inv);
-        Some(KeyPair { public: PublicKey::assemble(n, e, k), p, q, coeff })
+        Some(KeyPair { public, p, q, coeff })
     }
 
     /// The public half of this key pair.
@@ -230,7 +230,7 @@ impl KeyPair {
             return Err(CryptoError::CiphertextOutOfRange);
         }
         let m = self.private_op(&c);
-        let em = m.to_bytes_be_padded(self.public.0.k);
+        let em = m.to_bytes_be_padded(self.public.modulus_bytes());
         // EM = 0x00 0x02 PS 0x00 M
         if em[0] != 0x00 || em[1] != 0x02 {
             return Err(CryptoError::InvalidPadding);
@@ -246,49 +246,10 @@ impl KeyPair {
         Ok(em[2 + sep + 1..].to_vec())
     }
 
-    /// Serializes the full key pair as `len(p) ‖ p ‖ len(q) ‖ q ‖ len(e) ‖ e`
-    /// (two-byte big-endian length prefixes). The CRT parameters are
-    /// recomputed on load, so the encoding stays minimal (~3/2 the modulus
-    /// size). Used by the PPSS group journal to persist a leader's group
-    /// key across crash-restart; never sent on the wire.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let p = self.p.ctx.modulus().to_bytes_be();
-        let q = self.q.ctx.modulus().to_bytes_be();
-        let e = self.public.0.e.to_bytes_be();
-        let mut out = Vec::with_capacity(6 + p.len() + q.len() + e.len());
-        for part in [&p, &q, &e] {
-            out.extend_from_slice(&(part.len() as u16).to_be_bytes());
-            out.extend_from_slice(part);
-        }
-        out
-    }
-
-    /// Parses a key pair serialized by [`to_bytes`](Self::to_bytes),
-    /// rebuilding the CRT acceleration parameters. Returns `None` on
-    /// malformed input (wrong framing, equal or even primes,
-    /// non-invertible exponent, or a modulus whose bit length is not a
-    /// whole number of bytes or is under [`MIN_MODULUS_BYTES`]).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        fn take<'a>(bytes: &mut &'a [u8]) -> Option<&'a [u8]> {
-            let len = u16::from_be_bytes([*bytes.first()?, *bytes.get(1)?]) as usize;
-            let part = bytes.get(2..2 + len)?;
-            *bytes = &bytes[2 + len..];
-            Some(part)
-        }
-        let mut rest = bytes;
-        let p = BigUint::from_bytes_be(take(&mut rest)?);
-        let q = BigUint::from_bytes_be(take(&mut rest)?);
-        let e = BigUint::from_bytes_be(take(&mut rest)?);
-        if !rest.is_empty() {
-            return None;
-        }
-        Self::from_primes(p, q, e)
-    }
-
     /// Signs `message` (SHA-256 digest in a PKCS#1 v1.5 type-1 block).
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
         let digest = Sha256::digest(message);
-        let k = self.public.0.k;
+        let k = self.public.modulus_bytes();
         // EM = 0x00 0x01 0xFF...0xFF 0x00 digest
         let mut em = vec![0xFFu8; k];
         em[0] = 0x00;
@@ -300,29 +261,55 @@ impl KeyPair {
     }
 }
 
-impl PublicKey {
-    /// Builds a key from its parts, computing the cached canonical wire
-    /// serialization. [`PublicKey::from_bytes`], which accepts that
-    /// serialization only, keeps its input instead.
-    fn assemble(n: BigUint, e: BigUint, k: usize) -> PublicKey {
-        let n_bytes = n.to_bytes_be();
-        let e_bytes = e.to_bytes_be();
-        let mut wire = Vec::with_capacity(4 + n_bytes.len() + e_bytes.len());
-        wire.extend_from_slice(&(n_bytes.len() as u16).to_be_bytes());
-        wire.extend_from_slice(&n_bytes);
-        wire.extend_from_slice(&(e_bytes.len() as u16).to_be_bytes());
-        wire.extend_from_slice(&e_bytes);
-        PublicKey(Arc::new(KeyParts { n, e, k, wire }))
+/// A key pair's image: its two primes, each a length-prefixed big-endian
+/// byte string, in the order they were generated. The CRT parameters are
+/// recomputed on load, so the image stays minimal (about the modulus
+/// size). The PPSS group journal keeps a leader's group key in it across
+/// crash-restart; it is never sent on the wire.
+impl WireEncode for KeyPair {
+    fn encode<W: WireSink>(&self, w: &mut W) {
+        w.put_bytes(&self.p.ctx.modulus().to_bytes_be());
+        w.put_bytes(&self.q.ctx.modulus().to_bytes_be());
     }
+}
 
+/// Reads what [`KeyPair`]'s [`WireEncode`] writes and rebuilds the CRT
+/// acceleration parameters; refuses two numbers that make no usable key
+/// (equal or even primes, a [`PUBLIC_EXPONENT`] with no inverse, or a
+/// modulus [`PublicKey::from_bytes`] would refuse).
+impl WireDecode for KeyPair {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let p = BigUint::from_bytes_be(r.take_bytes()?);
+        let q = BigUint::from_bytes_be(r.take_bytes()?);
+        KeyPair::from_primes(p, q).ok_or(WireError::new("not an RSA key pair"))
+    }
+}
+
+/// A key inside a message: its image as one length-prefixed byte string,
+/// copied from the cache.
+impl WireEncode for PublicKey {
+    fn encode<W: WireSink>(&self, w: &mut W) {
+        w.put_bytes(&self.0.wire);
+    }
+}
+
+/// Reads what [`PublicKey`]'s [`WireEncode`] writes, under
+/// [`PublicKey::from_bytes`]'s rule.
+impl WireDecode for PublicKey {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        PublicKey::from_bytes(r.take_bytes()?).ok_or(WireError::new("not an RSA public key"))
+    }
+}
+
+impl PublicKey {
     /// Maximum plaintext size for a single [`encrypt`](Self::encrypt) call.
     pub fn max_payload(&self) -> usize {
-        self.0.k - PAD_OVERHEAD
+        self.modulus_bytes() - PAD_OVERHEAD
     }
 
     /// Modulus length in bytes.
     pub fn modulus_bytes(&self) -> usize {
-        self.0.k
+        self.0.wire.len()
     }
 
     /// Encrypts `message` with PKCS#1 v1.5 type-2 padding.
@@ -338,17 +325,18 @@ impl PublicKey {
                 max_len: self.max_payload(),
             });
         }
-        let mut em = vec![0u8; self.0.k];
+        let k = self.modulus_bytes();
+        let mut em = vec![0u8; k];
         em[1] = 0x02;
-        let ps_len = self.0.k - 3 - message.len();
+        let ps_len = k - 3 - message.len();
         for b in &mut em[2..2 + ps_len] {
             *b = rng.gen_range(1..=255u8);
         }
         em[2 + ps_len] = 0x00;
         em[3 + ps_len..].copy_from_slice(message);
         let m = BigUint::from_bytes_be(&em);
-        let c = m.modpow(&self.0.e, &self.0.n);
-        Ok(c.to_bytes_be_padded(self.0.k))
+        let c = m.modpow(&BigUint::from(PUBLIC_EXPONENT), &self.0.n);
+        Ok(c.to_bytes_be_padded(k))
     }
 
     /// Verifies a signature produced by [`KeyPair::sign`].
@@ -362,61 +350,49 @@ impl PublicKey {
         if s >= self.0.n {
             return Err(CryptoError::BadSignature);
         }
-        let v = s.modpow(&self.0.e, &self.0.n);
-        let em = v.to_bytes_be_padded(self.0.k);
+        let k = self.modulus_bytes();
+        let v = s.modpow(&BigUint::from(PUBLIC_EXPONENT), &self.0.n);
+        let em = v.to_bytes_be_padded(k);
         if em[0] != 0x00 || em[1] != 0x01 {
             return Err(CryptoError::BadSignature);
         }
-        if em[2..self.0.k - 33].iter().any(|&b| b != 0xFF) || em[self.0.k - 33] != 0x00 {
+        if em[2..k - 33].iter().any(|&b| b != 0xFF) || em[k - 33] != 0x00 {
             return Err(CryptoError::BadSignature);
         }
         let digest = Sha256::digest(message);
-        if em[self.0.k - 32..] != digest {
+        if em[k - 32..] != digest {
             return Err(CryptoError::BadSignature);
         }
         Ok(())
     }
 
-    /// Serializes the key as `len(n) ‖ n ‖ len(e) ‖ e` (two-byte
-    /// big-endian length prefixes). Returns a copy of the cached blob;
-    /// use [`wire_bytes`](Self::wire_bytes) to avoid the allocation.
+    /// The key's image, the modulus (see [`PublicKey`]). Returns a copy of
+    /// the cached image; use [`wire_bytes`](Self::wire_bytes) to avoid
+    /// the allocation.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.0.wire.clone()
     }
 
-    /// The cached canonical serialization, borrowed. Writers embedding
-    /// the key in a wire message can copy straight from this slice
-    /// instead of re-serializing the (unchanged) key on every send.
+    /// The cached image, borrowed. Writers embedding the key in a wire
+    /// message can copy straight from this slice instead of
+    /// re-serializing the (unchanged) key on every send.
     pub fn wire_bytes(&self) -> &[u8] {
         &self.0.wire
     }
 
-    /// Parses a key serialized by [`to_bytes`](Self::to_bytes) — exactly
-    /// those byte strings: `n` and `e` in their minimal big-endian form
-    /// (no leading zero byte, `e` not empty) and nothing after `e`. One
-    /// key therefore has one encoding, and the input itself becomes the
-    /// cached [`wire_bytes`](Self::wire_bytes). A modulus under
-    /// [`MIN_MODULUS_BYTES`] is refused: it could neither check a
-    /// signature nor seal a secret.
+    /// Parses a key's image, as [`to_bytes`](Self::to_bytes) returns it:
+    /// a modulus of at least [`MIN_MODULUS_BYTES`] bytes whose first
+    /// byte has its top bit set. A shorter one could neither check a
+    /// signature nor seal a secret, and a clear top bit is a leading zero
+    /// or a modulus whose bit length is not a whole number of bytes. One
+    /// key therefore has one image, and the input itself becomes the
+    /// cached [`wire_bytes`](Self::wire_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let n_len = u16::from_be_bytes([*bytes.first()?, *bytes.get(1)?]) as usize;
-        let n_bytes = bytes.get(2..2 + n_len)?;
-        let rest = &bytes[2 + n_len..];
-        let e_len = u16::from_be_bytes([*rest.first()?, *rest.get(1)?]) as usize;
-        if rest.len() != 2 + e_len {
+        if bytes.len() < MIN_MODULUS_BYTES || bytes[0] < 0x80 {
             return None;
         }
-        let e_bytes = &rest[2..];
-        if *n_bytes.first()? == 0 || *e_bytes.first()? == 0 {
-            return None;
-        }
-        let n = BigUint::from_bytes_be(n_bytes);
-        if !n.bits().is_multiple_of(8) || n.bits() < 8 * MIN_MODULUS_BYTES {
-            return None;
-        }
-        let k = n.bits() / 8;
-        let e = BigUint::from_bytes_be(e_bytes);
-        Some(PublicKey(Arc::new(KeyParts { n, e, k, wire: bytes.to_vec() })))
+        let n = BigUint::from_bytes_be(bytes);
+        Some(PublicKey(Arc::new(KeyParts { n, wire: bytes.to_vec() })))
     }
 
     /// Short (8-byte) SHA-256-based fingerprint, used as a compact key
@@ -529,33 +505,27 @@ mod tests {
 
     #[test]
     fn cached_wire_blob_matches_fresh_encode() {
-        // The cached blob must equal a from-scratch serialization of
-        // (n, e) on every construction path: generate, parse, and
-        // key-pair reload.
-        fn fresh_encode(key: &PublicKey) -> Vec<u8> {
-            let n = key.0.n.to_bytes_be();
-            let e = key.0.e.to_bytes_be();
-            let mut out = Vec::with_capacity(4 + n.len() + e.len());
-            out.extend_from_slice(&(n.len() as u16).to_be_bytes());
-            out.extend_from_slice(&n);
-            out.extend_from_slice(&(e.len() as u16).to_be_bytes());
-            out.extend_from_slice(&e);
-            out
-        }
+        // The cached image must equal a from-scratch serialization of n,
+        // one modulus long, on every construction path: generate, parse,
+        // read from a message, and key-pair reload.
         let kp = keypair();
-        assert_eq!(kp.public().wire_bytes(), fresh_encode(kp.public()).as_slice());
+        let fresh = kp.public().0.n.to_bytes_be();
+        assert_eq!(kp.public().wire_bytes(), fresh.as_slice());
+        assert_eq!(fresh.len(), kp.public().modulus_bytes());
         assert_eq!(kp.public().to_bytes(), kp.public().wire_bytes());
         let parsed = PublicKey::from_bytes(&kp.public().to_bytes()).unwrap();
         assert_eq!(parsed.wire_bytes(), kp.public().wire_bytes());
-        let reloaded = KeyPair::from_bytes(&kp.to_bytes()).unwrap();
+        let taken = PublicKey::from_wire(&kp.public().to_wire()).unwrap();
+        assert_eq!(taken.wire_bytes(), kp.public().wire_bytes());
+        let reloaded = KeyPair::from_wire(&kp.to_wire()).unwrap();
         assert_eq!(reloaded.public().wire_bytes(), kp.public().wire_bytes());
     }
 
     #[test]
     fn keypair_serialization_round_trip() {
         let kp = keypair();
-        let bytes = kp.to_bytes();
-        let parsed = KeyPair::from_bytes(&bytes).unwrap();
+        let bytes = kp.to_wire();
+        let parsed = KeyPair::from_wire(&bytes).unwrap();
         assert_eq!(parsed.public(), kp.public());
         // The rebuilt CRT parameters must actually work.
         let sig = parsed.sign(b"journal replay");
@@ -567,11 +537,11 @@ mod tests {
 
     #[test]
     fn keypair_from_garbage_is_none() {
-        assert!(KeyPair::from_bytes(&[]).is_none());
-        assert!(KeyPair::from_bytes(&[0x00, 0x02, 0x01]).is_none()); // truncated
-        let mut bytes = keypair().to_bytes();
+        assert!(KeyPair::from_wire(&[]).is_err());
+        assert!(KeyPair::from_wire(&[0x02, 0x01]).is_err()); // truncated
+        let mut bytes = keypair().to_wire();
         bytes.push(0); // trailing garbage
-        assert!(KeyPair::from_bytes(&bytes).is_none());
+        assert!(KeyPair::from_wire(&bytes).is_err());
     }
 
     #[test]
@@ -581,38 +551,34 @@ mod tests {
         assert!(PublicKey::from_bytes(&[0x00, 0x10, 0x01]).is_none()); // truncated
     }
 
-    /// One key, one encoding: whatever `to_bytes` would not have written
-    /// is rejected, so the bytes a parsed key caches are the bytes that
+    /// One key, one image: whatever `to_bytes` would not have written is
+    /// rejected, so the bytes a parsed key caches are the bytes that
     /// arrived.
     #[test]
     fn public_key_parsing_is_strict() {
-        fn encode(n: &[u8], e: &[u8]) -> Vec<u8> {
-            let mut out = (n.len() as u16).to_be_bytes().to_vec();
-            out.extend_from_slice(n);
-            out.extend_from_slice(&(e.len() as u16).to_be_bytes());
-            out.extend_from_slice(e);
-            out
-        }
         let mut r = rng();
-        for size in
-            [RsaKeySize::Sim384, RsaKeySize::Sim512, RsaKeySize::Std1024, RsaKeySize::Std2048]
-        {
+        for size in SIZES {
             let kp = KeyPair::generate(size, &mut r);
             let parsed = PublicKey::from_bytes(&kp.public().to_bytes()).unwrap();
             assert_eq!(&parsed, kp.public());
             assert_eq!(parsed.wire_bytes(), kp.public().wire_bytes());
+            assert_eq!(parsed.wire_bytes().len(), size.bytes(), "{size:?}: the modulus alone");
         }
         let key = keypair();
-        let (n, e) = (key.public().0.n.to_bytes_be(), key.public().0.e.to_bytes_be());
-        assert_eq!(PublicKey::from_bytes(&encode(&n, &e)).as_ref(), Some(key.public()));
-        let mut trailing = encode(&n, &e);
-        trailing.push(0);
-        assert!(PublicKey::from_bytes(&trailing).is_none(), "trailing byte");
-        let zero_led = |v: &[u8]| [&[0u8][..], v].concat();
-        assert!(PublicKey::from_bytes(&encode(&zero_led(&n), &e)).is_none(), "zero-led n");
-        assert!(PublicKey::from_bytes(&encode(&n, &zero_led(&e))).is_none(), "zero-led e");
-        assert!(PublicKey::from_bytes(&encode(&n, &[])).is_none(), "empty e");
-        assert!(PublicKey::from_bytes(&encode(&[], &e)).is_none(), "empty n");
+        let n = key.public().0.n.to_bytes_be();
+        assert_eq!(PublicKey::from_bytes(&n).as_ref(), Some(key.public()));
+        let zero_led = [&[0u8][..], &n].concat();
+        assert!(PublicKey::from_bytes(&zero_led).is_none(), "zero-led n");
+        let halved = key.public().0.n.shr(1).to_bytes_be();
+        assert_eq!(halved.len(), n.len());
+        assert!(PublicKey::from_bytes(&halved).is_none(), "a bit length short of whole bytes");
+        let short = &n[..MIN_MODULUS_BYTES - 1];
+        assert!(PublicKey::from_bytes(short).is_none(), "under the shortest modulus");
+        assert!(PublicKey::from_bytes(&n[..MIN_MODULUS_BYTES]).is_some(), "the shortest modulus");
+        // The `len(n) ‖ n ‖ len(e) ‖ e` image keys had before the exponent
+        // was fixed opens with a zero byte.
+        let framed = [&[0, n.len() as u8][..], &n, &[0, 3, 1, 0, 1]].concat();
+        assert!(PublicKey::from_bytes(&framed).is_none(), "an (n, e) image");
     }
 
     #[test]
@@ -630,11 +596,25 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The image the key-generation goldens were recorded over, from
+    /// before the exponent was fixed: `p`, `q` and `e`, each behind a
+    /// two-byte big-endian length (every part is under 256 bytes).
+    fn pqe_image(kp: &KeyPair) -> Vec<u8> {
+        let e = BigUint::from(PUBLIC_EXPONENT);
+        [kp.p.ctx.modulus(), kp.q.ctx.modulus(), &e]
+            .iter()
+            .flat_map(|part| {
+                let bytes = part.to_bytes_be();
+                [&[0, bytes.len() as u8][..], &bytes].concat()
+            })
+            .collect()
+    }
+
     /// Key generation draws from the RNG in a fixed order — every
-    /// simulated population depends on it. `SHA-256(to_bytes())` of the
-    /// generated pair and the RNG's next word, recorded with the
-    /// implementation before the allocation-free Montgomery path (whose
-    /// Miller–Rabin stays inside one context per candidate).
+    /// simulated population depends on it. `SHA-256` of the generated
+    /// pair's `(p, q, e)` image and the RNG's next word, recorded with
+    /// the implementation before the allocation-free Montgomery path
+    /// (whose Miller–Rabin stays inside one context per candidate).
     #[test]
     fn generated_keys_match_recorded_goldens() {
         let goldens = [
@@ -651,7 +631,7 @@ mod tests {
             let size = SIZES[i / 2];
             let mut r = StdRng::seed_from_u64(seed);
             let kp = KeyPair::generate(size, &mut r);
-            assert_eq!(hex(&Sha256::digest(&kp.to_bytes())), digest, "{size:?} seed {seed}");
+            assert_eq!(hex(&Sha256::digest(&pqe_image(&kp))), digest, "{size:?} seed {seed}");
             assert_eq!(r.gen::<u64>(), next_word, "{size:?} seed {seed}: RNG position");
         }
     }
@@ -710,8 +690,8 @@ mod tests {
             assert_eq!(kp.public().verify(&msg, &vec![0xFF; k]), Err(CryptoError::BadSignature));
 
             // The reloaded pair rebuilds its contexts and is the same key.
-            let reloaded = KeyPair::from_bytes(&kp.to_bytes()).unwrap();
-            assert_eq!(reloaded.to_bytes(), kp.to_bytes());
+            let reloaded = KeyPair::from_wire(&kp.to_wire()).unwrap();
+            assert_eq!(reloaded.to_wire(), kp.to_wire());
             assert_eq!(reloaded.decrypt(&ct).unwrap(), msg, "{size:?}");
             assert_eq!(reloaded.sign(&msg), sig, "{size:?}");
         }
@@ -723,13 +703,12 @@ mod tests {
     fn uneven_primes_work_in_either_order() {
         let mut r = rng();
         let (p, q) = (gen_prime(192, &mut r), gen_prime(128, &mut r));
-        let e = BigUint::from(PUBLIC_EXPONENT);
         for (p, q) in [(p.clone(), q.clone()), (q, p)] {
-            let kp = KeyPair::from_primes(p, q, e.clone()).expect("320-bit modulus");
+            let kp = KeyPair::from_primes(p, q).expect("320-bit modulus");
             let ct = kp.public().encrypt(b"uneven", &mut r).unwrap();
             assert_eq!(kp.decrypt(&ct).unwrap(), b"uneven");
             kp.public().verify(b"uneven", &kp.sign(b"uneven")).unwrap();
-            assert_eq!(KeyPair::from_bytes(&kp.to_bytes()).unwrap().to_bytes(), kp.to_bytes());
+            assert_eq!(KeyPair::from_wire(&kp.to_wire()).unwrap().to_wire(), kp.to_wire());
         }
     }
 
@@ -737,11 +716,10 @@ mod tests {
     fn keypair_with_even_or_equal_primes_is_none() {
         let mut r = rng();
         let p = gen_prime(192, &mut r);
-        let e = BigUint::from(PUBLIC_EXPONENT);
-        assert!(KeyPair::from_primes(p.clone(), p.clone(), e.clone()).is_none());
+        assert!(KeyPair::from_primes(p.clone(), p.clone()).is_none());
         let even = p.add(&BigUint::one());
-        assert!(KeyPair::from_primes(p.clone(), even.clone(), e.clone()).is_none());
-        assert!(KeyPair::from_primes(even, p, e).is_none());
+        assert!(KeyPair::from_primes(p.clone(), even.clone()).is_none());
+        assert!(KeyPair::from_primes(even, p).is_none());
     }
 
     #[test]

@@ -13,6 +13,7 @@ use whisper_crypto::hybrid;
 use whisper_crypto::onion::{build_onion, peel, peel_with_body, PeelResult};
 use whisper_crypto::rsa::{KeyPair, PublicKey, RsaKeySize};
 use whisper_crypto::sha256::Sha256;
+use whisper_net::wire::{WireDecode, WireEncode, WireReader, WireSink, WireWriter};
 use whisper_rand::check::{check, Gen};
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
@@ -240,20 +241,18 @@ fn rsa_decrypt_never_panics_on_garbage() {
     });
 }
 
+/// Random headers of any length up to 199 bytes, and of exactly one RSA
+/// block and one block plus a byte — the shortest lengths `peel` decrypts.
 #[test]
 fn peel_never_panics_on_garbage() {
     check(64, "peel_never_panics_on_garbage", |g| {
-        let bytes = g.bytes(199);
         let kp = &test_keys()[0];
-        let _ = peel(kp, &bytes); // must return Err, not panic
+        let block = kp.public().modulus_bytes();
+        let mut sized = |len: usize| -> Vec<u8> { (0..len).map(|_| g.gen()).collect() };
+        for bytes in [sized(block), sized(block + 1), g.bytes(199)] {
+            let _ = peel(kp, &bytes); // must return Err, not panic
+        }
     });
-}
-
-/// `len(a) ‖ a ‖ len(b) ‖ b ‖ …` with two-byte length prefixes: the
-/// framing of a serialized public key (`n`, `e`) and key pair (`p`, `q`,
-/// `e`).
-fn framed(parts: &[&[u8]]) -> Vec<u8> {
-    parts.iter().flat_map(|part| [&(part.len() as u16).to_be_bytes()[..], part].concat()).collect()
 }
 
 /// `len` random bytes, the first with its top bit set: a number of
@@ -264,9 +263,17 @@ fn whole_bytes(g: &mut Gen, len: usize) -> Vec<u8> {
     bytes
 }
 
+/// `message`'s signature block for a modulus of `k` bytes, laid out as
+/// `KeyPair::sign` lays it out — `00 01 FF…FF 00 SHA-256(message)` — but
+/// never raised to the private exponent. Only a key whose public exponent
+/// leaves every block as it is (`e = 1`) verifies it.
+fn unexponentiated(message: &[u8], k: usize) -> Vec<u8> {
+    [&[0, 1][..], &vec![0xFF; k.saturating_sub(35)], &[0], &Sha256::digest(message)].concat()
+}
+
 /// Signatures aimed at each check of `verify`'s layout, for a modulus of
-/// `k` bytes: arbitrary bytes, a block that opens with `00 01` — under
-/// `e = 1` it verifies to itself — and one laid out as `sign` writes it.
+/// `k` bytes: arbitrary bytes, a block that opens with `00 01`, and one
+/// laid out as `sign` writes it.
 fn hostile_signatures(g: &mut Gen, k: usize) -> [Vec<u8>; 3] {
     let mut random = |len: usize| -> Vec<u8> { (0..len).map(|_| g.gen()).collect() };
     let opened = [vec![0, 1], random(k.saturating_sub(2))].concat();
@@ -274,47 +281,63 @@ fn hostile_signatures(g: &mut Gen, k: usize) -> [Vec<u8>; 3] {
     [random(k + 2), opened, laid_out]
 }
 
-/// A key from the wire never panics the node that uses it: on arbitrary,
-/// truncated and hand-framed byte strings — moduli of 1 to 40 bytes, small
-/// exponents, `e = 1` among them — `PublicKey::from_bytes` never panics,
-/// and every key it accepts seals a 24-byte secret (what `hybrid::seal`
-/// hands it) and checks arbitrary signatures without panicking. The same
-/// for `KeyPair::from_bytes` on pairs of small "primes", whose accepted
-/// pairs sign, decrypt and hand out such a public key.
+/// A key image drawn from the classes a hostile peer can send: a real
+/// image cut anywhere, random bytes, and a modulus of 1 to 40 bytes —
+/// half of them within a byte or two of the shortest allowed.
+fn hostile_key_image(g: &mut Gen, real: &PublicKey) -> Vec<u8> {
+    match g.gen_range(0..4u8) {
+        0 | 1 => {
+            let n_len = if g.gen() { g.gen_range(1..=40usize) } else { g.gen_range(33..=36usize) };
+            whole_bytes(g, n_len)
+        }
+        2 => {
+            let bytes = real.to_bytes();
+            bytes[..g.gen_range(0..=bytes.len())].to_vec()
+        }
+        _ => g.bytes(60),
+    }
+}
+
+/// Every key accepted from `image`: by `PublicKey::from_bytes`, and by
+/// `WireReader::take` on the image framed as a message carries it.
+fn keys_from(image: &[u8]) -> Vec<PublicKey> {
+    let mut framed = WireWriter::new();
+    framed.put_bytes(image);
+    let taken = WireReader::new(&framed.into_bytes()).take::<PublicKey>().ok();
+    PublicKey::from_bytes(image).into_iter().chain(taken).collect()
+}
+
+/// A key from the wire never panics the node that uses it: on arbitrary
+/// and truncated images and on moduli of 1 to 40 bytes,
+/// `PublicKey::from_bytes` and `WireReader::take` never panic, and every
+/// key they accept seals a 24-byte secret (what `hybrid::seal` hands it)
+/// and checks arbitrary signatures without panicking. The same for a key
+/// pair read from two small "primes", whose accepted pairs sign, decrypt
+/// and hand out such a public key.
 #[test]
 fn keys_from_hostile_bytes_never_panic() {
     let real = test_keys()[0].clone();
     check(512, "keys_from_hostile_bytes_never_panic", |g| {
-        let e_len = g.gen_range(1..4usize);
-        let e = match g.gen_range(0..3u8) {
-            0 => vec![1],
-            1 => vec![1, 0, 1],
-            _ => whole_bytes(g, e_len),
-        };
-        // Half of the moduli within a byte or two of the shortest allowed.
-        let n_len = if g.gen() { g.gen_range(1..=40usize) } else { g.gen_range(33..=36usize) };
-        let public = match g.gen_range(0..4u8) {
-            0 | 1 => framed(&[&whole_bytes(g, n_len), &e]),
-            2 => {
-                let bytes = real.public().to_bytes();
-                bytes[..g.gen_range(0..=bytes.len())].to_vec()
-            }
-            _ => g.bytes(60),
-        };
-        let mut keys: Vec<PublicKey> = PublicKey::from_bytes(&public).into_iter().collect();
+        let public = hostile_key_image(g, real.public());
+        let mut keys = keys_from(&public);
         let (p_len, q_len) = (g.gen_range(1..=24usize), g.gen_range(1..=24usize));
         let (mut p, mut q) = (whole_bytes(g, p_len), whole_bytes(g, q_len));
         p[p_len - 1] |= 1;
         q[q_len - 1] |= 1;
         let pair = match g.gen_range(0..3u8) {
-            0 => framed(&[&p, &q, &e]),
+            0 => {
+                let mut w = WireWriter::new();
+                w.put_bytes(&p);
+                w.put_bytes(&q);
+                w.into_bytes()
+            }
             1 => {
-                let bytes = real.to_bytes();
+                let bytes = real.to_wire();
                 bytes[..g.gen_range(0..=bytes.len())].to_vec()
             }
             _ => g.bytes(80),
         };
-        if let Some(pair) = KeyPair::from_bytes(&pair) {
+        if let Ok(pair) = KeyPair::from_wire(&pair) {
             let k = pair.public().modulus_bytes();
             let _ = pair.sign(&g.bytes(40));
             let _ = pair.decrypt(&g.bytes(k + 2));
@@ -326,6 +349,35 @@ fn keys_from_hostile_bytes_never_panic() {
             for signature in hostile_signatures(g, key.modulus_bytes()) {
                 let _ = key.verify(&g.bytes(40), &signature);
             }
+        }
+    });
+}
+
+/// No key read from bytes lets anyone sign: a signature laid out as
+/// `sign` writes it, but never exponentiated, verifies under no key that
+/// `PublicKey::from_bytes` or `WireReader::take` accepts — whether the
+/// bytes are a hostile image, a real one, or the `len(n) ‖ n ‖ len(e) ‖ e`
+/// image of a real modulus with `e = 1`, which a parser that reads an
+/// exponent from the wire takes for a key under which every block is its
+/// own signature.
+#[test]
+fn no_key_from_bytes_verifies_an_unexponentiated_signature() {
+    let real = test_keys()[0].clone();
+    check(256, "no_key_from_bytes_verifies_an_unexponentiated_signature", |g| {
+        let n = real.public().to_bytes();
+        let image = match g.gen_range(0..3u8) {
+            0 => hostile_key_image(g, real.public()),
+            1 => n.clone(),
+            _ => {
+                let e: &[u8] = if g.gen() { &[1] } else { &[1, 0, 1] };
+                [&[0, n.len() as u8][..], &n, &[0, e.len() as u8], e].concat()
+            }
+        };
+        let message = g.bytes(40);
+        for key in keys_from(&image) {
+            let forged = unexponentiated(&message, key.modulus_bytes());
+            let verified = key.verify(&message, &forged);
+            assert!(verified.is_err(), "a key from {image:02x?} lets anyone sign");
         }
     });
 }

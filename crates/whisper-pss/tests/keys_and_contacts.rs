@@ -59,11 +59,11 @@ fn the_backlog_entry_holds_the_key_its_sender_shipped() {
     deliver(&mut sim, id, peer_ep, &gossip_req(peer, Some(first.to_bytes())));
     assert_eq!(cb_key(&sim, id, peer), Some(first.clone()));
 
-    // Keyless, and malformed in each way the strict parser rejects: the
+    // Keyless, and malformed in each way the strict parser rejects —
+    // empty, shorter than the shortest modulus, led by a zero byte: the
     // entry keeps the key it has.
-    let mut trailing = second.to_bytes();
-    trailing.push(0);
-    for key in [None, Some(vec![]), Some(vec![0xFF; 20]), Some(trailing)] {
+    let zero_led = [&[0][..], &second.to_bytes()].concat();
+    for key in [None, Some(vec![]), Some(vec![0xFF; 20]), Some(zero_led)] {
         deliver(&mut sim, id, peer_ep, &gossip_req(peer, key));
         assert_eq!(cb_key(&sim, id, peer), Some(first.clone()));
     }

@@ -24,6 +24,17 @@ step() {
   echo "==> $1"
 }
 
+step "one length format (no hand-rolled u16/u32 length prefix under crates/*/src outside whisper-net/src/wire.rs)"
+# Every length and count on the wire, in a key pair's image and in a
+# journal record is written by WireSink::put_len and read by
+# WireReader::take_len; a `len() as u16`/`as u32` turned into bytes, or a
+# u16 read back from them, is a second format.
+if grep -rnE --include='*.rs' 'len\(\) as u(16|32)\)?\.to_be_bytes|u16::from_be_bytes' crates/*/src \
+    | grep -v '^crates/whisper-net/src/wire\.rs:'; then
+  echo "verify: a hand-rolled length prefix (above): write it with whisper_net::wire" >&2
+  exit 1
+fi
+
 step "offline release build (lib, bins, tests, examples)"
 cargo build --release --offline --workspace --all-targets
 
