@@ -3,8 +3,16 @@
 //!
 //! Paper setting: 1,000 nodes on the cluster, view size c = 10, 70%
 //! NATted, Π ∈ {0 (unmodified PSS), 1, 2, 3}.
+//!
+//! Each Π runs once per seed, and the distributions pool the nodes of
+//! every run. The step in P-node in-degree from Π = 0 to Π = 1 is small
+//! (≈ 0.4 at 500 nodes: a view of ten holds three P-nodes on average
+//! already), and one run's mean moves by ≈ 0.55 from seed to seed, so the
+//! quick tier pools sixteen runs of 500 nodes: over seeds 1–160, every
+//! block of sixteen shows the in-degree rising with Π, where single seeds
+//! of the former 150-node tier did on about half of them.
 
-use crate::harness::NetBuilder;
+use crate::harness::{par_map, NetBuilder};
 use crate::report;
 use whisper_net::stats::Cdf;
 use whisper_net::NodeId;
@@ -18,8 +26,8 @@ pub struct Params {
     pub nodes: usize,
     /// Simulated seconds (the paper lets the PSS converge; 30+ cycles).
     pub secs: u64,
-    /// Engine seed.
-    pub seed: u64,
+    /// Engine seeds: one run per seed and Π, pooled.
+    pub seeds: Vec<u64>,
     /// Π values to sweep.
     pub pis: Vec<usize>,
     /// Whether to apply the oldest-P-discard bias (ablation: disable).
@@ -32,19 +40,30 @@ impl Params {
         Params {
             nodes: 1000,
             secs: 400,
-            seed: 5,
+            seeds: vec![5],
             pis: vec![0, 1, 2, 3],
             oldest_p_discard: true,
         }
     }
 
-    /// A fast smoke-test configuration.
+    /// A fast smoke-test configuration, pooled over enough seeds that the
+    /// in-degree's rise with Π shows through the runs' spread.
     pub fn quick() -> Self {
-        Params { nodes: 150, secs: 250, ..Params::paper() }
+        Params { nodes: 500, secs: 250, seeds: (1..=16).collect(), ..Params::paper() }
     }
 }
 
-/// What one Π measured.
+/// What one run measured: per-node samples, and the P-node entries in
+/// all its views.
+struct Run {
+    clustering: Vec<f64>,
+    indeg_n: Vec<f64>,
+    indeg_p: Vec<f64>,
+    p_entries: usize,
+    nodes: usize,
+}
+
+/// What one Π measured, over every seed's run.
 #[derive(Clone, Debug)]
 pub struct Setting {
     /// P-nodes enforced per view.
@@ -70,42 +89,66 @@ pub struct Fig5 {
     pub settings: Vec<Setting>,
 }
 
-/// Runs the experiment.
-pub fn run(params: &Params) -> Fig5 {
-    let mut settings = Vec::new();
-    for &pi in &params.pis {
-        let mut cfg = NylonConfig::with_pi(pi);
-        cfg.oldest_p_discard = params.oldest_p_discard;
-        let mut net = NetBuilder::cluster(params.nodes, params.seed).build_pss(&cfg);
-        net.sim.run_for_secs(params.secs);
+/// Runs one Π on one seed.
+fn run_one(params: &Params, pi: usize, seed: u64) -> Run {
+    let mut cfg = NylonConfig::with_pi(pi);
+    cfg.oldest_p_discard = params.oldest_p_discard;
+    // Keys only ride in gossip, at one length whatever the key: a handful
+    // of distinct ones gives the same run as one per node, without the
+    // key generation that would dominate it.
+    let builder = NetBuilder { key_cycle: Some(8), ..NetBuilder::cluster(params.nodes, seed) };
+    let mut net = builder.build_pss(&cfg);
+    net.sim.run_for_secs(params.secs);
 
-        let snap = OverlaySnapshot::new(
-            net.ids
-                .iter()
-                .filter(|id| net.sim.contains(**id))
-                .map(|id| {
-                    let n: &NylonNode = net.sim.node(*id).expect("live");
-                    (*id, n.core().view().nodes().collect())
-                })
-                .collect(),
-        );
-        let in_deg = snap.in_degrees();
-        let indeg = |ids: Vec<NodeId>| Cdf::from_samples(ids.iter().map(|id| *in_deg.get(id).unwrap_or(&0) as f64));
-        settings.push(Setting {
-            pi,
-            clustering: Cdf::from_samples(snap.clustering_coefficients().values().copied()),
-            indeg_n: indeg(net.natted()),
-            indeg_p: indeg(net.publics()),
-            mean_cc: snap.mean_clustering(),
-            p_in_views: net
-                .ids
-                .iter()
-                .filter_map(|id| net.sim.node::<NylonNode>(*id))
-                .map(|n| n.core().view().p_count() as f64)
-                .sum::<f64>()
-                / net.ids.len() as f64,
-        });
+    let snap = OverlaySnapshot::new(
+        net.ids
+            .iter()
+            .filter(|id| net.sim.contains(**id))
+            .map(|id| {
+                let n: &NylonNode = net.sim.node(*id).expect("live");
+                (*id, n.core().view().nodes().collect())
+            })
+            .collect(),
+    );
+    let in_deg = snap.in_degrees();
+    let indeg = |ids: Vec<NodeId>| ids.iter().map(|id| *in_deg.get(id).unwrap_or(&0) as f64).collect();
+    Run {
+        clustering: snap.clustering_coefficients().into_values().collect(),
+        indeg_n: indeg(net.natted()),
+        indeg_p: indeg(net.publics()),
+        p_entries: net
+            .ids
+            .iter()
+            .filter_map(|id| net.sim.node::<NylonNode>(*id))
+            .map(|n| n.core().view().p_count())
+            .sum(),
+        nodes: net.ids.len(),
     }
+}
+
+/// Runs the experiment: every (Π, seed) pair at once, across the cores.
+pub fn run(params: &Params) -> Fig5 {
+    let pairs: Vec<(usize, u64)> =
+        params.pis.iter().flat_map(|&pi| params.seeds.iter().map(move |&seed| (pi, seed))).collect();
+    let mut runs = par_map(&pairs, |&(pi, seed)| run_one(params, pi, seed)).into_iter();
+    let settings = params
+        .pis
+        .iter()
+        .map(|&pi| {
+            let runs: Vec<Run> = runs.by_ref().take(params.seeds.len()).collect();
+            let pooled = |part: fn(&Run) -> &Vec<f64>| Cdf::from_samples(runs.iter().flat_map(part).copied());
+            let clustering = pooled(|r| &r.clustering);
+            Setting {
+                pi,
+                mean_cc: clustering.mean(),
+                clustering,
+                indeg_n: pooled(|r| &r.indeg_n),
+                indeg_p: pooled(|r| &r.indeg_p),
+                p_in_views: runs.iter().map(|r| r.p_entries).sum::<usize>() as f64
+                    / runs.iter().map(|r| r.nodes).sum::<usize>() as f64,
+            }
+        })
+        .collect();
     Fig5 { params: params.clone(), settings }
 }
 
@@ -118,8 +161,11 @@ impl Fig5 {
         );
         let params = &self.params;
         println!(
-            "nodes={} secs={} view=c=10 oldest_p_discard={}",
-            params.nodes, params.secs, params.oldest_p_discard
+            "nodes={} secs={} seeds={} view=c=10 oldest_p_discard={}",
+            params.nodes,
+            params.secs,
+            params.seeds.len(),
+            params.oldest_p_discard
         );
         for s in &self.settings {
             report::section(&format!("Π = {}", s.pi));

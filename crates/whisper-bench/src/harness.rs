@@ -11,28 +11,31 @@ use whisper_net::sim::{Sim, SimConfig};
 use whisper_net::NodeId;
 use whisper_pss::{NylonConfig, NylonCore, NylonNode};
 
+/// `f` of every item, in the items' order, computed in parallel across
+/// CPU cores. Each result depends only on its item, so the output is
+/// identical regardless of thread scheduling.
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(items.len().max(1));
+    let chunk = items.len().div_ceil(threads).max(1);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let parts: Vec<_> = items
+            .chunks(chunk)
+            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        parts.into_iter().flat_map(|part| part.join().expect("a worker panicked")).collect()
+    })
+}
+
 /// Generates `count` key pairs deterministically, in parallel across CPU
 /// cores. Key `i` depends only on `(seed, i)`, so the result is identical
 /// regardless of thread scheduling.
 pub fn gen_keys_parallel(count: usize, size: RsaKeySize, seed: u64) -> Vec<KeyPair> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(count.max(1));
-    let mut out: Vec<Option<KeyPair>> = vec![None; count];
-    let chunk = count.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, slot) in out.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (i, s) in slot.iter_mut().enumerate() {
-                    let idx = t * chunk + i;
-                    let mut rng = StdRng::for_stream(seed, idx as u64);
-                    *s = Some(KeyPair::generate(size, &mut rng));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|k| k.expect("filled")).collect()
+    let streams: Vec<u64> = (0..count as u64).collect();
+    par_map(&streams, |&idx| KeyPair::generate(size, &mut StdRng::for_stream(seed, idx)))
 }
 
 /// Declarative description of a simulated population.
