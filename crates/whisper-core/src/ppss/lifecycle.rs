@@ -487,7 +487,7 @@ impl Ppss {
         let ack = PpssMsg::JoinAck {
             group,
             passport,
-            key_history: state.key_history.iter().map(|k| k.to_bytes()).collect(),
+            key_history: state.key_history.clone(),
             entries,
         };
         state.merge_entries(me, vec![entry.clone()], cap);
@@ -503,17 +503,13 @@ impl Ppss {
         wcl: &mut Wcl,
         group: GroupId,
         passport: Passport,
-        key_history: Vec<Vec<u8>>,
+        history: Vec<PublicKey>,
         entries: Vec<PrivateEntry>,
         events: &mut Vec<PpssEvent>,
     ) {
         let Some(pending) = self.pending_joins.get(&group) else {
             return;
         };
-        let history: Vec<PublicKey> = key_history
-            .iter()
-            .filter_map(|b| PublicKey::from_bytes(b))
-            .collect();
         // The invitation's key must appear in the history, and our new
         // passport must verify: otherwise someone is feeding us a fake
         // group.

@@ -99,10 +99,10 @@ impl WireDecode for ElectionBallot {
 pub struct NewKeyAnnouncement {
     /// The new leadership epoch.
     pub epoch: u64,
-    /// The new group public key, serialized.
-    pub group_key: Vec<u8>,
-    /// The leader's serialized identity key.
-    pub signer_key: Vec<u8>,
+    /// The new group public key.
+    pub group_key: PublicKey,
+    /// The leader's identity key.
+    pub signer_key: PublicKey,
     /// Signature by the leader's identity key over `epoch ‖ group_key`.
     pub signature: Vec<u8>,
 }
@@ -116,22 +116,20 @@ impl NewKeyAnnouncement {
         m
     }
 
-    /// Verifies the announcement's signature and well-formedness.
+    /// Verifies the announcement's signature; the keys were parsed when
+    /// it was decoded.
     pub fn verify(&self) -> Option<PublicKey> {
-        let signer_key = PublicKey::from_bytes(&self.signer_key)?;
-        let group_key = PublicKey::from_bytes(&self.group_key)?;
-        signer_key
-            .verify(&Self::message(self.epoch, &self.group_key), &self.signature)
-            .ok()?;
-        Some(group_key)
+        let message = Self::message(self.epoch, self.group_key.wire_bytes());
+        self.signer_key.verify(&message, &self.signature).ok()?;
+        Some(self.group_key.clone())
     }
 }
 
 impl WireEncode for NewKeyAnnouncement {
     fn encode<W: WireSink>(&self, w: &mut W) {
         w.put_u64(self.epoch);
-        w.put_bytes(&self.group_key);
-        w.put_bytes(&self.signer_key);
+        w.put(&self.group_key);
+        w.put(&self.signer_key);
         w.put_bytes(&self.signature);
     }
 }
@@ -140,8 +138,8 @@ impl WireDecode for NewKeyAnnouncement {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(NewKeyAnnouncement {
             epoch: r.take_u64()?,
-            group_key: r.take_bytes()?.to_vec(),
-            signer_key: r.take_bytes()?.to_vec(),
+            group_key: r.take()?,
+            signer_key: r.take()?,
             signature: r.take_bytes()?.to_vec(),
         })
     }
@@ -165,8 +163,8 @@ pub enum PpssMsg {
         group: GroupId,
         /// The new member's passport.
         passport: Passport,
-        /// Serialized group key history, oldest first (last = current).
-        key_history: Vec<Vec<u8>>,
+        /// The group key history, oldest first (last = current).
+        key_history: Vec<PublicKey>,
         /// Bootstrap entries for the private view.
         entries: Vec<PrivateEntry>,
     },
@@ -442,7 +440,7 @@ mod tests {
         round_trip(PpssMsg::JoinAck {
             group: GroupId(7),
             passport: passport.clone(),
-            key_history: vec![vec![1], vec![2, 3]],
+            key_history: vec![key(), entry(9).gateways[0].key.clone()],
             entries: vec![entry(2), entry(3)],
         });
         round_trip(PpssMsg::Exchange {
@@ -524,22 +522,29 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let leader_identity = KeyPair::generate(RsaKeySize::Sim384, &mut rng);
         let new_group = KeyPair::generate(RsaKeySize::Sim384, &mut rng);
-        let group_key = new_group.public().to_bytes();
+        let group_key = new_group.public().clone();
         let ann = NewKeyAnnouncement {
             epoch: 2,
-            signature: leader_identity.sign(&NewKeyAnnouncement::message(2, &group_key)),
+            signature: leader_identity.sign(&NewKeyAnnouncement::message(2, group_key.wire_bytes())),
             group_key,
-            signer_key: leader_identity.public().to_bytes(),
+            signer_key: leader_identity.public().clone(),
         };
+        assert_eq!(NewKeyAnnouncement::from_wire(&ann.to_wire()).unwrap(), ann);
         assert_eq!(ann.verify().as_ref(), Some(new_group.public()));
         // Tampered epoch fails.
         let mut bad = ann.clone();
         bad.epoch = 3;
         assert!(bad.verify().is_none());
         // Tampered key fails.
-        let mut bad = ann;
-        bad.group_key = leader_identity.public().to_bytes();
+        let mut bad = ann.clone();
+        bad.group_key = leader_identity.public().clone();
         assert!(bad.verify().is_none());
+        // A key that does not parse is refused with the message.
+        let wire = ann.to_wire();
+        let at = wire.windows(ann.group_key.modulus_bytes()).position(|w| w == ann.group_key.wire_bytes());
+        let mut zero_led = wire.clone();
+        zero_led[at.expect("the key's image")] = 0;
+        assert!(NewKeyAnnouncement::from_wire(&zero_led).is_err());
     }
 
     #[test]

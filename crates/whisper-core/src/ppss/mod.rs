@@ -394,14 +394,14 @@ impl Ppss {
                 state.tracker.on_cycle(me, HB_MISS_THRESHOLD, ELECTION_CYCLES)
             {
                 let new_key = KeyPair::generate(nylon.config().rsa, ctx.rng());
-                let group_key = new_key.public().to_bytes();
+                let group_key = new_key.public().clone();
                 let ann = NewKeyAnnouncement {
                     epoch,
                     signature: nylon
                         .keypair()
-                        .sign(&NewKeyAnnouncement::message(epoch, &group_key)),
+                        .sign(&NewKeyAnnouncement::message(epoch, group_key.wire_bytes())),
                     group_key,
-                    signer_key: nylon.keypair().public().wire_bytes().to_vec(),
+                    signer_key: nylon.keypair().public().clone(),
                 };
                 state.key_history.push(new_key.public().clone());
                 // Keep the old passport: it stays valid through
@@ -486,7 +486,8 @@ impl Ppss {
     /// Processes a confidential payload delivered by the WCL on the
     /// circuit `via`: once its sender is authenticated, answers to it ride
     /// that circuit back. Returns `None` if it does not parse as a PPSS
-    /// message.
+    /// message — a key in it that does not parse included — and counts it
+    /// as `ppss.malformed`.
     pub fn on_delivered(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -495,7 +496,10 @@ impl Ppss {
         via: Option<Arrival>,
         payload: &[u8],
     ) -> Option<Vec<PpssEvent>> {
-        let msg = PpssMsg::from_wire(payload).ok()?;
+        let Ok(msg) = PpssMsg::from_wire(payload) else {
+            ctx.metrics().count("ppss.malformed", 1);
+            return None;
+        };
         let mut events = Vec::new();
         if let Some(tombstone) = msg.group().and_then(|group| self.deleted.get(&group)) {
             // A verified tombstone outranks every message about the

@@ -112,7 +112,7 @@ fn running_group() -> (Sim, NodeId, NodeId, Vec<Image>) {
     let entries_at = passport_end + entry.encoded_len();
     let after_entries = entries_at + WireLen::of(|n| n.put_seq(state.view()));
     let revoked_at = after_entries + 8 + 1 + 16 + 1 + 1;
-    let key_history: Vec<Vec<u8>> = led.key_history().iter().map(|k| k.to_bytes()).collect();
+    let key_history = led.key_history().to_vec();
     let history_len = WireLen::of(|n| n.put_seq(&key_history));
     let accreditation = stack(leader).invite(group, NodeId(7)).unwrap().accreditation;
     // Behind the group, epoch, sequence, key hash and tombstone flag.
@@ -239,14 +239,13 @@ fn ppss_decoders_are_total_on_hostile_bytes() {
     });
 }
 
-/// A descriptor that verifies under the group's key but is no tombstone
-/// changes nothing at a member: no epoch, no event, no journal record —
-/// it is only counted. The same key's tombstone deletes the group.
-#[test]
-fn a_validly_signed_live_descriptor_changes_no_state() {
+/// Two public stacks; the first has asked to join a group whose key is
+/// returned, so that the test can write what its leader would send.
+/// Returns the sim, the joiner, the group and the group's key.
+fn a_pending_join(seed: u64) -> (Sim, NodeId, GroupId, KeyPair) {
     let cfg = WhisperConfig::default();
-    let mut keys = StdRng::seed_from_u64(26);
-    let mut sim = Sim::new(SimConfig::cluster(26));
+    let mut keys = StdRng::seed_from_u64(seed);
+    let mut sim = Sim::new(SimConfig::cluster(seed));
     let ids: Vec<NodeId> = (0..2u64)
         .map(|i| {
             let mut node = WhisperNode::new(cfg.clone(), KeyPair::generate(cfg.nylon.rsa, &mut keys));
@@ -256,8 +255,6 @@ fn a_validly_signed_live_descriptor_changes_no_state() {
         .collect();
     sim.run_for_secs(30);
     let (me, other) = (ids[0], ids[1]);
-    // A group whose key this test holds: the invitation and the ack are
-    // what its leader would send.
     let group_key = KeyPair::generate(cfg.nylon.rsa, &mut keys);
     let group = GroupId::from_name("live");
     let mut entry_point = None;
@@ -269,20 +266,62 @@ fn a_validly_signed_live_descriptor_changes_no_state() {
         entry_point: entry_point.unwrap(),
     };
     sim.with_node_ctx::<WhisperNode>(me, |n, ctx| n.join_group(ctx, invitation));
+    (sim, me, group, group_key)
+}
+
+/// Hands `wire` to `node`'s PPSS as the WCL delivers a payload: its events,
+/// or `None` for what does not parse.
+fn deliver_wire(sim: &mut Sim, node: NodeId, wire: &[u8]) -> Option<Vec<PpssEvent>> {
+    let mut events = None;
+    sim.with_node_ctx::<WhisperNode>(node, |n, ctx| {
+        events = n.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, wire));
+    });
+    events
+}
+
+/// A join acknowledgement's key history is keys, parsed with the message:
+/// one with an image that is no key is refused whole and counted, not
+/// judged on the keys that do parse.
+#[test]
+fn a_join_ack_with_a_key_that_does_not_parse_is_refused() {
+    let (mut sim, me, group, group_key) = a_pending_join(27);
+    let stranger = KeyPair::generate(WhisperConfig::default().nylon.rsa, &mut StdRng::seed_from_u64(28));
+    let ack = |key_history| PpssMsg::JoinAck {
+        group,
+        passport: Passport::issue(&group_key, group, me),
+        key_history,
+        entries: vec![],
+    };
+    // An older key, its image led by a zero byte, then the current one.
+    let mut wire = ack(vec![stranger.public().clone(), group_key.public().clone()]).to_wire();
+    let image = stranger.public().wire_bytes();
+    let at = wire.windows(image.len()).position(|w| w == image).expect("the older key's image");
+    wire[at] = 0;
+    assert_eq!(deliver_wire(&mut sim, me, &wire), None, "refused at decode");
+    assert_eq!(sim.metrics().counter("ppss.malformed"), 1);
+    let joined = |sim: &Sim| sim.node::<WhisperNode>(me).unwrap().ppss().group(group).is_some();
+    assert!(!joined(&sim), "no group from an ack that does not parse");
+    assert_eq!(sim.metrics().counter("ppss.join_ack_invalid"), 0, "never got as far as a check");
+    // The same ack with the key whole is taken.
+    let wire = ack(vec![stranger.public().clone(), group_key.public().clone()]).to_wire();
+    let events = deliver_wire(&mut sim, me, &wire).expect("parses");
+    assert!(events.contains(&PpssEvent::Joined { group }), "{events:?}");
+    assert!(joined(&sim));
+}
+
+/// A descriptor that verifies under the group's key but is no tombstone
+/// changes nothing at a member: no epoch, no event, no journal record —
+/// it is only counted. The same key's tombstone deletes the group.
+#[test]
+fn a_validly_signed_live_descriptor_changes_no_state() {
+    let (mut sim, me, group, group_key) = a_pending_join(26);
     let ack = PpssMsg::JoinAck {
         group,
         passport: Passport::issue(&group_key, group, me),
-        key_history: vec![group_key.public().to_bytes()],
+        key_history: vec![group_key.public().clone()],
         entries: vec![],
     };
-    let deliver = |sim: &mut Sim, msg: PpssMsg| {
-        let mut events = Vec::new();
-        sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
-            let wire = msg.to_wire();
-            events = n.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, &wire)).unwrap();
-        });
-        events
-    };
+    let deliver = |sim: &mut Sim, msg: PpssMsg| deliver_wire(sim, me, &msg.to_wire()).unwrap();
     let pushed = |desc: &GroupDescriptor| PpssMsg::Deleted { tombstone: desc.to_wire(), exchange_id: 0 };
     deliver(&mut sim, ack);
     let epoch = |sim: &Sim| sim.node::<WhisperNode>(me).unwrap().ppss().group(group).map(|s| s.epoch());

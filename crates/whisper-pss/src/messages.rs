@@ -43,10 +43,11 @@ pub enum NylonMsg {
         descs: Vec<Infallible>,
     },
     /// A message walking a rendezvous chain: the one form of a relayed
-    /// message and of both halves of the open handshake. Each relay
-    /// pushes itself onto `taken` and passes the message on to the first
-    /// of `remaining`; the hop that has it straight from its origin
-    /// stamps the endpoint it saw into an open body.
+    /// message, of a cone-NATted node's first message to a stranger and of
+    /// both halves of the open handshake. Each relay pushes itself onto
+    /// `taken` and passes the message on to the first of `remaining`; the
+    /// first hop alone stamps the endpoint it saw the origin at into a body
+    /// that has one.
     Chain {
         /// Hops left; the last one is the destination.
         remaining: Vec<NodeId>,
@@ -104,6 +105,11 @@ pub enum NylonMsg {
 pub enum ChainBody {
     /// The wire image of a message for the destination, relayed there.
     Relayed(Vec<u8>),
+    /// The wire image of a message for the destination, from an origin
+    /// behind a cone NAT, with the origin's endpoint as the first hop saw
+    /// it: the destination takes that endpoint for the origin's contact
+    /// and answers there directly.
+    Contact(Option<Endpoint>, Vec<u8>),
     /// A hole-punching request: the destination punches towards the
     /// origin's endpoint, as the first hop saw it, and answers.
     OpenReq(Option<Endpoint>),
@@ -122,6 +128,7 @@ const TAG_PUNCH_ACK: u8 = 7;
 const TAG_PING: u8 = 8;
 const TAG_PONG: u8 = 9;
 const TAG_APP: u8 = 10;
+const TAG_CONTACT: u8 = 11;
 
 /// A [`NylonMsg::GossipReq`] or [`NylonMsg::GossipResp`] read where it
 /// was delivered ([`NylonMsg::gossip_view`]): the fixed fields by value,
@@ -250,6 +257,7 @@ impl WireEncode for NylonMsg {
             NylonMsg::Chain { remaining, taken, body } => {
                 w.put_u8(match body {
                     ChainBody::Relayed(_) => TAG_RELAYED,
+                    ChainBody::Contact(..) => TAG_CONTACT,
                     ChainBody::OpenReq(_) => TAG_OPEN_REQ,
                     ChainBody::OpenAck(_) => TAG_OPEN_ACK,
                 });
@@ -257,6 +265,10 @@ impl WireEncode for NylonMsg {
                 w.put_seq(taken);
                 match body {
                     ChainBody::Relayed(inner) => w.put_bytes(inner),
+                    ChainBody::Contact(ep, inner) => {
+                        w.put_opt(ep);
+                        w.put_bytes(inner);
+                    }
                     ChainBody::OpenReq(ep) | ChainBody::OpenAck(ep) => w.put_opt(ep),
                 }
             }
@@ -303,7 +315,7 @@ impl WireDecode for NylonMsg {
                 key: r.take_opt()?,
                 descs: Vec::new(),
             },
-            tag @ (TAG_RELAYED | TAG_OPEN_REQ | TAG_OPEN_ACK) => {
+            tag @ (TAG_RELAYED | TAG_CONTACT | TAG_OPEN_REQ | TAG_OPEN_ACK) => {
                 let remaining = r.take_seq()?;
                 let taken: Vec<NodeId> = r.take_seq()?;
                 if taken.is_empty() {
@@ -311,6 +323,7 @@ impl WireDecode for NylonMsg {
                 }
                 let body = match tag {
                     TAG_RELAYED => ChainBody::Relayed(r.take_bytes()?.to_vec()),
+                    TAG_CONTACT => ChainBody::Contact(r.take_opt()?, r.take_bytes()?.to_vec()),
                     TAG_OPEN_REQ => ChainBody::OpenReq(r.take_opt()?),
                     _ => ChainBody::OpenAck(r.take_opt()?),
                 };
@@ -367,6 +380,8 @@ mod tests {
             body,
         };
         round_trip(chain(ChainBody::Relayed(b"inner".to_vec())));
+        round_trip(chain(ChainBody::Contact(Some(Endpoint { node: NodeId(1), port: 9 }), b"in".to_vec())));
+        round_trip(chain(ChainBody::Contact(None, vec![])));
         round_trip(chain(ChainBody::OpenReq(Some(Endpoint { node: NodeId(1), port: 9 }))));
         round_trip(chain(ChainBody::OpenAck(None)));
         round_trip(NylonMsg::Punch { from: NodeId(7) });

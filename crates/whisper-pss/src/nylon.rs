@@ -383,8 +383,14 @@ impl NylonCore {
         }
     }
 
-    /// Ships the gossip buffer to `to` with this node's key, written
-    /// straight into a pool buffer.
+    /// Ships the gossip buffer to `to`, written straight into a pool
+    /// buffer, with this node's key unless it is relayed. The relays have
+    /// no use for the key, and `to` can use it — as a first mix — only
+    /// for a sender it reaches directly, which a relayed message does not
+    /// make it: a relayed exchange that opens the way (a public
+    /// requester's) gives it the key next time, a pair that can only
+    /// relay never. A first contact carries the key: its target reaches
+    /// the sender as soon as it arrives.
     fn send_gossip(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -393,7 +399,8 @@ impl NylonCore {
         to_nat: Option<NatType>,
         route_hint: &[NodeId],
     ) -> SendOutcome {
-        let key = self.cfg.key_sampling.then(|| self.keypair.public().wire_bytes());
+        let relayed = self.transport.relays(ctx, to, to_nat, route_hint);
+        let key = (self.cfg.key_sampling && !relayed).then(|| self.keypair.public().wire_bytes());
         let t0 = ctx.prof_enabled().then(Instant::now);
         let len = NylonMsg::gossip_len(&self.buffer, key);
         let mut wire = ctx.payload_writer(len);
@@ -403,7 +410,9 @@ impl NylonCore {
         if let Some(t0) = t0 {
             ctx.prof_encode_ns(t0.elapsed().as_nanos() as u64);
         }
-        self.transport.send_encoded(ctx, to, to_nat, wire, route_hint)
+        let outcome = self.transport.send_encoded(ctx, to, to_nat, wire, route_hint);
+        debug_assert!(!relayed || outcome == SendOutcome::Relayed, "Transport::relays disagrees");
+        outcome
     }
 
     fn do_gossip_cycle(&mut self, ctx: &mut Ctx<'_>) {
@@ -474,11 +483,15 @@ impl NylonCore {
     }
 
     /// Puts `node` at the head of the backlog with the key its message
-    /// carried, or else the key the backlog had for it.
+    /// carried, or else the key the backlog had for it. With key sampling
+    /// on, the backlog holds peers whose key it knows: one heard only in
+    /// relayed gossip, which carries no key, waits for a direct message.
     fn insert_cb(&mut self, node: NodeId, public: bool, key: Option<&[u8]>) {
         let held = self.cb.get(node).and_then(|e| e.key.clone());
         let key = Self::key_from(key, held);
-        self.cb.insert(CbEntry { node, public, key }, self.cfg.pi);
+        if key.is_some() || !self.cfg.key_sampling {
+            self.cb.insert(CbEntry { node, public, key }, self.cfg.pi);
+        }
     }
 
     /// Keeps Π P-nodes in the CB by pinging view P-nodes not yet present
@@ -580,7 +593,31 @@ impl NylonCore {
             self.cfg.pi,
             self.cfg.oldest_p_discard,
         );
-        self.insert_cb(gossip.sender, gossip.sender_public, gossip.key);
+        self.insert_cb(sender, sender_public, gossip.key);
+    }
+
+    /// Handles `inner`, the message a chain carried to this node from
+    /// `from`, as one that came `via` and from `from_ep`.
+    fn handle_inner(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: NodeId,
+        from_ep: Endpoint,
+        via: Via<'_>,
+        inner: &[u8],
+        events: &mut Vec<NylonEvent>,
+    ) {
+        match Incoming::parse(inner) {
+            // No honest sender nests (`Transport::send_encoded` wraps
+            // gossip and `App` frames only), and unwrapping level by level
+            // would let one packet, a few thousand deep, overflow this
+            // thread's stack.
+            Some(Incoming::Other(NylonMsg::Chain { .. })) => {
+                ctx.metrics().count("pss.relayed_nested", 1);
+            }
+            Some(inner_msg) => self.handle(ctx, from, from_ep, via, inner_msg, events),
+            None => {}
+        }
     }
 
     fn handle_msg(
@@ -596,15 +633,18 @@ impl NylonCore {
                 debug_assert!(false, "Incoming::parse hands gossip to handle_gossip as a view");
             }
             NylonMsg::Chain { remaining, mut taken, mut body } => {
-                // The hop that has it straight from its origin stamps the
-                // endpoint it saw.
-                if let ChainBody::OpenReq(seen) | ChainBody::OpenAck(seen) = &mut body {
-                    if outer_from == taken[0] {
-                        seen.get_or_insert(outer_ep);
+                // The first hop alone stamps the endpoint it saw the origin
+                // at, over whatever the sender wrote there — and clears it
+                // if the packet did not come straight from the origin.
+                if let ChainBody::OpenReq(seen) | ChainBody::OpenAck(seen) | ChainBody::Contact(seen, _) =
+                    &mut body
+                {
+                    if taken.len() == 1 {
+                        *seen = (outer_from == taken[0]).then_some(outer_ep);
                     }
                 }
                 if let Some((&next, rest)) = remaining.split_first() {
-                    if let ChainBody::Relayed(_) = body {
+                    if let ChainBody::Relayed(_) | ChainBody::Contact(..) = body {
                         ctx.metrics().count("pss.relayed_forwarded", 1);
                     }
                     taken.push(self.id);
@@ -613,33 +653,31 @@ impl NylonCore {
                     ctx.send_wire(ep, &fwd);
                     return;
                 }
+                let from = taken[0];
                 match body {
-                    ChainBody::Relayed(inner) => {
+                    ChainBody::Contact(Some(ep), inner) => {
+                        // Final destination of a cone-NATted origin's
+                        // message: where its first hop saw it is where our
+                        // answer gets in. Remember that, then process the
+                        // inner message as one the origin sent from there.
+                        self.transport.note_contact(from, ep, ctx.now());
+                        self.handle_inner(ctx, from, ep, Via::DIRECT, &inner, events);
+                    }
+                    ChainBody::Relayed(inner) | ChainBody::Contact(None, inner) => {
                         // Final destination: the way the message came,
                         // walked backwards, is a working route to its
                         // origin — each relay holds the contact of the one
                         // it took the packet from. Remember it, then
                         // process the inner message as one the origin sent
                         // over it.
-                        let from = taken[0];
                         taken.reverse();
                         self.transport.note_reply_route(from, taken.clone(), ctx.now());
                         let via = Via { relays: &taken[..taken.len() - 1], head_public: outer_ep.port == 0 };
                         ctx.metrics().count("pss.relayed_delivered", 1);
-                        match Incoming::parse(&inner) {
-                            // No honest sender nests (`Transport::send_encoded`
-                            // wraps gossip and `App` frames only), and
-                            // unwrapping level by level would let one packet,
-                            // a few thousand deep, overflow this thread's stack.
-                            Some(Incoming::Other(NylonMsg::Chain { .. })) => {
-                                ctx.metrics().count("pss.relayed_nested", 1);
-                            }
-                            Some(inner_msg) => self.handle(ctx, from, outer_ep, via, inner_msg, events),
-                            None => {}
-                        }
+                        self.handle_inner(ctx, from, outer_ep, via, &inner, events);
                     }
                     ChainBody::OpenReq(requester_ep) => self.transport.on_open_req(ctx, taken, requester_ep),
-                    ChainBody::OpenAck(target_ep) => self.transport.on_open_ack(ctx, taken[0], target_ep),
+                    ChainBody::OpenAck(target_ep) => self.transport.on_open_ack(ctx, from, target_ep),
                 }
             }
             NylonMsg::Punch { .. } | NylonMsg::PunchAck { .. } => {

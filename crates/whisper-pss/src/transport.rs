@@ -5,29 +5,38 @@
 //! A node can reach a peer directly when it holds a *fresh contact* — an
 //! endpoint it recently received a packet from (replying to a sender
 //! always traverses the sender's NAT while the association rule lives).
-//! Otherwise it either relays messages along the peer's rendezvous chain
-//! or first opens a hole through both NATs with an open request and its
-//! acknowledgement, coordinated over that chain. All three travel as one
-//! [`NylonMsg::Chain`] with a different [`ChainBody`]; the node core only
-//! forwards it, and hands what reaches its destination here.
+//! Otherwise it relays messages along the peer's rendezvous chain, or
+//! first opens a hole through both NATs with an open request and its
+//! acknowledgement, coordinated over that chain. All of these travel as
+//! one [`NylonMsg::Chain`] with a different [`ChainBody`]; the node core
+//! only forwards it, and hands what reaches its destination here.
 //!
-//! Whether a punch can work is decided once, by the requester, before it
-//! sends ([`can_hole_punch`] on its own NAT type and the one its view
-//! entry gives the peer; a send that names no type takes the peer to be
-//! symmetric): a public node has no NAT to open and relays at once, as
-//! does a node whose NAT and the peer's cannot be punched. The handshake
-//! carries no NAT type, and the target punches whenever it is asked, then
-//! re-punches ([`PUNCH_RETRY_DELAY`]) until the requester's first direct
-//! packet arrives, which it answers. A requester waits only for what its
-//! own NAT and the peer's need: a restricted-cone node opens its own
-//! filter with one `Punch` before it asks, so the peer's punch gets in;
-//! and a requester whose NAT lets no punch in sends what it queued
-//! straight to the endpoint the acknowledgement names — the queued message
-//! is the punch — unless the peer is symmetric. Each message goes out
-//! once: what went directly is not relayed again when the time-out
-//! ([`OPEN_TIMEOUT`]) ends an open that got no answer. Whether a punch
-//! that is attempted succeeds is decided by the emulated NAT devices, not
-//! by this code.
+//! How a first message to a stranger travels is decided once, by the
+//! requester, before it sends, from its own NAT type and — for a
+//! handshake only — the one its view entry gives the peer (a send that
+//! names no type takes the peer to be symmetric):
+//! - a public node has no NAT to open: the chain carries the message, and
+//!   the peer answers to its public address;
+//! - a node behind a cone NAT (full or restricted) keeps one mapping for
+//!   every destination: the chain carries the message with the endpoint
+//!   its first hop saw it at ([`ChainBody::Contact`]), the peer takes that
+//!   for its contact and answers there directly, and the answer opens the
+//!   channel both ways. A restricted-cone node first sends the peer one
+//!   `Punch`, which opens its own filter to any port of the peer's host;
+//! - a port-restricted or symmetric node whose NAT and the peer's cannot
+//!   be punched ([`can_hole_punch`]) relays at once;
+//! - any other runs the handshake. The handshake carries no NAT type, and
+//!   the target punches whenever it is asked, then re-punches
+//!   ([`PUNCH_RETRY_DELAY`]) until the requester's first direct packet
+//!   arrives, which it answers. The requester's NAT lets no punch in, so
+//!   it sends what it queued straight to the endpoint the acknowledgement
+//!   names — the queued message is the punch; the peer, which a punch can
+//!   reach, is never symmetric. Each message goes out once: what went
+//!   directly is not relayed again when the time-out ([`OPEN_TIMEOUT`])
+//!   ends an open that got no answer.
+//!
+//! Whether a punch that is attempted succeeds is decided by the emulated
+//! NAT devices, not by this code.
 
 use crate::messages::{ChainBody, NylonMsg};
 use crate::timer;
@@ -57,10 +66,10 @@ pub enum SendOutcome {
     Direct,
     /// Wrapped and forwarded along a relay chain.
     Relayed,
-    /// Queued while a hole-punching handshake runs: sent directly when
-    /// the punch works (or, where the requester's NAT lets no punch in, to
-    /// the endpoint the acknowledgement names), relayed on timeout only
-    /// if it never went directly.
+    /// Queued while a hole-punching handshake runs: sent to the endpoint
+    /// the acknowledgement names, or to where the peer's first direct
+    /// packet came from; relayed on time-out only if it never went
+    /// directly.
     Queued,
     /// No contact, no reply route, no usable chain: dropped.
     Failed,
@@ -105,8 +114,6 @@ struct PendingOpen {
     /// Relay chain (last element = target) used for the handshake and the
     /// relay fallback.
     chain: Vec<NodeId>,
-    /// The target's NAT type as the sender gave it.
-    nat: NatType,
     /// Serialized inner messages awaiting delivery.
     queued: Vec<Vec<u8>>,
     /// Where the queue was sent when the acknowledgement came, if it has:
@@ -249,40 +256,65 @@ impl Transport {
             }
             let mut chain = route_hint.to_vec();
             chain.push(to);
-            let to_nat = to_nat.unwrap_or(NatType::Symmetric);
-            let nat = ctx.nat_type();
-            if nat.is_public() {
-                // No NAT of ours to open: the chain carries the message
-                // and the peer answers to our public address.
-                self.send_chain(ctx, &chain, ChainBody::Relayed(inner));
-                ctx.metrics().count("pss.relayed_sent", 1);
-                return SendOutcome::Relayed;
-            }
-            if !can_hole_punch(nat, to_nat) || to.0 >= timer::PAYLOAD_BOUND {
-                // No punch can work: relay at once. Nor can one be timed
-                // for an id no timer token holds, which no node has: a
-                // forged view entry's.
-                self.relay_over(ctx, to, chain, [inner], "pss.open_unpunchable");
-                return SendOutcome::Relayed;
-            }
-            if nat == NatType::RestrictedCone {
-                // A restricted-cone filter admits any port of a host it
-                // has sent to: one packet towards the peer lets in the
-                // punch the peer sends when the request reaches it.
-                ctx.send_wire(Endpoint::public(to), &NylonMsg::Punch { from: ctx.id() });
+            match ctx.nat_type() {
+                NatType::Public => {
+                    // No NAT of ours to open: the chain carries the message
+                    // and the peer answers to our public address.
+                    self.send_chain(ctx, &chain, ChainBody::Relayed(inner));
+                    ctx.metrics().count("pss.relayed_sent", 1);
+                    return SendOutcome::Relayed;
+                }
+                nat @ (NatType::FullCone | NatType::RestrictedCone) => {
+                    // A cone NAT keeps one mapping for every destination:
+                    // the peer's answer to where our first hop saw us gets
+                    // in — at once through a full cone, and through a
+                    // restricted one, which admits any port of a host it
+                    // has sent to, after one packet towards the peer.
+                    if nat == NatType::RestrictedCone {
+                        ctx.send_wire(Endpoint::public(to), &NylonMsg::Punch { from: ctx.id() });
+                    }
+                    self.send_chain(ctx, &chain, ChainBody::Contact(None, inner));
+                    ctx.metrics().count("pss.contact_sent", 1);
+                    return SendOutcome::Relayed;
+                }
+                nat if !opens(nat, to, to_nat) => {
+                    // No punch can work, or be timed: relay at once.
+                    self.relay_over(ctx, to, chain, [inner], "pss.open_unpunchable");
+                    return SendOutcome::Relayed;
+                }
+                _ => {}
             }
             // Queue the message and start a hole-punching handshake; it
             // ends in a direct channel or in the timeout, which relays
             // over the same chain.
             self.send_chain(ctx, &chain, ChainBody::OpenReq(None));
             ctx.metrics().count("pss.open_started", 1);
-            self.opens.insert(to, PendingOpen { chain, nat: to_nat, queued: vec![inner], sent_to: None });
+            self.opens.insert(to, PendingOpen { chain, queued: vec![inner], sent_to: None });
             ctx.set_timer(OPEN_TIMEOUT, timer::token(timer::OPEN_TIMEOUT, to.0));
             return SendOutcome::Queued;
         }
         ctx.recycle(wire);
         ctx.metrics().count("pss.send_failed", 1);
         SendOutcome::Failed
+    }
+
+    /// Whether [`Transport::send_encoded`], given the same arguments, sends
+    /// a [`ChainBody::Relayed`] at once, rather than a message that goes
+    /// straight to `to` — now, once a handshake has opened the way, or as
+    /// the first contact whose answer opens it.
+    pub(crate) fn relays(&self, ctx: &Ctx<'_>, to: NodeId, to_nat: Option<NatType>, route_hint: &[NodeId]) -> bool {
+        let now = ctx.now();
+        if self.can_reach_directly(to, to_nat.is_some_and(NatType::is_public), now) {
+            return false;
+        }
+        if self.reply_routes.get(to, now).is_some_and(|route| !route.is_empty()) {
+            return true;
+        }
+        let nat = ctx.nat_type();
+        !route_hint.is_empty()
+            && !self.opens.contains_key(&to)
+            && !matches!(nat, NatType::FullCone | NatType::RestrictedCone)
+            && !opens(nat, to, to_nat)
     }
 
     /// Sends `body` from this node along the non-empty `route` (relays
@@ -378,18 +410,17 @@ impl Transport {
 
     /// Handles the acknowledgement of the open request sent to `peer`,
     /// which the chain's last hop saw at `peer_ep`. An open that has
-    /// completed needs nothing. Otherwise, unless the peer's NAT is
-    /// symmetric, the queued messages are the punch: they go to `peer_ep`,
-    /// through the hole the peer's own punch opened in its NAT, and the
-    /// open waits for the peer's direct answer.
+    /// completed needs nothing. Otherwise the queued messages are the
+    /// punch: they go to `peer_ep`, through the hole the peer's own punch
+    /// opened in its NAT, and the open waits for the peer's direct answer.
+    /// A requester runs the handshake only towards a peer it can punch,
+    /// never a symmetric one: the peer's NAT keeps one mapping for every
+    /// destination, so `peer_ep` is where its punch left from.
     pub fn on_open_ack(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, peer_ep: Option<Endpoint>) {
         let Some(open) = self.opens.get_mut(&peer).filter(|open| open.sent_to.is_none()) else {
             return;
         };
-        // A symmetric NAT keeps a mapping for each destination, and the
-        // one the chain's last hop saw lets only that hop in: the peer's
-        // punch, from the mapping that reaches us, has to come first.
-        if let Some(ep) = peer_ep.filter(|_| open.nat != NatType::Symmetric) {
+        if let Some(ep) = peer_ep {
             for inner in &open.queued {
                 ctx.send_to(ep, inner.clone());
             }
@@ -436,6 +467,17 @@ impl Transport {
             ctx.send_wire(from_ep, &NylonMsg::PunchAck { from: ctx.id() });
         }
     }
+}
+
+/// Whether a node behind `nat` with no contact for `to` opens a hole
+/// towards it rather than relay: it is port-restricted or symmetric and a
+/// punch can work against `to_nat` (a peer of no stated type is taken to
+/// be symmetric) — and can be timed, which it cannot for an id no timer
+/// token holds: no node has one, so a forged view entry's.
+fn opens(nat: NatType, to: NodeId, to_nat: Option<NatType>) -> bool {
+    matches!(nat, NatType::PortRestrictedCone | NatType::Symmetric)
+        && can_hole_punch(nat, to_nat.unwrap_or(NatType::Symmetric))
+        && to.0 < timer::PAYLOAD_BOUND
 }
 
 /// The bytes of `wire` as the `Vec` a relayed wrapper or the hole-punch

@@ -37,7 +37,9 @@ impl Watcher {
     fn watch(&mut self, wire: &[u8]) {
         let relayed;
         let wire = match NylonMsg::from_wire(wire) {
-            Ok(NylonMsg::Chain { remaining, body: ChainBody::Relayed(inner), .. }) if remaining.is_empty() => {
+            Ok(NylonMsg::Chain { remaining, body: ChainBody::Relayed(inner) | ChainBody::Contact(_, inner), .. })
+                if remaining.is_empty() =>
+            {
                 relayed = inner;
                 &relayed[..]
             }

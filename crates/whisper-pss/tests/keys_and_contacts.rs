@@ -2,13 +2,13 @@
 //! into the connection-backlog entry of its sender and nowhere else, and
 //! the transport remembers where NATted senders' packets came from — a
 //! public sender is reachable at its public endpoint anyway. And what
-//! the transport makes of that knowledge: the four routes an application
+//! the transport makes of that knowledge: the five routes an application
 //! frame can take out of a node.
 
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::nat::NatType;
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
-use whisper_net::wire::{WireEncode, WireSink};
+use whisper_net::wire::{WireDecode, WireEncode, WireSink};
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration};
 use whisper_pss::messages::{ChainBody, NylonMsg};
 use whisper_pss::transport::{SendOutcome, OPEN_TIMEOUT};
@@ -84,11 +84,16 @@ fn the_backlog_entry_holds_the_key_its_sender_shipped() {
     deliver(&mut sim, id, peer_ep, &NylonMsg::Ping { from: NodeId(79), key: Some(first.to_bytes()) });
     assert!(sim.node::<NylonNode>(id).unwrap().core().cb().get(NodeId(79)).is_none());
 
-    // A restart forgets the backlog and the keys with it.
+    // A restart forgets the backlog and the keys with it: a keyless
+    // message — gossip that rode a chain ships none — puts no peer in,
+    // since the backlog holds peers whose key it knows.
     sim.with_node_ctx::<NylonNode>(id, |node, ctx| node.core_mut().on_restart(ctx));
     assert!(sim.node::<NylonNode>(id).unwrap().core().cb().is_empty());
     deliver(&mut sim, id, peer_ep, &gossip_req(peer, None));
-    assert_eq!(cb_key(&sim, id, peer), None, "nothing remembered the key across the restart");
+    let cb = |sim: &Sim| sim.node::<NylonNode>(id).unwrap().core().cb().get(peer).cloned();
+    assert!(cb(&sim).is_none(), "nothing remembered the key across the restart");
+    deliver(&mut sim, id, peer_ep, &gossip_req(peer, Some(first.to_bytes())));
+    assert_eq!(cb_key(&sim, id, peer), Some(first), "in with the key it shipped");
 }
 
 #[test]
@@ -162,7 +167,13 @@ fn a_chain_message_with_no_origin_is_malformed() {
     let from = Endpoint { node: NodeId(76), port: 9 };
     let ep = Some(from);
     let mut sent = 0;
-    for body in [ChainBody::Relayed(b"x".to_vec()), ChainBody::OpenReq(ep), ChainBody::OpenAck(None)] {
+    let bodies = [
+        ChainBody::Relayed(b"x".to_vec()),
+        ChainBody::Contact(ep, b"x".to_vec()),
+        ChainBody::OpenReq(ep),
+        ChainBody::OpenAck(None),
+    ];
+    for body in bodies {
         for remaining in [vec![], vec![NodeId(75)]] {
             let msg = NylonMsg::Chain { remaining, taken: vec![], body: body.clone() };
             deliver(&mut sim, id, from, &msg);
@@ -173,6 +184,46 @@ fn a_chain_message_with_no_origin_is_malformed() {
     assert_eq!(sim.in_flight_msgs(), 0, "nothing forwarded, answered or punched");
     let m = sim.metrics();
     assert_eq!(m.counter("pss.relayed_delivered") + m.counter("pss.open_served"), 0);
+}
+
+/// The endpoint a chain message's body carries, if it has the room for one.
+fn stamp(body: &ChainBody) -> Option<Endpoint> {
+    match body {
+        ChainBody::Relayed(_) => None,
+        ChainBody::Contact(seen, _) | ChainBody::OpenReq(seen) | ChainBody::OpenAck(seen) => *seen,
+    }
+}
+
+/// The endpoint in an open body, or in a cone-NATted origin's message, is
+/// where the first hop saw the origin — the target punches it, sends its
+/// queue to it or answers there. The first hop writes it over whatever the
+/// sender put there, and clears it when the packet did not come straight
+/// from the origin the message names; a later hop leaves it as it is.
+#[test]
+fn an_endpoint_stamp_belongs_to_the_first_hop_alone() {
+    let (mut sim, id, _) = lone_node();
+    let next = sim.add_node(Box::<Recorder>::default(), NatType::Public);
+    let (origin, relay) = (Endpoint { node: NodeId(70), port: 9 }, Endpoint { node: NodeId(71), port: 4 });
+    let aimed = Some(Endpoint { node: NodeId(72), port: 80 });
+    let bodies = [ChainBody::Contact(aimed, b"x".to_vec()), ChainBody::OpenReq(aimed), ChainBody::OpenAck(aimed)];
+    for body in bodies {
+        // (who hands it over, the hops taken, the stamp the next hop gets)
+        let cases = [
+            (origin, vec![origin.node], Some(origin)),
+            (relay, vec![origin.node], None),
+            (relay, vec![origin.node, relay.node], aimed),
+        ];
+        for (from, taken, stamped) in cases {
+            let msg = NylonMsg::Chain { remaining: vec![next], taken, body: body.clone() };
+            deliver(&mut sim, id, from, &msg);
+            sim.run_for_secs(1);
+            let got = sim.node_mut::<Recorder>(next).unwrap().got.pop().expect("forwarded");
+            let Ok(NylonMsg::Chain { body: forwarded, .. }) = NylonMsg::from_wire(&got) else {
+                panic!("not a chain message: {got:02x?}");
+            };
+            assert_eq!(stamp(&forwarded), stamped, "{msg:?} from {from:?}");
+        }
+    }
 }
 
 /// A host that keeps every packet it is sent, as sent.
@@ -197,7 +248,7 @@ impl Protocol for Recorder {
 
 const PAYLOAD: &[u8] = b"one payload, two ways in, three ways out";
 
-/// The four ways an application message leaves a node.
+/// The five ways an application message leaves a node.
 #[derive(Clone, Copy, Debug)]
 enum Route {
     /// To a peer the sender's directory marks public.
@@ -210,6 +261,10 @@ enum Route {
     /// From a public sender, which has no NAT to punch: wrapped, over the
     /// peer's rendezvous chain, at once.
     RelayedAtOnce,
+    /// From a full-cone sender, whose NAT lets the peer's answer in:
+    /// wrapped with room for the endpoint its first hop sees it at, over
+    /// the peer's rendezvous chain, at once.
+    ContactAtOnce,
 }
 
 /// Sends one payload out of a lone node over `route` — as a `Vec` through
@@ -221,6 +276,7 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
     // the peer a `Punch` that opens its own filter.
     let (mut sim, id, _) = lone_node_behind(match route {
         Route::PunchedThrough => NatType::PortRestrictedCone,
+        Route::ContactAtOnce => NatType::FullCone,
         _ => NatType::Public,
     });
     let peer = sim.add_node(Box::<Recorder>::default(), NatType::Public);
@@ -243,7 +299,7 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
         // punch can work.
         Route::PunchedThrough => (peer, Some(NatType::FullCone), vec![stranger], SendOutcome::Queued),
         // The peer is the stranger's rendezvous node.
-        Route::RelayedAtOnce => (stranger, None, vec![peer], SendOutcome::Relayed),
+        Route::RelayedAtOnce | Route::ContactAtOnce => (stranger, None, vec![peer], SendOutcome::Relayed),
     };
     sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
         let core = node.core_mut();
@@ -276,7 +332,8 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
 #[test]
 fn a_payload_leaves_as_the_same_bytes_whichever_way_it_was_handed_over() {
     let app = NylonMsg::App { payload: PAYLOAD.to_vec() };
-    for route in [Route::Direct, Route::Relayed, Route::PunchedThrough, Route::RelayedAtOnce] {
+    let routes = [Route::Direct, Route::Relayed, Route::PunchedThrough, Route::RelayedAtOnce, Route::ContactAtOnce];
+    for route in routes {
         let (owned, owned_accounting) = send_over(route, false);
         let (framed, framed_accounting) = send_over(route, true);
         assert_eq!(owned, framed, "{route:?}: bytes on the wire");
@@ -289,6 +346,12 @@ fn a_payload_leaves_as_the_same_bytes_whichever_way_it_was_handed_over() {
                 remaining: vec![NodeId(70)],
                 taken: vec![sender],
                 body: ChainBody::Relayed(app.to_wire()),
+            }
+            .to_wire()],
+            Route::ContactAtOnce => vec![NylonMsg::Chain {
+                remaining: vec![NodeId(70)],
+                taken: vec![sender],
+                body: ChainBody::Contact(None, app.to_wire()),
             }
             .to_wire()],
             Route::PunchedThrough => vec![app.to_wire()],

@@ -181,8 +181,8 @@ fn gen_opt<T>(g: &mut Gen, f: impl FnOnce(&mut Gen) -> T) -> Option<T> {
     g.gen::<bool>().then(|| f(g))
 }
 
-/// An arbitrary [`NylonMsg`], uniformly across the ten kinds on the wire:
-/// a chain message once for each of its bodies.
+/// An arbitrary [`NylonMsg`], uniformly across the eleven kinds on the
+/// wire: a chain message once for each of its bodies.
 fn gen_msg(g: &mut Gen) -> NylonMsg {
     let gen_path = |g: &mut Gen| g.vec(4, |g| NodeId(g.gen_range(0..40u64)));
     let gen_chain = |g: &mut Gen, body| NylonMsg::Chain {
@@ -191,7 +191,7 @@ fn gen_msg(g: &mut Gen) -> NylonMsg {
         taken: [vec![NodeId(g.gen_range(0..40u64))], gen_path(g)].concat(),
         body,
     };
-    match g.gen_range(0..10u8) {
+    match g.gen_range(0..11u8) {
         0 => NylonMsg::GossipReq {
             sender: NodeId(g.gen_range(0..40u64)),
             sender_public: g.gen(),
@@ -217,6 +217,10 @@ fn gen_msg(g: &mut Gen) -> NylonMsg {
         4 => {
             let target_ep = gen_opt(g, gen_endpoint);
             gen_chain(g, ChainBody::OpenAck(target_ep))
+        }
+        10 => {
+            let (origin_ep, inner) = (gen_opt(g, gen_endpoint), g.bytes(80));
+            gen_chain(g, ChainBody::Contact(origin_ep, inner))
         }
         5 => NylonMsg::Punch { from: NodeId(g.gen_range(0..40u64)) },
         6 => NylonMsg::PunchAck { from: NodeId(g.gen_range(0..40u64)) },
