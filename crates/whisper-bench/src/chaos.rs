@@ -162,6 +162,14 @@ impl Scenario {
     }
 }
 
+/// The seeds of the acceptance runs (`tests/chaos.rs` takes one per run
+/// from `WHISPER_CHAOS_SEED`; `scripts/verify.sh` sets each in turn).
+pub const ACCEPTANCE_SEEDS: [u64; 3] = [7, 11, 13];
+
+/// The delivery an acceptance run — [`ChaosParams::full`], or the
+/// 1k-node scale-out — keeps once the heal window has passed.
+pub const DELIVERY_FLOOR: f64 = 0.90;
+
 /// Knobs of one chaos run.
 #[derive(Clone, Debug)]
 pub struct ChaosParams {

@@ -399,20 +399,21 @@ impl NylonCore {
         to_nat: Option<NatType>,
         route_hint: &[NodeId],
     ) -> SendOutcome {
-        let relayed = self.transport.relays(ctx, to, to_nat, route_hint);
-        let key = (self.cfg.key_sampling && !relayed).then(|| self.keypair.public().wire_bytes());
-        let t0 = ctx.prof_enabled().then(Instant::now);
-        let len = NylonMsg::gossip_len(&self.buffer, key);
-        let mut wire = ctx.payload_writer(len);
-        NylonMsg::put_gossip(&mut wire, request, self.id, self.is_public(), &self.buffer, key);
-        debug_assert_eq!(wire.len(), len, "gossip_len() disagrees with put_gossip()");
-        let wire = wire.finish();
-        if let Some(t0) = t0 {
-            ctx.prof_encode_ns(t0.elapsed().as_nanos() as u64);
-        }
-        let outcome = self.transport.send_encoded(ctx, to, to_nat, wire, route_hint);
-        debug_assert!(!relayed || outcome == SendOutcome::Relayed, "Transport::relays disagrees");
-        outcome
+        let (id, public, key_sampling) = (self.id, self.is_public(), self.cfg.key_sampling);
+        let (keypair, buffer) = (&self.keypair, &self.buffer);
+        self.transport.send_with(ctx, to, to_nat, route_hint, |ctx, relayed| {
+            let key = (key_sampling && !relayed).then(|| keypair.public().wire_bytes());
+            let t0 = ctx.prof_enabled().then(Instant::now);
+            let len = NylonMsg::gossip_len(buffer, key);
+            let mut wire = ctx.payload_writer(len);
+            NylonMsg::put_gossip(&mut wire, request, id, public, buffer, key);
+            debug_assert_eq!(wire.len(), len, "gossip_len() disagrees with put_gossip()");
+            let wire = wire.finish();
+            if let Some(t0) = t0 {
+                ctx.prof_encode_ns(t0.elapsed().as_nanos() as u64);
+            }
+            wire
+        })
     }
 
     fn do_gossip_cycle(&mut self, ctx: &mut Ctx<'_>) {
@@ -655,12 +656,13 @@ impl NylonCore {
                 }
                 let from = taken[0];
                 match body {
-                    ChainBody::Contact(Some(ep), inner) => {
+                    ChainBody::Contact(Some(stamp), inner) => {
                         // Final destination of a cone-NATted origin's
                         // message: where its first hop saw it is where our
-                        // answer gets in. Remember that, then process the
-                        // inner message as one the origin sent from there.
-                        self.transport.note_contact(from, ep, ctx.now());
+                        // answer gets in, unless we hold a contact for it
+                        // already. Process the inner message as one the
+                        // origin sent from there.
+                        let ep = self.transport.contact_or_stamp(from, stamp, ctx.now());
                         self.handle_inner(ctx, from, ep, Via::DIRECT, &inner, events);
                     }
                     ChainBody::Relayed(inner) | ChainBody::Contact(None, inner) => {

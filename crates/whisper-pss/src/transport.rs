@@ -11,16 +11,18 @@
 //! one [`NylonMsg::Chain`] with a different [`ChainBody`]; the node core
 //! only forwards it, and hands what reaches its destination here.
 //!
-//! How a first message to a stranger travels is decided once, by the
-//! requester, before it sends, from its own NAT type and — for a
-//! handshake only — the one its view entry gives the peer (a send that
+//! How a message travels is decided in one place, `Transport::plan`,
+//! before the message is written — a relayed one carries no key. A first
+//! message to a stranger goes by the requester's own NAT type and — for
+//! a handshake only — the one its view entry gives the peer (a send that
 //! names no type takes the peer to be symmetric):
 //! - a public node has no NAT to open: the chain carries the message, and
 //!   the peer answers to its public address;
 //! - a node behind a cone NAT (full or restricted) keeps one mapping for
 //!   every destination: the chain carries the message with the endpoint
 //!   its first hop saw it at ([`ChainBody::Contact`]), the peer takes that
-//!   for its contact and answers there directly, and the answer opens the
+//!   for its contact — unless it holds one: a stamp never replaces a
+//!   contact — and answers there directly, and the answer opens the
 //!   channel both ways. A restricted-cone node first sends the peer one
 //!   `Punch`, which opens its own filter to any port of the peer's host;
 //! - a port-restricted or symmetric node whose NAT and the peer's cannot
@@ -73,6 +75,37 @@ pub enum SendOutcome {
     Queued,
     /// No contact, no reply route, no usable chain: dropped.
     Failed,
+}
+
+/// How a message goes out: [`Transport::plan`]'s decision, which
+/// [`Transport::send_with`] carries out.
+enum Plan<'a> {
+    /// Straight to a fresh contact, or to a public peer's address.
+    Direct(Endpoint),
+    /// Wrapped, over a fresh reverse route.
+    Reply(&'a [NodeId]),
+    /// Behind the handshake already running towards the peer.
+    Queue,
+    /// From a public node, which has no NAT to open: wrapped, down the
+    /// rendezvous chain; the peer answers to its public address.
+    Relay,
+    /// From a cone-NATted node, whose NAT keeps one mapping for every
+    /// destination: down the chain as a [`ChainBody::Contact`], which the
+    /// peer answers at the endpoint the first hop saw — at once through
+    /// a full cone, and through a restricted one, which admits any port
+    /// of a host it has sent to, after one `Punch` towards the peer. The
+    /// chain becomes the reply route until the answer leaves a contact.
+    Contact { punch: bool },
+    /// From a port-restricted or symmetric node that no punch can join
+    /// to the peer, or time: wrapped, down the chain, which becomes the
+    /// reply route.
+    Unpunchable,
+    /// From a port-restricted or symmetric node: queued while a
+    /// hole-punching handshake runs; it ends in a direct channel or in
+    /// the time-out, which relays over the same chain.
+    Open,
+    /// No contact, no reply route, no chain: dropped.
+    Fail,
 }
 
 /// A per-peer table of values with an expiry time each. A lookup never
@@ -179,6 +212,20 @@ impl Transport {
         }
     }
 
+    /// Where to answer a first contact from `peer` that its first hop saw
+    /// at `stamp`: the fresh contact already held for `peer`, or else
+    /// `stamp`, which becomes it. A stamp never replaces a contact: only
+    /// the hops the message names vouch for it, and any node can name
+    /// itself the first hop of a message it forged. An honest origin
+    /// loses nothing: its cone NAT keeps one mapping for every
+    /// destination, so its stamp is the contact already held.
+    pub(crate) fn contact_or_stamp(&mut self, peer: NodeId, stamp: Endpoint, now: SimTime) -> Endpoint {
+        self.contact(peer, now).unwrap_or_else(|| {
+            self.note_contact(peer, stamp, now);
+            stamp
+        })
+    }
+
     /// Records a working relayed route to `origin` (relays first, then
     /// `origin` itself), learned from a relayed message's hops taken.
     pub fn note_reply_route(&mut self, origin: NodeId, route: Vec<NodeId>, now: SimTime) {
@@ -229,92 +276,115 @@ impl Transport {
         wire: Payload,
         route_hint: &[NodeId],
     ) -> SendOutcome {
+        self.send_with(ctx, to, to_nat, route_hint, |_, _| wire)
+    }
+
+    /// [`Transport::send_encoded`] for a message written once the way it
+    /// goes is known: `encode` writes it into a pool buffer, told whether
+    /// it travels as a [`ChainBody::Relayed`] — a body whose relays, and
+    /// whose destination, have no use for the sender's key.
+    pub(crate) fn send_with(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        to: NodeId,
+        to_nat: Option<NatType>,
+        route_hint: &[NodeId],
+        encode: impl FnOnce(&mut Ctx<'_>, bool) -> Payload,
+    ) -> SendOutcome {
+        let plan = self.plan(ctx, to, to_nat, route_hint);
+        let wire = encode(ctx, matches!(plan, Plan::Reply(_) | Plan::Relay | Plan::Unpunchable));
+        let chain = || [route_hint, &[to]].concat();
+        match plan {
+            Plan::Direct(ep) => {
+                ctx.send_to(ep, wire);
+                SendOutcome::Direct
+            }
+            Plan::Reply(route) => {
+                let inner = unpooled(ctx, wire);
+                self.send_chain(ctx, route, ChainBody::Relayed(inner));
+                ctx.metrics().count("pss.relayed_sent", 1);
+                SendOutcome::Relayed
+            }
+            Plan::Queue => {
+                let inner = unpooled(ctx, wire);
+                if let Some(open) = self.opens.get_mut(&to) {
+                    if let Some(ep) = open.sent_to {
+                        ctx.send_to(ep, inner.clone());
+                    }
+                    open.queued.push(inner);
+                }
+                SendOutcome::Queued
+            }
+            Plan::Relay => {
+                let inner = unpooled(ctx, wire);
+                self.send_chain(ctx, &chain(), ChainBody::Relayed(inner));
+                ctx.metrics().count("pss.relayed_sent", 1);
+                SendOutcome::Relayed
+            }
+            Plan::Contact { punch } => {
+                let inner = unpooled(ctx, wire);
+                if punch {
+                    ctx.send_wire(Endpoint::public(to), &NylonMsg::Punch { from: ctx.id() });
+                }
+                let chain = chain();
+                self.send_chain(ctx, &chain, ChainBody::Contact(None, inner));
+                ctx.metrics().count("pss.contact_sent", 1);
+                // Until the peer's answer leaves a contact, the chain is
+                // the way back to it: what follows, or a retry after a
+                // lost first contact, goes over it as a `Relayed`.
+                self.note_reply_route(to, chain, ctx.now());
+                SendOutcome::Relayed
+            }
+            Plan::Unpunchable => {
+                let inner = unpooled(ctx, wire);
+                self.relay_over(ctx, to, chain(), [inner], "pss.open_unpunchable");
+                SendOutcome::Relayed
+            }
+            Plan::Open => {
+                let (inner, chain) = (unpooled(ctx, wire), chain());
+                self.send_chain(ctx, &chain, ChainBody::OpenReq(None));
+                ctx.metrics().count("pss.open_started", 1);
+                self.opens.insert(to, PendingOpen { chain, queued: vec![inner], sent_to: None });
+                ctx.set_timer(OPEN_TIMEOUT, timer::token(timer::OPEN_TIMEOUT, to.0));
+                SendOutcome::Queued
+            }
+            Plan::Fail => {
+                ctx.recycle(wire);
+                ctx.metrics().count("pss.send_failed", 1);
+                SendOutcome::Failed
+            }
+        }
+    }
+
+    /// The way a message to `to` goes: the transport's one routing
+    /// decision, read before the message is written.
+    fn plan(&self, ctx: &Ctx<'_>, to: NodeId, to_nat: Option<NatType>, route_hint: &[NodeId]) -> Plan<'_> {
         let now = ctx.now();
         // 1. Fresh direct contact (a NATted peer whose association towards
         //    us is open); 2. public peer: always addressable.
         let to_public = to_nat.is_some_and(NatType::is_public);
         if let Some(ep) = self.contact(to, now).or(to_public.then_some(Endpoint::public(to))) {
-            ctx.send_to(ep, wire);
-            return SendOutcome::Direct;
+            return Plan::Direct(ep);
         }
         // 3. Fresh relayed reverse route.
         if let Some(route) = self.reply_routes.get(to, now).filter(|r| !r.is_empty()) {
-            let inner = unpooled(ctx, wire);
-            self.send_chain(ctx, route, ChainBody::Relayed(inner));
-            ctx.metrics().count("pss.relayed_sent", 1);
-            return SendOutcome::Relayed;
+            return Plan::Reply(route);
         }
         // 4. Rendezvous chain.
-        if !route_hint.is_empty() {
-            let inner = unpooled(ctx, wire);
-            if let Some(open) = self.opens.get_mut(&to) {
-                if let Some(ep) = open.sent_to {
-                    ctx.send_to(ep, inner.clone());
-                }
-                open.queued.push(inner);
-                return SendOutcome::Queued;
+        if route_hint.is_empty() {
+            return Plan::Fail;
+        }
+        if self.opens.contains_key(&to) {
+            return Plan::Queue;
+        }
+        match ctx.nat_type() {
+            NatType::Public => Plan::Relay,
+            nat @ (NatType::FullCone | NatType::RestrictedCone) => {
+                Plan::Contact { punch: nat == NatType::RestrictedCone }
             }
-            let mut chain = route_hint.to_vec();
-            chain.push(to);
-            match ctx.nat_type() {
-                NatType::Public => {
-                    // No NAT of ours to open: the chain carries the message
-                    // and the peer answers to our public address.
-                    self.send_chain(ctx, &chain, ChainBody::Relayed(inner));
-                    ctx.metrics().count("pss.relayed_sent", 1);
-                    return SendOutcome::Relayed;
-                }
-                nat @ (NatType::FullCone | NatType::RestrictedCone) => {
-                    // A cone NAT keeps one mapping for every destination:
-                    // the peer's answer to where our first hop saw us gets
-                    // in — at once through a full cone, and through a
-                    // restricted one, which admits any port of a host it
-                    // has sent to, after one packet towards the peer.
-                    if nat == NatType::RestrictedCone {
-                        ctx.send_wire(Endpoint::public(to), &NylonMsg::Punch { from: ctx.id() });
-                    }
-                    self.send_chain(ctx, &chain, ChainBody::Contact(None, inner));
-                    ctx.metrics().count("pss.contact_sent", 1);
-                    return SendOutcome::Relayed;
-                }
-                nat if !opens(nat, to, to_nat) => {
-                    // No punch can work, or be timed: relay at once.
-                    self.relay_over(ctx, to, chain, [inner], "pss.open_unpunchable");
-                    return SendOutcome::Relayed;
-                }
-                _ => {}
-            }
-            // Queue the message and start a hole-punching handshake; it
-            // ends in a direct channel or in the timeout, which relays
-            // over the same chain.
-            self.send_chain(ctx, &chain, ChainBody::OpenReq(None));
-            ctx.metrics().count("pss.open_started", 1);
-            self.opens.insert(to, PendingOpen { chain, queued: vec![inner], sent_to: None });
-            ctx.set_timer(OPEN_TIMEOUT, timer::token(timer::OPEN_TIMEOUT, to.0));
-            return SendOutcome::Queued;
+            nat if opens(nat, to, to_nat) => Plan::Open,
+            _ => Plan::Unpunchable,
         }
-        ctx.recycle(wire);
-        ctx.metrics().count("pss.send_failed", 1);
-        SendOutcome::Failed
-    }
-
-    /// Whether [`Transport::send_encoded`], given the same arguments, sends
-    /// a [`ChainBody::Relayed`] at once, rather than a message that goes
-    /// straight to `to` — now, once a handshake has opened the way, or as
-    /// the first contact whose answer opens it.
-    pub(crate) fn relays(&self, ctx: &Ctx<'_>, to: NodeId, to_nat: Option<NatType>, route_hint: &[NodeId]) -> bool {
-        let now = ctx.now();
-        if self.can_reach_directly(to, to_nat.is_some_and(NatType::is_public), now) {
-            return false;
-        }
-        if self.reply_routes.get(to, now).is_some_and(|route| !route.is_empty()) {
-            return true;
-        }
-        let nat = ctx.nat_type();
-        !route_hint.is_empty()
-            && !self.opens.contains_key(&to)
-            && !matches!(nat, NatType::FullCone | NatType::RestrictedCone)
-            && !opens(nat, to, to_nat)
     }
 
     /// Sends `body` from this node along the non-empty `route` (relays

@@ -226,6 +226,80 @@ fn an_endpoint_stamp_belongs_to_the_first_hop_alone() {
     }
 }
 
+/// A stamp reaches the destination from a hop the message names as its
+/// first, and any node can name itself that: a `Contact` forged to look
+/// two hops old, stamped with an endpoint of the forger's choosing, is
+/// answered at the contact the destination holds for the origin, and
+/// leaves that contact, and what is sent after it, where they were.
+#[test]
+fn a_stamp_never_replaces_a_fresh_contact() {
+    let (mut sim, id, _) = lone_node();
+    let victim = sim.add_node(Box::<Recorder>::default(), NatType::FullCone);
+    let elsewhere = sim.add_node(Box::<Recorder>::default(), NatType::Public);
+    let got = |sim: &mut Sim, host: NodeId| std::mem::take(&mut sim.node_mut::<Recorder>(host).unwrap().got);
+    // The victim's own packet leaves the destination its contact.
+    assert!(sim.with_node_ctx::<Recorder>(victim, |_, ctx| {
+        ctx.send_wire(Endpoint::public(id), &NylonMsg::Punch { from: victim });
+    }));
+    sim.run_for_secs(1);
+    assert!(sim.node::<NylonNode>(id).unwrap().core().can_reach_directly(victim, false, sim.now()));
+    got(&mut sim, victim);
+
+    let forger = Endpoint::public(NodeId(71));
+    let forged = NylonMsg::Chain {
+        remaining: vec![],
+        taken: vec![victim, forger.node],
+        body: ChainBody::Contact(Some(Endpoint { node: elsewhere, port: 80 }), gossip_req(victim, None).to_wire()),
+    };
+    deliver(&mut sim, id, forger, &forged);
+    sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
+        let outcome = node.core_mut().send_app(ctx, victim, None, &[], PAYLOAD.to_vec());
+        assert_eq!(outcome, SendOutcome::Direct);
+    });
+    sim.run_for_secs(1);
+    assert!(got(&mut sim, elsewhere).is_empty(), "nothing went where the stamp pointed");
+    let msgs: Vec<_> = got(&mut sim, victim).iter().map(|wire| NylonMsg::from_wire(wire)).collect();
+    let answered = msgs.iter().any(|m| matches!(m, Ok(NylonMsg::GossipResp { .. })));
+    let sent = msgs.iter().any(|m| matches!(m, Ok(NylonMsg::App { .. })));
+    assert!(msgs.len() == 2 && answered && sent, "the answer and the next send reach the victim: {msgs:?}");
+}
+
+/// A first contact that gets no answer is not sent again by the
+/// transport, and nothing after it is sent as one: the chain it went over
+/// is the way to the peer until the peer's answer leaves a contact, so
+/// what follows — or the retry of a request whose answer was lost — goes
+/// over it as a `Relayed`, costing nothing when the answer comes.
+#[test]
+fn a_first_contact_leaves_its_chain_as_the_way_to_the_peer_until_the_answer() {
+    let (mut sim, id, _) = lone_node_behind(NatType::FullCone);
+    let relay = sim.add_node(Box::<Recorder>::default(), NatType::Public);
+    let stranger = NodeId(70);
+    let send = |sim: &mut Sim| {
+        let mut outcome = None;
+        assert!(sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
+            outcome = Some(node.core_mut().send_app(ctx, stranger, None, &[relay], PAYLOAD.to_vec()));
+        }));
+        outcome.unwrap()
+    };
+    for _ in 0..2 {
+        assert_eq!(send(&mut sim), SendOutcome::Relayed);
+        sim.run_for_secs(1);
+    }
+    let bodies: Vec<_> = std::mem::take(&mut sim.node_mut::<Recorder>(relay).unwrap().got)
+        .iter()
+        .map(|wire| match NylonMsg::from_wire(wire) {
+            Ok(NylonMsg::Chain { body, .. }) => body,
+            other => panic!("not a chain message: {other:?}"),
+        })
+        .collect();
+    let app = NylonMsg::App { payload: PAYLOAD.to_vec() }.to_wire();
+    assert_eq!(bodies, [ChainBody::Contact(None, app.clone()), ChainBody::Relayed(app)]);
+    assert_eq!(sim.metrics().counter("pss.contact_sent"), 1);
+
+    deliver(&mut sim, id, Endpoint { node: stranger, port: 9 }, &NylonMsg::PunchAck { from: stranger });
+    assert_eq!(send(&mut sim), SendOutcome::Direct, "the answer left a contact");
+}
+
 /// A host that keeps every packet it is sent, as sent.
 #[derive(Default)]
 struct Recorder {

@@ -14,14 +14,16 @@
 //! verify.sh` runs them in release mode across a fixed seed matrix, with
 //! the seed supplied through `WHISPER_CHAOS_SEED`.
 
-use whisper_bench::chaos::{run_scenario, ChaosOutcome, ChaosParams, Scenario};
+use whisper_bench::chaos::{
+    run_scenario, ChaosOutcome, ChaosParams, Scenario, ACCEPTANCE_SEEDS, DELIVERY_FLOOR,
+};
 
 /// Seed for the full acceptance runs (verify.sh sets the env var).
 fn acceptance_seed() -> u64 {
     std::env::var("WHISPER_CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(7)
+        .unwrap_or(ACCEPTANCE_SEEDS[0])
 }
 
 fn assert_invariants(scenario: Scenario, out: &ChaosOutcome, min_delivery: f64) {
@@ -116,7 +118,7 @@ fn smoke_nat_rebind_recovers() {
 
 fn full(scenario: Scenario) {
     let out = run_scenario(scenario, &ChaosParams::full(acceptance_seed()));
-    assert_invariants(scenario, &out, 0.90);
+    assert_invariants(scenario, &out, DELIVERY_FLOOR);
 }
 
 #[test]
@@ -172,7 +174,7 @@ fn full_crash_restart_1k_nodes_on_4_shards() {
         ..ChaosParams::full(acceptance_seed())
     };
     let out = run_scenario(scenario, &params);
-    assert_invariants(scenario, &out, 0.90);
+    assert_invariants(scenario, &out, DELIVERY_FLOOR);
 }
 
 // ------------------------------------------- group lifecycle (tentpole)
@@ -278,7 +280,7 @@ fn full_group_lifecycle_1k_nodes_on_4_shards() {
         ..ChaosParams::full(acceptance_seed())
     };
     let out = run_group_lifecycle(&params);
-    assert_lifecycle_invariants(&out, 0.90, 150.0);
+    assert_lifecycle_invariants(&out, DELIVERY_FLOOR, 150.0);
     // Scale-out extras: several groups deleted, several crash-restarts
     // replayed their journals.
     assert!(out.deleted.len() >= 2, "only {} group(s) deleted", out.deleted.len());
