@@ -6,7 +6,7 @@
 //! Not a paper figure — this is reproduction-hardening evidence, printed
 //! as one `metric value` row per cell.
 
-use crate::chaos::{run_group_lifecycle, ChaosParams};
+use crate::chaos::{run_group_lifecycle, ChaosParams, DELIVERY_FLOOR, SMOKE_DELIVERY_FLOOR};
 use crate::report;
 
 /// The sweep's metrics, in print order.
@@ -19,24 +19,21 @@ pub struct Lifecycle {
 }
 
 /// Runs the lifecycle sweep. `quick` uses the 96-node smoke population;
-/// otherwise the 1000-node / 4-shard acceptance population from
-/// `tests/chaos.rs`.
+/// otherwise [`ChaosParams::scale_out`], the 1000-node / 4-shard
+/// acceptance population of `tests/chaos.rs`. Panics, naming them, on the
+/// invariants the run broke ([`LifecycleOutcome::violations`] at the
+/// population's floor).
+///
+/// [`LifecycleOutcome::violations`]: crate::chaos::LifecycleOutcome::violations
 pub fn run(quick: bool, seed: u64) -> Lifecycle {
-    let params = if quick {
-        ChaosParams::smoke(seed)
+    let (params, floor) = if quick {
+        (ChaosParams::smoke(seed), SMOKE_DELIVERY_FLOOR)
     } else {
-        ChaosParams {
-            nodes: 1000,
-            groups: 10,
-            shards: 4,
-            warmup: 250,
-            settle: 90,
-            ..ChaosParams::full(seed)
-        }
+        (ChaosParams::scale_out(seed), DELIVERY_FLOOR)
     };
     let out = run_group_lifecycle(&params);
-    assert_eq!(out.echo.unattributed, 0, "lifecycle bench: unattributed drops");
-    assert_eq!(out.resurrections, 0, "lifecycle bench: deleted group resurrected");
+    let violations = out.violations(floor);
+    assert!(violations.is_empty(), "lifecycle seed {seed}: {}", violations.join("; "));
     let rows = [
         ("delivery_pct", out.echo.delivery_ratio() * 100.0),
         ("deletion_prop_p95_s", out.deletion_prop_p95_s),

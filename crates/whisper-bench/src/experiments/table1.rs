@@ -7,7 +7,6 @@
 //! minute with 100% replacement, following the SPLAY script printed under
 //! the table.
 
-use crate::chaos::{run_scenario, ChaosOutcome, ChaosParams, Scenario};
 use crate::harness::{NetBuilder, Routes};
 use crate::report;
 
@@ -74,63 +73,6 @@ fn run_one(params: &Params, x_percent: f64) -> Routes {
         .grouped(params.warmup, params.groups, "table1", params.seed ^ 0x51, params.settle);
     net.churn(params.churn_window, x_percent, &leaders, &groups, params.seed ^ 0xC0FFEE, params.seed ^ 0x9);
     net.routes()
-}
-
-/// The fault-plan extension: delivery and route repair per scripted
-/// fault, with the adaptive RTO against the paper's fixed 2 s timer.
-#[derive(Clone, Debug)]
-pub struct Faults {
-    /// The population every cell runs (the timer aside).
-    pub base: ChaosParams,
-    /// `(scenario, adaptive timer, outcome)`, burst loss first.
-    pub cells: Vec<(Scenario, bool, ChaosOutcome)>,
-}
-
-/// Fault-plan extension (PR 4): route availability under scripted burst
-/// loss and partitions, with the adaptive RTO against the paper's fixed
-/// 2 s retry timer.
-pub fn run_fault_scenarios(quick: bool, seed: u64) -> Faults {
-    let base = if quick { ChaosParams::smoke(seed) } else { ChaosParams::full(seed) };
-    let mut cells = Vec::new();
-    for scenario in [Scenario::BurstLoss, Scenario::Partition] {
-        for adaptive in [true, false] {
-            let out = run_scenario(scenario, &ChaosParams { adaptive_rto: adaptive, ..base.clone() });
-            assert_eq!(out.unattributed, 0, "{}: unattributed drops in bench run", scenario.name());
-            cells.push((scenario, adaptive, out));
-        }
-    }
-    Faults { base, cells }
-}
-
-impl Faults {
-    /// Prints delivery ratio (percent) and mean route-repair latency
-    /// (milliseconds) per `(scenario, timer)` cell.
-    pub fn print(&self) {
-        report::banner(
-            "Table I ext.",
-            "delivery + route repair under scripted faults (adaptive vs. fixed RTO)",
-        );
-        let base = &self.base;
-        println!(
-            "nodes={} groups={} fault window={}s seed={}",
-            base.nodes, base.groups, base.fault_len, base.seed
-        );
-        println!(
-            "{:<14} {:>10} {:>12} {:>14} {:>10}",
-            "scenario", "timer", "delivery", "repair (ms)", "repairs"
-        );
-        for (scenario, adaptive, out) in &self.cells {
-            let timer = if *adaptive { "adaptive" } else { "fixed" };
-            println!(
-                "{:<14} {:>10} {:>11.1}% {:>14.1} {:>10}",
-                scenario.name(),
-                timer,
-                out.delivery_ratio() * 100.0,
-                out.repair_mean_s() * 1e3,
-                out.repair_s.len()
-            );
-        }
-    }
 }
 
 /// Runs the experiment.

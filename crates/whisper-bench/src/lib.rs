@@ -15,6 +15,7 @@
 //! | `ablation_path_length` | §III-A footnote — longer onion paths |
 //! | `ablation_cb_size` | §III-A — connection backlog sizing |
 //! | `all_experiments` | everything above, in sequence |
+//! | `chaos_matrix` | beyond the paper — delivery, route repair and the recovery invariants per scripted fault (`chaos`) |
 //! | `group_lifecycle` | beyond the paper — descriptor propagation and journal recovery under faults |
 //! | `scale_smoke` | beyond the paper — 10k / 100k / 1M PSS nodes complete, allocations per send |
 //!
@@ -27,7 +28,11 @@
 //! `scripts/golden/figures_quick.txt` and EXPERIMENTS.md hold.
 //!
 //! This library holds the shared scaffolding: deterministic population
-//! builders, group formation, churn, route outcomes and plot-style output.
+//! builders, group formation, churn, route outcomes and plot-style output,
+//! and the chaos harness (`chaos`): the scripted-fault scenarios, their
+//! populations and acceptance seeds, and the one check of their recovery
+//! invariants that `tests/chaos.rs`, `chaos_matrix` and `group_lifecycle`
+//! all make.
 
 pub mod chaos;
 pub mod experiments;

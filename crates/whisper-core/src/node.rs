@@ -399,15 +399,11 @@ impl Protocol for WhisperNode {
             self.on_app_payload(ctx, (from, from_ep.port == 0), app);
             return;
         }
-        let nylon_events = self.nylon.on_message(ctx, from, from_ep, data);
-        for event in nylon_events {
-            match event {
-                // An application payload that came wrapped in a relayed
-                // message: the way back to its sender is the reply route
-                // the wrapper left, whatever the sender's class.
-                NylonEvent::Payload { from, data } => self.on_app_payload(ctx, (from, false), &data),
-                NylonEvent::GossipCompleted { .. } => {}
-            }
+        // An application payload that came wrapped in a relayed message:
+        // the way back to its sender is the reply route the wrapper left,
+        // whatever the sender's class.
+        if let Some(NylonEvent::Payload { from, data }) = self.nylon.on_message(ctx, from, from_ep, data) {
+            self.on_app_payload(ctx, (from, false), &data);
         }
     }
 

@@ -30,7 +30,6 @@ impl GroupState {
         };
         let msg_id = wcl.alloc_msg_id();
         let msg = self.exchange_msg(ctx, group, partner.node, my_entry, msg_id, false);
-        self.outstanding = Some((partner.node, msg_id));
         ctx.metrics().count("ppss.exchanges_initiated", 1);
         if !wcl.send(ctx, nylon, &partner, msg.to_wire(), None, msg_id) {
             // No route constructible at all (e.g. every advertised gateway
@@ -77,11 +76,8 @@ impl GroupState {
         candidates.into_iter().take(GOSSIP_LEN).cloned().collect()
     }
 
-    /// Drops `node`, a member no route reaches, from the view and the PCP,
-    /// and forgets the exchange outstanding with it, if any: one with
-    /// another partner is still in flight.
+    /// Drops `node`, a member no route reaches, from the view and the PCP.
     pub(super) fn drop_unreachable(&mut self, group: GroupId, node: NodeId) -> PpssEvent {
-        self.outstanding.take_if(|&mut (partner, _)| partner == node);
         self.view.retain(|e| e.node != node);
         self.pcp.remove(&node);
         PpssEvent::MemberUnreachable { group, node }
@@ -196,7 +192,6 @@ impl Ppss {
             ctx.metrics().count("ppss.exchanges_served", 1);
             wcl.send_untracked(ctx, nylon, &from_entry, &resp.to_wire(), None);
         } else {
-            state.outstanding.take_if(|&mut sent| sent == (from_entry.node, exchange_id));
             wcl.notify_response(ctx, exchange_id);
             ctx.metrics().count("ppss.exchanges_completed", 1);
         }

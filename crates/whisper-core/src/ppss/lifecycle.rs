@@ -36,7 +36,6 @@ impl GroupState {
             view: Vec::new(),
             pcp: HashMap::new(),
             tracker,
-            outstanding: None,
             latest_announcement: None,
             revoked: BTreeSet::new(),
             verified: PassportMemo::default(),

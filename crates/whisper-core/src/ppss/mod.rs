@@ -140,8 +140,6 @@ pub struct GroupState {
     pcp: HashMap<NodeId, PrivateEntry>,
     /// Leader liveness / election state.
     tracker: LeaderTracker,
-    /// Outstanding exchange: partner and WCL msg id.
-    outstanding: Option<(NodeId, u64)>,
     /// Latest verified key announcement, piggybacked for dissemination.
     latest_announcement: Option<NewKeyAnnouncement>,
     /// The nodes revoked from the group, as a leader revoked them or an

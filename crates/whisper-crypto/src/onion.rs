@@ -68,13 +68,6 @@ pub struct OnionPacket {
     pub body: Vec<u8>,
 }
 
-impl OnionPacket {
-    /// Total wire size in bytes.
-    pub fn wire_len(&self) -> usize {
-        self.header.len() + self.body.len()
-    }
-}
-
 /// Outcome of peeling one onion layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PeelResult {

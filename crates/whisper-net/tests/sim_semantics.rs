@@ -921,16 +921,19 @@ impl Protocol for GossipCounter {
 /// average. Before the path was rebuilt this test measured 55.6: owned
 /// entries with a `Vec` per rendezvous chain in buffers, messages and
 /// merges, a key parsed and re-serialised per message, the key store's
-/// copy of it. It now measures 1.1: the `Vec` holding the initiator's
-/// `GossipCompleted` event, and now and then a key parsed when a peer
-/// enters a backlog that had evicted it, or a map that grows.
+/// copy of it. It measured 1.04 while `NylonCore::on_message` returned its
+/// upcalls in a `Vec` (one allocation for the initiator's
+/// `GossipCompleted`), and now measures 0.04: now and then a key parsed
+/// when a peer enters a backlog that had evicted it, or a map that grows.
+/// The bound is one allocation, so a `Vec` per exchange coming back fails
+/// it.
 #[test]
 fn steady_state_gossip_exchange_allocations_are_bounded() {
     use whisper_crypto::rsa::KeyPair;
     use whisper_pss::{NylonConfig, NylonCore};
     use whisper_rand::SeedableRng;
 
-    const GOSSIP_EXCHANGE_ALLOCATIONS: f64 = 3.0;
+    const GOSSIP_EXCHANGE_ALLOCATIONS: f64 = 1.0;
 
     let cfg = NylonConfig::default();
     let mut keyrng = whisper_rand::rngs::StdRng::seed_from_u64(0x6055);

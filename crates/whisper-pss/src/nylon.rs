@@ -233,8 +233,9 @@ impl NylonCore {
     /// the one way application bytes leave a node.
     ///
     /// `to_nat` and `route_hint` come from whatever directory entry the
-    /// caller holds (CB entry, view entry, or PPSS private-view entry), as
-    /// [`Transport::send_encoded`] takes them.
+    /// caller holds (CB entry, view entry, or PPSS private-view entry): the
+    /// peer's NAT type (`None` for a NATted peer of unknown type) and the
+    /// rendezvous chain that reaches it.
     pub fn send_app_frame(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -245,7 +246,7 @@ impl NylonCore {
     ) -> SendOutcome {
         let frame = frame.finish();
         debug_assert!(NylonMsg::app_view(&frame).is_some(), "payload_len bytes must follow begin_app");
-        self.transport.send_encoded(ctx, to, to_nat, frame, route_hint)
+        self.transport.send_with(ctx, to, to_nat, route_hint, |_, _| frame)
     }
 
     // ---------------------------------------------------------------
@@ -339,17 +340,18 @@ impl NylonCore {
         Some(app)
     }
 
-    /// Message dispatch; returns upcall events.
+    /// Message dispatch; returns the upcall event the message makes, if
+    /// any: one message makes at most one.
     pub fn on_message(
         &mut self,
         ctx: &mut Ctx<'_>,
         from: NodeId,
         from_ep: Endpoint,
         data: &[u8],
-    ) -> Vec<NylonEvent> {
+    ) -> Option<NylonEvent> {
         let Some(msg) = ctx.prof_decode(|| Incoming::parse(data)) else {
             ctx.metrics().count("pss.malformed", 1);
-            return Vec::new();
+            return None;
         };
         let arrival = match &msg {
             Incoming::Other(NylonMsg::Punch { .. }) => Arrival::Punch,
@@ -358,9 +360,7 @@ impl NylonCore {
             _ => Arrival::Other,
         };
         self.transport.on_direct_packet(ctx, from, from_ep, arrival);
-        let mut events = Vec::new();
-        self.handle(ctx, from, from_ep, Via::DIRECT, msg, &mut events);
-        events
+        self.handle(ctx, from, from_ep, Via::DIRECT, msg)
     }
 
     // ---------------------------------------------------------------
@@ -542,11 +542,10 @@ impl NylonCore {
         outer_ep: Endpoint,
         via: Via<'_>,
         msg: Incoming<'_>,
-        events: &mut Vec<NylonEvent>,
-    ) {
+    ) -> Option<NylonEvent> {
         match msg {
-            Incoming::Gossip(gossip) => self.handle_gossip(ctx, gossip, via, events),
-            Incoming::Other(msg) => self.handle_msg(ctx, outer_from, outer_ep, msg, events),
+            Incoming::Gossip(gossip) => self.handle_gossip(ctx, gossip, via),
+            Incoming::Other(msg) => self.handle_msg(ctx, outer_from, outer_ep, msg),
         }
     }
 
@@ -557,8 +556,7 @@ impl NylonCore {
         ctx: &mut Ctx<'_>,
         gossip: GossipView<'_>,
         via: Via<'_>,
-        events: &mut Vec<NylonEvent>,
-    ) {
+    ) -> Option<NylonEvent> {
         let GossipView { request, sender, sender_public, .. } = gossip;
         if request {
             // Build the reply from the *pre-merge* view, as the
@@ -568,6 +566,7 @@ impl NylonCore {
             self.send_gossip(ctx, false, sender, sender_public.then_some(NatType::Public), &[]);
             self.maintain_cb(ctx);
             ctx.metrics().count("pss.gossip_served", 1);
+            None
         } else {
             if matches!(self.outstanding, Some((p, _)) if p == sender) {
                 self.outstanding = None;
@@ -575,7 +574,7 @@ impl NylonCore {
             self.merge_gossip(&gossip, via);
             self.maintain_cb(ctx);
             ctx.metrics().count("pss.gossip_completed", 1);
-            events.push(NylonEvent::GossipCompleted { partner: sender });
+            Some(NylonEvent::GossipCompleted { partner: sender })
         }
     }
 
@@ -606,18 +605,18 @@ impl NylonCore {
         from_ep: Endpoint,
         via: Via<'_>,
         inner: &[u8],
-        events: &mut Vec<NylonEvent>,
-    ) {
+    ) -> Option<NylonEvent> {
         match Incoming::parse(inner) {
-            // No honest sender nests (`Transport::send_encoded` wraps
+            // No honest sender nests (`Transport::send_with` wraps
             // gossip and `App` frames only), and unwrapping level by level
             // would let one packet, a few thousand deep, overflow this
             // thread's stack.
             Some(Incoming::Other(NylonMsg::Chain { .. })) => {
                 ctx.metrics().count("pss.relayed_nested", 1);
+                None
             }
-            Some(inner_msg) => self.handle(ctx, from, from_ep, via, inner_msg, events),
-            None => {}
+            Some(inner_msg) => self.handle(ctx, from, from_ep, via, inner_msg),
+            None => None,
         }
     }
 
@@ -627,8 +626,7 @@ impl NylonCore {
         outer_from: NodeId,
         outer_ep: Endpoint,
         msg: NylonMsg,
-        events: &mut Vec<NylonEvent>,
-    ) {
+    ) -> Option<NylonEvent> {
         match msg {
             NylonMsg::GossipReq { .. } | NylonMsg::GossipResp { .. } => {
                 debug_assert!(false, "Incoming::parse hands gossip to handle_gossip as a view");
@@ -652,7 +650,7 @@ impl NylonCore {
                     let fwd = NylonMsg::Chain { remaining: rest.to_vec(), taken, body };
                     let ep = self.transport.next_hop_ep(ctx, next);
                     ctx.send_wire(ep, &fwd);
-                    return;
+                    return None;
                 }
                 let from = taken[0];
                 match body {
@@ -663,7 +661,7 @@ impl NylonCore {
                         // already. Process the inner message as one the
                         // origin sent from there.
                         let ep = self.transport.contact_or_stamp(from, stamp, ctx.now());
-                        self.handle_inner(ctx, from, ep, Via::DIRECT, &inner, events);
+                        return self.handle_inner(ctx, from, ep, Via::DIRECT, &inner);
                     }
                     ChainBody::Relayed(inner) | ChainBody::Contact(None, inner) => {
                         // Final destination: the way the message came,
@@ -676,7 +674,7 @@ impl NylonCore {
                         self.transport.note_reply_route(from, taken.clone(), ctx.now());
                         let via = Via { relays: &taken[..taken.len() - 1], head_public: outer_ep.port == 0 };
                         ctx.metrics().count("pss.relayed_delivered", 1);
-                        self.handle_inner(ctx, from, outer_ep, via, &inner, events);
+                        return self.handle_inner(ctx, from, outer_ep, via, &inner);
                     }
                     ChainBody::OpenReq(requester_ep) => self.transport.on_open_req(ctx, taken, requester_ep),
                     ChainBody::OpenAck(target_ep) => self.transport.on_open_ack(ctx, from, target_ep),
@@ -696,10 +694,9 @@ impl NylonCore {
                 // Pings target P-nodes only, so the pong sender is public.
                 self.insert_cb(from, true, key.as_deref());
             }
-            NylonMsg::App { payload } => {
-                events.push(NylonEvent::Payload { from: outer_from, data: payload });
-            }
+            NylonMsg::App { payload } => return Some(NylonEvent::Payload { from: outer_from, data: payload }),
         }
+        None
     }
 
 }
@@ -739,10 +736,8 @@ impl Protocol for NylonNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, from_ep: Endpoint, data: &Payload) {
-        for event in self.core.on_message(ctx, from, from_ep, data) {
-            if matches!(event, NylonEvent::Payload { .. }) {
-                self.payloads_received += 1;
-            }
+        if let Some(NylonEvent::Payload { .. }) = self.core.on_message(ctx, from, from_ep, data) {
+            self.payloads_received += 1;
         }
     }
 

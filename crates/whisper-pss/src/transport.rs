@@ -254,12 +254,14 @@ impl Transport {
         })
     }
 
-    /// Sends `wire` — a message the caller has encoded into a pool buffer
-    /// ([`Ctx::payload_writer`]) — to `to` using the best available
-    /// mechanism. A direct send hands that buffer to the network as it
-    /// is, with no further copy; relaying or queueing copies the bytes
-    /// into the wrapper that needs them and hands the buffer back to the
-    /// pool.
+    /// Sends a message to `to` using the best available mechanism, written
+    /// once the way it goes is known: `encode` writes it into a pool
+    /// buffer ([`Ctx::payload_writer`]), told whether it travels as a
+    /// [`ChainBody::Relayed`] — a body whose relays, and whose destination,
+    /// have no use for the sender's key. A direct send hands that buffer to
+    /// the network as it is, with no further copy; relaying or queueing
+    /// copies the bytes into the wrapper that needs them and hands the
+    /// buffer back to the pool.
     ///
     /// * `to_nat` — the peer's NAT type as the caller's directory entry
     ///   gives it; `None` for a NATted peer of unknown type, taken to be
@@ -268,21 +270,6 @@ impl Transport {
     ///   must be a node we can reach), used for relaying / punching.
     ///
     /// Returns how the message travelled.
-    pub fn send_encoded(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        to: NodeId,
-        to_nat: Option<NatType>,
-        wire: Payload,
-        route_hint: &[NodeId],
-    ) -> SendOutcome {
-        self.send_with(ctx, to, to_nat, route_hint, |_, _| wire)
-    }
-
-    /// [`Transport::send_encoded`] for a message written once the way it
-    /// goes is known: `encode` writes it into a pool buffer, told whether
-    /// it travels as a [`ChainBody::Relayed`] — a body whose relays, and
-    /// whose destination, have no use for the sender's key.
     pub(crate) fn send_with(
         &mut self,
         ctx: &mut Ctx<'_>,

@@ -47,15 +47,14 @@ impl Protocol for Probe {
         if let Ok(NylonMsg::Punch { from }) = NylonMsg::from_wire(data) {
             self.punched_by.push(from);
         }
-        for event in self.core.on_message(ctx, from, from_ep, data) {
-            match event {
-                NylonEvent::Payload { .. } => self.payloads += 1,
-                NylonEvent::GossipCompleted { partner } => {
-                    if let Some(t0) = self.started.take() {
-                        self.exchanges.push((partner, ctx.now().since(t0)));
-                    }
+        match self.core.on_message(ctx, from, from_ep, data) {
+            Some(NylonEvent::Payload { .. }) => self.payloads += 1,
+            Some(NylonEvent::GossipCompleted { partner }) => {
+                if let Some(t0) = self.started.take() {
+                    self.exchanges.push((partner, ctx.now().since(t0)));
                 }
             }
+            None => {}
         }
     }
 

@@ -3,7 +3,7 @@
 # measure it, so no number there is typed by hand:
 #
 # * `all_experiments` at full scale, split per figure / table;
-# * `table1_churn_routes --faults` and `group_lifecycle` at full scale;
+# * `chaos_matrix` and `group_lifecycle` at full scale;
 # * the paper tier of tests/paper_claims.rs (its verdicts, and the
 #   measured value of every claim that fails).
 #
@@ -34,17 +34,17 @@ rm -rf "$dir"
 mkdir -p "$dir"
 
 cargo build --release --offline --quiet -p whisper-bench --bins
-bin=target/release
+bin=${CARGO_TARGET_DIR:-target}/release
 "$bin/all_experiments" --quick >"$dir/quick.txt"
 if ! cmp -s "$golden" "$dir/quick.txt"; then
   echo "paper_tables: all_experiments --quick differs from $golden; run scripts/golden.sh --regen first" >&2
   exit 1
 fi
 
-echo "paper_tables: running all_experiments, table1_churn_routes --faults and group_lifecycle (full scale)"
+echo "paper_tables: running all_experiments, chaos_matrix and group_lifecycle (full scale)"
 {
   "$bin/all_experiments"
-  "$bin/table1_churn_routes" --faults
+  "$bin/chaos_matrix"
   "$bin/group_lifecycle"
 } >"$dir/full.txt"
 
@@ -54,7 +54,7 @@ awk -v dir="$dir" '
     if (title ~ /^Figure [0-9]:/) return "fig" substr(title, 8, 1)
     if (title ~ /^Table I:/) return "table1"
     if (title ~ /^Table II:/) return "table2"
-    if (title ~ /^Table I ext\.:/) return "faults"
+    if (title ~ /^Chaos matrix:/) return "faults"
     if (title ~ /^Ablation: path length:/) return "ablation_path_length"
     if (title ~ /^Ablation: connection backlog size:/) return "ablation_cb_size"
     if (title ~ /^Lifecycle:/) return "lifecycle"

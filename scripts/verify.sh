@@ -56,14 +56,8 @@ cargo test -q --release --offline --test paper_claims
 step "determinism matrix (release: byte-identical traces across heap/wheel x 1/2/4 shards x threads on/off x pool on/off x one run/3000 runs, profiler on)"
 cargo test -q --release --offline -p whisper-net --test determinism
 
-step "chaos acceptance suite (384 + 1k-node/4-shard, release, fixed seed matrix)"
-for s in 7 11 13; do
-  echo "    seed $s"
-  WHISPER_CHAOS_SEED=$s cargo test -q --release --offline --test chaos -- --ignored
-done
-
-step "group lifecycle (1k nodes / 4 shards; deletion propagation + recovery; asserts no unattributed drop and no resurrection)"
-cargo run -q --release --offline -p whisper-bench --bin group_lifecycle
+step "chaos acceptance suite (384 + 1k-node/4-shard lifecycle and crash/restart, release; each test runs every seed of whisper_bench::chaos::ACCEPTANCE_SEEDS)"
+cargo test -q --release --offline --test chaos -- --ignored
 
 step "scale-out smoke (10k nodes/1 shard must stay <= 0.2 allocs/send; 100k and 1M nodes/4 shards must complete)"
 cargo run -q --release --offline -p whisper-bench --bin scale_smoke
