@@ -1,8 +1,9 @@
 //! The Nylon decoders on hostile bytes (ROADMAP item 4 (a), the Nylon
 //! slice; `ppss_decoders.rs` is the template). Datagrams taken off the wire
 //! of a running stack — gossip requests and responses, relayed messages, a
-//! cone-NATted stranger's first message and application frames among them
-//! — then cut short, grown, spliced, bit-flipped, given a sequence length
+//! cone-NATted stranger's first message, open requests and the answers
+//! their acknowledgements carry, keyed punches and application frames among
+//! them — then cut short, grown, spliced, bit-flipped, given a sequence length
 //! that claims the whole remaining input, a length prefix no decoder may
 //! take (wider than it needs, claiming 2⁶² − 1, cut short) or a NAT-type
 //! byte of any value:
@@ -73,18 +74,22 @@ fn length_prefixes(msg: &NylonMsg) -> Vec<usize> {
         }
         NylonMsg::Chain { remaining, taken, body } => {
             // The hops left, the hops taken, then the body: a relayed
-            // message's byte string, behind the origin's optional endpoint
-            // in a cone-NATted origin's, or an open's optional endpoint.
+            // message's byte string, or one behind the optional endpoint
+            // of a cone-NATted origin's message or of an open's.
             let taken_at = 1 + WireLen::of(|n| n.put_seq(remaining));
             let body_at = taken_at + WireLen::of(|n| n.put_seq(taken));
             let inner_at = match body {
-                ChainBody::Relayed(_) => Some(body_at),
-                ChainBody::Contact(seen, _) => Some(body_at + WireLen::of(|n| n.put_opt(seen))),
-                ChainBody::OpenReq(_) | ChainBody::OpenAck(_) => None,
+                ChainBody::Relayed(_) => body_at,
+                ChainBody::Contact(seen, _) | ChainBody::OpenReq(seen, _) | ChainBody::OpenAck(seen, _) => {
+                    body_at + WireLen::of(|n| n.put_opt(seen))
+                }
             };
-            [Some(1), Some(taken_at), inner_at].into_iter().flatten().collect()
+            vec![1, taken_at, inner_at]
         }
-        NylonMsg::Ping { key: Some(_), .. } | NylonMsg::Pong { key: Some(_), .. } => vec![10],
+        NylonMsg::Ping { key: Some(_), .. }
+        | NylonMsg::Pong { key: Some(_), .. }
+        | NylonMsg::Punch { key: Some(_), .. }
+        | NylonMsg::PunchAck { key: Some(_), .. } => vec![10],
         NylonMsg::App { .. } => vec![1],
         _ => vec![],
     }
@@ -158,9 +163,14 @@ fn running_stack() -> (Sim, NodeId, Vec<Image>) {
             entry_codes[datagram[at] as usize] = true;
         }
         let inner = match &msg {
-            NylonMsg::Chain { body: ChainBody::Relayed(inner) | ChainBody::Contact(_, inner), .. } => {
-                inner.first().copied()
-            }
+            NylonMsg::Chain {
+                body:
+                    ChainBody::Relayed(inner)
+                    | ChainBody::Contact(_, inner)
+                    | ChainBody::OpenReq(_, inner)
+                    | ChainBody::OpenAck(_, inner),
+                ..
+            } => inner.first().copied(),
             _ => None,
         };
         let same = kinds.entry((datagram[0], inner)).or_default();
@@ -171,8 +181,21 @@ fn running_stack() -> (Sim, NodeId, Vec<Image>) {
     assert_eq!(entry_codes, [true; 5], "view entries of every NAT type were shipped");
     let seen: Vec<(u8, Option<u8>)> = kinds.keys().copied().collect();
     // Gossip both ways, relayed gossip, gossip from a cone-NATted stranger
-    // and application frames.
-    for kind in [(1, None), (2, None), (3, Some(1)), (11, Some(1)), (10, None)] {
+    // and from a port-restricted or symmetric one, its answer in the
+    // acknowledgement, the punch and the answer behind it, and application
+    // frames.
+    let wanted = [
+        (1, None),
+        (2, None),
+        (3, Some(1)),
+        (11, Some(1)),
+        (4, Some(1)),
+        (5, Some(2)),
+        (6, None),
+        (7, None),
+        (10, None),
+    ];
+    for kind in wanted {
         assert!(seen.contains(&kind), "no datagram of kind {kind:?} on the wire; saw {seen:?}");
     }
     (sim, ids[20], kinds.into_values().flatten().collect())

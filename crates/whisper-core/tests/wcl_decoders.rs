@@ -8,7 +8,7 @@
 //! message: the node does not panic, a packet that carries a WCL tag and is
 //! not well-formed is counted under `wcl.malformed` and nothing else is,
 //! and the largest single allocation the node makes stays within what the
-//! input can fill. Then the circuit setup (`HopSetup`) an onion layer
+//! input, or the answer the node sent, can fill. Then the circuit setup (`HopSetup`) an onion layer
 //! carries, from a source that lies in it.
 
 mod lengths;
@@ -214,6 +214,8 @@ fn wcl_decoders_are_total_on_hostile_bytes() {
         let wire = NylonMsg::App { payload: hostile.clone() }.to_wire();
         sim.metrics_mut().reset_counters_and_samples();
         let mut largest = 0;
+        let sent = |sim: &Sim| sim.metrics().traffic_snapshot().get(&image.at).map_or(0, |t| t.up_bytes);
+        let sent_before = sent(sim);
         sim.with_node_ctx::<Tap>(image.at, |tap, ctx| {
             let delivered = Payload::fresh(wire.clone());
             let handled = || tap.inner.on_message(ctx, image.from, image.from_ep, &delivered);
@@ -222,9 +224,13 @@ fn wcl_decoders_are_total_on_hostile_bytes() {
         let refused = well_formed(&hostile) == Some(false);
         assert_eq!(sim.metrics().counter("wcl.malformed"), refused as u64, "{hostile:02x?}");
         // What the input can fill: a copy of it in a pooled buffer, whose
-        // sizes are powers of two, or the node's bookkeeping of any packet
-        // (a counter's first slot) — never what a length claims.
-        let fill = wire.len().next_power_of_two().max(BOOKKEEPING);
+        // sizes are powers of two; a pooled buffer for what the node sent in
+        // answer — the reply to an honest request can outgrow the request:
+        // a 913-byte PPSS exchange has been answered with 1 203 bytes — or
+        // the node's bookkeeping of any packet (a counter's first slot).
+        // Never what a length claims.
+        let answered = usize::try_from(sent(sim) - sent_before).expect("a packet's answer fits in memory");
+        let fill = wire.len().max(answered).next_power_of_two().max(BOOKKEEPING);
         assert!(largest <= fill, "{largest} B allocated for {} B: {hostile:02x?}", wire.len());
     });
 }

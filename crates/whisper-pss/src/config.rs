@@ -8,8 +8,8 @@ use whisper_crypto::rsa::RsaKeySize;
 /// Π = 3 and sim-grade RSA keys. What no experiment varies is a constant
 /// beside the code that reads it: the 10-second cycle
 /// ([`crate::nylon::CYCLE`]), the stale-entry age
-/// ([`crate::nylon::MAX_AGE`]) and the hole-punch timeout
-/// ([`crate::transport::OPEN_TIMEOUT`]).
+/// ([`crate::nylon::MAX_AGE`]) and the lifetime of a reply route or an
+/// open request's wait ([`crate::transport::REPLY_ROUTE_TTL`]).
 #[derive(Clone, Debug)]
 pub struct NylonConfig {
     /// View size `c`.

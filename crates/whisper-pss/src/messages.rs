@@ -43,11 +43,11 @@ pub enum NylonMsg {
         descs: Vec<Infallible>,
     },
     /// A message walking a rendezvous chain: the one form of a relayed
-    /// message, of a cone-NATted node's first message to a stranger and of
-    /// both halves of the open handshake. Each relay pushes itself onto
-    /// `taken` and passes the message on to the first of `remaining`; the
-    /// first hop alone stamps the endpoint it saw the origin at into a body
-    /// that has one.
+    /// message, of a NATted node's first message to a stranger and of the
+    /// answer to a port-restricted or symmetric one's. Each relay pushes
+    /// itself onto `taken` and passes the message on to the first of
+    /// `remaining`; the first hop alone stamps the endpoint it saw the
+    /// origin at into a body that has one.
     Chain {
         /// Hops left; the last one is the destination.
         remaining: Vec<NodeId>,
@@ -58,19 +58,25 @@ pub enum NylonMsg {
         /// What the chain carries.
         body: ChainBody,
     },
-    /// Hole-punching probe sent directly to a (guessed) endpoint — or, by
-    /// a restricted-cone requester, to the target's public address, to
-    /// open its own filter to the target's probe.
+    /// Hole-punching probe sent directly to an endpoint a first hop saw:
+    /// by the target of an open request, keyless, to leave its own NAT a
+    /// rule for the requester; by the requester, once the acknowledgement
+    /// names the target's endpoint, with its key — or, by a restricted-cone
+    /// requester, to the target's public address, to open its own filter
+    /// to the target's answer.
     Punch {
         /// Sender.
         from: NodeId,
+        /// Sender's serialized public key, if it has one to give.
+        key: Option<Vec<u8>>,
     },
-    /// Acknowledgement of a [`NylonMsg::Punch`], or of the direct packet
-    /// that ends the receiver's punching: tells the puncher its probe
-    /// traversed the NAT.
+    /// The answer to a [`NylonMsg::Punch`] that got through, with the
+    /// answerer's key: the channel works both ways.
     PunchAck {
         /// Sender.
         from: NodeId,
+        /// Sender's serialized public key, if key sampling is on.
+        key: Option<Vec<u8>>,
     },
     /// The "empty message" of paper §III-A used when inserting a P-node
     /// into the connection backlog: opens the sender's NAT towards the
@@ -110,12 +116,17 @@ pub enum ChainBody {
     /// it: the destination takes that endpoint for the origin's contact
     /// and answers there directly.
     Contact(Option<Endpoint>, Vec<u8>),
-    /// A hole-punching request: the destination punches towards the
-    /// origin's endpoint, as the first hop saw it, and answers.
-    OpenReq(Option<Endpoint>),
-    /// The answer to an open request, travelling back to the requester
-    /// with the target's endpoint as the first hop saw it.
-    OpenAck(Option<Endpoint>),
+    /// The wire image of a message for the destination, from an origin
+    /// behind a port-restricted or symmetric NAT, with the origin's
+    /// endpoint as the first hop saw it: the destination punches that
+    /// endpoint once, handles the message as a relayed one and answers in
+    /// an [`ChainBody::OpenAck`].
+    OpenReq(Option<Endpoint>, Vec<u8>),
+    /// The answer to an open request — the wire image of the destination's
+    /// answer to its message, or nothing — travelling back over the hops
+    /// the request took, with the target's endpoint as the first hop saw
+    /// it: the requester takes that for the target's contact and punches it.
+    OpenAck(Option<Endpoint>, Vec<u8>),
 }
 
 const TAG_GOSSIP_REQ: u8 = 1;
@@ -258,27 +269,28 @@ impl WireEncode for NylonMsg {
                 w.put_u8(match body {
                     ChainBody::Relayed(_) => TAG_RELAYED,
                     ChainBody::Contact(..) => TAG_CONTACT,
-                    ChainBody::OpenReq(_) => TAG_OPEN_REQ,
-                    ChainBody::OpenAck(_) => TAG_OPEN_ACK,
+                    ChainBody::OpenReq(..) => TAG_OPEN_REQ,
+                    ChainBody::OpenAck(..) => TAG_OPEN_ACK,
                 });
                 w.put_seq(remaining);
                 w.put_seq(taken);
                 match body {
                     ChainBody::Relayed(inner) => w.put_bytes(inner),
-                    ChainBody::Contact(ep, inner) => {
+                    ChainBody::Contact(ep, inner) | ChainBody::OpenReq(ep, inner) | ChainBody::OpenAck(ep, inner) => {
                         w.put_opt(ep);
                         w.put_bytes(inner);
                     }
-                    ChainBody::OpenReq(ep) | ChainBody::OpenAck(ep) => w.put_opt(ep),
                 }
             }
-            NylonMsg::Punch { from } => {
+            NylonMsg::Punch { from, key } => {
                 w.put_u8(TAG_PUNCH);
                 w.put(from);
+                w.put_opt(key);
             }
-            NylonMsg::PunchAck { from } => {
+            NylonMsg::PunchAck { from, key } => {
                 w.put_u8(TAG_PUNCH_ACK);
                 w.put(from);
+                w.put_opt(key);
             }
             NylonMsg::Ping { from, key } => {
                 w.put_u8(TAG_PING);
@@ -321,16 +333,20 @@ impl WireDecode for NylonMsg {
                 if taken.is_empty() {
                     return Err(WireError::new("chain message with no origin"));
                 }
-                let body = match tag {
-                    TAG_RELAYED => ChainBody::Relayed(r.take_bytes()?.to_vec()),
-                    TAG_CONTACT => ChainBody::Contact(r.take_opt()?, r.take_bytes()?.to_vec()),
-                    TAG_OPEN_REQ => ChainBody::OpenReq(r.take_opt()?),
-                    _ => ChainBody::OpenAck(r.take_opt()?),
+                let body = if tag == TAG_RELAYED {
+                    ChainBody::Relayed(r.take_bytes()?.to_vec())
+                } else {
+                    let (seen, inner) = (r.take_opt()?, r.take_bytes()?.to_vec());
+                    match tag {
+                        TAG_CONTACT => ChainBody::Contact(seen, inner),
+                        TAG_OPEN_REQ => ChainBody::OpenReq(seen, inner),
+                        _ => ChainBody::OpenAck(seen, inner),
+                    }
                 };
                 NylonMsg::Chain { remaining, taken, body }
             }
-            TAG_PUNCH => NylonMsg::Punch { from: r.take()? },
-            TAG_PUNCH_ACK => NylonMsg::PunchAck { from: r.take()? },
+            TAG_PUNCH => NylonMsg::Punch { from: r.take()?, key: r.take_opt()? },
+            TAG_PUNCH_ACK => NylonMsg::PunchAck { from: r.take()?, key: r.take_opt()? },
             TAG_PING => NylonMsg::Ping { from: r.take()?, key: r.take_opt()? },
             TAG_PONG => NylonMsg::Pong { from: r.take()?, key: r.take_opt()? },
             TAG_APP => NylonMsg::App { payload: r.take_bytes()?.to_vec() },
@@ -382,10 +398,11 @@ mod tests {
         round_trip(chain(ChainBody::Relayed(b"inner".to_vec())));
         round_trip(chain(ChainBody::Contact(Some(Endpoint { node: NodeId(1), port: 9 }), b"in".to_vec())));
         round_trip(chain(ChainBody::Contact(None, vec![])));
-        round_trip(chain(ChainBody::OpenReq(Some(Endpoint { node: NodeId(1), port: 9 }))));
-        round_trip(chain(ChainBody::OpenAck(None)));
-        round_trip(NylonMsg::Punch { from: NodeId(7) });
-        round_trip(NylonMsg::PunchAck { from: NodeId(7) });
+        round_trip(chain(ChainBody::OpenReq(Some(Endpoint { node: NodeId(1), port: 9 }), b"req".to_vec())));
+        round_trip(chain(ChainBody::OpenAck(None, vec![])));
+        round_trip(chain(ChainBody::OpenAck(Some(Endpoint { node: NodeId(3), port: 2 }), b"ack".to_vec())));
+        round_trip(NylonMsg::Punch { from: NodeId(7), key: None });
+        round_trip(NylonMsg::PunchAck { from: NodeId(7), key: Some(vec![4; 48]) });
     }
 
     #[test]
@@ -415,7 +432,7 @@ mod tests {
         let mut trailing = wire.clone();
         trailing.push(0);
         assert_eq!(NylonMsg::app_view(&trailing), None, "trailing bytes");
-        assert_eq!(NylonMsg::app_view(&NylonMsg::Punch { from: NodeId(1) }.to_wire()), None);
+        assert_eq!(NylonMsg::app_view(&NylonMsg::Punch { from: NodeId(1), key: None }.to_wire()), None);
         assert_eq!(NylonMsg::app_view(&[]), None);
     }
 
@@ -424,7 +441,7 @@ mod tests {
         assert!(NylonMsg::from_wire(&[42]).is_err());
         assert!(NylonMsg::from_wire(&[]).is_err());
         // Valid message with trailing garbage.
-        let mut bytes = NylonMsg::Punch { from: NodeId(1) }.to_wire();
+        let mut bytes = NylonMsg::Punch { from: NodeId(1), key: None }.to_wire();
         bytes.push(0);
         assert!(NylonMsg::from_wire(&bytes).is_err());
     }

@@ -9,16 +9,17 @@
 //! standalone, as the Fig. 5 / Fig. 6 experiments do.
 //!
 //! How a message reaches a peer is the [`Transport`]'s business: the core
-//! hands it every send, every direct packet, the transport's timers and
-//! the open request or acknowledgement that reaches its destination. The
-//! core itself forwards a [`NylonMsg::Chain`] one hop along its
-//! rendezvous chain and unwraps the relayed message that reaches it.
+//! hands it every send, the sender of every direct packet and the open
+//! request or acknowledgement that reaches its destination. The core
+//! itself forwards a [`NylonMsg::Chain`] one hop along its rendezvous
+//! chain, unwraps the message that reaches it — an open request's or
+//! acknowledgement's among them — and answers a `Punch` with its key.
 
 use crate::backlog::{CbEntry, ConnectionBacklog};
 use crate::config::NylonConfig;
 use crate::messages::{ChainBody, GossipView, NylonMsg};
 use crate::timer;
-use crate::transport::{Arrival, SendOutcome, Transport};
+use crate::transport::{SendOutcome, Transport};
 use crate::view::{Entry, View, ViewEntry};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -316,18 +317,18 @@ impl NylonCore {
                     }
                 }
             }
-            _ => self.transport.on_timer(ctx, token),
+            _ => {}
         }
     }
 
     /// The allocation-free front door for application traffic: if `data`
     /// is an [`NylonMsg::App`] message, does everything
     /// [`NylonCore::on_message`] does for one — the sender's contact is
-    /// noted, a pending hole punch towards it completes — and returns the
-    /// payload as a view of `data`, where `on_message` would copy it into
-    /// a [`NylonEvent::Payload`] inside a fresh `Vec`; its originator is
-    /// `from`. For anything else returns `None` and does nothing; the
-    /// caller then passes `data` to [`NylonCore::on_message`].
+    /// noted — and returns the payload as a view of `data`, where
+    /// `on_message` would copy it into a [`NylonEvent::Payload`] inside a
+    /// fresh `Vec`; its originator is `from`. For anything else returns
+    /// `None` and does nothing; the caller then passes `data` to
+    /// [`NylonCore::on_message`].
     pub fn on_app_message<'d>(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -336,7 +337,7 @@ impl NylonCore {
         data: &'d [u8],
     ) -> Option<&'d [u8]> {
         let app = ctx.prof_decode(|| NylonMsg::app_view(data))?;
-        self.transport.on_direct_packet(ctx, from, from_ep, Arrival::Other);
+        self.transport.note_contact(from, from_ep, ctx.now());
         Some(app)
     }
 
@@ -353,13 +354,7 @@ impl NylonCore {
             ctx.metrics().count("pss.malformed", 1);
             return None;
         };
-        let arrival = match &msg {
-            Incoming::Other(NylonMsg::Punch { .. }) => Arrival::Punch,
-            Incoming::Other(NylonMsg::PunchAck { .. }) => Arrival::Answered,
-            Incoming::Gossip(gossip) if gossip.request => Arrival::Answered,
-            _ => Arrival::Other,
-        };
-        self.transport.on_direct_packet(ctx, from, from_ep, arrival);
+        self.transport.note_contact(from, from_ep, ctx.now());
         self.handle(ctx, from, from_ep, Via::DIRECT, msg)
     }
 
@@ -388,9 +383,10 @@ impl NylonCore {
     /// no use for the key, and `to` can use it — as a first mix — only
     /// for a sender it reaches directly, which a relayed message does not
     /// make it: a relayed exchange that opens the way (a public
-    /// requester's) gives it the key next time, a pair that can only
-    /// relay never. A first contact carries the key: its target reaches
-    /// the sender as soon as it arrives.
+    /// requester's) gives it the key next time, an open's the `Punch` and
+    /// `PunchAck` that follow it, a pair that can only relay never. A first
+    /// contact carries the key: its target reaches the sender as soon as
+    /// it arrives.
     fn send_gossip(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -620,6 +616,27 @@ impl NylonCore {
         }
     }
 
+    /// Handles `inner`, which the chain that took the hops `taken` (origin
+    /// first) carried to this node from `outer_ep`, as a relayed message:
+    /// the way it came, walked backwards, is a working route to its
+    /// origin — each relay holds the contact of the one it took the packet
+    /// from. Remember it, then process the inner message as one the origin
+    /// sent over it.
+    fn handle_relayed(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        mut taken: Vec<NodeId>,
+        outer_ep: Endpoint,
+        inner: &[u8],
+    ) -> Option<NylonEvent> {
+        let from = taken[0];
+        taken.reverse();
+        self.transport.note_reply_route(from, taken.clone(), ctx.now());
+        let via = Via { relays: &taken[..taken.len() - 1], head_public: outer_ep.port == 0 };
+        ctx.metrics().count("pss.relayed_delivered", 1);
+        self.handle_inner(ctx, from, outer_ep, via, inner)
+    }
+
     fn handle_msg(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -635,7 +652,7 @@ impl NylonCore {
                 // The first hop alone stamps the endpoint it saw the origin
                 // at, over whatever the sender wrote there — and clears it
                 // if the packet did not come straight from the origin.
-                if let ChainBody::OpenReq(seen) | ChainBody::OpenAck(seen) | ChainBody::Contact(seen, _) =
+                if let ChainBody::OpenReq(seen, _) | ChainBody::OpenAck(seen, _) | ChainBody::Contact(seen, _) =
                     &mut body
                 {
                     if taken.len() == 1 {
@@ -643,9 +660,7 @@ impl NylonCore {
                     }
                 }
                 if let Some((&next, rest)) = remaining.split_first() {
-                    if let ChainBody::Relayed(_) | ChainBody::Contact(..) = body {
-                        ctx.metrics().count("pss.relayed_forwarded", 1);
-                    }
+                    ctx.metrics().count("pss.relayed_forwarded", 1);
                     taken.push(self.id);
                     let fwd = NylonMsg::Chain { remaining: rest.to_vec(), taken, body };
                     let ep = self.transport.next_hop_ep(ctx, next);
@@ -653,7 +668,7 @@ impl NylonCore {
                     return None;
                 }
                 let from = taken[0];
-                match body {
+                return match body {
                     ChainBody::Contact(Some(stamp), inner) => {
                         // Final destination of a cone-NATted origin's
                         // message: where its first hop saw it is where our
@@ -661,28 +676,39 @@ impl NylonCore {
                         // already. Process the inner message as one the
                         // origin sent from there.
                         let ep = self.transport.contact_or_stamp(from, stamp, ctx.now());
-                        return self.handle_inner(ctx, from, ep, Via::DIRECT, &inner);
+                        self.handle_inner(ctx, from, ep, Via::DIRECT, &inner)
                     }
                     ChainBody::Relayed(inner) | ChainBody::Contact(None, inner) => {
-                        // Final destination: the way the message came,
-                        // walked backwards, is a working route to its
-                        // origin — each relay holds the contact of the one
-                        // it took the packet from. Remember it, then
-                        // process the inner message as one the origin sent
-                        // over it.
-                        taken.reverse();
-                        self.transport.note_reply_route(from, taken.clone(), ctx.now());
-                        let via = Via { relays: &taken[..taken.len() - 1], head_public: outer_ep.port == 0 };
-                        ctx.metrics().count("pss.relayed_delivered", 1);
-                        return self.handle_inner(ctx, from, outer_ep, via, &inner);
+                        self.handle_relayed(ctx, taken, outer_ep, &inner)
                     }
-                    ChainBody::OpenReq(requester_ep) => self.transport.on_open_req(ctx, taken, requester_ep),
-                    ChainBody::OpenAck(target_ep) => self.transport.on_open_ack(ctx, from, target_ep),
-                }
+                    ChainBody::OpenReq(requester_ep, inner) => {
+                        // Punched once; the answer to the message rides
+                        // back in the acknowledgement.
+                        self.transport.on_open_req(ctx, &taken, requester_ep);
+                        let event = self.handle_relayed(ctx, taken, outer_ep, &inner);
+                        self.transport.end_open_req(ctx);
+                        event
+                    }
+                    ChainBody::OpenAck(target_ep, inner) => {
+                        // The answer to our open request, taken as sent
+                        // from where the target's punch left, which our
+                        // `Punch` now makes a channel both ways.
+                        let key = self.key_payload();
+                        let ep = self.transport.on_open_ack(ctx, from, target_ep, key)?;
+                        self.handle_inner(ctx, from, ep, Via::DIRECT, &inner)
+                    }
+                };
             }
-            NylonMsg::Punch { .. } | NylonMsg::PunchAck { .. } => {
-                // Contact recorded, open completed and answer sent by the
-                // transport; nothing else to do.
+            NylonMsg::Punch { from, key } => {
+                // A punch that got in; answered with this node's key. The
+                // requester of an open sends its key in one: each side of
+                // the new channel takes the other into its backlog.
+                self.insert_cb(from, outer_ep.port == 0, key.as_deref());
+                ctx.send_wire(outer_ep, &NylonMsg::PunchAck { from: self.id, key: self.key_payload() });
+            }
+            NylonMsg::PunchAck { from, key } => {
+                ctx.metrics().count("pss.open_punch_ok", 1);
+                self.insert_cb(from, outer_ep.port == 0, key.as_deref());
             }
             NylonMsg::Ping { from, key } => {
                 self.learn_key(from, key.as_deref());

@@ -11,9 +11,6 @@
 pub const GOSSIP_CYCLE: u8 = 1;
 /// Nylon: a gossip response timeout (payload: the exchange generation).
 pub const GOSSIP_TIMEOUT: u8 = 2;
-/// Transport: the end of a requester's wait for a direct channel
-/// (payload: the peer).
-pub const OPEN_TIMEOUT: u8 = 3;
 /// WCL: a tracked send's retry (payload: the message id).
 pub const WCL_RETRY: u8 = 4;
 /// PPSS: the group gossip cycle.
@@ -22,10 +19,6 @@ pub const PPSS_CYCLE: u8 = 5;
 pub const PCP_REFRESH: u8 = 6;
 /// An application timer (payload: the application's token).
 pub const APP: u8 = 7;
-/// Transport: a target's delayed re-punch towards a requester, and after
-/// the last one the end of the wait for its first direct packet (payload:
-/// the peer).
-pub const PUNCH_RETRY: u8 = 8;
 
 /// Payloads must stay below this: 2⁵⁶, the bits above the kind byte.
 pub const PAYLOAD_BOUND: u64 = 1 << 56;
@@ -57,10 +50,7 @@ mod tests {
 
     #[test]
     fn kinds_are_distinct() {
-        let mut kinds = [
-            GOSSIP_CYCLE, GOSSIP_TIMEOUT, OPEN_TIMEOUT, WCL_RETRY, PPSS_CYCLE, PCP_REFRESH, APP,
-            PUNCH_RETRY,
-        ];
+        let mut kinds = [GOSSIP_CYCLE, GOSSIP_TIMEOUT, WCL_RETRY, PPSS_CYCLE, PCP_REFRESH, APP];
         kinds.sort_unstable();
         assert!(kinds.windows(2).all(|w| w[0] != w[1]), "{kinds:?}");
     }

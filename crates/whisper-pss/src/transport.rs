@@ -1,15 +1,14 @@
 //! NAT-resilient message delivery: contact tracking, rendezvous-chain
-//! relaying, and the whole hole-punching handshake — both of its ends,
-//! their timers and the rule that answers a punch.
+//! relaying, and the whole hole-punching handshake — both of its ends.
 //!
 //! A node can reach a peer directly when it holds a *fresh contact* — an
 //! endpoint it recently received a packet from (replying to a sender
 //! always traverses the sender's NAT while the association rule lives).
-//! Otherwise it relays messages along the peer's rendezvous chain, or
-//! first opens a hole through both NATs with an open request and its
-//! acknowledgement, coordinated over that chain. All of these travel as
-//! one [`NylonMsg::Chain`] with a different [`ChainBody`]; the node core
-//! only forwards it, and hands what reaches its destination here.
+//! Otherwise it relays messages along the peer's rendezvous chain, whose
+//! first message to a stranger asks, where it can, for the way to a direct
+//! channel. All of these travel as one [`NylonMsg::Chain`] with a different
+//! [`ChainBody`]; the node core only forwards it, and hands what reaches
+//! its destination here.
 //!
 //! How a message travels is decided in one place, `Transport::plan`,
 //! before the message is written — a relayed one carries no key. A first
@@ -27,21 +26,24 @@
 //!   `Punch`, which opens its own filter to any port of the peer's host;
 //! - a port-restricted or symmetric node whose NAT and the peer's cannot
 //!   be punched ([`can_hole_punch`]) relays at once;
-//! - any other runs the handshake. The handshake carries no NAT type, and
-//!   the target punches whenever it is asked, then re-punches
-//!   ([`PUNCH_RETRY_DELAY`]) until the requester's first direct packet
-//!   arrives, which it answers. The requester's NAT lets no punch in, so
-//!   it sends what it queued straight to the endpoint the acknowledgement
-//!   names — the queued message is the punch; the peer, which a punch can
-//!   reach, is never symmetric. Each message goes out once: what went
-//!   directly is not relayed again when the time-out ([`OPEN_TIMEOUT`])
-//!   ends an open that got no answer.
+//! - any other runs the handshake, which carries the message that starts
+//!   it ([`ChainBody::OpenReq`]). Its NAT lets no punch in before its own
+//!   packet to the peer, and that can only follow the answer: the peer
+//!   punches the endpoint the first hop stamped once — lost, but it
+//!   leaves the peer's NAT a rule for the requester — and its answer rides
+//!   back over the chain in the [`ChainBody::OpenAck`], with the endpoint
+//!   the first hop back saw the peer at. The requester takes that for the
+//!   peer's contact and sends it one keyed `Punch`, which the peer's rule
+//!   lets in and answers with a keyed `PunchAck`: the direct channel opens
+//!   behind the exchange. The peer, which a punch can reach, is never
+//!   symmetric, so that endpoint is where its punch left from. Nothing is
+//!   timed: a lost acknowledgement leaves the chain as the way to the
+//!   peer.
 //!
 //! Whether a punch that is attempted succeeds is decided by the emulated
 //! NAT devices, not by this code.
 
 use crate::messages::{ChainBody, NylonMsg};
-use crate::timer;
 use std::collections::HashMap;
 use whisper_net::nat::{can_hole_punch, NatType};
 use whisper_net::sim::Ctx;
@@ -54,11 +56,8 @@ use whisper_net::{Endpoint, NodeId, Payload, SimDuration, SimTime};
 /// are 24 hours (paper §II-C).
 pub const CONTACT_TTL: SimDuration = SimDuration::from_secs(5760);
 
-/// How long to wait for hole punching before falling back to relayed
-/// delivery: what a lost handshake message or punch costs.
-pub const OPEN_TIMEOUT: SimDuration = SimDuration::from_millis(800);
-
-/// Validity window for a relayed reverse route.
+/// Validity window for a relayed reverse route, and for an open request
+/// that waits for its acknowledgement.
 pub const REPLY_ROUTE_TTL: SimDuration = SimDuration::from_secs(120);
 
 /// How a message was (or was not) handed to the network.
@@ -68,11 +67,6 @@ pub enum SendOutcome {
     Direct,
     /// Wrapped and forwarded along a relay chain.
     Relayed,
-    /// Queued while a hole-punching handshake runs: sent to the endpoint
-    /// the acknowledgement names, or to where the peer's first direct
-    /// packet came from; relayed on time-out only if it never went
-    /// directly.
-    Queued,
     /// No contact, no reply route, no usable chain: dropped.
     Failed,
 }
@@ -82,10 +76,12 @@ pub enum SendOutcome {
 enum Plan<'a> {
     /// Straight to a fresh contact, or to a public peer's address.
     Direct(Endpoint),
+    /// To the requester whose open request this node is handling: the
+    /// answer, as the [`ChainBody::OpenAck`]'s image, over the hops the
+    /// request took, reversed.
+    Ack(&'a [NodeId]),
     /// Wrapped, over a fresh reverse route.
     Reply(&'a [NodeId]),
-    /// Behind the handshake already running towards the peer.
-    Queue,
     /// From a public node, which has no NAT to open: wrapped, down the
     /// rendezvous chain; the peer answers to its public address.
     Relay,
@@ -97,12 +93,13 @@ enum Plan<'a> {
     /// chain becomes the reply route until the answer leaves a contact.
     Contact { punch: bool },
     /// From a port-restricted or symmetric node that no punch can join
-    /// to the peer, or time: wrapped, down the chain, which becomes the
-    /// reply route.
+    /// to the peer: wrapped, down the chain, which becomes the reply
+    /// route.
     Unpunchable,
-    /// From a port-restricted or symmetric node: queued while a
-    /// hole-punching handshake runs; it ends in a direct channel or in
-    /// the time-out, which relays over the same chain.
+    /// From a port-restricted or symmetric node that a punch can join to
+    /// the peer: down the chain as a [`ChainBody::OpenReq`], which the
+    /// peer answers over the chain and which opens the direct channel
+    /// behind that answer. The chain becomes the reply route until then.
     Open,
     /// No contact, no reply route, no chain: dropped.
     Fail,
@@ -140,41 +137,11 @@ impl<V> Expiring<V> {
     fn get(&self, peer: NodeId, now: SimTime) -> Option<&V> {
         self.map.get(&peer).filter(|(_, expires)| *expires > now).map(|(value, _)| value)
     }
-}
 
-#[derive(Clone, Debug)]
-struct PendingOpen {
-    /// Relay chain (last element = target) used for the handshake and the
-    /// relay fallback.
-    chain: Vec<NodeId>,
-    /// Serialized inner messages awaiting delivery.
-    queued: Vec<Vec<u8>>,
-    /// Where the queue was sent when the acknowledgement came, if it has:
-    /// a direct packet from there completes the open without sending it
-    /// again.
-    sent_to: Option<Endpoint>,
-}
-
-/// How many delayed re-punches a target sends. Real hole punching repeats
-/// its probes: the first punch can be filtered if it beats the other
-/// side's own outbound packet (e.g. symmetric → restricted-cone), while a
-/// later one passes.
-const PUNCH_RETRIES: u8 = 2;
-
-/// The spacing of a target's delayed re-punches.
-pub const PUNCH_RETRY_DELAY: SimDuration = SimDuration::from_millis(250);
-
-/// What a direct packet is to the rule that answers the packet ending a
-/// target's punching ([`Transport::on_direct_packet`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Arrival {
-    /// A [`NylonMsg::Punch`].
-    Punch,
-    /// A [`NylonMsg::PunchAck`], or a gossip request, which its response
-    /// answers.
-    Answered,
-    /// Anything else.
-    Other,
+    /// Removes `peer`'s value; returns it if it had not expired.
+    fn take(&mut self, peer: NodeId, now: SimTime) -> Option<V> {
+        self.map.remove(&peer).filter(|(_, expires)| *expires > now).map(|(value, _)| value)
+    }
 }
 
 /// The per-node transport state.
@@ -183,13 +150,13 @@ pub struct Transport {
     /// Where each NATted peer's packets last came from.
     contacts: Expiring<Endpoint>,
     reply_routes: Expiring<Vec<NodeId>>,
-    /// The opens this node requested, by target.
-    opens: HashMap<NodeId, PendingOpen>,
-    /// The requesters whose open this node served: where to re-punch each
-    /// and how many re-punches are left. An entry lives until the first
-    /// direct packet from its requester, which it has answered, or until
-    /// [`OPEN_TIMEOUT`] after the request.
-    punching: HashMap<NodeId, (Endpoint, u8)>,
+    /// The peers this node sent an open request whose acknowledgement has
+    /// not come, for as long as the request's chain is their reply route.
+    opens: Expiring<()>,
+    /// The requester whose open request this node is handling, and the
+    /// hops back to it: the first message to it is the answer the
+    /// [`ChainBody::OpenAck`] carries.
+    answering: Option<(NodeId, Vec<NodeId>)>,
 }
 
 impl Transport {
@@ -256,12 +223,11 @@ impl Transport {
 
     /// Sends a message to `to` using the best available mechanism, written
     /// once the way it goes is known: `encode` writes it into a pool
-    /// buffer ([`Ctx::payload_writer`]), told whether it travels as a
-    /// [`ChainBody::Relayed`] — a body whose relays, and whose destination,
-    /// have no use for the sender's key. A direct send hands that buffer to
-    /// the network as it is, with no further copy; relaying or queueing
-    /// copies the bytes into the wrapper that needs them and hands the
-    /// buffer back to the pool.
+    /// buffer ([`Ctx::payload_writer`]), told whether it travels relayed —
+    /// as a body whose relays, and whose destination, have no use for the
+    /// sender's key. A direct send hands that buffer to the network as it
+    /// is, with no further copy; relaying copies the bytes into the
+    /// wrapper that needs them and hands the buffer back to the pool.
     ///
     /// * `to_nat` — the peer's NAT type as the caller's directory entry
     ///   gives it; `None` for a NATted peer of unknown type, taken to be
@@ -279,74 +245,62 @@ impl Transport {
         encode: impl FnOnce(&mut Ctx<'_>, bool) -> Payload,
     ) -> SendOutcome {
         let plan = self.plan(ctx, to, to_nat, route_hint);
-        let wire = encode(ctx, matches!(plan, Plan::Reply(_) | Plan::Relay | Plan::Unpunchable));
+        let relayed = matches!(plan, Plan::Ack(_) | Plan::Reply(_) | Plan::Relay | Plan::Unpunchable | Plan::Open);
+        let wire = encode(ctx, relayed);
         let chain = || [route_hint, &[to]].concat();
         match plan {
             Plan::Direct(ep) => {
                 ctx.send_to(ep, wire);
-                SendOutcome::Direct
+                return SendOutcome::Direct;
+            }
+            Plan::Ack(route) => {
+                let inner = unpooled(ctx, wire);
+                self.send_chain(ctx, route, ChainBody::OpenAck(None, inner));
+                self.answering = None;
             }
             Plan::Reply(route) => {
                 let inner = unpooled(ctx, wire);
                 self.send_chain(ctx, route, ChainBody::Relayed(inner));
                 ctx.metrics().count("pss.relayed_sent", 1);
-                SendOutcome::Relayed
-            }
-            Plan::Queue => {
-                let inner = unpooled(ctx, wire);
-                if let Some(open) = self.opens.get_mut(&to) {
-                    if let Some(ep) = open.sent_to {
-                        ctx.send_to(ep, inner.clone());
-                    }
-                    open.queued.push(inner);
-                }
-                SendOutcome::Queued
             }
             Plan::Relay => {
                 let inner = unpooled(ctx, wire);
                 self.send_chain(ctx, &chain(), ChainBody::Relayed(inner));
                 ctx.metrics().count("pss.relayed_sent", 1);
-                SendOutcome::Relayed
             }
             Plan::Contact { punch } => {
                 let inner = unpooled(ctx, wire);
                 if punch {
-                    ctx.send_wire(Endpoint::public(to), &NylonMsg::Punch { from: ctx.id() });
+                    ctx.send_wire(Endpoint::public(to), &NylonMsg::Punch { from: ctx.id(), key: None });
                 }
-                let chain = chain();
-                self.send_chain(ctx, &chain, ChainBody::Contact(None, inner));
-                ctx.metrics().count("pss.contact_sent", 1);
-                // Until the peer's answer leaves a contact, the chain is
-                // the way back to it: what follows, or a retry after a
-                // lost first contact, goes over it as a `Relayed`.
-                self.note_reply_route(to, chain, ctx.now());
-                SendOutcome::Relayed
+                self.first_over(ctx, to, chain(), ChainBody::Contact(None, inner), "pss.contact_sent");
             }
             Plan::Unpunchable => {
                 let inner = unpooled(ctx, wire);
-                self.relay_over(ctx, to, chain(), [inner], "pss.open_unpunchable");
-                SendOutcome::Relayed
+                self.first_over(ctx, to, chain(), ChainBody::Relayed(inner), "pss.open_unpunchable");
             }
             Plan::Open => {
-                let (inner, chain) = (unpooled(ctx, wire), chain());
-                self.send_chain(ctx, &chain, ChainBody::OpenReq(None));
-                ctx.metrics().count("pss.open_started", 1);
-                self.opens.insert(to, PendingOpen { chain, queued: vec![inner], sent_to: None });
-                ctx.set_timer(OPEN_TIMEOUT, timer::token(timer::OPEN_TIMEOUT, to.0));
-                SendOutcome::Queued
+                let inner = unpooled(ctx, wire);
+                self.opens.insert(to, (), ctx.now() + REPLY_ROUTE_TTL, ctx.now());
+                self.first_over(ctx, to, chain(), ChainBody::OpenReq(None, inner), "pss.open_started");
             }
             Plan::Fail => {
                 ctx.recycle(wire);
                 ctx.metrics().count("pss.send_failed", 1);
-                SendOutcome::Failed
+                return SendOutcome::Failed;
             }
         }
+        SendOutcome::Relayed
     }
 
     /// The way a message to `to` goes: the transport's one routing
     /// decision, read before the message is written.
     fn plan(&self, ctx: &Ctx<'_>, to: NodeId, to_nat: Option<NatType>, route_hint: &[NodeId]) -> Plan<'_> {
         let now = ctx.now();
+        // 0. The answer to the open request being handled.
+        if let Some((_, route)) = self.answering.as_ref().filter(|(requester, _)| *requester == to) {
+            return Plan::Ack(route);
+        }
         // 1. Fresh direct contact (a NATted peer whose association towards
         //    us is open); 2. public peer: always addressable.
         let to_public = to_nat.is_some_and(NatType::is_public);
@@ -361,15 +315,12 @@ impl Transport {
         if route_hint.is_empty() {
             return Plan::Fail;
         }
-        if self.opens.contains_key(&to) {
-            return Plan::Queue;
-        }
         match ctx.nat_type() {
             NatType::Public => Plan::Relay,
             nat @ (NatType::FullCone | NatType::RestrictedCone) => {
                 Plan::Contact { punch: nat == NatType::RestrictedCone }
             }
-            nat if opens(nat, to, to_nat) => Plan::Open,
+            nat if can_hole_punch(nat, to_nat.unwrap_or(NatType::Symmetric)) => Plan::Open,
             _ => Plan::Unpunchable,
         }
     }
@@ -382,163 +333,81 @@ impl Transport {
         ctx.send_wire(ep, &msg);
     }
 
-    /// Counts `why`, relays `messages` over `chain`, which ends in `peer`
-    /// and so is never empty, and keeps the chain as the reply route to
-    /// `peer`: what follows takes it and starts no handshake.
-    fn relay_over(
+    /// Counts `why` and sends `body`, a first message to `peer`, over
+    /// `chain`, which ends in `peer` and so is never empty; the chain is
+    /// the way to `peer` until its answer leaves a contact: what follows,
+    /// or a retry after a lost answer, goes over it as a `Relayed`.
+    fn first_over(
         &mut self,
         ctx: &mut Ctx<'_>,
         peer: NodeId,
         chain: Vec<NodeId>,
-        messages: impl IntoIterator<Item = Vec<u8>>,
+        body: ChainBody,
         why: &'static str,
     ) {
         ctx.metrics().count(why, 1);
-        for inner in messages {
-            self.send_chain(ctx, &chain, ChainBody::Relayed(inner));
-        }
+        self.send_chain(ctx, &chain, body);
         self.note_reply_route(peer, chain, ctx.now());
-    }
-
-    /// Handles a transport timer; any other token is ignored.
-    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let peer = NodeId(timer::payload(token));
-        match timer::kind(token) {
-            timer::OPEN_TIMEOUT => self.on_open_timeout(ctx, peer),
-            timer::PUNCH_RETRY => self.on_punch_retry(ctx, peer),
-            _ => {}
-        }
-    }
-
-    /// The open towards `peer` timed out: a punch that should have worked
-    /// did not, within [`OPEN_TIMEOUT`], and the chain takes over. What
-    /// was queued is relayed (`pss.open_relay_fallback`) — unless it went
-    /// to the endpoint the acknowledgement named, and what was queued
-    /// after it followed it there: then it went once, as any direct send,
-    /// and only the peer's answer is missing (`pss.open_unanswered`).
-    fn on_open_timeout(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
-        let Some(open) = self.opens.remove(&peer) else {
-            return; // handshake completed in time
-        };
-        if open.sent_to.is_some() {
-            self.relay_over(ctx, peer, open.chain, [], "pss.open_unanswered");
-        } else {
-            self.relay_over(ctx, peer, open.chain, open.queued, "pss.open_relay_fallback");
-        }
-    }
-
-    /// A re-punch towards the requester `peer` is due; the timer after the
-    /// last one, due [`OPEN_TIMEOUT`] after the request, ends the wait for
-    /// the requester's first direct packet.
-    fn on_punch_retry(&mut self, ctx: &mut Ctx<'_>, peer: NodeId) {
-        let entry = self.punching.remove(&peer);
-        if let Some((ep, left)) = entry.filter(|&(_, left)| left > 0) {
-            ctx.send_wire(ep, &NylonMsg::Punch { from: ctx.id() });
-            self.punching.insert(peer, (ep, left - 1));
-            let last = OPEN_TIMEOUT - PUNCH_RETRY_DELAY * u64::from(PUNCH_RETRIES);
-            let next = if left > 1 { PUNCH_RETRY_DELAY } else { last };
-            ctx.set_timer(next, timer::token(timer::PUNCH_RETRY, peer.0));
-        }
     }
 
     /// This node is the target of an open request that took the hops
     /// `taken` (requester first) and, if the first hop stamped it, saw the
     /// requester at `requester_ep`. The requester asks only where a punch
-    /// can work: punch towards it, with delayed re-punches — the first
-    /// probe can race the requester's own outbound packet through its
-    /// filter — and answer back along the hops taken.
+    /// can work, and its NAT lets none in before its own packet to us,
+    /// which follows our answer: punch once — lost, but it leaves our NAT
+    /// the rule that lets the requester's `Punch` in — and keep the hops
+    /// back as the way the answer goes. The caller handles the request's
+    /// message, whose answer rides back as the [`ChainBody::OpenAck`]'s
+    /// image, then calls [`Transport::end_open_req`].
     pub(crate) fn on_open_req(
         &mut self,
         ctx: &mut Ctx<'_>,
-        mut taken: Vec<NodeId>,
+        taken: &[NodeId],
         requester_ep: Option<Endpoint>,
     ) {
-        // A requester id no timer token holds, which no node has, is forged:
-        // it gets its answer, and no punches to time.
-        if let Some(ep) = requester_ep.filter(|_| taken[0].0 < timer::PAYLOAD_BOUND) {
-            ctx.send_wire(ep, &NylonMsg::Punch { from: ctx.id() });
-            self.punching.insert(taken[0], (ep, PUNCH_RETRIES));
-            ctx.set_timer(PUNCH_RETRY_DELAY, timer::token(timer::PUNCH_RETRY, taken[0].0));
+        if let Some(ep) = requester_ep {
+            ctx.send_wire(ep, &NylonMsg::Punch { from: ctx.id(), key: None });
         }
-        taken.reverse();
-        self.send_chain(ctx, &taken, ChainBody::OpenAck(None));
+        self.answering = Some((taken[0], taken.iter().rev().copied().collect()));
         ctx.metrics().count("pss.open_served", 1);
     }
 
-    /// Handles the acknowledgement of the open request sent to `peer`,
-    /// which the chain's last hop saw at `peer_ep`. An open that has
-    /// completed needs nothing. Otherwise the queued messages are the
-    /// punch: they go to `peer_ep`, through the hole the peer's own punch
-    /// opened in its NAT, and the open waits for the peer's direct answer.
-    /// A requester runs the handshake only towards a peer it can punch,
-    /// never a symmetric one: the peer's NAT keeps one mapping for every
-    /// destination, so `peer_ep` is where its punch left from.
-    pub fn on_open_ack(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, peer_ep: Option<Endpoint>) {
-        let Some(open) = self.opens.get_mut(&peer).filter(|open| open.sent_to.is_none()) else {
-            return;
-        };
-        if let Some(ep) = peer_ep {
-            for inner in &open.queued {
-                ctx.send_to(ep, inner.clone());
-            }
-            open.sent_to = Some(ep);
+    /// Ends the handling of an open request: a message that got no answer
+    /// (an application frame) gets an empty [`ChainBody::OpenAck`].
+    pub(crate) fn end_open_req(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some((_, route)) = self.answering.take() {
+            self.send_chain(ctx, &route, ChainBody::OpenAck(None, Vec::new()));
         }
     }
 
-    /// A packet came straight from `from` at `from_ep`: it proves a
-    /// working return path, completes a pending open towards `from` — its
-    /// queue goes to `from_ep` unless it went there already — and ends
-    /// our punching towards it. The packet that ends our punching is
-    /// answered directly, so that its sender's open ends on a direct
-    /// packet: a gossip request by the response, anything else but a
-    /// `PunchAck` by one `PunchAck`. A punch is answered unless it
-    /// completed our own open: our queue went or goes to the puncher, and
-    /// that answers it.
-    pub(crate) fn on_direct_packet(
+    /// The acknowledgement of an open request came back from `peer`, and
+    /// the first hop back saw it at `peer_ep`. If this node waits for it,
+    /// `peer_ep` becomes `peer`'s contact — unless one is held: a stamp
+    /// never replaces a contact — and one `Punch` carrying `key` goes there,
+    /// through the rule the peer's own punch left; returns where the answer
+    /// inside is taken to come from. The peer is never symmetric — a
+    /// requester runs the handshake only towards a peer it can punch — so
+    /// its NAT keeps one mapping for every destination, and `peer_ep` is
+    /// where its punch left from. An acknowledgement of no open this node
+    /// waits for, or with no endpoint, returns `None`: it plants no
+    /// contact and sends nothing.
+    pub(crate) fn on_open_ack(
         &mut self,
         ctx: &mut Ctx<'_>,
-        from: NodeId,
-        from_ep: Endpoint,
-        arrival: Arrival,
-    ) {
-        self.note_contact(from, from_ep, ctx.now());
-        // Called for every direct packet, and there is rarely a handshake
-        // in flight: an empty map is not worth hashing into.
-        let open = if self.opens.is_empty() { None } else { self.opens.remove(&from) };
-        let opened = open.is_some();
-        if let Some(open) = open {
-            ctx.metrics().count("pss.open_punch_ok", 1);
-            if open.sent_to != Some(from_ep) {
-                for inner in open.queued {
-                    ctx.send_to(from_ep, inner);
-                }
-            }
-        }
-        let ended = !self.punching.is_empty() && self.punching.remove(&from).is_some();
-        let answer = match arrival {
-            Arrival::Punch => !opened,
-            Arrival::Answered => false,
-            Arrival::Other => ended,
-        };
-        if answer {
-            ctx.send_wire(from_ep, &NylonMsg::PunchAck { from: ctx.id() });
-        }
+        peer: NodeId,
+        peer_ep: Option<Endpoint>,
+        key: Option<Vec<u8>>,
+    ) -> Option<Endpoint> {
+        let now = ctx.now();
+        let waited = self.opens.take(peer, now).is_some();
+        let ep = self.contact_or_stamp(peer, peer_ep.filter(|_| waited)?, now);
+        ctx.send_wire(ep, &NylonMsg::Punch { from: ctx.id(), key });
+        Some(ep)
     }
 }
 
-/// Whether a node behind `nat` with no contact for `to` opens a hole
-/// towards it rather than relay: it is port-restricted or symmetric and a
-/// punch can work against `to_nat` (a peer of no stated type is taken to
-/// be symmetric) — and can be timed, which it cannot for an id no timer
-/// token holds: no node has one, so a forged view entry's.
-fn opens(nat: NatType, to: NodeId, to_nat: Option<NatType>) -> bool {
-    matches!(nat, NatType::PortRestrictedCone | NatType::Symmetric)
-        && can_hole_punch(nat, to_nat.unwrap_or(NatType::Symmetric))
-        && to.0 < timer::PAYLOAD_BOUND
-}
-
-/// The bytes of `wire` as the `Vec` a relayed wrapper or the hole-punch
-/// queue holds; the buffer goes back, or the pool is a buffer short.
+/// The bytes of `wire` as the `Vec` a relayed wrapper holds; the buffer
+/// goes back, or the pool is a buffer short.
 fn unpooled(ctx: &mut Ctx<'_>, wire: Payload) -> Vec<u8> {
     let inner = wire.to_vec();
     ctx.recycle(wire);
@@ -548,6 +417,45 @@ fn unpooled(ctx: &mut Ctx<'_>, wire: Payload) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use whisper_net::sim::{Protocol, Sim, SimConfig};
+
+    /// A host whose transport the test drives.
+    struct Sender(Transport);
+
+    impl Protocol for Sender {
+        fn on_start(&mut self, _: &mut Ctx<'_>) {}
+        fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Endpoint, _: &Payload) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// A port-restricted node opens towards one new peer a second, over a
+    /// rendezvous node that does not exist, so no acknowledgement ever
+    /// comes: the opens waiting for one stay within twice those started in
+    /// the time an open waits, as the other tables do.
+    #[test]
+    fn the_open_table_stays_bounded_when_no_acknowledgement_comes() {
+        let mut sim = Sim::new(SimConfig::ideal(1));
+        let id = sim.add_node(Box::new(Sender(Transport::new())), NatType::PortRestrictedCone);
+        let ttl = REPLY_ROUTE_TTL.as_secs();
+        for s in 0..5 * ttl {
+            sim.with_node_ctx::<Sender>(id, |sender, ctx| {
+                let peer = NodeId(1_000 + s);
+                let app = |ctx: &mut Ctx<'_>, _| ctx.encode_payload(&NylonMsg::App { payload: vec![] });
+                let outcome = sender.0.send_with(ctx, peer, Some(NatType::FullCone), &[NodeId(999)], app);
+                assert_eq!(outcome, SendOutcome::Relayed);
+            });
+            sim.run_for_secs(1);
+            let waiting = sim.node::<Sender>(id).unwrap().0.opens.map.len() as u64;
+            assert!(waiting <= 2 * ttl + 2, "{waiting} opens held at {s} s");
+        }
+        assert_eq!(sim.metrics().counter("pss.open_started"), 5 * ttl);
+    }
 
     #[test]
     fn contacts_expire() {

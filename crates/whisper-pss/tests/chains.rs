@@ -156,19 +156,16 @@ fn chains_hold(seed: u64) {
         assert!(by_hops[1] > 0 && by_hops[2] > 0, "chains in use: {by_hops:?}");
     }
 
-    // (b) Over the measured cycles no exchange was lost and no handshake
-    // ran into its time-out: what was not completed is still in flight.
+    // (b) Over the measured cycles no exchange was lost: what was not
+    // completed is still in flight.
     let m = sim.metrics();
     let measured: Vec<u64> =
         COUNTERS.iter().zip(&warm).map(|(c, before)| m.counter(c) - before).collect();
-    let [initiated, completed, timeouts, fallbacks, unanswered, unpunchable, punched, sendfail] =
-        measured[..]
-    else {
-        unreachable!("eight counters");
+    let [initiated, completed, timeouts, unpunchable, punched, sendfail] = measured[..] else {
+        unreachable!("six counters");
     };
     assert_eq!(initiated, NODES as u64 * MEASURED_CYCLES);
-    let lost = (timeouts, fallbacks, unanswered, sendfail);
-    assert_eq!(lost, (0, 0, 0, 0), "time-outs, fallbacks, unanswered opens, failed sends");
+    assert_eq!((timeouts, sendfail), (0, 0), "time-outs, failed sends");
     assert!(completed.abs_diff(initiated) <= NODES as u64 / 100, "{completed} of {initiated}");
     assert!(unpunchable > 0 && punched > 0, "the handshake ran both ways: {measured:?}");
     assert_eq!(m.counter("pss.malformed"), 0, "nothing was shipped that a decoder refuses");
@@ -187,12 +184,10 @@ fn chains_hold(seed: u64) {
     assert!(covered > 0, "two-hop chains were shipped");
 }
 
-const COUNTERS: [&str; 8] = [
+const COUNTERS: [&str; 6] = [
     "pss.gossip_initiated",
     "pss.gossip_completed",
     "pss.gossip_timeout",
-    "pss.open_relay_fallback",
-    "pss.open_unanswered",
     "pss.open_unpunchable",
     "pss.open_punch_ok",
     "pss.send_failed",

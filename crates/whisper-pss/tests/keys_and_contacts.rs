@@ -3,15 +3,15 @@
 //! the transport remembers where NATted senders' packets came from — a
 //! public sender is reachable at its public endpoint anyway. And what
 //! the transport makes of that knowledge: the five routes an application
-//! frame can take out of a node.
+//! frame can take out of a node, and the two ends of an open.
 
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::nat::NatType;
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
 use whisper_net::wire::{WireDecode, WireEncode, WireSink};
-use whisper_net::{Endpoint, NodeId, Payload, SimDuration};
+use whisper_net::{Endpoint, NodeId, Payload};
 use whisper_pss::messages::{ChainBody, NylonMsg};
-use whisper_pss::transport::{SendOutcome, OPEN_TIMEOUT};
+use whisper_pss::transport::SendOutcome;
 use whisper_pss::{NylonConfig, NylonCore, NylonNode};
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
@@ -101,8 +101,8 @@ fn contacts_are_kept_for_natted_senders_only_and_both_stay_reachable() {
     let (mut sim, id, _) = lone_node();
     let natted = Endpoint { node: NodeId(70), port: 4242 };
     let public = Endpoint::public(NodeId(71));
-    deliver(&mut sim, id, natted, &NylonMsg::Punch { from: natted.node });
-    deliver(&mut sim, id, public, &NylonMsg::Punch { from: public.node });
+    deliver(&mut sim, id, natted, &NylonMsg::Punch { from: natted.node, key: None });
+    deliver(&mut sim, id, public, &NylonMsg::Punch { from: public.node, key: None });
     let now = sim.now();
     let core = sim.node::<NylonNode>(id).unwrap().core();
     // Asked about a peer it is told nothing of, the transport answers
@@ -138,7 +138,7 @@ fn a_relayed_message_is_unwrapped_once_however_deep_the_sender_nested() {
         body: ChainBody::Relayed(inner),
     };
 
-    let mut wire = NylonMsg::Punch { from: peer }.to_wire();
+    let mut wire = NylonMsg::Punch { from: peer, key: None }.to_wire();
     for _ in 0..10_000 {
         wire = relayed(wire).to_wire();
     }
@@ -170,8 +170,8 @@ fn a_chain_message_with_no_origin_is_malformed() {
     let bodies = [
         ChainBody::Relayed(b"x".to_vec()),
         ChainBody::Contact(ep, b"x".to_vec()),
-        ChainBody::OpenReq(ep),
-        ChainBody::OpenAck(None),
+        ChainBody::OpenReq(ep, b"x".to_vec()),
+        ChainBody::OpenAck(None, vec![]),
     ];
     for body in bodies {
         for remaining in [vec![], vec![NodeId(75)]] {
@@ -190,13 +190,13 @@ fn a_chain_message_with_no_origin_is_malformed() {
 fn stamp(body: &ChainBody) -> Option<Endpoint> {
     match body {
         ChainBody::Relayed(_) => None,
-        ChainBody::Contact(seen, _) | ChainBody::OpenReq(seen) | ChainBody::OpenAck(seen) => *seen,
+        ChainBody::Contact(seen, _) | ChainBody::OpenReq(seen, _) | ChainBody::OpenAck(seen, _) => *seen,
     }
 }
 
 /// The endpoint in an open body, or in a cone-NATted origin's message, is
-/// where the first hop saw the origin — the target punches it, sends its
-/// queue to it or answers there. The first hop writes it over whatever the
+/// where the first hop saw the origin — the target punches it or answers
+/// there, the requester takes it for the target's contact and punches it. The first hop writes it over whatever the
 /// sender put there, and clears it when the packet did not come straight
 /// from the origin the message names; a later hop leaves it as it is.
 #[test]
@@ -205,7 +205,11 @@ fn an_endpoint_stamp_belongs_to_the_first_hop_alone() {
     let next = sim.add_node(Box::<Recorder>::default(), NatType::Public);
     let (origin, relay) = (Endpoint { node: NodeId(70), port: 9 }, Endpoint { node: NodeId(71), port: 4 });
     let aimed = Some(Endpoint { node: NodeId(72), port: 80 });
-    let bodies = [ChainBody::Contact(aimed, b"x".to_vec()), ChainBody::OpenReq(aimed), ChainBody::OpenAck(aimed)];
+    let bodies = [
+        ChainBody::Contact(aimed, b"x".to_vec()),
+        ChainBody::OpenReq(aimed, b"x".to_vec()),
+        ChainBody::OpenAck(aimed, vec![]),
+    ];
     for body in bodies {
         // (who hands it over, the hops taken, the stamp the next hop gets)
         let cases = [
@@ -239,7 +243,7 @@ fn a_stamp_never_replaces_a_fresh_contact() {
     let got = |sim: &mut Sim, host: NodeId| std::mem::take(&mut sim.node_mut::<Recorder>(host).unwrap().got);
     // The victim's own packet leaves the destination its contact.
     assert!(sim.with_node_ctx::<Recorder>(victim, |_, ctx| {
-        ctx.send_wire(Endpoint::public(id), &NylonMsg::Punch { from: victim });
+        ctx.send_wire(Endpoint::public(id), &NylonMsg::Punch { from: victim, key: None });
     }));
     sim.run_for_secs(1);
     assert!(sim.node::<NylonNode>(id).unwrap().core().can_reach_directly(victim, false, sim.now()));
@@ -296,8 +300,104 @@ fn a_first_contact_leaves_its_chain_as_the_way_to_the_peer_until_the_answer() {
     assert_eq!(bodies, [ChainBody::Contact(None, app.clone()), ChainBody::Relayed(app)]);
     assert_eq!(sim.metrics().counter("pss.contact_sent"), 1);
 
-    deliver(&mut sim, id, Endpoint { node: stranger, port: 9 }, &NylonMsg::PunchAck { from: stranger });
+    deliver(&mut sim, id, Endpoint { node: stranger, port: 9 }, &NylonMsg::PunchAck { from: stranger, key: None });
     assert_eq!(send(&mut sim), SendOutcome::Direct, "the answer left a contact");
+}
+
+/// Every packet `host` was sent since the last call, decoded.
+fn taken_from(sim: &mut Sim, host: NodeId) -> Vec<NylonMsg> {
+    let got = std::mem::take(&mut sim.node_mut::<Recorder>(host).unwrap().got);
+    got.iter().map(|wire| NylonMsg::from_wire(wire).expect("a Nylon message")).collect()
+}
+
+/// The target of an open request punches the endpoint the first hop
+/// stamped, once and keyless, handles the message inside as a relayed one
+/// and answers it once, in the acknowledgement, over the hops the request
+/// took: a gossip request by its response, keyless as relayed gossip is;
+/// an application frame, which gets no answer, by an empty one.
+#[test]
+fn an_open_request_is_answered_once_in_its_acknowledgement() {
+    let (mut sim, id, _) = lone_node_behind(NatType::FullCone);
+    let relay = sim.add_node(Box::<Recorder>::default(), NatType::Public);
+    let requester = sim.add_node(Box::<Recorder>::default(), NatType::Public);
+    let stamp = Endpoint { node: requester, port: 5 };
+    let request = |inner: Vec<u8>| NylonMsg::Chain {
+        remaining: vec![],
+        taken: vec![requester, relay],
+        body: ChainBody::OpenReq(Some(stamp), inner),
+    };
+    let gossip = gossip_req(requester, None).to_wire();
+    let app = NylonMsg::App { payload: PAYLOAD.to_vec() }.to_wire();
+    for (inner, event) in [(gossip, false), (app, true)] {
+        let mut got = None;
+        let wire = request(inner.clone()).to_wire();
+        sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
+            got = node.core_mut().on_message(ctx, relay, Endpoint::public(relay), &wire);
+        });
+        assert_eq!(got.is_some(), event, "only the application frame makes an upcall");
+        sim.run_for_secs(1);
+        assert_eq!(taken_from(&mut sim, requester), [NylonMsg::Punch { from: id, key: None }]);
+        let back = taken_from(&mut sim, relay);
+        let [NylonMsg::Chain { remaining, taken, body: ChainBody::OpenAck(None, answer) }] = &back[..] else {
+            panic!("not one acknowledgement: {back:?}");
+        };
+        assert_eq!((&remaining[..], &taken[..]), (&[requester][..], &[id][..]));
+        match NylonMsg::gossip_view(answer) {
+            Some(response) => {
+                assert!(!event && !response.request && response.sender == id);
+                assert_eq!(response.key, None, "relayed gossip carries no key");
+            }
+            None => assert!(event && answer.is_empty(), "an empty acknowledgement: {answer:02x?}"),
+        }
+    }
+    assert_eq!(sim.metrics().counter("pss.open_served"), 2);
+}
+
+/// An acknowledgement counts only for an open this node started and still
+/// waits for: before it sends one, and after the first acknowledgement has
+/// ended it, an acknowledgement plants no contact, sends no `Punch` and
+/// hands nothing up. The one in between leaves the target's contact, and
+/// the requester's one `Punch`, with its key, goes there.
+#[test]
+fn an_open_acknowledgement_counts_only_for_an_open_this_node_started() {
+    let (mut sim, id, _) = lone_node_behind(NatType::PortRestrictedCone);
+    let relay = sim.add_node(Box::<Recorder>::default(), NatType::Public);
+    let target = sim.add_node(Box::<Recorder>::default(), NatType::Public);
+    let target_ep = Endpoint { node: target, port: 5 };
+    let response =
+        NylonMsg::GossipResp { sender: target, sender_public: false, entries: vec![], key: None, descs: vec![] };
+    let ack = NylonMsg::Chain {
+        remaining: vec![],
+        taken: vec![target, relay],
+        body: ChainBody::OpenAck(Some(target_ep), response.to_wire()),
+    }
+    .to_wire();
+    let acknowledge = |sim: &mut Sim| {
+        let mut event = None;
+        sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
+            event = node.core_mut().on_message(ctx, relay, Endpoint::public(relay), &ack);
+        });
+        sim.run_for_secs(1);
+        (event, sim.node::<NylonNode>(id).unwrap().core().can_reach_directly(target, false, sim.now()))
+    };
+    assert_eq!(acknowledge(&mut sim), (None, false), "no open was started");
+    assert!(taken_from(&mut sim, target).is_empty(), "and no Punch sent");
+
+    sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
+        let outcome = node.core_mut().send_app(ctx, target, Some(NatType::FullCone), &[relay], PAYLOAD.to_vec());
+        assert_eq!(outcome, SendOutcome::Relayed);
+    });
+    sim.run_for_secs(1);
+    let [NylonMsg::Chain { body: ChainBody::OpenReq(..), .. }] = &taken_from(&mut sim, relay)[..] else {
+        panic!("no open request");
+    };
+    let key = sim.node::<NylonNode>(id).unwrap().core().keypair().public().to_bytes();
+    let completed = Some(whisper_pss::NylonEvent::GossipCompleted { partner: target });
+    assert_eq!(acknowledge(&mut sim), (completed, true), "the answer, from the target's contact");
+    assert_eq!(taken_from(&mut sim, target), [NylonMsg::Punch { from: id, key: Some(key) }]);
+
+    assert_eq!(acknowledge(&mut sim).0, None, "the open has ended");
+    assert!(taken_from(&mut sim, target).is_empty(), "one Punch");
 }
 
 /// A host that keeps every packet it is sent, as sent.
@@ -329,9 +429,9 @@ enum Route {
     Direct,
     /// Wrapped, over the reverse route a relayed message left behind.
     Relayed,
-    /// From a NATted sender: held while a hole punch runs, sent when the
-    /// peer's own packet arrives.
-    PunchedThrough,
+    /// From a port-restricted sender to a peer a punch can reach: inside an
+    /// open request, over the peer's rendezvous chain, at once.
+    OpenedAtOnce,
     /// From a public sender, which has no NAT to punch: wrapped, over the
     /// peer's rendezvous chain, at once.
     RelayedAtOnce,
@@ -349,7 +449,7 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
     // A port-restricted sender: a restricted-cone one would also send
     // the peer a `Punch` that opens its own filter.
     let (mut sim, id, _) = lone_node_behind(match route {
-        Route::PunchedThrough => NatType::PortRestrictedCone,
+        Route::OpenedAtOnce => NatType::PortRestrictedCone,
         Route::ContactAtOnce => NatType::FullCone,
         _ => NatType::Public,
     });
@@ -364,15 +464,14 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
             let relayed = NylonMsg::Chain {
                 remaining: vec![],
                 taken: vec![stranger, peer],
-                body: ChainBody::Relayed(NylonMsg::PunchAck { from: stranger }.to_wire()),
+                body: ChainBody::Relayed(NylonMsg::PunchAck { from: stranger, key: None }.to_wire()),
             };
             deliver(&mut sim, id, Endpoint::public(peer), &relayed);
             (stranger, None, vec![], SendOutcome::Relayed)
         }
-        // The directory knows a rendezvous node for the peer and that a
-        // punch can work.
-        Route::PunchedThrough => (peer, Some(NatType::FullCone), vec![stranger], SendOutcome::Queued),
-        // The peer is the stranger's rendezvous node.
+        // The peer is the stranger's rendezvous node; the directory says
+        // a punch can reach the stranger.
+        Route::OpenedAtOnce => (stranger, Some(NatType::FullCone), vec![peer], SendOutcome::Relayed),
         Route::RelayedAtOnce | Route::ContactAtOnce => (stranger, None, vec![peer], SendOutcome::Relayed),
     };
     sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
@@ -386,12 +485,6 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
         };
         assert_eq!(outcome, expected, "{route:?}");
     });
-    if let Route::PunchedThrough = route {
-        sim.run_for(SimDuration::from_micros(OPEN_TIMEOUT.as_micros() / 2));
-        assert!(sim.node::<Recorder>(peer).unwrap().got.is_empty(), "held while the punch runs");
-        // Any direct packet from the peer completes the handshake.
-        deliver(&mut sim, id, Endpoint::public(peer), &NylonMsg::PunchAck { from: peer });
-    }
     sim.run_for_secs(1);
     let m = sim.metrics();
     let accounting =
@@ -406,7 +499,7 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
 #[test]
 fn a_payload_leaves_as_the_same_bytes_whichever_way_it_was_handed_over() {
     let app = NylonMsg::App { payload: PAYLOAD.to_vec() };
-    let routes = [Route::Direct, Route::Relayed, Route::PunchedThrough, Route::RelayedAtOnce, Route::ContactAtOnce];
+    let routes = [Route::Direct, Route::Relayed, Route::OpenedAtOnce, Route::RelayedAtOnce, Route::ContactAtOnce];
     for route in routes {
         let (owned, owned_accounting) = send_over(route, false);
         let (framed, framed_accounting) = send_over(route, true);
@@ -414,22 +507,16 @@ fn a_payload_leaves_as_the_same_bytes_whichever_way_it_was_handed_over() {
         assert_eq!(owned_accounting, framed_accounting, "{route:?}: allocs, alloc_bytes, pooled");
         // And they are the message the owned codec spells out.
         let sender = NodeId(0);
-        let on_the_wire = match route {
-            Route::Direct => vec![app.to_wire()],
-            Route::Relayed | Route::RelayedAtOnce => vec![NylonMsg::Chain {
-                remaining: vec![NodeId(70)],
-                taken: vec![sender],
-                body: ChainBody::Relayed(app.to_wire()),
-            }
-            .to_wire()],
-            Route::ContactAtOnce => vec![NylonMsg::Chain {
-                remaining: vec![NodeId(70)],
-                taken: vec![sender],
-                body: ChainBody::Contact(None, app.to_wire()),
-            }
-            .to_wire()],
-            Route::PunchedThrough => vec![app.to_wire()],
+        let body = match route {
+            Route::Direct => None,
+            Route::Relayed | Route::RelayedAtOnce => Some(ChainBody::Relayed(app.to_wire())),
+            Route::ContactAtOnce => Some(ChainBody::Contact(None, app.to_wire())),
+            Route::OpenedAtOnce => Some(ChainBody::OpenReq(None, app.to_wire())),
         };
-        assert_eq!(owned, on_the_wire, "{route:?}");
+        let on_the_wire = match body {
+            None => app.to_wire(),
+            Some(body) => NylonMsg::Chain { remaining: vec![NodeId(70)], taken: vec![sender], body }.to_wire(),
+        };
+        assert_eq!(owned, [on_the_wire], "{route:?}");
     }
 }

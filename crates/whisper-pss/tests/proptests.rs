@@ -211,19 +211,19 @@ fn gen_msg(g: &mut Gen) -> NylonMsg {
             gen_chain(g, ChainBody::Relayed(inner))
         }
         3 => {
-            let requester_ep = gen_opt(g, gen_endpoint);
-            gen_chain(g, ChainBody::OpenReq(requester_ep))
+            let (requester_ep, inner) = (gen_opt(g, gen_endpoint), g.bytes(80));
+            gen_chain(g, ChainBody::OpenReq(requester_ep, inner))
         }
         4 => {
-            let target_ep = gen_opt(g, gen_endpoint);
-            gen_chain(g, ChainBody::OpenAck(target_ep))
+            let (target_ep, inner) = (gen_opt(g, gen_endpoint), g.bytes(80));
+            gen_chain(g, ChainBody::OpenAck(target_ep, inner))
         }
         10 => {
             let (origin_ep, inner) = (gen_opt(g, gen_endpoint), g.bytes(80));
             gen_chain(g, ChainBody::Contact(origin_ep, inner))
         }
-        5 => NylonMsg::Punch { from: NodeId(g.gen_range(0..40u64)) },
-        6 => NylonMsg::PunchAck { from: NodeId(g.gen_range(0..40u64)) },
+        5 => NylonMsg::Punch { from: NodeId(g.gen_range(0..40u64)), key: gen_opt(g, |g| g.bytes(60)) },
+        6 => NylonMsg::PunchAck { from: NodeId(g.gen_range(0..40u64)), key: gen_opt(g, |g| g.bytes(60)) },
         7 => NylonMsg::Ping { from: NodeId(g.gen_range(0..40u64)), key: gen_opt(g, |g| g.bytes(60)) },
         8 => NylonMsg::Pong { from: NodeId(g.gen_range(0..40u64)), key: gen_opt(g, |g| g.bytes(60)) },
         _ => NylonMsg::App { payload: g.bytes(120) },

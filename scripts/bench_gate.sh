@@ -4,6 +4,7 @@
 #
 #   scripts/bench_gate.sh <parent-rev> [--pairs N=10] [--seed S=7]
 #                         [--behaviour-changes] [workload...]
+#   scripts/bench_gate.sh <parent-rev> --seeds LIST [workload...]
 #
 # Checks <parent-rev> out under target/verify/bench_gate/, builds both
 # perfbench binaries once (a target directory each) and runs N pairs per
@@ -37,6 +38,16 @@
 # About 20 s a run, so the default is over half an hour: not a step of
 # verify.sh. Run it on an otherwise idle machine.
 #
+# --seeds LIST (say 1-9,11,13) compares the simulated rows instead, the
+# table a claim on one of them needs: one run per seed, workload and side,
+# at --seconds 1 — the simulated rows do not depend on the run length, only
+# the host-time rows do, which this mode leaves out. Per workload it prints
+# a line per seed with both sides' sim_digest, rtt_p50_ms, rtt_p95_ms,
+# wire_bytes_per_node_s and ops_ok_share, then each metric's mean over the
+# seeds and on how many seeds each side read better (ties count for
+# neither). It sets no verdict, and exits non-zero only on a run the
+# benchmark's own checks call incorrect. About 10 s a run.
+#
 # The parent is unpacked with `git archive`, not `git worktree add`: the
 # same files, and nothing registered in .git to prune afterwards.
 set -euo pipefail
@@ -44,16 +55,18 @@ cd "$(dirname "$0")/.."
 
 usage() {
   echo "usage: scripts/bench_gate.sh <parent-rev> [--pairs N] [--seed S] [--behaviour-changes] [workload...]" >&2
+  echo "       scripts/bench_gate.sh <parent-rev> --seeds LIST [workload...]" >&2
   exit 2
 }
 [ $# -ge 1 ] || usage
 rev=$1
 shift
-pairs=10 seed=7 behaviour_changes=0 workloads=()
+pairs=10 seed=7 behaviour_changes=0 seeds= workloads=()
 while [ $# -gt 0 ]; do
   case $1 in
     --pairs) pairs=${2:?--pairs needs a value}; shift 2 ;;
     --seed) seed=${2:?--seed needs a value}; shift 2 ;;
+    --seeds) seeds=${2:?--seeds needs a list}; shift 2 ;;
     --behaviour-changes) behaviour_changes=1; shift ;;
     -*) usage ;;
     *) workloads+=("$1"); shift ;;
@@ -85,6 +98,72 @@ import json
 for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])')
 fi
 
+# Runs `workload` with `seed` for `seconds` on `side`, into $out/run.json.
+run() {
+  local side=$1 workload=$2 seed=$3 seconds=$4 tree=$PWD
+  [ "$side" = parent ] && tree=$parent
+  echo "bench_gate: $workload seed $seed: $side" >&2
+  (cd "$tree" && "$out/target-$side/release/perfbench" --workload "$workload" --seed "$seed" \
+    --seconds "$seconds" --trace 0 --out "$out/run.json") >/dev/null
+}
+
+if [ -n "$seeds" ]; then
+  list=()
+  for part in ${seeds//,/ }; do
+    case $part in
+      *-*) mapfile -t -O "${#list[@]}" list < <(seq "${part%-*}" "${part#*-}") ;;
+      *) list+=("$part") ;;
+    esac
+  done
+  # One line per run: workload, seed, side, report.
+  runs=$out/runs-$sha-seeds.tsv
+  : >"$runs"
+  for workload in "${workloads[@]}"; do
+    for s in "${list[@]}"; do
+      for side in parent change; do
+        run $side "$workload" "$s" 1
+        printf '%s\t%s\t%s\t%s\n' "$workload" "$s" "$side" "$(cat "$out/run.json")" >>"$runs"
+      done
+    done
+  done
+  exec python3 - "$runs" "$sha" <<'EOF'
+import json, statistics, sys
+
+runs_path, sha = sys.argv[1], sys.argv[2]
+better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+ROWS = ["rtt_p50_ms", "rtt_p95_ms", "wire_bytes_per_node_s", "ops_ok_share"]
+runs = {}  # workload -> seed -> side -> report
+for line in open(runs_path):
+    workload, seed, side, report = line.rstrip("\n").split("\t", 3)
+    runs.setdefault(workload, {}).setdefault(int(seed), {})[side] = json.loads(report)
+failures = []
+print(f"parent {sha}; one run per seed and side, the simulated rows only")
+for workload, seeds in runs.items():
+    print()
+    print(f"{workload}: seed | sim_digest parent / change | " + " | ".join(f"{r} parent -> change" for r in ROWS))
+    for seed, sides in sorted(seeds.items()):
+        for side, report in sides.items():
+            if not report["correct"]:
+                failures.append(f"{workload} seed {seed}: the {side} run failed the benchmark's own checks")
+        p, c = sides["parent"], sides["change"]
+        cells = [f"{p['metrics'][r]['value']:.6g} -> {c['metrics'][r]['value']:.6g}" for r in ROWS]
+        print(f"  {seed} | {p['sim_digest'][:12]} / {c['sim_digest'][:12]} | " + " | ".join(cells))
+    for r in ROWS:
+        p = [s["parent"]["metrics"][r]["value"] for s in seeds.values()]
+        c = [s["change"]["metrics"][r]["value"] for s in seeds.values()]
+        higher = better[r] == "higher"
+        won = sum((y > x) if higher else (y < x) for x, y in zip(p, c))
+        lost = sum((x > y) if higher else (x < y) for x, y in zip(p, c))
+        pm, cm = statistics.mean(p), statistics.mean(c)
+        move = f" ({cm / pm - 1:+.2%})" if pm else ""
+        print(f"  mean {r}: {pm:.6g} -> {cm:.6g}{move}; change better on {won}, parent on {lost} of {len(p)} seeds")
+for f in failures:
+    print(f"bench_gate: {f}")
+print(f"bench_gate: every run in {runs_path}")
+sys.exit(1 if failures else 0)
+EOF
+fi
+
 # One line per run, in the order run: workload, pair, side, report.
 runs=$out/runs-$sha-seed$seed.tsv
 : >"$runs"
@@ -93,11 +172,8 @@ for workload in "${workloads[@]}"; do
     order="parent change"
     [ $((pair % 2)) -eq 0 ] && order="change parent"
     for side in $order; do
-      tree=$PWD
-      [ $side = parent ] && tree=$parent
-      echo "bench_gate: $workload seed $seed pair $pair/$pairs: $side" >&2
-      (cd "$tree" && "$out/target-$side/release/perfbench" --workload "$workload" --seed "$seed" \
-        --seconds "$run_seconds" --trace 0 --out "$out/run.json") >/dev/null
+      echo "bench_gate: $workload pair $pair/$pairs" >&2
+      run $side "$workload" "$seed" "$run_seconds"
       printf '%s\t%s\t%s\t%s\n' "$workload" "$pair" "$side" "$(cat "$out/run.json")" >>"$runs"
     done
   done
