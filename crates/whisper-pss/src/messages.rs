@@ -71,7 +71,8 @@ pub enum NylonMsg {
         key: Option<Vec<u8>>,
     },
     /// The answer to a [`NylonMsg::Punch`] that got through, with the
-    /// answerer's key: the channel works both ways.
+    /// answerer's key: the channel works both ways, and the requester of
+    /// an open takes the endpoint it came from for the target's contact.
     PunchAck {
         /// Sender.
         from: NodeId,
@@ -125,7 +126,8 @@ pub enum ChainBody {
     /// The answer to an open request — the wire image of the destination's
     /// answer to its message, or nothing — travelling back over the hops
     /// the request took, with the target's endpoint as the first hop saw
-    /// it: the requester takes that for the target's contact and punches it.
+    /// it: the requester punches that endpoint, and a gossip answer's
+    /// entries wait for the target's `PunchAck`.
     OpenAck(Option<Endpoint>, Vec<u8>),
 }
 

@@ -13,7 +13,10 @@
 //! request or acknowledgement that reaches its destination. The core
 //! itself forwards a [`NylonMsg::Chain`] one hop along its rendezvous
 //! chain, unwraps the message that reaches it — an open request's or
-//! acknowledgement's among them — and answers a `Punch` with its key.
+//! acknowledgement's among them — and answers a `Punch` with its key. A
+//! gossip answer that an acknowledgement carries ends the exchange at
+//! once, but its entries wait for the `PunchAck` that proves the direct
+//! channel they assume.
 
 use crate::backlog::{CbEntry, ConnectionBacklog};
 use crate::config::NylonConfig;
@@ -564,14 +567,21 @@ impl NylonCore {
             ctx.metrics().count("pss.gossip_served", 1);
             None
         } else {
-            if matches!(self.outstanding, Some((p, _)) if p == sender) {
-                self.outstanding = None;
-            }
             self.merge_gossip(&gossip, via);
-            self.maintain_cb(ctx);
-            ctx.metrics().count("pss.gossip_completed", 1);
-            Some(NylonEvent::GossipCompleted { partner: sender })
+            Some(self.gossip_completed(ctx, sender))
         }
+    }
+
+    /// Ends this node's exchange with `partner`, whose answer came: the
+    /// connection backlog is kept after every exchange, whether or not
+    /// the answer's entries are merged yet.
+    fn gossip_completed(&mut self, ctx: &mut Ctx<'_>, partner: NodeId) -> NylonEvent {
+        if matches!(self.outstanding, Some((p, _)) if p == partner) {
+            self.outstanding = None;
+        }
+        self.maintain_cb(ctx);
+        ctx.metrics().count("pss.gossip_completed", 1);
+        NylonEvent::GossipCompleted { partner }
     }
 
     /// Merges the shipped entries, each with the chain that reaches it
@@ -684,18 +694,29 @@ impl NylonCore {
                     ChainBody::OpenReq(requester_ep, inner) => {
                         // Punched once; the answer to the message rides
                         // back in the acknowledgement.
-                        self.transport.on_open_req(ctx, &taken, requester_ep);
+                        self.transport.on_open_req(ctx, from, requester_ep);
                         let event = self.handle_relayed(ctx, taken, outer_ep, &inner);
                         self.transport.end_open_req(ctx);
                         event
                     }
-                    ChainBody::OpenAck(target_ep, inner) => {
-                        // The answer to our open request, taken as sent
-                        // from where the target's punch left, which our
-                        // `Punch` now makes a channel both ways.
+                    ChainBody::OpenAck(target_ep, mut inner) => {
+                        // The answer to our open request. Our `Punch` goes
+                        // where the target's punch left from, and only its
+                        // `PunchAck` leaves a contact. A gossip answer ends
+                        // the exchange now, but its entries hold for a node
+                        // that reaches the target directly: they wait for
+                        // that `PunchAck`. Any other answer is handled as
+                        // a relayed message.
+                        let answered = NylonMsg::gossip_view(&inner).filter(|g| !g.request).map(|g| g.sender);
+                        let held = if answered.is_some() { std::mem::take(&mut inner) } else { Vec::new() };
                         let key = self.key_payload();
-                        let ep = self.transport.on_open_ack(ctx, from, target_ep, key)?;
-                        self.handle_inner(ctx, from, ep, Via::DIRECT, &inner)
+                        if !self.transport.on_open_ack(ctx, from, target_ep, key, held) {
+                            return None;
+                        }
+                        match answered {
+                            Some(partner) => Some(self.gossip_completed(ctx, partner)),
+                            None => self.handle_relayed(ctx, taken, outer_ep, &inner),
+                        }
                     }
                 };
             }
@@ -707,7 +728,15 @@ impl NylonCore {
                 ctx.send_wire(outer_ep, &NylonMsg::PunchAck { from: self.id, key: self.key_payload() });
             }
             NylonMsg::PunchAck { from, key } => {
-                ctx.metrics().count("pss.open_punch_ok", 1);
+                // The answer to an open's `Punch` proves the channel the
+                // held gossip answer's entries need.
+                if let Some(held) = self.transport.on_punch_ack(outer_from, ctx.now()) {
+                    ctx.metrics().count("pss.open_punch_ok", 1);
+                    if let Some(gossip) = NylonMsg::gossip_view(&held) {
+                        self.merge_gossip(&gossip, Via::DIRECT);
+                        self.maintain_cb(ctx);
+                    }
+                }
                 self.insert_cb(from, outer_ep.port == 0, key.as_deref());
             }
             NylonMsg::Ping { from, key } => {

@@ -32,13 +32,15 @@
 //!   punches the endpoint the first hop stamped once — lost, but it
 //!   leaves the peer's NAT a rule for the requester — and its answer rides
 //!   back over the chain in the [`ChainBody::OpenAck`], with the endpoint
-//!   the first hop back saw the peer at. The requester takes that for the
-//!   peer's contact and sends it one keyed `Punch`, which the peer's rule
-//!   lets in and answers with a keyed `PunchAck`: the direct channel opens
-//!   behind the exchange. The peer, which a punch can reach, is never
-//!   symmetric, so that endpoint is where its punch left from. Nothing is
-//!   timed: a lost acknowledgement leaves the chain as the way to the
-//!   peer.
+//!   the first hop back saw the peer at. The requester sends that endpoint
+//!   one keyed `Punch`, which the peer's rule lets in and answers with a
+//!   keyed `PunchAck`: the direct channel opens behind the exchange, and
+//!   the `PunchAck`, a direct packet, leaves the peer's contact. The peer,
+//!   which a punch can reach, is never symmetric, so that endpoint is
+//!   where its punch left from. The endpoint is never taken for the
+//!   contact itself — any hop of the chain can forge an acknowledgement
+//!   that names one. Nothing is timed: until a `PunchAck` comes, or if
+//!   the acknowledgement is lost, the chain is the way to the peer.
 //!
 //! Whether a punch that is attempted succeeds is decided by the emulated
 //! NAT devices, not by this code.
@@ -150,13 +152,24 @@ pub struct Transport {
     /// Where each NATted peer's packets last came from.
     contacts: Expiring<Endpoint>,
     reply_routes: Expiring<Vec<NodeId>>,
-    /// The peers this node sent an open request whose acknowledgement has
-    /// not come, for as long as the request's chain is their reply route.
-    opens: Expiring<()>,
-    /// The requester whose open request this node is handling, and the
-    /// hops back to it: the first message to it is the answer the
-    /// [`ChainBody::OpenAck`] carries.
-    answering: Option<(NodeId, Vec<NodeId>)>,
+    /// The peers this node sent an open request, for as long as the
+    /// request's chain is their reply route, by how far the open got.
+    opens: Expiring<Open>,
+    /// The requester whose open request this node is handling: the first
+    /// message to it is the answer the [`ChainBody::OpenAck`] carries,
+    /// over the reply route the request left.
+    answering: Option<NodeId>,
+}
+
+/// How far an open this node started got.
+#[derive(Debug, PartialEq, Eq)]
+enum Open {
+    /// The request is out; its acknowledgement has not come.
+    Requested,
+    /// The acknowledgement came and this node's `Punch` is out; the
+    /// peer's `PunchAck` has not come. Holds what of the answer waits for
+    /// it.
+    Punched(Vec<u8>),
 }
 
 impl Transport {
@@ -281,7 +294,7 @@ impl Transport {
             }
             Plan::Open => {
                 let inner = unpooled(ctx, wire);
-                self.opens.insert(to, (), ctx.now() + REPLY_ROUTE_TTL, ctx.now());
+                self.opens.insert(to, Open::Requested, ctx.now() + REPLY_ROUTE_TTL, ctx.now());
                 self.first_over(ctx, to, chain(), ChainBody::OpenReq(None, inner), "pss.open_started");
             }
             Plan::Fail => {
@@ -298,7 +311,7 @@ impl Transport {
     fn plan(&self, ctx: &Ctx<'_>, to: NodeId, to_nat: Option<NatType>, route_hint: &[NodeId]) -> Plan<'_> {
         let now = ctx.now();
         // 0. The answer to the open request being handled.
-        if let Some((_, route)) = self.answering.as_ref().filter(|(requester, _)| *requester == to) {
+        if let Some(route) = self.answering.filter(|&r| r == to).and_then(|r| self.reply_routes.get(r, now)) {
             return Plan::Ack(route);
         }
         // 1. Fresh direct contact (a NATted peer whose association towards
@@ -350,59 +363,76 @@ impl Transport {
         self.note_reply_route(peer, chain, ctx.now());
     }
 
-    /// This node is the target of an open request that took the hops
-    /// `taken` (requester first) and, if the first hop stamped it, saw the
-    /// requester at `requester_ep`. The requester asks only where a punch
-    /// can work, and its NAT lets none in before its own packet to us,
-    /// which follows our answer: punch once — lost, but it leaves our NAT
-    /// the rule that lets the requester's `Punch` in — and keep the hops
-    /// back as the way the answer goes. The caller handles the request's
-    /// message, whose answer rides back as the [`ChainBody::OpenAck`]'s
-    /// image, then calls [`Transport::end_open_req`].
-    pub(crate) fn on_open_req(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        taken: &[NodeId],
-        requester_ep: Option<Endpoint>,
-    ) {
+    /// This node is the target of an open request from `requester`,
+    /// whose first hop, if it stamped the request, saw the requester at
+    /// `requester_ep`. The requester asks only where a punch can work, and
+    /// its NAT lets none in before its own packet to us, which follows our
+    /// answer: punch once — lost, but it leaves our NAT the rule that lets
+    /// the requester's `Punch` in. The caller handles the request's
+    /// message as a relayed one, whose hops back become the reply route
+    /// the answer takes as the [`ChainBody::OpenAck`]'s image, then calls
+    /// [`Transport::end_open_req`].
+    pub(crate) fn on_open_req(&mut self, ctx: &mut Ctx<'_>, requester: NodeId, requester_ep: Option<Endpoint>) {
         if let Some(ep) = requester_ep {
             ctx.send_wire(ep, &NylonMsg::Punch { from: ctx.id(), key: None });
         }
-        self.answering = Some((taken[0], taken.iter().rev().copied().collect()));
+        self.answering = Some(requester);
         ctx.metrics().count("pss.open_served", 1);
     }
 
     /// Ends the handling of an open request: a message that got no answer
     /// (an application frame) gets an empty [`ChainBody::OpenAck`].
     pub(crate) fn end_open_req(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some((_, route)) = self.answering.take() {
-            self.send_chain(ctx, &route, ChainBody::OpenAck(None, Vec::new()));
+        let now = ctx.now();
+        if let Some(route) = self.answering.take().and_then(|requester| self.reply_routes.get(requester, now)) {
+            self.send_chain(ctx, route, ChainBody::OpenAck(None, Vec::new()));
         }
     }
 
     /// The acknowledgement of an open request came back from `peer`, and
     /// the first hop back saw it at `peer_ep`. If this node waits for it,
-    /// `peer_ep` becomes `peer`'s contact — unless one is held: a stamp
-    /// never replaces a contact — and one `Punch` carrying `key` goes there,
-    /// through the rule the peer's own punch left; returns where the answer
-    /// inside is taken to come from. The peer is never symmetric — a
-    /// requester runs the handshake only towards a peer it can punch — so
-    /// its NAT keeps one mapping for every destination, and `peer_ep` is
-    /// where its punch left from. An acknowledgement of no open this node
-    /// waits for, or with no endpoint, returns `None`: it plants no
-    /// contact and sends nothing.
+    /// one `Punch` carrying `key` goes to `peer_ep`, through the rule the
+    /// peer's own punch left, `held` waits for the peer's `PunchAck`, and
+    /// this returns `true`: the answer inside is the peer's. The peer is
+    /// never symmetric — a requester runs the handshake only towards a
+    /// peer it can punch — so its NAT keeps one mapping for every
+    /// destination, and `peer_ep` is where its punch left from. `peer_ep`
+    /// is not taken for the peer's contact: only the hops the
+    /// acknowledgement names vouch for it, and any hop of the chain can
+    /// forge one that names itself the first. The peer's `PunchAck`, a
+    /// direct packet, leaves the contact ([`Transport::on_punch_ack`]). An
+    /// acknowledgement of no open this node waits for, or with no
+    /// endpoint, returns `false`: it plants nothing and sends nothing.
     pub(crate) fn on_open_ack(
         &mut self,
         ctx: &mut Ctx<'_>,
         peer: NodeId,
         peer_ep: Option<Endpoint>,
         key: Option<Vec<u8>>,
-    ) -> Option<Endpoint> {
+        held: Vec<u8>,
+    ) -> bool {
         let now = ctx.now();
-        let waited = self.opens.take(peer, now).is_some();
-        let ep = self.contact_or_stamp(peer, peer_ep.filter(|_| waited)?, now);
+        let Some(ep) = peer_ep.filter(|_| self.opens.get(peer, now) == Some(&Open::Requested)) else {
+            return false;
+        };
+        self.opens.insert(peer, Open::Punched(held), now + REPLY_ROUTE_TTL, now);
         ctx.send_wire(ep, &NylonMsg::Punch { from: ctx.id(), key });
-        Some(ep)
+        true
+    }
+
+    /// A `PunchAck` came from `peer`. If it answers the `Punch` of an open
+    /// this node started, that open ends and this returns what of its
+    /// answer was held for it. Only one that came straight from the peer,
+    /// which leaves its contact, can: a hop of the chain can relay one in
+    /// the peer's name.
+    pub(crate) fn on_punch_ack(&mut self, peer: NodeId, now: SimTime) -> Option<Vec<u8>> {
+        if self.contact(peer, now).is_none() || !matches!(self.opens.get(peer, now), Some(Open::Punched(_))) {
+            return None;
+        }
+        match self.opens.take(peer, now) {
+            Some(Open::Punched(held)) => Some(held),
+            _ => None,
+        }
     }
 }
 

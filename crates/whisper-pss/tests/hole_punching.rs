@@ -271,9 +271,10 @@ fn a_lost_acknowledgement_leaves_the_chain_as_the_way_to_the_peer() {
 /// punched: the payload rides the open request (k + 1 delays), the
 /// target's punch dies at the requester's NAT, and its empty
 /// acknowledgement comes back (2k + 2). The requester then sends its one
-/// `Punch`, through the rule the target's punch left, and the target's
-/// `PunchAck` leaves a direct channel both ways (2k + 4). Each message
-/// went once, and only the target's punch was refused.
+/// `Punch`, through the rule the target's punch left, which leaves the
+/// target a contact (2k + 3), and the target's `PunchAck` leaves the
+/// requester one (2k + 4): a direct channel both ways. Each message went
+/// once, and only the target's punch was refused.
 #[test]
 fn punchable_strangers_open_behind_the_first_exchange() {
     for (i, &nat_a) in NatType::NATTED.iter().enumerate() {
@@ -291,17 +292,20 @@ fn punchable_strangers_open_behind_the_first_exchange() {
             sim.run_for(HOP);
             assert!(!reaches(&sim, a, b), "{pair}: the acknowledgement is on its way");
             sim.run_for(HOP);
-            assert!(reaches(&sim, a, b), "{pair}: 2k + 2 delays, the target's endpoint");
-            assert!(!reaches(&sim, b, a), "{pair}: the requester's punch is on its way");
-            sim.run_for(HOP * 2);
-            assert!(reaches(&sim, b, a), "{pair}: the requester's punch got in");
+            assert!(!reaches(&sim, a, b), "{pair}: 2k + 2 delays, the Punch is on its way");
+            assert!(!reaches(&sim, b, a), "{pair}: and has not got in");
+            sim.run_for(HOP);
+            assert!(reaches(&sim, b, a), "{pair}: 2k + 3, the requester's punch got in");
+            assert_eq!(sim.metrics().counter("pss.open_punch_ok"), 0, "{pair}: the PunchAck is on its way");
+            sim.run_for(HOP);
+            assert!(reaches(&sim, a, b), "{pair}: 2k + 4, the PunchAck left a contact");
             assert_eq!(sim.metrics().counter("pss.open_punch_ok"), 1, "{pair}: 2k + 4, answered");
             sim.run_for(SETTLE);
             assert_eq!(payloads_received(&sim, b), 1, "{pair}: exactly once");
             assert_eq!(probe(&sim, b).punched_by, [a], "{pair}: one Punch left the requester");
             let m = sim.metrics();
             assert_eq!(m.counter("net.nat_blocked") - blocked_before, 1, "{pair}: the target's punch, at A");
-            assert_eq!(m.counter("pss.relayed_delivered"), 1, "{pair}: the request's payload");
+            assert_eq!(m.counter("pss.relayed_delivered"), 2, "{pair}: the request's payload, its acknowledgement");
             assert_eq!(m.counter("pss.open_punch_ok"), 1, "{pair}");
         }
     }

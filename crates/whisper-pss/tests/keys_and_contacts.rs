@@ -12,6 +12,7 @@ use whisper_net::wire::{WireDecode, WireEncode, WireSink};
 use whisper_net::{Endpoint, NodeId, Payload};
 use whisper_pss::messages::{ChainBody, NylonMsg};
 use whisper_pss::transport::SendOutcome;
+use whisper_pss::view::ViewEntry;
 use whisper_pss::{NylonConfig, NylonCore, NylonNode};
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
@@ -354,18 +355,25 @@ fn an_open_request_is_answered_once_in_its_acknowledgement() {
 }
 
 /// An acknowledgement counts only for an open this node started and still
-/// waits for: before it sends one, and after the first acknowledgement has
-/// ended it, an acknowledgement plants no contact, sends no `Punch` and
-/// hands nothing up. The one in between leaves the target's contact, and
-/// the requester's one `Punch`, with its key, goes there.
+/// waits for: before it sends one, and after the first acknowledgement,
+/// an acknowledgement plants no contact, sends no `Punch` and hands
+/// nothing up. The one in between ends the exchange and sends the
+/// requester's one `Punch`, with its key, to the endpoint it names — but
+/// leaves no contact: the target's `PunchAck`, a direct packet, does, and
+/// counts as `pss.open_punch_ok` once, as the answer of that open alone.
+/// The answer's entries, which hold for a node that reaches the target
+/// directly, enter the view with that `PunchAck` — not with one a hop
+/// relays in the target's name.
 #[test]
 fn an_open_acknowledgement_counts_only_for_an_open_this_node_started() {
     let (mut sim, id, _) = lone_node_behind(NatType::PortRestrictedCone);
     let relay = sim.add_node(Box::<Recorder>::default(), NatType::Public);
     let target = sim.add_node(Box::<Recorder>::default(), NatType::Public);
     let target_ep = Endpoint { node: target, port: 5 };
+    let itself = ViewEntry { node: target, age: 0, public: false, route: vec![] };
     let response =
-        NylonMsg::GossipResp { sender: target, sender_public: false, entries: vec![], key: None, descs: vec![] };
+        NylonMsg::GossipResp { sender: target, sender_public: false, entries: vec![itself], key: None, descs: vec![] };
+    let in_view = |sim: &Sim| sim.node::<NylonNode>(id).unwrap().core().view().contains(target);
     let ack = NylonMsg::Chain {
         remaining: vec![],
         taken: vec![target, relay],
@@ -393,11 +401,68 @@ fn an_open_acknowledgement_counts_only_for_an_open_this_node_started() {
     };
     let key = sim.node::<NylonNode>(id).unwrap().core().keypair().public().to_bytes();
     let completed = Some(whisper_pss::NylonEvent::GossipCompleted { partner: target });
-    assert_eq!(acknowledge(&mut sim), (completed, true), "the answer, from the target's contact");
+    assert_eq!(acknowledge(&mut sim), (completed, false), "the answer, and no contact from the stamp");
+    assert!(!in_view(&sim), "the answer's entries wait for the PunchAck");
     assert_eq!(taken_from(&mut sim, target), [NylonMsg::Punch { from: id, key: Some(key) }]);
-
-    assert_eq!(acknowledge(&mut sim).0, None, "the open has ended");
+    assert_eq!(acknowledge(&mut sim), (None, false), "one acknowledgement per open");
     assert!(taken_from(&mut sim, target).is_empty(), "one Punch");
+
+    let punch_ack = NylonMsg::PunchAck { from: target, key: None };
+    let relayed =
+        NylonMsg::Chain { remaining: vec![], taken: vec![target, relay], body: ChainBody::Relayed(punch_ack.to_wire()) };
+    deliver(&mut sim, id, Endpoint::public(relay), &relayed);
+    assert_eq!(sim.metrics().counter("pss.open_punch_ok"), 0, "a PunchAck relayed in the target's name");
+    assert!(!in_view(&sim));
+    deliver(&mut sim, id, target_ep, &punch_ack);
+    let reaches = sim.node::<NylonNode>(id).unwrap().core().can_reach_directly(target, false, sim.now());
+    assert!(reaches && in_view(&sim), "the PunchAck left the contact, and the answer's entries");
+    deliver(&mut sim, id, target_ep, &punch_ack);
+    assert_eq!(sim.metrics().counter("pss.open_punch_ok"), 1, "the open's PunchAck, and no other");
+}
+
+/// Any hop of a chain can forge the acknowledgement of an open that went
+/// over it, named two hops old so that nobody stamps it again, with an
+/// endpoint of its choosing. The requester sends that endpoint its
+/// `Punch` and nothing else: the endpoint does not become the target's
+/// contact, and what the requester sends the target next goes down the
+/// chain, to the target.
+#[test]
+fn a_forged_acknowledgement_leaves_the_way_to_the_target_where_it_was() {
+    let (mut sim, id, _) = lone_node_behind(NatType::PortRestrictedCone);
+    let relay = sim.add_node(Box::<Recorder>::default(), NatType::Public);
+    let target = NodeId(70);
+    let elsewhere = sim.add_node(Box::<Recorder>::default(), NatType::Public);
+    let send = |sim: &mut Sim| {
+        let mut outcome = None;
+        assert!(sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
+            outcome = Some(node.core_mut().send_app(ctx, target, Some(NatType::FullCone), &[relay], PAYLOAD.to_vec()));
+        }));
+        sim.run_for_secs(1);
+        outcome.unwrap()
+    };
+    assert_eq!(send(&mut sim), SendOutcome::Relayed);
+    let [NylonMsg::Chain { body: ChainBody::OpenReq(..), .. }] = &taken_from(&mut sim, relay)[..] else {
+        panic!("no open request");
+    };
+
+    let forged = NylonMsg::Chain {
+        remaining: vec![],
+        taken: vec![target, relay],
+        body: ChainBody::OpenAck(Some(Endpoint { node: elsewhere, port: 80 }), vec![]),
+    };
+    deliver(&mut sim, id, Endpoint::public(relay), &forged);
+    sim.run_for_secs(1);
+    let [NylonMsg::Punch { from, .. }] = &taken_from(&mut sim, elsewhere)[..] else {
+        panic!("not one Punch where the stamp pointed");
+    };
+    assert_eq!(*from, id);
+    assert!(!sim.node::<NylonNode>(id).unwrap().core().can_reach_directly(target, false, sim.now()));
+
+    assert_eq!(send(&mut sim), SendOutcome::Relayed);
+    assert!(taken_from(&mut sim, elsewhere).is_empty(), "nothing more went where the stamp pointed");
+    let app = NylonMsg::App { payload: PAYLOAD.to_vec() }.to_wire();
+    let down_the_chain = NylonMsg::Chain { remaining: vec![target], taken: vec![id], body: ChainBody::Relayed(app) };
+    assert_eq!(taken_from(&mut sim, relay), [down_the_chain], "the next send goes down the chain to the target");
 }
 
 /// A host that keeps every packet it is sent, as sent.
