@@ -276,4 +276,15 @@ mod tests {
         assert_eq!(AggMsg::from_wire(&m.to_wire()).unwrap(), m);
         assert!(AggMsg::from_wire(&[9]).is_err());
     }
+
+    /// Tag, then the value's IEEE 754 bits, big-endian.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let request = [1, 0x3F, 0xF4, 0, 0, 0, 0, 0, 0];
+        assert_eq!(AggMsg::Request { value: 1.25 }.to_wire(), request);
+        assert_eq!(AggMsg::from_wire(&request), Ok(AggMsg::Request { value: 1.25 }));
+        let response = [2, 0xC0, 0x1E, 0, 0, 0, 0, 0, 0];
+        assert_eq!(AggMsg::Response { value: -7.5 }.to_wire(), response);
+        assert_eq!(AggMsg::from_wire(&response), Ok(AggMsg::Response { value: -7.5 }));
+    }
 }

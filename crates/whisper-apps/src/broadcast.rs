@@ -397,4 +397,26 @@ mod tests {
         assert_eq!(BcastMsg::from_wire(&msg.to_wire()).unwrap(), msg);
         assert!(BcastMsg::from_wire(&[9, 9]).is_err());
     }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let gossip = BcastMsg::Gossip {
+            events: vec![event(1, 2, b"hi")],
+            digest: vec![EventId { origin: NodeId(3), seq: 4 }],
+            push: true,
+        };
+        let bytes = [
+            &[1, 1][..],
+            &[0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 2, b'h', b'i'],
+            &[1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 4],
+            &[1],
+        ]
+        .concat();
+        assert_eq!(gossip.to_wire(), bytes);
+        assert_eq!(BcastMsg::from_wire(&bytes), Ok(gossip));
+        let request = BcastMsg::Request { ids: vec![EventId { origin: NodeId(9), seq: 5 }] };
+        let bytes = [2, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 5];
+        assert_eq!(request.to_wire(), bytes);
+        assert_eq!(BcastMsg::from_wire(&bytes), Ok(request));
+    }
 }

@@ -607,6 +607,42 @@ mod tests {
     }
 
     #[test]
+    fn wire_bytes_are_pinned() {
+        use whisper_rand::SeedableRng;
+        use whisper_crypto::rsa::{KeyPair, RsaKeySize};
+        let kp = KeyPair::generate(RsaKeySize::Sim384, &mut whisper_rand::rngs::StdRng::seed_from_u64(3));
+        let entry = PrivateEntry { node: NodeId(7), age: 0, public: true, key: kp.public().clone(), gateways: vec![] };
+        let d = SkipDescriptor { key: 42, level: 3, entry };
+        let u = |v: u64| v.to_be_bytes();
+        let d_image = [&u(42)[..], &[3], &u(7), &[0, 0, 1], &kp.public().to_wire(), &[0]].concat();
+        for (msg, bytes) in [
+            (
+                SkipMsg::Exchange(Exchange { descriptors: vec![d.clone()], respond: true }),
+                [&[1, 1][..], &d_image, &[1]].concat(),
+            ),
+            (
+                SkipMsg::Search { query_id: 1, target: 9, origin: d.clone(), hops: 2 },
+                [&[2][..], &u(1), &u(9), &d_image, &[2]].concat(),
+            ),
+            (
+                SkipMsg::SearchReply { query_id: 1, owner: NodeId(3), owner_key: 8, hops: 3 },
+                [&[3][..], &u(1), &u(3), &u(8), &[3]].concat(),
+            ),
+            (
+                SkipMsg::Range { query_id: 2, lo: 1, hi: 5, origin: d, acc: vec![2, 3], hops: 1 },
+                [&[4][..], &u(2), &u(1), &u(5), &d_image, &[2], &u(2), &u(3), &[1]].concat(),
+            ),
+            (
+                SkipMsg::RangeReply { query_id: 2, keys: vec![2, 3, 4] },
+                [&[5][..], &u(2), &[3], &u(2), &u(3), &u(4)].concat(),
+            ),
+        ] {
+            assert_eq!(msg.to_wire(), bytes, "{msg:?}");
+            assert_eq!(SkipMsg::from_wire(&bytes), Ok(msg));
+        }
+    }
+
+    #[test]
     fn default_keys_are_spread() {
         let a = default_key_of(NodeId(1));
         let b = default_key_of(NodeId(2));

@@ -515,6 +515,35 @@ mod tests {
     }
 
     #[test]
+    fn wire_bytes_are_pinned() {
+        use whisper_rand::SeedableRng;
+        use whisper_crypto::rsa::{KeyPair, RsaKeySize};
+        let kp = KeyPair::generate(RsaKeySize::Sim384, &mut whisper_rand::rngs::StdRng::seed_from_u64(5));
+        let entry = PrivateEntry { node: NodeId(7), age: 0, public: true, key: kp.public().clone(), gateways: vec![] };
+        let d = ChordDescriptor { key: ChordKey(42), entry };
+        let u = |v: u64| v.to_be_bytes();
+        let d_image = [&u(42)[..], &u(7), &[0, 0, 1], &kp.public().to_wire(), &[0]].concat();
+        assert_eq!(d.to_wire(), d_image);
+        for (msg, bytes) in [
+            (
+                TChordMsg::Exchange(Exchange { descriptors: vec![d.clone()], respond: true }),
+                [&[1, 1][..], &d_image, &[1]].concat(),
+            ),
+            (
+                TChordMsg::Lookup { query_id: 9, key: ChordKey(1), origin: d, hops: 3 },
+                [&[2][..], &u(9), &u(1), &d_image, &[3]].concat(),
+            ),
+            (
+                TChordMsg::LookupReply { query_id: 9, owner: NodeId(3), owner_key: ChordKey(1), hops: 4 },
+                [&[3][..], &u(9), &u(3), &u(1), &[4]].concat(),
+            ),
+        ] {
+            assert_eq!(msg.to_wire(), bytes, "{msg:?}");
+            assert_eq!(TChordMsg::from_wire(&bytes), Ok(msg));
+        }
+    }
+
+    #[test]
     fn config_defaults() {
         let c = TChordConfig::default();
         assert_eq!(c.cycle.as_secs(), 30);

@@ -481,3 +481,47 @@ fn a_failed_route_evicts_its_member_from_every_group() {
         assert!(state.pcp.is_empty(), "{group:?}");
     }
 }
+
+/// The journal's three record kinds, pinned byte for byte: replaying
+/// these images builds a state whose snapshot writes them back
+/// unchanged, and a record with a byte too many, or an unknown tag, is
+/// refused.
+#[test]
+fn journal_records_keep_their_bytes() {
+    let pair = KeyPair::generate(RsaKeySize::Sim384, &mut StdRng::seed_from_u64(8));
+    let key = pair.public().to_wire();
+    let id = |n: u8| [[0; 15].as_slice(), &[n]].concat();
+    // node, age 3, P-node, key, one gateway (n100 and its key).
+    let entry = |n: u8| [&[0, 0, 0, 0, 0, 0, 0, n, 0, 3, 1][..], &key, &[1, 0, 0, 0, 0, 0, 0, 0, 100], &key].concat();
+    let group = [
+        &[1][..],
+        &id(1),
+        &[1],
+        &key,
+        &[1],
+        &pair.to_wire(),
+        &[0, 0, 0, 0, 0, 0, 0, 9, 3, 7, 7, 7],
+        &[0, 0, 0, 0, 0, 0, 0, 5],
+        &[2, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 6],
+        &[1],
+        &entry(10),
+    ]
+    .concat();
+    let pending = [&[3][..], &id(2), &key, &[2, 5, 5], &entry(11)].concat();
+    let tombstone = [&[2][..], &id(3), &[4, 0xDE, 0xAD, 0xBE, 0xEF]].concat();
+    let records = vec![group, pending, tombstone];
+
+    let mut ppss = Ppss::new(PpssConfig::default());
+    for record in &records {
+        ppss.apply_record(record).expect("a pinned record");
+    }
+    assert_eq!(ppss.groups[&GroupId(1)].epoch(), 5);
+    assert_eq!(ppss.pending_joins[&GroupId(2)].invitation.accreditation, [5, 5]);
+    assert_eq!(ppss.deleted[&GroupId(3)], [0xDE, 0xAD, 0xBE, 0xEF]);
+    assert_eq!(ppss.snapshot_records(), records);
+    for record in &records {
+        assert!(ppss.apply_record(&[record.as_slice(), &[0]].concat()).is_err(), "a trailing byte");
+        assert!(ppss.apply_record(&record[..record.len() - 1]).is_err(), "a byte short");
+    }
+    assert!(ppss.apply_record(&[4]).is_err(), "an unknown tag");
+}

@@ -104,6 +104,15 @@ mod tests {
     }
 
     #[test]
+    fn endpoint_wire_image_is_node_then_port() {
+        use crate::wire::WireEncode;
+        let ep = Endpoint { node: NodeId(0x0102_0304_0506_0708), port: 0x090A };
+        assert_eq!(ep.to_wire(), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(Endpoint::from_wire(&ep.to_wire()), Ok(ep));
+        assert!(Endpoint::from_wire(&[1, 2, 3, 4, 5, 6, 7, 8, 9]).is_err());
+    }
+
+    #[test]
     fn public_endpoint_uses_port_zero() {
         assert_eq!(Endpoint::public(NodeId(3)).port, 0);
     }
