@@ -11,7 +11,7 @@
 
 use whisper_core::{GroupApp, GroupId, WhisperApi};
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
+use whisper_net::wire::{WireDecode, WireEncode};
 use whisper_net::{NodeId, SimDuration};
 
 /// Which aggregate is being computed.
@@ -81,30 +81,10 @@ enum AggMsg {
     Response { value: f64 },
 }
 
-impl WireEncode for AggMsg {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        match self {
-            AggMsg::Request { value } => {
-                w.put_u8(1);
-                w.put_u64(value.to_bits());
-            }
-            AggMsg::Response { value } => {
-                w.put_u8(2);
-                w.put_u64(value.to_bits());
-            }
-        }
-    }
-}
-
-impl WireDecode for AggMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.take_u8()? {
-            1 => Ok(AggMsg::Request { value: f64::from_bits(r.take_u64()?) }),
-            2 => Ok(AggMsg::Response { value: f64::from_bits(r.take_u64()?) }),
-            _ => Err(WireError::new("unknown aggregation tag")),
-        }
-    }
-}
+whisper_net::wire_format!(enum AggMsg, "unknown aggregation tag" {
+    1 => Request { value },
+    2 => Response { value },
+});
 
 const AGG_TIMER: u64 = 1;
 

@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use whisper_core::{GroupApp, GroupId, WhisperApi};
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
+use whisper_net::wire::{WireDecode, WireEncode};
 use whisper_net::{NodeId, SimDuration};
 
 /// Identifier of a broadcast event.
@@ -25,18 +25,7 @@ pub struct EventId {
     pub seq: u64,
 }
 
-impl WireEncode for EventId {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put(&self.origin);
-        w.put_u64(self.seq);
-    }
-}
-
-impl WireDecode for EventId {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(EventId { origin: r.take()?, seq: r.take_u64()? })
-    }
-}
+whisper_net::wire_format!(EventId { origin, seq });
 
 /// A broadcast event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,18 +36,7 @@ pub struct Event {
     pub payload: Vec<u8>,
 }
 
-impl WireEncode for Event {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put(&self.id);
-        w.put_bytes(&self.payload);
-    }
-}
-
-impl WireDecode for Event {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Event { id: r.take()?, payload: r.take_bytes()?.to_vec() })
-    }
-}
+whisper_net::wire_format!(Event { id, payload });
 
 #[derive(Clone, Debug, PartialEq)]
 enum BcastMsg {
@@ -70,36 +48,10 @@ enum BcastMsg {
     Request { ids: Vec<EventId> },
 }
 
-impl WireEncode for BcastMsg {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        match self {
-            BcastMsg::Gossip { events, digest, push } => {
-                w.put_u8(1);
-                w.put_seq(events);
-                w.put_seq(digest);
-                w.put(push);
-            }
-            BcastMsg::Request { ids } => {
-                w.put_u8(2);
-                w.put_seq(ids);
-            }
-        }
-    }
-}
-
-impl WireDecode for BcastMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            1 => BcastMsg::Gossip {
-                events: r.take_seq()?,
-                digest: r.take_seq()?,
-                push: r.take()?,
-            },
-            2 => BcastMsg::Request { ids: r.take_seq()? },
-            _ => return Err(WireError::new("unknown broadcast tag")),
-        })
-    }
-}
+whisper_net::wire_format!(enum BcastMsg, "unknown broadcast tag" {
+    1 => Gossip { events: seq, digest: seq, push },
+    2 => Request { ids: seq },
+});
 
 /// Configuration of the broadcast layer.
 #[derive(Clone, Debug)]

@@ -16,6 +16,8 @@ pub const FINGER_BITS: usize = 64;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChordKey(pub u64);
 
+whisper_net::wire_format!(ChordKey(key));
+
 impl std::fmt::Debug for ChordKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "k{:016x}", self.0)

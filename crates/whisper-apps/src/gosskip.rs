@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use whisper_core::{GroupApp, GroupId, PrivateEntry, WhisperApi};
 use whisper_crypto::sha256::Sha256;
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
+use whisper_net::wire::{WireDecode, WireEncode};
 use whisper_net::{NodeId, SimDuration, SimTime};
 
 /// The deterministic skip level of a node: number of trailing zero bits
@@ -49,19 +49,7 @@ impl Descriptor for SkipDescriptor {
     }
 }
 
-impl WireEncode for SkipDescriptor {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put_u64(self.key);
-        w.put_u8(self.level);
-        w.put(&self.entry);
-    }
-}
-
-impl WireDecode for SkipDescriptor {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(SkipDescriptor { key: r.take_u64()?, level: r.take_u8()?, entry: r.take()? })
-    }
-}
+whisper_net::wire_format!(SkipDescriptor { key, level, entry });
 
 #[derive(Clone, Debug, PartialEq)]
 enum SkipMsg {
@@ -72,74 +60,13 @@ enum SkipMsg {
     RangeReply { query_id: u64, keys: Vec<u64> },
 }
 
-impl WireEncode for SkipMsg {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        match self {
-            SkipMsg::Exchange(exchange) => {
-                w.put_u8(1);
-                w.put(exchange);
-            }
-            SkipMsg::Search { query_id, target, origin, hops } => {
-                w.put_u8(2);
-                w.put_u64(*query_id);
-                w.put_u64(*target);
-                w.put(origin);
-                w.put_u8(*hops);
-            }
-            SkipMsg::SearchReply { query_id, owner, owner_key, hops } => {
-                w.put_u8(3);
-                w.put_u64(*query_id);
-                w.put(owner);
-                w.put_u64(*owner_key);
-                w.put_u8(*hops);
-            }
-            SkipMsg::Range { query_id, lo, hi, origin, acc, hops } => {
-                w.put_u8(4);
-                w.put_u64(*query_id);
-                w.put_u64(*lo);
-                w.put_u64(*hi);
-                w.put(origin);
-                w.put_seq(acc);
-                w.put_u8(*hops);
-            }
-            SkipMsg::RangeReply { query_id, keys } => {
-                w.put_u8(5);
-                w.put_u64(*query_id);
-                w.put_seq(keys);
-            }
-        }
-    }
-}
-
-impl WireDecode for SkipMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            1 => SkipMsg::Exchange(r.take()?),
-            2 => SkipMsg::Search {
-                query_id: r.take_u64()?,
-                target: r.take_u64()?,
-                origin: r.take()?,
-                hops: r.take_u8()?,
-            },
-            3 => SkipMsg::SearchReply {
-                query_id: r.take_u64()?,
-                owner: r.take()?,
-                owner_key: r.take_u64()?,
-                hops: r.take_u8()?,
-            },
-            4 => SkipMsg::Range {
-                query_id: r.take_u64()?,
-                lo: r.take_u64()?,
-                hi: r.take_u64()?,
-                origin: r.take()?,
-                acc: r.take_seq()?,
-                hops: r.take_u8()?,
-            },
-            5 => SkipMsg::RangeReply { query_id: r.take_u64()?, keys: r.take_seq()? },
-            _ => return Err(WireError::new("unknown GosSkip tag")),
-        })
-    }
-}
+whisper_net::wire_format!(enum SkipMsg, "unknown GosSkip tag" {
+    1 => Exchange(exchange),
+    2 => Search { query_id, target, origin, hops },
+    3 => SearchReply { query_id, owner, owner_key, hops },
+    4 => Range { query_id, lo, hi, origin, acc: seq, hops },
+    5 => RangeReply { query_id, keys: seq },
+});
 
 /// GosSkip configuration.
 #[derive(Clone, Debug)]

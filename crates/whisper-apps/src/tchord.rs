@@ -17,7 +17,7 @@ use crate::tman::{Descriptor, Exchange, TMan};
 use std::collections::HashMap;
 use whisper_core::{GroupApp, GroupId, PrivateEntry, WhisperApi};
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
+use whisper_net::wire::{WireDecode, WireEncode};
 use whisper_net::{NodeId, SimDuration, SimTime};
 
 /// A T-Chord descriptor: a ring position plus the PPSS entry needed to
@@ -36,18 +36,7 @@ impl Descriptor for ChordDescriptor {
     }
 }
 
-impl WireEncode for ChordDescriptor {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put_u64(self.key.0);
-        w.put(&self.entry);
-    }
-}
-
-impl WireDecode for ChordDescriptor {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ChordDescriptor { key: ChordKey(r.take_u64()?), entry: r.take()? })
-    }
-}
+whisper_net::wire_format!(ChordDescriptor { key, entry });
 
 /// T-Chord wire messages (inside PPSS `AppData`).
 #[derive(Clone, Debug, PartialEq)]
@@ -57,51 +46,11 @@ enum TChordMsg {
     LookupReply { query_id: u64, owner: NodeId, owner_key: ChordKey, hops: u8 },
 }
 
-impl WireEncode for TChordMsg {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        match self {
-            TChordMsg::Exchange(exchange) => {
-                w.put_u8(1);
-                w.put(exchange);
-            }
-            TChordMsg::Lookup { query_id, key, origin, hops } => {
-                w.put_u8(2);
-                w.put_u64(*query_id);
-                w.put_u64(key.0);
-                w.put(origin);
-                w.put_u8(*hops);
-            }
-            TChordMsg::LookupReply { query_id, owner, owner_key, hops } => {
-                w.put_u8(3);
-                w.put_u64(*query_id);
-                w.put(owner);
-                w.put_u64(owner_key.0);
-                w.put_u8(*hops);
-            }
-        }
-    }
-}
-
-impl WireDecode for TChordMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            1 => TChordMsg::Exchange(r.take()?),
-            2 => TChordMsg::Lookup {
-                query_id: r.take_u64()?,
-                key: ChordKey(r.take_u64()?),
-                origin: r.take()?,
-                hops: r.take_u8()?,
-            },
-            3 => TChordMsg::LookupReply {
-                query_id: r.take_u64()?,
-                owner: r.take()?,
-                owner_key: ChordKey(r.take_u64()?),
-                hops: r.take_u8()?,
-            },
-            _ => return Err(WireError::new("unknown T-Chord tag")),
-        })
-    }
-}
+whisper_net::wire_format!(enum TChordMsg, "unknown T-Chord tag" {
+    1 => Exchange(exchange),
+    2 => Lookup { query_id, key, origin, hops },
+    3 => LookupReply { query_id, owner, owner_key, hops },
+});
 
 /// T-Chord configuration.
 #[derive(Clone, Debug)]

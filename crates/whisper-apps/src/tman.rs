@@ -14,7 +14,6 @@
 
 use std::collections::HashMap;
 use whisper_core::PrivateEntry;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::NodeId;
 use whisper_rand::Rng;
 
@@ -40,18 +39,7 @@ pub struct Exchange<D> {
     pub respond: bool,
 }
 
-impl<D: WireEncode> WireEncode for Exchange<D> {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put_seq(&self.descriptors);
-        w.put(&self.respond);
-    }
-}
-
-impl<D: WireDecode> WireDecode for Exchange<D> {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Exchange { descriptors: r.take_seq()?, respond: r.take()? })
-    }
-}
+whisper_net::wire_format!(Exchange<D> { descriptors: seq, respond });
 
 /// The T-Man protocol at one node: the ranked view, a directory of every
 /// descriptor learned, and the cycle count that picks the partners.

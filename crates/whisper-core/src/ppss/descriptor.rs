@@ -73,19 +73,7 @@ pub struct MemberDot {
     pub counter: u64,
 }
 
-impl WireEncode for MemberDot {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put(&self.node);
-        w.put_u64(self.epoch);
-        w.put_u64(self.counter);
-    }
-}
-
-impl WireDecode for MemberDot {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(MemberDot { node: r.take()?, epoch: r.take_u64()?, counter: r.take_u64()? })
-    }
-}
+whisper_net::wire_format!(MemberDot { node, epoch, counter });
 
 /// Hash of a group key history (oldest first), pinned into descriptors so
 /// members can detect that a descriptor was signed under a history they
@@ -202,6 +190,7 @@ impl WireEncode for GroupDescriptor {
     }
 }
 
+// Not a field list: its signed body.
 impl WireDecode for GroupDescriptor {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let group = r.take()?;

@@ -52,6 +52,7 @@ impl WireEncode for GroupId {
     }
 }
 
+// Not a field list: a `u128` written as two `u64`s.
 impl WireDecode for GroupId {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let hi = r.take_u64()?;
@@ -98,18 +99,7 @@ impl Passport {
     }
 }
 
-impl WireEncode for Passport {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put(&self.node);
-        w.put_bytes(&self.signature);
-    }
-}
-
-impl WireDecode for Passport {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Passport { node: r.take()?, signature: r.take_bytes()?.to_vec() })
-    }
-}
+whisper_net::wire_format!(Passport { node, signature });
 
 /// Passports one holder bothers to remember having verified.
 pub const PASSPORT_MEMO_CAP: usize = 64;
@@ -198,6 +188,8 @@ pub struct Invitation {
     /// A member to contact for the join handshake (typically a leader).
     pub entry_point: PrivateEntry,
 }
+
+whisper_net::wire_format!(Invitation { group, group_key, accreditation, entry_point });
 
 #[cfg(test)]
 mod tests {

@@ -18,8 +18,8 @@
 //! `(v)` is the wire codec's length prefix, [`WireSink::put_len`]: 1 byte
 //! below 64, 2 below 16 384.
 //!
-//! Payload contents are opaque to the journal (the PPSS layer encodes
-//! [`crate::ppss::journal`]-level records with the wire codec).
+//! Payload contents are opaque to the journal: the PPSS layer writes its
+//! `Record`s (`ppss/lifecycle.rs`) there with the wire codec.
 //!
 //! ## Crash recovery
 //!

@@ -8,10 +8,10 @@ use super::group::{issue_accreditation, verify_accreditation, Invitation, Passpo
 use super::messages::PpssMsg;
 use super::{GroupId, GroupState, Passport, Ppss, PpssEvent, PrivateEntry, GOSSIP_LEN};
 use crate::wcl::{Arrival, Wcl};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink, WireWriter};
+use whisper_net::wire::{WireDecode, WireEncode, WireError};
 use whisper_net::NodeId;
 use whisper_pss::NylonCore;
 
@@ -34,7 +34,7 @@ impl GroupState {
             leader_key,
             passport,
             view: Vec::new(),
-            pcp: HashMap::new(),
+            pcp: BTreeMap::new(),
             tracker,
             latest_announcement: None,
             revoked: BTreeSet::new(),
@@ -53,31 +53,44 @@ impl GroupState {
 /// cycles.
 const JOURNAL_COMPACT_BYTES: usize = 128 * 1024;
 
-/// Record tag: a full durable snapshot of one group.
-pub(super) const REC_GROUP: u8 = 1;
-/// Record tag: the group was deleted, under the signed tombstone the
-/// record keeps; sticky forever.
-pub(super) const REC_TOMBSTONE: u8 = 2;
-/// Record tag: a join handshake was started from an invitation.
-const REC_PENDING: u8 = 3;
+/// One journal record: what a replay folds into the group table.
+// A record lives only between its image and the state it is folded into
+// or taken from, so the size of its largest variant costs nothing.
+#[allow(clippy::large_enum_variant)]
+pub(super) enum Record {
+    /// The durable slice of one group's state: everything a node must
+    /// still know after losing RAM — keys, passport, epoch, revoked set
+    /// and a contact cache to re-bootstrap the private view from.
+    /// Volatile state (in-flight exchanges, the PCP freshness,
+    /// announcements) is deliberately absent.
+    Group {
+        group: GroupId,
+        key_history: Vec<PublicKey>,
+        leader_key: Option<KeyPair>,
+        passport: Passport,
+        epoch: u64,
+        revoked: Vec<NodeId>,
+        contacts: Vec<PrivateEntry>,
+    },
+    /// The group was deleted, under the signed tombstone the record
+    /// keeps; sticky forever.
+    Tombstone { group: GroupId, tombstone: Vec<u8> },
+    /// A join handshake was started from this invitation.
+    Pending(Invitation),
+}
 
-/// Serializes the durable slice of one group's state: everything a node
-/// must still know after losing RAM — keys, passport, epoch, revoked
-/// set and a contact cache to re-bootstrap the private view from.
-/// Volatile state (in-flight exchanges, the PCP freshness,
-/// announcements) is deliberately absent.
+whisper_net::wire_format!(enum Record, "journal record tag" {
+    1 => Group {
+        group, key_history: seq, leader_key: opt, passport, epoch, revoked: seq, contacts: seq
+    },
+    2 => Tombstone { group, tombstone },
+    3 => Pending(invitation),
+});
+
+/// The snapshot record of one group. Its contact cache is the private
+/// view plus the PCP at checkpoint time, sorted by node: the view is in
+/// no order of its own.
 fn encode_group_record(group: GroupId, state: &GroupState) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u8(REC_GROUP);
-    w.put(&group);
-    w.put_seq(&state.key_history);
-    w.put_opt(&state.leader_key);
-    w.put(&state.passport);
-    w.put_u64(state.tracker.epoch);
-    let revoked: Vec<NodeId> = state.revoked.iter().copied().collect();
-    w.put_seq(&revoked);
-    // Contact cache: the private view plus PCP at checkpoint time,
-    // sorted so the record bytes are independent of HashMap order.
     let mut contacts: Vec<PrivateEntry> = state.view.clone();
     for e in state.pcp.values() {
         if !contacts.iter().any(|c| c.node == e.node) {
@@ -85,26 +98,16 @@ fn encode_group_record(group: GroupId, state: &GroupState) -> Vec<u8> {
         }
     }
     contacts.sort_by_key(|e| e.node);
-    w.put_seq(&contacts);
-    w.into_bytes()
-}
-
-fn encode_tombstone_record(group: GroupId, tombstone: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u8(REC_TOMBSTONE);
-    w.put(&group);
-    w.put_bytes(tombstone);
-    w.into_bytes()
-}
-
-fn encode_pending_record(group: GroupId, invitation: &Invitation) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u8(REC_PENDING);
-    w.put(&group);
-    w.put(&invitation.group_key);
-    w.put_bytes(&invitation.accreditation);
-    w.put(&invitation.entry_point);
-    w.into_bytes()
+    Record::Group {
+        group,
+        key_history: state.key_history.clone(),
+        leader_key: state.leader_key.clone(),
+        passport: state.passport.clone(),
+        epoch: state.tracker.epoch,
+        revoked: state.revoked.iter().copied().collect(),
+        contacts,
+    }
+    .to_wire()
 }
 
 /// A pending join: retried every cycle until the ack arrives.
@@ -144,7 +147,7 @@ impl Ppss {
         let passport = Passport::issue(&group_key, id, nylon.id());
         let state =
             GroupState::fresh(vec![group_key.public().clone()], Some(group_key), passport, 0);
-        self.groups.insert(id, state);
+        self.groups.insert(id, Box::new(state));
         ctx.metrics().count("ppss.groups_created", 1);
         self.journal_group(id);
         Some(id)
@@ -188,7 +191,7 @@ impl Ppss {
             ctx.metrics().count("ppss.resurrection_blocked", 1);
             return;
         }
-        self.journal.append(&encode_pending_record(group, &invitation));
+        self.journal.append(&Record::Pending(invitation.clone()).to_wire());
         self.pending_joins
             .insert(group, PendingJoin { invitation, msg_id: None });
         self.try_pending_join(ctx, nylon, wcl, group);
@@ -274,7 +277,7 @@ impl Ppss {
                 wcl.send_untracked(ctx, nylon, target, &push, None);
             }
         }
-        self.journal.append(&encode_tombstone_record(group, &tombstone));
+        self.journal.append(&Record::Tombstone { group, tombstone: tombstone.clone() }.to_wire());
         self.bury(group, tombstone);
         ctx.metrics().count("ppss.groups_deleted", 1);
         vec![PpssEvent::GroupDeleted { group }]
@@ -354,17 +357,8 @@ impl Ppss {
     /// Folds one journaled record into the group table (replay order
     /// matters: later records win, tombstones win over everything).
     pub(super) fn apply_record(&mut self, record: &[u8]) -> Result<(), WireError> {
-        let mut r = WireReader::new(record);
-        match r.take_u8()? {
-            REC_GROUP => {
-                let group: GroupId = r.take()?;
-                let key_history: Vec<PublicKey> = r.take_seq()?;
-                let leader_key: Option<KeyPair> = r.take_opt()?;
-                let passport: Passport = r.take()?;
-                let epoch = r.take_u64()?;
-                let revoked: Vec<NodeId> = r.take_seq()?;
-                let contacts: Vec<PrivateEntry> = r.take_seq()?;
-                r.finish()?;
+        match Record::from_wire(record)? {
+            Record::Group { group, key_history, leader_key, passport, epoch, revoked, contacts } => {
                 if self.deleted.contains_key(&group) {
                     return Ok(()); // a tombstone never un-deletes
                 }
@@ -372,32 +366,15 @@ impl Ppss {
                 state.revoked = revoked.into_iter().collect();
                 state.view = contacts;
                 self.pending_joins.remove(&group); // the join completed
-                self.groups.insert(group, state);
+                self.groups.insert(group, Box::new(state));
             }
-            REC_TOMBSTONE => {
-                let group: GroupId = r.take()?;
-                let tombstone = r.take_bytes()?.to_vec();
-                r.finish()?;
-                self.bury(group, tombstone);
-            }
-            REC_PENDING => {
-                let group: GroupId = r.take()?;
-                let group_key: PublicKey = r.take()?;
-                let accreditation: Vec<u8> = r.take_bytes()?.to_vec();
-                let entry_point: PrivateEntry = r.take()?;
-                r.finish()?;
-                if self.groups.contains_key(&group) || self.deleted.contains_key(&group) {
-                    return Ok(());
+            Record::Tombstone { group, tombstone } => self.bury(group, tombstone),
+            Record::Pending(invitation) => {
+                let group = invitation.group;
+                if !self.groups.contains_key(&group) && !self.deleted.contains_key(&group) {
+                    self.pending_joins.insert(group, PendingJoin { invitation, msg_id: None });
                 }
-                self.pending_joins.insert(
-                    group,
-                    PendingJoin {
-                        invitation: Invitation { group, group_key, accreditation, entry_point },
-                        msg_id: None,
-                    },
-                );
             }
-            _ => return Err(WireError::new("journal record tag")),
         }
         Ok(())
     }
@@ -425,21 +402,13 @@ impl Ppss {
     /// pending record per outstanding join and one tombstone per deleted
     /// group.
     pub(super) fn snapshot_records(&self) -> Vec<Vec<u8>> {
-        let mut records: Vec<Vec<u8>> = Vec::new();
-        let mut ids: Vec<GroupId> = self.groups.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            records.push(encode_group_record(id, &self.groups[&id]));
-        }
-        let mut pending: Vec<GroupId> = self.pending_joins.keys().copied().collect();
-        pending.sort_unstable();
-        for id in pending {
-            records.push(encode_pending_record(id, &self.pending_joins[&id].invitation));
-        }
-        for (id, tombstone) in &self.deleted {
-            records.push(encode_tombstone_record(*id, tombstone));
-        }
-        records
+        let groups = self.groups.iter().map(|(&id, state)| encode_group_record(id, state));
+        let pending =
+            self.pending_joins.values().map(|p| Record::Pending(p.invitation.clone()).to_wire());
+        let deleted = self.deleted.iter().map(|(&group, tombstone)| {
+            Record::Tombstone { group, tombstone: tombstone.clone() }.to_wire()
+        });
+        groups.chain(pending).chain(deleted).collect()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -525,7 +494,7 @@ impl Ppss {
         }
         let mut state = GroupState::fresh(history, None, passport, 0);
         state.merge_entries(nylon.id(), entries, self.cfg.view_size);
-        self.groups.insert(group, state);
+        self.groups.insert(group, Box::new(state));
         ctx.metrics().count("ppss.joins_completed", 1);
         self.journal_group(group);
         events.push(PpssEvent::Joined { group });

@@ -24,27 +24,7 @@ pub struct PrivateEntry {
     pub gateways: Vec<GatewayInfo>,
 }
 
-impl WireEncode for PrivateEntry {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put(&self.node);
-        w.put_u16(self.age);
-        w.put(&self.public);
-        w.put(&self.key);
-        w.put_seq(&self.gateways);
-    }
-}
-
-impl WireDecode for PrivateEntry {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(PrivateEntry {
-            node: r.take()?,
-            age: r.take_u16()?,
-            public: r.take()?,
-            key: r.take()?,
-            gateways: r.take_seq()?,
-        })
-    }
-}
+whisper_net::wire_format!(PrivateEntry { node, age, public, key, gateways: seq });
 
 /// Leader liveness information piggybacked on exchanges.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -55,18 +35,7 @@ pub struct Heartbeat {
     pub seq: u64,
 }
 
-impl WireEncode for Heartbeat {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put_u64(self.epoch);
-        w.put_u64(self.seq);
-    }
-}
-
-impl WireDecode for Heartbeat {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Heartbeat { epoch: r.take_u64()?, seq: r.take_u64()? })
-    }
-}
+whisper_net::wire_format!(Heartbeat { epoch, seq });
 
 /// A leader-election proposal: the gossip-aggregated maximum wins
 /// (paper §IV-A). What it proposes is a function of the proposer
@@ -80,18 +49,7 @@ pub struct ElectionBallot {
     pub node: NodeId,
 }
 
-impl WireEncode for ElectionBallot {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put_u64(self.round);
-        w.put(&self.node);
-    }
-}
-
-impl WireDecode for ElectionBallot {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ElectionBallot { round: r.take_u64()?, node: r.take()? })
-    }
-}
+whisper_net::wire_format!(ElectionBallot { round, node });
 
 /// Announcement of a freshly elected leader's new group public key,
 /// "signed by their identity" (paper §IV-A).
@@ -125,25 +83,7 @@ impl NewKeyAnnouncement {
     }
 }
 
-impl WireEncode for NewKeyAnnouncement {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put_u64(self.epoch);
-        w.put(&self.group_key);
-        w.put(&self.signer_key);
-        w.put_bytes(&self.signature);
-    }
-}
-
-impl WireDecode for NewKeyAnnouncement {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(NewKeyAnnouncement {
-            epoch: r.take_u64()?,
-            group_key: r.take()?,
-            signer_key: r.take()?,
-            signature: r.take_bytes()?.to_vec(),
-        })
-    }
-}
+whisper_net::wire_format!(NewKeyAnnouncement { epoch, group_key, signer_key, signature });
 
 /// A PPSS message (always inside a WCL payload).
 #[derive(Clone, Debug, PartialEq)]
@@ -346,6 +286,7 @@ impl PpssMsg {
     }
 }
 
+// Not a field list: the `AppData` image ends in an `AppShort` image, which a circuit sends alone.
 impl WireDecode for PpssMsg {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(match r.take_u8()? {

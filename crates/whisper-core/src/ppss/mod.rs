@@ -22,7 +22,7 @@ use journal::Journal;
 use lifecycle::PendingJoin;
 pub use messages::PrivateEntry;
 use messages::{app_short_len, NewKeyAnnouncement, PpssMsg};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode, WireReader};
@@ -137,7 +137,7 @@ pub struct GroupState {
     view: Vec<PrivateEntry>,
     /// Persistent connection pool: entries kept fresh independently of
     /// the view.
-    pcp: HashMap<NodeId, PrivateEntry>,
+    pcp: BTreeMap<NodeId, PrivateEntry>,
     /// Leader liveness / election state.
     tracker: LeaderTracker,
     /// Latest verified key announcement, piggybacked for dissemination.
@@ -169,7 +169,7 @@ impl GroupState {
     }
 
     /// The persistent connection pool entries.
-    pub fn pcp(&self) -> &HashMap<NodeId, PrivateEntry> {
+    pub fn pcp(&self) -> &BTreeMap<NodeId, PrivateEntry> {
         &self.pcp
     }
 
@@ -209,8 +209,10 @@ impl GroupState {
 /// The private peer sampling service of one node.
 pub struct Ppss {
     cfg: PpssConfig,
-    groups: HashMap<GroupId, GroupState>,
-    pending_joins: HashMap<GroupId, PendingJoin>,
+    /// Boxed: a B-tree node holds eleven values, so inline states would
+    /// take eleven states' room for the one or two groups a node has.
+    groups: BTreeMap<GroupId, Box<GroupState>>,
+    pending_joins: BTreeMap<GroupId, PendingJoin>,
     started: bool,
     cycles_run: u64,
     /// The node's "disk": every durable group change is appended here,
@@ -235,8 +237,8 @@ impl Ppss {
     pub fn new(cfg: PpssConfig) -> Self {
         Ppss {
             cfg,
-            groups: HashMap::new(),
-            pending_joins: HashMap::new(),
+            groups: BTreeMap::new(),
+            pending_joins: BTreeMap::new(),
             started: false,
             cycles_run: 0,
             journal: Journal::new(),
@@ -254,16 +256,14 @@ impl Ppss {
         &self.cfg
     }
 
-    /// Groups this node belongs to, sorted (deterministic).
+    /// Groups this node belongs to, in id order.
     pub fn group_ids(&self) -> Vec<GroupId> {
-        let mut ids: Vec<GroupId> = self.groups.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.groups.keys().copied().collect()
     }
 
     /// The state of `group`, if this node is a member.
     pub fn group(&self, group: GroupId) -> Option<&GroupState> {
-        self.groups.get(&group)
+        self.groups.get(&group).map(|state| &**state)
     }
 
     /// The image of the signed tombstone that deleted `group` here, if one
@@ -373,18 +373,13 @@ impl Ppss {
         let mut to_journal: Vec<GroupId> = Vec::new();
         self.cycles_run += 1;
         ctx.set_timer(CYCLE, timer::token(timer::PPSS_CYCLE, 0));
-        // Retry pending joins — in sorted order: each retry draws from the
-        // node RNG (route choice, onion padding), so walking the `HashMap`
-        // in its per-process order would make the run irreproducible.
-        let mut pending: Vec<GroupId> = self.pending_joins.keys().copied().collect();
-        pending.sort_unstable();
+        let pending: Vec<GroupId> = self.pending_joins.keys().copied().collect();
         for group in pending {
             self.try_pending_join(ctx, nylon, wcl, group);
         }
         let my_entry = self.my_entry(nylon);
         let me = nylon.id();
-        for group in self.group_ids() {
-            let state = self.groups.get_mut(&group).expect("listed");
+        for (&group, state) in &mut self.groups {
             // Leader heartbeats / member election bookkeeping.
             if state.is_leader() {
                 state.tracker.beat();
@@ -422,8 +417,6 @@ impl Ppss {
             let records = self.snapshot_records();
             self.journal.checkpoint_with(records.iter().map(|r| r.as_slice()));
         } else {
-            to_journal.sort_unstable();
-            to_journal.dedup();
             for group in to_journal {
                 self.journal_group(group);
             }
@@ -436,22 +429,16 @@ impl Ppss {
     pub fn on_pcp_refresh(&mut self, ctx: &mut Ctx<'_>, nylon: &mut NylonCore, wcl: &mut Wcl) {
         ctx.set_timer(PCP_REFRESH, timer::token(timer::PCP_REFRESH, 0));
         let my_entry = self.my_entry(nylon);
-        for group in self.group_ids() {
-            let state = self.groups.get_mut(&group).expect("listed");
-            // Sorted for the same reason as the pending joins in
-            // `on_cycle`: every refresh draws from the node RNG.
-            let mut targets: Vec<PrivateEntry> = state.pcp.values().cloned().collect();
-            targets.sort_unstable_by_key(|e| e.node);
-            let passport = state.passport.clone();
-            for target in targets {
+        for (&group, state) in &self.groups {
+            for target in state.pcp.values() {
                 let msg = PpssMsg::PcpRefresh {
                     group,
-                    passport: passport.clone(),
+                    passport: state.passport.clone(),
                     entry: my_entry.clone(),
                     respond: true,
                 };
                 ctx.metrics().count("ppss.pcp_refreshes", 1);
-                wcl.send_untracked(ctx, nylon, &target, &msg.to_wire(), None);
+                wcl.send_untracked(ctx, nylon, target, &msg.to_wire(), None);
             }
         }
     }
@@ -463,8 +450,7 @@ impl Ppss {
     pub fn on_route_failed(&mut self, msg_id: u64, dest: NodeId) -> Vec<PpssEvent> {
         let mut events = Vec::new();
         // In group order: the events reach the application in this order.
-        for group in self.group_ids() {
-            let state = self.groups.get_mut(&group).expect("listed");
+        for (&group, state) in &mut self.groups {
             if state.view.iter().any(|e| e.node == dest) || state.pcp.contains_key(&dest) {
                 events.push(state.drop_unreachable(group, dest));
             }

@@ -1,7 +1,7 @@
 use super::*;
 use crate::ppss::descriptor::GroupDescriptor;
 use crate::ppss::group::PASSPORT_MEMO_CAP;
-use crate::ppss::lifecycle::{REC_GROUP, REC_TOMBSTONE};
+use crate::ppss::lifecycle::Record;
 use crate::{WhisperConfig, WhisperNode};
 use whisper_crypto::rsa::RsaKeySize;
 use whisper_net::nat::NatType;
@@ -212,7 +212,7 @@ fn revoked_sets_converge_under_any_interleaving_and_restart() {
         let mut ppss = Ppss::new(PpssConfig::default());
         let passport = Passport { node: NodeId(node), signature: vec![1; 48] };
         let state = GroupState::fresh(vec![key.public().clone()], None, passport, 0);
-        ppss.groups.insert(group, state);
+        ppss.groups.insert(group, Box::new(state));
         ppss.journal_group(group);
         ppss
     };
@@ -309,7 +309,10 @@ fn a_live_group_signs_nothing_and_deletion_signs_once() {
     assert_eq!(sim.metrics().counter("ppss.elections_won"), 1);
     assert!(state.is_leader() && state.epoch() == 1 && state.key_history().len() == 2);
     assert_eq!(state.revoked(), &BTreeSet::from([joiners[0]]));
-    let tombstones = |ppss: &Ppss| ppss.journal().replay().records.iter().filter(|r| r[0] == REC_TOMBSTONE).count();
+    let tombstones = |ppss: &Ppss| {
+        let records = ppss.journal().replay().records;
+        records.iter().filter(|r| matches!(Record::from_wire(r), Ok(Record::Tombstone { .. }))).count()
+    };
     assert!(node.ppss().tombstone(group).is_none(), "a live group signed a descriptor");
     assert_eq!(tombstones(node.ppss()), 0);
     let history = state.key_history().to_vec();
@@ -351,7 +354,8 @@ fn checkpoints_keep_the_journal_bounded_and_replay_equivalent() {
         if checkpoint {
             // The snapshots this checkpoint wrote end the journal.
             let records = real.replay().records;
-            let snapshots: Vec<_> = records.iter().filter(|r| r[0] == REC_GROUP).collect();
+            let snapshots: Vec<_> =
+                records.iter().filter(|r| matches!(Record::from_wire(r), Ok(Record::Group { .. }))).collect();
             for record in &snapshots[snapshots.len() - ppss.groups.len()..] {
                 history.append(record);
             }
@@ -465,7 +469,7 @@ fn a_failed_route_evicts_its_member_from_every_group() {
         let passport = Passport { node: NodeId(1), signature: vec![1; 48] };
         let mut state = GroupState::fresh(vec![key.public().clone()], None, passport, 0);
         state.view = view;
-        ppss.groups.insert(group, state);
+        ppss.groups.insert(group, Box::new(state));
     }
     ppss.groups.get_mut(&pinned).unwrap().pcp.insert(dest, entry(7));
 

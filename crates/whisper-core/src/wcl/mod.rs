@@ -69,7 +69,6 @@ use std::collections::{BTreeMap, HashMap};
 use whisper_crypto::circuit::{CircuitId, CircuitTable};
 use whisper_crypto::rsa::PublicKey;
 use whisper_net::sim::Ctx;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::{NodeId, SimDuration};
 use whisper_pss::{timer, NylonCore};
 
@@ -99,18 +98,7 @@ pub struct GatewayInfo {
     pub key: PublicKey,
 }
 
-impl WireEncode for GatewayInfo {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put(&self.node);
-        w.put(&self.key);
-    }
-}
-
-impl WireDecode for GatewayInfo {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(GatewayInfo { node: r.take()?, key: r.take()? })
-    }
-}
+whisper_net::wire_format!(GatewayInfo { node, key });
 
 /// WCL configuration.
 #[derive(Clone, Debug)]

@@ -277,6 +277,7 @@ impl WireEncode for KeyPair {
 /// acceleration parameters; refuses two numbers that make no usable key
 /// (equal or even primes, a [`PUBLIC_EXPONENT`] with no inverse, or a
 /// modulus [`PublicKey::from_bytes`] would refuse).
+// Not a field list: the key image, two primes checked as a key pair on load.
 impl WireDecode for KeyPair {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let p = BigUint::from_bytes_be(r.take_bytes()?);
@@ -295,6 +296,7 @@ impl WireEncode for PublicKey {
 
 /// Reads what [`PublicKey`]'s [`WireEncode`] writes, under
 /// [`PublicKey::from_bytes`]'s rule.
+// Not a field list: the key image, a modulus checked as a key on load.
 impl WireDecode for PublicKey {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         PublicKey::from_bytes(r.take_bytes()?).ok_or(WireError::new("not an RSA public key"))

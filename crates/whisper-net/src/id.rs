@@ -1,4 +1,3 @@
-use crate::wire::{WireDecode, WireError, WireReader, WireSink};
 use std::fmt;
 
 /// Identifier of a simulated node (one node = one host).
@@ -31,17 +30,7 @@ impl NodeId {
     }
 }
 
-impl crate::wire::WireEncode for NodeId {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put_u64(self.0);
-    }
-}
-
-impl WireDecode for NodeId {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(NodeId(r.take_u64()?))
-    }
-}
+crate::wire_format!(NodeId(id));
 
 /// A node's externally visible transport endpoint.
 ///
@@ -70,21 +59,7 @@ impl fmt::Debug for Endpoint {
     }
 }
 
-impl crate::wire::WireEncode for Endpoint {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put_u64(self.node.0);
-        w.put_u16(self.port);
-    }
-}
-
-impl WireDecode for Endpoint {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Endpoint {
-            node: NodeId(r.take_u64()?),
-            port: r.take_u16()?,
-        })
-    }
-}
+crate::wire_format!(Endpoint { node, port });
 
 #[cfg(test)]
 mod tests {
@@ -105,7 +80,7 @@ mod tests {
 
     #[test]
     fn endpoint_wire_image_is_node_then_port() {
-        use crate::wire::WireEncode;
+        use crate::wire::{WireDecode, WireEncode};
         let ep = Endpoint { node: NodeId(0x0102_0304_0506_0708), port: 0x090A };
         assert_eq!(ep.to_wire(), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(Endpoint::from_wire(&ep.to_wire()), Ok(ep));

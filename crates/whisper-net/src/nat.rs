@@ -14,7 +14,6 @@
 
 use crate::id::Endpoint;
 use crate::time::{SimDuration, SimTime};
-use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_rand::Rng;
 
 /// The NAT behaviour of a simulated host.
@@ -51,30 +50,16 @@ impl NatType {
     }
 }
 
-/// One byte: 0 for a public host, 1–4 for the NATted types in
-/// [`NatType::NATTED`]'s order.
-impl WireEncode for NatType {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put_u8(match self {
-            NatType::Public => 0,
-            NatType::FullCone => 1,
-            NatType::RestrictedCone => 2,
-            NatType::PortRestrictedCone => 3,
-            NatType::Symmetric => 4,
-        });
-    }
-}
-
-/// A code outside the five types is an error, never a default type.
-impl WireDecode for NatType {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.take_u8()? {
-            0 => Ok(NatType::Public),
-            code @ 1..=4 => Ok(NatType::NATTED[code as usize - 1]),
-            _ => Err(WireError::new("unknown NAT type")),
-        }
-    }
-}
+// One byte: 0 for a public host, 1–4 for the NATted types in
+// `NatType::NATTED`'s order. A code outside the five types is an error,
+// never a default type.
+crate::wire_format!(enum NatType, "unknown NAT type" {
+    0 => Public,
+    1 => FullCone,
+    2 => RestrictedCone,
+    3 => PortRestrictedCone,
+    4 => Symmetric,
+});
 
 /// Whether RV-coordinated hole punching can establish a direct
 /// bidirectional session between hosts behind NATs of types `a` and `b`.
@@ -569,6 +554,7 @@ mod tests {
 
     #[test]
     fn nat_type_is_one_byte_on_the_wire_and_unknown_codes_are_refused() {
+        use crate::wire::{WireDecode, WireEncode};
         let all = std::iter::once(NatType::Public).chain(NatType::NATTED);
         for (code, t) in all.enumerate() {
             assert_eq!(t.to_wire(), [code as u8]);

@@ -391,6 +391,7 @@ macro_rules! impl_wire_uint {
             }
         }
         impl WireDecode for $ty {
+            #[inline]
             fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
                 r.$take()
             }
@@ -429,6 +430,123 @@ impl WireDecode for bool {
             _ => Err(WireError::new("invalid bool")),
         }
     }
+}
+
+/// An `f64` travels as its IEEE 754 bits, a big-endian `u64`.
+impl WireEncode for f64 {
+    fn encode<W: WireSink>(&self, w: &mut W) {
+        w.put_u64(self.to_bits());
+    }
+}
+
+impl WireDecode for f64 {
+    #[inline]
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(f64::from_bits(r.take_u64()?))
+    }
+}
+
+/// Implements [`WireEncode`] and [`WireDecode`] for a type from one list
+/// of its fields, in wire order, so that the writer and the reader of a
+/// layout cannot drift apart.
+///
+/// Each field is written with [`WireSink::put`] and read with
+/// [`WireReader::take`]; one marked `: seq` goes through
+/// [`WireSink::put_seq`] / [`WireReader::take_seq`] and one marked `: opt`
+/// through [`WireSink::put_opt`] / [`WireReader::take_opt`]. The list
+/// names every field of the type — a field left out does not compile.
+/// Three forms:
+///
+/// * `Type { a, b: seq }` — a struct with named fields, optionally with
+///   one type parameter (`Type<D> { .. }`, bounded by the trait being
+///   implemented);
+/// * `Type(a)` — a tuple struct, its fields named by position;
+/// * `enum Type, "error" { TAG => Variant { .. }, TAG => Variant(x),
+///   TAG => Unit }` — a one-byte tag, then the variant's fields. A tag
+///   no variant has fails to decode with `WireError::new("error")`.
+///
+/// ```
+/// use whisper_net::wire::{WireDecode, WireEncode, WireError};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Hello {
+///     from: u16,
+///     names: Vec<Vec<u8>>,
+///     reply: Option<u8>,
+/// }
+/// whisper_net::wire_format!(Hello { from, names: seq, reply: opt });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Msg {
+///     Ping(u32),
+///     Hello { hello: Hello },
+///     Bye,
+/// }
+/// whisper_net::wire_format!(enum Msg, "unknown message" {
+///     1 => Ping(n),
+///     2 => Hello { hello },
+///     3 => Bye,
+/// });
+///
+/// let hello = Msg::Hello { hello: Hello { from: 7, names: vec![b"a".to_vec()], reply: None } };
+/// assert_eq!(hello.to_wire(), [2, 0, 7, 1, 1, b'a', 0]);
+/// assert_eq!(Msg::from_wire(&[1, 0, 0, 0, 9]), Ok(Msg::Ping(9)));
+/// assert_eq!(Msg::from_wire(&[3]), Ok(Msg::Bye));
+/// assert_eq!(Msg::from_wire(&[4]), Err(WireError::new("unknown message")));
+/// ```
+#[macro_export]
+macro_rules! wire_format {
+    (@put $w:ident, $v:ident) => { $w.put($v) };
+    (@put $w:ident, $v:ident, seq) => { $w.put_seq($v) };
+    (@put $w:ident, $v:ident, opt) => { $w.put_opt($v) };
+    (@take $r:ident) => { $r.take()? };
+    (@take $r:ident, seq) => { $r.take_seq()? };
+    (@take $r:ident, opt) => { $r.take_opt()? };
+    (enum $ty:ident, $err:literal { $(
+        $tag:literal => $variant:ident
+            $({ $($f:ident $(: $fk:ident)?),* $(,)? })?
+            $(( $($p:ident $(: $pk:ident)?),* $(,)? ))?
+    ),* $(,)? }) => {
+        impl $crate::wire::WireEncode for $ty {
+            fn encode<W: $crate::wire::WireSink>(&self, w: &mut W) {
+                match self {
+                    $(Self::$variant $({ $($f),* })? $(( $($p),* ))? => {
+                        w.put_u8($tag);
+                        $($($crate::wire_format!(@put w, $f $(, $fk)?);)*)?
+                        $($($crate::wire_format!(@put w, $p $(, $pk)?);)*)?
+                    })*
+                }
+            }
+        }
+        impl $crate::wire::WireDecode for $ty {
+            fn decode(r: &mut $crate::wire::WireReader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(match r.take_u8()? {
+                    $($tag => Self::$variant
+                        $({ $($f: $crate::wire_format!(@take r $(, $fk)?)),* })?
+                        $(( $($crate::wire_format!(@take r $(, $pk)?)),* ))?,)*
+                    _ => return Err($crate::wire::WireError::new($err)),
+                })
+            }
+        }
+    };
+    ($ty:ident $(<$g:ident>)?
+        $({ $($f:ident $(: $fk:ident)?),* $(,)? })?
+        $(( $($p:ident $(: $pk:ident)?),* $(,)? ))?
+    ) => {
+        impl$(<$g: $crate::wire::WireEncode>)? $crate::wire::WireEncode for $ty$(<$g>)? {
+            fn encode<W: $crate::wire::WireSink>(&self, w: &mut W) {
+                let Self $({ $($f),* })? $(( $($p),* ))? = self;
+                $($($crate::wire_format!(@put w, $f $(, $fk)?);)*)?
+                $($($crate::wire_format!(@put w, $p $(, $pk)?);)*)?
+            }
+        }
+        impl$(<$g: $crate::wire::WireDecode>)? $crate::wire::WireDecode for $ty$(<$g>)? {
+            fn decode(r: &mut $crate::wire::WireReader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(Self $({ $($f: $crate::wire_format!(@take r $(, $fk)?)),* })?
+                    $(( $($crate::wire_format!(@take r $(, $pk)?)),* ))?)
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -596,6 +714,73 @@ mod tests {
         let forest = [leaf(None), tree];
         counts_as_written!(w => w.put_seq(&forest));
         assert_eq!(Tree { label: None, children: vec![] }.encoded_len(), 1 + 1);
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Header {
+        id: u32,
+        tags: Vec<u16>,
+        reply: Option<u8>,
+    }
+    crate::wire_format!(Header { id, tags: seq, reply: opt });
+
+    #[derive(Debug, PartialEq)]
+    struct Pair(u8, Vec<u8>);
+    crate::wire_format!(Pair(a, b));
+
+    #[derive(Debug, PartialEq)]
+    struct Batch<T> {
+        items: Vec<T>,
+        last: bool,
+    }
+    crate::wire_format!(Batch<T> { items: seq, last });
+
+    #[derive(Debug, PartialEq)]
+    enum Frame {
+        Head { header: Header, more: Option<Pair> },
+        Body(u64, Vec<Pair>),
+        End,
+    }
+    crate::wire_format!(enum Frame, "unknown frame" {
+        1 => Head { header, more: opt },
+        2 => Body(seq_no, pairs: seq),
+        7 => End,
+    });
+
+    /// Every form of `wire_format!`, with `seq` and `opt` fields: the
+    /// exact bytes, the round trip, and the refusals.
+    #[test]
+    fn wire_format_writes_and_reads_the_listed_fields_in_order() {
+        let header = Header { id: 0x0102_0304, tags: vec![5, 6], reply: Some(7) };
+        let header_image = [1, 2, 3, 4, 2, 0, 5, 0, 6, 1, 7];
+        let cases = [
+            (Frame::Head { header, more: None }, [&[1][..], &header_image, &[0]].concat()),
+            (
+                Frame::Body(9, vec![Pair(1, vec![]), Pair(2, vec![3])]),
+                vec![2, 0, 0, 0, 0, 0, 0, 0, 9, 2, 1, 0, 2, 1, 3],
+            ),
+            (Frame::End, vec![7]),
+        ];
+        for (frame, image) in cases {
+            assert_eq!(frame.to_wire(), image, "{frame:?}");
+            assert_eq!(frame.encoded_len(), image.len());
+            assert_eq!(Frame::from_wire(&image), Ok(frame));
+            let cut = &image[..image.len() - 1];
+            assert_eq!(Frame::from_wire(cut), Err(WireError::new("truncated input")), "{cut:?}");
+            assert_eq!(Frame::from_wire(&[&image[..], &[0]].concat()), Err(WireError::new("trailing bytes")));
+        }
+        assert_eq!(Frame::from_wire(&[3]), Err(WireError::new("unknown frame")));
+        let batch = Batch { items: vec![Pair(4, vec![5])], last: true };
+        assert_eq!(batch.to_wire(), [1, 4, 1, 5, 1]);
+        assert_eq!(Batch::from_wire(&[1, 4, 1, 5, 1]), Ok(batch));
+        assert_eq!(Batch::<u8>::from_wire(&[0, 2]), Err(WireError::new("invalid bool")));
+        assert_eq!(Header::from_wire(&[0, 0, 0, 1, 0, 9]), Err(WireError::new("invalid option tag")));
+    }
+
+    #[test]
+    fn f64_travels_as_its_bits() {
+        assert_eq!(1.25f64.to_wire(), [0x3F, 0xF4, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(f64::from_wire(&(-7.5f64).to_wire()), Ok(-7.5));
     }
 
     #[test]

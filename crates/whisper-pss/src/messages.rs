@@ -312,6 +312,7 @@ impl WireEncode for NylonMsg {
     }
 }
 
+// Not a field list: gossip is read as a view, and `App` / `Chain` payloads follow an in-place header.
 impl WireDecode for NylonMsg {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(match r.take_u8()? {

@@ -68,6 +68,7 @@ impl WireEncode for ViewEntry {
 
 /// Refuses a chain of more than [`ROUTE_CAP`] hops and a NAT code above 4,
 /// as [`Entry`] does; reads any NATted code as NATted.
+// Not a field list: read as an `Entry`, for its NAT code and chain packing.
 impl WireDecode for ViewEntry {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let entry = Entry::decode(r)?;
@@ -237,6 +238,7 @@ impl WireEncode for Entry {
 
 /// Refuses a chain of more than [`ROUTE_CAP`] hops — no honest peer ships
 /// one, and no part of it is a chain — and a NAT code above 4.
+// Not a field list: the NAT code and the chain packing.
 impl WireDecode for Entry {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let mut entry = Entry::new(r.take()?, r.take_u16()?, r.take()?, &[]);

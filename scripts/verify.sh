@@ -35,6 +35,20 @@ if grep -rnE --include='*.rs' 'len\(\) as u(16|32)\)?\.to_be_bytes|u16::from_be_
   exit 1
 fi
 
+step "one field list per layout (no hand-written decoder under crates/*/src outside whisper-net/src/wire.rs without its reason)"
+# A message whose layout is a plain list of fields says it once, in
+# whisper_net::wire_format!, which yields both its writer and its reader.
+# A decoder written by hand carries, on the line above its impl, a
+# `// Not a field list: <why>` comment.
+if find crates/*/src -name '*.rs' ! -path crates/whisper-net/src/wire.rs -print0 | sort -z \
+    | xargs -0 awk 'FNR == 1 { prev = "" }
+        /^[ \t]*impl[ <].*WireDecode for / && prev !~ /^[ \t]*\/\/ Not a field list: ./ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        { prev = $0 }
+        END { exit !bad }'; then
+  echo "verify: a hand-written decoder (above): list its fields in whisper_net::wire_format!, or say why not" >&2
+  exit 1
+fi
+
 step "offline release build (lib, bins, tests, examples)"
 cargo build --release --offline --workspace --all-targets
 
