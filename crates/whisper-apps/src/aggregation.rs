@@ -88,18 +88,20 @@ whisper_net::wire_format!(enum AggMsg, "unknown aggregation tag" {
 
 const AGG_TIMER: u64 = 1;
 
+/// Exchange period.
+const CYCLE: SimDuration = SimDuration::from_secs(20);
+
 /// Gossip aggregation as a private-group application.
 #[derive(Debug)]
 pub struct AggregationApp {
     group: GroupId,
     state: AggregationState,
-    cycle: SimDuration,
 }
 
 impl AggregationApp {
     /// Creates the app for `group`, starting from `initial`.
-    pub fn new(group: GroupId, kind: AggregateKind, initial: f64, cycle: SimDuration) -> Self {
-        AggregationApp { group, state: AggregationState::new(kind, initial), cycle }
+    pub fn new(group: GroupId, kind: AggregateKind, initial: f64) -> Self {
+        AggregationApp { group, state: AggregationState::new(kind, initial) }
     }
 
     /// The current estimate.
@@ -121,7 +123,7 @@ impl GroupApp for AggregationApp {
 
     fn on_joined(&mut self, ctx: &mut Ctx<'_>, api: &mut WhisperApi<'_>, group: GroupId) {
         if group == self.group {
-            api.set_app_timer(ctx, self.cycle, AGG_TIMER);
+            api.set_app_timer(ctx, CYCLE, AGG_TIMER);
         }
     }
 
@@ -129,7 +131,7 @@ impl GroupApp for AggregationApp {
         if token != AGG_TIMER {
             return;
         }
-        api.set_app_timer(ctx, self.cycle, AGG_TIMER);
+        api.set_app_timer(ctx, CYCLE, AGG_TIMER);
         // Pick a random private-view member and push our value.
         let view = api.private_view(self.group);
         if view.is_empty() {

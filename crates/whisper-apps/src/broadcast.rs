@@ -53,30 +53,18 @@ whisper_net::wire_format!(enum BcastMsg, "unknown broadcast tag" {
     2 => Request { ids: seq },
 });
 
-/// Configuration of the broadcast layer.
-#[derive(Clone, Debug)]
-pub struct BroadcastConfig {
-    /// Gossip period.
-    pub cycle: SimDuration,
-    /// Members pushed to per cycle (fanout).
-    pub fanout: usize,
-    /// Fresh events shipped per push.
-    pub events_per_push: usize,
-    /// Event buffer capacity (events beyond it are forgotten, oldest
-    /// first — late joiners recover only this window).
-    pub buffer: usize,
-}
+/// Gossip period.
+const CYCLE: SimDuration = SimDuration::from_secs(15);
 
-impl Default for BroadcastConfig {
-    fn default() -> Self {
-        BroadcastConfig {
-            cycle: SimDuration::from_secs(15),
-            fanout: 2,
-            events_per_push: 8,
-            buffer: 256,
-        }
-    }
-}
+/// Members pushed to per cycle.
+const FANOUT: usize = 2;
+
+/// Fresh events shipped per push.
+const EVENTS_PER_PUSH: usize = 8;
+
+/// Events buffered: beyond it the oldest are forgotten, so late joiners
+/// recover only this window.
+const BUFFER: usize = 256;
 
 const BCAST_TIMER: u64 = 3;
 
@@ -84,8 +72,7 @@ const BCAST_TIMER: u64 = 3;
 #[derive(Debug)]
 pub struct BroadcastApp {
     group: GroupId,
-    cfg: BroadcastConfig,
-    /// All known events, ordered by id (bounded by `cfg.buffer`).
+    /// All known events, ordered by id (bounded by [`BUFFER`]).
     store: BTreeMap<EventId, Vec<u8>>,
     /// Ids seen (kept slightly longer than payloads for dedup).
     seen: BTreeSet<EventId>,
@@ -97,10 +84,9 @@ pub struct BroadcastApp {
 
 impl BroadcastApp {
     /// Creates the app for `group`.
-    pub fn new(group: GroupId, cfg: BroadcastConfig) -> Self {
+    pub fn new(group: GroupId) -> Self {
         BroadcastApp {
             group,
-            cfg,
             store: BTreeMap::new(),
             seen: BTreeSet::new(),
             delivered: Vec::new(),
@@ -142,7 +128,7 @@ impl BroadcastApp {
         }
         self.store.insert(event.id, event.payload.clone());
         self.delivered.push(event);
-        while self.store.len() > self.cfg.buffer {
+        while self.store.len() > BUFFER {
             let oldest = *self.store.keys().next().expect("non-empty");
             self.store.remove(&oldest);
         }
@@ -157,7 +143,7 @@ impl BroadcastApp {
         self.delivered
             .iter()
             .rev()
-            .take(self.cfg.events_per_push)
+            .take(EVENTS_PER_PUSH)
             .filter(|e| self.store.contains_key(&e.id))
             .cloned()
             .collect()
@@ -177,7 +163,7 @@ impl BroadcastApp {
             push: true,
         };
         let wire = msg.to_wire();
-        for target in targets.into_iter().take(self.cfg.fanout) {
+        for target in targets.into_iter().take(FANOUT) {
             // Ship our entry so receivers can pull missing events from us
             // even when we are absent from their private view.
             api.send_private(ctx, self.group, target, wire.clone(), true);
@@ -188,7 +174,7 @@ impl BroadcastApp {
 impl GroupApp for BroadcastApp {
     fn on_joined(&mut self, ctx: &mut Ctx<'_>, api: &mut WhisperApi<'_>, group: GroupId) {
         if group == self.group {
-            api.set_app_timer(ctx, self.cfg.cycle, BCAST_TIMER);
+            api.set_app_timer(ctx, CYCLE, BCAST_TIMER);
         }
     }
 
@@ -205,7 +191,7 @@ impl GroupApp for BroadcastApp {
         if token != BCAST_TIMER {
             return;
         }
-        api.set_app_timer(ctx, self.cfg.cycle, BCAST_TIMER);
+        api.set_app_timer(ctx, CYCLE, BCAST_TIMER);
         self.push_round(ctx, api);
     }
 
@@ -251,7 +237,7 @@ impl GroupApp for BroadcastApp {
                     .store
                     .iter()
                     .filter(|(id, _)| !digest_set.contains(id))
-                    .take(2 * self.cfg.events_per_push)
+                    .take(2 * EVENTS_PER_PUSH)
                     .map(|(id, payload)| Event { id: *id, payload: payload.clone() })
                     .collect();
                 if !they_lack.is_empty() {
@@ -296,7 +282,7 @@ mod tests {
 
     #[test]
     fn accept_dedupes() {
-        let mut app = BroadcastApp::new(GroupId(1), BroadcastConfig::default());
+        let mut app = BroadcastApp::new(GroupId(1));
         assert!(app.accept(event(1, 0, b"hello")));
         assert!(!app.accept(event(1, 0, b"hello")));
         assert_eq!(app.delivered().len(), 1);
@@ -304,19 +290,19 @@ mod tests {
 
     #[test]
     fn buffer_bounded_but_seen_remembered() {
-        let cfg = BroadcastConfig { buffer: 4, ..BroadcastConfig::default() };
-        let mut app = BroadcastApp::new(GroupId(1), cfg);
-        for seq in 0..10 {
+        let mut app = BroadcastApp::new(GroupId(1));
+        for seq in 0..BUFFER as u64 + 6 {
             app.accept(event(1, seq, b"x"));
         }
-        assert_eq!(app.store.len(), 4);
-        assert_eq!(app.delivered().len(), 10, "deliveries are not forgotten");
+        assert_eq!(app.store.len(), BUFFER);
+        assert_eq!(app.store.keys().next().map(|id| id.seq), Some(6), "the oldest go first");
+        assert_eq!(app.delivered().len(), BUFFER + 6, "deliveries are not forgotten");
         assert!(!app.accept(event(1, 0, b"x")), "evicted events stay deduplicated");
     }
 
     #[test]
     fn digest_lists_store_contents() {
-        let mut app = BroadcastApp::new(GroupId(1), BroadcastConfig::default());
+        let mut app = BroadcastApp::new(GroupId(1));
         app.accept(event(1, 0, b"a"));
         app.accept(event(2, 5, b"b"));
         let digest = app.digest();
@@ -326,15 +312,12 @@ mod tests {
 
     #[test]
     fn freshest_events_are_the_most_recent() {
-        let cfg = BroadcastConfig { events_per_push: 2, ..BroadcastConfig::default() };
-        let mut app = BroadcastApp::new(GroupId(1), cfg);
-        for seq in 0..5 {
+        let mut app = BroadcastApp::new(GroupId(1));
+        for seq in 0..EVENTS_PER_PUSH as u64 + 3 {
             app.accept(event(1, seq, b"x"));
         }
-        let fresh = app.freshest_events();
-        assert_eq!(fresh.len(), 2);
-        assert_eq!(fresh[0].id.seq, 4);
-        assert_eq!(fresh[1].id.seq, 3);
+        let fresh: Vec<u64> = app.freshest_events().iter().map(|e| e.id.seq).collect();
+        assert_eq!(fresh, (3..EVENTS_PER_PUSH as u64 + 3).rev().collect::<Vec<_>>(), "newest first");
     }
 
     #[test]

@@ -68,29 +68,11 @@ whisper_net::wire_format!(enum SkipMsg, "unknown GosSkip tag" {
     5 => RangeReply { query_id, keys: seq },
 });
 
-/// GosSkip configuration.
-#[derive(Clone, Debug)]
-pub struct GosSkipConfig {
-    /// Gossip period.
-    pub cycle: SimDuration,
-    /// Ranked-view capacity.
-    pub view_cap: usize,
-    /// Descriptors shipped per exchange.
-    pub exchange_len: usize,
-    /// Search/range hop budget.
-    pub ttl: u8,
-}
+/// Gossip period.
+const CYCLE: SimDuration = SimDuration::from_secs(30);
 
-impl Default for GosSkipConfig {
-    fn default() -> Self {
-        GosSkipConfig {
-            cycle: SimDuration::from_secs(30),
-            view_cap: 20,
-            exchange_len: 8,
-            ttl: 48,
-        }
-    }
-}
+/// Search and range hop budget.
+const TTL: u8 = 48;
 
 /// A completed point search.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -126,7 +108,6 @@ const SKIP_TIMER: u64 = 4;
 #[derive(Debug)]
 pub struct GosSkipApp {
     group: GroupId,
-    cfg: GosSkipConfig,
     my_key: u64,
     my_level: Option<u8>,
     tman: TMan<SkipDescriptor>,
@@ -140,11 +121,10 @@ pub struct GosSkipApp {
 impl GosSkipApp {
     /// Creates the app for `group`; `key` is this member's application
     /// key (the sort dimension).
-    pub fn new(group: GroupId, key: u64, cfg: GosSkipConfig) -> Self {
+    pub fn new(group: GroupId, key: u64) -> Self {
         GosSkipApp {
             group,
-            tman: TMan::new(cfg.view_cap, cfg.exchange_len),
-            cfg,
+            tman: TMan::default(),
             my_key: key,
             my_level: None,
             pending_search: HashMap::new(),
@@ -311,7 +291,7 @@ impl GosSkipApp {
         // fall inside the range.
         let right = self.list_neighbors().1.cloned();
         let continue_right = right.as_ref().is_some_and(|r| r.key <= hi);
-        if continue_right && hops < self.cfg.ttl {
+        if continue_right && hops < TTL {
             let next = right.expect("checked");
             let fwd = SkipMsg::Range { query_id, lo, hi, origin, acc, hops: hops + 1 };
             api.send_private_to_entry(ctx, self.group, &next.entry, fwd.to_wire(), false);
@@ -348,7 +328,7 @@ impl GroupApp for GosSkipApp {
     fn on_joined(&mut self, ctx: &mut Ctx<'_>, api: &mut WhisperApi<'_>, group: GroupId) {
         if group == self.group {
             self.my_level = Some(level_of(api.id()));
-            api.set_app_timer(ctx, self.cfg.cycle, SKIP_TIMER);
+            api.set_app_timer(ctx, CYCLE, SKIP_TIMER);
         }
     }
 
@@ -386,7 +366,7 @@ impl GroupApp for GosSkipApp {
         if token != SKIP_TIMER {
             return;
         }
-        api.set_app_timer(ctx, self.cfg.cycle, SKIP_TIMER);
+        api.set_app_timer(ctx, CYCLE, SKIP_TIMER);
         self.seed_from_ppss(api);
         let mine = self.my_descriptor(api);
         let Some((partner, offer)) = self.tman.start(ctx.rng(), api.private_view(self.group), mine)
@@ -440,7 +420,7 @@ impl GroupApp for GosSkipApp {
                         reply.to_wire(),
                         false,
                     );
-                } else if hops < self.cfg.ttl {
+                } else if hops < TTL {
                     let fwd = SkipMsg::Search { query_id, target, origin, hops: hops + 1 };
                     self.forward(ctx, api, target, &fwd);
                 }

@@ -3,7 +3,7 @@
 //! Applications and higher-level gossip protocols running on top of the
 //! WHISPER PPSS.
 //!
-//! These serve two roles in the paper:
+//! These serve four roles in the paper:
 //!
 //! * **building blocks** — [`aggregation`] implements the gossip-based
 //!   aggregation of Jelasity et al. used for leader election (§IV-A) and
@@ -16,7 +16,14 @@
 //!   T-Man-based gossip construction of the Chord ring), where every
 //!   message travels over confidential WCL routes and query replies come
 //!   back over a single WCL path using contact info shipped with the
-//!   query.
+//!   query;
+//! * **a sorted overlay** — [`gosskip`] runs the same T-Man exchange to
+//!   keep members in application order and answer range queries.
+//!
+//! An app is built from the group it serves (GosSkip also takes the
+//! member's key, aggregation its kind and start value). Its gossip cycle,
+//! view and exchange sizes and hop budgets are constants beside the code
+//! that reads them: every caller ran the same values.
 
 pub mod aggregation;
 pub mod broadcast;

@@ -14,7 +14,7 @@
 
 use crate::chord::{ChordKey, RingNeighbors};
 use crate::tman::{Descriptor, Exchange, TMan};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use whisper_core::{GroupApp, GroupId, PrivateEntry, WhisperApi};
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode};
@@ -52,38 +52,21 @@ whisper_net::wire_format!(enum TChordMsg, "unknown T-Chord tag" {
     3 => LookupReply { query_id, owner, owner_key, hops },
 });
 
-/// T-Chord configuration.
-#[derive(Clone, Debug)]
-pub struct TChordConfig {
-    /// T-Man exchange period.
-    pub cycle: SimDuration,
-    /// Ranked-view capacity.
-    pub view_cap: usize,
-    /// Descriptors shipped per exchange.
-    pub exchange_len: usize,
-    /// Successor-list length.
-    pub successors: usize,
-    /// Lookup hop budget.
-    pub lookup_ttl: u8,
-    /// Re-issue a lookup if no reply arrived after this long.
-    pub lookup_retry: SimDuration,
-    /// Give up after this many (re-)issues.
-    pub lookup_attempts: u32,
-}
+/// T-Man exchange period.
+const CYCLE: SimDuration = SimDuration::from_secs(30);
 
-impl Default for TChordConfig {
-    fn default() -> Self {
-        TChordConfig {
-            cycle: SimDuration::from_secs(30),
-            view_cap: 20,
-            exchange_len: 8,
-            successors: 3,
-            lookup_ttl: 32,
-            lookup_retry: SimDuration::from_secs(15),
-            lookup_attempts: 4,
-        }
-    }
-}
+/// Successor-list length.
+const SUCCESSORS: usize = 3;
+
+/// Lookup hop budget.
+const LOOKUP_TTL: u8 = 32;
+
+/// A lookup is re-issued when no reply arrived this long after its last
+/// issue...
+const LOOKUP_RETRY: SimDuration = SimDuration::from_secs(15);
+
+/// ...and given up after this many issues.
+const LOOKUP_ATTEMPTS: u32 = 4;
 
 /// A completed lookup, as recorded at the querying node.
 #[derive(Clone, Debug, PartialEq)]
@@ -114,25 +97,25 @@ struct PendingLookup {
 #[derive(Debug)]
 pub struct TChordApp {
     group: GroupId,
-    cfg: TChordConfig,
     my_key: Option<ChordKey>,
     tman: TMan<ChordDescriptor>,
     neighbors: RingNeighbors,
-    pending: HashMap<u64, PendingLookup>,
+    /// Outstanding lookups by query id, in issue order: retries walk them
+    /// in that order, so the node RNG draws they make are reproducible.
+    pending: BTreeMap<u64, PendingLookup>,
     completed: Vec<LookupResult>,
     next_query: u64,
 }
 
 impl TChordApp {
     /// Creates the app for `group`.
-    pub fn new(group: GroupId, cfg: TChordConfig) -> Self {
+    pub fn new(group: GroupId) -> Self {
         TChordApp {
             group,
-            tman: TMan::new(cfg.view_cap, cfg.exchange_len),
-            cfg,
             my_key: None,
+            tman: TMan::default(),
             neighbors: RingNeighbors::default(),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             completed: Vec::new(),
             next_query: 1,
         }
@@ -204,18 +187,16 @@ impl TChordApp {
     /// mirroring the WCL's alternative-path policy).
     fn retry_stale_lookups(&mut self, ctx: &mut Ctx<'_>, api: &mut WhisperApi<'_>) {
         let now = ctx.now();
-        let retry_after = self.cfg.lookup_retry;
-        let max_attempts = self.cfg.lookup_attempts;
         let me = self.ensure_key(api);
         let stale: Vec<(u64, ChordKey)> = self
             .pending
             .iter()
-            .filter(|(_, p)| now.since(p.last_sent) >= retry_after)
+            .filter(|(_, p)| now.since(p.last_sent) >= LOOKUP_RETRY)
             .map(|(id, p)| (*id, p.key))
             .collect();
         for (query_id, key) in stale {
             let p = self.pending.get_mut(&query_id).expect("listed");
-            if p.attempts >= max_attempts {
+            if p.attempts >= LOOKUP_ATTEMPTS {
                 self.pending.remove(&query_id);
                 ctx.metrics().count("tchord.lookups_abandoned", 1);
                 continue;
@@ -242,7 +223,7 @@ impl TChordApp {
     fn reselect(&mut self, me: ChordKey) {
         let candidates: Vec<(ChordKey, NodeId)> =
             self.tman.directory.values().map(|d| (d.key, d.node())).collect();
-        self.neighbors = RingNeighbors::select(me, &candidates, self.cfg.successors);
+        self.neighbors = RingNeighbors::select(me, &candidates, SUCCESSORS);
     }
 
     /// Seeds the candidate pool from the PPSS private view.
@@ -287,7 +268,7 @@ impl GroupApp for TChordApp {
     fn on_joined(&mut self, ctx: &mut Ctx<'_>, api: &mut WhisperApi<'_>, group: GroupId) {
         if group == self.group {
             self.ensure_key(api);
-            api.set_app_timer(ctx, self.cfg.cycle, TCHORD_TIMER);
+            api.set_app_timer(ctx, CYCLE, TCHORD_TIMER);
         }
     }
 
@@ -329,7 +310,7 @@ impl GroupApp for TChordApp {
         if token != TCHORD_TIMER {
             return;
         }
-        api.set_app_timer(ctx, self.cfg.cycle, TCHORD_TIMER);
+        api.set_app_timer(ctx, CYCLE, TCHORD_TIMER);
         self.seed_from_ppss(api);
         self.retry_stale_lookups(ctx, api);
         let mine = self.my_descriptor(api);
@@ -390,7 +371,7 @@ impl GroupApp for TChordApp {
                         reply.to_wire(),
                         false,
                     );
-                } else if hops >= self.cfg.lookup_ttl {
+                } else if hops >= LOOKUP_TTL {
                     ctx.metrics().count("tchord.lookups_ttl_exceeded", 1);
                 } else {
                     let fwd = TChordMsg::Lookup { query_id, key, origin, hops: hops + 1 };
@@ -490,12 +471,5 @@ mod tests {
             assert_eq!(msg.to_wire(), bytes, "{msg:?}");
             assert_eq!(TChordMsg::from_wire(&bytes), Ok(msg));
         }
-    }
-
-    #[test]
-    fn config_defaults() {
-        let c = TChordConfig::default();
-        assert_eq!(c.cycle.as_secs(), 30);
-        assert!(c.view_cap >= c.exchange_len);
     }
 }

@@ -41,6 +41,12 @@ pub struct Exchange<D> {
 
 whisper_net::wire_format!(Exchange<D> { descriptors: seq, respond });
 
+/// Ranked descriptors a view keeps.
+pub const VIEW_CAP: usize = 20;
+
+/// Best-ranked descriptors an exchange ships after the sender's own.
+pub const EXCHANGE_LEN: usize = 8;
+
 /// The T-Man protocol at one node: the ranked view, a directory of every
 /// descriptor learned, and the cycle count that picks the partners.
 #[derive(Clone, Debug)]
@@ -49,22 +55,17 @@ pub struct TMan<D: Descriptor> {
     /// links the ranking does not keep (fingers, list neighbours).
     pub directory: HashMap<NodeId, D>,
     view: Vec<D>,
-    view_cap: usize,
-    exchange_len: usize,
     cycles: u64,
 }
 
-impl<D: Descriptor> TMan<D> {
-    /// A node that knows nobody yet, keeping `view_cap` ranked
-    /// descriptors and offering its best `exchange_len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `view_cap` is zero.
-    pub fn new(view_cap: usize, exchange_len: usize) -> Self {
-        assert!(view_cap > 0, "T-Man view capacity must be positive");
-        TMan { directory: HashMap::new(), view: Vec::new(), view_cap, exchange_len, cycles: 0 }
+impl<D: Descriptor> Default for TMan<D> {
+    /// A node that knows nobody yet.
+    fn default() -> Self {
+        TMan { directory: HashMap::new(), view: Vec::new(), cycles: 0 }
     }
+}
+
+impl<D: Descriptor> TMan<D> {
 
     /// The ranked view, best first: offers and well-ranked partners come
     /// from here.
@@ -89,7 +90,7 @@ impl<D: Descriptor> TMan<D> {
             }
         }
         self.view.sort_by_key(|d| (rank(d), d.node()));
-        self.view.truncate(self.view_cap);
+        self.view.truncate(VIEW_CAP);
     }
 
     /// Forgets `node` (it was found unreachable).
@@ -143,10 +144,10 @@ impl<D: Descriptor> TMan<D> {
         Some((sender?, self.offer(mine, false)))
     }
 
-    /// Our descriptor, then the best `exchange_len`: T-Man ships its best
+    /// Our descriptor, then the best [`EXCHANGE_LEN`]: T-Man ships its best
     /// candidates so the partner's view improves fastest.
     fn offer(&self, mine: D, respond: bool) -> Exchange<D> {
-        let best = self.view.iter().take(self.exchange_len).cloned();
+        let best = self.view.iter().take(EXCHANGE_LEN).cloned();
         Exchange { descriptors: std::iter::once(mine).chain(best).collect(), respond }
     }
 }
@@ -188,65 +189,67 @@ mod tests {
         items.iter().map(|d| d.node().0).collect()
     }
 
-    /// The view keeps the best `view_cap` by rank, one per node (the
+    /// The view keeps the best [`VIEW_CAP`] by rank, one per node (the
     /// latest descriptor wins) and never our own; the directory keeps every
     /// node learned.
     #[test]
     fn learning_ranks_dedupes_and_truncates() {
-        let mut tman = TMan::new(3, 2);
-        let learned = vec![item(1, 50), item(2, 10), item(0, 0), item(3, 30), item(4, 20)];
+        let mut tman = TMan::default();
+        // Node n ranks 26 - n: node 25 is the best, node 1 the worst.
+        let learned = (1..=25).map(|n| item(n, 26 - n)).chain([item(0, 0)]).collect();
         tman.learn(NodeId(0), learned, |d| d.value);
-        assert_eq!(nodes(tman.view()), [2, 4, 3], "ranked ascending, capped at 3");
-        assert_eq!(tman.directory.len(), 4, "everyone but ourselves");
-        tman.learn(NodeId(0), vec![item(1, 5)], |d| d.value);
-        assert_eq!(nodes(tman.view()), [1, 2, 4]);
-        assert_eq!(tman.directory[&NodeId(1)].value, 5);
+        let best: Vec<u64> = (6..=25).rev().collect();
+        assert_eq!(nodes(tman.view()), best, "ranked ascending, capped at VIEW_CAP");
+        assert_eq!(tman.directory.len(), 25, "everyone but ourselves");
+        tman.learn(NodeId(0), vec![item(6, 0)], |d| d.value);
+        assert_eq!(nodes(tman.view()), [&[6][..], &best[..19]].concat(), "node 6 once, now first");
+        assert_eq!(tman.directory[&NodeId(6)].value, 0);
     }
 
     /// Odd cycles draw a partner from the private view, even ones take the
     /// best-ranked descriptor; every offer is our own descriptor and then
-    /// the best `exchange_len`, and only a request is answered — at the
+    /// the best [`EXCHANGE_LEN`], and only a request is answered — at the
     /// entry of the descriptor it opens with.
     #[test]
     fn partners_alternate_and_offers_open_with_the_sender() {
         let me = NodeId(0);
-        let mut tman = TMan::new(8, 2);
+        let mut tman = TMan::default();
         let mut rng = StdRng::seed_from_u64(7);
-        tman.learn(me, vec![item(0, 0), item(3, 30), item(1, 10), item(2, 20)], |d| d.value);
+        let learned = (1..=10).map(|n| item(n, 10 * n)).chain([item(0, 0)]).collect();
+        tman.learn(me, learned, |d| d.value);
         assert!(tman.start(&mut rng, &[], item(0, 0)).is_none(), "odd cycle, empty private view");
         let (partner, offer) = tman.start(&mut rng, &[], item(0, 0)).expect("even cycle");
         assert_eq!((partner.node, tman.cycles()), (NodeId(1), 2), "the best-ranked descriptor");
-        assert_eq!((nodes(&offer.descriptors), offer.respond), (vec![0, 1, 2], true));
-        let members = [entry(8), entry(9)];
+        assert_eq!((nodes(&offer.descriptors), offer.respond), ((0..=8).collect(), true));
+        let members = [entry(18), entry(19)];
         let (partner, _) = tman.start(&mut rng, &members, item(0, 0)).expect("odd cycle");
         assert!(members.contains(&partner), "a private-view member");
 
-        let request = Exchange { descriptors: vec![item(5, 5), item(6, 60)], respond: true };
+        let request = Exchange { descriptors: vec![item(15, 5), item(16, 160)], respond: true };
         let (to, answer) = tman.on_exchange(me, request, item(0, 0), |d| d.value).expect("asked");
-        assert_eq!(to.node, NodeId(5));
-        assert_eq!((nodes(&answer.descriptors), answer.respond), (vec![0, 5, 1], false));
-        let answer = Exchange { descriptors: vec![item(4, 4)], respond: false };
+        assert_eq!(to.node, NodeId(15));
+        assert_eq!((nodes(&answer.descriptors), answer.respond), (vec![0, 15, 1, 2, 3, 4, 5, 6, 7], false));
+        let answer = Exchange { descriptors: vec![item(14, 4)], respond: false };
         assert!(tman.on_exchange(me, answer, item(0, 0), |d| d.value).is_none());
-        assert_eq!(tman.view()[0].node(), NodeId(4), "an answer is learned");
-        tman.forget(NodeId(4));
-        assert!(!tman.directory.contains_key(&NodeId(4)));
-        assert_eq!(nodes(tman.view()), [5, 1, 2, 3, 6], "nor in the view");
+        assert_eq!(tman.view()[0].node(), NodeId(14), "an answer is learned");
+        tman.forget(NodeId(14));
+        assert!(!tman.directory.contains_key(&NodeId(14)));
+        assert_eq!(nodes(tman.view()), [&[15][..], &(1..=10).collect::<Vec<_>>(), &[16]].concat(), "nor in the view");
     }
 
     #[test]
     fn converges_to_target_topology() {
-        // T-Man converging to a sorted line: 20 nodes with random values;
-        // ranking = |value - mine|; every node's private view holds all
-        // the others. After a few cycles each node's best entry is its
-        // true line neighbour.
-        let values: &[u64] = &[
-            55, 3, 78, 12, 91, 44, 67, 23, 88, 5, 31, 72, 19, 60, 97, 8, 40, 83, 27, 50,
-        ];
+        // T-Man converging to a sorted line: 60 nodes with random values,
+        // three times the view capacity; ranking = |value - mine|; every
+        // node's private view holds all the others. After a few cycles each
+        // node's best entry is its true line neighbour.
+        let mut rng = StdRng::seed_from_u64(11);
+        let values: Vec<u64> = (0..3 * VIEW_CAP).map(|_| rng.gen_range(0..1_000_000)).collect();
+        let values = &values;
         let n = values.len();
         let rank = |i: usize| move |d: &Item| d.value.abs_diff(values[i]);
         let mine = |i: usize| item(i as u64, values[i]);
-        let mut nodes: Vec<TMan<Item>> = (0..n).map(|_| TMan::new(4, 4)).collect();
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut nodes: Vec<TMan<Item>> = (0..n).map(|_| TMan::default()).collect();
         for _ in 0..20 {
             for i in 0..n {
                 let members: Vec<PrivateEntry> =

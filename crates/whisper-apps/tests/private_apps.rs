@@ -6,12 +6,12 @@ use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
 use whisper_apps::aggregation::{AggregateKind, AggregationApp};
 use whisper_apps::chord::{ChordKey, IdealRing};
-use whisper_apps::tchord::{TChordApp, TChordConfig};
+use whisper_apps::tchord::TChordApp;
 use whisper_core::{GroupApp, GroupId, WhisperConfig, WhisperNode};
 use whisper_crypto::rsa::KeyPair;
 use whisper_net::nat::{NatDistribution, NatType};
 use whisper_net::sim::{Sim, SimConfig};
-use whisper_net::{NodeId, SimDuration};
+use whisper_net::NodeId;
 
 /// Builds `n` nodes whose app plugin is produced by `make_app`, warms up
 /// the PSS, then forms one group over `member_count` nodes led by node 3.
@@ -65,17 +65,14 @@ fn build_group(
 #[test]
 fn tchord_ring_converges_and_lookups_find_owners() {
     let cfg = WhisperConfig::default();
-    let tcfg = TChordConfig { cycle: SimDuration::from_secs(20), ..TChordConfig::default() };
     let (mut sim, group, _leader, members) = build_group(
         30,
         12,
         &cfg,
         SimConfig::cluster(77),
-        |g| Box::new(TChordApp::new(g, TChordConfig::default())),
+        |g| Box::new(TChordApp::new(g)),
         250,
     );
-    let _ = tcfg;
-    let _ = group;
     sim.run_for_secs(900); // PPSS + T-Man convergence
 
     // Which members actually joined?
@@ -151,6 +148,57 @@ fn tchord_ring_converges_and_lookups_find_owners() {
     );
 }
 
+/// Retries walk the outstanding lookups in issue order: a member holds 8
+/// lookups that nobody answers, re-issues all of them in one cycle — each
+/// through a WCL route that draws from the node RNG — and two such runs in
+/// one process leave equal traces.
+#[test]
+fn tchord_retries_are_deterministic() {
+    let run = || {
+        let (mut sim, group, _leader, members) = build_group(
+            24,
+            8,
+            &WhisperConfig::default(),
+            SimConfig::cluster(83),
+            |g| Box::new(TChordApp::new(g)),
+            250,
+        );
+        sim.run_for_secs(300);
+        let querier = members[1];
+        // Every other member's T-Chord now serves another group, so it
+        // ignores this group's lookups.
+        let elsewhere = GroupId::from_name("elsewhere");
+        for &m in members.iter().filter(|m| **m != querier) {
+            sim.with_node_ctx::<WhisperNode>(m, |node, _| {
+                node.with_api(|_, app| {
+                    *app.as_any_mut().downcast_mut::<TChordApp>().unwrap() = TChordApp::new(elsewhere);
+                });
+            });
+        }
+        sim.with_node_ctx::<WhisperNode>(querier, |node, ctx| {
+            node.with_api(|api, app| {
+                let tc: &mut TChordApp = app.as_any_mut().downcast_mut().unwrap();
+                for q in 0..64u64 {
+                    if tc.pending_count() == 8 {
+                        break;
+                    }
+                    tc.lookup(ctx, api, ChordKey::of_data(&q.to_be_bytes()));
+                }
+                assert_eq!(tc.pending_count(), 8, "8 lookups routed into {group:?}");
+            });
+        });
+        // The retry delay is half a cycle, so each timer tick finds all 8
+        // overdue at once; by the third such tick the routes the first
+        // issue built have expired, and each retry builds a fresh one.
+        sim.run_for_secs(110);
+        assert_eq!(sim.metrics().counter("tchord.lookups_retried"), 3 * 8);
+        let mut trace = sim.metrics().deterministic_trace();
+        trace.extend_from_slice(&sim.now().as_micros().to_le_bytes());
+        trace
+    };
+    assert!(run() == run(), "two runs of one simulation left different traces");
+}
+
 #[test]
 fn aggregation_estimates_group_size() {
     let cfg = WhisperConfig::default();
@@ -160,26 +208,14 @@ fn aggregation_estimates_group_size() {
         group_size,
         &cfg,
         SimConfig::cluster(78),
-        |g| {
-            Box::new(AggregationApp::new(
-                g,
-                AggregateKind::Average,
-                0.0,
-                SimDuration::from_secs(20),
-            ))
-        },
+        |g| Box::new(AggregationApp::new(g, AggregateKind::Average, 0.0)),
         250,
     );
     // Seed: the leader holds 1.0, everyone else 0 → average = 1/n.
     sim.with_node_ctx::<WhisperNode>(leader, |node, _| {
         node.with_api(|_, app| {
             let app: &mut AggregationApp = app.as_any_mut().downcast_mut().unwrap();
-            *app = AggregationApp::new(
-                group,
-                AggregateKind::Average,
-                1.0,
-                SimDuration::from_secs(20),
-            );
+            *app = AggregationApp::new(group, AggregateKind::Average, 1.0);
         });
     });
     for _ in 0..12 {
@@ -249,14 +285,14 @@ fn aggregation_estimates_group_size() {
 
 #[test]
 fn broadcast_reaches_all_members() {
-    use whisper_apps::broadcast::{BroadcastApp, BroadcastConfig};
+    use whisper_apps::broadcast::BroadcastApp;
     let cfg = WhisperConfig::default();
     let (mut sim, group, leader, members) = build_group(
         26,
         10,
         &cfg,
         SimConfig::cluster(79),
-        |g| Box::new(BroadcastApp::new(g, BroadcastConfig::default())),
+        |g| Box::new(BroadcastApp::new(g)),
         250,
     );
     sim.run_for_secs(250);
@@ -306,7 +342,7 @@ fn broadcast_reaches_all_members() {
 
 #[test]
 fn gosskip_sorted_overlay_answers_point_and_range_queries() {
-    use whisper_apps::gosskip::{GosSkipApp, GosSkipConfig};
+    use whisper_apps::gosskip::GosSkipApp;
     let cfg = WhisperConfig::default();
     // Application keys: spread deterministically; node id * 1000 keeps
     // the order obvious.
@@ -315,7 +351,7 @@ fn gosskip_sorted_overlay_answers_point_and_range_queries() {
         12,
         &cfg,
         SimConfig::cluster(80),
-        |g| Box::new(GosSkipApp::new(g, 0, GosSkipConfig::default())),
+        |g| Box::new(GosSkipApp::new(g, 0)),
         250,
     );
     // Assign real keys now that ids are known (node id × 1000).
@@ -323,7 +359,7 @@ fn gosskip_sorted_overlay_answers_point_and_range_queries() {
         sim.with_node_ctx::<WhisperNode>(m, |node, _| {
             node.with_api(|_, app| {
                 let app: &mut GosSkipApp = app.as_any_mut().downcast_mut().unwrap();
-                *app = GosSkipApp::new(group, m.0 * 1000, GosSkipConfig::default());
+                *app = GosSkipApp::new(group, m.0 * 1000);
             });
         });
     }
@@ -422,7 +458,7 @@ fn tchord_crash_restart_drops_inflight_and_regrows_the_ring() {
         10,
         &cfg,
         SimConfig::cluster(81),
-        |g| Box::new(TChordApp::new(g, TChordConfig::default())),
+        |g| Box::new(TChordApp::new(g)),
         250,
     );
     sim.run_for_secs(700);
@@ -467,21 +503,21 @@ fn tchord_crash_restart_drops_inflight_and_regrows_the_ring() {
 
 #[test]
 fn gosskip_crash_restart_keeps_surfaced_results_only() {
-    use whisper_apps::gosskip::{GosSkipApp, GosSkipConfig};
+    use whisper_apps::gosskip::GosSkipApp;
     let cfg = WhisperConfig::default();
     let (mut sim, group, _leader, members) = build_group(
         26,
         10,
         &cfg,
         SimConfig::cluster(82),
-        |g| Box::new(GosSkipApp::new(g, 0, GosSkipConfig::default())),
+        |g| Box::new(GosSkipApp::new(g, 0)),
         250,
     );
     for &m in &members {
         sim.with_node_ctx::<WhisperNode>(m, |node, _| {
             node.with_api(|_, app| {
                 let app: &mut GosSkipApp = app.as_any_mut().downcast_mut().unwrap();
-                *app = GosSkipApp::new(group, m.0 * 1000, GosSkipConfig::default());
+                *app = GosSkipApp::new(group, m.0 * 1000);
             });
         });
     }
@@ -538,14 +574,14 @@ fn gosskip_crash_restart_keeps_surfaced_results_only() {
 
 #[test]
 fn broadcast_crash_restart_never_reuses_sequence_numbers() {
-    use whisper_apps::broadcast::{BroadcastApp, BroadcastConfig};
+    use whisper_apps::broadcast::BroadcastApp;
     let cfg = WhisperConfig::default();
     let (mut sim, group, _leader, members) = build_group(
         26,
         10,
         &cfg,
         SimConfig::cluster(83),
-        |g| Box::new(BroadcastApp::new(g, BroadcastConfig::default())),
+        |g| Box::new(BroadcastApp::new(g)),
         250,
     );
     sim.run_for_secs(250);

@@ -8,7 +8,7 @@
 //!
 //! No flags. The 30 runs share the cores.
 
-use whisper_bench::chaos::{run_scenario, ChaosParams, Scenario, ACCEPTANCE_SEEDS, DELIVERY_FLOOR};
+use whisper_bench::chaos::{run_scenario, ChaosParams, Scenario, ACCEPTANCE_SEEDS, DELIVERY_FLOOR, FAULT_LEN_S};
 use whisper_bench::harness::par_map;
 use whisper_bench::report;
 
@@ -23,7 +23,7 @@ fn main() {
 
     report::banner("Chaos matrix", "delivery + route repair under scripted faults (adaptive vs. fixed RTO)");
     let base = ChaosParams::full(ACCEPTANCE_SEEDS[0]);
-    println!("nodes={} groups={} fault window={}s floor={:.0}%", base.nodes, base.groups, base.fault_len, DELIVERY_FLOOR * 100.0);
+    println!("nodes={} groups={} fault window={}s floor={:.0}%", base.nodes, base.groups, FAULT_LEN_S, DELIVERY_FLOOR * 100.0);
     println!("{:<14} {:>4} {:>10} {:>9} {:>11} {:>8}", "scenario", "seed", "timer", "delivery", "repair (ms)", "repairs");
     let mut broken = 0;
     for (&(scenario, seed, adaptive), out) in cells.iter().zip(&outcomes) {

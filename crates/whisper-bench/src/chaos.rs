@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use crate::harness::{NetBuilder, WhisperNet};
 use whisper_core::node::{GroupApp, WhisperApi, WhisperNode};
 use whisper_core::{GroupId, PrivateEntry};
-use whisper_net::fault::{FaultPlan, GilbertElliott};
+use whisper_net::fault::FaultPlan;
 use whisper_net::sim::Ctx;
 use whisper_net::stats::Cdf;
 use whisper_net::{NodeId, SimTime};
@@ -178,6 +178,20 @@ pub const SMOKE_DELIVERY_FLOOR: f64 = 0.85;
 /// seconds.
 const DELETION_PROP_P95_MAX_S: f64 = 150.0;
 
+/// Seconds between workload rounds.
+const ROUND_PERIOD_S: u64 = 10;
+
+/// The fault window opens after this many rounds...
+const FAULT_AFTER_ROUND: u64 = 2;
+
+/// ...and lasts this many seconds: short enough that a request issued as
+/// the window opens can still resolve on its last backed-off retry after
+/// the heal (the RTO ladder reaches ~2+4+8 s past the send).
+pub const FAULT_LEN_S: u64 = 20;
+
+/// Drain time after the last round, seconds (lets retries resolve).
+const HEAL_WAIT_S: u64 = 60;
+
 /// Knobs of one chaos run.
 #[derive(Clone, Debug)]
 pub struct ChaosParams {
@@ -191,16 +205,8 @@ pub struct ChaosParams {
     pub settle: u64,
     /// Number of request rounds.
     pub rounds: u64,
-    /// Seconds between rounds.
-    pub round_period: u64,
     /// Requests issued per group per round.
     pub pairs_per_round: usize,
-    /// The fault window opens after this many rounds...
-    pub fault_after_round: u64,
-    /// ...and lasts this many seconds.
-    pub fault_len: u64,
-    /// Drain time after the last round, seconds (lets retries resolve).
-    pub heal_wait: u64,
     /// Engine seed.
     pub seed: u64,
     /// WCL adaptive-RTO switch (false = the paper's fixed 2 s timer).
@@ -219,14 +225,7 @@ impl ChaosParams {
             warmup: 150,
             settle: 60,
             rounds: 9,
-            round_period: 10,
             pairs_per_round: 3,
-            fault_after_round: 2,
-            // Short enough that a request issued as the window opens can
-            // still resolve on its last backed-off retry after the heal
-            // (the RTO ladder reaches ~2+4+8 s past the send).
-            fault_len: 20,
-            heal_wait: 60,
             seed,
             adaptive_rto: true,
             shards: 1,
@@ -347,7 +346,7 @@ pub fn run_scenario(scenario: Scenario, params: &ChaosParams) -> ChaosOutcome {
     let (leaders, groups, membership) =
         net.form_groups(params.groups, "chaos", params.seed ^ 0x51, params.settle);
 
-    let (from, to) = fault_window(&net, params);
+    let (from, to) = fault_window(&net);
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0xC4A0_5EED);
     let victims = shuffled_victims(&net, &leaders, &mut rng);
     let plan = build_plan(scenario, &net, &victims, from, to);
@@ -358,9 +357,9 @@ pub fn run_scenario(scenario: Scenario, params: &ChaosParams) -> ChaosOutcome {
         for (gi, members) in membership.iter().enumerate() {
             requests.round(&mut net, groups[gi], members, params.pairs_per_round, &mut rng);
         }
-        net.sim.run_for_secs(params.round_period);
+        net.sim.run_for_secs(ROUND_PERIOD_S);
     }
-    net.sim.run_for_secs(params.heal_wait);
+    net.sim.run_for_secs(HEAL_WAIT_S);
     collect(&net, requests.skipped)
 }
 
@@ -390,17 +389,16 @@ impl Requests {
 }
 
 /// The fault window, anchored to the request schedule: it opens
-/// `fault_after_round` rounds into the workload, halfway between two send
+/// [`FAULT_AFTER_ROUND`] rounds into the workload, halfway between two send
 /// instants — the preceding round's requests (answered within a second on
 /// the cluster profile) are the pre-fault baseline, and the requests issued
 /// *inside* the window exercise retry and repair.
-fn fault_window(net: &WhisperNet, params: &ChaosParams) -> (SimTime, SimTime) {
+fn fault_window(net: &WhisperNet) -> (SimTime, SimTime) {
     let t0 = net.sim.now().as_micros();
     let from = SimTime::from_micros(
-        t0 + (params.fault_after_round * params.round_period + params.round_period / 2)
-            * 1_000_000,
+        t0 + (FAULT_AFTER_ROUND * ROUND_PERIOD_S + ROUND_PERIOD_S / 2) * 1_000_000,
     );
-    (from, SimTime::from_micros(from.as_micros() + params.fault_len * 1_000_000))
+    (from, SimTime::from_micros(from.as_micros() + FAULT_LEN_S * 1_000_000))
 }
 
 /// The nodes a fault may hit, shuffled with `rng`. Bootstraps and group
@@ -427,7 +425,7 @@ fn build_plan(
             let island: Vec<NodeId> = victims.iter().take(victims.len() / 4).copied().collect();
             FaultPlan::new().partition(island, from, to)
         }
-        Scenario::BurstLoss => FaultPlan::new().burst_loss(from, to, GilbertElliott::heavy()),
+        Scenario::BurstLoss => FaultPlan::new().burst_loss(from, to),
         Scenario::LatencySpike => FaultPlan::new().latency_spike(from, to, 10),
         Scenario::CrashRestart => {
             let mut plan = FaultPlan::new();
@@ -649,7 +647,7 @@ fn serialize_observables(net: &WhisperNet) -> Vec<u8> {
 /// * round 1 — a **late group** is created and joined while the system
 ///   is already under load (create/join under churn);
 /// * the scripted fault window (a partition island *plus* staggered
-///   crash/restarts) opens after `fault_after_round` rounds;
+///   crash/restarts) opens after `FAULT_AFTER_ROUND` rounds;
 /// * one round into the window, `max(1, groups/4)` groups are
 ///   **deleted** — tombstones, pushed from member to member and
 ///   answered to exchange requests, must cross the partition and reach
@@ -670,11 +668,9 @@ pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
     // cut), then staggered crash/restarts two rounds after the heal (the
     // migration happens inside that one, and restarted members must
     // rebuild group state from their journals alone).
-    let (from, to) = fault_window(&net, params);
-    let crash_from =
-        SimTime::from_micros(to.as_micros() + 2 * params.round_period * 1_000_000);
-    let crash_to =
-        SimTime::from_micros(crash_from.as_micros() + params.fault_len * 1_000_000);
+    let (from, to) = fault_window(&net);
+    let crash_from = SimTime::from_micros(to.as_micros() + 2 * ROUND_PERIOD_S * 1_000_000);
+    let crash_to = SimTime::from_micros(crash_from.as_micros() + FAULT_LEN_S * 1_000_000);
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x11FE_C7C1E);
     let victims = shuffled_victims(&net, &leaders, &mut rng);
     let island: Vec<NodeId> = victims.iter().take(victims.len() / 10).copied().collect();
@@ -692,9 +688,8 @@ pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
     // Lifecycle schedule: deletions inside the partition window,
     // migration inside the crash window.
     let late_round = 1u64;
-    let delete_round = params.fault_after_round + 1;
-    let migrate_round =
-        params.fault_after_round + params.fault_len / params.round_period + 3;
+    let delete_round = FAULT_AFTER_ROUND + 1;
+    let migrate_round = FAULT_AFTER_ROUND + FAULT_LEN_S / ROUND_PERIOD_S + 3;
     let delete_count = (groups.len() / 4).max(1).min(groups.len().saturating_sub(2));
     let doomed: Vec<usize> = (groups.len() - delete_count..groups.len()).collect();
 
@@ -761,9 +756,9 @@ pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
         if let Some((_, gid, invitees)) = &late {
             requests.round(&mut net, *gid, invitees, params.pairs_per_round.min(2), &mut rng);
         }
-        net.sim.run_for_secs(params.round_period);
+        net.sim.run_for_secs(ROUND_PERIOD_S);
     }
-    net.sim.run_for_secs(params.heal_wait);
+    net.sim.run_for_secs(HEAL_WAIT_S);
 
     let echo = collect(&net, requests.skipped);
     let resurrections = net

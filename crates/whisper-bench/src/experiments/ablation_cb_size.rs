@@ -13,35 +13,31 @@ pub struct Params {
     pub nodes: usize,
     /// Number of private groups.
     pub groups: usize,
-    /// CB capacity factors to sweep (CB = factor × c; the paper uses 2).
-    pub cb_factors: Vec<usize>,
-    /// Churn rate in %/min during the measurement window.
-    pub churn_percent: f64,
-    /// Warm-up seconds.
-    pub warmup: u64,
     /// Measured (churned) seconds.
     pub measure: u64,
-    /// Engine seed.
-    pub seed: u64,
 }
+
+/// CB capacity factors swept (CB = factor × c; the paper uses 2).
+const CB_FACTORS: [usize; 3] = [1, 2, 4];
+
+/// Churn rate in %/min during the measurement window.
+const CHURN_PERCENT: f64 = 1.0;
+
+/// Warm-up seconds, and the settling time after group formation.
+const WARMUP: u64 = 350;
+
+/// Engine seed.
+const SEED: u64 = 13;
 
 impl Params {
     /// Default configuration.
     pub fn paper() -> Self {
-        Params {
-            nodes: 300,
-            groups: 6,
-            cb_factors: vec![1, 2, 4],
-            churn_percent: 1.0,
-            warmup: 350,
-            measure: 480,
-            seed: 13,
-        }
+        Params { nodes: 300, groups: 6, measure: 480 }
     }
 
     /// A fast smoke-test configuration.
     pub fn quick() -> Self {
-        Params { nodes: 120, groups: 3, measure: 240, ..Params::paper() }
+        Params { nodes: 120, groups: 3, measure: 240 }
     }
 }
 
@@ -56,12 +52,11 @@ pub struct CbSize {
 /// Runs the ablation.
 pub fn run(params: &Params) -> CbSize {
     let mut rows = Vec::new();
-    for &factor in &params.cb_factors {
-        let mut builder = NetBuilder::cluster(params.nodes, params.seed);
+    for factor in CB_FACTORS {
+        let mut builder = NetBuilder::cluster(params.nodes, SEED);
         builder.whisper.nylon.cb_factor = factor;
-        let (mut net, leaders, groups) =
-            builder.grouped(params.warmup, params.groups, "ablcb", params.seed ^ 0x13, params.warmup);
-        net.churn(params.measure, params.churn_percent, &leaders, &groups, params.seed ^ 0xCB, params.seed ^ 0xCB1);
+        let (mut net, leaders, groups) = builder.grouped(WARMUP, params.groups, "ablcb", SEED ^ 0x13, WARMUP);
+        net.churn(params.measure, CHURN_PERCENT, &leaders, &groups, SEED ^ 0xCB, SEED ^ 0xCB1);
         rows.push((factor, net.routes()));
     }
     CbSize { rows }

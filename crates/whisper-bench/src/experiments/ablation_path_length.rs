@@ -17,30 +17,25 @@ pub struct Params {
     pub groups: usize,
     /// Mix counts to sweep (2 = the paper's `S → A → B → D`).
     pub mixes: Vec<usize>,
-    /// Warm-up seconds.
-    pub warmup: u64,
     /// Measured seconds.
     pub measure: u64,
-    /// Engine seed.
-    pub seed: u64,
 }
+
+/// Warm-up seconds, and the settling time after group formation.
+const WARMUP: u64 = 350;
+
+/// Engine seed.
+const SEED: u64 = 12;
 
 impl Params {
     /// Default configuration.
     pub fn paper() -> Self {
-        Params {
-            nodes: 300,
-            groups: 6,
-            mixes: vec![2, 3, 4],
-            warmup: 350,
-            measure: 300,
-            seed: 12,
-        }
+        Params { nodes: 300, groups: 6, mixes: vec![2, 3, 4], measure: 300 }
     }
 
     /// A fast smoke-test configuration.
     pub fn quick() -> Self {
-        Params { nodes: 120, groups: 3, mixes: vec![2, 3], measure: 180, ..Params::paper() }
+        Params { nodes: 120, groups: 3, mixes: vec![2, 3], measure: 180 }
     }
 }
 
@@ -70,9 +65,9 @@ pub struct PathLength {
 pub fn run(params: &Params) -> PathLength {
     let mut rows = Vec::new();
     for &mixes in &params.mixes {
-        let mut builder = NetBuilder::cluster(params.nodes, params.seed);
+        let mut builder = NetBuilder::cluster(params.nodes, SEED);
         builder.whisper.wcl.mixes = mixes;
-        let (mut net, ..) = builder.grouped(params.warmup, params.groups, "ablpath", params.seed ^ 0x12, params.warmup);
+        let (mut net, ..) = builder.grouped(WARMUP, params.groups, "ablpath", SEED ^ 0x12, WARMUP);
         let before = net.sim.metrics().traffic_snapshot();
         net.sim.run_for_secs(params.measure);
         let after = net.sim.metrics().traffic_snapshot();

@@ -31,11 +31,12 @@ pub struct Params {
     pub secs: u64,
     /// Engine seeds: one run per seed and Π, pooled.
     pub seeds: Vec<u64>,
-    /// Π values to sweep.
-    pub pis: Vec<usize>,
     /// Whether to apply the oldest-P-discard bias (ablation: disable).
     pub oldest_p_discard: bool,
 }
+
+/// The Π values swept.
+const PIS: [usize; 4] = [0, 1, 2, 3];
 
 impl Params {
     /// The paper's configuration.
@@ -44,7 +45,6 @@ impl Params {
             nodes: 1000,
             secs: 400,
             seeds: (1..=8).collect(),
-            pis: vec![0, 1, 2, 3],
             oldest_p_discard: true,
         }
     }
@@ -132,10 +132,9 @@ fn run_one(params: &Params, pi: usize, seed: u64) -> Run {
 /// Runs the experiment: every (Π, seed) pair at once, across the cores.
 pub fn run(params: &Params) -> Fig5 {
     let pairs: Vec<(usize, u64)> =
-        params.pis.iter().flat_map(|&pi| params.seeds.iter().map(move |&seed| (pi, seed))).collect();
+        PIS.iter().flat_map(|&pi| params.seeds.iter().map(move |&seed| (pi, seed))).collect();
     let mut runs = par_map(&pairs, |&(pi, seed)| run_one(params, pi, seed)).into_iter();
-    let settings = params
-        .pis
+    let settings = PIS
         .iter()
         .map(|&pi| {
             let runs: Vec<Run> = runs.by_ref().take(params.seeds.len()).collect();

@@ -19,13 +19,15 @@ pub struct Params {
     pub nodes: usize,
     /// Groups-per-node values to sweep.
     pub subscriptions: Vec<usize>,
-    /// Warm-up seconds.
-    pub warmup: u64,
     /// Number of measured PPSS cycles.
     pub cycles: u64,
-    /// Engine seed.
-    pub seed: u64,
 }
+
+/// Warm-up seconds, before group formation and again after subscribing.
+const WARMUP: u64 = 400;
+
+/// Engine seed.
+const SEED: u64 = 10;
 
 impl Params {
     /// The paper's configuration.
@@ -33,15 +35,13 @@ impl Params {
         Params {
             nodes: 400,
             subscriptions: vec![1, 2, 4, 8, 16, 32],
-            warmup: 400,
             cycles: 5,
-            seed: 10,
         }
     }
 
     /// A fast smoke-test configuration.
     pub fn quick() -> Self {
-        Params { nodes: 120, subscriptions: vec![1, 4], cycles: 3, ..Params::paper() }
+        Params { nodes: 120, subscriptions: vec![1, 4], cycles: 3 }
     }
 }
 
@@ -78,15 +78,15 @@ pub struct Fig8 {
 pub fn run(params: &Params) -> Fig8 {
     let mut settings = Vec::new();
     for &per_node in &params.subscriptions {
-        let mut net = NetBuilder::planetlab(params.nodes, params.seed)
+        let mut net = NetBuilder::planetlab(params.nodes, SEED)
             .build_whisper(|_| Box::new(whisper_core::node::NoApp));
-        net.sim.run_for_secs(params.warmup);
+        net.sim.run_for_secs(WARMUP);
         // Every P-node creates (and leads) one private group, as in the
         // paper's 120-groups-over-400-nodes setup.
         let leaders = net.publics();
         let groups = net.create_groups(&leaders, "fig8");
-        net.subscribe_members(&leaders, &groups, per_node, params.seed ^ per_node as u64);
-        net.sim.run_for_secs(params.warmup);
+        net.subscribe_members(&leaders, &groups, per_node, SEED ^ per_node as u64);
+        net.sim.run_for_secs(WARMUP);
 
         let before = net.sim.metrics().traffic_snapshot();
         net.sim.run_for_secs(params.cycles * 60);

@@ -4,12 +4,12 @@
 //! with replies returned over a single WCL path using contact info
 //! shipped with the query.
 
-use crate::harness::NetBuilder;
+use crate::harness::{NetBuilder, BOOTSTRAPS};
 use crate::report;
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
 use whisper_apps::chord::{ChordKey, IdealRing};
-use whisper_apps::tchord::{TChordApp, TChordConfig};
+use whisper_apps::tchord::TChordApp;
 use whisper_core::{GroupId, WhisperNode};
 use whisper_net::stats::Cdf;
 use whisper_net::NodeId;
@@ -25,19 +25,20 @@ pub struct Params {
     pub queries: usize,
     /// Warm-up + convergence seconds.
     pub converge: u64,
-    /// Engine seed.
-    pub seed: u64,
 }
+
+/// Engine seed.
+const SEED: u64 = 11;
 
 impl Params {
     /// The paper's configuration.
     pub fn paper() -> Self {
-        Params { nodes: 400, group_size: 60, queries: 350, converge: 1100, seed: 11 }
+        Params { nodes: 400, group_size: 60, queries: 350, converge: 1100 }
     }
 
     /// A fast smoke-test configuration.
     pub fn quick() -> Self {
-        Params { nodes: 120, group_size: 20, queries: 80, converge: 900, ..Params::paper() }
+        Params { nodes: 120, group_size: 20, queries: 80, converge: 900 }
     }
 }
 
@@ -65,12 +66,10 @@ pub struct Fig9 {
 /// Runs the experiment.
 pub fn run(params: &Params) -> Fig9 {
     let group = GroupId::from_name("fig9-0");
-    let builder = NetBuilder::cluster(params.nodes, params.seed);
-    let mut net = builder
-        .build_whisper(move |_| Box::new(TChordApp::new(group, TChordConfig::default())));
+    let mut net = NetBuilder::cluster(params.nodes, SEED).build_whisper(move |_| Box::new(TChordApp::new(group)));
     net.sim.run_for_secs(300);
 
-    let leader = net.publics()[net.builder.bootstraps]; // skip bootstraps
+    let leader = net.publics()[BOOTSTRAPS]; // skip bootstraps
     let groups = net.create_groups(&[leader], "fig9");
     let gid = groups[0];
     assert_eq!(gid, group, "group id derivation must be stable");
@@ -79,7 +78,7 @@ pub fn run(params: &Params) -> Fig9 {
         if members.len() >= params.group_size {
             break;
         }
-        if id.0 >= net.builder.bootstraps as u64 && id != leader {
+        if id.0 >= BOOTSTRAPS as u64 && id != leader {
             net.join(leader, gid, id);
             members.push(id);
         }
@@ -108,7 +107,7 @@ pub fn run(params: &Params) -> Fig9 {
         .count();
 
     // Issue the queries from random members.
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x93);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x93);
     let mut issued = 0;
     for q in 0..params.queries {
         let from = joined[rng.gen_range(0..joined.len())];

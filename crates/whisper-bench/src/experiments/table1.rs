@@ -19,15 +19,17 @@ pub struct Params {
     pub groups: usize,
     /// Churn rates in %/minute.
     pub churn_rates: Vec<f64>,
-    /// Warm-up before group formation (PSS convergence), seconds.
-    pub warmup: u64,
     /// Settling time between group formation and churn start, seconds.
     pub settle: u64,
     /// Churn (and measurement) window, seconds.
     pub churn_window: u64,
-    /// Engine seed.
-    pub seed: u64,
 }
+
+/// Warm-up before group formation (PSS convergence), seconds.
+const WARMUP: u64 = 250;
+
+/// Engine seed.
+const SEED: u64 = 7;
 
 impl Params {
     /// The paper's configuration.
@@ -36,10 +38,8 @@ impl Params {
             nodes: 1000,
             groups: 20,
             churn_rates: vec![0.0, 0.2, 1.0, 5.0, 10.0],
-            warmup: 250,
             settle: 250,
             churn_window: 900,
-            seed: 7,
         }
     }
 
@@ -49,10 +49,8 @@ impl Params {
             nodes: 200,
             groups: 5,
             churn_rates: vec![0.0, 1.0, 5.0],
-            warmup: 250,
             settle: 200,
             churn_window: 300,
-            ..Params::paper()
         }
     }
 }
@@ -69,9 +67,9 @@ pub struct Table1 {
 fn run_one(params: &Params, x_percent: f64) -> Routes {
     // One leader (P-node) per group, as in the paper where each group is
     // created by a P-node; measured only during the churn window.
-    let (mut net, leaders, groups) = NetBuilder::cluster(params.nodes, params.seed)
-        .grouped(params.warmup, params.groups, "table1", params.seed ^ 0x51, params.settle);
-    net.churn(params.churn_window, x_percent, &leaders, &groups, params.seed ^ 0xC0FFEE, params.seed ^ 0x9);
+    let (mut net, leaders, groups) = NetBuilder::cluster(params.nodes, SEED)
+        .grouped(WARMUP, params.groups, "table1", SEED ^ 0x51, params.settle);
+    net.churn(params.churn_window, x_percent, &leaders, &groups, SEED ^ 0xC0FFEE, SEED ^ 0x9);
     net.routes()
 }
 

@@ -19,13 +19,15 @@ pub struct Params {
     pub nodes: usize,
     /// Number of private groups.
     pub groups: usize,
-    /// Warm-up seconds.
-    pub warmup: u64,
     /// Number of measured PPSS cycles.
     pub cycles: u64,
-    /// Engine seed.
-    pub seed: u64,
 }
+
+/// Warm-up seconds, and the settling time after group formation.
+const WARMUP: u64 = 400;
+
+/// Engine seed.
+const SEED: u64 = 9;
 
 /// The RSA modulus size at both scales: the paper's 1 KB keys. (At the
 /// simulation's `Sim384` RSA reads only ≈ 3 × AES, so "RSA ≫ AES" could not
@@ -35,12 +37,12 @@ pub const RSA: RsaKeySize = RsaKeySize::Std1024;
 impl Params {
     /// The paper's configuration.
     pub fn paper() -> Self {
-        Params { nodes: 1000, groups: 20, warmup: 400, cycles: 5, seed: 9 }
+        Params { nodes: 1000, groups: 20, cycles: 5 }
     }
 
     /// A fast smoke-test configuration.
     pub fn quick() -> Self {
-        Params { nodes: 150, groups: 4, cycles: 3, ..Params::paper() }
+        Params { nodes: 150, groups: 4, cycles: 3 }
     }
 }
 
@@ -62,9 +64,9 @@ pub const CYCLE_US: f64 = 60.0 * 1e6;
 
 /// Runs the experiment.
 pub fn run(params: &Params) -> Table2 {
-    let mut builder = NetBuilder::cluster(params.nodes, params.seed);
+    let mut builder = NetBuilder::cluster(params.nodes, SEED);
     builder.whisper.nylon.rsa = RSA;
-    let (mut net, ..) = builder.grouped(params.warmup, params.groups, "table2", params.seed ^ 0x72, params.warmup);
+    let (mut net, ..) = builder.grouped(WARMUP, params.groups, "table2", SEED ^ 0x72, WARMUP);
     net.sim.run_for_secs(params.cycles * 60);
 
     let m = net.sim.metrics();

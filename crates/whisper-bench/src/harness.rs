@@ -38,21 +38,21 @@ pub fn gen_keys_parallel(count: usize, size: RsaKeySize, seed: u64) -> Vec<KeyPa
     par_map(&streams, |&idx| KeyPair::generate(size, &mut StdRng::for_stream(seed, idx)))
 }
 
+/// Public bootstrap nodes at the head of every population: nodes `0` and
+/// `1` bootstrap from each other, every later one from both.
+pub const BOOTSTRAPS: usize = 2;
+
 /// Declarative description of a simulated population.
 #[derive(Clone, Debug)]
 pub struct NetBuilder {
-    /// Number of nodes (including bootstraps).
+    /// Number of nodes (including the [`BOOTSTRAPS`]).
     pub nodes: usize,
-    /// Number of public bootstrap nodes (at least 1).
-    pub bootstraps: usize,
     /// Fraction of public nodes among non-bootstrap nodes.
     pub public_ratio: f64,
     /// Engine + environment configuration.
     pub sim: SimConfig,
     /// Protocol stack configuration.
     pub whisper: WhisperConfig,
-    /// Seed for key generation (distinct from the engine seed).
-    pub key_seed: u64,
     /// Generate at most this many distinct key pairs and cycle them
     /// across the population (`None` = one key per node). `scale_smoke`
     /// sets this: RSA keygen is O(nodes) and would dominate a 10k-node
@@ -66,20 +66,19 @@ impl NetBuilder {
     pub fn cluster(nodes: usize, seed: u64) -> Self {
         NetBuilder {
             nodes,
-            bootstraps: 2,
             public_ratio: 0.30,
             sim: SimConfig::cluster(seed),
             whisper: WhisperConfig::default(),
-            key_seed: seed ^ 0x4B45_5953, // "KEYS"
             key_cycle: None,
         }
     }
 
     /// Generates the population's key material, honouring
-    /// [`NetBuilder::key_cycle`].
+    /// [`NetBuilder::key_cycle`], from a seed of its own derived from the
+    /// engine seed.
     fn population_keys(&self, size: RsaKeySize) -> Vec<KeyPair> {
         let distinct = self.key_cycle.unwrap_or(self.nodes).min(self.nodes).max(1);
-        let keys = gen_keys_parallel(distinct, size, self.key_seed);
+        let keys = gen_keys_parallel(distinct, size, self.sim.seed ^ 0x4B45_5953); // "KEYS"
         (0..self.nodes).map(|i| keys[i % distinct].clone()).collect()
     }
 
@@ -88,12 +87,12 @@ impl NetBuilder {
         NetBuilder { sim: SimConfig::planetlab(seed), ..NetBuilder::cluster(nodes, seed) }
     }
 
-    /// Node `i`'s NAT type and bootstrap list: the first `bootstraps` nodes
-    /// are public and bootstrap from each other, every later one draws its
+    /// Node `i`'s NAT type and bootstrap list: the [`BOOTSTRAPS`] are
+    /// public and bootstrap from each other, every later node draws its
     /// NAT type from `dist` and bootstraps from all of them.
     fn place(&self, i: usize, sim: &mut Sim, dist: &NatDistribution) -> (NatType, Vec<NodeId>) {
-        let bootstraps = (0..self.bootstraps as u64).map(NodeId);
-        if i < self.bootstraps {
+        let bootstraps = (0..BOOTSTRAPS as u64).map(NodeId);
+        if i < BOOTSTRAPS {
             (NatType::Public, bootstraps.filter(|n| n.0 != i as u64).collect())
         } else {
             (dist.sample(sim.rng()), bootstraps.collect())
@@ -266,7 +265,7 @@ impl WhisperNet {
     /// Live nodes other than the bootstraps and `leaders`: the ones churn
     /// and faults may take down.
     pub fn expendable(&self, leaders: &[NodeId]) -> Vec<NodeId> {
-        let core = |id: &NodeId| id.0 < self.builder.bootstraps as u64 || leaders.contains(id);
+        let core = |id: &NodeId| id.0 < BOOTSTRAPS as u64 || leaders.contains(id);
         self.live().into_iter().filter(|id| !core(id)).collect()
     }
 
@@ -293,7 +292,7 @@ impl WhisperNet {
         let key = KeyPair::generate(cfg.nylon.rsa, key_rng);
         let mut node = WhisperNode::new(cfg.clone(), key);
         node.nylon_mut()
-            .set_bootstrap((0..self.builder.bootstraps as u64).map(NodeId).collect());
+            .set_bootstrap((0..BOOTSTRAPS as u64).map(NodeId).collect());
         let dist = NatDistribution::with_public_ratio(self.builder.public_ratio);
         let nat = dist.sample(self.sim.rng());
         let id = self.sim.add_node(Box::new(node), nat);
@@ -319,7 +318,7 @@ impl WhisperNet {
         let candidates: Vec<NodeId> = self
             .live()
             .into_iter()
-            .filter(|id| id.0 >= self.builder.bootstraps as u64 && !leaders.contains(id))
+            .filter(|id| id.0 >= BOOTSTRAPS as u64 && !leaders.contains(id))
             .collect();
         for member in candidates {
             let mut picks: Vec<usize> = (0..groups.len()).collect();

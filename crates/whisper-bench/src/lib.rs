@@ -26,6 +26,10 @@
 //! `print` renders it: `tests/paper_claims.rs` asserts the paper's claims
 //! on the results, and `print` is the only renderer of what
 //! `scripts/golden/figures_quick.txt` and EXPERIMENTS.md hold.
+//! An experiment's `Params` holds only what its `paper()` and `quick()`
+//! tiers set differently (and Fig. 5's ablation switch); what both share
+//! — the seed, most warm-ups, the swept Π values and public ratios — is
+//! a constant of the experiment's module.
 //!
 //! This library holds the shared scaffolding: deterministic population
 //! builders, group formation, churn, route outcomes and plot-style output,

@@ -22,7 +22,19 @@ use std::collections::BTreeSet;
 use whisper_rand::rngs::StdRng;
 use whisper_rand::Rng;
 
-/// A two-state Markov (Gilbert–Elliott) burst-loss model.
+/// Per-packet probability that a sender's Gilbert–Elliott chain enters
+/// the bad (bursty) state.
+const P_GOOD_TO_BAD: f64 = 0.02;
+/// Per-packet probability that the chain leaves the bad state: bursts
+/// last ~4 packets on average.
+const P_BAD_TO_GOOD: f64 = 0.25;
+/// Loss probability in the bad state; the good state loses nothing. Mean
+/// loss over a long window is ≈ `P_GOOD_TO_BAD / (P_GOOD_TO_BAD +
+/// P_BAD_TO_GOOD) · LOSS_BAD` ≈ 4%.
+const LOSS_BAD: f64 = 0.6;
+
+/// Steps a two-state Markov (Gilbert–Elliott) burst-loss chain once for
+/// one packet; returns whether it is lost.
 ///
 /// Each **sending node** runs its own chain (modelling a bursty uplink),
 /// stepped once per packet that node sends while the fault window is
@@ -31,40 +43,11 @@ use whisper_rand::Rng;
 /// link RNG stream, so its trajectory is a pure function of
 /// `(seed, sender)` — independent of how nodes are partitioned across
 /// simulator shards.
-#[derive(Clone, Debug)]
-pub struct GilbertElliott {
-    /// Per-packet probability of entering the bad (bursty) state.
-    pub p_good_to_bad: f64,
-    /// Per-packet probability of leaving the bad state.
-    pub p_bad_to_good: f64,
-    /// Loss probability while in the good state.
-    pub loss_good: f64,
-    /// Loss probability while in the bad state.
-    pub loss_bad: f64,
-}
-
-impl GilbertElliott {
-    /// A heavy but realistic default: bursts start rarely, last ~5 packets
-    /// on average, and kill more than half of what they touch. Mean loss
-    /// over a long window is ≈ `p_g2b/(p_g2b+p_b2g) · loss_bad` ≈ 4%.
-    pub fn heavy() -> Self {
-        GilbertElliott {
-            p_good_to_bad: 0.02,
-            p_bad_to_good: 0.25,
-            loss_good: 0.0,
-            loss_bad: 0.6,
-        }
+fn burst_step(bad: &mut bool, rng: &mut StdRng) -> bool {
+    if rng.gen_bool(if *bad { P_BAD_TO_GOOD } else { P_GOOD_TO_BAD }) {
+        *bad = !*bad;
     }
-
-    /// Steps the chain once for one packet; returns whether it is lost.
-    fn step(&self, bad: &mut bool, rng: &mut StdRng) -> bool {
-        let flip = if *bad { self.p_bad_to_good } else { self.p_good_to_bad };
-        if flip > 0.0 && rng.gen_bool(flip) {
-            *bad = !*bad;
-        }
-        let loss = if *bad { self.loss_bad } else { self.loss_good };
-        loss > 0.0 && rng.gen_bool(loss)
-    }
+    *bad && rng.gen_bool(LOSS_BAD)
 }
 
 /// One scripted failure.
@@ -81,15 +64,14 @@ pub enum Fault {
         /// When it heals.
         heal_at: SimTime,
     },
-    /// Applies a [`GilbertElliott`] chain to every packet sent while the
-    /// window `[from, to)` is active (drops counted as `net.lost_burst`).
+    /// Applies a Gilbert–Elliott burst-loss chain per sender to every
+    /// packet sent while the window `[from, to)` is active (drops counted
+    /// as `net.lost_burst`).
     BurstLoss {
         /// Window start.
         from: SimTime,
         /// Window end.
         to: SimTime,
-        /// The burst-loss chain.
-        model: GilbertElliott,
     },
     /// Multiplies every sampled one-way delay by `factor` while the
     /// window `[from, to)` is active (counted as `net.delay_spiked`).
@@ -156,8 +138,8 @@ impl FaultPlan {
     }
 
     /// Adds a burst-loss window.
-    pub fn burst_loss(mut self, from: SimTime, to: SimTime, model: GilbertElliott) -> Self {
-        self.faults.push(Fault::BurstLoss { from, to, model });
+    pub fn burst_loss(mut self, from: SimTime, to: SimTime) -> Self {
+        self.faults.push(Fault::BurstLoss { from, to });
         self
     }
 
@@ -222,12 +204,12 @@ impl FaultState {
     ) -> bool {
         let mut dropped = false;
         for (i, f) in self.faults.iter().enumerate() {
-            if let Fault::BurstLoss { from, to, model } = f {
+            if let Fault::BurstLoss { from, to } = f {
                 if now >= *from && now < *to {
                     if ge_bad.len() <= i {
                         ge_bad.resize(i + 1, false);
                     }
-                    if model.step(&mut ge_bad[i], rng) {
+                    if burst_step(&mut ge_bad[i], rng) {
                         dropped = true;
                     }
                 }
@@ -281,11 +263,7 @@ mod tests {
     fn burst_chain_is_deterministic_and_window_scoped() {
         let run = |seed| {
             let mut fs = FaultState::default();
-            fs.install(FaultPlan::new().burst_loss(
-                SimTime::from_micros(0),
-                SimTime::from_micros(100),
-                GilbertElliott::heavy(),
-            ));
+            fs.install(FaultPlan::new().burst_loss(SimTime::from_micros(0), SimTime::from_micros(100)));
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ge_bad = Vec::new();
             (0..200u64)
@@ -294,7 +272,7 @@ mod tests {
         };
         let a = run(42);
         assert_eq!(a, run(42), "same seed, same drop pattern");
-        assert!(a[..100].iter().any(|&d| d), "heavy chain drops something");
+        assert!(a[..100].iter().any(|&d| d), "the chain drops something");
         assert!(a[100..].iter().all(|&d| !d), "no drops outside the window");
     }
 
@@ -304,11 +282,7 @@ mod tests {
         // independently. Count adjacent drop pairs and compare with what
         // independent losses at the same rate would produce.
         let mut fs = FaultState::default();
-        fs.install(FaultPlan::new().burst_loss(
-            SimTime::ZERO,
-            SimTime::from_micros(100_000),
-            GilbertElliott::heavy(),
-        ));
+        fs.install(FaultPlan::new().burst_loss(SimTime::ZERO, SimTime::from_micros(100_000)));
         let mut rng = StdRng::seed_from_u64(7);
         let mut ge_bad = Vec::new();
         let drops: Vec<bool> = (0..50_000u64)

@@ -504,7 +504,7 @@ fn run_fault_trace(seed: u64) -> Vec<u8> {
 /// crash/restart deferral, burst chains and drop attribution are applied
 /// shard-locally and must not leak the partitioning.
 fn run_fault_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
-    use whisper_net::fault::{FaultPlan, GilbertElliott};
+    use whisper_net::fault::FaultPlan;
     use whisper_net::SimTime;
 
     let mut sim = Sim::new(SimConfig::planetlab(seed).with_shards(shards));
@@ -525,7 +525,7 @@ fn run_fault_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
     let at = |s: u64| SimTime::from_micros(s * 1_000_000);
     let plan = FaultPlan::new()
         .partition([NodeId(2), NodeId(3)], at(4), at(9))
-        .burst_loss(at(10), at(15), GilbertElliott::heavy())
+        .burst_loss(at(10), at(15))
         .latency_spike(at(16), at(20), 10)
         .crash_restart(NodeId(5), at(21), at(25))
         .nat_rebind(natted, at(26));

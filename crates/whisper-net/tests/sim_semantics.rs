@@ -980,7 +980,7 @@ fn traffic_totals(sim: &Sim) -> (u64, u64) {
 /// once. This is the accounting identity the chaos suite relies on.
 #[test]
 fn every_sim_drop_has_a_named_counter() {
-    use whisper_net::fault::{FaultPlan, GilbertElliott};
+    use whisper_net::fault::FaultPlan;
     let mut sim = Sim::new(SimConfig::planetlab(11)); // 2% base loss
     let sink = sim.add_node(Box::new(Recorder { received: Vec::new() }), NatType::Public);
     let a = sim.add_node(Box::new(Ticker { target: sink, sent: 0 }), NatType::Public);
@@ -989,7 +989,7 @@ fn every_sim_drop_has_a_named_counter() {
     sim.install_fault_plan(
         FaultPlan::new()
             .partition([a], at(5), at(10))
-            .burst_loss(at(12), at(18), GilbertElliott::heavy())
+            .burst_loss(at(12), at(18))
             .latency_spike(at(20), at(25), 10)
             .crash_restart(sink, at(27), at(33))
             .nat_rebind(b, at(35)),

@@ -9,7 +9,7 @@
 
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
-use whisper::apps::broadcast::{BroadcastApp, BroadcastConfig};
+use whisper::apps::broadcast::BroadcastApp;
 use whisper::core::{GroupId, WhisperConfig, WhisperNode};
 use whisper::crypto::rsa::KeyPair;
 use whisper::net::nat::{NatDistribution, NatType};
@@ -24,7 +24,7 @@ fn main() {
     let dist = NatDistribution::paper_default();
     let mut ids = Vec::new();
     for i in 0..35u64 {
-        let app = Box::new(BroadcastApp::new(room, BroadcastConfig::default()));
+        let app = Box::new(BroadcastApp::new(room));
         let mut node = WhisperNode::with_app(
             cfg.clone(),
             KeyPair::generate(cfg.nylon.rsa, &mut key_rng),

@@ -10,7 +10,7 @@
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
 use whisper::apps::chord::{ChordKey, IdealRing};
-use whisper::apps::tchord::{TChordApp, TChordConfig};
+use whisper::apps::tchord::TChordApp;
 use whisper::core::{GroupId, WhisperConfig, WhisperNode};
 use whisper::crypto::rsa::KeyPair;
 use whisper::net::nat::{NatDistribution, NatType};
@@ -25,7 +25,7 @@ fn main() {
     let dist = NatDistribution::paper_default();
     let mut ids = Vec::new();
     for i in 0..80u64 {
-        let app = Box::new(TChordApp::new(group, TChordConfig::default()));
+        let app = Box::new(TChordApp::new(group));
         let mut node = WhisperNode::with_app(
             cfg.clone(),
             KeyPair::generate(cfg.nylon.rsa, &mut key_rng),

@@ -11,7 +11,7 @@
 
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
-use whisper::apps::gosskip::{GosSkipApp, GosSkipConfig};
+use whisper::apps::gosskip::GosSkipApp;
 use whisper::core::{GroupId, WhisperConfig, WhisperNode};
 use whisper::crypto::rsa::KeyPair;
 use whisper::net::nat::{NatDistribution, NatType};
@@ -27,7 +27,7 @@ fn main() {
     let mut ids = Vec::new();
     for i in 0..40u64 {
         // Each member's application key: its "record shard" position.
-        let app = Box::new(GosSkipApp::new(group, i * 100, GosSkipConfig::default()));
+        let app = Box::new(GosSkipApp::new(group, i * 100));
         let mut node = WhisperNode::with_app(
             cfg.clone(),
             KeyPair::generate(cfg.nylon.rsa, &mut key_rng),

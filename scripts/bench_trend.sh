@@ -2,8 +2,9 @@
 # Prints how every benchmark metric moved across the BENCH_pr*.json
 # snapshots, in PR order. Each snapshot is flat `"metric": value` JSON:
 # up to PR 12 the rows `whisper_rand::bench` merged into
-# WHISPER_BENCH_JSON, from PR 16 on the `<workload>/<metric>` rows that
-# scripts/bench_snapshot.sh flattens out of a `perfbench --all` report.
+# WHISPER_BENCH_JSON, from PR 16 to PR 25 the `<workload>/<metric>` rows
+# flattened out of a `perfbench --all` report. The files are history: no
+# snapshot is written any more, and scripts/bench_gate.sh judges a change.
 #
 # For every metric that appears in at least two snapshots the script
 # prints the first and last recorded values, the overall delta, and the

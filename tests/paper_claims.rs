@@ -18,7 +18,7 @@
 use std::sync::OnceLock;
 
 use whisper_bench::experiments::fig5::Fig5;
-use whisper_bench::experiments::fig6::Fig6;
+use whisper_bench::experiments::fig6::{self, Fig6};
 use whisper_bench::experiments::fig7::Fig7;
 use whisper_bench::experiments::fig8::Fig8;
 use whisper_bench::experiments::fig9::Fig9;
@@ -192,7 +192,7 @@ fn fig6_key_sampling_is_a_flat_add_on(f: &Fig6) {
     assert!(
         within_of_mean(&add_on, 0.25),
         "key sampling adds {add_on:.3?} KB/cycle (N, P per ratio {:?})",
-        f.params.ratios
+        fig6::RATIOS
     );
 }
 
@@ -200,16 +200,11 @@ fn fig6_key_sampling_is_a_flat_add_on(f: &Fig6) {
 /// P − N up-link gap is widest at 20 % publics.
 fn fig6_p_n_gap_widest_at_20_percent_publics(f: &Fig6) {
     let gap: Vec<f64> = f.tables.iter().map(|t| t[4][2] - t[4][0]).collect();
-    let at_20 = f
-        .params
-        .ratios
-        .iter()
-        .position(|&r| r == 0.20)
-        .expect("a 20 % row");
+    let at_20 = fig6::RATIOS.iter().position(|&r| r == 0.20).expect("a 20 % row");
     assert!(
         gap.iter().all(|&g| g <= gap[at_20]),
         "P − N up-link gap {gap:.3?} KB/cycle at ratios {:?}",
-        f.params.ratios
+        fig6::RATIOS
     );
 }
 

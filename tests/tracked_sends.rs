@@ -5,7 +5,7 @@
 //! engaged the recovery machinery — no retry, no exhausted route, no
 //! torn-down circuit — nor been answered twice.
 
-use whisper_bench::harness::NetBuilder;
+use whisper_bench::harness::{NetBuilder, BOOTSTRAPS};
 use whisper_core::node::NoApp;
 use whisper_core::ppss::CYCLE;
 use whisper_core::{GroupApp, GroupId, PrivateEntry, WhisperApi, WhisperNode};
@@ -19,9 +19,8 @@ fn every_tracked_send_is_answered_first_try(seed: u64) {
     let groups = net.create_groups(&leaders, "tracked");
     let membership = net.subscribe_members(&leaders, &groups, 1, seed ^ 0x51);
     let joiners: usize = membership.iter().map(Vec::len).sum();
-    let bootstraps = net.builder.bootstraps;
-    let other_leaders = leaders.iter().filter(|l| l.0 >= bootstraps as u64).count();
-    assert_eq!(joiners, 60 - bootstraps - other_leaders, "all but bootstraps and leaders join");
+    let other_leaders = leaders.iter().filter(|l| l.0 >= BOOTSTRAPS as u64).count();
+    assert_eq!(joiners, 60 - BOOTSTRAPS - other_leaders, "all but bootstraps and leaders join");
     net.sim.run_for(CYCLE * 6);
 
     let m = net.sim.metrics();
