@@ -1,9 +1,9 @@
 //! Gossip-based aggregation (Jelasity, Montresor, Babaoglu \[8\]).
 //!
-//! Push-pull averaging / maximum computation over a gossip overlay. The
-//! paper uses max-aggregation for leader election (§IV-A); the average
-//! variant also yields decentralized network size estimation (every node
-//! starts at 0 except one seed at 1; the average converges to `1/n`).
+//! Push-pull averaging over a gossip overlay. Besides the global mean, it
+//! yields decentralized network size estimation (every node starts at 0
+//! except one seed at 1; the average converges to `1/n`). The leader
+//! election of §IV-A runs its own max-aggregation inside the PPSS.
 //!
 //! [`AggregationState`] is the pure per-node state machine (unit-testable
 //! without a network); [`AggregationApp`] runs it inside a private group
@@ -14,27 +14,18 @@ use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode};
 use whisper_net::{NodeId, SimDuration};
 
-/// Which aggregate is being computed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggregateKind {
-    /// Converges to the global average of initial values.
-    Average,
-    /// Converges to the global maximum.
-    Maximum,
-}
-
-/// The per-node aggregation state.
+/// The per-node aggregation state: converges to the global average of
+/// the initial values.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AggregationState {
-    kind: AggregateKind,
     value: f64,
     exchanges: u64,
 }
 
 impl AggregationState {
     /// Creates state with an initial local value.
-    pub fn new(kind: AggregateKind, initial: f64) -> Self {
-        AggregationState { kind, value: initial, exchanges: 0 }
+    pub fn new(initial: f64) -> Self {
+        AggregationState { value: initial, exchanges: 0 }
     }
 
     /// The current estimate.
@@ -51,18 +42,8 @@ impl AggregationState {
     /// partner's value and returns what the partner must adopt.
     pub fn exchange(&mut self, partner_value: f64) -> f64 {
         self.exchanges += 1;
-        match self.kind {
-            AggregateKind::Average => {
-                let merged = (self.value + partner_value) / 2.0;
-                self.value = merged;
-                merged
-            }
-            AggregateKind::Maximum => {
-                let merged = self.value.max(partner_value);
-                self.value = merged;
-                merged
-            }
-        }
+        self.value = (self.value + partner_value) / 2.0;
+        self.value
     }
 
     /// The responder side: answers with its pre-merge value and adopts
@@ -100,8 +81,8 @@ pub struct AggregationApp {
 
 impl AggregationApp {
     /// Creates the app for `group`, starting from `initial`.
-    pub fn new(group: GroupId, kind: AggregateKind, initial: f64) -> Self {
-        AggregationApp { group, state: AggregationState::new(kind, initial) }
+    pub fn new(group: GroupId, initial: f64) -> Self {
+        AggregationApp { group, state: AggregationState::new(initial) }
     }
 
     /// The current estimate.
@@ -194,9 +175,8 @@ mod tests {
     #[test]
     fn average_converges_pairwise() {
         // Emulate rounds of random pairwise exchanges; variance decays.
-        let mut nodes: Vec<AggregationState> = (0..16)
-            .map(|i| AggregationState::new(AggregateKind::Average, i as f64))
-            .collect();
+        let mut nodes: Vec<AggregationState> =
+            (0..16).map(|i| AggregationState::new(i as f64)).collect();
         let true_mean = 7.5;
         for round in 0..30 {
             for i in 0..nodes.len() {
@@ -222,8 +202,8 @@ mod tests {
 
     #[test]
     fn average_preserves_mass() {
-        let mut a = AggregationState::new(AggregateKind::Average, 10.0);
-        let mut b = AggregationState::new(AggregateKind::Average, 2.0);
+        let mut a = AggregationState::new(10.0);
+        let mut b = AggregationState::new(2.0);
         let before = a.value() + b.value();
         let theirs = b.respond(a.value());
         a.exchange(theirs);
@@ -233,18 +213,8 @@ mod tests {
     }
 
     #[test]
-    fn maximum_spreads() {
-        let mut a = AggregationState::new(AggregateKind::Maximum, 1.0);
-        let mut b = AggregationState::new(AggregateKind::Maximum, 9.0);
-        let theirs = b.respond(a.value());
-        a.exchange(theirs);
-        assert_eq!(a.value(), 9.0);
-        assert_eq!(b.value(), 9.0);
-    }
-
-    #[test]
     fn exchange_counting() {
-        let mut a = AggregationState::new(AggregateKind::Average, 0.0);
+        let mut a = AggregationState::new(0.0);
         a.exchange(2.0);
         a.exchange(2.0);
         assert_eq!(a.exchanges(), 2);

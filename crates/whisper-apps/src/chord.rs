@@ -189,9 +189,7 @@ impl IdealRing {
 
     /// The true successor of `node`.
     pub fn successor_of(&self, node: NodeId) -> Option<(ChordKey, NodeId)> {
-        let key = ChordKey::of_node(node);
         let pos = self.members.iter().position(|(_, n)| *n == node)?;
-        let _ = key;
         Some(self.members[(pos + 1) % self.members.len()])
     }
 

@@ -6,8 +6,7 @@
 //! These serve four roles in the paper:
 //!
 //! * **building blocks** — [`aggregation`] implements the gossip-based
-//!   aggregation of Jelasity et al. used for leader election (§IV-A) and
-//!   network size estimation;
+//!   averaging of Jelasity et al., which also estimates the network size;
 //! * **the chat-room class** — [`broadcast`] implements a probabilistic
 //!   broadcast (lpbcast-style, the paper's reference \[5\]) for private
 //!   chat rooms and live-stream control channels;
@@ -21,7 +20,7 @@
 //!   keep members in application order and answer range queries.
 //!
 //! An app is built from the group it serves (GosSkip also takes the
-//! member's key, aggregation its kind and start value). Its gossip cycle,
+//! member's key, aggregation its start value). Its gossip cycle,
 //! view and exchange sizes and hop budgets are constants beside the code
 //! that reads them: every caller ran the same values.
 

@@ -43,13 +43,13 @@ whisper_net::wire_format!(ChordDescriptor { key, entry });
 enum TChordMsg {
     Exchange(Exchange<ChordDescriptor>),
     Lookup { query_id: u64, key: ChordKey, origin: ChordDescriptor, hops: u8 },
-    LookupReply { query_id: u64, owner: NodeId, owner_key: ChordKey, hops: u8 },
+    LookupReply { query_id: u64, owner: NodeId, hops: u8 },
 }
 
 whisper_net::wire_format!(enum TChordMsg, "unknown T-Chord tag" {
     1 => Exchange(exchange),
     2 => Lookup { query_id, key, origin, hops },
-    3 => LookupReply { query_id, owner, owner_key, hops },
+    3 => LookupReply { query_id, owner, hops },
 });
 
 /// T-Man exchange period.
@@ -355,12 +355,8 @@ impl GroupApp for TChordApp {
                 // Learn the originator on the way (free ring maintenance).
                 self.tman.directory.insert(origin.node(), origin.clone());
                 if self.neighbors.owns(me, key) {
-                    let reply = TChordMsg::LookupReply {
-                        query_id,
-                        owner: api.id(),
-                        owner_key: me,
-                        hops: hops + 1,
-                    };
+                    let reply =
+                        TChordMsg::LookupReply { query_id, owner: api.id(), hops: hops + 1 };
                     ctx.metrics().count("tchord.lookups_answered", 1);
                     // Single WCL path straight back to the querying node,
                     // using the shipped contact info.
@@ -379,9 +375,8 @@ impl GroupApp for TChordApp {
                     self.route(ctx, api, key, &fwd);
                 }
             }
-            TChordMsg::LookupReply { query_id, owner, owner_key, hops } => {
+            TChordMsg::LookupReply { query_id, owner, hops } => {
                 if let Some(p) = self.pending.remove(&query_id) {
-                    let _ = owner_key;
                     self.completed.push(LookupResult {
                         query_id,
                         key: p.key,
@@ -432,12 +427,7 @@ mod tests {
             hops: 3,
         };
         assert_eq!(TChordMsg::from_wire(&msg.to_wire()).unwrap(), msg);
-        let msg = TChordMsg::LookupReply {
-            query_id: 9,
-            owner: NodeId(3),
-            owner_key: ChordKey(1),
-            hops: 4,
-        };
+        let msg = TChordMsg::LookupReply { query_id: 9, owner: NodeId(3), hops: 4 };
         assert_eq!(TChordMsg::from_wire(&msg.to_wire()).unwrap(), msg);
         let msg = TChordMsg::Exchange(Exchange { descriptors: vec![d], respond: true });
         assert_eq!(TChordMsg::from_wire(&msg.to_wire()).unwrap(), msg);
@@ -464,8 +454,8 @@ mod tests {
                 [&[2][..], &u(9), &u(1), &d_image, &[3]].concat(),
             ),
             (
-                TChordMsg::LookupReply { query_id: 9, owner: NodeId(3), owner_key: ChordKey(1), hops: 4 },
-                [&[3][..], &u(9), &u(3), &u(1), &[4]].concat(),
+                TChordMsg::LookupReply { query_id: 9, owner: NodeId(3), hops: 4 },
+                [&[3][..], &u(9), &u(3), &[4]].concat(),
             ),
         ] {
             assert_eq!(msg.to_wire(), bytes, "{msg:?}");

@@ -4,7 +4,7 @@
 
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
-use whisper_apps::aggregation::{AggregateKind, AggregationApp};
+use whisper_apps::aggregation::AggregationApp;
 use whisper_apps::chord::{ChordKey, IdealRing};
 use whisper_apps::tchord::TChordApp;
 use whisper_core::{GroupApp, GroupId, WhisperConfig, WhisperNode};
@@ -208,14 +208,14 @@ fn aggregation_estimates_group_size() {
         group_size,
         &cfg,
         SimConfig::cluster(78),
-        |g| Box::new(AggregationApp::new(g, AggregateKind::Average, 0.0)),
+        |g| Box::new(AggregationApp::new(g, 0.0)),
         250,
     );
     // Seed: the leader holds 1.0, everyone else 0 → average = 1/n.
     sim.with_node_ctx::<WhisperNode>(leader, |node, _| {
         node.with_api(|_, app| {
             let app: &mut AggregationApp = app.as_any_mut().downcast_mut().unwrap();
-            *app = AggregationApp::new(group, AggregateKind::Average, 1.0);
+            *app = AggregationApp::new(group, 1.0);
         });
     });
     for _ in 0..12 {

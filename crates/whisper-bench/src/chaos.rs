@@ -426,7 +426,7 @@ fn build_plan(
             FaultPlan::new().partition(island, from, to)
         }
         Scenario::BurstLoss => FaultPlan::new().burst_loss(from, to),
-        Scenario::LatencySpike => FaultPlan::new().latency_spike(from, to, 10),
+        Scenario::LatencySpike => FaultPlan::new().latency_spike(from, to),
         Scenario::CrashRestart => {
             let mut plan = FaultPlan::new();
             let crashed = victims.len() / 10;

@@ -26,7 +26,7 @@ use whisper_core::{GroupId, PpssEvent, PrivateEntry, WhisperConfig, WhisperNode}
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::nat::NatType;
 use whisper_net::sim::{Protocol, Sim, SimConfig};
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireLen, WireReader, WireSink};
+use whisper_net::wire::{WireDecode, WireEncode, WireError, WireLen, WireReader, WireSink, WireWriter};
 use whisper_net::NodeId;
 use whisper_rand::rngs::StdRng;
 use whisper_rand::{Rng, SeedableRng};
@@ -312,6 +312,45 @@ fn a_join_ack_with_a_key_that_does_not_parse_is_refused() {
 /// A descriptor that verifies under the group's key but is no tombstone
 /// changes nothing at a member: no epoch, no event, no journal record —
 /// it is only counted. The same key's tombstone deletes the group.
+/// An exchange whose sender entry carries a key no node could have made —
+/// an odd 4 KiB modulus, whose every use would cost what thousands of
+/// real keys do — is refused at decode and counted, before any of it is
+/// used; the same exchange with the entry's own key parses.
+#[test]
+fn an_exchange_whose_entry_carries_an_oversized_key_is_malformed() {
+    let (mut sim, me, group, group_key) = a_pending_join(29);
+    let mut entry = None;
+    sim.with_node_ctx::<WhisperNode>(me, |n, _| n.with_api(|api, _| entry = Some(api.my_entry())));
+    let entry = entry.expect("the member is up");
+    let wire = PpssMsg::Exchange {
+        group,
+        passport: Passport::issue(&group_key, group, me),
+        from_entry: Box::new(entry.clone()),
+        entries: vec![],
+        exchange_id: 77,
+        is_response: false,
+        hb: Heartbeat::default(),
+        election: None,
+        new_key: None,
+        revoked: Default::default(),
+    }
+    .to_wire();
+    assert!(PpssMsg::from_wire(&wire).is_ok());
+    let framed = |image: &[u8]| {
+        let mut w = WireWriter::new();
+        w.put_bytes(image);
+        w.into_bytes()
+    };
+    let real = framed(entry.key.wire_bytes());
+    let at = wire.windows(real.len()).position(|w| w == real).expect("the entry's key");
+    let mut oversized = vec![0x5A; 4096];
+    oversized[0] = 0xC5;
+    oversized[4095] = 0x5B;
+    let hostile = [&wire[..at], &framed(&oversized), &wire[at + real.len()..]].concat();
+    assert_eq!(deliver_wire(&mut sim, me, &hostile), None, "refused at decode");
+    assert_eq!(sim.metrics().counter("ppss.malformed"), 1);
+}
+
 #[test]
 fn a_validly_signed_live_descriptor_changes_no_state() {
     let (mut sim, me, group, group_key) = a_pending_join(26);

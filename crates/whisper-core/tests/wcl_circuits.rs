@@ -440,16 +440,17 @@ fn foreign_length_setup_is_counted_and_the_layer_still_travels() {
 
 /// A circuit whose stored next hop does not parse — which no setup this
 /// node peeled itself can have installed — drops its packets before any
-/// work is spent on the body: no CTR pass, no frame, nothing sent.
+/// work is spent on the body: no CTR pass, no frame, nothing sent. (A hop
+/// longer than an address is no entry at all: `CircuitEntry::new` refuses
+/// it.)
 #[test]
 fn malformed_next_hop_drops_the_packet_before_any_work() {
     let mut r = rig(WhisperConfig::default(), 6, 207);
     let relay = r.publics[2];
     let good = public_hop_addr(r.publics[3]);
-    let bad_hops: [Vec<u8>; 5] = [
+    let bad_hops: [Vec<u8>; 4] = [
         Vec::new(),                      // a destination's, under a relay's ids
         good[..8].to_vec(),              // the flag byte missing
-        [&good[..], &[0]].concat(),      // a byte too many
         [&good[..8], &[2]].concat(),     // a flag that is neither class
         [&good[..8], &[0xFF]].concat(),
     ];

@@ -25,9 +25,10 @@ pub struct Montgomery {
     r2: Vec<u64>,
 }
 
-/// Widest modulus (2048 bits) whose working limbs live on the stack;
-/// wider ones — no RSA size here — take one heap buffer per operation.
-pub(crate) const STACK_LIMBS: usize = 32;
+/// Widest modulus (1024 bits, the Std1024 public key) whose working limbs
+/// live on the stack; wider ones — no RSA size here — take one heap
+/// buffer per operation.
+pub(crate) const STACK_LIMBS: usize = 16;
 
 /// Runs `f` over `limbs` zeroed scratch limbs, on the stack when they
 /// fit `STACK` (each caller's need at [`STACK_LIMBS`]) and on the heap
@@ -121,18 +122,16 @@ impl Montgomery {
     }
 
     /// `out = a * b * R^-1 mod m` for `a < R`, `b < m`: [`cios`],
-    /// instantiated at the widths RSA uses — the CRT halves (3, 4, 8, 16
-    /// limbs) and the public moduli (6, 8, 16, 32) of the four key sizes
-    /// — and run over plain slices at any other.
+    /// instantiated at the widths RSA uses — the CRT halves and public
+    /// moduli of Sim384 (3 and 6 limbs) and Std1024 (8 and 16) — and run
+    /// over plain slices at any other.
     pub(crate) fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
         let (m, n0) = (&self.m.limbs[..], self.n0);
         match m.len() {
             3 => cios_fixed::<3>(out, a, b, m, n0),
-            4 => cios_fixed::<4>(out, a, b, m, n0),
             6 => cios_fixed::<6>(out, a, b, m, n0),
             8 => cios_fixed::<8>(out, a, b, m, n0),
             16 => cios_fixed::<16>(out, a, b, m, n0),
-            32 => cios_fixed::<32>(out, a, b, m, n0),
             _ => cios(out, a, b, m, n0),
         }
     }
@@ -425,36 +424,18 @@ fn inv64(m: u64) -> u64 {
 }
 
 impl BigUint {
-    /// Computes `self^exp mod modulus`.
-    ///
-    /// Uses Montgomery multiplication for odd moduli — building the
-    /// context (one division for `R² mod m`) on each call; callers that
-    /// reuse a modulus keep a [`Montgomery`] instead, as the RSA key pair
-    /// does for its primes and Miller–Rabin for its candidate — and a
-    /// generic square-and-multiply with explicit reduction otherwise.
+    /// Computes `self^exp mod modulus` by Montgomery multiplication,
+    /// building the context (one division for `R² mod m`) on each call;
+    /// callers that reuse a modulus keep a [`Montgomery`] instead, as the
+    /// RSA key pair does for its primes and Miller–Rabin for its
+    /// candidate. Every modulus here is odd: an RSA modulus, a prime or a
+    /// prime candidate.
     ///
     /// # Panics
     ///
-    /// Panics if `modulus` is zero.
+    /// Panics if `modulus` is even or zero, as [`Montgomery::new`] does.
     pub fn modpow(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
-        assert!(!modulus.is_zero(), "modpow with zero modulus");
-        if modulus.is_one() {
-            return BigUint::zero();
-        }
-        if !modulus.is_even() {
-            return Montgomery::new(modulus).pow(self, exp);
-        }
-        // Rare in this codebase (RSA moduli and MR candidates are odd) but
-        // kept for completeness.
-        let mut acc = BigUint::one();
-        let base = self.rem(modulus);
-        for i in (0..exp.bits()).rev() {
-            acc = acc.mul(&acc).rem(modulus);
-            if exp.bit(i) {
-                acc = acc.mul(&base).rem(modulus);
-            }
-        }
-        acc
+        Montgomery::new(modulus).pow(self, exp)
     }
 
     /// Computes the multiplicative inverse of `self` modulo `modulus`, if
@@ -537,8 +518,9 @@ mod tests {
 
     #[test]
     fn modpow_small() {
-        assert_eq!(big(2).modpow(&big(10), &big(1000)), big(24));
+        assert_eq!(big(2).modpow(&big(10), &big(1001)), big(23)); // 1024 mod 1001
         assert_eq!(big(3).modpow(&big(0), &big(7)), big(1));
+        assert_eq!(big(7).modpow(&big(3), &big(1)), BigUint::zero());
         assert_eq!(big(5).modpow(&big(117), &big(19)), big(1)); // 5^18 ≡ 1, 117 = 6*18+9 → 5^9 mod 19
     }
 
@@ -549,12 +531,6 @@ mod tests {
         for a in [2u64, 3, 12345, 999_999_999] {
             assert_eq!(big(a).modpow(&p.sub(&big(1)), &p), big(1));
         }
-    }
-
-    #[test]
-    fn modpow_even_modulus() {
-        assert_eq!(big(7).modpow(&big(3), &big(10)), big(3)); // 343 mod 10
-        assert_eq!(big(7).modpow(&big(3), &big(1)), BigUint::zero());
     }
 
     #[test]
@@ -700,7 +676,7 @@ mod tests {
 
     /// The one multiplication body against schoolbook `mul` then `rem`,
     /// through a `to_mont`/`from_mont` round trip: random odd moduli of
-    /// every width from 1 to 33 limbs — the six specialised ones and the
+    /// every width from 1 to 33 limbs — the four specialised ones and the
     /// slice path around and beyond them — full-width and short in the
     /// top limb, with 0, 1 and m − 1 among the operands, and with the
     /// final conditional subtraction seen both taken and not at each
@@ -784,5 +760,11 @@ mod tests {
     #[should_panic(expected = "odd")]
     fn montgomery_rejects_even() {
         Montgomery::new(&big(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "odd")]
+    fn modpow_rejects_even() {
+        big(7).modpow(&big(3), &big(10));
     }
 }

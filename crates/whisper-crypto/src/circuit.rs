@@ -313,36 +313,9 @@ fn innermost_layer_first(
     }
 }
 
-/// Longest next-hop address a [`CircuitEntry`] holds without a heap
-/// allocation: the 9 bytes (node id ‖ public flag) WCL installs.
+/// Longest hop address a [`CircuitEntry`] holds: the 9 bytes (node id ‖
+/// public flag) WCL installs.
 const INLINE_HOP_LEN: usize = 9;
-
-/// A next-hop address: opaque bytes, inline when they fit.
-#[derive(Clone)]
-enum NextHop {
-    Inline { len: u8, bytes: [u8; INLINE_HOP_LEN] },
-    /// Longer than anything the stack installs; kept for the caller that
-    /// builds one anyway.
-    Heap(Vec<u8>),
-}
-
-impl NextHop {
-    fn new(addr: Vec<u8>) -> NextHop {
-        if addr.len() > INLINE_HOP_LEN {
-            return NextHop::Heap(addr);
-        }
-        let mut bytes = [0u8; INLINE_HOP_LEN];
-        bytes[..addr.len()].copy_from_slice(&addr);
-        NextHop::Inline { len: addr.len() as u8, bytes }
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            NextHop::Inline { len, bytes } => &bytes[..*len as usize],
-            NextHop::Heap(addr) => addr,
-        }
-    }
-}
 
 /// What a hop remembers about one circuit.
 ///
@@ -354,7 +327,8 @@ impl NextHop {
 /// — with nothing on the heap behind it, and serves both directions.
 #[derive(Clone)]
 pub struct CircuitEntry {
-    next_hop: NextHop,
+    next_hop: [u8; INLINE_HOP_LEN],
+    next_len: u8,
     /// The neighbour the establishing onion came from; empty until
     /// [`CircuitEntry::reached_from`] says.
     prev_hop: [u8; INLINE_HOP_LEN],
@@ -376,9 +350,19 @@ impl std::fmt::Debug for CircuitEntry {
 
 impl CircuitEntry {
     /// Builds an entry, expanding and caching the link key's schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next_hop` is longer than 9 bytes. It cannot be from the
+    /// stack: WCL installs a relay's next hop only once it has parsed as
+    /// a 9-byte hop address, and a destination's is empty.
     pub fn new(key: AesKey, next_hop: Vec<u8>, cid_out: Option<CircuitId>) -> CircuitEntry {
+        assert!(next_hop.len() <= INLINE_HOP_LEN, "a next hop longer than a hop address");
+        let mut next = [0; INLINE_HOP_LEN];
+        next[..next_hop.len()].copy_from_slice(&next_hop);
         CircuitEntry {
-            next_hop: NextHop::new(next_hop),
+            next_hop: next,
+            next_len: next_hop.len() as u8,
             prev_hop: [0; INLINE_HOP_LEN],
             prev_len: 0,
             cid_out,
@@ -400,7 +384,7 @@ impl CircuitEntry {
 
     /// Opaque next-hop address (empty at the destination).
     pub fn next_hop(&self) -> &[u8] {
-        self.next_hop.as_slice()
+        &self.next_hop[..self.next_len as usize]
     }
 
     /// Opaque address of the previous hop (empty when none was recorded).
@@ -921,20 +905,27 @@ mod tests {
         });
     }
 
-    /// The address WCL installs lives in the entry itself; a longer one —
-    /// which only a caller outside the stack builds — is kept whole as a
-    /// next hop and not at all as a previous one.
+    /// The address WCL installs lives in the entry itself, both ways; a
+    /// longer previous hop is not kept at all.
     #[test]
-    fn next_hop_round_trips_inline_and_beyond() {
-        for len in [0usize, 1, 9, 10, 40] {
+    fn next_hop_round_trips_inline() {
+        for len in 0..=9usize {
             let addr: Vec<u8> = (0..len as u8).collect();
             let e = CircuitEntry::new(AesKey([1; 16]), addr.clone(), Some(cid(2)));
             assert_eq!(e.prev_hop(), [0u8; 0], "none recorded yet");
             let e = e.reached_from(&addr);
             assert_eq!(e.next_hop(), addr, "{len} bytes");
-            assert_eq!(e.prev_hop(), if len <= 9 { &addr[..] } else { &[] }, "{len} bytes");
-            assert_eq!(matches!(e.next_hop, NextHop::Inline { .. }), len <= 9, "{len} bytes");
+            assert_eq!(e.prev_hop(), addr, "{len} bytes");
         }
+        let e = CircuitEntry::new(AesKey([1; 16]), vec![7; 9], None).reached_from(&[7; 10]);
+        assert_eq!(e.prev_hop(), [0u8; 0], "10 bytes");
+    }
+
+    /// A next hop longer than a hop address is no entry the stack builds.
+    #[test]
+    #[should_panic(expected = "longer than a hop address")]
+    fn next_hop_beyond_an_address_is_refused() {
+        CircuitEntry::new(AesKey([1; 16]), vec![0; 10], Some(cid(2)));
     }
 
     /// The way back: the destination draws a nonce and adds its layer,

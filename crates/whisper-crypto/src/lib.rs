@@ -24,8 +24,8 @@
 //! This is a *research reproduction*. The implementations are functionally
 //! correct (and extensively tested against their specifications) but are
 //! **not constant-time, not side-channel hardened, and must not be used to
-//! protect real data**. Simulation configurations additionally use short
-//! RSA moduli (384–512 bits) so that thousand-node experiments finish in
+//! protect real data**. Simulation configurations additionally use a short
+//! RSA modulus (384 bits) so that thousand-node experiments finish in
 //! reasonable time; see `RsaKeySize` in [`rsa`].
 //!
 //! # Wire images

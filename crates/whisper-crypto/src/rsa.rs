@@ -9,9 +9,10 @@
 //!
 //! The WHISPER paper uses 1 KB public keys on the wire. Reproducing
 //! thousand-node experiments with full-size keys would spend most of the
-//! wall clock in key *generation*, so [`RsaKeySize`] offers "sim-grade"
-//! short moduli (384/512 bits) for large simulations next to the standard
-//! 1024/2048-bit sizes used by the crypto cost benchmarks (Table II).
+//! wall clock in key *generation*, so [`RsaKeySize`] offers a "sim-grade"
+//! 384-bit modulus for large simulations next to the standard 1024-bit
+//! one used by the crypto cost benchmarks (Table II). A key read from
+//! bytes has one of these two sizes: no node makes any other.
 //!
 //! ```
 //! use whisper_crypto::rsa::{KeyPair, RsaKeySize};
@@ -38,22 +39,19 @@ use whisper_rand::Rng;
 pub enum RsaKeySize {
     /// 384-bit modulus — sim-grade, fast keygen, fits hybrid session keys.
     Sim384,
-    /// 512-bit modulus — sim-grade.
-    Sim512,
     /// 1024-bit modulus — the realistic size used for CPU-cost experiments.
     Std1024,
-    /// 2048-bit modulus.
-    Std2048,
 }
+
+/// Every size a key may have.
+const KEY_SIZES: [RsaKeySize; 2] = [RsaKeySize::Sim384, RsaKeySize::Std1024];
 
 impl RsaKeySize {
     /// Modulus size in bits.
     pub fn bits(self) -> usize {
         match self {
             RsaKeySize::Sim384 => 384,
-            RsaKeySize::Sim512 => 512,
             RsaKeySize::Std1024 => 1024,
-            RsaKeySize::Std2048 => 2048,
         }
     }
 
@@ -143,11 +141,6 @@ pub const PUBLIC_EXPONENT: u64 = 65537;
 /// Minimum PKCS#1 v1.5 padding overhead: 2 header bytes, >= 8 padding
 /// bytes, 1 separator.
 const PAD_OVERHEAD: usize = 11;
-/// The shortest modulus a key may have, in bytes: what a signature block
-/// needs (2 header bytes, a separator, a 32-byte digest), and what
-/// [`crate::hybrid::seal`] needs to encrypt its 24-byte secret behind 11
-/// bytes of padding. Shorter keys are refused where they are parsed.
-pub const MIN_MODULUS_BYTES: usize = 35;
 
 impl KeyPair {
     /// Generates a fresh key pair of the given size.
@@ -383,14 +376,19 @@ impl PublicKey {
     }
 
     /// Parses a key's image, as [`to_bytes`](Self::to_bytes) returns it:
-    /// a modulus of at least [`MIN_MODULUS_BYTES`] bytes whose first
-    /// byte has its top bit set. A shorter one could neither check a
-    /// signature nor seal a secret, and a clear top bit is a leading zero
-    /// or a modulus whose bit length is not a whole number of bytes. One
-    /// key therefore has one image, and the input itself becomes the
-    /// cached [`wire_bytes`](Self::wire_bytes).
+    /// an odd modulus of one [`RsaKeySize`]'s length whose first byte has
+    /// its top bit set — the only moduli key generation makes. A peer's
+    /// key is used on every exchange with it, and each use costs the
+    /// square of the modulus length: a 16 KiB "key" would cost what tens
+    /// of thousands of real ones do. An
+    /// even one is no product of two odd primes, and a clear top bit is
+    /// a leading zero or a modulus whose bit length is not a whole number
+    /// of bytes. One key therefore has one image, and the input itself
+    /// becomes the cached [`wire_bytes`](Self::wire_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < MIN_MODULUS_BYTES || bytes[0] < 0x80 {
+        let (&first, &last) = (bytes.first()?, bytes.last()?);
+        let sized = KEY_SIZES.iter().any(|size| size.bytes() == bytes.len());
+        if !sized || first < 0x80 || last & 1 == 0 {
             return None;
         }
         let n = BigUint::from_bytes_be(bytes);
@@ -559,7 +557,7 @@ mod tests {
     #[test]
     fn public_key_parsing_is_strict() {
         let mut r = rng();
-        for size in SIZES {
+        for size in KEY_SIZES {
             let kp = KeyPair::generate(size, &mut r);
             let parsed = PublicKey::from_bytes(&kp.public().to_bytes()).unwrap();
             assert_eq!(&parsed, kp.public());
@@ -574,13 +572,77 @@ mod tests {
         let halved = key.public().0.n.shr(1).to_bytes_be();
         assert_eq!(halved.len(), n.len());
         assert!(PublicKey::from_bytes(&halved).is_none(), "a bit length short of whole bytes");
-        let short = &n[..MIN_MODULUS_BYTES - 1];
-        assert!(PublicKey::from_bytes(short).is_none(), "under the shortest modulus");
-        assert!(PublicKey::from_bytes(&n[..MIN_MODULUS_BYTES]).is_some(), "the shortest modulus");
+        assert!(PublicKey::from_bytes(&n[..n.len() - 1]).is_none(), "a byte short");
         // The `len(n) ‖ n ‖ len(e) ‖ e` image keys had before the exponent
         // was fixed opens with a zero byte.
         let framed = [&[0, n.len() as u8][..], &n, &[0, 3, 1, 0, 1]].concat();
         assert!(PublicKey::from_bytes(&framed).is_none(), "an (n, e) image");
+    }
+
+    /// A modulus of `len` bytes, top bit set, odd or even as asked.
+    fn modulus_image(len: usize, odd: bool) -> Vec<u8> {
+        let mut n: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+        n[0] |= 0x80;
+        n[len - 1] = if odd { n[len - 1] | 1 } else { n[len - 1] & !1 };
+        n
+    }
+
+    /// Only the moduli key generation makes parse: a peer's oversized
+    /// "key", an even one, and one of a size no node generates are
+    /// refused.
+    #[test]
+    fn public_key_refuses_what_no_node_makes() {
+        for size in KEY_SIZES {
+            let k = size.bytes();
+            assert!(PublicKey::from_bytes(&modulus_image(k, true)).is_some(), "{size:?}");
+            assert!(PublicKey::from_bytes(&modulus_image(k, false)).is_none(), "{size:?}, even");
+        }
+        for (len, what) in [(4096, "4 KiB"), (64, "512 bits"), (256, "2048 bits"), (35, "35 bytes")] {
+            assert!(PublicKey::from_bytes(&modulus_image(len, true)).is_none(), "{what}, odd");
+            let mut framed = whisper_net::wire::WireWriter::new();
+            framed.put_bytes(&modulus_image(len, true));
+            assert!(PublicKey::from_wire(&framed.into_bytes()).is_err(), "{what} in a message");
+        }
+    }
+
+    /// What a 16 KiB "key" would cost at each use, were it parsed —
+    /// `encrypt` and `verify` are one exponentiation by `e` under the
+    /// modulus — beside a Sim384 key's. Host time, so run by hand:
+    /// `cargo test --release --offline -p whisper-crypto --lib
+    /// oversized_key_cost_per_use -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "host-time measurement"]
+    fn oversized_key_cost_per_use() {
+        let e = BigUint::from(PUBLIC_EXPONENT);
+        let base = BigUint::from_bytes_be(&[0x5A; 40]);
+        let huge = modulus_image(16 * 1024, true);
+        assert!(PublicKey::from_bytes(&huge).is_none(), "refused at parse");
+        let real = keypair().public().0.n.clone();
+        for (what, n, reps) in [("Sim384", real, 2000), ("16 KiB", BigUint::from_bytes_be(&huge), 5)] {
+            let started = std::time::Instant::now();
+            for _ in 0..reps {
+                std::hint::black_box(base.modpow(&e, &n));
+            }
+            let ms = started.elapsed().as_secs_f64() * 1e3 / reps as f64;
+            println!("{what}: {ms:.3} ms per use");
+        }
+    }
+
+    /// A key pair reloads only when its primes make a modulus of one of
+    /// the sizes: two 256-bit primes (a 512-bit modulus) or a 192-bit and
+    /// a 128-bit one (320 bits) are refused, as real primes.
+    #[test]
+    fn keypair_refuses_moduli_no_node_makes() {
+        let mut r = rng();
+        for (p_bits, q_bits) in [(256, 256), (192, 128)] {
+            let (p, q) = (gen_prime(p_bits, &mut r), gen_prime(q_bits, &mut r));
+            let mut image = whisper_net::wire::WireWriter::new();
+            image.put_bytes(&p.to_bytes_be());
+            image.put_bytes(&q.to_bytes_be());
+            let bits = p_bits + q_bits;
+            assert!(KeyPair::from_wire(&image.into_bytes()).is_err(), "{bits}-bit modulus");
+            assert!(KeyPair::from_primes(p, q).is_none(), "{bits}-bit modulus");
+        }
     }
 
     #[test]
@@ -590,9 +652,6 @@ mod tests {
         let b = KeyPair::generate(RsaKeySize::Sim384, &mut r);
         assert_ne!(a.public().fingerprint(), b.public().fingerprint());
     }
-
-    const SIZES: [RsaKeySize; 4] =
-        [RsaKeySize::Sim384, RsaKeySize::Sim512, RsaKeySize::Std1024, RsaKeySize::Std2048];
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -622,15 +681,11 @@ mod tests {
         let goldens = [
             (7, "02aef0c3c3ae1052f13313c2eb81dd071ee4b215f9fa660e7489effdb55d4bc1", 0x2858d67304f04c2a),
             (11, "4949452fe852c607a5f9aa3981f0bbda3fbcb1844dbe9b73cceabd1c8b8f9d8f", 0xe39e1237b395a9ff),
-            (7, "b7456615a87137a6695d3bdf7d78b5bd90dfc61b3d703ec84a15ee6c0a06243d", 0xb164af00e0b8c9e6),
-            (11, "973d6cdba15f776f011e6e0baed252dc77a5ddf0b6fdbc07f4d302b3a2e88ac3", 0xdc6e285ede8e9c2b),
             (7, "9e2f6705119658abc96ef5f465525b1586a467e2a14da58896b0146a87718189", 0x7cb73b07aafb0291),
-            (11, "a9e9855d4b7c9d1da63c59fb4f051dbf26463e7746cc7eb6da35e8c6c7a5908e", 0xc2c17a75fcfac153),
-            (7, "84e8257eeb6e8791d407bff0194edbe8916baef1100d2a50f131c769a73fc499", 0xda56d4b2be7ad5fd),
-            (11, "ddcc070d9c424a71d7b239ead48a3d6982c65076ac493a4a8ed2ca0ff37d1288", 0x1e8adf4c7f59cb9d_u64),
+            (11, "a9e9855d4b7c9d1da63c59fb4f051dbf26463e7746cc7eb6da35e8c6c7a5908e", 0xc2c17a75fcfac153_u64),
         ];
         for (i, (seed, digest, next_word)) in goldens.into_iter().enumerate() {
-            let size = SIZES[i / 2];
+            let size = KEY_SIZES[i / 2];
             let mut r = StdRng::seed_from_u64(seed);
             let kp = KeyPair::generate(size, &mut r);
             assert_eq!(hex(&Sha256::digest(&pqe_image(&kp))), digest, "{size:?} seed {seed}");
@@ -669,10 +724,10 @@ mod tests {
     }
 
     /// Round trips and every rejection, at each key size — which between
-    /// them run the multiplication at all six specialised widths.
+    /// them run the multiplication at all four specialised widths.
     #[test]
     fn all_sizes_round_trip_and_reject() {
-        for (i, size) in SIZES.into_iter().enumerate() {
+        for (i, size) in KEY_SIZES.into_iter().enumerate() {
             let mut r = StdRng::seed_from_u64(100 + i as u64);
             let kp = KeyPair::generate(size, &mut r);
             let other = KeyPair::generate(size, &mut r);
@@ -699,14 +754,14 @@ mod tests {
         }
     }
 
-    /// Primes of different limb widths, in either order: the
+    /// Primes of different limb widths (4 and 3), in either order: the
     /// recombination runs modulo whichever is larger.
     #[test]
     fn uneven_primes_work_in_either_order() {
         let mut r = rng();
-        let (p, q) = (gen_prime(192, &mut r), gen_prime(128, &mut r));
+        let (p, q) = (gen_prime(224, &mut r), gen_prime(160, &mut r));
         for (p, q) in [(p.clone(), q.clone()), (q, p)] {
-            let kp = KeyPair::from_primes(p, q).expect("320-bit modulus");
+            let kp = KeyPair::from_primes(p, q).expect("384-bit modulus");
             let ct = kp.public().encrypt(b"uneven", &mut r).unwrap();
             assert_eq!(kp.decrypt(&ct).unwrap(), b"uneven");
             kp.public().verify(b"uneven", &kp.sign(b"uneven")).unwrap();

@@ -30,7 +30,7 @@ fn test_keys() -> &'static [KeyPair; 3] {
         [
             KeyPair::generate(RsaKeySize::Sim384, &mut rng),
             KeyPair::generate(RsaKeySize::Sim384, &mut rng),
-            KeyPair::generate(RsaKeySize::Sim512, &mut rng),
+            KeyPair::generate(RsaKeySize::Std1024, &mut rng),
         ]
     })
 }
@@ -282,13 +282,22 @@ fn hostile_signatures(g: &mut Gen, k: usize) -> [Vec<u8>; 3] {
 }
 
 /// A key image drawn from the classes a hostile peer can send: a real
-/// image cut anywhere, random bytes, and a modulus of 1 to 40 bytes —
-/// half of them within a byte or two of the shortest allowed.
+/// image cut anywhere, random bytes, a modulus of 1 to 40 bytes, and one
+/// within a byte of a key size (48 or 128 bytes), odd or even — which at
+/// exactly a key size and odd is a key.
 fn hostile_key_image(g: &mut Gen, real: &PublicKey) -> Vec<u8> {
     match g.gen_range(0..4u8) {
-        0 | 1 => {
-            let n_len = if g.gen() { g.gen_range(1..=40usize) } else { g.gen_range(33..=36usize) };
+        0 => {
+            let n_len = g.gen_range(1..=40usize);
             whole_bytes(g, n_len)
+        }
+        1 => {
+            let size = if g.gen() { 48 } else { 128 };
+            let n_len = g.gen_range(size - 1..=size + 1);
+            let mut n = whole_bytes(g, n_len);
+            let last = n.len() - 1;
+            n[last] = if g.gen() { n[last] | 1 } else { n[last] & !1 };
+            n
         }
         2 => {
             let bytes = real.to_bytes();
@@ -308,19 +317,27 @@ fn keys_from(image: &[u8]) -> Vec<PublicKey> {
 }
 
 /// A key from the wire never panics the node that uses it: on arbitrary
-/// and truncated images and on moduli of 1 to 40 bytes,
-/// `PublicKey::from_bytes` and `WireReader::take` never panic, and every
-/// key they accept seals a 24-byte secret (what `hybrid::seal` hands it)
-/// and checks arbitrary signatures without panicking. The same for a key
-/// pair read from two small "primes", whose accepted pairs sign, decrypt
-/// and hand out such a public key.
+/// and truncated images and on moduli of 1 to 40 bytes or near a key
+/// size, `PublicKey::from_bytes` and `WireReader::take` never panic, and
+/// every key they accept seals a 24-byte secret (what `hybrid::seal`
+/// hands it) and checks arbitrary signatures without panicking. The same
+/// for a key pair read from two small "primes" — half of the time two of
+/// 24 bytes, whose product may have a key's size — whose accepted pairs
+/// sign, decrypt and hand out such a public key. Both accept paths run.
 #[test]
 fn keys_from_hostile_bytes_never_panic() {
+    use std::cell::Cell;
     let real = test_keys()[0].clone();
+    let (public_keys, pairs) = (Cell::new(0u32), Cell::new(0u32));
     check(512, "keys_from_hostile_bytes_never_panic", |g| {
         let public = hostile_key_image(g, real.public());
         let mut keys = keys_from(&public);
-        let (p_len, q_len) = (g.gen_range(1..=24usize), g.gen_range(1..=24usize));
+        public_keys.set(public_keys.get() + keys.len() as u32);
+        let (p_len, q_len) = if g.gen() {
+            (24, 24)
+        } else {
+            (g.gen_range(1..=24usize), g.gen_range(1..=24usize))
+        };
         let (mut p, mut q) = (whole_bytes(g, p_len), whole_bytes(g, q_len));
         p[p_len - 1] |= 1;
         q[q_len - 1] |= 1;
@@ -338,6 +355,7 @@ fn keys_from_hostile_bytes_never_panic() {
             _ => g.bytes(80),
         };
         if let Ok(pair) = KeyPair::from_wire(&pair) {
+            pairs.set(pairs.get() + 1);
             let k = pair.public().modulus_bytes();
             let _ = pair.sign(&g.bytes(40));
             let _ = pair.decrypt(&g.bytes(k + 2));
@@ -351,6 +369,7 @@ fn keys_from_hostile_bytes_never_panic() {
             }
         }
     });
+    assert!(public_keys.get() > 0 && pairs.get() > 0, "accepted {public_keys:?} keys, {pairs:?} pairs");
 }
 
 /// No key read from bytes lets anyone sign: a signature laid out as

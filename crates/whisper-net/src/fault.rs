@@ -32,6 +32,9 @@ const P_BAD_TO_GOOD: f64 = 0.25;
 /// loss over a long window is ≈ `P_GOOD_TO_BAD / (P_GOOD_TO_BAD +
 /// P_BAD_TO_GOOD) · LOSS_BAD` ≈ 4%.
 const LOSS_BAD: f64 = 0.6;
+/// Multiplier on every sampled one-way delay while a latency spike is
+/// active: a path's tens of milliseconds become hundreds.
+const SPIKE_FACTOR: u64 = 10;
 
 /// Steps a two-state Markov (Gilbert–Elliott) burst-loss chain once for
 /// one packet; returns whether it is lost.
@@ -73,15 +76,13 @@ pub enum Fault {
         /// Window end.
         to: SimTime,
     },
-    /// Multiplies every sampled one-way delay by `factor` while the
-    /// window `[from, to)` is active (counted as `net.delay_spiked`).
+    /// Multiplies every sampled one-way delay by 10 while the window
+    /// `[from, to)` is active (counted as `net.delay_spiked`).
     LatencySpike {
         /// Window start.
         from: SimTime,
         /// Window end.
         to: SimTime,
-        /// Delay multiplier (≥ 2 to be observable).
-        factor: u64,
     },
     /// Crashes `node` at `at` and restarts it at `restart_at`. While down
     /// the node receives nothing (`net.drop_crashed`), its timers are
@@ -144,8 +145,8 @@ impl FaultPlan {
     }
 
     /// Adds a latency-spike window.
-    pub fn latency_spike(mut self, from: SimTime, to: SimTime, factor: u64) -> Self {
-        self.faults.push(Fault::LatencySpike { from, to, factor });
+    pub fn latency_spike(mut self, from: SimTime, to: SimTime) -> Self {
+        self.faults.push(Fault::LatencySpike { from, to });
         self
     }
 
@@ -218,19 +219,17 @@ impl FaultState {
         dropped
     }
 
-    /// The delay multiplier currently in force (1 when no spike is
-    /// active; the maximum factor when several overlap).
+    /// The delay multiplier currently in force: [`SPIKE_FACTOR`] while
+    /// any spike is active, however many overlap, and 1 otherwise.
     pub(crate) fn delay_factor(&self, now: SimTime) -> u64 {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::LatencySpike { from, to, factor } if now >= *from && now < *to => {
-                    Some(*factor)
-                }
-                _ => None,
-            })
-            .max()
-            .unwrap_or(1)
+        let spiking = self.faults.iter().any(
+            |f| matches!(f, Fault::LatencySpike { from, to } if now >= *from && now < *to),
+        );
+        if spiking {
+            SPIKE_FACTOR
+        } else {
+            1
+        }
     }
 }
 
@@ -300,16 +299,17 @@ mod tests {
     }
 
     #[test]
-    fn delay_factor_takes_max_of_overlapping_spikes() {
+    fn overlapping_spikes_multiply_once() {
         let mut fs = FaultState::default();
         fs.install(
             FaultPlan::new()
-                .latency_spike(SimTime::from_micros(0), SimTime::from_micros(100), 3)
-                .latency_spike(SimTime::from_micros(50), SimTime::from_micros(150), 8),
+                .latency_spike(SimTime::from_micros(0), SimTime::from_micros(100))
+                .latency_spike(SimTime::from_micros(50), SimTime::from_micros(150)),
         );
-        assert_eq!(fs.delay_factor(SimTime::from_micros(10)), 3);
-        assert_eq!(fs.delay_factor(SimTime::from_micros(75)), 8);
-        assert_eq!(fs.delay_factor(SimTime::from_micros(120)), 8);
+        assert_eq!(fs.delay_factor(SimTime::from_micros(10)), SPIKE_FACTOR);
+        assert_eq!(fs.delay_factor(SimTime::from_micros(75)), SPIKE_FACTOR, "two active, once");
+        assert_eq!(fs.delay_factor(SimTime::from_micros(120)), SPIKE_FACTOR);
+        assert_eq!(fs.delay_factor(SimTime::from_micros(150)), 1, "ends at `to`");
         assert_eq!(fs.delay_factor(SimTime::from_micros(200)), 1);
     }
 

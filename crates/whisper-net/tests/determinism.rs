@@ -526,7 +526,7 @@ fn run_fault_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
     let plan = FaultPlan::new()
         .partition([NodeId(2), NodeId(3)], at(4), at(9))
         .burst_loss(at(10), at(15))
-        .latency_spike(at(16), at(20), 10)
+        .latency_spike(at(16), at(20))
         .crash_restart(NodeId(5), at(21), at(25))
         .nat_rebind(natted, at(26));
     sim.install_fault_plan(plan);

@@ -990,7 +990,7 @@ fn every_sim_drop_has_a_named_counter() {
         FaultPlan::new()
             .partition([a], at(5), at(10))
             .burst_loss(at(12), at(18))
-            .latency_spike(at(20), at(25), 10)
+            .latency_spike(at(20), at(25))
             .crash_restart(sink, at(27), at(33))
             .nat_rebind(b, at(35)),
     );

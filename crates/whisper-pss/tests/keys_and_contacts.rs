@@ -61,8 +61,8 @@ fn the_backlog_entry_holds_the_key_its_sender_shipped() {
     assert_eq!(cb_key(&sim, id, peer), Some(first.clone()));
 
     // Keyless, and malformed in each way the strict parser rejects —
-    // empty, shorter than the shortest modulus, led by a zero byte: the
-    // entry keeps the key it has.
+    // empty, shorter than a key, led by a zero byte: the entry keeps the
+    // key it has.
     let zero_led = [&[0][..], &second.to_bytes()].concat();
     for key in [None, Some(vec![]), Some(vec![0xFF; 20]), Some(zero_led)] {
         deliver(&mut sim, id, peer_ep, &gossip_req(peer, key));
@@ -95,6 +95,35 @@ fn the_backlog_entry_holds_the_key_its_sender_shipped() {
     assert!(cb(&sim).is_none(), "nothing remembered the key across the restart");
     deliver(&mut sim, id, peer_ep, &gossip_req(peer, Some(first.to_bytes())));
     assert_eq!(cb_key(&sim, id, peer), Some(first), "in with the key it shipped");
+}
+
+/// A modulus of `len` bytes, top bit set, odd or even as asked.
+fn modulus_image(len: usize, odd: bool) -> Vec<u8> {
+    let mut n: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+    n[0] |= 0x80;
+    n[len - 1] = if odd { n[len - 1] | 1 } else { n[len - 1] & !1 };
+    n
+}
+
+/// A key no node could have made — 4 KiB, whose every use would cost
+/// what thousands of real keys do; a Sim384-sized even one; a 512-bit
+/// odd one — is refused where the message is read: the backlog entry
+/// of its sender keeps the key it had.
+#[test]
+fn a_key_no_node_makes_leaves_the_backlog_key_as_it_was() {
+    let (mut sim, id, mut keyrng) = lone_node();
+    let held = KeyPair::generate(NylonConfig::default().rsa, &mut keyrng).public().clone();
+    let peer = NodeId(77);
+    let peer_ep = Endpoint { node: peer, port: 9 };
+    deliver(&mut sim, id, peer_ep, &gossip_req(peer, Some(held.to_bytes())));
+    assert_eq!(cb_key(&sim, id, peer), Some(held.clone()));
+    for (len, odd) in [(4096, true), (48, false), (64, true)] {
+        let key = Some(modulus_image(len, odd));
+        deliver(&mut sim, id, peer_ep, &NylonMsg::Ping { from: peer, key: key.clone() });
+        assert_eq!(cb_key(&sim, id, peer), Some(held.clone()), "a ping with {len} bytes, odd {odd}");
+        deliver(&mut sim, id, peer_ep, &gossip_req(peer, key));
+        assert_eq!(cb_key(&sim, id, peer), Some(held.clone()), "gossip with {len} bytes, odd {odd}");
+    }
 }
 
 #[test]

@@ -49,6 +49,22 @@ if find crates/*/src -name '*.rs' ! -path crates/whisper-net/src/wire.rs -print0
   exit 1
 fi
 
+step "no value computed to be thrown away (no \`let _ = <identifier>;\` under crates/*/src outside test modules)"
+# Binding a variable to `_` silences the unused-variable lint and nothing
+# else: the value was computed, or carried on the wire, for no reader.
+# Test modules are `#[cfg(test)] mod <name> {` up to the `}` that closes
+# it at column 0, or a `tests.rs` file of their own.
+if find crates/*/src -name '*.rs' ! -name tests.rs -print0 | sort -z \
+    | xargs -0 awk 'FNR == 1 { prev = ""; skip = 0 }
+        prev ~ /^#\[cfg\(test\)\]/ && /^mod [A-Za-z_0-9]+ \{/ { skip = 1 }
+        skip && /^\}/ { skip = 0 }
+        !skip && /^[ \t]*let _ = [A-Za-z_][A-Za-z0-9_]*;/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        { prev = $0 }
+        END { exit !bad }'; then
+  echo "verify: a value bound to \`_\` (above): drop what computes it, or use it" >&2
+  exit 1
+fi
+
 step "offline release build (lib, bins, tests, examples)"
 cargo build --release --offline --workspace --all-targets
 
