@@ -589,13 +589,9 @@ pub struct LifecycleOutcome {
     pub journal_replays: u64,
     /// Groups restored from journal replay across all crash-restarts.
     pub journal_restored: u64,
-    /// Mean wall-clock journal recovery time per restart, microseconds
-    /// (host-dependent; never part of the determinism trace).
-    pub replay_wall_us_mean: f64,
     /// Serialized deterministic observables (counters minus the
-    /// shard-local `net.pool_*` family, samples minus the host-dependent
-    /// `*_wall_us` family, per-node traffic, final clock). Byte-identical
-    /// across shard counts.
+    /// shard-local `net.pool_*` family, samples, per-node traffic, final
+    /// clock). Byte-identical across shard counts.
     pub trace: Vec<u8>,
 }
 
@@ -798,10 +794,6 @@ pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
         migrated_ok,
         journal_replays: m.counter("ppss.journal_replayed"),
         journal_restored: m.counter("ppss.journal_groups_restored"),
-        replay_wall_us_mean: {
-            let s = m.samples("ppss.journal_replay_wall_us");
-            if s.is_empty() { 0.0 } else { s.iter().sum::<f64>() / s.len() as f64 }
-        },
         trace: serialize_observables(&net),
         echo,
     }

@@ -14,8 +14,8 @@ use crate::report;
 pub struct Lifecycle {
     /// The population.
     pub params: ChaosParams,
-    /// `(metric, value)`; `journal_replay_wall_us` is host time.
-    pub rows: [(&'static str, f64); 9],
+    /// `(metric, value)`.
+    pub rows: [(&'static str, f64); 8],
 }
 
 /// Runs the lifecycle sweep. `quick` uses the 96-node smoke population;
@@ -40,7 +40,6 @@ pub fn run(quick: bool, seed: u64) -> Lifecycle {
         ("deletion_prop_samples", out.deletion_prop_samples as f64),
         ("journal_replays", out.journal_replays as f64),
         ("journal_groups_restored", out.journal_restored as f64),
-        ("journal_replay_wall_us", out.replay_wall_us_mean),
         ("deleted_groups", out.deleted.len() as f64),
         ("resurrections", out.resurrections as f64),
         ("late_members", out.late_members as f64),

@@ -1,5 +1,6 @@
 //! [`WhisperNode`]: the full protocol stack of Fig. 1 as one simulator
-//! protocol — `Nylon PSS → WCL → PPSS → application` — plus the
+//! protocol — `Nylon PSS → WCL → PPSS → application`, each layer owning
+//! the one below it sends through — plus the
 //! [`GroupApp`] plugin interface that higher-level protocols (gossip
 //! aggregation, T-Man, T-Chord, ...) implement to run *inside* a private
 //! group.
@@ -26,9 +27,7 @@ pub struct WhisperConfig {
 /// Mutable access to the stack's layers, handed to [`GroupApp`]
 /// callbacks.
 pub struct WhisperApi<'a> {
-    /// The Nylon PSS.
-    pub nylon: &'a mut NylonCore,
-    /// The WCL.
+    /// The WCL, and through it the Nylon PSS.
     pub wcl: &'a mut Wcl,
     /// The PPSS.
     pub ppss: &'a mut Ppss,
@@ -37,7 +36,7 @@ pub struct WhisperApi<'a> {
 impl WhisperApi<'_> {
     /// This node's identifier.
     pub fn id(&self) -> NodeId {
-        self.nylon.id()
+        self.wcl.nylon().id()
     }
 
     /// The private view of `group` (empty slice if not a member).
@@ -47,7 +46,7 @@ impl WhisperApi<'_> {
 
     /// This node's own private-view entry.
     pub fn my_entry(&self) -> PrivateEntry {
-        self.ppss.my_entry(self.nylon)
+        self.wcl.entry()
     }
 
     /// Sends application bytes confidentially to a group member: its
@@ -64,8 +63,8 @@ impl WhisperApi<'_> {
         let Some(dest) = self.ppss.member(group, to) else {
             return false;
         };
-        self.ppss.app_data(self.nylon, group, data, with_reply_entry).is_some_and(|(wire, once)| {
-            self.wcl.send_untracked(ctx, self.nylon, dest, &wire, Some(once))
+        self.ppss.app_data(self.wcl, group, data, with_reply_entry).is_some_and(|(wire, once)| {
+            self.wcl.send_untracked(ctx, dest, &wire, Some(once))
         })
     }
 
@@ -82,9 +81,9 @@ impl WhisperApi<'_> {
         with_reply_entry: bool,
     ) -> Option<u64> {
         let dest = self.ppss.member(group, to)?;
-        let (wire, once) = self.ppss.app_data(self.nylon, group, data, with_reply_entry)?;
+        let (wire, once) = self.ppss.app_data(self.wcl, group, data, with_reply_entry)?;
         let msg_id = self.wcl.alloc_msg_id();
-        self.wcl.send(ctx, self.nylon, dest, wire, Some(once), msg_id).then_some(msg_id)
+        self.wcl.send(ctx, dest, wire, Some(once), msg_id).then_some(msg_id)
     }
 
     /// Sends application bytes to an explicit entry (e.g. one shipped in
@@ -97,8 +96,8 @@ impl WhisperApi<'_> {
         data: Vec<u8>,
         with_reply_entry: bool,
     ) -> bool {
-        self.ppss.app_data(self.nylon, group, data, with_reply_entry).is_some_and(|(wire, once)| {
-            self.wcl.send_untracked(ctx, self.nylon, to, &wire, Some(once))
+        self.ppss.app_data(self.wcl, group, data, with_reply_entry).is_some_and(|(wire, once)| {
+            self.wcl.send_untracked(ctx, to, &wire, Some(once))
         })
     }
 
@@ -223,7 +222,6 @@ impl GroupApp for NoApp {
 
 /// The full WHISPER stack as a simulator protocol.
 pub struct WhisperNode {
-    nylon: NylonCore,
     wcl: Wcl,
     ppss: Ppss,
     app: Box<dyn GroupApp>,
@@ -232,7 +230,7 @@ pub struct WhisperNode {
 impl std::fmt::Debug for WhisperNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WhisperNode")
-            .field("nylon", &self.nylon)
+            .field("wcl", &self.wcl)
             .field("ppss", &self.ppss)
             .finish()
     }
@@ -247,8 +245,7 @@ impl WhisperNode {
     /// Assembles a stack with an application plugin.
     pub fn with_app(cfg: WhisperConfig, keypair: KeyPair, app: Box<dyn GroupApp>) -> Self {
         WhisperNode {
-            nylon: NylonCore::new(cfg.nylon, keypair),
-            wcl: Wcl::new(cfg.wcl),
+            wcl: Wcl::new(cfg.wcl, NylonCore::new(cfg.nylon, keypair)),
             ppss: Ppss::new(cfg.ppss),
             app,
         }
@@ -256,12 +253,12 @@ impl WhisperNode {
 
     /// The Nylon layer.
     pub fn nylon(&self) -> &NylonCore {
-        &self.nylon
+        self.wcl.nylon()
     }
 
     /// Mutable Nylon access (bootstrap configuration).
     pub fn nylon_mut(&mut self) -> &mut NylonCore {
-        &mut self.nylon
+        self.wcl.nylon_mut()
     }
 
     /// The PPSS layer.
@@ -291,7 +288,7 @@ impl WhisperNode {
     /// the same, and the node holds the group exactly when
     /// `ppss().group(id)` is some.
     pub fn create_group(&mut self, ctx: &mut Ctx<'_>, name: &str) -> GroupId {
-        let Some(group) = self.ppss.create_group(ctx, &self.nylon, name) else {
+        let Some(group) = self.ppss.create_group(ctx, &self.wcl, name) else {
             return GroupId::from_name(name);
         };
         self.with_api(|api, app| app.on_joined(ctx, api, group));
@@ -300,19 +297,19 @@ impl WhisperNode {
 
     /// Issues an invitation for `invitee` (leader operation).
     pub fn invite(&self, group: GroupId, invitee: NodeId) -> Option<Invitation> {
-        self.ppss.invite(&self.nylon, group, invitee)
+        self.ppss.invite(&self.wcl, group, invitee)
     }
 
     /// Starts joining a group from an out-of-band invitation.
     pub fn join_group(&mut self, ctx: &mut Ctx<'_>, invitation: Invitation) {
-        self.ppss.join_group(ctx, &mut self.nylon, &mut self.wcl, invitation);
+        self.ppss.join_group(ctx, &mut self.wcl, invitation);
     }
 
     /// Deletes `group` (leader operation): sends the signed deletion
     /// tombstone to the members it knows and destroys local state.
     /// Returns `false` when this node is not a leader of the group.
     pub fn delete_group(&mut self, ctx: &mut Ctx<'_>, group: GroupId) -> bool {
-        let Some(events) = self.ppss.delete_group(ctx, &mut self.nylon, &mut self.wcl, group) else {
+        let Some(events) = self.ppss.delete_group(ctx, &mut self.wcl, group) else {
             return false;
         };
         self.dispatch_ppss_events(ctx, events);
@@ -330,8 +327,8 @@ impl WhisperNode {
         &mut self,
         f: impl FnOnce(&mut WhisperApi<'_>, &mut dyn GroupApp) -> R,
     ) -> R {
-        let WhisperNode { nylon, wcl, ppss, app } = self;
-        let mut api = WhisperApi { nylon, wcl, ppss };
+        let WhisperNode { wcl, ppss, app } = self;
+        let mut api = WhisperApi { wcl, ppss };
         f(&mut api, app.as_mut())
     }
 
@@ -339,12 +336,8 @@ impl WhisperNode {
     /// is known to be public — sent to the WCL (WCL packets are the only
     /// payload type this stack emits) and what it delivers to the PPSS.
     fn on_app_payload(&mut self, ctx: &mut Ctx<'_>, prev: (NodeId, bool), data: &[u8]) {
-        if let Some(WclEvent::Delivered { payload, via }) =
-            self.wcl.on_app_payload(ctx, &mut self.nylon, prev, data)
-        {
-            if let Some(events) =
-                self.ppss.on_delivered(ctx, &mut self.nylon, &mut self.wcl, via, &payload)
-            {
+        if let Some(WclEvent::Delivered { payload, via }) = self.wcl.on_app_payload(ctx, prev, data) {
+            if let Some(events) = self.ppss.on_delivered(ctx, &mut self.wcl, via, &payload) {
                 self.dispatch_ppss_events(ctx, events);
             }
             self.wcl.reclaim(payload);
@@ -373,7 +366,7 @@ impl WhisperNode {
 
 impl Protocol for WhisperNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.nylon.on_start(ctx);
+        self.wcl.nylon_mut().on_start(ctx);
         self.ppss.on_start(ctx);
         self.with_api(|api, app| app.on_start(ctx, api));
     }
@@ -386,7 +379,6 @@ impl Protocol for WhisperNode {
         // survives as on-disk configuration, so the node re-converges
         // through its deferred gossip and PPSS cycle timers.
         self.wcl.on_restart(ctx);
-        self.nylon.on_restart(ctx);
         self.ppss.on_restart(ctx);
         self.with_api(|api, app| app.on_crash_restart(ctx, api));
     }
@@ -394,7 +386,7 @@ impl Protocol for WhisperNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, from_ep: Endpoint, data: &Payload) {
         // Application traffic — every WCL packet — is read where it was
         // delivered; only the PSS's own messages take the owned decode.
-        if let Some(app) = self.nylon.on_app_message(ctx, from, from_ep, data) {
+        if let Some(app) = self.wcl.nylon_mut().on_app_message(ctx, from, from_ep, data) {
             // A public host's packets leave from port 0.
             self.on_app_payload(ctx, (from, from_ep.port == 0), app);
             return;
@@ -402,7 +394,7 @@ impl Protocol for WhisperNode {
         // An application payload that came wrapped in a relayed message:
         // the way back to its sender is the reply route the wrapper left,
         // whatever the sender's class.
-        if let Some(NylonEvent::Payload { from, data }) = self.nylon.on_message(ctx, from, from_ep, data) {
+        if let Some(NylonEvent::Payload { from, data }) = self.wcl.nylon_mut().on_message(ctx, from, from_ep, data) {
             self.on_app_payload(ctx, (from, false), &data);
         }
     }
@@ -410,32 +402,20 @@ impl Protocol for WhisperNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match timer::kind(token) {
             timer::WCL_RETRY => {
-                if let Some(WclEvent::RouteFailed { msg_id, dest, no_alternative }) =
-                    self.wcl.on_retry_timer(ctx, &mut self.nylon, token)
-                {
-                    // Record the failed destination so experiment
-                    // harnesses can separate genuine route failures from
-                    // destination deaths post hoc (the paper's Table I
-                    // footnote excludes the latter).
-                    ctx.metrics().sample(
-                        if no_alternative { "wcl.failed_dest_noalt" } else { "wcl.failed_dest_exhausted" },
-                        dest.0 as f64,
-                    );
+                if let Some(WclEvent::RouteFailed { msg_id, dest }) = self.wcl.on_retry_timer(ctx, token) {
                     let events = self.ppss.on_route_failed(msg_id, dest);
                     self.dispatch_ppss_events(ctx, events);
                 }
             }
             timer::PPSS_CYCLE => {
-                let events = self.ppss.on_cycle(ctx, &mut self.nylon, &mut self.wcl);
+                let events = self.ppss.on_cycle(ctx, &mut self.wcl);
                 self.dispatch_ppss_events(ctx, events);
             }
             timer::PCP_REFRESH => {
-                self.ppss.on_pcp_refresh(ctx, &mut self.nylon, &mut self.wcl);
+                self.ppss.on_pcp_refresh(ctx, &mut self.wcl);
             }
             timer::APP => self.with_api(|api, app| app.on_timer(ctx, api, timer::payload(token))),
-            _ => {
-                self.nylon.on_timer(ctx, token);
-            }
+            _ => self.wcl.nylon_mut().on_timer(ctx, token),
         }
     }
 

@@ -7,7 +7,6 @@ use crate::wcl::{Arrival, Wcl};
 use whisper_net::sim::Ctx;
 use whisper_net::wire::WireEncode;
 use whisper_net::NodeId;
-use whisper_pss::NylonCore;
 
 impl GroupState {
     /// Ages the private view and starts an exchange with its oldest member.
@@ -16,7 +15,6 @@ impl GroupState {
     pub(super) fn start_exchange(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         wcl: &mut Wcl,
         group: GroupId,
         my_entry: &PrivateEntry,
@@ -29,9 +27,9 @@ impl GroupState {
             return;
         };
         let msg_id = wcl.alloc_msg_id();
-        let msg = self.exchange_msg(ctx, group, partner.node, my_entry, msg_id, false);
+        let msg = self.exchange_msg(ctx, group, partner.node, my_entry.clone(), msg_id, false);
         ctx.metrics().count("ppss.exchanges_initiated", 1);
-        if !wcl.send(ctx, nylon, &partner, msg.to_wire(), None, msg_id) {
+        if !wcl.send(ctx, &partner, msg.to_wire(), None, msg_id) {
             // No route constructible at all (e.g. every advertised gateway
             // is gone).
             events.push(self.drop_unreachable(group, partner.node));
@@ -47,14 +45,14 @@ impl GroupState {
         ctx: &mut Ctx<'_>,
         group: GroupId,
         partner: NodeId,
-        my_entry: &PrivateEntry,
+        my_entry: PrivateEntry,
         exchange_id: u64,
         is_response: bool,
     ) -> PpssMsg {
         PpssMsg::Exchange {
             group,
             passport: self.passport.clone(),
-            from_entry: Box::new(my_entry.clone()),
+            from_entry: Box::new(my_entry),
             entries: self.build_buffer(partner, ctx),
             exchange_id,
             is_response,
@@ -123,7 +121,6 @@ impl Ppss {
     pub(super) fn handle_exchange(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         wcl: &mut Wcl,
         via: Option<Arrival>,
         msg: PpssMsg,
@@ -144,9 +141,7 @@ impl Ppss {
         else {
             unreachable!("dispatched on its tag");
         };
-        let my_entry = self.my_entry(nylon);
-        let me = nylon.id();
-        let cfg = self.cfg.clone();
+        let cap = self.cfg.view_size;
         let Some(state) = self.admit(ctx, wcl, via, group, &passport, Some(from_entry.node)) else {
             return;
         };
@@ -188,16 +183,16 @@ impl Ppss {
         journal_after |= state.fold_revoked(&revoked);
         if !is_response {
             let resp =
-                state.exchange_msg(ctx, group, from_entry.node, &my_entry, exchange_id, true);
+                state.exchange_msg(ctx, group, from_entry.node, wcl.entry(), exchange_id, true);
             ctx.metrics().count("ppss.exchanges_served", 1);
-            wcl.send_untracked(ctx, nylon, &from_entry, &resp.to_wire(), None);
+            wcl.send_untracked(ctx, &from_entry, &resp.to_wire(), None);
         } else {
             wcl.notify_response(ctx, exchange_id);
             ctx.metrics().count("ppss.exchanges_completed", 1);
         }
         let mut received = entries;
         received.push(*from_entry);
-        state.merge_entries(me, received, cfg.view_size);
+        state.merge_entries(wcl.nylon().id(), received, cap);
         if journal_after {
             // The key history (and possibly the epoch) or the revoked set
             // changed — that is durable state; losing it on crash would

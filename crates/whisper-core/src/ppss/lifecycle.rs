@@ -13,7 +13,6 @@ use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode, WireError};
 use whisper_net::NodeId;
-use whisper_pss::NylonCore;
 
 impl GroupState {
     /// A freshly initialised group state at leadership `epoch`; a leader
@@ -128,12 +127,7 @@ impl Ppss {
     /// group with this name (`ppss.create_refused_held`), or if a group
     /// with this name was deleted (`ppss.resurrection_blocked`): the
     /// tombstone is sticky, so the name can never be reused.
-    pub fn create_group(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &NylonCore,
-        name: &str,
-    ) -> Option<GroupId> {
+    pub fn create_group(&mut self, ctx: &mut Ctx<'_>, wcl: &Wcl, name: &str) -> Option<GroupId> {
         let id = GroupId::from_name(name);
         if self.groups.contains_key(&id) {
             ctx.metrics().count("ppss.create_refused_held", 1);
@@ -143,8 +137,8 @@ impl Ppss {
             ctx.metrics().count("ppss.resurrection_blocked", 1);
             return None;
         }
-        let group_key = KeyPair::generate(nylon.config().rsa, ctx.rng());
-        let passport = Passport::issue(&group_key, id, nylon.id());
+        let group_key = KeyPair::generate(wcl.nylon().config().rsa, ctx.rng());
+        let passport = Passport::issue(&group_key, id, wcl.nylon().id());
         let state =
             GroupState::fresh(vec![group_key.public().clone()], Some(group_key), passport, 0);
         self.groups.insert(id, Box::new(state));
@@ -157,31 +151,20 @@ impl Ppss {
     /// `authorizeJoin` API).
     ///
     /// Returns `None` if this node is not a leader of `group`.
-    pub fn invite(
-        &self,
-        nylon: &NylonCore,
-        group: GroupId,
-        invitee: NodeId,
-    ) -> Option<Invitation> {
+    pub fn invite(&self, wcl: &Wcl, group: GroupId, invitee: NodeId) -> Option<Invitation> {
         let state = self.groups.get(&group)?;
         let leader_key = state.leader_key.as_ref()?;
         Some(Invitation {
             group,
             group_key: state.current_key().clone(),
             accreditation: issue_accreditation(leader_key, group, invitee),
-            entry_point: self.my_entry(nylon),
+            entry_point: wcl.entry(),
         })
     }
 
     /// Starts the join handshake using an out-of-band invitation. The
     /// request is retried every PPSS cycle until the leader answers.
-    pub fn join_group(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        wcl: &mut Wcl,
-        invitation: Invitation,
-    ) {
+    pub fn join_group(&mut self, ctx: &mut Ctx<'_>, wcl: &mut Wcl, invitation: Invitation) {
         let group = invitation.group;
         if self.groups.contains_key(&group) {
             return;
@@ -194,17 +177,10 @@ impl Ppss {
         self.journal.append(&Record::Pending(invitation.clone()).to_wire());
         self.pending_joins
             .insert(group, PendingJoin { invitation, msg_id: None });
-        self.try_pending_join(ctx, nylon, wcl, group);
+        self.try_pending_join(ctx, wcl, group);
     }
 
-    pub(super) fn try_pending_join(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        wcl: &mut Wcl,
-        group: GroupId,
-    ) {
-        let entry = self.my_entry(nylon);
+    pub(super) fn try_pending_join(&mut self, ctx: &mut Ctx<'_>, wcl: &mut Wcl, group: GroupId) {
         let Some(pending) = self.pending_joins.get_mut(&group) else {
             return;
         };
@@ -214,12 +190,12 @@ impl Ppss {
         let msg = PpssMsg::JoinReq {
             group,
             accreditation: pending.invitation.accreditation.clone(),
-            entry,
+            entry: wcl.entry(),
         };
         let msg_id = wcl.alloc_msg_id();
         pending.msg_id = Some(msg_id);
         ctx.metrics().count("ppss.join_attempts", 1);
-        wcl.send(ctx, nylon, &pending.invitation.entry_point, msg.to_wire(), None, msg_id);
+        wcl.send(ctx, &pending.invitation.entry_point, msg.to_wire(), None, msg_id);
     }
 
     /// Deletes `group` (leader operation): signs a deletion tombstone —
@@ -235,7 +211,6 @@ impl Ppss {
     pub fn delete_group(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         wcl: &mut Wcl,
         group: GroupId,
     ) -> Option<Vec<PpssEvent>> {
@@ -252,7 +227,7 @@ impl Ppss {
             Vec::new(),
             ctx.now().as_micros(),
         );
-        Some(self.delete_here(ctx, nylon, wcl, group, tomb.to_wire()))
+        Some(self.delete_here(ctx, wcl, group, tomb.to_wire()))
     }
 
     /// Forgets `group` for good under `tombstone`, its signed image: the
@@ -262,7 +237,6 @@ impl Ppss {
     fn delete_here(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         wcl: &mut Wcl,
         group: GroupId,
         tombstone: Vec<u8>,
@@ -274,7 +248,7 @@ impl Ppss {
                 state.pcp.values().chain(&state.view).map(|e| (e.node, e)).collect();
             let push = PpssMsg::Deleted { tombstone: tombstone.clone(), exchange_id: 0 }.to_wire();
             for target in targets.values() {
-                wcl.send_untracked(ctx, nylon, target, &push, None);
+                wcl.send_untracked(ctx, target, &push, None);
             }
         }
         self.journal.append(&Record::Tombstone { group, tombstone: tombstone.clone() }.to_wire());
@@ -321,7 +295,6 @@ impl Ppss {
     /// all in-flight state (outstanding exchanges, the PCP, pending
     /// announcements) is volatile and starts empty.
     pub fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
-        let replay_started = std::time::Instant::now();
         let recovery = self.journal.replay();
         if recovery.truncated > 0 {
             ctx.metrics().count("ppss.journal_truncated", recovery.truncated);
@@ -346,12 +319,6 @@ impl Ppss {
         // tail is gone for good, and the next crash replays from
         // exactly what this restart reconstructed.
         self.compact_journal();
-        // Wall-clock recovery time: host-dependent, and excluded from
-        // determinism traces by its `_wall_us` suffix.
-        ctx.metrics().sample(
-            "ppss.journal_replay_wall_us",
-            replay_started.elapsed().as_nanos() as f64 / 1000.0,
-        );
     }
 
     /// Folds one journaled record into the group table (replay order
@@ -411,20 +378,16 @@ impl Ppss {
         groups.chain(pending).chain(deleted).collect()
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn handle_join_req(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         wcl: &mut Wcl,
         via: Option<Arrival>,
         group: GroupId,
         accreditation: Vec<u8>,
         entry: PrivateEntry,
     ) {
-        let my_entry = self.my_entry(nylon);
         let cap = self.cfg.view_size;
-        let me = nylon.id();
         let Some(state) = self.groups.get_mut(&group) else {
             return;
         };
@@ -450,7 +413,7 @@ impl Ppss {
         // admission there is.
         let passport = Passport::issue(leader_key, group, entry.node);
         // Seed the joiner with a slice of our view plus ourselves.
-        let mut entries = vec![my_entry];
+        let mut entries = vec![wcl.entry()];
         entries.extend(state.view.iter().take(GOSSIP_LEN).cloned());
         let ack = PpssMsg::JoinAck {
             group,
@@ -458,16 +421,15 @@ impl Ppss {
             key_history: state.key_history.clone(),
             entries,
         };
-        state.merge_entries(me, vec![entry.clone()], cap);
+        state.merge_entries(wcl.nylon().id(), vec![entry.clone()], cap);
         ctx.metrics().count("ppss.joins_accepted", 1);
-        wcl.send_untracked(ctx, nylon, &entry, &ack.to_wire(), None);
+        wcl.send_untracked(ctx, &entry, &ack.to_wire(), None);
     }
 
     #[allow(clippy::too_many_arguments)]
     pub(super) fn handle_join_ack(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         wcl: &mut Wcl,
         group: GroupId,
         passport: Passport,
@@ -482,7 +444,7 @@ impl Ppss {
         // passport must verify: otherwise someone is feeding us a fake
         // group.
         if !history.contains(&pending.invitation.group_key)
-            || passport.node != nylon.id()
+            || passport.node != wcl.nylon().id()
             || !passport.verify(group, &history)
         {
             ctx.metrics().count("ppss.join_ack_invalid", 1);
@@ -493,7 +455,7 @@ impl Ppss {
             wcl.notify_response(ctx, msg_id);
         }
         let mut state = GroupState::fresh(history, None, passport, 0);
-        state.merge_entries(nylon.id(), entries, self.cfg.view_size);
+        state.merge_entries(wcl.nylon().id(), entries, self.cfg.view_size);
         self.groups.insert(group, Box::new(state));
         ctx.metrics().count("ppss.joins_completed", 1);
         self.journal_group(group);
@@ -515,7 +477,6 @@ impl Ppss {
     pub(super) fn on_descriptor(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         wcl: &mut Wcl,
         bytes: &[u8],
         exchange_id: u64,
@@ -543,7 +504,7 @@ impl Ppss {
                 if now >= desc.born_at {
                     ctx.metrics().sample("ppss.deletion_prop_s", (now - desc.born_at) as f64 / 1e6);
                 }
-                events = self.delete_here(ctx, nylon, wcl, group, bytes.to_vec());
+                events = self.delete_here(ctx, wcl, group, bytes.to_vec());
             }
         }
         if exchange_id != 0 && self.deleted.get(&group).is_some_and(|held| held == bytes) {

@@ -15,7 +15,7 @@ pub mod journal;
 mod lifecycle;
 pub mod messages;
 
-use crate::wcl::{Arrival, GatewayInfo, Preamble, Wcl};
+use crate::wcl::{Arrival, Preamble, Wcl};
 use election::{ElectionOutcome, LeaderTracker};
 use group::{GroupId, Passport, PassportMemo};
 use journal::Journal;
@@ -27,13 +27,11 @@ use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::sim::Ctx;
 use whisper_net::wire::{WireDecode, WireEncode, WireReader};
 use whisper_net::{NodeId, SimDuration};
-use whisper_pss::{timer, NylonCore};
+use whisper_pss::timer;
 use whisper_rand::Rng;
 
 /// Entries shipped per exchange (paper: 5).
 pub const GOSSIP_LEN: usize = 5;
-/// Π — gateways advertised per NATted member (paper: 3).
-pub const GATEWAYS: usize = 3;
 /// PPSS cycle period (paper: 1 minute).
 pub const CYCLE: SimDuration = SimDuration::from_secs(60);
 /// PCP refresh period (lower frequency than gossip; bounded by the NAT
@@ -295,29 +293,6 @@ impl Ppss {
         ctx.set_timer(PCP_REFRESH, timer::token(timer::PCP_REFRESH, 0));
     }
 
-    /// Builds this node's fresh private-view entry: identity key plus Π
-    /// gateway P-nodes drawn from the Nylon connection backlog.
-    pub fn my_entry(&self, nylon: &NylonCore) -> PrivateEntry {
-        let public = nylon.is_public();
-        let gateways = if public {
-            Vec::new()
-        } else {
-            nylon
-                .cb()
-                .publics()
-                .filter_map(|e| e.key.clone().map(|key| GatewayInfo { node: e.node, key }))
-                .take(GATEWAYS)
-                .collect()
-        };
-        PrivateEntry {
-            node: nylon.id(),
-            age: 0,
-            public,
-            key: nylon.keypair().public().clone(),
-            gateways,
-        }
-    }
-
     /// Adds `node` (taken from the private view) to the persistent
     /// connection pool of `group`. Returns `false` if unknown.
     pub fn make_persistent(&mut self, group: GroupId, node: NodeId) -> bool {
@@ -338,13 +313,13 @@ impl Ppss {
     /// `None` if we are not a member.
     pub(crate) fn app_data(
         &self,
-        nylon: &NylonCore,
+        wcl: &Wcl,
         group: GroupId,
         data: Vec<u8>,
         with_reply_entry: bool,
     ) -> Option<(Vec<u8>, Preamble)> {
         let passport = self.groups.get(&group)?.passport.clone();
-        let reply_entry = with_reply_entry.then(|| self.my_entry(nylon));
+        let reply_entry = with_reply_entry.then(|| wcl.entry());
         let message_len = app_short_len(&data);
         let wire = PpssMsg::AppData { group, passport, data, reply_entry }.to_wire();
         let once = Preamble { len: wire.len() - message_len, topic: group.0 };
@@ -363,22 +338,17 @@ impl Ppss {
     // ----------------------------------------------------------------
 
     /// Runs one PPSS cycle for every group; re-arms the timer.
-    pub fn on_cycle(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        wcl: &mut Wcl,
-    ) -> Vec<PpssEvent> {
+    pub fn on_cycle(&mut self, ctx: &mut Ctx<'_>, wcl: &mut Wcl) -> Vec<PpssEvent> {
         let mut events = Vec::new();
         let mut to_journal: Vec<GroupId> = Vec::new();
         self.cycles_run += 1;
         ctx.set_timer(CYCLE, timer::token(timer::PPSS_CYCLE, 0));
         let pending: Vec<GroupId> = self.pending_joins.keys().copied().collect();
         for group in pending {
-            self.try_pending_join(ctx, nylon, wcl, group);
+            self.try_pending_join(ctx, wcl, group);
         }
-        let my_entry = self.my_entry(nylon);
-        let me = nylon.id();
+        let my_entry = wcl.entry();
+        let me = my_entry.node;
         for (&group, state) in &mut self.groups {
             // Leader heartbeats / member election bookkeeping.
             if state.is_leader() {
@@ -386,15 +356,15 @@ impl Ppss {
             } else if let ElectionOutcome::Won { epoch } =
                 state.tracker.on_cycle(me, HB_MISS_THRESHOLD, ELECTION_CYCLES)
             {
-                let new_key = KeyPair::generate(nylon.config().rsa, ctx.rng());
+                let identity = wcl.nylon().keypair();
+                let new_key = KeyPair::generate(wcl.nylon().config().rsa, ctx.rng());
                 let group_key = new_key.public().clone();
                 let ann = NewKeyAnnouncement {
                     epoch,
-                    signature: nylon
-                        .keypair()
+                    signature: identity
                         .sign(&NewKeyAnnouncement::message(epoch, group_key.wire_bytes())),
                     group_key,
-                    signer_key: nylon.keypair().public().clone(),
+                    signer_key: identity.public().clone(),
                 };
                 state.key_history.push(new_key.public().clone());
                 // Keep the old passport: it stays valid through
@@ -407,7 +377,7 @@ impl Ppss {
                 ctx.metrics().count("ppss.elections_won", 1);
                 events.push(PpssEvent::BecameLeader { group, epoch });
             }
-            state.start_exchange(ctx, nylon, wcl, group, &my_entry, &mut events);
+            state.start_exchange(ctx, wcl, group, &my_entry, &mut events);
         }
         if self.cycles_run.is_multiple_of(8) {
             // Periodic checkpoint: refresh every group's journaled contact
@@ -426,9 +396,9 @@ impl Ppss {
 
     /// Refreshes every persistent connection (paper §IV-C); re-arms the
     /// timer.
-    pub fn on_pcp_refresh(&mut self, ctx: &mut Ctx<'_>, nylon: &mut NylonCore, wcl: &mut Wcl) {
+    pub fn on_pcp_refresh(&mut self, ctx: &mut Ctx<'_>, wcl: &mut Wcl) {
         ctx.set_timer(PCP_REFRESH, timer::token(timer::PCP_REFRESH, 0));
-        let my_entry = self.my_entry(nylon);
+        let my_entry = wcl.entry();
         for (&group, state) in &self.groups {
             for target in state.pcp.values() {
                 let msg = PpssMsg::PcpRefresh {
@@ -438,7 +408,7 @@ impl Ppss {
                     respond: true,
                 };
                 ctx.metrics().count("ppss.pcp_refreshes", 1);
-                wcl.send_untracked(ctx, nylon, target, &msg.to_wire(), None);
+                wcl.send_untracked(ctx, target, &msg.to_wire(), None);
             }
         }
     }
@@ -475,7 +445,6 @@ impl Ppss {
     pub fn on_delivered(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         wcl: &mut Wcl,
         via: Option<Arrival>,
         payload: &[u8],
@@ -495,21 +464,19 @@ impl Ppss {
             ctx.metrics().count("ppss.resurrection_blocked", 1);
             if let PpssMsg::Exchange { exchange_id, is_response: false, .. } = &msg {
                 let answer = PpssMsg::Deleted { tombstone: tombstone.clone(), exchange_id: *exchange_id };
-                wcl.answer_on(ctx, nylon, via, &answer.to_wire());
+                wcl.answer_on(ctx, via, &answer.to_wire());
             }
             return Some(events);
         }
         match msg {
             PpssMsg::JoinReq { group, accreditation, entry } => {
-                self.handle_join_req(ctx, nylon, wcl, via, group, accreditation, entry);
+                self.handle_join_req(ctx, wcl, via, group, accreditation, entry);
             }
             PpssMsg::JoinAck { group, passport, key_history, entries } => {
-                self.handle_join_ack(
-                    ctx, nylon, wcl, group, passport, key_history, entries, &mut events,
-                );
+                self.handle_join_ack(ctx, wcl, group, passport, key_history, entries, &mut events);
             }
             msg @ PpssMsg::Exchange { .. } => {
-                self.handle_exchange(ctx, nylon, wcl, via, msg, &mut events);
+                self.handle_exchange(ctx, wcl, via, msg, &mut events);
             }
             PpssMsg::AppData { group, passport, data, reply_entry } => {
                 // What the sender stated about itself: the bytes between
@@ -537,7 +504,6 @@ impl Ppss {
                 );
             }
             PpssMsg::PcpRefresh { group, passport, entry, respond } => {
-                let my_entry = self.my_entry(nylon);
                 let Some(state) = self.admit(ctx, wcl, via, group, &passport, Some(entry.node))
                 else {
                     return Some(events);
@@ -553,14 +519,14 @@ impl Ppss {
                     let msg = PpssMsg::PcpRefresh {
                         group,
                         passport: state.passport.clone(),
-                        entry: my_entry,
+                        entry: wcl.entry(),
                         respond: false,
                     };
-                    wcl.send_untracked(ctx, nylon, &entry, &msg.to_wire(), None);
+                    wcl.send_untracked(ctx, &entry, &msg.to_wire(), None);
                 }
             }
             PpssMsg::Deleted { tombstone, exchange_id } => {
-                events = self.on_descriptor(ctx, nylon, wcl, &tombstone, exchange_id);
+                events = self.on_descriptor(ctx, wcl, &tombstone, exchange_id);
             }
         }
         Some(events)

@@ -16,7 +16,7 @@ fn deliver(sim: &mut Sim, node: NodeId, msg: &PpssMsg) -> Vec<PpssEvent> {
     let mut events = None;
     sim.with_node_ctx::<WhisperNode>(node, |n, ctx| {
         n.with_api(|api, _| {
-            events = api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, &wire)
+            events = api.ppss.on_delivered(ctx, api.wcl, None, &wire)
         });
     });
     events.expect("a PPSS message")
@@ -165,7 +165,7 @@ fn create_group_refuses_a_held_name() {
     let create = |sim: &mut Sim| {
         let mut created = None;
         sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
-            created = n.with_api(|api, _| api.ppss.create_group(ctx, api.nylon, "taken"));
+            created = n.with_api(|api, _| api.ppss.create_group(ctx, api.wcl, "taken"));
         });
         created
     };
@@ -191,7 +191,7 @@ fn create_group_refuses_a_deleted_name() {
     sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
         let group = n.create_group(ctx, "gone");
         assert!(n.delete_group(ctx, group));
-        again = n.with_api(|api, _| api.ppss.create_group(ctx, api.nylon, "gone"));
+        again = n.with_api(|api, _| api.ppss.create_group(ctx, api.wcl, "gone"));
     });
     assert_eq!(again, None);
     assert_eq!(sim.metrics().counter("ppss.resurrection_blocked"), 1);
@@ -385,7 +385,7 @@ fn checkpoints_keep_the_journal_bounded_and_replay_equivalent() {
 
     let cycle = |sim: &mut Sim| {
         sim.with_node_ctx::<WhisperNode>(me, |n, ctx| {
-            n.with_api(|api, _| api.ppss.on_cycle(ctx, api.nylon, api.wcl));
+            n.with_api(|api, _| api.ppss.on_cycle(ctx, api.wcl));
         });
     };
     for cycles in 1..=8 * 12u32 {

@@ -71,13 +71,12 @@ fn put_circuit_header<W: WireSink>(
 /// caller then applies its CTR layers in place.
 fn circuit_frame(
     ctx: &mut Ctx<'_>,
-    nylon: &NylonCore,
     direction: Direction,
     cid: CircuitId,
     nonce: &CtrNonce,
     body: &[u8],
 ) -> (PayloadWriter, usize) {
-    let mut frame = nylon.begin_app(ctx, circuit_packet_len(body.len()));
+    let mut frame = NylonCore::begin_app(ctx, circuit_packet_len(body.len()));
     put_circuit_header(&mut frame, direction, cid, nonce, body.len());
     let body_at = frame.len();
     frame.put_raw(body);
@@ -130,7 +129,6 @@ impl Wcl {
     pub(super) fn send_back(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         way: Option<CircuitId>,
         payload: &[u8],
         once: Option<Preamble>,
@@ -150,16 +148,15 @@ impl Wcl {
             return false;
         };
         let talk = talk.get_or_insert_with(Box::default);
-        let public = nylon.is_public();
+        let public = self.nylon.is_public();
         let sent = send_on_circuit(
             ctx,
-            nylon,
-            prev,
             (Direction::Return, cid),
             talk,
             payload,
             once,
             |ctx, nonce, body| layer_sampled(ctx, public, entry, Direction::Return, nonce, body),
+            |ctx, frame| self.nylon.send_app_frame(ctx, prev.0, prev.1.then_some(NatType::Public), &[], frame),
         );
         ctx.metrics().count(if sent { "wcl.return_sent" } else { "wcl.return_stale" }, 1);
         sent
@@ -172,7 +169,6 @@ impl Wcl {
     pub(super) fn send_on_route(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         dest: NodeId,
         payload: &[u8],
         once: Option<Preamble>,
@@ -180,12 +176,10 @@ impl Wcl {
         let now = ctx.now();
         let route = self.routes.get_mut(dest)?;
         if route.expires > now {
-            let CachedRoute { circuit, first_hop, mixes, talk, .. } = route;
-            let public = nylon.is_public();
+            let CachedRoute { circuit, first_hop: (to, to_public), mixes, talk, .. } = route;
+            let public = self.nylon.is_public();
             let sent = send_on_circuit(
                 ctx,
-                nylon,
-                *first_hop,
                 (Direction::Forward, circuit.first_cid),
                 talk,
                 payload,
@@ -193,6 +187,7 @@ impl Wcl {
                 |ctx, nonce, body| {
                     crypto_sampled(ctx, public, |_| circuit.seal_in_place(nonce, body));
                 },
+                |ctx, frame| self.nylon.send_app_frame(ctx, *to, to_public.then_some(NatType::Public), &[], frame),
             );
             if sent {
                 return Some(*mixes);
@@ -213,7 +208,6 @@ impl Wcl {
     pub(super) fn on_circuit_packet(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         packet: CircuitPacket<'_>,
     ) -> Option<WclEvent> {
         let now_us = ctx.now().as_micros();
@@ -232,7 +226,7 @@ impl Wcl {
         };
         let Some((entry, onward)) = hop else {
             if packet.direction == Direction::Return {
-                if let Some(home) = self.on_return_home(ctx, nylon.is_public(), packet) {
+                if let Some(home) = self.on_return_home(ctx, packet) {
                     return Some(home);
                 }
             }
@@ -262,26 +256,20 @@ impl Wcl {
                         (stepped, stepped)
                     }
                 };
-                let (mut frame, body_at) = circuit_frame(
-                    ctx,
-                    nylon,
-                    packet.direction,
-                    cid_onward,
-                    &onward_nonce,
-                    packet.body,
-                );
+                let (mut frame, body_at) =
+                    circuit_frame(ctx, packet.direction, cid_onward, &onward_nonce, packet.body);
                 let body = &mut frame.as_mut_slice()[body_at..];
-                layer_sampled(ctx, nylon.is_public(), entry, packet.direction, &layer_nonce, body);
+                layer_sampled(ctx, self.nylon.is_public(), entry, packet.direction, &layer_nonce, body);
                 ctx.metrics().count("wcl.relayed", 1);
                 ctx.metrics().count("wcl.circuit_forwarded", 1);
-                let outcome = nylon.send_app_frame(ctx, next, next_public.then_some(NatType::Public), &[], frame);
+                let outcome = self.nylon.send_app_frame(ctx, next, next_public.then_some(NatType::Public), &[], frame);
                 if outcome == SendOutcome::Failed {
                     ctx.metrics().count("wcl.relay_drop", 1);
                 }
                 None
             }
             None => {
-                let public = nylon.is_public();
+                let public = self.nylon.is_public();
                 let via = Arrival::Forward(packet.cid);
                 Some(deliver(ctx, &mut self.deliver_buf, packet.body, via, |ctx, payload| {
                     layer_sampled(ctx, public, entry, packet.direction, &packet.nonce, payload)
@@ -295,12 +283,8 @@ impl Wcl {
     /// on — every hop's layer is stripped and the payload delivered, and
     /// the route, unless it has expired, is its destination's current one
     /// again.
-    fn on_return_home(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        is_public: bool,
-        packet: CircuitPacket<'_>,
-    ) -> Option<WclEvent> {
+    fn on_return_home(&mut self, ctx: &mut Ctx<'_>, packet: CircuitPacket<'_>) -> Option<WclEvent> {
+        let is_public = self.nylon.is_public();
         let route = self.routes.by_first_cid.get_mut(&packet.cid)?;
         if route.expires > ctx.now() {
             self.routes.current.insert(route.dest, packet.cid);
@@ -317,26 +301,24 @@ impl Wcl {
 }
 
 /// Sends what of `payload` is still unsaid on `talk` as one circuit packet
-/// to the neighbour `to`, headed `(direction, cid)`: a fresh nonce, the
-/// packet written once into its outgoing buffer and this end's layers
-/// applied there by `layer`. `false`, and nothing said, when the link to
-/// `to` is gone.
-#[allow(clippy::too_many_arguments)]
+/// headed `(direction, cid)`: a fresh nonce, the packet written once into
+/// its outgoing buffer, this end's layers applied there by `layer`, and
+/// the buffer handed to `send` for the neighbour it goes to. `false`, and
+/// nothing said, when the link to that neighbour is gone.
 fn send_on_circuit(
     ctx: &mut Ctx<'_>,
-    nylon: &mut NylonCore,
-    to: (NodeId, bool),
     (direction, cid): (Direction, CircuitId),
     talk: &mut Conversation,
     payload: &[u8],
     once: Option<Preamble>,
     layer: impl FnOnce(&mut Ctx<'_>, &CtrNonce, &mut [u8]),
+    send: impl FnOnce(&mut Ctx<'_>, PayloadWriter) -> SendOutcome,
 ) -> bool {
     let body = talk.unsaid(payload, once);
     let nonce = CtrNonce::random(ctx.rng());
-    let (mut frame, body_at) = circuit_frame(ctx, nylon, direction, cid, &nonce, body);
+    let (mut frame, body_at) = circuit_frame(ctx, direction, cid, &nonce, body);
     layer(ctx, &nonce, &mut frame.as_mut_slice()[body_at..]);
-    if nylon.send_app_frame(ctx, to.0, to.1.then_some(NatType::Public), &[], frame) == SendOutcome::Failed {
+    if send(ctx, frame) == SendOutcome::Failed {
         return false;
     }
     talk.said = once.or(talk.said);

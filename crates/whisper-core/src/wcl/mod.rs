@@ -116,6 +116,8 @@ pub struct WclConfig {
     pub adaptive_rto: bool,
 }
 
+/// Π — gateways a NATted node advertises in its entry (paper: 3).
+pub const GATEWAYS: usize = 3;
 /// How long to wait for a response before retrying over an alternative
 /// path (the paper's fixed timer).
 pub const RETRY_TIMEOUT: SimDuration = SimDuration::from_secs(2);
@@ -149,14 +151,13 @@ pub enum WclEvent {
         /// that set none up).
         via: Option<Arrival>,
     },
-    /// A tracked send gave up after exhausting retries.
+    /// A tracked send gave up: its retries ran out, or no alternative
+    /// path could be built.
     RouteFailed {
         /// The message id passed to [`Wcl::send`].
         msg_id: u64,
         /// The unreachable destination.
         dest: NodeId,
-        /// `true` if no alternative path could even be constructed.
-        no_alternative: bool,
     },
 }
 
@@ -194,9 +195,12 @@ struct PendingSend {
     sent_at: whisper_net::SimTime,
 }
 
-/// Per-node WCL state.
+/// Per-node WCL state, over the Nylon PSS it owns and sends through.
 pub struct Wcl {
     cfg: WclConfig,
+    /// The layer below: the connection backlog mixes and gateways come
+    /// from, the node's identity key, and the links packets leave on.
+    nylon: NylonCore,
     pending: HashMap<u64, PendingSend>,
     next_msg_id: u64,
     /// Source side: destination → cached circuit route.
@@ -221,6 +225,7 @@ pub struct Wcl {
 impl std::fmt::Debug for Wcl {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wcl")
+            .field("nylon", &self.nylon)
             .field("pending", &self.pending.len())
             .field("routes", &self.cached_routes())
             .field("circuits", &self.circuits.len())
@@ -229,13 +234,14 @@ impl std::fmt::Debug for Wcl {
 }
 
 impl Wcl {
-    /// Creates WCL state.
-    pub fn new(cfg: WclConfig) -> Self {
+    /// Creates WCL state over `nylon`.
+    pub fn new(cfg: WclConfig, nylon: NylonCore) -> Self {
         assert!(cfg.mixes >= 1, "at least one mix required");
         let circuits = CircuitTable::new(CIRCUIT_CAPACITY, CIRCUIT_TTL.as_micros());
         Wcl {
             recovery: Recovery::new(cfg.adaptive_rto),
             cfg,
+            nylon,
             pending: HashMap::new(),
             next_msg_id: 1,
             routes: RouteCache::default(),
@@ -248,7 +254,7 @@ impl Wcl {
     /// Models a process restart with full volatile-state loss: pending
     /// sends, cached routes, carried circuits — with the return bindings
     /// onto them and everything said on either — and the RTT estimate all
-    /// vanish. Invoked from
+    /// vanish, and Nylon restarts beneath. Invoked from
     /// `WhisperNode::on_crash_restart` when a scripted
     /// [`whisper_net::fault::Fault::CrashRestart`] brings the node back.
     pub fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -258,6 +264,42 @@ impl Wcl {
         self.pending.clear();
         self.flush_circuits();
         self.recovery.clear();
+        self.nylon.on_restart(ctx);
+    }
+
+    /// The Nylon PSS this layer sends over.
+    pub fn nylon(&self) -> &NylonCore {
+        &self.nylon
+    }
+
+    /// Mutable Nylon access: its callbacks, and bootstrap configuration.
+    pub fn nylon_mut(&mut self) -> &mut NylonCore {
+        &mut self.nylon
+    }
+
+    /// This node's fresh private-view entry: its identity key and, for a
+    /// NATted node, the first [`GATEWAYS`] P-nodes of its connection
+    /// backlog whose keys it knows — the gateways a route to it ends
+    /// through.
+    pub fn entry(&self) -> PrivateEntry {
+        let public = self.nylon.is_public();
+        let gateways = if public {
+            Vec::new()
+        } else {
+            self.nylon
+                .cb()
+                .publics()
+                .filter_map(|e| e.key.clone().map(|key| GatewayInfo { node: e.node, key }))
+                .take(GATEWAYS)
+                .collect()
+        };
+        PrivateEntry {
+            node: self.nylon.id(),
+            age: 0,
+            public,
+            key: self.nylon.keypair().public().clone(),
+            gateways,
+        }
     }
 
     /// Drops all circuit state — the relay table, any cached source
@@ -308,14 +350,13 @@ impl Wcl {
     pub fn send_untracked(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         dest: &PrivateEntry,
         payload: &[u8],
         once: Option<Preamble>,
     ) -> bool {
         let bound = self.return_ways.get(&dest.node).copied();
-        self.send_back(ctx, nylon, bound, payload, once)
-            || self.try_send(ctx, nylon, dest, payload, once, (&[], &[])).is_some()
+        self.send_back(ctx, bound, payload, once)
+            || self.try_send(ctx, dest, payload, once, (&[], &[])).is_some()
     }
 
     /// Answers what arrived `via` back on the circuit it came in on,
@@ -324,18 +365,12 @@ impl Wcl {
     /// the question merely names. Returns `false`, and sends nothing,
     /// without such a circuit: the asker's tracked send retries on a
     /// fresh one.
-    pub(crate) fn answer_on(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        via: Option<Arrival>,
-        payload: &[u8],
-    ) -> bool {
+    pub(crate) fn answer_on(&mut self, ctx: &mut Ctx<'_>, via: Option<Arrival>, payload: &[u8]) -> bool {
         let way = match via {
             Some(Arrival::Forward(cid)) => Some(cid),
             _ => None,
         };
-        self.send_back(ctx, nylon, way, payload, None)
+        self.send_back(ctx, way, payload, None)
     }
 
     /// Sends `payload` confidentially to `dest`, tracking it for retries:
@@ -350,14 +385,13 @@ impl Wcl {
     pub fn send(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         dest: &PrivateEntry,
         payload: Vec<u8>,
         once: Option<Preamble>,
         msg_id: u64,
     ) -> bool {
         ctx.metrics().count("wcl.route_attempts", 1);
-        let Some((a, b)) = self.try_send(ctx, nylon, dest, &payload, once, (&[], &[])) else {
+        let Some((a, b)) = self.try_send(ctx, dest, &payload, once, (&[], &[])) else {
             // Could not even build the first path; treated as "no
             // alternative" immediately, and its destination recorded as
             // for a retry that ran out of paths, so Table I counts it.
@@ -415,13 +449,12 @@ impl Wcl {
     }
 
     /// Handles a retry timer. Returns a [`WclEvent::RouteFailed`] when the
-    /// send is abandoned.
-    pub fn on_retry_timer(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
-        token: u64,
-    ) -> Option<WclEvent> {
+    /// send is abandoned, and records its destination — under
+    /// `wcl.failed_dest_exhausted` or `wcl.failed_dest_noalt`, beside the
+    /// count of the outcome — so experiment harnesses can separate genuine
+    /// route failures from destination deaths post hoc (the paper's Table
+    /// I footnote excludes the latter).
+    pub fn on_retry_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> Option<WclEvent> {
         let msg_id = timer::payload(token);
         let mut p = self.pending.remove(&msg_id)?;
         let now = ctx.now();
@@ -435,12 +468,14 @@ impl Wcl {
         let dest = p.dest.node;
         if p.attempts > MAX_RETRIES {
             ctx.metrics().count("wcl.route_exhausted", 1);
-            return Some(WclEvent::RouteFailed { msg_id, dest, no_alternative: false });
+            ctx.metrics().sample("wcl.failed_dest_exhausted", dest.0 as f64);
+            return Some(WclEvent::RouteFailed { msg_id, dest });
         }
         let avoid = (&p.used_first_mixes[..], &p.used_gateways[..]);
-        let Some((a, b)) = self.try_send(ctx, nylon, &p.dest, &p.payload, p.once, avoid) else {
+        let Some((a, b)) = self.try_send(ctx, &p.dest, &p.payload, p.once, avoid) else {
             ctx.metrics().count("wcl.route_no_alt", 1);
-            return Some(WclEvent::RouteFailed { msg_id, dest, no_alternative: true });
+            ctx.metrics().sample("wcl.failed_dest_noalt", dest.0 as f64);
+            return Some(WclEvent::RouteFailed { msg_id, dest });
         };
         ctx.metrics().count("wcl.route_retry", 1);
         p.attempts += 1;
@@ -475,17 +510,16 @@ impl Wcl {
     pub fn on_app_payload(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         prev: (NodeId, bool),
         data: &[u8],
     ) -> Option<WclEvent> {
         let handled = match data.first() {
             Some(&WCL_TAG) => ctx
                 .prof_decode(|| OnionView::from_wire(data))
-                .map(|packet| self.on_onion_packet(ctx, nylon, prev, packet)),
+                .map(|packet| self.on_onion_packet(ctx, prev, packet)),
             Some(&CIRCUIT_TAG | &RETURN_TAG) => ctx
                 .prof_decode(|| CircuitPacket::from_wire(data))
-                .map(|packet| self.on_circuit_packet(ctx, nylon, packet)),
+                .map(|packet| self.on_circuit_packet(ctx, packet)),
             _ => return None,
         };
         handled.unwrap_or_else(|_| {
@@ -526,11 +560,20 @@ fn crypto_sampled<'a, T>(
 mod tests {
     use super::*;
     use whisper_crypto::circuit::CircuitEntry;
+    use whisper_crypto::rsa::KeyPair;
     use whisper_net::SimTime;
+    use whisper_pss::NylonConfig;
+    use whisper_rand::SeedableRng;
+
+    fn wcl_with(cfg: WclConfig) -> Wcl {
+        let nylon = NylonConfig::default();
+        let key = KeyPair::generate(nylon.rsa, &mut whisper_rand::rngs::StdRng::seed_from_u64(1));
+        Wcl::new(cfg, NylonCore::new(nylon, key))
+    }
 
     #[test]
     fn msg_ids_are_unique() {
-        let mut wcl = Wcl::new(WclConfig::default());
+        let mut wcl = wcl_with(WclConfig::default());
         let a = wcl.alloc_msg_id();
         let b = wcl.alloc_msg_id();
         assert_ne!(a, b);
@@ -539,7 +582,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one mix")]
     fn zero_mixes_rejected() {
-        Wcl::new(WclConfig { mixes: 0, ..WclConfig::default() });
+        wcl_with(WclConfig { mixes: 0, ..WclConfig::default() });
     }
 
     fn ends_here(wcl: &mut Wcl, now: SimTime, id: u64) -> Option<Arrival> {
@@ -556,7 +599,7 @@ mod tests {
     /// outnumber what the table can hold by more than one.
     #[test]
     fn what_a_circuit_heard_leaves_with_its_slot() {
-        let mut wcl = Wcl::new(WclConfig::default());
+        let mut wcl = wcl_with(WclConfig::default());
         let t0 = SimTime::from_micros(1_000_000);
         let via = ends_here(&mut wcl, t0, 1);
         assert_eq!(wcl.heard(t0, via), None, "nothing said yet");
@@ -610,7 +653,7 @@ mod tests {
 
     #[test]
     fn flush_circuits_clears_all_state() {
-        let mut wcl = Wcl::new(WclConfig::default());
+        let mut wcl = wcl_with(WclConfig::default());
         wcl.circuits.insert(
             0,
             CircuitId([1; 8]),

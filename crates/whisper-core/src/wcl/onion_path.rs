@@ -46,8 +46,8 @@ fn put_onion<W: WireSink>(w: &mut W, header: &[u8], body: &[u8]) {
 
 /// Writes a whole outgoing onion packet — Nylon framing, then
 /// [`put_onion`] — into a pool buffer.
-fn onion_frame(ctx: &mut Ctx<'_>, nylon: &NylonCore, header: &[u8], body: &[u8]) -> PayloadWriter {
-    let mut frame = nylon.begin_app(ctx, WireLen::of(|n| put_onion(n, header, body)));
+fn onion_frame(ctx: &mut Ctx<'_>, header: &[u8], body: &[u8]) -> PayloadWriter {
+    let mut frame = NylonCore::begin_app(ctx, WireLen::of(|n| put_onion(n, header, body)));
     put_onion(&mut frame, header, body);
     frame
 }
@@ -71,23 +71,23 @@ impl Wcl {
     pub(super) fn try_send(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         dest: &PrivateEntry,
         payload: &[u8],
         once: Option<Preamble>,
         (avoid_a, avoid_b): (&[NodeId], &[NodeId]),
     ) -> Option<(NodeId, NodeId)> {
-        let me = nylon.id();
         let now = ctx.now();
 
         // Steady-state fast path: a cached circuit carries the packet with
         // three CTR layers and zero RSA. Skipped when a retry is steering
         // away from specific mixes — those want a *different* path.
         if avoid_a.is_empty() && avoid_b.is_empty() {
-            if let Some(mixes) = self.send_on_route(ctx, nylon, dest.node, payload, once) {
+            if let Some(mixes) = self.send_on_route(ctx, dest.node, payload, once) {
                 return Some(mixes);
             }
         }
+        let nylon = &self.nylon;
+        let me = nylon.id();
 
         // Gateway B: a P-node able to reach D. For NATted destinations it
         // must come from the destination's advertised gateways; public
@@ -178,8 +178,8 @@ impl Wcl {
             (cost.aes_model_ns() + cost.rsa_model_ns()) as f64 / 1000.0,
         );
         ctx.metrics().count("wcl.paths_built", 1);
-        let frame = onion_frame(ctx, nylon, &packet.header, &packet.body);
-        let outcome = nylon.send_app_frame(ctx, a.0, a.1.then_some(NatType::Public), &[], frame);
+        let frame = onion_frame(ctx, &packet.header, &packet.body);
+        let outcome = self.nylon.send_app_frame(ctx, a.0, a.1.then_some(NatType::Public), &[], frame);
         if outcome == SendOutcome::Failed {
             return None;
         }
@@ -206,12 +206,11 @@ impl Wcl {
     pub(super) fn on_onion_packet(
         &mut self,
         ctx: &mut Ctx<'_>,
-        nylon: &mut NylonCore,
         prev: (NodeId, bool),
         packet: OnionView<'_>,
     ) -> Option<WclEvent> {
-        let (peeled, cost) = crypto_sampled(ctx, nylon.is_public(), |_| {
-            onion::peel_with_body(nylon.keypair(), packet.header, packet.body)
+        let (peeled, cost) = crypto_sampled(ctx, self.nylon.is_public(), |_| {
+            onion::peel_with_body(self.nylon.keypair(), packet.header, packet.body)
         });
         ctx.metrics().sample(
             "wcl.peel_us",
@@ -225,12 +224,12 @@ impl Wcl {
                 };
                 self.install_circuit(ctx, &ext, next_hop, prev);
                 ctx.metrics().count("wcl.relayed", 1);
-                let fwd = onion_frame(ctx, nylon, &header, packet.body);
+                let fwd = onion_frame(ctx, &header, packet.body);
                 // A mix reaches the next hop through an existing contact
                 // (B → D relies on D's earlier ping) or directly when the
                 // next hop is public. No rendezvous chains here: a mix
                 // must not interrogate the network about the next hop.
-                let outcome = nylon.send_app_frame(ctx, next, next_public.then_some(NatType::Public), &[], fwd);
+                let outcome = self.nylon.send_app_frame(ctx, next, next_public.then_some(NatType::Public), &[], fwd);
                 if outcome == SendOutcome::Failed {
                     ctx.metrics().count("wcl.relay_drop", 1);
                 }

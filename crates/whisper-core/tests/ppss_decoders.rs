@@ -229,7 +229,7 @@ fn ppss_decoders_are_total_on_hostile_bytes() {
                 Decoder::Ppss => hostile.clone(),
                 Decoder::Descriptor => PpssMsg::Deleted { tombstone: hostile.clone(), exchange_id: 0 }.to_wire(),
             };
-            let delivered = n.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, &wire).is_some());
+            let delivered = n.with_api(|api, _| api.ppss.on_delivered(ctx, api.wcl, None, &wire).is_some());
             handled = Some(match decoder {
                 Decoder::Ppss => delivered,
                 Decoder::Descriptor => ctx.metrics().counter("ppss.desc_unparseable") == unparseable,
@@ -274,7 +274,7 @@ fn a_pending_join(seed: u64) -> (Sim, NodeId, GroupId, KeyPair) {
 fn deliver_wire(sim: &mut Sim, node: NodeId, wire: &[u8]) -> Option<Vec<PpssEvent>> {
     let mut events = None;
     sim.with_node_ctx::<WhisperNode>(node, |n, ctx| {
-        events = n.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, wire));
+        events = n.with_api(|api, _| api.ppss.on_delivered(ctx, api.wcl, None, wire));
     });
     events
 }

@@ -160,7 +160,7 @@ fn send_untracked(sim: &mut Sim, source: NodeId, dest: &PrivateEntry, payload: &
     let mut sent = false;
     sim.with_node_ctx::<WhisperNode>(source, |node, ctx| {
         node.with_api(|api, _| {
-            sent = api.wcl.send_untracked(ctx, api.nylon, dest, payload, None);
+            sent = api.wcl.send_untracked(ctx, dest, payload, None);
         });
     });
     sent
@@ -173,7 +173,7 @@ fn send_tracked(sim: &mut Sim, source: NodeId, dest: &PrivateEntry, payload: &[u
     sim.with_node_ctx::<WhisperNode>(source, |node, ctx| {
         node.with_api(|api, _| {
             let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, dest, payload.to_vec(), None, id);
+            sent = api.wcl.send(ctx, dest, payload.to_vec(), None, id);
         });
     });
     assert!(sent);
@@ -354,7 +354,7 @@ const SENDER: NodeId = NodeId(9_000);
 /// that has just arrived from [`SENDER`].
 fn hand_to_wcl(sim: &mut Sim, node: NodeId, packet: &[u8]) -> Option<WclEvent> {
     in_callback(sim, node, |api, ctx| {
-        api.wcl.on_app_payload(ctx, api.nylon, (SENDER, true), packet)
+        api.wcl.on_app_payload(ctx, (SENDER, true), packet)
     })
 }
 
@@ -363,7 +363,7 @@ fn carried_circuits(sim: &mut Sim, node: NodeId) -> usize {
 }
 
 fn public_key_of(sim: &mut Sim, node: NodeId) -> PublicKey {
-    in_callback(sim, node, |api, _| api.nylon.keypair().public().clone())
+    in_callback(sim, node, |api, _| api.wcl.nylon().keypair().public().clone())
 }
 
 /// The address of a public `node` as an onion layer names it.
@@ -568,7 +568,7 @@ fn circuit_decoders_are_total_on_hostile_bytes() {
     let deliver = |sim: &mut Sim, wire: &[u8]| {
         let via = Some(Arrival::Forward(ending));
         let events =
-            in_callback(sim, node, |api, ctx| api.ppss.on_delivered(ctx, api.nylon, api.wcl, via, wire))?;
+            in_callback(sim, node, |api, ctx| api.ppss.on_delivered(ctx, api.wcl, via, wire))?;
         let handed_up = events.into_iter().map(|event| match event {
             whisper_core::PpssEvent::AppMessage { group, from, data, reply_entry } => {
                 (group, from, data.len(), reply_entry.is_some())
@@ -975,7 +975,7 @@ fn a_tombstone_answers_whoever_asked_not_whoever_the_request_names() {
             new_key: None,
             revoked: Vec::new(),
         };
-        assert!(api.wcl.send(ctx, api.nylon, &holder_entry, request.to_wire(), None, exchange_id));
+        assert!(api.wcl.send(ctx, &holder_entry, request.to_wire(), None, exchange_id));
     });
     r.sim.run_for_secs(2);
 

@@ -271,11 +271,11 @@ fn hand_over(sim: &mut Sim, node: NodeId, sender: NodeId, packet: &[u8]) -> (boo
     sim.with_node_ctx::<WhisperNode>(node, |n, ctx| {
         n.with_api(|api, _| {
             let Some(WclEvent::Delivered { payload, via }) =
-                api.wcl.on_app_payload(ctx, api.nylon, (sender, true), packet)
+                api.wcl.on_app_payload(ctx, (sender, true), packet)
             else {
                 return;
             };
-            outcome = (true, api.ppss.on_delivered(ctx, api.nylon, api.wcl, via, &payload).is_some());
+            outcome = (true, api.ppss.on_delivered(ctx, api.wcl, via, &payload).is_some());
         });
     });
     outcome

@@ -5,11 +5,14 @@
 
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
+use whisper_core::wcl::GATEWAYS;
 use whisper_core::{PrivateEntry, WhisperConfig, WhisperNode};
-use whisper_crypto::rsa::KeyPair;
+use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_net::nat::NatType;
 use whisper_net::sim::{Sim, SimConfig};
-use whisper_net::NodeId;
+use whisper_net::wire::WireEncode;
+use whisper_net::{Endpoint, NodeId};
+use whisper_pss::messages::NylonMsg;
 
 struct Rig {
     sim: Sim,
@@ -71,7 +74,7 @@ fn tracked_send_to_natted_dest_succeeds_and_notifies() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_entry, b"probe".to_vec(), None, id);
+            sent = api.wcl.send(ctx, &dest_entry, b"probe".to_vec(), None, id);
         });
     });
     assert!(sent, "path must be constructible after warm-up");
@@ -94,7 +97,7 @@ fn send_fails_cleanly_when_natted_dest_has_no_gateways() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_entry, b"probe".to_vec(), None, id);
+            sent = api.wcl.send(ctx, &dest_entry, b"probe".to_vec(), None, id);
         });
     });
     assert!(!sent, "no gateway ⇒ no path to a NATted destination");
@@ -113,7 +116,7 @@ fn public_dest_uses_cb_publics_as_gateway() {
     let mut sent = false;
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
-            sent = api.wcl.send_untracked(ctx, api.nylon, &dest_entry, b"to public", None);
+            sent = api.wcl.send_untracked(ctx, &dest_entry, b"to public", None);
         });
     });
     assert!(sent);
@@ -149,7 +152,7 @@ fn longer_paths_use_more_relays() {
     let mut sent = false;
     sim.with_node_ctx::<WhisperNode>(source, |node, ctx| {
         node.with_api(|api, _| {
-            sent = api.wcl.send_untracked(ctx, api.nylon, &dest_entry, b"long path", None);
+            sent = api.wcl.send_untracked(ctx, &dest_entry, b"long path", None);
         });
     });
     assert!(sent);
@@ -170,7 +173,7 @@ fn retries_avoid_previously_used_mixes() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             let id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_entry, b"doomed".to_vec(), None, id);
+            sent = api.wcl.send(ctx, &dest_entry, b"doomed".to_vec(), None, id);
         });
     });
     assert!(sent, "first path still constructible (gateways are alive)");
@@ -194,8 +197,9 @@ fn retries_avoid_previously_used_mixes() {
 /// Exhausted-retries branch of `on_retry_timer`: alternatives keep
 /// existing (a public destination falls back to the source's CB publics,
 /// of which there are plenty), but `max_retries` is hit first. The
-/// failure is `wcl.route_exhausted` with `no_alternative: false`, and
-/// both the pending entry and any cached circuit route are gone.
+/// failure is `wcl.route_exhausted`, its destination recorded under
+/// `wcl.failed_dest_exhausted`, and both the pending entry and any cached
+/// circuit route are gone.
 #[test]
 fn route_failed_exhausted_clears_pending_and_cached_route() {
     let mut r = rig(10, 106);
@@ -207,7 +211,7 @@ fn route_failed_exhausted_clears_pending_and_cached_route() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             msg_id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_entry, b"doomed".to_vec(), None, msg_id);
+            sent = api.wcl.send(ctx, &dest_entry, b"doomed".to_vec(), None, msg_id);
         });
     });
     assert!(sent, "plenty of live relays to build the first path");
@@ -217,6 +221,8 @@ fn route_failed_exhausted_clears_pending_and_cached_route() {
     assert_eq!(m.counter("wcl.route_exhausted"), 1, "retries must run dry");
     assert_eq!(m.counter("wcl.route_no_alt"), 0, "alternatives never ran out");
     assert_eq!(m.counter("wcl.route_retry"), 3, "max_retries alternative paths tried");
+    assert_eq!(m.samples("wcl.failed_dest_exhausted"), [target.0 as f64]);
+    assert!(m.samples("wcl.failed_dest_noalt").is_empty());
     let node = r.sim.node::<WhisperNode>(r.source).unwrap();
     assert!(!node.wcl().is_pending(msg_id), "pending entry must be dropped");
     assert!(
@@ -227,9 +233,9 @@ fn route_failed_exhausted_clears_pending_and_cached_route() {
 
 /// No-alternative branch of `on_retry_timer`: a NATted destination
 /// advertises exactly Π gateways, and once each has been tried the next
-/// timer finds no unused path. The failure is `wcl.route_no_alt` with
-/// `no_alternative: true`, again leaving no pending entry or cached
-/// route behind.
+/// timer finds no unused path. The failure is `wcl.route_no_alt`, its
+/// destination recorded under `wcl.failed_dest_noalt`, again leaving no
+/// pending entry or cached route behind.
 #[test]
 fn route_failed_no_alternative_clears_pending_and_cached_route() {
     let mut r = rig(6, 107);
@@ -242,7 +248,7 @@ fn route_failed_no_alternative_clears_pending_and_cached_route() {
     r.sim.with_node_ctx::<WhisperNode>(r.source, |node, ctx| {
         node.with_api(|api, _| {
             msg_id = api.wcl.alloc_msg_id();
-            sent = api.wcl.send(ctx, api.nylon, &dest_entry, b"doomed".to_vec(), None, msg_id);
+            sent = api.wcl.send(ctx, &dest_entry, b"doomed".to_vec(), None, msg_id);
         });
     });
     assert!(sent);
@@ -255,10 +261,75 @@ fn route_failed_no_alternative_clears_pending_and_cached_route() {
         gateways as u64 - 1,
         "one retry per remaining gateway"
     );
+    assert_eq!(m.samples("wcl.failed_dest_noalt"), [r.dest.0 as f64]);
+    assert!(m.samples("wcl.failed_dest_exhausted").is_empty());
     let node = r.sim.node::<WhisperNode>(r.source).unwrap();
     assert!(!node.wcl().is_pending(msg_id), "pending entry must be dropped");
     assert!(
         !node.wcl().has_cached_route(r.dest),
         "cached circuit route must be torn down"
     );
+}
+
+/// `Wcl::entry`, what a node ships for others to reach it by: a P-node
+/// advertises no gateway; a NATted node advertises the first [`GATEWAYS`]
+/// P-nodes of its connection backlog, freshest first, whose keys it
+/// knows — an N-node or a keyless P-node on the way is skipped.
+#[test]
+fn an_entry_advertises_the_freshest_keyed_p_nodes_of_the_backlog() {
+    let mut cfg = WhisperConfig::default();
+    // So the backlog also takes a peer whose message carried no key.
+    cfg.nylon.key_sampling = false;
+    let mut keyrng = StdRng::seed_from_u64(9);
+    let mut sim = Sim::new(SimConfig::cluster(9));
+    let mut add = |sim: &mut Sim, nat| {
+        let key = KeyPair::generate(cfg.nylon.rsa, &mut keyrng);
+        let public = key.public().clone();
+        (sim.add_node(Box::new(WhisperNode::new(cfg.clone(), key)), nat), public)
+    };
+    let (public, _) = add(&mut sim, NatType::Public);
+    let (natted, _) = add(&mut sim, NatType::RestrictedCone);
+    let peers: Vec<(NodeId, PublicKey)> = (0..6).map(|_| add(&mut sim, NatType::Public)).collect();
+    sim.run_for_secs(1);
+
+    // Punches from the peers, oldest first: three keyed P-nodes, a keyless
+    // one, an N-node (its packets leave from a NAT's port), a keyed
+    // P-node. Each puts its sender at the head of the backlog.
+    let punch = |(node, key): &(NodeId, PublicKey), keyed: bool, port: u16| {
+        let msg = NylonMsg::Punch { from: *node, key: keyed.then(|| key.to_bytes()) };
+        (Endpoint { node: *node, port }, msg.to_wire())
+    };
+    let arrivals = [
+        punch(&peers[0], true, 0),
+        punch(&peers[1], true, 0),
+        punch(&peers[2], true, 0),
+        punch(&peers[3], false, 0),
+        punch(&peers[4], true, 1),
+        punch(&peers[5], true, 0),
+    ];
+    let entry_after_arrivals = |sim: &mut Sim, node| {
+        let mut entry = None;
+        sim.with_node_ctx::<WhisperNode>(node, |n, ctx| {
+            for (from, wire) in &arrivals {
+                drop(n.nylon_mut().on_message(ctx, from.node, *from, wire));
+            }
+            assert_eq!(n.nylon().cb().len(), arrivals.len(), "every sender is in the backlog");
+            entry = Some(n.wcl().entry());
+        });
+        entry.expect("node alive")
+    };
+
+    let p = entry_after_arrivals(&mut sim, public);
+    assert_eq!(p.node, public);
+    assert!(p.public);
+    assert!(p.gateways.is_empty(), "a P-node is reached directly");
+
+    let n = entry_after_arrivals(&mut sim, natted);
+    assert_eq!(n.node, natted);
+    assert!(!n.public);
+    let expected = [&peers[5], &peers[2], &peers[1]];
+    assert_eq!(n.gateways.len(), GATEWAYS);
+    for (gateway, (node, key)) in n.gateways.iter().zip(expected) {
+        assert_eq!((gateway.node, &gateway.key), (*node, key));
+    }
 }

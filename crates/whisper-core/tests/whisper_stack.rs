@@ -154,7 +154,7 @@ fn forged_passport_is_silently_ignored() {
     let before = net.sim.metrics().counter("ppss.dropped_bad_passport");
     net.sim.with_node_ctx::<WhisperNode>(outsider, |node, ctx| {
         node.with_api(|api, _| {
-            api.wcl.send_untracked(ctx, api.nylon, &victim_entry, &forged, None);
+            api.wcl.send_untracked(ctx, &victim_entry, &forged, None);
         });
     });
     net.sim.run_for_secs(30);
@@ -396,7 +396,7 @@ fn a_revoked_member_that_asks_again_is_not_admitted() {
     let dropped = metrics.counter("ppss.dropped_bad_passport");
     for &m in &others {
         net.sim.with_node_ctx::<WhisperNode>(m, |node, ctx| {
-            let events = node.with_api(|api, _| api.ppss.on_delivered(ctx, api.nylon, api.wcl, None, &data));
+            let events = node.with_api(|api, _| api.ppss.on_delivered(ctx, api.wcl, None, &data));
             assert_eq!(events, Some(vec![]), "{m} admits the revoked {victim}");
         });
     }

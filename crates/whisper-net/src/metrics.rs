@@ -141,11 +141,10 @@ impl Metrics {
 
     /// Every deterministic observable of this sink, serialized: all
     /// counters and sample series, then per-node traffic — except the
-    /// families of host-side measurements, which legitimately differ
-    /// between two runs of one simulation: the `net.pool_*` counters
-    /// (which shard's pool served a buffer depends on the shard layout),
-    /// the `prof.*` counters (wall-clock profiler buckets) and the
-    /// `*_wall_us` series (wall-clock samples). Two runs of the same
+    /// counter families of host-side measurements, which legitimately
+    /// differ between two runs of one simulation: `net.pool_*` (which
+    /// shard's pool served a buffer depends on the shard layout) and
+    /// `prof.*` (wall-clock profiler buckets). Two runs of the same
     /// simulation — any shard count, thread policy, scheduler or profiler
     /// setting, and a fixed pooling mode — must produce equal traces; this
     /// is the one definition of what that comparison exempts. A series
@@ -153,15 +152,13 @@ impl Metrics {
     /// (its stored order depends on the shard count). Callers append what
     /// else they compare (the final clock, protocol state).
     pub fn deterministic_trace(&self) -> Vec<u8> {
-        let host_side = |name: &&str| {
-            name.starts_with("net.pool_") || name.starts_with("prof.") || name.ends_with("_wall_us")
-        };
+        let host_side = |name: &&str| name.starts_with("net.pool_") || name.starts_with("prof.");
         let mut out = Vec::new();
         for name in self.counter_names().filter(|n| !host_side(n)) {
             out.extend_from_slice(name.as_bytes());
             out.extend_from_slice(&self.counter(name).to_le_bytes());
         }
-        for name in self.sample_names().filter(|n| !host_side(n)) {
+        for name in self.sample_names() {
             out.extend_from_slice(name.as_bytes());
             let mut sorted = self.samples(name).to_vec();
             sorted.sort_unstable_by(f64::total_cmp);
@@ -383,7 +380,6 @@ mod tests {
             m.add_traffic(NodeId(4), up(66));
             m.count("net.pool_hits", host_side);
             m.count("prof.callback_ns", host_side);
-            m.sample("ppss.journal_replay_wall_us", host_side as f64);
             m
         };
         let trace = record(1).deterministic_trace();
@@ -391,7 +387,7 @@ mod tests {
         let find = |needle: &[u8]| trace.windows(needle.len()).any(|w| w == needle);
         assert!(find(b"net.allocs") && find(b"wcl.rtt_s"));
         assert!(find(&0.25f64.to_le_bytes()) && find(&66u64.to_le_bytes()));
-        assert!(!find(b"pool_") && !find(b"prof.") && !find(b"wall_us"));
+        assert!(!find(b"pool_") && !find(b"prof."));
         // Everything else is: a counter, a sample or a byte of traffic
         // more is a different trace.
         for change in [

@@ -33,7 +33,8 @@
 //! be reused by shard *i*, which is why pool hit/miss statistics (the
 //! `net.pool_*` counters) are the one counter family that legitimately
 //! varies with the shard count, and why they are exempt from the
-//! determinism-trace comparison — exactly like the `*_wall_us` samples.
+//! determinism-trace comparison — exactly like the wall-clock `prof.*`
+//! counters.
 //! Everything else (payload bytes, event order, and — for a fixed
 //! pooling mode — the `net.alloc*` / `net.payload_*` provenance
 //! counters) stays byte-identical for any shard count, and the delivered

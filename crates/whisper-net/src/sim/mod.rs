@@ -541,8 +541,8 @@ impl Sim {
     /// shard sinks come back empty, with the memory they had. Pool
     /// statistics are flushed here too — into the `net.pool_*` counters,
     /// which are shard-local by nature and therefore exempt from the
-    /// determinism-trace comparison (DESIGN.md §13), like the `*_wall_us`
-    /// samples.
+    /// determinism-trace comparison (DESIGN.md §13), like the `prof.*`
+    /// counters.
     fn sync_metrics(&mut self) {
         let Sim { shards, metrics, .. } = self;
         for s in shards.iter_mut() {

@@ -4,8 +4,7 @@ use crate::metrics::Metrics;
 
 /// Per-shard hot-path profiler: wall-clock nanoseconds attributed to
 /// engine buckets, flushed into the `prof.*` counters at metric sync
-/// points. Like the `net.pool_*` family (and the `*_wall_us` samples),
-/// `prof.*` counters are host-side measurements and therefore **exempt
+/// points. Like the `net.pool_*` family, `prof.*` counters are host-side measurements and therefore **exempt
 /// from the determinism-trace comparison** — wall time legitimately
 /// varies with shard count, thread policy and machine load. Disabled
 /// (the default) the profiler costs one branch per event; nothing

@@ -301,10 +301,7 @@ impl whisper_core::GroupApp for Answerer {
 /// Runs the full WHISPER stack — PSS warm-up, a join, then a conversation
 /// that establishes a circuit and rides it both ways, stating who talks
 /// once in each direction — and serializes every
-/// deterministic observable: all counters, all sample series *except* the
-/// wall-clock `*_wall_us` secondaries (the one sanctioned
-/// host-dependent output; see DESIGN.md § "Deterministic crypto
-/// accounting"), per-node traffic, and the final clock.
+/// deterministic observable ([`stack_observables`]).
 fn run_stack_trace(seed: u64) -> Vec<u8> {
     run_stack_trace_sharded(seed, 1)
 }

@@ -692,7 +692,6 @@ fn an_event_pending_only_in_a_mailbox_is_still_due() {
 /// that counts the heap allocations of every callback in which it relayed
 /// or was delivered a steady-state circuit packet.
 struct CircuitHop {
-    nylon: whisper_pss::NylonCore,
     wcl: whisper_core::Wcl,
     /// Source role: where to send, every [`CircuitHop::SEND_EVERY`].
     dest: Option<whisper_core::PrivateEntry>,
@@ -713,7 +712,7 @@ impl CircuitHop {
 
 impl Protocol for CircuitHop {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.nylon.on_start(ctx);
+        self.wcl.nylon_mut().on_start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, from_ep: Endpoint, data: &Payload) {
@@ -721,21 +720,21 @@ impl Protocol for CircuitHop {
         let delivered = ctx.metrics().counter("wcl.circuit_delivered");
         let before = allocations();
         // What `WhisperNode::on_message` does, minus the PPSS.
-        match self.nylon.on_app_message(ctx, from, from_ep, data) {
+        match self.wcl.nylon_mut().on_app_message(ctx, from, from_ep, data) {
             Some(app) => {
                 let prev = (from, from_ep.port == 0);
                 if let Some(whisper_core::WclEvent::Delivered { payload, via }) =
-                    self.wcl.on_app_payload(ctx, &mut self.nylon, prev, app)
+                    self.wcl.on_app_payload(ctx, prev, app)
                 {
                     assert_eq!(payload, Self::PAYLOAD);
                     if let Some(source) = &self.echo_to {
                         self.wcl.bind_return(ctx.now(), via, source.node);
-                        self.wcl.send_untracked(ctx, &mut self.nylon, source, &payload, None);
+                        self.wcl.send_untracked(ctx, source, &payload, None);
                     }
                     self.wcl.reclaim(payload);
                 }
             }
-            None => drop(self.nylon.on_message(ctx, from, from_ep, data)),
+            None => drop(self.wcl.nylon_mut().on_message(ctx, from, from_ep, data)),
         }
         let allocated = allocations() - before;
         // Room for every sample was reserved up front: recording one
@@ -751,11 +750,11 @@ impl Protocol for CircuitHop {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token != Self::TIMER_SEND {
-            self.nylon.on_timer(ctx, token);
+            self.wcl.nylon_mut().on_timer(ctx, token);
             return;
         }
         let dest = self.dest.as_ref().expect("only the source arms the send timer");
-        self.wcl.send_untracked(ctx, &mut self.nylon, dest, &Self::PAYLOAD, None);
+        self.wcl.send_untracked(ctx, dest, &Self::PAYLOAD, None);
         ctx.set_timer(Self::SEND_EVERY, Self::TIMER_SEND);
     }
 
@@ -808,8 +807,7 @@ fn steady_state_circuit_forward_allocations_are_zero() {
         let mut nylon = NylonCore::new(cfg.clone(), keypair);
         nylon.set_bootstrap([NodeId(0), NodeId(1)].into_iter().filter(|b| b.0 != i).collect());
         let hop = CircuitHop {
-            nylon,
-            wcl: Wcl::new(WclConfig::default()),
+            wcl: Wcl::new(WclConfig::default(), nylon),
             dest: None,
             echo_to: None,
             relayed: Vec::with_capacity(3 * packets),

@@ -214,7 +214,7 @@ impl NylonCore {
         route_hint: &[NodeId],
         payload: Vec<u8>,
     ) -> SendOutcome {
-        let mut frame = self.begin_app(ctx, payload.len());
+        let mut frame = Self::begin_app(ctx, payload.len());
         frame.put_raw(&payload);
         self.send_app_frame(ctx, to, to_nat, route_hint, frame)
     }
@@ -225,8 +225,9 @@ impl NylonCore {
     /// may rework them in place through
     /// [`whisper_net::wire::WireWriter::as_mut_slice`] — then passes the
     /// finished buffer to [`NylonCore::send_app_frame`]. An upper layer
-    /// writes its packet once, where it leaves from.
-    pub fn begin_app(&self, ctx: &mut Ctx<'_>, payload_len: usize) -> PayloadWriter {
+    /// writes its packet once, where it leaves from. The framing depends on
+    /// the length alone, so no node is needed to start one.
+    pub fn begin_app(ctx: &mut Ctx<'_>, payload_len: usize) -> PayloadWriter {
         let header = WireLen::of(|n| NylonMsg::put_app_header(n, payload_len));
         let mut frame = ctx.payload_writer(header + payload_len);
         NylonMsg::put_app_header(&mut frame, payload_len);

@@ -571,7 +571,7 @@ fn send_over(route: Route, framed: bool) -> (Vec<Vec<u8>>, [u64; 3]) {
     sim.with_node_ctx::<NylonNode>(id, |node, ctx| {
         let core = node.core_mut();
         let outcome = if framed {
-            let mut frame = core.begin_app(ctx, PAYLOAD.len());
+            let mut frame = NylonCore::begin_app(ctx, PAYLOAD.len());
             frame.put_raw(PAYLOAD);
             core.send_app_frame(ctx, to, to_nat, &hint, frame)
         } else {

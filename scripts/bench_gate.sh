@@ -36,7 +36,10 @@
 # Every run's values stay in target/verify/bench_gate/runs-*.tsv.
 #
 # About 20 s a run, so the default is over half an hour: not a step of
-# verify.sh. Run it on an otherwise idle machine.
+# verify.sh. Run it on an otherwise idle machine. Fewer than 10 pairs are
+# refused: a workload whose runs spread near its bound cannot tell a move
+# from noise in fewer (on onion_cold, 5 pairs read cpu_us_per_op +20 %
+# where a 10-pair rerun of the same two trees read -0.8 %).
 #
 # --seeds LIST (say 1-9,11,13) compares the simulated rows instead, the
 # table a claim on one of them needs: one run per seed, workload and side,
@@ -54,7 +57,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: scripts/bench_gate.sh <parent-rev> [--pairs N] [--seed S] [--behaviour-changes] [workload...]" >&2
+  echo "usage: scripts/bench_gate.sh <parent-rev> [--pairs N>=10] [--seed S] [--behaviour-changes] [workload...]" >&2
   echo "       scripts/bench_gate.sh <parent-rev> --seeds LIST [workload...]" >&2
   exit 2
 }
@@ -72,6 +75,8 @@ while [ $# -gt 0 ]; do
     *) workloads+=("$1"); shift ;;
   esac
 done
+case $pairs in ''|*[!0-9]*) usage ;; esac
+[ "$pairs" -ge 10 ] || { echo "bench_gate: --pairs $pairs: fewer than 10 pairs cannot tell a move from noise" >&2; usage; }
 command -v python3 >/dev/null || { echo "bench_gate: needs python3 (to read BENCHMARK.json)" >&2; exit 2; }
 
 sha=$(git rev-parse --verify --short=12 "$rev^{commit}")

@@ -65,6 +65,15 @@ if find crates/*/src -name '*.rs' ! -name tests.rs -print0 | sort -z \
   exit 1
 fi
 
+step "the group layer reaches the network only through the WCL (no NylonCore under crates/whisper-core/src/ppss)"
+# The WCL owns the Nylon core it sends over; the PPSS holds a Wcl and
+# asks it for everything below — sends, this node's entry, its identity.
+# A NylonCore named in the PPSS is a second way down.
+if grep -rn --include='*.rs' 'NylonCore' crates/whisper-core/src/ppss; then
+  echo "verify: NylonCore in the PPSS (above): reach Nylon through the Wcl" >&2
+  exit 1
+fi
+
 step "offline release build (lib, bins, tests, examples)"
 cargo build --release --offline --workspace --all-targets
 

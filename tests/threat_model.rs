@@ -257,7 +257,7 @@ fn membership_invisible_to_active_prober() {
         sim.with_node_ctx::<WhisperNode>(prober, |node, ctx| {
             node.with_api(|api, _| {
                 let hint: Vec<NodeId> = vec![];
-                api.nylon.send_app(ctx, target, Some(NatType::Public), &hint, forged.clone());
+                api.wcl.nylon_mut().send_app(ctx, target, Some(NatType::Public), &hint, forged.clone());
             });
         });
     }
@@ -316,7 +316,7 @@ fn membership_invisible_to_active_prober() {
     for target in [member_target, nonmember_target] {
         let dest = entry_of(&mut sim, target);
         sim.with_node_ctx::<WhisperNode>(prober, |node, ctx| {
-            node.with_api(|api, _| assert!(api.wcl.send_untracked(ctx, api.nylon, &dest, &asking, None)));
+            node.with_api(|api, _| assert!(api.wcl.send_untracked(ctx, &dest, &asking, None)));
         });
     }
     sim.run_for_secs(2);
@@ -567,7 +567,7 @@ fn a_return_packet_shows_a_relay_its_two_neighbours_and_nothing_else() {
     let stranger = ids[20];
     let since = log.lock().unwrap().len();
     sim.with_node_ctx::<Tap>(stranger, |tap, ctx| {
-        tap.inner.with_api(|api, _| api.nylon.send_app(ctx, b, Some(NatType::Public), &[], back[0].packet.clone()));
+        tap.inner.with_api(|api, _| api.wcl.nylon_mut().send_app(ctx, b, Some(NatType::Public), &[], back[0].packet.clone()));
     });
     sim.run_for(whisper::net::SimDuration::from_millis(300));
     let replayed: Vec<(NodeId, NodeId)> =
@@ -612,7 +612,7 @@ fn a_borrowed_passport_holds_the_way_back_only_until_its_owner_speaks() {
     let since = log.lock().unwrap().len();
     let dest = leader_entry.expect("the leader is up");
     sim.with_node_ctx::<Tap>(thief, |tap, ctx| {
-        tap.inner.with_api(|api, _| assert!(api.wcl.send_untracked(ctx, api.nylon, &dest, &forged, None)));
+        tap.inner.with_api(|api, _| assert!(api.wcl.send_untracked(ctx, &dest, &forged, None)));
     });
     sim.run_for(whisper::net::SimDuration::from_millis(500));
     assert_eq!(ends_of_returns(since), [thief], "the answer meant for the member went to the thief");
