@@ -43,7 +43,7 @@ impl ChordKey {
     }
 
     /// Whether `self` lies in the clockwise-open interval `(from, to]`.
-    pub fn in_interval_oc(self, from: ChordKey, to: ChordKey) -> bool {
+    fn in_interval_oc(self, from: ChordKey, to: ChordKey) -> bool {
         if from == to {
             return true; // full circle
         }
@@ -51,7 +51,7 @@ impl ChordKey {
     }
 
     /// The finger start `self + 2^i`.
-    pub fn finger_start(self, i: usize) -> ChordKey {
+    fn finger_start(self, i: usize) -> ChordKey {
         debug_assert!(i < FINGER_BITS);
         ChordKey(self.0.wrapping_add(1u64 << i))
     }
@@ -194,7 +194,8 @@ impl IdealRing {
     }
 
     /// The true predecessor of `node`.
-    pub fn predecessor_of(&self, node: NodeId) -> Option<(ChordKey, NodeId)> {
+    #[cfg(test)]
+    fn predecessor_of(&self, node: NodeId) -> Option<(ChordKey, NodeId)> {
         let pos = self.members.iter().position(|(_, n)| *n == node)?;
         Some(self.members[(pos + self.members.len() - 1) % self.members.len()])
     }

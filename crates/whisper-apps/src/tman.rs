@@ -1,13 +1,12 @@
 //! T-Man (Jelasity et al. \[12\]): gossip-based overlay topology
-//! construction driven by a ranking function — the exchange T-Chord and
-//! GosSkip both run.
+//! construction driven by a ranking function — the exchange T-Chord
+//! runs.
 //!
 //! T-Man maintains, per node, a bounded view of peer descriptors ordered
 //! by a problem-specific *ranking*. Each cycle a node exchanges its best
 //! descriptors with a well-ranked partner and keeps the best of the
 //! union; with an appropriate ranking the views converge in a few cycles
-//! to the target topology (a ring for T-Chord, a sorted list for GosSkip,
-//! and so on).
+//! to the target topology, such as T-Chord's ring.
 //!
 //! The ranking is supplied per call: it usually depends on the local
 //! node's own position (e.g. ring distance from the local Chord key).

@@ -1,10 +1,10 @@
 //! End-to-end tests of applications running inside WHISPER private
 //! groups: T-Chord ring convergence and confidential lookups (paper
-//! §V-G), and gossip aggregation used for size estimation.
+//! §V-G), probabilistic broadcast to every member (the paper's private
+//! chat rooms), and what each app keeps across a crash-restart.
 
 use whisper_rand::rngs::StdRng;
 use whisper_rand::SeedableRng;
-use whisper_apps::aggregation::AggregationApp;
 use whisper_apps::chord::{ChordKey, IdealRing};
 use whisper_apps::tchord::TChordApp;
 use whisper_core::{GroupApp, GroupId, WhisperConfig, WhisperNode};
@@ -14,7 +14,8 @@ use whisper_net::sim::{Sim, SimConfig};
 use whisper_net::NodeId;
 
 /// Builds `n` nodes whose app plugin is produced by `make_app`, warms up
-/// the PSS, then forms one group over `member_count` nodes led by node 3.
+/// the PSS, then forms one group over `member_count` nodes led by node 3,
+/// the first of the members it returns.
 fn build_group(
     n: usize,
     member_count: usize,
@@ -22,7 +23,7 @@ fn build_group(
     sim_cfg: SimConfig,
     make_app: impl Fn(GroupId) -> Box<dyn GroupApp>,
     warmup: u64,
-) -> (Sim, GroupId, NodeId, Vec<NodeId>) {
+) -> (Sim, GroupId, Vec<NodeId>) {
     let group = GroupId::from_name("app-group");
     let mut keyrng = StdRng::seed_from_u64(0xAB);
     let mut sim = Sim::new(sim_cfg);
@@ -59,13 +60,13 @@ fn build_group(
     }
     let mut all_members = vec![leader];
     all_members.extend(members);
-    (sim, group, leader, all_members)
+    (sim, group, all_members)
 }
 
 #[test]
 fn tchord_ring_converges_and_lookups_find_owners() {
     let cfg = WhisperConfig::default();
-    let (mut sim, group, _leader, members) = build_group(
+    let (mut sim, group, members) = build_group(
         30,
         12,
         &cfg,
@@ -155,7 +156,7 @@ fn tchord_ring_converges_and_lookups_find_owners() {
 #[test]
 fn tchord_retries_are_deterministic() {
     let run = || {
-        let (mut sim, group, _leader, members) = build_group(
+        let (mut sim, group, members) = build_group(
             24,
             8,
             &WhisperConfig::default(),
@@ -200,94 +201,10 @@ fn tchord_retries_are_deterministic() {
 }
 
 #[test]
-fn aggregation_estimates_group_size() {
-    let cfg = WhisperConfig::default();
-    let group_size = 10usize;
-    let (mut sim, group, leader, members) = build_group(
-        24,
-        group_size,
-        &cfg,
-        SimConfig::cluster(78),
-        |g| Box::new(AggregationApp::new(g, 0.0)),
-        250,
-    );
-    // Seed: the leader holds 1.0, everyone else 0 → average = 1/n.
-    sim.with_node_ctx::<WhisperNode>(leader, |node, _| {
-        node.with_api(|_, app| {
-            let app: &mut AggregationApp = app.as_any_mut().downcast_mut().unwrap();
-            *app = AggregationApp::new(group, 1.0);
-        });
-    });
-    for _ in 0..12 {
-        sim.run_for_secs(100);
-        if std::env::var("AGG_DEBUG").is_ok() {
-            let vals: Vec<f64> = members
-                .iter()
-                .filter_map(|m| sim.node::<WhisperNode>(*m))
-                .filter_map(|n| n.app::<AggregationApp>())
-                .map(|a| a.estimate())
-                .collect();
-            let sum: f64 = vals.iter().sum();
-            eprintln!("t={} sum={:.4} vals={:?}", sim.now().as_secs(), sum,
-                vals.iter().map(|v| (v * 1000.0).round() / 1000.0).collect::<Vec<_>>());
-        }
-    }
-
-    let joined: Vec<NodeId> = members
-        .iter()
-        .copied()
-        .filter(|m| {
-            sim.node::<WhisperNode>(*m)
-                .is_some_and(|n| n.ppss().group(group).is_some())
-        })
-        .collect();
-    assert!(joined.len() >= group_size - 2);
-
-    // Mass conservation: the sum of estimates stays 1, so the average
-    // estimate over members ≈ 1/|members| and size estimates are sane.
-    let estimates: Vec<f64> = joined
-        .iter()
-        .map(|m| {
-            sim.node::<WhisperNode>(*m)
-                .unwrap()
-                .app::<AggregationApp>()
-                .unwrap()
-                .estimate()
-        })
-        .collect();
-    let exchanged: u64 = joined
-        .iter()
-        .map(|m| {
-            sim.node::<WhisperNode>(*m)
-                .unwrap()
-                .app::<AggregationApp>()
-                .unwrap()
-                .exchanges()
-        })
-        .sum();
-    assert!(exchanged > 50, "only {exchanged} exchanges");
-    let mean = estimates.iter().sum::<f64>() / estimates.len() as f64;
-    let implied_size = 1.0 / mean;
-    // Exchange atomicity is not guaranteed over lossy confidential
-    // routes, so mass conservation (and hence the size estimate) is
-    // approximate; an order-of-magnitude estimate is the realistic
-    // guarantee (Jelasity et al. discuss exactly this failure mode).
-    assert!(
-        implied_size >= joined.len() as f64 / 2.5 && implied_size <= joined.len() as f64 * 2.5,
-        "implied size {implied_size:.1} vs actual {}",
-        joined.len()
-    );
-    // Convergence: estimates are close to each other.
-    let max = estimates.iter().cloned().fold(f64::MIN, f64::max);
-    let min = estimates.iter().cloned().fold(f64::MAX, f64::min);
-    assert!(max / min.max(1e-9) < 10.0, "estimates spread too wide: {min}..{max}");
-}
-
-#[test]
 fn broadcast_reaches_all_members() {
     use whisper_apps::broadcast::BroadcastApp;
     let cfg = WhisperConfig::default();
-    let (mut sim, group, leader, members) = build_group(
+    let (mut sim, group, members) = build_group(
         26,
         10,
         &cfg,
@@ -323,11 +240,6 @@ fn broadcast_reaches_all_members() {
     let mut full = 0;
     for &m in &joined {
         let app: &BroadcastApp = sim.node::<WhisperNode>(m).unwrap().app().unwrap();
-        if std::env::var("BCAST_DEBUG").is_ok() {
-            let node = sim.node::<WhisperNode>(m).unwrap();
-            let view: Vec<_> = node.ppss().group(group).unwrap().view().iter().map(|e| e.node).collect();
-            eprintln!("{m}: delivered={} view={:?}", app.delivered().len(), view);
-        }
         if app.delivered().len() >= published {
             full += 1;
         }
@@ -337,111 +249,6 @@ fn broadcast_reaches_all_members() {
         "{full}/{} members received all {published} events",
         joined.len()
     );
-    let _ = leader;
-}
-
-#[test]
-fn gosskip_sorted_overlay_answers_point_and_range_queries() {
-    use whisper_apps::gosskip::GosSkipApp;
-    let cfg = WhisperConfig::default();
-    // Application keys: spread deterministically; node id * 1000 keeps
-    // the order obvious.
-    let (mut sim, group, _leader, members) = build_group(
-        26,
-        12,
-        &cfg,
-        SimConfig::cluster(80),
-        |g| Box::new(GosSkipApp::new(g, 0)),
-        250,
-    );
-    // Assign real keys now that ids are known (node id × 1000).
-    for &m in &members {
-        sim.with_node_ctx::<WhisperNode>(m, |node, _| {
-            node.with_api(|_, app| {
-                let app: &mut GosSkipApp = app.as_any_mut().downcast_mut().unwrap();
-                *app = GosSkipApp::new(group, m.0 * 1000);
-            });
-        });
-    }
-    sim.run_for_secs(700);
-
-    let joined: Vec<NodeId> = members
-        .iter()
-        .copied()
-        .filter(|m| {
-            sim.node::<WhisperNode>(*m)
-                .is_some_and(|n| n.ppss().group(group).is_some())
-        })
-        .collect();
-    assert!(joined.len() >= 10, "{} joined", joined.len());
-    let mut keys: Vec<u64> = joined.iter().map(|m| m.0 * 1000).collect();
-    keys.sort_unstable();
-
-    // Sorted-list convergence: most members know their true right
-    // neighbour.
-    let mut correct = 0;
-    for &m in &joined {
-        let app: &GosSkipApp = sim.node::<WhisperNode>(m).unwrap().app().unwrap();
-        let my_key = m.0 * 1000;
-        let truth = keys.iter().copied().find(|k| *k > my_key);
-        let (_, right) = app.list_neighbors();
-        if right.map(|d| d.key) == truth {
-            correct += 1;
-        }
-    }
-    assert!(
-        correct as f64 >= joined.len() as f64 * 0.7,
-        "{correct}/{} correct right neighbours",
-        joined.len()
-    );
-
-    // Point searches from several members.
-    let mut issued = 0;
-    for (i, &m) in joined.iter().enumerate().take(6) {
-        sim.with_node_ctx::<WhisperNode>(m, |node, ctx| {
-            node.with_api(|api, app| {
-                let app: &mut GosSkipApp = app.as_any_mut().downcast_mut().unwrap();
-                let target = keys[(i * 3) % keys.len()] + 1; // between keys
-                if app.search(ctx, api, target).is_some() {
-                    issued += 1;
-                }
-            });
-        });
-    }
-    // One range query covering roughly half the key space.
-    let lo = keys[1];
-    let hi = keys[keys.len() / 2];
-    let asker = joined[0];
-    sim.with_node_ctx::<WhisperNode>(asker, |node, ctx| {
-        node.with_api(|api, app| {
-            let app: &mut GosSkipApp = app.as_any_mut().downcast_mut().unwrap();
-            app.range(ctx, api, lo, hi);
-        });
-    });
-    sim.run_for_secs(90);
-
-    let mut completed = 0;
-    for &m in &joined {
-        let app: &GosSkipApp = sim.node::<WhisperNode>(m).unwrap().app().unwrap();
-        completed += app.searches().len();
-    }
-    assert!(
-        completed as f64 >= issued as f64 * 0.6,
-        "{completed}/{issued} searches completed"
-    );
-
-    let app: &GosSkipApp = sim.node::<WhisperNode>(asker).unwrap().app().unwrap();
-    if let Some(range) = app.ranges().first() {
-        let expected: Vec<u64> = keys.iter().copied().filter(|k| (lo..=hi).contains(k)).collect();
-        let mut got = range.keys.clone();
-        got.sort_unstable();
-        let hit = got.iter().filter(|k| expected.contains(k)).count();
-        assert!(
-            hit as f64 >= expected.len() as f64 * 0.6,
-            "range returned {hit}/{} expected keys",
-            expected.len()
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -453,7 +260,7 @@ fn gosskip_sorted_overlay_answers_point_and_range_queries() {
 #[test]
 fn tchord_crash_restart_drops_inflight_and_regrows_the_ring() {
     let cfg = WhisperConfig::default();
-    let (mut sim, group, _leader, members) = build_group(
+    let (mut sim, group, members) = build_group(
         26,
         10,
         &cfg,
@@ -502,81 +309,10 @@ fn tchord_crash_restart_drops_inflight_and_regrows_the_ring() {
 }
 
 #[test]
-fn gosskip_crash_restart_keeps_surfaced_results_only() {
-    use whisper_apps::gosskip::GosSkipApp;
-    let cfg = WhisperConfig::default();
-    let (mut sim, group, _leader, members) = build_group(
-        26,
-        10,
-        &cfg,
-        SimConfig::cluster(82),
-        |g| Box::new(GosSkipApp::new(g, 0)),
-        250,
-    );
-    for &m in &members {
-        sim.with_node_ctx::<WhisperNode>(m, |node, _| {
-            node.with_api(|_, app| {
-                let app: &mut GosSkipApp = app.as_any_mut().downcast_mut().unwrap();
-                *app = GosSkipApp::new(group, m.0 * 1000);
-            });
-        });
-    }
-    sim.run_for_secs(700);
-    let joined: Vec<NodeId> = members
-        .iter()
-        .copied()
-        .filter(|m| {
-            sim.node::<WhisperNode>(*m)
-                .is_some_and(|n| n.ppss().group(group).is_some())
-        })
-        .collect();
-    assert!(joined.len() >= 8, "{} joined", joined.len());
-    let subject = joined[1];
-
-    // Complete one search so a surfaced result exists.
-    sim.with_node_ctx::<WhisperNode>(subject, |node, ctx| {
-        node.with_api(|api, app| {
-            let gs: &mut GosSkipApp = app.as_any_mut().downcast_mut().unwrap();
-            gs.search(ctx, api, joined[3].0 * 1000 + 1);
-        });
-    });
-    sim.run_for_secs(90);
-    let surfaced = sim
-        .node::<WhisperNode>(subject)
-        .unwrap()
-        .app::<GosSkipApp>()
-        .unwrap()
-        .searches()
-        .len();
-
-    sim.with_node_ctx::<WhisperNode>(subject, |node, ctx| {
-        node.with_api(|api, app| {
-            {
-                let gs: &mut GosSkipApp = app.as_any_mut().downcast_mut().unwrap();
-                // Leave a search in flight when the crash hits.
-                gs.search(ctx, api, joined[4].0 * 1000 + 1);
-            }
-            app.on_crash_restart(ctx, api);
-            let gs: &GosSkipApp = app.as_any().downcast_ref().unwrap();
-            assert_eq!(gs.searches().len(), surfaced, "surfaced results survive");
-            let (left, right) = gs.list_neighbors();
-            assert!(left.is_none() && right.is_none(), "overlay cache dropped");
-        });
-    });
-
-    // The sorted overlay regrows; the orphaned search never resurfaces a
-    // duplicate result.
-    sim.run_for_secs(400);
-    let app: &GosSkipApp = sim.node::<WhisperNode>(subject).unwrap().app().unwrap();
-    let (_, right) = app.list_neighbors();
-    assert!(right.is_some(), "overlay regrew after restart");
-}
-
-#[test]
 fn broadcast_crash_restart_never_reuses_sequence_numbers() {
     use whisper_apps::broadcast::BroadcastApp;
     let cfg = WhisperConfig::default();
-    let (mut sim, group, _leader, members) = build_group(
+    let (mut sim, group, members) = build_group(
         26,
         10,
         &cfg,

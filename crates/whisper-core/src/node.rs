@@ -1,9 +1,8 @@
 //! [`WhisperNode`]: the full protocol stack of Fig. 1 as one simulator
 //! protocol — `Nylon PSS → WCL → PPSS → application`, each layer owning
 //! the one below it sends through — plus the
-//! [`GroupApp`] plugin interface that higher-level protocols (gossip
-//! aggregation, T-Man, T-Chord, ...) implement to run *inside* a private
-//! group.
+//! [`GroupApp`] plugin interface that higher-level protocols (broadcast,
+//! T-Chord, ...) implement to run *inside* a private group.
 
 use crate::ppss::group::{GroupId, Invitation};
 use crate::ppss::{Ppss, PpssConfig, PpssEvent, PrivateEntry};

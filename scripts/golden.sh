@@ -8,9 +8,10 @@
 # * scripts/golden/figures_quick.txt — the stdout of
 #   `all_experiments --quick`: the paper's figures and tables at smoke
 #   scale.
-# * scripts/golden/examples.txt — the stdout of the five programs under
+# * scripts/golden/examples.txt — the stdout of the four programs under
 #   examples/, in release, one after the other, each under a `== name ==`
-#   line.
+#   line. The order is the list below; before anything runs, the check
+#   fails, naming the file, when that list and examples/*.rs differ.
 #
 # It also checks that EXPERIMENTS.md's generated §V carries the figures
 # golden's SHA-256 in its stamp: a change that moves a figure without
@@ -41,6 +42,21 @@ mkdir -p "$out" scripts/golden
 status=0
 
 num='\{"value": ([^,]+),'
+
+# The examples in golden order. An example file missing here has no
+# golden block; a name here without its file would fail as a cargo error.
+examples=(quickstart private_chat private_index group_resilience)
+listed=$(printf '%s\n' "${examples[@]}" | sort)
+present=$(for f in examples/*.rs; do basename "$f" .rs; done | sort)
+for name in $(comm -13 <(echo "$listed") <(echo "$present")); do
+  echo "golden: examples/$name.rs is not in golden.sh's example list: add it, then --regen its block" >&2
+  status=1
+done
+for name in $(comm -23 <(echo "$listed") <(echo "$present")); do
+  echo "golden: examples/$name.rs is in golden.sh's example list but does not exist: take it and its block out" >&2
+  status=1
+done
+[ "$status" -eq 0 ] || exit 1
 
 # One line per seed x workload row of $2 that differs from $1, naming the
 # columns that moved; a numeric one as "name old → new (±x.xx %)".
@@ -125,7 +141,7 @@ moved_blocks() {
 
 cargo run --release --offline --quiet -p whisper-bench --bin all_experiments -- --quick >"$out/figures_quick.txt"
 
-for example in quickstart private_chat private_index sorted_directory group_resilience; do
+for example in "${examples[@]}"; do
   echo "== $example =="
   cargo run --release --offline --quiet --example "$example"
 done >"$out/examples.txt"

@@ -74,6 +74,16 @@ if grep -rn --include='*.rs' 'NylonCore' crates/whisper-core/src/ppss; then
   exit 1
 fi
 
+step "one environment variable (no env::var under crates/, tests/ or examples/ outside whisper-rand/src/check.rs)"
+# WHISPER_CHECK_SEED, the property-test replay seed, is the only value the
+# environment sets (DESIGN.md §4, "Options"). A test that reads another
+# one prints, or does, what no run of this script ever shows.
+if grep -rnE --include='*.rs' '(^|[^A-Za-z0-9_])env::var' crates tests examples \
+    | grep -v '^crates/whisper-rand/src/check\.rs:'; then
+  echo "verify: an environment variable read (above): make it a constant, a flag or a test of its own" >&2
+  exit 1
+fi
+
 step "offline release build (lib, bins, tests, examples)"
 cargo build --release --offline --workspace --all-targets
 
@@ -101,7 +111,7 @@ cargo test -q --release --offline --test chaos -- --ignored
 step "scale-out smoke (10k nodes/1 shard must stay <= 0.2 allocs/send; 100k and 1M nodes/4 shards must complete)"
 cargo run -q --release --offline -p whisper-bench --bin scale_smoke
 
-step "golden tables (perfbench --smoke on seeds 7 and 11, all_experiments --quick, the five examples; EXPERIMENTS.md stamp)"
+step "golden tables (perfbench --smoke on seeds 7 and 11, all_experiments --quick, the four examples; EXPERIMENTS.md stamp)"
 # perfbench/ is its own package with its own target directory; it reaches
 # the crates through their public items only, so this is also the check
 # that a refactor kept every item the benchmark imports. The golden

@@ -18,9 +18,10 @@
 //! * [`core`] — the WHISPER communication layer (WCL) and the private
 //!   peer sampling service (PPSS) — the paper's contribution (crate
 //!   `whisper-core`),
-//! * [`apps`] — gossip aggregation, T-Man, Chord and T-Chord, used both as
-//!   building blocks (leader election) and as the paper's demo application
-//!   (crate `whisper-apps`),
+//! * [`apps`] — the applications above the PPSS: probabilistic broadcast
+//!   for private chat rooms, and T-Man, Chord and T-Chord for the paper's
+//!   demo application, a private DHT (crate `whisper-apps`); the leader
+//!   election's max-aggregation is the PPSS's own,
 //! * [`rand`] — the in-tree deterministic randomness substrate: the
 //!   xoshiro256++ [`rand::StdRng`], per-node stream splitting, the
 //!   property-test helper and the bench harness (crate `whisper-rand`).
