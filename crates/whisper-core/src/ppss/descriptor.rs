@@ -251,6 +251,44 @@ mod tests {
         assert!(parsed.verify(&[gk.public().clone()]));
     }
 
+    /// A tombstone with eight dots, byte for byte: its image, and the
+    /// body its signature covers — the domain, then every field but the
+    /// signature, as the image writes them.
+    #[test]
+    fn image_and_signed_body_are_pinned() {
+        let gk = key(1);
+        let history = [gk.public().clone()];
+        let group = GroupId(0x0011_2233_4455_6677_8899_AABB_CCDD_EEFF);
+        let adds = (1..=6).map(|n| dot(n, 3, 10 + n)).collect();
+        let removes = vec![dot(7, 2, 20), dot(8, 2, 21)];
+        let d = GroupDescriptor::sign(&gk, group, 3, 7, &history, true, adds, removes, 0x0102_0304_0506_0708);
+        let be = |v: u64| v.to_be_bytes();
+        let dots = |dots: &[(u64, u64, u64)]| -> Vec<u8> {
+            let mut out = vec![dots.len() as u8];
+            for &(node, epoch, counter) in dots {
+                out.extend([be(node), be(epoch), be(counter)].concat());
+            }
+            out
+        };
+        let body = [
+            &[0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF][..],
+            &be(3),
+            &be(7),
+            &key_history_hash(&history),
+            &[1],
+            &dots(&[(1, 3, 11), (2, 3, 12), (3, 3, 13), (4, 3, 14), (5, 3, 15), (6, 3, 16)]),
+            &dots(&[(7, 2, 20), (8, 2, 21)]),
+            &[1, 2, 3, 4, 5, 6, 7, 8],
+            &[48],
+            gk.public().wire_bytes(),
+        ]
+        .concat();
+        assert_eq!(d.signature.len(), 48);
+        assert_eq!(d.to_wire(), [&body[..], &[48], &d.signature].concat());
+        let signed = [&b"whisper-descr-v1"[..], &body].concat();
+        assert!(gk.public().verify(&signed, &d.signature).is_ok(), "the signature covers another body");
+    }
+
     #[test]
     fn stays_small_on_the_wire() {
         let gk = key(1);

@@ -202,6 +202,16 @@ mod tests {
         KeyPair::generate(RsaKeySize::Sim384, &mut StdRng::seed_from_u64(1))
     }
 
+    /// A group id is its 128 bits, big-endian, with no prefix.
+    #[test]
+    fn group_id_image_is_pinned() {
+        let id = GroupId(0x0011_2233_4455_6677_8899_AABB_CCDD_EEFF);
+        let image = [0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF];
+        assert_eq!(id.to_wire(), image);
+        assert_eq!(GroupId::from_wire(&image), Ok(id));
+        assert!(GroupId::from_wire(&image[..15]).is_err());
+    }
+
     #[test]
     fn group_id_is_stable_and_distinct() {
         let a = GroupId::from_name("alpha");

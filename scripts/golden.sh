@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repository's two golden tables, compared bit for bit:
+# The repository's four golden tables, compared bit for bit:
 #
 # * scripts/golden/perfbench_smoke.tsv — `perfbench --smoke` on seeds 7 and
 #   11 (correctness checks on): every deterministic row (digests, RTT
@@ -12,13 +12,16 @@
 #   examples/, in release, one after the other, each under a `== name ==`
 #   line. The order is the list below; before anything runs, the check
 #   fails, naming the file, when that list and examples/*.rs differ.
+# * scripts/golden/chaos.txt — the stdout of `chaos_matrix` (five fault
+#   scenarios x three seeds x two retry timers at 384 nodes) and of
+#   `group_lifecycle --quick --seed 7`, each under a `== name ==` line.
 #
 # It also checks that EXPERIMENTS.md's generated §V carries the figures
 # golden's SHA-256 in its stamp: a change that moves a figure without
 # regenerating the document (scripts/paper_tables.sh) fails here.
 #
 #   scripts/golden.sh           # check (a step of verify.sh)
-#   scripts/golden.sh --regen   # rewrite all three tables
+#   scripts/golden.sh --regen   # rewrite all four tables
 #
 # A change that is not meant to alter simulated behaviour leaves the
 # tables alone. One that moves a row regenerates them in the same commit,
@@ -37,6 +40,7 @@ cd "$(dirname "$0")/.."
 perfbench_golden=scripts/golden/perfbench_smoke.tsv
 figures_golden=scripts/golden/figures_quick.txt
 examples_golden=scripts/golden/examples.txt
+chaos_golden=scripts/golden/chaos.txt
 out=target/verify
 mkdir -p "$out" scripts/golden
 status=0
@@ -146,11 +150,19 @@ for example in "${examples[@]}"; do
   cargo run --release --offline --quiet --example "$example"
 done >"$out/examples.txt"
 
+{
+  echo "== chaos_matrix =="
+  cargo run --release --offline --quiet -p whisper-bench --bin chaos_matrix
+  echo "== group_lifecycle --quick --seed 7 =="
+  cargo run --release --offline --quiet -p whisper-bench --bin group_lifecycle -- --quick --seed 7
+} >"$out/chaos.txt"
+
 if [ "${1:-}" = "--regen" ]; then
   cp "$out/perfbench_smoke.tsv" "$perfbench_golden"
   cp "$out/figures_quick.txt" "$figures_golden"
   cp "$out/examples.txt" "$examples_golden"
-  echo "golden: wrote $perfbench_golden, $figures_golden and $examples_golden"
+  cp "$out/chaos.txt" "$chaos_golden"
+  echo "golden: wrote $perfbench_golden, $figures_golden, $examples_golden and $chaos_golden"
 else
   if cmp -s "$perfbench_golden" "$out/perfbench_smoke.tsv"; then
     echo "perfbench golden: $(($(wc -l <"$perfbench_golden") - 1)) rows match $perfbench_golden"
@@ -174,6 +186,12 @@ else
     echo "examples golden: $(wc -l <"$examples_golden") lines match $examples_golden"
   else
     echo "examples golden: the examples' stdout differs from $examples_golden (see the diff above)" >&2
+    status=1
+  fi
+  if diff -u "$chaos_golden" "$out/chaos.txt"; then
+    echo "chaos golden: $(wc -l <"$chaos_golden") lines match $chaos_golden"
+  else
+    echo "chaos golden: chaos_matrix or group_lifecycle differs from $chaos_golden (see the diff above)" >&2
     status=1
   fi
 fi
