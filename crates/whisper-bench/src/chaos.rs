@@ -25,7 +25,7 @@ use std::collections::HashMap;
 
 use crate::harness::{NetBuilder, WhisperNet};
 use whisper_core::node::{GroupApp, WhisperApi, WhisperNode};
-use whisper_core::{GroupId, PrivateEntry};
+use whisper_core::{GroupId, PrivateEntry, Wcl};
 use whisper_net::fault::FaultPlan;
 use whisper_net::sim::Ctx;
 use whisper_net::stats::Cdf;
@@ -272,10 +272,11 @@ pub struct ChaosOutcome {
     /// Route-repair latencies observed (`wcl.repair_s`), seconds, in no
     /// particular order.
     pub repair_s: Vec<f64>,
-    /// `Σup − (Σdown + Σ drop counters + in-flight)`; non-zero means a
-    /// message vanished without a named cause.
+    /// [`Sim::unattributed_msgs`](whisper_net::sim::Sim::unattributed_msgs)
+    /// at the end of the run; non-zero means a message vanished without a
+    /// named cause.
     pub unattributed: i64,
-    /// `wcl.route_attempts − (Σ the five outcome counters + sends still
+    /// `wcl.route_attempts − (Σ` [`Wcl::SEND_OUTCOMES`] `+ sends still
     /// pending)`; non-zero means a tracked send ended in no outcome, or in
     /// more than one.
     pub unresolved_sends: i64,
@@ -421,26 +422,10 @@ fn build_plan(
     to: SimTime,
 ) -> FaultPlan {
     match scenario {
-        Scenario::Partition => {
-            let island: Vec<NodeId> = victims.iter().take(victims.len() / 4).copied().collect();
-            FaultPlan::new().partition(island, from, to)
-        }
+        Scenario::Partition => FaultPlan::new().partition(victims[..victims.len() / 4].iter().copied(), from, to),
         Scenario::BurstLoss => FaultPlan::new().burst_loss(from, to),
         Scenario::LatencySpike => FaultPlan::new().latency_spike(from, to),
-        Scenario::CrashRestart => {
-            let mut plan = FaultPlan::new();
-            let crashed = victims.len() / 10;
-            for (i, &node) in victims.iter().take(crashed).enumerate() {
-                // Stagger crashes across the first half of the window so
-                // failures are not synchronized.
-                let span = to.as_micros() - from.as_micros();
-                let at = SimTime::from_micros(
-                    from.as_micros() + span / 2 * i as u64 / crashed.max(1) as u64,
-                );
-                plan = plan.crash_restart(node, at, to);
-            }
-            plan
-        }
+        Scenario::CrashRestart => staggered_crashes(FaultPlan::new(), &victims[..victims.len() / 10], from, to),
         Scenario::NatRebind => {
             // Recovery is bounded by the PPSS cycle (the member's fresh
             // entry propagates once per cycle, 1 min by default), so the
@@ -455,6 +440,18 @@ fn build_plan(
             plan
         }
     }
+}
+
+/// `plan` with each of `nodes` crashed in `[from, to)` and restarted at
+/// `to`, the crashes staggered across the window's first half so that
+/// failures are not synchronized.
+fn staggered_crashes(mut plan: FaultPlan, nodes: &[NodeId], from: SimTime, to: SimTime) -> FaultPlan {
+    let span = to.as_micros() - from.as_micros();
+    for (i, &node) in nodes.iter().enumerate() {
+        let at = SimTime::from_micros(from.as_micros() + span / 2 * i as u64 / nodes.len() as u64);
+        plan = plan.crash_restart(node, at, to);
+    }
+    plan
 }
 
 /// Issues one request from `src` to a random private-view member.
@@ -492,29 +489,6 @@ fn send_request(
     sent
 }
 
-/// Drop counters that, together with deliveries and in-flight messages,
-/// must account for every send (the attribution identity of DESIGN.md
-/// §11).
-pub const DROP_COUNTERS: [&str; 7] = [
-    "net.lost",
-    "net.lost_burst",
-    "net.drop_partition",
-    "net.drop_crashed",
-    "net.drop_dead_target",
-    "net.nat_blocked",
-    "net.drop_sender_gone",
-];
-
-/// The ways a tracked WCL send ends; with the sends still pending they
-/// must account for every `wcl.route_attempts`.
-pub const SEND_OUTCOMES: [&str; 5] = [
-    "wcl.route_first_success",
-    "wcl.route_alt_success",
-    "wcl.route_no_alt",
-    "wcl.route_exhausted",
-    "wcl.restart_pending_dropped",
-];
-
 fn collect(net: &WhisperNet, skipped: u64) -> ChaosOutcome {
     let (mut sent, mut acked) = (0u64, 0u64);
     let mut empty_views = 0usize;
@@ -534,12 +508,7 @@ fn collect(net: &WhisperNet, skipped: u64) -> ChaosOutcome {
         }
     }
     let m = net.sim.metrics();
-    let traffic = m.traffic_snapshot();
-    let up: u64 = traffic.values().map(|t| t.up_msgs).sum();
-    let down: u64 = traffic.values().map(|t| t.down_msgs).sum();
-    let drops: u64 = DROP_COUNTERS.iter().map(|n| m.counter(n)).sum();
-    let unattributed = up as i64 - (down + drops + net.sim.in_flight_msgs()) as i64;
-    let resolved: u64 = SEND_OUTCOMES.iter().map(|n| m.counter(n)).sum();
+    let resolved: u64 = Wcl::SEND_OUTCOMES.iter().map(|n| m.counter(n)).sum();
     let unresolved_sends = m.counter("wcl.route_attempts") as i64 - (resolved + pending) as i64;
     let counters = m
         .counter_names()
@@ -550,7 +519,7 @@ fn collect(net: &WhisperNet, skipped: u64) -> ChaosOutcome {
         acked,
         skipped,
         repair_s: m.samples("wcl.repair_s").to_vec(),
-        unattributed,
+        unattributed: net.sim.unattributed_msgs(),
         unresolved_sends,
         empty_views,
         live_nodes,
@@ -669,17 +638,10 @@ pub fn run_group_lifecycle(params: &ChaosParams) -> LifecycleOutcome {
     let crash_to = SimTime::from_micros(crash_from.as_micros() + FAULT_LEN_S * 1_000_000);
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x11FE_C7C1E);
     let victims = shuffled_victims(&net, &leaders, &mut rng);
-    let island: Vec<NodeId> = victims.iter().take(victims.len() / 10).copied().collect();
-    let mut plan = FaultPlan::new().partition(island, from, to);
-    let crashed = (victims.len() / 16).max(1);
-    for (i, &node) in victims.iter().skip(victims.len() / 10).take(crashed).enumerate() {
-        let span = crash_to.as_micros() - crash_from.as_micros();
-        let at = SimTime::from_micros(
-            crash_from.as_micros() + span / 2 * i as u64 / crashed as u64,
-        );
-        plan = plan.crash_restart(node, at, crash_to);
-    }
-    net.sim.install_fault_plan(plan);
+    let (island, rest) = victims.split_at(victims.len() / 10);
+    let crashed = &rest[..(victims.len() / 16).max(1).min(rest.len())];
+    let plan = FaultPlan::new().partition(island.iter().copied(), from, to);
+    net.sim.install_fault_plan(staggered_crashes(plan, crashed, crash_from, crash_to));
 
     // Lifecycle schedule: deletions inside the partition window,
     // migration inside the crash window.

@@ -7,7 +7,7 @@ use whisper_core::node::NoApp;
 use whisper_core::{GroupApp, GroupId, WhisperConfig, WhisperNode};
 use whisper_crypto::rsa::{KeyPair, RsaKeySize};
 use whisper_net::nat::{NatDistribution, NatType};
-use whisper_net::sim::{Sim, SimConfig};
+use whisper_net::sim::{Protocol, Sim, SimConfig};
 use whisper_net::NodeId;
 use whisper_pss::{NylonConfig, NylonCore, NylonNode};
 
@@ -89,31 +89,53 @@ impl NetBuilder {
 
     /// Node `i`'s NAT type and bootstrap list: the [`BOOTSTRAPS`] are
     /// public and bootstrap from each other, every later node draws its
-    /// NAT type from `dist` and bootstraps from all of them.
-    fn place(&self, i: usize, sim: &mut Sim, dist: &NatDistribution) -> (NatType, Vec<NodeId>) {
+    /// NAT type from the engine's harness RNG and bootstraps from all of
+    /// them.
+    fn place(&self, i: usize, sim: &mut Sim) -> (NatType, Vec<NodeId>) {
         let bootstraps = (0..BOOTSTRAPS as u64).map(NodeId);
         if i < BOOTSTRAPS {
             (NatType::Public, bootstraps.filter(|n| n.0 != i as u64).collect())
         } else {
+            let dist = NatDistribution::with_public_ratio(self.public_ratio);
             (dist.sample(sim.rng()), bootstraps.collect())
         }
+    }
+
+    /// A fresh engine holding the population: node `i` is what `make`
+    /// builds from its key (of `size`, see [`NetBuilder::key_cycle`]) and
+    /// its bootstrap list, [placed](NetBuilder::place) in turn.
+    fn populate(
+        &self,
+        size: RsaKeySize,
+        make: impl Fn(usize, KeyPair, Vec<NodeId>) -> Box<dyn Protocol>,
+    ) -> (Sim, Vec<NodeId>) {
+        let keys = self.population_keys(size);
+        // The builder knows the population size, so the engine can
+        // pre-reserve per-shard arenas and scheduler buckets up front.
+        let mut sim = Sim::new(self.sim.clone().with_expected_nodes(self.nodes));
+        let mut ids = Vec::with_capacity(self.nodes);
+        for (i, key) in keys.into_iter().enumerate() {
+            let (nat, bootstrap) = self.place(i, &mut sim);
+            ids.push(sim.add_node(make(i, key, bootstrap), nat));
+        }
+        (sim, ids)
+    }
+
+    /// A full stack running `app`, bootstrapping from `bootstrap`.
+    fn whisper_node(&self, key: KeyPair, app: Box<dyn GroupApp>, bootstrap: Vec<NodeId>) -> Box<dyn Protocol> {
+        let mut node = WhisperNode::with_app(self.whisper.clone(), key, app);
+        node.nylon_mut().set_bootstrap(bootstrap);
+        Box::new(node)
     }
 
     /// Builds a network of plain PSS nodes ([`NylonNode`]) — used by the
     /// Fig. 5 / Fig. 6 experiments that evaluate the PSS layer alone.
     pub fn build_pss(&self, nylon_cfg: &NylonConfig) -> PssNet {
-        let keys = self.population_keys(nylon_cfg.rsa);
-        // The builder knows the population size, so the engine can
-        // pre-reserve per-shard arenas and scheduler buckets up front.
-        let mut sim = Sim::new(self.sim.clone().with_expected_nodes(self.nodes));
-        let dist = NatDistribution::with_public_ratio(self.public_ratio);
-        let mut ids = Vec::with_capacity(self.nodes);
-        for (i, key) in keys.into_iter().enumerate() {
+        let (sim, ids) = self.populate(nylon_cfg.rsa, |_, key, bootstrap| {
             let mut core = NylonCore::new(nylon_cfg.clone(), key);
-            let (nat, bootstrap) = self.place(i, &mut sim, &dist);
             core.set_bootstrap(bootstrap);
-            ids.push(sim.add_node(Box::new(NylonNode::new(core)), nat));
-        }
+            Box::new(NylonNode::new(core))
+        });
         PssNet { sim, ids }
     }
 
@@ -138,20 +160,10 @@ impl NetBuilder {
 
     /// Builds a network of full WHISPER stacks, with an app plugin per
     /// node supplied by `make_app`.
-    pub fn build_whisper(
-        &self,
-        make_app: impl Fn(usize) -> Box<dyn GroupApp>,
-    ) -> WhisperNet {
-        let keys = self.population_keys(self.whisper.nylon.rsa);
-        let mut sim = Sim::new(self.sim.clone().with_expected_nodes(self.nodes));
-        let dist = NatDistribution::with_public_ratio(self.public_ratio);
-        let mut ids = Vec::with_capacity(self.nodes);
-        for (i, key) in keys.into_iter().enumerate() {
-            let mut node = WhisperNode::with_app(self.whisper.clone(), key, make_app(i));
-            let (nat, bootstrap) = self.place(i, &mut sim, &dist);
-            node.nylon_mut().set_bootstrap(bootstrap);
-            ids.push(sim.add_node(Box::new(node), nat));
-        }
+    pub fn build_whisper(&self, make_app: impl Fn(usize) -> Box<dyn GroupApp>) -> WhisperNet {
+        let (sim, ids) = self.populate(self.whisper.nylon.rsa, |i, key, bootstrap| {
+            self.whisper_node(key, make_app(i), bootstrap)
+        });
         WhisperNet { sim, ids, builder: self.clone() }
     }
 }
@@ -288,14 +300,9 @@ impl WhisperNet {
         key_rng: &mut StdRng,
         join_spec: Option<(NodeId, GroupId)>,
     ) -> NodeId {
-        let cfg = &self.builder.whisper;
-        let key = KeyPair::generate(cfg.nylon.rsa, key_rng);
-        let mut node = WhisperNode::new(cfg.clone(), key);
-        node.nylon_mut()
-            .set_bootstrap((0..BOOTSTRAPS as u64).map(NodeId).collect());
-        let dist = NatDistribution::with_public_ratio(self.builder.public_ratio);
-        let nat = dist.sample(self.sim.rng());
-        let id = self.sim.add_node(Box::new(node), nat);
+        let key = KeyPair::generate(self.builder.whisper.nylon.rsa, key_rng);
+        let (nat, bootstrap) = self.builder.place(self.ids.len(), &mut self.sim);
+        let id = self.sim.add_node(self.builder.whisper_node(key, Box::new(NoApp), bootstrap), nat);
         self.ids.push(id);
         if let Some((leader, group)) = join_spec {
             self.join(leader, group, id);

@@ -52,7 +52,7 @@
 use crate::ppss::group::GroupId;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_crypto::sha256::Sha256;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink, WireWriter};
+use whisper_net::wire::{WireEncode, WireSink, WireWriter};
 use whisper_net::NodeId;
 
 /// Domain separator for descriptor signatures (nothing else in the stack
@@ -108,28 +108,30 @@ pub struct GroupDescriptor {
     /// Simulated publish time in microseconds (deletion-propagation
     /// measurement; not covered by any correctness rule).
     pub born_at: u64,
-    /// Serialized group public key the signature verifies under.
-    pub signer_key: Vec<u8>,
-    /// RSA signature over the descriptor message.
+    /// The group public key the signature verifies under, parsed with
+    /// the descriptor like every key in the stack.
+    pub signer_key: PublicKey,
+    /// RSA signature over the domain `whisper-descr-v1` and every field
+    /// above, as the image writes them.
     pub signature: Vec<u8>,
 }
 
-fn descriptor_message(d: &GroupDescriptor) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_raw(SIGN_DOMAIN);
-    w.put(&d.group);
-    w.put_u64(d.epoch);
-    w.put_u64(d.seq);
-    w.put_raw(&d.key_hash);
-    w.put(&d.tombstone);
-    w.put_seq(&d.adds);
-    w.put_seq(&d.removes);
-    w.put_u64(d.born_at);
-    w.put_bytes(&d.signer_key);
-    w.into_bytes()
-}
+whisper_net::wire_format!(GroupDescriptor {
+    group, epoch, seq, key_hash, tombstone, adds: seq, removes: seq, born_at, signer_key, signature
+});
 
 impl GroupDescriptor {
+    /// What the signature covers: [`SIGN_DOMAIN`], then the descriptor's
+    /// image up to its signature.
+    fn signed_body(&self) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_raw(SIGN_DOMAIN);
+        w.put(self);
+        let mut body = w.into_bytes();
+        body.truncate(body.len() - self.signature.encoded_len());
+        body
+    }
+
     /// Builds and signs a descriptor with the group private key (leader
     /// operation).
     #[allow(clippy::too_many_arguments)]
@@ -153,10 +155,10 @@ impl GroupDescriptor {
             adds,
             removes,
             born_at,
-            signer_key: key.public().to_bytes(),
+            signer_key: key.public().clone(),
             signature: Vec::new(),
         };
-        d.signature = key.sign(&descriptor_message(&d));
+        d.signature = key.sign(&d.signed_body());
         d
     }
 
@@ -165,51 +167,7 @@ impl GroupDescriptor {
     /// so a tombstone from a leader we have not caught up with via its
     /// `NewKeyAnnouncement` yet still verifies once the key lands).
     pub fn verify(&self, history: &[PublicKey]) -> bool {
-        let Some(signer) = PublicKey::from_bytes(&self.signer_key) else {
-            return false;
-        };
-        if !history.contains(&signer) {
-            return false;
-        }
-        signer.verify(&descriptor_message(self), &self.signature).is_ok()
-    }
-}
-
-impl WireEncode for GroupDescriptor {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        w.put(&self.group);
-        w.put_u64(self.epoch);
-        w.put_u64(self.seq);
-        w.put_raw(&self.key_hash);
-        w.put(&self.tombstone);
-        w.put_seq(&self.adds);
-        w.put_seq(&self.removes);
-        w.put_u64(self.born_at);
-        w.put_bytes(&self.signer_key);
-        w.put_bytes(&self.signature);
-    }
-}
-
-// Not a field list: its signed body.
-impl WireDecode for GroupDescriptor {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let group = r.take()?;
-        let epoch = r.take_u64()?;
-        let seq = r.take_u64()?;
-        let mut key_hash = [0u8; 32];
-        key_hash.copy_from_slice(r.take_raw(32)?);
-        Ok(GroupDescriptor {
-            group,
-            epoch,
-            seq,
-            key_hash,
-            tombstone: r.take()?,
-            adds: r.take_seq()?,
-            removes: r.take_seq()?,
-            born_at: r.take_u64()?,
-            signer_key: r.take_bytes()?.to_vec(),
-            signature: r.take_bytes()?.to_vec(),
-        })
+        history.contains(&self.signer_key) && self.signer_key.verify(&self.signed_body(), &self.signature).is_ok()
     }
 }
 
@@ -217,6 +175,7 @@ impl WireDecode for GroupDescriptor {
 mod tests {
     use super::*;
     use whisper_crypto::rsa::RsaKeySize;
+    use whisper_net::wire::WireDecode;
     use whisper_rand::rngs::StdRng;
     use whisper_rand::SeedableRng;
 

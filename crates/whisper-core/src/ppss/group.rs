@@ -13,7 +13,6 @@
 use crate::ppss::messages::PrivateEntry;
 use whisper_crypto::rsa::{KeyPair, PublicKey};
 use whisper_crypto::sha256::Sha256;
-use whisper_net::wire::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use whisper_net::NodeId;
 
 /// Identifier of a private group (derived from its name; the name itself
@@ -44,22 +43,7 @@ impl GroupId {
     }
 }
 
-impl WireEncode for GroupId {
-    fn encode<W: WireSink>(&self, w: &mut W) {
-        // The codec has no native u128; split into two big-endian u64s.
-        w.put_u64((self.0 >> 64) as u64);
-        w.put_u64(self.0 as u64);
-    }
-}
-
-// Not a field list: a `u128` written as two `u64`s.
-impl WireDecode for GroupId {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let hi = r.take_u64()?;
-        let lo = r.take_u64()?;
-        Ok(GroupId(((hi as u128) << 64) | lo as u128))
-    }
-}
+whisper_net::wire_format!(GroupId(id));
 
 fn passport_message(group: GroupId, node: NodeId) -> Vec<u8> {
     let mut m = b"whisper-passport".to_vec();
@@ -197,6 +181,7 @@ mod tests {
     use whisper_rand::rngs::StdRng;
     use whisper_rand::SeedableRng;
     use whisper_crypto::rsa::RsaKeySize;
+    use whisper_net::wire::{WireDecode, WireEncode};
 
     fn group_key() -> KeyPair {
         KeyPair::generate(RsaKeySize::Sim384, &mut StdRng::seed_from_u64(1))

@@ -466,14 +466,17 @@ impl Ppss {
     /// Handles a [`PpssMsg::Deleted`]: `bytes` is the tombstone it
     /// carried, `exchange_id` the request it answers (0 when pushed).
     ///
-    /// A member verifies the signature against its key history. A
-    /// verified deletion tombstone destroys the group on the spot, forever,
-    /// and goes on to the view and PCP ([`Ppss::delete_here`]); any other
-    /// verified descriptor says nothing the exchanges do not, and is
-    /// dropped. A non-member has nothing to verify it against and drops
-    /// it. An answer ends the tracked exchange request it echoes once this
-    /// node holds the group deleted under these very bytes: asking again
-    /// would only bring them again.
+    /// A tombstone that does not parse — its signer key one no node could
+    /// have made included — is counted (`ppss.desc_unparseable`) by member
+    /// and non-member alike, and goes no further. A member verifies the
+    /// signature against its key history. A verified deletion tombstone
+    /// destroys the group on the spot, forever, and goes on to the view
+    /// and PCP ([`Ppss::delete_here`]); any other verified descriptor says
+    /// nothing the exchanges do not, and is dropped. A non-member has
+    /// nothing to verify it against and drops it. An answer ends the
+    /// tracked exchange request it echoes once this node holds the group
+    /// deleted under these very bytes: asking again would only bring them
+    /// again.
     pub(super) fn on_descriptor(
         &mut self,
         ctx: &mut Ctx<'_>,

@@ -129,6 +129,17 @@ pub const MAX_RETRIES: usize = 3;
 pub const CIRCUIT_TTL: SimDuration = SimDuration::from_secs(120);
 /// Maximum circuits a relay stores (oldest evicted first).
 const CIRCUIT_CAPACITY: usize = 1024;
+/// A tracked send answered at its first attempt (Table I's "Success").
+const FIRST_SUCCESS: &str = "wcl.route_first_success";
+/// A tracked send answered after a retry ("Alt.").
+const ALT_SUCCESS: &str = "wcl.route_alt_success";
+/// A tracked send abandoned because no alternative path could be built
+/// ("No alt.").
+const NO_ALT: &str = "wcl.route_no_alt";
+/// A tracked send abandoned after 1 + [`MAX_RETRIES`] attempts.
+const EXHAUSTED: &str = "wcl.route_exhausted";
+/// Tracked sends lost with the process that made them.
+const RESTART_DROPPED: &str = "wcl.restart_pending_dropped";
 
 impl Default for WclConfig {
     fn default() -> Self {
@@ -259,7 +270,7 @@ impl Wcl {
     /// [`whisper_net::fault::Fault::CrashRestart`] brings the node back.
     pub fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
         if !self.pending.is_empty() {
-            ctx.metrics().count("wcl.restart_pending_dropped", self.pending.len() as u64);
+            ctx.metrics().count(RESTART_DROPPED, self.pending.len() as u64);
         }
         self.pending.clear();
         self.flush_circuits();
@@ -373,15 +384,18 @@ impl Wcl {
         self.send_back(ctx, way, payload, None)
     }
 
+    /// The counters of the ways a tracked [`Wcl::send`] ends — the four
+    /// of Table I and a restart's loss. Each send counts
+    /// `wcl.route_attempts` once and, unless it is still pending, exactly
+    /// one of these once.
+    pub const SEND_OUTCOMES: [&'static str; 5] = [FIRST_SUCCESS, ALT_SUCCESS, NO_ALT, EXHAUSTED, RESTART_DROPPED];
+
     /// Sends `payload` confidentially to `dest`, tracking it for retries:
     /// if [`Wcl::notify_response`] is not called with `msg_id` before the
     /// retry timeout, an alternative path is tried (up to [`MAX_RETRIES`]).
     /// `once` is as for [`Wcl::send_untracked`]; a retry, which builds a
-    /// fresh circuit, states it again.
-    ///
-    /// Counts the Table I statistics: `wcl.route_first_success`,
-    /// `wcl.route_alt_success`, `wcl.route_no_alt`,
-    /// `wcl.route_exhausted`.
+    /// fresh circuit, states it again. How it ends is counted under one of
+    /// [`Wcl::SEND_OUTCOMES`].
     pub fn send(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -395,7 +409,7 @@ impl Wcl {
             // Could not even build the first path; treated as "no
             // alternative" immediately, and its destination recorded as
             // for a retry that ran out of paths, so Table I counts it.
-            ctx.metrics().count("wcl.route_no_alt", 1);
+            ctx.metrics().count(NO_ALT, 1);
             ctx.metrics().sample("wcl.failed_dest_noalt", dest.node.0 as f64);
             return false;
         };
@@ -427,9 +441,9 @@ impl Wcl {
             ctx.metrics().sample("wcl.rtt_s", rtt);
             let first_try = p.attempts <= 1;
             if first_try {
-                ctx.metrics().count("wcl.route_first_success", 1);
+                ctx.metrics().count(FIRST_SUCCESS, 1);
             } else {
-                ctx.metrics().count("wcl.route_alt_success", 1);
+                ctx.metrics().count(ALT_SUCCESS, 1);
                 // Route-repair latency: first attempt out → answer over
                 // the repaired path back.
                 ctx.metrics().sample("wcl.repair_s", rtt);
@@ -467,13 +481,13 @@ impl Wcl {
         }
         let dest = p.dest.node;
         if p.attempts > MAX_RETRIES {
-            ctx.metrics().count("wcl.route_exhausted", 1);
+            ctx.metrics().count(EXHAUSTED, 1);
             ctx.metrics().sample("wcl.failed_dest_exhausted", dest.0 as f64);
             return Some(WclEvent::RouteFailed { msg_id, dest });
         }
         let avoid = (&p.used_first_mixes[..], &p.used_gateways[..]);
         let Some((a, b)) = self.try_send(ctx, &p.dest, &p.payload, p.once, avoid) else {
-            ctx.metrics().count("wcl.route_no_alt", 1);
+            ctx.metrics().count(NO_ALT, 1);
             ctx.metrics().sample("wcl.failed_dest_noalt", dest.0 as f64);
             return Some(WclEvent::RouteFailed { msg_id, dest });
         };

@@ -309,9 +309,6 @@ fn a_join_ack_with_a_key_that_does_not_parse_is_refused() {
     assert!(joined(&sim));
 }
 
-/// A descriptor that verifies under the group's key but is no tombstone
-/// changes nothing at a member: no epoch, no event, no journal record —
-/// it is only counted. The same key's tombstone deletes the group.
 /// An exchange whose sender entry carries a key no node could have made —
 /// an odd 4 KiB modulus, whose every use would cost what thousands of
 /// real keys do — is refused at decode and counted, before any of it is
@@ -351,6 +348,9 @@ fn an_exchange_whose_entry_carries_an_oversized_key_is_malformed() {
     assert_eq!(sim.metrics().counter("ppss.malformed"), 1);
 }
 
+/// A descriptor that verifies under the group's key but is no tombstone
+/// changes nothing at a member: no epoch, no event, no journal record —
+/// it is only counted. The same key's tombstone deletes the group.
 #[test]
 fn a_validly_signed_live_descriptor_changes_no_state() {
     let (mut sim, me, group, group_key) = a_pending_join(26);
@@ -379,6 +379,59 @@ fn a_validly_signed_live_descriptor_changes_no_state() {
 
     assert_eq!(deliver(&mut sim, pushed(&sign(true))), vec![PpssEvent::GroupDeleted { group }]);
     assert_eq!(epoch(&sim), None);
+}
+
+/// A tombstone's signer key is parsed with it, as every key in the stack:
+/// one no node could have made — an odd 4 KiB modulus, or an even one of
+/// a real key's 48 bytes — is refused at decode and counted under
+/// `ppss.desc_unparseable` by a non-member and by a member alike, and the
+/// member keeps its group. The tombstone as signed deletes it.
+#[test]
+fn a_tombstone_whose_signer_key_does_not_parse_is_refused() {
+    let (mut sim, me, group, group_key) = a_pending_join(30);
+    let history = [group_key.public().clone()];
+    let tombstone = GroupDescriptor::sign(&group_key, group, 5, 1, &history, true, vec![], vec![], 0).to_wire();
+    let framed = |image: &[u8]| {
+        let mut w = WireWriter::new();
+        w.put_bytes(image);
+        w.into_bytes()
+    };
+    let real = framed(group_key.public().wire_bytes());
+    let at = tombstone.windows(real.len()).position(|w| w == real).expect("the signer's key");
+    let mut oversized = vec![0x5A; 4096];
+    oversized[0] = 0xC5;
+    oversized[4095] = 0x5B;
+    let mut even = group_key.public().wire_bytes().to_vec();
+    even[47] &= !1;
+    let forged: Vec<Vec<u8>> = [oversized, even]
+        .iter()
+        .map(|key| [&tombstone[..at], &framed(key), &tombstone[at + real.len()..]].concat())
+        .collect();
+    let pushed = |image: &[u8]| PpssMsg::Deleted { tombstone: image.to_vec(), exchange_id: 0 }.to_wire();
+    let unparseable = |sim: &Sim| sim.metrics().counter("ppss.desc_unparseable");
+    let holds = |sim: &Sim| sim.node::<WhisperNode>(me).unwrap().ppss().group(group).is_some();
+
+    for image in &forged {
+        assert!(GroupDescriptor::from_wire(image).is_err());
+        assert_eq!(deliver_wire(&mut sim, me, &pushed(image)), Some(vec![]));
+    }
+    assert_eq!(unparseable(&sim), 2, "a non-member counts them");
+    let ack = PpssMsg::JoinAck {
+        group,
+        passport: Passport::issue(&group_key, group, me),
+        key_history: history.to_vec(),
+        entries: vec![],
+    };
+    deliver_wire(&mut sim, me, &ack.to_wire()).expect("parses");
+    assert!(holds(&sim), "joined");
+    for image in &forged {
+        assert_eq!(deliver_wire(&mut sim, me, &pushed(image)), Some(vec![]));
+    }
+    assert_eq!(unparseable(&sim), 4, "a member counts them");
+    assert_eq!(sim.metrics().counter("ppss.desc_unverified"), 0, "never got as far as a check");
+    assert!(holds(&sim), "a tombstone that does not parse deleted the group");
+    assert_eq!(deliver_wire(&mut sim, me, &pushed(&tombstone)), Some(vec![PpssEvent::GroupDeleted { group }]));
+    assert!(!holds(&sim));
 }
 
 /// Journal record tags, as the PPSS writes them.

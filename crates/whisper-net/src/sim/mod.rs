@@ -61,6 +61,7 @@ mod shard;
 
 pub use config::{SimConfig, NAT_LEASE};
 pub use ctx::{Ctx, Protocol};
+pub use shard::DROP_CAUSES;
 
 use crate::barrier::WindowBarrier;
 use crate::fault::{Fault, FaultPlan, FaultState};
@@ -345,10 +346,20 @@ impl Sim {
     }
 
     /// Number of messages currently in flight (queued `Deliver` events).
-    /// The drop-attribution identity is
-    /// `sends == deliveries + Σ drop counters + in_flight`.
     pub fn in_flight_msgs(&self) -> u64 {
         self.shards.iter().map(|s| s.in_flight).sum()
+    }
+
+    /// The drop-attribution identity's remainder, `Σup − Σdown − Σ
+    /// drops under [`DROP_CAUSES`] − in flight`: the messages sent that
+    /// were neither delivered, dropped for a named cause nor are still on
+    /// their way. Zero between runs unless a message vanished.
+    pub fn unattributed_msgs(&self) -> i64 {
+        let traffic = self.metrics.traffic_snapshot();
+        let up: u64 = traffic.values().map(|t| t.up_msgs).sum();
+        let down: u64 = traffic.values().map(|t| t.down_msgs).sum();
+        let drops: u64 = DROP_CAUSES.iter().map(|name| self.metrics.counter(name)).sum();
+        up as i64 - (down + drops + self.in_flight_msgs()) as i64
     }
 
     /// Immutable access to a node's protocol state, downcast to `T`.

@@ -20,6 +20,23 @@ use whisper_rand::rngs::StdRng;
 /// events at the same instant.
 pub(super) const CONTROL_SRC: u64 = 0;
 
+/// Every cause for which the engine drops a message, each its own
+/// counter. With the messages delivered and those in flight they account
+/// for every send ([`Sim::unattributed_msgs`](super::Sim::unattributed_msgs)).
+pub const DROP_CAUSES: [&str; 6] = [LOST, LOST_BURST, DROP_PARTITION, DROP_CRASHED, DROP_DEAD_TARGET, NAT_BLOCKED];
+/// The profile's independent per-link loss.
+const LOST: &str = "net.lost";
+/// A burst-loss fault's bad state.
+const LOST_BURST: &str = "net.lost_burst";
+/// A partition fault separates sender and receiver.
+const DROP_PARTITION: &str = "net.drop_partition";
+/// The receiver is down in a crash-restart fault.
+const DROP_CRASHED: &str = "net.drop_crashed";
+/// The receiver was removed, before the send or while it flew.
+const DROP_DEAD_TARGET: &str = "net.drop_dead_target";
+/// The receiver's NAT device refused it.
+const NAT_BLOCKED: &str = "net.nat_blocked";
+
 pub(super) enum EventKind {
     Deliver {
         to: Endpoint,
@@ -294,16 +311,16 @@ impl Shard {
             }
             EventKind::Deliver { to, from, from_ep, data } => {
                 let Some(pos) = self.slot_pos(to.node) else {
-                    self.metrics.count("net.drop_dead_target", 1);
+                    self.metrics.count(DROP_DEAD_TARGET, 1);
                     return;
                 };
                 let hot = self.hot[pos];
                 if hot & HOT_ALIVE == 0 {
-                    self.metrics.count("net.drop_dead_target", 1);
+                    self.metrics.count(DROP_DEAD_TARGET, 1);
                     return;
                 }
                 if hot & HOT_DOWN != 0 {
-                    self.metrics.count("net.drop_crashed", 1);
+                    self.metrics.count(DROP_CRASHED, 1);
                     return;
                 }
                 // Public nodes accept everything: skip the NAT device
@@ -312,7 +329,7 @@ impl Shard {
                 if hot & HOT_PUBLIC == 0
                     && !self.slots[pos].nat.inbound(to.port, from_ep, self.now)
                 {
-                    self.metrics.count("net.nat_blocked", 1);
+                    self.metrics.count(NAT_BLOCKED, 1);
                     return;
                 }
                 Self::record_traffic(
@@ -423,15 +440,15 @@ impl Shard {
                         let src_port =
                             if public { 0 } else { slot.nat.outbound(to, now, NAT_LEASE) };
                         if env.fault.partition_blocks(now, from, to.node) {
-                            metrics.count("net.drop_partition", 1);
+                            metrics.count(DROP_PARTITION, 1);
                             continue;
                         }
                         if env.cfg.profile.sample_loss(&mut slot.link_rng) {
-                            metrics.count("net.lost", 1);
+                            metrics.count(LOST, 1);
                             continue;
                         }
                         if env.fault.burst_drop(now, &mut slot.ge_bad, &mut slot.link_rng) {
-                            metrics.count("net.lost_burst", 1);
+                            metrics.count(LOST_BURST, 1);
                             continue;
                         }
                         let mut delay = env.cfg.profile.sample_delay(&mut slot.link_rng);

@@ -140,6 +140,12 @@ pub trait WireSink: Sized {
         self.put_raw(&v.to_be_bytes());
     }
 
+    /// Appends a big-endian `u128`.
+    #[inline]
+    fn put_u128(&mut self, v: u128) {
+        self.put_raw(&v.to_be_bytes());
+    }
+
     /// Appends a length or a count in the fewest bytes that hold it: a
     /// QUIC variable-length integer (RFC 9000 §16). The top two bits of
     /// the first byte give the width — `00` one byte (below 2⁶), `01` two
@@ -264,6 +270,11 @@ impl<'a> WireReader<'a> {
     /// Reads a big-endian `u64`.
     pub fn take_u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_be_bytes(self.advance(8)?.try_into().unwrap()))
+    }
+
+    /// Reads a big-endian `u128`.
+    pub fn take_u128(&mut self) -> Result<u128, WireError> {
+        Ok(u128::from_be_bytes(self.advance(16)?.try_into().unwrap()))
     }
 
     /// Reads a length or a count written by [`WireSink::put_len`].
@@ -403,6 +414,21 @@ impl_wire_uint!(u8, put_u8, take_u8);
 impl_wire_uint!(u16, put_u16, take_u16);
 impl_wire_uint!(u32, put_u32, take_u32);
 impl_wire_uint!(u64, put_u64, take_u64);
+impl_wire_uint!(u128, put_u128, take_u128);
+
+/// A byte array travels as its bytes, unprefixed: its type fixes the
+/// length.
+impl<const N: usize> WireEncode for [u8; N] {
+    fn encode<W: WireSink>(&self, w: &mut W) {
+        w.put_raw(self);
+    }
+}
+
+impl<const N: usize> WireDecode for [u8; N] {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(r.take_raw(N)?.try_into().unwrap())
+    }
+}
 
 impl WireEncode for Vec<u8> {
     fn encode<W: WireSink>(&self, w: &mut W) {
@@ -560,14 +586,20 @@ mod tests {
         w.put_u16(0x1234);
         w.put_u32(0xDEADBEEF);
         w.put_u64(0x0102030405060708);
+        w.put_u128(0x1112_1314_1516_1718_191A_1B1C_1D1E_1F20);
+        w.put(&[0xC0u8, 0xFF, 0xEE]);
         let buf = w.into_bytes();
-        assert_eq!(buf.len(), 1 + 2 + 4 + 8);
+        assert_eq!(buf.len(), 1 + 2 + 4 + 8 + 16 + 3);
+        assert_eq!(buf[15..], [0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, 0x19, 0x1A, 0x1B, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0xC0, 0xFF, 0xEE]);
         let mut r = WireReader::new(&buf);
         assert_eq!(r.take_u8().unwrap(), 0xAB);
         assert_eq!(r.take_u16().unwrap(), 0x1234);
         assert_eq!(r.take_u32().unwrap(), 0xDEADBEEF);
         assert_eq!(r.take_u64().unwrap(), 0x0102030405060708);
+        assert_eq!(r.take_u128().unwrap(), 0x1112_1314_1516_1718_191A_1B1C_1D1E_1F20);
+        assert_eq!(r.take::<[u8; 3]>().unwrap(), [0xC0, 0xFF, 0xEE]);
         r.finish().unwrap();
+        assert!(<[u8; 4]>::from_wire(&[1, 2, 3]).is_err());
     }
 
     #[test]
@@ -696,6 +728,8 @@ mod tests {
         counts_as_written!(w => w.put_u16(0x1234));
         counts_as_written!(w => w.put_u32(0xDEADBEEF));
         counts_as_written!(w => w.put_u64(u64::MAX));
+        counts_as_written!(w => w.put_u128(u128::MAX));
+        counts_as_written!(w => w.put(&[7u8; 32]));
         for len in [0, 63, 64, 16_383, 16_384, (1 << 30) - 1, 1 << 30, (1 << 62) - 1] {
             counts_as_written!(w => w.put_len(len));
         }

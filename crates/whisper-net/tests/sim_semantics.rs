@@ -975,51 +975,43 @@ fn traffic_totals(sim: &Sim) -> (u64, u64) {
 
 /// Every send must end up delivered, attributed to a *named* drop
 /// counter, or still in flight — even with every fault class active at
-/// once. This is the accounting identity the chaos suite relies on.
+/// once, at every instant between runs, on one shard or several. This is
+/// the accounting identity the chaos suite relies on.
 #[test]
 fn every_sim_drop_has_a_named_counter() {
     use whisper_net::fault::FaultPlan;
-    let mut sim = Sim::new(SimConfig::planetlab(11)); // 2% base loss
-    let sink = sim.add_node(Box::new(Recorder { received: Vec::new() }), NatType::Public);
-    let a = sim.add_node(Box::new(Ticker { target: sink, sent: 0 }), NatType::Public);
-    let b = sim.add_node(Box::new(Ticker { target: sink, sent: 0 }), NatType::Public);
-    let at = |s: u64| SimTime::from_micros(s * 1_000_000);
-    sim.install_fault_plan(
-        FaultPlan::new()
-            .partition([a], at(5), at(10))
-            .burst_loss(at(12), at(18))
-            .latency_spike(at(20), at(25))
-            .crash_restart(sink, at(27), at(33))
-            .nat_rebind(b, at(35)),
-    );
-    sim.run_for_secs(60);
-    let m = sim.metrics();
-    // Each fault class left its mark under its own counter.
-    for name in [
-        "net.lost",
-        "net.lost_burst",
-        "net.drop_partition",
-        "net.drop_crashed",
-        "net.delay_spiked",
-        "net.fault_crash",
-        "net.fault_restart",
-        "net.fault_nat_rebind",
-    ] {
-        assert!(m.counter(name) > 0, "expected {name} > 0");
+    for shards in [1usize, 4] {
+        let mut sim = Sim::new(SimConfig::planetlab(11).with_shards(shards)); // 2% base loss
+        let sink = sim.add_node(Box::new(Recorder { received: Vec::new() }), NatType::Public);
+        let a = sim.add_node(Box::new(Ticker { target: sink, sent: 0 }), NatType::Public);
+        let b = sim.add_node(Box::new(Ticker { target: sink, sent: 0 }), NatType::Public);
+        let at = |s: u64| SimTime::from_micros(s * 1_000_000);
+        sim.install_fault_plan(
+            FaultPlan::new()
+                .partition([a], at(5), at(10))
+                .burst_loss(at(12), at(18))
+                .latency_spike(at(20), at(25))
+                .crash_restart(sink, at(27), at(33))
+                .nat_rebind(b, at(35)),
+        );
+        for second in 1..=60 {
+            sim.run_for_secs(1);
+            assert_eq!(sim.unattributed_msgs(), 0, "a message vanished without attribution by {second} s ({shards} shards)");
+        }
+        // Each fault class left its mark under its own counter.
+        for name in [
+            "net.lost",
+            "net.lost_burst",
+            "net.drop_partition",
+            "net.drop_crashed",
+            "net.delay_spiked",
+            "net.fault_crash",
+            "net.fault_restart",
+            "net.fault_nat_rebind",
+        ] {
+            assert!(sim.metrics().counter(name) > 0, "expected {name} > 0 ({shards} shards)");
+        }
     }
-    let (up, down) = traffic_totals(&sim);
-    let drops = m.counter("net.lost")
-        + m.counter("net.lost_burst")
-        + m.counter("net.drop_partition")
-        + m.counter("net.drop_crashed")
-        + m.counter("net.drop_dead_target")
-        + m.counter("net.nat_blocked")
-        + m.counter("net.drop_sender_gone");
-    assert_eq!(
-        up,
-        down + drops + sim.in_flight_msgs(),
-        "a message vanished without attribution"
-    );
 }
 
 /// Partition drops and crash drops are distinct causes: a send across the
